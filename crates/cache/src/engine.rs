@@ -11,7 +11,7 @@
 //! (async) I/O, then reports back. That keeps flushing synchronous or
 //! asynchronous at the caller's choice — the very design lesson of §5.2.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use cnp_sim::{SimDuration, SimTime};
 
@@ -173,6 +173,10 @@ pub struct BlockCache {
     /// Resident map, sharded by key hash (shard walk order is stable;
     /// in-shard iteration order is not — persistence paths sort).
     maps: Vec<HashMap<BlockKey, u32>>,
+    /// Every resident key in `(file, block)` order — the per-file block
+    /// index. Invariant: the same key set as `maps`; `map_insert` and
+    /// `map_remove` are the only writers of either.
+    by_file: BTreeSet<BlockKey>,
     free: Vec<u32>,
     clean: Box<dyn ReplacementPolicy>,
     /// Per-shard dirty frames keyed by global dirty sequence (ascending
@@ -289,6 +293,7 @@ impl BlockCache {
             cfg,
             frames,
             maps: (0..shards).map(|_| HashMap::new()).collect(),
+            by_file: BTreeSet::new(),
             free,
             clean,
             dirty_shards: (0..shards).map(|_| BTreeMap::new()).collect(),
@@ -317,10 +322,12 @@ impl BlockCache {
     fn map_insert(&mut self, key: BlockKey, frame: u32) {
         let s = self.shard_of(key);
         self.maps[s].insert(key, frame);
+        self.by_file.insert(key);
     }
 
     fn map_remove(&mut self, key: BlockKey) -> Option<u32> {
         let s = self.shard_of(key);
+        self.by_file.remove(&key);
         self.maps[s].remove(&key)
     }
 
@@ -613,14 +620,17 @@ impl BlockCache {
     /// that a block is overwritten through truncate and delete calls in
     /// memory rather than on disk." (§1)
     pub fn remove_file(&mut self, file: FileId) -> u64 {
-        // Sorted: the shards are HashMaps, and the removal order decides
-        // the order frames return to the free list — which decides where
-        // later blocks land and what index-sweeping replacement
-        // policies evict. Persistence paths must not inherit hasher
-        // state (two seeded runs must produce byte-identical platters).
-        let mut keys: Vec<BlockKey> =
-            self.maps.iter().flat_map(|m| m.keys().filter(|k| k.file == file).copied()).collect();
-        keys.sort_unstable();
+        // Ascending key order, read off the per-file index: the removal
+        // order decides the order frames return to the free list — which
+        // decides where later blocks land and what index-sweeping
+        // replacement policies evict. Persistence paths must not inherit
+        // hasher state (two seeded runs must produce byte-identical
+        // platters), so the shard HashMaps are never walked here.
+        let keys: Vec<BlockKey> = self
+            .by_file
+            .range(BlockKey::new(file, 0)..=BlockKey::new(file, u64::MAX))
+            .copied()
+            .collect();
         let mut absorbed = 0;
         for key in keys {
             let was_dirty = matches!(self.state_of(key), Some(BlockState::Dirty { .. }));
@@ -988,6 +998,50 @@ mod tests {
         let base = run(1);
         assert_eq!(run(4), base, "4-shard cache diverged from unsharded");
         assert_eq!(run(16), base, "16-shard cache diverged from unsharded");
+    }
+
+    #[test]
+    fn per_file_index_equals_a_map_scan() {
+        // Interleaved insert / evict / remove_block / remove_file on a
+        // sharded cache small enough to evict: after every step the
+        // per-file index must hold exactly the keys a scan of the shard
+        // maps finds, and `remove_file` must take exactly that file.
+        let cfg = CacheConfig { block_size: 4096, mem_bytes: 8 * 4096, nvram_bytes: None };
+        let n = cfg.frames();
+        let mut c = BlockCache::with_shards(
+            cfg,
+            Box::new(Lru::new(n)),
+            Box::new(WriteSaving::default()),
+            4,
+        );
+        let check = |c: &BlockCache| {
+            let mut scan: Vec<BlockKey> = c.maps.iter().flat_map(|m| m.keys().copied()).collect();
+            scan.sort_unstable();
+            assert_eq!(c.by_file.iter().copied().collect::<Vec<_>>(), scan);
+        };
+        let mut x = 12345u64;
+        let mut evicted = false;
+        for step in 0..400u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let k = key((x >> 33) % 5, (x >> 40) % 6);
+            match (x >> 50) % 8 {
+                0 => {
+                    let before = c.resident();
+                    let mine = c.by_file.iter().filter(|b| b.file == k.file).count();
+                    c.remove_file(k.file);
+                    assert_eq!(c.resident(), before - mine, "remove_file took another file's");
+                    assert!(c.by_file.iter().all(|b| b.file != k.file));
+                }
+                1 => c.remove_block(k),
+                _ if c.peek(k).is_none() => {
+                    evicted |= c.resident() == n;
+                    insert(&mut c, k, t(step));
+                }
+                _ => {}
+            }
+            check(&c);
+        }
+        assert!(evicted, "the script must exercise the eviction path");
     }
 
     #[test]

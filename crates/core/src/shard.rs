@@ -58,7 +58,11 @@ impl<K: Eq + Hash + Copy, V> ShardedTable<K, V> {
     /// persistence paths must sort — shard walk order is stable but
     /// the in-shard `HashMap` order is not).
     pub fn keys(&self) -> Vec<K> {
-        self.shards.iter().flat_map(|s| s.borrow().keys().copied().collect::<Vec<K>>()).collect()
+        let mut keys = Vec::new();
+        for s in &self.shards {
+            keys.extend(s.borrow().keys().copied());
+        }
+        keys
     }
 }
 

@@ -855,17 +855,20 @@ fn load_sectors(
     let total = sectors as usize * ssz;
     let pending = pending.borrow();
     let platter = platter.borrow();
-    let mut out = vec![0u8; total];
-    for i in 0..sectors as u64 {
-        let lo = i as usize * ssz;
+    let sector = |i: u64| -> Option<&[u8]> {
         match pending.get(&(lba + i)) {
-            Some(Some(sector)) => out[lo..lo + ssz].copy_from_slice(sector),
-            Some(None) => return Payload::Simulated(total as u32),
-            None => match platter.get(&(lba + i)) {
-                Some(sector) => out[lo..lo + ssz].copy_from_slice(sector),
-                None => return Payload::Simulated(total as u32),
-            },
+            Some(shadow) => shadow.as_deref(),
+            None => platter.get(&(lba + i)).map(|s| &**s),
         }
+    };
+    // Presence first: an unwritten range (most of what a recovery scan
+    // reads) must not cost a buffer it then throws away.
+    if (0..sectors as u64).any(|i| sector(i).is_none()) {
+        return Payload::Simulated(total as u32);
+    }
+    let mut out = Vec::with_capacity(total);
+    for i in 0..sectors as u64 {
+        out.extend_from_slice(sector(i).expect("presence checked"));
     }
     Payload::Data(out)
 }

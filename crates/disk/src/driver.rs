@@ -715,6 +715,9 @@ impl DiskDriver {
 
     async fn dispatch_loop(self, backend: Backend) {
         let backend = Rc::new(backend);
+        // Scratch for the scheduler's view of the queue, reused across
+        // dispatches.
+        let mut metas: Vec<PendingMeta> = Vec::new();
         loop {
             // Wait for work and a free device slot (or shutdown).
             loop {
@@ -734,7 +737,8 @@ impl DiskDriver {
             // Pick the next request under the queue policy.
             let (mut req, reply, depth) = {
                 let mut inner = self.inner.borrow_mut();
-                let metas: Vec<PendingMeta> = inner.queue.iter().map(|q| q.meta).collect();
+                metas.clear();
+                metas.extend(inner.queue.iter().map(|q| q.meta));
                 let head = inner.head_lba;
                 let idx = inner.sched.pick(&metas, head);
                 let q = inner.queue.remove(idx);

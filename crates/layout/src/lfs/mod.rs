@@ -22,11 +22,13 @@
 //! table persisted at a checkpoint may be a few blocks stale for the
 //! checkpoint's own segment.
 
+#[cfg(test)]
+mod proptests;
 mod structs;
 
 pub use structs::{SegSummary, SegUsage, SumEntry};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -105,10 +107,41 @@ struct PendingSeal {
     payloads: Vec<Payload>,
 }
 
+/// Where a segment stands with the background seal writer: the index
+/// form of "is `seg` in `SealShared::pending`", split by whether the
+/// queued segment still holds live bytes so the writer can keep
+/// `SealShared::queued_dead` in step without seeing the usage table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queued {
+    /// Not queued (never sealed, or its media write has retired).
+    No,
+    /// Queued, `live > 0`.
+    Live,
+    /// Queued, `live == 0`: free but for the queue.
+    Dead,
+}
+
+impl Queued {
+    /// The flag of a queued segment holding `live` bytes.
+    fn holding(live: u32) -> Queued {
+        if live == 0 {
+            Queued::Dead
+        } else {
+            Queued::Live
+        }
+    }
+}
+
 /// State shared between the layout and its background seal writer.
 struct SealShared {
     /// Sealed-but-unwritten segments, oldest first.
     pending: RefCell<VecDeque<PendingSeal>>,
+    /// Per segment, whether it is in `pending`. Set by `flush_current`
+    /// when it queues the seal, flipped Live <-> Dead by `set_live`,
+    /// cleared by the writer task when the write retires.
+    queued: Vec<Cell<Queued>>,
+    /// Number of `Queued::Dead` segments.
+    queued_dead: Cell<u32>,
     /// Signalled when a seal is queued.
     work: Event,
     /// Signalled after each attempted media write.
@@ -122,7 +155,22 @@ struct SealShared {
 impl SealShared {
     /// Whether `seg` is sealed but not yet on the media.
     fn holds(&self, seg: u32) -> bool {
-        self.pending.borrow().iter().any(|p| p.seg == seg)
+        self.queued[seg as usize].get() != Queued::No
+    }
+
+    /// Sets `seg`'s flag, keeping `queued_dead` equal to the number of
+    /// `Queued::Dead` flags.
+    fn mark(&self, seg: u32, state: Queued) {
+        let was = self.queued[seg as usize].replace(state);
+        let dead = self.queued_dead.get() + (state == Queued::Dead) as u32;
+        self.queued_dead.set(dead - (was == Queued::Dead) as u32);
+    }
+
+    /// Re-files `seg`, if queued, under its new `live` count.
+    fn relive(&self, seg: u32, live: u32) {
+        if self.holds(seg) {
+            self.mark(seg, Queued::holding(live));
+        }
     }
 }
 
@@ -159,7 +207,10 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
             h.trace_exit(sp);
             match r {
                 Ok(()) => {
-                    shared.pending.borrow_mut().pop_front();
+                    let retired = shared.pending.borrow_mut().pop_front();
+                    if let Some(p) = retired {
+                        shared.mark(p.seg, Queued::No);
+                    }
                     shared.done.signal();
                 }
                 Err(e) => {
@@ -200,6 +251,12 @@ pub struct LfsLayout {
     sb: SuperBlock,
     imap: Vec<u64>,
     usage: Vec<SegUsage>,
+    /// Number of segments with `live == 0` (the current segment and
+    /// queued seals included). Invariant: equals a recount of `usage`.
+    /// `set_live` is the only writer of `SegUsage.live`; wholesale
+    /// table replacements (`format`, `load_state`, `rebuild_usage`)
+    /// end in `recount_segments`.
+    zero_live: u32,
     next_ino: u64,
     ckpt_seq: u64,
     /// Mount epoch: bumped every time on-disk state is loaded, so
@@ -251,6 +308,8 @@ impl LfsLayout {
         let seal = params.background_seal.then(|| {
             let shared = Rc::new(SealShared {
                 pending: RefCell::new(VecDeque::new()),
+                queued: vec![Cell::new(Queued::No); nsegs as usize],
+                queued_dead: Cell::new(0),
                 work: Event::new(handle),
                 done: Event::new(handle),
                 failed: RefCell::new(None),
@@ -265,6 +324,7 @@ impl LfsLayout {
             sb,
             imap: Vec::new(),
             usage: Vec::new(),
+            zero_live: 0,
             next_ino: 2,
             ckpt_seq: 0,
             epoch: 0,
@@ -288,15 +348,69 @@ impl LfsLayout {
         self.params.cleaner
     }
 
-    /// Number of completely free segments (excluding the current one).
+    /// Number of completely free segments (excluding the current one):
+    /// `live == 0` and not queued at the seal writer. Read off the
+    /// maintained counts — nothing on the write path scans the table.
     pub fn free_segments(&self) -> u32 {
-        self.usage
+        let queued_dead = self.seal.as_ref().map_or(0, |s| s.queued_dead.get());
+        let cur_free = self.segment_is_free(self.cur.seg) as u32;
+        self.zero_live - queued_dead - cur_free
+    }
+
+    /// Whether `seg` holds no live bytes and is not queued for a seal.
+    fn segment_is_free(&self, seg: u32) -> bool {
+        self.usage.get(seg as usize).is_some_and(|u| u.live == 0) && !self.seal_pending(seg)
+    }
+
+    /// The one writer of `SegUsage.live` outside a wholesale table
+    /// replacement: keeps `zero_live` and the seal writer's dead count
+    /// in step with the table.
+    fn set_live(&mut self, seg: usize, live: u32) {
+        let was = std::mem::replace(&mut self.usage[seg].live, live);
+        if (was == 0) == (live == 0) {
+            return;
+        }
+        if live == 0 {
+            self.zero_live += 1;
+        } else {
+            self.zero_live -= 1;
+        }
+        if let Some(seal) = &self.seal {
+            seal.relive(seg as u32, live);
+        }
+    }
+
+    /// Recounts the maintained segment state after `usage` was replaced
+    /// wholesale.
+    fn recount_segments(&mut self) {
+        self.zero_live = self.usage.iter().filter(|u| u.live == 0).count() as u32;
+        if let Some(seal) = &self.seal {
+            for (seg, u) in self.usage.iter().enumerate() {
+                seal.relive(seg as u32, u.live);
+            }
+        }
+    }
+
+    /// The from-scratch recount the maintained state must equal: the
+    /// pre-incremental `free_segments` body, walking the usage table
+    /// and, per free entry, the seal queue. Test oracle only.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_segment_state(&self) {
+        let in_queue = |seg: u32| {
+            self.seal.as_ref().is_some_and(|s| s.pending.borrow().iter().any(|p| p.seg == seg))
+        };
+        let free = self
+            .usage
             .iter()
             .enumerate()
-            .filter(|(s, u)| {
-                *s as u32 != self.cur.seg && u.live == 0 && !self.seal_pending(*s as u32)
-            })
-            .count() as u32
+            .filter(|(s, u)| *s as u32 != self.cur.seg && u.live == 0 && !in_queue(*s as u32))
+            .count() as u32;
+        assert_eq!(self.free_segments(), free, "maintained free-segment count drifted");
+        for (seg, u) in self.usage.iter().enumerate() {
+            let want = if in_queue(seg as u32) { Queued::holding(u.live) } else { Queued::No };
+            let got = self.seal.as_ref().map_or(Queued::No, |s| s.queued[seg].get());
+            assert_eq!(got, want, "seal flag of segment {seg} drifted");
+        }
     }
 
     /// Segment utilization snapshot (live fraction per segment).
@@ -327,9 +441,9 @@ impl LfsLayout {
 
     /// Charges `bytes` of live data to a segment.
     fn usage_add(&mut self, seg: u32, bytes: u32) {
-        let u = &mut self.usage[seg as usize];
-        u.live += bytes;
-        u.mtime = self.handle.now().as_nanos();
+        let seg = seg as usize;
+        self.set_live(seg, self.usage[seg].live + bytes);
+        self.usage[seg].mtime = self.handle.now().as_nanos();
     }
 
     /// Releases `bytes` of live data from the segment holding `addr`.
@@ -340,8 +454,8 @@ impl LfsLayout {
         let seg = self.seg_of(addr) as usize;
         // Off-device addresses can only come from corrupt pointers; the
         // fsck walker reports them — never let them panic the engine.
-        let Some(u) = self.usage.get_mut(seg) else { return };
-        u.live = u.live.saturating_sub(bytes);
+        let Some(u) = self.usage.get(seg) else { return };
+        self.set_live(seg, u.live.saturating_sub(bytes));
     }
 
     fn imap_get(&self, ino: Ino) -> Option<(BlockAddr, usize)> {
@@ -411,6 +525,7 @@ impl LfsLayout {
                 return Err(e);
             }
             let payloads: Vec<Payload> = self.cur.entries.drain(..).map(|(_, p)| p).collect();
+            seal.mark(self.cur.seg, Queued::holding(self.usage[self.cur.seg as usize].live));
             seal.pending.borrow_mut().push_back(PendingSeal {
                 seg: self.cur.seg,
                 start,
@@ -496,11 +611,7 @@ impl LfsLayout {
         let n = self.sb.nsegs;
         for off in 1..=n {
             let s = (self.cur.seg + off) % n;
-            if s != self.cur.seg
-                && self.usage[s as usize].live == 0
-                && !self.protected_segs.contains(&s)
-                && !self.seal_pending(s)
-            {
+            if s != self.cur.seg && self.segment_is_free(s) && !self.protected_segs.contains(&s) {
                 return Ok(s);
             }
         }
@@ -512,6 +623,8 @@ impl LfsLayout {
         if self.cleaning {
             return Ok(());
         }
+        #[cfg(debug_assertions)]
+        self.assert_segment_state();
         if self.free_segments() >= self.params.clean_low_water {
             return Ok(());
         }
@@ -600,7 +713,7 @@ impl LfsLayout {
         let summary = summary_from_block(bytes)?;
         if summary.gen != self.sb.gen {
             // Stale summary from another format: nothing here is live.
-            self.usage[seg as usize].live = 0;
+            self.set_live(seg as usize, 0);
             return Ok(());
         }
         for (idx, entry) in summary.entries.into_iter().enumerate() {
@@ -621,7 +734,7 @@ impl LfsLayout {
                 }
             }
         }
-        self.usage[seg as usize].live = 0;
+        self.set_live(seg as usize, 0);
         self.stats.segments_cleaned += 1;
         Ok(())
     }
@@ -910,6 +1023,7 @@ impl StorageLayout for LfsLayout {
         self.io.write_block(structs::SB_ADDR, Payload::Data(self.sb.to_block())).await?;
         self.imap = vec![IMAP_NONE; 2];
         self.usage = vec![SegUsage::default(); self.sb.nsegs as usize];
+        self.recount_segments();
         self.next_ino = 2;
         self.ckpt_seq = 0;
         self.epoch = 1;
@@ -1285,6 +1399,7 @@ impl LfsLayout {
         if self.usage.len() != self.sb.nsegs as usize {
             return Err(LayoutError::Corrupt("usage table size mismatch".into()));
         }
+        self.recount_segments();
         self.next_ino = ckpt.next_ino;
         self.ckpt_seq = ckpt.seq;
         self.epoch = ckpt.epoch + 1;
@@ -1349,6 +1464,7 @@ impl LfsLayout {
                 }
             }
         }
+        self.recount_segments();
         Ok(())
     }
 

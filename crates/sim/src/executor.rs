@@ -14,6 +14,7 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -103,7 +104,9 @@ type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct TaskSlot {
     gen: u32,
-    future: Option<TaskFuture>,
+    /// The task's future and its `Waker`, built once at spawn; both
+    /// leave the slot together for the duration of a poll.
+    future: Option<(TaskFuture, Waker)>,
     name: String,
     /// True while the task sits in the runnable queue (dedup flag).
     queued: bool,
@@ -138,20 +141,32 @@ impl PartialOrd for TimerEntry {
 
 /// Wake requests issued through standard `Waker`s (e.g. by future
 /// combinators). Drained by the kernel before each scheduling decision.
-type WakeQueue = Arc<Mutex<Vec<TaskId>>>;
+/// The sim's own primitives wake through `make_runnable` and never come
+/// here, so `nonempty` lets the common step skip the lock altogether.
+#[derive(Default)]
+struct WakeQueue {
+    /// True iff `queue` holds an entry; written only under its lock.
+    /// The `Release` store in `wake_by_ref` pairs with the `Acquire`
+    /// load in `drain_wakes`; the entries themselves are published by
+    /// the mutex.
+    nonempty: AtomicBool,
+    queue: Mutex<Vec<TaskId>>,
+}
 
 struct TaskWaker {
     task: TaskId,
-    queue: WakeQueue,
+    wakes: Arc<WakeQueue>,
 }
 
 impl std::task::Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.queue.lock().expect("wake queue poisoned").push(self.task);
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.lock().expect("wake queue poisoned").push(self.task);
+        let mut q = self.wakes.queue.lock().expect("wake queue poisoned");
+        q.push(self.task);
+        self.wakes.nonempty.store(true, Ordering::Release);
     }
 }
 
@@ -165,7 +180,7 @@ pub(crate) struct Kernel {
     runnable: Vec<TaskId>,
     timers: BinaryHeap<TimerEntry>,
     timer_seq: u64,
-    wakes: WakeQueue,
+    wakes: Arc<WakeQueue>,
     rng: StdRng,
     current: Option<TaskId>,
     spawned_total: u64,
@@ -203,8 +218,12 @@ impl Kernel {
     }
 
     fn drain_wakes(&mut self) {
+        if !self.wakes.nonempty.load(Ordering::Acquire) {
+            return;
+        }
         let pending: Vec<TaskId> = {
-            let mut q = self.wakes.lock().expect("wake queue poisoned");
+            let mut q = self.wakes.queue.lock().expect("wake queue poisoned");
+            self.wakes.nonempty.store(false, Ordering::Release);
             std::mem::take(&mut *q)
         };
         for id in pending {
@@ -282,7 +301,7 @@ impl Sim {
             runnable: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            wakes: Arc::new(Mutex::new(Vec::new())),
+            wakes: Arc::new(WakeQueue::default()),
             rng: StdRng::seed_from_u64(cfg.seed),
             current: None,
             spawned_total: 0,
@@ -347,16 +366,14 @@ impl Sim {
                     None => continue,
                 };
                 let slot = k.tasks[id.index as usize].as_mut().expect("picked task alive");
-                let fut = slot.future.take().expect("runnable task has future");
+                let (fut, waker) = slot.future.take().expect("runnable task has future");
                 k.current = Some(id);
                 k.steps += 1;
-                (id, fut, k.wakes.clone())
+                (id, fut, waker)
             };
             // Phase 2 (kernel released): poll the future.
-            let (id, mut fut, wakes) = next;
-            let waker: Waker = Arc::new(TaskWaker { task: id, queue: wakes }).into();
-            let mut cx = Context::from_waker(&waker);
-            let poll = fut.as_mut().poll(&mut cx);
+            let (id, mut fut, waker) = next;
+            let poll = fut.as_mut().poll(&mut Context::from_waker(&waker));
             // Phase 3 (kernel borrowed): record the outcome.
             let finished_join = {
                 let mut k = self.kernel.borrow_mut();
@@ -373,7 +390,7 @@ impl Sim {
                     Poll::Pending => {
                         let slot =
                             k.tasks[id.index as usize].as_mut().expect("pending task has slot");
-                        slot.future = Some(fut);
+                        slot.future = Some((fut, waker));
                         None
                     }
                 }
@@ -419,7 +436,7 @@ impl Drop for Sim {
         // Break `Rc` cycles: futures hold Handles that point back at the
         // kernel. Take them out first and drop them with no borrow held,
         // because their own destructors may touch sync primitives.
-        let futures: Vec<TaskFuture> = {
+        let futures: Vec<(TaskFuture, Waker)> = {
             let mut k = self.kernel.borrow_mut();
             k.tasks.iter_mut().flatten().filter_map(|s| s.future.take()).collect()
         };
@@ -469,26 +486,23 @@ impl Handle {
     {
         let mut k = self.kernel.borrow_mut();
         let join = Rc::new(RefCell::new(JoinState::default()));
+        let id = match k.free.pop() {
+            Some(index) => TaskId { index, gen: k.spawned_total as u32 },
+            None => TaskId { index: k.tasks.len() as u32, gen: 0 },
+        };
+        // The one `Waker` this task is ever polled with.
+        let waker = Waker::from(Arc::new(TaskWaker { task: id, wakes: k.wakes.clone() }));
         let slot = TaskSlot {
-            gen: 0,
-            future: Some(Box::pin(fut)),
+            gen: id.gen,
+            future: Some((Box::pin(fut), waker)),
             name: name.to_string(),
             queued: false,
             join: join.clone(),
         };
-        let id = match k.free.pop() {
-            Some(index) => {
-                let gen = k.spawned_total as u32;
-                let slot = TaskSlot { gen, ..slot };
-                k.tasks[index as usize] = Some(slot);
-                TaskId { index, gen }
-            }
-            None => {
-                let index = k.tasks.len() as u32;
-                k.tasks.push(Some(slot));
-                TaskId { index, gen: 0 }
-            }
-        };
+        match k.tasks.get_mut(id.index as usize) {
+            Some(free) => *free = Some(slot),
+            None => k.tasks.push(Some(slot)),
+        }
         k.spawned_total += 1;
         k.live += 1;
         k.make_runnable(id);
@@ -844,6 +858,61 @@ mod tests {
         assert_eq!(sim.run(), RunResult::Completed);
         assert_eq!(sim.live_tasks(), 0);
         assert!(sim.steps() >= 5);
+    }
+
+    /// Pending until `slot`'s flag is set; parks nothing but the
+    /// `std::task::Waker` it was polled with — no sim primitive.
+    struct WakerOnly(Rc<RefCell<(bool, Option<Waker>)>>);
+
+    impl Future for WakerOnly {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let mut slot = self.0.borrow_mut();
+            if slot.0 {
+                return Poll::Ready(());
+            }
+            slot.1 = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn waker_only_wakes_run_in_wake_order() {
+        // Three FIFO tasks each park in `join_all` on a future only a
+        // `Waker` can wake (`join_all` hands its children the task's
+        // context). A fourth task releases them as 2, 0, 1 — the middle
+        // one twice, and a sim-primitive wake (a spawn) in between — and
+        // they must resume in exactly that order, behind the spawn.
+        let cfg = SimConfig { sched: SchedPolicy::Fifo, ..SimConfig::default() };
+        let sim = Sim::with_config(cfg);
+        let h = sim.handle();
+        let slots: Vec<_> = (0..3).map(|_| Rc::new(RefCell::new((false, None)))).collect();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (i, slot) in slots.iter().enumerate() {
+            let (slot, log) = (slot.clone(), log.clone());
+            h.spawn("parked", async move {
+                crate::join_all([WakerOnly(slot)]).await;
+                log.borrow_mut().push(i);
+            });
+        }
+        let (h2, log2) = (h.clone(), log.clone());
+        h.spawn("releaser", async move {
+            h2.sleep(SimDuration::from_millis(1)).await;
+            let release = |i: usize| {
+                let mut slot = slots[i].borrow_mut();
+                slot.0 = true;
+                slot.1.take().expect("task parked its waker")
+            };
+            release(2).wake();
+            let w0 = release(0);
+            w0.wake_by_ref();
+            let log3 = log2.clone();
+            h2.spawn("spawned", async move { log3.borrow_mut().push(9) });
+            w0.wake();
+            release(1).wake();
+        });
+        assert_eq!(sim.run(), RunResult::Completed);
+        assert_eq!(*log.borrow(), vec![9, 2, 0, 1]);
     }
 
     #[test]
