@@ -813,6 +813,32 @@ mod tests {
         assert_eq!(a.rows[0].boundary_cells, 12);
     }
 
+    /// The report of the benchmark's `check-lfs-b40` cell — trace 1a,
+    /// seed 42, qd 8, budget 40, LFS x the four policies — pinned to
+    /// the bytes the build with the exhaustive summary scan printed
+    /// (commit 85edce7): LFS recovery may read fewer summaries, it may
+    /// not reach another verdict in any of the 320 cells.
+    #[test]
+    fn budget_40_report_is_byte_identical_to_the_full_scan_build() {
+        let records = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
+        let mut cfg = CheckConfig::new(records, "1a", 40);
+        cfg.queue_depth = 8;
+        let report = run_check(&cfg);
+        assert!(report.clean(), "{:?}", report.rows);
+        assert_eq!(report.cells, 320);
+        let counts: Vec<(usize, usize)> =
+            report.rows.iter().map(|r| (r.boundary_cells, r.retire_cells)).collect();
+        assert_eq!(counts, [(40, 40); 4], "(boundary, retire) cells per policy");
+        let mut hash = crate::cache::InputHash::new();
+        hash.update(format_check_report(&cfg, &report).as_bytes());
+        assert_eq!(
+            hash.digest(),
+            0x47c4_b971_1c43_de86_e4da_8b7f_01ac_c88e,
+            "FNV-1a 128 of the report:\n{}",
+            format_check_report(&cfg, &report)
+        );
+    }
+
     #[test]
     fn threaded_enumeration_matches_serial_bytes() {
         let cfg = small_cfg(10);

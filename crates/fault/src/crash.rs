@@ -51,8 +51,10 @@ impl LayoutKind {
         }
     }
 
-    /// Builds the layout over a driver (crash-sweep scale parameters:
-    /// small segments / inode tables keep recovery scans cheap).
+    /// Builds the layout over a driver: the default LFS geometry (128-
+    /// block segments, 2,637 of them on the HP 97560 — recovery walks
+    /// the log tail, not the ring, so the count does not matter) and a
+    /// small FFS inode table, whose rebuild scan is per inode.
     pub fn build(&self, handle: &Handle, driver: DiskDriver) -> Layout {
         match self {
             LayoutKind::Lfs => Layout::Lfs(LfsLayout::new(handle, driver, LfsParams::default())),

@@ -38,6 +38,9 @@ pub struct LayoutStats {
 /// What a crash-recovery pass did (see [`StorageLayout::recover`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
+    /// Segment summaries the roll-forward walk read to find the log
+    /// tail (LFS): bounded by the checkpoint, not by the disk.
+    pub scanned_segments: u64,
     /// Post-checkpoint segments rolled forward (LFS).
     pub rolled_segments: u64,
     /// Inodes recovered from the log / rebuilt tables.

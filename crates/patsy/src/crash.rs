@@ -73,6 +73,8 @@ pub struct CrashCell {
     pub cut_op: u64,
     /// Operations the workload completed before the cut.
     pub ops: u64,
+    /// Segment summaries recovery read to find the log tail (LFS).
+    pub scanned_segments: u64,
     /// Post-checkpoint segments rolled forward (LFS).
     pub rolled_segments: u64,
     /// Block pointers patched during roll-forward.
@@ -190,6 +192,7 @@ fn run_cell(
             policy,
             cut_op,
             ops: report.ops,
+            scanned_segments: outcome.stats.scanned_segments,
             rolled_segments: outcome.stats.rolled_segments,
             patched_blocks: outcome.stats.patched_blocks,
             violations_pre: outcome.pre.violations.len() as u64,
@@ -220,17 +223,18 @@ pub fn format_crash_sweep(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
         cfg.trace.name, cfg.cuts, cfg.seed, cfg.scale, cfg.queue_depth
     ));
     s.push_str(
-        "layout policy            cut    ops  rolled patched  viol  fix  post  orph  nvram  qmean  ovl%  rec-ms  lostF  lostKB  window-ms\n",
+        "layout policy            cut    ops scanned  rolled patched  viol  fix  post  orph  nvram  qmean  ovl%  rec-ms  lostF  lostKB  window-ms\n",
     );
     let mut all_clean = true;
     for c in cells {
         all_clean &= c.violations_post == 0;
         s.push_str(&format!(
-            "{:<6} {:<17} {:>5} {:>6} {:>7} {:>7} {:>5} {:>4} {:>5} {:>5} {:>6} {:>6.2} {:>5.1} {:>7.2} {:>6} {:>7.1} {:>10.1}\n",
+            "{:<6} {:<17} {:>5} {:>6} {:>7} {:>7} {:>7} {:>5} {:>4} {:>5} {:>5} {:>6} {:>6.2} {:>5.1} {:>7.2} {:>6} {:>7.1} {:>10.1}\n",
             c.layout,
             c.policy.label(),
             c.cut_op,
             c.ops,
+            c.scanned_segments,
             c.rolled_segments,
             c.patched_blocks,
             c.violations_pre,
@@ -276,6 +280,7 @@ pub fn format_crash_sweep_json(cfg: &CrashConfig, cells: &[CrashCell]) -> String
         s.push_str(&format!("      \"policy\": \"{}\",\n", c.policy.label()));
         s.push_str(&format!("      \"cut_op\": {},\n", c.cut_op));
         s.push_str(&format!("      \"ops\": {},\n", c.ops));
+        s.push_str(&format!("      \"scanned_segments\": {},\n", c.scanned_segments));
         s.push_str(&format!("      \"rolled_segments\": {},\n", c.rolled_segments));
         s.push_str(&format!("      \"patched_blocks\": {},\n", c.patched_blocks));
         s.push_str(&format!("      \"violations_pre\": {},\n", c.violations_pre));

@@ -217,6 +217,11 @@ fn crash_sweep_is_deterministic_and_verifies_clean() {
             c.cut_op
         );
         assert!(c.ops > 0, "the workload must have run before the cut");
+        // Roll-forward reads the log tail, not the 2,637 summaries of
+        // this geometry: boundedness in counts, not wall time.
+        assert!(c.scanned_segments >= c.rolled_segments);
+        assert!(c.scanned_segments < 64, "cut {}: {} scanned", c.cut_op, c.scanned_segments);
+        assert_eq!(c.scanned_segments > 0, c.layout == "lfs");
     }
     // Byte-identical across invocations: the whole report string.
     let again = run_crash_sweep(&cfg);
@@ -673,6 +678,7 @@ fn crash_sweep_json_is_stable_and_wellformed() {
     for key in [
         "\"trace\"",
         "\"cells\"",
+        "\"scanned_segments\"",
         "\"violations_post\"",
         "\"lost_bytes\"",
         "\"loss_window_ms\"",
