@@ -12,9 +12,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cnp_disk::{CLook, FaultPlan, Hp97560};
-use cnp_fault::{verify_crash_state, CrashState, FaultyDisk, LayoutKind};
+use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_disk::{FaultPlan, Hardware};
+use cnp_fault::{verify_crash_state, CrashState, LayoutKind, Stack};
 use cnp_sim::{Sim, SimTime};
 use cnp_trace::{replay_with, ReplayOptions, TraceRecord};
 
@@ -211,11 +211,9 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
         },
         None => FaultPlan::default(),
     };
-    let (driver, disk) =
-        FaultyDisk::new(Box::new(Hp97560::new()), plan).spawn(&h, "cell0", Box::new(CLook));
-    let layout = spec.layout.build(&h, driver.clone());
     let fs_cfg = spec.fs_config();
-    let fs = FileSystem::new(&h, layout, fs_cfg.clone());
+    let Stack { fs, driver, disks } =
+        Stack::build(&h, "cell0", spec.layout, &Hardware::default(), fs_cfg.clone(), plan);
     let nvram_backed = spec.nvram_bytes.is_some();
     let layout_kind = spec.layout;
     let records = records.to_vec();
@@ -295,7 +293,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
             // applied to the image directly — the same durability
             // contract the graceful path seals through the disk.
             Some(t) => {
-                let mut image = disk.image_with_write_buffer();
+                let mut image = disks[0].image_with_write_buffer();
                 if nvram_backed {
                     let probed = atcut_staged.borrow_mut().take();
                     let staged = match probed {
@@ -311,7 +309,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
                     cut_at: SimTime::from_nanos(t),
                 }
             }
-            None => CrashState::capture(&fs, &disk).await,
+            None => CrashState::capture(&fs, &disks[0]).await,
         };
         fs.shutdown();
 

@@ -10,9 +10,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cnp_core::{DataMode, FileSystem, FsConfig, HistoryEvent, HistoryLog};
-use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-use cnp_fault::LayoutKind;
+use cnp_core::{DataMode, FsConfig, HistoryEvent, HistoryLog};
+use cnp_disk::{FaultPlan, Hardware};
+use cnp_fault::{LayoutKind, Stack};
 use cnp_sim::{Sim, SimTime};
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
@@ -82,17 +82,13 @@ pub fn run_history_check(cfg: &HistoryCheckConfig) -> HistoryCheckReport {
 pub fn record_history(cfg: &HistoryCheckConfig) -> Vec<HistoryEvent> {
     let sim = Sim::new(cfg.seed);
     let h = sim.handle();
-    let driver = sim_disk_driver(&h, "lin0", Box::new(Hp97560::new()), Box::new(CLook));
-    let layout = cfg.layout.build(&h, driver);
-    let fs = FileSystem::new(
-        &h,
-        layout,
-        FsConfig {
-            data_mode: DataMode::Simulated,
-            queue_depth: cfg.queue_depth,
-            ..FsConfig::default()
-        },
-    );
+    let fs_cfg = FsConfig {
+        data_mode: DataMode::Simulated,
+        queue_depth: cfg.queue_depth,
+        ..FsConfig::default()
+    };
+    let hw = Hardware::default();
+    let fs = Stack::build(&h, "lin0", cfg.layout, &hw, fs_cfg, FaultPlan::default()).fs;
     let scenario = Scenario::generate(cfg.kind, cfg.clients, cfg.seed, cfg.scale);
     let log = HistoryLog::new();
     let log2 = log.clone();

@@ -69,18 +69,6 @@ pub struct FsConfig {
     /// by proptest): shard routing partitions structures, it never
     /// reorders decisions.
     pub shards: u32,
-    /// Disk model generation backing this engine: `hp97560` (the 1996
-    /// mechanical baseline) or `ssd` (seek-free multi-channel flash).
-    /// Purely informational to the engine itself — whoever builds the
-    /// driver picks the model — but carried here so one config names
-    /// the whole hardware configuration.
-    pub disk: String,
-    /// Number of RAID-0 striped spindles/devices behind the driver.
-    /// `1` (the default) is a single disk and the legacy wiring.
-    pub disks: u32,
-    /// RAID-0 stripe chunk size in KiB (multiple of the block size; the
-    /// 64 KiB default keeps 4 KiB blocks unsplit).
-    pub chunk_kib: u32,
     /// Test-only: reintroduce the pre-fix stale-size write ordering
     /// (size extended only *after* all blocks are dirtied, so a
     /// mid-write flush persists a stale size and the acked tail is
@@ -104,9 +92,6 @@ impl Default for FsConfig {
             mm_prefetch: 8,
             mm_resident_cap: 64,
             shards: 1,
-            disk: "hp97560".to_string(),
-            disks: 1,
-            chunk_kib: 64,
             plant_stale_size_bug: false,
         }
     }
@@ -126,10 +111,5 @@ mod tests {
         // Lock-step by default: pipelining is opt-in so seeded runs stay
         // comparable across versions.
         assert_eq!(c.queue_depth, 1);
-        // First hardware generation by default: every historical
-        // baseline was measured on a single HP 97560.
-        assert_eq!(c.disk, "hp97560");
-        assert_eq!(c.disks, 1);
-        assert_eq!(c.chunk_kib, 64);
     }
 }

@@ -240,10 +240,7 @@ mod tests {
     /// mid-run; returns (history, Ok results seen, Err results seen).
     fn run_power_cut_leg(queue_depth: u32) -> (Vec<HistoryEvent>, u64, u64) {
         use crate::{DataMode, FileSystem, FsConfig};
-        use cnp_disk::{
-            spawn_disk, Backend, CLook, DiskDriver, DiskOpts, FaultPlan, Hp97560, ScsiBus,
-            SimBackend,
-        };
+        use cnp_disk::{compose_device, CLook, DiskModel, FaultPlan, Hp97560};
         use cnp_layout::{FileKind, Layout, LfsLayout, LfsParams};
         use cnp_sim::{Sim, SimTime};
         use std::cell::RefCell;
@@ -251,21 +248,10 @@ mod tests {
 
         let sim = Sim::new(17 + queue_depth as u64);
         let h = sim.handle();
-        let bus = ScsiBus::new(&h);
-        let disk = spawn_disk(
-            &h,
-            "disk:pc0",
-            Box::new(Hp97560::new()),
-            bus.clone(),
-            DiskOpts::default(),
-            FaultPlan { power_cut_at_op: Some(120), ..FaultPlan::default() },
-        );
-        let driver = DiskDriver::new(
-            &h,
-            "pc0",
-            Backend::Sim(SimBackend { bus, disk, host_id: 7 }),
-            Box::new(CLook),
-        );
+        let models: Vec<Box<dyn DiskModel>> = vec![Box::new(Hp97560::new())];
+        let plan = FaultPlan { power_cut_at_op: Some(120), ..FaultPlan::default() };
+        let (driver, _) =
+            compose_device(&h, "pc0", models, None, Box::new(CLook), plan, None, None);
         let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
         let cfg = FsConfig {
             // A tiny cache forces evictions, so reads keep touching the

@@ -25,7 +25,8 @@ use crate::request::{IoCompletion, IoError, IoOp, IoRequest, IoTiming, Payload};
 /// A captured on-disk image: sparse sector store, LBA → sector bytes.
 ///
 /// Cloned out of a live disk for crash-state capture and fed back into
-/// [`spawn_disk_with_image`] to "remount" the platter after a power cut.
+/// [`crate::driver::compose_device`] to "remount" the platter after a
+/// power cut.
 pub type DiskImage = HashMap<u64, Box<[u8]>>;
 
 /// Deterministic fault-injection plan for a simulated disk.
@@ -255,24 +256,11 @@ impl DiskClient {
     }
 }
 
-/// Spawns a simulated disk task and returns its client handle.
-pub fn spawn_disk(
-    handle: &Handle,
-    name: &str,
-    model: Box<dyn DiskModel>,
-    bus: ScsiBus,
-    opts: DiskOpts,
-    faults: FaultPlan,
-) -> DiskClient {
-    spawn_disk_with_image(handle, name, model, bus, opts, faults, DiskImage::new())
-}
-
-/// Spawns a simulated disk whose platter starts from a captured image.
-///
-/// This is the "remount" half of crash-state capture: feed it the
-/// [`DiskClient::platter_image`] taken at the cut point and the new disk
-/// behaves like the crashed one after power-on.
-pub fn spawn_disk_with_image(
+/// Spawns a simulated disk task whose platter starts from `image` (empty
+/// for a fresh disk; the [`DiskClient::platter_image`] taken at a cut
+/// point "remounts" the crashed platter after power-on). Crate-private:
+/// [`crate::driver::compose_device`] is the only caller outside tests.
+pub(crate) fn spawn_disk(
     handle: &Handle,
     name: &str,
     model: Box<dyn DiskModel>,
@@ -893,7 +881,7 @@ mod tests {
     fn setup(sim: &Sim, opts: DiskOpts, faults: FaultPlan) -> DiskClient {
         let h = sim.handle();
         let bus = ScsiBus::new(&h);
-        spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults)
+        spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults, DiskImage::new())
     }
 
     #[test]
@@ -1230,7 +1218,7 @@ mod tests {
             assert!(d2.platter_image().contains_key(&32), "write-back must retire it");
             // Respawn a disk from the captured image and read it back.
             let bus = ScsiBus::new(&h2);
-            let d3 = spawn_disk_with_image(
+            let d3 = spawn_disk(
                 &h2,
                 "disk1",
                 Box::new(Hp97560::new()),

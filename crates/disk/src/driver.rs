@@ -17,8 +17,9 @@ use cnp_sim::stats::{Histogram, TimeWeighted};
 use cnp_sim::{join_all, oneshot, Event, Handle, OneshotReceiver, OneshotSender, SimTime};
 
 use crate::bus::ScsiBus;
-use crate::disk::DiskClient;
+use crate::disk::{spawn_disk, DiskClient, DiskImage, DiskOpts, FaultPlan};
 use crate::iosched::{PendingMeta, QueueScheduler};
+use crate::model::DiskModel;
 use crate::request::{IoCompletion, IoError, IoOp, IoRequest, IoTiming, Payload};
 
 /// A device back-end the driver can dispatch to.
@@ -88,14 +89,15 @@ impl Backend {
     }
 }
 
-/// Simulated back-end: a bus plus a disk client.
+/// Simulated back-end: a bus plus a disk client. Only
+/// [`compose_device`] builds one.
 pub struct SimBackend {
     /// The shared host/disk connection.
-    pub bus: ScsiBus,
+    pub(crate) bus: ScsiBus,
     /// The target disk.
-    pub disk: DiskClient,
+    pub(crate) disk: DiskClient,
     /// Host adapter SCSI id (arbitration priority).
-    pub host_id: u8,
+    pub(crate) host_id: u8,
 }
 
 /// On-line back-end: "It uses a Unix-file (ordinary file, or raw-device)
@@ -212,7 +214,7 @@ impl StripedDisk {
     ///
     /// Panics if `children` is empty, `chunk_sectors` is 0, or the
     /// children disagree on sector size.
-    pub fn new(children: Vec<SimBackend>, chunk_sectors: u64) -> StripedDisk {
+    pub(crate) fn new(children: Vec<SimBackend>, chunk_sectors: u64) -> StripedDisk {
         assert!(!children.is_empty(), "striped disk needs at least one child");
         assert!(chunk_sectors > 0, "chunk_sectors must be > 0");
         let sector_size = children[0].disk.geometry().sector_size;
@@ -886,42 +888,77 @@ impl DiskDriver {
     }
 }
 
-/// Builds a simulated driver + disk + (dedicated) bus in one call.
+/// The only composition of a simulated device: bus → disk task(s) →
+/// scheduled driver, spawned in that order. Every rig, tool and test
+/// reaches a simulated disk through here (DESIGN.md, "Wiring").
 ///
-/// Convenience for tests and single-disk setups; topologies with shared
-/// buses should construct [`SimBackend`] directly.
+/// `chunk_sectors` is `None` for one disk directly behind the driver and
+/// `Some(chunk)` for a RAID-0 stripe over `models`. Each child gets a
+/// dedicated bus and the options natural to its model
+/// ([`default_bus_for`], [`default_opts_for`]) unless `attach` overrides
+/// them (a shared-SCSI topology, controller cache off); every child
+/// executes its own copy of `faults`; `image` is the platter a power-on
+/// after a crash starts from. `attach` and `image` describe one disk.
+/// Returns the driver and the disk client(s), in child order.
+#[allow(clippy::too_many_arguments)]
+pub fn compose_device(
+    handle: &Handle,
+    name: &str,
+    models: Vec<Box<dyn DiskModel>>,
+    chunk_sectors: Option<u64>,
+    sched: Box<dyn QueueScheduler>,
+    faults: FaultPlan,
+    mut image: Option<DiskImage>,
+    mut attach: Option<(ScsiBus, DiskOpts)>,
+) -> (DiskDriver, Vec<DiskClient>) {
+    assert!(!models.is_empty(), "a device needs at least one disk model");
+    assert!(
+        models.len() == 1 || (chunk_sectors.is_some() && image.is_none() && attach.is_none()),
+        "several models need a stripe chunk, and take no image or bus override"
+    );
+    let mut children: Vec<SimBackend> = models
+        .into_iter()
+        .enumerate()
+        .map(|(i, model)| {
+            let (bus, opts) = attach.take().unwrap_or_else(|| {
+                (default_bus_for(handle, model.as_ref()), default_opts_for(model.as_ref()))
+            });
+            let task = match chunk_sectors {
+                Some(_) => format!("disk:{name}.{i}"),
+                None => format!("disk:{name}"),
+            };
+            let platter = image.take().unwrap_or_default();
+            let disk = spawn_disk(handle, &task, model, bus.clone(), opts, faults.clone(), platter);
+            SimBackend { bus, disk, host_id: 7 }
+        })
+        .collect();
+    let disks = children.iter().map(|c| c.disk.clone()).collect();
+    let backend = match chunk_sectors {
+        Some(chunk) => Backend::Striped(StripedDisk::new(children, chunk)),
+        None => Backend::Sim(children.remove(0)),
+    };
+    (DiskDriver::new(handle, name, backend, sched), disks)
+}
+
+/// A fault-free single disk behind `sched`; see [`compose_device`].
 pub fn sim_disk_driver(
     handle: &Handle,
     name: &str,
-    model: Box<dyn crate::model::DiskModel>,
+    model: Box<dyn DiskModel>,
     sched: Box<dyn QueueScheduler>,
 ) -> DiskDriver {
-    let bus = default_bus_for(handle, model.as_ref());
-    let opts = default_opts_for(model.as_ref());
-    let disk = crate::disk::spawn_disk(
-        handle,
-        &format!("disk:{name}"),
-        model,
-        bus.clone(),
-        opts,
-        crate::disk::FaultPlan::default(),
-    );
-    DiskDriver::new(handle, name, Backend::Sim(SimBackend { bus, disk, host_id: 7 }), sched)
+    compose_device(handle, name, vec![model], None, sched, FaultPlan::default(), None, None).0
 }
 
-/// The natural [`crate::disk::DiskOpts`] for a model: mechanical disks
-/// keep the controller-cache machinery (read-ahead, immediate-report);
+/// The natural [`DiskOpts`] for a model: mechanical disks keep the
+/// controller-cache machinery (read-ahead, immediate-report);
 /// multi-channel flash bypasses it — the parallel service path ignores
 /// the cache, and idle read-ahead would perturb the channel state.
-pub fn default_opts_for(model: &dyn crate::model::DiskModel) -> crate::disk::DiskOpts {
+pub fn default_opts_for(model: &dyn DiskModel) -> DiskOpts {
     if model.channels() > 1 {
-        crate::disk::DiskOpts {
-            readahead: false,
-            immediate_report: false,
-            ..crate::disk::DiskOpts::default()
-        }
+        DiskOpts { readahead: false, immediate_report: false, ..DiskOpts::default() }
     } else {
-        crate::disk::DiskOpts::default()
+        DiskOpts::default()
     }
 }
 
@@ -929,7 +966,7 @@ pub fn default_opts_for(model: &dyn crate::model::DiskModel) -> crate::disk::Dis
 /// paper's 10 MB/s SCSI-2 bus; multi-channel flash gets the
 /// [`crate::bus::BusParams::flash`] link so measurements show the
 /// device, not a 1996 wire it never shipped behind.
-pub fn default_bus_for(handle: &Handle, model: &dyn crate::model::DiskModel) -> ScsiBus {
+pub fn default_bus_for(handle: &Handle, model: &dyn DiskModel) -> ScsiBus {
     if model.channels() > 1 {
         ScsiBus::with_params(handle, crate::bus::BusParams::flash())
     } else {
@@ -937,39 +974,17 @@ pub fn default_bus_for(handle: &Handle, model: &dyn crate::model::DiskModel) -> 
     }
 }
 
-/// Builds a RAID-0 striped driver over `models` in one call: one
-/// dedicated bus + disk task per child, chunked at `chunk_sectors`.
-///
-/// Child `i` gets SCSI id 1 on its own bus (dedicated buses keep child
-/// service times independent — the stripe's parallelism is the point)
-/// and the per-model default options ([`default_opts_for`]).
+/// A fault-free RAID-0 stripe over `models`, chunked at `chunk_sectors`;
+/// see [`compose_device`].
 pub fn striped_sim_disk_driver(
     handle: &Handle,
     name: &str,
-    models: Vec<Box<dyn crate::model::DiskModel>>,
+    models: Vec<Box<dyn DiskModel>>,
     sched: Box<dyn QueueScheduler>,
     chunk_sectors: u64,
 ) -> DiskDriver {
-    assert!(!models.is_empty(), "striped driver needs at least one child model");
-    let children: Vec<SimBackend> = models
-        .into_iter()
-        .enumerate()
-        .map(|(i, model)| {
-            let bus = default_bus_for(handle, model.as_ref());
-            let opts = default_opts_for(model.as_ref());
-            let disk = crate::disk::spawn_disk(
-                handle,
-                &format!("disk:{name}.{i}"),
-                model,
-                bus.clone(),
-                opts,
-                crate::disk::FaultPlan::default(),
-            );
-            SimBackend { bus, disk, host_id: 7 }
-        })
-        .collect();
-    let striped = StripedDisk::new(children, chunk_sectors);
-    DiskDriver::new(handle, name, Backend::Striped(striped), sched)
+    let chunk = Some(chunk_sectors);
+    compose_device(handle, name, models, chunk, sched, FaultPlan::default(), None, None).0
 }
 
 #[cfg(test)]
@@ -1151,27 +1166,12 @@ mod tests {
     fn transient_failures_are_retried() {
         let sim = Sim::new(3);
         let h = sim.handle();
-        let bus = ScsiBus::new(&h);
         // Every 2nd disk-level request fails transiently; the driver's
         // bounded retry must hide that from the client entirely.
-        let faults = crate::disk::FaultPlan {
-            transient_every: Some(2),
-            ..crate::disk::FaultPlan::default()
-        };
-        let disk = crate::disk::spawn_disk(
-            &h,
-            "disk0",
-            Box::new(Hp97560::new()),
-            bus.clone(),
-            crate::disk::DiskOpts::default(),
-            faults,
-        );
-        let driver = DiskDriver::new(
-            &h,
-            "d0",
-            Backend::Sim(SimBackend { bus, disk, host_id: 7 }),
-            Box::new(Fcfs),
-        );
+        let faults = FaultPlan { transient_every: Some(2), ..FaultPlan::default() };
+        let models: Vec<Box<dyn DiskModel>> = vec![Box::new(Hp97560::new())];
+        let (driver, _) =
+            compose_device(&h, "d0", models, None, Box::new(Fcfs), faults, None, None);
         let d2 = driver.clone();
         h.spawn("client", async move {
             for i in 0..8u64 {

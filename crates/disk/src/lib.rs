@@ -5,6 +5,7 @@
 //! This crate is that back-end, plus the on-line counterpart:
 //!
 //! * [`geometry`] — cylinders/heads/sectors, skews, LBA ↔ CHS;
+//! * [`hardware`] — the one description of disk generation × stripe;
 //! * [`model`] — the mechanism abstraction (seek/rotation/transfer);
 //! * [`hp97560`] — the detailed HP 97560 model the paper simulates;
 //! * [`ssd`] — the second hardware generation: a seek-free,
@@ -17,7 +18,8 @@
 //! * [`disk`] — the simulated disk task;
 //! * [`iosched`] — FCFS/SSTF/SCAN/C-SCAN/LOOK/C-LOOK queue policies;
 //! * [`driver`] — the scheduled driver over a simulated, real
-//!   (host-file), or RAID-0 striped multi-disk back-end.
+//!   (host-file), or RAID-0 striped multi-disk back-end, and
+//!   [`compose_device`], the only place a simulated device is wired.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ pub mod cache;
 pub mod disk;
 pub mod driver;
 pub mod geometry;
+pub mod hardware;
 pub mod hp97560;
 pub mod iosched;
 pub mod model;
@@ -35,14 +38,13 @@ pub mod simple;
 pub mod ssd;
 
 pub use bus::{BusParams, ScsiBus};
-pub use disk::{
-    spawn_disk, spawn_disk_with_image, DiskClient, DiskImage, DiskOpts, DiskStats, FaultPlan,
-};
+pub use disk::{DiskClient, DiskImage, DiskOpts, DiskStats, FaultPlan};
 pub use driver::{
-    sim_disk_driver, striped_sim_disk_driver, Backend, DiskDriver, DriverStats, FileBackend,
-    SimBackend, StripedDisk,
+    compose_device, sim_disk_driver, striped_sim_disk_driver, Backend, DiskDriver, DriverStats,
+    FileBackend, SimBackend, StripedDisk,
 };
 pub use geometry::{Chs, DiskGeometry};
+pub use hardware::Hardware;
 pub use hp97560::{Hp97560, Hp97560Params};
 pub use iosched::{
     scheduler_by_name, CLook, CScan, Fcfs, Look, PendingMeta, QueueScheduler, Scan, Sstf,

@@ -5,16 +5,13 @@
 //! ([`cnp_disk::DiskClient::platter_image`]), keep whatever the flush
 //! policy stores in battery-backed NVRAM
 //! ([`cnp_core::FileSystem::nvram_snapshot`]), and throw everything
-//! else away. Recovery then spawns a fresh disk from the image, runs
-//! the layout's [`StorageLayout::recover`] path, repairs with the fsck
-//! walker, optionally replays the NVRAM contents, and measures what was
-//! lost against the acknowledged state.
+//! else away. Recovery ([`Stack::recover`]) then spawns a fresh disk from
+//! the image, runs the layout's [`StorageLayout::recover`] path and
+//! repairs with the fsck walker; NVRAM replay and loss accounting against
+//! the acknowledged state follow.
 
 use cnp_core::{FileSystem, FsError, FsResult, NvramSnapshot};
-use cnp_disk::{
-    spawn_disk_with_image, Backend, CLook, DiskClient, DiskDriver, DiskImage, DiskModel, DiskOpts,
-    FaultPlan, Hp97560, ScsiBus, SimBackend,
-};
+use cnp_disk::{DiskClient, DiskDriver, DiskImage, Hardware};
 use cnp_layout::{
     FfsLayout, FfsParams, Ino, Layout, LayoutError, LfsLayout, LfsParams, RecoveryStats,
     StorageLayout, BLOCK_SIZE,
@@ -23,6 +20,7 @@ use cnp_sim::{Handle, SimDuration, SimTime};
 use cnp_trace::AckedFile;
 
 use crate::check::{self, FsckReport, RepairReport};
+use crate::faulty::Stack;
 
 /// Which storage layout a crash cell exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,38 +119,6 @@ impl CrashState {
             staging_sealed,
             cut_at: fs.handle().now(),
         }
-    }
-
-    /// Spawns a pristine disk + driver from the captured image (the
-    /// power-on after the crash).
-    pub fn restore_disk(
-        &self,
-        handle: &Handle,
-        name: &str,
-        model: Box<dyn DiskModel>,
-    ) -> (DiskDriver, DiskClient) {
-        let bus = ScsiBus::new(handle);
-        let disk = spawn_disk_with_image(
-            handle,
-            &format!("disk:{name}"),
-            model,
-            bus.clone(),
-            DiskOpts::default(),
-            FaultPlan::default(),
-            self.image.clone(),
-        );
-        let driver = DiskDriver::new(
-            handle,
-            name,
-            Backend::Sim(SimBackend { bus, disk: disk.clone(), host_id: 7 }),
-            Box::new(CLook),
-        );
-        (driver, disk)
-    }
-
-    /// [`CrashState::restore_disk`] with the default HP 97560 model.
-    pub fn restore_hp(&self, handle: &Handle, name: &str) -> (DiskDriver, DiskClient) {
-        self.restore_disk(handle, name, Box::new(Hp97560::new()))
     }
 }
 
@@ -292,10 +258,8 @@ pub async fn verify_crash_state(
     acked: &[AckedFile],
     cfg: cnp_core::FsConfig,
 ) -> FsResult<VerifiedRecovery> {
-    let (driver, _disk) = state.restore_hp(handle, "verify");
-    let mut layout = kind.build(handle, driver.clone());
-    let outcome = recover_and_check(handle, &mut layout).await?;
-    let fs = FileSystem::new(handle, layout, cfg);
+    let (Stack { fs, .. }, outcome) =
+        Stack::recover(handle, "verify", kind, &Hardware::default(), state, cfg).await?;
     let nvram_replayed = replay_nvram(&fs, &state.nvram).await?;
     let loss = measure_loss(&fs, acked, state.cut_at).await;
     fs.shutdown();

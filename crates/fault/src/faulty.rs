@@ -1,120 +1,83 @@
-//! [`FaultyDisk`]: any disk model plus a fault plan, behind the same
-//! interfaces as a healthy disk.
+//! [`Stack`]: the one builder of a full simulated stack — disk(s) →
+//! driver → layout → engine — healthy, under a fault plan, or powered
+//! on from a crash image.
 //!
-//! The wrapper implements [`DiskModel`] by delegation, so anything that
-//! consumes a model (timing studies, schedulers, the driver) composes
-//! with it unchanged; [`FaultyDisk::spawn`] wires the whole simulated
-//! stack — SCSI bus, disk task with the fault plan, scheduled driver —
-//! in one call and hands back both ends.
+//! Every rig (crash cells, the history leg, the crash sweep, the client
+//! and serve fleets) and every crash test assembles its stack here, so
+//! a hardware generation or a fault plan reaches all of them through
+//! one call and none of them touches a bus, a disk task or a driver.
 
-use cnp_disk::{
-    spawn_disk, Backend, DiskClient, DiskDriver, DiskGeometry, DiskModel, DiskOpts, DiskPos,
-    FaultPlan, MediaAccess, QueueScheduler, ScsiBus, SimBackend,
-};
-use cnp_sim::{Handle, SimDuration, SimTime};
+use cnp_core::{FileSystem, FsConfig, FsResult};
+use cnp_disk::{compose_device, CLook, DiskClient, DiskDriver, DiskModel, FaultPlan, Hardware};
+use cnp_sim::Handle;
 
-/// A disk model wrapped with a deterministic fault plan.
-pub struct FaultyDisk {
-    model: Box<dyn DiskModel>,
-    plan: FaultPlan,
-    opts: DiskOpts,
+use crate::crash::{recover_and_check, CrashState, LayoutKind, RecoveryOutcome};
+
+/// A running simulated stack: the engine plus the two lower ends rigs
+/// need (the driver for queue statistics, the disks for crash capture).
+pub struct Stack {
+    /// The file-system engine on top.
+    pub fs: FileSystem,
+    /// The C-LOOK scheduled driver under the layout.
+    pub driver: DiskDriver,
+    /// The disk client(s), in child order.
+    pub disks: Vec<DiskClient>,
 }
 
-impl FaultyDisk {
-    /// Wraps `model` with `plan` (default disk options).
-    pub fn new(model: Box<dyn DiskModel>, plan: FaultPlan) -> Self {
-        FaultyDisk { model, plan, opts: DiskOpts::default() }
-    }
-
-    /// Overrides the disk options (SCSI id, caches, platter store).
-    pub fn with_opts(mut self, opts: DiskOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// The fault plan this disk will execute.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Spawns bus + disk task + scheduled driver; returns the driver
-    /// (for layouts/engines) and the disk client (for crash capture).
-    pub fn spawn(
-        self,
+impl Stack {
+    /// Builds the `hw` disk(s), each executing `plan`, a `kind` layout
+    /// and an engine under `cfg`; tasks are named after `name`.
+    pub fn build(
         handle: &Handle,
         name: &str,
-        sched: Box<dyn QueueScheduler>,
-    ) -> (DiskDriver, DiskClient) {
-        let bus = ScsiBus::new(handle);
-        self.spawn_on_bus(handle, name, bus, sched, 7)
+        kind: LayoutKind,
+        hw: &Hardware,
+        cfg: FsConfig,
+        plan: FaultPlan,
+    ) -> Stack {
+        let (models, chunk) = (hw.models(), hw.chunk_sectors());
+        let (driver, disks) =
+            compose_device(handle, name, models, chunk, Box::new(CLook), plan, None, None);
+        let fs = FileSystem::new(handle, kind.build(handle, driver.clone()), cfg);
+        Stack { fs, driver, disks }
     }
 
-    /// Like [`FaultyDisk::spawn`] but on a shared bus with an explicit
-    /// host adapter id (multi-disk topologies).
-    pub fn spawn_on_bus(
-        self,
+    /// A fault-free stack over one (fleet-sized) `model` and
+    /// [`LayoutKind::build_scaled`]: the many-client configuration.
+    pub fn build_scaled(
         handle: &Handle,
         name: &str,
-        bus: ScsiBus,
-        sched: Box<dyn QueueScheduler>,
-        host_id: u8,
-    ) -> (DiskDriver, DiskClient) {
-        let disk = spawn_disk(
-            handle,
-            &format!("disk:{name}"),
-            self.model,
-            bus.clone(),
-            self.opts,
-            self.plan,
-        );
-        let driver = DiskDriver::new(
-            handle,
-            name,
-            Backend::Sim(SimBackend { bus, disk: disk.clone(), host_id }),
-            sched,
-        );
-        (driver, disk)
-    }
-}
-
-impl DiskModel for FaultyDisk {
-    fn geometry(&self) -> &DiskGeometry {
-        self.model.geometry()
+        kind: LayoutKind,
+        model: Box<dyn DiskModel>,
+        cfg: FsConfig,
+    ) -> Stack {
+        let plan = FaultPlan::default();
+        let (driver, disks) =
+            compose_device(handle, name, vec![model], None, Box::new(CLook), plan, None, None);
+        let fs = FileSystem::new(handle, kind.build_scaled(handle, driver.clone()), cfg);
+        Stack { fs, driver, disks }
     }
 
-    fn controller_overhead(&self) -> SimDuration {
-        self.model.controller_overhead()
-    }
-
-    fn seek_time(&self, from_cyl: u32, to_cyl: u32) -> SimDuration {
-        self.model.seek_time(from_cyl, to_cyl)
-    }
-
-    fn head_switch_time(&self) -> SimDuration {
-        self.model.head_switch_time()
-    }
-
-    fn media_access(&self, now: SimTime, pos: DiskPos, lba: u64, sectors: u32) -> MediaAccess {
-        self.model.media_access(now, pos, lba, sectors)
-    }
-
-    fn media_access_rw(
-        &self,
-        now: SimTime,
-        pos: DiskPos,
-        lba: u64,
-        sectors: u32,
-        write: bool,
-    ) -> MediaAccess {
-        self.model.media_access_rw(now, pos, lba, sectors, write)
-    }
-
-    fn native_depth(&self) -> u32 {
-        self.model.native_depth()
-    }
-
-    fn channels(&self) -> u32 {
-        self.model.channels()
+    /// The power-on after a crash: a pristine `hw` disk (one — a crash
+    /// state holds one platter) holding the captured image, the layout's
+    /// recovery and the fsck walker + repair ([`recover_and_check`]),
+    /// then a fresh engine under `cfg` (which must match the crashed
+    /// engine's).
+    pub async fn recover(
+        handle: &Handle,
+        name: &str,
+        kind: LayoutKind,
+        hw: &Hardware,
+        state: &CrashState,
+        cfg: FsConfig,
+    ) -> FsResult<(Stack, RecoveryOutcome)> {
+        let (plan, image) = (FaultPlan::default(), Some(state.image.clone()));
+        let (models, chunk) = (hw.models(), hw.chunk_sectors());
+        let (driver, disks) =
+            compose_device(handle, name, models, chunk, Box::new(CLook), plan, image, None);
+        let mut layout = kind.build(handle, driver.clone());
+        let outcome = recover_and_check(handle, &mut layout).await?;
+        Ok((Stack { fs: FileSystem::new(handle, layout, cfg), driver, disks }, outcome))
     }
 }
 
@@ -122,28 +85,13 @@ impl DiskModel for FaultyDisk {
 mod tests {
     use super::*;
     use crate::plan::FaultPlanBuilder;
-    use cnp_disk::{CLook, Hp97560, IoError};
-    use cnp_sim::Sim;
-
-    #[test]
-    fn model_interface_delegates() {
-        let faulty = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default());
-        let plain = Hp97560::new();
-        assert_eq!(faulty.geometry(), plain.geometry());
-        assert_eq!(faulty.controller_overhead(), plain.controller_overhead());
-        assert_eq!(faulty.seek_time(0, 100), plain.seek_time(0, 100));
-        let a = faulty.media_access(SimTime::ZERO, DiskPos::HOME, 0, 8);
-        let b = plain.media_access(SimTime::ZERO, DiskPos::HOME, 0, 8);
-        assert_eq!(a, b);
-    }
+    use cnp_core::DataMode;
+    use cnp_disk::IoError;
+    use cnp_layout::FileKind;
+    use cnp_sim::{Sim, SimDuration, SimTime};
 
     #[test]
     fn pipelined_cut_with_retired_prefix_recovers_clean() {
-        use crate::crash::{recover_and_check, CrashState, LayoutKind};
-        use cnp_core::{DataMode, FileSystem, FsConfig};
-        use cnp_layout::FileKind;
-        use cnp_sim::SimTime;
-
         let sim = Sim::new(77);
         let h = sim.handle();
         // The cut lands while the depth-8 engine has a batch in flight;
@@ -155,11 +103,9 @@ mod tests {
             .random_cut_retire(8)
             .build();
         assert!(plan.cut_retire_ops <= 8);
-        let (driver, disk) =
-            FaultyDisk::new(Box::new(Hp97560::new()), plan).spawn(&h, "p0", Box::new(CLook));
-        let layout = LayoutKind::Lfs.build(&h, driver.clone());
         let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
-        let fs = FileSystem::new(&h, layout, cfg);
+        let Stack { fs, disks, .. } =
+            Stack::build(&h, "p0", LayoutKind::Lfs, &Hardware::default(), cfg.clone(), plan);
         let h2 = h.clone();
         h.spawn("t", async move {
             fs.format().await.unwrap();
@@ -175,19 +121,21 @@ mod tests {
                     break;
                 }
             }
-            assert!(disk.is_dead(), "the cut must have fired");
+            assert!(disks[0].is_dead(), "the cut must have fired");
             // Power-on from the captured image: recovery + fsck must
             // digest whatever prefix the dying disk retired.
-            let state = CrashState::capture(&fs, &disk).await;
+            let state = CrashState::capture(&fs, &disks[0]).await;
             fs.shutdown();
-            let (driver2, _disk2) = state.restore_hp(&h2, "p1");
-            let mut layout2 = LayoutKind::Lfs.build(&h2, driver2.clone());
-            let outcome = recover_and_check(&h2, &mut layout2).await.expect("recovery");
+            let hw = Hardware::default();
+            let (stack, outcome) = Stack::recover(&h2, "p1", LayoutKind::Lfs, &hw, &state, cfg)
+                .await
+                .expect("recovery");
             assert!(
                 outcome.post.clean(),
                 "retired-prefix crash must verify clean: {:?}",
                 outcome.post.violations
             );
+            stack.fs.shutdown();
         });
         sim.run_until(SimTime::from_nanos(u64::MAX / 2));
     }
@@ -197,18 +145,73 @@ mod tests {
         let sim = Sim::new(5);
         let h = sim.handle();
         let plan = FaultPlanBuilder::new(1).power_cut_at_op(3).build();
-        let (driver, disk) =
-            FaultyDisk::new(Box::new(Hp97560::new()), plan).spawn(&h, "f0", Box::new(CLook));
-        let d2 = driver.clone();
+        let (hw, cfg) = (Hardware::default(), FsConfig::default());
+        let Stack { fs, driver, disks } = Stack::build(&h, "f0", LayoutKind::Lfs, &hw, cfg, plan);
         h.spawn("t", async move {
             for i in 0..3u64 {
-                d2.read(i * 64, 8).await.expect("pre-cut reads succeed");
+                driver.read(i * 64, 8).await.expect("pre-cut reads succeed");
             }
-            let err = d2.read(999, 8).await.unwrap_err();
+            let err = driver.read(999, 8).await.unwrap_err();
             assert!(matches!(err, IoError::PowerCut));
-            d2.shutdown();
+            fs.shutdown();
         });
         sim.run();
-        assert!(disk.is_dead());
+        assert!(disks[0].is_dead());
+    }
+
+    /// A stack under a (non-default) fault plan, and the one restored
+    /// from its crash image, get the model's own bus and controller
+    /// options: flash sits on the flash link with no read-ahead or
+    /// immediate-report, the HP on the 10 MB/s SCSI-2 bus with both.
+    #[test]
+    fn faulted_and_restored_stacks_get_the_models_bus_and_cache() {
+        /// Bus time of a 64 KB read, read-aheads and write-backs.
+        type Probe = (SimDuration, u64, u64);
+
+        async fn measure(h: &Handle, stack: &Stack) -> Probe {
+            let far = stack.driver.capacity_sectors() - 4096;
+            stack.driver.write(far, 8, cnp_disk::Payload::Simulated(4096)).await.unwrap();
+            stack.driver.read(far + 1024, 128).await.unwrap();
+            h.sleep(SimDuration::from_millis(200)).await;
+            let (_, timing) = stack.driver.read(far + 2048, 128).await.unwrap();
+            let st = stack.disks[0].stats();
+            (timing.bus, st.readaheads, st.writebacks)
+        }
+
+        /// Probes of the faulted stack and of the one restored from it.
+        fn probes(hw: Hardware) -> [Probe; 2] {
+            let sim = Sim::new(9);
+            let h = sim.handle();
+            let out = std::rc::Rc::new(std::cell::Cell::new(None));
+            let (out2, h2) = (out.clone(), h.clone());
+            h.spawn("t", async move {
+                let plan = FaultPlan { fail_every: Some(u64::MAX), ..FaultPlan::default() };
+                let cfg = FsConfig::default();
+                let stack = Stack::build(&h2, "f0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+                stack.fs.format().await.unwrap();
+                stack.fs.sync().await.unwrap();
+                let state = CrashState::capture(&stack.fs, &stack.disks[0]).await;
+                let faulted = measure(&h2, &stack).await;
+                stack.fs.shutdown();
+                let (stack, _) = Stack::recover(&h2, "r0", LayoutKind::Lfs, &hw, &state, cfg)
+                    .await
+                    .expect("recovery");
+                out2.set(Some([faulted, measure(&h2, &stack).await]));
+                stack.fs.shutdown();
+            });
+            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
+            out.get().expect("probe finished")
+        }
+
+        for (bus, readaheads, writebacks) in probes(Hardware { disk: "ssd", ..Hardware::default() })
+        {
+            // 64 KB over 320 MB/s is ~0.2 ms; SCSI-2 needs ~6.5 ms.
+            assert!(bus < SimDuration::from_millis(1), "flash behind the 1996 wire: {bus:?}");
+            assert_eq!((readaheads, writebacks), (0, 0), "flash must bypass the controller cache");
+        }
+        for (bus, readaheads, writebacks) in probes(Hardware::default()) {
+            assert!(bus > SimDuration::from_millis(6), "the HP keeps the SCSI-2 bus: {bus:?}");
+            assert!(readaheads > 0 && writebacks > 0, "the HP keeps its controller cache");
+        }
     }
 }

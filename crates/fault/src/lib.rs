@@ -10,9 +10,9 @@
 //! * [`plan`] — a builder deriving deterministic [`cnp_disk::FaultPlan`]
 //!   schedules (power cuts at operation N or virtual time T, torn
 //!   writes, latent sector errors, transient bus faults) from a seed;
-//! * [`faulty`] — [`FaultyDisk`], a wrapper implementing the existing
-//!   disk-model interface so it composes with the HP 97560,
-//!   `SimpleDisk`, every I/O scheduler, and the driver unchanged;
+//! * [`faulty`] — [`Stack`], the one builder of a full simulated stack
+//!   (disk → driver → layout → engine): healthy, executing a fault plan,
+//!   or powered on from a crash image;
 //! * [`mod@check`] — an fsck-style consistency walker over the abstract
 //!   [`cnp_layout::StorageLayout`] interface (LFS, FFS, sim-guess):
 //!   verify inode/dirent/block-map invariants, then repair what a crash
@@ -38,5 +38,5 @@ pub use crash::{
     apply_staged_to_image, measure_loss, recover_and_check, replay_nvram, verify_crash_state,
     CrashState, LayoutKind, LossReport, RecoveryOutcome, VerifiedRecovery,
 };
-pub use faulty::FaultyDisk;
+pub use faulty::Stack;
 pub use plan::{cut_points, jittered_cut_points, FaultPlanBuilder};

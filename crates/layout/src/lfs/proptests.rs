@@ -18,8 +18,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use cnp_disk::{
-    spawn_disk_with_image, Backend, CLook, DiskClient, DiskGeometry, DiskImage, DiskOpts,
-    FaultPlan, ScsiBus, SimBackend, SimpleDisk, SimpleDiskParams,
+    compose_device, CLook, DiskClient, DiskGeometry, DiskImage, FaultPlan, SimpleDisk,
+    SimpleDiskParams,
 };
 use cnp_sim::{Sim, SimDuration, SimTime};
 
@@ -190,12 +190,10 @@ fn power_on_disk(
     image: DiskImage,
     faults: FaultPlan,
 ) -> (DiskDriver, DiskClient) {
-    let bus = ScsiBus::new(h);
-    let opts = DiskOpts::default();
-    let disk =
-        spawn_disk_with_image(h, "disk:d0", Box::new(model), bus.clone(), opts, faults, image);
-    let backend = Backend::Sim(SimBackend { bus, disk: disk.clone(), host_id: 7 });
-    (DiskDriver::new(h, "d0", backend, Box::new(CLook)), disk)
+    let (sched, image) = (Box::new(CLook), Some(image));
+    let (driver, mut disks) =
+        compose_device(h, "d0", vec![Box::new(model)], None, sched, faults, image, None);
+    (driver, disks.remove(0))
 }
 
 /// Powers the small disk on from `image` under `faults`.

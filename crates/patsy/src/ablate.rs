@@ -13,7 +13,7 @@ pub fn ablate_diskmodel(scale: f64, seed: u64) {
     detailed.scale = scale;
     detailed.seed = seed;
     let mut simple = detailed.clone();
-    simple.simple_disk = true;
+    simple.hw.disk = "simple";
     let rd = run_experiment(&detailed);
     let rs = run_experiment(&simple);
     let d = rd.report.mean_ms();

@@ -22,12 +22,13 @@ use cnp_check::{
     run_check_with, run_history_check, CellCache, CheckConfig, CheckOptions, HistoryCheckConfig,
     LinConfig,
 };
+use cnp_disk::Hardware;
 use cnp_fault::LayoutKind;
 use cnp_trace::SyntheticSprite;
 use cnp_workload::WorkloadKind;
 
 use crate::clients::{run_client_cell, ClientSweepConfig};
-use crate::qdsweep::{run_depth_cell_on, run_qd_sweep, trace_footprint, SweepDisk, SWEEP_DEPTHS};
+use crate::qdsweep::{run_depth_cell, run_qd_sweep, trace_footprint};
 use crate::serve::{run_serve_cell, ServeBenchConfig};
 
 /// The canonical seed every bench cell derives from.
@@ -86,8 +87,8 @@ fn run_phases() -> Vec<Phase> {
 
     // Phase 3: the bounded crash-point check (budget 500) plus the
     // history (linearizability) leg — the correctness canary. Seed and
-    // queue depth mirror the committed tier-1 cell (BENCH_check.json:
-    // seed 365, qd 8), so `check_clean` going false means a regression
+    // queue depth mirror CI's tier-1 `patsy check` cell (seed 365,
+    // qd 8), so `check_clean` going false means a regression
     // against the same cell CI already gates on. The cold leg runs
     // threaded (the host's parallelism) and fills an in-memory cell
     // cache; the warm leg reruns against it, so the trajectory records
@@ -154,18 +155,18 @@ fn run_phases() -> Vec<Phase> {
 
     // Phase 4: the queue-depth × scheduler sweep; the headline is the
     // deepest C-LOOK cell (the schedulers' whole reason to exist).
-    let (rows, wall_ms) = timed(|| run_qd_sweep("1a", 0.05, BENCH_SEED));
+    let hp_hw = Hardware::default();
+    let (rows, wall_ms) = timed(|| run_qd_sweep("1a", 0.05, BENCH_SEED, &hp_hw));
+    let qd = hp_hw.depths().last().expect("the sweep visits at least one depth");
     let mut values = Vec::new();
     if let Some((_, cells)) = rows.iter().find(|(s, _)| *s == "c-look") {
         if let Some(c) = cells.last() {
-            let qd = SWEEP_DEPTHS[SWEEP_DEPTHS.len() - 1];
             values.push((format!("clook_qd{qd}_service_ms"), format!("{:.6}", c.mean_service_ms)));
             values.push((format!("clook_qd{qd}_makespan_ms"), format!("{:.6}", c.makespan_ms)));
         }
     }
     if let Some((_, cells)) = rows.iter().find(|(s, _)| *s == "fcfs") {
         if let Some(c) = cells.last() {
-            let qd = SWEEP_DEPTHS[SWEEP_DEPTHS.len() - 1];
             values.push((format!("fcfs_qd{qd}_service_ms"), format!("{:.6}", c.mean_service_ms)));
         }
     }
@@ -195,14 +196,14 @@ fn run_phases() -> Vec<Phase> {
     // documents the scheduler tie the generation is supposed to produce
     // (~1.0, vs the clear win C-LOOK shows on the HP above). Keys are
     // append-only, so the tier-1 lexical scan and gate are untouched.
-    let ssd_hw = SweepDisk { disk: "ssd".to_string(), ..SweepDisk::default() };
+    let ssd_hw = Hardware { disk: "ssd", ..Hardware::default() };
     let (ssd_values, wall_ms) = timed(|| {
         use cnp_disk::DiskModel as _;
         let capacity = cnp_disk::Ssd::new().geometry().capacity_sectors();
         let reqs = trace_footprint("1a", 0.05, BENCH_SEED, capacity);
-        let fcfs8 = run_depth_cell_on(&reqs, "fcfs", 8, BENCH_SEED, &ssd_hw);
-        let fcfs64 = run_depth_cell_on(&reqs, "fcfs", 64, BENCH_SEED, &ssd_hw);
-        let clook64 = run_depth_cell_on(&reqs, "c-look", 64, BENCH_SEED, &ssd_hw);
+        let fcfs8 = run_depth_cell(&reqs, "fcfs", 8, BENCH_SEED, &ssd_hw);
+        let fcfs64 = run_depth_cell(&reqs, "fcfs", 64, BENCH_SEED, &ssd_hw);
+        let clook64 = run_depth_cell(&reqs, "c-look", 64, BENCH_SEED, &ssd_hw);
         vec![
             ("ssd_fcfs_qd8_makespan_ms".to_string(), format!("{:.6}", fcfs8.makespan_ms)),
             ("ssd_fcfs_qd64_makespan_ms".to_string(), format!("{:.6}", fcfs64.makespan_ms)),

@@ -49,12 +49,7 @@ fn main() {
         "fig4" => figures::figure_cdf("5", a.scale, a.seed, a.qd),
         "fig5" => figures::figure5(a.scale, a.seed),
         "sweep-qd" => {
-            let hw = cnp_patsy::SweepDisk {
-                disk: a.disk.clone(),
-                disks: a.disks,
-                chunk_kib: a.chunk_kib,
-            };
-            cnp_patsy::qdsweep::sweep_queue_depth(&a.trace, a.scale, a.seed, a.json, &hw);
+            cnp_patsy::qdsweep::sweep_queue_depth(&a.trace, a.scale, a.seed, a.json, &a.hw);
         }
         "sweep-clients" => {
             // Client cells are numerous and closed-loop; the default
@@ -112,11 +107,6 @@ fn main() {
                 );
                 std::process::exit(2);
             });
-            let hw = cnp_patsy::SweepDisk {
-                disk: a.disk.clone(),
-                disks: a.disks,
-                chunk_kib: a.chunk_kib,
-            };
             figures::run_one(
                 &a.trace,
                 p,
@@ -125,7 +115,7 @@ fn main() {
                 a.qd,
                 a.layout.as_deref(),
                 a.trace_out.as_deref(),
-                &hw,
+                &a.hw,
             );
         }
         "crash" => {

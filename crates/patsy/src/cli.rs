@@ -6,6 +6,7 @@
 //! misleading results; now each flag is range-checked and rejected with
 //! a usage message.
 
+use cnp_disk::Hardware;
 use cnp_workload::WorkloadKind;
 
 /// Parsed and validated command line.
@@ -75,12 +76,10 @@ pub struct CliArgs {
     /// `--rsize` largest single wire transfer for `serve-bench`
     /// (4096 ≤ rsize ≤ 1 MiB — NFS rsize/wsize).
     pub rsize: u64,
-    /// `--disk` hardware generation (`hp97560`|`ssd`).
-    pub disk: String,
-    /// `--disks` RAID-0 stripe width (1 ≤ disks ≤ 64; 1 = single disk).
-    pub disks: u32,
-    /// `--chunk-kib` RAID-0 chunk size (multiple of 4 KiB, ≤ 1024).
-    pub chunk_kib: u32,
+    /// `--disk` hardware generation (`hp97560`|`ssd`), `--disks` RAID-0
+    /// stripe width (1 ≤ disks ≤ 64; 1 = single disk) and `--chunk-kib`
+    /// RAID-0 chunk size (multiple of 4 KiB, ≤ 1024).
+    pub hw: Hardware,
 }
 
 impl Default for CliArgs {
@@ -112,9 +111,7 @@ impl Default for CliArgs {
             label: None,
             baseline: None,
             rsize: 64 * 1024,
-            disk: "hp97560".to_string(),
-            disks: 1,
-            chunk_kib: 64,
+            hw: Hardware::default(),
         }
     }
 }
@@ -331,11 +328,11 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                 i += 2;
             }
             "--disk" => {
-                let d = value(i)?.clone();
-                if d != "hp97560" && d != "ssd" {
-                    return Err(format!("bad --disk {d:?} (hp97560|ssd)"));
-                }
-                out.disk = d;
+                out.hw.disk = match value(i)?.as_str() {
+                    "hp97560" => "hp97560",
+                    "ssd" => "ssd",
+                    d => return Err(format!("bad --disk {d:?} (hp97560|ssd)")),
+                };
                 i += 2;
             }
             "--disks" => {
@@ -351,7 +348,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                          not the array)"
                     ));
                 }
-                out.disks = v;
+                out.hw.disks = v;
                 i += 2;
             }
             "--chunk-kib" => {
@@ -364,7 +361,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                          it stops striping)"
                     ));
                 }
-                out.chunk_kib = v;
+                out.hw.chunk_kib = v;
                 i += 2;
             }
             other => return Err(format!("unknown option {other}")),
@@ -573,11 +570,11 @@ mod tests {
     #[test]
     fn disk_flag_parses_and_validates() {
         let a = parse(&["sweep-qd", "--disk", "ssd", "--qd", "8"]).unwrap();
-        assert_eq!(a.disk, "ssd");
+        assert_eq!(a.hw.disk, "ssd");
         assert_eq!(a.qd, 8, "--disk must consume exactly one value");
         let b = parse(&["sweep-qd"]).unwrap();
-        assert_eq!(b.disk, "hp97560", "the first hardware generation stays the default");
-        assert_eq!(parse(&["sweep-qd", "--disk", "hp97560"]).unwrap().disk, "hp97560");
+        assert_eq!(b.hw.disk, "hp97560", "the first hardware generation stays the default");
+        assert_eq!(parse(&["sweep-qd", "--disk", "hp97560"]).unwrap().hw.disk, "hp97560");
         let e = parse(&["sweep-qd", "--disk", "nvme9000"]).unwrap_err();
         assert!(e.contains("--disk"), "{e}");
         assert!(parse(&["sweep-qd", "--disk"]).is_err());
@@ -586,11 +583,11 @@ mod tests {
     #[test]
     fn disks_flag_parses_and_validates() {
         let a = parse(&["sweep-qd", "--disks", "4"]).unwrap();
-        assert_eq!(a.disks, 4);
-        assert_eq!(parse(&["sweep-qd"]).unwrap().disks, 1, "single disk is the legacy wiring");
+        assert_eq!(a.hw.disks, 4);
+        assert_eq!(parse(&["sweep-qd"]).unwrap().hw.disks, 1, "single disk is the legacy wiring");
         // Both boundaries are accepted.
-        assert_eq!(parse(&["sweep-qd", "--disks", "1"]).unwrap().disks, 1);
-        assert_eq!(parse(&["sweep-qd", "--disks", "64"]).unwrap().disks, 64);
+        assert_eq!(parse(&["sweep-qd", "--disks", "1"]).unwrap().hw.disks, 1);
+        assert_eq!(parse(&["sweep-qd", "--disks", "64"]).unwrap().hw.disks, 64);
         for bad in ["0", "65", "many", "-1"] {
             let e = parse(&["sweep-qd", "--disks", bad]).unwrap_err();
             assert!(e.contains("--disks"), "{e}");
@@ -601,12 +598,12 @@ mod tests {
     #[test]
     fn chunk_kib_flag_parses_and_validates() {
         let a = parse(&["sweep-qd", "--chunk-kib", "128", "--disks", "2"]).unwrap();
-        assert_eq!(a.chunk_kib, 128);
-        assert_eq!(a.disks, 2, "--chunk-kib must consume exactly one value");
-        assert_eq!(parse(&["sweep-qd"]).unwrap().chunk_kib, 64, "64 KiB chunks by default");
+        assert_eq!(a.hw.chunk_kib, 128);
+        assert_eq!(a.hw.disks, 2, "--chunk-kib must consume exactly one value");
+        assert_eq!(parse(&["sweep-qd"]).unwrap().hw.chunk_kib, 64, "64 KiB chunks by default");
         // Both boundaries are accepted.
-        assert_eq!(parse(&["sweep-qd", "--chunk-kib", "4"]).unwrap().chunk_kib, 4);
-        assert_eq!(parse(&["sweep-qd", "--chunk-kib", "1024"]).unwrap().chunk_kib, 1024);
+        assert_eq!(parse(&["sweep-qd", "--chunk-kib", "4"]).unwrap().hw.chunk_kib, 4);
+        assert_eq!(parse(&["sweep-qd", "--chunk-kib", "1024"]).unwrap().hw.chunk_kib, 1024);
         for bad in ["0", "6", "1028", "lots", "-4"] {
             let e = parse(&["sweep-qd", "--chunk-kib", bad]).unwrap_err();
             assert!(e.contains("--chunk-kib"), "{e}");

@@ -17,10 +17,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cnp_disk::{sim_disk_driver, CLook, Hp97560, Hp97560Params};
-use cnp_fault::LayoutKind;
-use cnp_sim::{LockStats, Sim, SimTime};
+use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_disk::{DiskGeometry, Hp97560, Hp97560Params};
+use cnp_fault::{LayoutKind, Stack};
+use cnp_sim::{Handle, LockStats, Sim, SimTime};
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind, WorkloadReport};
 
 use crate::experiment::Policy;
@@ -70,6 +70,66 @@ impl ClientSweepConfig {
 /// bookkeeping.
 pub fn derive_shards(n: u32) -> u32 {
     n.next_power_of_two().min(64)
+}
+
+/// Sizes an `n`-client fleet: the disk geometry and the engine
+/// configuration (cache, stripes). A pure function of its arguments, so
+/// cells stay deterministic and replayable.
+fn fleet_sizing(
+    n: u32,
+    policy: Policy,
+    queue_depth: u32,
+    shards: Option<u32>,
+) -> (DiskGeometry, FsConfig) {
+    // One published HP 97560 is ~1.3 GB — a 1024-client fleet's live
+    // file set (≈4 MB/client plus LFS cleaning headroom) does not fit
+    // on one 1992-era disk; a real deployment would stripe several.
+    // Scale the cylinder count so per-client capacity matches the
+    // 256-client cell; cells ≤ 256 keep the published geometry (and
+    // with it their historical baselines, byte for byte).
+    let geometry = Hp97560Params::default()
+        .geometry
+        .scale_cylinders(n.div_ceil(256).next_power_of_two().max(1));
+    let (flush, nvram) = policy.cache_settings(8 * 1024 * 1024);
+    // Server-sized cache, scaled with the fleet: the sweep studies
+    // concurrency scaling, so every swept client count's hot set must
+    // fit — a fixed 64 MB thrashes from ~64 clients up and the sweep
+    // measures the cache, not the clients. 4 MB/client matches the
+    // per-client footprint of the scenario generator; the 64 MB floor
+    // keeps the small cells (and their historical baselines) unchanged.
+    let mem_bytes = (64u64 << 20).max(n as u64 * (4 << 20));
+    let cfg = FsConfig {
+        cache: CacheConfig { block_size: 4096, mem_bytes, nvram_bytes: nvram },
+        flush: flush.to_string(),
+        flush_mode: FlushMode::Async,
+        queue_depth,
+        data_mode: DataMode::Simulated,
+        shards: shards.unwrap_or_else(|| derive_shards(n)),
+        ..FsConfig::default()
+    };
+    (geometry, cfg)
+}
+
+/// The stack an `n`-client fleet runs on — shared by `sweep-clients`
+/// and `serve-bench`, so the serving tier's overhead is measured
+/// against the very stack the engine-level sweep uses.
+pub(crate) fn fleet_stack(
+    h: &Handle,
+    name: &str,
+    n: u32,
+    layout: LayoutKind,
+    policy: Policy,
+    queue_depth: u32,
+    shards: Option<u32>,
+) -> Stack {
+    let (geometry, cfg) = fleet_sizing(n, policy, queue_depth, shards);
+    let disk = Hp97560::with_params(Hp97560Params { geometry, ..Hp97560Params::default() });
+    // `build_scaled`: LFS seals segments through its background writer.
+    // Without it every seal is one ~500 KB media write performed while
+    // the sealer holds the layout core (and, for creates, an ns stripe)
+    // — at fleet size each seal halts all clients for the duration and
+    // throughput plateaus regardless of stripe counts.
+    Stack::build_scaled(h, name, layout, Box::new(disk), cfg)
 }
 
 /// One client-count cell's outcome.
@@ -126,43 +186,9 @@ pub fn run_client_cell(cfg: &ClientSweepConfig, n: u32) -> ClientCell {
     // programs are identical across cells.
     let sim = Sim::new(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n as u64));
     let h = sim.handle();
-    // One published HP 97560 is ~1.3 GB — a 1024-client fleet's live
-    // file set (≈4 MB/client plus LFS cleaning headroom) does not fit
-    // on one 1992-era disk; a real deployment would stripe several.
-    // Scale the cylinder count so per-client capacity matches the
-    // 256-client cell; cells ≤ 256 keep the published geometry (and
-    // with it their historical baselines, byte for byte). Pure
-    // function of `n`, so cells stay deterministic and replayable.
-    let mut disk_params = Hp97560Params::default();
-    disk_params.geometry =
-        disk_params.geometry.scale_cylinders(n.div_ceil(256).next_power_of_two().max(1));
-    let disk = Hp97560::with_params(disk_params);
-    let driver = sim_disk_driver(&h, &format!("mc{n}"), Box::new(disk), Box::new(CLook));
-    // `build_scaled`: LFS seals segments through its background writer.
-    // Without it every seal is one ~500 KB media write performed while
-    // the sealer holds the layout core (and, for creates, an ns stripe)
-    // — at fleet size each seal halts all clients for the duration and
-    // throughput plateaus regardless of stripe counts.
-    let layout = cfg.layout.build_scaled(&h, driver.clone());
-    let (flush, nvram) = cfg.policy.cache_settings(8 * 1024 * 1024);
-    // Server-sized cache, scaled with the fleet: the sweep studies
-    // concurrency scaling, so every swept client count's hot set must
-    // fit — a fixed 64 MB thrashes from ~64 clients up and the sweep
-    // measures the cache, not the clients. 4 MB/client matches the
-    // per-client footprint of the scenario generator; the 64 MB floor
-    // keeps the small cells (and their historical baselines) unchanged.
-    let mem_bytes = (64u64 << 20).max(n as u64 * (4 << 20));
-    let shards = cfg.shards.unwrap_or_else(|| derive_shards(n));
-    let fs_cfg = FsConfig {
-        cache: CacheConfig { block_size: 4096, mem_bytes, nvram_bytes: nvram },
-        flush: flush.to_string(),
-        flush_mode: FlushMode::Async,
-        queue_depth: cfg.queue_depth,
-        data_mode: DataMode::Simulated,
-        shards,
-        ..FsConfig::default()
-    };
-    let fs = FileSystem::new(&h, layout, fs_cfg);
+    let Stack { fs, driver, .. } =
+        fleet_stack(&h, &format!("mc{n}"), n, cfg.layout, cfg.policy, cfg.queue_depth, cfg.shards);
+    let shards = fs.shards();
     let scenario = Scenario::generate(cfg.workload, n, cfg.seed, cfg.scale);
     /// A cell's raw outcome: the run report + per-client flush counts
     /// + engine lock contention counters + the unified metrics snapshot.
@@ -384,5 +410,39 @@ pub fn sweep_clients_cli(
         print!("{}", format_client_sweep_json(&cfg, &cells));
     } else {
         print!("{}", format_client_sweep(&cfg, &cells));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::{run_serve_cell, ServeBenchConfig};
+    use cnp_disk::DiskModel;
+
+    /// `sweep-clients` and `serve-bench` size a fleet in one place, so
+    /// at the same `n` both cells see the same capacity, cache and
+    /// stripes. (The 256- and 1024-client cells themselves are too slow
+    /// for a debug-build test; a small one shows both run on the sizing.)
+    #[test]
+    fn client_and_serve_cells_share_the_fleet_sizing() {
+        let base = Hp97560::new().geometry().capacity_sectors();
+        for (n, factor) in [(256u32, 1u64), (1024, 4)] {
+            let (geometry, cfg) = fleet_sizing(n, Policy::Ups, 8, None);
+            assert_eq!(geometry.capacity_sectors(), base * factor, "{n} clients");
+            assert_eq!(cfg.cache.mem_bytes, n as u64 * (4 << 20), "{n} clients");
+            assert_eq!(cfg.shards, 64, "{n} clients");
+        }
+        let (n, workload) = (8, WorkloadKind::Zipf);
+        let shards = fleet_sizing(n, Policy::Ups, 8, None).1.shards;
+        let client = run_client_cell(&ClientSweepConfig::new(workload, vec![n], 42, 0.002), n);
+        let serve = run_serve_cell(&ServeBenchConfig::new(workload, vec![n], 42, 0.002), n);
+        assert_eq!((client.shards, serve.shards), (shards, shards));
+        assert_eq!((client.report.errors, serve.errors), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn oversized_fleet_geometry_panics_instead_of_wrapping() {
+        fleet_sizing(u32::MAX, Policy::Ups, 8, None);
     }
 }

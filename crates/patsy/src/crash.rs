@@ -14,9 +14,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cnp_disk::{CLook, FaultPlan, Hp97560};
-use cnp_fault::{cut_points, verify_crash_state, CrashState, FaultyDisk, LayoutKind, LossReport};
+use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_disk::{FaultPlan, Hardware};
+use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
 use cnp_sim::{Sim, SimTime};
 use cnp_trace::{replay_with, ReplayOptions, SpriteParams, SyntheticSprite};
 
@@ -142,12 +142,6 @@ fn run_cell(
     let h = sim.handle();
 
     // Phase A: the doomed stack.
-    let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default()).spawn(
-        &h,
-        "crash0",
-        Box::new(CLook),
-    );
-    let layout = layout_kind.build(&h, driver.clone());
     let (flush, nvram) = policy.cache_settings(4 * 1024 * 1024);
     let fs_cfg = FsConfig {
         cache: CacheConfig { block_size: 4096, mem_bytes: 8 * 1024 * 1024, nvram_bytes: nvram },
@@ -157,7 +151,9 @@ fn run_cell(
         data_mode: DataMode::Simulated,
         ..FsConfig::default()
     };
-    let fs = FileSystem::new(&h, layout, fs_cfg.clone());
+    let (hw, plan) = (Hardware::default(), FaultPlan::default());
+    let Stack { fs, disks, .. } =
+        Stack::build(&h, "crash0", layout_kind, &hw, fs_cfg.clone(), plan);
 
     let out: Rc<RefCell<Option<CrashCell>>> = Rc::new(RefCell::new(None));
     let out2 = out.clone();
@@ -174,7 +170,7 @@ fn run_cell(
         // The cut: everything volatile dies right now.
         let doomed_stats = fs.driver_stats();
         let doomed_metrics = fs.metrics();
-        let state = CrashState::capture(&fs, &disk).await;
+        let state = CrashState::capture(&fs, &disks[0]).await;
         fs.shutdown();
 
         // Phase B: power-on, recover, verify, replay NVRAM, account —

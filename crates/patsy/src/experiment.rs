@@ -7,9 +7,7 @@
 
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig, FsStats};
-use cnp_disk::{
-    spawn_disk, Backend, CLook, DiskDriver, DiskOpts, FaultPlan, Hp97560, ScsiBus, SimBackend,
-};
+use cnp_disk::{compose_device, CLook, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
 use cnp_layout::{Layout, LayoutStats, LfsLayout, LfsParams};
 use cnp_sim::stats::Histogram;
 use cnp_sim::{Sim, SimTime};
@@ -91,8 +89,6 @@ pub struct ExperimentConfig {
     pub replacement: String,
     /// Flush execution (async daemon vs requester-synchronous).
     pub flush_mode: FlushMode,
-    /// Use the naive disk model instead of the HP 97560 (ablation A1).
-    pub simple_disk: bool,
     /// Disable the disk's immediate-report + read-ahead cache (A4).
     pub no_disk_cache: bool,
     /// Driver queue scheduler name (A3; default `c-look`).
@@ -105,15 +101,10 @@ pub struct ExperimentConfig {
     /// writes, which is what gives position-aware disk schedulers a
     /// queue worth reordering.
     pub layout: String,
-    /// Disk model generation backing each file system: `hp97560` (the
-    /// 1996 mechanical baseline) or `ssd` (seek-free multi-channel
-    /// flash). `simple_disk` (ablation A1) overrides either.
-    pub disk: String,
-    /// RAID-0 stripe width per file system (1 = single disk, the legacy
-    /// shared-bus topology; >1 gives each child its own dedicated bus).
-    pub disks: u32,
-    /// RAID-0 chunk size in KiB.
-    pub chunk_kib: u32,
+    /// The hardware behind each file system. A single mechanical disk
+    /// sits on the shared-bus topology; flash and every RAID-0 child get
+    /// a dedicated bus. `simple` is ablation A1.
+    pub hw: Hardware,
 }
 
 impl ExperimentConfig {
@@ -131,14 +122,11 @@ impl ExperimentConfig {
             nvram_bytes: 4 * 1024 * 1024,
             replacement: "lru".into(),
             flush_mode: FlushMode::Async,
-            simple_disk: false,
             no_disk_cache: false,
             iosched: "c-look".into(),
             queue_depth: 1,
             layout: "lfs".into(),
-            disk: "hp97560".into(),
-            disks: 1,
-            chunk_kib: 64,
+            hw: Hardware::default(),
         }
     }
 }
@@ -191,48 +179,23 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     let buses: Vec<ScsiBus> = (0..cfg.buses).map(|_| ScsiBus::new(&h)).collect();
     let mut systems: Vec<FileSystem> = Vec::new();
     let mut drivers: Vec<DiskDriver> = Vec::new();
-    let make_model = || -> Box<dyn cnp_disk::DiskModel> {
-        if cfg.simple_disk {
-            Box::new(cnp_disk::SimpleDisk::new())
-        } else if cfg.disk == "ssd" {
-            Box::new(cnp_disk::Ssd::new())
-        } else {
-            Box::new(Hp97560::new())
-        }
-    };
     for i in 0..cfg.filesystems {
         let sched = cnp_disk::scheduler_by_name(&cfg.iosched).unwrap_or_else(|| Box::new(CLook));
-        let driver = if cfg.disks > 1 {
-            // RAID-0: each child gets its own dedicated bus + disk task;
-            // the shared-bus topology only applies to single spindles.
-            let models = (0..cfg.disks).map(|_| make_model()).collect();
-            let chunk_sectors = cfg.chunk_kib as u64 * 1024 / 512;
-            cnp_disk::striped_sim_disk_driver(&h, &format!("d{i}"), models, sched, chunk_sectors)
-        } else {
-            let model = make_model();
-            // Multi-channel flash bypasses the controller cache and gets
-            // its own fast host link (`default_opts_for`/`default_bus_for`
-            // semantics); A4 disables the cache on mechanical disks, which
-            // keep the shared SCSI-2 topology.
-            let flash = model.channels() > 1;
-            let bus = if flash {
-                ScsiBus::with_params(&h, cnp_disk::BusParams::flash())
-            } else {
-                buses[(i % cfg.buses) as usize].clone()
-            };
-            let scsi_id = if flash { 1 } else { 1 + (i / cfg.buses) as u8 };
-            let cached = !cfg.no_disk_cache && !flash;
+        let models = cfg.hw.models();
+        // A single mechanical disk joins the shared SCSI-2 topology, and
+        // A4 turns its controller cache off; flash and stripes keep the
+        // composer's per-model bus and options.
+        let attach = (models.len() == 1 && models[0].channels() <= 1).then(|| {
+            let cached = !cfg.no_disk_cache;
+            let scsi_id = 1 + (i / cfg.buses) as u8;
             let opts =
                 DiskOpts { scsi_id, store_data: true, readahead: cached, immediate_report: cached };
-            let disk =
-                spawn_disk(&h, &format!("disk{i}"), model, bus.clone(), opts, FaultPlan::default());
-            DiskDriver::new(
-                &h,
-                &format!("d{i}"),
-                Backend::Sim(SimBackend { bus, disk, host_id: 7 }),
-                sched,
-            )
-        };
+            (buses[(i % cfg.buses) as usize].clone(), opts)
+        });
+        let chunk = cfg.hw.chunk_sectors();
+        let plan = FaultPlan::default();
+        let (driver, _) =
+            compose_device(&h, &format!("d{i}"), models, chunk, sched, plan, None, attach);
         drivers.push(driver.clone());
         let layout = match cfg.layout.as_str() {
             "ffs" => Layout::Ffs(cnp_layout::FfsLayout::new(
@@ -251,9 +214,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
             flush_mode: cfg.flush_mode,
             queue_depth: cfg.queue_depth,
             data_mode: DataMode::Simulated,
-            disk: cfg.disk.clone(),
-            disks: cfg.disks,
-            chunk_kib: cfg.chunk_kib,
             ..FsConfig::default()
         };
         systems.push(FileSystem::new(&h, layout, fs_cfg));

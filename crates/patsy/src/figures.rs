@@ -89,7 +89,7 @@ pub fn run_one(
     queue_depth: u32,
     layout: Option<&str>,
     trace_out: Option<&str>,
-    hw: &crate::SweepDisk,
+    hw: &cnp_disk::Hardware,
 ) {
     let trace = preset(trace_name).expect("known trace");
     let mut cfg = ExperimentConfig::new(policy, trace);
@@ -99,9 +99,7 @@ pub fn run_one(
     if let Some(l) = layout {
         cfg.layout = l.to_string();
     }
-    cfg.disk = hw.disk.clone();
-    cfg.disks = hw.disks;
-    cfg.chunk_kib = hw.chunk_kib;
+    cfg.hw = *hw;
     let tracer = trace_out.map(|_| cnp_obs::trace::Tracer::default());
     let guard = tracer.as_ref().map(cnp_obs::trace::install);
     let r = run_experiment(&cfg);

@@ -29,10 +29,7 @@ pub use crash::{
     format_crash_sweep, format_crash_sweep_json, run_crash_sweep, CrashCell, CrashConfig,
 };
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, Policy, POLICIES};
-pub use qdsweep::{
-    run_depth_cell, run_depth_cell_on, run_qd_sweep, run_qd_sweep_on, sweep_queue_depth,
-    trace_footprint, QdCell, SweepDisk,
-};
+pub use qdsweep::{run_depth_cell, run_qd_sweep, sweep_queue_depth, trace_footprint, QdCell};
 pub use serve::{
     format_serve_bench, format_serve_bench_json, run_serve_bench, run_serve_cell, ServeBenchConfig,
     ServeCell, DEFAULT_RSIZE,

@@ -16,10 +16,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cnp_disk::{
-    scheduler_by_name, sim_disk_driver, striped_sim_disk_driver, DiskDriver, DiskModel, Hp97560,
-    IoOp, Payload, Ssd,
-};
+use cnp_disk::{compose_device, scheduler_by_name, DiskDriver, FaultPlan, Hardware, IoOp, Payload};
 use cnp_sim::{Handle, Sim, SimTime};
 use cnp_trace::{preset, SyntheticSprite, TraceOp};
 use rand::rngs::StdRng;
@@ -34,74 +31,11 @@ const SECTORS_PER_BLOCK: u32 = 8;
 /// Largest per-request transfer the footprint generator emits (blocks).
 const MAX_RUN_BLOCKS: u64 = 16;
 
-/// Hardware selection for a sweep: which disk generation backs the
-/// driver, how many spindles, and the RAID-0 chunk size. The default
-/// (one HP 97560) reproduces every historical sweep byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepDisk {
-    /// Disk model name: `hp97560` (mechanical) or `ssd` (flash).
-    pub disk: String,
-    /// RAID-0 stripe width (1 = single disk, the legacy wiring).
-    pub disks: u32,
-    /// RAID-0 chunk size in KiB.
-    pub chunk_kib: u32,
-}
-
-impl Default for SweepDisk {
-    fn default() -> Self {
-        SweepDisk { disk: "hp97560".to_string(), disks: 1, chunk_kib: 64 }
-    }
-}
-
-impl SweepDisk {
-    /// True for the single-HP legacy configuration whose sweep output
-    /// must stay byte-identical across versions.
-    pub fn is_default(&self) -> bool {
-        self.disk == "hp97560" && self.disks == 1
-    }
-
-    /// Human label for banners: `ssd`, `hp97560 x4 (64 KiB chunks)`, …
-    pub fn label(&self) -> String {
-        if self.disks > 1 {
-            format!("{} x{} ({} KiB chunks)", self.disk, self.disks, self.chunk_kib)
-        } else {
-            self.disk.clone()
-        }
-    }
-
-    /// The stripe chunk in sectors (512-byte sectors throughout).
-    pub fn chunk_sectors(&self) -> u64 {
-        self.chunk_kib as u64 * 1024 / 512
-    }
-
-    /// The depths this generation's sweep visits: the flash device
-    /// absorbs qd 64 in its channels, so its sweep extends there; the
-    /// mechanical generation keeps the historical depth list.
-    pub fn depths(&self) -> &'static [u32] {
-        if self.disk == "ssd" {
-            &SWEEP_DEPTHS_SSD
-        } else {
-            &SWEEP_DEPTHS
-        }
-    }
-
-    fn model(&self) -> Box<dyn DiskModel> {
-        match self.disk.as_str() {
-            "ssd" => Box::new(Ssd::new()),
-            _ => Box::new(Hp97560::new()),
-        }
-    }
-
-    /// Builds the scheduled driver for this hardware configuration.
-    pub fn build_driver(&self, h: &Handle, name: &str, sched_name: &str) -> DiskDriver {
-        let sched = scheduler_by_name(sched_name).expect("known scheduler");
-        if self.disks > 1 {
-            let models = (0..self.disks).map(|_| self.model()).collect();
-            striped_sim_disk_driver(h, name, models, sched, self.chunk_sectors())
-        } else {
-            sim_disk_driver(h, name, self.model(), sched)
-        }
-    }
+/// The scheduled driver over `hw`, fault-free.
+fn build_driver(hw: &Hardware, h: &Handle, name: &str, sched_name: &str) -> DiskDriver {
+    let sched = scheduler_by_name(sched_name).expect("known scheduler");
+    let (models, chunk, plan) = (hw.models(), hw.chunk_sectors(), FaultPlan::default());
+    compose_device(h, name, models, chunk, sched, plan, None, None).0
 }
 
 /// Derives the block-level footprint of a trace: every read/write
@@ -158,24 +92,19 @@ pub struct QdCell {
     pub overlap: f64,
 }
 
-/// Replays `reqs` closed-loop at `depth` outstanding requests against a
-/// single-HP driver scheduled by `sched_name`. Deterministic in
+/// Replays `reqs` closed-loop at `depth` outstanding requests against
+/// `hw` behind a driver scheduled by `sched_name`. Deterministic in
 /// (reqs, seed).
-pub fn run_depth_cell(reqs: &[BlockReq], sched_name: &str, depth: u32, seed: u64) -> QdCell {
-    run_depth_cell_on(reqs, sched_name, depth, seed, &SweepDisk::default())
-}
-
-/// [`run_depth_cell`] on an explicit hardware configuration.
-pub fn run_depth_cell_on(
+pub fn run_depth_cell(
     reqs: &[BlockReq],
     sched_name: &str,
     depth: u32,
     seed: u64,
-    hw: &SweepDisk,
+    hw: &Hardware,
 ) -> QdCell {
     let sim = Sim::new(seed);
     let h = sim.handle();
-    let driver = hw.build_driver(&h, "qd0", sched_name);
+    let driver = build_driver(hw, &h, "qd0", sched_name);
     // Mirror the engine's wiring: the device keeps its native command
     // count (two for the mechanical generation — bus/mechanics overlap —
     // 64+ across a flash device's channels); the rest of the window
@@ -218,40 +147,27 @@ pub fn run_depth_cell_on(
     }
 }
 
-/// The depths the mechanical-generation sweep visits.
-pub const SWEEP_DEPTHS: [u32; 5] = [1, 2, 4, 8, 16];
-
-/// The depths the flash-generation sweep visits: the same list plus
-/// qd 64, the depth a multi-channel device actually absorbs.
-pub const SWEEP_DEPTHS_SSD: [u32; 6] = [1, 2, 4, 8, 16, 64];
-
 /// The schedulers the sweep visits, in reporting order.
 pub const SWEEP_SCHEDS: [&str; 4] = ["fcfs", "sstf", "scan", "c-look"];
 
 /// One throwaway sim to learn the configured disk's capacity.
-fn probe_capacity(hw: &SweepDisk) -> u64 {
+fn probe_capacity(hw: &Hardware) -> u64 {
     let sim = Sim::new(0);
-    let d = hw.build_driver(&sim.handle(), "probe", "fcfs");
+    let d = build_driver(hw, &sim.handle(), "probe", "fcfs");
     let c = d.capacity_sectors();
     d.shutdown();
     sim.run();
     c
 }
 
-/// Runs the whole sweep on the default single HP 97560: one row per
-/// scheduler, one [`QdCell`] per depth in [`SWEEP_DEPTHS`].
-/// Deterministic in (trace, scale, seed).
-pub fn run_qd_sweep(trace_name: &str, scale: f64, seed: u64) -> Vec<(&'static str, Vec<QdCell>)> {
-    run_qd_sweep_on(trace_name, scale, seed, &SweepDisk::default())
-}
-
-/// [`run_qd_sweep`] on an explicit hardware configuration; the depth
-/// list comes from [`SweepDisk::depths`].
-pub fn run_qd_sweep_on(
+/// Runs the whole sweep on `hw`: one row per scheduler, one [`QdCell`]
+/// per depth in [`Hardware::depths`]. Deterministic in (trace, scale,
+/// seed).
+pub fn run_qd_sweep(
     trace_name: &str,
     scale: f64,
     seed: u64,
-    hw: &SweepDisk,
+    hw: &Hardware,
 ) -> Vec<(&'static str, Vec<QdCell>)> {
     let reqs = trace_footprint(trace_name, scale, seed, probe_capacity(hw));
     SWEEP_SCHEDS
@@ -259,33 +175,22 @@ pub fn run_qd_sweep_on(
         .map(|&sched| {
             (
                 sched,
-                hw.depths().iter().map(|&d| run_depth_cell_on(&reqs, sched, d, seed, hw)).collect(),
+                hw.depths().iter().map(|&d| run_depth_cell(&reqs, sched, d, seed, hw)).collect(),
             )
         })
         .collect()
 }
 
-/// Formats the default-hardware sweep as the CLI table (stable bytes).
+/// Formats the sweep as the CLI table (stable bytes). The default
+/// hardware's bytes are identical to every historical sweep; any other
+/// names itself in the banner.
 pub fn format_qd_sweep(
     trace_name: &str,
     scale: f64,
     seed: u64,
     requests: usize,
     rows: &[(&'static str, Vec<QdCell>)],
-) -> String {
-    format_qd_sweep_on(trace_name, scale, seed, requests, rows, &SweepDisk::default())
-}
-
-/// [`format_qd_sweep`] for an explicit hardware configuration. The
-/// default configuration's bytes are identical to every historical
-/// sweep; a non-default one names its hardware in the banner.
-pub fn format_qd_sweep_on(
-    trace_name: &str,
-    scale: f64,
-    seed: u64,
-    requests: usize,
-    rows: &[(&'static str, Vec<QdCell>)],
-    hw: &SweepDisk,
+    hw: &Hardware,
 ) -> String {
     let mut s = String::new();
     if hw.is_default() {
@@ -338,29 +243,18 @@ pub fn format_qd_sweep_on(
     s
 }
 
-/// Formats the default-hardware sweep as a JSON document (stable
-/// bytes; hand-rolled — the repo carries no serialization dependency,
-/// and every name comes from a fixed internal vocabulary).
+/// Formats the sweep as a JSON document (stable bytes; hand-rolled —
+/// the repo carries no serialization dependency, and every name comes
+/// from a fixed internal vocabulary). The default hardware's bytes are
+/// identical to every historical sweep; any other adds
+/// `disk`/`disks`/`chunk_kib` keys.
 pub fn format_qd_sweep_json(
     trace_name: &str,
     scale: f64,
     seed: u64,
     requests: usize,
     rows: &[(&'static str, Vec<QdCell>)],
-) -> String {
-    format_qd_sweep_json_on(trace_name, scale, seed, requests, rows, &SweepDisk::default())
-}
-
-/// [`format_qd_sweep_json`] for an explicit hardware configuration.
-/// The default configuration's bytes are identical to every historical
-/// sweep; a non-default one adds `disk`/`disks`/`chunk_kib` keys.
-pub fn format_qd_sweep_json_on(
-    trace_name: &str,
-    scale: f64,
-    seed: u64,
-    requests: usize,
-    rows: &[(&'static str, Vec<QdCell>)],
-    hw: &SweepDisk,
+    hw: &Hardware,
 ) -> String {
     let depths = hw.depths();
     let mut s = String::new();
@@ -405,14 +299,14 @@ pub fn format_qd_sweep_json_on(
 }
 
 /// CLI entry: runs the sweep on `hw` and prints the table (or JSON).
-pub fn sweep_queue_depth(trace_name: &str, scale: f64, seed: u64, json: bool, hw: &SweepDisk) {
+pub fn sweep_queue_depth(trace_name: &str, scale: f64, seed: u64, json: bool, hw: &Hardware) {
     // The request count in the banner comes from the same deterministic
     // footprint the cells replay; regenerate it cheaply for the header.
     let requests = trace_footprint(trace_name, scale, seed, probe_capacity(hw)).len();
-    let rows = run_qd_sweep_on(trace_name, scale, seed, hw);
+    let rows = run_qd_sweep(trace_name, scale, seed, hw);
     if json {
-        print!("{}", format_qd_sweep_json_on(trace_name, scale, seed, requests, &rows, hw));
+        print!("{}", format_qd_sweep_json(trace_name, scale, seed, requests, &rows, hw));
     } else {
-        print!("{}", format_qd_sweep_on(trace_name, scale, seed, requests, &rows, hw));
+        print!("{}", format_qd_sweep(trace_name, scale, seed, requests, &rows, hw));
     }
 }

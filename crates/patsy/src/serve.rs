@@ -22,16 +22,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cnp_disk::{sim_disk_driver, CLook, Hp97560, Hp97560Params};
 use cnp_fault::LayoutKind;
 use cnp_pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig, XdrDecoder};
 use cnp_sim::{Handle, Sim, SimDuration, SimTime};
 use cnp_trace::TraceOp;
 use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
 
-use crate::clients::derive_shards;
+use crate::clients::fleet_stack;
 use crate::experiment::Policy;
 
 /// Default rsize/wsize (largest single wire transfer), matching the
@@ -351,27 +348,13 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
     let sim =
         Sim::new(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n as u64) ^ 0x53_52_56);
     let h = sim.handle();
-    // Disk geometry, layout, cache, and stripes mirror the engine-level
-    // client sweep (see `run_client_cell`) so serve-bench measures the
-    // serving tier's overhead, not a different stack.
-    let mut disk_params = Hp97560Params::default();
-    disk_params.geometry.cylinders *= n.div_ceil(256).next_power_of_two().max(1);
-    let disk = Hp97560::with_params(disk_params);
-    let driver = sim_disk_driver(&h, &format!("srv{n}"), Box::new(disk), Box::new(CLook));
-    let layout = cfg.layout.build_scaled(&h, driver.clone());
-    let (flush, nvram) = cfg.policy.cache_settings(8 * 1024 * 1024);
-    let mem_bytes = (64u64 << 20).max(n as u64 * (4 << 20));
-    let shards = cfg.shards.unwrap_or_else(|| derive_shards(n));
-    let fs_cfg = FsConfig {
-        cache: CacheConfig { block_size: 4096, mem_bytes, nvram_bytes: nvram },
-        flush: flush.to_string(),
-        flush_mode: FlushMode::Async,
-        queue_depth: cfg.queue_depth,
-        data_mode: DataMode::Simulated,
-        shards,
-        ..FsConfig::default()
-    };
-    let fs = FileSystem::new(&h, layout, fs_cfg);
+    // The engine-level client sweep's stack (see `run_client_cell`), so
+    // serve-bench measures the serving tier's overhead, not a different
+    // stack.
+    let fs =
+        fleet_stack(&h, &format!("srv{n}"), n, cfg.layout, cfg.policy, cfg.queue_depth, cfg.shards)
+            .fs;
+    let shards = fs.shards();
     let srv = NfsServer::with_config(
         fs.clone(),
         ServeConfig { max_transfer: cfg.rsize, ..ServeConfig::default() },

@@ -4,11 +4,9 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use cut_and_paste::core::{DataMode, FileSystem, FsConfig};
-use cut_and_paste::disk::{CLook, Hp97560};
-use cut_and_paste::fault::{
-    recover_and_check, CrashState, FaultPlanBuilder, FaultyDisk, LayoutKind,
-};
+use cut_and_paste::core::{DataMode, FsConfig};
+use cut_and_paste::disk::Hardware;
+use cut_and_paste::fault::{CrashState, FaultPlanBuilder, LayoutKind, Stack};
 use cut_and_paste::layout::FileKind;
 use cut_and_paste::sim::Sim;
 
@@ -27,14 +25,12 @@ fn main() {
         .random_cut_retire(8)
         .build();
     println!("fault plan: cut at op 400, retire up to {} in-flight writes", plan.cut_retire_ops);
-    let (driver, disk) =
-        FaultyDisk::new(Box::new(Hp97560::new()), plan).spawn(&h, "doomed", Box::new(CLook));
-
-    let layout = LayoutKind::Lfs.build(&h, driver.clone());
+    let hw = Hardware::default();
     let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
-    let fs = FileSystem::new(&h, layout, cfg.clone());
+    let Stack { fs: fs2, disks, .. } =
+        Stack::build(&h, "doomed", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+    let disk = disks[0].clone();
 
-    let fs2 = fs.clone();
     let h2 = h.clone();
     h.spawn("main", async move {
         fs2.format().await.expect("mkfs");
@@ -67,9 +63,8 @@ fn main() {
         println!("captured {} durable sectors", state.image.len());
 
         // Power-on: fresh disk from the image, recover, verify.
-        let (driver2, _disk2) = state.restore_hp(&h2, "reborn");
-        let mut layout2 = LayoutKind::Lfs.build(&h2, driver2.clone());
-        let outcome = recover_and_check(&h2, &mut layout2).await.expect("recovery");
+        let (Stack { fs: fs3, .. }, outcome) =
+            Stack::recover(&h2, "reborn", LayoutKind::Lfs, &hw, &state, cfg).await.expect("recovery");
         println!(
             "recovery: {} summaries scanned, {} segments rolled forward, {} inodes, {} pointers patched",
             outcome.stats.scanned_segments,
@@ -92,7 +87,6 @@ fn main() {
         assert!(outcome.stats.scanned_segments < 64, "roll-forward must be bounded");
 
         // The recovered system serves reads again.
-        let fs3 = FileSystem::new(&h2, layout2, cfg);
         let entries = fs3.readdir("/data").await.expect("readdir");
         println!("recovered /data holds {} of the {written} synced files", entries.len());
         assert!(!entries.is_empty(), "synced files must survive the crash");

@@ -41,3 +41,46 @@ fn facade_version_matches_member_crates() {
     // The whole workspace shares one version via [workspace.package].
     assert_eq!(env!("CARGO_PKG_VERSION"), "0.1.0");
 }
+
+/// The wiring rule (DESIGN.md, "Wiring"): outside `cnp-disk`, nothing
+/// but tests wires a bus, a disk task or a driver by hand — everything
+/// goes through `compose_device`. The one other back-end is the host
+/// file behind `cnp-pfs::pfs_over_file`, which builds its own driver.
+#[test]
+fn only_cnp_disk_composes_a_device() {
+    use std::path::{Path, PathBuf};
+
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "the scan must see the workspace sources: {}", files.len());
+    for file in files {
+        let rel = file.strip_prefix(root).expect("under the root").to_string_lossy().into_owned();
+        if rel.starts_with("crates/disk/src/") || rel.contains("/tests/") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).expect("readable source file");
+        // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
+        let code = text.split("#[cfg(test)]").next().unwrap_or("");
+        for pat in ["spawn_disk", "SimBackend {", "StripedDisk::new", "DiskDriver::new"] {
+            let allowed = pat == "DiskDriver::new" && rel == "crates/pfs/src/lib.rs";
+            assert!(
+                allowed || !code.contains(pat),
+                "{rel} wires a device by hand (`{pat}`): go through cnp_disk::compose_device"
+            );
+        }
+    }
+}

@@ -6,7 +6,8 @@ use std::rc::Rc;
 
 use cut_and_paste::cache::CacheConfig;
 use cut_and_paste::core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cut_and_paste::disk::{sim_disk_driver, CLook, Hp97560};
+use cut_and_paste::disk::{sim_disk_driver, CLook, FaultPlan, Hardware, Hp97560};
+use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
 use cut_and_paste::sim::{Sim, SimTime};
 use cut_and_paste::trace::{replay, trace_1a, SyntheticSprite};
@@ -45,34 +46,9 @@ where
 fn seeded_runs_produce_byte_identical_platters_per_layout() {
     use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
-    fn image_once(layout_name: &'static str) -> cut_and_paste::disk::DiskImage {
+    fn image_once(layout: LayoutKind) -> cut_and_paste::disk::DiskImage {
         let sim = Sim::new(909);
         let h = sim.handle();
-        let (driver, disk) = {
-            use cut_and_paste::disk::{
-                spawn_disk, Backend, DiskDriver, DiskOpts, ScsiBus, SimBackend,
-            };
-            let bus = ScsiBus::new(&h);
-            let disk = spawn_disk(
-                &h,
-                "disk:det0",
-                Box::new(Hp97560::new()),
-                bus.clone(),
-                DiskOpts::default(),
-                cut_and_paste::disk::FaultPlan::default(),
-            );
-            let driver = DiskDriver::new(
-                &h,
-                "det0",
-                Backend::Sim(SimBackend { bus, disk: disk.clone(), host_id: 7 }),
-                Box::new(CLook),
-            );
-            (driver, disk)
-        };
-        let layout = match layout_name {
-            "lfs" => Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default())),
-            _ => Layout::Ffs(FfsLayout::new(&h, driver, FfsParams { ninodes: 4096, ngroups: 8 })),
-        };
         let cfg = FsConfig {
             // Small cache: evictions + replacement churn on top of the
             // mail workload's delete-driven remove_file traffic.
@@ -81,7 +57,8 @@ fn seeded_runs_produce_byte_identical_platters_per_layout() {
             queue_depth: 8,
             ..FsConfig::default()
         };
-        let fs = FileSystem::new(&h, layout, cfg);
+        let Stack { fs, disks, .. } =
+            Stack::build(&h, "det0", layout, &Hardware::default(), cfg, FaultPlan::default());
         let out: Rc<Cell<Option<cut_and_paste::disk::DiskImage>>> = Rc::new(Cell::new(None));
         let out2 = out.clone();
         let h2 = h.clone();
@@ -91,16 +68,15 @@ fn seeded_runs_produce_byte_identical_platters_per_layout() {
             let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
             assert_eq!(report.errors, 0, "{:?}", report.error_sample);
             fs.unmount().await.unwrap();
-            out2.set(Some(disk.platter_image()));
+            out2.set(Some(disks[0].platter_image()));
             fs.shutdown();
         });
         sim.run_until(SimTime::from_nanos(u64::MAX / 2));
         out.take().expect("determinism run did not finish")
     }
 
-    for layout in ["lfs", "ffs"] {
-        let a = image_once(layout);
-        let b = image_once(layout);
+    for kind in [LayoutKind::Lfs, LayoutKind::Ffs] {
+        let (a, b, layout) = (image_once(kind), image_once(kind), kind.name());
         assert_eq!(a.len(), b.len(), "{layout}: platter sector counts differ");
         let mut keys: Vec<u64> = a.keys().copied().collect();
         keys.sort_unstable();
@@ -234,18 +210,19 @@ fn crash_sweep_is_deterministic_and_verifies_clean() {
 
 #[test]
 fn queue_depth_8_differentiates_schedulers_on_trace_1a() {
-    use cut_and_paste::disk::{DiskModel, Hp97560};
+    use cut_and_paste::disk::DiskModel;
     use cut_and_paste::patsy::{run_depth_cell, trace_footprint};
 
+    let hw = Hardware::default();
     let capacity = Hp97560::new().geometry().capacity_sectors();
     let reqs = trace_footprint("1a", 0.005, 365, capacity);
     assert!(reqs.len() > 500, "trace footprint too small: {}", reqs.len());
 
     // Queue depth 1: no queue ever forms, so every policy serves in
     // arrival order and the measurements coincide exactly.
-    let fcfs1 = run_depth_cell(&reqs, "fcfs", 1, 7);
-    let sstf1 = run_depth_cell(&reqs, "sstf", 1, 7);
-    let scan1 = run_depth_cell(&reqs, "scan", 1, 7);
+    let fcfs1 = run_depth_cell(&reqs, "fcfs", 1, 7, &hw);
+    let sstf1 = run_depth_cell(&reqs, "sstf", 1, 7, &hw);
+    let scan1 = run_depth_cell(&reqs, "scan", 1, 7, &hw);
     assert_eq!(fcfs1.mean_service_ms.to_bits(), sstf1.mean_service_ms.to_bits());
     assert_eq!(fcfs1.mean_service_ms.to_bits(), scan1.mean_service_ms.to_bits());
     assert_eq!(fcfs1.makespan_ms.to_bits(), sstf1.makespan_ms.to_bits());
@@ -253,9 +230,9 @@ fn queue_depth_8_differentiates_schedulers_on_trace_1a() {
     // Queue depth 8: the outstanding set gives position-aware policies
     // something to reorder; SSTF and SCAN must beat FCFS on mean
     // device service time (and finish the stream sooner).
-    let fcfs8 = run_depth_cell(&reqs, "fcfs", 8, 7);
-    let sstf8 = run_depth_cell(&reqs, "sstf", 8, 7);
-    let scan8 = run_depth_cell(&reqs, "scan", 8, 7);
+    let fcfs8 = run_depth_cell(&reqs, "fcfs", 8, 7, &hw);
+    let sstf8 = run_depth_cell(&reqs, "sstf", 8, 7, &hw);
+    let scan8 = run_depth_cell(&reqs, "scan", 8, 7, &hw);
     assert!(
         sstf8.mean_service_ms < fcfs8.mean_service_ms,
         "sstf {:.3} ms should beat fcfs {:.3} ms at depth 8",
@@ -272,7 +249,7 @@ fn queue_depth_8_differentiates_schedulers_on_trace_1a() {
     assert!(fcfs8.mean_queue > 2.0, "depth 8 must actually build a queue");
 
     // Seeded replays stay bit-identical, pipelined or not.
-    let again = run_depth_cell(&reqs, "sstf", 8, 7);
+    let again = run_depth_cell(&reqs, "sstf", 8, 7, &hw);
     assert_eq!(again.mean_service_ms.to_bits(), sstf8.mean_service_ms.to_bits());
     assert_eq!(again.makespan_ms.to_bits(), sstf8.makespan_ms.to_bits());
 }
@@ -280,21 +257,21 @@ fn queue_depth_8_differentiates_schedulers_on_trace_1a() {
 #[test]
 fn ssd_generation_ties_the_schedulers_and_absorbs_deep_queues() {
     use cut_and_paste::disk::{DiskModel, Ssd};
-    use cut_and_paste::patsy::{run_depth_cell_on, trace_footprint, SweepDisk};
+    use cut_and_paste::patsy::{run_depth_cell, trace_footprint};
 
     let capacity = Ssd::new().geometry().capacity_sectors();
     let reqs = trace_footprint("1a", 0.005, 365, capacity);
     assert!(reqs.len() > 500, "trace footprint too small: {}", reqs.len());
-    let hw = SweepDisk { disk: "ssd".to_string(), ..SweepDisk::default() };
+    let hw = Hardware { disk: "ssd", ..Hardware::default() };
 
     // The same depth-8 comparison that separates the schedulers on the
     // HP 97560 must tie on flash: with seeks free and service dominated
     // by per-channel page timing, arrival-order position has nothing
     // for SSTF/SCAN to exploit. "Tie" means within 2% of FCFS — the
     // policies still reorder, but reordering cannot pay.
-    let fcfs8 = run_depth_cell_on(&reqs, "fcfs", 8, 7, &hw);
-    let sstf8 = run_depth_cell_on(&reqs, "sstf", 8, 7, &hw);
-    let scan8 = run_depth_cell_on(&reqs, "scan", 8, 7, &hw);
+    let fcfs8 = run_depth_cell(&reqs, "fcfs", 8, 7, &hw);
+    let sstf8 = run_depth_cell(&reqs, "sstf", 8, 7, &hw);
+    let scan8 = run_depth_cell(&reqs, "scan", 8, 7, &hw);
     for (name, cell) in [("sstf", &sstf8), ("scan", &scan8)] {
         let ratio = cell.makespan_ms / fcfs8.makespan_ms;
         assert!(
@@ -308,7 +285,7 @@ fn ssd_generation_ties_the_schedulers_and_absorbs_deep_queues() {
     // Deep queues keep paying on flash: the device natively absorbs 64
     // commands across its channels, so makespan keeps dropping past the
     // mechanical generation's 2-outstanding ceiling.
-    let fcfs64 = run_depth_cell_on(&reqs, "fcfs", 64, 7, &hw);
+    let fcfs64 = run_depth_cell(&reqs, "fcfs", 64, 7, &hw);
     // At qd 8 random page placement leaves channels idle (collisions);
     // qd 64 keeps all 8 busy. The expected gain is tempered by the
     // serial controller/link costs, so "clearly" means >= 10%.
@@ -321,26 +298,25 @@ fn ssd_generation_ties_the_schedulers_and_absorbs_deep_queues() {
     assert!(fcfs64.overlap > 0.5, "deep flash queues must overlap channels");
 
     // Seeded SSD cells replay bit-identically.
-    let again = run_depth_cell_on(&reqs, "fcfs", 64, 7, &hw);
+    let again = run_depth_cell(&reqs, "fcfs", 64, 7, &hw);
     assert_eq!(again.mean_service_ms.to_bits(), fcfs64.mean_service_ms.to_bits());
     assert_eq!(again.makespan_ms.to_bits(), fcfs64.makespan_ms.to_bits());
 }
 
 #[test]
 fn striped_sweep_cells_replay_bit_identically() {
-    use cut_and_paste::patsy::qdsweep::{format_qd_sweep_json_on, run_qd_sweep_on};
-    use cut_and_paste::patsy::SweepDisk;
+    use cut_and_paste::patsy::qdsweep::{format_qd_sweep_json, run_qd_sweep};
 
     // A 4-spindle HP stripe and a striped-SSD cell: both seeded sweeps
     // must format to byte-identical JSON across two full runs.
     for hw in [
-        SweepDisk { disks: 4, ..SweepDisk::default() },
-        SweepDisk { disk: "ssd".to_string(), disks: 2, ..SweepDisk::default() },
+        Hardware { disks: 4, ..Hardware::default() },
+        Hardware { disk: "ssd", disks: 2, ..Hardware::default() },
     ] {
-        let rows = run_qd_sweep_on("1a", 0.002, 42, &hw);
-        let again = run_qd_sweep_on("1a", 0.002, 42, &hw);
-        let a = format_qd_sweep_json_on("1a", 0.002, 42, 100, &rows, &hw);
-        let b = format_qd_sweep_json_on("1a", 0.002, 42, 100, &again, &hw);
+        let rows = run_qd_sweep("1a", 0.002, 42, &hw);
+        let again = run_qd_sweep("1a", 0.002, 42, &hw);
+        let a = format_qd_sweep_json("1a", 0.002, 42, 100, &rows, &hw);
+        let b = format_qd_sweep_json("1a", 0.002, 42, 100, &again, &hw);
         assert_eq!(a, b, "striped sweep must be bit-identical for the same seed ({hw:?})");
         assert!(a.contains("\"disks\""), "non-default hardware must name itself in the JSON");
     }
@@ -411,28 +387,6 @@ fn sharded_256_client_runs_are_byte_identical() {
     fn run_once() -> (cut_and_paste::disk::DiskImage, u64, u64) {
         let sim = Sim::new(4242);
         let h = sim.handle();
-        let (driver, disk) = {
-            use cut_and_paste::disk::{
-                spawn_disk, Backend, DiskDriver, DiskOpts, ScsiBus, SimBackend,
-            };
-            let bus = ScsiBus::new(&h);
-            let disk = spawn_disk(
-                &h,
-                "disk:sh256",
-                Box::new(Hp97560::new()),
-                bus.clone(),
-                DiskOpts::default(),
-                cut_and_paste::disk::FaultPlan::default(),
-            );
-            let driver = DiskDriver::new(
-                &h,
-                "sh256",
-                Backend::Sim(SimBackend { bus, disk: disk.clone(), host_id: 7 }),
-                Box::new(CLook),
-            );
-            (driver, disk)
-        };
-        let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
         let cfg = FsConfig {
             cache: CacheConfig {
                 block_size: 4096,
@@ -444,7 +398,9 @@ fn sharded_256_client_runs_are_byte_identical() {
             shards: 64,
             ..FsConfig::default()
         };
-        let fs = FileSystem::new(&h, layout, cfg);
+        let (kind, hw) = (LayoutKind::Lfs, Hardware::default());
+        let Stack { fs, disks, .. } =
+            Stack::build(&h, "sh256", kind, &hw, cfg, FaultPlan::default());
         type RunOut = (cut_and_paste::disk::DiskImage, u64, u64);
         let out: Rc<Cell<Option<RunOut>>> = Rc::new(Cell::new(None));
         let out2 = out.clone();
@@ -455,7 +411,7 @@ fn sharded_256_client_runs_are_byte_identical() {
             let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
             assert_eq!(report.errors, 0, "{:?}", report.error_sample);
             fs.unmount().await.unwrap();
-            out2.set(Some((disk.platter_image(), report.ops, report.makespan.as_nanos())));
+            out2.set(Some((disks[0].platter_image(), report.ops, report.makespan.as_nanos())));
             fs.shutdown();
         });
         sim.run_until(SimTime::from_nanos(u64::MAX / 2));
@@ -506,20 +462,24 @@ fn single_client_qd1_sweep_has_zero_ns_lock_waits() {
 
 #[test]
 fn multi_client_crash_preserves_acked_writes_under_nvram_whole() {
-    use cut_and_paste::disk::{FaultPlan, Hp97560};
-    use cut_and_paste::fault::{
-        crash::measure_loss, recover_and_check, replay_nvram, CrashState, FaultyDisk, LayoutKind,
-    };
+    multi_client_crash_cycle(Hardware::default());
+}
+
+/// The same crash oracle on the second hardware generation: the cut,
+/// the capture and the power-on all run on one flash device.
+#[test]
+fn multi_client_crash_preserves_acked_writes_on_ssd() {
+    multi_client_crash_cycle(Hardware { disk: "ssd", ..Hardware::default() });
+}
+
+/// One doom → cut → capture → restore → recover + fsck → NVRAM replay →
+/// loss-accounting cycle on `hw` under `nvram-whole`.
+fn multi_client_crash_cycle(hw: Hardware) {
+    use cut_and_paste::fault::{crash::measure_loss, replay_nvram, CrashState};
     use cut_and_paste::trace::TraceOp;
     use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
-    run_to_completion(4242, |h| async move {
-        let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default()).spawn(
-            &h,
-            "mcc0",
-            Box::new(CLook),
-        );
-        let layout = LayoutKind::Lfs.build(&h, driver.clone());
+    run_to_completion(4242, move |h| async move {
         let cfg = FsConfig {
             cache: CacheConfig {
                 block_size: 4096,
@@ -531,7 +491,8 @@ fn multi_client_crash_preserves_acked_writes_under_nvram_whole() {
             data_mode: DataMode::Simulated,
             ..FsConfig::default()
         };
-        let fs = FileSystem::new(&h, layout, cfg.clone());
+        let Stack { fs, disks, .. } =
+            Stack::build(&h, "mcc0", LayoutKind::Lfs, &hw, cfg.clone(), FaultPlan::default());
         fs.format().await.unwrap();
 
         // Make the namespace durable up front (zipf keeps it stable:
@@ -571,19 +532,17 @@ fn multi_client_crash_preserves_acked_writes_under_nvram_whole() {
         .await;
         assert!(report.ops > 0, "the workload must have run before the cut");
         assert!(!report.acked.is_empty(), "clients must have acked writes at the cut");
-        let state = CrashState::capture(&fs, &disk).await;
+        let state = CrashState::capture(&fs, &disks[0]).await;
         fs.shutdown();
 
         // Power-on: recover, verify clean, replay NVRAM, account loss.
-        let (driver2, _disk2) = state.restore_hp(&h, "mcc1");
-        let mut layout2 = LayoutKind::Lfs.build(&h, driver2.clone());
-        let outcome = recover_and_check(&h, &mut layout2).await.expect("recovery");
+        let (Stack { fs: fs2, .. }, outcome) =
+            Stack::recover(&h, "mcc1", LayoutKind::Lfs, &hw, &state, cfg).await.expect("recovery");
         assert!(
             outcome.post.clean(),
             "post-recovery fsck must be clean: {:?}",
             outcome.post.violations
         );
-        let fs2 = FileSystem::new(&h, layout2, cfg);
         replay_nvram(&fs2, &state.nvram).await.expect("nvram replay");
         let loss = measure_loss(&fs2, &report.acked, state.cut_at).await;
         assert_eq!(loss.lost_files, 0, "no client's acked file may vanish: {loss:?}");
@@ -695,10 +654,11 @@ fn crash_sweep_json_is_stable_and_wellformed() {
 fn qd_sweep_json_is_stable_and_wellformed() {
     use cut_and_paste::patsy::qdsweep::{format_qd_sweep_json, run_qd_sweep};
 
-    let rows = run_qd_sweep("1a", 0.002, 42);
-    let again = run_qd_sweep("1a", 0.002, 42);
-    let a = format_qd_sweep_json("1a", 0.002, 42, 100, &rows);
-    let b = format_qd_sweep_json("1a", 0.002, 42, 100, &again);
+    let hw = Hardware::default();
+    let rows = run_qd_sweep("1a", 0.002, 42, &hw);
+    let again = run_qd_sweep("1a", 0.002, 42, &hw);
+    let a = format_qd_sweep_json("1a", 0.002, 42, 100, &rows, &hw);
+    let b = format_qd_sweep_json("1a", 0.002, 42, 100, &again, &hw);
     assert_eq!(a, b, "sweep-qd --json must be byte-identical for the same seed");
     for key in ["\"rows\"", "\"sched\"", "\"mean_service_ms\"", "\"makespan_ms\"", "\"depths\""] {
         assert!(a.contains(key), "qd JSON must carry {key}: {a}");
@@ -729,8 +689,9 @@ fn experiment_trace_is_deterministic_and_covers_ops() {
         (to_chrome_json(&tracer), r.report.latency.sum(), r.report.ops)
     }
     let (json_a, total_ms, ops) = run_once();
-    let (json_b, _, _) = run_once();
+    let (json_b, total_ms_b, ops_b) = run_once();
     assert_eq!(json_a, json_b, "trace-out bytes must replay identically");
+    assert_eq!((total_ms.to_bits(), ops), (total_ms_b.to_bits(), ops_b), "and so must the report");
     assert!(
         json_a.starts_with("[\n") && json_a.ends_with("]\n"),
         "Chrome trace array format expected"

@@ -9,9 +9,9 @@ use cut_and_paste::cache::{BlockCache, BlockKey, CacheConfig, FileId, Lru, Reser
 use cut_and_paste::core::{DataMode, FileSystem, FsConfig};
 use cut_and_paste::disk::{
     scheduler_by_name, sim_disk_driver, striped_sim_disk_driver, CLook, DiskGeometry, DiskModel,
-    FaultPlan, Hp97560, IoOp, Payload, PendingMeta,
+    FaultPlan, Hardware, Hp97560, IoOp, Payload, PendingMeta,
 };
-use cut_and_paste::fault::{recover_and_check, CrashState, FaultyDisk, LayoutKind};
+use cut_and_paste::fault::{CrashState, LayoutKind, Stack};
 use cut_and_paste::layout::dir::{decode, encode, Dirent};
 use cut_and_paste::layout::{FileKind, Ino, Inode};
 use cut_and_paste::sim::stats::Histogram;
@@ -61,11 +61,11 @@ async fn recover_digest(
 ) -> (Vec<(String, u64, Vec<u8>)>, cut_and_paste::disk::DiskImage, u64) {
     let state =
         CrashState { image, nvram: Default::default(), staging_sealed: true, cut_at: h.now() };
-    let (driver, disk) = state.restore_hp(h, name);
-    let mut layout = LayoutKind::Lfs.build(h, driver.clone());
-    let outcome = recover_and_check(h, &mut layout).await.expect("recovery");
+    let (Stack { fs, disks, .. }, outcome) =
+        Stack::recover(h, name, LayoutKind::Lfs, &Hardware::default(), &state, cfg)
+            .await
+            .expect("recovery");
     assert!(outcome.post.clean(), "walker dirty after recovery: {:?}", outcome.post.violations);
-    let fs = FileSystem::new(h, layout, cfg);
     let mut digest = Vec::new();
     let mut entries = fs.readdir("/").await.expect("readdir");
     entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -79,7 +79,7 @@ async fn recover_digest(
         }
         digest.push((e.name, inode.size, heads));
     }
-    let image2 = disk.platter_image();
+    let image2 = disks[0].platter_image();
     fs.shutdown();
     (digest, image2, outcome.stats.rolled_segments)
 }
@@ -242,9 +242,6 @@ proptest! {
         run_sim(seed, move |h| async move {
             // Doomed stack: NVRAM policy so cache drains seal segments,
             // leaving post-checkpoint log state to roll forward.
-            let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default())
-                .spawn(&h, "p0", Box::new(CLook));
-            let layout = LayoutKind::Lfs.build(&h, driver.clone());
             let cfg = FsConfig {
                 cache: CacheConfig {
                     block_size: 4096,
@@ -255,7 +252,10 @@ proptest! {
                 data_mode: DataMode::Real,
                 ..FsConfig::default()
             };
-            let fs = FileSystem::new(&h, layout, cfg.clone());
+            let (hw, plan) = (Hardware::default(), FaultPlan::default());
+            let Stack { fs, disks, .. } =
+                Stack::build(&h, "p0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+            let disk = disks[0].clone();
             fs.format().await.unwrap();
             // A synced baseline file, then un-checkpointed writes.
             let base = fs.create("/base", FileKind::Regular).await.unwrap();
@@ -289,9 +289,6 @@ proptest! {
         ops in prop::collection::vec((0u64..4, 0u64..8), 1..24),
     ) {
         run_sim(seed, move |h| async move {
-            let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default())
-                .spawn(&h, "n0", Box::new(CLook));
-            let layout = LayoutKind::Lfs.build(&h, driver.clone());
             let cfg = FsConfig {
                 cache: CacheConfig {
                     block_size: 4096,
@@ -304,7 +301,10 @@ proptest! {
                 data_mode: DataMode::Real,
                 ..FsConfig::default()
             };
-            let fs = FileSystem::new(&h, layout, cfg.clone());
+            let (hw, plan) = (Hardware::default(), FaultPlan::default());
+            let Stack { fs, disks, .. } =
+                Stack::build(&h, "n0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+            let disk = disks[0].clone();
             fs.format().await.unwrap();
             let mut inos = Vec::new();
             for i in 0..4u64 {
@@ -328,11 +328,9 @@ proptest! {
             let state = CrashState::capture(&fs, &disk).await;
             fs.shutdown();
             // Power-on, recover, verify, replay NVRAM.
-            let (driver2, _disk2) = state.restore_hp(&h, "n1");
-            let mut layout2 = LayoutKind::Lfs.build(&h, driver2.clone());
-            let outcome = recover_and_check(&h, &mut layout2).await.expect("recovery");
+            let (Stack { fs: fs2, .. }, outcome) =
+                Stack::recover(&h, "n1", LayoutKind::Lfs, &hw, &state, cfg).await.expect("recovery");
             assert!(outcome.post.clean(), "{:?}", outcome.post.violations);
-            let fs2 = FileSystem::new(&h, layout2, cfg);
             cut_and_paste::fault::replay_nvram(&fs2, &state.nvram).await.expect("nvram replay");
             // Every acknowledged write must read back exactly.
             for ((fidx, blk), tag) in model {
@@ -379,15 +377,15 @@ proptest! {
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
-            let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default())
-                .spawn(&h, "o0", Box::new(CLook));
-            let layout = kind.build(&h, driver.clone());
             let cfg = FsConfig {
                 queue_depth,
                 data_mode: DataMode::Real,
                 ..FsConfig::default()
             };
-            let fs = FileSystem::new(&h, layout, cfg);
+            let (hw, plan) = (Hardware::default(), FaultPlan::default());
+            let Stack { fs, disks, .. } =
+                Stack::build(&h, "o0", kind, &hw, cfg, plan);
+            let disk = disks[0].clone();
             h.spawn("oracle", async move {
                 fs.format().await.unwrap();
                 let mut inos = Vec::new();
@@ -453,16 +451,16 @@ proptest! {
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
-            let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default())
-                .spawn(&h, "sh0", Box::new(CLook));
-            let layout = LayoutKind::Lfs.build(&h, driver.clone());
             let cfg = FsConfig {
                 queue_depth,
                 data_mode: DataMode::Real,
                 shards,
                 ..FsConfig::default()
             };
-            let fs = FileSystem::new(&h, layout, cfg);
+            let (hw, plan) = (Hardware::default(), FaultPlan::default());
+            let Stack { fs, disks, .. } =
+                Stack::build(&h, "sh0", LayoutKind::Lfs, &hw, cfg, plan);
+            let disk = disks[0].clone();
             h.spawn("shard-oracle", async move {
                 fs.format().await.unwrap();
                 let mut inos = Vec::new();
@@ -745,15 +743,15 @@ proptest! {
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
-            let (driver, disk) = FaultyDisk::new(Box::new(Hp97560::new()), FaultPlan::default())
-                .spawn(&h, "t0", Box::new(CLook));
-            let layout = LayoutKind::Lfs.build(&h, driver.clone());
             let cfg = FsConfig {
                 queue_depth,
                 data_mode: DataMode::Real,
                 ..FsConfig::default()
             };
-            let fs = FileSystem::new(&h, layout, cfg);
+            let (hw, plan) = (Hardware::default(), FaultPlan::default());
+            let Stack { fs, disks, .. } =
+                Stack::build(&h, "t0", LayoutKind::Lfs, &hw, cfg, plan);
+            let disk = disks[0].clone();
             h.spawn("traced", async move {
                 fs.format().await.unwrap();
                 // Through the per-client handle so op spans open.
