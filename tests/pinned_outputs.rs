@@ -1,0 +1,154 @@
+//! The refactoring contract as a test: one small seeded report per
+//! rig, pinned by its FNV-1a 128 hash. Every seeded output of this
+//! workspace is a pure function of its inputs, so a change to the rig
+//! layer (how a stack is run, how clients are driven, how reports are
+//! serialized) that keeps these hashes kept the bytes. A hash that
+//! moves is a behaviour change: find out why before re-pinning it.
+
+use cut_and_paste::check::cache::InputHash;
+use cut_and_paste::disk::Hardware;
+use cut_and_paste::fault::LayoutKind;
+use cut_and_paste::obs::chrome::to_chrome_json;
+use cut_and_paste::obs::trace::{install, Tracer};
+use cut_and_paste::patsy::{self, ExperimentConfig, Policy};
+use cut_and_paste::trace::trace_1a;
+use cut_and_paste::workload::WorkloadKind;
+
+#[track_caller]
+fn assert_pinned(what: &str, bytes: &str, want: u128) {
+    let mut hash = InputHash::new();
+    hash.update(bytes.as_bytes());
+    let head: Vec<&str> = bytes.lines().take(40).collect();
+    assert_eq!(
+        hash.digest(),
+        want,
+        "FNV-1a 128 of {what} is {:#034x}; it begins:\n{}",
+        hash.digest(),
+        head.join("\n")
+    );
+}
+
+fn experiment(queue_depth: u32) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::new(Policy::Ups, trace_1a());
+    cfg.scale = 0.01;
+    cfg.seed = 42;
+    cfg.queue_depth = queue_depth;
+    cfg
+}
+
+#[test]
+fn run_experiment_metrics_are_pinned_at_qd1_and_qd8() {
+    for (qd, want) in
+        [(1, 0xce63a270232cb956078b748235dc166d_u128), (8, 0x18f0b0341ed7cc8c7ec6becbde1dd978)]
+    {
+        let r = patsy::run_experiment(&experiment(qd));
+        assert_eq!(r.report.errors, 0);
+        assert_pinned(&format!("the qd {qd} metrics"), &r.metrics.to_json(0), want);
+    }
+}
+
+#[test]
+fn traced_run_chrome_json_is_pinned() {
+    let mut cfg = experiment(8);
+    cfg.scale = 0.002;
+    let tracer = Tracer::default();
+    let guard = install(&tracer);
+    patsy::run_experiment(&cfg);
+    drop(guard);
+    assert_pinned("the Chrome trace", &to_chrome_json(&tracer), 0xdbc95cb01daad32b5f0e17087c4ea794);
+}
+
+#[test]
+fn qd_sweep_json_is_pinned_on_three_hardware_configurations() {
+    use patsy::qdsweep::{format_qd_sweep_json, run_qd_sweep};
+    let ssd = Hardware { disk: "ssd", ..Hardware::default() };
+    let stripe = Hardware { disks: 4, ..Hardware::default() };
+    for (hw, want) in [
+        (Hardware::default(), 0x8f297ec015a9efb8dc26037387664f75_u128),
+        (ssd, 0xba59f13258f44038bb9fc61f5ef41b81),
+        (stripe, 0x4fd7f1f6a384f98c5e692765e17e3c82),
+    ] {
+        let rows = run_qd_sweep("1a", 0.005, 365, &hw);
+        let json = format_qd_sweep_json("1a", 0.005, 365, 0, &rows, &hw);
+        assert_pinned(&format!("the sweep on {}", hw.label()), &json, want);
+    }
+}
+
+#[test]
+fn client_sweep_json_is_pinned() {
+    let cfg = patsy::ClientSweepConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.002);
+    let cells = patsy::run_client_sweep(&cfg);
+    assert_pinned(
+        "the 8-client cell",
+        &patsy::format_client_sweep_json(&cfg, &cells),
+        0x456fb93021d69125604bffa03a97b6b9,
+    );
+}
+
+#[test]
+fn serve_bench_json_is_pinned() {
+    let cfg = patsy::ServeBenchConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.002);
+    let cells = patsy::run_serve_bench(&cfg);
+    assert_pinned(
+        "the 8-client wire cell",
+        &patsy::format_serve_bench_json(&cfg, &cells),
+        0xdaa37ba6988d145a5ccdddd477cabd34,
+    );
+}
+
+#[test]
+fn crash_sweep_json_is_pinned() {
+    let mut cfg = patsy::CrashConfig::new(trace_1a(), 2, 42, 0.002);
+    cfg.layouts = vec![LayoutKind::Lfs];
+    cfg.policies = vec![Policy::Ups, Policy::NvramWhole];
+    let cells = patsy::run_crash_sweep(&cfg);
+    assert_pinned(
+        "the 2-cut sweep",
+        &patsy::format_crash_sweep_json(&cfg, &cells),
+        0xb9c88b3ebcf59e90b24ba485c20e1156,
+    );
+}
+
+#[test]
+fn check_json_is_pinned_at_budget_12() {
+    assert_pinned("the budget-12 check", &check_json(12), 0x3e1cdb803fd3a751cec818f8f6259542);
+}
+
+/// `patsy check --trace 1a --budget <budget> --seed 42 --qd 8 --json`
+/// without the process: enumeration, history leg, JSON summary.
+fn check_json(budget: u32) -> String {
+    use cut_and_paste::check::{
+        run_check, run_history_check, CheckConfig, HistoryCheckConfig, LinConfig,
+    };
+    use cut_and_paste::trace::SyntheticSprite;
+    let cli = patsy::check::CheckCliConfig {
+        trace: "1a".to_string(),
+        budget,
+        seed: 42,
+        scale: 0.002,
+        layout: None,
+        policy: None,
+        queue_depth: 8,
+        workload: WorkloadKind::Zipf,
+        clients: 4,
+        repro_out: None,
+        json: true,
+        threads: 1,
+        cache_file: None,
+    };
+    let records = SyntheticSprite::new(trace_1a(), cli.seed ^ 0xabcd).generate(cli.scale);
+    let mut check = CheckConfig::new(records, &cli.trace, budget as usize);
+    check.queue_depth = cli.queue_depth;
+    check.seed = cli.seed;
+    let report = run_check(&check);
+    let lin = run_history_check(&HistoryCheckConfig {
+        kind: cli.workload,
+        clients: cli.clients,
+        seed: cli.seed,
+        scale: cli.scale,
+        layout: LayoutKind::Lfs,
+        queue_depth: cli.queue_depth,
+        lin: LinConfig::default(),
+    });
+    patsy::check::format_check_json(&cli, &report, &lin)
+}
