@@ -219,10 +219,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
     let records = records.to_vec();
     let power_cut_ns = power.map(|(t, _)| t);
 
-    let out: Rc<RefCell<Option<CellOutcome>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let h2 = h.clone();
-    h.spawn("check-cell", async move {
+    sim.block_on("check-cell", async move {
         fs.format().await.expect("format");
         let budget = records.len() as u64;
         let last_time_ns = records.last().map(|r| r.time_ns).unwrap_or(0);
@@ -232,7 +229,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
         // clients' flushes are still outstanding. Spawned in every
         // cell (graceful and power-cut alike) so the seeded event
         // stream is identical up to the cut.
-        let epoch = h2.now();
+        let epoch = h.now();
         let arrival = epoch + cnp_sim::SimDuration::from_nanos(last_time_ns);
         let batch: Rc<std::cell::Cell<u64>> = Rc::new(std::cell::Cell::new(0));
         let batch2 = batch.clone();
@@ -255,8 +252,8 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
         let probe_staging = power_cut_ns.is_some() && nvram_backed;
         let driver2 = driver.clone();
         let fs2 = fs.clone();
-        let h3 = h2.clone();
-        h2.spawn("arrival-probe", async move {
+        let h3 = h.clone();
+        h.spawn("arrival-probe", async move {
             h3.sleep_until(arrival).await;
             batch2.set(driver2.outstanding_writes());
             *atcut2.borrow_mut() = fs2.nvram_snapshot();
@@ -265,14 +262,14 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
             }
         });
         let mut report = replay_with(
-            &h2,
+            &h,
             &fs,
             records,
             ReplayOptions { max_ops: Some(budget), track_acks: true },
         )
         .await;
         // The cut: everything volatile dies.
-        let cut_at_ns = h2.now().as_nanos();
+        let cut_at_ns = h.now().as_nanos();
         let arrival_ns = arrival.as_nanos();
         let inflight_batch = batch.get();
         // A disk-level cut kills the machine mid-replay: operations
@@ -314,7 +311,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
         fs.shutdown();
 
         let staging_sealed = state.staging_sealed;
-        let verified = verify_crash_state(&h2, layout_kind, &state, &report.acked, fs_cfg).await;
+        let verified = verify_crash_state(&h, layout_kind, &state, &report.acked, fs_cfg).await;
         let mut outcome = match verified {
             Ok(v) => {
                 let fsck_post = v.outcome.post.violations.len() as u64;
@@ -364,11 +361,8 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
             },
         };
         outcome.violations.sort_by_key(violation_rank);
-        *out2.borrow_mut() = Some(outcome);
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    let outcome = out.borrow_mut().take().expect("cell did not finish");
-    outcome
+        outcome
+    })
 }
 
 fn violation_rank(v: &CellViolation) -> u8 {

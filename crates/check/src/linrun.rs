@@ -7,13 +7,10 @@
 //! order must explain every observable, or the engine broke
 //! linearizability.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cnp_core::{DataMode, FsConfig, HistoryEvent, HistoryLog};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{LayoutKind, Stack};
-use cnp_sim::{Sim, SimTime};
+use cnp_sim::Sim;
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
 use crate::linearize::{check_history, LinConfig, LinOutcome};
@@ -91,21 +88,15 @@ pub fn record_history(cfg: &HistoryCheckConfig) -> Vec<HistoryEvent> {
     let fs = Stack::build(&h, "lin0", cfg.layout, &hw, fs_cfg, FaultPlan::default()).fs;
     let scenario = Scenario::generate(cfg.kind, cfg.clients, cfg.seed, cfg.scale);
     let log = HistoryLog::new();
-    let log2 = log.clone();
-    let out: Rc<RefCell<Option<Vec<HistoryEvent>>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let h2 = h.clone();
-    h.spawn("lin-harness", async move {
+    sim.block_on("lin-harness", async move {
         fs.format().await.expect("format");
-        let opts = RunOptions { history: Some(log2.clone()), ..RunOptions::default() };
-        run_clients(&h2, &fs, &scenario, opts).await;
+        let opts = RunOptions { history: Some(log.clone()), ..RunOptions::default() };
+        run_clients(&h, &fs, &scenario, opts).await;
         fs.sync().await.expect("sync");
-        *out2.borrow_mut() = Some(log2.take());
+        let events = log.take();
         fs.shutdown();
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    let events = out.borrow_mut().take().expect("history run did not finish");
-    events
+        events
+    })
 }
 
 /// Formats the history-leg report (stable across runs).

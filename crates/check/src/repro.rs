@@ -67,7 +67,7 @@ impl Repro {
                 "layout" => {
                     layout = Some(
                         LayoutKind::parse(value)
-                            .ok_or_else(|| format!("unknown layout {value:?} (lfs|ffs)"))?,
+                            .ok_or_else(|| format!("bad layout {value:?} (lfs|ffs)"))?,
                     )
                 }
                 "flush" => flush = Some(value.to_string()),

@@ -1883,161 +1883,117 @@ impl ClientFs {
         self
     }
 
-    /// Invoke timestamp, taken only when a history is attached.
-    fn invoke_ns(&self) -> Option<u64> {
-        self.history.as_ref().map(|_| self.fs.s.handle.now().as_nanos())
-    }
-
-    /// Opens the per-operation root span on this client's trace lane
-    /// and routes the current task there, so the engine-internal spans
-    /// the op runs through (lock waits, cache loads, flush stalls)
-    /// nest under it. Free when tracing is disabled.
-    fn op_span(&self, name: &'static str) -> cnp_obs::trace::SpanToken {
-        if !cnp_obs::trace::enabled() {
-            return cnp_obs::trace::SpanToken::NONE;
-        }
-        let h = &self.fs.s.handle;
-        let lane = cnp_obs::trace::client_lane(self.id);
-        cnp_obs::trace::set_task_lane(h.task_key(), lane);
-        cnp_obs::trace::span_enter_on(lane, name, h.now().as_nanos())
-    }
-
-    /// Closes an [`ClientFs::op_span`] root span.
-    fn op_exit(&self, tok: cnp_obs::trace::SpanToken) {
-        self.fs.s.handle.trace_exit(tok);
-    }
-
-    /// Records one completed operation (no-op without a history).
-    fn record(
+    /// The envelope every client operation runs in: open the
+    /// per-operation root span on this client's trace lane (routing the
+    /// current task there, so the engine-internal spans the op runs
+    /// through — lock waits, cache loads, flush stalls — nest under
+    /// it) with `fields` attached, take the invoke timestamp, run the
+    /// engine call `call` makes, record the completed operation, close
+    /// the span. The span is free when tracing is disabled; the
+    /// timestamp is taken, and `event` evaluated, only when a history
+    /// is attached. `call` builds its future here, inside the
+    /// envelope's own state, rather than handing one in: moving an
+    /// engine future costs a copy of its whole state per operation.
+    async fn op<T, Fut: std::future::Future<Output = FsResult<T>>>(
         &self,
-        invoke_ns: Option<u64>,
-        op: impl FnOnce() -> HistOp,
-        outcome: impl FnOnce() -> HistOutcome,
-    ) {
-        let (Some(log), Some(invoke_ns)) = (self.history.as_ref(), invoke_ns) else { return };
-        log.record(HistoryEvent {
-            client: self.id,
-            invoke_ns,
-            ack_ns: self.fs.s.handle.now().as_nanos(),
-            op: op(),
-            outcome: outcome(),
-        });
+        name: &'static str,
+        fields: &[(&'static str, u64)],
+        call: impl FnOnce() -> Fut,
+        event: impl FnOnce(&FsResult<T>) -> Option<(HistOp, HistOutcome)>,
+    ) -> FsResult<T> {
+        use cnp_obs::trace;
+        let h = &self.fs.s.handle;
+        let sp = if trace::enabled() {
+            let lane = trace::client_lane(self.id);
+            trace::set_task_lane(h.task_key(), lane);
+            let sp = trace::span_enter_on(lane, name, h.now().as_nanos());
+            for &(key, v) in fields {
+                trace::span_field(sp, key, trace::Field::U64(v));
+            }
+            sp
+        } else {
+            trace::SpanToken::NONE
+        };
+        let invoke_ns = self.history.as_ref().map(|_| h.now().as_nanos());
+        let r = call().await;
+        if let (Some(log), Some(invoke_ns)) = (self.history.as_ref(), invoke_ns) {
+            let ack_ns = h.now().as_nanos();
+            if let Some((op, outcome)) = event(&r) {
+                log.record(HistoryEvent { client: self.id, invoke_ns, ack_ns, op, outcome });
+            }
+        }
+        h.trace_exit(sp);
+        r
     }
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> FsResult<Ino> {
-        let sp = self.op_span("op:lookup");
-        let t0 = self.invoke_ns();
-        let r = self.fs.lookup(path).await;
-        self.record(t0, || HistOp::Lookup { path: path.to_string() }, || ino_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Lookup { path: path.to_string() }, ino_outcome(r)));
+        self.op("op:lookup", &[], || self.fs.lookup(path), hist).await
     }
 
     /// Creates a regular (or typed) file.
     pub async fn create(&self, path: &str, kind: FileKind) -> FsResult<Ino> {
-        let sp = self.op_span("op:create");
-        let t0 = self.invoke_ns();
-        let r = self.fs.create(path, kind).await;
-        self.record(
-            t0,
-            || {
-                if kind == FileKind::Directory {
-                    HistOp::Mkdir { path: path.to_string() }
-                } else {
-                    HistOp::Create { path: path.to_string() }
-                }
-            },
-            || ino_outcome(&r),
-        );
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| {
+            let path = path.to_string();
+            let op = if kind == FileKind::Directory {
+                HistOp::Mkdir { path }
+            } else {
+                HistOp::Create { path }
+            };
+            Some((op, ino_outcome(r)))
+        };
+        self.op("op:create", &[], || self.fs.create(path, kind), hist).await
     }
 
     /// Creates a directory.
     pub async fn mkdir(&self, path: &str) -> FsResult<Ino> {
-        let sp = self.op_span("op:mkdir");
-        let t0 = self.invoke_ns();
-        let r = self.fs.mkdir(path).await;
-        self.record(t0, || HistOp::Mkdir { path: path.to_string() }, || ino_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Mkdir { path: path.to_string() }, ino_outcome(r)));
+        self.op("op:mkdir", &[], || self.fs.mkdir(path), hist).await
     }
 
-    /// Lists a directory.
+    /// Lists a directory (not recorded in the history — it is not part
+    /// of the linearizability vocabulary).
     pub async fn readdir(&self, path: &str) -> FsResult<Vec<Dirent>> {
-        let sp = self.op_span("op:readdir");
-        let r = self.fs.readdir(path).await;
-        self.op_exit(sp);
-        r
+        self.op("op:readdir", &[], || self.fs.readdir(path), |_| None).await
     }
 
     /// Opens a file.
     pub async fn open(&self, path: &str) -> FsResult<Ino> {
-        let sp = self.op_span("op:open");
-        let t0 = self.invoke_ns();
-        let r = self.fs.open(path).await;
-        self.record(t0, || HistOp::Open { path: path.to_string() }, || ino_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Open { path: path.to_string() }, ino_outcome(r)));
+        self.op("op:open", &[], || self.fs.open(path), hist).await
     }
 
     /// Closes an open file.
     pub async fn close(&self, ino: Ino) -> FsResult<()> {
-        let sp = self.op_span("op:close");
-        let t0 = self.invoke_ns();
-        let r = self.fs.close(ino).await;
-        self.record(t0, || HistOp::Close { ino: ino.0 }, || unit_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Close { ino: ino.0 }, unit_outcome(r)));
+        self.op("op:close", &[], || self.fs.close(ino), hist).await
     }
 
     /// Stats a file by path.
     pub async fn stat(&self, path: &str) -> FsResult<Inode> {
-        let sp = self.op_span("op:stat");
-        let t0 = self.invoke_ns();
-        let r = self.fs.stat(path).await;
-        self.record(
-            t0,
-            || HistOp::Stat { path: path.to_string() },
-            || match &r {
-                Ok(inode) => HistOutcome::Size(inode.size),
-                Err(e) => HistOutcome::Failed(e.clone()),
-            },
-        );
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| {
+            let size = outcome_of(r, |inode: &Inode| HistOutcome::Size(inode.size));
+            Some((HistOp::Stat { path: path.to_string() }, size))
+        };
+        self.op("op:stat", &[], || self.fs.stat(path), hist).await
     }
 
     /// Stats a file by inode number (no path walk; not recorded in the
     /// history — like `readdir`, it is not part of the linearizability
     /// vocabulary).
     pub async fn stat_ino(&self, ino: Ino) -> FsResult<Inode> {
-        let sp = self.op_span("op:stat_ino");
-        let r = self.fs.stat_ino(ino).await;
-        self.op_exit(sp);
-        r
+        self.op("op:stat_ino", &[], || self.fs.stat_ino(ino), |_| None).await
     }
 
     /// Reads `len` bytes at `offset`.
     pub async fn read(&self, ino: Ino, offset: u64, len: u64) -> FsResult<(u64, Option<Vec<u8>>)> {
-        let sp = self.op_span("op:read");
-        if !sp.is_none() {
-            cnp_obs::trace::span_field(sp, "ino", cnp_obs::trace::Field::U64(ino.0));
-            cnp_obs::trace::span_field(sp, "len", cnp_obs::trace::Field::U64(len));
-        }
-        let t0 = self.invoke_ns();
-        let r = self.fs.read(ino, offset, len).await;
-        self.record(
-            t0,
-            || HistOp::Read { ino: ino.0, offset, len },
-            || match &r {
-                Ok((n, _)) => HistOutcome::Bytes(*n),
-                Err(e) => HistOutcome::Failed(e.clone()),
-            },
-        );
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| {
+            let bytes = outcome_of(r, |(n, _): &(u64, _)| HistOutcome::Bytes(*n));
+            Some((HistOp::Read { ino: ino.0, offset, len }, bytes))
+        };
+        let fields = [("ino", ino.0), ("len", len)];
+        self.op("op:read", &fields, || self.fs.read(ino, offset, len), hist).await
     }
 
     /// Writes `len` bytes at `offset`, attributed to this client.
@@ -2048,84 +2004,57 @@ impl ClientFs {
         len: u64,
         data: Option<&[u8]>,
     ) -> FsResult<u64> {
-        let sp = self.op_span("op:write");
-        if !sp.is_none() {
-            cnp_obs::trace::span_field(sp, "ino", cnp_obs::trace::Field::U64(ino.0));
-            cnp_obs::trace::span_field(sp, "len", cnp_obs::trace::Field::U64(len));
-        }
-        let t0 = self.invoke_ns();
-        let r = self.fs.write_for(self.id, ino, offset, len, data).await;
-        self.record(
-            t0,
-            || HistOp::Write { ino: ino.0, offset, len },
-            || match &r {
-                Ok(_) => HistOutcome::Ok,
-                Err(e) => HistOutcome::Failed(e.clone()),
-            },
-        );
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| {
+            Some((HistOp::Write { ino: ino.0, offset, len }, outcome_of(r, |_| HistOutcome::Ok)))
+        };
+        let fields = [("ino", ino.0), ("len", len)];
+        self.op("op:write", &fields, || self.fs.write_for(self.id, ino, offset, len, data), hist)
+            .await
     }
 
     /// Truncates a file to `new_size` bytes.
     pub async fn truncate(&self, ino: Ino, new_size: u64) -> FsResult<()> {
-        let sp = self.op_span("op:truncate");
-        let t0 = self.invoke_ns();
-        let r = self.fs.truncate(ino, new_size).await;
-        self.record(t0, || HistOp::Truncate { ino: ino.0, size: new_size }, || unit_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Truncate { ino: ino.0, size: new_size }, unit_outcome(r)));
+        self.op("op:truncate", &[], || self.fs.truncate(ino, new_size), hist).await
     }
 
     /// Removes a file.
     pub async fn unlink(&self, path: &str) -> FsResult<()> {
-        let sp = self.op_span("op:unlink");
-        let t0 = self.invoke_ns();
-        let r = self.fs.unlink(path).await;
-        self.record(t0, || HistOp::Unlink { path: path.to_string() }, || unit_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Unlink { path: path.to_string() }, unit_outcome(r)));
+        self.op("op:unlink", &[], || self.fs.unlink(path), hist).await
     }
 
     /// Removes an empty directory.
     pub async fn rmdir(&self, path: &str) -> FsResult<()> {
-        let sp = self.op_span("op:rmdir");
-        let t0 = self.invoke_ns();
-        let r = self.fs.rmdir(path).await;
-        self.record(t0, || HistOp::Rmdir { path: path.to_string() }, || unit_outcome(&r));
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| Some((HistOp::Rmdir { path: path.to_string() }, unit_outcome(r)));
+        self.op("op:rmdir", &[], || self.fs.rmdir(path), hist).await
     }
 
     /// Renames a file or directory.
     pub async fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        let sp = self.op_span("op:rename");
-        let t0 = self.invoke_ns();
-        let r = self.fs.rename(from, to).await;
-        self.record(
-            t0,
-            || HistOp::Rename { from: from.to_string(), to: to.to_string() },
-            || unit_outcome(&r),
-        );
-        self.op_exit(sp);
-        r
+        let hist = |r: &_| {
+            Some((HistOp::Rename { from: from.to_string(), to: to.to_string() }, unit_outcome(r)))
+        };
+        self.op("op:rename", &[], || self.fs.rename(from, to), hist).await
+    }
+}
+
+/// A result's history outcome: `ok` of the value, or the failure.
+fn outcome_of<T>(r: &FsResult<T>, ok: impl FnOnce(&T) -> HistOutcome) -> HistOutcome {
+    match r {
+        Ok(v) => ok(v),
+        Err(e) => HistOutcome::Failed(e.clone()),
     }
 }
 
 /// Outcome of an ino-returning operation.
 fn ino_outcome(r: &FsResult<Ino>) -> HistOutcome {
-    match r {
-        Ok(ino) => HistOutcome::Ino(ino.0),
-        Err(e) => HistOutcome::Failed(e.clone()),
-    }
+    outcome_of(r, |ino| HistOutcome::Ino(ino.0))
 }
 
 /// Outcome of a unit operation.
 fn unit_outcome(r: &FsResult<()>) -> HistOutcome {
-    match r {
-        Ok(()) => HistOutcome::Ok,
-        Err(e) => HistOutcome::Failed(e.clone()),
-    }
+    outcome_of(r, |()| HistOutcome::Ok)
 }
 
 /// Pads a string into a whole metadata block (symlink storage).
@@ -2148,7 +2077,7 @@ mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
     use cnp_layout::{LfsLayout, LfsParams};
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
 
     fn run_fs<F, Fut>(data_mode: DataMode, f: F)
     where
@@ -2168,17 +2097,12 @@ mod tests {
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
         let fs = FileSystem::new(&h, layout, cfg);
-        let done = Rc::new(Cell::new(false));
-        let done2 = done.clone();
         let fs2 = fs.clone();
-        h.spawn("test", async move {
+        sim.block_on("test", async move {
             fs2.format().await.unwrap();
             f(fs2.clone()).await;
-            done2.set(true);
             fs2.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -2378,13 +2302,10 @@ mod tests {
         let sim = Sim::new(37);
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
-        let done = Rc::new(Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
-            let layout = Layout::Lfs(LfsLayout::new(&h2, driver.clone(), LfsParams::default()));
+        sim.block_on("test", async move {
+            let layout = Layout::Lfs(LfsLayout::new(&h, driver.clone(), LfsParams::default()));
             let cfg = FsConfig { data_mode: DataMode::Real, ..FsConfig::default() };
-            let fs = FileSystem::new(&h2, layout, cfg.clone());
+            let fs = FileSystem::new(&h, layout, cfg.clone());
             fs.format().await.unwrap();
             fs.mkdir("/docs").await.unwrap();
             let ino = fs.create("/docs/report", FileKind::Regular).await.unwrap();
@@ -2393,8 +2314,8 @@ mod tests {
             fs.unmount().await.unwrap();
             // Remount with a fresh engine over the same (shared) disk;
             // the first engine's driver must stay alive until the end.
-            let layout2 = Layout::Lfs(LfsLayout::new(&h2, driver.clone(), LfsParams::default()));
-            let fs2 = FileSystem::new(&h2, layout2, cfg);
+            let layout2 = Layout::Lfs(LfsLayout::new(&h, driver.clone(), LfsParams::default()));
+            let fs2 = FileSystem::new(&h, layout2, cfg);
             fs2.mount().await.unwrap();
             let ino2 = fs2.lookup("/docs/report").await.unwrap();
             let (n, got) = fs2.read(ino2, 0, 10_000).await.unwrap();
@@ -2402,10 +2323,7 @@ mod tests {
             assert_eq!(got.unwrap(), data);
             fs2.shutdown();
             fs.shutdown();
-            done2.set(true);
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -2425,10 +2343,8 @@ mod tests {
             ..FsConfig::default()
         };
         let fs = FileSystem::new(&h, layout, cfg);
-        let done = Rc::new(Cell::new(false));
-        let done2 = done.clone();
         let fs2 = fs.clone();
-        h.spawn("test", async move {
+        sim.block_on("test", async move {
             fs2.format().await.unwrap();
             let ino = fs2.create("/big", FileKind::Regular).await.unwrap();
             // 16 blocks through a 4-block NVRAM: must stall + drain.
@@ -2436,11 +2352,8 @@ mod tests {
             let st = fs2.cache_stats();
             assert!(st.nvram_stalls > 0, "writes should have hit the NVRAM bound");
             assert!(fs2.stats().blocks_flushed > 0, "stalls must trigger flushes");
-            done2.set(true);
             fs2.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get());
     }
 
     #[test]

@@ -242,9 +242,7 @@ mod tests {
         use crate::{DataMode, FileSystem, FsConfig};
         use cnp_disk::{compose_device, CLook, DiskModel, FaultPlan, Hp97560};
         use cnp_layout::{FileKind, Layout, LfsLayout, LfsParams};
-        use cnp_sim::{Sim, SimTime};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use cnp_sim::Sim;
 
         let sim = Sim::new(17 + queue_depth as u64);
         let h = sim.handle();
@@ -265,11 +263,8 @@ mod tests {
             data_mode: DataMode::Simulated,
             ..FsConfig::default()
         };
-        type LegOutcome = (Vec<HistoryEvent>, u64, u64);
         let fs = FileSystem::new(&h, layout, cfg);
-        let out: Rc<RefCell<Option<LegOutcome>>> = Rc::new(RefCell::new(None));
-        let out2 = out.clone();
-        h.spawn("power-cut-leg", async move {
+        sim.block_on("power-cut-leg", async move {
             fs.format().await.unwrap();
             let log = HistoryLog::new();
             let cfs = fs.client(0).with_history(log.clone());
@@ -294,12 +289,10 @@ mod tests {
             }
             // The creation burst went through the handle too.
             ok_ops += 2; // create + write above.
-            *out2.borrow_mut() = Some((log.take(), ok_ops, err_ops));
+            let out = (log.take(), ok_ops, err_ops);
             fs.shutdown();
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        let r = out.borrow_mut().take().expect("leg did not finish");
-        r
+            out
+        })
     }
 
     #[test]

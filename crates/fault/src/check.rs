@@ -471,7 +471,7 @@ mod tests {
     use cnp_layout::{
         FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, SimGuessLayout, StorageLayout,
     };
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
 
     fn run_sim<F, Fut>(seed: u64, f: F)
     where
@@ -480,15 +480,7 @@ mod tests {
     {
         let sim = Sim::new(seed);
         let h = sim.handle();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
-            f(h2).await;
-            done2.set(true);
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
+        sim.block_on("test", async move { f(h).await });
     }
 
     /// Builds a small populated tree directly at the layout level.

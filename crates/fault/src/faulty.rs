@@ -88,7 +88,7 @@ mod tests {
     use cnp_core::DataMode;
     use cnp_disk::IoError;
     use cnp_layout::FileKind;
-    use cnp_sim::{Sim, SimDuration, SimTime};
+    use cnp_sim::{Sim, SimDuration};
 
     #[test]
     fn pipelined_cut_with_retired_prefix_recovers_clean() {
@@ -106,8 +106,7 @@ mod tests {
         let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
         let Stack { fs, disks, .. } =
             Stack::build(&h, "p0", LayoutKind::Lfs, &Hardware::default(), cfg.clone(), plan);
-        let h2 = h.clone();
-        h.spawn("t", async move {
+        sim.block_on("t", async move {
             fs.format().await.unwrap();
             let payload = vec![0x5Au8; 48 * 1024];
             for i in 0.. {
@@ -127,7 +126,7 @@ mod tests {
             let state = CrashState::capture(&fs, &disks[0]).await;
             fs.shutdown();
             let hw = Hardware::default();
-            let (stack, outcome) = Stack::recover(&h2, "p1", LayoutKind::Lfs, &hw, &state, cfg)
+            let (stack, outcome) = Stack::recover(&h, "p1", LayoutKind::Lfs, &hw, &state, cfg)
                 .await
                 .expect("recovery");
             assert!(
@@ -137,7 +136,6 @@ mod tests {
             );
             stack.fs.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
     }
 
     #[test]
@@ -182,25 +180,22 @@ mod tests {
         fn probes(hw: Hardware) -> [Probe; 2] {
             let sim = Sim::new(9);
             let h = sim.handle();
-            let out = std::rc::Rc::new(std::cell::Cell::new(None));
-            let (out2, h2) = (out.clone(), h.clone());
-            h.spawn("t", async move {
+            sim.block_on("t", async move {
                 let plan = FaultPlan { fail_every: Some(u64::MAX), ..FaultPlan::default() };
                 let cfg = FsConfig::default();
-                let stack = Stack::build(&h2, "f0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+                let stack = Stack::build(&h, "f0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
                 stack.fs.format().await.unwrap();
                 stack.fs.sync().await.unwrap();
                 let state = CrashState::capture(&stack.fs, &stack.disks[0]).await;
-                let faulted = measure(&h2, &stack).await;
+                let faulted = measure(&h, &stack).await;
                 stack.fs.shutdown();
-                let (stack, _) = Stack::recover(&h2, "r0", LayoutKind::Lfs, &hw, &state, cfg)
+                let (stack, _) = Stack::recover(&h, "r0", LayoutKind::Lfs, &hw, &state, cfg)
                     .await
                     .expect("recovery");
-                out2.set(Some([faulted, measure(&h2, &stack).await]));
+                let probes = [faulted, measure(&h, &stack).await];
                 stack.fs.shutdown();
-            });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            out.get().expect("probe finished")
+                probes
+            })
         }
 
         for (bus, readaheads, writebacks) in probes(Hardware { disk: "ssd", ..Hardware::default() })

@@ -597,7 +597,7 @@ impl StorageLayout for FfsLayout {
 mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
 
     fn run_ffs<F, Fut>(f: F)
     where
@@ -609,16 +609,10 @@ mod tests {
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let driver2 = driver.clone();
         let layout = FfsLayout::new(&h, driver, FfsParams::default());
-        let h2 = h.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        h.spawn("test", async move {
-            f(h2, layout).await;
-            done2.set(true);
+        sim.block_on("test", async move {
+            f(h, layout).await;
             driver2.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     fn data_block(tag: u8) -> Payload {
@@ -671,11 +665,8 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
-            let mut ffs = FfsLayout::new(&h2, driver.clone(), FfsParams::default());
+        sim.block_on("test", async move {
+            let mut ffs = FfsLayout::new(&h, driver.clone(), FfsParams::default());
             ffs.format().await.unwrap();
             let mut f = ffs.alloc_ino(FileKind::Regular, 0).unwrap();
             f.size = 14 * BLOCK_SIZE as u64; // Spans into the indirect range.
@@ -684,17 +675,14 @@ mod tests {
                 .unwrap();
             let ino = f.ino;
             ffs.unmount().await.unwrap();
-            let mut ffs2 = FfsLayout::new(&h2, driver, FfsParams::default());
+            let mut ffs2 = FfsLayout::new(&h, driver, FfsParams::default());
             ffs2.mount().await.unwrap();
             let got = ffs2.get_inode(ino).await.unwrap();
             assert_eq!(got.size, 14 * BLOCK_SIZE as u64);
             let p = ffs2.read_file_block(&got, 13).await.unwrap().unwrap();
             assert_eq!(p.bytes().unwrap()[0], 13);
-            done2.set(true);
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -721,12 +709,9 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
+        sim.block_on("test", async move {
             let params = FfsParams { ninodes: 1024, ngroups: 4 };
-            let mut ffs = FfsLayout::new(&h2, driver.clone(), params.clone());
+            let mut ffs = FfsLayout::new(&h, driver.clone(), params.clone());
             ffs.format().await.unwrap();
             // Crash with bitmaps never synced: the inode table is the
             // only durable record of this file.
@@ -741,7 +726,7 @@ mod tests {
             let ino = f.ino;
             let a0 = ffs.map_block(&f, 0).await.unwrap().unwrap();
             drop(ffs);
-            let mut rec = FfsLayout::new(&h2, driver.clone(), params);
+            let mut rec = FfsLayout::new(&h, driver.clone(), params);
             let stats = rec.recover().await.unwrap();
             assert!(stats.recovered_inodes >= 2, "root + file: {}", stats.recovered_inodes);
             let got = rec.get_inode(ino).await.expect("inode survives via table scan");
@@ -749,11 +734,8 @@ mod tests {
             // The rebuilt block bitmap protects the file's blocks.
             let fresh = rec.alloc_block(a0.0).unwrap();
             assert_ne!(fresh, a0, "recovered allocation must not reuse live blocks");
-            done2.set(true);
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -762,12 +744,9 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
+        sim.block_on("test", async move {
             let params = FfsParams { ninodes: 1024, ngroups: 4 };
-            let mut ffs = FfsLayout::new(&h2, driver.clone(), params.clone());
+            let mut ffs = FfsLayout::new(&h, driver.clone(), params.clone());
             ffs.format().await.unwrap();
             let mut f = ffs.alloc_ino(FileKind::Regular, 0).unwrap();
             f.size = BLOCK_SIZE as u64;
@@ -778,17 +757,14 @@ mod tests {
             ffs.free_inode(f.ino).await.unwrap();
             let ino = f.ino;
             drop(ffs);
-            let mut rec = FfsLayout::new(&h2, driver.clone(), params);
+            let mut rec = FfsLayout::new(&h, driver.clone(), params);
             rec.recover().await.unwrap();
             assert!(
                 rec.get_inode(ino).await.is_err(),
                 "tombstone must prevent resurrection of the deleted file"
             );
-            done2.set(true);
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]

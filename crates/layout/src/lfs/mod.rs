@@ -1681,7 +1681,7 @@ impl LfsLayout {
 mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
 
     fn run_lfs<F, Fut>(f: F)
     where
@@ -1693,16 +1693,10 @@ mod tests {
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let driver2 = driver.clone();
         let layout = LfsLayout::new(&h, driver, LfsParams::default());
-        let h2 = h.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        h.spawn("test", async move {
-            f(h2, layout).await;
-            done2.set(true);
+        sim.block_on("test", async move {
+            f(h, layout).await;
             driver2.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     fn data_block(tag: u8) -> Payload {
@@ -1808,11 +1802,8 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
-            let mut lfs = LfsLayout::new(&h2, driver.clone(), LfsParams::default());
+        sim.block_on("test", async move {
+            let mut lfs = LfsLayout::new(&h, driver.clone(), LfsParams::default());
             lfs.format().await.unwrap();
             let mut f = lfs.alloc_ino(FileKind::Regular, 1).unwrap();
             f.size = 2 * BLOCK_SIZE as u64;
@@ -1822,7 +1813,7 @@ mod tests {
             let ino = f.ino;
             lfs.unmount().await.unwrap();
             // Second instance: mount from disk.
-            let mut lfs2 = LfsLayout::new(&h2, driver, LfsParams::default());
+            let mut lfs2 = LfsLayout::new(&h, driver, LfsParams::default());
             lfs2.mount().await.unwrap();
             let got = lfs2.get_inode(ino).await.unwrap();
             assert_eq!(got.size, 2 * BLOCK_SIZE as u64);
@@ -1830,11 +1821,8 @@ mod tests {
             assert_eq!(p.bytes().unwrap()[0], 8);
             let root = lfs2.get_inode(Ino::ROOT).await.unwrap();
             assert_eq!(root.kind, FileKind::Directory);
-            done2.set(true);
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -1865,13 +1853,10 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
+        sim.block_on("test", async move {
             // Small segments so we roll quickly.
             let params = LfsParams { seg_blocks: 8, ..LfsParams::default() };
-            let mut lfs = LfsLayout::new(&h2, driver, params);
+            let mut lfs = LfsLayout::new(&h, driver, params);
             lfs.format().await.unwrap();
             // Interleave two files so every segment is half file A, half
             // file B; deleting B leaves many half-live victim segments.
@@ -1900,11 +1885,8 @@ mod tests {
                 let p = lfs.read_file_block(&fa, b).await.unwrap().unwrap();
                 assert_eq!(p.bytes().unwrap()[0], 100 + b as u8, "block {b}");
             }
-            done2.set(true);
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]
@@ -1971,16 +1953,10 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let shutdown_driver = driver.clone();
-        let done = std::rc::Rc::new(std::cell::Cell::new(false));
-        let done2 = done.clone();
-        let h2 = h.clone();
-        h.spawn("test", async move {
-            f(h2, driver).await;
-            done2.set(true);
+        sim.block_on("test", async move {
+            f(h, driver).await;
             shutdown_driver.shutdown();
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        assert!(done.get(), "test body did not complete");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use cnp_disk::{
     compose_device, CLook, DiskClient, DiskGeometry, DiskImage, FaultPlan, SimpleDisk,
     SimpleDiskParams,
 };
-use cnp_sim::{Sim, SimDuration, SimTime};
+use cnp_sim::{Sim, SimDuration};
 
 use super::*;
 
@@ -173,14 +173,7 @@ where
 {
     let sim = Sim::new(5);
     let h = sim.handle();
-    let done = Rc::new(Cell::new(false));
-    let (h2, done2) = (h.clone(), done.clone());
-    h.spawn("prop", async move {
-        body(h2).await;
-        done2.set(true);
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    assert!(done.get(), "test body did not complete");
+    sim.block_on("prop", async move { body(h).await });
 }
 
 /// Powers `model` on from `image` under `faults`.

@@ -185,7 +185,7 @@ impl StorageLayout for SimGuessLayout {
 mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
     use rand::SeedableRng;
 
     fn run_sim<F, Fut>(f: F)
@@ -197,10 +197,7 @@ mod tests {
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
         let layout = SimGuessLayout::new(driver, StdRng::seed_from_u64(9));
-        h.spawn("test", async move {
-            f(layout).await;
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
+        sim.block_on("test", f(layout));
     }
 
     #[test]

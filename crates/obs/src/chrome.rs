@@ -9,7 +9,7 @@
 //! arithmetic), so the emitted bytes are a pure function of the event
 //! stream — two seeded runs serialize byte-identically.
 
-use crate::metrics::json_escape;
+use crate::json::json_escape;
 use crate::trace::{Event, Field, Tracer};
 
 /// Renders `ns` nanoseconds as fixed-point microseconds ("12.345").

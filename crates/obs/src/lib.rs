@@ -24,8 +24,10 @@
 
 pub mod chrome;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
 pub use histogram::Histogram;
+pub use json::Json;
 pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};

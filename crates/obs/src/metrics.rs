@@ -14,6 +14,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::histogram::Histogram;
+// Callers reach the escape through this module too.
+pub use crate::json::json_escape;
+use crate::json::Json;
 
 /// One named metric's value in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,31 +147,7 @@ impl MetricsSnapshot {
     /// Serializes as a JSON object with `indent` leading spaces on each
     /// entry line (stable bytes: sorted keys, fixed float precision).
     pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        if self.entries.is_empty() {
-            return "{}".to_string();
-        }
-        let mut s = String::from("{\n");
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            s.push_str(&inner);
-            s.push_str(&format!("\"{}\": ", json_escape(k)));
-            match v {
-                Metric::Counter(c) => s.push_str(&format!("{c}")),
-                Metric::Gauge(g) => s.push_str(&format!("{g:.6}")),
-                Metric::Summary { count, mean, p50, p90, p99, min, max } => {
-                    s.push_str(&format!(
-                        "{{\"count\": {count}, \"mean\": {mean:.6}, \"p50\": {p50:.6}, \
-                         \"p90\": {p90:.6}, \"p99\": {p99:.6}, \"min\": {min:.6}, \
-                         \"max\": {max:.6}}}"
-                    ));
-                }
-            }
-            s.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(&pad);
-        s.push('}');
-        s
+        Json::from(self).render(indent)
     }
 
     /// Formats as an aligned two-column table (stable bytes).
@@ -188,21 +167,25 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl From<&MetricsSnapshot> for Json {
+    /// One member per metric, in key order; a summary is a one-line
+    /// object.
+    fn from(m: &MetricsSnapshot) -> Json {
+        let value = |v: &Metric| match *v {
+            Metric::Counter(c) => c.into(),
+            Metric::Gauge(g) => g.into(),
+            Metric::Summary { count, mean, p50, p90, p99, min, max } => Json::line([
+                ("count", count.into()),
+                ("mean", mean.into()),
+                ("p50", p50.into()),
+                ("p90", p90.into()),
+                ("p99", p99.into()),
+                ("min", min.into()),
+                ("max", max.into()),
+            ]),
+        };
+        Json::Block(m.entries.iter().map(|(k, v)| (k.clone(), value(v))).collect())
     }
-    out
 }
 
 /// A live registry: named counters/gauges/histograms handed out as

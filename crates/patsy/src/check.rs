@@ -12,80 +12,43 @@
 
 use cnp_check::{
     format_check_report, format_history_report, run_check_with, run_history_check, CellCache,
-    CheckConfig, CheckOptions, CheckProgress, HistoryCheckConfig, LinConfig, Repro,
+    CheckConfig, CheckOptions, CheckProgress, CheckReport, HistoryCheckConfig, HistoryCheckReport,
+    LinConfig, Repro,
 };
-use cnp_fault::LayoutKind;
+use cnp_obs::Json;
 use cnp_trace::SyntheticSprite;
-use cnp_workload::WorkloadKind;
 
-use crate::experiment::Policy;
-
-/// Everything `check` needs, parsed and validated.
-pub struct CheckCliConfig {
-    /// Trace preset name.
-    pub trace: String,
-    /// Bounded-prefix length (op boundaries enumerated).
-    pub budget: u32,
-    /// Base seed.
-    pub seed: u64,
-    /// Trace scale.
-    pub scale: f64,
-    /// Layout filter (None = LFS, the default enumeration target).
-    pub layout: Option<String>,
-    /// Policy filter (None = all four §5.1 policies).
-    pub policy: Option<String>,
-    /// I/O pipeline depth.
-    pub queue_depth: u32,
-    /// History-leg scenario family.
-    pub workload: WorkloadKind,
-    /// History-leg client count.
-    pub clients: u32,
-    /// Failing repro blobs are written to this file, replacing any
-    /// previous contents (CI artifacts; use distinct paths per run).
-    pub repro_out: Option<String>,
-    /// Emit a machine-readable JSON summary instead of the text report.
-    pub json: bool,
-    /// Checker worker threads (resolved; see [`default_threads`]).
-    pub threads: usize,
-    /// Incremental cell-outcome cache path (consulted and rewritten).
-    pub cache_file: Option<String>,
-}
+use crate::cli::CliArgs;
 
 /// The `--threads` default: the host's available parallelism, capped —
 /// each worker owns a full simulation stack, so oversubscribing cores
 /// only adds scheduler noise.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(64)
 }
 
 /// Runs the full `check`: enumeration + history leg. Returns the
 /// process exit code (0 = everything verified).
-pub fn check_cli(cfg: &CheckCliConfig) -> i32 {
-    let Some(params) = cnp_trace::preset(&cfg.trace) else {
-        eprintln!("unknown trace {} (1a|1b|2a|2b|5)", cfg.trace);
-        return 2;
-    };
-    let records = SyntheticSprite::new(params, cfg.seed ^ 0xabcd).generate(cfg.scale);
-    let mut check = CheckConfig::new(records, &cfg.trace, cfg.budget as usize);
-    check.queue_depth = cfg.queue_depth;
-    check.seed = cfg.seed;
-    if let Some(l) = &cfg.layout {
-        let Some(kind) = LayoutKind::parse(l) else {
-            eprintln!("unknown layout {l} (lfs|ffs)");
-            return 2;
-        };
-        check.layouts = vec![kind];
+pub fn check_cli(a: &CliArgs) -> i32 {
+    let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
+    // Enumeration replays O(budget²) prefix ops per cell: the crash
+    // sweep's small default workload keeps it exhaustive *and*
+    // tractable.
+    let scale = if a.scale_set { a.scale } else { 0.002 };
+    let records = SyntheticSprite::new(params, a.seed ^ 0xabcd).generate(scale);
+    let mut check = CheckConfig::new(records, &a.trace, a.budget as usize);
+    check.queue_depth = a.qd;
+    check.seed = a.seed;
+    if let Some(layout) = a.layout {
+        check.layouts = vec![layout];
     }
-    if let Some(p) = &cfg.policy {
-        let Some(policy) = Policy::parse(p) else {
-            eprintln!("unknown policy {p} (write-delay|ups|nvram-whole|nvram-partial)");
-            return 2;
-        };
+    if let Some(policy) = a.policy {
         check.policies.retain(|spec| spec.label == policy.label());
     }
+    let threads = a.threads.map_or_else(default_threads, |t| t as usize);
     // The incremental cache: a corrupt or version-mismatched file must
     // never fail a check — warn and recheck cold instead.
-    let mut cache = match &cfg.cache_file {
+    let mut cache = match &a.cache_file {
         Some(path) => match CellCache::load(path) {
             Ok(c) => Some(c),
             Err(e) => {
@@ -112,40 +75,41 @@ pub fn check_cli(cfg: &CheckCliConfig) -> i32 {
     let report = run_check_with(
         &check,
         CheckOptions {
-            threads: cfg.threads,
+            threads,
             cache: cache.as_mut(),
-            progress: (!cfg.json).then_some(&mut print_progress as &mut dyn FnMut(CheckProgress)),
+            progress: (!a.json).then_some(&mut print_progress as &mut dyn FnMut(CheckProgress)),
         },
     );
-    if let (Some(path), Some(cache)) = (&cfg.cache_file, &cache) {
+    if let (Some(path), Some(cache)) = (&a.cache_file, &cache) {
         if let Err(e) = cache.save(path) {
             eprintln!("failed to write cache-file {path}: {e}");
         }
     }
-    if !cfg.json {
+    if !a.json {
         // Execution profile — stderr only, so the stdout report stays
         // byte-identical at every thread count and cache state.
         eprint!("{}", report.stats.metrics().to_table());
     }
     let lin_cfg = HistoryCheckConfig {
-        kind: cfg.workload,
-        clients: cfg.clients,
-        seed: cfg.seed,
-        scale: cfg.scale,
+        kind: a.workload,
+        // A small fixed fleet unless asked.
+        clients: if a.clients_set { a.clients[0] } else { 4 },
+        seed: a.seed,
+        scale,
         layout: check.layouts[0],
-        queue_depth: cfg.queue_depth,
+        queue_depth: a.qd,
         lin: LinConfig::default(),
     };
     let lin = run_history_check(&lin_cfg);
-    if cfg.json {
-        print!("{}", format_check_json(cfg, &report, &lin));
+    if a.json {
+        print!("{}", format_check_json(&check, &report, &lin_cfg, &lin));
     } else {
         print!("{}", format_check_report(&check, &report));
         print!("{}", format_history_report(&lin_cfg, &lin));
     }
 
     let blobs = report.repro_blobs();
-    if let (Some(path), false) = (&cfg.repro_out, blobs.is_empty()) {
+    if let (Some(path), false) = (&a.repro_out, blobs.is_empty()) {
         if let Err(e) = std::fs::write(path, blobs.join("\n") + "\n") {
             eprintln!("failed to write {path}: {e}");
         }
@@ -158,50 +122,52 @@ pub fn check_cli(cfg: &CheckCliConfig) -> i32 {
 }
 
 /// Formats the check outcome as a JSON summary (stable bytes across
-/// identical runs — and across thread counts and cache states; the
-/// hand-rolled formatter reads only the deterministic report fields).
-/// Names come from fixed internal vocabularies, so no string escaping
-/// is needed.
+/// identical runs — and across thread counts and cache states: it
+/// reads only the deterministic report fields).
 pub fn format_check_json(
-    cfg: &CheckCliConfig,
-    report: &cnp_check::CheckReport,
-    lin: &cnp_check::HistoryCheckReport,
+    check: &CheckConfig,
+    report: &CheckReport,
+    lin_cfg: &HistoryCheckConfig,
+    lin: &HistoryCheckReport,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"trace\": \"{}\",\n", cfg.trace));
-    s.push_str(&format!("  \"budget\": {},\n", cfg.budget));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"queue_depth\": {},\n", cfg.queue_depth));
-    s.push_str("  \"enumeration\": {\n");
-    s.push_str(&format!("    \"cells\": {},\n", report.cells));
-    s.push_str(&format!("    \"violations\": {},\n", report.violations));
-    s.push_str("    \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"layout\": \"{}\", \"policy\": \"{}\", \"boundary_cells\": {}, \
-             \"retire_cells\": {}, \"violating_cells\": {}, \"lossy_cells\": {}}}{}\n",
-            r.layout,
-            r.policy,
-            r.boundary_cells,
-            r.retire_cells,
-            r.violating_cells,
-            r.lossy_cells,
-            if i + 1 < report.rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    s.push_str("  \"history\": {\n");
-    s.push_str(&format!("    \"workload\": \"{}\",\n", cfg.workload.name()));
-    s.push_str(&format!("    \"clients\": {},\n", cfg.clients));
-    s.push_str(&format!("    \"events\": {},\n", lin.events));
-    s.push_str(&format!("    \"acked\": {},\n", lin.acked));
-    s.push_str(&format!("    \"failed\": {},\n", lin.failed));
-    s.push_str(&format!("    \"linearizable\": {}\n", lin.outcome.is_linearizable()));
-    s.push_str("  },\n");
-    s.push_str(&format!("  \"clean\": {}\n", report.clean() && lin.outcome.is_linearizable()));
-    s.push_str("}\n");
-    s
+    let row = |r: &cnp_check::PolicyRow| {
+        Json::line([
+            ("layout", r.layout.into()),
+            ("policy", r.policy.into()),
+            ("boundary_cells", r.boundary_cells.into()),
+            ("retire_cells", r.retire_cells.into()),
+            ("violating_cells", r.violating_cells.into()),
+            ("lossy_cells", r.lossy_cells.into()),
+        ])
+    };
+    let linearizable = lin.outcome.is_linearizable();
+    Json::block([
+        ("trace", check.workload_label.as_str().into()),
+        ("budget", check.budget.into()),
+        ("seed", check.seed.into()),
+        ("queue_depth", check.queue_depth.into()),
+        (
+            "enumeration",
+            Json::block([
+                ("cells", report.cells.into()),
+                ("violations", report.violations.into()),
+                ("rows", Json::Rows(report.rows.iter().map(row).collect())),
+            ]),
+        ),
+        (
+            "history",
+            Json::block([
+                ("workload", lin_cfg.kind.name().into()),
+                ("clients", lin_cfg.clients.into()),
+                ("events", lin.events.into()),
+                ("acked", lin.acked.into()),
+                ("failed", lin.failed.into()),
+                ("linearizable", linearizable.into()),
+            ]),
+        ),
+        ("clean", (report.clean() && linearizable).into()),
+    ])
+    .document()
 }
 
 /// Re-runs one cell from a repro blob; returns the exit code (0 = the

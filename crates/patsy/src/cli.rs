@@ -7,7 +7,10 @@
 //! a usage message.
 
 use cnp_disk::Hardware;
+use cnp_fault::LayoutKind;
 use cnp_workload::WorkloadKind;
+
+use crate::experiment::Policy;
 
 /// Parsed and validated command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,14 +25,13 @@ pub struct CliArgs {
     pub seed: u64,
     /// `--trace` preset name.
     pub trace: String,
-    /// `--policy` name.
-    pub policy: String,
-    /// Whether `--policy` was given explicitly.
-    pub policy_set: bool,
+    /// `--policy` when given (`run` defaults to `ups`; the sweeps to
+    /// their own default or to all four).
+    pub policy: Option<Policy>,
     /// `--cuts` (crash sweep; ≥ 1).
     pub cuts: u32,
     /// `--layout` (lfs|ffs) when given.
-    pub layout: Option<String>,
+    pub layout: Option<LayoutKind>,
     /// `--qd` queue depth (≥ 1).
     pub qd: u32,
     /// Whether `--qd` was given explicitly (sweep-clients defaults to
@@ -40,8 +42,8 @@ pub struct CliArgs {
     /// Whether `--clients` was given explicitly (`check` uses a small
     /// fixed fleet unless asked).
     pub clients_set: bool,
-    /// `--workload` scenario name (sweep-clients, check).
-    pub workload: String,
+    /// `--workload` scenario family (sweep-clients, serve-bench, check).
+    pub workload: WorkloadKind,
     /// `--budget` bounded-prefix length for `check` (≥ 1).
     pub budget: u32,
     /// `--repro` blob for `check` (re-runs one cell instead of the
@@ -64,15 +66,6 @@ pub struct CliArgs {
     /// `--trace-out` path: `run` writes a Chrome trace_event JSON file
     /// of the virtual-time span tree here (load in Perfetto).
     pub trace_out: Option<String>,
-    /// `--out` path: `bench-snapshot` appends its record here
-    /// (defaults to `BENCH_trajectory.json`).
-    pub out: Option<String>,
-    /// `--label` free-form tag stamped into the bench-snapshot record
-    /// (typically the PR number or commit subject).
-    pub label: Option<String>,
-    /// `--baseline` path: `bench-snapshot` reads the committed
-    /// trajectory here and fails if the tier-1 cell regressed.
-    pub baseline: Option<String>,
     /// `--rsize` largest single wire transfer for `serve-bench`
     /// (4096 ≤ rsize ≤ 1 MiB — NFS rsize/wsize).
     pub rsize: u64,
@@ -90,15 +83,14 @@ impl Default for CliArgs {
             scale_set: false,
             seed: 365,
             trace: "1a".to_string(),
-            policy: "ups".to_string(),
-            policy_set: false,
+            policy: None,
             cuts: 16,
             layout: None,
             qd: 1,
             qd_set: false,
             clients: vec![1, 4, 16],
             clients_set: false,
-            workload: "zipf".to_string(),
+            workload: WorkloadKind::Zipf,
             budget: 200,
             repro: None,
             repro_out: None,
@@ -107,34 +99,40 @@ impl Default for CliArgs {
             cache_file: None,
             json: false,
             trace_out: None,
-            out: None,
-            label: None,
-            baseline: None,
             rsize: 64 * 1024,
             hw: Hardware::default(),
         }
     }
 }
 
+/// Parses `raw` as the number `flag` takes.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| format!("bad {flag} {raw:?}"))
+}
+
+/// Takes `raw` as the (non-empty) path `flag` names.
+fn path(flag: &str, raw: &str) -> Result<String, String> {
+    if raw.is_empty() {
+        return Err(format!("bad {flag}: empty path"));
+    }
+    Ok(raw.to_string())
+}
+
 /// Parses `args` (subcommand first, no program name). Returns a usage
 /// error naming the offending flag and the accepted range.
 pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
     let mut out = CliArgs::default();
-    let Some(cmd) = args.first() else {
+    let mut rest = args.iter();
+    let Some(cmd) = rest.next() else {
         return Err("missing subcommand".to_string());
     };
     out.cmd = cmd.clone();
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))
-        };
+    while let Some(flag) = rest.next() {
+        let flag = flag.as_str();
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
             "--scale" => {
-                let v: f64 = value(i)?
-                    .parse()
-                    .map_err(|_| format!("bad --scale {:?}: not a number", args[i + 1]))?;
+                let v: f64 = number(flag, value()?).map_err(|e| e + ": not a number")?;
                 if !v.is_finite() || v <= 0.0 || v > 10.0 {
                     return Err(format!(
                         "bad --scale {v}: must satisfy 0 < scale <= 10 (fraction of the nominal workload)"
@@ -142,56 +140,35 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                 }
                 out.scale = v;
                 out.scale_set = true;
-                i += 2;
             }
-            "--seed" => {
-                out.seed = value(i)?
-                    .parse()
-                    .map_err(|_| format!("bad --seed {:?}: not a u64", args[i + 1]))?;
-                i += 2;
-            }
+            "--seed" => out.seed = number(flag, value()?).map_err(|e| e + ": not a u64")?,
             "--budget" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --budget {:?}", args[i + 1]))?;
-                if v == 0 {
+                out.budget = number(flag, value()?)?;
+                if out.budget == 0 {
                     return Err(
                         "bad --budget 0: the bounded prefix needs at least one op".to_string()
                     );
                 }
-                out.budget = v;
-                i += 2;
             }
-            "--repro" => {
-                out.repro = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--repro-out" => {
-                out.repro_out = Some(value(i)?.clone());
-                i += 2;
-            }
+            "--repro" => out.repro = Some(value()?.clone()),
+            "--repro-out" => out.repro_out = Some(value()?.clone()),
             "--cuts" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --cuts {:?}", args[i + 1]))?;
-                if v == 0 {
+                out.cuts = number(flag, value()?)?;
+                if out.cuts == 0 {
                     return Err("bad --cuts 0: a crash sweep needs at least one cut".to_string());
                 }
-                out.cuts = v;
-                i += 2;
             }
             "--qd" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --qd {:?}", args[i + 1]))?;
-                if v == 0 {
+                out.qd = number(flag, value()?)?;
+                if out.qd == 0 {
                     return Err(
                         "bad --qd 0: queue depth must be >= 1 (1 = lock-step pipeline)".to_string()
                     );
                 }
-                out.qd = v;
                 out.qd_set = true;
-                i += 2;
             }
             "--clients" => {
-                let raw = value(i)?;
+                let raw = value()?;
                 let mut clients = Vec::new();
                 for part in raw.split(',') {
                     let n: u32 = part
@@ -212,16 +189,11 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                     }
                     clients.push(n);
                 }
-                if clients.is_empty() {
-                    return Err(format!("bad --clients {raw:?}: empty list"));
-                }
                 out.clients = clients;
                 out.clients_set = true;
-                i += 2;
             }
             "--shards" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --shards {:?}", args[i + 1]))?;
+                let v: u32 = number(flag, value()?)?;
                 if v == 0 {
                     return Err("bad --shards 0: the engine needs at least one shard".to_string());
                 }
@@ -229,11 +201,9 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                     return Err(format!("bad --shards {v}: at most 4096 stripes"));
                 }
                 out.shards = Some(v);
-                i += 2;
             }
             "--threads" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --threads {:?}", args[i + 1]))?;
+                let v: u32 = number(flag, value()?)?;
                 if v == 0 {
                     return Err(
                         "bad --threads 0: the checker needs at least one worker".to_string()
@@ -247,113 +217,68 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                     ));
                 }
                 out.threads = Some(v);
-                i += 2;
             }
-            "--cache-file" => {
-                let p = value(i)?.clone();
-                if p.is_empty() {
-                    return Err("bad --cache-file: empty path".to_string());
-                }
-                out.cache_file = Some(p);
-                i += 2;
-            }
-            "--json" => {
-                out.json = true;
-                i += 1;
-            }
+            "--cache-file" => out.cache_file = Some(path(flag, value()?)?),
+            "--trace-out" => out.trace_out = Some(path(flag, value()?)?),
+            "--json" => out.json = true,
             "--workload" => {
-                let w = value(i)?.clone();
-                if WorkloadKind::parse(&w).is_none() {
-                    return Err(format!("bad --workload {w:?} (zipf|mail|build|scan|web)"));
-                }
-                out.workload = w;
-                i += 2;
+                let w = value()?;
+                out.workload = WorkloadKind::parse(w)
+                    .ok_or_else(|| format!("bad --workload {w:?} (zipf|mail|build|scan|web)"))?;
             }
             "--trace" => {
-                let t = value(i)?.clone();
-                if cnp_trace::preset(&t).is_none() {
+                let t = value()?;
+                if cnp_trace::preset(t).is_none() {
                     return Err(format!("bad --trace {t:?} (1a|1b|2a|2b|5)"));
                 }
-                out.trace = t;
-                i += 2;
+                out.trace = t.clone();
             }
             "--policy" => {
-                out.policy = value(i)?.clone();
-                out.policy_set = true;
-                i += 2;
+                let p = value()?;
+                out.policy = Some(Policy::parse(p).ok_or_else(|| {
+                    format!("unknown policy {p} (write-delay|ups|nvram-whole|nvram-partial)")
+                })?);
             }
             "--layout" => {
-                out.layout = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--trace-out" => {
-                let p = value(i)?.clone();
-                if p.is_empty() {
-                    return Err("bad --trace-out: empty path".to_string());
-                }
-                out.trace_out = Some(p);
-                i += 2;
-            }
-            "--out" => {
-                let p = value(i)?.clone();
-                if p.is_empty() {
-                    return Err("bad --out: empty path".to_string());
-                }
-                out.out = Some(p);
-                i += 2;
-            }
-            "--label" => {
-                out.label = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--baseline" => {
-                let p = value(i)?.clone();
-                if p.is_empty() {
-                    return Err("bad --baseline: empty path".to_string());
-                }
-                out.baseline = Some(p);
-                i += 2;
+                let l = value()?;
+                out.layout = Some(
+                    LayoutKind::parse(l).ok_or_else(|| format!("unknown layout {l} (lfs|ffs)"))?,
+                );
             }
             "--rsize" => {
-                let v: u64 =
-                    value(i)?.parse().map_err(|_| format!("bad --rsize {:?}", args[i + 1]))?;
-                if !(4096..=(1 << 20)).contains(&v) {
+                out.rsize = number(flag, value()?)?;
+                if !(4096..=(1 << 20)).contains(&out.rsize) {
                     return Err(format!(
-                        "bad --rsize {v}: must satisfy 4096 <= rsize <= 1048576 (one NFS \
+                        "bad --rsize {}: must satisfy 4096 <= rsize <= 1048576 (one NFS \
                          transfer; below a block it only measures chunking overhead, \
-                         beyond 1 MiB it stops being a transfer cap)"
+                         beyond 1 MiB it stops being a transfer cap)",
+                        out.rsize
                     ));
                 }
-                out.rsize = v;
-                i += 2;
             }
             "--disk" => {
-                out.hw.disk = match value(i)?.as_str() {
+                out.hw.disk = match value()?.as_str() {
                     "hp97560" => "hp97560",
                     "ssd" => "ssd",
                     d => return Err(format!("bad --disk {d:?} (hp97560|ssd)")),
                 };
-                i += 2;
             }
             "--disks" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --disks {:?}", args[i + 1]))?;
-                if v == 0 {
+                out.hw.disks = number(flag, value()?)?;
+                if out.hw.disks == 0 {
                     return Err("bad --disks 0: a stripe needs at least one spindle".to_string());
                 }
-                if v > 64 {
+                if out.hw.disks > 64 {
                     return Err(format!(
-                        "bad --disks {v}: at most 64 spindles per stripe (each is a full \
+                        "bad --disks {}: at most 64 spindles per stripe (each is a full \
                          simulated device; beyond that the sweep measures the fan-out, \
-                         not the array)"
+                         not the array)",
+                        out.hw.disks
                     ));
                 }
-                out.hw.disks = v;
-                i += 2;
             }
             "--chunk-kib" => {
-                let v: u32 =
-                    value(i)?.parse().map_err(|_| format!("bad --chunk-kib {:?}", args[i + 1]))?;
+                let v: u32 = number(flag, value()?)?;
                 if v == 0 || !v.is_multiple_of(4) || v > 1024 {
                     return Err(format!(
                         "bad --chunk-kib {v}: must be a multiple of 4 and at most 1024 \
@@ -362,7 +287,6 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                     ));
                 }
                 out.hw.chunk_kib = v;
-                i += 2;
             }
             other => return Err(format!("unknown option {other}")),
         }
@@ -374,14 +298,13 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
 pub fn usage() -> String {
     "usage: patsy <fig2|fig3|fig4|fig5|ablate-diskmodel|ablate-flushmode|\
      ablate-iosched|ablate-diskcache|ablate-nvram|ablate-cleaner|run|sweep-qd|\
-     sweep-clients|serve-bench|crash|check|bench-snapshot> \
+     sweep-clients|serve-bench|crash|check> \
      [--trace 1a] [--policy ups] [--scale 0.05] [--seed 365] [--cuts 16] \
      [--layout lfs|ffs] [--qd 1] [--workload zipf|mail|build|scan|web] \
      [--clients 1,4,16] [--shards N] [--rsize 65536] [--budget 200] [--json] \
      [--disk hp97560|ssd] [--disks N] [--chunk-kib 64] \
      [--threads N] [--cache-file <path>] \
-     [--repro <blob>] [--repro-out <path>] [--trace-out <prof.json>] \
-     [--out <trajectory.json>] [--label <tag>] [--baseline <trajectory.json>]"
+     [--repro <blob>] [--repro-out <path>] [--trace-out <prof.json>]"
         .to_string()
 }
 
@@ -399,7 +322,7 @@ mod tests {
         let a = parse(&["sweep-clients", "--workload", "mail", "--clients", "1,4,16", "--qd", "8"])
             .unwrap();
         assert_eq!(a.cmd, "sweep-clients");
-        assert_eq!(a.workload, "mail");
+        assert_eq!(a.workload, WorkloadKind::Mail);
         assert_eq!(a.clients, vec![1, 4, 16]);
         assert_eq!(a.qd, 8);
         assert!(a.qd_set);
@@ -488,28 +411,34 @@ mod tests {
     }
 
     #[test]
-    fn bench_snapshot_flags_parse() {
-        let a = parse(&[
-            "bench-snapshot",
-            "--out",
-            "BENCH_trajectory.json",
-            "--label",
-            "pr7",
-            "--baseline",
-            "BENCH_trajectory.json",
-        ])
-        .unwrap();
-        assert_eq!(a.cmd, "bench-snapshot");
-        assert_eq!(a.out.as_deref(), Some("BENCH_trajectory.json"));
-        assert_eq!(a.label.as_deref(), Some("pr7"));
-        assert_eq!(a.baseline.as_deref(), Some("BENCH_trajectory.json"));
-        let b = parse(&["bench-snapshot"]).unwrap();
-        assert_eq!(b.out, None);
-        assert_eq!(b.label, None);
-        assert_eq!(b.baseline, None);
-        assert!(parse(&["bench-snapshot", "--out", ""]).is_err());
-        assert!(parse(&["bench-snapshot", "--baseline", ""]).is_err());
-        assert!(parse(&["bench-snapshot", "--label"]).is_err());
+    fn layout_flag_parses_and_validates() {
+        assert_eq!(parse(&["run", "--layout", "ffs"]).unwrap().layout, Some(LayoutKind::Ffs));
+        assert_eq!(parse(&["crash", "--layout", "lfs"]).unwrap().layout, Some(LayoutKind::Lfs));
+        assert_eq!(parse(&["run"]).unwrap().layout, None, "each subcommand owns its default");
+        for cmd in ["run", "crash", "check", "sweep-clients", "serve-bench"] {
+            let e = parse(&[cmd, "--layout", "zfs"]).unwrap_err();
+            assert_eq!(e, "unknown layout zfs (lfs|ffs)", "{cmd}");
+        }
+        assert!(parse(&["run", "--layout"]).is_err());
+    }
+
+    #[test]
+    fn policy_flag_parses_and_validates() {
+        for (name, policy) in [
+            ("write-delay", Policy::WriteDelay),
+            ("30s", Policy::WriteDelay),
+            ("ups", Policy::Ups),
+            ("nvram-whole", Policy::NvramWhole),
+            ("nvram-partial", Policy::NvramPartial),
+        ] {
+            assert_eq!(parse(&["run", "--policy", name]).unwrap().policy, Some(policy));
+        }
+        assert_eq!(parse(&["crash"]).unwrap().policy, None, "no filter unless asked");
+        for cmd in ["run", "crash", "check", "sweep-clients", "serve-bench"] {
+            let e = parse(&[cmd, "--policy", "x"]).unwrap_err();
+            assert!(e.starts_with("unknown policy x ("), "{cmd}: {e}");
+        }
+        assert!(parse(&["run", "--policy"]).is_err());
     }
 
     #[test]

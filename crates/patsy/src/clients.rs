@@ -13,16 +13,15 @@
 //! (max/min per-client throughput) to stay near 1 — the shared engine
 //! has no per-client scheduling, so starvation would be a bug.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FlushMode, FsConfig};
 use cnp_disk::{DiskGeometry, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Stack};
-use cnp_sim::{Handle, LockStats, Sim, SimTime};
+use cnp_obs::Json;
+use cnp_sim::{Handle, LockStats, Sim};
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind, WorkloadReport};
 
+use crate::cli::CliArgs;
 use crate::experiment::Policy;
 
 /// Multi-client sweep configuration.
@@ -190,27 +189,14 @@ pub fn run_client_cell(cfg: &ClientSweepConfig, n: u32) -> ClientCell {
         fleet_stack(&h, &format!("mc{n}"), n, cfg.layout, cfg.policy, cfg.queue_depth, cfg.shards);
     let shards = fs.shards();
     let scenario = Scenario::generate(cfg.workload, n, cfg.seed, cfg.scale);
-    /// A cell's raw outcome: the run report + per-client flush counts
-    /// + engine lock contention counters + the unified metrics snapshot.
-    type CellOut = Option<(
-        WorkloadReport,
-        Vec<(u32, u64)>,
-        Vec<(&'static str, LockStats)>,
-        cnp_obs::MetricsSnapshot,
-    )>;
-    let out: Rc<RefCell<CellOut>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let h2 = h.clone();
-    h.spawn("client-sweep", async move {
+    let (report, flush_attr, lock_stats, metrics) = sim.block_on("client-sweep", async move {
         fs.format().await.expect("format");
-        let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
+        let report = run_clients(&h, &fs, &scenario, RunOptions::default()).await;
         fs.sync().await.expect("sync");
-        *out2.borrow_mut() = Some((report, fs.flushes_by_client(), fs.lock_stats(), fs.metrics()));
+        let out = (report, fs.flushes_by_client(), fs.lock_stats(), fs.metrics());
         fs.shutdown();
+        out
     });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    let (report, flush_attr, lock_stats, metrics) =
-        out.borrow_mut().take().expect("client cell did not finish");
     let d = driver.stats();
     ClientCell {
         clients: n,
@@ -308,105 +294,65 @@ pub fn format_client_sweep(cfg: &ClientSweepConfig, cells: &[ClientCell]) -> Str
     s
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats the sweep as a JSON document (stable bytes, like the table:
-/// two identical runs emit identical JSON). Hand-rolled — the repo
-/// carries no serialization dependency.
+/// two identical runs emit identical JSON).
 pub fn format_client_sweep_json(cfg: &ClientSweepConfig, cells: &[ClientCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"workload\": \"{}\",\n", json_escape(cfg.workload.name())));
-    s.push_str(&format!("  \"layout\": \"{}\",\n", json_escape(cfg.layout.name())));
-    s.push_str(&format!("  \"policy\": \"{}\",\n", json_escape(cfg.policy.label())));
-    s.push_str(&format!("  \"queue_depth\": {},\n", cfg.queue_depth));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"scale\": {},\n", cfg.scale));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"clients\": {},\n", c.clients));
-        s.push_str(&format!("      \"shards\": {},\n", c.shards));
-        s.push_str(&format!("      \"ops\": {},\n", c.report.ops));
-        s.push_str(&format!("      \"errors\": {},\n", c.report.errors));
-        s.push_str(&format!("      \"mean_ms\": {:.6},\n", c.report.mean_ms()));
-        s.push_str(&format!("      \"p99_ms\": {:.6},\n", c.report.p99_ms()));
-        s.push_str(&format!("      \"agg_ops_per_sec\": {:.6},\n", c.agg_ops_per_sec));
-        s.push_str(&format!("      \"fairness\": {:.6},\n", c.fairness));
-        s.push_str(&format!("      \"mean_queue\": {:.6},\n", c.mean_queue));
-        s.push_str(&format!("      \"mean_inflight\": {:.6},\n", c.mean_inflight));
-        s.push_str(&format!("      \"overlap\": {:.6},\n", c.overlap));
-        s.push_str(&format!("      \"lock_wait_ms\": {:.6},\n", c.lock_wait_ms()));
-        s.push_str(&format!("      \"lock_hold_ms\": {:.6},\n", c.lock_hold_ms()));
-        s.push_str(&format!("      \"lock_contentions\": {},\n", c.lock_contentions()));
-        s.push_str("      \"locks\": [\n");
-        for (j, (name, ls)) in c.lock_stats.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"name\": \"{}\", \"acquisitions\": {}, \"contentions\": {}, \
-                 \"wait_ms\": {:.6}, \"hold_ms\": {:.6}, \"max_wait_ms\": {:.6}}}{}\n",
-                json_escape(name),
-                ls.acquisitions,
-                ls.contentions,
-                ls.wait.as_millis_f64(),
-                ls.hold.as_millis_f64(),
-                ls.max_wait.as_millis_f64(),
-                if j + 1 < c.lock_stats.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("      ],\n");
-        s.push_str(&format!("      \"metrics\": {}\n", c.metrics.to_json(6)));
-        s.push_str(&format!("    }}{}\n", if i + 1 < cells.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let cell = |c: &ClientCell| {
+        let lock = |(name, ls): &(&str, LockStats)| {
+            Json::line([
+                ("name", (*name).into()),
+                ("acquisitions", ls.acquisitions.into()),
+                ("contentions", ls.contentions.into()),
+                ("wait_ms", ls.wait.as_millis_f64().into()),
+                ("hold_ms", ls.hold.as_millis_f64().into()),
+                ("max_wait_ms", ls.max_wait.as_millis_f64().into()),
+            ])
+        };
+        Json::block([
+            ("clients", c.clients.into()),
+            ("shards", c.shards.into()),
+            ("ops", c.report.ops.into()),
+            ("errors", c.report.errors.into()),
+            ("mean_ms", c.report.mean_ms().into()),
+            ("p99_ms", c.report.p99_ms().into()),
+            ("agg_ops_per_sec", c.agg_ops_per_sec.into()),
+            ("fairness", c.fairness.into()),
+            ("mean_queue", c.mean_queue.into()),
+            ("mean_inflight", c.mean_inflight.into()),
+            ("overlap", c.overlap.into()),
+            ("lock_wait_ms", c.lock_wait_ms().into()),
+            ("lock_hold_ms", c.lock_hold_ms().into()),
+            ("lock_contentions", c.lock_contentions().into()),
+            ("locks", Json::Rows(c.lock_stats.iter().map(lock).collect())),
+            ("metrics", (&c.metrics).into()),
+        ])
+    };
+    Json::block([
+        ("workload", cfg.workload.name().into()),
+        ("layout", cfg.layout.name().into()),
+        ("policy", cfg.policy.label().into()),
+        ("queue_depth", cfg.queue_depth.into()),
+        ("seed", cfg.seed.into()),
+        ("scale", Json::Exact(cfg.scale)),
+        ("cells", Json::Rows(cells.iter().map(cell).collect())),
+    ])
+    .document()
 }
 
-/// CLI entry: runs the sweep and prints the report. `workload` arrives
-/// already parsed — the CLI layer (`cnp_patsy::cli`) owns name
-/// validation.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_clients_cli(
-    workload: WorkloadKind,
-    clients: &[u32],
-    seed: u64,
-    scale: f64,
-    qd: u32,
-    layout: Option<&str>,
-    policy: Option<&str>,
-    shards: Option<u32>,
-    json: bool,
-) {
-    let mut cfg = ClientSweepConfig::new(workload, clients.to_vec(), seed, scale);
-    cfg.queue_depth = qd;
-    cfg.shards = shards;
-    if let Some(l) = layout {
-        let Some(k) = LayoutKind::parse(l) else {
-            eprintln!("unknown layout {l} (lfs|ffs)");
-            std::process::exit(2);
-        };
-        cfg.layout = k;
-    }
-    if let Some(p) = policy {
-        let Some(pol) = Policy::parse(p) else {
-            eprintln!("unknown policy {p} (write-delay|ups|nvram-whole|nvram-partial)");
-            std::process::exit(2);
-        };
-        cfg.policy = pol;
-    }
+/// CLI entry: runs the sweep and prints the report.
+pub fn sweep_clients_cli(a: &CliArgs) {
+    // Client cells are numerous and closed-loop; the default
+    // full-figure scale would run minutes per cell. The sweep
+    // defaults to qd 8 — the depth where client count separates
+    // the schedulers — while everything else keeps lock-step 1.
+    let scale = if a.scale_set { a.scale } else { 0.02 };
+    let mut cfg = ClientSweepConfig::new(a.workload, a.clients.clone(), a.seed, scale);
+    cfg.queue_depth = if a.qd_set { a.qd } else { 8 };
+    cfg.shards = a.shards;
+    cfg.layout = a.layout.unwrap_or(cfg.layout);
+    cfg.policy = a.policy.unwrap_or(cfg.policy);
     let cells = run_client_sweep(&cfg);
-    if json {
+    if a.json {
         print!("{}", format_client_sweep_json(&cfg, &cells));
     } else {
         print!("{}", format_client_sweep(&cfg, &cells));

@@ -10,16 +10,15 @@
 //! against what the workload had acknowledged — extending the paper's
 //! Fig. 5 NVRAM axis to crash safety.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FlushMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
-use cnp_sim::{Sim, SimTime};
+use cnp_obs::Json;
+use cnp_sim::Sim;
 use cnp_trace::{replay_with, ReplayOptions, SpriteParams, SyntheticSprite};
 
+use crate::cli::CliArgs;
 use crate::experiment::{Policy, POLICIES};
 
 /// Crash-sweep configuration.
@@ -155,13 +154,10 @@ fn run_cell(
     let Stack { fs, disks, .. } =
         Stack::build(&h, "crash0", layout_kind, &hw, fs_cfg.clone(), plan);
 
-    let out: Rc<RefCell<Option<CrashCell>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let h2 = h.clone();
-    h.spawn("crash-cell", async move {
+    sim.block_on("crash-cell", async move {
         fs.format().await.expect("format");
         let report = replay_with(
-            &h2,
+            &h,
             &fs,
             records,
             ReplayOptions { max_ops: Some(cut_op), track_acks: true },
@@ -177,13 +173,13 @@ fn run_cell(
         // the same cell verification the cnp-check enumerator runs.
         // Failures must abort the cell loudly: a half-replayed file
         // system would misattribute replay bugs as crash loss.
-        let verified = verify_crash_state(&h2, layout_kind, &state, &report.acked, fs_cfg)
+        let verified = verify_crash_state(&h, layout_kind, &state, &report.acked, fs_cfg)
             .await
             .expect("recovery + nvram replay");
         let (outcome, nvram_replayed, loss) =
             (verified.outcome, verified.nvram_replayed, verified.loss);
 
-        *out2.borrow_mut() = Some(CrashCell {
+        CrashCell {
             layout: layout_kind.name(),
             policy,
             cut_op,
@@ -203,11 +199,8 @@ fn run_cell(
             overlap: doomed_stats.overlap_fraction,
             loss,
             metrics: doomed_metrics,
-        });
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    let cell = out.borrow_mut().take().expect("crash cell did not finish");
-    cell
+        }
+    })
 }
 
 /// Formats the sweep as the report the CLI prints (stable across runs:
@@ -259,81 +252,58 @@ pub fn format_crash_sweep(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
 }
 
 /// Formats the sweep as a JSON document (stable bytes, like the table).
-/// Hand-rolled — the repo carries no serialization dependency; every
-/// embedded name comes from a fixed internal vocabulary.
 pub fn format_crash_sweep_json(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"trace\": \"{}\",\n", cfg.trace.name));
-    s.push_str(&format!("  \"cuts\": {},\n", cfg.cuts));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"scale\": {},\n", cfg.scale));
-    s.push_str(&format!("  \"queue_depth\": {},\n", cfg.queue_depth));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"layout\": \"{}\",\n", c.layout));
-        s.push_str(&format!("      \"policy\": \"{}\",\n", c.policy.label()));
-        s.push_str(&format!("      \"cut_op\": {},\n", c.cut_op));
-        s.push_str(&format!("      \"ops\": {},\n", c.ops));
-        s.push_str(&format!("      \"scanned_segments\": {},\n", c.scanned_segments));
-        s.push_str(&format!("      \"rolled_segments\": {},\n", c.rolled_segments));
-        s.push_str(&format!("      \"patched_blocks\": {},\n", c.patched_blocks));
-        s.push_str(&format!("      \"violations_pre\": {},\n", c.violations_pre));
-        s.push_str(&format!("      \"repairs\": {},\n", c.repairs));
-        s.push_str(&format!("      \"violations_post\": {},\n", c.violations_post));
-        s.push_str(&format!("      \"nvram_replayed\": {},\n", c.nvram_replayed));
-        s.push_str(&format!("      \"orphans_attached\": {},\n", c.orphans_attached));
-        s.push_str(&format!("      \"recovery_ms\": {:.6},\n", c.recovery_ms));
-        s.push_str(&format!("      \"mean_queue\": {:.6},\n", c.mean_queue));
-        s.push_str(&format!("      \"overlap\": {:.6},\n", c.overlap));
-        s.push_str(&format!("      \"lost_files\": {},\n", c.loss.lost_files));
-        s.push_str(&format!("      \"lost_bytes\": {},\n", c.loss.lost_bytes));
-        s.push_str(&format!("      \"loss_window_ms\": {:.6},\n", c.loss.loss_window_ms));
-        s.push_str(&format!("      \"metrics\": {}\n", c.metrics.to_json(6)));
-        s.push_str(&format!("    }}{}\n", if i + 1 < cells.len() { "," } else { "" }));
-    }
-    s.push_str("  ],\n");
-    let all_clean = cells.iter().all(|c| c.violations_post == 0);
-    s.push_str(&format!("  \"clean\": {all_clean}\n"));
-    s.push_str("}\n");
-    s
+    let cell = |c: &CrashCell| {
+        Json::block([
+            ("layout", c.layout.into()),
+            ("policy", c.policy.label().into()),
+            ("cut_op", c.cut_op.into()),
+            ("ops", c.ops.into()),
+            ("scanned_segments", c.scanned_segments.into()),
+            ("rolled_segments", c.rolled_segments.into()),
+            ("patched_blocks", c.patched_blocks.into()),
+            ("violations_pre", c.violations_pre.into()),
+            ("repairs", c.repairs.into()),
+            ("violations_post", c.violations_post.into()),
+            ("nvram_replayed", c.nvram_replayed.into()),
+            ("orphans_attached", c.orphans_attached.into()),
+            ("recovery_ms", c.recovery_ms.into()),
+            ("mean_queue", c.mean_queue.into()),
+            ("overlap", c.overlap.into()),
+            ("lost_files", c.loss.lost_files.into()),
+            ("lost_bytes", c.loss.lost_bytes.into()),
+            ("loss_window_ms", c.loss.loss_window_ms.into()),
+            ("metrics", (&c.metrics).into()),
+        ])
+    };
+    Json::block([
+        ("trace", cfg.trace.name.into()),
+        ("cuts", cfg.cuts.into()),
+        ("seed", cfg.seed.into()),
+        ("scale", Json::Exact(cfg.scale)),
+        ("queue_depth", cfg.queue_depth.into()),
+        ("cells", Json::Rows(cells.iter().map(cell).collect())),
+        ("clean", cells.iter().all(|c| c.violations_post == 0).into()),
+    ])
+    .document()
 }
 
 /// CLI entry: runs the sweep and prints the report.
-#[allow(clippy::too_many_arguments)]
-pub fn crash_cli(
-    trace: &str,
-    cuts: u32,
-    seed: u64,
-    scale: f64,
-    layout: Option<&str>,
-    policy: Option<&str>,
-    queue_depth: u32,
-    json: bool,
-) {
-    let Some(params) = cnp_trace::preset(trace) else {
-        eprintln!("unknown trace {trace} (1a|1b|2a|2b|5)");
-        std::process::exit(2);
-    };
-    let mut cfg = CrashConfig::new(params, cuts, seed, scale);
-    cfg.queue_depth = queue_depth;
-    if let Some(l) = layout {
-        let Some(kind) = LayoutKind::parse(l) else {
-            eprintln!("unknown layout {l} (lfs|ffs)");
-            std::process::exit(2);
-        };
-        cfg.layouts = vec![kind];
+pub fn crash_cli(a: &CliArgs) {
+    let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
+    // Crash cells are numerous (layouts × policies × cuts); a smaller
+    // default workload keeps the sweep snappy.
+    let scale = if a.scale_set { a.scale } else { 0.002 };
+    let mut cfg = CrashConfig::new(params, a.cuts, a.seed, scale);
+    cfg.queue_depth = a.qd;
+    if let Some(layout) = a.layout {
+        cfg.layouts = vec![layout];
     }
-    if let Some(p) = policy {
-        let Some(policy) = Policy::parse(p) else {
-            eprintln!("unknown policy {p} (write-delay|ups|nvram-whole|nvram-partial)");
-            std::process::exit(2);
-        };
+    if let Some(policy) = a.policy {
         cfg.policies = vec![policy];
     }
     let cells = run_crash_sweep(&cfg);
-    if json {
+    if a.json {
         print!("{}", format_crash_sweep_json(&cfg, &cells));
     } else {
         print!("{}", format_crash_sweep(&cfg, &cells));

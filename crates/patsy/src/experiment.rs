@@ -8,9 +8,10 @@
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig, FsStats};
 use cnp_disk::{compose_device, CLook, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
-use cnp_layout::{Layout, LayoutStats, LfsLayout, LfsParams};
+use cnp_fault::LayoutKind;
+use cnp_layout::{FfsLayout, FfsParams, Layout, LayoutStats, LfsLayout, LfsParams};
 use cnp_sim::stats::Histogram;
-use cnp_sim::{Sim, SimTime};
+use cnp_sim::Sim;
 use cnp_trace::{replay, ReplayReport, SpriteParams, SyntheticSprite};
 
 use std::cell::RefCell;
@@ -96,11 +97,10 @@ pub struct ExperimentConfig {
     /// I/O pipeline depth (engine fan-out + device queue depth); 1 is
     /// the legacy lock-step path.
     pub queue_depth: u32,
-    /// Storage layout (`lfs` or `ffs`; default `lfs`, the paper's
-    /// production choice). FFS's update-in-place placement scatters
-    /// writes, which is what gives position-aware disk schedulers a
-    /// queue worth reordering.
-    pub layout: String,
+    /// Storage layout (default LFS, the paper's production choice).
+    /// FFS's update-in-place placement scatters writes, which is what
+    /// gives position-aware disk schedulers a queue worth reordering.
+    pub layout: LayoutKind,
     /// The hardware behind each file system. A single mechanical disk
     /// sits on the shared-bus topology; flash and every RAID-0 child get
     /// a dedicated bus. `simple` is ablation A1.
@@ -125,7 +125,7 @@ impl ExperimentConfig {
             no_disk_cache: false,
             iosched: "c-look".into(),
             queue_depth: 1,
-            layout: "lfs".into(),
+            layout: LayoutKind::Lfs,
             hw: Hardware::default(),
         }
     }
@@ -197,14 +197,11 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         let (driver, _) =
             compose_device(&h, &format!("d{i}"), models, chunk, sched, plan, None, attach);
         drivers.push(driver.clone());
-        let layout = match cfg.layout.as_str() {
-            "ffs" => Layout::Ffs(cnp_layout::FfsLayout::new(
-                &h,
-                driver,
-                cnp_layout::FfsParams::default(),
-            )),
-            "lfs" => Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default())),
-            other => panic!("unknown layout {other} (lfs|ffs)"),
+        // Not `LayoutKind::build`: the figures' FFS keeps the default
+        // inode table, not the crash rigs' small one.
+        let layout = match cfg.layout {
+            LayoutKind::Ffs => Layout::Ffs(FfsLayout::new(&h, driver, FfsParams::default())),
+            LayoutKind::Lfs => Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default())),
         };
         let (flush, nvram) = cfg.policy.cache_settings(cfg.nvram_bytes);
         let fs_cfg = FsConfig {
@@ -240,7 +237,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
             fs.shutdown();
         });
     }
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
+    sim.run_until(Sim::HORIZON);
 
     // Merge measurements across file systems.
     let mut reports = reports.borrow_mut();

@@ -6,7 +6,8 @@
 
 use cnp_trace::{preset, PRESETS};
 
-use crate::experiment::{cdf_header, cdf_row, run_experiment, ExperimentConfig, POLICIES};
+use crate::cli::CliArgs;
+use crate::experiment::{cdf_header, cdf_row, run_experiment, ExperimentConfig, Policy, POLICIES};
 
 /// Runs one CDF figure (2, 3 or 4) and prints the series.
 pub fn figure_cdf(trace_name: &str, scale: f64, seed: u64, queue_depth: u32) {
@@ -77,40 +78,32 @@ pub fn figure5(scale: f64, seed: u64) {
 }
 
 /// One experiment with full detail (the `run` subcommand). With
-/// `trace_out`, a virtual-time span tracer is installed for the run
+/// `--trace-out`, a virtual-time span tracer is installed for the run
 /// and the resulting Chrome trace_event JSON is written to that path
 /// (load it in Perfetto; one lane per client plus one per disk).
-#[allow(clippy::too_many_arguments)]
-pub fn run_one(
-    trace_name: &str,
-    policy: crate::Policy,
-    scale: f64,
-    seed: u64,
-    queue_depth: u32,
-    layout: Option<&str>,
-    trace_out: Option<&str>,
-    hw: &cnp_disk::Hardware,
-) {
-    let trace = preset(trace_name).expect("known trace");
+pub fn run_one(a: &CliArgs) {
+    let policy = a.policy.unwrap_or(Policy::Ups);
+    let trace = preset(&a.trace).expect("--trace validated by parse_cli");
     let mut cfg = ExperimentConfig::new(policy, trace);
-    cfg.scale = scale;
-    cfg.seed = seed;
-    cfg.queue_depth = queue_depth;
-    if let Some(l) = layout {
-        cfg.layout = l.to_string();
+    cfg.scale = a.scale;
+    cfg.seed = a.seed;
+    cfg.queue_depth = a.qd;
+    if let Some(layout) = a.layout {
+        cfg.layout = layout;
     }
-    cfg.hw = *hw;
+    cfg.hw = a.hw;
+    let (trace_name, trace_out, hw) = (&a.trace, a.trace_out.as_deref(), &a.hw);
     let tracer = trace_out.map(|_| cnp_obs::trace::Tracer::default());
     let guard = tracer.as_ref().map(cnp_obs::trace::install);
     let r = run_experiment(&cfg);
     drop(guard);
+    let layout = cfg.layout.name();
     if hw.is_default() {
-        println!("trace {trace_name} policy {} layout {}", policy.label(), cfg.layout);
+        println!("trace {trace_name} policy {} layout {layout}", policy.label());
     } else {
         println!(
-            "trace {trace_name} policy {} layout {} disk {}",
+            "trace {trace_name} policy {} layout {layout} disk {}",
             policy.label(),
-            cfg.layout,
             hw.label()
         );
     }

@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod bench;
 pub mod check;
 pub mod cli;
 pub mod clients;

@@ -17,7 +17,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use cnp_disk::{compose_device, scheduler_by_name, DiskDriver, FaultPlan, Hardware, IoOp, Payload};
-use cnp_sim::{Handle, Sim, SimTime};
+use cnp_obs::Json;
+use cnp_sim::{Handle, Sim};
 use cnp_trace::{preset, SyntheticSprite, TraceOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,7 +136,7 @@ pub fn run_depth_cell(
             }
         });
     }
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
+    sim.run_until(Sim::HORIZON);
     let stats = driver.stats();
     let (total_ns, count) = *latency_ns.borrow();
     QdCell {
@@ -243,11 +244,9 @@ pub fn format_qd_sweep(
     s
 }
 
-/// Formats the sweep as a JSON document (stable bytes; hand-rolled —
-/// the repo carries no serialization dependency, and every name comes
-/// from a fixed internal vocabulary). The default hardware's bytes are
-/// identical to every historical sweep; any other adds
-/// `disk`/`disks`/`chunk_kib` keys.
+/// Formats the sweep as a JSON document (stable bytes). The default
+/// hardware's bytes are identical to every historical sweep; any other
+/// adds `disk`/`disks`/`chunk_kib` keys.
 pub fn format_qd_sweep_json(
     trace_name: &str,
     scale: f64,
@@ -257,45 +256,37 @@ pub fn format_qd_sweep_json(
     hw: &Hardware,
 ) -> String {
     let depths = hw.depths();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"trace\": \"{trace_name}\",\n"));
-    s.push_str(&format!("  \"scale\": {scale},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
+    let cell = |(c, &qd): (&QdCell, &u32)| {
+        Json::line([
+            ("qd", qd.into()),
+            ("mean_service_ms", c.mean_service_ms.into()),
+            ("mean_latency_ms", c.mean_latency_ms.into()),
+            ("makespan_ms", c.makespan_ms.into()),
+            ("mean_queue", c.mean_queue.into()),
+            ("overlap", c.overlap.into()),
+        ])
+    };
+    let row = |(sched, cells): &(&str, Vec<QdCell>)| {
+        Json::block([
+            ("sched", (*sched).into()),
+            ("cells", Json::Rows(cells.iter().zip(depths).map(cell).collect())),
+        ])
+    };
+    let mut doc =
+        vec![("trace", trace_name.into()), ("scale", Json::Exact(scale)), ("seed", seed.into())];
     if !hw.is_default() {
-        s.push_str(&format!("  \"disk\": \"{}\",\n", hw.disk));
-        s.push_str(&format!("  \"disks\": {},\n", hw.disks));
-        s.push_str(&format!("  \"chunk_kib\": {},\n", hw.chunk_kib));
+        doc.extend([
+            ("disk", hw.disk.into()),
+            ("disks", hw.disks.into()),
+            ("chunk_kib", hw.chunk_kib.into()),
+        ]);
     }
-    s.push_str(&format!("  \"requests\": {requests},\n"));
-    s.push_str("  \"depths\": [");
-    for (i, d) in depths.iter().enumerate() {
-        s.push_str(&format!("{d}{}", if i + 1 < depths.len() { ", " } else { "" }));
-    }
-    s.push_str("],\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, (sched, cells)) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"sched\": \"{sched}\",\n"));
-        s.push_str("      \"cells\": [\n");
-        for (j, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"qd\": {}, \"mean_service_ms\": {:.6}, \"mean_latency_ms\": {:.6}, \
-                 \"makespan_ms\": {:.6}, \"mean_queue\": {:.6}, \"overlap\": {:.6}}}{}\n",
-                depths[j],
-                c.mean_service_ms,
-                c.mean_latency_ms,
-                c.makespan_ms,
-                c.mean_queue,
-                c.overlap,
-                if j + 1 < cells.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("      ]\n");
-        s.push_str(&format!("    }}{}\n", if i + 1 < rows.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    doc.extend([
+        ("requests", requests.into()),
+        ("depths", Json::List(depths.iter().map(|&d| d.into()).collect())),
+        ("rows", Json::Rows(rows.iter().map(row).collect())),
+    ]);
+    Json::block(doc).document()
 }
 
 /// CLI entry: runs the sweep on `hw` and prints the table (or JSON).

@@ -23,11 +23,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cnp_fault::LayoutKind;
+use cnp_obs::Json;
 use cnp_pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig, XdrDecoder};
-use cnp_sim::{Handle, Sim, SimDuration, SimTime};
+use cnp_sim::{Handle, Sim, SimDuration};
 use cnp_trace::TraceOp;
 use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
 
+use crate::cli::CliArgs;
 use crate::clients::fleet_stack;
 use crate::experiment::Policy;
 
@@ -361,21 +363,16 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
     );
     let scenario = Scenario::generate(cfg.workload, n, cfg.seed, cfg.scale);
     let rsize = cfg.rsize;
-    type CellOut = Option<(DriverStats, SimDuration, cnp_obs::MetricsSnapshot)>;
-    let out: Rc<RefCell<CellOut>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let h2 = h.clone();
-    let srv2 = srv.clone();
-    h.spawn("serve-bench", async move {
-        srv2.fs().format().await.expect("format");
-        let start = h2.now();
+    let (totals, makespan, snap) = sim.block_on("serve-bench", async move {
+        srv.fs().format().await.expect("format");
+        let start = h.now();
         let totals = Rc::new(RefCell::new(DriverStats::default()));
         let mut joins = Vec::new();
         for plan in scenario.plans {
-            let session = srv2.session(plan.client);
-            let h3 = h2.clone();
+            let session = srv.session(plan.client);
+            let h3 = h.clone();
             let totals = totals.clone();
-            joins.push(h2.spawn(&format!("nfs-client{}", plan.client), async move {
+            joins.push(h.spawn(&format!("nfs-client{}", plan.client), async move {
                 let st = drive_client(h3, session, plan, rsize).await;
                 totals.borrow_mut().absorb(st);
             }));
@@ -383,14 +380,13 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
         for jh in joins {
             jh.await;
         }
-        let makespan = h2.now() - start;
-        srv2.fs().sync().await.expect("sync");
-        let snap = srv2.metrics();
-        *out2.borrow_mut() = Some((*totals.borrow(), makespan, snap));
-        srv2.fs().shutdown();
+        let makespan = h.now() - start;
+        srv.fs().sync().await.expect("sync");
+        let snap = srv.metrics();
+        srv.fs().shutdown();
+        let totals = *totals.borrow();
+        (totals, makespan, snap)
     });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    let (totals, makespan, snap) = out.borrow_mut().take().expect("serve cell did not finish");
     let wire_requests = snap.counter_value("serve.requests");
     let secs = makespan.as_nanos() as f64 / 1e9;
     let rate = |hits: u64, misses: u64| {
@@ -490,85 +486,53 @@ pub fn format_serve_bench(cfg: &ServeBenchConfig, cells: &[ServeCell]) -> String
     s
 }
 
-/// Formats the bench as a JSON document (stable bytes). Hand-rolled —
-/// the repo carries no serialization dependency.
+/// Formats the bench as a JSON document (stable bytes).
 pub fn format_serve_bench_json(cfg: &ServeBenchConfig, cells: &[ServeCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"workload\": \"{}\",\n",
-        cnp_obs::metrics::json_escape(cfg.workload.name())
-    ));
-    s.push_str(&format!(
-        "  \"layout\": \"{}\",\n",
-        cnp_obs::metrics::json_escape(cfg.layout.name())
-    ));
-    s.push_str(&format!(
-        "  \"policy\": \"{}\",\n",
-        cnp_obs::metrics::json_escape(cfg.policy.label())
-    ));
-    s.push_str(&format!("  \"queue_depth\": {},\n", cfg.queue_depth));
-    s.push_str(&format!("  \"rsize\": {},\n", cfg.rsize));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"scale\": {},\n", cfg.scale));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"clients\": {},\n", c.clients));
-        s.push_str(&format!("      \"shards\": {},\n", c.shards));
-        s.push_str(&format!("      \"trace_ops\": {},\n", c.trace_ops));
-        s.push_str(&format!("      \"wire_requests\": {},\n", c.wire_requests));
-        s.push_str(&format!("      \"errors\": {},\n", c.errors));
-        s.push_str(&format!("      \"stale_replies\": {},\n", c.stale_replies));
-        s.push_str(&format!("      \"stale_retries\": {},\n", c.stale_retries));
-        s.push_str(&format!("      \"wire_ops_per_sec\": {:.6},\n", c.wire_ops_per_sec));
-        s.push_str(&format!("      \"makespan_ms\": {:.6},\n", c.makespan_ms));
-        s.push_str(&format!("      \"lookup_hit_rate\": {:.6},\n", c.lookup_hit_rate));
-        s.push_str(&format!("      \"attr_hit_rate\": {:.6},\n", c.attr_hit_rate));
-        s.push_str(&format!("      \"bytes_in\": {},\n", c.bytes_in));
-        s.push_str(&format!("      \"bytes_out\": {},\n", c.bytes_out));
-        s.push_str(&format!("      \"metrics\": {}\n", c.metrics.to_json(6)));
-        s.push_str(&format!("    }}{}\n", if i + 1 < cells.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let cell = |c: &ServeCell| {
+        Json::block([
+            ("clients", c.clients.into()),
+            ("shards", c.shards.into()),
+            ("trace_ops", c.trace_ops.into()),
+            ("wire_requests", c.wire_requests.into()),
+            ("errors", c.errors.into()),
+            ("stale_replies", c.stale_replies.into()),
+            ("stale_retries", c.stale_retries.into()),
+            ("wire_ops_per_sec", c.wire_ops_per_sec.into()),
+            ("makespan_ms", c.makespan_ms.into()),
+            ("lookup_hit_rate", c.lookup_hit_rate.into()),
+            ("attr_hit_rate", c.attr_hit_rate.into()),
+            ("bytes_in", c.bytes_in.into()),
+            ("bytes_out", c.bytes_out.into()),
+            ("metrics", (&c.metrics).into()),
+        ])
+    };
+    Json::block([
+        ("workload", cfg.workload.name().into()),
+        ("layout", cfg.layout.name().into()),
+        ("policy", cfg.policy.label().into()),
+        ("queue_depth", cfg.queue_depth.into()),
+        ("rsize", cfg.rsize.into()),
+        ("seed", cfg.seed.into()),
+        ("scale", Json::Exact(cfg.scale)),
+        ("cells", Json::Rows(cells.iter().map(cell).collect())),
+    ])
+    .document()
 }
 
-/// CLI entry: runs the bench and prints the report. `workload` arrives
-/// already parsed — the CLI layer owns name validation.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_bench_cli(
-    workload: WorkloadKind,
-    clients: &[u32],
-    seed: u64,
-    scale: f64,
-    qd: u32,
-    layout: Option<&str>,
-    policy: Option<&str>,
-    shards: Option<u32>,
-    rsize: u64,
-    json: bool,
-) {
-    let mut cfg = ServeBenchConfig::new(workload, clients.to_vec(), seed, scale);
-    cfg.queue_depth = qd;
-    cfg.shards = shards;
-    cfg.rsize = rsize;
-    if let Some(l) = layout {
-        let Some(k) = LayoutKind::parse(l) else {
-            eprintln!("unknown layout {l} (lfs|ffs)");
-            std::process::exit(2);
-        };
-        cfg.layout = k;
-    }
-    if let Some(p) = policy {
-        let Some(pol) = Policy::parse(p) else {
-            eprintln!("unknown policy {p} (write-delay|ups|nvram-whole|nvram-partial)");
-            std::process::exit(2);
-        };
-        cfg.policy = pol;
-    }
+/// CLI entry: runs the bench and prints the report.
+pub fn serve_bench_cli(a: &CliArgs) {
+    // Same sizing logic as sweep-clients: wire cells are closed-loop
+    // and numerous, so they default to the sweep's small scale and its
+    // depth-8 pipeline.
+    let scale = if a.scale_set { a.scale } else { 0.02 };
+    let mut cfg = ServeBenchConfig::new(a.workload, a.clients.clone(), a.seed, scale);
+    cfg.queue_depth = if a.qd_set { a.qd } else { 8 };
+    cfg.shards = a.shards;
+    cfg.rsize = a.rsize;
+    cfg.layout = a.layout.unwrap_or(cfg.layout);
+    cfg.policy = a.policy.unwrap_or(cfg.policy);
     let cells = run_serve_bench(&cfg);
-    if json {
+    if a.json {
         print!("{}", format_serve_bench_json(&cfg, &cells));
     } else {
         print!("{}", format_serve_bench(&cfg, &cells));

@@ -4,16 +4,13 @@
 //! (`pfs_over_file`) — plus stale-handle, transfer-cap, cache
 //! invalidation, batching, and never-panic (proptest) coverage.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use cnp_core::{DataMode, FileSystem, FsConfig};
 use cnp_disk::{sim_disk_driver, CLook, Hp97560};
 use cnp_layout::{Layout, LfsLayout, LfsParams};
 use cnp_pfs::{
     client, pfs_over_file, Fhandle, NfsProc, NfsServer, NfsStat, ServeConfig, XdrDecoder,
 };
-use cnp_sim::{Handle, Sim, SimTime};
+use cnp_sim::Sim;
 use proptest::prelude::*;
 
 /// Runs `f` on a server over the simulated disk (virtual time).
@@ -28,9 +25,7 @@ where
     let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
     let fs_cfg = FsConfig { data_mode: DataMode::Real, queue_depth: qd, ..FsConfig::default() };
     let fs = FileSystem::new(&h, layout, fs_cfg);
-    let done = run_server_inner(&h, fs, cfg, f);
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    assert!(done.get(), "suite did not complete");
+    run_server_inner(&sim, fs, cfg, f);
 }
 
 /// Runs `f` on a server over a host backing file (`pfs_over_file`).
@@ -45,26 +40,20 @@ where
     let sim = Sim::new(47);
     let h = sim.handle();
     let fs = pfs_over_file(&h, &image, 65_536, None).expect("backing file");
-    let done = run_server_inner(&h, fs, cfg, f);
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
+    run_server_inner(&sim, fs, cfg, f);
     let _ = std::fs::remove_file(&image);
-    assert!(done.get(), "suite did not complete");
 }
 
-fn run_server_inner<F, Fut>(h: &Handle, fs: FileSystem, cfg: ServeConfig, f: F) -> Rc<Cell<bool>>
+fn run_server_inner<F, Fut>(sim: &Sim, fs: FileSystem, cfg: ServeConfig, f: F)
 where
     F: FnOnce(NfsServer) -> Fut + 'static,
     Fut: std::future::Future<Output = ()> + 'static,
 {
-    let done = Rc::new(Cell::new(false));
-    let done2 = done.clone();
-    h.spawn("serve-test", async move {
+    sim.block_on("serve-test", async move {
         fs.format().await.unwrap();
         f(NfsServer::with_config(fs.clone(), cfg)).await;
-        done2.set(true);
         fs.shutdown();
     });
-    done
 }
 
 fn status_of_reply(reply: &[u8]) -> u32 {

@@ -409,6 +409,34 @@ impl Sim {
         }
     }
 
+    /// How far a rig lets a simulation run: far beyond any workload, yet
+    /// short of [`SimTime::MAX`], so periodic daemons that outlive their
+    /// file system (a flush timer, say) end the run with
+    /// [`RunResult::TimeLimit`] instead of ticking forever.
+    pub const HORIZON: SimTime = SimTime::from_nanos(u64::MAX / 2);
+
+    /// Spawns `fut` as task `name`, runs until every task has finished
+    /// or [`Sim::HORIZON`] is reached, and returns the task's output —
+    /// the one way a rig or a test runs a simulation to completion.
+    /// Rigs with several top-level tasks spawn them and call
+    /// `run_until(Sim::HORIZON)` themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the task, if it has not finished when the run
+    /// stops (a deadlock, or a task still waiting at the horizon).
+    pub fn block_on<T: 'static>(&self, name: &str, fut: impl Future<Output = T> + 'static) -> T {
+        let out = Rc::new(RefCell::new(None));
+        let slot = out.clone();
+        self.handle().spawn(name, async move {
+            *slot.borrow_mut() = Some(fut.await);
+        });
+        let stopped = self.run_until(Self::HORIZON);
+        let value = out.borrow_mut().take();
+        value
+            .unwrap_or_else(|| panic!("task {name:?} did not finish: run stopped with {stopped:?}"))
+    }
+
     /// Runs for `d` of simulated time from the current instant.
     pub fn run_for(&self, d: SimDuration) -> RunResult {
         let limit = self.kernel.borrow().now + d;
@@ -913,6 +941,89 @@ mod tests {
         });
         assert_eq!(sim.run(), RunResult::Completed);
         assert_eq!(*log.borrow(), vec![9, 2, 0, 1]);
+    }
+
+    #[test]
+    fn block_on_returns_the_task_output() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        let got = sim.block_on("answer", async move {
+            h.sleep(SimDuration::from_millis(3)).await;
+            h.now().as_millis() * 14
+        });
+        assert_eq!(got, 42);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "task \"stuck-harness\" did not finish: run stopped with Deadlock")]
+    fn block_on_names_the_task_that_deadlocked() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        sim.block_on("stuck-harness", async move {
+            // Nobody ever signals: the run stops with this task blocked.
+            crate::Event::new(&h).wait().await;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "task \"sleeper\" did not finish: run stopped with TimeLimit")]
+    fn block_on_names_the_task_still_waiting_at_the_horizon() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        sim.block_on("sleeper", async move { h.sleep_until(SimTime::MAX).await });
+    }
+
+    /// `block_on` is the hand-rolled idiom it replaced, step for step:
+    /// same spawn point, same stop rule, so the seeded schedule, the
+    /// step count and the final clock are all equal.
+    #[test]
+    fn block_on_matches_the_hand_rolled_idiom_on_a_seeded_multi_task_sim() {
+        async fn body(h: Handle) -> Vec<u64> {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut joins = Vec::new();
+            for i in 0..12u64 {
+                let (h2, log) = (h.clone(), log.clone());
+                joins.push(h.spawn("worker", async move {
+                    h2.yield_now().await;
+                    h2.sleep(SimDuration::from_micros(h2.rand_range(1, 50))).await;
+                    log.borrow_mut().push(i);
+                }));
+            }
+            for j in joins {
+                j.await;
+            }
+            let v = log.borrow().clone();
+            v
+        }
+        // A daemon that outlives the body (waking about nine times in
+        // all): both runs end at the horizon.
+        fn daemon(h: &Handle) {
+            let h2 = h.clone();
+            h.spawn("daemon", async move {
+                loop {
+                    h2.sleep(SimDuration::from_secs(1_000_000_000)).await;
+                }
+            });
+        }
+        let by_hand = Sim::new(77);
+        let h = by_hand.handle();
+        daemon(&h);
+        let out = Rc::new(RefCell::new(None));
+        let out2 = out.clone();
+        let h2 = h.clone();
+        h.spawn("harness", async move {
+            *out2.borrow_mut() = Some(body(h2).await);
+        });
+        assert_eq!(by_hand.run_until(SimTime::from_nanos(u64::MAX / 2)), RunResult::TimeLimit);
+        let expected = out.borrow_mut().take().expect("hand-rolled harness finished");
+
+        let sim = Sim::new(77);
+        let h = sim.handle();
+        daemon(&h);
+        assert_eq!(sim.block_on("harness", body(h)), expected);
+        assert_eq!((sim.steps(), sim.now()), (by_hand.steps(), by_hand.now()));
+        assert_eq!(sim.now(), Sim::HORIZON);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! time and of the overall simulation." (§4)
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use cnp_core::{ClientFs, FileSystem, FsError};
@@ -90,10 +90,127 @@ struct ReplayState {
     ops: u64,
     errors: u64,
     error_sample: Vec<String>,
-    /// path → (acked size, last ack time); None when not tracking.
-    acked: Option<BTreeMap<String, (u64, u64)>>,
+}
+
+/// When a client dispatches its next operation — the only difference
+/// between the open-loop trace replay and the closed-loop runner.
+#[derive(Debug, Clone, Copy)]
+pub enum Pace {
+    /// At an absolute instant (trace time); late ops dispatch at once.
+    At(SimTime),
+    /// After a think time measured from the previous completion.
+    After(SimDuration),
+}
+
+/// One attempted operation, as [`ClientRun::drive`] reports it.
+pub struct Completion<'a> {
+    /// The operation.
+    pub op: &'a TraceOp,
+    /// Dispatch instant.
+    pub start: SimTime,
+    /// Dispatch-to-completion time.
+    pub latency: SimDuration,
+    /// What the abstract client interface answered.
+    pub result: Result<(), FsError>,
+}
+
+/// What every client of one run shares: the operation budget and the
+/// acknowledgement tracker. Both the trace replay and `cnp-workload`'s
+/// closed-loop runner spawn one task per client, each calling
+/// [`ClientRun::drive`], and fold the completions into their own report.
+pub struct ClientRun {
+    budget: Cell<u64>,
+    /// path → (acked size, last ack time); `None` when not tracking.
+    acked: RefCell<Option<BTreeMap<String, (u64, u64)>>>,
     /// Paths of failed destructive ops (indeterminate outcome).
-    indeterminate: std::collections::BTreeSet<String>,
+    indeterminate: RefCell<BTreeSet<String>>,
+}
+
+impl ClientRun {
+    /// A run cut after `max_ops` attempted operations (all clients
+    /// together), tracking acknowledged file sizes if `track_acks`.
+    pub fn new(max_ops: Option<u64>, track_acks: bool) -> ClientRun {
+        ClientRun {
+            budget: Cell::new(max_ops.unwrap_or(u64::MAX)),
+            acked: RefCell::new(track_acks.then(BTreeMap::new)),
+            indeterminate: RefCell::new(BTreeSet::new()),
+        }
+    }
+
+    /// The client loop: for each op wait out its pacing, take one unit
+    /// of the budget (returning when it is spent — the crash cut
+    /// point), apply the op through `fs`, record what was acknowledged,
+    /// and hand the completion to `fold`.
+    pub async fn drive<'a>(
+        &self,
+        h: &Handle,
+        fs: &ClientFs,
+        ops: impl IntoIterator<Item = (Pace, &'a TraceOp)>,
+        mut fold: impl FnMut(Completion<'a>),
+    ) {
+        // Per-client open-file table (path → ino).
+        let mut open: HashMap<String, Ino> = HashMap::new();
+        for (pace, op) in ops {
+            match pace {
+                Pace::At(due) if h.now() < due => h.sleep_until(due).await,
+                Pace::After(think) if !think.is_zero() => h.sleep(think).await,
+                _ => {}
+            }
+            let remaining = self.budget.get();
+            if remaining == 0 {
+                return;
+            }
+            self.budget.set(remaining - 1);
+            let start = h.now();
+            let result = apply_op(fs, op, &mut open).await;
+            let now = h.now();
+            self.track(op, result.is_ok(), now.as_nanos());
+            fold(Completion { op, start, latency: now - start, result });
+        }
+    }
+
+    fn track(&self, op: &TraceOp, ok: bool, now_ns: u64) {
+        if !ok {
+            // A failed delete/truncate leaves the file's durable state
+            // indeterminate (the op may have partially persisted
+            // without ever being acknowledged).
+            if matches!(op, TraceOp::Delete { .. } | TraceOp::Truncate { .. }) {
+                self.indeterminate.borrow_mut().insert(op.path().to_string());
+            }
+            return;
+        }
+        let mut acked = self.acked.borrow_mut();
+        let Some(acked) = acked.as_mut() else { return };
+        match op {
+            TraceOp::Write { path, offset, len } => {
+                let e = acked.entry(path.clone()).or_insert((0, now_ns));
+                e.0 = e.0.max(offset + len);
+                e.1 = now_ns;
+            }
+            TraceOp::Truncate { path, size } => {
+                let e = acked.entry(path.clone()).or_insert((0, now_ns));
+                e.0 = *size;
+                e.1 = now_ns;
+            }
+            TraceOp::Delete { path } => {
+                acked.remove(path);
+            }
+            _ => {}
+        }
+    }
+
+    /// The acknowledged per-file state and the (sorted) indeterminate
+    /// paths, once every client is done.
+    pub fn finish(self) -> (Vec<AckedFile>, Vec<String>) {
+        let acked = self
+            .acked
+            .into_inner()
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(path, (size, last_ack_ns))| AckedFile { path, size, last_ack_ns })
+            .collect();
+        (acked, self.indeterminate.into_inner().into_iter().collect())
+    }
 }
 
 /// Replays a trace against a file system; resolves when every client
@@ -122,26 +239,25 @@ pub async fn replay_with(
         ops: 0,
         errors: 0,
         error_sample: Vec::new(),
-        acked: if opts.track_acks { Some(BTreeMap::new()) } else { None },
-        indeterminate: std::collections::BTreeSet::new(),
     }));
-    let budget = Rc::new(Cell::new(opts.max_ops.unwrap_or(u64::MAX)));
+    let run = Rc::new(ClientRun::new(opts.max_ops, opts.track_acks));
     // Split records per client, preserving order. A BTreeMap keeps the
     // spawn order deterministic (replayability of the whole simulation).
-    let mut per_client: std::collections::BTreeMap<u32, Vec<TraceRecord>> =
-        std::collections::BTreeMap::new();
+    let mut per_client: BTreeMap<u32, Vec<TraceRecord>> = BTreeMap::new();
     for r in records {
         per_client.entry(r.client).or_default().push(r);
     }
     let mut handles = Vec::new();
     let epoch = handle.now();
     for (client, recs) in per_client {
-        let fs = fs.clone();
+        let cfs = fs.client(client);
         let h = handle.clone();
         let state = state.clone();
-        let budget = budget.clone();
+        let run = run.clone();
         handles.push(handle.spawn(&format!("client{client}"), async move {
-            client_thread(h, fs, recs, state, budget, epoch).await;
+            let ops =
+                recs.iter().map(|r| (Pace::At(epoch + SimDuration::from_nanos(r.time_ns)), &r.op));
+            run.drive(&h, &cfs, ops, |done| state.borrow_mut().fold(done)).await;
         }));
     }
     for jh in handles {
@@ -149,12 +265,7 @@ pub async fn replay_with(
     }
     let end = handle.now();
     let st = Rc::try_unwrap(state).ok().expect("clients done").into_inner();
-    let acked = st
-        .acked
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(path, (size, last_ack_ns))| AckedFile { path, size, last_ack_ns })
-        .collect();
+    let (acked, indeterminate) = Rc::try_unwrap(run).ok().expect("clients done").finish();
     ReplayReport {
         latency: st.latency,
         read_latency: st.read_latency,
@@ -164,78 +275,28 @@ pub async fn replay_with(
         errors: st.errors,
         error_sample: st.error_sample,
         acked,
-        indeterminate: st.indeterminate.into_iter().collect(),
+        indeterminate,
     }
 }
 
-async fn client_thread(
-    h: Handle,
-    fs: FileSystem,
-    recs: Vec<TraceRecord>,
-    state: Rc<RefCell<ReplayState>>,
-    budget: Rc<Cell<u64>>,
-    epoch: SimTime,
-) {
-    // Per-client open-file table (path → ino).
-    let mut open: HashMap<String, Ino> = HashMap::new();
-    let client_id = recs.first().map(|r| r.client).unwrap_or(0);
-    let cfs = fs.client(client_id);
-    for rec in recs {
-        let due = epoch + SimDuration::from_nanos(rec.time_ns);
-        if h.now() < due {
-            h.sleep_until(due).await;
-        }
-        // Operation budget: the crash cut point.
-        let remaining = budget.get();
-        if remaining == 0 {
-            return;
-        }
-        budget.set(remaining - 1);
-        let t0 = h.now();
-        let result = apply_op(&cfs, &rec.op, &mut open).await;
-        let latency = h.now() - t0;
-        let mut st = state.borrow_mut();
-        match result {
+impl ReplayState {
+    fn fold(&mut self, done: Completion<'_>) {
+        match done.result {
             Ok(()) => {
-                st.ops += 1;
-                let ms = latency.as_millis_f64();
-                st.latency.record(ms);
-                st.intervals.record(t0, ms);
-                match rec.op {
-                    TraceOp::Read { .. } => st.read_latency.record(ms),
-                    TraceOp::Write { .. } => st.write_latency.record(ms),
+                self.ops += 1;
+                let ms = done.latency.as_millis_f64();
+                self.latency.record(ms);
+                self.intervals.record(done.start, ms);
+                match done.op {
+                    TraceOp::Read { .. } => self.read_latency.record(ms),
+                    TraceOp::Write { .. } => self.write_latency.record(ms),
                     _ => {}
-                }
-                if let Some(acked) = st.acked.as_mut() {
-                    let now_ns = h.now().as_nanos();
-                    match &rec.op {
-                        TraceOp::Write { path, offset, len } => {
-                            let e = acked.entry(path.clone()).or_insert((0, now_ns));
-                            e.0 = e.0.max(offset + len);
-                            e.1 = now_ns;
-                        }
-                        TraceOp::Truncate { path, size } => {
-                            let e = acked.entry(path.clone()).or_insert((0, now_ns));
-                            e.0 = *size;
-                            e.1 = now_ns;
-                        }
-                        TraceOp::Delete { path } => {
-                            acked.remove(path);
-                        }
-                        _ => {}
-                    }
                 }
             }
             Err(e) => {
-                st.errors += 1;
-                if st.error_sample.len() < 5 {
-                    st.error_sample.push(format!("{e} on {:?}", rec.op.mnemonic()));
-                }
-                // A failed delete/truncate leaves the file's durable
-                // state indeterminate (the op may have partially
-                // persisted without ever being acknowledged).
-                if matches!(rec.op, TraceOp::Delete { .. } | TraceOp::Truncate { .. }) {
-                    st.indeterminate.insert(rec.op.path().to_string());
+                self.errors += 1;
+                if self.error_sample.len() < 5 {
+                    self.error_sample.push(format!("{e} on {:?}", done.op.mnemonic()));
                 }
             }
         }
@@ -248,7 +309,7 @@ async fn client_thread(
 /// other clients (create-exists, stat-after-delete) count as served —
 /// the shared vocabulary of the replay engine and the closed-loop
 /// workload runner (`cnp-workload`).
-pub async fn apply_op(
+async fn apply_op(
     fs: &ClientFs,
     op: &TraceOp,
     open: &mut HashMap<String, Ino>,

@@ -16,15 +16,14 @@
 //! slow system is offered less load — the feedback that makes
 //! throughput-vs-clients curves meaningful.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cnp_core::FileSystem;
-use cnp_layout::Ino;
 use cnp_obs::Histogram;
 use cnp_sim::{Handle, SimDuration};
-use cnp_trace::{apply_op, AckedFile, TraceOp};
+use cnp_trace::{AckedFile, ClientRun, Completion, Pace};
 
 use crate::scenario::Scenario;
 
@@ -74,6 +73,10 @@ pub struct WorkloadReport {
     pub makespan: SimDuration,
     /// Acknowledged per-file state ([`RunOptions::track_acks`]).
     pub acked: Vec<AckedFile>,
+    /// Paths whose delete or truncate failed: their durable state is
+    /// indeterminate, so crash oracles must not judge them against
+    /// `acked` (see `cnp_trace::ReplayReport::indeterminate`).
+    pub indeterminate: Vec<String>,
 }
 
 impl WorkloadReport {
@@ -119,8 +122,6 @@ struct RunState {
     latency: Histogram,
     errors: u64,
     error_sample: Vec<String>,
-    /// path → (acked size, last ack ns); `None` when not tracking.
-    acked: Option<BTreeMap<String, (u64, u64)>>,
 }
 
 /// Runs every client program of `scenario` against the shared engine;
@@ -141,16 +142,15 @@ pub async fn run_clients(
         latency: Histogram::latency_default(),
         errors: 0,
         error_sample: Vec::new(),
-        acked: if opts.track_acks { Some(BTreeMap::new()) } else { None },
     }));
-    let budget = Rc::new(Cell::new(opts.max_ops.unwrap_or(u64::MAX)));
+    let run = Rc::new(ClientRun::new(opts.max_ops, opts.track_acks));
     let start = handle.now();
     let mut handles = Vec::new();
     for plan in &scenario.plans {
         let fs = fs.clone();
         let h = handle.clone();
         let state = state.clone();
-        let budget = budget.clone();
+        let run = run.clone();
         let plan = plan.clone();
         let history = opts.history.clone();
         handles.push(handle.spawn(&format!("wl-client{}", plan.client), async move {
@@ -158,64 +158,11 @@ pub async fn run_clients(
                 Some(log) => fs.client(plan.client).with_history(log),
                 None => fs.client(plan.client),
             };
-            let mut open: HashMap<String, Ino> = HashMap::new();
-            for cop in &plan.ops {
-                if cop.think_ns > 0 {
-                    h.sleep(SimDuration::from_nanos(cop.think_ns)).await;
-                }
-                // Op budget: the crash cut point.
-                let remaining = budget.get();
-                if remaining == 0 {
-                    return;
-                }
-                budget.set(remaining - 1);
-                let t0 = h.now();
-                let result = apply_op(&cfs, &cop.op, &mut open).await;
-                let latency = h.now() - t0;
-                let mut st = state.borrow_mut();
-                let entry = st
-                    .per_client
-                    .get_mut(&plan.client)
-                    .expect("per_client rows are pre-populated for every plan");
-                match result {
-                    Ok(()) => {
-                        let ms = latency.as_millis_f64();
-                        entry.0.record(ms);
-                        entry.1 += 1;
-                        st.latency.record(ms);
-                        if let Some(acked) = st.acked.as_mut() {
-                            let now_ns = h.now().as_nanos();
-                            match &cop.op {
-                                TraceOp::Write { path, offset, len } => {
-                                    let e = acked.entry(path.clone()).or_insert((0, now_ns));
-                                    e.0 = e.0.max(offset + len);
-                                    e.1 = now_ns;
-                                }
-                                TraceOp::Truncate { path, size } => {
-                                    let e = acked.entry(path.clone()).or_insert((0, now_ns));
-                                    e.0 = *size;
-                                    e.1 = now_ns;
-                                }
-                                TraceOp::Delete { path } => {
-                                    acked.remove(path);
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        entry.2 += 1;
-                        st.errors += 1;
-                        if st.error_sample.len() < 5 {
-                            st.error_sample.push(format!(
-                                "client {}: {e} on {}",
-                                plan.client,
-                                cop.op.mnemonic()
-                            ));
-                        }
-                    }
-                }
-            }
+            let ops = plan
+                .ops
+                .iter()
+                .map(|cop| (Pace::After(SimDuration::from_nanos(cop.think_ns)), &cop.op));
+            run.drive(&h, &cfs, ops, |done| state.borrow_mut().fold(plan.client, done)).await;
         }));
     }
     for jh in handles {
@@ -236,12 +183,7 @@ pub async fn run_clients(
         })
         .collect();
     let (ops, errors) = per_client.iter().fold((0, 0), |(o, e), c| (o + c.ops, e + c.errors));
-    let acked = st
-        .acked
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(path, (size, last_ack_ns))| AckedFile { path, size, last_ack_ns })
-        .collect();
+    let (acked, indeterminate) = Rc::try_unwrap(run).ok().expect("clients done").finish();
     WorkloadReport {
         per_client,
         latency: st.latency,
@@ -250,6 +192,32 @@ pub async fn run_clients(
         error_sample: st.error_sample,
         makespan,
         acked,
+        indeterminate,
+    }
+}
+
+impl RunState {
+    fn fold(&mut self, client: u32, done: Completion<'_>) {
+        let entry = self
+            .per_client
+            .get_mut(&client)
+            .expect("per_client rows are pre-populated for every plan");
+        match done.result {
+            Ok(()) => {
+                let ms = done.latency.as_millis_f64();
+                entry.0.record(ms);
+                entry.1 += 1;
+                self.latency.record(ms);
+            }
+            Err(e) => {
+                entry.2 += 1;
+                self.errors += 1;
+                if self.error_sample.len() < 5 {
+                    self.error_sample
+                        .push(format!("client {client}: {e} on {}", done.op.mnemonic()));
+                }
+            }
+        }
     }
 }
 
@@ -260,7 +228,7 @@ mod tests {
     use cnp_core::{DataMode, FsConfig};
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
     use cnp_layout::{Layout, LfsLayout, LfsParams};
-    use cnp_sim::{Sim, SimTime};
+    use cnp_sim::Sim;
 
     fn run_scenario(kind: WorkloadKind, clients: u32, seed: u64) -> (WorkloadReport, u64) {
         let sim = Sim::new(seed);
@@ -272,19 +240,14 @@ mod tests {
             layout,
             FsConfig { data_mode: DataMode::Simulated, queue_depth: 8, ..FsConfig::default() },
         );
-        let out: Rc<RefCell<Option<WorkloadReport>>> = Rc::new(RefCell::new(None));
-        let out2 = out.clone();
-        let h2 = h.clone();
-        h.spawn("harness", async move {
+        let report = sim.block_on("harness", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(kind, clients, seed, 0.005);
-            let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
+            let report = run_clients(&h, &fs, &scenario, RunOptions::default()).await;
             fs.sync().await.unwrap();
-            *out2.borrow_mut() = Some(report);
             fs.shutdown();
+            report
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        let report = out.borrow_mut().take().expect("run did not finish");
         let end = sim.now().as_nanos();
         (report, end)
     }
@@ -322,19 +285,14 @@ mod tests {
             layout,
             FsConfig { data_mode: DataMode::Simulated, ..FsConfig::default() },
         );
-        let out: Rc<RefCell<Option<WorkloadReport>>> = Rc::new(RefCell::new(None));
-        let out2 = out.clone();
-        let h2 = h.clone();
-        h.spawn("harness", async move {
+        let report = sim.block_on("harness", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(WorkloadKind::Zipf, 2, 5, 0.005);
             let opts = RunOptions { max_ops: Some(20), track_acks: true, history: None };
-            let report = run_clients(&h2, &fs, &scenario, opts).await;
-            *out2.borrow_mut() = Some(report);
+            let report = run_clients(&h, &fs, &scenario, opts).await;
             fs.shutdown();
+            report
         });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        let report = out.borrow_mut().take().expect("cut run did not finish");
         assert!(report.ops <= 20, "budget must bound attempts: {}", report.ops);
         assert!(report.ops < full);
         assert!(!report.acked.is_empty(), "acked writes must be tracked at the cut");

@@ -8,7 +8,7 @@ use cut_and_paste::check::{
     CheckOptions, HistoryCheckConfig, LinConfig, PolicySpec,
 };
 use cut_and_paste::fault::LayoutKind;
-use cut_and_paste::patsy::check::{format_check_json, CheckCliConfig};
+use cut_and_paste::patsy::check::format_check_json;
 use cut_and_paste::trace::TraceOp;
 use cut_and_paste::workload::{Scenario, WorkloadKind};
 
@@ -18,24 +18,6 @@ fn cfg(budget: usize) -> CheckConfig {
     cfg.queue_depth = 8;
     cfg.seed = 777;
     cfg
-}
-
-fn cli_cfg() -> CheckCliConfig {
-    CheckCliConfig {
-        trace: "zipf".to_string(),
-        budget: 40,
-        seed: 777,
-        scale: 0.002,
-        layout: None,
-        policy: None,
-        queue_depth: 8,
-        workload: WorkloadKind::Zipf,
-        clients: 2,
-        repro_out: None,
-        json: true,
-        threads: 1,
-        cache_file: None,
-    }
 }
 
 /// The satellite contract: `--threads {1, 4, 8}` produce the same
@@ -56,8 +38,7 @@ fn report_bytes_are_identical_at_threads_1_4_and_8() {
         lin: LinConfig::default(),
     };
     let lin = run_history_check(&lin_cfg);
-    let cli = cli_cfg();
-    let json = format_check_json(&cli, &serial, &lin);
+    let json = format_check_json(&base, &serial, &lin_cfg, &lin);
     for threads in [4, 8] {
         let report = run_check_with(&base, CheckOptions { threads, cache: None, progress: None });
         assert_eq!(
@@ -66,7 +47,7 @@ fn report_bytes_are_identical_at_threads_1_4_and_8() {
             "text report must not depend on --threads {threads}"
         );
         assert_eq!(
-            format_check_json(&cli, &report, &lin),
+            format_check_json(&base, &report, &lin_cfg, &lin),
             json,
             "JSON report must not depend on --threads {threads}"
         );

@@ -1,15 +1,12 @@
 //! Cross-crate integration tests: full stack (engine → cache → layout →
 //! driver → bus → disk model) on virtual time.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use cut_and_paste::cache::CacheConfig;
 use cut_and_paste::core::{DataMode, FileSystem, FlushMode, FsConfig};
 use cut_and_paste::disk::{sim_disk_driver, CLook, FaultPlan, Hardware, Hp97560};
 use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
-use cut_and_paste::sim::{Sim, SimTime};
+use cut_and_paste::sim::Sim;
 use cut_and_paste::trace::{replay, trace_1a, SyntheticSprite};
 
 fn lfs_fs(h: &cut_and_paste::sim::Handle, cfg: FsConfig) -> FileSystem {
@@ -25,15 +22,7 @@ where
 {
     let sim = Sim::new(seed);
     let h = sim.handle();
-    let done = Rc::new(Cell::new(false));
-    let done2 = done.clone();
-    let h2 = h.clone();
-    h.spawn("test", async move {
-        f(h2).await;
-        done2.set(true);
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    assert!(done.get(), "test body did not complete");
+    sim.block_on("test", async move { f(h).await });
 }
 
 /// Determinism audit regression: two seeded runs must produce
@@ -59,20 +48,16 @@ fn seeded_runs_produce_byte_identical_platters_per_layout() {
         };
         let Stack { fs, disks, .. } =
             Stack::build(&h, "det0", layout, &Hardware::default(), cfg, FaultPlan::default());
-        let out: Rc<Cell<Option<cut_and_paste::disk::DiskImage>>> = Rc::new(Cell::new(None));
-        let out2 = out.clone();
-        let h2 = h.clone();
-        h.spawn("det", async move {
+        sim.block_on("det", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(WorkloadKind::Mail, 3, 909, 0.004);
-            let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
+            let report = run_clients(&h, &fs, &scenario, RunOptions::default()).await;
             assert_eq!(report.errors, 0, "{:?}", report.error_sample);
             fs.unmount().await.unwrap();
-            out2.set(Some(disks[0].platter_image()));
+            let image = disks[0].platter_image();
             fs.shutdown();
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        out.take().expect("determinism run did not finish")
+            image
+        })
     }
 
     for kind in [LayoutKind::Lfs, LayoutKind::Ffs] {
@@ -107,18 +92,14 @@ fn same_workload_same_seed_is_deterministic() {
         let sim = Sim::new(77);
         let h = sim.handle();
         let fs = lfs_fs(&h, FsConfig { data_mode: DataMode::Simulated, ..FsConfig::default() });
-        let out = Rc::new(Cell::new((0u64, 0u64)));
-        let out2 = out.clone();
-        let h2 = h.clone();
-        h.spawn("t", async move {
+        sim.block_on("t", async move {
             fs.format().await.unwrap();
             let records = SyntheticSprite::new(trace_1a(), 5).generate(0.001);
-            let report = replay(&h2, &fs, records).await;
-            out2.set((report.ops, h2.now().as_nanos()));
+            let report = replay(&h, &fs, records).await;
+            let out = (report.ops, h.now().as_nanos());
             fs.shutdown();
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        out.get()
+            out
+        })
     }
     let a = once();
     let b = once();
@@ -401,21 +382,16 @@ fn sharded_256_client_runs_are_byte_identical() {
         let (kind, hw) = (LayoutKind::Lfs, Hardware::default());
         let Stack { fs, disks, .. } =
             Stack::build(&h, "sh256", kind, &hw, cfg, FaultPlan::default());
-        type RunOut = (cut_and_paste::disk::DiskImage, u64, u64);
-        let out: Rc<Cell<Option<RunOut>>> = Rc::new(Cell::new(None));
-        let out2 = out.clone();
-        let h2 = h.clone();
-        h.spawn("sh256", async move {
+        sim.block_on("sh256", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(WorkloadKind::Zipf, 256, 4242, 0.001);
-            let report = run_clients(&h2, &fs, &scenario, RunOptions::default()).await;
+            let report = run_clients(&h, &fs, &scenario, RunOptions::default()).await;
             assert_eq!(report.errors, 0, "{:?}", report.error_sample);
             fs.unmount().await.unwrap();
-            out2.set(Some((disks[0].platter_image(), report.ops, report.makespan.as_nanos())));
+            let out = (disks[0].platter_image(), report.ops, report.makespan.as_nanos());
             fs.shutdown();
-        });
-        sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-        out.take().expect("256-client sharded run did not finish")
+            out
+        })
     }
 
     let (image_a, ops_a, lat_a) = run_once();
@@ -544,11 +520,73 @@ fn multi_client_crash_cycle(hw: Hardware) {
             outcome.post.violations
         );
         replay_nvram(&fs2, &state.nvram).await.expect("nvram replay");
-        let loss = measure_loss(&fs2, &report.acked, state.cut_at).await;
+        // A file whose delete or truncate failed has no acknowledged
+        // state to judge (as the checker's cells treat it).
+        let mut acked = report.acked;
+        acked.retain(|a| !report.indeterminate.contains(&a.path));
+        let loss = measure_loss(&fs2, &acked, state.cut_at).await;
         assert_eq!(loss.lost_files, 0, "no client's acked file may vanish: {loss:?}");
         assert_eq!(loss.lost_bytes, 0, "no client's acked write may be lost: {loss:?}");
         fs2.shutdown();
     });
+}
+
+/// A truncate that fails because the disk died under it was never
+/// acknowledged, yet may have partly persisted: the open-loop replay
+/// and the closed-loop runner share one ack tracker, so both must
+/// report the path as indeterminate (and keep its earlier acked write).
+#[test]
+fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
+    use cut_and_paste::sim::{SimDuration, SimTime};
+    use cut_and_paste::trace::{replay_with, ReplayOptions, TraceOp};
+    use cut_and_paste::workload::{
+        run_clients, ClientOp, ClientPlan, RunOptions, Scenario, WorkloadKind,
+    };
+
+    let op = |think_s: u64, op: TraceOp| ClientOp { think_ns: think_s * 1_000_000_000, op };
+    let victim = || "/victim".to_string();
+    let ops = vec![
+        op(0, TraceOp::Write { path: victim(), offset: 0, len: 8192 }),
+        op(0, TraceOp::Close { path: victim() }),
+        // Three log segments of filler through an eight-block cache push
+        // the root directory out of memory and onto the platter, so the
+        // truncate's path walk must read the disk.
+        op(0, TraceOp::Write { path: "/filler".to_string(), offset: 0, len: 384 * 4096 }),
+        // The disk dies at 30 s; the truncate arrives at 60 s.
+        op(60, TraceOp::Truncate { path: victim(), size: 0 }),
+    ];
+    let scenario =
+        Scenario { kind: WorkloadKind::Zipf, seed: 0, plans: vec![ClientPlan { client: 0, ops }] };
+
+    for closed_loop in [false, true] {
+        let scenario = scenario.clone();
+        run_to_completion(5, move |h| async move {
+            let cfg = FsConfig {
+                cache: CacheConfig { block_size: 4096, mem_bytes: 8 * 4096, nvram_bytes: None },
+                data_mode: DataMode::Simulated,
+                ..FsConfig::default()
+            };
+            let cut = SimTime::ZERO + SimDuration::from_secs(30);
+            let plan = FaultPlan { power_cut_at: Some(cut), ..FaultPlan::default() };
+            let hw = Hardware::default();
+            let fs = Stack::build(&h, "dead0", LayoutKind::Lfs, &hw, cfg, plan).fs;
+            fs.format().await.unwrap();
+            let (errors, acked, indeterminate) = if closed_loop {
+                let opts = RunOptions { track_acks: true, ..RunOptions::default() };
+                let r = run_clients(&h, &fs, &scenario, opts).await;
+                (r.errors, r.acked, r.indeterminate)
+            } else {
+                let opts = ReplayOptions { max_ops: None, track_acks: true };
+                let r = replay_with(&h, &fs, scenario.to_trace_records(), opts).await;
+                (r.errors, r.acked, r.indeterminate)
+            };
+            assert_eq!(errors, 1, "closed loop {closed_loop}: only the truncate fails");
+            assert_eq!(indeterminate, ["/victim"], "closed loop {closed_loop}");
+            let victim = acked.iter().find(|a| a.path == "/victim").expect("the write was acked");
+            assert_eq!(victim.size, 8192, "the unacknowledged truncate must not move the size");
+            fs.shutdown();
+        });
+    }
 }
 
 #[test]

@@ -116,39 +116,25 @@ fn check_json_is_pinned_at_budget_12() {
 
 /// `patsy check --trace 1a --budget <budget> --seed 42 --qd 8 --json`
 /// without the process: enumeration, history leg, JSON summary.
-fn check_json(budget: u32) -> String {
+fn check_json(budget: usize) -> String {
     use cut_and_paste::check::{
         run_check, run_history_check, CheckConfig, HistoryCheckConfig, LinConfig,
     };
     use cut_and_paste::trace::SyntheticSprite;
-    let cli = patsy::check::CheckCliConfig {
-        trace: "1a".to_string(),
-        budget,
+    let records = SyntheticSprite::new(trace_1a(), 42 ^ 0xabcd).generate(0.002);
+    let mut check = CheckConfig::new(records, "1a", budget);
+    check.queue_depth = 8;
+    check.seed = 42;
+    let report = run_check(&check);
+    let lin_cfg = HistoryCheckConfig {
+        kind: WorkloadKind::Zipf,
+        clients: 4,
         seed: 42,
         scale: 0.002,
-        layout: None,
-        policy: None,
-        queue_depth: 8,
-        workload: WorkloadKind::Zipf,
-        clients: 4,
-        repro_out: None,
-        json: true,
-        threads: 1,
-        cache_file: None,
-    };
-    let records = SyntheticSprite::new(trace_1a(), cli.seed ^ 0xabcd).generate(cli.scale);
-    let mut check = CheckConfig::new(records, &cli.trace, budget as usize);
-    check.queue_depth = cli.queue_depth;
-    check.seed = cli.seed;
-    let report = run_check(&check);
-    let lin = run_history_check(&HistoryCheckConfig {
-        kind: cli.workload,
-        clients: cli.clients,
-        seed: cli.seed,
-        scale: cli.scale,
         layout: LayoutKind::Lfs,
-        queue_depth: cli.queue_depth,
+        queue_depth: 8,
         lin: LinConfig::default(),
-    });
-    patsy::check::format_check_json(&cli, &report, &lin)
+    };
+    let lin = run_history_check(&lin_cfg);
+    patsy::check::format_check_json(&check, &report, &lin_cfg, &lin)
 }

@@ -2,9 +2,6 @@
 
 use proptest::prelude::*;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use cut_and_paste::cache::{BlockCache, BlockKey, CacheConfig, FileId, Lru, Reserve, WriteSaving};
 use cut_and_paste::core::{DataMode, FileSystem, FsConfig};
 use cut_and_paste::disk::{
@@ -39,15 +36,7 @@ where
 {
     let sim = Sim::new(seed);
     let h = sim.handle();
-    let done = Rc::new(Cell::new(false));
-    let done2 = done.clone();
-    let h2 = h.clone();
-    h.spawn("prop", async move {
-        f(h2).await;
-        done2.set(true);
-    });
-    sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-    assert!(done.get(), "sim body did not complete");
+    sim.block_on("prop", async move { f(h).await });
 }
 
 /// Recovers an LFS from a disk image; returns a logical digest (sorted
@@ -372,8 +361,6 @@ proptest! {
             queue_depth: u32,
             kind: LayoutKind,
         ) -> OracleOutcome {
-            let out: Rc<Cell<Option<OracleOutcome>>> = Rc::new(Cell::new(None));
-            let out2 = out.clone();
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
@@ -386,7 +373,7 @@ proptest! {
             let Stack { fs, disks, .. } =
                 Stack::build(&h, "o0", kind, &hw, cfg, plan);
             let disk = disks[0].clone();
-            h.spawn("oracle", async move {
+            sim.block_on("oracle", async move {
                 fs.format().await.unwrap();
                 let mut inos = Vec::new();
                 for i in 0..3u64 {
@@ -409,10 +396,8 @@ proptest! {
                 fs.unmount().await.unwrap();
                 let image = disk.platter_image();
                 fs.shutdown();
-                out2.set(Some((contents, image)));
-            });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            out.take().expect("oracle run did not complete")
+                (contents, image)
+            })
         }
         for kind in [LayoutKind::Lfs, LayoutKind::Ffs] {
             let (serial, image_a) = run_once(seed, &ops, 1, kind);
@@ -446,8 +431,6 @@ proptest! {
             queue_depth: u32,
             shards: u32,
         ) -> ShardOutcome {
-            let out: Rc<Cell<Option<ShardOutcome>>> = Rc::new(Cell::new(None));
-            let out2 = out.clone();
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
@@ -461,7 +444,7 @@ proptest! {
             let Stack { fs, disks, .. } =
                 Stack::build(&h, "sh0", LayoutKind::Lfs, &hw, cfg, plan);
             let disk = disks[0].clone();
-            h.spawn("shard-oracle", async move {
+            sim.block_on("shard-oracle", async move {
                 fs.format().await.unwrap();
                 let mut inos = Vec::new();
                 for i in 0..3u64 {
@@ -484,10 +467,8 @@ proptest! {
                 fs.unmount().await.unwrap();
                 let image = disk.platter_image();
                 fs.shutdown();
-                out2.set(Some((contents, image)));
-            });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            out.take().expect("sharded oracle run did not complete")
+                (contents, image)
+            })
         }
         for qd in qd_matrix() {
             let (contents_1, image_1) = run_once(seed, &ops, qd, 1);
@@ -626,17 +607,14 @@ proptest! {
             let layout = kind.build(&h, driver);
             let cfg = FsConfig { data_mode: DataMode::Real, queue_depth, ..FsConfig::default() };
             let fs = FileSystem::new(&h, layout, cfg);
-            let done = Rc::new(Cell::new(false));
-            let done2 = done.clone();
             let programs = programs.to_vec();
-            let h2 = h.clone();
-            h.spawn("differential", async move {
+            sim.block_on("differential", async move {
                 fs.format().await.unwrap();
                 let mut handles = Vec::new();
                 for (c, prog) in programs.into_iter().enumerate() {
-                    let h3 = h2.clone();
+                    let h3 = h.clone();
                     let fs2 = fs.clone();
-                    handles.push(h2.spawn(&format!("dc{c}"), async move {
+                    handles.push(h.spawn(&format!("dc{c}"), async move {
                         client_program(h3, fs2, c, prog).await;
                     }));
                 }
@@ -644,11 +622,8 @@ proptest! {
                     jh.await;
                 }
                 fs.sync().await.unwrap();
-                done2.set(true);
                 fs.shutdown();
             });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            assert!(done.get(), "differential run did not complete");
         }
 
         for kind in [LayoutKind::Lfs, LayoutKind::Ffs] {
@@ -738,8 +713,6 @@ proptest! {
         ) -> TraceOutcome {
             let tracer = cut_and_paste::obs::trace::Tracer::default();
             let guard = traced.then(|| cut_and_paste::obs::trace::install(&tracer));
-            let out: Rc<Cell<Option<cut_and_paste::disk::DiskImage>>> = Rc::new(Cell::new(None));
-            let out2 = out.clone();
             let ops = ops.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
@@ -752,7 +725,7 @@ proptest! {
             let Stack { fs, disks, .. } =
                 Stack::build(&h, "t0", LayoutKind::Lfs, &hw, cfg, plan);
             let disk = disks[0].clone();
-            h.spawn("traced", async move {
+            let image = sim.block_on("traced", async move {
                 fs.format().await.unwrap();
                 // Through the per-client handle so op spans open.
                 let cfs = fs.client(0);
@@ -772,10 +745,8 @@ proptest! {
                 fs.unmount().await.unwrap();
                 let image = disk.platter_image();
                 fs.shutdown();
-                out2.set(Some(image));
+                image
             });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            let image = out.take().expect("traced run did not complete");
             drop(guard);
             let json = if traced {
                 cut_and_paste::obs::chrome::to_chrome_json(&tracer)
@@ -889,10 +860,6 @@ proptest! {
         writes in prop::collection::vec((0u64..2_000, 1u32..40), 1..10),
     ) {
         fn run_once(seed: u64, writes: &[(u64, u32)], disks: Option<u32>) -> Vec<Vec<u8>> {
-            let out: Rc<std::cell::RefCell<Vec<Vec<u8>>>> =
-                Rc::new(std::cell::RefCell::new(Vec::new()));
-            let out2 = out.clone();
-            let want = writes.len();
             let writes = writes.to_vec();
             let sim = Sim::new(seed);
             let h = sim.handle();
@@ -904,7 +871,7 @@ proptest! {
                     striped_sim_disk_driver(&h, "sp0", models, Box::new(CLook), 16)
                 }
             };
-            h.spawn("stripe-prop", async move {
+            sim.block_on("stripe-prop", async move {
                 for (i, (lba, sectors)) in writes.iter().enumerate() {
                     let tag = ((i * 17 + 3) % 251) as u8;
                     let bytes: Vec<u8> =
@@ -914,24 +881,22 @@ proptest! {
                         .await
                         .expect("write");
                 }
+                let mut read_back = Vec::new();
                 for (lba, sectors) in &writes {
                     let (payload, _timing) = driver
                         .submit(IoOp::Read, *lba, *sectors, Payload::Simulated(0))
                         .await
                         .expect("read");
                     match payload {
-                        Payload::Data(d) => out2.borrow_mut().push(d),
+                        Payload::Data(d) => read_back.push(d),
                         Payload::Simulated(_) => {
                             panic!("data-storing disk returned simulated bytes")
                         }
                     }
                 }
                 driver.shutdown();
-            });
-            sim.run_until(SimTime::from_nanos(u64::MAX / 2));
-            let v = out.borrow().clone();
-            assert_eq!(v.len(), want, "stripe run did not complete");
-            v
+                read_back
+            })
         }
         let single = run_once(seed, &writes, None);
         for n in [1u32, 2, 8] {
