@@ -16,6 +16,7 @@
 // lint.
 #![allow(clippy::await_holding_refcell_ref)]
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -553,8 +554,8 @@ impl FileSystem {
         let sp = self.s.handle.trace_span("lock:ns");
         let _ns = self.s.ns_lock.lock(dir_ino.0).await;
         self.s.handle.trace_exit(sp);
-        let mut entries = self.read_dir_entries(dir_ino).await?;
-        if dir::find(&entries, &name).is_some() {
+        let mut bytes = self.read_dir_bytes(dir_ino).await?;
+        if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
@@ -576,8 +577,8 @@ impl FileSystem {
             self.s.handle.trace_exit(sp);
             g.get_mut().put_inode(&inode).await?;
         }
-        dir::add_entry(&mut entries, Dirent { ino, kind, name }).map_err(FsError::BadPath)?;
-        self.write_dir_entries(dir_ino, &entries).await?;
+        dir::append(&mut bytes, ino, kind, name).map_err(FsError::BadPath)?;
+        self.write_dir_bytes(dir_ino, &bytes).await?;
         Ok(ino)
     }
 
@@ -593,8 +594,8 @@ impl FileSystem {
         let sp = self.s.handle.trace_span("lock:ns");
         let _ns = self.s.ns_lock.lock(dir_ino.0).await;
         self.s.handle.trace_exit(sp);
-        let mut entries = self.read_dir_entries(dir_ino).await?;
-        if dir::find(&entries, &name).is_some() {
+        let mut bytes = self.read_dir_bytes(dir_ino).await?;
+        if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
@@ -608,9 +609,8 @@ impl FileSystem {
         };
         let ino = inode.ino;
         self.s.inodes.shard_mut(ino.0).insert(ino, Rc::new(RefCell::new(inode)));
-        dir::add_entry(&mut entries, Dirent { ino, kind: FileKind::Directory, name })
-            .map_err(FsError::BadPath)?;
-        self.write_dir_entries(dir_ino, &entries).await?;
+        dir::append(&mut bytes, ino, FileKind::Directory, name).map_err(FsError::BadPath)?;
+        self.write_dir_bytes(dir_ino, &bytes).await?;
         Ok(ino)
     }
 
@@ -618,7 +618,7 @@ impl FileSystem {
     pub async fn readdir(&self, path: &str) -> FsResult<Vec<Dirent>> {
         self.op_begin().await;
         let ino = self.resolve(path).await?;
-        self.read_dir_entries(ino).await
+        self.scan_dir(ino, dir::decode).await
     }
 
     /// Opens a file, bumping its open count; spawns the prefetch thread
@@ -865,24 +865,25 @@ impl FileSystem {
         let sp = self.s.handle.trace_span("lock:ns");
         let _ns = self.s.ns_lock.lock(dir_ino.0).await;
         self.s.handle.trace_exit(sp);
-        let mut entries = self.read_dir_entries(dir_ino).await?;
-        let entry = dir::remove_entry(&mut entries, &name)
+        let mut bytes = self.read_dir_bytes(dir_ino).await?;
+        let (ino, kind) = dir::remove(&mut bytes, name)
+            .map_err(corrupt)?
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        if entry.kind == FileKind::Directory {
+        if kind == FileKind::Directory {
             return Err(FsError::IsADirectory(path.to_string()));
         }
-        self.write_dir_entries(dir_ino, &entries).await?;
-        let absorbed = self.s.cache.borrow_mut().remove_file(FileId(entry.ino.0));
+        self.write_dir_bytes(dir_ino, &bytes).await?;
+        let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-        self.s.inodes.shard_mut(entry.ino.0).remove(&entry.ino);
-        self.s.write_gen.borrow_mut().remove(&entry.ino);
+        self.s.inodes.shard_mut(ino.0).remove(&ino);
+        self.s.write_gen.borrow_mut().remove(&ino);
         let sp = self.s.handle.trace_span("lock:range");
-        let _rg = self.s.layout_ranges.lock(entry.ino.0).await;
+        let _rg = self.s.layout_ranges.lock(ino.0).await;
         self.s.handle.trace_exit(sp);
         let sp = self.s.handle.trace_span("lock:core");
         let g = self.s.layout.lock().await;
         self.s.handle.trace_exit(sp);
-        g.get_mut().free_inode(entry.ino).await?;
+        g.get_mut().free_inode(ino).await?;
         Ok(())
     }
 
@@ -897,41 +898,38 @@ impl FileSystem {
         // by an unlocked probe, then both stripes are taken in the
         // family's deadlock-free order and the lookup revalidated.
         loop {
-            let probe = {
-                let entries = self.read_dir_entries(dir_ino).await?;
-                dir::find(&entries, &name).cloned()
-            };
-            let victim = probe.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            let (victim, _) = self.lookup_in(dir_ino, name, path).await?;
             let sp = self.s.handle.trace_span("lock:ns");
-            let _ns = self.s.ns_lock.lock_pair(dir_ino.0, victim.ino.0).await;
+            let _ns = self.s.ns_lock.lock_pair(dir_ino.0, victim.0).await;
             self.s.handle.trace_exit(sp);
-            let mut entries = self.read_dir_entries(dir_ino).await?;
-            let entry = dir::find(&entries, &name)
-                .ok_or_else(|| FsError::NotFound(path.to_string()))?
-                .clone();
-            if entry.ino != victim.ino {
+            let mut bytes = self.read_dir_bytes(dir_ino).await?;
+            let (ino, kind) = dir::lookup(&bytes, name)
+                .map_err(corrupt)?
+                .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            if ino != victim {
                 // Raced: the name now points at a different inode, so
                 // the held victim stripe is the wrong one. Re-probe.
                 continue;
             }
-            if entry.kind != FileKind::Directory {
+            if kind != FileKind::Directory {
                 return Err(FsError::NotADirectory(path.to_string()));
             }
-            if !self.read_dir_entries(entry.ino).await?.is_empty() {
+            let count = |b: &[u8]| dir::entries(b).try_fold(0usize, |n, e| e.map(|_| n + 1));
+            if self.scan_dir(ino, count).await? != 0 {
                 return Err(FsError::NotEmpty(path.to_string()));
             }
-            dir::remove_entry(&mut entries, &name);
-            self.write_dir_entries(dir_ino, &entries).await?;
-            let absorbed = self.s.cache.borrow_mut().remove_file(FileId(entry.ino.0));
+            dir::remove(&mut bytes, name).map_err(corrupt)?;
+            self.write_dir_bytes(dir_ino, &bytes).await?;
+            let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-            self.s.inodes.shard_mut(entry.ino.0).remove(&entry.ino);
+            self.s.inodes.shard_mut(ino.0).remove(&ino);
             let sp = self.s.handle.trace_span("lock:range");
-            let _rg = self.s.layout_ranges.lock(entry.ino.0).await;
+            let _rg = self.s.layout_ranges.lock(ino.0).await;
             self.s.handle.trace_exit(sp);
             let sp = self.s.handle.trace_span("lock:core");
             let g = self.s.layout.lock().await;
             self.s.handle.trace_exit(sp);
-            g.get_mut().free_inode(entry.ino).await?;
+            g.get_mut().free_inode(ino).await?;
             return Ok(());
         }
     }
@@ -944,34 +942,40 @@ impl FileSystem {
         let sp = self.s.handle.trace_span("lock:ns");
         let _ns = self.s.ns_lock.lock_pair(from_dir.0, to_dir.0).await;
         self.s.handle.trace_exit(sp);
-        if !dir::valid_name(&to_name) {
-            return Err(FsError::BadPath(to.to_string()));
-        }
-        let mut from_entries = self.read_dir_entries(from_dir).await?;
-        let entry = dir::remove_entry(&mut from_entries, &from_name)
+        let mut from_bytes = self.read_dir_bytes(from_dir).await?;
+        let (ino, kind) = dir::remove(&mut from_bytes, from_name)
+            .map_err(corrupt)?
             .ok_or_else(|| FsError::NotFound(from.to_string()))?;
         if from_dir == to_dir {
-            if dir::find(&from_entries, &to_name).is_some() {
+            if dir::lookup(&from_bytes, to_name).map_err(corrupt)?.is_some() {
                 return Err(FsError::Exists(to.to_string()));
             }
-            dir::add_entry(
-                &mut from_entries,
-                Dirent { ino: entry.ino, kind: entry.kind, name: to_name },
-            )
-            .map_err(FsError::BadPath)?;
-            self.write_dir_entries(from_dir, &from_entries).await?;
+            dir::append(&mut from_bytes, ino, kind, to_name).map_err(FsError::BadPath)?;
+            self.write_dir_bytes(from_dir, &from_bytes).await?;
         } else {
-            let mut to_entries = self.read_dir_entries(to_dir).await?;
-            if dir::find(&to_entries, &to_name).is_some() {
+            if kind == FileKind::Directory {
+                // A directory moved below itself would leave the root
+                // as a cycle nothing reaches. No entry records its
+                // parent, so walk `to` from the root again — under the
+                // held pair, which pins both ends of the move — and
+                // refuse if the walk passes through the moved inode.
+                let mut ancestors = split_path(to)?;
+                ancestors.next_back();
+                let mut cur = Ino::ROOT;
+                for part in ancestors {
+                    cur = self.lookup_in(cur, part, to).await?.0;
+                    if cur == ino {
+                        return Err(FsError::BadPath(to.to_string()));
+                    }
+                }
+            }
+            let mut to_bytes = self.read_dir_bytes(to_dir).await?;
+            if dir::lookup(&to_bytes, to_name).map_err(corrupt)?.is_some() {
                 return Err(FsError::Exists(to.to_string()));
             }
-            dir::add_entry(
-                &mut to_entries,
-                Dirent { ino: entry.ino, kind: entry.kind, name: to_name },
-            )
-            .map_err(FsError::BadPath)?;
-            self.write_dir_entries(from_dir, &from_entries).await?;
-            self.write_dir_entries(to_dir, &to_entries).await?;
+            dir::append(&mut to_bytes, ino, kind, to_name).map_err(FsError::BadPath)?;
+            self.write_dir_bytes(from_dir, &from_bytes).await?;
+            self.write_dir_bytes(to_dir, &to_bytes).await?;
         }
         Ok(())
     }
@@ -1029,34 +1033,39 @@ impl FileSystem {
     }
 
     async fn resolve(&self, path: &str) -> FsResult<Ino> {
-        let parts = split_path(path)?;
         let mut cur = Ino::ROOT;
-        for part in parts {
-            let entries = self.read_dir_entries(cur).await?;
-            let e =
-                dir::find(&entries, &part).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            cur = e.ino;
+        for part in split_path(path)? {
+            cur = self.lookup_in(cur, part, path).await?.0;
         }
         Ok(cur)
     }
 
-    async fn resolve_parent(&self, path: &str) -> FsResult<(Ino, String)> {
+    /// Resolves all but the last component of `path`; returns the
+    /// parent directory and the last component (a valid entry name,
+    /// borrowed from `path`).
+    async fn resolve_parent<'p>(&self, path: &'p str) -> FsResult<(Ino, &'p str)> {
         let mut parts = split_path(path)?;
-        let name = parts.pop().ok_or_else(|| FsError::BadPath(path.to_string()))?;
-        if !dir::valid_name(&name) {
+        let name = parts.next_back().ok_or_else(|| FsError::BadPath(path.to_string()))?;
+        if !dir::valid_name(name) {
             return Err(FsError::BadPath(path.to_string()));
         }
         let mut cur = Ino::ROOT;
         for part in parts {
-            let entries = self.read_dir_entries(cur).await?;
-            let e =
-                dir::find(&entries, &part).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            if e.kind != FileKind::Directory {
+            let (ino, kind) = self.lookup_in(cur, part, path).await?;
+            if kind != FileKind::Directory {
                 return Err(FsError::NotADirectory(path.to_string()));
             }
-            cur = e.ino;
+            cur = ino;
         }
         Ok((cur, name))
+    }
+
+    /// Looks `name` up in directory `dir`; `path` names the walk in the
+    /// `NotFound` error.
+    async fn lookup_in(&self, dir: Ino, name: &str, path: &str) -> FsResult<(Ino, FileKind)> {
+        self.scan_dir(dir, |b| dir::lookup(b, name))
+            .await?
+            .ok_or_else(|| FsError::NotFound(path.to_string()))
     }
 
     async fn get_inode_rc(&self, ino: Ino) -> FsResult<Rc<RefCell<Inode>>> {
@@ -1073,29 +1082,61 @@ impl FileSystem {
         Ok(shard.entry(ino).or_insert_with(|| rc.clone()).clone())
     }
 
-    async fn read_dir_entries(&self, ino: Ino) -> FsResult<Vec<Dirent>> {
+    /// Size in bytes of directory `ino`'s packed content.
+    async fn dir_size(&self, ino: Ino) -> FsResult<usize> {
         let rc = self.get_inode_rc(ino).await?;
-        let (kind, size) = {
-            let i = rc.borrow();
-            (i.kind, i.size)
-        };
-        if kind != FileKind::Directory {
+        let inode = rc.borrow();
+        if inode.kind != FileKind::Directory {
             return Err(FsError::NotADirectory(format!("{ino}")));
         }
-        let blocks = size.div_ceil(BLOCK_SIZE as u64);
-        let mut bytes = Vec::with_capacity(size as usize);
-        for blk in 0..blocks {
-            let data = self.read_block_cached(ino, blk).await?.ok_or_else(|| {
-                FsError::Layout(LayoutError::Corrupt("directory data unavailable".into()))
-            })?;
-            bytes.extend_from_slice(&data);
-        }
-        bytes.truncate(size as usize);
-        dir::decode(&bytes).map_err(|e| FsError::Layout(LayoutError::Corrupt(e)))
+        Ok(inode.size as usize)
     }
 
-    async fn write_dir_entries(&self, ino: Ino, entries: &[Dirent]) -> FsResult<()> {
-        let bytes = dir::encode(entries);
+    /// Gathers the first `size` bytes of directory `ino` into one
+    /// buffer. Every block is read through the cache, in ascending
+    /// order: the hits, misses, LRU touches and copy delays of a
+    /// directory read are part of the simulated timeline, whatever the
+    /// caller goes on to do with the bytes.
+    async fn gather_dir(&self, ino: Ino, size: usize) -> FsResult<Vec<u8>> {
+        let bs = BLOCK_SIZE as usize;
+        let blocks = size.div_ceil(bs);
+        let mut bytes = Vec::with_capacity(blocks * bs);
+        for blk in 0..blocks as u64 {
+            self.read_block_with(ino, blk, |data| data.map(|d| bytes.extend_from_slice(&d)))
+                .await?
+                .ok_or_else(dir_data_unavailable)?;
+        }
+        bytes.truncate(size);
+        Ok(bytes)
+    }
+
+    /// Reads a directory's packed content for a read-modify-write; the
+    /// `dir::` call the caller makes on it validates every entry.
+    async fn read_dir_bytes(&self, ino: Ino) -> FsResult<Vec<u8>> {
+        let size = self.dir_size(ino).await?;
+        self.gather_dir(ino, size).await
+    }
+
+    /// Runs `scan` over a directory's packed content without keeping
+    /// it: a single-block directory is scanned where it sits in its
+    /// cache frame, a longer one in a gathered copy.
+    async fn scan_dir<T>(
+        &self,
+        ino: Ino,
+        scan: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> FsResult<T> {
+        let size = self.dir_size(ino).await?;
+        let scanned = if size > 0 && size <= BLOCK_SIZE as usize {
+            self.read_block_with(ino, 0, |data| data.map(|d| scan(&d[..size.min(d.len())])))
+                .await?
+                .ok_or_else(dir_data_unavailable)?
+        } else {
+            scan(&self.gather_dir(ino, size).await?)
+        };
+        scanned.map_err(corrupt)
+    }
+
+    async fn write_dir_bytes(&self, ino: Ino, bytes: &[u8]) -> FsResult<()> {
         let rc = self.get_inode_rc(ino).await?;
         let old_blocks = rc.borrow().blocks();
         let bs = BLOCK_SIZE as usize;
@@ -1418,17 +1459,29 @@ impl FileSystem {
     /// Reads one block through the cache; returns bytes when available
     /// (always for metadata, never for off-line user data).
     async fn read_block_cached(&self, ino: Ino, blk: u64) -> FsResult<Option<Vec<u8>>> {
+        self.read_block_with(ino, blk, |data| data.map(Cow::into_owned)).await
+    }
+
+    /// Reads one block through the cache and hands its bytes to `f`:
+    /// borrowed from the cache frame on a hit (`f` runs with the cache
+    /// borrowed and must not reach for it), the loaded copy on a miss.
+    async fn read_block_with<T>(
+        &self,
+        ino: Ino,
+        blk: u64,
+        f: impl FnOnce(Option<Cow<'_, [u8]>>) -> T,
+    ) -> FsResult<T> {
         let key = BlockKey::new(FileId(ino.0), blk);
         loop {
             // Hit?
             {
                 let mut cache = self.s.cache.borrow_mut();
                 if let Some(frame) = cache.lookup(key, self.s.handle.now()) {
-                    let data = cache.data(frame).map(|d| d.to_vec());
+                    let out = f(cache.data(frame).map(Cow::Borrowed));
                     drop(cache);
                     self.s.handle.trace_instant("cache:hit");
                     self.copy_delay().await;
-                    return Ok(data);
+                    return Ok(out);
                 }
             }
             // Miss: dedup concurrent loads of the same block.
@@ -1445,13 +1498,9 @@ impl FileSystem {
             self.s.handle.trace_exit(sp);
             self.s.inflight.shard_mut(key.shard_image()).remove(&key);
             ev.signal();
-            match result {
-                Ok(data) => {
-                    self.copy_delay().await;
-                    return Ok(data);
-                }
-                Err(e) => return Err(e),
-            }
+            let data = result?;
+            self.copy_delay().await;
+            return Ok(f(data.map(Cow::Owned)));
         }
     }
 
@@ -2064,12 +2113,22 @@ fn bytes_padded(s: &str) -> Vec<u8> {
     v
 }
 
-/// Splits an absolute path into components.
-fn split_path(path: &str) -> FsResult<Vec<String>> {
+/// Splits an absolute path into its components, borrowed from `path`.
+fn split_path(path: &str) -> FsResult<impl DoubleEndedIterator<Item = &str>> {
     if !path.starts_with('/') {
         return Err(FsError::BadPath(path.to_string()));
     }
-    Ok(path.split('/').filter(|p| !p.is_empty()).map(|p| p.to_string()).collect())
+    Ok(path.split('/').filter(|p| !p.is_empty()))
+}
+
+/// A directory whose packed entries do not parse.
+fn corrupt(detail: String) -> FsError {
+    FsError::Layout(LayoutError::Corrupt(detail))
+}
+
+/// A directory block that came back without bytes.
+fn dir_data_unavailable() -> FsError {
+    corrupt("directory data unavailable".into())
 }
 
 #[cfg(test)]
@@ -2257,6 +2316,39 @@ mod tests {
             fs.unlink("/a/b/f2").await.unwrap();
             fs.rmdir("/a/b").await.unwrap();
             assert!(matches!(fs.rmdir("/a").await, Err(FsError::NotEmpty(_))));
+        });
+    }
+
+    #[test]
+    fn rename_into_own_subtree_is_refused() {
+        run_fs(DataMode::Real, |fs| async move {
+            fs.mkdir("/a").await.unwrap();
+            fs.mkdir("/a/b").await.unwrap();
+            fs.mkdir("/other").await.unwrap();
+            let listing = |fs: FileSystem, path: &'static str| async move {
+                dir::encode(&fs.readdir(path).await.unwrap())
+            };
+            let (root, a, b) = (
+                listing(fs.clone(), "/").await,
+                listing(fs.clone(), "/a").await,
+                listing(fs.clone(), "/a/b").await,
+            );
+            // Below itself, at any depth, through the engine and through
+            // a client handle: refused, nothing written.
+            for to in ["/a/b/c", "/a/c"] {
+                assert_eq!(fs.rename("/a", to).await, Err(FsError::BadPath(to.to_string())));
+                let r = fs.client(3).rename("/a", to).await;
+                assert_eq!(r, Err(FsError::BadPath(to.to_string())));
+            }
+            assert_eq!(listing(fs.clone(), "/").await, root);
+            assert_eq!(listing(fs.clone(), "/a").await, a);
+            assert_eq!(listing(fs.clone(), "/a/b").await, b);
+            assert!(fs.lookup("/a/b").await.is_ok(), "the tree must still hang off the root");
+            // Moves that create no cycle still work: sideways, and up.
+            fs.rename("/a", "/other/a").await.unwrap();
+            fs.rename("/other/a/b", "/b").await.unwrap();
+            assert!(fs.lookup("/other/a").await.is_ok());
+            assert!(fs.lookup("/b").await.is_ok());
         });
     }
 

@@ -289,6 +289,15 @@ async fn read_dir<L: StorageLayout>(
     layout: &mut L,
     inode: &cnp_layout::Inode,
 ) -> Result<Vec<Dirent>, Violation> {
+    let bytes = read_dir_bytes(layout, inode).await?;
+    dir::decode(&bytes).map_err(|e| Violation::DirCorrupt { dir: inode.ino, detail: e })
+}
+
+/// Reads a directory's packed content through the layout.
+async fn read_dir_bytes<L: StorageLayout>(
+    layout: &mut L,
+    inode: &cnp_layout::Inode,
+) -> Result<Vec<u8>, Violation> {
     let mut bytes = Vec::with_capacity(inode.size as usize);
     for blk in 0..inode.blocks() {
         match layout.read_file_block(inode, blk).await {
@@ -301,7 +310,7 @@ async fn read_dir<L: StorageLayout>(
         }
     }
     bytes.truncate(inode.size as usize);
-    dir::decode(&bytes).map_err(|e| Violation::DirCorrupt { dir: inode.ino, detail: e })
+    Ok(bytes)
 }
 
 /// Repairs what [`check`] finds, fsck-style, and re-checks until clean
@@ -372,7 +381,7 @@ pub async fn repair<L: StorageLayout>(layout: &mut L) -> LResult<(RepairReport, 
             let before = entries.len();
             entries.retain(|e| !names.contains(&e.name));
             rep.entries_removed += (before - entries.len()) as u64;
-            write_dir(layout, dir_ino, &entries).await?;
+            write_dir(layout, dir_ino, &dir::encode(&entries)).await?;
         }
         for (ino, blk) in cuts {
             let Ok(mut inode) = layout.get_inode(Ino(ino)).await else { continue };
@@ -394,54 +403,45 @@ async fn adopt_orphans<L: StorageLayout>(layout: &mut L, orphans: &[u64]) -> LRe
         return Ok(0);
     }
     let root = layout.get_inode(Ino::ROOT).await?;
-    let Ok(mut root_entries) = read_dir(layout, &root).await else {
+    let Ok(mut root_bytes) = read_dir_bytes(layout, &root).await else {
         return Ok(0); // Root unreadable: structural repair comes first.
     };
-    let lf_ino = match dir::find(&root_entries, LOST_FOUND) {
-        Some(e) if e.kind == FileKind::Directory => e.ino,
+    let lf_ino = match dir::lookup(&root_bytes, LOST_FOUND) {
+        Err(_) => return Ok(0), // Root unreadable, as above.
+        Ok(Some((ino, FileKind::Directory))) => ino,
         // Something non-directory squats on the name: leave it alone.
-        Some(_) => return Ok(0),
-        None => {
+        Ok(Some(_)) => return Ok(0),
+        Ok(None) => {
             let inode = layout.alloc_ino(FileKind::Directory, 0)?;
             layout.put_inode(&inode).await?;
-            dir::add_entry(
-                &mut root_entries,
-                Dirent { ino: inode.ino, kind: FileKind::Directory, name: LOST_FOUND.into() },
-            )
-            .map_err(cnp_layout::LayoutError::Corrupt)?;
-            write_dir(layout, Ino::ROOT, &root_entries).await?;
+            dir::append(&mut root_bytes, inode.ino, FileKind::Directory, LOST_FOUND)
+                .map_err(cnp_layout::LayoutError::Corrupt)?;
+            write_dir(layout, Ino::ROOT, &root_bytes).await?;
             inode.ino
         }
     };
     let lf_inode = layout.get_inode(lf_ino).await?;
-    let mut entries = read_dir(layout, &lf_inode).await.unwrap_or_default();
+    let mut bytes = read_dir_bytes(layout, &lf_inode).await.unwrap_or_default();
     let mut attached = 0u64;
     for &o in orphans {
         if o == lf_ino.0 {
             continue;
         }
         let Ok(inode) = layout.get_inode(Ino(o)).await else { continue };
-        let name = format!("orphan-{o}");
-        if dir::find(&entries, &name).is_some() {
-            continue;
-        }
-        if dir::add_entry(&mut entries, Dirent { ino: Ino(o), kind: inode.kind, name }).is_ok() {
+        // The tree just checked clean, so a lost+found that is there
+        // parses: the only refusal is a name already taken.
+        if dir::append(&mut bytes, Ino(o), inode.kind, &format!("orphan-{o}")).is_ok() {
             attached += 1;
         }
     }
     if attached > 0 {
-        write_dir(layout, lf_ino, &entries).await?;
+        write_dir(layout, lf_ino, &bytes).await?;
     }
     Ok(attached)
 }
 
-/// Rewrites a directory's content from an entry list.
-async fn write_dir<L: StorageLayout>(
-    layout: &mut L,
-    dir_ino: Ino,
-    entries: &[Dirent],
-) -> LResult<()> {
-    let bytes = dir::encode(entries);
+/// Rewrites a directory's content from its packed bytes.
+async fn write_dir<L: StorageLayout>(layout: &mut L, dir_ino: Ino, bytes: &[u8]) -> LResult<()> {
     let bs = BLOCK_SIZE as usize;
     let new_blocks = bytes.len().div_ceil(bs) as u64;
     let mut inode = layout.get_inode(dir_ino).await?;
@@ -511,10 +511,10 @@ mod tests {
         write_dir(
             layout,
             Ino::ROOT,
-            &[
+            &dir::encode(&[
                 Dirent { ino: sub.ino, kind: FileKind::Directory, name: "sub".into() },
                 Dirent { ino: f1.ino, kind: FileKind::Regular, name: "a".into() },
-            ],
+            ]),
         )
         .await
         .unwrap();
@@ -524,7 +524,7 @@ mod tests {
         write_dir(
             layout,
             sub_ino,
-            &[Dirent { ino: f2.ino, kind: FileKind::Regular, name: "b".into() }],
+            &dir::encode(&[Dirent { ino: f2.ino, kind: FileKind::Regular, name: "b".into() }]),
         )
         .await
         .unwrap();
@@ -593,14 +593,16 @@ mod tests {
             assert!(fin.orphans.is_empty(), "adopted orphan still unreachable");
             // The orphan is now reachable under /lost+found with its data.
             let root = lfs.get_inode(Ino::ROOT).await.unwrap();
-            let root_entries = read_dir(&mut lfs, &root).await.unwrap();
-            let lf = dir::find(&root_entries, "lost+found").expect("lost+found created");
-            assert_eq!(lf.kind, FileKind::Directory);
-            let lf_inode = lfs.get_inode(lf.ino).await.unwrap();
-            let lf_entries = read_dir(&mut lfs, &lf_inode).await.unwrap();
-            let adopted = dir::find(&lf_entries, &format!("orphan-{}", orphan_ino.0))
+            let root_bytes = read_dir_bytes(&mut lfs, &root).await.unwrap();
+            let (lf_ino, lf_kind) =
+                dir::lookup(&root_bytes, "lost+found").unwrap().expect("lost+found created");
+            assert_eq!(lf_kind, FileKind::Directory);
+            let lf_inode = lfs.get_inode(lf_ino).await.unwrap();
+            let lf_bytes = read_dir_bytes(&mut lfs, &lf_inode).await.unwrap();
+            let (adopted, _) = dir::lookup(&lf_bytes, &format!("orphan-{}", orphan_ino.0))
+                .unwrap()
                 .expect("orphan adopted");
-            assert_eq!(adopted.ino, orphan_ino);
+            assert_eq!(adopted, orphan_ino);
             let got = lfs.get_inode(orphan_ino).await.unwrap();
             let p = lfs.read_file_block(&got, 0).await.unwrap().unwrap();
             assert_eq!(p.bytes().unwrap(), &vec![0x42u8; BLOCK_SIZE as usize][..]);
@@ -621,7 +623,7 @@ mod tests {
             let root = lfs.get_inode(Ino::ROOT).await.unwrap();
             let mut entries = read_dir(&mut lfs, &root).await.unwrap();
             entries.push(Dirent { ino: Ino(4040), kind: FileKind::Regular, name: "ghost".into() });
-            write_dir(&mut lfs, Ino::ROOT, &entries).await.unwrap();
+            write_dir(&mut lfs, Ino::ROOT, &dir::encode(&entries)).await.unwrap();
             let r = check(&mut lfs).await;
             assert_eq!(r.violations.len(), 1);
             assert!(matches!(r.violations[0], Violation::DanglingDirent { .. }));

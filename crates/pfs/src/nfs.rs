@@ -17,6 +17,9 @@ use cnp_core::FsError;
 
 use crate::xdr::{XdrDecoder, XdrEncoder};
 
+/// Wire size of a [`Fhandle`].
+const FH_LEN: usize = 12;
+
 /// NFS-like procedure numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
@@ -119,7 +122,7 @@ pub(crate) fn status_of(e: &FsError) -> NfsStat {
 
 /// A status-only reply.
 pub(crate) fn status_reply(status: NfsStat) -> Vec<u8> {
-    let mut e = XdrEncoder::new();
+    let mut e = XdrEncoder::with_capacity(4);
     e.put_u32(status as u32);
     e.finish()
 }
@@ -306,13 +309,13 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, NfsStat> {
 /// Client-side request builders (used by the load generator, the shell,
 /// and tests).
 pub mod client {
-    use super::{Fhandle, NfsProc};
-    use crate::xdr::XdrEncoder;
+    use super::{Fhandle, NfsProc, FH_LEN};
+    use crate::xdr::{opaque_wire_len, XdrEncoder};
 
     /// Builds a path-only request (GetAttr/Lookup/Remove/Mkdir/Rmdir/
     /// Create/ReadDir).
     pub fn path_req(proc: NfsProc, path: &str) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + opaque_wire_len(path.len()));
         e.put_u32(proc as u32);
         e.put_str(path);
         e.finish()
@@ -320,7 +323,7 @@ pub mod client {
 
     /// Builds a read request.
     pub fn read_req(path: &str, offset: u64, len: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + opaque_wire_len(path.len()) + 16);
         e.put_u32(NfsProc::Read as u32);
         e.put_str(path);
         e.put_u64(offset);
@@ -330,7 +333,8 @@ pub mod client {
 
     /// Builds a write request.
     pub fn write_req(path: &str, offset: u64, data: &[u8]) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let body = opaque_wire_len(path.len()) + 8 + opaque_wire_len(data.len());
+        let mut e = XdrEncoder::with_capacity(4 + body);
         e.put_u32(NfsProc::Write as u32);
         e.put_str(path);
         e.put_u64(offset);
@@ -340,7 +344,8 @@ pub mod client {
 
     /// Builds a rename request.
     pub fn rename_req(from: &str, to: &str) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let body = opaque_wire_len(from.len()) + opaque_wire_len(to.len());
+        let mut e = XdrEncoder::with_capacity(4 + body);
         e.put_u32(NfsProc::Rename as u32);
         e.put_str(from);
         e.put_str(to);
@@ -349,7 +354,7 @@ pub mod client {
 
     /// Builds an attributes-by-handle request.
     pub fn getattr_fh_req(fh: Fhandle) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + FH_LEN);
         e.put_u32(NfsProc::GetAttrFh as u32);
         fh.encode(&mut e);
         e.finish()
@@ -357,7 +362,7 @@ pub mod client {
 
     /// Builds a read-by-handle request.
     pub fn read_fh_req(fh: Fhandle, offset: u64, len: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 16);
         e.put_u32(NfsProc::ReadFh as u32);
         fh.encode(&mut e);
         e.put_u64(offset);
@@ -367,7 +372,7 @@ pub mod client {
 
     /// Builds a write-by-handle request.
     pub fn write_fh_req(fh: Fhandle, offset: u64, data: &[u8]) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 8 + opaque_wire_len(data.len()));
         e.put_u32(NfsProc::WriteFh as u32);
         fh.encode(&mut e);
         e.put_u64(offset);
@@ -377,7 +382,7 @@ pub mod client {
 
     /// Builds a truncate-by-handle request (SETATTR with a size).
     pub fn setattr_fh_req(fh: Fhandle, size: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
+        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 8);
         e.put_u32(NfsProc::SetAttrFh as u32);
         fh.encode(&mut e);
         e.put_u64(size);
@@ -415,8 +420,11 @@ mod tests {
             (client::setattr_fh_req(fh, 123), Request::SetAttrFh { fh, size: 123 }),
         ];
         for (wire, want) in cases {
+            assert_eq!(wire.capacity(), wire.len(), "{want:?}: encoder not sized to its shape");
             assert_eq!(decode_request(&wire).unwrap(), want);
         }
+        let path_only = client::path_req(NfsProc::Create, "/some/odd-length");
+        assert_eq!(path_only.capacity(), path_only.len());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use cnp_sim::Semaphore;
 
 use crate::cache::{Attr, NfsCache};
 use crate::nfs::{decode_request, status_of, status_reply, Fhandle, NfsStat, Request};
-use crate::xdr::XdrEncoder;
+use crate::xdr::{opaque_wire_len, XdrEncoder};
 
 /// Serving-tier configuration.
 #[derive(Debug, Clone)]
@@ -331,7 +331,10 @@ impl NfsSession {
             }
             Request::ReadDir { path } => {
                 let entries = self.cfs.readdir(&path).await.map_err(|e| status_of(&e))?;
-                let mut reply = XdrEncoder::new();
+                // Per entry: ino, kind tag, name.
+                let listing: usize =
+                    entries.iter().map(|e| 8 + 4 + opaque_wire_len(e.name.len())).sum();
+                let mut reply = XdrEncoder::with_capacity(8 + listing);
                 reply.put_u32(NfsStat::Ok as u32);
                 reply.put_u32(entries.len() as u32);
                 for e in entries {
@@ -421,10 +424,11 @@ impl NfsSession {
     async fn read_capped(&self, ino: u64, offset: u64, len: u64) -> Result<Vec<u8>, NfsStat> {
         let len = len.min(self.shared.cfg.max_transfer);
         let (n, data) = self.cfs.read(Ino(ino), offset, len).await.map_err(|e| status_of(&e))?;
-        let mut reply = XdrEncoder::new();
+        let data = data.as_deref().unwrap_or(&[]);
+        let mut reply = XdrEncoder::with_capacity(12 + opaque_wire_len(data.len()));
         reply.put_u32(NfsStat::Ok as u32);
         reply.put_u64(n);
-        reply.put_opaque(data.as_deref().unwrap_or(&[]));
+        reply.put_opaque(data);
         Ok(reply.finish())
     }
 
@@ -439,7 +443,7 @@ impl NfsSession {
             .await
             .map_err(|e| status_of(&e))?;
         self.shared.cache.invalidate_ino(ino);
-        let mut reply = XdrEncoder::new();
+        let mut reply = XdrEncoder::with_capacity(12);
         reply.put_u32(NfsStat::Ok as u32);
         reply.put_u64(n);
         Ok(reply.finish())
@@ -461,7 +465,7 @@ fn attr_of(inode: &Inode, gen: u32) -> Attr {
 /// rides at the end so pre-handle clients decoding the seed's prefix
 /// keep working.
 fn attr_reply(a: &Attr) -> Vec<u8> {
-    let mut e = XdrEncoder::new();
+    let mut e = XdrEncoder::with_capacity(36);
     e.put_u32(NfsStat::Ok as u32);
     e.put_u64(a.ino);
     e.put_u32(a.kind_tag);
@@ -473,7 +477,7 @@ fn attr_reply(a: &Attr) -> Vec<u8> {
 
 /// Encodes the create/mkdir reply: `Ok ino gen`.
 fn ino_reply(fh: Fhandle) -> Vec<u8> {
-    let mut e = XdrEncoder::new();
+    let mut e = XdrEncoder::with_capacity(16);
     e.put_u32(NfsStat::Ok as u32);
     e.put_u64(fh.ino);
     e.put_u32(fh.gen);
@@ -498,6 +502,16 @@ mod tests {
         assert_ne!(a2.gen, a.gen, "reincarnated ino gets a fresh generation");
         assert_eq!(t.check(a), Err(NfsStat::Stale), "old handle stays stale");
         assert!(t.check(a2).is_ok());
+    }
+
+    #[test]
+    fn fixed_shape_replies_are_sized_exactly() {
+        let attr = Attr { ino: 9, gen: 2, kind_tag: 0, size: 4096, mtime: 77 };
+        for reply in
+            [status_reply(NfsStat::Ok), attr_reply(&attr), ino_reply(Fhandle { ino: 9, gen: 2 })]
+        {
+            assert_eq!(reply.capacity(), reply.len(), "reply regrew or over-reserved");
+        }
     }
 
     #[test]

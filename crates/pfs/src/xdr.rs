@@ -13,6 +13,12 @@ impl XdrEncoder {
         XdrEncoder { buf: Vec::new() }
     }
 
+    /// Creates an empty encoder with room for `bytes` wire bytes, so a
+    /// message of known shape is built without regrowing the buffer.
+    pub fn with_capacity(bytes: usize) -> Self {
+        XdrEncoder { buf: Vec::with_capacity(bytes) }
+    }
+
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -113,6 +119,12 @@ impl<'a> XdrDecoder<'a> {
     }
 }
 
+/// Wire size of an opaque (or string) of `len` bytes: the length
+/// prefix plus the data padded to a multiple of 4.
+pub(crate) const fn opaque_wire_len(len: usize) -> usize {
+    4 + len.next_multiple_of(4)
+}
+
 /// Validates an opaque length against the u32 XDR prefix.
 fn opaque_len(n: usize) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("opaque of {n} bytes exceeds XDR u32 length prefix"))
@@ -152,6 +164,13 @@ mod tests {
         let wire = e.finish();
         // 4 (len) + 5 (data) + 3 (pad).
         assert_eq!(wire.len(), 12);
+        for n in 0..9 {
+            let mut e = XdrEncoder::with_capacity(opaque_wire_len(n));
+            e.put_opaque(&vec![7u8; n]);
+            let wire = e.finish();
+            assert_eq!(wire.len(), opaque_wire_len(n));
+            assert_eq!(wire.capacity(), wire.len(), "sized exactly: never regrown");
+        }
     }
 
     #[test]

@@ -102,6 +102,7 @@ async fn full_suite(srv: NfsServer) {
     assert_eq!(d.get_u32().unwrap(), 0);
     assert_eq!(d.get_u64().unwrap(), payload.len() as u64);
     let r = s2.handle(&client::read_fh_req(fh, 0, 1 << 20)).await;
+    assert_eq!(r.capacity(), r.len(), "read reply sized from its payload");
     let mut d = XdrDecoder::new(&r);
     assert_eq!(d.get_u32().unwrap(), 0);
     assert_eq!(d.get_u64().unwrap(), payload.len() as u64);
@@ -160,6 +161,7 @@ async fn full_suite(srv: NfsServer) {
 
     // ReadDir still works through the tier.
     let r = s1.handle(&client::path_req(NfsProc::ReadDir, "/d")).await;
+    assert_eq!(r.capacity(), r.len(), "readdir reply sized from its listing");
     let mut d = XdrDecoder::new(&r);
     assert_eq!(d.get_u32().unwrap(), 0);
     assert_eq!(d.get_u32().unwrap(), 1, "exactly /d/g remains");
@@ -173,6 +175,25 @@ fn suite_on_simulated_disk() {
 #[test]
 fn suite_on_host_file_disk() {
     run_file_server("suite", ServeConfig::default(), full_suite);
+}
+
+#[test]
+fn rename_into_own_subtree_is_noent_on_the_wire() {
+    run_sim_server(8, ServeConfig::default(), |srv| async move {
+        let s = srv.session(1);
+        for dir in ["/a", "/a/b"] {
+            assert_eq!(status_of_reply(&s.handle(&client::path_req(NfsProc::Mkdir, dir)).await), 0);
+        }
+        // The engine answers BadPath, which the wire maps to NoEnt: a
+        // status reply like any other, and the tree stays reachable.
+        let r = s.handle(&client::rename_req("/a", "/a/b/c")).await;
+        assert_eq!(status_of_reply(&r), NfsStat::NoEnt as u32);
+        assert_eq!(r.len(), 4, "status-only reply");
+        assert_eq!(status_of_reply(&s.handle(&client::path_req(NfsProc::Lookup, "/a/b")).await), 0);
+        let r = s.handle(&client::path_req(NfsProc::ReadDir, "/")).await;
+        let mut d = XdrDecoder::new(&r);
+        assert_eq!((d.get_u32().unwrap(), d.get_u32().unwrap()), (0, 1), "/ still lists /a");
+    });
 }
 
 #[test]

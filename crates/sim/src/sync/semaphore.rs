@@ -9,12 +9,12 @@ use std::task::{Context, Poll};
 
 use crate::executor::{Handle, TaskId};
 
+/// What a queued acquire and the semaphore tell each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AcqState {
     Waiting,
     Granted,
     Cancelled,
-    Consumed,
 }
 
 struct Waiter {
@@ -81,7 +81,7 @@ impl Semaphore {
 
     /// Acquires `n` permits atomically, blocking until all are available.
     pub fn acquire_many(&self, n: u32) -> Acquire {
-        Acquire { sem: self.clone(), want: n, state: None }
+        Acquire { sem: self.clone(), want: n, stage: Stage::Fresh }
     }
 
     /// Tries to acquire one permit without blocking.
@@ -153,46 +153,49 @@ impl Drop for Permit {
 pub struct Acquire {
     sem: Semaphore,
     want: u32,
-    state: Option<Rc<RefCell<AcqState>>>,
+    stage: Stage,
+}
+
+/// Where an [`Acquire`] stands. Only a queued acquire shares state with
+/// the semaphore, so the uncontended path allocates nothing.
+enum Stage {
+    /// Not polled yet.
+    Fresh,
+    /// In the waiter queue.
+    Queued(Rc<RefCell<AcqState>>),
+    /// The permit was handed out.
+    Done,
 }
 
 impl Future for Acquire {
     type Output = Permit;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &self.state {
-            Some(state) => {
-                let s = *state.borrow();
-                if s == AcqState::Granted {
-                    *state.borrow_mut() = AcqState::Consumed;
-                    Poll::Ready(Permit { sem: self.sem.clone(), count: self.want })
-                } else {
-                    Poll::Pending
-                }
-            }
-            None => {
+        match &self.stage {
+            Stage::Queued(state) if *state.borrow() == AcqState::Granted => {}
+            Stage::Queued(_) | Stage::Done => return Poll::Pending,
+            Stage::Fresh => {
                 let mut inner = self.sem.inner.borrow_mut();
-                if inner.waiters.is_empty() && inner.permits >= self.want {
-                    inner.permits -= self.want;
+                if !inner.waiters.is_empty() || inner.permits < self.want {
+                    let me = self.sem.handle.kernel().borrow().current_task();
+                    let state = Rc::new(RefCell::new(AcqState::Waiting));
+                    let waiter = Waiter { task: me, state: state.clone(), want: self.want };
+                    inner.waiters.push_back(waiter);
                     drop(inner);
-                    let state = Rc::new(RefCell::new(AcqState::Consumed));
-                    self.state = Some(state);
-                    return Poll::Ready(Permit { sem: self.sem.clone(), count: self.want });
+                    self.stage = Stage::Queued(state);
+                    return Poll::Pending;
                 }
-                let me = self.sem.handle.kernel().borrow().current_task();
-                let state = Rc::new(RefCell::new(AcqState::Waiting));
-                inner.waiters.push_back(Waiter { task: me, state: state.clone(), want: self.want });
-                drop(inner);
-                self.state = Some(state);
-                Poll::Pending
+                inner.permits -= self.want;
             }
         }
+        self.stage = Stage::Done;
+        Poll::Ready(Permit { sem: self.sem.clone(), count: self.want })
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Some(state) = &self.state {
+        if let Stage::Queued(state) = &self.stage {
             let s = *state.borrow();
             match s {
                 AcqState::Waiting => {
@@ -202,7 +205,7 @@ impl Drop for Acquire {
                     // Granted but never observed: return the permits.
                     self.sem.release(self.want);
                 }
-                AcqState::Cancelled | AcqState::Consumed => {}
+                AcqState::Cancelled => {}
             }
         }
     }
