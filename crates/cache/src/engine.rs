@@ -11,12 +11,13 @@
 //! (async) I/O, then reports back. That keeps flushing synchronous or
 //! asynchronous at the caller's choice — the very design lesson of §5.2.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use cnp_sim::{SimDuration, SimTime};
 
 use crate::flush::{CacheQuery, FlushPolicy};
-use crate::key::{BlockKey, FileId};
+use crate::key::{BlockKey, FileId, FixedState};
+use crate::list::FrameList;
 use crate::policy::{AccessMeta, ReplacementPolicy};
 
 /// Maximum per-frame access history kept (for LRU-K).
@@ -51,7 +52,9 @@ struct Frame {
     key: BlockKey,
     state: BlockState,
     access_count: u64,
-    history: Vec<SimTime>,
+    /// The last `history_len` access times, newest last.
+    history: [SimTime; HISTORY],
+    history_len: usize,
     /// Real block bytes on-line; `None` for simulated user data.
     data: Option<Vec<u8>>,
     /// Re-dirtied while a flush was in flight.
@@ -61,8 +64,27 @@ struct Frame {
     owner: u32,
 }
 
+impl Frame {
+    fn new(key: BlockKey, data: Option<Vec<u8>>) -> Frame {
+        Frame {
+            key,
+            state: BlockState::Clean,
+            access_count: 0,
+            history: [SimTime::ZERO; HISTORY],
+            history_len: 0,
+            data,
+            redirtied: false,
+            owner: UNATTRIBUTED,
+        }
+    }
+
+    fn meta(&self, now: SimTime) -> AccessMeta<'_> {
+        AccessMeta { now, count: self.access_count, history: &self.history[..self.history_len] }
+    }
+}
+
 /// Cache counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookup hits.
     pub hits: u64,
@@ -153,41 +175,47 @@ pub enum DirtyOutcome {
 
 /// The block cache.
 ///
-/// Key-indexed structures — the resident map and the dirty-age
-/// bookkeeping — are partitioned into `shards` by a deterministic hash
-/// of the block key ([`BlockKey::shard_image`]): in a multi-core port
-/// each shard is an independent lock domain, and even single-threaded
-/// the partition bounds any one structure's size. The *frame pool*,
-/// the replacement policy, and the NVRAM budget stay global: capacity
-/// is one battery and one memory, and a striped free list would make
-/// eviction timing depend on the shard count.
+/// A pool of frames, and every resident frame on exactly one of three
+/// footings: *clean* (ordered by the replacement policy's own lists),
+/// *dirty* (on one [`FrameList`] in dirtying order — the paper's age
+/// list, oldest at the front) or *flushing* (on neither, until
+/// [`BlockCache::end_flush`]). A flush policy's question — "the oldest
+/// dirty block", "the file of the oldest block" — is a walk from the
+/// front of that list that stops when it has its pick, so a pick costs
+/// what it picks, not what is dirty.
 ///
-/// Determinism: every dirtying is stamped with a globally monotone
-/// sequence number, and flush-policy selection merges the per-shard
-/// dirty sets in ascending sequence order. That stable shard-merge
-/// order reconstructs exactly the unsharded oldest-first age list, so
-/// seeded runs are byte-identical at every shard count.
+/// Two indexes name the resident blocks: a hash map for point lookups,
+/// and `by_file` in `(file, block)` order for everything that *walks*
+/// — one file's blocks, the crash snapshot. Nothing iterates the hash
+/// map, so its order (and its hasher) can reach no output.
+///
+/// The cache is not sharded: it lives in one `RefCell` on one thread,
+/// and the frame pool, the replacement order, the age order and the
+/// NVRAM budget are each one global thing (one memory, one battery).
+/// The engine above stripes its *locks* and lock-guarded tables by
+/// `FsConfig.shards`, where contention costs virtual time.
 pub struct BlockCache {
     cfg: CacheConfig,
     frames: Vec<Frame>,
-    /// Resident map, sharded by key hash (shard walk order is stable;
-    /// in-shard iteration order is not — persistence paths sort).
-    maps: Vec<HashMap<BlockKey, u32>>,
-    /// Every resident key in `(file, block)` order — the per-file block
-    /// index. Invariant: the same key set as `maps`; `map_insert` and
-    /// `map_remove` are the only writers of either.
-    by_file: BTreeSet<BlockKey>,
+    /// Resident map: key → frame. Point lookups only, never iterated.
+    map: HashMap<BlockKey, u32, FixedState>,
+    /// The same entries in `(file, block)` order — the per-file block
+    /// index. `map_insert` and `map_remove` are the only writers of
+    /// either, so the two always hold the same key set.
+    by_file: BTreeMap<BlockKey, u32>,
     free: Vec<u32>,
     clean: Box<dyn ReplacementPolicy>,
-    /// Per-shard dirty frames keyed by global dirty sequence (ascending
-    /// = age order). Flushing frames are *not* in these sets.
-    dirty_shards: Vec<BTreeMap<u64, u32>>,
-    /// The dirty-sequence stamp of each frame (valid while Dirty).
+    /// Dirty frames in dirtying order, oldest first. A frame joins at
+    /// the back when it turns `Dirty` (first write, or a re-dirty
+    /// completing in `end_flush`) and leaves when it turns `Flushing`
+    /// or is dropped.
+    dirty: FrameList,
+    /// Each frame's dirtying stamp (valid while `Dirty`): position in
+    /// the age order without walking it — what sorts one file's dirty
+    /// blocks oldest first.
     frame_seq: Vec<u64>,
-    /// Globally monotone dirtying counter — the stable merge key.
     next_seq: u64,
     flush_policy: Box<dyn FlushPolicy>,
-    dirty_blocks: u64,
     /// Dirty + flushing blocks charged against NVRAM.
     nvram_used: u64,
     stats: CacheStats,
@@ -196,168 +224,107 @@ pub struct BlockCache {
     flushed_by_owner: BTreeMap<u32, u64>,
 }
 
+/// The dirty side of the cache, as a flush policy sees it.
 struct QueryView<'a> {
     frames: &'a [Frame],
-    /// Dirty frames merged across shards in ascending sequence order —
-    /// identical to the unsharded age list.
-    merged: Vec<u32>,
+    dirty: &'a FrameList,
+    by_file: &'a BTreeMap<BlockKey, u32>,
+    frame_seq: &'a [u64],
 }
 
 impl CacheQuery for QueryView<'_> {
-    fn oldest_dirty(&self) -> Option<(BlockKey, SimTime)> {
-        let f = *self.merged.first()?;
-        let frame = &self.frames[f as usize];
-        match frame.state {
-            BlockState::Dirty { since } => Some((frame.key, since)),
-            _ => None,
+    fn walk_dirty(&self, visit: &mut dyn FnMut(BlockKey, SimTime) -> bool) {
+        for f in self.dirty.iter() {
+            let frame = &self.frames[f as usize];
+            let BlockState::Dirty { since } = frame.state else {
+                unreachable!("frame {f} on the dirty list is {:?}", frame.state);
+            };
+            if !visit(frame.key, since) {
+                return;
+            }
         }
     }
 
     fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
-        self.merged
-            .iter()
-            .map(|&f| &self.frames[f as usize])
-            .filter(|fr| fr.key.file == file)
-            .map(|fr| fr.key)
-            .collect()
-    }
-
-    fn dirty_count(&self) -> usize {
-        self.merged.len()
-    }
-
-    fn oldest_dirty_excluding(&self, excluded: &[BlockKey]) -> Option<(BlockKey, SimTime)> {
-        for &f in self.merged.iter() {
-            let frame = &self.frames[f as usize];
-            if excluded.contains(&frame.key) {
-                continue;
-            }
-            if let BlockState::Dirty { since } = frame.state {
-                return Some((frame.key, since));
-            }
-        }
-        None
-    }
-
-    fn dirty_oldest_first(&self) -> Vec<(BlockKey, SimTime)> {
-        self.merged
-            .iter()
-            .filter_map(|&f| {
-                let frame = &self.frames[f as usize];
-                match frame.state {
-                    BlockState::Dirty { since } => Some((frame.key, since)),
-                    _ => None,
-                }
-            })
-            .collect()
+        let mut dirty: Vec<u32> = file_range(self.by_file, file)
+            .map(|(_, &f)| f)
+            .filter(|&f| matches!(self.frames[f as usize].state, BlockState::Dirty { .. }))
+            .collect();
+        dirty.sort_unstable_by_key(|&f| self.frame_seq[f as usize]);
+        dirty.into_iter().map(|f| self.frames[f as usize].key).collect()
     }
 }
 
+/// The entries of `file` in an index ordered by `(file, block)`.
+fn file_range(
+    by_file: &BTreeMap<BlockKey, u32>,
+    file: FileId,
+) -> impl Iterator<Item = (&BlockKey, &u32)> {
+    by_file.range(BlockKey::new(file, 0)..=BlockKey::new(file, u64::MAX))
+}
+
 impl BlockCache {
-    /// Creates an empty, unsharded cache (one shard — the legacy
-    /// configuration every pre-sharding test exercises).
+    /// Creates an empty cache.
     pub fn new(
         cfg: CacheConfig,
         clean: Box<dyn ReplacementPolicy>,
         flush_policy: Box<dyn FlushPolicy>,
     ) -> Self {
-        Self::with_shards(cfg, clean, flush_policy, 1)
-    }
-
-    /// Creates an empty cache whose key-indexed tables are partitioned
-    /// into `shards` (≥ 1 enforced). Behaviour is byte-identical at
-    /// every shard count — see the type-level docs.
-    pub fn with_shards(
-        cfg: CacheConfig,
-        clean: Box<dyn ReplacementPolicy>,
-        flush_policy: Box<dyn FlushPolicy>,
-        shards: usize,
-    ) -> Self {
-        assert!(shards >= 1, "the cache needs at least one shard");
         let n = cfg.frames();
         assert!(n > 0, "cache must hold at least one block");
         let mut free: Vec<u32> = (0..n as u32).collect();
         free.reverse();
-        let frames = (0..n)
-            .map(|_| Frame {
-                key: BlockKey::new(FileId(u64::MAX), 0),
-                state: BlockState::Clean,
-                access_count: 0,
-                history: Vec::new(),
-                data: None,
-                redirtied: false,
-                owner: UNATTRIBUTED,
-            })
-            .collect();
+        let frames = (0..n).map(|_| Frame::new(BlockKey::new(FileId(u64::MAX), 0), None)).collect();
         BlockCache {
             cfg,
             frames,
-            maps: (0..shards).map(|_| HashMap::new()).collect(),
-            by_file: BTreeSet::new(),
+            map: HashMap::default(),
+            by_file: BTreeMap::new(),
             free,
             clean,
-            dirty_shards: (0..shards).map(|_| BTreeMap::new()).collect(),
+            dirty: FrameList::new(n),
             frame_seq: vec![0; n],
             next_seq: 0,
             flush_policy,
-            dirty_blocks: 0,
             nvram_used: 0,
             stats: CacheStats::default(),
             flushed_by_owner: BTreeMap::new(),
         }
     }
 
-    /// Fixed key → shard routing: the same Fibonacci spread over
-    /// [`BlockKey::shard_image`] that the engine's lock stripes use —
-    /// never the std `HashMap` hasher, so routing is stable across runs.
-    fn shard_of(&self, key: BlockKey) -> usize {
-        let spread = key.shard_image().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (spread % self.maps.len() as u64) as usize
-    }
-
     fn map_get(&self, key: BlockKey) -> Option<u32> {
-        self.maps[self.shard_of(key)].get(&key).copied()
+        self.map.get(&key).copied()
     }
 
     fn map_insert(&mut self, key: BlockKey, frame: u32) {
-        let s = self.shard_of(key);
-        self.maps[s].insert(key, frame);
-        self.by_file.insert(key);
+        self.map.insert(key, frame);
+        self.by_file.insert(key, frame);
     }
 
     fn map_remove(&mut self, key: BlockKey) -> Option<u32> {
-        let s = self.shard_of(key);
         self.by_file.remove(&key);
-        self.maps[s].remove(&key)
+        self.map.remove(&key)
     }
 
-    /// Stamps `frame` with the next global dirty sequence and files it
-    /// in its shard's dirty set (the unsharded `push_back`).
-    fn dirty_insert(&mut self, frame: u32) {
-        let seq = self.next_seq;
+    /// Stamps `frame` and appends it to the age list.
+    fn dirty_push(&mut self, frame: u32) {
+        self.frame_seq[frame as usize] = self.next_seq;
         self.next_seq += 1;
-        self.frame_seq[frame as usize] = seq;
-        let s = self.shard_of(self.frames[frame as usize].key);
-        self.dirty_shards[s].insert(seq, frame);
+        self.dirty.push_back(frame);
     }
 
-    fn dirty_remove(&mut self, frame: u32) {
-        let s = self.shard_of(self.frames[frame as usize].key);
-        self.dirty_shards[s].remove(&self.frame_seq[frame as usize]);
-    }
-
-    /// Dirty frames merged across shards in ascending sequence order —
-    /// the exact oldest-first age list an unsharded cache keeps.
-    fn merged_dirty(&self) -> Vec<u32> {
-        let mut pairs: Vec<(u64, u32)> =
-            self.dirty_shards.iter().flat_map(|s| s.iter().map(|(&seq, &f)| (seq, f))).collect();
-        pairs.sort_unstable_by_key(|&(seq, _)| seq);
-        pairs.into_iter().map(|(_, f)| f).collect()
-    }
-
-    /// Number of shards the key-indexed tables are partitioned into.
-    pub fn shards(&self) -> usize {
-        self.maps.len()
+    /// Puts a flush-policy question to the dirty side of the cache.
+    fn ask_policy(
+        &mut self,
+        ask: impl FnOnce(&mut dyn FlushPolicy, &dyn CacheQuery) -> Vec<BlockKey>,
+    ) -> Vec<BlockKey> {
+        let q = QueryView {
+            frames: &self.frames,
+            dirty: &self.dirty,
+            by_file: &self.by_file,
+            frame_seq: &self.frame_seq,
+        };
+        ask(self.flush_policy.as_mut(), &q)
     }
 
     /// Engine configuration.
@@ -382,12 +349,12 @@ impl BlockCache {
 
     /// Dirty block count (excludes in-flight flushes).
     pub fn dirty_count(&self) -> usize {
-        self.dirty_blocks as usize
+        self.dirty.len()
     }
 
     /// Total blocks resident.
     pub fn resident(&self) -> usize {
-        self.maps.iter().map(|m| m.len()).sum()
+        self.map.len()
     }
 
     /// NVRAM occupancy in blocks (dirty + flushing).
@@ -398,10 +365,12 @@ impl BlockCache {
     fn record_access(&mut self, frame: u32, now: SimTime) {
         let f = &mut self.frames[frame as usize];
         f.access_count += 1;
-        if f.history.len() == HISTORY {
-            f.history.remove(0);
+        if f.history_len == HISTORY {
+            f.history.copy_within(1.., 0);
+            f.history_len -= 1;
         }
-        f.history.push(now);
+        f.history[f.history_len] = now;
+        f.history_len += 1;
     }
 
     /// Looks a block up; a hit refreshes recency and returns the frame.
@@ -413,10 +382,7 @@ impl BlockCache {
                 let f = &self.frames[frame as usize];
                 if matches!(f.state, BlockState::Clean) {
                     // Disjoint field borrows: `clean` vs `frames`.
-                    self.clean.touch(
-                        frame,
-                        AccessMeta { now, count: f.access_count, history: &f.history },
-                    );
+                    self.clean.touch(frame, f.meta(now));
                 }
                 Some(frame)
             }
@@ -472,10 +438,7 @@ impl BlockCache {
             return Reserve::Frame(victim);
         }
         self.stats.alloc_stalls += 1;
-        let merged = self.merged_dirty();
-        let q = QueryView { frames: &self.frames, merged };
-        let picks = self.flush_policy.on_demand(&q);
-        Reserve::NeedFlush(picks)
+        Reserve::NeedFlush(self.ask_policy(|p, q| p.on_demand(q)))
     }
 
     /// Commits a reserved frame as block `key`.
@@ -488,19 +451,11 @@ impl BlockCache {
     /// Panics if `key` is already resident.
     pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
         assert!(self.map_get(key).is_none(), "block {key} already resident");
-        self.frames[frame as usize] = Frame {
-            key,
-            state: BlockState::Clean,
-            access_count: 0,
-            history: Vec::with_capacity(HISTORY),
-            data,
-            redirtied: false,
-            owner: UNATTRIBUTED,
-        };
+        self.frames[frame as usize] = Frame::new(key, data);
         self.map_insert(key, frame);
         self.stats.insertions += 1;
         self.record_access(frame, now);
-        self.clean.insert(frame, AccessMeta { now, count: 1, history: &[now] });
+        self.clean.insert(frame, self.frames[frame as usize].meta(now));
     }
 
     /// Returns a reserved frame unused (e.g. the disk read failed).
@@ -513,49 +468,41 @@ impl BlockCache {
     /// retries and internal metadata writes must not steal attribution
     /// from the client whose data the block carries).
     pub fn mark_dirty(&mut self, key: BlockKey, now: SimTime) -> DirtyOutcome {
-        let frame = self.map_get(key).expect("mark_dirty on non-resident block");
-        match self.frames[frame as usize].state {
-            BlockState::Dirty { .. } => {
-                self.stats.overwrites += 1;
-                DirtyOutcome::Ok
-            }
-            BlockState::Flushing { since } => {
-                // Re-dirtied under flush: still counted against NVRAM.
-                self.stats.overwrites += 1;
-                self.frames[frame as usize].redirtied = true;
-                let _ = since;
-                DirtyOutcome::Ok
-            }
-            BlockState::Clean => {
-                if self.nvram_used >= self.cfg.nvram_blocks() {
-                    self.stats.nvram_stalls += 1;
-                    let merged = self.merged_dirty();
-                    let q = QueryView { frames: &self.frames, merged };
-                    let picks = self.flush_policy.on_nvram_full(&q);
-                    return DirtyOutcome::NeedFlush(picks);
-                }
-                self.clean.remove(frame);
-                self.frames[frame as usize].state = BlockState::Dirty { since: now };
-                self.dirty_insert(frame);
-                self.dirty_blocks += 1;
-                self.nvram_used += 1;
-                self.stats.dirtied += 1;
-                DirtyOutcome::Ok
-            }
-        }
+        self.dirty_as(key, now, None)
     }
 
     /// [`BlockCache::mark_dirty`] with flush attribution: on success the
     /// block's owner becomes `owner` (last writer wins), so the flush
     /// work it later causes is charged to that client.
     pub fn mark_dirty_for(&mut self, key: BlockKey, now: SimTime, owner: u32) -> DirtyOutcome {
-        let outcome = self.mark_dirty(key, now);
-        if outcome == DirtyOutcome::Ok {
-            if let Some(frame) = self.map_get(key) {
-                self.frames[frame as usize].owner = owner;
+        self.dirty_as(key, now, Some(owner))
+    }
+
+    fn dirty_as(&mut self, key: BlockKey, now: SimTime, owner: Option<u32>) -> DirtyOutcome {
+        let frame = self.map_get(key).expect("mark_dirty on non-resident block");
+        match self.frames[frame as usize].state {
+            BlockState::Dirty { .. } => self.stats.overwrites += 1,
+            BlockState::Flushing { .. } => {
+                // Re-dirtied under flush: still counted against NVRAM.
+                self.stats.overwrites += 1;
+                self.frames[frame as usize].redirtied = true;
+            }
+            BlockState::Clean => {
+                if self.nvram_used >= self.cfg.nvram_blocks() {
+                    self.stats.nvram_stalls += 1;
+                    return DirtyOutcome::NeedFlush(self.ask_policy(|p, q| p.on_nvram_full(q)));
+                }
+                self.clean.remove(frame);
+                self.frames[frame as usize].state = BlockState::Dirty { since: now };
+                self.dirty_push(frame);
+                self.nvram_used += 1;
+                self.stats.dirtied += 1;
             }
         }
-        outcome
+        if let Some(owner) = owner {
+            self.frames[frame as usize].owner = owner;
+        }
+        DirtyOutcome::Ok
     }
 
     /// Blocks handed to the flusher per dirtying client, ordered by
@@ -577,8 +524,7 @@ impl BlockCache {
             };
             self.frames[frame as usize].state = BlockState::Flushing { since };
             self.frames[frame as usize].redirtied = false;
-            self.dirty_remove(frame);
-            self.dirty_blocks -= 1;
+            self.dirty.remove(frame);
             self.stats.flushes += 1;
             *self.flushed_by_owner.entry(self.frames[frame as usize].owner).or_insert(0) += 1;
             out.push(key);
@@ -595,17 +541,14 @@ impl BlockCache {
         if f.redirtied {
             f.redirtied = false;
             f.state = BlockState::Dirty { since: now };
-            // A fresh sequence stamp: the re-dirtied block rejoins the
-            // age order at the tail, exactly like the old `push_back`.
-            self.dirty_insert(frame);
-            self.dirty_blocks += 1;
-            // NVRAM stays charged: the block is still dirty.
+            // Dirty as of now: the block rejoins the age order at the
+            // tail. NVRAM stays charged — it never stopped being dirty.
+            self.dirty_push(frame);
             return;
         }
         f.state = BlockState::Clean;
         self.nvram_used -= 1;
-        let f = &self.frames[frame as usize];
-        self.clean.insert(frame, AccessMeta { now, count: f.access_count, history: &f.history });
+        self.clean.insert(frame, self.frames[frame as usize].meta(now));
     }
 
     /// Drops one block (truncate); dirty blocks count as absorbed writes.
@@ -623,21 +566,17 @@ impl BlockCache {
         // Ascending key order, read off the per-file index: the removal
         // order decides the order frames return to the free list — which
         // decides where later blocks land and what index-sweeping
-        // replacement policies evict. Persistence paths must not inherit
-        // hasher state (two seeded runs must produce byte-identical
-        // platters), so the shard HashMaps are never walked here.
-        let keys: Vec<BlockKey> = self
-            .by_file
-            .range(BlockKey::new(file, 0)..=BlockKey::new(file, u64::MAX))
-            .copied()
-            .collect();
+        // replacement policies evict. Two seeded runs must produce
+        // byte-identical platters, so the order must be the keys' own.
+        let doomed: Vec<(BlockKey, u32)> =
+            file_range(&self.by_file, file).map(|(&k, &f)| (k, f)).collect();
         let mut absorbed = 0;
-        for key in keys {
-            let was_dirty = matches!(self.state_of(key), Some(BlockState::Dirty { .. }));
-            if was_dirty {
+        for (key, frame) in doomed {
+            if matches!(self.frames[frame as usize].state, BlockState::Dirty { .. }) {
                 absorbed += 1;
             }
-            self.remove_block(key);
+            self.map_remove(key);
+            self.drop_frame(frame);
         }
         absorbed
     }
@@ -648,8 +587,7 @@ impl BlockCache {
                 self.clean.remove(frame);
             }
             BlockState::Dirty { .. } => {
-                self.dirty_remove(frame);
-                self.dirty_blocks -= 1;
+                self.dirty.remove(frame);
                 self.nvram_used -= 1;
                 self.stats.absorbed += 1;
             }
@@ -667,9 +605,7 @@ impl BlockCache {
 
     /// Runs the flush policy's periodic scan; returns blocks to flush.
     pub fn tick(&mut self, now: SimTime) -> Vec<BlockKey> {
-        let merged = self.merged_dirty();
-        let q = QueryView { frames: &self.frames, merged };
-        let picks = self.flush_policy.on_tick(&q, now);
+        let picks = self.ask_policy(|p, q| p.on_tick(q, now));
         if cnp_obs::trace::enabled() && !picks.is_empty() {
             cnp_obs::trace::instant_on(
                 cnp_obs::trace::engine_lane("cache"),
@@ -683,7 +619,7 @@ impl BlockCache {
 
     /// All dirty block keys, oldest first (for sync/unmount).
     pub fn all_dirty(&self) -> Vec<BlockKey> {
-        self.merged_dirty().into_iter().map(|f| self.frames[f as usize].key).collect()
+        self.dirty.iter().map(|f| self.frames[f as usize].key).collect()
     }
 
     /// Snapshot of every dirty or in-flush block with its bytes, in
@@ -691,29 +627,12 @@ impl BlockCache {
     /// cache would preserve across a crash. `Flushing` blocks are
     /// included because their writes may not have retired yet.
     pub fn dirty_snapshot(&self) -> Vec<(BlockKey, Option<Vec<u8>>)> {
-        let mut out: Vec<(BlockKey, Option<Vec<u8>>)> = self
-            .maps
+        self.by_file
             .iter()
-            .flat_map(|m| m.iter())
-            .filter_map(|(&key, &frame)| {
-                let f = &self.frames[frame as usize];
-                match f.state {
-                    BlockState::Dirty { .. } | BlockState::Flushing { .. } => {
-                        Some((key, f.data.clone()))
-                    }
-                    BlockState::Clean => None,
-                }
-            })
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Dirty blocks of one file, oldest first.
-    pub fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
-        let merged = self.merged_dirty();
-        let q = QueryView { frames: &self.frames, merged };
-        q.dirty_of_file(file)
+            .map(|(&key, &frame)| (key, &self.frames[frame as usize]))
+            .filter(|(_, f)| !matches!(f.state, BlockState::Clean))
+            .map(|(key, f)| (key, f.data.clone()))
+            .collect()
     }
 }
 
@@ -947,77 +866,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_matches_unsharded_selection() {
-        // Drive an identical dirty/flush/redirty/absorb script through an
-        // unsharded cache and 4- and 16-shard caches: the age list, the
-        // demand-flush picks, and every counter must be byte-identical —
-        // the global dirty sequence makes shard merge order equal the
-        // unsharded oldest-first order by construction.
-        let run = |shards: usize| {
-            let cfg =
-                CacheConfig { block_size: 4096, mem_bytes: 16 * 4096, nvram_bytes: Some(6 * 4096) };
-            let n = cfg.frames();
-            let mut c = BlockCache::with_shards(
-                cfg,
-                Box::new(Lru::new(n)),
-                Box::new(WriteSaving::default()),
-                shards,
-            );
-            let mut log: Vec<String> = Vec::new();
-            for i in 0..12u64 {
-                let k = key(i % 5, i / 5);
-                if c.peek(k).is_none() {
-                    insert(&mut c, k, t(i));
-                }
-                match c.mark_dirty(k, t(i + 100)) {
-                    DirtyOutcome::Ok => {}
-                    DirtyOutcome::NeedFlush(picks) => {
-                        log.push(format!("stall {picks:?}"));
-                        let started = c.begin_flush(&picks);
-                        // Redirty one mid-flight to exercise the re-stamp.
-                        if let Some(&first) = started.first() {
-                            c.mark_dirty(first, t(i + 101));
-                        }
-                        for fk in started {
-                            c.end_flush(fk, t(i + 102));
-                        }
-                        c.mark_dirty(k, t(i + 103));
-                    }
-                }
-            }
-            log.push(format!("age {:?}", c.all_dirty()));
-            log.push(format!("absorbed {}", c.remove_file(FileId(2))));
-            log.push(format!("age2 {:?}", c.all_dirty()));
-            let s = c.stats();
-            log.push(format!(
-                "dirtied {} overwrites {} flushes {} stalls {}",
-                s.dirtied, s.overwrites, s.flushes, s.nvram_stalls
-            ));
-            log
-        };
-        let base = run(1);
-        assert_eq!(run(4), base, "4-shard cache diverged from unsharded");
-        assert_eq!(run(16), base, "16-shard cache diverged from unsharded");
-    }
-
-    #[test]
     fn per_file_index_equals_a_map_scan() {
         // Interleaved insert / evict / remove_block / remove_file on a
-        // sharded cache small enough to evict: after every step the
-        // per-file index must hold exactly the keys a scan of the shard
-        // maps finds, and `remove_file` must take exactly that file.
-        let cfg = CacheConfig { block_size: 4096, mem_bytes: 8 * 4096, nvram_bytes: None };
-        let n = cfg.frames();
-        let mut c = BlockCache::with_shards(
-            cfg,
-            Box::new(Lru::new(n)),
-            Box::new(WriteSaving::default()),
-            4,
-        );
+        // cache small enough to evict: after every step the per-file
+        // index must hold exactly the entries a scan of the resident
+        // map finds, and `remove_file` must take exactly that file.
+        let mut c = small_cache(8, None);
+        let n = c.config().frames();
         let check = |c: &BlockCache| {
-            let mut scan: Vec<BlockKey> = c.maps.iter().flat_map(|m| m.keys().copied()).collect();
+            let mut scan: Vec<(BlockKey, u32)> = c.map.iter().map(|(&k, &f)| (k, f)).collect();
             scan.sort_unstable();
-            assert_eq!(c.by_file.iter().copied().collect::<Vec<_>>(), scan);
+            assert_eq!(c.by_file.iter().map(|(&k, &f)| (k, f)).collect::<Vec<_>>(), scan);
         };
         let mut x = 12345u64;
         let mut evicted = false;
@@ -1027,10 +886,10 @@ mod tests {
             match (x >> 50) % 8 {
                 0 => {
                     let before = c.resident();
-                    let mine = c.by_file.iter().filter(|b| b.file == k.file).count();
+                    let mine = c.by_file.keys().filter(|b| b.file == k.file).count();
                     c.remove_file(k.file);
                     assert_eq!(c.resident(), before - mine, "remove_file took another file's");
-                    assert!(c.by_file.iter().all(|b| b.file != k.file));
+                    assert!(c.by_file.keys().all(|b| b.file != k.file));
                 }
                 1 => c.remove_block(k),
                 _ if c.peek(k).is_none() => {
@@ -1042,6 +901,71 @@ mod tests {
             check(&c);
         }
         assert!(evicted, "the script must exercise the eviction path");
+    }
+
+    /// Counts the frames a policy's walk visits.
+    struct CountingView<'a> {
+        view: QueryView<'a>,
+        visits: std::cell::Cell<usize>,
+    }
+
+    impl CacheQuery for CountingView<'_> {
+        fn walk_dirty(&self, visit: &mut dyn FnMut(BlockKey, SimTime) -> bool) {
+            self.view.walk_dirty(&mut |k, since| {
+                self.visits.set(self.visits.get() + 1);
+                visit(k, since)
+            });
+        }
+
+        fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
+            self.view.dirty_of_file(file)
+        }
+    }
+
+    #[test]
+    fn a_pick_visits_what_it_picks_not_what_is_dirty() {
+        // 1,024 blocks dirty: file 1's 100 blocks oldest, then file 2's
+        // 100, then 824 single-block files.
+        const DIRTY: u64 = 1024;
+        let mut c = small_cache(DIRTY, None);
+        for i in 0..DIRTY {
+            let k = if i < 200 { key(1 + i / 100, i % 100) } else { key(i, 0) };
+            insert(&mut c, k, t(i));
+            assert_eq!(c.mark_dirty(k, t(i)), DirtyOutcome::Ok);
+        }
+        let visits_of = |ask: &mut dyn FnMut(&dyn CacheQuery) -> Vec<BlockKey>| {
+            let q = CountingView {
+                view: QueryView {
+                    frames: &c.frames,
+                    dirty: &c.dirty,
+                    by_file: &c.by_file,
+                    frame_seq: &c.frame_seq,
+                },
+                visits: std::cell::Cell::new(0),
+            };
+            let picks = ask(&q);
+            (picks.len(), q.visits.get())
+        };
+        for batch in [1usize, 8] {
+            // Partial-file: the blocks it picks (one more at most).
+            let mut partial = NvramFlush { whole_file: false, batch };
+            let (picked, visits) = visits_of(&mut |q| partial.on_nvram_full(q));
+            assert_eq!(picked, batch);
+            assert!(visits <= batch + 1, "batch {batch}: visited {visits}");
+            // Whole-file: one block per group, plus the rest of files
+            // 1 and 2 (99 blocks each) stepped over on the way to the
+            // next group.
+            let mut whole = NvramFlush { whole_file: true, batch };
+            let (picked, visits) = visits_of(&mut |q| whole.on_nvram_full(q));
+            let stepped_over = if batch == 1 { 0 } else { 2 * 99 };
+            assert_eq!(picked, if batch == 1 { 100 } else { 200 + batch - 2 });
+            assert!(visits <= batch + 1 + stepped_over, "batch {batch}: visited {visits}");
+        }
+        // A tick with nothing over max_age looks at the oldest block
+        // and stops.
+        let mut periodic = PeriodicUpdate::default();
+        let (picked, visits) = visits_of(&mut |q| periodic.on_tick(q, t(DIRTY)));
+        assert_eq!((picked, visits), (0, 1));
     }
 
     #[test]

@@ -14,53 +14,20 @@
 //!   (partial-file) or every dirty block of the oldest block's file
 //!   (whole-file).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use cnp_sim::{SimDuration, SimTime};
 
-use crate::key::{BlockKey, FileId};
+use crate::key::{BlockKey, FileId, FixedState};
 
-/// Read-only view of cache state offered to flush policies.
+/// Read-only view of the cache's dirty side offered to flush policies.
 pub trait CacheQuery {
-    /// The oldest dirty block (front of the age list), if any.
-    fn oldest_dirty(&self) -> Option<(BlockKey, SimTime)>;
+    /// Visits the dirty blocks oldest first, each with its dirty-since
+    /// time, until `visit` returns `false` or the age list ends.
+    fn walk_dirty(&self, visit: &mut dyn FnMut(BlockKey, SimTime) -> bool);
 
     /// All dirty blocks of `file`, oldest first.
     fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey>;
-
-    /// Number of dirty blocks.
-    fn dirty_count(&self) -> usize;
-
-    /// Oldest dirty block whose key is not in `excluded`.
-    ///
-    /// The default falls back to [`CacheQuery::oldest_dirty`]; engines
-    /// with an age list override this to keep walking past exclusions.
-    fn oldest_dirty_excluding(&self, excluded: &[BlockKey]) -> Option<(BlockKey, SimTime)> {
-        let (k, t) = self.oldest_dirty()?;
-        if excluded.contains(&k) {
-            None
-        } else {
-            Some((k, t))
-        }
-    }
-
-    /// Every dirty block, oldest first, with its dirty-since stamp.
-    ///
-    /// Selection loops walk this snapshot once instead of re-querying
-    /// `oldest_dirty_excluding` per group — at fleet scale (tens of
-    /// thousands of dirty blocks at unmount) the repeated exclusion
-    /// scan is quadratic and dominates wall clock. The default derives
-    /// the list from the exclusion walk (fine for small mocks); engines
-    /// with an age list override it with a single walk.
-    fn dirty_oldest_first(&self) -> Vec<(BlockKey, SimTime)> {
-        let mut keys: Vec<BlockKey> = Vec::new();
-        let mut out = Vec::new();
-        while let Some((k, t)) = self.oldest_dirty_excluding(&keys) {
-            keys.push(k);
-            out.push((k, t));
-        }
-        out
-    }
 }
 
 /// A flush (persistency) policy.
@@ -89,53 +56,65 @@ pub trait FlushPolicy {
     }
 }
 
-/// Picks the oldest dirty block, expanded to its whole file if asked.
-fn oldest_selection(q: &dyn CacheQuery, whole_file: bool) -> Vec<BlockKey> {
-    batched_selection(q, whole_file, 1)
-}
-
 /// Oldest-first selection of up to `batch` groups (whole files, or
-/// single blocks when `whole_file` is false).
+/// single blocks when `whole_file` is false) from the front of the age
+/// list, stopping early at the first block that is not `old_enough`.
 ///
-/// `batch == 1` is the legacy one-group-per-stall behaviour; a deeper
+/// `batch == 1` is the paper's one-group-per-stall behaviour; a deeper
 /// batch hands the engine enough blocks to fill its I/O pipeline in one
 /// go, so a stalled writer pays one flush round-trip instead of
 /// `batch` of them.
-fn batched_selection(q: &dyn CacheQuery, whole_file: bool, batch: usize) -> Vec<BlockKey> {
-    // One age-ordered snapshot, walked once: the oldest not-yet-taken
-    // block starts each group, exactly as the exclusion loop picked it.
-    // The hash structures are membership-only (iteration order never
-    // feeds the output), so determinism rests on the snapshot order.
-    let age = q.dirty_oldest_first();
-    let mut by_file: HashMap<FileId, Vec<BlockKey>> = HashMap::new();
-    if whole_file {
-        for &(k, _) in &age {
-            by_file.entry(k.file).or_default().push(k);
-        }
-    }
+///
+/// The walk visits the blocks that start a group plus the blocks of
+/// already-picked files it steps over on the way to the next one, and
+/// stops with the last group — it never sees the rest of the dirty set.
+/// It allocates its result and, only when it goes on past a whole-file
+/// group, the set of files picked so far (membership only, never
+/// iterated: the output order is the age list's). The test-only
+/// `reference` module below is the snapshot-then-group algorithm this
+/// replaced, kept as its specification.
+fn select_oldest(
+    q: &dyn CacheQuery,
+    whole_file: bool,
+    batch: usize,
+    old_enough: impl Fn(SimTime) -> bool,
+) -> Vec<BlockKey> {
     let mut out: Vec<BlockKey> = Vec::new();
-    let mut taken: HashSet<BlockKey> = HashSet::new();
+    let mut picked: HashSet<FileId, FixedState> = HashSet::default();
     let mut groups = 0;
-    for &(key, _since) in &age {
-        if groups >= batch.max(1) {
-            break;
+    q.walk_dirty(&mut |key, since| {
+        // A whole-file group may have pulled in younger blocks of its
+        // file; the walk steps over them when it reaches them.
+        if picked.contains(&key.file) {
+            return true;
         }
-        if taken.contains(&key) {
-            continue;
+        // Sound because the walk is oldest first.
+        if !old_enough(since) {
+            return false;
         }
         groups += 1;
-        if whole_file {
-            for &k in &by_file[&key.file] {
-                if taken.insert(k) {
-                    out.push(k);
-                }
-            }
-        } else {
-            taken.insert(key);
+        let more = groups < batch.max(1);
+        if !whole_file {
             out.push(key);
+            return more;
         }
-    }
+        let group = q.dirty_of_file(key.file);
+        if out.is_empty() {
+            out = group;
+        } else {
+            out.extend(group);
+        }
+        if more {
+            picked.insert(key.file);
+        }
+        more
+    });
     out
+}
+
+/// Up to `batch` oldest groups, whatever their age.
+fn batched_selection(q: &dyn CacheQuery, whole_file: bool, batch: usize) -> Vec<BlockKey> {
+    select_oldest(q, whole_file, batch, |_| true)
 }
 
 /// The 30-second-update baseline (the paper's *write-delay* experiment).
@@ -170,45 +149,16 @@ impl FlushPolicy for PeriodicUpdate {
     }
 
     fn on_tick(&mut self, q: &dyn CacheQuery, now: SimTime) -> Vec<BlockKey> {
-        // Flush the file of every dirty block that exceeded max_age:
-        // one walk of the age-ordered snapshot, collecting file groups
-        // in oldest-block order (a whole-file group may pull in younger
-        // blocks of the same file; they are then skipped when the walk
-        // reaches them). The break is sound because the walk is oldest
-        // first. Membership is hash-based but never iterated, so the
-        // output order is the snapshot's.
-        let age = q.dirty_oldest_first();
-        let mut by_file: HashMap<FileId, Vec<BlockKey>> = HashMap::new();
-        if self.whole_file {
-            for &(k, _) in &age {
-                by_file.entry(k.file).or_default().push(k);
-            }
-        }
-        let mut out = Vec::new();
-        let mut taken: HashSet<BlockKey> = HashSet::new();
-        for &(key, since) in &age {
-            if taken.contains(&key) {
-                continue;
-            }
-            if now.saturating_since(since) < self.max_age {
-                break;
-            }
-            if self.whole_file {
-                for &k in &by_file[&key.file] {
-                    if taken.insert(k) {
-                        out.push(k);
-                    }
-                }
-            } else {
-                taken.insert(key);
-                out.push(key);
-            }
-        }
-        out
+        // The file of every dirty block that exceeded max_age, in
+        // oldest-block order; the walk ends at the first block still
+        // young enough to stay.
+        select_oldest(q, self.whole_file, usize::MAX, |since| {
+            now.saturating_since(since) >= self.max_age
+        })
     }
 
     fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        oldest_selection(q, self.whole_file)
+        batched_selection(q, self.whole_file, 1)
     }
 }
 
@@ -296,6 +246,90 @@ pub fn flush_by_name_batched(name: &str, batch: usize) -> Option<Box<dyn FlushPo
     }
 }
 
+/// The selection as it was before the cache kept an age list: snapshot
+/// every dirty block oldest first, regroup the snapshot by file, walk it
+/// with a `taken` set. Slow (every pick costs the whole dirty set) and
+/// plainly right — the executable specification [`select_oldest`] is
+/// tested against, here on scripted views and in `model.rs` on random
+/// cache histories.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::{HashMap, HashSet};
+
+    use super::*;
+
+    /// One dirty block of an age-ordered snapshot: key, dirty-since.
+    pub type Aged = (BlockKey, SimTime);
+
+    fn by_file(age: &[Aged]) -> HashMap<FileId, Vec<BlockKey>> {
+        let mut by_file: HashMap<FileId, Vec<BlockKey>> = HashMap::new();
+        for &(k, _) in age {
+            by_file.entry(k.file).or_default().push(k);
+        }
+        by_file
+    }
+
+    /// Up to `batch` oldest groups of the snapshot `age`.
+    pub fn batched_selection(age: &[Aged], whole_file: bool, batch: usize) -> Vec<BlockKey> {
+        let by_file = by_file(age);
+        let mut out: Vec<BlockKey> = Vec::new();
+        let mut taken: HashSet<BlockKey> = HashSet::new();
+        let mut groups = 0;
+        for &(key, _since) in age {
+            if groups >= batch.max(1) {
+                break;
+            }
+            if taken.contains(&key) {
+                continue;
+            }
+            groups += 1;
+            if whole_file {
+                for &k in &by_file[&key.file] {
+                    if taken.insert(k) {
+                        out.push(k);
+                    }
+                }
+            } else {
+                taken.insert(key);
+                out.push(key);
+            }
+        }
+        out
+    }
+
+    /// Every group of the snapshot `age` whose oldest untaken block has
+    /// been dirty for `max_age` at `now`.
+    pub fn aged_selection(
+        age: &[Aged],
+        now: SimTime,
+        max_age: SimDuration,
+        whole_file: bool,
+    ) -> Vec<BlockKey> {
+        let by_file = by_file(age);
+        let mut out = Vec::new();
+        let mut taken: HashSet<BlockKey> = HashSet::new();
+        for &(key, since) in age {
+            if taken.contains(&key) {
+                continue;
+            }
+            if now.saturating_since(since) < max_age {
+                break;
+            }
+            if whole_file {
+                for &k in &by_file[&key.file] {
+                    if taken.insert(k) {
+                        out.push(k);
+                    }
+                }
+            } else {
+                taken.insert(key);
+                out.push(key);
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,20 +340,16 @@ mod tests {
     }
 
     impl CacheQuery for FakeQuery {
-        fn oldest_dirty(&self) -> Option<(BlockKey, SimTime)> {
-            self.dirty.first().copied()
+        fn walk_dirty(&self, visit: &mut dyn FnMut(BlockKey, SimTime) -> bool) {
+            for &(k, since) in &self.dirty {
+                if !visit(k, since) {
+                    return;
+                }
+            }
         }
 
         fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
             self.dirty.iter().filter(|(k, _)| k.file == file).map(|(k, _)| *k).collect()
-        }
-
-        fn dirty_count(&self) -> usize {
-            self.dirty.len()
-        }
-
-        fn oldest_dirty_excluding(&self, excluded: &[BlockKey]) -> Option<(BlockKey, SimTime)> {
-            self.dirty.iter().find(|(k, _)| !excluded.contains(k)).copied()
         }
     }
 
@@ -400,6 +430,42 @@ mod tests {
         assert!(p.on_demand(&q).is_empty());
         let mut n = NvramFlush { whole_file: true, batch: 1 };
         assert!(n.on_nvram_full(&q).is_empty());
+    }
+
+    #[test]
+    fn walk_selection_equals_the_snapshot_reference() {
+        // Interleaved files, a file whose blocks straddle the age
+        // cutoff, and a batch that ends mid-list.
+        let dirty: Vec<(BlockKey, SimTime)> = [
+            (1, 0, 0),
+            (2, 0, 1),
+            (1, 1, 2),
+            (3, 0, 3),
+            (2, 1, 10),
+            (1, 2, 20),
+            (4, 0, 30),
+            (3, 1, 40),
+        ]
+        .map(|(f, b, s)| (key(f, b), at(s)))
+        .to_vec();
+        let q = FakeQuery { dirty: dirty.clone() };
+        for whole_file in [false, true] {
+            for batch in [0, 1, 2, 3, 8, 64] {
+                assert_eq!(
+                    batched_selection(&q, whole_file, batch),
+                    reference::batched_selection(&dirty, whole_file, batch),
+                    "whole_file {whole_file} batch {batch}"
+                );
+            }
+            for now in [0, 29, 30, 33, 40, 55, 70, 100] {
+                let mut p = PeriodicUpdate { whole_file, ..PeriodicUpdate::default() };
+                assert_eq!(
+                    p.on_tick(&q, at(now)),
+                    reference::aged_selection(&dirty, at(now), p.max_age, whole_file),
+                    "whole_file {whole_file} now {now}"
+                );
+            }
+        }
     }
 
     #[test]

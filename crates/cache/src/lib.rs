@@ -17,6 +17,8 @@ mod engine;
 pub mod flush;
 mod key;
 mod list;
+#[cfg(test)]
+mod model;
 pub mod policy;
 
 pub use engine::{
@@ -26,7 +28,7 @@ pub use flush::{
     flush_by_name, flush_by_name_batched, CacheQuery, FlushPolicy, NvramFlush, PeriodicUpdate,
     WriteSaving,
 };
-pub use key::{BlockKey, FileId};
+pub use key::{BlockKey, FileId, FixedHasher, FixedState};
 pub use list::FrameList;
 pub use policy::{
     replacement_by_name, AccessMeta, Fifo, Lfu, Lru, LruK, RandomPolicy, ReplacementPolicy, Slru,

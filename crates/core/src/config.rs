@@ -60,8 +60,9 @@ pub struct FsConfig {
     pub mm_resident_cap: u64,
     /// Lock/table shard count for the engine's interior concurrency
     /// structures: the namespace lock (striped by parent directory
-    /// inode), the inode table, the block in-flight table, the layout
-    /// extent-range locks, and the cache's key-indexed structures.
+    /// inode), the inode table, the block in-flight table and the
+    /// layout extent-range locks. (The block cache is one structure at
+    /// every shard count — see `cnp_cache::BlockCache`.)
     /// `1` (the default) is the unsharded legacy configuration and
     /// replays pre-sharding runs exactly; raising it lets independent
     /// clients' operations proceed past each other. Single-client

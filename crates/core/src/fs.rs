@@ -22,7 +22,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use cnp_cache::{
-    flush_by_name_batched, replacement_by_name, BlockCache, BlockKey, DirtyOutcome, FileId, Reserve,
+    flush_by_name_batched, replacement_by_name, BlockCache, BlockKey, DirtyOutcome, FileId,
+    FixedState, Reserve,
 };
 use cnp_disk::{DiskDriver, IoError, Payload};
 use cnp_layout::dir::{self, Dirent};
@@ -112,11 +113,11 @@ struct Shared {
     /// roll back if nothing else completed in between — otherwise the
     /// rollback could clobber a concurrent client's acked extension to
     /// the same end.
-    write_gen: RefCell<HashMap<Ino, u64>>,
-    open_counts: RefCell<HashMap<Ino, u32>>,
+    write_gen: RefCell<HashMap<Ino, u64, FixedState>>,
+    open_counts: RefCell<HashMap<Ino, u32, FixedState>>,
     inflight: ShardedTable<BlockKey, Event>,
     /// Per-block failed-flush counts (bounded retry bookkeeping).
-    flush_retry: RefCell<HashMap<BlockKey, u8>>,
+    flush_retry: RefCell<HashMap<BlockKey, u8, FixedState>>,
     /// Serializes directory read-modify-write sequences, striped by the
     /// *parent directory* inode: clients mutating distinct directories
     /// (each sweep client owns its `/w<c>` shard) proceed past each
@@ -155,8 +156,10 @@ impl FileSystem {
         // them as a concurrent scatter-gather batch.
         let flush = flush_by_name_batched(&cfg.flush, cfg.queue_depth as usize)
             .unwrap_or_else(|| panic!("unknown flush policy {}", cfg.flush));
+        // `shards` sizes the lock stripes and the tables they guard; the
+        // cache itself is one structure (see `BlockCache`).
         let shards = cfg.shards.max(1);
-        let cache = BlockCache::with_shards(cfg.cache.clone(), replacement, flush, shards as usize);
+        let cache = BlockCache::new(cfg.cache.clone(), replacement, flush);
         let driver = layout.driver().clone();
         // One knob drives the whole pipeline: the engine fans multi-block
         // operations out in windows of `queue_depth`, which builds the
@@ -179,10 +182,10 @@ impl FileSystem {
             io,
             driver,
             inodes: ShardedTable::new(shards),
-            write_gen: RefCell::new(HashMap::new()),
-            open_counts: RefCell::new(HashMap::new()),
+            write_gen: RefCell::default(),
+            open_counts: RefCell::default(),
             inflight: ShardedTable::new(shards),
-            flush_retry: RefCell::new(HashMap::new()),
+            flush_retry: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
             flush_done: Event::new(handle),
@@ -1339,13 +1342,7 @@ impl FileSystem {
                     if let Some(p) = g.get().staged_block(addr) {
                         let data = p.bytes().map(|b| b.to_vec());
                         let key = BlockKey::new(FileId(ino.0), blk);
-                        self.s.cache.borrow_mut().commit(
-                            frame,
-                            key,
-                            data.clone(),
-                            self.s.handle.now(),
-                        );
-                        out[base + slot] = data;
+                        out[base + slot] = self.commit_loaded(frame, key, data);
                         filled[slot] = true;
                         self.s.inflight.shard_mut(key.shard_image()).remove(&key);
                         ev.signal();
@@ -1392,8 +1389,7 @@ impl FileSystem {
                     let (slot, blk, frame, ev) =
                         (ours[idx].0, ours[idx].1, ours[idx].2, &ours[idx].3);
                     let key = BlockKey::new(FileId(ino.0), blk);
-                    self.s.cache.borrow_mut().commit(frame, key, data.clone(), self.s.handle.now());
-                    out[base + slot] = data;
+                    out[base + slot] = self.commit_loaded(frame, key, data);
                     filled[slot] = true;
                     self.s.inflight.shard_mut(key.shard_image()).remove(&key);
                     ev.signal();
@@ -1416,13 +1412,7 @@ impl FileSystem {
                                 None => None,
                             };
                             let key = BlockKey::new(FileId(ino.0), blk);
-                            self.s.cache.borrow_mut().commit(
-                                frame,
-                                key,
-                                data.clone(),
-                                self.s.handle.now(),
-                            );
-                            out[base + slot] = data;
+                            out[base + slot] = self.commit_loaded(frame, key, data);
                             filled[slot] = true;
                             self.s.inflight.shard_mut(key.shard_image()).remove(&key);
                             ev.signal();
@@ -1527,9 +1517,7 @@ impl FileSystem {
                     // (LFS unflushed segment): serve it from there.
                     if let Some(p) = g.get().staged_block(a) {
                         let data = p.bytes().map(|b| b.to_vec());
-                        let mut cache = self.s.cache.borrow_mut();
-                        cache.commit(frame, key, data.clone(), self.s.handle.now());
-                        return Ok(data);
+                        return Ok(self.commit_loaded(frame, key, data));
                     }
                     Some(a)
                 }
@@ -1559,9 +1547,27 @@ impl FileSystem {
                 }
             }
         };
+        Ok(self.commit_loaded(frame, key, data))
+    }
+
+    /// Commits a loaded block into the frame reserved for it and returns
+    /// the block's bytes. Loads dedup against each other through
+    /// `inflight`, but a whole-block writer never consults it: if one
+    /// made the block resident while this load was awaiting its frame,
+    /// the layout lock or the disk, the spare frame goes back and the
+    /// resident (newer) bytes are the block's.
+    fn commit_loaded(&self, frame: u32, key: BlockKey, data: Option<Vec<u8>>) -> Option<Vec<u8>> {
         let mut cache = self.s.cache.borrow_mut();
-        cache.commit(frame, key, data.clone(), self.s.handle.now());
-        Ok(data)
+        match cache.peek(key) {
+            None => {
+                cache.commit(frame, key, data.clone(), self.s.handle.now());
+                data
+            }
+            Some(resident) => {
+                cache.release_reserved(frame);
+                cache.data(resident).map(<[u8]>::to_vec)
+            }
+        }
     }
 
     /// Writes one whole block through the cache (dirtying it); the dirty
@@ -1575,16 +1581,22 @@ impl FileSystem {
     ) -> FsResult<()> {
         let key = BlockKey::new(FileId(ino.0), blk);
         loop {
-            let present = self.s.cache.borrow().peek(key).is_some();
-            if !present {
+            let mut resident = self.s.cache.borrow().peek(key);
+            if resident.is_none() {
                 let frame = self.reserve_frame().await?;
+                // `reserve_frame` parks on a demand flush when no frame
+                // is clean; another writer of this block may have made
+                // it resident meanwhile. Look again: the spare frame
+                // goes back and this write lands on the resident block.
                 let mut cache = self.s.cache.borrow_mut();
-                cache.commit(frame, key, data.clone(), self.s.handle.now());
-            } else if data.is_some() {
-                let mut cache = self.s.cache.borrow_mut();
-                if let Some(frame) = cache.peek(key) {
-                    cache.set_data(frame, data.clone());
+                resident = cache.peek(key);
+                match resident {
+                    None => cache.commit(frame, key, data.clone(), self.s.handle.now()),
+                    Some(_) => cache.release_reserved(frame),
                 }
+            }
+            if let (Some(frame), true) = (resident, data.is_some()) {
+                self.s.cache.borrow_mut().set_data(frame, data.clone());
             }
             // Dirty it, honouring the NVRAM budget.
             let outcome = {
@@ -1762,6 +1774,7 @@ impl FileSystem {
                 let mut cache = self.s.cache.borrow_mut();
                 let mut retry = self.s.flush_retry.borrow_mut();
                 match &result {
+                    Ok(()) if retry.is_empty() => {}
                     Ok(()) => {
                         for k in &started {
                             retry.remove(k);
@@ -2293,6 +2306,90 @@ mod tests {
             assert!(of(0) >= 8, "client 0 flushes missing: {attr:?}");
             assert!(of(1) >= 4, "client 1 flushes missing: {attr:?}");
         });
+    }
+
+    fn tiny_cache(flush: &str, data_mode: DataMode, queue_depth: u32) -> FsConfig {
+        FsConfig {
+            cache: cnp_cache::CacheConfig {
+                block_size: BLOCK_SIZE,
+                mem_bytes: 8 * BLOCK_SIZE as u64,
+                nvram_bytes: None,
+            },
+            flush: flush.into(),
+            data_mode,
+            queue_depth,
+            ..FsConfig::default()
+        }
+    }
+
+    #[test]
+    fn two_writers_of_one_absent_block_both_land() {
+        // Every frame dirty: each writer finds the block absent and
+        // parks in `reserve_frame` on a demand flush. The first to wake
+        // commits the block; the second must notice, not commit again.
+        run_fs_cfg(tiny_cache("ups", DataMode::Simulated, 1), |fs| async move {
+            let filler = fs.create("/filler", FileKind::Regular).await.unwrap();
+            let shared = fs.create("/shared", FileKind::Regular).await.unwrap();
+            fs.write(filler, 0, 16 * 4096, None).await.unwrap();
+            let writers = (0..2).map(|c| {
+                let client = fs.client(c);
+                async move { client.write(shared, 0, 4096, None).await }
+            });
+            for r in cnp_sim::join_all(writers).await {
+                assert_eq!(r, Ok(4096));
+            }
+            let key = BlockKey::new(FileId(shared.0), 0);
+            let state = fs.s.cache.borrow().state_of(key);
+            assert!(matches!(state, Some(cnp_cache::BlockState::Dirty { .. })));
+            // The second writer's spare frame went back to the pool:
+            // the next new block takes it, evicting nothing.
+            let evictions = fs.cache_stats().evictions;
+            fs.write(shared, 4096, 4096, None).await.unwrap();
+            assert_eq!(fs.cache_stats().evictions, evictions);
+            assert_eq!(fs.s.cache.borrow().resident(), 8);
+        });
+    }
+
+    #[test]
+    fn a_whole_block_write_may_overtake_a_load_of_the_same_block() {
+        // A reader misses and goes to the disk; a whole-block writer —
+        // which never waits on `inflight` — makes the blocks resident
+        // before the read returns. The load must yield to it. Lock-step
+        // (`load_block`) and pipelined (`read_window`) loads alike.
+        for queue_depth in [1, 8] {
+            run_fs_cfg(tiny_cache("ups", DataMode::Real, queue_depth), move |fs| async move {
+                let shared = fs.create("/shared", FileKind::Regular).await.unwrap();
+                let filler = fs.create("/filler", FileKind::Regular).await.unwrap();
+                fs.write(shared, 0, 2 * 4096, Some(&[b'a'; 2 * 4096])).await.unwrap();
+                // Push the shared blocks out and leave every frame
+                // clean, so neither side waits for a frame.
+                fs.write(filler, 0, 8 * 4096, Some(&[b'f'; 8 * 4096])).await.unwrap();
+                fs.sync().await.unwrap();
+                let key = |blk| BlockKey::new(FileId(shared.0), blk);
+                assert!((0..2).all(|b| fs.s.cache.borrow().peek(key(b)).is_none()));
+                let writer = fs.client(1);
+                let wrote = fs.s.handle.spawn("writer", async move {
+                    let n = writer.write(shared, 0, 2 * 4096, Some(&[b'b'; 2 * 4096])).await;
+                    assert_eq!(n, Ok(2 * 4096));
+                });
+                let read = fs.client(0).read(shared, 0, 2 * 4096).await;
+                assert!(wrote.is_finished(), "the write must land while the read is at the disk");
+                // The two ops overlap: each block read is the old or
+                // the new one.
+                let (n, got) = read.unwrap();
+                assert_eq!(n, 2 * 4096);
+                for block in got.unwrap().chunks(4096) {
+                    assert!(block == [b'a'; 4096] || block == [b'b'; 4096]);
+                }
+                // The write is what stays.
+                let (_, after) = fs.read(shared, 0, 2 * 4096).await.unwrap();
+                assert_eq!(after.unwrap(), vec![b'b'; 2 * 4096]);
+                for blk in 0..2 {
+                    let state = fs.s.cache.borrow().state_of(key(blk));
+                    assert!(matches!(state, Some(cnp_cache::BlockState::Dirty { .. })));
+                }
+            });
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use cnp_cache::FixedState;
+
 /// Fixed key → shard spreading (Fibonacci multiplicative hash over a
 /// `u64` key image); identical constant to the lock-stripe spread so a
 /// table shard and its guarding lock stripe agree.
@@ -25,10 +27,13 @@ pub(crate) fn spread(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
+/// One shard: integer keys, so the cache's fixed hasher serves.
+pub(crate) type Shard<K, V> = HashMap<K, V, FixedState>;
+
 /// A `HashMap` partitioned into `shards` independently borrowable
 /// shards by a deterministic hash of the key's `u64` image.
 pub(crate) struct ShardedTable<K, V> {
-    shards: Vec<RefCell<HashMap<K, V>>>,
+    shards: Vec<RefCell<Shard<K, V>>>,
 }
 
 impl<K: Eq + Hash + Copy, V> ShardedTable<K, V> {
@@ -37,7 +42,7 @@ impl<K: Eq + Hash + Copy, V> ShardedTable<K, V> {
     /// also stripe locks by), passed to [`ShardedTable::shard`].
     pub fn new(shards: u32) -> ShardedTable<K, V> {
         assert!(shards >= 1, "a table needs at least one shard");
-        ShardedTable { shards: (0..shards).map(|_| RefCell::new(HashMap::new())).collect() }
+        ShardedTable { shards: (0..shards).map(|_| RefCell::default()).collect() }
     }
 
     fn shard_of(&self, image: u64) -> usize {
@@ -45,12 +50,12 @@ impl<K: Eq + Hash + Copy, V> ShardedTable<K, V> {
     }
 
     /// Immutably borrows the shard holding `image`.
-    pub fn shard(&self, image: u64) -> Ref<'_, HashMap<K, V>> {
+    pub fn shard(&self, image: u64) -> Ref<'_, Shard<K, V>> {
         self.shards[self.shard_of(image)].borrow()
     }
 
     /// Mutably borrows the shard holding `image`.
-    pub fn shard_mut(&self, image: u64) -> RefMut<'_, HashMap<K, V>> {
+    pub fn shard_mut(&self, image: u64) -> RefMut<'_, Shard<K, V>> {
         self.shards[self.shard_of(image)].borrow_mut()
     }
 

@@ -1,9 +1,15 @@
-//! The name path's allocation budget: what an operation allocates
-//! depends on how many *blocks* its directory spans, never on how many
-//! *entries* it holds. A lookup scans the packed bytes where they sit
-//! (one gathered copy if the directory spans several blocks); a create
-//! or unlink moves one record in one gathered copy. Nothing builds a
-//! listing.
+//! Allocation budgets: cost follows the work asked for, not the size of
+//! the structure it is asked of.
+//!
+//! The name path: what an operation allocates depends on how many
+//! *blocks* its directory spans, never on how many *entries* it holds.
+//! A lookup scans the packed bytes where they sit (one gathered copy if
+//! the directory spans several blocks); a create or unlink moves one
+//! record in one gathered copy. Nothing builds a listing.
+//!
+//! The block cache: what a flush pick allocates depends on what it
+//! *picks*, never on how much is *dirty*; committing a simulated block
+//! allocates nothing.
 //!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
@@ -11,10 +17,13 @@
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
 use std::cell::Cell;
 
+use cut_and_paste::cache::{
+    flush_by_name, BlockCache, BlockKey, CacheConfig, DirtyOutcome, FileId, Lru, Reserve,
+};
 use cut_and_paste::core::{FileSystem, FsConfig};
 use cut_and_paste::disk::{sim_disk_driver, CLook, Hp97560};
 use cut_and_paste::layout::{FileKind, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
-use cut_and_paste::sim::Sim;
+use cut_and_paste::sim::{Sim, SimTime};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -147,4 +156,86 @@ fn name_path_cost_follows_blocks_not_entries() {
         );
         fs.shutdown();
     });
+}
+
+/// A cache of `dirty + 1` frames whose NVRAM holds `dirty` blocks, all
+/// of them dirty: `files` files of `dirty / files` blocks each, dirtied
+/// file by file. One more clean block, `probe`, is resident.
+fn full_nvram(policy: &str, dirty: u64, files: u64) -> (BlockCache, BlockKey) {
+    let cfg = CacheConfig {
+        block_size: BLOCK_SIZE,
+        mem_bytes: (dirty + 1) * BLOCK_SIZE as u64,
+        nvram_bytes: Some(dirty * BLOCK_SIZE as u64),
+    };
+    let lru = Box::new(Lru::new(cfg.frames()));
+    let mut cache = BlockCache::new(cfg, lru, flush_by_name(policy).expect("known policy"));
+    let now = SimTime::ZERO;
+    let insert = |cache: &mut BlockCache, key| match cache.reserve() {
+        Reserve::Frame(frame) => cache.commit(frame, key, None, now),
+        Reserve::NeedFlush(_) => panic!("the cache has a frame for every block"),
+    };
+    for i in 0..dirty {
+        let key = BlockKey::new(FileId(i / (dirty / files)), i % (dirty / files));
+        insert(&mut cache, key);
+        assert_eq!(cache.mark_dirty(key, now), DirtyOutcome::Ok);
+    }
+    let probe = BlockKey::new(FileId(u64::MAX), 0);
+    insert(&mut cache, probe);
+    (cache, probe)
+}
+
+/// Allocations of one NVRAM stall on `cache`, and how many blocks the
+/// policy picked.
+fn stall(cache: &mut BlockCache, probe: BlockKey) -> (u64, usize) {
+    let before = allocs();
+    let outcome = cache.mark_dirty(probe, SimTime::ZERO);
+    let spent = allocs() - before;
+    match outcome {
+        DirtyOutcome::NeedFlush(picks) => (spent, picks.len()),
+        DirtyOutcome::Ok => panic!("NVRAM is full"),
+    }
+}
+
+#[test]
+fn flush_pick_cost_follows_the_pick_not_the_dirty_set() {
+    // Partial-file: the oldest block, whatever else is dirty.
+    let (mut few, probe_few) = full_nvram("nvram-partial", 16, 16);
+    let (mut many, probe_many) = full_nvram("nvram-partial", 1024, 1024);
+    let (few, many) = (stall(&mut few, probe_few), stall(&mut many, probe_many));
+    assert_eq!((few.1, many.1), (1, 1));
+    assert_eq!(
+        many.0, few.0,
+        "a stall with 1,024 blocks dirty must allocate what one with 16 does"
+    );
+    assert_eq!(few.0, 1, "the pick is its own only allocation");
+
+    // Whole-file: the oldest block's file. Eight dirty blocks of it
+    // cost the same among 16 dirty blocks as among 1,024 …
+    let (mut few, probe_few) = full_nvram("nvram-whole", 16, 2);
+    let (mut many, probe_many) = full_nvram("nvram-whole", 1024, 128);
+    let (few, many) = (stall(&mut few, probe_few), stall(&mut many, probe_many));
+    assert_eq!((few.1, many.1), (8, 8));
+    assert_eq!(many.0, few.0, "an 8-block file among 1,024 dirty blocks against among 16");
+    // … and more of them cost no less.
+    let (mut big, probe_big) = full_nvram("nvram-whole", 1024, 2);
+    let big = stall(&mut big, probe_big);
+    assert_eq!(big.1, 512);
+    assert!(big.0 >= many.0 && big.0 <= 32, "a 512-block file allocated {}", big.0);
+}
+
+#[test]
+fn committing_a_simulated_block_allocates_nothing() {
+    let cfg = CacheConfig { block_size: BLOCK_SIZE, mem_bytes: 64 << 20, nvram_bytes: None };
+    let lru = Box::new(Lru::new(cfg.frames()));
+    let mut cache = BlockCache::new(cfg, lru, flush_by_name("ups").expect("known policy"));
+    // The floor over a run of commits: index growth (a hash table
+    // doubling, a B-tree node splitting) is amortised, not per block.
+    let mut floor = u64::MAX;
+    for block in 0..64 {
+        let Reserve::Frame(frame) = cache.reserve() else { panic!("the cache is empty") };
+        let before = allocs();
+        cache.commit(frame, BlockKey::new(FileId(1), block), None, SimTime::ZERO);
+        floor = floor.min(allocs() - before);
+    }
+    assert_eq!(floor, 0);
 }
