@@ -118,15 +118,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Fraction of dirtied blocks that never reached the disk.
-    pub fn absorption_rate(&self) -> f64 {
-        if self.dirtied == 0 {
-            0.0
-        } else {
-            self.absorbed as f64 / self.dirtied as f64
-        }
-    }
 }
 
 /// Engine configuration.
@@ -337,11 +328,6 @@ impl BlockCache {
         self.stats
     }
 
-    /// Names of the installed policies (replacement, flush).
-    pub fn policy_names(&self) -> (&'static str, &'static str) {
-        (self.clean.name(), self.flush_policy.name())
-    }
-
     /// Interval at which [`BlockCache::tick`] should be driven, if any.
     pub fn tick_interval(&self) -> Option<SimDuration> {
         self.flush_policy.tick_interval()
@@ -403,19 +389,9 @@ impl BlockCache {
         self.frames[frame as usize].data.as_deref()
     }
 
-    /// Mutable block bytes of a resident frame.
-    pub fn data_mut(&mut self, frame: u32) -> Option<&mut Vec<u8>> {
-        self.frames[frame as usize].data.as_mut()
-    }
-
     /// Replaces the bytes of a resident frame.
     pub fn set_data(&mut self, frame: u32, data: Option<Vec<u8>>) {
         self.frames[frame as usize].data = data;
-    }
-
-    /// The key held by a frame.
-    pub fn key_of(&self, frame: u32) -> BlockKey {
-        self.frames[frame as usize].key
     }
 
     /// The state of a resident block.
@@ -759,7 +735,6 @@ mod tests {
         assert_eq!(c.dirty_count(), 0);
         assert!(c.peek(key(9, 0)).is_none());
         assert!(c.peek(key(2, 0)).is_some());
-        assert!(c.stats().absorption_rate() > 0.99);
     }
 
     #[test]
@@ -977,7 +952,7 @@ mod tests {
         };
         c.commit(f, key(1, 0), Some(vec![7u8; 4096]), t(0));
         assert_eq!(c.data(f).unwrap()[0], 7);
-        c.data_mut(f).unwrap()[0] = 9;
+        c.set_data(f, Some(vec![9u8; 4096]));
         assert_eq!(c.data(f).unwrap()[0], 9);
     }
 }

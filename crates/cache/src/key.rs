@@ -31,16 +31,6 @@ impl BlockKey {
     pub fn new(file: FileId, block: u64) -> Self {
         BlockKey { file, block }
     }
-
-    /// Deterministic `u64` image for shard routing (the engine's
-    /// in-flight table, lock stripes). A fixed multiplicative
-    /// mix of the file id spreads consecutive files, and folding the
-    /// block index in keeps one file's blocks spread across shards —
-    /// never the std `HashMap` hasher, so the shard of a key is stable
-    /// across runs and processes.
-    pub fn shard_image(&self) -> u64 {
-        self.file.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32) ^ self.block
-    }
 }
 
 impl fmt::Display for BlockKey {

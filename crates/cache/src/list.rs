@@ -53,11 +53,6 @@ impl FrameList {
         (self.head != NONE).then_some(self.head)
     }
 
-    /// Back (most-recently pushed-back) frame.
-    pub fn back(&self) -> Option<u32> {
-        (self.tail != NONE).then_some(self.tail)
-    }
-
     /// Appends `frame` at the back.
     ///
     /// # Panics
@@ -73,24 +68,6 @@ impl FrameList {
             self.head = frame;
         }
         self.tail = frame;
-        self.len += 1;
-    }
-
-    /// Prepends `frame` at the front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is already linked.
-    pub fn push_front(&mut self, frame: u32) {
-        let i = frame as usize;
-        assert!(!self.nodes[i].linked, "frame {frame} already linked");
-        self.nodes[i] = Node { prev: NONE, next: self.head, linked: true };
-        if self.head != NONE {
-            self.nodes[self.head as usize].prev = frame;
-        } else {
-            self.tail = frame;
-        }
-        self.head = frame;
         self.len += 1;
     }
 
@@ -171,17 +148,6 @@ mod tests {
         assert_eq!(l.pop_front(), Some(5));
         assert_eq!(l.pop_front(), None);
         assert!(l.is_empty());
-    }
-
-    #[test]
-    fn push_front_and_back() {
-        let mut l = FrameList::new(8);
-        l.push_back(2);
-        l.push_front(1);
-        l.push_back(3);
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(l.front(), Some(1));
-        assert_eq!(l.back(), Some(3));
     }
 
     #[test]

@@ -316,7 +316,8 @@ impl CheckProgress {
 }
 
 /// Execution options for [`run_check_with`]: thread fan-out, the
-/// incremental cell cache, and a progress sink.
+/// incremental cell cache, and a progress sink. The default is serial,
+/// uncached and silent.
 #[derive(Default)]
 pub struct CheckOptions<'a> {
     /// Worker threads (0 or 1 = serial in-place execution).
@@ -326,21 +327,6 @@ pub struct CheckOptions<'a> {
     pub cache: Option<&'a mut CellCache>,
     /// Called every 1000 merged cells.
     pub progress: Option<&'a mut dyn FnMut(CheckProgress)>,
-}
-
-impl CheckOptions<'_> {
-    /// Serial, uncached, silent — the legacy [`run_check`] behavior.
-    pub fn serial() -> CheckOptions<'static> {
-        CheckOptions::default()
-    }
-}
-
-/// Runs the full bounded enumeration serially. Deterministic in `cfg`:
-/// the same configuration produces a byte-identical
-/// [`format_check_report`]. Shorthand for [`run_check_with`] under
-/// [`CheckOptions::serial`].
-pub fn run_check(cfg: &CheckConfig) -> CheckReport {
-    run_check_with(cfg, CheckOptions::serial())
 }
 
 /// One cell's result as it travels from a worker to the merge: the
@@ -805,8 +791,8 @@ mod tests {
     #[test]
     fn small_enumeration_is_clean_and_deterministic() {
         let cfg = small_cfg(12);
-        let a = run_check(&cfg);
-        let b = run_check(&cfg);
+        let a = run_check_with(&cfg, CheckOptions::default());
+        let b = run_check_with(&cfg, CheckOptions::default());
         assert!(a.clean(), "{:?}", a.rows);
         assert_eq!(a.cells, b.cells);
         assert_eq!(format_check_report(&cfg, &a), format_check_report(&cfg, &b));
@@ -823,7 +809,7 @@ mod tests {
         let records = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
         let mut cfg = CheckConfig::new(records, "1a", 40);
         cfg.queue_depth = 8;
-        let report = run_check(&cfg);
+        let report = run_check_with(&cfg, CheckOptions::default());
         assert!(report.clean(), "{:?}", report.rows);
         assert_eq!(report.cells, 320);
         let counts: Vec<(usize, usize)> =
@@ -842,7 +828,7 @@ mod tests {
     #[test]
     fn threaded_enumeration_matches_serial_bytes() {
         let cfg = small_cfg(10);
-        let serial = run_check(&cfg);
+        let serial = run_check_with(&cfg, CheckOptions::default());
         let serial_bytes = format_check_report(&cfg, &serial);
         for threads in [2, 4] {
             let report =

@@ -45,8 +45,8 @@ pub mod repro;
 pub use cache::{cell_key, spec_fingerprint, CellCache, PrefixHashes};
 pub use cell::{run_cell, run_cell_at, CellOutcome, CellSpec, CellViolation, CutSpec};
 pub use enumerate::{
-    format_check_report, minimize, run_check, run_check_with, standard_policies, CheckConfig,
-    CheckOptions, CheckProgress, CheckReport, CheckStats, Failure, PolicyRow, PolicySpec,
+    format_check_report, minimize, run_check_with, standard_policies, CheckConfig, CheckOptions,
+    CheckProgress, CheckReport, CheckStats, Failure, PolicyRow, PolicySpec,
 };
 pub use linearize::{check_history, LinConfig, LinOutcome};
 pub use linrun::{

@@ -4,7 +4,6 @@
 //! so a Patsy experiment and a PFS instance differ only in configuration.
 
 use cnp_cache::CacheConfig;
-use cnp_sim::SimDuration;
 
 /// Whether user file data carries real bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,28 +46,17 @@ pub struct FsConfig {
     pub queue_depth: u32,
     /// Real or simulated user data.
     pub data_mode: DataMode,
-    /// Simulated cost of copying one cache block ("the simulator delays
-    /// the current thread for the amount of time it would take to copy
-    /// the data", §2).
-    pub copy_cost: SimDuration,
-    /// Fixed per-operation request-handling overhead.
-    pub op_overhead: SimDuration,
-    /// Blocks a multimedia (active) file prefetches ahead.
-    pub mm_prefetch: u64,
-    /// Resident-block cap for multimedia files (their derived cache
-    /// policy keeps them from flooding the cache, §2).
-    pub mm_resident_cap: u64,
-    /// Lock/table shard count for the engine's interior concurrency
-    /// structures: the namespace lock (striped by parent directory
-    /// inode), the inode table, the block in-flight table and the
-    /// layout extent-range locks. (The block cache is one structure at
-    /// every shard count — see `cnp_cache::BlockCache`.)
+    /// Stripe count of the engine's interior lock families: the
+    /// namespace lock (striped by parent directory inode) and the
+    /// layout extent-range locks (striped by owning inode). (The inode
+    /// and in-flight tables and the block cache are one structure each
+    /// at every shard count — see `cnp_cache::BlockCache`.)
     /// `1` (the default) is the unsharded legacy configuration and
     /// replays pre-sharding runs exactly; raising it lets independent
     /// clients' operations proceed past each other. Single-client
     /// seeded runs are byte-identical at every shard count (enforced
-    /// by proptest): shard routing partitions structures, it never
-    /// reorders decisions.
+    /// by proptest): striping decides who waits for whom, it never
+    /// reorders a lone client's decisions.
     pub shards: u32,
     /// Test-only: reintroduce the pre-fix stale-size write ordering
     /// (size extended only *after* all blocks are dirtied, so a
@@ -88,10 +76,6 @@ impl Default for FsConfig {
             flush_mode: FlushMode::Async,
             queue_depth: 1,
             data_mode: DataMode::Simulated,
-            copy_cost: SimDuration::from_micros(80),
-            op_overhead: SimDuration::from_micros(100),
-            mm_prefetch: 8,
-            mm_resident_cap: 64,
             shards: 1,
             plant_stale_size_bug: false,
         }

@@ -22,8 +22,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use cnp_cache::{
-    flush_by_name_batched, replacement_by_name, BlockCache, BlockKey, DirtyOutcome, FileId,
-    FixedState, Reserve,
+    flush_by_name_batched, replacement_by_name, BlockCache, BlockKey, BlockState, DirtyOutcome,
+    FileId, FixedState, Reserve,
 };
 use cnp_disk::{DiskDriver, IoError, Payload};
 use cnp_layout::dir::{self, Dirent};
@@ -31,12 +31,13 @@ use cnp_layout::{
     BlockAddr, FileKind, Ino, Inode, Layout, LayoutError, LayoutStats, StorageLayout, BLOCK_SIZE,
     MAX_FILE_BLOCKS,
 };
-use cnp_sim::{channel, Event, Handle, LockStats, Receiver, Sender, ShardedMutex, TrackedMutex};
+use cnp_sim::{
+    channel, Event, Handle, LockStats, Receiver, Sender, ShardedMutex, SimDuration, TrackedMutex,
+};
 
 use crate::config::{DataMode, FlushMode, FsConfig};
 use crate::error::{FsError, FsResult};
 use crate::history::{HistOp, HistOutcome, HistoryEvent, HistoryLog};
-use crate::shard::ShardedTable;
 
 /// Engine-level counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,7 +108,7 @@ struct Shared {
     layout_ranges: ShardedMutex<()>,
     io: cnp_layout::BlockIo,
     driver: DiskDriver,
-    inodes: ShardedTable<Ino, Rc<RefCell<Inode>>>,
+    inodes: RefCell<HashMap<Ino, Rc<RefCell<Inode>>, FixedState>>,
     /// Per-inode count of completed size-relevant ops (writes,
     /// truncates). A failed write's speculative size extension may only
     /// roll back if nothing else completed in between — otherwise the
@@ -115,7 +116,7 @@ struct Shared {
     /// the same end.
     write_gen: RefCell<HashMap<Ino, u64, FixedState>>,
     open_counts: RefCell<HashMap<Ino, u32, FixedState>>,
-    inflight: ShardedTable<BlockKey, Event>,
+    inflight: RefCell<HashMap<BlockKey, Event, FixedState>>,
     /// Per-block failed-flush counts (bounded retry bookkeeping).
     flush_retry: RefCell<HashMap<BlockKey, u8, FixedState>>,
     /// Serializes directory read-modify-write sequences, striped by the
@@ -133,6 +134,18 @@ struct Shared {
 
 /// Flush attempts per block before an erroring block is dropped.
 const FLUSH_RETRIES: u8 = 3;
+
+/// Simulated cost of copying one cache block ("the simulator delays
+/// the current thread for the amount of time it would take to copy
+/// the data", §2).
+const COPY_COST: SimDuration = SimDuration::from_micros(80);
+
+/// Fixed per-operation request-handling overhead.
+const OP_OVERHEAD: SimDuration = SimDuration::from_micros(100);
+
+/// Resident-block cap for multimedia files (their derived cache
+/// policy keeps them from flooding the cache, §2).
+const MM_RESIDENT_CAP: usize = 64;
 
 /// The instantiated file system (cloneable handle).
 #[derive(Clone)]
@@ -156,8 +169,8 @@ impl FileSystem {
         // them as a concurrent scatter-gather batch.
         let flush = flush_by_name_batched(&cfg.flush, cfg.queue_depth as usize)
             .unwrap_or_else(|| panic!("unknown flush policy {}", cfg.flush));
-        // `shards` sizes the lock stripes and the tables they guard; the
-        // cache itself is one structure (see `BlockCache`).
+        // `shards` sizes the lock stripes; the tables they guard and the
+        // cache are one structure each (see `BlockCache`).
         let shards = cfg.shards.max(1);
         let cache = BlockCache::new(cfg.cache.clone(), replacement, flush);
         let driver = layout.driver().clone();
@@ -181,10 +194,10 @@ impl FileSystem {
             layout_ranges: ShardedMutex::new(handle, shards as usize, |_| ()),
             io,
             driver,
-            inodes: ShardedTable::new(shards),
+            inodes: RefCell::default(),
             write_gen: RefCell::default(),
             open_counts: RefCell::default(),
-            inflight: ShardedTable::new(shards),
+            inflight: RefCell::default(),
             flush_retry: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
@@ -283,7 +296,7 @@ impl FileSystem {
         ]
     }
 
-    /// Configured shard count for the interior locks and tables.
+    /// Configured stripe count of the interior lock families.
     pub fn shards(&self) -> u32 {
         self.s.cfg.shards.max(1)
     }
@@ -402,11 +415,6 @@ impl FileSystem {
         self.s.layout.try_lock().map(|g| g.get().stats())
     }
 
-    /// Installed policy names `(replacement, flush)`.
-    pub fn policy_names(&self) -> (&'static str, &'static str) {
-        self.s.cache.borrow().policy_names()
-    }
-
     /// Formats the underlying layout (mkfs) and writes an empty root.
     pub async fn format(&self) -> FsResult<()> {
         let _all = self.s.layout_ranges.lock_all().await;
@@ -421,15 +429,6 @@ impl FileSystem {
         let g = self.s.layout.lock().await;
         g.get_mut().mount().await?;
         Ok(())
-    }
-
-    /// Mounts after a crash, running the layout's recovery path (LFS
-    /// checkpoint + roll-forward, FFS bitmap rebuild).
-    pub async fn recover(&self) -> FsResult<cnp_layout::RecoveryStats> {
-        let _all = self.s.layout_ranges.lock_all().await;
-        let g = self.s.layout.lock().await;
-        let stats = g.get_mut().recover().await?;
-        Ok(stats)
     }
 
     /// Captures what survives a power cut in battery-backed cache RAM.
@@ -455,7 +454,7 @@ impl FileSystem {
         let sizes = files
             .into_iter()
             .filter_map(|ino| {
-                self.s.inodes.shard(ino).get(&Ino(ino)).map(|rc| (ino, rc.borrow().size))
+                self.s.inodes.borrow().get(&Ino(ino)).map(|rc| (ino, rc.borrow().size))
             })
             .collect();
         NvramSnapshot { blocks, sizes }
@@ -504,15 +503,15 @@ impl FileSystem {
             self.s.flush_done.signal();
         }
         // Persist in-memory inodes (sizes may be newer than last flush).
-        // Sorted: HashMap iteration order varies between instances (and
-        // shard walk order groups by shard), and the put order shapes
-        // the LFS log — replays must not depend on hasher state.
-        let mut inos: Vec<Ino> = self.s.inodes.keys();
+        // Sorted: HashMap iteration order varies between instances, and
+        // the put order shapes the LFS log — replays must not depend on
+        // hasher state.
+        let mut inos: Vec<Ino> = self.s.inodes.borrow().keys().copied().collect();
         inos.sort_unstable();
         let _all = self.s.layout_ranges.lock_all().await;
         let g = self.s.layout.lock().await;
         for ino in inos {
-            let inode = self.s.inodes.shard(ino.0).get(&ino).map(|rc| rc.borrow().clone());
+            let inode = self.s.inodes.borrow().get(&ino).map(|rc| rc.borrow().clone());
             if let Some(inode) = inode {
                 match g.get_mut().put_inode(&inode).await {
                     Ok(()) | Err(LayoutError::BadInode(_)) => {}
@@ -570,7 +569,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.shard_mut(ino.0).insert(ino, Rc::new(RefCell::new(inode.clone())));
+        self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode.clone())));
         {
             let sp = self.s.handle.trace_span("lock:range");
             let _rg = self.s.layout_ranges.lock(ino.0).await;
@@ -611,7 +610,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.shard_mut(ino.0).insert(ino, Rc::new(RefCell::new(inode)));
+        self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode)));
         dir::append(&mut bytes, ino, FileKind::Directory, name).map_err(FsError::BadPath)?;
         self.write_dir_bytes(dir_ino, &bytes).await?;
         Ok(ino)
@@ -878,7 +877,7 @@ impl FileSystem {
         self.write_dir_bytes(dir_ino, &bytes).await?;
         let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-        self.s.inodes.shard_mut(ino.0).remove(&ino);
+        self.s.inodes.borrow_mut().remove(&ino);
         self.s.write_gen.borrow_mut().remove(&ino);
         let sp = self.s.handle.trace_span("lock:range");
         let _rg = self.s.layout_ranges.lock(ino.0).await;
@@ -925,7 +924,7 @@ impl FileSystem {
             self.write_dir_bytes(dir_ino, &bytes).await?;
             let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-            self.s.inodes.shard_mut(ino.0).remove(&ino);
+            self.s.inodes.borrow_mut().remove(&ino);
             let sp = self.s.handle.trace_span("lock:range");
             let _rg = self.s.layout_ranges.lock(ino.0).await;
             self.s.handle.trace_exit(sp);
@@ -986,14 +985,9 @@ impl FileSystem {
     /// Creates a symbolic link holding `target`.
     pub async fn symlink(&self, path: &str, target: &str) -> FsResult<Ino> {
         let ino = self.create(path, FileKind::Symlink).await?;
-        let bytes = target.as_bytes().to_vec();
-        let len = bytes.len() as u64;
-        let data = match self.s.cfg.data_mode {
-            DataMode::Real => Some(bytes),
-            // Symlink targets are metadata: always real.
-            DataMode::Simulated => Some(bytes_padded(target)),
-        };
-        self.write(ino, 0, len, data.as_deref()).await?;
+        // Symlink targets are metadata: always real. `write` drops the
+        // bytes off-line, so the target takes the directory content path.
+        self.write_dir_bytes(ino, target.as_bytes()).await?;
         Ok(ino)
     }
 
@@ -1030,9 +1024,7 @@ impl FileSystem {
 
     async fn op_begin(&self) {
         self.s.stats.borrow_mut().ops += 1;
-        if !self.s.cfg.op_overhead.is_zero() {
-            self.s.handle.sleep(self.s.cfg.op_overhead).await;
-        }
+        self.s.handle.sleep(OP_OVERHEAD).await;
     }
 
     async fn resolve(&self, path: &str) -> FsResult<Ino> {
@@ -1072,7 +1064,7 @@ impl FileSystem {
     }
 
     async fn get_inode_rc(&self, ino: Ino) -> FsResult<Rc<RefCell<Inode>>> {
-        if let Some(rc) = self.s.inodes.shard(ino.0).get(&ino) {
+        if let Some(rc) = self.s.inodes.borrow().get(&ino) {
             return Ok(rc.clone());
         }
         let inode = {
@@ -1081,8 +1073,8 @@ impl FileSystem {
             inode
         };
         let rc = Rc::new(RefCell::new(inode));
-        let mut shard = self.s.inodes.shard_mut(ino.0);
-        Ok(shard.entry(ino).or_insert_with(|| rc.clone()).clone())
+        let mut inodes = self.s.inodes.borrow_mut();
+        Ok(inodes.entry(ino).or_insert_with(|| rc.clone()).clone())
     }
 
     /// Size in bytes of directory `ino`'s packed content.
@@ -1281,16 +1273,16 @@ impl FileSystem {
                     continue;
                 }
             }
-            if self.s.inflight.shard(key.shard_image()).contains_key(&key) {
+            if self.s.inflight.borrow().contains_key(&key) {
                 theirs.push((i as usize, blk));
                 continue;
             }
             let ev = Event::new(&self.s.handle);
-            self.s.inflight.shard_mut(key.shard_image()).insert(key, ev.clone());
+            self.s.inflight.borrow_mut().insert(key, ev.clone());
             match self.reserve_frame().await {
                 Ok(frame) => ours.push((i as usize, blk, frame, ev)),
                 Err(e) => {
-                    self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+                    self.s.inflight.borrow_mut().remove(&key);
                     ev.signal();
                     self.abort_window(ino, &ours);
                     return Err(e);
@@ -1344,7 +1336,7 @@ impl FileSystem {
                         let key = BlockKey::new(FileId(ino.0), blk);
                         out[base + slot] = self.commit_loaded(frame, key, data);
                         filled[slot] = true;
-                        self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+                        self.s.inflight.borrow_mut().remove(&key);
                         ev.signal();
                         addrs[idx] = None; // Done: not a device read.
                     }
@@ -1391,7 +1383,7 @@ impl FileSystem {
                     let key = BlockKey::new(FileId(ino.0), blk);
                     out[base + slot] = self.commit_loaded(frame, key, data);
                     filled[slot] = true;
-                    self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+                    self.s.inflight.borrow_mut().remove(&key);
                     ev.signal();
                 }
             }
@@ -1414,7 +1406,7 @@ impl FileSystem {
                             let key = BlockKey::new(FileId(ino.0), blk);
                             out[base + slot] = self.commit_loaded(frame, key, data);
                             filled[slot] = true;
-                            self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+                            self.s.inflight.borrow_mut().remove(&key);
                             ev.signal();
                         }
                     }
@@ -1441,7 +1433,7 @@ impl FileSystem {
         for (_slot, blk, frame, ev) in entries {
             let key = BlockKey::new(FileId(ino.0), *blk);
             self.s.cache.borrow_mut().release_reserved(*frame);
-            self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+            self.s.inflight.borrow_mut().remove(&key);
             ev.signal();
         }
     }
@@ -1475,18 +1467,18 @@ impl FileSystem {
                 }
             }
             // Miss: dedup concurrent loads of the same block.
-            let waiter = self.s.inflight.shard(key.shard_image()).get(&key).cloned();
+            let waiter = self.s.inflight.borrow().get(&key).cloned();
             if let Some(ev) = waiter {
                 ev.wait().await;
                 continue;
             }
             self.s.handle.trace_instant("cache:miss");
             let ev = Event::new(&self.s.handle);
-            self.s.inflight.shard_mut(key.shard_image()).insert(key, ev.clone());
+            self.s.inflight.borrow_mut().insert(key, ev.clone());
             let sp = self.s.handle.trace_span("cache:load");
             let result = self.load_block(ino, blk, key).await;
             self.s.handle.trace_exit(sp);
-            self.s.inflight.shard_mut(key.shard_image()).remove(&key);
+            self.s.inflight.borrow_mut().remove(&key);
             ev.signal();
             let data = result?;
             self.copy_delay().await;
@@ -1616,9 +1608,7 @@ impl FileSystem {
     }
 
     async fn copy_delay(&self) {
-        if !self.s.cfg.copy_cost.is_zero() {
-            self.s.handle.sleep(self.s.cfg.copy_cost).await;
-        }
+        self.s.handle.sleep(COPY_COST).await;
     }
 
     /// Obtains a free cache frame, flushing per policy when none exists.
@@ -1758,7 +1748,7 @@ impl FileSystem {
                 // anything reads through the stale ones.
                 let relocated = g.get_mut().take_relocated();
                 for rino in relocated {
-                    let cached = self.s.inodes.shard(rino.0).get(&rino).cloned();
+                    let cached = self.s.inodes.borrow().get(&rino).cloned();
                     if let Some(rc2) = cached {
                         if let Ok(fresh) = g.get_mut().get_inode(rino).await {
                             let mut inode = rc2.borrow_mut();
@@ -1894,14 +1884,21 @@ impl FileSystem {
                 break;
             }
             resident.push(blk);
-            if resident.len() as u64 > self.s.cfg.mm_resident_cap {
-                let victim = resident.remove(0);
-                self.s.cache.borrow_mut().remove_block(BlockKey::new(FileId(ino.0), victim));
+            if resident.len() > MM_RESIDENT_CAP {
+                // Oldest first, but never a block with unflushed data:
+                // dropping it would lose an acknowledged write. It stays
+                // listed and is evictable once a flush has cleaned it.
+                let mut cache = self.s.cache.borrow_mut();
+                let key = |b: u64| BlockKey::new(FileId(ino.0), b);
+                let evictable =
+                    |&b: &u64| matches!(cache.state_of(key(b)), None | Some(BlockState::Clean));
+                if let Some(i) = resident.iter().position(evictable) {
+                    cache.remove_block(key(resident.remove(i)));
+                }
             }
             blk += 1;
             // Pace the prefetch: one block per ~ms keeps QoS-ish delivery.
-            self.s.handle.sleep(cnp_sim::SimDuration::from_millis(1)).await;
-            let _ = self.s.cfg.mm_prefetch;
+            self.s.handle.sleep(SimDuration::from_millis(1)).await;
         }
     }
 }
@@ -1927,11 +1924,6 @@ pub struct ClientFs {
 }
 
 impl ClientFs {
-    /// The client id carried by this handle.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// The underlying shared engine.
     pub fn fs(&self) -> &FileSystem {
         &self.fs
@@ -2117,13 +2109,6 @@ fn ino_outcome(r: &FsResult<Ino>) -> HistOutcome {
 /// Outcome of a unit operation.
 fn unit_outcome(r: &FsResult<()>) -> HistOutcome {
     outcome_of(r, |()| HistOutcome::Ok)
-}
-
-/// Pads a string into a whole metadata block (symlink storage).
-fn bytes_padded(s: &str) -> Vec<u8> {
-    let mut v = s.as_bytes().to_vec();
-    v.resize(BLOCK_SIZE as usize, 0);
-    v
 }
 
 /// Splits an absolute path into its components, borrowed from `path`.
@@ -2479,11 +2464,13 @@ mod tests {
 
     #[test]
     fn symlink_round_trip() {
-        run_fs(DataMode::Real, |fs| async move {
-            fs.create("/real-file", FileKind::Regular).await.unwrap();
-            fs.symlink("/link", "/real-file").await.unwrap();
-            assert_eq!(fs.readlink("/link").await.unwrap(), "/real-file");
-        });
+        for data_mode in [DataMode::Real, DataMode::Simulated] {
+            run_fs(data_mode, |fs| async move {
+                fs.create("/real-file", FileKind::Regular).await.unwrap();
+                fs.symlink("/link", "/real-file").await.unwrap();
+                assert_eq!(fs.readlink("/link").await.unwrap(), "/real-file");
+            });
+        }
     }
 
     #[test]
@@ -2559,6 +2546,24 @@ mod tests {
             fs.read(ino, 0, 16 * 4096).await.unwrap();
             let misses_after = fs.cache_stats().misses;
             assert_eq!(misses_before, misses_after, "prefetched reads must hit");
+            fs.close(ino).await.unwrap();
+        });
+    }
+
+    #[test]
+    fn multimedia_residency_cap_never_drops_unflushed_blocks() {
+        // More dirty blocks than the cap: the active file's thread walks
+        // them all while none has been flushed.
+        run_fs(DataMode::Real, |fs| async move {
+            let ino = fs.create("/video", FileKind::Multimedia).await.unwrap();
+            let data: Vec<u8> = (0..100 * BLOCK_SIZE).map(|i| (i / BLOCK_SIZE + 1) as u8).collect();
+            fs.write(ino, 0, data.len() as u64, Some(&data)).await.unwrap();
+            fs.open("/video").await.unwrap();
+            fs.handle().sleep(SimDuration::from_millis(200)).await;
+            assert_eq!(fs.cache_stats().absorbed, 0, "acked writes dropped as absorbed");
+            fs.sync().await.unwrap();
+            let (_, got) = fs.read(ino, 0, data.len() as u64).await.unwrap();
+            assert!(got.unwrap() == data, "acked blocks lost to the residency cap");
             fs.close(ino).await.unwrap();
         });
     }

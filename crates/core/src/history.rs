@@ -173,11 +173,6 @@ impl HistoryLog {
         self.events.borrow().is_empty()
     }
 
-    /// Snapshot of the history so far.
-    pub fn snapshot(&self) -> Vec<HistoryEvent> {
-        self.events.borrow().clone()
-    }
-
     /// Drains the history, leaving the log empty.
     pub fn take(&self) -> Vec<HistoryEvent> {
         std::mem::take(&mut *self.events.borrow_mut())

@@ -13,7 +13,6 @@ mod config;
 mod error;
 mod fs;
 pub mod history;
-mod shard;
 
 pub use config::{DataMode, FlushMode, FsConfig};
 pub use error::{FsError, FsResult};

@@ -86,11 +86,6 @@ impl ScsiBus {
         SimDuration::from_nanos(bytes.saturating_mul(1_000_000_000) / self.params.transfer_rate)
     }
 
-    /// Timing parameters.
-    pub fn params(&self) -> &BusParams {
-        &self.params
-    }
-
     /// Occupies the bus for the *command-out* transaction phase:
     /// arbitration + selection + command, plus write data if `bytes > 0`.
     ///
@@ -126,11 +121,6 @@ impl ScsiBus {
     /// Number of transactions that found the bus busy.
     pub fn contentions(&self) -> u64 {
         self.resource.contentions()
-    }
-
-    /// Total bus acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.resource.acquisitions()
     }
 }
 

@@ -13,7 +13,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-use cnp_sim::stats::{Histogram, TimeWeighted};
+use cnp_obs::Histogram;
+use cnp_sim::stats::TimeWeighted;
 use cnp_sim::{join_all, oneshot, Event, Handle, OneshotReceiver, OneshotSender, SimTime};
 
 use crate::bus::ScsiBus;
@@ -181,7 +182,7 @@ struct StripePart {
 /// RAID-0 striped multi-disk back-end: N simulated disks behind one
 /// flat address space.
 ///
-/// Chunks of [`chunk_sectors`](StripedDisk::chunk_sectors) round-robin
+/// Chunks of `chunk_sectors` sectors round-robin
 /// across the children (`chunk c` lives on disk `c % n` at child chunk
 /// `c / n`), so the scatter-gather runs `map_extents` produces fan out
 /// across spindles/channels. A command crossing chunk boundaries splits
@@ -233,16 +234,6 @@ impl StripedDisk {
         let capacity_sectors = chunks_per_child * chunk_sectors * children.len() as u64;
         let native_depth = children.iter().map(|c| c.disk.native_depth()).sum::<u32>().max(1);
         StripedDisk { children, chunk_sectors, sector_size, capacity_sectors, native_depth }
-    }
-
-    /// Number of children in the stripe.
-    pub fn width(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Stripe chunk size in sectors.
-    pub fn chunk_sectors(&self) -> u64 {
-        self.chunk_sectors
     }
 
     /// Aggregate capacity in sectors.
@@ -662,11 +653,6 @@ impl DiskDriver {
         payload: Payload,
     ) -> Result<(Payload, IoTiming), IoError> {
         self.submit(IoOp::Write, lba, sectors, payload).await
-    }
-
-    /// Current queue depth.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().queue.len()
     }
 
     /// Write commands currently outstanding: queued at the driver plus

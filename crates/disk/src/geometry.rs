@@ -92,11 +92,6 @@ impl DiskGeometry {
         (chs.sector + skew) % self.sectors_per_track
     }
 
-    /// The cylinder holding `lba` (convenience for seek planning).
-    pub fn cylinder_of(&self, lba: u64) -> u32 {
-        self.lba_to_chs(lba).cylinder
-    }
-
     /// Splits `[lba, lba + sectors)` into track-contiguous chunks.
     ///
     /// Each chunk stays within a single track, so a detailed model can

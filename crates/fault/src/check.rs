@@ -468,9 +468,7 @@ async fn write_dir<L: StorageLayout>(layout: &mut L, dir_ino: Ino, bytes: &[u8])
 mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-    use cnp_layout::{
-        FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, SimGuessLayout, StorageLayout,
-    };
+    use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, StorageLayout};
     use cnp_sim::Sim;
 
     fn run_sim<F, Fut>(seed: u64, f: F)
@@ -551,19 +549,8 @@ mod tests {
             populate(&mut ffs).await;
             let r = check(&mut ffs).await;
             assert!(r.clean(), "ffs: {:?}", r.violations);
-            // Sim-guess.
-            use rand::SeedableRng;
-            let d3 = sim_disk_driver(&h, "d2", Box::new(Hp97560::new()), Box::new(CLook));
-            let mut sg = Layout::SimGuess(SimGuessLayout::new(
-                d3.clone(),
-                rand::rngs::StdRng::seed_from_u64(99),
-            ));
-            populate(&mut sg).await;
-            let r = check(&mut sg).await;
-            assert!(r.clean(), "sim-guess: {:?}", r.violations);
             d.shutdown();
             d2.shutdown();
-            d3.shutdown();
         });
     }
 

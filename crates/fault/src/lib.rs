@@ -39,4 +39,4 @@ pub use crash::{
     CrashState, LayoutKind, LossReport, RecoveryOutcome, VerifiedRecovery,
 };
 pub use faulty::Stack;
-pub use plan::{cut_points, jittered_cut_points, FaultPlanBuilder};
+pub use plan::{cut_points, FaultPlanBuilder};

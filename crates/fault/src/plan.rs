@@ -61,15 +61,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Models the controller's immediate-report write buffer as
-    /// battery-backed: at the cut its acked contents retire to the
-    /// platter instead of dying with the electronics (the assumption
-    /// graceful crash capture already states).
-    pub fn cut_preserves_buffer(mut self) -> Self {
-        self.plan.cut_preserves_buffer = true;
-        self
-    }
-
     /// Draws the retired-prefix length uniformly from `[0, max_ops]`,
     /// deterministically from the seed — every crash replay samples a
     /// different (but replayable) interleaving of the outstanding set.
@@ -120,20 +111,6 @@ pub fn cut_points(total_ops: u64, cuts: u32) -> Vec<u64> {
     (1..=cuts).map(|i| (i * total_ops / (cuts + 1)).max(1)).collect()
 }
 
-/// Like [`cut_points`] but with seeded jitter of up to ±half a stride,
-/// so sweeps also sample unaligned crash instants.
-pub fn jittered_cut_points(seed: u64, total_ops: u64, cuts: u32) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let stride = (total_ops / (cuts.max(1) as u64 + 1)).max(2);
-    cut_points(total_ops, cuts)
-        .into_iter()
-        .map(|p| {
-            let j = rng.gen_range(0..stride) as i64 - (stride / 2) as i64;
-            p.saturating_add_signed(j).clamp(1, total_ops.saturating_sub(1).max(1))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,8 +158,5 @@ mod tests {
         assert_eq!(pts.len(), 16);
         assert!(pts.windows(2).all(|w| w[0] <= w[1]));
         assert!(pts.iter().all(|&p| (1..1000).contains(&p)));
-        let j = jittered_cut_points(42, 1000, 16);
-        assert_eq!(j, jittered_cut_points(42, 1000, 16), "jitter must be seeded");
-        assert!(j.iter().all(|&p| (1..1000).contains(&p)));
     }
 }

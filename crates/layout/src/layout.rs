@@ -11,7 +11,6 @@ use crate::error::LResult;
 use crate::ffs::FfsLayout;
 use crate::inode::Inode;
 use crate::lfs::LfsLayout;
-use crate::simguess::SimGuessLayout;
 use crate::types::{BlockAddr, FileKind, Ino};
 
 /// Counters exported by a layout.
@@ -90,11 +89,8 @@ pub trait StorageLayout {
 
     /// Mounts after a crash, repairing and rolling state forward where
     /// the layout can (LFS: checkpoint + segment roll-forward; FFS:
-    /// allocation-bitmap rebuild). The default is a plain mount.
-    async fn recover(&mut self) -> LResult<RecoveryStats> {
-        self.mount().await?;
-        Ok(RecoveryStats::default())
-    }
+    /// allocation-bitmap rebuild).
+    async fn recover(&mut self) -> LResult<RecoveryStats>;
 
     /// Flushes all state and writes a final checkpoint.
     async fn unmount(&mut self) -> LResult<()>;
@@ -226,8 +222,6 @@ pub enum Layout {
     Lfs(LfsLayout),
     /// FFS-like update-in-place layout.
     Ffs(FfsLayout),
-    /// The paper's off-line "educated guess" layout.
-    SimGuess(SimGuessLayout),
 }
 
 macro_rules! dispatch {
@@ -235,7 +229,6 @@ macro_rules! dispatch {
         match $self {
             Layout::Lfs(l) => l.$m($($arg),*),
             Layout::Ffs(l) => l.$m($($arg),*),
-            Layout::SimGuess(l) => l.$m($($arg),*),
         }
     };
 }
@@ -245,7 +238,6 @@ macro_rules! dispatch_async {
         match $self {
             Layout::Lfs(l) => l.$m($($arg),*).await,
             Layout::Ffs(l) => l.$m($($arg),*).await,
-            Layout::SimGuess(l) => l.$m($($arg),*).await,
         }
     };
 }

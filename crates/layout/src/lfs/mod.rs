@@ -349,11 +349,6 @@ impl LfsLayout {
         }
     }
 
-    /// Cleaner policy in use.
-    pub fn cleaner_policy(&self) -> CleanerPolicy {
-        self.params.cleaner
-    }
-
     /// Number of completely free segments (excluding the current one):
     /// `live == 0` and not queued at the seal writer. Read off the
     /// maintained counts — nothing on the write path scans the table.

@@ -1,14 +1,12 @@
 //! # cnp-layout — storage layouts on a raw disk
 //!
 //! The paper's storage-layout component (§2): an abstract interface with
-//! three derived layouts —
+//! two derived layouts —
 //!
 //! * [`lfs`]: the segmented log-structured file system the paper's
 //!   experiments run ("On all file-systems we ran a segmented LFS"),
 //!   with IFILE inode map, checkpoint regions, and a pluggable cleaner;
-//! * [`ffs`]: an FFS-like update-in-place layout with allocation groups;
-//! * [`simguess`]: the paper's off-line layout that "picks a random
-//!   location on disk" and sticks to it.
+//! * [`ffs`]: an FFS-like update-in-place layout with allocation groups.
 //!
 //! Shared building blocks: [`inode`]s (direct + single-indirect; ≈4 MB
 //! max file, documented in DESIGN.md), [`dir`] entry codecs, and
@@ -24,7 +22,6 @@ pub mod inode;
 mod io;
 mod layout;
 pub mod lfs;
-pub mod simguess;
 pub mod types;
 
 pub use error::{LResult, LayoutError};
@@ -33,7 +30,6 @@ pub use inode::{Inode, INODES_PER_BLOCK, INODE_SIZE};
 pub use io::BlockIo;
 pub use layout::{Extent, Layout, LayoutStats, RecoveryStats, StorageLayout};
 pub use lfs::{CleanerPolicy, LfsLayout, LfsParams};
-pub use simguess::SimGuessLayout;
 pub use types::{
     block_slot, BlockAddr, BlockSlot, FileKind, Ino, BLOCK_SIZE, MAX_FILE_BLOCKS, NDIRECT,
     NINDIRECT,

@@ -1,11 +1,10 @@
 //! Histograms for the paper's "plug-in statistics objects ... with or
 //! without histograms" (disk queue sizes, rotational delays, latencies).
 //!
-//! This is the *single* histogram implementation in the tree: `cnp-sim`
-//! re-exports it as `cnp_sim::stats::Histogram`, and everything above
-//! (replay reports, driver service times, per-client workload rows)
-//! records into the same buckets, so merging across layers is always
-//! edge-for-edge exact.
+//! This is the *single* histogram implementation in the tree:
+//! everything above (replay reports, driver service times, per-client
+//! workload rows) records into the same buckets, so merging across
+//! layers is always edge-for-edge exact.
 
 use std::fmt;
 
@@ -166,19 +165,6 @@ impl Histogram {
         below as f64 / self.count as f64
     }
 
-    /// Full CDF as `(edge, cumulative fraction)` pairs for plotting.
-    pub fn cdf_series(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(self.edges.len());
-        let mut acc = 0u64;
-        for (i, &e) in self.edges.iter().enumerate() {
-            acc += self.counts[i];
-            if self.count > 0 {
-                out.push((e, acc as f64 / self.count as f64));
-            }
-        }
-        out
-    }
-
     /// Merges another histogram with identical edges.
     ///
     /// # Panics
@@ -276,9 +262,9 @@ mod tests {
         for v in [0.1, 0.5, 1.0, 2.0, 17.0, 17.0, 30.0] {
             h.record(v);
         }
-        let series = h.cdf_series();
-        for w in series.windows(2) {
-            assert!(w[0].1 <= w[1].1);
+        let points = [0.05, 0.3, 0.75, 1.5, 10.0, 17.0, 25.0, 100.0];
+        for w in points.windows(2) {
+            assert!(h.cdf_at(w[0]) <= h.cdf_at(w[1]));
         }
         assert!((h.cdf_at(1e9) - 1.0).abs() < 1e-12);
         assert_eq!(h.cdf_at(0.0), 0.0);

@@ -113,21 +113,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Number of metrics held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no metric is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(name, metric)` in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Absorbs every entry of `other` under `prefix.` (stripe roll-up
     /// for multi-filesystem topologies: counters sum, gauges and
     /// summaries are keeps-last).
@@ -231,11 +216,6 @@ impl Gauge {
     pub fn set(&self, v: f64) {
         self.0.set(v);
     }
-
-    /// Current level.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
 }
 
 /// A histogram handle from [`MetricsRegistry::histogram`].
@@ -246,11 +226,6 @@ impl HistogramHandle {
     /// Records one sample.
     pub fn record(&self, v: f64) {
         self.0.borrow_mut().record(v);
-    }
-
-    /// Runs a closure over the histogram.
-    pub fn with<R>(&self, f: impl FnOnce(&Histogram) -> R) -> R {
-        f(&self.0.borrow())
     }
 }
 

@@ -10,7 +10,7 @@ use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig, FsStats};
 use cnp_disk::{compose_device, CLook, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
 use cnp_fault::LayoutKind;
 use cnp_layout::{FfsLayout, FfsParams, Layout, LayoutStats, LfsLayout, LfsParams};
-use cnp_sim::stats::Histogram;
+use cnp_obs::Histogram;
 use cnp_sim::Sim;
 use cnp_trace::{replay, ReplayReport, SpriteParams, SyntheticSprite};
 

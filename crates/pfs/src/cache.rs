@@ -171,16 +171,6 @@ impl NfsCache {
             self.invalidate_ino(fh.ino);
         }
     }
-
-    /// Current entry counts `(lookups, attrs)`.
-    pub fn len(&self) -> (usize, usize) {
-        (self.lookups.borrow().len(), self.attrs.borrow().len())
-    }
-
-    /// True when both maps are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0)
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@ use crate::xdr::{XdrDecoder, XdrEncoder};
 /// Wire size of a [`Fhandle`].
 const FH_LEN: usize = 12;
 
-/// NFS-like procedure numbers.
+/// NFS-like procedure numbers. A name is resolved once (Lookup, Create
+/// and Mkdir answer with a handle); data moves by handle only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum NfsProc {
@@ -30,10 +31,6 @@ pub enum NfsProc {
     GetAttr = 1,
     /// Path lookup (returns attributes + a file handle).
     Lookup = 4,
-    /// Read a byte range by path.
-    Read = 6,
-    /// Write a byte range by path.
-    Write = 8,
     /// Create a regular file.
     Create = 9,
     /// Remove a file.
@@ -63,8 +60,6 @@ impl NfsProc {
             0 => NfsProc::Null,
             1 => NfsProc::GetAttr,
             4 => NfsProc::Lookup,
-            6 => NfsProc::Read,
-            8 => NfsProc::Write,
             9 => NfsProc::Create,
             10 => NfsProc::Remove,
             11 => NfsProc::Rename,
@@ -171,24 +166,6 @@ pub enum Request {
         /// Absolute path.
         path: String,
     },
-    /// Read by path.
-    Read {
-        /// Absolute path.
-        path: String,
-        /// Byte offset.
-        offset: u64,
-        /// Requested byte count (server caps at `max_transfer`).
-        len: u64,
-    },
-    /// Write by path.
-    Write {
-        /// Absolute path.
-        path: String,
-        /// Byte offset.
-        offset: u64,
-        /// Payload.
-        data: Vec<u8>,
-    },
     /// Create a regular file.
     Create {
         /// Absolute path.
@@ -266,16 +243,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, NfsStat> {
         NfsProc::Null => Request::Null,
         NfsProc::GetAttr => Request::GetAttr { path: d.get_str().map_err(bad)? },
         NfsProc::Lookup => Request::Lookup { path: d.get_str().map_err(bad)? },
-        NfsProc::Read => Request::Read {
-            path: d.get_str().map_err(bad)?,
-            offset: d.get_u64().map_err(bad)?,
-            len: d.get_u64().map_err(bad)?,
-        },
-        NfsProc::Write => Request::Write {
-            path: d.get_str().map_err(bad)?,
-            offset: d.get_u64().map_err(bad)?,
-            data: d.get_opaque().map_err(bad)?,
-        },
         NfsProc::Create => Request::Create { path: d.get_str().map_err(bad)? },
         NfsProc::Remove => Request::Remove { path: d.get_str().map_err(bad)? },
         NfsProc::Rename => {
@@ -318,27 +285,6 @@ pub mod client {
         let mut e = XdrEncoder::with_capacity(4 + opaque_wire_len(path.len()));
         e.put_u32(proc as u32);
         e.put_str(path);
-        e.finish()
-    }
-
-    /// Builds a read request.
-    pub fn read_req(path: &str, offset: u64, len: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + opaque_wire_len(path.len()) + 16);
-        e.put_u32(NfsProc::Read as u32);
-        e.put_str(path);
-        e.put_u64(offset);
-        e.put_u64(len);
-        e.finish()
-    }
-
-    /// Builds a write request.
-    pub fn write_req(path: &str, offset: u64, data: &[u8]) -> Vec<u8> {
-        let body = opaque_wire_len(path.len()) + 8 + opaque_wire_len(data.len());
-        let mut e = XdrEncoder::with_capacity(4 + body);
-        e.put_u32(NfsProc::Write as u32);
-        e.put_str(path);
-        e.put_u64(offset);
-        e.put_opaque(data);
         e.finish()
     }
 
@@ -400,14 +346,6 @@ mod tests {
         let cases: Vec<(Vec<u8>, Request)> = vec![
             (client::path_req(NfsProc::Lookup, "/a"), Request::Lookup { path: "/a".to_string() }),
             (
-                client::read_req("/a", 8, 16),
-                Request::Read { path: "/a".to_string(), offset: 8, len: 16 },
-            ),
-            (
-                client::write_req("/a", 4, b"xy"),
-                Request::Write { path: "/a".to_string(), offset: 4, data: b"xy".to_vec() },
-            ),
-            (
                 client::rename_req("/a", "/b"),
                 Request::Rename { from: "/a".to_string(), to: "/b".to_string() },
             ),
@@ -429,9 +367,25 @@ mod tests {
 
     #[test]
     fn unknown_proc_rejected() {
-        let mut e = XdrEncoder::new();
-        e.put_u32(999);
-        assert_eq!(decode_request(&e.finish()), Err(NfsStat::BadRpc));
+        // 6 and 8 were READ and WRITE by path: data moves by handle
+        // now, so they are unknown with or without a well-formed body.
+        for proc in [999, 6, 8] {
+            let mut e = XdrEncoder::new();
+            e.put_u32(proc);
+            assert_eq!(decode_request(&e.finish()), Err(NfsStat::BadRpc));
+        }
+        let (mut read, mut write) = (XdrEncoder::new(), XdrEncoder::new());
+        read.put_u32(6);
+        read.put_str("/p");
+        read.put_u64(0);
+        read.put_u64(8);
+        write.put_u32(8);
+        write.put_str("/p");
+        write.put_u64(0);
+        write.put_opaque(b"hi");
+        for wire in [read.finish(), write.finish()] {
+            assert_eq!(decode_request(&wire), Err(NfsStat::BadRpc));
+        }
     }
 
     #[test]
@@ -442,8 +396,6 @@ mod tests {
         let reqs = vec![
             client::path_req(NfsProc::GetAttr, "/p"),
             client::path_req(NfsProc::Lookup, "/p"),
-            client::read_req("/p", 0, 8),
-            client::write_req("/p", 0, b"hi"),
             client::path_req(NfsProc::Create, "/p"),
             client::path_req(NfsProc::Remove, "/p"),
             client::rename_req("/p", "/q"),
@@ -476,8 +428,6 @@ mod tests {
         let reqs = vec![
             client::path_req(NfsProc::GetAttr, "/p"),
             client::path_req(NfsProc::Lookup, "/p"),
-            client::read_req("/p", 0, 8),
-            client::write_req("/p", 0, b"hi"),
             client::path_req(NfsProc::Create, "/p"),
             client::path_req(NfsProc::Remove, "/p"),
             client::rename_req("/p", "/q"),

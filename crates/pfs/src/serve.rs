@@ -177,12 +177,6 @@ impl NfsServer {
         NfsSession { cfs: self.fs.client(id), shared: self.shared.clone() }
     }
 
-    /// Handles one wire request as the default session (client 0) —
-    /// the seed's single-client entry point, kept for the shell.
-    pub async fn handle(&self, request: &[u8]) -> Vec<u8> {
-        self.session(0).handle(request).await
-    }
-
     /// Serves a batch of `(client, request)` pairs concurrently. At
     /// most `queue_depth` decoded requests are inside the engine at
     /// once (the admission gate); replies come back in input order.
@@ -229,11 +223,6 @@ pub struct NfsSession {
 }
 
 impl NfsSession {
-    /// The client id this session serves.
-    pub fn client(&self) -> u32 {
-        self.cfs.id()
-    }
-
     /// Handles one wire request: `proc:u32 body…` → `status:u32 body…`.
     /// Decode happens before admission (a malformed request never
     /// costs a pipeline slot); execution holds one admission permit.
@@ -277,14 +266,6 @@ impl NfsSession {
             Request::GetAttr { path } | Request::Lookup { path } => {
                 let attr = self.attr_of_path(&path).await?;
                 Ok(attr_reply(&attr))
-            }
-            Request::Read { path, offset, len } => {
-                let fh = self.resolve_fh(&path).await?;
-                self.read_capped(fh.ino, offset, len).await
-            }
-            Request::Write { path, offset, data } => {
-                let fh = self.resolve_fh(&path).await?;
-                self.write_capped(fh.ino, offset, &data).await
             }
             Request::Create { path } => {
                 let ino =
@@ -394,17 +375,6 @@ impl NfsSession {
         let a = attr_of(&inode, fh.gen);
         sh.cache.insert(path, fh, Some(a));
         Ok(a)
-    }
-
-    /// Name → handle through the lookup cache ("Lookup happens once").
-    async fn resolve_fh(&self, path: &str) -> Result<Fhandle, NfsStat> {
-        if let Some(fh) = self.shared.cache.lookup(path) {
-            return Ok(fh);
-        }
-        let inode = self.cfs.stat(path).await.map_err(|e| status_of(&e))?;
-        let fh = self.shared.handles.fh_of(inode.ino.0);
-        self.shared.cache.insert(path, fh, Some(attr_of(&inode, fh.gen)));
-        Ok(fh)
     }
 
     /// Name → ino for destructive ops (the ino is needed to retire the

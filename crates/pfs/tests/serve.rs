@@ -215,11 +215,6 @@ fn transfer_caps_short_read_and_write() {
         assert_eq!(d.get_u32().unwrap(), 0);
         assert_eq!(d.get_u64().unwrap(), 4096, "read capped at rsize");
         assert_eq!(d.get_opaque().unwrap().len(), 4096);
-        // Path-based read obeys the same cap.
-        let r = s.handle(&client::read_req("/big", 0, u64::MAX)).await;
-        let mut d = XdrDecoder::new(&r);
-        assert_eq!(d.get_u32().unwrap(), 0);
-        assert_eq!(d.get_u64().unwrap(), 4096);
     });
 }
 
@@ -303,20 +298,18 @@ proptest! {
     /// A valid request with appended garbage is always BadRpc.
     #[test]
     fn garbage_tail_is_always_badrpc(
-        which in 0u32..10,
+        which in 0u32..8,
         tail in prop::collection::vec(0u32..256, 1..16),
     ) {
         let fh = Fhandle { ino: 1, gen: 1 };
         let mut wire = match which {
             0 => client::path_req(NfsProc::GetAttr, "/p"),
             1 => client::path_req(NfsProc::Lookup, "/p"),
-            2 => client::read_req("/p", 0, 8),
-            3 => client::write_req("/p", 0, b"hi"),
-            4 => client::path_req(NfsProc::Create, "/p"),
-            5 => client::rename_req("/p", "/q"),
-            6 => client::getattr_fh_req(fh),
-            7 => client::read_fh_req(fh, 0, 8),
-            8 => client::write_fh_req(fh, 0, b"hi"),
+            2 => client::path_req(NfsProc::Create, "/p"),
+            3 => client::rename_req("/p", "/q"),
+            4 => client::getattr_fh_req(fh),
+            5 => client::read_fh_req(fh, 0, 8),
+            6 => client::write_fh_req(fh, 0, b"hi"),
             _ => client::setattr_fh_req(fh, 0),
         };
         wire.extend(tail.into_iter().map(|b| b as u8));

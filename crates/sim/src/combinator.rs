@@ -155,16 +155,6 @@ impl<F: Future + Unpin> Unordered<F> {
         self.pending.push(fut);
     }
 
-    /// Number of futures still in flight.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True if nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Resolves to the next completed future's output, or `None` when
     /// the set is empty.
     // Not `Iterator::next`: this is the awaitable `FuturesUnordered`-

@@ -437,12 +437,6 @@ impl Sim {
             .unwrap_or_else(|| panic!("task {name:?} did not finish: run stopped with {stopped:?}"))
     }
 
-    /// Runs for `d` of simulated time from the current instant.
-    pub fn run_for(&self, d: SimDuration) -> RunResult {
-        let limit = self.kernel.borrow().now + d;
-        self.run_until(limit)
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.kernel.borrow().now
@@ -566,11 +560,6 @@ impl Handle {
     /// Draws a uniform random `u64` from the simulation RNG.
     pub fn rand_u64(&self) -> u64 {
         self.kernel.borrow_mut().rng.next_u64()
-    }
-
-    /// Draws a uniform random value in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
-        self.kernel.borrow_mut().rng.gen::<f64>()
     }
 
     /// Draws a uniform random value in `[lo, hi)`.

@@ -57,6 +57,6 @@ pub use executor::{
 pub use sync::{
     bounded, channel, oneshot, Arbitration, Event, LockStats, OneshotReceiver, OneshotSender,
     Permit, Receiver, Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex,
-    SimMutex, SimMutexGuard, TrackedMutex, TrackedMutexGuard,
+    TrackedMutex, TrackedMutexGuard,
 };
 pub use time::{SimDuration, SimTime};

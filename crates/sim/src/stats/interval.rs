@@ -87,11 +87,6 @@ impl IntervalReporter {
         self.flush_current();
         self.rows
     }
-
-    /// Rows closed so far (excludes the open interval).
-    pub fn rows(&self) -> &[IntervalRow] {
-        &self.rows
-    }
 }
 
 #[cfg(test)]

@@ -3,48 +3,5 @@
 mod interval;
 mod timeweighted;
 
-// The histogram lives in `cnp-obs` (the one implementation every layer
-// shares); this re-export keeps the historical `cnp_sim::stats` path
-// working for all call sites.
-pub use cnp_obs::Histogram;
 pub use interval::{IntervalReporter, IntervalRow};
 pub use timeweighted::TimeWeighted;
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub const fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-}

@@ -116,16 +116,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// True if no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Future returned by [`Sender::send`].

@@ -79,29 +79,12 @@ impl Event {
         }
     }
 
-    /// Wakes at most one waiting task (the longest-waiting one).
-    pub fn signal_one(&self) {
-        let woken = {
-            let mut inner = self.inner.borrow_mut();
-            inner.signals += 1;
-            if inner.waiters.is_empty() {
-                None
-            } else {
-                Some(inner.waiters.remove(0))
-            }
-        };
-        if let Some(w) = woken {
-            *w.state.borrow_mut() = WaitState::Woken;
-            self.handle.kernel().borrow_mut().make_runnable(w.task);
-        }
-    }
-
     /// Number of tasks currently blocked on the event.
     pub fn waiter_count(&self) -> usize {
         self.inner.borrow().waiters.len()
     }
 
-    /// Total number of `signal`/`signal_one` calls so far.
+    /// Total number of `signal` calls so far.
     pub fn signal_count(&self) -> u64 {
         self.inner.borrow().signals
     }
@@ -147,8 +130,8 @@ impl Future for EventWait {
 
 impl Drop for EventWait {
     fn drop(&mut self) {
-        // Deregister if still waiting, so signal_one does not pick a
-        // cancelled waiter.
+        // Deregister if still waiting, so a later signal does not wake
+        // the task for a wait it has cancelled.
         if let Some(state) = &self.state {
             if *state.borrow() == WaitState::Waiting {
                 let mut inner = self.event.inner.borrow_mut();
@@ -188,34 +171,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(woke.get(), 5);
-    }
-
-    #[test]
-    fn signal_one_wakes_exactly_one() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let ev = Event::new(&h);
-        let woke = Rc::new(Cell::new(0u32));
-        for _ in 0..3 {
-            let ev = ev.clone();
-            let woke = woke.clone();
-            h.spawn("w", async move {
-                ev.wait().await;
-                woke.set(woke.get() + 1);
-            });
-        }
-        let h2 = h.clone();
-        let ev2 = ev.clone();
-        h.spawn("s", async move {
-            h2.sleep(SimDuration::from_millis(1)).await;
-            ev2.signal_one();
-            h2.sleep(SimDuration::from_millis(1)).await;
-            assert_eq!(ev2.waiter_count(), 2);
-            // Release the rest so the sim completes.
-            ev2.signal();
-        });
-        sim.run();
-        assert_eq!(woke.get(), 3);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 mod channel;
 mod event;
-mod mutex;
 mod resource;
 mod semaphore;
 mod sharded;
@@ -12,7 +11,6 @@ pub use channel::{
     Sender,
 };
 pub use event::{Event, EventWait};
-pub use mutex::{SimMutex, SimMutexGuard};
 pub use resource::{AcquireResource, Arbitration, Resource, ResourceGuard};
 pub use semaphore::{Acquire, Permit, Semaphore};
 pub use sharded::{LockStats, ShardedMutex, TrackedMutex, TrackedMutexGuard};

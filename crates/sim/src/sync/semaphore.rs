@@ -111,16 +111,6 @@ impl Semaphore {
     pub fn available(&self) -> u32 {
         self.inner.borrow().permits
     }
-
-    /// Number of blocked acquirers.
-    pub fn waiter_count(&self) -> usize {
-        self.inner
-            .borrow()
-            .waiters
-            .iter()
-            .filter(|w| *w.state.borrow() == AcqState::Waiting)
-            .count()
-    }
 }
 
 /// RAII permit; releases on drop unless [`Permit::forget`] is called.

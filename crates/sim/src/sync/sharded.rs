@@ -1,9 +1,10 @@
 //! Instrumented and striped mutexes: the lock family the sharded
 //! engine is built on.
 //!
-//! A [`TrackedMutex`] is a [`SimMutex`](crate::SimMutex) that accounts
-//! for every acquisition: how long acquirers waited (contention cost in
-//! *simulated* time) and how long the lock was held. A
+//! A [`TrackedMutex`] is an async mutex (FIFO handoff, built on
+//! [`Semaphore`]) whose critical section may span `await`s and that
+//! accounts for every acquisition: how long acquirers waited (contention
+//! cost in *simulated* time) and how long the lock was held. A
 //! [`ShardedMutex`] stripes N tracked mutexes over a key space so
 //! independent keys proceed past each other, while `lock_all` still
 //! offers whole-structure exclusion (format, recovery, the cleaner) by
@@ -50,12 +51,11 @@ struct Tracked {
     stats: RefCell<LockStats>,
 }
 
-/// A [`SimMutex`](crate::SimMutex) with wait-time and hold-time
-/// accounting in simulated time.
+/// A mutual-exclusion lock with wait-time and hold-time accounting in
+/// simulated time.
 ///
-/// The uncontended fast path is identical to `SimMutex` (immediate,
-/// no yield), so replacing one with the other cannot perturb a seeded
-/// schedule that never contends.
+/// The uncontended fast path is immediate (no yield), so taking the
+/// lock cannot perturb a seeded schedule that never contends.
 #[derive(Clone)]
 pub struct TrackedMutex<T> {
     handle: Handle,
@@ -195,11 +195,6 @@ impl<T> ShardedMutex<T> {
         assert!(shards > 0, "a sharded mutex needs at least one stripe");
         let stripes = (0..shards).map(|i| TrackedMutex::new(handle, mk(i))).collect();
         ShardedMutex { stripes: Rc::new(stripes) }
-    }
-
-    /// Number of stripes.
-    pub fn shards(&self) -> usize {
-        self.stripes.len()
     }
 
     /// The stripe a key belongs to.

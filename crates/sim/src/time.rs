@@ -41,11 +41,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Returns the time since the epoch as fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Returns the duration elapsed since `earlier`, saturating at zero.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))

@@ -148,11 +148,6 @@ impl SyntheticSprite {
         SyntheticSprite { params, rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// The parameter set in use.
-    pub fn params(&self) -> &SpriteParams {
-        &self.params
-    }
-
     /// Generates the full trace, scaled to `scale` of the nominal
     /// duration (1.0 = the paper's 24 hours), sorted by time.
     pub fn generate(&mut self, scale: f64) -> Vec<TraceRecord> {

@@ -157,13 +157,6 @@ impl Scenario {
         self.plans.iter().map(|p| p.ops.len() as u64).sum()
     }
 
-    /// The bounded-prefix projection of this scenario: its first
-    /// `limit` trace records in dispatch order. The crash-point
-    /// enumerator's workload view — see [`cnp_trace::bounded_prefix`].
-    pub fn bounded_records(&self, limit: usize) -> Vec<TraceRecord> {
-        cnp_trace::bounded_prefix(&self.to_trace_records(), limit, &[])
-    }
-
     /// Projects the closed-loop programs onto open-loop trace records
     /// (`cnp_trace::records_from_streams`), so scenarios replay through
     /// the existing `replay_with` machinery, codecs included.

@@ -3,7 +3,7 @@
 //! reproduce it from its own repro blob — and report nothing on the
 //! healthy stack under the same budget.
 
-use cut_and_paste::check::{run_check, CheckConfig, PolicySpec, Repro};
+use cut_and_paste::check::{run_check_with, CheckConfig, CheckOptions, PolicySpec, Repro};
 use cut_and_paste::workload::{Scenario, WorkloadKind};
 
 fn cfg(budget: usize) -> CheckConfig {
@@ -31,7 +31,7 @@ fn cfg(budget: usize) -> CheckConfig {
 fn planted_stale_size_bug_is_caught_minimized_and_reproduced() {
     let mut planted = cfg(60);
     planted.plant_stale_size_bug = true;
-    let report = run_check(&planted);
+    let report = run_check_with(&planted, CheckOptions::default());
     assert!(!report.clean(), "the planted stale-size bug must be caught");
     let failure = report
         .rows
@@ -62,6 +62,6 @@ fn planted_stale_size_bug_is_caught_minimized_and_reproduced() {
 
     // Control: the healthy stack verifies clean under the same budget.
     let healthy = cfg(60);
-    let control = run_check(&healthy);
+    let control = run_check_with(&healthy, CheckOptions::default());
     assert!(control.clean(), "healthy stack must verify clean: {:?}", control.rows);
 }

@@ -4,8 +4,8 @@
 //! cells whose inputs did not change.
 
 use cut_and_paste::check::{
-    format_check_report, run_check, run_check_with, run_history_check, CellCache, CheckConfig,
-    CheckOptions, HistoryCheckConfig, LinConfig, PolicySpec,
+    format_check_report, run_check_with, run_history_check, CellCache, CheckConfig, CheckOptions,
+    HistoryCheckConfig, LinConfig, PolicySpec,
 };
 use cut_and_paste::fault::LayoutKind;
 use cut_and_paste::patsy::check::format_check_json;
@@ -26,7 +26,7 @@ fn cfg(budget: usize) -> CheckConfig {
 #[test]
 fn report_bytes_are_identical_at_threads_1_4_and_8() {
     let base = cfg(40);
-    let serial = run_check(&base);
+    let serial = run_check_with(&base, CheckOptions::default());
     let text = format_check_report(&base, &serial);
     let lin_cfg = HistoryCheckConfig {
         kind: WorkloadKind::Zipf,
@@ -65,7 +65,7 @@ fn parallel_minimization_matches_serial_on_a_planted_bug() {
         vec![PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true }];
     planted.plant_stale_size_bug = true;
     planted.minimize_runs = 48;
-    let serial = run_check(&planted);
+    let serial = run_check_with(&planted, CheckOptions::default());
     assert!(!serial.clean(), "the planted bug must be caught");
     let threaded =
         run_check_with(&planted, CheckOptions { threads: 4, cache: None, progress: None });
@@ -112,7 +112,7 @@ fn cache_file_roundtrip_hits_everything_then_rechecks_only_the_mutated_tail() {
     // length <= MUTATED do not contain it, so exactly the cells of a
     // budget-MUTATED check stay valid.
     const MUTATED: usize = 20;
-    let unaffected = run_check(&cfg(MUTATED)).cells;
+    let unaffected = run_check_with(&cfg(MUTATED), CheckOptions::default()).cells;
     let mut mutated = cfg(40);
     mutated.records[MUTATED].op = TraceOp::Write { path: "/pr8".to_string(), offset: 0, len: 4242 };
     let mut third_cache = CellCache::load(path).expect("cache file loads again");

@@ -118,14 +118,14 @@ fn check_json_is_pinned_at_budget_12() {
 /// without the process: enumeration, history leg, JSON summary.
 fn check_json(budget: usize) -> String {
     use cut_and_paste::check::{
-        run_check, run_history_check, CheckConfig, HistoryCheckConfig, LinConfig,
+        run_check_with, run_history_check, CheckConfig, CheckOptions, HistoryCheckConfig, LinConfig,
     };
     use cut_and_paste::trace::SyntheticSprite;
     let records = SyntheticSprite::new(trace_1a(), 42 ^ 0xabcd).generate(0.002);
     let mut check = CheckConfig::new(records, "1a", budget);
     check.queue_depth = 8;
     check.seed = 42;
-    let report = run_check(&check);
+    let report = run_check_with(&check, CheckOptions::default());
     let lin_cfg = HistoryCheckConfig {
         kind: WorkloadKind::Zipf,
         clients: 4,

@@ -11,7 +11,7 @@ use cut_and_paste::disk::{
 use cut_and_paste::fault::{CrashState, LayoutKind, Stack};
 use cut_and_paste::layout::dir::{decode, encode, Dirent};
 use cut_and_paste::layout::{FileKind, Ino, Inode};
-use cut_and_paste::sim::stats::Histogram;
+use cut_and_paste::obs::Histogram;
 use cut_and_paste::sim::{Handle, Sim, SimDuration, SimTime};
 use cut_and_paste::trace::codec;
 use cut_and_paste::trace::{TraceOp, TraceRecord};
