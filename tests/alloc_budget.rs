@@ -11,6 +11,10 @@
 //! *picks*, never on how much is *dirty*; committing a simulated block
 //! allocates nothing.
 //!
+//! The data path: a read or write of N blocks in one call allocates what
+//! its blocks do — nothing for a resident block off-line, its load for a
+//! missing one — and nothing for the call.
+//!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
 
@@ -22,7 +26,7 @@ use cut_and_paste::cache::{
 };
 use cut_and_paste::core::{FileSystem, FsConfig};
 use cut_and_paste::disk::{sim_disk_driver, CLook, Hp97560};
-use cut_and_paste::layout::{FileKind, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
+use cut_and_paste::layout::{FileKind, Ino, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
 use cut_and_paste::sim::{Sim, SimTime};
 
 thread_local! {
@@ -238,4 +242,91 @@ fn committing_a_simulated_block_allocates_nothing() {
         floor = floor.min(allocs() - before);
     }
     assert_eq!(floor, 0);
+}
+
+/// Runs `body` on a formatted simulated-mode engine at `queue_depth`
+/// whose cache holds `frames` blocks, with one synced file of `blocks`
+/// blocks.
+fn with_file<Fut: std::future::Future<Output = ()>>(
+    queue_depth: u32,
+    frames: u64,
+    blocks: u64,
+    body: impl FnOnce(FileSystem, Ino) -> Fut + 'static,
+) {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
+    let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
+    let cache = CacheConfig {
+        block_size: BLOCK_SIZE,
+        mem_bytes: frames * BLOCK_SIZE as u64,
+        nvram_bytes: None,
+    };
+    let fs = FileSystem::new(&h, layout, FsConfig { queue_depth, cache, ..FsConfig::default() });
+    sim.block_on("alloc-budget", async move {
+        fs.format().await.unwrap();
+        let ino = fs.create("/file", FileKind::Regular).await.unwrap();
+        fs.write(ino, 0, blocks * BLOCK_SIZE as u64, None).await.unwrap();
+        fs.sync().await.unwrap();
+        body(fs.clone(), ino).await;
+        fs.shutdown();
+    });
+}
+
+/// Queue depths the data-path budgets hold at.
+const DEPTHS: [u32; 1] = [1];
+
+#[test]
+fn resident_reads_and_whole_block_writes_allocate_nothing_per_block() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    for qd in DEPTHS {
+        with_file(qd, 1024, 64, move |fs, ino| async move {
+            let fs = &fs;
+            for n in [1, 2, 16, 64] {
+                // Off-line a read returns a count and a whole-block
+                // write carries none: neither has bytes to put anywhere.
+                let read = floor_of(move || async move {
+                    assert_eq!(fs.read(ino, 0, n * BS).await.unwrap(), (n * BS, None));
+                });
+                assert_eq!(read.await, 0, "reading {n} resident blocks in one call at qd {qd}");
+                let write = floor_of(move || async move {
+                    assert_eq!(fs.write(ino, 0, n * BS, None).await, Ok(n * BS));
+                });
+                assert_eq!(
+                    write.await,
+                    0,
+                    "overwriting {n} resident blocks in one call at qd {qd}"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn a_cold_read_costs_its_misses_whatever_the_call_size() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    // What one missing block costs the serial path this window replaced
+    // (its in-flight event, the driver's request and its completion, the
+    // evicted frame): 9 or 10, as the disk's read-ahead falls.
+    const PER_MISS: u64 = 10;
+    for qd in DEPTHS {
+        // Eight frames under a forward scan: every block read is a miss.
+        with_file(qd, 8, 512, move |fs, ino| async move {
+            let mut at = 0;
+            for n in [1, 4, 8] {
+                let mut floor = u64::MAX;
+                for _ in 0..8 {
+                    let (misses, before) = (fs.cache_stats().misses, allocs());
+                    fs.read(ino, at * BS, n * BS).await.unwrap();
+                    floor = floor.min(allocs() - before);
+                    assert_eq!(fs.cache_stats().misses - misses, n, "the scan must stay cold");
+                    at += n;
+                }
+                assert!(
+                    floor <= n * PER_MISS,
+                    "a cold {n}-block read at qd {qd} allocated {floor}, over {PER_MISS} a block"
+                );
+            }
+        });
+    }
 }

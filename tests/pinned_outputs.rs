@@ -47,15 +47,60 @@ fn run_experiment_metrics_are_pinned_at_qd1_and_qd8() {
     }
 }
 
+/// The configuration with the most stalls, loads and read-modify-writes:
+/// every NVRAM stall flushes one block, and FFS writes it in place.
 #[test]
-fn traced_run_chrome_json_is_pinned() {
-    let mut cfg = experiment(8);
-    cfg.scale = 0.002;
+fn nvram_partial_on_ffs_metrics_are_pinned_at_qd1() {
+    let mut cfg = experiment(1);
+    cfg.policy = Policy::NvramPartial;
+    cfg.layout = LayoutKind::Ffs;
+    let r = patsy::run_experiment(&cfg);
+    assert_eq!(r.report.errors, 0);
+    assert_pinned(
+        "the qd 1 nvram-partial FFS metrics",
+        &r.metrics.to_json(0),
+        0x02cb8e3642f0590bb5e13030db7c0f2a,
+    );
+}
+
+fn chrome_trace(cfg: &ExperimentConfig) -> String {
     let tracer = Tracer::default();
     let guard = install(&tracer);
-    patsy::run_experiment(&cfg);
+    patsy::run_experiment(cfg);
     drop(guard);
-    assert_pinned("the Chrome trace", &to_chrome_json(&tracer), 0xdbc95cb01daad32b5f0e17087c4ea794);
+    to_chrome_json(&tracer)
+}
+
+fn traced_experiment(queue_depth: u32) -> ExperimentConfig {
+    ExperimentConfig { scale: 0.002, ..experiment(queue_depth) }
+}
+
+#[test]
+fn traced_run_chrome_json_is_pinned() {
+    let json = chrome_trace(&traced_experiment(8));
+    assert_pinned("the Chrome trace", &json, 0xdbc95cb01daad32b5f0e17087c4ea794);
+}
+
+/// At depth 1 the window is one block wide: the trace is the serial
+/// path's, event for event. The second run has a cache the working set
+/// does not fit, so its trace holds what the first has none of: misses,
+/// loads, and the flush stalls inside them.
+#[test]
+fn traced_run_chrome_json_is_pinned_at_qd1() {
+    let json = chrome_trace(&traced_experiment(1));
+    assert_pinned("the qd 1 Chrome trace", &json, 0xc3299400be7e6716c3616b13bf37209b);
+    let small_cache = ExperimentConfig {
+        policy: Policy::NvramPartial,
+        layout: LayoutKind::Ffs,
+        mem_bytes: 512 * 1024,
+        nvram_bytes: 64 * 1024,
+        ..traced_experiment(1)
+    };
+    let json = chrome_trace(&small_cache);
+    for name in ["cache:miss", "cache:load", "flush:wait"] {
+        assert!(json.contains(name), "no {name} in the small-cache trace");
+    }
+    assert_pinned("the qd 1 small-cache Chrome trace", &json, 0xa01bbb8b6dbd8f4bf74048b74fe1311c);
 }
 
 #[test]
