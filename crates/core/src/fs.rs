@@ -16,7 +16,6 @@
 // lint.
 #![allow(clippy::await_holding_refcell_ref)]
 
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -33,6 +32,7 @@ use cnp_layout::{
 };
 use cnp_sim::{
     channel, Event, Handle, LockStats, Receiver, Sender, ShardedMutex, SimDuration, TrackedMutex,
+    TrackedMutexGuard,
 };
 
 use crate::config::{DataMode, FlushMode, FsConfig};
@@ -117,6 +117,9 @@ struct Shared {
     write_gen: RefCell<HashMap<Ino, u64, FixedState>>,
     open_counts: RefCell<HashMap<Ino, u32, FixedState>>,
     inflight: RefCell<HashMap<BlockKey, Event, FixedState>>,
+    /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
+    /// the miss path allocates for its I/O and not for its bookkeeping.
+    scratch: RefCell<Vec<ReadScratch>>,
     /// Per-block failed-flush counts (bounded retry bookkeeping).
     flush_retry: RefCell<HashMap<BlockKey, u8, FixedState>>,
     /// Serializes directory read-modify-write sequences, striped by the
@@ -130,6 +133,31 @@ struct Shared {
     flush_done: Event,
     shutdown: Cell<bool>,
     stats: RefCell<FsStats>,
+}
+
+/// A block this task is loading on a miss.
+struct Miss {
+    blk: u64,
+    /// The cache frame reserved for it.
+    frame: u32,
+    /// Where other tasks missing the same block wait for this load.
+    ev: Event,
+    /// Its device address once mapped; `None` for a hole.
+    addr: Option<BlockAddr>,
+    /// Committed: nothing left to release.
+    done: bool,
+}
+
+/// The lists one read call works through, window by window.
+#[derive(Default)]
+struct ReadScratch {
+    /// This window's blocks that this task loads.
+    misses: Vec<Miss>,
+    /// This window's blocks that another task is loading.
+    theirs: Vec<u64>,
+    /// The device runs covering `misses`, and what came back for each.
+    runs: Vec<(BlockAddr, u32)>,
+    payloads: Vec<Payload>,
 }
 
 /// Flush attempts per block before an erroring block is dropped.
@@ -198,6 +226,7 @@ impl FileSystem {
             write_gen: RefCell::default(),
             open_counts: RefCell::default(),
             inflight: RefCell::default(),
+            scratch: RefCell::default(),
             flush_retry: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
@@ -532,6 +561,45 @@ impl FileSystem {
         Ok(())
     }
 
+    // ----- Locks -----
+    //
+    // Order: ns < range < core. A task takes them in that order and
+    // never reaches back: the namespace stripes of the directories an
+    // operation rewrites, then the extent-range stripe of the file whose
+    // blocks move, then the layout's core lock around one layout call.
+    // The control paths (format, mount, sync, unmount) take every range
+    // stripe, ascending, in place of one. Each helper opens the
+    // `lock:*` span the wait shows under, takes the lock and closes it.
+
+    /// Locks the namespace stripes of directories `a` and `b` (one
+    /// stripe if they share it, as a directory does with itself).
+    async fn lock_ns(
+        &self,
+        a: Ino,
+        b: Ino,
+    ) -> (TrackedMutexGuard<()>, Option<TrackedMutexGuard<()>>) {
+        let sp = self.s.handle.trace_span("lock:ns");
+        let guards = self.s.ns_lock.lock_pair(a.0, b.0).await;
+        self.s.handle.trace_exit(sp);
+        guards
+    }
+
+    /// Locks the extent-range stripe of file `ino`.
+    async fn lock_range(&self, ino: Ino) -> TrackedMutexGuard<()> {
+        let sp = self.s.handle.trace_span("lock:range");
+        let guard = self.s.layout_ranges.lock(ino.0).await;
+        self.s.handle.trace_exit(sp);
+        guard
+    }
+
+    /// Locks the layout.
+    async fn lock_core(&self) -> TrackedMutexGuard<Layout> {
+        let sp = self.s.handle.trace_span("lock:core");
+        let guard = self.s.layout.lock().await;
+        self.s.handle.trace_exit(sp);
+        guard
+    }
+
     // ----- Namespace operations (the abstract client interface) -----
 
     /// Resolves a path to an inode number.
@@ -553,17 +621,13 @@ impl FileSystem {
         // directory; a racing remove of the parent surfaces as a clean
         // BadInode/NotFound.
         let (dir_ino, name) = self.resolve_parent(path).await?;
-        let sp = self.s.handle.trace_span("lock:ns");
-        let _ns = self.s.ns_lock.lock(dir_ino.0).await;
-        self.s.handle.trace_exit(sp);
+        let _ns = self.lock_ns(dir_ino, dir_ino).await;
         let mut bytes = self.read_dir_bytes(dir_ino).await?;
         if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
+            let g = self.lock_core().await;
             let now = self.s.handle.now().as_nanos();
             let inode = g.get_mut().alloc_ino(kind, now)?;
             inode
@@ -571,12 +635,8 @@ impl FileSystem {
         let ino = inode.ino;
         self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode.clone())));
         {
-            let sp = self.s.handle.trace_span("lock:range");
-            let _rg = self.s.layout_ranges.lock(ino.0).await;
-            self.s.handle.trace_exit(sp);
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
+            let _rg = self.lock_range(ino).await;
+            let g = self.lock_core().await;
             g.get_mut().put_inode(&inode).await?;
         }
         dir::append(&mut bytes, ino, kind, name).map_err(FsError::BadPath)?;
@@ -593,17 +653,13 @@ impl FileSystem {
 
     async fn mkdir_inner(&self, path: &str) -> FsResult<Ino> {
         let (dir_ino, name) = self.resolve_parent(path).await?;
-        let sp = self.s.handle.trace_span("lock:ns");
-        let _ns = self.s.ns_lock.lock(dir_ino.0).await;
-        self.s.handle.trace_exit(sp);
+        let _ns = self.lock_ns(dir_ino, dir_ino).await;
         let mut bytes = self.read_dir_bytes(dir_ino).await?;
         if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
+            let g = self.lock_core().await;
             let now = self.s.handle.now().as_nanos();
             let inode = g.get_mut().alloc_ino(FileKind::Directory, now)?;
             g.get_mut().put_inode(&inode).await?;
@@ -696,36 +752,20 @@ impl FileSystem {
         }
         let bs = BLOCK_SIZE as u64;
         let mut out: Option<Vec<u8>> = match self.s.cfg.data_mode {
-            DataMode::Real => Some(Vec::with_capacity((end - offset) as usize)),
+            DataMode::Real => Some(vec![0u8; (end - offset) as usize]),
             DataMode::Simulated => None,
         };
         let first = offset / bs;
         let last = (end - 1) / bs;
-        if self.s.cfg.queue_depth > 1 && last > first {
-            // Pipelined path: map the range as extents and keep up to
-            // queue_depth block loads in flight at once.
-            let datas = self.read_blocks_pipelined(ino, first, last + 1 - first).await?;
-            for (i, data) in datas.iter().enumerate() {
-                let blk = first + i as u64;
-                let lo = if blk == first { (offset % bs) as usize } else { 0 };
-                let hi = ((end - blk * bs).min(bs)) as usize;
-                if let (Some(out), Some(data)) = (out.as_mut(), data.as_ref()) {
-                    out.extend_from_slice(&data[lo..hi]);
-                }
+        let place = |blk: u64, data: Option<&[u8]>| {
+            if let (Some(out), Some(data)) = (out.as_mut(), data) {
+                // The part of the block inside `[offset, end)`.
+                let (lo, hi) = (offset.max(blk * bs), end.min((blk + 1) * bs));
+                out[(lo - offset) as usize..(hi - offset) as usize]
+                    .copy_from_slice(&data[(lo - blk * bs) as usize..(hi - blk * bs) as usize]);
             }
-        } else {
-            let mut pos = offset;
-            while pos < end {
-                let blk = pos / bs;
-                let lo = (pos % bs) as usize;
-                let hi = ((end - blk * bs).min(bs)) as usize;
-                let data = self.read_block_cached(ino, blk).await?;
-                if let (Some(out), Some(data)) = (out.as_mut(), data.as_ref()) {
-                    out.extend_from_slice(&data[lo..hi]);
-                }
-                pos = blk * bs + hi as u64;
-            }
-        }
+        };
+        self.read_blocks(ino, first, last + 1 - first, place).await?;
         self.s.stats.borrow_mut().bytes_read += end - offset;
         Ok((end - offset, out))
     }
@@ -778,36 +818,22 @@ impl FileSystem {
             rc.borrow_mut().size = end;
         }
         let gen0 = self.s.write_gen.borrow().get(&ino).copied().unwrap_or(0);
+        // Per-block cache commits (and any read-modify loads for partial
+        // blocks) proceed with up to queue_depth in flight; the first
+        // failure stops new blocks from starting.
         let first = offset / bs;
-        let last = if len == 0 { first } else { (end - 1) / bs };
-        let mut failed: Option<FsError> = None;
-        if len > 0 && self.s.cfg.queue_depth > 1 && last > first {
-            // Pipelined path: per-block cache commits (and any
-            // read-modify loads for partial blocks) proceed with up to
-            // queue_depth in flight.
-            let work = (first..=last)
-                .map(|blk| self.write_one_block(client, ino, blk, offset, end, old_size, data));
-            for r in cnp_sim::for_each_limit(self.s.cfg.queue_depth as usize, work).await {
-                if let Err(e) = r {
-                    failed = Some(e);
-                    break;
-                }
+        let blocks = first..if len == 0 { first } else { end.div_ceil(bs) };
+        let failed: RefCell<Option<FsError>> = RefCell::new(None);
+        let work = blocks
+            .take_while(|_| failed.borrow().is_none())
+            .map(|blk| self.write_one_block(client, ino, blk, offset, end, old_size, data));
+        let note = |r: FsResult<()>| {
+            if let Err(e) = r {
+                failed.borrow_mut().get_or_insert(e);
             }
-        } else {
-            let mut pos = offset;
-            while pos < end {
-                let blk = pos / bs;
-                let hi = ((end - blk * bs).min(bs)) as usize;
-                if let Err(e) =
-                    self.write_one_block(client, ino, blk, offset, end, old_size, data).await
-                {
-                    failed = Some(e);
-                    break;
-                }
-                pos = blk * bs + hi as u64;
-            }
-        }
-        if let Some(e) = failed {
+        };
+        cnp_sim::for_each_limit(self.queue_depth() as usize, work, note).await;
+        if let Some(e) = failed.into_inner() {
             // Roll the speculative extension back so a *failed* write
             // does not leave a phantom size — but only if no other
             // size-relevant op completed meanwhile: a concurrent client
@@ -842,12 +868,8 @@ impl FileSystem {
             self.s.cache.borrow_mut().remove_block(BlockKey::new(FileId(ino.0), blk));
         }
         {
-            let sp = self.s.handle.trace_span("lock:range");
-            let _rg = self.s.layout_ranges.lock(ino.0).await;
-            self.s.handle.trace_exit(sp);
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
+            let _rg = self.lock_range(ino).await;
+            let g = self.lock_core().await;
             let mut copy = rc.borrow().clone();
             g.get_mut().truncate(&mut copy, new_blocks).await?;
             let mut inode = rc.borrow_mut();
@@ -864,9 +886,7 @@ impl FileSystem {
         self.op_begin().await;
         self.s.stats.borrow_mut().deletes += 1;
         let (dir_ino, name) = self.resolve_parent(path).await?;
-        let sp = self.s.handle.trace_span("lock:ns");
-        let _ns = self.s.ns_lock.lock(dir_ino.0).await;
-        self.s.handle.trace_exit(sp);
+        let _ns = self.lock_ns(dir_ino, dir_ino).await;
         let mut bytes = self.read_dir_bytes(dir_ino).await?;
         let (ino, kind) = dir::remove(&mut bytes, name)
             .map_err(corrupt)?
@@ -879,12 +899,8 @@ impl FileSystem {
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
         self.s.inodes.borrow_mut().remove(&ino);
         self.s.write_gen.borrow_mut().remove(&ino);
-        let sp = self.s.handle.trace_span("lock:range");
-        let _rg = self.s.layout_ranges.lock(ino.0).await;
-        self.s.handle.trace_exit(sp);
-        let sp = self.s.handle.trace_span("lock:core");
-        let g = self.s.layout.lock().await;
-        self.s.handle.trace_exit(sp);
+        let _rg = self.lock_range(ino).await;
+        let g = self.lock_core().await;
         g.get_mut().free_inode(ino).await?;
         Ok(())
     }
@@ -901,9 +917,7 @@ impl FileSystem {
         // family's deadlock-free order and the lookup revalidated.
         loop {
             let (victim, _) = self.lookup_in(dir_ino, name, path).await?;
-            let sp = self.s.handle.trace_span("lock:ns");
-            let _ns = self.s.ns_lock.lock_pair(dir_ino.0, victim.0).await;
-            self.s.handle.trace_exit(sp);
+            let _ns = self.lock_ns(dir_ino, victim).await;
             let mut bytes = self.read_dir_bytes(dir_ino).await?;
             let (ino, kind) = dir::lookup(&bytes, name)
                 .map_err(corrupt)?
@@ -925,12 +939,8 @@ impl FileSystem {
             let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
             self.s.inodes.borrow_mut().remove(&ino);
-            let sp = self.s.handle.trace_span("lock:range");
-            let _rg = self.s.layout_ranges.lock(ino.0).await;
-            self.s.handle.trace_exit(sp);
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
+            let _rg = self.lock_range(ino).await;
+            let g = self.lock_core().await;
             g.get_mut().free_inode(ino).await?;
             return Ok(());
         }
@@ -941,9 +951,7 @@ impl FileSystem {
         self.op_begin().await;
         let (from_dir, from_name) = self.resolve_parent(from).await?;
         let (to_dir, to_name) = self.resolve_parent(to).await?;
-        let sp = self.s.handle.trace_span("lock:ns");
-        let _ns = self.s.ns_lock.lock_pair(from_dir.0, to_dir.0).await;
-        self.s.handle.trace_exit(sp);
+        let _ns = self.lock_ns(from_dir, to_dir).await;
         let mut from_bytes = self.read_dir_bytes(from_dir).await?;
         let (ino, kind) = dir::remove(&mut from_bytes, from_name)
             .map_err(corrupt)?
@@ -1097,7 +1105,7 @@ impl FileSystem {
         let blocks = size.div_ceil(bs);
         let mut bytes = Vec::with_capacity(blocks * bs);
         for blk in 0..blocks as u64 {
-            self.read_block_with(ino, blk, |data| data.map(|d| bytes.extend_from_slice(&d)))
+            self.read_block_with(ino, blk, |data| data.map(|d| bytes.extend_from_slice(d)))
                 .await?
                 .ok_or_else(dir_data_unavailable)?;
         }
@@ -1175,7 +1183,7 @@ impl FileSystem {
 
     /// One block of a client write: compute the block's new content
     /// (read-modify for partial overwrites in real mode) and push it
-    /// through the cache. Shared by the lock-step and pipelined paths.
+    /// through the cache.
     #[allow(clippy::too_many_arguments)]
     async fn write_one_block(
         &self,
@@ -1214,352 +1222,240 @@ impl FileSystem {
         self.write_block_cached(owner, ino, blk, block_data).await
     }
 
-    /// Pipelined multi-block read: classify each block (cache hit, load
-    /// in flight elsewhere, ours to load), map our misses to physical
-    /// runs with **one** `map_extents` call per window under the layout
-    /// lock, then scatter-gather the runs concurrently. The window size
-    /// is the queue-depth knob, which also bounds reserved cache frames.
-    ///
-    /// Returns one entry per block in `[first, first + n)`: bytes when
-    /// available (real mode / metadata), `None` for simulated payloads.
-    async fn read_blocks_pipelined(
+    /// Reads blocks `[first, first + n)` through the cache, a window of
+    /// `queue_depth` blocks at a time, and hands each block's bytes to
+    /// `sink` (see [`FileSystem::load_window`]; not in block order). The
+    /// window size also bounds the cache frames one read holds reserved.
+    async fn read_blocks(
         &self,
         ino: Ino,
         first: u64,
         n: u64,
-    ) -> FsResult<Vec<Option<Vec<u8>>>> {
-        let window = self.s.cfg.queue_depth.max(1) as u64;
-        let mut out: Vec<Option<Vec<u8>>> = Vec::with_capacity(n as usize);
+        mut sink: impl FnMut(u64, Option<&[u8]>),
+    ) -> FsResult<()> {
+        let window = self.queue_depth() as u64;
+        let mut sc = self.take_scratch();
         let mut start = first;
         while start < first + n {
             let len = window.min(first + n - start);
-            let charged = self.read_window(ino, start, len, &mut out).await?;
+            self.load_window(ino, start, len, &mut sc, &mut sink).await?;
+            // Blocks another task was loading: read through the
+            // single-block path (the wait-and-retry loop — and its copy
+            // charge — live there).
+            let waited = sc.theirs.len() as u64;
+            for blk in sc.theirs.drain(..) {
+                self.read_block_with(ino, blk, |data| sink(blk, data)).await?;
+            }
             // Copy cost is CPU work: charge it per delivered block,
-            // serially, as the lock-step path does (blocks loaded by a
-            // concurrent task were already charged inside the wait).
-            for _ in 0..len - charged {
+            // serially.
+            for _ in 0..len - waited {
                 self.copy_delay().await;
             }
             start += len;
         }
-        Ok(out)
-    }
-
-    /// One queue-depth window of [`FileSystem::read_blocks_pipelined`];
-    /// appends the window's block data to `out`. Returns how many blocks
-    /// already paid their copy cost (loads delegated to another task).
-    async fn read_window(
-        &self,
-        ino: Ino,
-        start: u64,
-        len: u64,
-        out: &mut Vec<Option<Vec<u8>>>,
-    ) -> FsResult<u64> {
-        let base = out.len();
-        out.resize(base + len as usize, None);
-        // Classify: cache hits fill immediately; blocks being loaded by
-        // another task are awaited at the end; the rest are ours.
-        let mut ours: Vec<(usize, u64, u32, Event)> = Vec::new(); // (slot, blk, frame, event)
-        let mut theirs: Vec<(usize, u64)> = Vec::new();
-        let mut filled: Vec<bool> = vec![false; len as usize];
-        for i in 0..len {
-            let blk = start + i;
-            let key = BlockKey::new(FileId(ino.0), blk);
-            {
-                let mut cache = self.s.cache.borrow_mut();
-                if let Some(frame) = cache.lookup(key, self.s.handle.now()) {
-                    out[base + i as usize] = cache.data(frame).map(|d| d.to_vec());
-                    filled[i as usize] = true;
-                    continue;
-                }
-            }
-            if self.s.inflight.borrow().contains_key(&key) {
-                theirs.push((i as usize, blk));
-                continue;
-            }
-            let ev = Event::new(&self.s.handle);
-            self.s.inflight.borrow_mut().insert(key, ev.clone());
-            match self.reserve_frame().await {
-                Ok(frame) => ours.push((i as usize, blk, frame, ev)),
-                Err(e) => {
-                    self.s.inflight.borrow_mut().remove(&key);
-                    ev.signal();
-                    self.abort_window(ino, &ours);
-                    return Err(e);
-                }
-            }
-        }
-        // Map our misses to physical runs, one lock acquisition per
-        // contiguous range, consulting the layout's staging buffer.
-        let mut addrs: Vec<Option<BlockAddr>> = Vec::with_capacity(ours.len()); // per `ours` entry
-        if !ours.is_empty() {
-            let inode = match self.get_inode_rc(ino).await {
-                Ok(rc) => rc.borrow().clone(),
-                Err(e) => {
-                    self.abort_window(ino, &ours);
-                    return Err(e);
-                }
-            };
-            let g = self.s.layout.lock().await;
-            let mut k = 0usize;
-            while k < ours.len() {
-                let run_start = ours[k].1;
-                let mut run_len = 1u64;
-                while k + (run_len as usize) < ours.len()
-                    && ours[k + run_len as usize].1 == run_start + run_len
-                {
-                    run_len += 1;
-                }
-                let mapped = g.get_mut().map_extents(&inode, run_start, run_len).await;
-                let extents = match mapped {
-                    Ok(ex) => ex,
-                    Err(e) => {
-                        // Nothing is committed yet: release every miss.
-                        drop(g);
-                        self.abort_window(ino, &ours);
-                        return Err(e.into());
-                    }
-                };
-                for e in &extents {
-                    for off in 0..e.len as u64 {
-                        addrs.push(e.addr.map(|a| BlockAddr(a.0 + off)));
-                    }
-                }
-                k += run_len as usize;
-            }
-            // Staged blocks (LFS unflushed segment) are served from the
-            // layout's buffer, never the device.
-            for (idx, &(slot, blk, frame, ref ev)) in ours.iter().enumerate() {
-                if let Some(addr) = addrs[idx] {
-                    if let Some(p) = g.get().staged_block(addr) {
-                        let data = p.bytes().map(|b| b.to_vec());
-                        let key = BlockKey::new(FileId(ino.0), blk);
-                        out[base + slot] = self.commit_loaded(frame, key, data);
-                        filled[slot] = true;
-                        self.s.inflight.borrow_mut().remove(&key);
-                        ev.signal();
-                        addrs[idx] = None; // Done: not a device read.
-                    }
-                }
-            }
-        }
-        // Scatter-gather the remaining device reads as physical runs.
-        let mut pending: Vec<usize> = Vec::new(); // indices into `ours`
-        let mut extents: Vec<cnp_layout::Extent> = Vec::new();
-        for (idx, &(slot, _blk, _frame, _)) in ours.iter().enumerate() {
-            if filled[slot] {
-                continue;
-            }
-            match addrs[idx] {
-                Some(addr) => {
-                    pending.push(idx);
-                    let extend = extents
-                        .last()
-                        .and_then(|e| e.addr)
-                        .map(|a| {
-                            let last = extents.last().expect("just found");
-                            a.0 + last.len as u64 == addr.0
-                                && last.start_blk + last.len as u64 == ours[idx].1
-                        })
-                        .unwrap_or(false);
-                    if extend {
-                        extents.last_mut().expect("checked").len += 1;
-                    } else {
-                        extents.push(cnp_layout::Extent {
-                            start_blk: ours[idx].1,
-                            len: 1,
-                            addr: Some(addr),
-                        });
-                    }
-                }
-                None => {
-                    // A hole reads as zeroes on-line, nothing off-line.
-                    let data = match self.s.cfg.data_mode {
-                        DataMode::Real => Some(vec![0u8; BLOCK_SIZE as usize]),
-                        DataMode::Simulated => None,
-                    };
-                    let (slot, blk, frame, ev) =
-                        (ours[idx].0, ours[idx].1, ours[idx].2, &ours[idx].3);
-                    let key = BlockKey::new(FileId(ino.0), blk);
-                    out[base + slot] = self.commit_loaded(frame, key, data);
-                    filled[slot] = true;
-                    self.s.inflight.borrow_mut().remove(&key);
-                    ev.signal();
-                }
-            }
-        }
-        if !extents.is_empty() {
-            match self.s.io.read_extents(&extents).await {
-                Ok(payloads) => {
-                    let mut p = 0usize; // index into pending
-                    for (e, payload) in extents.iter().zip(payloads) {
-                        let payload = payload.expect("mapped extent has a payload");
-                        for off in 0..e.len as usize {
-                            let idx = pending[p];
-                            p += 1;
-                            let (slot, blk, frame, ev) =
-                                (ours[idx].0, ours[idx].1, ours[idx].2, &ours[idx].3);
-                            let data = match payload.bytes() {
-                                Some(_) => Some(cnp_layout::BlockIo::block_bytes(&payload, off)?),
-                                None => None,
-                            };
-                            let key = BlockKey::new(FileId(ino.0), blk);
-                            out[base + slot] = self.commit_loaded(frame, key, data);
-                            filled[slot] = true;
-                            self.s.inflight.borrow_mut().remove(&key);
-                            ev.signal();
-                        }
-                    }
-                }
-                Err(e) => {
-                    let leftover: Vec<_> = pending.iter().map(|&idx| ours[idx].clone()).collect();
-                    self.abort_window(ino, &leftover);
-                    return Err(e.into());
-                }
-            }
-        }
-        // Blocks another task was loading: read through the cache (the
-        // wait-and-retry loop — and its copy charge — live there).
-        let charged = theirs.len() as u64;
-        for (slot, blk) in theirs {
-            out[base + slot] = self.read_block_cached(ino, blk).await?;
-        }
-        Ok(charged)
-    }
-
-    /// Releases the frames and in-flight markers of not-yet-committed
-    /// window entries after an error.
-    fn abort_window(&self, ino: Ino, entries: &[(usize, u64, u32, Event)]) {
-        for (_slot, blk, frame, ev) in entries {
-            let key = BlockKey::new(FileId(ino.0), *blk);
-            self.s.cache.borrow_mut().release_reserved(*frame);
-            self.s.inflight.borrow_mut().remove(&key);
-            ev.signal();
-        }
+        self.put_scratch(sc);
+        Ok(())
     }
 
     /// Reads one block through the cache; returns bytes when available
     /// (always for metadata, never for off-line user data).
     async fn read_block_cached(&self, ino: Ino, blk: u64) -> FsResult<Option<Vec<u8>>> {
-        self.read_block_with(ino, blk, |data| data.map(Cow::into_owned)).await
+        self.read_block_with(ino, blk, |data| data.map(<[u8]>::to_vec)).await
     }
 
-    /// Reads one block through the cache and hands its bytes to `f`:
-    /// borrowed from the cache frame on a hit (`f` runs with the cache
-    /// borrowed and must not reach for it), the loaded copy on a miss.
+    /// Reads one block through the cache — a window of one — and hands
+    /// its bytes to `f` where they sit in the cache frame (`f` runs with
+    /// the cache borrowed and must not reach for it).
     async fn read_block_with<T>(
         &self,
         ino: Ino,
         blk: u64,
-        f: impl FnOnce(Option<Cow<'_, [u8]>>) -> T,
+        f: impl FnOnce(Option<&[u8]>) -> T,
     ) -> FsResult<T> {
         let key = BlockKey::new(FileId(ino.0), blk);
+        let mut f = Some(f);
+        let mut out = None;
+        let mut sc = self.take_scratch();
         loop {
-            // Hit?
-            {
-                let mut cache = self.s.cache.borrow_mut();
-                if let Some(frame) = cache.lookup(key, self.s.handle.now()) {
-                    let out = f(cache.data(frame).map(Cow::Borrowed));
-                    drop(cache);
-                    self.s.handle.trace_instant("cache:hit");
-                    self.copy_delay().await;
-                    return Ok(out);
-                }
+            let mut sink = |_, data: Option<&[u8]>| out = f.take().map(|f| f(data));
+            self.load_window(ino, blk, 1, &mut sc, &mut sink).await?;
+            if sc.theirs.pop().is_none() {
+                break;
             }
-            // Miss: dedup concurrent loads of the same block.
+            // Dedup concurrent loads of the same block: wait for the
+            // other task's, then look again.
             let waiter = self.s.inflight.borrow().get(&key).cloned();
             if let Some(ev) = waiter {
                 ev.wait().await;
+            }
+        }
+        self.put_scratch(sc);
+        self.copy_delay().await;
+        Ok(out.expect("a window of one block delivers it or lists it as another task's"))
+    }
+
+    fn take_scratch(&self) -> ReadScratch {
+        self.s.scratch.borrow_mut().pop().unwrap_or_default()
+    }
+
+    fn put_scratch(&self, sc: ReadScratch) {
+        self.s.scratch.borrow_mut().push(sc);
+    }
+
+    /// One window of the read path, and the engine's only way from a
+    /// missing block to a resident one. Classifies each block of
+    /// `[start, start + len)`: a cache hit goes to `sink` at once, where
+    /// it sits in its frame (`sink` runs with the cache borrowed and must
+    /// not reach for it); a block another task is loading is listed in
+    /// `sc.theirs` for the caller to wait on; the rest are this task's
+    /// misses, each marked in flight and given a reserved frame, then
+    /// loaded together ([`FileSystem::load_misses`]) and handed to
+    /// `sink` as they commit. The caller charges the copy cost.
+    async fn load_window(
+        &self,
+        ino: Ino,
+        start: u64,
+        len: u64,
+        sc: &mut ReadScratch,
+        sink: &mut impl FnMut(u64, Option<&[u8]>),
+    ) -> FsResult<()> {
+        let mut load = cnp_obs::trace::SpanToken::NONE;
+        for blk in start..start + len {
+            let key = BlockKey::new(FileId(ino.0), blk);
+            {
+                let mut cache = self.s.cache.borrow_mut();
+                if let Some(frame) = cache.lookup(key, self.s.handle.now()) {
+                    sink(blk, cache.data(frame));
+                    drop(cache);
+                    self.s.handle.trace_instant("cache:hit");
+                    continue;
+                }
+            }
+            if self.s.inflight.borrow().contains_key(&key) {
+                sc.theirs.push(blk);
                 continue;
             }
             self.s.handle.trace_instant("cache:miss");
             let ev = Event::new(&self.s.handle);
             self.s.inflight.borrow_mut().insert(key, ev.clone());
-            let sp = self.s.handle.trace_span("cache:load");
-            let result = self.load_block(ino, blk, key).await;
-            self.s.handle.trace_exit(sp);
-            self.s.inflight.borrow_mut().remove(&key);
-            ev.signal();
-            let data = result?;
-            self.copy_delay().await;
-            return Ok(f(data.map(Cow::Owned)));
+            if sc.misses.is_empty() {
+                load = self.s.handle.trace_span("cache:load");
+            }
+            let frame = self.reserve_frame().await;
+            sc.misses.push(Miss { blk, frame, ev, addr: None, done: false });
         }
+        if sc.misses.is_empty() {
+            return Ok(());
+        }
+        let loaded = self.load_misses(ino, sc, sink).await;
+        // Whatever an error left unloaded: hand its frame back, un-mark
+        // it and let its waiters retry.
+        for m in sc.misses.drain(..).filter(|m| !m.done) {
+            self.s.cache.borrow_mut().release_reserved(m.frame);
+            self.s.inflight.borrow_mut().remove(&BlockKey::new(FileId(ino.0), m.blk));
+            m.ev.signal();
+        }
+        sc.runs.clear();
+        sc.payloads.clear();
+        self.s.handle.trace_exit(load);
+        loaded
     }
 
-    async fn load_block(&self, ino: Ino, blk: u64, key: BlockKey) -> FsResult<Option<Vec<u8>>> {
-        let frame = self.reserve_frame().await?;
-        // Map under the layout lock; read the data outside it so
-        // independent reads queue up at the disk concurrently.
-        let addr: Option<BlockAddr> = {
-            let rc = match self.get_inode_rc(ino).await {
-                Ok(rc) => rc,
-                Err(e) => {
-                    self.s.cache.borrow_mut().release_reserved(frame);
-                    return Err(e);
+    /// Loads `sc.misses`: map them with one acquisition of the layout
+    /// lock, serve what the layout still has staged from its buffer,
+    /// commit holes as they are, and scatter-gather the rest from the
+    /// device as physical runs, outside the lock, so independent reads
+    /// queue up at the disk concurrently.
+    async fn load_misses(
+        &self,
+        ino: Ino,
+        sc: &mut ReadScratch,
+        sink: &mut impl FnMut(u64, Option<&[u8]>),
+    ) -> FsResult<()> {
+        let ReadScratch { misses, runs, payloads, .. } = sc;
+        let inode = self.get_inode_rc(ino).await?.borrow().clone();
+        {
+            let g = self.lock_core().await;
+            for m in misses.iter_mut() {
+                m.addr = g.get_mut().map_block(&inode, m.blk).await?;
+            }
+            // Staged blocks (LFS unflushed segment) are served from the
+            // layout's buffer, never the device.
+            for m in misses.iter_mut() {
+                if let Some(p) = m.addr.and_then(|a| g.get().staged_block(a)) {
+                    self.commit_loaded(ino, m, p.bytes().map(<[u8]>::to_vec), sink);
+                }
+            }
+        }
+        // Blocks consecutive in the file and on the device share a run.
+        let mut prev: Option<(u64, BlockAddr)> = None;
+        for m in misses.iter_mut().filter(|m| !m.done) {
+            let Some(addr) = m.addr else {
+                // A hole reads as zeroes on-line, nothing off-line.
+                let data = match self.s.cfg.data_mode {
+                    DataMode::Real => Some(vec![0u8; BLOCK_SIZE as usize]),
+                    DataMode::Simulated => None,
+                };
+                self.commit_loaded(ino, m, data, sink);
+                continue;
+            };
+            match (prev, runs.last_mut()) {
+                (Some((blk, at)), Some(run)) if blk + 1 == m.blk && at.0 + 1 == addr.0 => {
+                    run.1 += 1;
+                }
+                _ => runs.push((addr, 1)),
+            }
+            prev = Some((m.blk, addr));
+        }
+        if runs.is_empty() {
+            return Ok(());
+        }
+        self.s.io.read_runs(runs, payloads).await?;
+        let mut pending = misses.iter_mut().filter(|m| !m.done);
+        for (&(_, n), payload) in runs.iter().zip(payloads.iter()) {
+            for off in 0..n as usize {
+                let m = pending.next().expect("a run block is a pending miss");
+                let data = match payload.bytes() {
+                    Some(_) => Some(cnp_layout::BlockIo::block_bytes(payload, off)?),
+                    None => None,
+                };
+                self.commit_loaded(ino, m, data, sink);
+            }
+        }
+        Ok(())
+    }
+
+    /// Commits a loaded block into the frame reserved for it, hands its
+    /// bytes to `sink`, un-marks it and wakes its waiters. Loads dedup
+    /// against each other through `inflight`, but a whole-block writer
+    /// never consults it: if one made the block resident while this load
+    /// was awaiting its frame, the layout lock or the disk, the spare
+    /// frame goes back and the resident (newer) bytes are the block's.
+    fn commit_loaded(
+        &self,
+        ino: Ino,
+        m: &mut Miss,
+        data: Option<Vec<u8>>,
+        sink: &mut impl FnMut(u64, Option<&[u8]>),
+    ) {
+        let key = BlockKey::new(FileId(ino.0), m.blk);
+        {
+            let mut cache = self.s.cache.borrow_mut();
+            let frame = match cache.peek(key) {
+                None => {
+                    cache.commit(m.frame, key, data, self.s.handle.now());
+                    m.frame
+                }
+                Some(resident) => {
+                    cache.release_reserved(m.frame);
+                    resident
                 }
             };
-            let inode = rc.borrow().clone();
-            let sp = self.s.handle.trace_span("lock:core");
-            let g = self.s.layout.lock().await;
-            self.s.handle.trace_exit(sp);
-            let mapped = g.get_mut().map_block(&inode, blk).await;
-            match mapped {
-                Ok(Some(a)) => {
-                    // The block may still sit in the layout's write buffer
-                    // (LFS unflushed segment): serve it from there.
-                    if let Some(p) = g.get().staged_block(a) {
-                        let data = p.bytes().map(|b| b.to_vec());
-                        return Ok(self.commit_loaded(frame, key, data));
-                    }
-                    Some(a)
-                }
-                Ok(None) => None,
-                Err(e) => {
-                    self.s.cache.borrow_mut().release_reserved(frame);
-                    return Err(e.into());
-                }
-            }
-        };
-        let data: Option<Vec<u8>> = match addr {
-            None => match self.s.cfg.data_mode {
-                // A hole reads as zeroes.
-                DataMode::Real => Some(vec![0u8; BLOCK_SIZE as usize]),
-                DataMode::Simulated => None,
-            },
-            Some(addr) => {
-                // LFS may still hold the block in its unflushed segment;
-                // route through the layout in that case. Fast path: raw
-                // device read.
-                match self.s.io.read_block(addr).await {
-                    Ok(payload) => payload.bytes().map(|b| b.to_vec()),
-                    Err(e) => {
-                        self.s.cache.borrow_mut().release_reserved(frame);
-                        return Err(e.into());
-                    }
-                }
-            }
-        };
-        Ok(self.commit_loaded(frame, key, data))
-    }
-
-    /// Commits a loaded block into the frame reserved for it and returns
-    /// the block's bytes. Loads dedup against each other through
-    /// `inflight`, but a whole-block writer never consults it: if one
-    /// made the block resident while this load was awaiting its frame,
-    /// the layout lock or the disk, the spare frame goes back and the
-    /// resident (newer) bytes are the block's.
-    fn commit_loaded(&self, frame: u32, key: BlockKey, data: Option<Vec<u8>>) -> Option<Vec<u8>> {
-        let mut cache = self.s.cache.borrow_mut();
-        match cache.peek(key) {
-            None => {
-                cache.commit(frame, key, data.clone(), self.s.handle.now());
-                data
-            }
-            Some(resident) => {
-                cache.release_reserved(frame);
-                cache.data(resident).map(<[u8]>::to_vec)
-            }
+            sink(m.blk, cache.data(frame));
         }
+        m.done = true;
+        self.s.inflight.borrow_mut().remove(&key);
+        m.ev.signal();
     }
 
     /// Writes one whole block through the cache (dirtying it); the dirty
@@ -1575,7 +1471,7 @@ impl FileSystem {
         loop {
             let mut resident = self.s.cache.borrow().peek(key);
             if resident.is_none() {
-                let frame = self.reserve_frame().await?;
+                let frame = self.reserve_frame().await;
                 // `reserve_frame` parks on a demand flush when no frame
                 // is clean; another writer of this block may have made
                 // it resident meanwhile. Look again: the spare frame
@@ -1612,11 +1508,11 @@ impl FileSystem {
     }
 
     /// Obtains a free cache frame, flushing per policy when none exists.
-    async fn reserve_frame(&self) -> FsResult<u32> {
+    async fn reserve_frame(&self) -> u32 {
         loop {
             let outcome = self.s.cache.borrow_mut().reserve();
             match outcome {
-                Reserve::Frame(f) => return Ok(f),
+                Reserve::Frame(f) => return f,
                 Reserve::NeedFlush(keys) => {
                     self.request_flush_and_wait(keys).await;
                 }
@@ -1730,12 +1626,8 @@ impl FileSystem {
                 // write-back against truncate/free of the same file;
                 // the core lock below covers the single layout call
                 // (which may run the cleaner — the global residue).
-                let sp = self.s.handle.trace_span("lock:range");
-                let _rg = self.s.layout_ranges.lock(file).await;
-                self.s.handle.trace_exit(sp);
-                let sp = self.s.handle.trace_span("lock:core");
-                let g = self.s.layout.lock().await;
-                self.s.handle.trace_exit(sp);
+                let _rg = self.lock_range(ino).await;
+                let g = self.lock_core().await;
                 let mut copy = rc.borrow().clone();
                 let r = g.get_mut().write_file_blocks(&mut copy, blocks).await;
                 if r.is_ok() {
@@ -2240,6 +2132,34 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_window_reads_runs_not_blocks_and_holes_as_zeroes() {
+        let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
+        run_fs_cfg(cfg.clone(), |fs| async move {
+            let bs = BLOCK_SIZE as u64;
+            let ino = fs.create("/runs.bin", FileKind::Regular).await.unwrap();
+            // Blocks 0-3 land consecutively in the log; 4-6 are a hole;
+            // block 7 follows block 3 on the device but not in the file.
+            let head: Vec<u8> = (0..4 * BLOCK_SIZE).map(|i| (i % 113) as u8 + 1).collect();
+            fs.write(ino, 0, 4 * bs, Some(&head)).await.unwrap();
+            fs.write(ino, 7 * bs, bs, Some(&[9u8; BLOCK_SIZE as usize])).await.unwrap();
+            fs.sync().await.unwrap();
+            let driver = fs.s.driver.clone();
+            let layout = Layout::Lfs(LfsLayout::new(fs.handle(), driver, LfsParams::default()));
+            let cold = FileSystem::new(fs.handle(), layout, cfg);
+            cold.mount().await.unwrap();
+            let ino = cold.lookup("/runs.bin").await.unwrap();
+            cold.stat_ino(ino).await.unwrap();
+            let reads = cold.driver_stats().reads;
+            let (n, got) = cold.read(ino, 0, 8 * bs).await.unwrap();
+            assert_eq!(n, 8 * bs);
+            let want = [head, vec![0; 3 * BLOCK_SIZE as usize], vec![9; BLOCK_SIZE as usize]];
+            assert!(got.unwrap() == want.concat());
+            assert_eq!(cold.driver_stats().reads - reads, 2, "one command a run, none a hole");
+            cold.shutdown();
+        });
+    }
+
+    #[test]
     fn pipelined_contents_match_serial_contents() {
         fn contents(queue_depth: u32) -> Vec<u8> {
             let out: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
@@ -2339,8 +2259,8 @@ mod tests {
     fn a_whole_block_write_may_overtake_a_load_of_the_same_block() {
         // A reader misses and goes to the disk; a whole-block writer —
         // which never waits on `inflight` — makes the blocks resident
-        // before the read returns. The load must yield to it. Lock-step
-        // (`load_block`) and pipelined (`read_window`) loads alike.
+        // before the read returns. The load must yield to it, in a
+        // window of one block and in a wider one.
         for queue_depth in [1, 8] {
             run_fs_cfg(tiny_cache("ups", DataMode::Real, queue_depth), move |fs| async move {
                 let shared = fs.create("/shared", FileKind::Regular).await.unwrap();

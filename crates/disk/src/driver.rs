@@ -184,8 +184,8 @@ struct StripePart {
 ///
 /// Chunks of `chunk_sectors` sectors round-robin
 /// across the children (`chunk c` lives on disk `c % n` at child chunk
-/// `c / n`), so the scatter-gather runs `map_extents` produces fan out
-/// across spindles/channels. A command crossing chunk boundaries splits
+/// `c / n`), so the scatter-gather runs of the engine's read window fan
+/// out across spindles/channels. A command crossing chunk boundaries splits
 /// into per-child sub-requests issued *concurrently* — the whole point
 /// of striping — and merges deterministically:
 ///

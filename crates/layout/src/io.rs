@@ -10,7 +10,6 @@
 use cnp_disk::{DiskDriver, IoOp, Payload};
 
 use crate::error::{LResult, LayoutError};
-use crate::layout::Extent;
 use crate::types::{BlockAddr, BLOCK_SIZE};
 
 /// Block-addressed view of a [`DiskDriver`].
@@ -67,11 +66,16 @@ impl BlockIo {
         Ok(payload)
     }
 
-    /// Reads several block runs, one payload per run, in input order.
+    /// Reads several block runs and appends one payload per run to
+    /// `out`, in input order.
     ///
     /// With a deep driver queue the runs go out as one batch and proceed
     /// concurrently; at queue depth 1 they are issued serially in order.
-    pub async fn read_runs(&self, runs: &[(BlockAddr, u32)]) -> LResult<Vec<Payload>> {
+    pub async fn read_runs(
+        &self,
+        runs: &[(BlockAddr, u32)],
+        out: &mut Vec<Payload>,
+    ) -> LResult<()> {
         if self.pipelined() && runs.len() > 1 {
             let reqs: Vec<_> = runs
                 .iter()
@@ -84,29 +88,15 @@ impl BlockIo {
                     )
                 })
                 .collect();
-            let mut out = Vec::with_capacity(runs.len());
             for r in self.driver.submit_batch(reqs).await {
                 out.push(r?.0);
             }
-            return Ok(out);
+            return Ok(());
         }
-        let mut out = Vec::with_capacity(runs.len());
         for &(addr, n) in runs {
             out.push(self.read_run(addr, n).await?);
         }
-        Ok(out)
-    }
-
-    /// Reads the device blocks covered by `extents`, returning per run
-    /// the payload (or `None` for a hole run), in extent order.
-    pub async fn read_extents(&self, extents: &[Extent]) -> LResult<Vec<Option<Payload>>> {
-        let runs: Vec<(BlockAddr, u32)> =
-            extents.iter().filter_map(|e| e.addr.map(|a| (a, e.len))).collect();
-        let mut mapped = self.read_runs(&runs).await?.into_iter();
-        Ok(extents
-            .iter()
-            .map(|e| e.addr.map(|_| mapped.next().expect("one payload per mapped run")))
-            .collect())
+        Ok(())
     }
 
     /// Writes one block.

@@ -48,25 +48,6 @@ pub struct RecoveryStats {
     pub patched_blocks: u64,
 }
 
-/// One physical run of a file's logical block range: `len` consecutive
-/// logical blocks starting at `start_blk` that map to `len` consecutive
-/// device blocks starting at `addr` (or to a hole when `addr` is
-/// `None`).
-///
-/// Extents are what turn per-block callouts into scatter-gather: one
-/// [`StorageLayout::map_extents`] call under the layout lock yields the
-/// physical runs, and the I/O for every run can then be issued
-/// concurrently outside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Extent {
-    /// First logical (file) block of the run.
-    pub start_blk: u64,
-    /// Number of consecutive blocks in the run.
-    pub len: u32,
-    /// Device address of the first block, or `None` for a hole.
-    pub addr: Option<BlockAddr>,
-}
-
 /// The storage-layout interface every layout implements.
 ///
 /// Rust rendition of the paper's abstract storage-layout base class:
@@ -122,38 +103,6 @@ pub trait StorageLayout {
 
     /// Disk address of file block `blk`, or `None` for a hole.
     async fn map_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<BlockAddr>>;
-
-    /// Maps the logical range `[start_blk, start_blk + nblocks)` to its
-    /// physical runs, coalescing physically-consecutive blocks (and
-    /// holes) into single [`Extent`]s.
-    ///
-    /// The default derives the runs from [`StorageLayout::map_block`];
-    /// layouts with cheaper bulk mapping may override it. An empty range
-    /// returns no extents.
-    async fn map_extents(
-        &mut self,
-        inode: &Inode,
-        start_blk: u64,
-        nblocks: u64,
-    ) -> LResult<Vec<Extent>> {
-        let mut out: Vec<Extent> = Vec::new();
-        for blk in start_blk..start_blk + nblocks {
-            let addr = self.map_block(inode, blk).await?;
-            let extend = match (out.last(), addr) {
-                (Some(last), Some(a)) => {
-                    last.addr.map(|la| la.0 + last.len as u64 == a.0).unwrap_or(false)
-                }
-                (Some(last), None) => last.addr.is_none(),
-                (None, _) => false,
-            };
-            if extend {
-                out.last_mut().expect("checked").len += 1;
-            } else {
-                out.push(Extent { start_blk: blk, len: 1, addr });
-            }
-        }
-        Ok(out)
-    }
 
     /// Returns the payload of a block still buffered in the layout (not
     /// yet on disk), e.g. the LFS's unflushed segment. `None` means the
@@ -289,15 +238,6 @@ impl StorageLayout for Layout {
 
     async fn map_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<BlockAddr>> {
         dispatch_async!(self, map_block, inode, blk)
-    }
-
-    async fn map_extents(
-        &mut self,
-        inode: &Inode,
-        start_blk: u64,
-        nblocks: u64,
-    ) -> LResult<Vec<Extent>> {
-        dispatch_async!(self, map_extents, inode, start_blk, nblocks)
     }
 
     fn staged_block(&self, addr: BlockAddr) -> Option<Payload> {

@@ -1699,36 +1699,6 @@ mod tests {
     }
 
     #[test]
-    fn map_extents_coalesces_the_log_and_reports_holes() {
-        run_lfs(|_h, mut lfs| async move {
-            lfs.format().await.unwrap();
-            let mut f = lfs.alloc_ino(FileKind::Regular, 1).unwrap();
-            // Appends land consecutively in the current segment.
-            lfs.write_file_blocks(&mut f, (0..4).map(|b| (b, data_block(b as u8))).collect())
-                .await
-                .unwrap();
-            f.size = 8 * BLOCK_SIZE as u64;
-            let extents = lfs.map_extents(&f, 0, 8).await.unwrap();
-            // One mapped run of 4 (consecutive log addresses) + one hole
-            // run of 4.
-            assert_eq!(extents.len(), 2, "{extents:?}");
-            assert_eq!(extents[0].start_blk, 0);
-            assert_eq!(extents[0].len, 4);
-            assert!(extents[0].addr.is_some());
-            assert_eq!(extents[1], crate::layout::Extent { start_blk: 4, len: 4, addr: None });
-            // Per-block mapping agrees with the extent view.
-            for e in &extents {
-                for i in 0..e.len as u64 {
-                    let got = lfs.map_block(&f, e.start_blk + i).await.unwrap();
-                    assert_eq!(got, e.addr.map(|a| BlockAddr(a.0 + i)));
-                }
-            }
-            // An empty range maps to no extents.
-            assert!(lfs.map_extents(&f, 3, 0).await.unwrap().is_empty());
-        });
-    }
-
-    #[test]
     fn format_creates_root() {
         run_lfs(|_h, mut lfs| async move {
             lfs.format().await.unwrap();

@@ -28,7 +28,7 @@ pub use error::{LResult, LayoutError};
 pub use ffs::{FfsLayout, FfsParams};
 pub use inode::{Inode, INODES_PER_BLOCK, INODE_SIZE};
 pub use io::BlockIo;
-pub use layout::{Extent, Layout, LayoutStats, RecoveryStats, StorageLayout};
+pub use layout::{Layout, LayoutStats, RecoveryStats, StorageLayout};
 pub use lfs::{CleanerPolicy, LfsLayout, LfsParams};
 pub use types::{
     block_slot, BlockAddr, BlockSlot, FileKind, Ino, BLOCK_SIZE, MAX_FILE_BLOCKS, NDIRECT,

@@ -191,32 +191,60 @@ impl<F: Future + Unpin> Future for Next<'_, F> {
 }
 
 /// Runs every future produced by `work`, keeping at most `depth` in
-/// flight, and returns the outputs in completion order.
+/// flight, and hands each output to `each` in completion order.
 ///
-/// `depth == 1` degenerates to awaiting each future in sequence, which
-/// is exactly the pre-pipelining serial behaviour.
-pub async fn for_each_limit<I, F>(depth: usize, work: I) -> Vec<F::Output>
+/// The in-flight set behaves as an [`Unordered`] does — pending futures
+/// are polled in insertion order, and every completion restarts the
+/// scan from the oldest — but it owns its slots: the first lives in
+/// this future's own state, the others are boxed once and re-armed with
+/// the next item as they complete, so a call allocates for at most
+/// `min(depth, items)` slots and never per item, and `depth == 1` is
+/// awaiting each future in sequence with no allocation at all.
+pub async fn for_each_limit<I, F>(depth: usize, work: I, mut each: impl FnMut(F::Output))
 where
     I: IntoIterator<Item = F>,
     F: Future,
 {
-    let depth = depth.max(1);
     let mut work = work.into_iter();
-    let mut inflight: Unordered<Pin<Box<F>>> = Unordered::new();
-    let mut out = Vec::new();
-    for _ in 0..depth {
-        match work.next() {
-            Some(f) => inflight.push(Box::pin(f)),
-            None => break,
+    let width = work.size_hint().1.map_or(depth, |items| items.min(depth)).max(1);
+    let mut inline = std::pin::pin!(work.next());
+    // The boxed slots in insertion order; the inline slot's future
+    // comes before `boxed[inline_at]` in that order.
+    let mut boxed: Vec<Pin<Box<F>>> = Vec::with_capacity(width - 1);
+    let mut inline_at = 0;
+    boxed.extend(work.by_ref().take(width - 1).map(Box::pin));
+    std::future::poll_fn(|cx| 'scan: loop {
+        for i in 0..=boxed.len() {
+            if i == inline_at {
+                if let Some(fut) = inline.as_mut().as_pin_mut() {
+                    if let Poll::Ready(out) = fut.poll(cx) {
+                        each(out);
+                        inline.set(work.next());
+                        inline_at = boxed.len();
+                        continue 'scan;
+                    }
+                }
+            }
+            if i == boxed.len() {
+                break;
+            }
+            if let Poll::Ready(out) = boxed[i].as_mut().poll(cx) {
+                each(out);
+                let mut slot = boxed.remove(i);
+                if i < inline_at {
+                    inline_at -= 1;
+                }
+                if let Some(next) = work.next() {
+                    slot.set(next);
+                    boxed.push(slot);
+                }
+                continue 'scan;
+            }
         }
-    }
-    while let Some(v) = inflight.next().await {
-        out.push(v);
-        if let Some(f) = work.next() {
-            inflight.push(Box::pin(f));
-        }
-    }
-    out
+        let idle = inline.is_none() && boxed.is_empty();
+        return if idle { Poll::Ready(()) } else { Poll::Pending };
+    })
+    .await
 }
 
 #[cfg(test)]
@@ -305,14 +333,63 @@ mod tests {
                     a.borrow_mut().0 -= 1;
                 }
             });
-            let out = for_each_limit(3, jobs).await;
-            assert_eq!(out.len(), 10);
+            let mut done = 0;
+            for_each_limit(3, jobs, |()| done += 1).await;
+            assert_eq!(done, 10);
         });
         sim.run();
         assert_eq!(active.borrow().0, 0);
         let peak = active.borrow().1;
         assert!(peak <= 3, "depth bound violated: peak {peak}");
         assert!(peak >= 2, "no overlap happened at all");
+    }
+
+    #[test]
+    fn slots_are_polled_in_the_order_an_unordered_set_polls_them() {
+        // The reference: box every item into an `Unordered`, refill it
+        // one for one. Each job logs its first poll and its completion,
+        // so a slot re-armed out of insertion order shows in the log.
+        async fn reference<F: Future<Output = ()>>(depth: usize, work: impl Iterator<Item = F>) {
+            let mut work = work;
+            let mut inflight = Unordered::new();
+            inflight.pending.extend(work.by_ref().take(depth).map(Box::pin));
+            while let Some(()) = inflight.next().await {
+                inflight.pending.extend(work.next().map(Box::pin));
+            }
+        }
+        fn log_of(depth: usize, slots: bool) -> Vec<(u64, bool, u64)> {
+            let sim = Sim::new(11);
+            let h = sim.handle();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (h2, log2) = (h.clone(), log.clone());
+            h.spawn("t", async move {
+                // Durations that finish out of order, in ties, and
+                // several in one wake-up.
+                let jobs = [7u64, 3, 3, 9, 1, 4, 4, 4, 2, 8, 1, 6].into_iter().enumerate().map(
+                    |(i, ms)| {
+                        let (h, log) = (h2.clone(), log2.clone());
+                        async move {
+                            log.borrow_mut().push((i as u64, false, h.now().as_millis()));
+                            h.sleep(SimDuration::from_millis(ms)).await;
+                            log.borrow_mut().push((i as u64, true, h.now().as_millis()));
+                        }
+                    },
+                );
+                if slots {
+                    for_each_limit(depth, jobs, |()| {}).await;
+                } else {
+                    reference(depth, jobs).await;
+                }
+            });
+            sim.run();
+            let log = log.borrow().clone();
+            log
+        }
+        for depth in [1, 2, 3, 5, 12, 20] {
+            let want = log_of(depth, false);
+            assert_eq!(want.len(), 24);
+            assert_eq!(log_of(depth, true), want, "at depth {depth}");
+        }
     }
 
     #[test]
@@ -325,7 +402,7 @@ mod tests {
                 let h3 = h2.clone();
                 async move { h3.sleep(SimDuration::from_millis(10)).await }
             });
-            for_each_limit(1, jobs).await;
+            for_each_limit(1, jobs, |()| {}).await;
             // Serial: the sum, not the max.
             assert_eq!(h2.now().as_millis(), 40);
         });

@@ -715,16 +715,44 @@ fn experiment_trace_is_deterministic_and_covers_ops() {
     use cut_and_paste::patsy::{run_experiment, ExperimentConfig, Policy};
     use cut_and_paste::trace::trace_1a;
 
-    fn run_once() -> (String, f64, u64) {
+    fn run(queue_depth: u32, mem_bytes: u64) -> (String, cut_and_paste::patsy::ExperimentResult) {
         let mut cfg = ExperimentConfig::new(Policy::Ups, trace_1a());
         cfg.scale = 0.002;
         cfg.seed = 42;
-        cfg.queue_depth = 8;
+        cfg.queue_depth = queue_depth;
+        cfg.mem_bytes = mem_bytes;
         let tracer = Tracer::default();
         let guard = install(&tracer);
         let r = run_experiment(&cfg);
         drop(guard);
-        (to_chrome_json(&tracer), r.report.latency.sum(), r.report.ops)
+        (to_chrome_json(&tracer), r)
+    }
+    fn run_once() -> (String, f64, u64) {
+        let (json, r) = run(8, 8 << 20);
+        (json, r.report.latency.sum(), r.report.ops)
+    }
+    // The trace reconciles with the cache's own counters at every depth,
+    // with a cache the working set fits and with one it does not: every
+    // hit is an instant; a miss is one unless the reader found another
+    // task already loading the block and waited for it.
+    for queue_depth in [1, 8] {
+        for mem_bytes in [8 << 20, 512 << 10] {
+            let (json, r) = run(queue_depth, mem_bytes);
+            let instants = |name: &str| json.matches(name).count() as u64;
+            let (hits, misses) =
+                (r.metrics.counter_value("cache.hits"), r.metrics.counter_value("cache.misses"));
+            let what = format!("at qd {queue_depth} with {mem_bytes} bytes of cache");
+            assert_eq!(instants("\"cache:hit\""), hits, "cache:hit instants {what}");
+            assert!(instants("\"cache:miss\"") <= misses, "cache:miss instants {what}");
+            // One load span covers a window's misses: each its own at depth 1.
+            let (loads, per_load) = (instants("\"cache:load\""), queue_depth as u64);
+            assert!(
+                loads <= instants("\"cache:miss\"")
+                    && instants("\"cache:miss\"") <= loads * per_load,
+                "{loads} cache:load spans {what}"
+            );
+            assert_eq!(misses > 0, mem_bytes < 8 << 20, "misses {what}");
+        }
     }
     let (json_a, total_ms, ops) = run_once();
     let (json_b, total_ms_b, ops_b) = run_once();

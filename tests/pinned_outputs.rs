@@ -78,7 +78,7 @@ fn traced_experiment(queue_depth: u32) -> ExperimentConfig {
 #[test]
 fn traced_run_chrome_json_is_pinned() {
     let json = chrome_trace(&traced_experiment(8));
-    assert_pinned("the Chrome trace", &json, 0xdbc95cb01daad32b5f0e17087c4ea794);
+    assert_pinned("the Chrome trace", &json, 0xcd1d6bc5e8191b62d2a18fdd8718a460);
 }
 
 /// At depth 1 the window is one block wide: the trace is the serial

@@ -809,8 +809,8 @@ proptest! {
         }
     }
 
-    /// `track_chunks` — the splitter under the layout's `map_extents`
-    /// scatter-gather runs — covers any run exactly on any geometry:
+    /// `track_chunks` — the splitter under the engine's scatter-gather
+    /// runs — covers any run exactly on any geometry:
     /// chunks are contiguous, non-empty, each stays on one track, and
     /// they sum to the requested sector count.
     #[test]
