@@ -746,7 +746,7 @@ impl FileSystem {
         if offset >= size {
             return Ok((0, self.empty_data()));
         }
-        let end = (offset + len).min(size);
+        let end = offset.saturating_add(len).min(size);
         if end == offset {
             return Ok((0, self.empty_data()));
         }
@@ -799,7 +799,7 @@ impl FileSystem {
             st.writes += 1;
         }
         let bs = BLOCK_SIZE as u64;
-        let end = offset + len;
+        let end = offset.checked_add(len).ok_or(FsError::TooBig)?;
         if end.div_ceil(bs) > MAX_FILE_BLOCKS {
             return Err(FsError::TooBig);
         }
@@ -860,9 +860,12 @@ impl FileSystem {
     /// Truncates a file to `new_size` bytes.
     pub async fn truncate(&self, ino: Ino, new_size: u64) -> FsResult<()> {
         self.op_begin().await;
+        let new_blocks = new_size.div_ceil(BLOCK_SIZE as u64);
+        if new_blocks > MAX_FILE_BLOCKS {
+            return Err(FsError::TooBig);
+        }
         let rc = self.get_inode_rc(ino).await?;
         let old_blocks = rc.borrow().blocks();
-        let new_blocks = new_size.div_ceil(BLOCK_SIZE as u64);
         // Dirty blocks beyond the new size die in cache: write absorption.
         for blk in new_blocks..old_blocks {
             self.s.cache.borrow_mut().remove_block(BlockKey::new(FileId(ino.0), blk));
@@ -2182,6 +2185,36 @@ mod tests {
             v
         }
         assert_eq!(contents(1), contents(8), "queue depth must not change file contents");
+    }
+
+    #[test]
+    fn an_offset_and_length_past_u64_max_are_too_big_not_wrapped() {
+        run_fs(DataMode::Real, |fs| async move {
+            let ino = fs.create("/f", FileKind::Regular).await.unwrap();
+            fs.write(ino, 0, 2, Some(b"ab")).await.unwrap();
+            let r = fs.write(ino, u64::MAX - 1, 4, Some(&[1, 2, 3, 4])).await;
+            assert_eq!(r, Err(FsError::TooBig));
+            assert_eq!(fs.stat_ino(ino).await.unwrap().size, 2, "the wrapped end became the size");
+            // A read that far is a read to the end of the file.
+            assert_eq!(fs.read(ino, 1, u64::MAX).await.unwrap(), (1, Some(b"b".to_vec())));
+        });
+    }
+
+    #[test]
+    fn truncate_past_the_largest_file_is_too_big() {
+        run_fs(DataMode::Real, |fs| async move {
+            let ino = fs.create("/f", FileKind::Regular).await.unwrap();
+            fs.write(ino, 0, 2, Some(b"ab")).await.unwrap();
+            let largest = MAX_FILE_BLOCKS * BLOCK_SIZE as u64;
+            for size in [u64::MAX, largest + 1] {
+                assert_eq!(fs.truncate(ino, size).await, Err(FsError::TooBig));
+                assert_eq!(fs.stat_ino(ino).await.unwrap().size, 2);
+            }
+            // Nothing to walk: the next truncate visits two blocks' worth
+            // of cache, not 2^52.
+            fs.truncate(ino, 0).await.unwrap();
+            assert_eq!(fs.stat_ino(ino).await.unwrap().size, 0);
+        });
     }
 
     #[test]

@@ -219,6 +219,41 @@ fn transfer_caps_short_read_and_write() {
 }
 
 #[test]
+fn write_whose_end_passes_u64_max_is_fbig_and_writes_nothing() {
+    run_sim_server(8, ServeConfig::default(), |srv| async move {
+        let s = srv.session(1);
+        s.handle(&client::path_req(NfsProc::Create, "/f")).await;
+        let fh = fh_of_lookup(&s.handle(&client::path_req(NfsProc::Lookup, "/f")).await);
+        assert_eq!(status_of_reply(&s.handle(&client::write_fh_req(fh, 0, b"ab")).await), 0);
+        let r = s.handle(&client::write_fh_req(fh, u64::MAX - 1, &[1, 2, 3, 4])).await;
+        assert_eq!(status_of_reply(&r), NfsStat::FBig as u32);
+        let (status, _, _, size, ..) = decode_attr(&s.handle(&client::getattr_fh_req(fh)).await);
+        assert_eq!((status, size), (0, 2), "the refused write moved the size");
+        let r = s.handle(&client::write_fh_req(fh, 0, b"cd")).await;
+        let mut d = XdrDecoder::new(&r);
+        assert_eq!((d.get_u32().unwrap(), d.get_u64().unwrap()), (0, 2));
+    });
+}
+
+#[test]
+fn setattr_past_the_largest_file_is_fbig_and_the_next_returns_at_once() {
+    run_sim_server(8, ServeConfig::default(), |srv| async move {
+        let s = srv.session(1);
+        s.handle(&client::path_req(NfsProc::Create, "/f")).await;
+        let fh = fh_of_lookup(&s.handle(&client::path_req(NfsProc::Lookup, "/f")).await);
+        assert_eq!(status_of_reply(&s.handle(&client::write_fh_req(fh, 0, b"ab")).await), 0);
+        let before = decode_attr(&s.handle(&client::getattr_fh_req(fh)).await);
+        let r = s.handle(&client::setattr_fh_req(fh, u64::MAX)).await;
+        assert_eq!(status_of_reply(&r), NfsStat::FBig as u32);
+        assert_eq!(decode_attr(&s.handle(&client::getattr_fh_req(fh)).await), before);
+        // A size the engine took would leave this one 2^52 blocks to
+        // walk, not two bytes.
+        let (status, _, _, size, ..) = decode_attr(&s.handle(&client::setattr_fh_req(fh, 0)).await);
+        assert_eq!((status, size), (0, 0));
+    });
+}
+
+#[test]
 fn attr_and_lookup_caches_hit_and_invalidate() {
     run_sim_server(8, ServeConfig::default(), |srv| async move {
         let s = srv.session(1);
