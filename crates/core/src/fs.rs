@@ -5,8 +5,15 @@
 //! functions to manipulate an hierarchical name-space"), the global file
 //! table, and the orchestration between the block cache's flush policies
 //! and the storage layout. The same engine instantiates as Patsy
-//! ([`DataMode::Simulated`], virtual clock) and as PFS
-//! ([`DataMode::Real`], file-backed driver) — only configuration differs.
+//! ([`crate::DataMode::Simulated`], virtual clock) and as PFS
+//! ([`crate::DataMode::Real`], file-backed driver) — only configuration differs.
+//!
+//! This file is the engine itself: its shared state, constructor and
+//! daemons, the control operations (format, mount, sync, unmount), and
+//! the lock helpers that state the lock order. The client interface is
+//! in the child modules, split where the locks split it: the name path
+//! (`ns`), the data path (`data`), durability (`durability`), the
+//! counters (`metrics`) and the per-client handle (`client`).
 
 // RefMut-across-await in this module is deliberate: the engine runs on
 // the cnp-sim executor, which is strictly single-threaded and

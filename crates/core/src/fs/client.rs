@@ -1,3 +1,6 @@
+//! The per-client handle onto a shared engine and the envelope every
+//! client operation runs in: root trace span, history record.
+
 use cnp_layout::dir::Dirent;
 use cnp_layout::{FileKind, Ino, Inode};
 

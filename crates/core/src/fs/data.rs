@@ -1,3 +1,9 @@
+//! The data path: read, write and truncate, and the one way a block
+//! moves between a file and the cache. Every read, at any length and
+//! queue depth, is a run of windows ([`FileSystem::load_window`]); every
+//! write a bounded fan-out of whole-block cache commits. The layout is
+//! reached under the core lock only, one call at a time.
+
 use std::cell::RefCell;
 
 use cnp_cache::{BlockKey, BlockState, DirtyOutcome, FileId, Reserve};

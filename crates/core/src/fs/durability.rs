@@ -1,3 +1,8 @@
+//! Durability: getting dirty blocks from the cache to the layout (the
+//! flush batches the policies ask for, under the file's range stripe
+//! and the core lock), and what a crash harness needs around a power
+//! cut — the NVRAM snapshot and its replay, the layout's staging buffer.
+
 use cnp_cache::BlockKey;
 use cnp_disk::{IoError, Payload};
 use cnp_layout::{BlockAddr, Ino, LayoutError, StorageLayout, BLOCK_SIZE};
@@ -66,7 +71,7 @@ impl FileSystem {
     /// otherwise — and dirties it so the next flush persists it.
     ///
     /// NVRAM replay must NOT route through [`FileSystem::write`]: in
-    /// [`DataMode::Simulated`] the write path deliberately drops
+    /// [`crate::DataMode::Simulated`] the write path deliberately drops
     /// payload bytes, which would replace a battery-backed *directory*
     /// block with a simulated payload and destroy the namespace the
     /// snapshot was meant to restore.

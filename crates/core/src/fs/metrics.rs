@@ -1,3 +1,6 @@
+//! The engine's counters, and the one snapshot that absorbs every
+//! layer's native stats under namespaced keys.
+
 use cnp_layout::{LayoutStats, StorageLayout};
 use cnp_sim::LockStats;
 

@@ -1,3 +1,8 @@
+//! The name path: the hierarchical name-space half of the abstract
+//! client interface. Every directory read-modify-write runs under the
+//! `ns` stripe of the directory it rewrites; directory content moves
+//! through the data path's block cache like any other block.
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -1,5 +1,5 @@
 //! Observability for the cut-and-paste stack: the shared histogram
-//! type, a unified metrics registry, and a virtual-time span tracer.
+//! type, a unified metrics snapshot, and a virtual-time span tracer.
 //!
 //! The paper's methodology is *measurement* — cut a component out of
 //! the simulator, paste it into the file system, compare the figures —
@@ -8,9 +8,9 @@
 //!
 //! * [`Histogram`] — the fixed-bucket histogram every layer shares
 //!   (replay latencies, device service times, per-client latencies);
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters, gauges and
-//!   histograms registered by name, snapshotted into one sorted-key
-//!   structure with deterministic serialization;
+//! * [`MetricsSnapshot`] — each layer's counters, gauges and histogram
+//!   summaries under namespaced keys in one sorted-key structure with
+//!   deterministic serialization;
 //! * [`trace`] — `span_enter`/`span_exit`/`instant` structured events
 //!   stamped with *simulated* time (the caller supplies nanoseconds),
 //!   exported as Chrome `trace_event` JSON. Because timestamps are
@@ -30,4 +30,4 @@ pub mod trace;
 
 pub use histogram::Histogram;
 pub use json::Json;
-pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Metric, MetricsSnapshot};

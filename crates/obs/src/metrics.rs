@@ -1,5 +1,5 @@
-//! The unified metrics registry: counters, gauges and histograms
-//! registered by name, snapshotted into one sorted-key structure.
+//! The unified metrics snapshot: counters, gauges and histogram
+//! summaries under one sorted-key structure.
 //!
 //! Every layer of the stack keeps its own native stats struct (they
 //! are part of each crate's API); what this module unifies is the
@@ -9,9 +9,7 @@
 //! therefore the serialized bytes — is deterministic. Two identical
 //! seeded runs print byte-identical snapshots.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crate::histogram::Histogram;
 // Callers reach the escape through this module too.
@@ -173,105 +171,6 @@ impl From<&MetricsSnapshot> for Json {
     }
 }
 
-/// A live registry: named counters/gauges/histograms handed out as
-/// cheap `Rc` handles, snapshotted on demand.
-///
-/// Registration order does not matter — snapshots sort by name — but
-/// registering the same name twice returns the same underlying cell,
-/// so two components can share a metric knowingly.
-#[derive(Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Rc<RefCell<BTreeMap<String, Rc<Cell<u64>>>>>,
-    gauges: Rc<RefCell<BTreeMap<String, Rc<Cell<f64>>>>>,
-    hists: Rc<RefCell<BTreeMap<String, Rc<RefCell<Histogram>>>>>,
-}
-
-/// A counter handle from [`MetricsRegistry::counter`].
-#[derive(Clone)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A gauge handle from [`MetricsRegistry::gauge`].
-#[derive(Clone)]
-pub struct Gauge(Rc<Cell<f64>>);
-
-impl Gauge {
-    /// Sets the level.
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-}
-
-/// A histogram handle from [`MetricsRegistry::histogram`].
-#[derive(Clone)]
-pub struct HistogramHandle(Rc<RefCell<Histogram>>);
-
-impl HistogramHandle {
-    /// Records one sample.
-    pub fn record(&self, v: f64) {
-        self.0.borrow_mut().record(v);
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Registers (or retrieves) a counter named `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.borrow_mut();
-        Counter(map.entry(name.to_string()).or_default().clone())
-    }
-
-    /// Registers (or retrieves) a gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.borrow_mut();
-        Gauge(map.entry(name.to_string()).or_insert_with(|| Rc::new(Cell::new(0.0))).clone())
-    }
-
-    /// Registers (or retrieves) a histogram named `name`; `mk` builds
-    /// the bucket layout on first registration.
-    pub fn histogram(&self, name: &str, mk: impl FnOnce() -> Histogram) -> HistogramHandle {
-        let mut map = self.hists.borrow_mut();
-        HistogramHandle(
-            map.entry(name.to_string()).or_insert_with(|| Rc::new(RefCell::new(mk()))).clone(),
-        )
-    }
-
-    /// Snapshots every registered metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        for (k, v) in self.counters.borrow().iter() {
-            out.counter(k, v.get());
-        }
-        for (k, v) in self.gauges.borrow().iter() {
-            out.gauge(k, v.get());
-        }
-        for (k, v) in self.hists.borrow().iter() {
-            out.histogram(k, &v.borrow());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,28 +188,6 @@ mod tests {
         let km = a.find("mm.mid").unwrap();
         let kz = a.find("zz.last").unwrap();
         assert!(ka < km && km < kz, "keys must serialize sorted: {a}");
-    }
-
-    #[test]
-    fn registry_hands_out_shared_cells() {
-        let r = MetricsRegistry::new();
-        let c1 = r.counter("hits");
-        let c2 = r.counter("hits");
-        c1.inc();
-        c2.add(2);
-        assert_eq!(c1.get(), 3);
-        let g = r.gauge("level");
-        g.set(0.5);
-        let h = r.histogram("lat", Histogram::latency_default);
-        h.record(1.0);
-        h.record(3.0);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter_value("hits"), 3);
-        assert!((snap.gauge_value("level") - 0.5).abs() < 1e-12);
-        match snap.get("lat") {
-            Some(Metric::Summary { count: 2, .. }) => {}
-            other => panic!("expected summary of 2 samples, got {other:?}"),
-        }
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! the invariant that a cached directory attribute is reachable (and
 //! hence invalidatable) through a cached name.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-
-use cnp_obs::metrics::{Counter, MetricsRegistry};
 
 use crate::nfs::Fhandle;
 
@@ -37,32 +35,37 @@ pub struct Attr {
     pub mtime: u64,
 }
 
-/// The attribute + lookup cache. Hit/miss counters live in the shared
-/// [`MetricsRegistry`] (`serve.lookup_cache.*`, `serve.attr_cache.*`).
+/// The attribute + lookup cache. [`crate::NfsServer::metrics`] reports
+/// its counters (`serve.lookup_cache.*`, `serve.attr_cache.*`,
+/// `serve.cache.invalidations`).
 pub struct NfsCache {
     cap: usize,
     lookups: RefCell<BTreeMap<String, Fhandle>>,
     attrs: RefCell<BTreeMap<u64, Attr>>,
-    lookup_hits: Counter,
-    lookup_misses: Counter,
-    attr_hits: Counter,
-    attr_misses: Counter,
-    invalidations: Counter,
+    pub(crate) lookup_hits: Cell<u64>,
+    pub(crate) lookup_misses: Cell<u64>,
+    pub(crate) attr_hits: Cell<u64>,
+    pub(crate) attr_misses: Cell<u64>,
+    pub(crate) invalidations: Cell<u64>,
+}
+
+/// Adds `n` to a counter.
+pub(crate) fn add(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 impl NfsCache {
-    /// Creates a cache holding at most `cap` entries per map, counting
-    /// into `registry`.
-    pub fn new(cap: usize, registry: &MetricsRegistry) -> Self {
+    /// Creates a cache holding at most `cap` entries per map.
+    pub fn new(cap: usize) -> Self {
         NfsCache {
             cap: cap.max(1),
             lookups: RefCell::new(BTreeMap::new()),
             attrs: RefCell::new(BTreeMap::new()),
-            lookup_hits: registry.counter("serve.lookup_cache.hits"),
-            lookup_misses: registry.counter("serve.lookup_cache.misses"),
-            attr_hits: registry.counter("serve.attr_cache.hits"),
-            attr_misses: registry.counter("serve.attr_cache.misses"),
-            invalidations: registry.counter("serve.cache.invalidations"),
+            lookup_hits: Cell::new(0),
+            lookup_misses: Cell::new(0),
+            attr_hits: Cell::new(0),
+            attr_misses: Cell::new(0),
+            invalidations: Cell::new(0),
         }
     }
 
@@ -71,11 +74,11 @@ impl NfsCache {
         let hit = self.lookups.borrow().get(path).copied();
         match hit {
             Some(fh) => {
-                self.lookup_hits.inc();
+                add(&self.lookup_hits, 1);
                 Some(fh)
             }
             None => {
-                self.lookup_misses.inc();
+                add(&self.lookup_misses, 1);
                 None
             }
         }
@@ -86,11 +89,11 @@ impl NfsCache {
         let hit = self.attrs.borrow().get(&ino).copied();
         match hit {
             Some(a) => {
-                self.attr_hits.inc();
+                add(&self.attr_hits, 1);
                 Some(a)
             }
             None => {
-                self.attr_misses.inc();
+                add(&self.attr_misses, 1);
                 None
             }
         }
@@ -124,7 +127,7 @@ impl NfsCache {
     /// Drops the attributes of `ino` (after a write or truncate).
     pub fn invalidate_ino(&self, ino: u64) {
         if self.attrs.borrow_mut().remove(&ino).is_some() {
-            self.invalidations.inc();
+            add(&self.invalidations, 1);
         }
     }
 
@@ -132,7 +135,7 @@ impl NfsCache {
     pub fn invalidate_path(&self, path: &str) {
         if let Some(fh) = self.lookups.borrow_mut().remove(path) {
             self.attrs.borrow_mut().remove(&fh.ino);
-            self.invalidations.inc();
+            add(&self.invalidations, 1);
         }
     }
 
@@ -150,12 +153,12 @@ impl NfsCache {
         for k in doomed {
             if let Some(fh) = l.remove(&k) {
                 a.remove(&fh.ino);
-                self.invalidations.inc();
+                add(&self.invalidations, 1);
             }
         }
         if let Some(fh) = l.remove(path) {
             a.remove(&fh.ino);
-            self.invalidations.inc();
+            add(&self.invalidations, 1);
         }
     }
 
@@ -177,9 +180,8 @@ impl NfsCache {
 mod tests {
     use super::*;
 
-    fn cache(cap: usize) -> (NfsCache, MetricsRegistry) {
-        let reg = MetricsRegistry::new();
-        (NfsCache::new(cap, &reg), reg)
+    fn cache(cap: usize) -> NfsCache {
+        NfsCache::new(cap)
     }
 
     fn fh(ino: u64) -> Fhandle {
@@ -192,20 +194,19 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters() {
-        let (c, reg) = cache(8);
+        let c = cache(8);
         assert!(c.lookup("/a").is_none());
         c.insert("/a", fh(1), Some(attr(1, 10)));
         assert_eq!(c.lookup("/a"), Some(fh(1)));
         assert_eq!(c.attr(1).unwrap().size, 10);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_value("serve.lookup_cache.hits"), 1);
-        assert_eq!(snap.counter_value("serve.lookup_cache.misses"), 1);
-        assert_eq!(snap.counter_value("serve.attr_cache.hits"), 1);
+        assert_eq!(c.lookup_hits.get(), 1);
+        assert_eq!(c.lookup_misses.get(), 1);
+        assert_eq!(c.attr_hits.get(), 1);
     }
 
     #[test]
     fn write_invalidation_drops_attr_only() {
-        let (c, _) = cache(8);
+        let c = cache(8);
         c.insert("/a", fh(1), Some(attr(1, 10)));
         c.invalidate_ino(1);
         assert!(c.attr(1).is_none());
@@ -214,7 +215,7 @@ mod tests {
 
     #[test]
     fn subtree_invalidation_on_rename() {
-        let (c, _) = cache(32);
+        let c = cache(32);
         c.insert("/d", fh(1), None);
         c.insert("/d/x", fh(2), Some(attr(2, 5)));
         c.insert("/d/y", fh(3), None);
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn parent_attr_invalidation() {
-        let (c, _) = cache(8);
+        let c = cache(8);
         c.insert("/d", fh(1), Some(attr(1, 4096)));
         c.insert("/d/f", fh(2), None);
         c.invalidate_parent_attr("/d/f");
@@ -240,7 +241,7 @@ mod tests {
 
     #[test]
     fn capped_eviction_is_deterministic_and_paired() {
-        let (c, _) = cache(2);
+        let c = cache(2);
         c.insert("/a", fh(1), Some(attr(1, 1)));
         c.insert("/b", fh(2), Some(attr(2, 2)));
         c.insert("/c", fh(3), Some(attr(3, 3)));

@@ -22,21 +22,21 @@
 //! - **Attribute/lookup caching** ([`crate::cache::NfsCache`]):
 //!   GETATTR and name resolution are served from the cache when
 //!   possible, write/rename/remove invalidated, with hit-rate
-//!   counters in a [`MetricsRegistry`].
+//!   counters in [`NfsServer::metrics`].
 //!
 //! Everything is deterministic: caches and tables are `BTreeMap`s,
 //! generation numbers are a monotone counter, and the admission
 //! semaphore is FIFO — two seeded runs serve byte-identical replies.
 
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use cnp_core::{ClientFs, FileSystem};
 use cnp_layout::{FileKind, Ino, Inode};
-use cnp_obs::metrics::{Counter, HistogramHandle, MetricsRegistry};
 use cnp_obs::{Histogram, MetricsSnapshot};
 use cnp_sim::Semaphore;
 
-use crate::cache::{Attr, NfsCache};
+use crate::cache::{add, Attr, NfsCache};
 use crate::nfs::{decode_request, status_of, status_reply, Fhandle, NfsStat, Request};
 use crate::xdr::{opaque_wire_len, XdrEncoder};
 
@@ -113,20 +113,20 @@ struct ServerShared {
     handles: HandleTable,
     cache: NfsCache,
     admission: Semaphore,
-    registry: MetricsRegistry,
-    c_requests: Counter,
-    c_bad_rpc: Counter,
-    c_stale: Counter,
-    c_errors: Counter,
-    c_bytes_in: Counter,
-    c_bytes_out: Counter,
-    h_latency: HistogramHandle,
+    requests: Cell<u64>,
+    bad_rpc: Cell<u64>,
+    stale: Cell<u64>,
+    errors: Cell<u64>,
+    bytes_in: Cell<u64>,
+    bytes_out: Cell<u64>,
+    /// Wire latency per request, decode to reply, in virtual ms.
+    latency: RefCell<Histogram>,
 }
 
 /// The PFS server: decodes requests, admits them into the engine's
 /// pipeline, dispatches onto the abstract client interface, encodes
 /// replies. Clone-cheap; sessions share one handle table, cache,
-/// admission gate, and metrics registry.
+/// admission gate, and counters.
 #[derive(Clone)]
 pub struct NfsServer {
     fs: FileSystem,
@@ -141,22 +141,20 @@ impl NfsServer {
 
     /// Wraps a mounted file system with explicit serving config.
     pub fn with_config(fs: FileSystem, cfg: ServeConfig) -> Self {
-        let registry = MetricsRegistry::new();
-        let cache = NfsCache::new(cfg.cache_entries, &registry);
+        let cache = NfsCache::new(cfg.cache_entries);
         let admission = Semaphore::new(fs.handle(), fs.queue_depth());
         let shared = ServerShared {
             cfg,
             handles: HandleTable::new(),
             cache,
             admission,
-            c_requests: registry.counter("serve.requests"),
-            c_bad_rpc: registry.counter("serve.bad_rpc"),
-            c_stale: registry.counter("serve.stale"),
-            c_errors: registry.counter("serve.errors"),
-            c_bytes_in: registry.counter("serve.bytes_in"),
-            c_bytes_out: registry.counter("serve.bytes_out"),
-            h_latency: registry.histogram("serve.latency_ms", Histogram::latency_default),
-            registry,
+            requests: Cell::new(0),
+            bad_rpc: Cell::new(0),
+            stale: Cell::new(0),
+            errors: Cell::new(0),
+            bytes_in: Cell::new(0),
+            bytes_out: Cell::new(0),
+            latency: RefCell::new(Histogram::latency_default()),
         };
         NfsServer { fs, shared: Rc::new(shared) }
     }
@@ -196,7 +194,14 @@ impl NfsServer {
     /// ready to absorb next to the engine's own snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         let sh = &self.shared;
-        let mut m = sh.registry.snapshot();
+        let mut m = MetricsSnapshot::new();
+        m.counter("serve.requests", sh.requests.get());
+        m.counter("serve.bad_rpc", sh.bad_rpc.get());
+        m.counter("serve.stale", sh.stale.get());
+        m.counter("serve.errors", sh.errors.get());
+        m.counter("serve.bytes_in", sh.bytes_in.get());
+        m.counter("serve.bytes_out", sh.bytes_out.get());
+        m.histogram("serve.latency_ms", &sh.latency.borrow());
         let rate = |hits: u64, misses: u64| {
             if hits + misses == 0 {
                 0.0
@@ -204,12 +209,15 @@ impl NfsServer {
                 hits as f64 / (hits + misses) as f64
             }
         };
-        let lh = sh.registry.counter("serve.lookup_cache.hits").get();
-        let lm = sh.registry.counter("serve.lookup_cache.misses").get();
-        let ah = sh.registry.counter("serve.attr_cache.hits").get();
-        let am = sh.registry.counter("serve.attr_cache.misses").get();
+        let (lh, lm) = (sh.cache.lookup_hits.get(), sh.cache.lookup_misses.get());
+        let (ah, am) = (sh.cache.attr_hits.get(), sh.cache.attr_misses.get());
+        m.counter("serve.lookup_cache.hits", lh);
+        m.counter("serve.lookup_cache.misses", lm);
         m.gauge("serve.lookup_cache.hit_rate", rate(lh, lm));
+        m.counter("serve.attr_cache.hits", ah);
+        m.counter("serve.attr_cache.misses", am);
         m.gauge("serve.attr_cache.hit_rate", rate(ah, am));
+        m.counter("serve.cache.invalidations", sh.cache.invalidations.get());
         m
     }
 }
@@ -228,13 +236,13 @@ impl NfsSession {
     /// costs a pipeline slot); execution holds one admission permit.
     pub async fn handle(&self, request: &[u8]) -> Vec<u8> {
         let sh = &self.shared;
-        sh.c_requests.inc();
-        sh.c_bytes_in.add(request.len() as u64);
+        add(&sh.requests, 1);
+        add(&sh.bytes_in, request.len() as u64);
         let t0 = self.cfs.fs().handle().now().as_nanos();
         let reply = match decode_request(request) {
             Err(status) => {
-                sh.c_bad_rpc.inc();
-                sh.c_errors.inc();
+                add(&sh.bad_rpc, 1);
+                add(&sh.errors, 1);
                 status_reply(status)
             }
             Ok(req) => {
@@ -243,17 +251,17 @@ impl NfsSession {
                     Ok(r) => r,
                     Err(status) => {
                         if status == NfsStat::Stale {
-                            sh.c_stale.inc();
+                            add(&sh.stale, 1);
                         }
-                        sh.c_errors.inc();
+                        add(&sh.errors, 1);
                         status_reply(status)
                     }
                 }
             }
         };
         let t1 = self.cfs.fs().handle().now().as_nanos();
-        sh.h_latency.record((t1 - t0) as f64 / 1e6);
-        sh.c_bytes_out.add(reply.len() as u64);
+        sh.latency.borrow_mut().record((t1 - t0) as f64 / 1e6);
+        add(&sh.bytes_out, reply.len() as u64);
         reply
     }
 

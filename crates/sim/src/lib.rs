@@ -55,8 +55,8 @@ pub use executor::{
     ClockMode, Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
 };
 pub use sync::{
-    bounded, channel, oneshot, Arbitration, Event, LockStats, OneshotReceiver, OneshotSender,
-    Permit, Receiver, Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex,
-    TrackedMutex, TrackedMutexGuard,
+    channel, oneshot, Arbitration, Event, LockStats, OneshotReceiver, OneshotSender, Permit,
+    Receiver, Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex,
+    TrackedMutexGuard,
 };
 pub use time::{SimDuration, SimTime};

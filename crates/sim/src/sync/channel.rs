@@ -26,31 +26,18 @@ impl std::error::Error for SendError {}
 
 struct ChanInner<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     senders: usize,
     receiver_alive: bool,
     recv_waiters: Vec<TaskId>,
-    send_waiters: Vec<TaskId>,
 }
 
 /// Creates an unbounded MPSC channel.
 pub fn channel<T>(handle: &Handle) -> (Sender<T>, Receiver<T>) {
-    channel_with_capacity(handle, None)
-}
-
-/// Creates a bounded MPSC channel; senders block when `cap` items queue up.
-pub fn bounded<T>(handle: &Handle, cap: usize) -> (Sender<T>, Receiver<T>) {
-    channel_with_capacity(handle, Some(cap))
-}
-
-fn channel_with_capacity<T>(handle: &Handle, capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(ChanInner {
         queue: VecDeque::new(),
-        capacity,
         senders: 1,
         receiver_alive: true,
         recv_waiters: Vec::new(),
-        send_waiters: Vec::new(),
     }));
     (
         Sender { handle: handle.clone(), inner: inner.clone() },
@@ -90,23 +77,18 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends a value, blocking if the channel is bounded and full.
+    /// Sends a value; the future resolves on its first poll.
     pub fn send(&self, value: T) -> Send<'_, T> {
-        Send { sender: self, value: Some(value), registered: false }
+        Send { sender: self, value: Some(value) }
     }
 
-    /// Sends without blocking; fails if full or the receiver is gone.
+    /// Sends without awaiting; fails if the receiver is gone.
     pub fn try_send(&self, value: T) -> Result<(), T> {
         let wake: Option<TaskId>;
         {
             let mut inner = self.inner.borrow_mut();
             if !inner.receiver_alive {
                 return Err(value);
-            }
-            if let Some(cap) = inner.capacity {
-                if inner.queue.len() >= cap {
-                    return Err(value);
-                }
             }
             inner.queue.push_back(value);
             wake = inner.recv_waiters.pop();
@@ -122,7 +104,6 @@ impl<T> Sender<T> {
 pub struct Send<'a, T> {
     sender: &'a Sender<T>,
     value: Option<T>,
-    registered: bool,
 }
 
 // `Send` holds no self-references, so it is sound to mark it `Unpin`
@@ -139,21 +120,6 @@ impl<T> Future for Send<'_, T> {
             let mut inner = this.sender.inner.borrow_mut();
             if !inner.receiver_alive {
                 return Poll::Ready(Err(SendError));
-            }
-            let full = inner.capacity.map(|cap| inner.queue.len() >= cap).unwrap_or(false);
-            if full {
-                if !this.registered {
-                    let me = this.sender.handle.kernel().borrow().current_task();
-                    inner.send_waiters.push(me);
-                    this.registered = true;
-                } else {
-                    // Re-register: sends can be woken spuriously.
-                    let me = this.sender.handle.kernel().borrow().current_task();
-                    if !inner.send_waiters.contains(&me) {
-                        inner.send_waiters.push(me);
-                    }
-                }
-                return Poll::Pending;
             }
             let v = this.value.take().expect("send polled after completion");
             inner.queue.push_back(v);
@@ -174,15 +140,7 @@ pub struct Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let wake: Vec<TaskId> = {
-            let mut inner = self.inner.borrow_mut();
-            inner.receiver_alive = false;
-            std::mem::take(&mut inner.send_waiters)
-        };
-        let mut k = self.handle.kernel().borrow_mut();
-        for t in wake {
-            k.make_runnable(t);
-        }
+        self.inner.borrow_mut().receiver_alive = false;
     }
 }
 
@@ -195,16 +153,7 @@ impl<T> Receiver<T> {
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Option<T> {
-        let (v, wake) = {
-            let mut inner = self.inner.borrow_mut();
-            let v = inner.queue.pop_front();
-            let wake = if v.is_some() { inner.send_waiters.pop() } else { None };
-            (v, wake)
-        };
-        if let Some(t) = wake {
-            self.handle.kernel().borrow_mut().make_runnable(t);
-        }
-        v
+        self.inner.borrow_mut().queue.pop_front()
     }
 
     /// Items currently queued.
@@ -227,24 +176,16 @@ impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let wake: Option<TaskId>;
-        {
-            let mut inner = self.receiver.inner.borrow_mut();
-            if let Some(v) = inner.queue.pop_front() {
-                wake = inner.send_waiters.pop();
-                drop(inner);
-                if let Some(t) = wake {
-                    self.receiver.handle.kernel().borrow_mut().make_runnable(t);
-                }
-                return Poll::Ready(Some(v));
-            }
-            if inner.senders == 0 {
-                return Poll::Ready(None);
-            }
-            let me = self.receiver.handle.kernel().borrow().current_task();
-            if !inner.recv_waiters.contains(&me) {
-                inner.recv_waiters.push(me);
-            }
+        let mut inner = self.receiver.inner.borrow_mut();
+        if let Some(v) = inner.queue.pop_front() {
+            return Poll::Ready(Some(v));
+        }
+        if inner.senders == 0 {
+            return Poll::Ready(None);
+        }
+        let me = self.receiver.handle.kernel().borrow().current_task();
+        if !inner.recv_waiters.contains(&me) {
+            inner.recv_waiters.push(me);
         }
         Poll::Pending
     }
@@ -355,38 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_channel_applies_backpressure() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let (tx, rx) = bounded::<u32>(&h, 2);
-        let sent_at = Rc::new(RefCell::new(Vec::new()));
-        let s2 = sent_at.clone();
-        let h2 = h.clone();
-        h.spawn("producer", async move {
-            for i in 0..4 {
-                tx.send(i).await.unwrap();
-                s2.borrow_mut().push(h2.now().as_millis());
-            }
-        });
-        let h3 = h.clone();
-        h.spawn("slow-consumer", async move {
-            loop {
-                h3.sleep(SimDuration::from_millis(10)).await;
-                if rx.recv().await.is_none() {
-                    break;
-                }
-            }
-        });
-        sim.run();
-        let at = sent_at.borrow();
-        // First two sends immediate; later sends gated by consumer drain.
-        assert_eq!(at[0], 0);
-        assert_eq!(at[1], 0);
-        assert!(at[2] >= 10);
-        assert!(at[3] >= 20);
-    }
-
-    #[test]
     fn recv_returns_none_when_senders_gone() {
         let sim = Sim::new(0);
         let h = sim.handle();
@@ -418,22 +327,6 @@ mod tests {
             assert!(tx.try_send(2).is_err());
         });
         assert_eq!(sim.run(), crate::executor::RunResult::Completed);
-    }
-
-    #[test]
-    fn try_send_respects_capacity() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let (tx, rx) = bounded::<u32>(&h, 1);
-        h.spawn("t", async move {
-            assert!(tx.try_send(1).is_ok());
-            assert!(tx.try_send(2).is_err());
-            assert_eq!(rx.try_recv(), Some(1));
-            assert!(tx.try_send(2).is_ok());
-            assert_eq!(rx.try_recv(), Some(2));
-            assert_eq!(rx.try_recv(), None);
-        });
-        sim.run();
     }
 
     #[test]

@@ -7,8 +7,7 @@ mod semaphore;
 mod sharded;
 
 pub use channel::{
-    bounded, channel, oneshot, OneshotReceiver, OneshotSender, Receiver, Recv, Send, SendError,
-    Sender,
+    channel, oneshot, OneshotReceiver, OneshotSender, Receiver, Recv, Send, SendError, Sender,
 };
 pub use event::{Event, EventWait};
 pub use resource::{AcquireResource, Arbitration, Resource, ResourceGuard};
