@@ -17,6 +17,7 @@
 //!                                              # enumeration + history leg
 //! patsy check --repro cnpc1:...                # replay one failing cell
 //! patsy check --threads 8 --cache-file cells.bin  # parallel + incremental
+//!                                  # (a cache file is valid for one build only)
 //! patsy run --trace 1a --trace-out prof.json   # Chrome trace of virtual time
 //! options: --scale 0.05 --seed 365 --cuts 16 --layout lfs|ffs --qd 1
 //! ```

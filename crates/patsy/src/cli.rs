@@ -59,7 +59,9 @@ pub struct CliArgs {
     /// defaults to the host's available parallelism, capped.
     pub threads: Option<u32>,
     /// `--cache-file` path: `check` consults and rewrites the
-    /// incremental cell-outcome cache here.
+    /// incremental cell-outcome cache here. A cell is keyed by its
+    /// inputs, not by the code that judged it: the file is valid for
+    /// one build only.
     pub cache_file: Option<String>,
     /// `--json`: machine-readable report instead of the table.
     pub json: bool,
@@ -303,7 +305,7 @@ pub fn usage() -> String {
      [--layout lfs|ffs] [--qd 1] [--workload zipf|mail|build|scan|web] \
      [--clients 1,4,16] [--shards N] [--rsize 65536] [--budget 200] [--json] \
      [--disk hp97560|ssd] [--disks N] [--chunk-kib 64] \
-     [--threads N] [--cache-file <path>] \
+     [--threads N] [--cache-file <path; valid for one build only>] \
      [--repro <blob>] [--repro-out <path>] [--trace-out <prof.json>]"
         .to_string()
 }
