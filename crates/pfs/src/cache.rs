@@ -180,10 +180,6 @@ impl NfsCache {
 mod tests {
     use super::*;
 
-    fn cache(cap: usize) -> NfsCache {
-        NfsCache::new(cap)
-    }
-
     fn fh(ino: u64) -> Fhandle {
         Fhandle { ino, gen: 1 }
     }
@@ -194,7 +190,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters() {
-        let c = cache(8);
+        let c = NfsCache::new(8);
         assert!(c.lookup("/a").is_none());
         c.insert("/a", fh(1), Some(attr(1, 10)));
         assert_eq!(c.lookup("/a"), Some(fh(1)));
@@ -206,7 +202,7 @@ mod tests {
 
     #[test]
     fn write_invalidation_drops_attr_only() {
-        let c = cache(8);
+        let c = NfsCache::new(8);
         c.insert("/a", fh(1), Some(attr(1, 10)));
         c.invalidate_ino(1);
         assert!(c.attr(1).is_none());
@@ -215,7 +211,7 @@ mod tests {
 
     #[test]
     fn subtree_invalidation_on_rename() {
-        let c = cache(32);
+        let c = NfsCache::new(32);
         c.insert("/d", fh(1), None);
         c.insert("/d/x", fh(2), Some(attr(2, 5)));
         c.insert("/d/y", fh(3), None);
@@ -230,7 +226,7 @@ mod tests {
 
     #[test]
     fn parent_attr_invalidation() {
-        let c = cache(8);
+        let c = NfsCache::new(8);
         c.insert("/d", fh(1), Some(attr(1, 4096)));
         c.insert("/d/f", fh(2), None);
         c.invalidate_parent_attr("/d/f");
@@ -241,7 +237,7 @@ mod tests {
 
     #[test]
     fn capped_eviction_is_deterministic_and_paired() {
-        let c = cache(2);
+        let c = NfsCache::new(2);
         c.insert("/a", fh(1), Some(attr(1, 1)));
         c.insert("/b", fh(2), Some(attr(2, 2)));
         c.insert("/c", fh(3), Some(attr(3, 3)));

@@ -115,20 +115,8 @@ impl<T> Future for Send<'_, T> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let wake: Option<TaskId>;
-        {
-            let mut inner = this.sender.inner.borrow_mut();
-            if !inner.receiver_alive {
-                return Poll::Ready(Err(SendError));
-            }
-            let v = this.value.take().expect("send polled after completion");
-            inner.queue.push_back(v);
-            wake = inner.recv_waiters.pop();
-        }
-        if let Some(t) = wake {
-            this.sender.handle.kernel().borrow_mut().make_runnable(t);
-        }
-        Poll::Ready(Ok(()))
+        let value = this.value.take().expect("send polled after completion");
+        Poll::Ready(this.sender.try_send(value).map_err(|_| SendError))
     }
 }
 
