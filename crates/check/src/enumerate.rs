@@ -20,16 +20,14 @@
 //! ## Parallel execution and determinism
 //!
 //! A cell is a pure function of `(CellSpec, records, CutSpec)`, so the
-//! enumeration fans out across OS threads without giving up a byte of
-//! report stability: the unit of work is one boundary (the graceful
-//! cell plus all of its retire cells, which share its arrival probe),
-//! workers claim units from a shared queue, and finished units are
-//! merged back into the exact serial sweep order before any report
-//! state is touched. [`CheckReport`] is therefore byte-identical at
-//! every thread count; only [`CheckStats`] (wall time, utilization)
-//! varies. Failure minimization is deferred to the end of the merge
-//! and — being per-row pure — runs failing rows' delta-debug searches
-//! in parallel too.
+//! enumeration is one [`cnp_sim::run_cells`] call: the unit of work is
+//! one boundary (the graceful cell plus all of its retire cells, which
+//! share its arrival probe), and the finished units are folded in the
+//! exact serial sweep order before any report state is touched.
+//! [`CheckReport`] is therefore byte-identical at every thread count;
+//! only [`CheckStats`] (wall time, utilization) varies. Failure
+//! minimization is deferred to the end of the fold and — being per-row
+//! pure — is a second `run_cells` over the failing rows.
 //!
 //! ## Incremental checking
 //!
@@ -39,12 +37,12 @@
 //! cache-replay speed; mutating one record invalidates exactly the
 //! boundaries whose prefix contains it.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cnp_fault::LayoutKind;
+use cnp_sim::run_cells;
 use cnp_trace::{bounded_prefix, TraceRecord};
 
 use crate::cache::{cell_key, spec_fingerprint, CellCache, PrefixHashes};
@@ -198,21 +196,8 @@ pub struct CheckStats {
     pub cells_run: usize,
     /// Cells replayed from the incremental cache.
     pub cache_hits: usize,
-    /// Per-worker busy time (time spent inside cells, not waiting on
-    /// the work queue or the channel).
-    pub worker_busy: Vec<Duration>,
-}
-
-impl Default for CheckStats {
-    fn default() -> Self {
-        CheckStats {
-            threads: 1,
-            wall: Duration::ZERO,
-            cells_run: 0,
-            cache_hits: 0,
-            worker_busy: Vec::new(),
-        }
-    }
+    /// Time spent inside cells, summed over the workers.
+    pub busy: Duration,
 }
 
 impl CheckStats {
@@ -242,7 +227,7 @@ impl CheckStats {
         if denom <= 0.0 {
             0.0
         } else {
-            (self.worker_busy.iter().map(|d| d.as_secs_f64()).sum::<f64>() / denom).min(1.0)
+            (self.busy.as_secs_f64() / denom).min(1.0)
         }
     }
 
@@ -288,13 +273,13 @@ impl CheckReport {
     }
 }
 
-/// A progress observation, delivered every 1000 cells during the merge
-/// (in merge order, on the calling thread).
+/// A progress observation, delivered every 1000 cells as boundary
+/// units finish (in completion order, by the worker that finished one).
 #[derive(Debug, Clone, Copy)]
 pub struct CheckProgress {
-    /// Cells merged so far (boundary + retire).
+    /// Cells finished so far (boundary + retire).
     pub cells_done: usize,
-    /// Boundary units merged so far.
+    /// Boundary units finished so far.
     pub units_done: usize,
     /// Total boundary units in the enumeration.
     pub units_total: usize,
@@ -320,13 +305,13 @@ impl CheckProgress {
 /// uncached and silent.
 #[derive(Default)]
 pub struct CheckOptions<'a> {
-    /// Worker threads (0 or 1 = serial in-place execution).
+    /// Worker threads (0 or 1 = every cell on the calling thread).
     pub threads: usize,
     /// Incremental cache: consulted for every cell, and rewritten on
     /// return to hold exactly the entries this run touched.
     pub cache: Option<&'a mut CellCache>,
-    /// Called every 1000 merged cells.
-    pub progress: Option<&'a mut dyn FnMut(CheckProgress)>,
+    /// Called every 1000 finished cells.
+    pub progress: Option<&'a mut (dyn FnMut(CheckProgress) + Send)>,
 }
 
 /// One cell's result as it travels from a worker to the merge: the
@@ -339,10 +324,11 @@ struct CellEntry {
 }
 
 /// One work unit's results: the boundary cell and its retire cells, in
-/// retire order.
+/// retire order, and the host time they took.
 struct UnitResult {
     boundary: CellEntry,
     retires: Vec<CellEntry>,
+    busy: Duration,
 }
 
 /// Runs one boundary unit: the graceful cell at prefix `records`, then
@@ -355,6 +341,7 @@ fn run_unit(
     prefix_hash: u128,
     cache: Option<&CellCache>,
 ) -> UnitResult {
+    let t0 = Instant::now();
     let caching = cache.is_some();
     let bkey = if caching { cell_key(fingerprint, prefix_hash, &CutSpec::Graceful) } else { 0 };
     let (boundary, bhit) = match cache.and_then(|c| c.get(bkey)) {
@@ -376,6 +363,7 @@ fn run_unit(
     UnitResult {
         boundary: CellEntry { cut: CutSpec::Graceful, key: bkey, hit: bhit, outcome: boundary },
         retires,
+        busy: t0.elapsed(),
     }
 }
 
@@ -391,23 +379,19 @@ struct FailureSite {
 
 /// Folds unit results — in exact serial sweep order — into the report
 /// rows. All report state lives here; workers only compute outcomes.
-struct Merger<'a> {
+struct Merger {
     rows: Vec<PolicyRow>,
     cells: usize,
     violations: usize,
     cells_run: usize,
     cache_hits: usize,
+    busy: Duration,
     /// `Some` when caching: every entry this run touched (hit or run).
     touched: Option<HashMap<u128, CellOutcome>>,
     candidates: Vec<Option<FailureSite>>,
-    progress: Option<&'a mut dyn FnMut(CheckProgress)>,
-    next_progress_at: usize,
-    units_done: usize,
-    units_total: usize,
-    started: Instant,
 }
 
-impl Merger<'_> {
+impl Merger {
     fn book(&mut self, row: usize, cut_op: usize, entry: &CellEntry) {
         self.cells += 1;
         if entry.hit {
@@ -451,20 +435,16 @@ impl Merger<'_> {
             self.rows[row].retire_cells += 1;
             self.book(row, k, entry);
         }
-        self.units_done += 1;
-        while self.cells >= self.next_progress_at {
-            let update = CheckProgress {
-                cells_done: self.cells,
-                units_done: self.units_done,
-                units_total: self.units_total,
-                elapsed: self.started.elapsed(),
-            };
-            if let Some(p) = &mut self.progress {
-                p(update);
-            }
-            self.next_progress_at += 1000;
-        }
+        self.busy += unit.busy;
     }
+}
+
+/// The progress sink and the counts it reports, shared by the workers.
+struct Progress<'a> {
+    sink: &'a mut (dyn FnMut(CheckProgress) + Send),
+    cells_done: usize,
+    units_done: usize,
+    next_at: usize,
 }
 
 /// Runs the full bounded enumeration under `opts`: fanned across
@@ -472,7 +452,7 @@ impl Merger<'_> {
 /// progress delivered to `opts.progress`. The report is byte-identical
 /// to the serial run for every thread count and cache state; see the
 /// module docs for the determinism argument.
-pub fn run_check_with(cfg: &CheckConfig, mut opts: CheckOptions<'_>) -> CheckReport {
+pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport {
     let started = Instant::now();
     let prefix_cap = cfg.budget.min(cfg.records.len());
     let threads = opts.threads.max(1);
@@ -488,9 +468,14 @@ pub fn run_check_with(cfg: &CheckConfig, mut opts: CheckOptions<'_>) -> CheckRep
     let fingerprints: Vec<String> = plans.iter().map(|(_, _, s)| spec_fingerprint(s)).collect();
     let prefix_hashes = opts.cache.is_some().then(|| PrefixHashes::over(&cfg.records, prefix_cap));
 
-    // Work units in serial sweep order: (row, boundary k).
-    let units: Vec<(usize, usize)> =
+    // Work units (row, boundary k), longest prefix first: `run_cells`
+    // claims in list order, replay cost grows with k, and the expensive
+    // units must not pile up at the tail of the run. The fold below
+    // goes in serial sweep order, so the claim order is invisible in
+    // the report.
+    let mut units: Vec<(usize, usize)> =
         (0..plans.len()).flat_map(|row| (1..=prefix_cap).map(move |k| (row, k))).collect();
+    units.sort_by_key(|&(_, k)| std::cmp::Reverse(k));
 
     let mut merger = Merger {
         rows: plans
@@ -511,109 +496,53 @@ pub fn run_check_with(cfg: &CheckConfig, mut opts: CheckOptions<'_>) -> CheckRep
         violations: 0,
         cells_run: 0,
         cache_hits: 0,
+        busy: Duration::ZERO,
         touched: opts.cache.is_some().then(HashMap::new),
         candidates: (0..plans.len()).map(|_| None).collect(),
-        progress: opts.progress.take(),
-        next_progress_at: 1000,
-        units_done: 0,
-        units_total: units.len(),
-        started,
     };
 
     let cache_snapshot: Option<&CellCache> = opts.cache.as_deref();
-    let mut worker_busy = vec![Duration::ZERO; threads];
+    let progress = opts
+        .progress
+        .map(|sink| Mutex::new(Progress { sink, cells_done: 0, units_done: 0, next_at: 1000 }));
 
-    if threads == 1 {
-        let t0 = Instant::now();
-        for &(row, k) in &units {
-            let records = bounded_prefix(&cfg.records, k, &[]);
-            let ph = prefix_hashes.as_ref().map(|p| p.prefix(k)).unwrap_or(0);
-            let unit = run_unit(&plans[row].2, &fingerprints[row], &records, ph, cache_snapshot);
-            merger.absorb(row, k, unit);
-        }
-        worker_busy[0] = t0.elapsed();
-    } else {
-        enum Msg {
-            Unit(usize, UnitResult),
-            WorkerDone(usize, Duration),
-        }
-        // Workers claim units longest-prefix-first (replay cost grows
-        // with k, so the expensive units must not pile up at the tail
-        // of the run); the merge reorders by serial unit index, so the
-        // claim order is invisible in the report.
-        let mut claim_order: Vec<usize> = (0..units.len()).collect();
-        claim_order.sort_by_key(|&i| std::cmp::Reverse(units[i].1));
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Msg>();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let tx = tx.clone();
-                let next = &next;
-                let claim_order = &claim_order;
-                let units = &units;
-                let plans = &plans;
-                let fingerprints = &fingerprints;
-                let prefix_hashes = &prefix_hashes;
-                let records_all = &cfg.records;
-                s.spawn(move || {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= claim_order.len() {
-                            break;
-                        }
-                        let i = claim_order[slot];
-                        let (row, k) = units[i];
-                        let t0 = Instant::now();
-                        let records = bounded_prefix(records_all, k, &[]);
-                        let ph = prefix_hashes.as_ref().map(|p| p.prefix(k)).unwrap_or(0);
-                        let unit = run_unit(
-                            &plans[row].2,
-                            &fingerprints[row],
-                            &records,
-                            ph,
-                            cache_snapshot,
-                        );
-                        busy += t0.elapsed();
-                        if tx.send(Msg::Unit(i, unit)).is_err() {
-                            break;
-                        }
-                    }
-                    let _ = tx.send(Msg::WorkerDone(w, busy));
-                });
+    let done = run_cells(&units, threads, |&(row, k)| {
+        let records = bounded_prefix(&cfg.records, k, &[]);
+        let ph = prefix_hashes.as_ref().map(|p| p.prefix(k)).unwrap_or(0);
+        let unit = run_unit(&plans[row].2, &fingerprints[row], &records, ph, cache_snapshot);
+        if let Some(progress) = &progress {
+            let mut p = progress.lock().expect("a progress sink that panicked fails the run");
+            p.cells_done += 1 + unit.retires.len();
+            p.units_done += 1;
+            while p.cells_done >= p.next_at {
+                let update = CheckProgress {
+                    cells_done: p.cells_done,
+                    units_done: p.units_done,
+                    units_total: units.len(),
+                    elapsed: started.elapsed(),
+                };
+                (p.sink)(update);
+                p.next_at += 1000;
             }
-            drop(tx);
-            // K-way merge back into the exact serial order: buffer
-            // out-of-order units, fold each as soon as it becomes the
-            // next expected one.
-            let mut pending: BTreeMap<usize, UnitResult> = BTreeMap::new();
-            let mut next_merge = 0usize;
-            for msg in rx {
-                match msg {
-                    Msg::Unit(i, unit) => {
-                        pending.insert(i, unit);
-                        while let Some(unit) = pending.remove(&next_merge) {
-                            let (row, k) = units[next_merge];
-                            merger.absorb(row, k, unit);
-                            next_merge += 1;
-                        }
-                    }
-                    Msg::WorkerDone(w, busy) => worker_busy[w] = busy,
-                }
-            }
-        });
+        }
+        unit
+    });
+    let mut done: Vec<((usize, usize), UnitResult)> = units.iter().copied().zip(done).collect();
+    done.sort_unstable_by_key(|&(unit, _)| unit);
+    for ((row, k), unit) in done {
+        merger.absorb(row, k, unit);
     }
 
-    // Minimize failing rows' first failures — deferred out of the merge
-    // and parallelized across rows (each search is an independent pure
-    // function of its row's spec + failing prefix).
+    // Minimize failing rows' first failures — deferred out of the fold:
+    // each search is an independent pure function of its row's spec +
+    // failing prefix.
     let sites: Vec<FailureSite> = merger.candidates.iter_mut().filter_map(Option::take).collect();
-    let minimize_site = |site: &FailureSite| -> (usize, Failure) {
+    let failures = run_cells(&sites, threads, |site| {
         let spec = &plans[site.row].2;
         let records = bounded_prefix(&cfg.records, site.cut_op, &[]);
         let (minimized, min_cut, runs) = minimize(spec, &records, site.cut, cfg.minimize_runs);
         let repro = Repro { spec: spec.clone(), cut: min_cut, records: minimized.clone() }.encode();
-        let failure = Failure {
+        Failure {
             layout: merger.rows[site.row].layout,
             policy: merger.rows[site.row].policy,
             cut_op: site.cut_op,
@@ -622,20 +551,10 @@ pub fn run_check_with(cfg: &CheckConfig, mut opts: CheckOptions<'_>) -> CheckRep
             minimized_ops: minimized.len(),
             minimize_runs: runs,
             repro,
-        };
-        (site.row, failure)
-    };
-    let failures: Vec<(usize, Failure)> = if threads > 1 && sites.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                sites.iter().map(|site| s.spawn(|| minimize_site(site))).collect();
-            handles.into_iter().map(|h| h.join().expect("minimize worker panicked")).collect()
-        })
-    } else {
-        sites.iter().map(minimize_site).collect()
-    };
-    for (row, failure) in failures {
-        merger.rows[row].first_failure = Some(failure);
+        }
+    });
+    for (site, failure) in sites.iter().zip(failures) {
+        merger.rows[site.row].first_failure = Some(failure);
     }
 
     if let (Some(cache), Some(touched)) = (opts.cache, merger.touched.take()) {
@@ -651,7 +570,7 @@ pub fn run_check_with(cfg: &CheckConfig, mut opts: CheckOptions<'_>) -> CheckRep
             wall: started.elapsed(),
             cells_run: merger.cells_run,
             cache_hits: merger.cache_hits,
-            worker_busy,
+            busy: merger.busy,
         },
     }
 }

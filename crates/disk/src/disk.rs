@@ -243,14 +243,7 @@ impl DiskClient {
     pub fn image_with_write_buffer(&self) -> DiskImage {
         let mut image = self.platter.borrow().clone();
         for (&lba, entry) in self.pending.borrow().iter() {
-            match entry {
-                Some(bytes) => {
-                    image.insert(lba, bytes.clone());
-                }
-                None => {
-                    image.remove(&lba);
-                }
-            }
+            put_sector(&mut image, lba, entry.clone());
         }
         image
     }
@@ -616,7 +609,8 @@ impl DiskTask {
             }
             let result = if write {
                 if store_data {
-                    store_sectors(&platter, ssz as usize, req.lba, req.sectors, &req.payload);
+                    let platter = &mut platter.borrow_mut();
+                    store_sectors(platter, ssz as usize, req.lba, req.sectors, &req.payload);
                 }
                 timing.bus += bus.completion_phase(scsi_id, 0).await;
                 Ok(Payload::Simulated(0))
@@ -736,24 +730,9 @@ impl DiskTask {
         }
         let ssz = self.geometry().sector_size as usize;
         let mut pending = self.pending.borrow_mut();
-        match payload.bytes() {
-            Some(bytes) => {
-                for i in 0..sectors as usize {
-                    let lo = i * ssz;
-                    let hi = ((i + 1) * ssz).min(bytes.len());
-                    let mut sector = vec![0u8; ssz];
-                    if lo < bytes.len() {
-                        sector[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-                    }
-                    pending.insert(lba + i as u64, Some(sector.into_boxed_slice()));
-                }
-            }
-            None => {
-                for i in 0..sectors as u64 {
-                    pending.insert(lba + i, None);
-                }
-            }
-        }
+        write_sectors(ssz, lba, sectors, payload, |s, bytes| {
+            pending.insert(s, bytes);
+        });
     }
 
     /// Retires buffered sectors to the platter: their media write is now
@@ -765,14 +744,8 @@ impl DiskTask {
         let mut pending = self.pending.borrow_mut();
         let mut platter = self.platter.borrow_mut();
         for s in lba..lba + sectors as u64 {
-            match pending.remove(&s) {
-                Some(Some(bytes)) => {
-                    platter.insert(s, bytes);
-                }
-                Some(None) => {
-                    platter.remove(&s);
-                }
-                None => {}
+            if let Some(entry) = pending.remove(&s) {
+                put_sector(&mut platter, s, entry);
             }
         }
     }
@@ -784,7 +757,7 @@ impl DiskTask {
             return;
         }
         let ssz = self.geometry().sector_size as usize;
-        store_sectors(&self.platter, ssz, lba, sectors, payload);
+        store_sectors(&mut self.platter.borrow_mut(), ssz, lba, sectors, payload);
     }
 
     /// Returns real bytes if every sector in range is stored, else a
@@ -798,36 +771,49 @@ impl DiskTask {
     }
 }
 
-/// Saves real bytes to a platter store; simulated payloads erase any
-/// stale real bytes in the range. Free function (over the shared
-/// `Rc<RefCell<_>>` stores) so the multi-channel completion tasks can
-/// share it with the serial serve path.
-fn store_sectors(
-    platter: &RefCell<DiskImage>,
+/// One write as a sparse sector store sees it, sector by sector: real
+/// bytes cut into `ssz`-byte sectors, zero-padded where the payload
+/// runs short of `sectors`, or `None` for every sector of a simulated
+/// payload (any stale real bytes there are erased). The only place a
+/// payload is cut up: the platter, the controller's write buffer and a
+/// captured image all store through it.
+fn write_sectors(
     ssz: usize,
     lba: u64,
     sectors: u32,
     payload: &Payload,
+    mut put: impl FnMut(u64, Option<Box<[u8]>>),
 ) {
-    let mut platter = platter.borrow_mut();
-    match payload.bytes() {
-        Some(bytes) => {
-            for i in 0..sectors as usize {
-                let lo = i * ssz;
-                let hi = ((i + 1) * ssz).min(bytes.len());
+    let bytes = payload.bytes();
+    for i in 0..sectors as usize {
+        put(
+            lba + i as u64,
+            bytes.map(|bytes| {
                 let mut sector = vec![0u8; ssz];
-                if lo < bytes.len() {
-                    sector[..hi - lo].copy_from_slice(&bytes[lo..hi]);
+                if let Some(rest) = bytes.get(i * ssz..) {
+                    let n = rest.len().min(ssz);
+                    sector[..n].copy_from_slice(&rest[..n]);
                 }
-                platter.insert(lba + i as u64, sector.into_boxed_slice());
-            }
-        }
-        None => {
-            for i in 0..sectors as u64 {
-                platter.remove(&(lba + i));
-            }
-        }
+                sector.into_boxed_slice()
+            }),
+        );
     }
+}
+
+/// Stores one sector of a write in an image: real bytes are kept, a
+/// simulated sector erases what was there.
+fn put_sector(image: &mut DiskImage, lba: u64, bytes: Option<Box<[u8]>>) {
+    match bytes {
+        Some(bytes) => image.insert(lba, bytes),
+        None => image.remove(&lba),
+    };
+}
+
+/// Writes `payload` to `sectors` sectors of `image` from `lba`: what a
+/// retired media write leaves on the platter, and what a write the dead
+/// disk can no longer take leaves on its captured image.
+pub fn store_sectors(image: &mut DiskImage, ssz: usize, lba: u64, sectors: u32, payload: &Payload) {
+    write_sectors(ssz, lba, sectors, payload, |s, bytes| put_sector(image, s, bytes));
 }
 
 /// Returns real bytes if every sector in range is stored, else a
@@ -866,6 +852,27 @@ mod tests {
     use super::*;
     use crate::hp97560::Hp97560;
     use cnp_sim::{Sim, SimTime};
+
+    #[test]
+    fn a_short_payload_is_zero_padded_and_a_simulated_one_erases() {
+        let mut image = DiskImage::new();
+        // Six bytes over three 4-byte sectors: one full, one padded, one
+        // past the payload's end.
+        store_sectors(&mut image, 4, 10, 3, &Payload::Data(vec![1, 2, 3, 4, 5, 6]));
+        let stored = |image: &DiskImage, s| image.get(&s).map(|b| b.to_vec());
+        assert_eq!(stored(&image, 10), Some(vec![1, 2, 3, 4]));
+        assert_eq!(stored(&image, 11), Some(vec![5, 6, 0, 0]));
+        assert_eq!(stored(&image, 12), Some(vec![0, 0, 0, 0]));
+        assert_eq!(image.len(), 3);
+        // A simulated write over the middle erases what it covers.
+        store_sectors(&mut image, 4, 11, 4, &Payload::Simulated(16));
+        assert_eq!(stored(&image, 10), Some(vec![1, 2, 3, 4]));
+        assert_eq!(image.len(), 1);
+        // The write buffer records the erase, so it shadows the platter.
+        let mut buffered = Vec::new();
+        write_sectors(4, 10, 2, &Payload::Simulated(8), |s, bytes| buffered.push((s, bytes)));
+        assert_eq!(buffered, [(10, None), (11, None)]);
+    }
 
     fn make_req(
         id: u64,

@@ -11,7 +11,7 @@
 //! the acknowledged state follow.
 
 use cnp_core::{FileSystem, FsError, FsResult, NvramSnapshot};
-use cnp_disk::{DiskClient, DiskDriver, DiskImage, Hardware};
+use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage, Hardware};
 use cnp_layout::{
     FfsLayout, FfsParams, Ino, Layout, LayoutError, LfsLayout, LfsParams, RecoveryStats,
     StorageLayout, BLOCK_SIZE,
@@ -208,28 +208,9 @@ pub fn apply_staged_to_image(
     staged: &[(cnp_layout::BlockAddr, cnp_disk::Payload)],
     sector_size: u32,
 ) {
-    let spb = (BLOCK_SIZE / sector_size) as u64;
-    let ss = sector_size as usize;
+    let spb = BLOCK_SIZE / sector_size;
     for (addr, payload) in staged {
-        let base = addr.0 * spb;
-        match payload.bytes() {
-            Some(bytes) => {
-                for s in 0..spb {
-                    let lo = (s as usize) * ss;
-                    let mut sector = vec![0u8; ss];
-                    if lo < bytes.len() {
-                        let hi = (lo + ss).min(bytes.len());
-                        sector[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-                    }
-                    image.insert(base + s, sector.into_boxed_slice());
-                }
-            }
-            None => {
-                for s in 0..spb {
-                    image.remove(&(base + s));
-                }
-            }
-        }
+        store_sectors(image, sector_size as usize, addr.0 * spb as u64, spb, payload);
     }
 }
 

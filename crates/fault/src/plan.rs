@@ -6,7 +6,6 @@
 //! experiment in the framework already has.
 
 use cnp_disk::FaultPlan;
-use cnp_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,12 +40,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Power-cut the disk at virtual time `t`.
-    pub fn power_cut_at(mut self, t: SimTime) -> Self {
-        self.plan.power_cut_at = Some(t);
-        self
-    }
-
     /// When the power cut lands on a write, let this many sectors of it
     /// become durable first (a torn write).
     pub fn torn_write_sectors(mut self, sectors: u32) -> Self {
@@ -54,47 +47,24 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// After the cut, let this many outstanding writes (an arrival-order
-    /// prefix of the in-flight batch) retire durably — unacknowledged.
-    pub fn cut_retire_ops(mut self, ops: u64) -> Self {
-        self.plan.cut_retire_ops = ops;
-        self
-    }
-
-    /// Draws the retired-prefix length uniformly from `[0, max_ops]`,
-    /// deterministically from the seed — every crash replay samples a
-    /// different (but replayable) interleaving of the outstanding set.
+    /// After the cut, lets an arrival-order prefix of the outstanding
+    /// writes retire durably — unacknowledged. Its length is drawn
+    /// uniformly from `[0, max_ops]`, deterministically from the seed:
+    /// every crash replay samples a different (but replayable)
+    /// interleaving of the outstanding set.
     pub fn random_cut_retire(mut self, max_ops: u64) -> Self {
         self.plan.cut_retire_ops = self.rng.gen_range(0..=max_ops);
         self
     }
 
-    /// Adds one latent sector-error range `[lo, hi)` (reads fail until
-    /// the sectors are rewritten).
-    pub fn latent_range(mut self, lo: u64, hi: u64) -> Self {
-        self.plan.latent_ranges.push((lo, hi));
-        self
-    }
-
-    /// Scatters `count` single latent sectors uniformly over
-    /// `[0, capacity_sectors)`, deterministically from the seed.
+    /// Scatters `count` single latent sectors (reads fail until the
+    /// sector is rewritten) uniformly over `[0, capacity_sectors)`,
+    /// deterministically from the seed.
     pub fn random_latent_sectors(mut self, count: usize, capacity_sectors: u64) -> Self {
         for _ in 0..count {
             let s = self.rng.gen_range(0..capacity_sectors.max(1));
             self.plan.latent_ranges.push((s, s + 1));
         }
-        self
-    }
-
-    /// Adds a hard media-error range `[lo, hi)` (reads and writes fail).
-    pub fn media_range(mut self, lo: u64, hi: u64) -> Self {
-        self.plan.bad_ranges.push((lo, hi));
-        self
-    }
-
-    /// Makes every `n`-th request fail with a transient bus error.
-    pub fn transient_every(mut self, n: u64) -> Self {
-        self.plan.transient_every = Some(n);
         self
     }
 
@@ -119,20 +89,14 @@ mod tests {
     fn builder_composes_fields() {
         let plan = FaultPlanBuilder::new(7)
             .power_cut_at_op(10)
-            .power_cut_at(SimTime::from_nanos(123))
             .torn_write_sectors(2)
-            .cut_retire_ops(3)
-            .latent_range(5, 9)
-            .media_range(100, 200)
-            .transient_every(3)
+            .random_cut_retire(0)
+            .random_latent_sectors(1, 1)
             .build();
         assert_eq!(plan.power_cut_at_op, Some(10));
-        assert_eq!(plan.power_cut_at, Some(SimTime::from_nanos(123)));
         assert_eq!(plan.torn_write_sectors, 2);
-        assert_eq!(plan.cut_retire_ops, 3);
-        assert_eq!(plan.latent_ranges, vec![(5, 9)]);
-        assert_eq!(plan.bad_ranges, vec![(100, 200)]);
-        assert_eq!(plan.transient_every, Some(3));
+        assert_eq!(plan.cut_retire_ops, 0);
+        assert_eq!(plan.latent_ranges, vec![(0, 1)]);
     }
 
     #[test]

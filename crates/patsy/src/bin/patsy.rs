@@ -18,13 +18,16 @@
 //! patsy check --repro cnpc1:...                # replay one failing cell
 //! patsy check --threads 8 --cache-file cells.bin  # parallel + incremental
 //!                                  # (a cache file is valid for one build only)
+//! patsy fig5 --threads 4           # every multi-cell subcommand fans its
+//!                                  # cells out; no output byte depends on it
 //! patsy run --trace 1a --trace-out prof.json   # Chrome trace of virtual time
 //! options: --scale 0.05 --seed 365 --cuts 16 --layout lfs|ffs --qd 1
 //! ```
 
+use cnp_patsy::ablate::Ablation;
 use cnp_patsy::check::{check_cli, repro_cli};
 use cnp_patsy::cli::{parse_cli, usage};
-use cnp_patsy::{ablate, clients, crash, figures, qdsweep, serve};
+use cnp_patsy::{clients, crash, figures, qdsweep, serve};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,20 +43,21 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let figure_cdf = |trace: &str| {
+        let rows = figures::run_figure_cdf(trace, a.scale, a.seed, a.qd, a.threads());
+        print!("{}", figures::format_figure_cdf(trace, a.scale, a.seed, a.qd, &rows));
+    };
     match a.cmd.as_str() {
-        "fig2" => figures::figure_cdf("1a", a.scale, a.seed, a.qd),
-        "fig3" => figures::figure_cdf("1b", a.scale, a.seed, a.qd),
-        "fig4" => figures::figure_cdf("5", a.scale, a.seed, a.qd),
-        "fig5" => figures::figure5(a.scale, a.seed),
-        "sweep-qd" => qdsweep::sweep_queue_depth(&a.trace, a.scale, a.seed, a.json, &a.hw),
+        "fig2" => figure_cdf("1a"),
+        "fig3" => figure_cdf("1b"),
+        "fig4" => figure_cdf("5"),
+        "fig5" => {
+            let rows = figures::run_figure5(a.scale, a.seed, a.threads());
+            print!("{}", figures::format_figure5(a.scale, a.seed, &rows));
+        }
+        "sweep-qd" => qdsweep::sweep_queue_depth(&a),
         "sweep-clients" => clients::sweep_clients_cli(&a),
         "serve-bench" => serve::serve_bench_cli(&a),
-        "ablate-diskmodel" => ablate::ablate_diskmodel(a.scale, a.seed),
-        "ablate-flushmode" => ablate::ablate_flushmode(a.scale, a.seed),
-        "ablate-iosched" => ablate::ablate_iosched(a.scale, a.seed),
-        "ablate-diskcache" => ablate::ablate_diskcache(a.scale, a.seed),
-        "ablate-nvram" => ablate::ablate_nvram(a.scale, a.seed),
-        "ablate-cleaner" => ablate::ablate_cleaner(a.scale, a.seed),
         "run" => figures::run_one(&a),
         "crash" => crash::crash_cli(&a),
         "check" => std::process::exit(match &a.repro {
@@ -61,9 +65,11 @@ fn main() {
             None => check_cli(&a),
         }),
         other => {
-            eprintln!("unknown subcommand {other}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
+            let ablation = other
+                .strip_prefix("ablate-")
+                .and_then(Ablation::by_name)
+                .expect("parse_cli admits only the subcommands dispatched here");
+            print!("{}", ablation.format(&ablation.run(a.scale, a.seed, a.threads())));
         }
     }
 }

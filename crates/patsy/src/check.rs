@@ -20,13 +20,6 @@ use cnp_trace::SyntheticSprite;
 
 use crate::cli::CliArgs;
 
-/// The `--threads` default: the host's available parallelism, capped —
-/// each worker owns a full simulation stack, so oversubscribing cores
-/// only adds scheduler noise.
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(64)
-}
-
 /// Runs the full `check`: enumeration + history leg. Returns the
 /// process exit code (0 = everything verified).
 pub fn check_cli(a: &CliArgs) -> i32 {
@@ -45,7 +38,6 @@ pub fn check_cli(a: &CliArgs) -> i32 {
     if let Some(policy) = a.policy {
         check.policies.retain(|spec| spec.label == policy.label());
     }
-    let threads = a.threads.map_or_else(default_threads, |t| t as usize);
     // The incremental cache: a corrupt or version-mismatched file must
     // never fail a check — warn and recheck cold instead.
     let mut cache = match &a.cache_file {
@@ -75,9 +67,10 @@ pub fn check_cli(a: &CliArgs) -> i32 {
     let report = run_check_with(
         &check,
         CheckOptions {
-            threads,
+            threads: a.threads(),
             cache: cache.as_mut(),
-            progress: (!a.json).then_some(&mut print_progress as &mut dyn FnMut(CheckProgress)),
+            progress: (!a.json)
+                .then_some(&mut print_progress as &mut (dyn FnMut(CheckProgress) + Send)),
         },
     );
     if let (Some(path), Some(cache)) = (&a.cache_file, &cache) {

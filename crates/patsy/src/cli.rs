@@ -4,7 +4,9 @@
 //! binary used to accept nonsensical flags silently (`--scale 0`
 //! generated an empty workload, `--qd 0` a stalled pipeline) and report
 //! misleading results; now each flag is range-checked and rejected with
-//! a usage message.
+//! a usage message — as is a flag the subcommand never reads
+//! ([`SUBCOMMANDS`]), which used to print a default-configuration
+//! report without a word.
 
 use cnp_disk::Hardware;
 use cnp_fault::LayoutKind;
@@ -55,8 +57,8 @@ pub struct CliArgs {
     /// `--shards` lock/table stripe count (1 ≤ shards ≤ 4096); `None`
     /// derives it from the cell's client count.
     pub shards: Option<u32>,
-    /// `--threads` checker worker threads (1 ≤ threads ≤ 512); `None`
-    /// defaults to the host's available parallelism, capped.
+    /// `--threads` host threads the subcommand's cells fan out across
+    /// (1 ≤ threads ≤ 512); see [`CliArgs::threads`] for the default.
     pub threads: Option<u32>,
     /// `--cache-file` path: `check` consults and rewrites the
     /// incremental cell-outcome cache here. A cell is keyed by its
@@ -107,6 +109,72 @@ impl Default for CliArgs {
     }
 }
 
+impl CliArgs {
+    /// Host threads for the subcommand's cells: `--threads`, or the
+    /// host's available parallelism, capped — each worker owns a full
+    /// simulation stack, so oversubscribing cores only adds scheduler
+    /// noise. No report byte depends on it.
+    pub fn threads(&self) -> usize {
+        self.threads.map_or_else(
+            || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(64),
+            |t| t as usize,
+        )
+    }
+}
+
+/// Every subcommand (grouped where the flags agree) with the flags it
+/// reads: the lines [`usage`] prints, and the table [`parse_cli`] checks
+/// — a flag outside a subcommand's row is a usage error.
+pub const SUBCOMMANDS: [(&str, &str); 8] = [
+    ("fig2|fig3|fig4", "[--scale F] [--seed N] [--qd N] [--threads N]"),
+    (
+        "fig5|ablate-diskmodel|ablate-flushmode|ablate-iosched|ablate-diskcache|ablate-nvram|\
+         ablate-cleaner",
+        "[--scale F] [--seed N] [--threads N]",
+    ),
+    (
+        "run",
+        "[--trace 1a|1b|2a|2b|5] [--policy write-delay|ups|nvram-whole|nvram-partial] \
+         [--layout lfs|ffs] [--scale F] [--seed N] [--qd N] [--disk hp97560|ssd] [--disks N] \
+         [--chunk-kib N] [--trace-out <prof.json>]",
+    ),
+    (
+        "sweep-qd",
+        "[--trace 1a|1b|2a|2b|5] [--scale F] [--seed N] [--disk hp97560|ssd] [--disks N] \
+         [--chunk-kib N] [--json] [--threads N]",
+    ),
+    (
+        "sweep-clients",
+        "[--workload zipf|mail|build|scan|web] [--clients N,M,...] \
+         [--policy write-delay|ups|nvram-whole|nvram-partial] [--layout lfs|ffs] [--scale F] \
+         [--seed N] [--qd N] [--shards N] [--json] [--threads N]",
+    ),
+    (
+        "serve-bench",
+        "[--workload zipf|mail|build|scan|web] [--clients N,M,...] \
+         [--policy write-delay|ups|nvram-whole|nvram-partial] [--layout lfs|ffs] [--scale F] \
+         [--seed N] [--qd N] [--shards N] [--rsize BYTES] [--json] [--threads N]",
+    ),
+    (
+        "crash",
+        "[--trace 1a|1b|2a|2b|5] [--cuts N] [--policy write-delay|ups|nvram-whole|nvram-partial] \
+         [--layout lfs|ffs] [--scale F] [--seed N] [--qd N] [--json] [--threads N]",
+    ),
+    (
+        "check",
+        "[--trace 1a|1b|2a|2b|5] [--budget N] \
+         [--policy write-delay|ups|nvram-whole|nvram-partial] [--layout lfs|ffs] [--scale F] \
+         [--seed N] [--qd N] [--workload zipf|mail|build|scan|web] [--clients N,M,...] [--json] \
+         [--threads N] [--cache-file <path; valid for one build only>] [--repro <blob>] \
+         [--repro-out <path>]",
+    ),
+];
+
+/// The flag names in a [`SUBCOMMANDS`] row's flag list.
+fn flags_of(row: &str) -> impl Iterator<Item = &str> {
+    row.split('[').skip(1).map(|f| f.split([' ', ']']).next().expect("split yields an item"))
+}
+
 /// Parses `raw` as the number `flag` takes.
 fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("bad {flag} {raw:?}"))
@@ -129,8 +197,19 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
         return Err("missing subcommand".to_string());
     };
     out.cmd = cmd.clone();
+    let Some((_, reads)) = SUBCOMMANDS.iter().find(|(names, _)| names.split('|').any(|n| n == cmd))
+    else {
+        return Err(format!("unknown subcommand {cmd}"));
+    };
     while let Some(flag) = rest.next() {
         let flag = flag.as_str();
+        if !flags_of(reads).any(|f| f == flag) {
+            return Err(if SUBCOMMANDS.iter().any(|(_, row)| flags_of(row).any(|f| f == flag)) {
+                format!("{cmd} does not read {flag}")
+            } else {
+                format!("unknown option {flag}")
+            });
+        }
         let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
             "--scale" => {
@@ -207,15 +286,13 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
             "--threads" => {
                 let v: u32 = number(flag, value()?)?;
                 if v == 0 {
-                    return Err(
-                        "bad --threads 0: the checker needs at least one worker".to_string()
-                    );
+                    return Err("bad --threads 0: the cells need at least one worker".to_string());
                 }
                 if v > 512 {
                     return Err(format!(
                         "bad --threads {v}: at most 512 workers (each owns a full sim \
                          stack; beyond that the fan-out measures the scheduler, not \
-                         the checker)"
+                         the cells)"
                     ));
                 }
                 out.threads = Some(v);
@@ -290,24 +367,20 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                 }
                 out.hw.chunk_kib = v;
             }
-            other => return Err(format!("unknown option {other}")),
+            other => unreachable!("{other} is in SUBCOMMANDS and has no arm here"),
         }
     }
     Ok(out)
 }
 
-/// The usage banner the binary prints on a parse error.
+/// The usage banner the binary prints on a parse error: each
+/// subcommand with the flags it reads.
 pub fn usage() -> String {
-    "usage: patsy <fig2|fig3|fig4|fig5|ablate-diskmodel|ablate-flushmode|\
-     ablate-iosched|ablate-diskcache|ablate-nvram|ablate-cleaner|run|sweep-qd|\
-     sweep-clients|serve-bench|crash|check> \
-     [--trace 1a] [--policy ups] [--scale 0.05] [--seed 365] [--cuts 16] \
-     [--layout lfs|ffs] [--qd 1] [--workload zipf|mail|build|scan|web] \
-     [--clients 1,4,16] [--shards N] [--rsize 65536] [--budget 200] [--json] \
-     [--disk hp97560|ssd] [--disks N] [--chunk-kib 64] \
-     [--threads N] [--cache-file <path; valid for one build only>] \
-     [--repro <blob>] [--repro-out <path>] [--trace-out <prof.json>]"
-        .to_string()
+    let mut s = "usage: patsy <subcommand> [options]".to_string();
+    for (names, flags) in SUBCOMMANDS {
+        s.push_str(&format!("\n  {names} {flags}"));
+    }
+    s
 }
 
 #[cfg(test)]
@@ -500,9 +573,9 @@ mod tests {
 
     #[test]
     fn disk_flag_parses_and_validates() {
-        let a = parse(&["sweep-qd", "--disk", "ssd", "--qd", "8"]).unwrap();
+        let a = parse(&["sweep-qd", "--disk", "ssd", "--seed", "8"]).unwrap();
         assert_eq!(a.hw.disk, "ssd");
-        assert_eq!(a.qd, 8, "--disk must consume exactly one value");
+        assert_eq!(a.seed, 8, "--disk must consume exactly one value");
         let b = parse(&["sweep-qd"]).unwrap();
         assert_eq!(b.hw.disk, "hp97560", "the first hardware generation stays the default");
         assert_eq!(parse(&["sweep-qd", "--disk", "hp97560"]).unwrap().hw.disk, "hp97560");
@@ -550,8 +623,8 @@ mod tests {
 
     #[test]
     fn rejects_qd_zero() {
-        let e = parse(&["sweep-qd", "--qd", "0"]).unwrap_err();
-        assert!(e.contains("--qd"), "{e}");
+        let e = parse(&["run", "--qd", "0"]).unwrap_err();
+        assert!(e.starts_with("bad --qd 0"), "{e}");
     }
 
     #[test]
@@ -564,6 +637,51 @@ mod tests {
     fn rejects_unknown_workload_and_option() {
         assert!(parse(&["sweep-clients", "--workload", "bogus"]).is_err());
         assert!(parse(&["fig2", "--frobnicate", "1"]).is_err());
+    }
+
+    /// The five silent no-ops the table was written against, then every
+    /// subcommand against every flag: one its row lists reaches its
+    /// parser (a value-taking flag with no value says so), any other is
+    /// rejected by name.
+    #[test]
+    fn a_flag_the_subcommand_never_reads_is_an_error() {
+        for (args, flag) in [
+            (&["check", "--disk", "ssd"][..], "--disk"),
+            (&["crash", "--disks", "4"], "--disks"),
+            (&["serve-bench", "--disk", "ssd"], "--disk"),
+            (&["fig5", "--qd", "8", "--policy", "ups", "--layout", "ffs"], "--qd"),
+            (&["run", "--threads", "8"], "--threads"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), format!("{} does not read {flag}", args[0]));
+        }
+        let mut all: Vec<&str> = SUBCOMMANDS.iter().flat_map(|(_, row)| flags_of(row)).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 21, "one per arm of parse_cli: {all:?}");
+        for (names, reads) in SUBCOMMANDS {
+            for cmd in names.split('|') {
+                for &flag in &all {
+                    match parse(&[cmd, flag]) {
+                        Ok(a) => assert!(flag == "--json" && a.json, "{cmd} {flag}"),
+                        Err(e) if flags_of(reads).any(|f| f == flag) => {
+                            assert_eq!(e, format!("{flag} needs a value"), "{cmd}")
+                        }
+                        Err(e) => assert_eq!(e, format!("{cmd} does not read {flag}")),
+                    }
+                }
+            }
+        }
+        assert_eq!(parse(&["bench-snapshot"]).unwrap_err(), "unknown subcommand bench-snapshot");
+    }
+
+    #[test]
+    fn usage_groups_the_flags_by_subcommand() {
+        let usage = usage();
+        assert!(usage.starts_with("usage: patsy "), "{usage}");
+        assert!(
+            usage.contains("\n  fig2|fig3|fig4 [--scale F] [--seed N] [--qd N] [--threads N]\n")
+        );
+        assert_eq!(usage.lines().count(), 1 + SUBCOMMANDS.len());
     }
 
     #[test]

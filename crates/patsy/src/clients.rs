@@ -18,7 +18,7 @@ use cnp_core::{DataMode, FlushMode, FsConfig};
 use cnp_disk::{DiskGeometry, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Stack};
 use cnp_obs::Json;
-use cnp_sim::{Handle, LockStats, Sim};
+use cnp_sim::{run_cells, Handle, LockStats, Sim};
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind, WorkloadReport};
 
 use crate::cli::CliArgs;
@@ -213,9 +213,10 @@ pub fn run_client_cell(cfg: &ClientSweepConfig, n: u32) -> ClientCell {
     }
 }
 
-/// Runs the whole sweep, one cell per configured client count.
-pub fn run_client_sweep(cfg: &ClientSweepConfig) -> Vec<ClientCell> {
-    cfg.clients.iter().map(|&n| run_client_cell(cfg, n)).collect()
+/// Runs the whole sweep across `threads` host threads, one cell per
+/// configured client count.
+pub fn run_client_sweep(cfg: &ClientSweepConfig, threads: usize) -> Vec<ClientCell> {
+    run_cells(&cfg.clients, threads, |&n| run_client_cell(cfg, n))
 }
 
 /// Formats the sweep as the CLI report (stable bytes: the determinism
@@ -351,7 +352,7 @@ pub fn sweep_clients_cli(a: &CliArgs) {
     cfg.shards = a.shards;
     cfg.layout = a.layout.unwrap_or(cfg.layout);
     cfg.policy = a.policy.unwrap_or(cfg.policy);
-    let cells = run_client_sweep(&cfg);
+    let cells = run_client_sweep(&cfg, a.threads());
     if a.json {
         print!("{}", format_client_sweep_json(&cfg, &cells));
     } else {

@@ -15,7 +15,7 @@ use cnp_core::{DataMode, FlushMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
 use cnp_obs::Json;
-use cnp_sim::Sim;
+use cnp_sim::{run_cells, Sim};
 use cnp_trace::{replay_with, ReplayOptions, SpriteParams, SyntheticSprite};
 
 use crate::cli::CliArgs;
@@ -101,13 +101,13 @@ pub struct CrashCell {
     pub metrics: cnp_obs::MetricsSnapshot,
 }
 
-/// Runs the full sweep; deterministic in `cfg` (same config + seed →
-/// byte-identical cells).
-pub fn run_crash_sweep(cfg: &CrashConfig) -> Vec<CrashCell> {
+/// Runs the full sweep across `threads` host threads; deterministic in
+/// `cfg` (same config + seed → byte-identical cells).
+pub fn run_crash_sweep(cfg: &CrashConfig, threads: usize) -> Vec<CrashCell> {
     // Generate the workload once; every cell replays a clone of it.
     let records = SyntheticSprite::new(cfg.trace.clone(), cfg.seed ^ 0xabcd).generate(cfg.scale);
     let cuts = cut_points(records.len() as u64, cfg.cuts);
-    let mut cells = Vec::new();
+    let mut specs = Vec::new();
     for (li, layout) in cfg.layouts.iter().enumerate() {
         for (pi, policy) in cfg.policies.iter().enumerate() {
             for (ci, &cut_op) in cuts.iter().enumerate() {
@@ -115,18 +115,13 @@ pub fn run_crash_sweep(cfg: &CrashConfig) -> Vec<CrashCell> {
                     .seed
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64);
-                cells.push(run_cell(
-                    *layout,
-                    *policy,
-                    cut_op,
-                    cell_seed,
-                    records.clone(),
-                    cfg.queue_depth,
-                ));
+                specs.push((*layout, *policy, cut_op, cell_seed));
             }
         }
     }
-    cells
+    run_cells(&specs, threads, |&(layout, policy, cut_op, cell_seed)| {
+        run_cell(layout, policy, cut_op, cell_seed, records.clone(), cfg.queue_depth)
+    })
 }
 
 fn run_cell(
@@ -302,7 +297,7 @@ pub fn crash_cli(a: &CliArgs) {
     if let Some(policy) = a.policy {
         cfg.policies = vec![policy];
     }
-    let cells = run_crash_sweep(&cfg);
+    let cells = run_crash_sweep(&cfg, a.threads());
     if a.json {
         print!("{}", format_crash_sweep_json(&cfg, &cells));
     } else {

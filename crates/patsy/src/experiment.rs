@@ -78,16 +78,10 @@ pub struct ExperimentConfig {
     pub scale: f64,
     /// RNG seed (scheduler + workload).
     pub seed: u64,
-    /// File systems (each with its own disk); clients spread round-robin.
-    pub filesystems: u32,
-    /// SCSI buses shared by the disks.
-    pub buses: u32,
     /// Cache memory per file system.
     pub mem_bytes: u64,
     /// NVRAM size for the NVRAM policies.
     pub nvram_bytes: u64,
-    /// Cache replacement policy name.
-    pub replacement: String,
     /// Flush execution (async daemon vs requester-synchronous).
     pub flush_mode: FlushMode,
     /// Disable the disk's immediate-report + read-ahead cache (A4).
@@ -107,20 +101,21 @@ pub struct ExperimentConfig {
     pub hw: Hardware,
 }
 
+/// File systems per experiment, each with its own disk, all on one
+/// SCSI-2 bus; clients spread round-robin.
+const FILESYSTEMS: u32 = 2;
+
 impl ExperimentConfig {
-    /// The paper-shaped default: 2 file systems on 1 bus, 32 MB cache,
-    /// 4 MB NVRAM, C-LOOK, detailed disk model.
+    /// The paper-shaped default: 8 MB cache (LRU) and 4 MB NVRAM per
+    /// file system, C-LOOK, detailed disk model.
     pub fn new(policy: Policy, trace: SpriteParams) -> Self {
         ExperimentConfig {
             policy,
             trace,
             scale: 0.05,
             seed: 0x5912e,
-            filesystems: 2,
-            buses: 1,
             mem_bytes: 8 * 1024 * 1024,
             nvram_bytes: 4 * 1024 * 1024,
-            replacement: "lru".into(),
             flush_mode: FlushMode::Async,
             no_disk_cache: false,
             iosched: "c-look".into(),
@@ -175,11 +170,11 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     let sim = Sim::new(cfg.seed);
     let h = sim.handle();
 
-    // Topology: shared buses, one disk + driver + LFS + engine per FS.
-    let buses: Vec<ScsiBus> = (0..cfg.buses).map(|_| ScsiBus::new(&h)).collect();
+    // Topology: one shared bus, one disk + driver + LFS + engine per FS.
+    let bus = ScsiBus::new(&h);
     let mut systems: Vec<FileSystem> = Vec::new();
     let mut drivers: Vec<DiskDriver> = Vec::new();
-    for i in 0..cfg.filesystems {
+    for i in 0..FILESYSTEMS {
         let sched = cnp_disk::scheduler_by_name(&cfg.iosched).unwrap_or_else(|| Box::new(CLook));
         let models = cfg.hw.models();
         // A single mechanical disk joins the shared SCSI-2 topology, and
@@ -187,10 +182,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         // composer's per-model bus and options.
         let attach = (models.len() == 1 && models[0].channels() <= 1).then(|| {
             let cached = !cfg.no_disk_cache;
-            let scsi_id = 1 + (i / cfg.buses) as u8;
+            let scsi_id = 1 + i as u8;
             let opts =
                 DiskOpts { scsi_id, store_data: true, readahead: cached, immediate_report: cached };
-            (buses[(i % cfg.buses) as usize].clone(), opts)
+            (bus.clone(), opts)
         });
         let chunk = cfg.hw.chunk_sectors();
         let plan = FaultPlan::default();
@@ -206,7 +201,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         let (flush, nvram) = cfg.policy.cache_settings(cfg.nvram_bytes);
         let fs_cfg = FsConfig {
             cache: CacheConfig { block_size: 4096, mem_bytes: cfg.mem_bytes, nvram_bytes: nvram },
-            replacement: cfg.replacement.clone(),
             flush: flush.to_string(),
             flush_mode: cfg.flush_mode,
             queue_depth: cfg.queue_depth,
@@ -219,10 +213,9 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     // Generate the workload and split clients round-robin over systems.
     let mut gen = SyntheticSprite::new(cfg.trace.clone(), cfg.seed ^ 0xabcd);
     let records = gen.generate(cfg.scale);
-    let n_fs = cfg.filesystems;
-    let mut per_fs: Vec<Vec<cnp_trace::TraceRecord>> = vec![Vec::new(); n_fs as usize];
+    let mut per_fs: Vec<Vec<cnp_trace::TraceRecord>> = vec![Vec::new(); FILESYSTEMS as usize];
     for r in records {
-        per_fs[(r.client % n_fs) as usize].push(r);
+        per_fs[(r.client % FILESYSTEMS) as usize].push(r);
     }
 
     let reports: Rc<RefCell<Vec<ReplayReport>>> = Rc::new(RefCell::new(Vec::new()));
@@ -241,7 +234,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 
     // Merge measurements across file systems.
     let mut reports = reports.borrow_mut();
-    assert_eq!(reports.len(), cfg.filesystems as usize, "an experiment task did not finish");
+    assert_eq!(reports.len(), FILESYSTEMS as usize, "an experiment task did not finish");
     let mut merged = reports.remove(0);
     for r in reports.drain(..) {
         merged.latency.merge(&r.latency);

@@ -4,18 +4,57 @@
 //!   under the four §5.1 policies;
 //! * Figure 5: mean latencies for every trace × policy.
 
+use cnp_sim::run_cells;
 use cnp_trace::{preset, PRESETS};
 
 use crate::cli::CliArgs;
-use crate::experiment::{cdf_header, cdf_row, run_experiment, ExperimentConfig, Policy, POLICIES};
+use crate::experiment::{
+    cdf_header, cdf_row, run_experiment, ExperimentConfig, ExperimentResult, Policy, POLICIES,
+};
 
-/// Runs one CDF figure (2, 3 or 4) and prints the series.
-pub fn figure_cdf(trace_name: &str, scale: f64, seed: u64, queue_depth: u32) {
+/// One trace's cells: a configuration per policy, in [`POLICIES`] order.
+fn policy_cells(
+    trace_name: &str,
+    scale: f64,
+    seed: u64,
+    queue_depth: u32,
+) -> [ExperimentConfig; 4] {
     let trace = preset(trace_name).expect("known trace");
-    println!("== Figure (CDF of file-system latencies), trace {trace_name} ==");
-    println!("   (scale {scale} of the 24-hour trace; seed {seed}; queue depth {queue_depth})");
-    println!(
-        "{:<18} {}  {:>9} {:>7} {:>7} {:>9} {:>6} {:>6}",
+    POLICIES.map(|policy| ExperimentConfig {
+        scale,
+        seed,
+        queue_depth,
+        ..ExperimentConfig::new(policy, trace.clone())
+    })
+}
+
+/// Runs one CDF figure (2, 3 or 4): a row per policy, in [`POLICIES`]
+/// order.
+pub fn run_figure_cdf(
+    trace_name: &str,
+    scale: f64,
+    seed: u64,
+    queue_depth: u32,
+    threads: usize,
+) -> Vec<ExperimentResult> {
+    run_cells(&policy_cells(trace_name, scale, seed, queue_depth), threads, run_experiment)
+}
+
+/// Formats a CDF figure's rows as the series `patsy fig2|fig3|fig4`
+/// prints.
+pub fn format_figure_cdf(
+    trace_name: &str,
+    scale: f64,
+    seed: u64,
+    queue_depth: u32,
+    rows: &[ExperimentResult],
+) -> String {
+    let mut s = format!("== Figure (CDF of file-system latencies), trace {trace_name} ==\n");
+    s.push_str(&format!(
+        "   (scale {scale} of the 24-hour trace; seed {seed}; queue depth {queue_depth})\n"
+    ));
+    s.push_str(&format!(
+        "{:<18} {}  {:>9} {:>7} {:>7} {:>9} {:>6} {:>6}\n",
         "policy",
         cdf_header(),
         "mean(ms)",
@@ -24,16 +63,11 @@ pub fn figure_cdf(trace_name: &str, scale: f64, seed: u64, queue_depth: u32) {
         "ops",
         "qmean",
         "ovl%"
-    );
-    for policy in POLICIES {
-        let mut cfg = ExperimentConfig::new(policy, trace.clone());
-        cfg.scale = scale;
-        cfg.seed = seed;
-        cfg.queue_depth = queue_depth;
-        let r = run_experiment(&cfg);
-        println!(
-            "{:<18} {}  {:>9.3} {:>7.1} {:>7.1} {:>9} {:>6.2} {:>6.1}",
-            policy.label(),
+    ));
+    for r in rows {
+        s.push_str(&format!(
+            "{:<18} {}  {:>9.3} {:>7.1} {:>7.1} {:>9} {:>6.2} {:>6.1}\n",
+            r.policy.label(),
             cdf_row(&r.report.latency),
             r.report.mean_ms(),
             r.hit_rate * 100.0,
@@ -41,40 +75,48 @@ pub fn figure_cdf(trace_name: &str, scale: f64, seed: u64, queue_depth: u32) {
             r.report.ops,
             r.mean_queue,
             r.overlap * 100.0,
-        );
+        ));
     }
-    println!();
-    println!("Qualitative checks (paper §5.1):");
-    println!("  - ops completing <2 ms are cache-served; the 17 ms region is the");
-    println!("    full-rotation bump of the 4002 rpm HP 97560;");
-    println!("  - expected mean ordering: ups < nvram-whole <= nvram-partial < write-delay.");
+    s.push_str(
+        "\nQualitative checks (paper §5.1):\n  \
+         - ops completing <2 ms are cache-served; the 17 ms region is the\n    \
+         full-rotation bump of the 4002 rpm HP 97560;\n  \
+         - expected mean ordering: ups < nvram-whole <= nvram-partial < write-delay.\n",
+    );
+    s
 }
 
-/// Runs Figure 5: mean latency for all traces × all policies.
-pub fn figure5(scale: f64, seed: u64) {
-    println!("== Figure 5 (mean file-system latencies, ms) ==");
-    println!("   (scale {scale} of each 24-hour trace; seed {seed})");
-    print!("{:<8}", "trace");
+/// Runs Figure 5: every trace × every policy, trace-major (a trace's
+/// four policies are adjacent, in [`POLICIES`] order).
+pub fn run_figure5(scale: f64, seed: u64, threads: usize) -> Vec<ExperimentResult> {
+    let cells: Vec<ExperimentConfig> =
+        PRESETS.iter().flat_map(|trace_name| policy_cells(trace_name, scale, seed, 1)).collect();
+    run_cells(&cells, threads, run_experiment)
+}
+
+/// Formats Figure 5's rows as the mean-latency table `patsy fig5`
+/// prints.
+pub fn format_figure5(scale: f64, seed: u64, rows: &[ExperimentResult]) -> String {
+    let mut s = String::from("== Figure 5 (mean file-system latencies, ms) ==\n");
+    s.push_str(&format!("   (scale {scale} of each 24-hour trace; seed {seed})\n"));
+    s.push_str(&format!("{:<8}", "trace"));
     for p in POLICIES {
-        print!("{:>18}", p.label());
+        s.push_str(&format!("{:>18}", p.label()));
     }
-    println!();
-    for trace_name in PRESETS {
-        let trace = preset(trace_name).expect("known trace");
-        print!("{trace_name:<8}");
-        for policy in POLICIES {
-            let mut cfg = ExperimentConfig::new(policy, trace.clone());
-            cfg.scale = scale;
-            cfg.seed = seed;
-            let r = run_experiment(&cfg);
-            print!("{:>18.3}", r.report.mean_ms());
+    s.push('\n');
+    for trace_rows in rows.chunks(POLICIES.len()) {
+        s.push_str(&format!("{:<8}", trace_rows[0].trace));
+        for r in trace_rows {
+            s.push_str(&format!("{:>18.3}", r.report.mean_ms()));
         }
-        println!();
+        s.push('\n');
     }
-    println!();
-    println!("Paper shape: UPS fastest on most traces; NVRAM ≈2x faster than");
-    println!("write-delay except trace 1b (NVRAM drain bottleneck) and trace 5");
-    println!("(dirty data clutters the cache and read hit-rates drop).");
+    s.push_str(
+        "\nPaper shape: UPS fastest on most traces; NVRAM ≈2x faster than\n\
+         write-delay except trace 1b (NVRAM drain bottleneck) and trace 5\n\
+         (dirty data clutters the cache and read hit-rates drop).\n",
+    );
+    s
 }
 
 /// One experiment with full detail (the `run` subcommand). With

@@ -18,10 +18,12 @@ use std::rc::Rc;
 
 use cnp_disk::{compose_device, scheduler_by_name, DiskDriver, FaultPlan, Hardware, IoOp, Payload};
 use cnp_obs::Json;
-use cnp_sim::{Handle, Sim};
+use cnp_sim::{run_cells, Handle, Sim};
 use cnp_trace::{preset, SyntheticSprite, TraceOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::cli::CliArgs;
 
 /// One disk request derived from a trace record.
 pub type BlockReq = (IoOp, u64, u32); // (op, lba, sectors)
@@ -161,25 +163,22 @@ fn probe_capacity(hw: &Hardware) -> u64 {
     c
 }
 
-/// Runs the whole sweep on `hw`: one row per scheduler, one [`QdCell`]
-/// per depth in [`Hardware::depths`]. Deterministic in (trace, scale,
-/// seed).
+/// Runs the whole sweep on `hw` across `threads` host threads: one row
+/// per scheduler, one [`QdCell`] per depth in [`Hardware::depths`].
+/// Deterministic in (trace, scale, seed).
 pub fn run_qd_sweep(
     trace_name: &str,
     scale: f64,
     seed: u64,
     hw: &Hardware,
+    threads: usize,
 ) -> Vec<(&'static str, Vec<QdCell>)> {
     let reqs = trace_footprint(trace_name, scale, seed, probe_capacity(hw));
-    SWEEP_SCHEDS
-        .iter()
-        .map(|&sched| {
-            (
-                sched,
-                hw.depths().iter().map(|&d| run_depth_cell(&reqs, sched, d, seed, hw)).collect(),
-            )
-        })
-        .collect()
+    let depths = hw.depths();
+    let specs: Vec<(&str, u32)> =
+        SWEEP_SCHEDS.iter().flat_map(|&sched| depths.iter().map(move |&d| (sched, d))).collect();
+    let cells = run_cells(&specs, threads, |&(sched, d)| run_depth_cell(&reqs, sched, d, seed, hw));
+    SWEEP_SCHEDS.iter().copied().zip(cells.chunks(depths.len()).map(<[QdCell]>::to_vec)).collect()
 }
 
 /// Formats the sweep as the CLI table (stable bytes). The default
@@ -289,13 +288,15 @@ pub fn format_qd_sweep_json(
     Json::block(doc).document()
 }
 
-/// CLI entry: runs the sweep on `hw` and prints the table (or JSON).
-pub fn sweep_queue_depth(trace_name: &str, scale: f64, seed: u64, json: bool, hw: &Hardware) {
+/// CLI entry: runs the sweep on `--disk`/`--disks` and prints the table
+/// (or JSON).
+pub fn sweep_queue_depth(a: &CliArgs) {
+    let (trace_name, scale, seed, hw) = (a.trace.as_str(), a.scale, a.seed, &a.hw);
     // The request count in the banner comes from the same deterministic
     // footprint the cells replay; regenerate it cheaply for the header.
     let requests = trace_footprint(trace_name, scale, seed, probe_capacity(hw)).len();
-    let rows = run_qd_sweep(trace_name, scale, seed, hw);
-    if json {
+    let rows = run_qd_sweep(trace_name, scale, seed, hw, a.threads());
+    if a.json {
         print!("{}", format_qd_sweep_json(trace_name, scale, seed, requests, &rows, hw));
     } else {
         print!("{}", format_qd_sweep(trace_name, scale, seed, requests, &rows, hw));

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use cnp_fault::LayoutKind;
 use cnp_obs::Json;
 use cnp_pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig, XdrDecoder};
-use cnp_sim::{Handle, Sim, SimDuration};
+use cnp_sim::{run_cells, Handle, Sim, SimDuration};
 use cnp_trace::TraceOp;
 use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
 
@@ -420,9 +420,10 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
     }
 }
 
-/// Runs the whole bench, one cell per configured client count.
-pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Vec<ServeCell> {
-    cfg.clients.iter().map(|&n| run_serve_cell(cfg, n)).collect()
+/// Runs the whole bench across `threads` host threads, one cell per
+/// configured client count.
+pub fn run_serve_bench(cfg: &ServeBenchConfig, threads: usize) -> Vec<ServeCell> {
+    run_cells(&cfg.clients, threads, |&n| run_serve_cell(cfg, n))
 }
 
 /// Formats the bench as the CLI report (stable bytes: the determinism
@@ -531,7 +532,7 @@ pub fn serve_bench_cli(a: &CliArgs) {
     cfg.rsize = a.rsize;
     cfg.layout = a.layout.unwrap_or(cfg.layout);
     cfg.policy = a.policy.unwrap_or(cfg.policy);
-    let cells = run_serve_bench(&cfg);
+    let cells = run_serve_bench(&cfg, a.threads());
     if a.json {
         print!("{}", format_serve_bench_json(&cfg, &cells));
     } else {
@@ -574,8 +575,8 @@ mod tests {
     #[test]
     fn serve_bench_is_deterministic() {
         let cfg = small_cfg();
-        let a = format_serve_bench_json(&cfg, &run_serve_bench(&cfg));
-        let b = format_serve_bench_json(&cfg, &run_serve_bench(&cfg));
+        let a = format_serve_bench_json(&cfg, &run_serve_bench(&cfg, 1));
+        let b = format_serve_bench_json(&cfg, &run_serve_bench(&cfg, 1));
         assert_eq!(a, b, "two seeded runs must produce byte-identical reports");
     }
 

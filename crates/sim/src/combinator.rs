@@ -7,8 +7,8 @@
 //! parent re-polls its pending children when it is next made runnable.
 //!
 //! [`join_all`] drives a set of futures to completion and returns every
-//! output in input order; [`Unordered`] is the `FuturesUnordered`-style
-//! counterpart that yields outputs in *completion* order. Both poll
+//! output in input order; [`for_each_limit`] keeps a bounded window in
+//! flight and hands outputs over in *completion* order. Both poll
 //! their pending children in insertion order, so — together with the
 //! seeded scheduler that decides when the owning task runs — fan-out
 //! stays a pure function of (configuration, seed).
@@ -98,108 +98,17 @@ impl<F: Future> Future for JoinAll<F> {
     }
 }
 
-/// A growable set of in-flight futures yielding outputs in completion
-/// order (`FuturesUnordered`-style), deterministically: pending children
-/// are polled in insertion order each time the owner runs, and ties are
-/// broken by insertion order.
-///
-/// The common bounded-fan-out pattern keeps at most `depth` children in
-/// flight, pushing a replacement every time one completes:
-///
-/// ```
-/// use cnp_sim::{Sim, SimDuration, Unordered};
-///
-/// let sim = Sim::new(3);
-/// let h = sim.handle();
-/// let h2 = h.clone();
-/// h.spawn("bounded", async move {
-///     let mut work = (0..8u64).map(|i| {
-///         let h3 = h2.clone();
-///         async move { h3.sleep(SimDuration::from_millis(i + 1)).await }
-///     });
-///     let mut inflight = Unordered::new();
-///     for _ in 0..3 {
-///         if let Some(f) = work.next() {
-///             inflight.push(Box::pin(f));
-///         }
-///     }
-///     let mut done = 0;
-///     while let Some(()) = inflight.next().await {
-///         done += 1;
-///         if let Some(f) = work.next() {
-///             inflight.push(Box::pin(f));
-///         }
-///     }
-///     assert_eq!(done, 8);
-/// });
-/// sim.run();
-/// ```
-pub struct Unordered<F: Future + Unpin> {
-    pending: Vec<F>,
-}
-
-impl<F: Future + Unpin> Default for Unordered<F> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<F: Future + Unpin> Unordered<F> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Unordered { pending: Vec::new() }
-    }
-
-    /// Adds a future to the set.
-    pub fn push(&mut self, fut: F) {
-        self.pending.push(fut);
-    }
-
-    /// Resolves to the next completed future's output, or `None` when
-    /// the set is empty.
-    // Not `Iterator::next`: this is the awaitable `FuturesUnordered`-
-    // style method, named for that familiarity.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Next<'_, F> {
-        Next { set: self }
-    }
-}
-
-/// Future returned by [`Unordered::next`].
-pub struct Next<'a, F: Future + Unpin> {
-    set: &'a mut Unordered<F>,
-}
-
-impl<F: Future + Unpin> Future for Next<'_, F> {
-    type Output = Option<F::Output>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let set = &mut self.get_mut().set;
-        if set.pending.is_empty() {
-            return Poll::Ready(None);
-        }
-        for i in 0..set.pending.len() {
-            if let Poll::Ready(out) = Pin::new(&mut set.pending[i]).poll(cx) {
-                // `remove` keeps insertion order for the survivors, so
-                // the poll sequence stays deterministic.
-                set.pending.remove(i);
-                return Poll::Ready(Some(out));
-            }
-        }
-        Poll::Pending
-    }
-}
-
 /// Runs every future produced by `work`, keeping at most `depth` in
 /// flight, and hands each output to `each` in completion order.
 ///
-/// The in-flight set behaves as an [`Unordered`] does — pending futures
-/// are polled in insertion order, and every completion restarts the
-/// scan from the oldest — but it owns its slots: the first lives in
-/// this future's own state, the others are boxed once and re-armed with
-/// the next item as they complete, so a call allocates for at most
-/// `min(depth, items)` slots and never per item, and `depth == 1` is
-/// awaiting each future in sequence with no allocation at all.
+/// Pending futures are polled in insertion order, and every completion
+/// restarts the scan from the oldest (a test holds this to a plain
+/// `FuturesUnordered`-style set). The window owns its slots: the first
+/// lives in this future's own state, the others are boxed once and
+/// re-armed with the next item as they complete, so a call allocates
+/// for at most `min(depth, items)` slots and never per item, and
+/// `depth == 1` is awaiting each future in sequence with no allocation
+/// at all.
 pub async fn for_each_limit<I, F>(depth: usize, work: I, mut each: impl FnMut(F::Output))
 where
     I: IntoIterator<Item = F>,
@@ -254,6 +163,61 @@ mod tests {
     use crate::time::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// The reference for [`for_each_limit`]'s poll order: a growable set
+    /// of in-flight futures yielding outputs in completion order
+    /// (`FuturesUnordered`-style). Pending children are polled in insertion
+    /// order each time the owner runs, and ties are broken by insertion
+    /// order.
+    struct Unordered<F: Future + Unpin> {
+        pending: Vec<F>,
+    }
+
+    impl<F: Future + Unpin> Unordered<F> {
+        /// Creates an empty set.
+        fn new() -> Self {
+            Unordered { pending: Vec::new() }
+        }
+
+        /// Adds a future to the set.
+        fn push(&mut self, fut: F) {
+            self.pending.push(fut);
+        }
+
+        /// Resolves to the next completed future's output, or `None` when
+        /// the set is empty.
+        // Not `Iterator::next`: this is the awaitable `FuturesUnordered`-
+        // style method, named for that familiarity.
+        #[allow(clippy::should_implement_trait)]
+        fn next(&mut self) -> Next<'_, F> {
+            Next { set: self }
+        }
+    }
+
+    /// Future returned by [`Unordered::next`].
+    struct Next<'a, F: Future + Unpin> {
+        set: &'a mut Unordered<F>,
+    }
+
+    impl<F: Future + Unpin> Future for Next<'_, F> {
+        type Output = Option<F::Output>;
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+            let set = &mut self.get_mut().set;
+            if set.pending.is_empty() {
+                return Poll::Ready(None);
+            }
+            for i in 0..set.pending.len() {
+                if let Poll::Ready(out) = Pin::new(&mut set.pending[i]).poll(cx) {
+                    // `remove` keeps insertion order for the survivors, so
+                    // the poll sequence stays deterministic.
+                    set.pending.remove(i);
+                    return Poll::Ready(Some(out));
+                }
+            }
+            Poll::Pending
+        }
+    }
 
     #[test]
     fn join_all_overlaps_sleeps() {

@@ -107,7 +107,6 @@ struct TaskSlot {
     /// The task's future and its `Waker`, built once at spawn; both
     /// leave the slot together for the duration of a poll.
     future: Option<(TaskFuture, Waker)>,
-    name: String,
     /// True while the task sits in the runnable queue (dedup flag).
     queued: bool,
     join: Rc<RefCell<JoinState>>,
@@ -501,8 +500,9 @@ impl Handle {
         self.kernel.borrow().now
     }
 
-    /// Spawns a new simulated thread and returns its join handle.
-    pub fn spawn<F>(&self, name: &str, fut: F) -> JoinHandle
+    /// Spawns a new simulated thread and returns its join handle. The
+    /// name labels the call site for its reader; the kernel keeps none.
+    pub fn spawn<F>(&self, _name: &str, fut: F) -> JoinHandle
     where
         F: Future<Output = ()> + 'static,
     {
@@ -517,7 +517,6 @@ impl Handle {
         let slot = TaskSlot {
             gen: id.gen,
             future: Some((Box::pin(fut), waker)),
-            name: name.to_string(),
             queued: false,
             join: join.clone(),
         };
@@ -529,16 +528,6 @@ impl Handle {
         k.live += 1;
         k.make_runnable(id);
         JoinHandle { kernel: self.kernel.clone(), join }
-    }
-
-    /// Returns the name of a live task, if any.
-    pub fn task_name(&self, id: TaskId) -> Option<String> {
-        let k = self.kernel.borrow();
-        k.tasks
-            .get(id.index as usize)
-            .and_then(|s| s.as_ref())
-            .filter(|s| s.gen == id.gen)
-            .map(|s| s.name.clone())
     }
 
     /// Sleeps for `d` of simulated time.
@@ -842,21 +831,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn task_names_visible() {
-        let sim = Sim::new(1);
-        let h = sim.handle();
-        let h2 = h.clone();
-        let name = Rc::new(RefCell::new(String::new()));
-        let name2 = name.clone();
-        h.spawn("flusher", async move {
-            let me = h2.current_task();
-            *name2.borrow_mut() = h2.task_name(me).unwrap();
-        });
-        sim.run();
-        assert_eq!(*name.borrow(), "flusher");
     }
 
     #[test]

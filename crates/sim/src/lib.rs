@@ -44,13 +44,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cells;
 mod combinator;
 mod executor;
 pub mod stats;
 pub mod sync;
 mod time;
 
-pub use combinator::{for_each_limit, join_all, JoinAll, Next, Unordered};
+pub use cells::run_cells;
+pub use combinator::{for_each_limit, join_all, JoinAll};
 pub use executor::{
     ClockMode, Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
 };

@@ -41,12 +41,6 @@ impl TimeWeighted {
         }
     }
 
-    /// Adjusts the value by `delta` at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
     /// Current value.
     pub fn value(&self) -> f64 {
         self.value
@@ -95,16 +89,6 @@ mod tests {
         assert!((tw.mean(t(100)) - 5.0).abs() < 1e-9);
         assert_eq!(tw.max(), 10.0);
         assert_eq!(tw.min(), 0.0);
-    }
-
-    #[test]
-    fn add_accumulates() {
-        let mut tw = TimeWeighted::new(t(0), 1.0);
-        tw.add(t(10), 2.0);
-        tw.add(t(20), -3.0);
-        assert!((tw.value() - 0.0).abs() < 1e-9);
-        // [0,10): 1, [10,20): 3, [20,40): 0 => (10+30+0)/40 = 1.
-        assert!((tw.mean(t(40)) - 1.0).abs() < 1e-9);
     }
 
     #[test]

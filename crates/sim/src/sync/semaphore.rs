@@ -113,18 +113,13 @@ impl Semaphore {
     }
 }
 
-/// RAII permit; releases on drop unless [`Permit::forget`] is called.
+/// RAII permit; releases on drop.
 pub struct Permit {
     sem: Semaphore,
     count: u32,
 }
 
 impl Permit {
-    /// Consumes the permit without releasing it back.
-    pub fn forget(mut self) {
-        self.count = 0;
-    }
-
     /// Number of permits held.
     pub fn count(&self) -> u32 {
         self.count
@@ -311,20 +306,5 @@ mod tests {
             h2.sleep(SimDuration::from_millis(1)).await;
         });
         sim.run();
-    }
-
-    #[test]
-    fn forget_leaks_permit() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let sem = Semaphore::new(&h, 1);
-        let sem2 = sem.clone();
-        h.spawn("t", async move {
-            let p = sem2.acquire().await;
-            p.forget();
-            assert_eq!(sem2.available(), 0);
-        });
-        sim.run();
-        assert_eq!(sem.available(), 0);
     }
 }

@@ -162,7 +162,7 @@ fn crash_sweep_is_deterministic_and_verifies_clean() {
 
     // A small sweep: both layouts, all four policies, three cut points.
     let cfg = CrashConfig::new(trace_1a(), 3, 42, 0.002);
-    let cells = run_crash_sweep(&cfg);
+    let cells = run_crash_sweep(&cfg, 1);
     assert_eq!(cells.len(), 2 * 4 * 3);
     for c in &cells {
         assert_eq!(
@@ -181,7 +181,7 @@ fn crash_sweep_is_deterministic_and_verifies_clean() {
         assert_eq!(c.scanned_segments > 0, c.layout == "lfs");
     }
     // Byte-identical across invocations: the whole report string.
-    let again = run_crash_sweep(&cfg);
+    let again = run_crash_sweep(&cfg, 1);
     assert_eq!(
         format_crash_sweep(&cfg, &cells),
         format_crash_sweep(&cfg, &again),
@@ -294,8 +294,8 @@ fn striped_sweep_cells_replay_bit_identically() {
         Hardware { disks: 4, ..Hardware::default() },
         Hardware { disk: "ssd", disks: 2, ..Hardware::default() },
     ] {
-        let rows = run_qd_sweep("1a", 0.002, 42, &hw);
-        let again = run_qd_sweep("1a", 0.002, 42, &hw);
+        let rows = run_qd_sweep("1a", 0.002, 42, &hw, 1);
+        let again = run_qd_sweep("1a", 0.002, 42, &hw, 1);
         let a = format_qd_sweep_json("1a", 0.002, 42, 100, &rows, &hw);
         let b = format_qd_sweep_json("1a", 0.002, 42, 100, &again, &hw);
         assert_eq!(a, b, "striped sweep must be bit-identical for the same seed ({hw:?})");
@@ -312,7 +312,7 @@ fn multi_client_sweep_is_deterministic_and_throughput_scales() {
     // client counts 1/4/16, seed 42.
     let cfg = ClientSweepConfig::new(WorkloadKind::Zipf, vec![1, 4, 16], 42, 0.01);
     assert_eq!(cfg.queue_depth, 8);
-    let cells = run_client_sweep(&cfg);
+    let cells = run_client_sweep(&cfg, 1);
     assert_eq!(cells.len(), 3);
     for c in &cells {
         assert_eq!(c.report.errors, 0, "clients {}: {:?}", c.clients, c.report.error_sample);
@@ -347,7 +347,7 @@ fn multi_client_sweep_is_deterministic_and_throughput_scales() {
         .collect();
     assert_eq!(attributed.len(), 16, "attribution rows: {:?}", cells[2].flush_attr);
     // Byte-identical report across invocations.
-    let again = run_client_sweep(&cfg);
+    let again = run_client_sweep(&cfg, 1);
     assert_eq!(
         format_client_sweep(&cfg, &cells),
         format_client_sweep(&cfg, &again),
@@ -669,8 +669,8 @@ fn crash_sweep_json_is_stable_and_wellformed() {
     let mut cfg = CrashConfig::new(trace_1a(), 2, 42, 0.002);
     cfg.layouts = vec![cut_and_paste::fault::LayoutKind::Lfs];
     cfg.policies = vec![cut_and_paste::patsy::Policy::Ups];
-    let a = format_crash_sweep_json(&cfg, &run_crash_sweep(&cfg));
-    let b = format_crash_sweep_json(&cfg, &run_crash_sweep(&cfg));
+    let a = format_crash_sweep_json(&cfg, &run_crash_sweep(&cfg, 1));
+    let b = format_crash_sweep_json(&cfg, &run_crash_sweep(&cfg, 1));
     assert_eq!(a, b, "crash --json must be byte-identical for the same seed");
     for key in [
         "\"trace\"",
@@ -693,8 +693,8 @@ fn qd_sweep_json_is_stable_and_wellformed() {
     use cut_and_paste::patsy::qdsweep::{format_qd_sweep_json, run_qd_sweep};
 
     let hw = Hardware::default();
-    let rows = run_qd_sweep("1a", 0.002, 42, &hw);
-    let again = run_qd_sweep("1a", 0.002, 42, &hw);
+    let rows = run_qd_sweep("1a", 0.002, 42, &hw, 1);
+    let again = run_qd_sweep("1a", 0.002, 42, &hw, 1);
     let a = format_qd_sweep_json("1a", 0.002, 42, 100, &rows, &hw);
     let b = format_qd_sweep_json("1a", 0.002, 42, 100, &again, &hw);
     assert_eq!(a, b, "sweep-qd --json must be byte-identical for the same seed");

@@ -113,32 +113,38 @@ fn qd_sweep_json_is_pinned_on_three_hardware_configurations() {
         (ssd, 0xba59f13258f44038bb9fc61f5ef41b81),
         (stripe, 0x4fd7f1f6a384f98c5e692765e17e3c82),
     ] {
-        let rows = run_qd_sweep("1a", 0.005, 365, &hw);
-        let json = format_qd_sweep_json("1a", 0.005, 365, 0, &rows, &hw);
-        assert_pinned(&format!("the sweep on {}", hw.label()), &json, want);
+        for threads in [1, 4] {
+            let rows = run_qd_sweep("1a", 0.005, 365, &hw, threads);
+            let json = format_qd_sweep_json("1a", 0.005, 365, 0, &rows, &hw);
+            assert_pinned(&format!("the sweep on {}", hw.label()), &json, want);
+        }
     }
 }
 
 #[test]
 fn client_sweep_json_is_pinned() {
     let cfg = patsy::ClientSweepConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.002);
-    let cells = patsy::run_client_sweep(&cfg);
-    assert_pinned(
-        "the 8-client cell",
-        &patsy::format_client_sweep_json(&cfg, &cells),
-        0x456fb93021d69125604bffa03a97b6b9,
-    );
+    for threads in [1, 4] {
+        let cells = patsy::run_client_sweep(&cfg, threads);
+        assert_pinned(
+            "the 8-client cell",
+            &patsy::format_client_sweep_json(&cfg, &cells),
+            0x456fb93021d69125604bffa03a97b6b9,
+        );
+    }
 }
 
 #[test]
 fn serve_bench_json_is_pinned() {
     let cfg = patsy::ServeBenchConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.002);
-    let cells = patsy::run_serve_bench(&cfg);
-    assert_pinned(
-        "the 8-client wire cell",
-        &patsy::format_serve_bench_json(&cfg, &cells),
-        0xdaa37ba6988d145a5ccdddd477cabd34,
-    );
+    for threads in [1, 4] {
+        let cells = patsy::run_serve_bench(&cfg, threads);
+        assert_pinned(
+            "the 8-client wire cell",
+            &patsy::format_serve_bench_json(&cfg, &cells),
+            0xdaa37ba6988d145a5ccdddd477cabd34,
+        );
+    }
 }
 
 #[test]
@@ -146,12 +152,14 @@ fn crash_sweep_json_is_pinned() {
     let mut cfg = patsy::CrashConfig::new(trace_1a(), 2, 42, 0.002);
     cfg.layouts = vec![LayoutKind::Lfs];
     cfg.policies = vec![Policy::Ups, Policy::NvramWhole];
-    let cells = patsy::run_crash_sweep(&cfg);
-    assert_pinned(
-        "the 2-cut sweep",
-        &patsy::format_crash_sweep_json(&cfg, &cells),
-        0xb9c88b3ebcf59e90b24ba485c20e1156,
-    );
+    for threads in [1, 4] {
+        let cells = patsy::run_crash_sweep(&cfg, threads);
+        assert_pinned(
+            "the 2-cut sweep",
+            &patsy::format_crash_sweep_json(&cfg, &cells),
+            0xb9c88b3ebcf59e90b24ba485c20e1156,
+        );
+    }
 }
 
 #[test]
