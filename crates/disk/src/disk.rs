@@ -7,11 +7,15 @@
 //!
 //! The disk owns a mechanism model ([`DiskModel`]), a controller cache
 //! (immediate-reported writes + read-ahead), an optional *platter store*
-//! holding real bytes so metadata round-trips even off-line, and a
-//! deterministic fault-injection plan.
+//! holding real bytes so metadata round-trips even off-line
+//! (`disk/store.rs`), and a deterministic fault-injection plan.
+
+#[cfg(test)]
+mod reference;
+mod store;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use cnp_sim::{channel, oneshot, Handle, OneshotSender, Receiver, Sender, SimDuration, SimTime};
@@ -22,12 +26,8 @@ use crate::geometry::DiskGeometry;
 use crate::model::{DiskModel, DiskPos};
 use crate::request::{IoCompletion, IoError, IoOp, IoRequest, IoTiming, Payload};
 
-/// A captured on-disk image: sparse sector store, LBA → sector bytes.
-///
-/// Cloned out of a live disk for crash-state capture and fed back into
-/// [`crate::driver::compose_device`] to "remount" the platter after a
-/// power cut.
-pub type DiskImage = HashMap<u64, Box<[u8]>>;
+use store::WriteBuffer;
+pub use store::{store_sectors, DiskImage};
 
 /// Deterministic fault-injection plan for a simulated disk.
 ///
@@ -175,14 +175,9 @@ pub struct DiskClient {
     native_depth: u32,
     stats: Rc<RefCell<DiskStats>>,
     platter: Rc<RefCell<DiskImage>>,
-    pending: Rc<RefCell<PendingWrites>>,
+    pending: Rc<RefCell<WriteBuffer>>,
     dead: Rc<Cell<bool>>,
 }
-
-/// Acked-but-unretired write payloads, sector-granular: `Some(bytes)` is
-/// real data awaiting the media, `None` marks a simulated-payload
-/// overwrite (erases the platter sector when it retires).
-type PendingWrites = HashMap<u64, Option<Box<[u8]>>>;
 
 impl DiskClient {
     /// Submits a request and awaits its completion.
@@ -224,7 +219,9 @@ impl DiskClient {
         self.dead.get()
     }
 
-    /// Clones the current durable on-disk image (crash-state capture).
+    /// Clones the current durable on-disk image (crash-state capture):
+    /// a copy of pointers — the image shares its frames with the
+    /// platter, which copies one before it next stores into it.
     ///
     /// The image reflects every media write *retired* so far; writes
     /// still sitting in the controller's immediate-report buffer are
@@ -241,11 +238,7 @@ impl DiskClient {
     /// [`DiskClient::platter_image`]: the dying disk already lost its
     /// buffer.
     pub fn image_with_write_buffer(&self) -> DiskImage {
-        let mut image = self.platter.borrow().clone();
-        for (&lba, entry) in self.pending.borrow().iter() {
-            put_sector(&mut image, lba, entry.clone());
-        }
-        image
+        self.pending.borrow().over(&self.platter.borrow())
     }
 }
 
@@ -267,7 +260,7 @@ pub(crate) fn spawn_disk(
     let (tx, rx) = channel::<DiskMsg>(handle);
     let stats = Rc::new(RefCell::new(DiskStats::default()));
     let platter = Rc::new(RefCell::new(image));
-    let pending = Rc::new(RefCell::new(PendingWrites::new()));
+    let pending = Rc::new(RefCell::new(WriteBuffer::default()));
     let dead = Rc::new(Cell::new(false));
     let task = DiskTask {
         handle: handle.clone(),
@@ -303,13 +296,13 @@ struct DiskTask {
     faults: FaultPlan,
     cache: ControllerCache,
     pos: DiskPos,
-    /// Sparse sector store: lba → sector bytes (real data only); shared
-    /// with the client for crash-state capture. Holds *retired* media
-    /// writes only.
+    /// Sparse store of the sectors holding real bytes; shared with the
+    /// client for crash-state capture. Holds *retired* media writes
+    /// only.
     platter: Rc<RefCell<DiskImage>>,
     /// Payloads of acked immediate-report writes still awaiting the
     /// media; volatile — a power cut discards them.
-    pending: Rc<RefCell<PendingWrites>>,
+    pending: Rc<RefCell<WriteBuffer>>,
     /// Latent sectors rewritten since spawn (reads succeed again).
     healed: HashSet<u64>,
     /// Set once an injected power cut fires; shared with the client.
@@ -409,17 +402,7 @@ impl DiskTask {
     fn drop_or_preserve_buffer(&mut self) {
         let mut pending = self.pending.borrow_mut();
         if self.faults.cut_preserves_buffer {
-            let mut platter = self.platter.borrow_mut();
-            for (lba, entry) in pending.drain() {
-                match entry {
-                    Some(bytes) => {
-                        platter.insert(lba, bytes);
-                    }
-                    None => {
-                        platter.remove(&lba);
-                    }
-                }
-            }
+            pending.retire_all(&mut self.platter.borrow_mut());
         } else {
             pending.clear();
         }
@@ -618,7 +601,8 @@ impl DiskTask {
                 let bytes = req.sectors as u64 * ssz as u64;
                 timing.bus += bus.completion_phase(scsi_id, bytes).await;
                 if store_data {
-                    Ok(load_sectors(&pending, &platter, ssz as usize, req.lba, req.sectors))
+                    let platter = &platter.borrow();
+                    Ok(pending.borrow().load(platter, ssz as usize, req.lba, req.sectors))
                 } else {
                     Ok(Payload::Simulated(req.sectors * ssz))
                 }
@@ -729,10 +713,7 @@ impl DiskTask {
             return;
         }
         let ssz = self.geometry().sector_size as usize;
-        let mut pending = self.pending.borrow_mut();
-        write_sectors(ssz, lba, sectors, payload, |s, bytes| {
-            pending.insert(s, bytes);
-        });
+        self.pending.borrow_mut().stash(ssz, lba, sectors, payload);
     }
 
     /// Retires buffered sectors to the platter: their media write is now
@@ -741,13 +722,7 @@ impl DiskTask {
         if !self.opts.store_data {
             return;
         }
-        let mut pending = self.pending.borrow_mut();
-        let mut platter = self.platter.borrow_mut();
-        for s in lba..lba + sectors as u64 {
-            if let Some(entry) = pending.remove(&s) {
-                put_sector(&mut platter, s, entry);
-            }
-        }
+        self.pending.borrow_mut().retire(lba, sectors, &mut self.platter.borrow_mut());
     }
 
     /// Saves real bytes to the platter store; simulated payloads erase
@@ -767,84 +742,8 @@ impl DiskTask {
         if !self.opts.store_data {
             return Payload::Simulated((sectors as usize * ssz) as u32);
         }
-        load_sectors(&self.pending, &self.platter, ssz, lba, sectors)
+        self.pending.borrow().load(&self.platter.borrow(), ssz, lba, sectors)
     }
-}
-
-/// One write as a sparse sector store sees it, sector by sector: real
-/// bytes cut into `ssz`-byte sectors, zero-padded where the payload
-/// runs short of `sectors`, or `None` for every sector of a simulated
-/// payload (any stale real bytes there are erased). The only place a
-/// payload is cut up: the platter, the controller's write buffer and a
-/// captured image all store through it.
-fn write_sectors(
-    ssz: usize,
-    lba: u64,
-    sectors: u32,
-    payload: &Payload,
-    mut put: impl FnMut(u64, Option<Box<[u8]>>),
-) {
-    let bytes = payload.bytes();
-    for i in 0..sectors as usize {
-        put(
-            lba + i as u64,
-            bytes.map(|bytes| {
-                let mut sector = vec![0u8; ssz];
-                if let Some(rest) = bytes.get(i * ssz..) {
-                    let n = rest.len().min(ssz);
-                    sector[..n].copy_from_slice(&rest[..n]);
-                }
-                sector.into_boxed_slice()
-            }),
-        );
-    }
-}
-
-/// Stores one sector of a write in an image: real bytes are kept, a
-/// simulated sector erases what was there.
-fn put_sector(image: &mut DiskImage, lba: u64, bytes: Option<Box<[u8]>>) {
-    match bytes {
-        Some(bytes) => image.insert(lba, bytes),
-        None => image.remove(&lba),
-    };
-}
-
-/// Writes `payload` to `sectors` sectors of `image` from `lba`: what a
-/// retired media write leaves on the platter, and what a write the dead
-/// disk can no longer take leaves on its captured image.
-pub fn store_sectors(image: &mut DiskImage, ssz: usize, lba: u64, sectors: u32, payload: &Payload) {
-    write_sectors(ssz, lba, sectors, payload, |s, bytes| put_sector(image, s, bytes));
-}
-
-/// Returns real bytes if every sector in range is stored, else a
-/// simulated payload of the right length. Buffered (not yet retired)
-/// writes shadow the platter.
-fn load_sectors(
-    pending: &RefCell<PendingWrites>,
-    platter: &RefCell<DiskImage>,
-    ssz: usize,
-    lba: u64,
-    sectors: u32,
-) -> Payload {
-    let total = sectors as usize * ssz;
-    let pending = pending.borrow();
-    let platter = platter.borrow();
-    let sector = |i: u64| -> Option<&[u8]> {
-        match pending.get(&(lba + i)) {
-            Some(shadow) => shadow.as_deref(),
-            None => platter.get(&(lba + i)).map(|s| &**s),
-        }
-    };
-    // Presence first: an unwritten range (most of what a recovery scan
-    // reads) must not cost a buffer it then throws away.
-    if (0..sectors as u64).any(|i| sector(i).is_none()) {
-        return Payload::Simulated(total as u32);
-    }
-    let mut out = Vec::with_capacity(total);
-    for i in 0..sectors as u64 {
-        out.extend_from_slice(sector(i).expect("presence checked"));
-    }
-    Payload::Data(out)
 }
 
 #[cfg(test)]
@@ -855,23 +754,24 @@ mod tests {
 
     #[test]
     fn a_short_payload_is_zero_padded_and_a_simulated_one_erases() {
-        let mut image = DiskImage::new();
+        let mut image = DiskImage::default();
         // Six bytes over three 4-byte sectors: one full, one padded, one
         // past the payload's end.
         store_sectors(&mut image, 4, 10, 3, &Payload::Data(vec![1, 2, 3, 4, 5, 6]));
-        let stored = |image: &DiskImage, s| image.get(&s).map(|b| b.to_vec());
-        assert_eq!(stored(&image, 10), Some(vec![1, 2, 3, 4]));
-        assert_eq!(stored(&image, 11), Some(vec![5, 6, 0, 0]));
-        assert_eq!(stored(&image, 12), Some(vec![0, 0, 0, 0]));
+        assert_eq!(image.sector(10), Some(&[1, 2, 3, 4][..]));
+        assert_eq!(image.sector(11), Some(&[5, 6, 0, 0][..]));
+        assert_eq!(image.sector(12), Some(&[0, 0, 0, 0][..]));
         assert_eq!(image.len(), 3);
         // A simulated write over the middle erases what it covers.
         store_sectors(&mut image, 4, 11, 4, &Payload::Simulated(16));
-        assert_eq!(stored(&image, 10), Some(vec![1, 2, 3, 4]));
+        assert_eq!(image.sector(10), Some(&[1, 2, 3, 4][..]));
         assert_eq!(image.len(), 1);
+        assert_eq!(image.sectors().collect::<Vec<_>>(), [(10, &[1, 2, 3, 4][..])]);
         // The write buffer records the erase, so it shadows the platter.
-        let mut buffered = Vec::new();
-        write_sectors(4, 10, 2, &Payload::Simulated(8), |s, bytes| buffered.push((s, bytes)));
-        assert_eq!(buffered, [(10, None), (11, None)]);
+        let mut buffer = WriteBuffer::default();
+        buffer.stash(4, 10, 2, &Payload::Simulated(8));
+        assert_eq!(buffer.load(&image, 4, 10, 1), Payload::Simulated(4));
+        assert_eq!(buffer.over(&image), DiskImage::default());
     }
 
     fn make_req(
@@ -888,7 +788,7 @@ mod tests {
     fn setup(sim: &Sim, opts: DiskOpts, faults: FaultPlan) -> DiskClient {
         let h = sim.handle();
         let bus = ScsiBus::new(&h);
-        spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults, DiskImage::new())
+        spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults, DiskImage::default())
     }
 
     #[test]
@@ -1120,14 +1020,14 @@ mod tests {
         // The torn write left exactly its 4-sector prefix on the platter.
         let image = disk.platter_image();
         for s in 100..104 {
-            assert!(image.contains_key(&s), "sector {s} should be durable");
+            assert!(image.sector(s).is_some(), "sector {s} should be durable");
         }
         for s in 104..108 {
-            assert!(!image.contains_key(&s), "sector {s} should be lost");
+            assert!(image.sector(s).is_none(), "sector {s} should be lost");
         }
         // The pre-cut write survives in full.
         for s in 0..8 {
-            assert!(image.contains_key(&s));
+            assert!(image.sector(s).is_some());
         }
     }
 
@@ -1162,15 +1062,15 @@ mod tests {
         let image = disk.platter_image();
         // ...but the first two post-cut writes are durable anyway.
         for s in 100..108 {
-            assert!(image.contains_key(&s), "sector {s} of retired write lost");
+            assert!(image.sector(s).is_some(), "sector {s} of retired write lost");
         }
         for s in 200..208 {
-            assert!(image.contains_key(&s), "sector {s} of retired write lost");
+            assert!(image.sector(s).is_some(), "sector {s} of retired write lost");
         }
         // The landing write (no torn sectors) and the one past the
         // budget are gone.
         for s in (0..8).chain(300..308) {
-            assert!(!image.contains_key(&s), "sector {s} should be lost");
+            assert!(image.sector(s).is_none(), "sector {s} should be lost");
         }
     }
 
@@ -1218,11 +1118,11 @@ mod tests {
                 .await;
             // The immediate-reported write still sits in the volatile
             // controller buffer: only the battery-backed image sees it.
-            assert!(!d2.platter_image().contains_key(&32), "write not yet retired");
-            assert!(d2.image_with_write_buffer().contains_key(&32));
+            assert!(d2.platter_image().sector(32).is_none(), "write not yet retired");
+            assert!(d2.image_with_write_buffer().sector(32).is_some());
             // Idle a moment so the write-back drains it to the media.
             h2.sleep(SimDuration::from_millis(60)).await;
-            assert!(d2.platter_image().contains_key(&32), "write-back must retire it");
+            assert!(d2.platter_image().sector(32).is_some(), "write-back must retire it");
             // Respawn a disk from the captured image and read it back.
             let bus = ScsiBus::new(&h2);
             let d3 = spawn_disk(

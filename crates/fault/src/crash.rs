@@ -2,13 +2,16 @@
 //!
 //! A "crash" in this framework is: stop the workload at a cut point,
 //! clone the durable on-disk image at that instant
-//! ([`cnp_disk::DiskClient::platter_image`]), keep whatever the flush
-//! policy stores in battery-backed NVRAM
+//! ([`cnp_disk::DiskClient::platter_image`] — the clone shares the
+//! platter's frames, so it costs pointers, not bytes), keep whatever
+//! the flush policy stores in battery-backed NVRAM
 //! ([`cnp_core::FileSystem::nvram_snapshot`]), and throw everything
 //! else away. Recovery ([`Stack::recover`]) then spawns a fresh disk from
 //! the image, runs the layout's [`StorageLayout::recover`] path and
 //! repairs with the fsck walker; NVRAM replay and loss accounting against
 //! the acknowledged state follow.
+
+use std::collections::HashMap;
 
 use cnp_core::{FileSystem, FsError, FsResult, NvramSnapshot};
 use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage, Hardware};
@@ -171,9 +174,10 @@ pub async fn replay_nvram(fs: &FileSystem, snap: &NvramSnapshot) -> FsResult<u64
     }
     let mut replayed = 0u64;
     let bs = BLOCK_SIZE as u64;
+    // Collected in reverse, so an inode listed twice keeps its first size.
+    let sizes: HashMap<u64, u64> = snap.sizes.iter().rev().copied().collect();
     for (ino, blk, data) in &snap.blocks {
-        let size =
-            snap.sizes.iter().find(|(i, _)| i == ino).map(|&(_, s)| s).unwrap_or((blk + 1) * bs);
+        let size = sizes.get(ino).copied().unwrap_or((blk + 1) * bs);
         if size <= blk * bs {
             continue; // Beyond the acknowledged size: nothing to restore.
         }

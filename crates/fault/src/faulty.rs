@@ -71,6 +71,8 @@ impl Stack {
         state: &CrashState,
         cfg: FsConfig,
     ) -> FsResult<(Stack, RecoveryOutcome)> {
+        // The clone copies frame pointers: the restored platter shares
+        // the state's bytes until recovery first writes over them.
         let (plan, image) = (FaultPlan::default(), Some(state.image.clone()));
         let (models, chunk) = (hw.models(), hw.chunk_sectors());
         let (driver, disks) =

@@ -123,7 +123,7 @@ fn drive(background_seal: bool, steps: Vec<Step>) -> u64 {
     let cleaned = Rc::new(Cell::new(0));
     let out = cleaned.clone();
     run_sim(move |h| async move {
-        let (driver, _disk) = power_on(&h, DiskImage::new(), FaultPlan::default());
+        let (driver, _disk) = power_on(&h, DiskImage::default(), FaultPlan::default());
         let mut lfs = LfsLayout::new(&h, driver.clone(), params(background_seal));
         assert_eq!(lfs.sb.nsegs, NSEGS);
         lfs.format().await.unwrap();
@@ -260,7 +260,7 @@ async fn let_seals_land(lfs: &LfsLayout, h: &cnp_sim::Handle) {
 /// until the cleaner has fired and the log head has wrapped past the
 /// last segment. Crashes without a sync.
 async fn first_life(h: &cnp_sim::Handle, background_seal: bool, steps: &[Step]) -> DiskImage {
-    let (driver, disk) = power_on(h, DiskImage::new(), FaultPlan::default());
+    let (driver, disk) = power_on(h, DiskImage::default(), FaultPlan::default());
     let mut lfs = LfsLayout::new(h, driver.clone(), params(background_seal));
     lfs.format().await.unwrap();
     let mut files: Vec<Option<Inode>> = vec![None; FILES];
@@ -405,7 +405,7 @@ async fn spin_head_to(lfs: &mut LfsLayout, w: &mut Inode, seg: u32) {
 /// again, and `4`, X's live copy — and a third rewrite lost in staging.
 /// Returns the image and X's and W's inode numbers.
 async fn tail_behind_a_live_segment(h: &cnp_sim::Handle) -> (DiskImage, Ino, Ino) {
-    let (driver, disk) = power_on(h, DiskImage::new(), FaultPlan::default());
+    let (driver, disk) = power_on(h, DiskImage::default(), FaultPlan::default());
     let mut lfs = LfsLayout::new(h, driver.clone(), params(false));
     lfs.format().await.unwrap();
     // Format leaves the root in segment 0, its checkpoint in 1, the
@@ -470,7 +470,7 @@ fn dead_young_segment_behind_the_new_head_does_not_hide_the_next_tail() {
 #[test]
 fn reused_segment_that_was_live_at_the_checkpoint_is_found_young() {
     run_sim(|h| async move {
-        let (driver, disk) = power_on(&h, DiskImage::new(), FaultPlan::default());
+        let (driver, disk) = power_on(&h, DiskImage::default(), FaultPlan::default());
         let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
         lfs.format().await.unwrap();
         let mut x = lfs.alloc_ino(FileKind::Regular, 1).unwrap();
@@ -503,7 +503,7 @@ fn segment_holding_the_checkpoints_own_usage_blocks_is_no_stop_point() {
     run_sim(|h| async move {
         let params = LfsParams { seg_blocks: 4, ..LfsParams::default() };
         let (driver, disk) =
-            power_on_disk(&h, disk_of(RING, 4), DiskImage::new(), FaultPlan::default());
+            power_on_disk(&h, disk_of(RING, 4), DiskImage::default(), FaultPlan::default());
         let mut lfs = LfsLayout::new(&h, driver.clone(), params.clone());
         assert_eq!(lfs.sb.nsegs, RING);
         lfs.format().await.unwrap();

@@ -7,12 +7,15 @@
 //! layers is always edge-for-edge exact.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A fixed-bucket histogram over `f64` samples with running moments.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     /// Upper bucket edges, ascending; a final overflow bucket is implicit.
-    edges: Vec<f64>,
+    /// Shared between clones, and between every
+    /// [`Histogram::latency_default`].
+    edges: Arc<[f64]>,
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -33,10 +36,14 @@ impl Histogram {
             edges.windows(2).all(|w| w[0] < w[1]),
             "histogram edges must be strictly ascending"
         );
-        let n = edges.len();
+        Self::over(edges.into())
+    }
+
+    /// An empty histogram over validated `edges`.
+    fn over(edges: Arc<[f64]>) -> Self {
         Histogram {
+            counts: vec![0; edges.len() + 1],
             edges,
-            counts: vec![0; n + 1],
             count: 0,
             sum: 0.0,
             sumsq: 0.0,
@@ -67,9 +74,11 @@ impl Histogram {
     }
 
     /// Default latency histogram: 1 µs .. 100 s, 20 buckets per decade,
-    /// in **milliseconds** (the unit the paper's figures use).
+    /// in **milliseconds** (the unit the paper's figures use). The edges
+    /// are computed once per process and shared.
     pub fn latency_default() -> Self {
-        Self::log(0.001, 100_000.0, 20)
+        static EDGES: OnceLock<Arc<[f64]>> = OnceLock::new();
+        Self::over(EDGES.get_or_init(|| Self::log(0.001, 100_000.0, 20).edges).clone())
     }
 
     /// Records one sample.
@@ -171,7 +180,10 @@ impl Histogram {
     ///
     /// Panics if the bucket edges differ.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "cannot merge histograms with different edges");
+        assert!(
+            Arc::ptr_eq(&self.edges, &other.edges) || self.edges == other.edges,
+            "cannot merge histograms with different edges"
+        );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }

@@ -15,6 +15,10 @@
 //! its blocks do — nothing for a resident block off-line, its load for a
 //! missing one — and nothing for the call.
 //!
+//! The platter store: a block-sized write costs its frame, a captured
+//! image its table of frame pointers, a simulated write nothing — never
+//! a box per 512-byte sector.
+//!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
 
@@ -25,9 +29,12 @@ use cut_and_paste::cache::{
     flush_by_name, BlockCache, BlockKey, CacheConfig, DirtyOutcome, FileId, Lru, Reserve,
 };
 use cut_and_paste::core::{FileSystem, FsConfig};
-use cut_and_paste::disk::{sim_disk_driver, CLook, Hp97560};
+use cut_and_paste::disk::{
+    compose_device, sim_disk_driver, store_sectors, CLook, DiskClient, DiskDriver, DiskImage,
+    DiskModel, DiskOpts, FaultPlan, Hp97560, Payload, ScsiBus,
+};
 use cut_and_paste::layout::{FileKind, Ino, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
-use cut_and_paste::sim::{Sim, SimTime};
+use cut_and_paste::sim::{Handle, Sim, SimDuration, SimTime};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -328,4 +335,103 @@ fn a_cold_read_costs_its_misses_whatever_the_call_size() {
             }
         });
     }
+}
+
+/// One fault-free HP 97560 behind C-LOOK: its platter starts from
+/// `image`, its bus and controller options are `attach`'s if given.
+fn hp97560(
+    h: &Handle,
+    image: Option<DiskImage>,
+    attach: Option<(ScsiBus, DiskOpts)>,
+) -> (DiskDriver, Vec<DiskClient>) {
+    let models: Vec<Box<dyn DiskModel>> = vec![Box::new(Hp97560::new())];
+    compose_device(h, "d0", models, None, Box::new(CLook), FaultPlan::default(), image, attach)
+}
+
+/// What one 4 KiB write at a fresh frame-aligned address costs from
+/// submission until the idle write-back has retired it, on an
+/// immediate-report HP 97560 that keeps real bytes (`store_data`) or
+/// not. The payload is built before the count starts.
+fn buffered_write_cost(store_data: bool, payload: fn() -> Payload) -> u64 {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let opts = DiskOpts { store_data, ..DiskOpts::default() };
+    let (driver, disks) = hp97560(&h, None, Some((ScsiBus::new(&h), opts)));
+    sim.block_on("alloc-budget", async move {
+        let (h, driver, mut block) = (&h, &driver, 0u64);
+        let cost = floor_of(move || {
+            block += 1;
+            let payload = payload();
+            async move {
+                driver.write(block * 8, 8, payload).await.unwrap();
+                h.sleep(SimDuration::from_millis(100)).await;
+            }
+        })
+        .await;
+        assert_eq!(disks[0].stats().writebacks, 5, "every write must have retired");
+        cost
+    })
+}
+
+#[test]
+fn a_block_write_costs_the_store_its_frame_and_a_simulated_one_nothing() {
+    let real = || Payload::Data(vec![0xA5; BLOCK_SIZE as usize]);
+    let in_store = buffered_write_cost(true, real) - buffered_write_cost(false, real);
+    // Stash and retire: the frame's buffer, which moves from the write
+    // buffer to the platter. The per-sector maps boxed eight sectors
+    // and paid both tables' growth as they went.
+    assert!(in_store <= 2, "a 4 KiB real write allocated {in_store} in the store");
+    let simulated = || Payload::Simulated(BLOCK_SIZE);
+    assert_eq!(buffered_write_cost(true, simulated), buffered_write_cost(false, simulated));
+
+    let mut image = DiskImage::default();
+    store_sectors(&mut image, 512, 64, 8, &real());
+    let before = allocs();
+    store_sectors(&mut image, 512, 64, 8, &Payload::Simulated(BLOCK_SIZE));
+    store_sectors(&mut image, 512, 128, 8, &Payload::Simulated(BLOCK_SIZE));
+    assert_eq!(allocs() - before, 0, "erasing a frame, or nothing, allocates nothing");
+    assert!(image.is_empty());
+}
+
+#[test]
+fn capturing_a_platter_copies_its_table_not_its_sectors() {
+    const FRAMES: u64 = 1024;
+    let mut image = DiskImage::default();
+    for frame in 0..FRAMES {
+        let payload = Payload::Data(vec![frame as u8; BLOCK_SIZE as usize]);
+        store_sectors(&mut image, 512, frame * 8, 8, &payload);
+    }
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let (driver, disks) = hp97560(&h, Some(image.clone()), None);
+    sim.block_on("alloc-budget", async move {
+        let before = allocs();
+        let platter = disks[0].platter_image();
+        assert_eq!(allocs() - before, 1, "platter_image() of {FRAMES} frames");
+        assert_eq!(platter.len() as u64, FRAMES * 8);
+        assert_eq!(platter, image);
+
+        // A write retires over a frame the captured images share: the
+        // platter copies the frame, the captures keep theirs.
+        let fresh = || Payload::Data(vec![0xEE; BLOCK_SIZE as usize]);
+        driver.write(7 * 8, 8, fresh()).await.unwrap();
+        h.sleep(SimDuration::from_millis(100)).await;
+        assert_eq!(disks[0].platter_image().sector(7 * 8), Some(&[0xEE; 512][..]));
+        assert_eq!(platter.sector(7 * 8), Some(&[7; 512][..]));
+        assert_eq!(platter, image);
+
+        // An acked write still in the controller's buffer, past the
+        // platter's last frame.
+        driver.write(FRAMES * 8, 8, fresh()).await.unwrap();
+        assert_eq!(disks[0].platter_image().len() as u64, FRAMES * 8, "not retired yet");
+        let before = allocs();
+        let buffered = disks[0].image_with_write_buffer();
+        let cost = allocs() - before;
+        // The table, and its one regrow for the new frame; the buffered
+        // frame itself is shared, not copied.
+        assert!(cost <= 2, "image_with_write_buffer() of {FRAMES} frames allocated {cost}");
+        assert_eq!(buffered.len() as u64, (FRAMES + 1) * 8);
+        assert_eq!(buffered.sector(FRAMES * 8), Some(&[0xEE; 512][..]));
+        assert_eq!(buffered.sector(6 * 8), Some(&[6; 512][..]));
+    });
 }

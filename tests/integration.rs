@@ -3,7 +3,7 @@
 
 use cut_and_paste::cache::CacheConfig;
 use cut_and_paste::core::{DataMode, FileSystem, FlushMode, FsConfig};
-use cut_and_paste::disk::{sim_disk_driver, CLook, FaultPlan, Hardware, Hp97560};
+use cut_and_paste::disk::{sim_disk_driver, CLook, DiskImage, FaultPlan, Hardware, Hp97560};
 use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
 use cut_and_paste::sim::Sim;
@@ -25,6 +25,14 @@ where
     sim.block_on("test", async move { f(h).await });
 }
 
+/// The lowest sector two platter images disagree on.
+fn first_differing_sector(a: &DiskImage, b: &DiskImage) -> Option<u64> {
+    let missing_from = |x: &DiskImage, y: &DiskImage| {
+        x.sectors().filter(|&(lba, bytes)| y.sector(lba) != Some(bytes)).map(|(lba, _)| lba).min()
+    };
+    missing_from(a, b).into_iter().chain(missing_from(b, a)).min()
+}
+
 /// Determinism audit regression: two seeded runs must produce
 /// byte-identical platter images, per layout. The mail workload's
 /// create/append/unlink churn drives `BlockCache::remove_file`, whose
@@ -35,7 +43,7 @@ where
 fn seeded_runs_produce_byte_identical_platters_per_layout() {
     use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
-    fn image_once(layout: LayoutKind) -> cut_and_paste::disk::DiskImage {
+    fn image_once(layout: LayoutKind) -> DiskImage {
         let sim = Sim::new(909);
         let h = sim.handle();
         let cfg = FsConfig {
@@ -62,12 +70,12 @@ fn seeded_runs_produce_byte_identical_platters_per_layout() {
 
     for kind in [LayoutKind::Lfs, LayoutKind::Ffs] {
         let (a, b, layout) = (image_once(kind), image_once(kind), kind.name());
-        assert_eq!(a.len(), b.len(), "{layout}: platter sector counts differ");
-        let mut keys: Vec<u64> = a.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            assert_eq!(a.get(&k), b.get(&k), "{layout}: sector {k} differs between seeded runs");
-        }
+        assert_eq!(
+            a,
+            b,
+            "{layout}: seeded runs differ, first at sector {:?}",
+            first_differing_sector(&a, &b)
+        );
     }
 }
 
@@ -365,7 +373,7 @@ fn multi_client_sweep_is_deterministic_and_throughput_scales() {
 fn sharded_256_client_runs_are_byte_identical() {
     use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
-    fn run_once() -> (cut_and_paste::disk::DiskImage, u64, u64) {
+    fn run_once() -> (DiskImage, u64, u64) {
         let sim = Sim::new(4242);
         let h = sim.handle();
         let cfg = FsConfig {
@@ -398,12 +406,12 @@ fn sharded_256_client_runs_are_byte_identical() {
     let (image_b, ops_b, lat_b) = run_once();
     assert_eq!(ops_a, ops_b, "op counts differ between seeded 256-client runs");
     assert_eq!(lat_a, lat_b, "latency totals differ between seeded 256-client runs");
-    assert_eq!(image_a.len(), image_b.len(), "platter sector counts differ");
-    let mut keys: Vec<u64> = image_a.keys().copied().collect();
-    keys.sort_unstable();
-    for k in keys {
-        assert_eq!(image_a.get(&k), image_b.get(&k), "sector {k} differs between seeded runs");
-    }
+    assert_eq!(
+        image_a,
+        image_b,
+        "seeded runs differ, first at sector {:?}",
+        first_differing_sector(&image_a, &image_b)
+    );
 }
 
 /// A single client at queue depth 1 issues one op at a time, so the
