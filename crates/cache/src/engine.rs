@@ -57,6 +57,9 @@ struct Frame {
     history_len: usize,
     /// Real block bytes on-line; `None` for simulated user data.
     data: Option<Vec<u8>>,
+    /// Names what `data` holds: drawn from the cache's one counter
+    /// whenever `data` is assigned, so equal stamps mean equal bytes.
+    content: u64,
     /// Re-dirtied while a flush was in flight.
     redirtied: bool,
     /// Client that last dirtied this block ([`UNATTRIBUTED`] when no
@@ -65,7 +68,7 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(key: BlockKey, data: Option<Vec<u8>>) -> Frame {
+    fn new(key: BlockKey, data: Option<Vec<u8>>, content: u64) -> Frame {
         Frame {
             key,
             state: BlockState::Clean,
@@ -73,6 +76,7 @@ impl Frame {
             history: [SimTime::ZERO; HISTORY],
             history_len: 0,
             data,
+            content,
             redirtied: false,
             owner: UNATTRIBUTED,
         }
@@ -206,6 +210,8 @@ pub struct BlockCache {
     /// blocks oldest first.
     frame_seq: Vec<u64>,
     next_seq: u64,
+    /// The next content stamp ([`BlockCache::content_stamp`]).
+    next_content: u64,
     flush_policy: Box<dyn FlushPolicy>,
     /// Dirty + flushing blocks charged against NVRAM.
     nvram_used: u64,
@@ -265,7 +271,8 @@ impl BlockCache {
         assert!(n > 0, "cache must hold at least one block");
         let mut free: Vec<u32> = (0..n as u32).collect();
         free.reverse();
-        let frames = (0..n).map(|_| Frame::new(BlockKey::new(FileId(u64::MAX), 0), None)).collect();
+        let frames =
+            (0..n).map(|_| Frame::new(BlockKey::new(FileId(u64::MAX), 0), None, 0)).collect();
         BlockCache {
             cfg,
             frames,
@@ -276,6 +283,7 @@ impl BlockCache {
             dirty: FrameList::new(n),
             frame_seq: vec![0; n],
             next_seq: 0,
+            next_content: 1,
             flush_policy,
             nvram_used: 0,
             stats: CacheStats::default(),
@@ -391,7 +399,29 @@ impl BlockCache {
 
     /// Replaces the bytes of a resident frame.
     pub fn set_data(&mut self, frame: u32, data: Option<Vec<u8>>) {
-        self.frames[frame as usize].data = data;
+        let content = self.fresh_content();
+        let f = &mut self.frames[frame as usize];
+        f.data = data;
+        f.content = content;
+    }
+
+    /// The content stamp of a resident frame: a number no other content
+    /// of any frame of this cache has had or will have. [`commit`] and
+    /// [`set_data`] — the two places a resident frame's bytes change —
+    /// draw a fresh one, and nothing else touches the bytes, so whoever
+    /// saw this stamp before saw exactly the bytes [`data`] returns now.
+    /// The cache knows nothing of what a reader derives from them.
+    ///
+    /// [`commit`]: BlockCache::commit
+    /// [`set_data`]: BlockCache::set_data
+    /// [`data`]: BlockCache::data
+    pub fn content_stamp(&self, frame: u32) -> u64 {
+        self.frames[frame as usize].content
+    }
+
+    fn fresh_content(&mut self) -> u64 {
+        self.next_content += 1;
+        self.next_content - 1
     }
 
     /// The state of a resident block.
@@ -427,7 +457,8 @@ impl BlockCache {
     /// Panics if `key` is already resident.
     pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
         assert!(self.map_get(key).is_none(), "block {key} already resident");
-        self.frames[frame as usize] = Frame::new(key, data);
+        let content = self.fresh_content();
+        self.frames[frame as usize] = Frame::new(key, data, content);
         self.map_insert(key, frame);
         self.stats.insertions += 1;
         self.record_access(frame, now);
@@ -954,5 +985,31 @@ mod tests {
         assert_eq!(c.data(f).unwrap()[0], 7);
         c.set_data(f, Some(vec![9u8; 4096]));
         assert_eq!(c.data(f).unwrap()[0], 9);
+    }
+
+    #[test]
+    fn every_change_of_a_frames_bytes_draws_a_stamp_nothing_had_before() {
+        let mut c = small_cache(2, None);
+        let mut seen = std::collections::BTreeSet::new();
+        let a = insert(&mut c, key(1, 0), t(0));
+        assert!(seen.insert(c.content_stamp(a)));
+        // Reads, dirtying and flushing leave the bytes and the stamp.
+        let before = c.content_stamp(a);
+        c.lookup(key(1, 0), t(1));
+        c.mark_dirty(key(1, 0), t(2));
+        c.begin_flush(&[key(1, 0)]);
+        c.end_flush(key(1, 0), t(3));
+        assert_eq!(c.content_stamp(a), before);
+        // The same bytes set again are a new content all the same.
+        c.set_data(a, None);
+        assert!(seen.insert(c.content_stamp(a)), "set_data must restamp");
+        // Another block, and the same block loaded again into the
+        // frame it was evicted from.
+        let b = insert(&mut c, key(1, 1), t(4));
+        assert!(seen.insert(c.content_stamp(b)));
+        c.remove_block(key(1, 0));
+        let again = insert(&mut c, key(1, 0), t(5));
+        assert_eq!(again, a);
+        assert!(seen.insert(c.content_stamp(again)), "commit must restamp");
     }
 }

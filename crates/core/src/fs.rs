@@ -38,11 +38,13 @@ use cnp_sim::{
 use crate::config::{FlushMode, FsConfig};
 use crate::error::FsResult;
 use data::ReadScratch;
+use names::NameMemos;
 
 mod client;
 mod data;
 mod durability;
 mod metrics;
+mod names;
 mod ns;
 
 pub use client::ClientFs;
@@ -82,6 +84,9 @@ struct Shared {
     /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
     /// the miss path allocates for its I/O and not for its bookkeeping.
     scratch: RefCell<Vec<ReadScratch>>,
+    /// What the name path has validated of single-block directories,
+    /// by the content stamp of the cache frame it read them in.
+    names: RefCell<NameMemos>,
     /// Per-block failed-flush counts (bounded retry bookkeeping).
     flush_retry: RefCell<HashMap<BlockKey, u8, FixedState>>,
     /// Serializes directory read-modify-write sequences, striped by the
@@ -152,6 +157,7 @@ impl FileSystem {
             open_counts: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
+            names: RefCell::default(),
             flush_retry: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
@@ -675,6 +681,25 @@ mod tests {
             fs.unlink("/a/b/f2").await.unwrap();
             fs.rmdir("/a/b").await.unwrap();
             assert!(matches!(fs.rmdir("/a").await, Err(FsError::NotEmpty(_))));
+        });
+    }
+
+    #[test]
+    fn a_walk_through_a_file_names_the_path_not_the_inode() {
+        run_fs(DataMode::Real, |fs| async move {
+            fs.mkdir("/d").await.unwrap();
+            fs.create("/d/file", FileKind::Regular).await.unwrap();
+            let not_a_dir = |path: &str| FsError::NotADirectory(path.to_string());
+            // `resolve` (every component is looked in) and
+            // `resolve_parent` (every component but the last must be a
+            // directory) say the same thing about the same path.
+            assert_eq!(fs.stat("/d/file/x").await.unwrap_err(), not_a_dir("/d/file/x"));
+            assert_eq!(fs.lookup("/d/file/x/y").await.unwrap_err(), not_a_dir("/d/file/x/y"));
+            assert_eq!(fs.readdir("/d/file").await.unwrap_err(), not_a_dir("/d/file"));
+            let r = fs.create("/d/file/x", FileKind::Regular).await;
+            assert_eq!(r.unwrap_err(), not_a_dir("/d/file/x"));
+            assert_eq!(fs.unlink("/d/file/x/y").await.unwrap_err(), not_a_dir("/d/file/x/y"));
+            assert_eq!(fs.client(1).stat("/d/file/x").await.unwrap_err(), not_a_dir("/d/file/x"));
         });
     }
 

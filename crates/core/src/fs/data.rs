@@ -11,6 +11,7 @@ use cnp_disk::Payload;
 use cnp_layout::{BlockAddr, Ino, StorageLayout, BLOCK_SIZE, MAX_FILE_BLOCKS};
 use cnp_sim::{Event, SimDuration};
 
+use super::names::{self, Mutant};
 use super::FileSystem;
 use crate::config::DataMode;
 use crate::error::{FsError, FsResult};
@@ -74,7 +75,7 @@ impl FileSystem {
         };
         let first = offset / bs;
         let last = (end - 1) / bs;
-        let place = |blk: u64, data: Option<&[u8]>| {
+        let place = |blk: u64, data: Option<&[u8]>, _stamp: u64| {
             if let (Some(out), Some(data)) = (out.as_mut(), data) {
                 // The part of the block inside `[offset, end)`.
                 let (lo, hi) = (offset.max(blk * bs), end.min((blk + 1) * bs));
@@ -258,7 +259,7 @@ impl FileSystem {
         ino: Ino,
         first: u64,
         n: u64,
-        mut sink: impl FnMut(u64, Option<&[u8]>),
+        mut sink: impl FnMut(u64, Option<&[u8]>, u64),
     ) -> FsResult<()> {
         let window = self.queue_depth() as u64;
         let mut sc = self.take_scratch();
@@ -271,7 +272,7 @@ impl FileSystem {
             // charge — live there).
             let waited = sc.theirs.len() as u64;
             for blk in sc.theirs.drain(..) {
-                self.read_block_with(ino, blk, |data| sink(blk, data)).await?;
+                self.read_block_with(ino, blk, |data, stamp| sink(blk, data, stamp)).await?;
             }
             // Copy cost is CPU work: charge it per delivered block,
             // serially.
@@ -287,24 +288,26 @@ impl FileSystem {
     /// Reads one block through the cache; returns bytes when available
     /// (always for metadata, never for off-line user data).
     pub(super) async fn read_block_cached(&self, ino: Ino, blk: u64) -> FsResult<Option<Vec<u8>>> {
-        self.read_block_with(ino, blk, |data| data.map(<[u8]>::to_vec)).await
+        self.read_block_with(ino, blk, |data, _| data.map(<[u8]>::to_vec)).await
     }
 
     /// Reads one block through the cache — a window of one — and hands
-    /// its bytes to `f` where they sit in the cache frame (`f` runs with
-    /// the cache borrowed and must not reach for it).
+    /// its bytes to `f` where they sit in the cache frame, with the
+    /// frame's content stamp ([`cnp_cache::BlockCache::content_stamp`]:
+    /// a stamp seen before means bytes seen before). `f` runs with the
+    /// cache borrowed and must not reach for it.
     pub(super) async fn read_block_with<T>(
         &self,
         ino: Ino,
         blk: u64,
-        f: impl FnOnce(Option<&[u8]>) -> T,
+        f: impl FnOnce(Option<&[u8]>, u64) -> T,
     ) -> FsResult<T> {
         let key = BlockKey::new(FileId(ino.0), blk);
         let mut f = Some(f);
         let mut out = None;
         let mut sc = self.take_scratch();
         loop {
-            let mut sink = |_, data: Option<&[u8]>| out = f.take().map(|f| f(data));
+            let mut sink = |_, data: Option<&[u8]>, stamp| out = f.take().map(|f| f(data, stamp));
             self.load_window(ino, blk, 1, &mut sc, &mut sink).await?;
             if sc.theirs.pop().is_none() {
                 break;
@@ -332,19 +335,20 @@ impl FileSystem {
     /// One window of the read path, and the engine's only way from a
     /// missing block to a resident one. Classifies each block of
     /// `[start, start + len)`: a cache hit goes to `sink` at once, where
-    /// it sits in its frame (`sink` runs with the cache borrowed and must
-    /// not reach for it); a block another task is loading is listed in
-    /// `sc.theirs` for the caller to wait on; the rest are this task's
-    /// misses, each marked in flight and given a reserved frame, then
-    /// loaded together ([`FileSystem::load_misses`]) and handed to
-    /// `sink` as they commit. The caller charges the copy cost.
+    /// it sits in its frame, with the frame's content stamp (`sink` runs
+    /// with the cache borrowed and must not reach for it); a block
+    /// another task is loading is listed in `sc.theirs` for the caller
+    /// to wait on; the rest are this task's misses, each marked in
+    /// flight and given a reserved frame, then loaded together
+    /// ([`FileSystem::load_misses`]) and handed to `sink` as they
+    /// commit. The caller charges the copy cost.
     async fn load_window(
         &self,
         ino: Ino,
         start: u64,
         len: u64,
         sc: &mut ReadScratch,
-        sink: &mut impl FnMut(u64, Option<&[u8]>),
+        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
     ) -> FsResult<()> {
         let mut load = cnp_obs::trace::SpanToken::NONE;
         for blk in start..start + len {
@@ -352,7 +356,7 @@ impl FileSystem {
             {
                 let mut cache = self.s.cache.borrow_mut();
                 if let Some(frame) = cache.lookup(key, self.s.handle.now()) {
-                    sink(blk, cache.data(frame));
+                    sink(blk, cache.data(frame), cache.content_stamp(frame));
                     drop(cache);
                     self.s.handle.trace_instant("cache:hit");
                     continue;
@@ -397,7 +401,7 @@ impl FileSystem {
         &self,
         ino: Ino,
         sc: &mut ReadScratch,
-        sink: &mut impl FnMut(u64, Option<&[u8]>),
+        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
     ) -> FsResult<()> {
         let ReadScratch { misses, runs, payloads, .. } = sc;
         let inode = self.get_inode_rc(ino).await?.borrow().clone();
@@ -463,7 +467,7 @@ impl FileSystem {
         ino: Ino,
         m: &mut Miss,
         data: Option<Vec<u8>>,
-        sink: &mut impl FnMut(u64, Option<&[u8]>),
+        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
     ) {
         let key = BlockKey::new(FileId(ino.0), m.blk);
         {
@@ -478,7 +482,7 @@ impl FileSystem {
                     resident
                 }
             };
-            sink(m.blk, cache.data(frame));
+            sink(m.blk, cache.data(frame), cache.content_stamp(frame));
         }
         m.done = true;
         self.s.inflight.borrow_mut().remove(&key);
@@ -486,15 +490,18 @@ impl FileSystem {
     }
 
     /// Writes one whole block through the cache (dirtying it); the dirty
-    /// block is attributed to `owner` for flush accounting.
+    /// block is attributed to `owner` for flush accounting. The payload
+    /// moves into the frame; only a write that finds NVRAM full copies
+    /// it back out before it parks, to apply the same bytes again.
     pub(super) async fn write_block_cached(
         &self,
         owner: u32,
         ino: Ino,
         blk: u64,
-        data: Option<Vec<u8>>,
+        mut data: Option<Vec<u8>>,
     ) -> FsResult<()> {
         let key = BlockKey::new(FileId(ino.0), blk);
+        let real = data.is_some();
         loop {
             let mut resident = self.s.cache.borrow().peek(key);
             if resident.is_none() {
@@ -506,12 +513,17 @@ impl FileSystem {
                 let mut cache = self.s.cache.borrow_mut();
                 resident = cache.peek(key);
                 match resident {
-                    None => cache.commit(frame, key, data.clone(), self.s.handle.now()),
+                    None => cache.commit(frame, key, data.take(), self.s.handle.now()),
                     Some(_) => cache.release_reserved(frame),
                 }
             }
-            if let (Some(frame), true) = (resident, data.is_some()) {
-                self.s.cache.borrow_mut().set_data(frame, data.clone());
+            if let (Some(frame), true) = (resident, real) {
+                let mut cache = self.s.cache.borrow_mut();
+                let old = cache.content_stamp(frame);
+                cache.set_data(frame, data.take());
+                if names::planted(Mutant::SetDataKeepsStamp) {
+                    self.s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
+                }
             }
             // Dirty it, honouring the NVRAM budget.
             let outcome = {
@@ -524,6 +536,11 @@ impl FileSystem {
                     return Ok(());
                 }
                 DirtyOutcome::NeedFlush(keys) => {
+                    if real {
+                        let cache = self.s.cache.borrow();
+                        let frame = cache.peek(key).expect("the block was just made resident");
+                        data = cache.data(frame).map(<[u8]>::to_vec);
+                    }
                     self.request_flush_and_wait(keys).await;
                 }
             }

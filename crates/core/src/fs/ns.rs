@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::{BlockKey, FileId};
-use cnp_layout::dir::{self, Dirent};
+use cnp_layout::dir::{self, Dirent, Renamed};
 use cnp_layout::{FileKind, Ino, Inode, LayoutError, StorageLayout, BLOCK_SIZE};
 
 use super::FileSystem;
@@ -36,8 +36,9 @@ impl FileSystem {
         // BadInode/NotFound.
         let (dir_ino, name) = self.resolve_parent(path).await?;
         let _ns = self.lock_ns(dir_ino, dir_ino).await;
-        let mut bytes = self.read_dir_bytes(dir_ino).await?;
-        if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
+        let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
+        let walked = dir::walk(&bytes, name).map_err(corrupt)?;
+        if walked.found.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
@@ -53,8 +54,8 @@ impl FileSystem {
             let g = self.lock_core().await;
             g.get_mut().put_inode(&inode).await?;
         }
-        dir::append(&mut bytes, ino, kind, name).map_err(FsError::BadPath)?;
-        self.write_dir_bytes(dir_ino, &bytes).await?;
+        walked.push(&mut bytes, ino, kind, name);
+        self.write_dir_bytes(dir_ino, bytes).await?;
         Ok(ino)
     }
 
@@ -68,8 +69,9 @@ impl FileSystem {
     async fn mkdir_inner(&self, path: &str) -> FsResult<Ino> {
         let (dir_ino, name) = self.resolve_parent(path).await?;
         let _ns = self.lock_ns(dir_ino, dir_ino).await;
-        let mut bytes = self.read_dir_bytes(dir_ino).await?;
-        if dir::lookup(&bytes, name).map_err(corrupt)?.is_some() {
+        let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
+        let walked = dir::walk(&bytes, name).map_err(corrupt)?;
+        if walked.found.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let inode = {
@@ -81,8 +83,8 @@ impl FileSystem {
         };
         let ino = inode.ino;
         self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode)));
-        dir::append(&mut bytes, ino, FileKind::Directory, name).map_err(FsError::BadPath)?;
-        self.write_dir_bytes(dir_ino, &bytes).await?;
+        walked.push(&mut bytes, ino, FileKind::Directory, name);
+        self.write_dir_bytes(dir_ino, bytes).await?;
         Ok(ino)
     }
 
@@ -90,7 +92,7 @@ impl FileSystem {
     pub async fn readdir(&self, path: &str) -> FsResult<Vec<Dirent>> {
         self.op_begin().await;
         let ino = self.resolve(path).await?;
-        self.scan_dir(ino, dir::decode).await
+        self.scan_dir(ino, path, |bytes, _| dir::decode(bytes)).await
     }
 
     /// Opens a file, bumping its open count; spawns the prefetch thread
@@ -153,14 +155,14 @@ impl FileSystem {
         self.s.stats.borrow_mut().deletes += 1;
         let (dir_ino, name) = self.resolve_parent(path).await?;
         let _ns = self.lock_ns(dir_ino, dir_ino).await;
-        let mut bytes = self.read_dir_bytes(dir_ino).await?;
+        let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
         let (ino, kind) = dir::remove(&mut bytes, name)
             .map_err(corrupt)?
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
         if kind == FileKind::Directory {
             return Err(FsError::IsADirectory(path.to_string()));
         }
-        self.write_dir_bytes(dir_ino, &bytes).await?;
+        self.write_dir_bytes(dir_ino, bytes).await?;
         let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
         self.s.inodes.borrow_mut().remove(&ino);
@@ -184,10 +186,9 @@ impl FileSystem {
         loop {
             let (victim, _) = self.lookup_in(dir_ino, name, path).await?;
             let _ns = self.lock_ns(dir_ino, victim).await;
-            let mut bytes = self.read_dir_bytes(dir_ino).await?;
-            let (ino, kind) = dir::lookup(&bytes, name)
-                .map_err(corrupt)?
-                .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
+            let walked = dir::walk(&bytes, name).map_err(corrupt)?;
+            let (ino, kind) = walked.target().ok_or_else(|| FsError::NotFound(path.to_string()))?;
             if ino != victim {
                 // Raced: the name now points at a different inode, so
                 // the held victim stripe is the wrong one. Re-probe.
@@ -196,15 +197,16 @@ impl FileSystem {
             if kind != FileKind::Directory {
                 return Err(FsError::NotADirectory(path.to_string()));
             }
-            let count = |b: &[u8]| dir::entries(b).try_fold(0usize, |n, e| e.map(|_| n + 1));
-            if self.scan_dir(ino, count).await? != 0 {
+            // A listing that ends where it starts holds no entry.
+            if self.scan_dir(ino, path, |bytes, _| dir::scan(bytes, |_| {})).await? != 0 {
                 return Err(FsError::NotEmpty(path.to_string()));
             }
-            dir::remove(&mut bytes, name).map_err(corrupt)?;
-            self.write_dir_bytes(dir_ino, &bytes).await?;
+            walked.cut(&mut bytes);
+            self.write_dir_bytes(dir_ino, bytes).await?;
             let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
             self.s.inodes.borrow_mut().remove(&ino);
+            self.s.names.borrow_mut().forget(ino);
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
             g.get_mut().free_inode(ino).await?;
@@ -218,17 +220,17 @@ impl FileSystem {
         let (from_dir, from_name) = self.resolve_parent(from).await?;
         let (to_dir, to_name) = self.resolve_parent(to).await?;
         let _ns = self.lock_ns(from_dir, to_dir).await;
-        let mut from_bytes = self.read_dir_bytes(from_dir).await?;
-        let (ino, kind) = dir::remove(&mut from_bytes, from_name)
-            .map_err(corrupt)?
-            .ok_or_else(|| FsError::NotFound(from.to_string()))?;
+        let mut from_bytes = self.read_dir_bytes(from_dir, from).await?;
         if from_dir == to_dir {
-            if dir::lookup(&from_bytes, to_name).map_err(corrupt)?.is_some() {
-                return Err(FsError::Exists(to.to_string()));
+            match dir::rename(&mut from_bytes, from_name, to_name).map_err(corrupt)? {
+                Renamed::Moved => self.write_dir_bytes(from_dir, from_bytes).await?,
+                Renamed::Missing => return Err(FsError::NotFound(from.to_string())),
+                Renamed::Taken => return Err(FsError::Exists(to.to_string())),
             }
-            dir::append(&mut from_bytes, ino, kind, to_name).map_err(FsError::BadPath)?;
-            self.write_dir_bytes(from_dir, &from_bytes).await?;
         } else {
+            let (ino, kind) = dir::remove(&mut from_bytes, from_name)
+                .map_err(corrupt)?
+                .ok_or_else(|| FsError::NotFound(from.to_string()))?;
             if kind == FileKind::Directory {
                 // A directory moved below itself would leave the root
                 // as a cycle nothing reaches. No entry records its
@@ -245,13 +247,14 @@ impl FileSystem {
                     }
                 }
             }
-            let mut to_bytes = self.read_dir_bytes(to_dir).await?;
-            if dir::lookup(&to_bytes, to_name).map_err(corrupt)?.is_some() {
+            let mut to_bytes = self.read_dir_bytes(to_dir, to).await?;
+            let walked = dir::walk(&to_bytes, to_name).map_err(corrupt)?;
+            if walked.found.is_some() {
                 return Err(FsError::Exists(to.to_string()));
             }
-            dir::append(&mut to_bytes, ino, kind, to_name).map_err(FsError::BadPath)?;
-            self.write_dir_bytes(from_dir, &from_bytes).await?;
-            self.write_dir_bytes(to_dir, &to_bytes).await?;
+            walked.push(&mut to_bytes, ino, kind, to_name);
+            self.write_dir_bytes(from_dir, from_bytes).await?;
+            self.write_dir_bytes(to_dir, to_bytes).await?;
         }
         Ok(())
     }
@@ -261,7 +264,7 @@ impl FileSystem {
         let ino = self.create(path, FileKind::Symlink).await?;
         // Symlink targets are metadata: always real. `write` drops the
         // bytes off-line, so the target takes the directory content path.
-        self.write_dir_bytes(ino, target.as_bytes()).await?;
+        self.write_dir_bytes(ino, target.as_bytes().to_vec()).await?;
         Ok(ino)
     }
 
@@ -277,14 +280,12 @@ impl FileSystem {
         if kind != FileKind::Symlink {
             return Err(FsError::BadPath(path.to_string()));
         }
-        let data = self.read_block_cached(ino, 0).await?;
-        match data {
-            Some(bytes) => {
-                let target = &bytes[..(size as usize).min(bytes.len())];
-                String::from_utf8(target.to_vec()).map_err(|e| FsError::BadPath(e.to_string()))
-            }
-            None => Err(FsError::BadPath("symlink content unavailable".into())),
-        }
+        let target = |data: Option<&[u8]>, _| {
+            let bytes = data.ok_or_else(|| "symlink content unavailable".to_string())?;
+            let target = std::str::from_utf8(&bytes[..(size as usize).min(bytes.len())]);
+            target.map(str::to_string).map_err(|e| e.to_string())
+        };
+        self.read_block_with(ino, 0, target).await?.map_err(FsError::BadPath)
     }
 
     // ----- Internals -----
@@ -318,19 +319,24 @@ impl FileSystem {
     }
 
     /// Looks `name` up in directory `dir`; `path` names the walk in the
-    /// `NotFound` error.
+    /// errors. A single-block directory is looked up where it sits in
+    /// its cache frame, through the name memo, which knows bytes it has
+    /// validated before by the frame's content stamp.
     async fn lookup_in(&self, dir: Ino, name: &str, path: &str) -> FsResult<(Ino, FileKind)> {
-        self.scan_dir(dir, |b| dir::lookup(b, name))
-            .await?
-            .ok_or_else(|| FsError::NotFound(path.to_string()))
+        let look = |bytes: &[u8], stamp: Option<u64>| match stamp {
+            Some(stamp) => self.s.names.borrow_mut().lookup(dir, stamp, bytes, name),
+            None => dir::lookup(bytes, name),
+        };
+        self.scan_dir(dir, path, look).await?.ok_or_else(|| FsError::NotFound(path.to_string()))
     }
 
-    /// Size in bytes of directory `ino`'s packed content.
-    async fn dir_size(&self, ino: Ino) -> FsResult<usize> {
+    /// Size in bytes of directory `ino`'s packed content; `path` names
+    /// the walk that expected a directory there.
+    async fn dir_size(&self, ino: Ino, path: &str) -> FsResult<usize> {
         let rc = self.get_inode_rc(ino).await?;
         let inode = rc.borrow();
         if inode.kind != FileKind::Directory {
-            return Err(FsError::NotADirectory(format!("{ino}")));
+            return Err(FsError::NotADirectory(path.to_string()));
         }
         Ok(inode.size as usize)
     }
@@ -345,7 +351,7 @@ impl FileSystem {
         let blocks = size.div_ceil(bs);
         let mut bytes = Vec::with_capacity(blocks * bs);
         for blk in 0..blocks as u64 {
-            self.read_block_with(ino, blk, |data| data.map(|d| bytes.extend_from_slice(d)))
+            self.read_block_with(ino, blk, |data, _| data.map(|d| bytes.extend_from_slice(d)))
                 .await?
                 .ok_or_else(dir_data_unavailable)?;
         }
@@ -354,36 +360,44 @@ impl FileSystem {
     }
 
     /// Reads a directory's packed content for a read-modify-write; the
-    /// `dir::` call the caller makes on it validates every entry.
-    async fn read_dir_bytes(&self, ino: Ino) -> FsResult<Vec<u8>> {
-        let size = self.dir_size(ino).await?;
+    /// `dir::` call the caller makes on it validates every entry, and
+    /// the buffer goes on to [`FileSystem::write_dir_bytes`].
+    async fn read_dir_bytes(&self, ino: Ino, path: &str) -> FsResult<Vec<u8>> {
+        let size = self.dir_size(ino, path).await?;
         self.gather_dir(ino, size).await
     }
 
     /// Runs `scan` over a directory's packed content without keeping
     /// it: a single-block directory is scanned where it sits in its
-    /// cache frame, a longer one in a gathered copy.
-    async fn scan_dir<T>(
+    /// cache frame, and `scan` is told the frame's content stamp; a
+    /// longer one in a gathered copy, which has none.
+    pub(super) async fn scan_dir<T>(
         &self,
         ino: Ino,
-        scan: impl FnOnce(&[u8]) -> Result<T, String>,
+        path: &str,
+        scan: impl FnOnce(&[u8], Option<u64>) -> Result<T, String>,
     ) -> FsResult<T> {
-        let size = self.dir_size(ino).await?;
+        let size = self.dir_size(ino, path).await?;
         let scanned = if size > 0 && size <= BLOCK_SIZE as usize {
-            self.read_block_with(ino, 0, |data| data.map(|d| scan(&d[..size.min(d.len())])))
-                .await?
-                .ok_or_else(dir_data_unavailable)?
+            let in_frame = |data: Option<&[u8]>, stamp| {
+                data.map(|d| scan(&d[..size.min(d.len())], Some(stamp)))
+            };
+            self.read_block_with(ino, 0, in_frame).await?.ok_or_else(dir_data_unavailable)?
         } else {
-            scan(&self.gather_dir(ino, size).await?)
+            scan(&self.gather_dir(ino, size).await?, None)
         };
         scanned.map_err(corrupt)
     }
 
-    async fn write_dir_bytes(&self, ino: Ino, bytes: &[u8]) -> FsResult<()> {
+    /// Writes `bytes` as directory `ino`'s whole content. A content of
+    /// one block is padded where it is and moves into the cache frame;
+    /// a longer one is cut into a buffer a block.
+    async fn write_dir_bytes(&self, ino: Ino, mut bytes: Vec<u8>) -> FsResult<()> {
         let rc = self.get_inode_rc(ino).await?;
         let old_blocks = rc.borrow().blocks();
         let bs = BLOCK_SIZE as usize;
-        let new_blocks = bytes.len().div_ceil(bs) as u64;
+        let size = bytes.len();
+        let new_blocks = size.div_ceil(bs) as u64;
         // Extend the size *before* dirtying any block — the directory
         // twin of the stale-size write race: a mid-update NVRAM
         // pressure flush (e.g. another client's) snapshots the inode
@@ -391,20 +405,24 @@ impl FileSystem {
         // stale size makes the acked dirent durable but unreachable
         // after a crash (found by cnp-check's crash-point enumeration
         // on the zipf multi-client workload).
-        if bytes.len() as u64 > rc.borrow().size {
-            rc.borrow_mut().size = bytes.len() as u64;
+        if size as u64 > rc.borrow().size {
+            rc.borrow_mut().size = size as u64;
         }
-        for blk in 0..new_blocks {
-            let lo = blk as usize * bs;
-            let hi = (lo + bs).min(bytes.len());
-            let mut block = vec![0u8; bs];
-            block[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-            // Directory content is metadata: always real bytes.
-            self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk, Some(block)).await?;
+        // Directory content is metadata: always real bytes.
+        if new_blocks == 1 {
+            bytes.resize(bs, 0);
+            self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, 0, Some(bytes)).await?;
+        } else {
+            for (blk, chunk) in bytes.chunks(bs).enumerate() {
+                let mut block = vec![0u8; bs];
+                block[..chunk.len()].copy_from_slice(chunk);
+                self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk as u64, Some(block))
+                    .await?;
+            }
         }
         {
             let mut inode = rc.borrow_mut();
-            inode.size = bytes.len() as u64;
+            inode.size = size as u64;
             inode.mtime = self.s.handle.now().as_nanos();
         }
         for blk in new_blocks..old_blocks {

@@ -3,11 +3,12 @@
 //! One record is `ino:u64 kind:u8 name_len:u16 name` (little-endian,
 //! 11 + `name_len` bytes); records follow each other with no gaps, and a
 //! zero inode number — or fewer than 11 remaining bytes — ends the
-//! listing. [`entries`] is the only parser and [`lookup`], [`append`]
-//! and [`remove`] work on the packed bytes directly, so the name path
-//! never builds a listing to move one entry; [`decode`] and [`encode`]
-//! are the whole-listing form, kept for `readdir` and as the
-//! specification the packed operations are tested against.
+//! listing. [`scan`] is the one reader on the name path: it validates
+//! every record where it lies and borrows nothing but bytes, and
+//! [`lookup`], [`append`] and [`remove`] are built on it, so the name
+//! path never builds a listing to move one entry. [`entries`],
+//! [`decode`] and [`encode`] are the whole-listing form, kept for
+//! `readdir` and as the specification the walker is tested against.
 
 use crate::types::codec::{get_u16, get_u64, put_u16, put_u64};
 use crate::types::{FileKind, Ino};
@@ -37,13 +38,14 @@ pub struct Entries<'a> {
 }
 
 /// Parses packed directory bytes entry by entry, borrowing each name
-/// from `buf`. Trailing zero padding and a tail too short to hold a
-/// record end the listing; a malformed record yields one `Err` and then
-/// nothing more.
+/// from `buf` as a `&str`. Trailing zero padding and a tail too short
+/// to hold a record end the listing; a malformed record yields one
+/// `Err` and then nothing more.
 pub fn entries(buf: &[u8]) -> Entries<'_> {
     Entries { buf, pos: 0 }
 }
 
+#[cfg(test)]
 impl Entries<'_> {
     /// Byte offset of the next unparsed record: once the iterator is
     /// exhausted without an error, where the listing ends.
@@ -116,35 +118,138 @@ pub fn decode(buf: &[u8]) -> Result<Vec<Dirent>, String> {
         .collect()
 }
 
-/// Looks `name` up in packed directory bytes: the first entry carrying
-/// it, if any. Every entry is validated, also those after the match, so
-/// a corrupt directory reads as corrupt whichever name is asked for.
-pub fn lookup(buf: &[u8], name: &str) -> Result<Option<(Ino, FileKind)>, String> {
-    let mut found = None;
-    for e in entries(buf) {
-        let (ino, kind, n) = e?;
-        if found.is_none() && n == name {
-            found = Some((ino, kind));
+/// One record as [`scan`] hands it out: validated, its name still the
+/// bytes in the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
+    /// Byte offset of the record in the scanned buffer.
+    pub at: usize,
+    /// Target inode.
+    pub ino: Ino,
+    /// Entry file type.
+    pub kind: FileKind,
+    /// Name bytes (checked to be UTF-8).
+    pub name: &'a [u8],
+}
+
+impl Record<'_> {
+    /// Byte offset just behind the record.
+    pub fn end(&self) -> usize {
+        self.at + HEADER + self.name.len()
+    }
+}
+
+/// Reads and validates the record at byte `at` of `buf`, as
+/// [`entries`] would on reaching it: `None` where the listing ends, the
+/// same error string for the same first fault. The name is compared to
+/// nothing and converted to nothing; only a name with a byte above 0x7f
+/// is run through the UTF-8 check.
+#[inline]
+pub fn record_at(buf: &[u8], at: usize) -> Option<Result<Record<'_>, String>> {
+    let rec = buf.get(at..).filter(|rec| rec.len() >= HEADER)?;
+    let ino = get_u64(rec, 0);
+    if ino == 0 {
+        return None; // Zero padding marks the end.
+    }
+    let Some(kind) = FileKind::from_tag(rec[8]) else {
+        return Some(Err(format!("bad kind {}", rec[8])));
+    };
+    let nlen = get_u16(rec, 9) as usize;
+    if nlen == 0 || nlen > MAX_NAME || rec.len() < HEADER + nlen {
+        return Some(Err(format!("bad name length {nlen}")));
+    }
+    let name = &rec[HEADER..HEADER + nlen];
+    if !name.is_ascii() {
+        if let Err(e) = std::str::from_utf8(name) {
+            return Some(Err(e.to_string()));
         }
     }
-    Ok(found)
+    Some(Ok(Record { at, ino: Ino(ino), kind, name }))
+}
+
+/// The validating walker: visits every record of packed directory
+/// bytes in listing order and returns the byte offset where the listing
+/// ends, or the first malformed record's error. The one reader of
+/// directory bytes on the name path — [`lookup`], [`append`] and
+/// [`remove`] are built on it — checked record for record against
+/// [`entries`], which stays as the specification.
+#[inline]
+pub fn scan<'a>(buf: &'a [u8], mut visit: impl FnMut(Record<'a>)) -> Result<usize, String> {
+    let mut at = 0;
+    while let Some(rec) = record_at(buf, at) {
+        let rec = rec?;
+        at = rec.end();
+        visit(rec);
+    }
+    Ok(at)
+}
+
+/// What one walk for a name found; see [`walk`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Walk {
+    /// The first entry carrying the name: the byte range of its record
+    /// and what it points at.
+    pub found: Option<(std::ops::Range<usize>, Ino, FileKind)>,
+    /// Byte offset where the listing ends: behind the last entry,
+    /// before any padding or short tail.
+    pub end: usize,
+}
+
+/// Walks packed directory bytes for `name`. Every entry is validated,
+/// also those after the match, so a corrupt directory reads as corrupt
+/// whichever name is asked for.
+pub fn walk(buf: &[u8], name: &str) -> Result<Walk, String> {
+    let mut found = None;
+    let end = scan(buf, |rec| {
+        if found.is_none() && rec.name == name.as_bytes() {
+            found = Some((rec.at..rec.end(), rec.ino, rec.kind));
+        }
+    })?;
+    Ok(Walk { found, end })
+}
+
+impl Walk {
+    /// What the found entry points at.
+    pub fn target(&self) -> Option<(Ino, FileKind)> {
+        self.found.as_ref().map(|&(_, ino, kind)| (ino, kind))
+    }
+
+    /// Adds an entry where the walked listing ends, dropping any
+    /// padding or short tail behind the last entry. `buf` must be the
+    /// bytes walked, and the walk must not have found `name`.
+    pub fn push(&self, buf: &mut Vec<u8>, ino: Ino, kind: FileKind, name: &str) {
+        debug_assert!(self.found.is_none());
+        buf.truncate(self.end);
+        push_record(buf, ino, kind, name);
+    }
+
+    /// Takes the found entry out of `buf` (the bytes walked), keeping
+    /// the order of the others and dropping any padding or short tail
+    /// behind the last entry; returns what the entry pointed at.
+    pub fn cut(self, buf: &mut Vec<u8>) -> Option<(Ino, FileKind)> {
+        buf.truncate(self.end);
+        self.found.map(|(record, ino, kind)| {
+            buf.drain(record);
+            (ino, kind)
+        })
+    }
+}
+
+/// Looks `name` up in packed directory bytes: the first entry carrying
+/// it, if any (see [`walk`]).
+pub fn lookup(buf: &[u8], name: &str) -> Result<Option<(Ino, FileKind)>, String> {
+    walk(buf, name).map(|w| w.target())
 }
 
 /// Adds an entry at the end of packed directory bytes, dropping any
 /// padding or short tail behind the last entry; fails, leaving `buf`
 /// untouched, if the bytes are corrupt or the name exists.
 pub fn append(buf: &mut Vec<u8>, ino: Ino, kind: FileKind, name: &str) -> Result<(), String> {
-    let mut it = entries(buf);
-    let mut exists = false;
-    for e in it.by_ref() {
-        exists |= e?.2 == name;
-    }
-    if exists {
+    let walked = walk(buf, name)?;
+    if walked.found.is_some() {
         return Err(format!("entry {name} exists"));
     }
-    let end = it.offset();
-    buf.truncate(end);
-    push_record(buf, ino, kind, name);
+    walked.push(buf, ino, kind, name);
     Ok(())
 }
 
@@ -154,22 +259,42 @@ pub fn append(buf: &mut Vec<u8>, ino: Ino, kind: FileKind, name: &str) -> Result
 /// `None` if no entry has the name. Fails, leaving `buf` untouched, if
 /// the bytes are corrupt.
 pub fn remove(buf: &mut Vec<u8>, name: &str) -> Result<Option<(Ino, FileKind)>, String> {
-    let mut it = entries(buf);
-    let mut found = None;
-    loop {
-        let start = it.offset();
-        let Some(e) = it.next() else { break };
-        let (ino, kind, n) = e?;
-        if found.is_none() && n == name {
-            found = Some((start..it.offset(), ino, kind));
+    Ok(walk(buf, name)?.cut(buf))
+}
+
+/// How [`rename`] went.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Renamed {
+    /// The entry now carries the new name, at the end of the listing.
+    Moved,
+    /// No entry carries the old name; `buf` is untouched.
+    Missing,
+    /// Another entry carries the new name; `buf` is untouched.
+    Taken,
+}
+
+/// Renames within one listing, in one walk: what [`remove`] of `from`,
+/// a [`lookup`] of `to` in what is left and an [`append`] of it do. The
+/// first entry named `from` leaves its place and joins at the end as
+/// `to` (also when the two names are equal). Fails, leaving `buf`
+/// untouched, if the bytes are corrupt.
+pub fn rename(buf: &mut Vec<u8>, from: &str, to: &str) -> Result<Renamed, String> {
+    let (mut moved, mut taken) = (None, false);
+    let end = scan(buf, |rec| {
+        if moved.is_none() && rec.name == from.as_bytes() {
+            moved = Some((rec.at..rec.end(), rec.ino, rec.kind));
+        } else if rec.name == to.as_bytes() {
+            taken = true;
         }
+    })?;
+    let Some((record, ino, kind)) = moved else { return Ok(Renamed::Missing) };
+    if taken {
+        return Ok(Renamed::Taken);
     }
-    let end = it.offset();
     buf.truncate(end);
-    Ok(found.map(|(record, ino, kind)| {
-        buf.drain(record);
-        (ino, kind)
-    }))
+    buf.drain(record);
+    push_record(buf, ino, kind, to);
+    Ok(Renamed::Moved)
 }
 
 /// Validates a file name for directory insertion.
@@ -206,10 +331,37 @@ mod tests {
         entries.iter().find(|x| x.name == name)
     }
 
-    /// Checks the three packed operations against the model on one
-    /// buffer and one name: same value or same error string, and after
-    /// a successful mutation the same bytes.
+    /// [`walk`] as the specification has it: an [`Entries`] walk that
+    /// notes where the first match starts and stops.
+    fn walk_by_entries(buf: &[u8], name: &str) -> Result<Walk, String> {
+        let mut it = entries(buf);
+        let mut found = None;
+        loop {
+            let start = it.offset();
+            let Some(e) = it.next() else { break };
+            let (ino, kind, n) = e?;
+            if found.is_none() && n == name {
+                found = Some((start..it.offset(), ino, kind));
+            }
+        }
+        Ok(Walk { found, end: it.offset() })
+    }
+
+    /// Checks the walker and the three packed operations against the
+    /// model on one buffer and one name: same value or same error
+    /// string, and after a successful mutation the same bytes.
     fn check_against_model(buf: &[u8], name: &str) {
+        assert_eq!(walk(buf, name), walk_by_entries(buf, name), "walk for {name:?} in {buf:?}");
+        let mut visited = Vec::new();
+        let scanned = scan(buf, |rec| visited.push(rec));
+        let listed: Vec<_> = entries(buf).map_while(Result::ok).collect();
+        assert_eq!(visited.len(), listed.len(), "records visited in {buf:?}");
+        for (rec, &(ino, kind, n)) in visited.iter().zip(&listed) {
+            assert_eq!((rec.ino, rec.kind, rec.name), (ino, kind, n.as_bytes()));
+            assert_eq!(record_at(buf, rec.at), Some(Ok(*rec)), "record at {} of {buf:?}", rec.at);
+        }
+        assert_eq!(scanned.map(|_| ()), decode(buf).map(|_| ()), "scan of {buf:?}");
+
         let model = decode(buf);
         let want = model.clone().map(|v| find(&v, name).map(|d| (d.ino, d.kind)));
         assert_eq!(lookup(buf, name), want, "lookup {name:?} in {buf:?}");
@@ -239,6 +391,20 @@ mod tests {
                 assert_eq!(got, buf, "a failed remove must not touch the bytes");
             }
         }
+
+        for to in [name, "a", "é", "zz"] {
+            let want = decode(buf).map(|mut v| match remove_entry(&mut v, name) {
+                None => (Renamed::Missing, buf.to_vec()),
+                Some(_) if find(&v, to).is_some() => (Renamed::Taken, buf.to_vec()),
+                Some(d) => {
+                    v.push(Dirent { name: to.into(), ..d });
+                    (Renamed::Moved, encode(&v))
+                }
+            });
+            let mut got = buf.to_vec();
+            let how = rename(&mut got, name, to);
+            assert_eq!(how.map(|how| (how, got)), want, "rename {name:?} to {to:?} in {buf:?}");
+        }
     }
 
     /// Damages packed bytes the ways a torn or scribbled-on directory
@@ -263,8 +429,13 @@ mod tests {
             (2, Some(r)) => put_u16(buf, r + 9, 0),
             (3, Some(r)) => put_u16(buf, r + 9, MAX_NAME as u16 + 1 + byte as u16),
             (4, Some(r)) => buf[r + 8] = 4 + byte % 252,
-            // Invalid UTF-8 in a name: before, at or after any match.
+            // Invalid UTF-8 in a name, at its first byte or (a lead byte
+            // nothing follows) its last: before, at or after any match.
             (5, Some(r)) => buf[r + HEADER] = 0xff,
+            (9, Some(r)) => {
+                let last = r + HEADER + get_u16(buf, r + 9) as usize - 1;
+                buf[last] = 0xc3;
+            }
             (6, _) => buf.resize(buf.len() + 1 + at % 64, 0),
             // A 1–10 byte tail, too short to hold a record.
             (7, _) => buf.extend(std::iter::repeat_n(byte | 1, 1 + at % 10)),
@@ -279,13 +450,15 @@ mod tests {
     proptest! {
         /// The packed operations agree with decode → model → encode on
         /// well-formed and damaged listings alike. Names come from a
-        /// small alphabet so probes hit, miss and collide.
+        /// small alphabet, one letter of it not ASCII, so probes hit,
+        /// miss and collide and the UTF-8 check runs on some names and
+        /// is skipped on others.
         #[test]
         fn packed_ops_match_the_listing_model(
-            names in prop::collection::vec("[abc]{1,3}", 0..12),
-            probe in "[abc]{1,3}",
+            names in prop::collection::vec("[abé]{1,3}", 0..12),
+            probe in "[abé]{1,3}",
             pick in 0usize..64,
-            how in 0u8..9,
+            how in 0u8..10,
             at in 0usize..4096,
             byte in 0u8..255,
         ) {
@@ -310,7 +483,7 @@ mod tests {
         #[test]
         fn packed_ops_match_the_listing_model_on_noise(
             noise in prop::collection::vec(0u8..255, 0..96),
-            probe in "[abc]{1,3}",
+            probe in "[abé]{1,3}",
         ) {
             check_against_model(&noise, &probe);
         }
@@ -358,6 +531,35 @@ mod tests {
         buf[last] = 0xff;
         assert!(lookup(&buf, "a").is_err(), "corruption behind the match must still surface");
         assert_eq!(lookup(&buf, "a"), decode(&buf).map(|_| None));
+    }
+
+    #[test]
+    fn the_walker_checks_utf8_where_entries_does_before_at_and_after_the_match() {
+        for at in 0..3 {
+            // A name that is not ASCII but is UTF-8: before the match,
+            // the match itself, and after it.
+            let mut names = ["a", "b", "c"];
+            names[at] = "é";
+            let listing: Vec<Dirent> = (0..3).map(|i| e(i as u64 + 2, names[i])).collect();
+            let good = encode(&listing);
+            for probe in ["a", "b", "c", "é", "e"] {
+                check_against_model(&good, probe);
+            }
+            assert_eq!(
+                walk(&good, "é").unwrap().target(),
+                Some((Ino(at as u64 + 2), FileKind::Regular))
+            );
+            // The same record with a lead byte nothing follows: every
+            // probe reads the directory as corrupt, with `entries`' words.
+            let mut bad = good.clone();
+            let start: usize = names[..at].iter().map(|n| HEADER + n.len()).sum();
+            bad[start + HEADER + 1] = b'x';
+            for probe in ["a", "b", "c", "é"] {
+                check_against_model(&bad, probe);
+                let err = walk(&bad, probe).unwrap_err();
+                assert!(err.starts_with("invalid utf-8 sequence"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl Inode {
     }
 
     /// Serializes to exactly [`INODE_SIZE`] bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; INODE_SIZE];
+    pub fn to_bytes(&self) -> [u8; INODE_SIZE] {
+        let mut buf = [0u8; INODE_SIZE];
         put_u32(&mut buf, 0, MAGIC);
         buf[4] = self.kind.tag();
         put_u64(&mut buf, 8, self.ino.0);

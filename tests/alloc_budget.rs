@@ -5,7 +5,10 @@
 //! *blocks* its directory spans, never on how many *entries* it holds.
 //! A lookup scans the packed bytes where they sit (one gathered copy if
 //! the directory spans several blocks); a create or unlink moves one
-//! record in one gathered copy. Nothing builds a listing.
+//! record in one gathered copy, and that copy is the buffer that moves
+//! into the cache frame. Nothing builds a listing, and a single-block
+//! directory nobody rewrites is validated twice and then looked up in
+//! place for nothing.
 //!
 //! The block cache: what a flush pick allocates depends on what it
 //! *picks*, never on how much is *dirty*; committing a simulated block
@@ -33,20 +36,25 @@ use cut_and_paste::disk::{
     compose_device, sim_disk_driver, store_sectors, CLook, DiskClient, DiskDriver, DiskImage,
     DiskModel, DiskOpts, FaultPlan, Hp97560, Payload, ScsiBus,
 };
-use cut_and_paste::layout::{FileKind, Ino, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
+use cut_and_paste::layout::{FileKind, Ino, Inode, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
 use cut_and_paste::sim::{Handle, Sim, SimDuration, SimTime};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
     // inside the allocator never allocates and never finds it torn down.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Those of them that asked for exactly one file-system block.
+    static BLOCK_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `System`, plus a per-thread count of allocations (a regrow counts).
 struct Counting;
 
-fn count() {
+fn count(size: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    if size == BLOCK_SIZE as usize {
+        BLOCK_ALLOCS.with(|c| c.set(c.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -54,19 +62,19 @@ fn count() {
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: MemLayout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's `layout` obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: MemLayout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: MemLayout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr`/`layout` came from this allocator, i.e. from
         // `System`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -83,6 +91,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn block_allocs() -> u64 {
+    BLOCK_ALLOCS.with(Cell::get)
 }
 
 /// Fewest allocations `op` makes over a few runs: the floor leaves out
@@ -167,6 +179,62 @@ fn name_path_cost_follows_blocks_not_entries() {
         );
         fs.shutdown();
     });
+}
+
+#[test]
+fn an_unchanged_directory_is_looked_up_in_place_and_a_rewrite_keeps_one_buffer() {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
+    let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
+    let fs = FileSystem::new(&h, layout, FsConfig::default());
+    sim.block_on("alloc-budget", async move {
+        fs.format().await.unwrap();
+        let names: Vec<String> = (0..16).map(|i| format!("file{i:04}")).collect();
+        assert_eq!(populate(&fs, "/small", &names).await, 1);
+        assert_eq!(fs.stat("/").await.unwrap().size.div_ceil(BLOCK_SIZE as u64), 1);
+
+        // A lookup through two single-block directories nobody is
+        // rewriting: the first call walks them, the second walks them
+        // again and keeps an index, and from the third on nothing is
+        // allocated, whether the name is there or not.
+        let mut per_call = Vec::new();
+        for _ in 0..6 {
+            let before = allocs();
+            fs.lookup("/small/file0007").await.unwrap();
+            fs.lookup("/small/no-such-file").await.unwrap_err();
+            per_call.push(allocs() - before);
+        }
+        // One `String` in the `NotFound` of the missing name.
+        assert_eq!(per_call[2..], [1; 4], "lookups of unchanged directories: {per_call:?}");
+
+        // A create in a single-block directory: the block-sized buffers
+        // it asks for are the gathered copy of the directory, which
+        // then moves into the cache frame, and nothing else; an unlink
+        // likewise.
+        let mut create = u64::MAX;
+        let mut unlink = u64::MAX;
+        for _ in 0..5 {
+            let before = block_allocs();
+            fs.create("/small/one-more", FileKind::Regular).await.unwrap();
+            create = create.min(block_allocs() - before);
+            let before = block_allocs();
+            fs.unlink("/small/one-more").await.unwrap();
+            unlink = unlink.min(block_allocs() - before);
+        }
+        assert_eq!((create, unlink), (1, 1), "block-sized buffers of a create and of an unlink");
+        fs.shutdown();
+    });
+}
+
+#[test]
+fn serializing_an_inode_allocates_nothing() {
+    let mut inode = Inode::new(Ino(9), FileKind::Directory);
+    (inode.size, inode.nlink, inode.mtime) = (12_345, 2, 678);
+    let before = allocs();
+    let bytes = inode.to_bytes();
+    assert_eq!(allocs() - before, 0);
+    assert_eq!(Inode::from_bytes(&bytes), Some(inode));
 }
 
 /// A cache of `dirty + 1` frames whose NVRAM holds `dirty` blocks, all
