@@ -52,9 +52,8 @@ struct Frame {
     key: BlockKey,
     state: BlockState,
     access_count: u64,
-    /// The last `history_len` access times, newest last.
+    /// The last `min(access_count, HISTORY)` access times, newest last.
     history: [SimTime; HISTORY],
-    history_len: usize,
     /// Real block bytes on-line; `None` for simulated user data.
     data: Option<Vec<u8>>,
     /// Names what `data` holds: drawn from the cache's one counter
@@ -65,6 +64,13 @@ struct Frame {
     /// Client that last dirtied this block ([`UNATTRIBUTED`] when no
     /// client claimed it); flush work is attributed to this owner.
     owner: u32,
+    /// Dirtying stamp (valid while `Dirty`): the frame's position in the
+    /// age order without walking it — what sorts one file's dirty blocks
+    /// oldest first.
+    seq: u64,
+    /// Consecutive failed flushes since the block was committed, last
+    /// written or given up ([`BlockCache::fail_flush`]).
+    failed_flushes: u8,
 }
 
 impl Frame {
@@ -74,16 +80,21 @@ impl Frame {
             state: BlockState::Clean,
             access_count: 0,
             history: [SimTime::ZERO; HISTORY],
-            history_len: 0,
             data,
             content,
             redirtied: false,
             owner: UNATTRIBUTED,
+            seq: 0,
+            failed_flushes: 0,
         }
     }
 
+    fn history_len(&self) -> usize {
+        self.access_count.min(HISTORY as u64) as usize
+    }
+
     fn meta(&self, now: SimTime) -> AccessMeta<'_> {
-        AccessMeta { now, count: self.access_count, history: &self.history[..self.history_len] }
+        AccessMeta { now, count: self.access_count, history: &self.history[..self.history_len()] }
     }
 }
 
@@ -179,10 +190,11 @@ pub enum DirtyOutcome {
 /// front of that list that stops when it has its pick, so a pick costs
 /// what it picks, not what is dirty.
 ///
-/// Two indexes name the resident blocks: a hash map for point lookups,
-/// and `by_file` in `(file, block)` order for everything that *walks*
-/// — one file's blocks, the crash snapshot. Nothing iterates the hash
-/// map, so its order (and its hasher) can reach no output.
+/// One index names the resident blocks: a hash map from file to that
+/// file's `(block, frame)` list in ascending block order, so a point
+/// operation is one hash and a binary search and one file's blocks are a
+/// slice. Only the crash snapshot iterates the map, through a sorted
+/// list of its keys, so its order (and its hasher) can reach no output.
 ///
 /// The cache is not sharded: it lives in one `RefCell` on one thread,
 /// and the frame pool, the replacement order, the age order and the
@@ -192,12 +204,11 @@ pub enum DirtyOutcome {
 pub struct BlockCache {
     cfg: CacheConfig,
     frames: Vec<Frame>,
-    /// Resident map: key → frame. Point lookups only, never iterated.
-    map: HashMap<BlockKey, u32, FixedState>,
-    /// The same entries in `(file, block)` order — the per-file block
-    /// index. `map_insert` and `map_remove` are the only writers of
-    /// either, so the two always hold the same key set.
-    by_file: BTreeMap<BlockKey, u32>,
+    /// The resident blocks: each file's `(block, frame)` pairs in
+    /// ascending block order, never empty (a file whose last block
+    /// leaves is removed). `commit`, `index_remove` and `remove_file`
+    /// (which takes a file whole) are its only writers.
+    files: HashMap<FileId, Vec<(u64, u32)>, FixedState>,
     free: Vec<u32>,
     clean: Box<dyn ReplacementPolicy>,
     /// Dirty frames in dirtying order, oldest first. A frame joins at
@@ -205,10 +216,7 @@ pub struct BlockCache {
     /// completing in `end_flush`) and leaves when it turns `Flushing`
     /// or is dropped.
     dirty: FrameList,
-    /// Each frame's dirtying stamp (valid while `Dirty`): position in
-    /// the age order without walking it — what sorts one file's dirty
-    /// blocks oldest first.
-    frame_seq: Vec<u64>,
+    /// The next dirtying stamp (`Frame::seq`).
     next_seq: u64,
     /// The next content stamp ([`BlockCache::content_stamp`]).
     next_content: u64,
@@ -225,8 +233,7 @@ pub struct BlockCache {
 struct QueryView<'a> {
     frames: &'a [Frame],
     dirty: &'a FrameList,
-    by_file: &'a BTreeMap<BlockKey, u32>,
-    frame_seq: &'a [u64],
+    files: &'a HashMap<FileId, Vec<(u64, u32)>, FixedState>,
 }
 
 impl CacheQuery for QueryView<'_> {
@@ -243,21 +250,15 @@ impl CacheQuery for QueryView<'_> {
     }
 
     fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
-        let mut dirty: Vec<u32> = file_range(self.by_file, file)
-            .map(|(_, &f)| f)
-            .filter(|&f| matches!(self.frames[f as usize].state, BlockState::Dirty { .. }))
+        let blocks = self.files.get(&file).map_or(&[][..], Vec::as_slice);
+        let mut dirty: Vec<&Frame> = blocks
+            .iter()
+            .map(|&(_, f)| &self.frames[f as usize])
+            .filter(|f| matches!(f.state, BlockState::Dirty { .. }))
             .collect();
-        dirty.sort_unstable_by_key(|&f| self.frame_seq[f as usize]);
-        dirty.into_iter().map(|f| self.frames[f as usize].key).collect()
+        dirty.sort_unstable_by_key(|f| f.seq);
+        dirty.into_iter().map(|f| f.key).collect()
     }
-}
-
-/// The entries of `file` in an index ordered by `(file, block)`.
-fn file_range(
-    by_file: &BTreeMap<BlockKey, u32>,
-    file: FileId,
-) -> impl Iterator<Item = (&BlockKey, &u32)> {
-    by_file.range(BlockKey::new(file, 0)..=BlockKey::new(file, u64::MAX))
 }
 
 impl BlockCache {
@@ -276,12 +277,10 @@ impl BlockCache {
         BlockCache {
             cfg,
             frames,
-            map: HashMap::default(),
-            by_file: BTreeMap::new(),
+            files: HashMap::default(),
             free,
             clean,
             dirty: FrameList::new(n),
-            frame_seq: vec![0; n],
             next_seq: 0,
             next_content: 1,
             flush_policy,
@@ -291,23 +290,27 @@ impl BlockCache {
         }
     }
 
-    fn map_get(&self, key: BlockKey) -> Option<u32> {
-        self.map.get(&key).copied()
+    /// The frame holding `key`, if it is resident.
+    fn frame_of(&self, key: BlockKey) -> Option<u32> {
+        let blocks = self.files.get(&key.file)?;
+        let at = blocks.binary_search_by_key(&key.block, |&(b, _)| b).ok()?;
+        Some(blocks[at].1)
     }
 
-    fn map_insert(&mut self, key: BlockKey, frame: u32) {
-        self.map.insert(key, frame);
-        self.by_file.insert(key, frame);
-    }
-
-    fn map_remove(&mut self, key: BlockKey) -> Option<u32> {
-        self.by_file.remove(&key);
-        self.map.remove(&key)
+    /// Takes `key` out of the index; returns the frame that held it.
+    fn index_remove(&mut self, key: BlockKey) -> Option<u32> {
+        let blocks = self.files.get_mut(&key.file)?;
+        let at = blocks.binary_search_by_key(&key.block, |&(b, _)| b).ok()?;
+        let (_, frame) = blocks.remove(at);
+        if blocks.is_empty() {
+            self.files.remove(&key.file);
+        }
+        Some(frame)
     }
 
     /// Stamps `frame` and appends it to the age list.
     fn dirty_push(&mut self, frame: u32) {
-        self.frame_seq[frame as usize] = self.next_seq;
+        self.frames[frame as usize].seq = self.next_seq;
         self.next_seq += 1;
         self.dirty.push_back(frame);
     }
@@ -317,12 +320,7 @@ impl BlockCache {
         &mut self,
         ask: impl FnOnce(&mut dyn FlushPolicy, &dyn CacheQuery) -> Vec<BlockKey>,
     ) -> Vec<BlockKey> {
-        let q = QueryView {
-            frames: &self.frames,
-            dirty: &self.dirty,
-            by_file: &self.by_file,
-            frame_seq: &self.frame_seq,
-        };
+        let q = QueryView { frames: &self.frames, dirty: &self.dirty, files: &self.files };
         ask(self.flush_policy.as_mut(), &q)
     }
 
@@ -348,7 +346,7 @@ impl BlockCache {
 
     /// Total blocks resident.
     pub fn resident(&self) -> usize {
-        self.map.len()
+        self.files.values().map(Vec::len).sum()
     }
 
     /// NVRAM occupancy in blocks (dirty + flushing).
@@ -358,18 +356,17 @@ impl BlockCache {
 
     fn record_access(&mut self, frame: u32, now: SimTime) {
         let f = &mut self.frames[frame as usize];
-        f.access_count += 1;
-        if f.history_len == HISTORY {
+        let len = f.history_len();
+        if len == HISTORY {
             f.history.copy_within(1.., 0);
-            f.history_len -= 1;
         }
-        f.history[f.history_len] = now;
-        f.history_len += 1;
+        f.history[len.min(HISTORY - 1)] = now;
+        f.access_count += 1;
     }
 
     /// Looks a block up; a hit refreshes recency and returns the frame.
     pub fn lookup(&mut self, key: BlockKey, now: SimTime) -> Option<u32> {
-        match self.map_get(key) {
+        match self.frame_of(key) {
             Some(frame) => {
                 self.stats.hits += 1;
                 self.record_access(frame, now);
@@ -389,7 +386,7 @@ impl BlockCache {
 
     /// Peeks without stats or recency updates.
     pub fn peek(&self, key: BlockKey) -> Option<u32> {
-        self.map_get(key)
+        self.frame_of(key)
     }
 
     /// Returns the block bytes of a resident frame (None if simulated).
@@ -426,7 +423,7 @@ impl BlockCache {
 
     /// The state of a resident block.
     pub fn state_of(&self, key: BlockKey) -> Option<BlockState> {
-        self.map_get(key).map(|f| self.frames[f as usize].state)
+        self.frame_of(key).map(|f| self.frames[f as usize].state)
     }
 
     /// Reserves a frame for a new block.
@@ -438,8 +435,7 @@ impl BlockCache {
             return Reserve::Frame(f);
         }
         if let Some(victim) = self.clean.take_victim() {
-            let key = self.frames[victim as usize].key;
-            self.map_remove(key);
+            self.index_remove(self.frames[victim as usize].key);
             self.stats.evictions += 1;
             return Reserve::Frame(victim);
         }
@@ -456,10 +452,13 @@ impl BlockCache {
     ///
     /// Panics if `key` is already resident.
     pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
-        assert!(self.map_get(key).is_none(), "block {key} already resident");
+        let blocks = self.files.entry(key.file).or_default();
+        match blocks.binary_search_by_key(&key.block, |&(b, _)| b) {
+            Ok(_) => panic!("block {key} already resident"),
+            Err(at) => blocks.insert(at, (key.block, frame)),
+        }
         let content = self.fresh_content();
         self.frames[frame as usize] = Frame::new(key, data, content);
-        self.map_insert(key, frame);
         self.stats.insertions += 1;
         self.record_access(frame, now);
         self.clean.insert(frame, self.frames[frame as usize].meta(now));
@@ -486,7 +485,7 @@ impl BlockCache {
     }
 
     fn dirty_as(&mut self, key: BlockKey, now: SimTime, owner: Option<u32>) -> DirtyOutcome {
-        let frame = self.map_get(key).expect("mark_dirty on non-resident block");
+        let frame = self.frame_of(key).expect("mark_dirty on non-resident block");
         match self.frames[frame as usize].state {
             BlockState::Dirty { .. } => self.stats.overwrites += 1,
             BlockState::Flushing { .. } => {
@@ -525,7 +524,7 @@ impl BlockCache {
     pub fn begin_flush(&mut self, keys: &[BlockKey]) -> Vec<BlockKey> {
         let mut out = Vec::with_capacity(keys.len());
         for &key in keys {
-            let Some(frame) = self.map_get(key) else { continue };
+            let Some(frame) = self.frame_of(key) else { continue };
             let BlockState::Dirty { since } = self.frames[frame as usize].state else {
                 continue;
             };
@@ -539,12 +538,14 @@ impl BlockCache {
         out
     }
 
-    /// Completes a flush: the block becomes clean (or returns to the
-    /// dirty list if it was re-dirtied mid-flight).
+    /// Completes a flush whose write landed: the block's count of failed
+    /// flushes starts over and it becomes clean (or returns to the dirty
+    /// list if it was re-dirtied mid-flight).
     pub fn end_flush(&mut self, key: BlockKey, now: SimTime) {
-        let Some(frame) = self.map_get(key) else { return };
+        let Some(frame) = self.frame_of(key) else { return };
         let f = &mut self.frames[frame as usize];
         let BlockState::Flushing { .. } = f.state else { return };
+        f.failed_flushes = 0;
         if f.redirtied {
             f.redirtied = false;
             f.state = BlockState::Dirty { since: now };
@@ -558,9 +559,31 @@ impl BlockCache {
         self.clean.insert(frame, self.frames[frame as usize].meta(now));
     }
 
+    /// Completes a flush whose write failed. The block's count of
+    /// consecutive failed flushes grows by one: below `retries` the block
+    /// is re-dirtied, as a write landing under the flush would re-dirty
+    /// it (an overwrite), to be tried again; at `retries` (at once, for
+    /// 0) it is given up — completed like a written block, its count
+    /// back to 0.
+    pub fn fail_flush(&mut self, key: BlockKey, now: SimTime, retries: u8) {
+        let Some(frame) = self.frame_of(key) else { return };
+        let f = &mut self.frames[frame as usize];
+        let BlockState::Flushing { .. } = f.state else { return };
+        let failed = f.failed_flushes + 1;
+        let retry = failed < retries;
+        if retry {
+            f.redirtied = true;
+            self.stats.overwrites += 1;
+        }
+        self.end_flush(key, now);
+        if retry {
+            self.frames[frame as usize].failed_flushes = failed;
+        }
+    }
+
     /// Drops one block (truncate); dirty blocks count as absorbed writes.
     pub fn remove_block(&mut self, key: BlockKey) {
-        let Some(frame) = self.map_remove(key) else { return };
+        let Some(frame) = self.index_remove(key) else { return };
         self.drop_frame(frame);
     }
 
@@ -570,19 +593,18 @@ impl BlockCache {
     /// that a block is overwritten through truncate and delete calls in
     /// memory rather than on disk." (§1)
     pub fn remove_file(&mut self, file: FileId) -> u64 {
-        // Ascending key order, read off the per-file index: the removal
-        // order decides the order frames return to the free list — which
-        // decides where later blocks land and what index-sweeping
-        // replacement policies evict. Two seeded runs must produce
-        // byte-identical platters, so the order must be the keys' own.
-        let doomed: Vec<(BlockKey, u32)> =
-            file_range(&self.by_file, file).map(|(&k, &f)| (k, f)).collect();
+        // Ascending block order, as the file's list holds them: the
+        // removal order decides the order frames return to the free
+        // list — which decides where later blocks land and what
+        // index-sweeping replacement policies evict. Two seeded runs must
+        // produce byte-identical platters, so the order must be the
+        // keys' own.
+        let Some(blocks) = self.files.remove(&file) else { return 0 };
         let mut absorbed = 0;
-        for (key, frame) in doomed {
+        for (_, frame) in blocks {
             if matches!(self.frames[frame as usize].state, BlockState::Dirty { .. }) {
                 absorbed += 1;
             }
-            self.map_remove(key);
             self.drop_frame(frame);
         }
         absorbed
@@ -634,11 +656,14 @@ impl BlockCache {
     /// cache would preserve across a crash. `Flushing` blocks are
     /// included because their writes may not have retired yet.
     pub fn dirty_snapshot(&self) -> Vec<(BlockKey, Option<Vec<u8>>)> {
-        self.by_file
+        let mut files: Vec<FileId> = self.files.keys().copied().collect();
+        files.sort_unstable();
+        files
             .iter()
-            .map(|(&key, &frame)| (key, &self.frames[frame as usize]))
-            .filter(|(_, f)| !matches!(f.state, BlockState::Clean))
-            .map(|(key, f)| (key, f.data.clone()))
+            .flat_map(|file| &self.files[file])
+            .map(|&(_, frame)| &self.frames[frame as usize])
+            .filter(|f| !matches!(f.state, BlockState::Clean))
+            .map(|f| (f.key, f.data.clone()))
             .collect()
     }
 }
@@ -795,6 +820,45 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_flush_is_retried_up_to_its_limit_and_a_new_block_starts_over() {
+        let mut c = small_cache(4, None);
+        let k = key(1, 0);
+        insert(&mut c, k, t(0));
+        c.mark_dirty(k, t(0));
+        // Fails `n` flushes of `k` in a row; true if it is dirty after.
+        let fail = |c: &mut BlockCache, n: u32| {
+            for _ in 0..n {
+                assert_eq!(c.begin_flush(&[k]), vec![k]);
+                c.fail_flush(k, t(1), 3);
+            }
+            matches!(c.state_of(k), Some(BlockState::Dirty { .. }))
+        };
+        assert!(fail(&mut c, 2), "below the limit: re-dirtied");
+        assert!(!fail(&mut c, 1), "the third failure gives up");
+        assert_eq!(c.stats().overwrites, 2);
+        c.mark_dirty(k, t(2));
+        assert!(fail(&mut c, 2) && !fail(&mut c, 1), "a give-up starts the count over");
+        // So does a write that lands, and a block committed anew.
+        c.mark_dirty(k, t(3));
+        assert!(fail(&mut c, 2));
+        c.begin_flush(&[k]);
+        c.end_flush(k, t(4));
+        c.mark_dirty(k, t(5));
+        assert!(fail(&mut c, 2));
+        c.remove_block(k);
+        insert(&mut c, k, t(6));
+        c.mark_dirty(k, t(6));
+        assert!(fail(&mut c, 2) && !fail(&mut c, 1));
+    }
+
+    #[test]
+    fn a_frame_fits_in_120_bytes() {
+        // A 256-client cell builds and drops a 262,144-frame pool every
+        // rep; at 128 bytes a frame that took three times as long.
+        assert!(std::mem::size_of::<Frame>() <= 120, "{}", std::mem::size_of::<Frame>());
+    }
+
+    #[test]
     fn periodic_policy_ticks_old_files() {
         let cfg = CacheConfig { block_size: 4096, mem_bytes: 8 * 4096, nvram_bytes: None };
         let n = cfg.frames();
@@ -871,18 +935,37 @@ mod tests {
         assert_eq!(c.flushes_by_client(), vec![(3, 2), (5, 1), (9, 1)]);
     }
 
+    /// Every `(key, frame)` the index holds, in key order.
+    fn indexed(c: &BlockCache) -> Vec<(BlockKey, u32)> {
+        let mut files: Vec<FileId> = c.files.keys().copied().collect();
+        files.sort_unstable();
+        let entries = files.into_iter().flat_map(|file| {
+            c.files[&file].iter().map(move |&(block, f)| (BlockKey::new(file, block), f))
+        });
+        entries.collect()
+    }
+
     #[test]
     fn per_file_index_equals_a_map_scan() {
         // Interleaved insert / evict / remove_block / remove_file on a
-        // cache small enough to evict: after every step the per-file
-        // index must hold exactly the entries a scan of the resident
-        // map finds, and `remove_file` must take exactly that file.
+        // cache small enough to evict: after every step the index must
+        // hold exactly the resident keys a scan of the frame table finds
+        // (every frame not on the free stack), each file's list must be
+        // ascending and non-empty, and `remove_file` must take exactly
+        // that file.
         let mut c = small_cache(8, None);
         let n = c.config().frames();
         let check = |c: &BlockCache| {
-            let mut scan: Vec<(BlockKey, u32)> = c.map.iter().map(|(&k, &f)| (k, f)).collect();
+            let mut scan: Vec<(BlockKey, u32)> = (0..n as u32)
+                .filter(|f| !c.free.contains(f))
+                .map(|f| (c.frames[f as usize].key, f))
+                .collect();
             scan.sort_unstable();
-            assert_eq!(c.by_file.iter().map(|(&k, &f)| (k, f)).collect::<Vec<_>>(), scan);
+            assert_eq!(indexed(c), scan);
+            for blocks in c.files.values() {
+                assert!(!blocks.is_empty(), "an empty list outlived its file's last block");
+                assert!(blocks.windows(2).all(|w| w[0].0 < w[1].0), "not ascending: {blocks:?}");
+            }
         };
         let mut x = 12345u64;
         let mut evicted = false;
@@ -891,11 +974,11 @@ mod tests {
             let k = key((x >> 33) % 5, (x >> 40) % 6);
             match (x >> 50) % 8 {
                 0 => {
-                    let before = c.resident();
-                    let mine = c.by_file.keys().filter(|b| b.file == k.file).count();
+                    let before = indexed(&c);
                     c.remove_file(k.file);
-                    assert_eq!(c.resident(), before - mine, "remove_file took another file's");
-                    assert!(c.by_file.keys().all(|b| b.file != k.file));
+                    let others: Vec<_> =
+                        before.into_iter().filter(|e| e.0.file != k.file).collect();
+                    assert_eq!(indexed(&c), others, "remove_file took other than its file");
                 }
                 1 => c.remove_block(k),
                 _ if c.peek(k).is_none() => {
@@ -941,12 +1024,7 @@ mod tests {
         }
         let visits_of = |ask: &mut dyn FnMut(&dyn CacheQuery) -> Vec<BlockKey>| {
             let q = CountingView {
-                view: QueryView {
-                    frames: &c.frames,
-                    dirty: &c.dirty,
-                    by_file: &c.by_file,
-                    frame_seq: &c.frame_seq,
-                },
+                view: QueryView { frames: &c.frames, dirty: &c.dirty, files: &c.files },
                 visits: std::cell::Cell::new(0),
             };
             let picks = ask(&q);

@@ -16,7 +16,7 @@ use cnp_core::{DataMode, FlushMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{verify_crash_state, CrashState, LayoutKind, Stack};
 use cnp_sim::{Sim, SimTime};
-use cnp_trace::{replay_with, ReplayOptions, TraceRecord};
+use cnp_trace::{replay, ReplayOptions, TraceRecord};
 
 /// Everything one cell needs besides its workload and cut point.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,13 +261,9 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
                 *staged2.borrow_mut() = fs2.try_staging_image();
             }
         });
-        let mut report = replay_with(
-            &h,
-            &fs,
-            records,
-            ReplayOptions { max_ops: Some(budget), track_acks: true },
-        )
-        .await;
+        let mut report =
+            replay(&h, &fs, records, ReplayOptions { max_ops: Some(budget), track_acks: true })
+                .await;
         // The cut: everything volatile dies.
         let cut_at_ns = h.now().as_nanos();
         let arrival_ns = arrival.as_nanos();

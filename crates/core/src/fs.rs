@@ -72,14 +72,8 @@ struct Shared {
     layout_ranges: ShardedMutex<()>,
     io: cnp_layout::BlockIo,
     driver: DiskDriver,
-    inodes: RefCell<HashMap<Ino, Rc<RefCell<Inode>>, FixedState>>,
-    /// Per-inode count of completed size-relevant ops (writes,
-    /// truncates). A failed write's speculative size extension may only
-    /// roll back if nothing else completed in between — otherwise the
-    /// rollback could clobber a concurrent client's acked extension to
-    /// the same end.
-    write_gen: RefCell<HashMap<Ino, u64, FixedState>>,
-    open_counts: RefCell<HashMap<Ino, u32, FixedState>>,
+    /// One record per inode in memory; `unlink` and `rmdir` drop it.
+    inodes: RefCell<HashMap<Ino, Rc<InodeRecord>, FixedState>>,
     inflight: RefCell<HashMap<BlockKey, Event, FixedState>>,
     /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
     /// the miss path allocates for its I/O and not for its bookkeeping.
@@ -87,8 +81,6 @@ struct Shared {
     /// What the name path has validated of single-block directories,
     /// by the content stamp of the cache frame it read them in.
     names: RefCell<NameMemos>,
-    /// Per-block failed-flush counts (bounded retry bookkeeping).
-    flush_retry: RefCell<HashMap<BlockKey, u8, FixedState>>,
     /// Serializes directory read-modify-write sequences, striped by the
     /// *parent directory* inode: clients mutating distinct directories
     /// (each sweep client owns its `/w<c>` shard) proceed past each
@@ -100,6 +92,26 @@ struct Shared {
     flush_done: Event,
     shutdown: Cell<bool>,
     stats: RefCell<FsStats>,
+}
+
+/// What the engine holds of one inode in memory: the inode and the two
+/// facts about it that must die with it.
+struct InodeRecord {
+    inode: RefCell<Inode>,
+    /// Completed size-relevant ops (writes, truncates). A failed write's
+    /// speculative size extension may only roll back if nothing else
+    /// completed in between — otherwise the rollback could clobber a
+    /// concurrent client's acked extension to the same end.
+    generation: Cell<u64>,
+    /// Opens not yet closed.
+    opens: Cell<u32>,
+}
+
+impl InodeRecord {
+    fn new(inode: Inode) -> Rc<InodeRecord> {
+        let (generation, opens) = (Cell::new(0), Cell::new(0));
+        Rc::new(InodeRecord { inode: RefCell::new(inode), generation, opens })
+    }
 }
 
 /// Fixed per-operation request-handling overhead.
@@ -153,12 +165,9 @@ impl FileSystem {
             io,
             driver,
             inodes: RefCell::default(),
-            write_gen: RefCell::default(),
-            open_counts: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
             names: RefCell::default(),
-            flush_retry: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
             flush_done: Event::new(handle),
@@ -271,7 +280,7 @@ impl FileSystem {
         let _all = self.s.layout_ranges.lock_all().await;
         let g = self.s.layout.lock().await;
         for ino in inos {
-            let inode = self.s.inodes.borrow().get(&ino).map(|rc| rc.borrow().clone());
+            let inode = self.s.inodes.borrow().get(&ino).map(|rec| rec.inode.borrow().clone());
             if let Some(inode) = inode {
                 match g.get_mut().put_inode(&inode).await {
                     Ok(()) | Err(LayoutError::BadInode(_)) => {}
@@ -336,18 +345,19 @@ impl FileSystem {
         self.s.handle.sleep(OP_OVERHEAD).await;
     }
 
-    async fn get_inode_rc(&self, ino: Ino) -> FsResult<Rc<RefCell<Inode>>> {
-        if let Some(rc) = self.s.inodes.borrow().get(&ino) {
-            return Ok(rc.clone());
+    /// The in-memory record of inode `ino`, read from the layout the
+    /// first time it is asked for.
+    async fn inode_record(&self, ino: Ino) -> FsResult<Rc<InodeRecord>> {
+        if let Some(rec) = self.s.inodes.borrow().get(&ino) {
+            return Ok(rec.clone());
         }
         let inode = {
             let g = self.s.layout.lock().await;
             let inode = g.get_mut().get_inode(ino).await?;
             inode
         };
-        let rc = Rc::new(RefCell::new(inode));
         let mut inodes = self.s.inodes.borrow_mut();
-        Ok(inodes.entry(ino).or_insert_with(|| rc.clone()).clone())
+        Ok(inodes.entry(ino).or_insert_with(|| InodeRecord::new(inode)).clone())
     }
 }
 
@@ -356,9 +366,11 @@ mod tests {
     use super::*;
     use crate::config::DataMode;
     use crate::error::FsError;
-    use cnp_cache::FileId;
-    use cnp_disk::{sim_disk_driver, CLook, Hp97560};
-    use cnp_layout::{dir, FileKind, LfsLayout, LfsParams, BLOCK_SIZE, MAX_FILE_BLOCKS};
+    use cnp_cache::{BlockState, FileId};
+    use cnp_disk::{compose_device, sim_disk_driver, CLook, DiskModel, FaultPlan, Hp97560};
+    use cnp_layout::{
+        dir, FfsLayout, FfsParams, FileKind, LfsLayout, LfsParams, BLOCK_SIZE, MAX_FILE_BLOCKS,
+    };
     use cnp_sim::Sim;
 
     fn run_fs<F, Fut>(data_mode: DataMode, f: F)
@@ -867,6 +879,181 @@ mod tests {
             let (_, got) = fs.read(ino, 0, data.len() as u64).await.unwrap();
             assert!(got.unwrap() == data, "acked blocks lost to the residency cap");
             fs.close(ino).await.unwrap();
+        });
+    }
+
+    const RETRIES: u8 = durability::FLUSH_RETRIES;
+
+    /// Runs `body` on a formatted real-mode FFS engine of `frames` cache
+    /// blocks under `ups` (nothing flushes but `sync` and a full cache)
+    /// whose one disk executes `plan`. FFS allocates a file's blocks
+    /// from its group up and hands out the lowest free ino: what a
+    /// script does before its first flush decides where that flush
+    /// lands, whatever the plan.
+    fn run_ffs<T, Fut>(
+        plan: FaultPlan,
+        frames: u64,
+        body: impl FnOnce(FileSystem) -> Fut + 'static,
+    ) -> T
+    where
+        T: 'static,
+        Fut: std::future::Future<Output = T> + 'static,
+    {
+        let sim = Sim::new(31);
+        let h = sim.handle();
+        let models: Vec<Box<dyn DiskModel>> = vec![Box::new(Hp97560::new())];
+        let (driver, _disks) =
+            compose_device(&h, "d0", models, None, Box::new(CLook), plan, None, None);
+        let params = FfsParams { ninodes: 1024, ngroups: 4 };
+        let layout = Layout::Ffs(FfsLayout::new(&h, driver, params));
+        let cache = cnp_cache::CacheConfig {
+            block_size: BLOCK_SIZE,
+            mem_bytes: frames * BLOCK_SIZE as u64,
+            nvram_bytes: None,
+        };
+        let cfg = FsConfig {
+            cache,
+            flush: "ups".into(),
+            data_mode: DataMode::Real,
+            ..FsConfig::default()
+        };
+        let fs = FileSystem::new(&h, layout, cfg);
+        sim.block_on("test", async move {
+            fs.format().await.unwrap();
+            let out = body(fs.clone()).await;
+            fs.shutdown();
+            out
+        })
+    }
+
+    /// Creates `/f` and writes its block 0 — the opening of every retry
+    /// script, so each one's first flush lands where [`first_block`]
+    /// found it.
+    async fn create_f(fs: &FileSystem) -> Ino {
+        let ino = fs.create("/f", FileKind::Regular).await.unwrap();
+        fs.write(ino, 0, BLOCK_SIZE as u64, Some(&[1; BLOCK_SIZE as usize])).await.unwrap();
+        ino
+    }
+
+    /// Where `/f`'s block 0 lands on a healthy disk.
+    fn first_block() -> u64 {
+        run_ffs(FaultPlan::default(), 64, |fs| async move {
+            let ino = create_f(&fs).await;
+            fs.sync().await.unwrap();
+            let addr = fs.s.inodes.borrow()[&ino].inode.borrow().direct[0];
+            addr.0
+        })
+    }
+
+    /// A disk whose `n` blocks from `/f`'s first home on fail every
+    /// write: each failed flush leaks the block it was allocated, so
+    /// the next attempt lands one further on.
+    fn bad_blocks(n: u64) -> FaultPlan {
+        let lba = first_block() * (BLOCK_SIZE / 512) as u64;
+        FaultPlan {
+            bad_ranges: vec![(lba, lba + n * (BLOCK_SIZE / 512) as u64)],
+            ..FaultPlan::default()
+        }
+    }
+
+    fn state_of(fs: &FileSystem, ino: Ino) -> Option<BlockState> {
+        fs.s.cache.borrow().state_of(BlockKey::new(FileId(ino.0), 0))
+    }
+
+    /// Syncs until block 0 of `ino` is clean; returns the syncs that
+    /// took and how many of them failed to write it (`fs.flush_errors`).
+    async fn sync_until_clean(fs: &FileSystem, ino: Ino) -> (u8, u64) {
+        let errors = fs.stats().flush_errors;
+        for syncs in 1..=2 * RETRIES {
+            fs.sync().await.unwrap();
+            if state_of(fs, ino) == Some(BlockState::Clean) {
+                return (syncs, fs.stats().flush_errors - errors);
+            }
+        }
+        panic!("block 0 still dirty after {} syncs", 2 * RETRIES);
+    }
+
+    #[test]
+    fn a_flush_that_fails_once_is_redirtied_and_lands() {
+        run_ffs(bad_blocks(1), 64, |fs| async move {
+            let ino = create_f(&fs).await;
+            assert_eq!(sync_until_clean(&fs, ino).await, (2, 1), "one failure, then written");
+            // Read back from the disk, not the cache.
+            fs.s.cache.borrow_mut().remove_block(BlockKey::new(FileId(ino.0), 0));
+            let (_, got) = fs.read(ino, 0, BLOCK_SIZE as u64).await.unwrap();
+            assert_eq!(got.unwrap(), vec![1; BLOCK_SIZE as usize]);
+        });
+    }
+
+    #[test]
+    fn a_block_that_never_flushes_is_given_up_after_flush_retries_attempts() {
+        run_ffs(bad_blocks(16), 64, |fs| async move {
+            let ino = create_f(&fs).await;
+            assert_eq!(sync_until_clean(&fs, ino).await, (RETRIES, RETRIES as u64));
+            // Given up: nothing left to flush, and a sync is quick again.
+            assert_eq!(fs.s.cache.borrow().dirty_count(), 0);
+            let errors = fs.stats().flush_errors;
+            fs.sync().await.unwrap();
+            assert_eq!(fs.stats().flush_errors, errors);
+        });
+    }
+
+    #[test]
+    fn after_a_give_up_the_next_failing_run_gets_every_attempt() {
+        run_ffs(bad_blocks(16), 64, |fs| async move {
+            let ino = create_f(&fs).await;
+            assert_eq!(sync_until_clean(&fs, ino).await, (RETRIES, RETRIES as u64));
+            fs.write(ino, 0, 4, Some(b"more")).await.unwrap();
+            assert_eq!(sync_until_clean(&fs, ino).await, (RETRIES, RETRIES as u64));
+        });
+    }
+
+    #[test]
+    fn a_block_truncated_away_and_rewritten_gets_every_attempt() {
+        run_ffs(bad_blocks(16), 64, |fs| async move {
+            let ino = create_f(&fs).await;
+            fs.sync().await.unwrap();
+            assert_eq!(fs.stats().flush_errors, 1);
+            assert!(matches!(state_of(&fs, ino), Some(BlockState::Dirty { .. })), "re-dirtied");
+            // The failed block dies in the cache; a new one takes its key.
+            fs.truncate(ino, 0).await.unwrap();
+            assert_eq!(state_of(&fs, ino), None);
+            fs.write(ino, 0, BLOCK_SIZE as u64, Some(&[2; BLOCK_SIZE as usize])).await.unwrap();
+            assert_eq!(
+                sync_until_clean(&fs, ino).await,
+                (RETRIES, RETRIES as u64),
+                "a rewritten block inherited the failure count of the block it replaced"
+            );
+        });
+    }
+
+    #[test]
+    fn the_first_open_of_a_reused_ino_prefetches() {
+        // A multimedia file opened and unlinked without a close: the
+        // next file FFS creates gets its ino, and its first open must
+        // start the prefetch thread as any first open does.
+        run_ffs(FaultPlan::default(), 16, |fs| async move {
+            let old = fs.create("/old", FileKind::Multimedia).await.unwrap();
+            fs.open("/old").await.unwrap();
+            fs.unlink("/old").await.unwrap();
+            let new = fs.create("/new", FileKind::Multimedia).await.unwrap();
+            assert_eq!(new, old, "FFS hands out the lowest free ino again");
+            let data = vec![3u8; 8 * BLOCK_SIZE as usize];
+            fs.write(new, 0, data.len() as u64, Some(&data)).await.unwrap();
+            // Push /new's blocks out of the cache.
+            let filler = fs.create("/filler", FileKind::Regular).await.unwrap();
+            let bytes = vec![0u8; 32 * BLOCK_SIZE as usize];
+            fs.write(filler, 0, bytes.len() as u64, Some(&bytes)).await.unwrap();
+            fs.sync().await.unwrap();
+            let resident = |fs: &FileSystem| {
+                let cache = fs.s.cache.borrow();
+                (0..8).filter(|&b| cache.peek(BlockKey::new(FileId(new.0), b)).is_some()).count()
+            };
+            assert_eq!(resident(&fs), 0, "the filler must have evicted /new");
+            fs.open("/new").await.unwrap();
+            fs.handle().sleep(SimDuration::from_millis(500)).await;
+            assert_eq!(resident(&fs), 8, "the first open of /new never prefetched it");
+            fs.close(new).await.unwrap();
         });
     }
 }

@@ -59,8 +59,8 @@ impl FileSystem {
             let mut st = self.s.stats.borrow_mut();
             st.reads += 1;
         }
-        let rc = self.get_inode_rc(ino).await?;
-        let size = rc.borrow().size;
+        let rc = self.inode_record(ino).await?;
+        let size = rc.inode.borrow().size;
         if offset >= size {
             return Ok((0, self.empty_data()));
         }
@@ -121,8 +121,8 @@ impl FileSystem {
         if end.div_ceil(bs) > MAX_FILE_BLOCKS {
             return Err(FsError::TooBig);
         }
-        let rc = self.get_inode_rc(ino).await?;
-        let old_size = rc.borrow().size;
+        let rc = self.inode_record(ino).await?;
+        let old_size = rc.inode.borrow().size;
         // Extend the size *before* dirtying any block: a cache under
         // NVRAM pressure (its own, or another client's on the shared
         // engine) may flush this file's blocks mid-write, and the
@@ -133,9 +133,9 @@ impl FileSystem {
         // ordering so the crash-point enumerator can prove it catches
         // this bug class.
         if len > 0 && end > old_size && !self.s.cfg.plant_stale_size_bug {
-            rc.borrow_mut().size = end;
+            rc.inode.borrow_mut().size = end;
         }
-        let gen0 = self.s.write_gen.borrow().get(&ino).copied().unwrap_or(0);
+        let gen0 = rc.generation.get();
         // Per-block cache commits (and any read-modify loads for partial
         // blocks) proceed with up to queue_depth in flight; the first
         // failure stops new blocks from starting.
@@ -156,21 +156,21 @@ impl FileSystem {
             // does not leave a phantom size — but only if no other
             // size-relevant op completed meanwhile: a concurrent client
             // acking a write to the same `end` must keep its coverage.
-            let untouched = self.s.write_gen.borrow().get(&ino).copied().unwrap_or(0) == gen0;
-            let mut inode = rc.borrow_mut();
+            let untouched = rc.generation.get() == gen0;
+            let mut inode = rc.inode.borrow_mut();
             if end > old_size && inode.size == end && untouched {
                 inode.size = old_size;
             }
             return Err(e);
         }
         {
-            let mut inode = rc.borrow_mut();
+            let mut inode = rc.inode.borrow_mut();
             if end > inode.size {
                 inode.size = end;
             }
             inode.mtime = self.s.handle.now().as_nanos();
         }
-        *self.s.write_gen.borrow_mut().entry(ino).or_insert(0) += 1;
+        rc.generation.set(rc.generation.get() + 1);
         self.s.stats.borrow_mut().bytes_written += len;
         Ok(len)
     }
@@ -182,8 +182,8 @@ impl FileSystem {
         if new_blocks > MAX_FILE_BLOCKS {
             return Err(FsError::TooBig);
         }
-        let rc = self.get_inode_rc(ino).await?;
-        let old_blocks = rc.borrow().blocks();
+        let rc = self.inode_record(ino).await?;
+        let old_blocks = rc.inode.borrow().blocks();
         // Dirty blocks beyond the new size die in cache: write absorption.
         for blk in new_blocks..old_blocks {
             self.s.cache.borrow_mut().remove_block(BlockKey::new(FileId(ino.0), blk));
@@ -191,14 +191,14 @@ impl FileSystem {
         {
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
-            let mut copy = rc.borrow().clone();
+            let mut copy = rc.inode.borrow().clone();
             g.get_mut().truncate(&mut copy, new_blocks).await?;
-            let mut inode = rc.borrow_mut();
+            let mut inode = rc.inode.borrow_mut();
             inode.direct = copy.direct;
             inode.indirect = copy.indirect;
             inode.size = new_size;
         }
-        *self.s.write_gen.borrow_mut().entry(ino).or_insert(0) += 1;
+        rc.generation.set(rc.generation.get() + 1);
         Ok(())
     }
 
@@ -404,7 +404,7 @@ impl FileSystem {
         sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
     ) -> FsResult<()> {
         let ReadScratch { misses, runs, payloads, .. } = sc;
-        let inode = self.get_inode_rc(ino).await?.borrow().clone();
+        let inode = self.inode_record(ino).await?.inode.borrow().clone();
         {
             let g = self.lock_core().await;
             for m in misses.iter_mut() {
@@ -574,15 +574,10 @@ impl FileSystem {
             if self.s.shutdown.get() {
                 break;
             }
-            if !self.s.open_counts.borrow().contains_key(&ino) {
-                break;
-            }
-            let blocks = match self.get_inode_rc(ino).await {
-                Ok(rc) => {
-                    let b = rc.borrow().blocks();
-                    b
-                }
-                Err(_) => break,
+            // Closed for good, or unlinked (its record went with it).
+            let blocks = match self.s.inodes.borrow().get(&ino) {
+                Some(rec) if rec.opens.get() > 0 => rec.inode.borrow().blocks(),
+                _ => break,
             };
             if blk >= blocks {
                 break;

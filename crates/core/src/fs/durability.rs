@@ -32,8 +32,8 @@ impl NvramSnapshot {
     }
 }
 
-/// Flush attempts per block before an erroring block is dropped.
-const FLUSH_RETRIES: u8 = 3;
+/// Consecutive failed flushes of a block before it is given up.
+pub(super) const FLUSH_RETRIES: u8 = 3;
 
 impl FileSystem {
     /// Captures what survives a power cut in battery-backed cache RAM.
@@ -59,7 +59,7 @@ impl FileSystem {
         let sizes = files
             .into_iter()
             .filter_map(|ino| {
-                self.s.inodes.borrow().get(&Ino(ino)).map(|rc| (ino, rc.borrow().size))
+                self.s.inodes.borrow().get(&Ino(ino)).map(|rc| (ino, rc.inode.borrow().size))
             })
             .collect();
         NvramSnapshot { blocks, sizes }
@@ -77,7 +77,7 @@ impl FileSystem {
     /// snapshot was meant to restore.
     pub async fn restore_block(&self, ino: Ino, blk: u64, data: Option<Vec<u8>>) -> FsResult<()> {
         // Surface a dead identity as BadInode (the caller skips those).
-        let _ = self.get_inode_rc(ino).await?;
+        let _ = self.inode_record(ino).await?;
         self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk, data).await
     }
 
@@ -85,15 +85,15 @@ impl FileSystem {
     /// snapshots carry exact sizes that may exceed what block-granular
     /// replay re-establishes). Never shrinks the file.
     pub async fn restore_size(&self, ino: Ino, size: u64) -> FsResult<()> {
-        let rc = self.get_inode_rc(ino).await?;
+        let rc = self.inode_record(ino).await?;
         {
-            let mut inode = rc.borrow_mut();
+            let mut inode = rc.inode.borrow_mut();
             if size <= inode.size {
                 return Ok(());
             }
             inode.size = size;
         }
-        let copy = rc.borrow().clone();
+        let copy = rc.inode.borrow().clone();
         let _rg = self.s.layout_ranges.lock(ino.0).await;
         let g = self.s.layout.lock().await;
         g.get_mut().put_inode(&copy).await?;
@@ -188,7 +188,7 @@ impl FileSystem {
                     })
                     .collect()
             };
-            let rc = match self.get_inode_rc(ino).await {
+            let rc = match self.inode_record(ino).await {
                 Ok(rc) => rc,
                 Err(_) => {
                     // File deleted while the flush was queued: nothing to
@@ -208,10 +208,10 @@ impl FileSystem {
                 // (which may run the cleaner — the global residue).
                 let _rg = self.lock_range(ino).await;
                 let g = self.lock_core().await;
-                let mut copy = rc.borrow().clone();
+                let mut copy = rc.inode.borrow().clone();
                 let r = g.get_mut().write_file_blocks(&mut copy, blocks).await;
                 if r.is_ok() {
-                    let mut inode = rc.borrow_mut();
+                    let mut inode = rc.inode.borrow_mut();
                     inode.direct = copy.direct;
                     inode.indirect = copy.indirect;
                 }
@@ -223,7 +223,7 @@ impl FileSystem {
                     let cached = self.s.inodes.borrow().get(&rino).cloned();
                     if let Some(rc2) = cached {
                         if let Ok(fresh) = g.get_mut().get_inode(rino).await {
-                            let mut inode = rc2.borrow_mut();
+                            let mut inode = rc2.inode.borrow_mut();
                             inode.direct = fresh.direct;
                             inode.indirect = fresh.indirect;
                         }
@@ -232,61 +232,28 @@ impl FileSystem {
                 r
             };
             let now = self.s.handle.now();
-            {
-                let mut cache = self.s.cache.borrow_mut();
-                let mut retry = self.s.flush_retry.borrow_mut();
-                match &result {
-                    Ok(()) if retry.is_empty() => {}
-                    Ok(()) => {
-                        for k in &started {
-                            retry.remove(k);
-                        }
-                    }
-                    Err(e) => {
-                        // An acknowledged dirty block must not vanish on
-                        // a recoverable error: re-dirty it (bounded, so
-                        // a permanently failing block cannot livelock
-                        // the demand-flush loop). A dead disk is final.
-                        let fatal = matches!(
-                            e,
-                            LayoutError::Io(IoError::PowerCut)
-                                | LayoutError::Io(IoError::DeviceGone)
-                        );
-                        // Retry accounting is per-batch: a healthy block
-                        // co-batched with a permanently bad one shares
-                        // its fate after FLUSH_RETRIES (LFS converges
-                        // anyway — each retry appends to a new location).
-                        for k in &started {
-                            let attempts = {
-                                let a = retry.entry(*k).or_insert(0);
-                                *a += 1;
-                                *a
-                            };
-                            // The file may have been deleted while the
-                            // flush was in flight; a gone block needs no
-                            // re-dirtying (and mark_dirty would panic).
-                            let resident = cache.peek(*k).is_some();
-                            if !fatal && attempts < FLUSH_RETRIES && resident {
-                                // Still Flushing: this marks it redirtied,
-                                // so end_flush below re-queues it dirty.
-                                let _ = cache.mark_dirty(*k, now);
-                            } else {
-                                retry.remove(k);
-                            }
-                        }
-                    }
-                }
-                for k in &started {
-                    cache.end_flush(*k, now);
-                }
-            }
+            let mut cache = self.s.cache.borrow_mut();
+            let mut st = self.s.stats.borrow_mut();
             match result {
                 Ok(()) => {
-                    let mut st = self.s.stats.borrow_mut();
+                    started.iter().for_each(|k| cache.end_flush(*k, now));
                     st.blocks_flushed += started.len() as u64;
                 }
-                Err(_) => {
-                    self.s.stats.borrow_mut().flush_errors += 1;
+                Err(e) => {
+                    // An acknowledged dirty block must not vanish on a
+                    // recoverable error: the cache re-dirties it until
+                    // its FLUSH_RETRIES-th consecutive failure (bounded,
+                    // so a permanently failing block cannot livelock the
+                    // demand-flush loop). A dead disk is final. Retry
+                    // accounting is per batch: a healthy block co-batched
+                    // with a permanently bad one shares its fate (LFS
+                    // converges anyway — each retry appends to a new
+                    // location).
+                    let dead =
+                        matches!(e, LayoutError::Io(IoError::PowerCut | IoError::DeviceGone));
+                    let retries = if dead { 0 } else { FLUSH_RETRIES };
+                    started.iter().for_each(|k| cache.fail_flush(*k, now, retries));
+                    st.flush_errors += 1;
                 }
             }
         }

@@ -3,14 +3,11 @@
 //! `ns` stripe of the directory it rewrites; directory content moves
 //! through the data path's block cache like any other block.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cnp_cache::{BlockKey, FileId};
 use cnp_layout::dir::{self, Dirent, Renamed};
 use cnp_layout::{FileKind, Ino, Inode, LayoutError, StorageLayout, BLOCK_SIZE};
 
-use super::FileSystem;
+use super::{FileSystem, InodeRecord};
 use crate::error::{FsError, FsResult};
 
 impl FileSystem {
@@ -48,7 +45,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode.clone())));
+        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode.clone()));
         {
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
@@ -82,7 +79,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.borrow_mut().insert(ino, Rc::new(RefCell::new(inode)));
+        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode));
         walked.push(&mut bytes, ino, FileKind::Directory, name);
         self.write_dir_bytes(dir_ino, bytes).await?;
         Ok(ino)
@@ -100,15 +97,9 @@ impl FileSystem {
     pub async fn open(&self, path: &str) -> FsResult<Ino> {
         self.op_begin().await;
         let ino = self.resolve(path).await?;
-        let inode = self.get_inode_rc(ino).await?;
-        let kind = inode.borrow().kind;
-        let first_open = {
-            let mut oc = self.s.open_counts.borrow_mut();
-            let c = oc.entry(ino).or_insert(0);
-            *c += 1;
-            *c == 1
-        };
-        if first_open && kind == FileKind::Multimedia {
+        let rec = self.inode_record(ino).await?;
+        rec.opens.set(rec.opens.get() + 1);
+        if rec.opens.get() == 1 && rec.inode.borrow().kind == FileKind::Multimedia {
             let fs = self.clone();
             self.s.handle.spawn(&format!("mm-prefetch:{ino}"), async move {
                 fs.multimedia_prefetch(ino).await;
@@ -120,12 +111,8 @@ impl FileSystem {
     /// Closes an open file.
     pub async fn close(&self, ino: Ino) -> FsResult<()> {
         self.op_begin().await;
-        let mut oc = self.s.open_counts.borrow_mut();
-        if let Some(c) = oc.get_mut(&ino) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                oc.remove(&ino);
-            }
+        if let Some(rec) = self.s.inodes.borrow().get(&ino) {
+            rec.opens.set(rec.opens.get().saturating_sub(1));
         }
         Ok(())
     }
@@ -134,8 +121,8 @@ impl FileSystem {
     pub async fn stat(&self, path: &str) -> FsResult<Inode> {
         self.op_begin().await;
         let ino = self.resolve(path).await?;
-        let rc = self.get_inode_rc(ino).await?;
-        let inode = rc.borrow().clone();
+        let rc = self.inode_record(ino).await?;
+        let inode = rc.inode.borrow().clone();
         Ok(inode)
     }
 
@@ -144,8 +131,8 @@ impl FileSystem {
     /// caller already resolved the name once and holds the ino.
     pub async fn stat_ino(&self, ino: Ino) -> FsResult<Inode> {
         self.op_begin().await;
-        let rc = self.get_inode_rc(ino).await?;
-        let inode = rc.borrow().clone();
+        let rc = self.inode_record(ino).await?;
+        let inode = rc.inode.borrow().clone();
         Ok(inode)
     }
 
@@ -166,7 +153,6 @@ impl FileSystem {
         let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
         self.s.inodes.borrow_mut().remove(&ino);
-        self.s.write_gen.borrow_mut().remove(&ino);
         let _rg = self.lock_range(ino).await;
         let g = self.lock_core().await;
         g.get_mut().free_inode(ino).await?;
@@ -272,9 +258,9 @@ impl FileSystem {
     pub async fn readlink(&self, path: &str) -> FsResult<String> {
         self.op_begin().await;
         let ino = self.resolve(path).await?;
-        let rc = self.get_inode_rc(ino).await?;
+        let rc = self.inode_record(ino).await?;
         let (kind, size) = {
-            let i = rc.borrow();
+            let i = rc.inode.borrow();
             (i.kind, i.size)
         };
         if kind != FileKind::Symlink {
@@ -333,8 +319,8 @@ impl FileSystem {
     /// Size in bytes of directory `ino`'s packed content; `path` names
     /// the walk that expected a directory there.
     async fn dir_size(&self, ino: Ino, path: &str) -> FsResult<usize> {
-        let rc = self.get_inode_rc(ino).await?;
-        let inode = rc.borrow();
+        let rc = self.inode_record(ino).await?;
+        let inode = rc.inode.borrow();
         if inode.kind != FileKind::Directory {
             return Err(FsError::NotADirectory(path.to_string()));
         }
@@ -393,8 +379,8 @@ impl FileSystem {
     /// one block is padded where it is and moves into the cache frame;
     /// a longer one is cut into a buffer a block.
     async fn write_dir_bytes(&self, ino: Ino, mut bytes: Vec<u8>) -> FsResult<()> {
-        let rc = self.get_inode_rc(ino).await?;
-        let old_blocks = rc.borrow().blocks();
+        let rc = self.inode_record(ino).await?;
+        let old_blocks = rc.inode.borrow().blocks();
         let bs = BLOCK_SIZE as usize;
         let size = bytes.len();
         let new_blocks = size.div_ceil(bs) as u64;
@@ -405,8 +391,8 @@ impl FileSystem {
         // stale size makes the acked dirent durable but unreachable
         // after a crash (found by cnp-check's crash-point enumeration
         // on the zipf multi-client workload).
-        if size as u64 > rc.borrow().size {
-            rc.borrow_mut().size = size as u64;
+        if size as u64 > rc.inode.borrow().size {
+            rc.inode.borrow_mut().size = size as u64;
         }
         // Directory content is metadata: always real bytes.
         if new_blocks == 1 {
@@ -421,7 +407,7 @@ impl FileSystem {
             }
         }
         {
-            let mut inode = rc.borrow_mut();
+            let mut inode = rc.inode.borrow_mut();
             inode.size = size as u64;
             inode.mtime = self.s.handle.now().as_nanos();
         }
@@ -430,9 +416,9 @@ impl FileSystem {
         }
         if new_blocks < old_blocks {
             let g = self.s.layout.lock().await;
-            let mut copy = rc.borrow().clone();
+            let mut copy = rc.inode.borrow().clone();
             g.get_mut().truncate(&mut copy, new_blocks).await?;
-            let mut inode = rc.borrow_mut();
+            let mut inode = rc.inode.borrow_mut();
             inode.direct = copy.direct;
             inode.indirect = copy.indirect;
         }

@@ -266,7 +266,7 @@ pub struct LossReport {
 }
 
 /// Compares recovered state against the acknowledged files of the
-/// replayed workload (`acked` from `cnp-trace`'s `replay_with`).
+/// replayed workload (`acked` from `cnp-trace`'s `replay`).
 ///
 /// Deletions are not judged (a crash may resurrect a post-checkpoint
 /// delete; that is a documented non-goal), and neither is block-level

@@ -16,7 +16,7 @@ use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
 use cnp_obs::Json;
 use cnp_sim::{run_cells, Sim};
-use cnp_trace::{replay_with, ReplayOptions, SpriteParams, SyntheticSprite};
+use cnp_trace::{replay, ReplayOptions, SpriteParams, SyntheticSprite};
 
 use crate::cli::CliArgs;
 use crate::experiment::{Policy, POLICIES};
@@ -151,13 +151,9 @@ fn run_cell(
 
     sim.block_on("crash-cell", async move {
         fs.format().await.expect("format");
-        let report = replay_with(
-            &h,
-            &fs,
-            records,
-            ReplayOptions { max_ops: Some(cut_op), track_acks: true },
-        )
-        .await;
+        let report =
+            replay(&h, &fs, records, ReplayOptions { max_ops: Some(cut_op), track_acks: true })
+                .await;
         // The cut: everything volatile dies right now.
         let doomed_stats = fs.driver_stats();
         let doomed_metrics = fs.metrics();

@@ -12,7 +12,7 @@ use cnp_fault::LayoutKind;
 use cnp_layout::{FfsLayout, FfsParams, Layout, LayoutStats, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
 use cnp_sim::Sim;
-use cnp_trace::{replay, ReplayReport, SpriteParams, SyntheticSprite};
+use cnp_trace::{replay, ReplayOptions, ReplayReport, SpriteParams, SyntheticSprite};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -224,7 +224,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         let reports = reports.clone();
         h.spawn("experiment", async move {
             fs.format().await.expect("format");
-            let report = replay(&h2, &fs, recs).await;
+            let report = replay(&h2, &fs, recs, ReplayOptions::default()).await;
             let _ = fs.sync().await;
             reports.borrow_mut().push(report);
             fs.shutdown();

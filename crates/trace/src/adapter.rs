@@ -8,7 +8,7 @@
 //! time-sorted record list. The projection loses the closed-loop
 //! back-pressure (a trace client dispatches at its recorded time even
 //! if the system is slow) but gains the whole existing replay
-//! machinery: codecs, `replay_with` op budgets, and acknowledgement
+//! machinery: codecs, `replay` op budgets, and acknowledgement
 //! tracking all apply unchanged.
 
 use crate::record::{TraceOp, TraceRecord};

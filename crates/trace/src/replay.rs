@@ -25,7 +25,7 @@ use cnp_sim::{Handle, SimDuration, SimTime};
 
 use crate::record::{TraceOp, TraceRecord};
 
-/// Controls for [`replay_with`].
+/// Controls for [`replay`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
     /// Stop after this many operations have been attempted across all
@@ -218,14 +218,10 @@ impl ClientRun {
 ///
 /// Each client id in the trace becomes its own simulated thread. Files
 /// are created on first use (traces do not carry creates explicitly).
-pub async fn replay(handle: &Handle, fs: &FileSystem, records: Vec<TraceRecord>) -> ReplayReport {
-    replay_with(handle, fs, records, ReplayOptions::default()).await
-}
-
-/// [`replay`] with an operation budget and acknowledgement tracking —
-/// the crash experiments cut the workload here and compare recovered
-/// state against what was acknowledged.
-pub async fn replay_with(
+/// `opts` may cut the run after an operation budget and track what was
+/// acknowledged — the crash experiments cut the workload here and
+/// compare recovered state against it.
+pub async fn replay(
     handle: &Handle,
     fs: &FileSystem,
     records: Vec<TraceRecord>,

@@ -159,7 +159,7 @@ impl Scenario {
 
     /// Projects the closed-loop programs onto open-loop trace records
     /// (`cnp_trace::records_from_streams`), so scenarios replay through
-    /// the existing `replay_with` machinery, codecs included.
+    /// the existing `replay` machinery, codecs included.
     pub fn to_trace_records(&self) -> Vec<TraceRecord> {
         let streams: Vec<(u32, Vec<(u64, TraceOp)>)> = self
             .plans

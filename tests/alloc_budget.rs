@@ -12,7 +12,8 @@
 //!
 //! The block cache: what a flush pick allocates depends on what it
 //! *picks*, never on how much is *dirty*; committing a simulated block
-//! allocates nothing.
+//! allocates nothing but, for a file's first block, the file's list in
+//! the index; dropping a file allocates nothing.
 //!
 //! The data path: a read or write of N blocks in one call allocates what
 //! its blocks do — nothing for a resident block off-line, its load for a
@@ -317,6 +318,46 @@ fn committing_a_simulated_block_allocates_nothing() {
         floor = floor.min(allocs() - before);
     }
     assert_eq!(floor, 0);
+}
+
+/// An empty cache of 1,024 frames under LRU and `ups`.
+fn empty_cache() -> BlockCache {
+    let cfg = CacheConfig { block_size: BLOCK_SIZE, mem_bytes: 1024 << 12, nvram_bytes: None };
+    let lru = Box::new(Lru::new(cfg.frames()));
+    BlockCache::new(cfg, lru, flush_by_name("ups").expect("known policy"))
+}
+
+#[test]
+fn a_new_files_first_block_costs_the_index_one_list() {
+    let mut cache = empty_cache();
+    let (mut floor, mut total) = (u64::MAX, 0);
+    for file in 0..256 {
+        let Reserve::Frame(frame) = cache.reserve() else { panic!("the cache has room") };
+        let before = allocs();
+        cache.commit(frame, BlockKey::new(FileId(file), 0), None, SimTime::ZERO);
+        let spent = allocs() - before;
+        (floor, total) = (floor.min(spent), total + spent);
+    }
+    assert!(floor <= 1, "the first block of a new file allocated {floor} in the index");
+    // One list a file, plus the table's eight doublings up to 256 files.
+    assert!(total <= 256 + 8, "256 new files allocated {total}");
+}
+
+#[test]
+fn removing_a_resident_file_allocates_nothing() {
+    let mut cache = empty_cache();
+    for block in 0..64 {
+        let key = BlockKey::new(FileId(1), block);
+        let Reserve::Frame(frame) = cache.reserve() else { panic!("the cache has room") };
+        cache.commit(frame, key, None, SimTime::ZERO);
+        if block % 2 == 0 {
+            assert_eq!(cache.mark_dirty(key, SimTime::ZERO), DirtyOutcome::Ok);
+        }
+    }
+    let before = allocs();
+    assert_eq!(cache.remove_file(FileId(1)), 32);
+    assert_eq!(allocs() - before, 0, "remove_file of a resident 64-block file");
+    assert_eq!(cache.resident(), 0);
 }
 
 /// Runs `body` on a formatted simulated-mode engine at `queue_depth`

@@ -7,7 +7,7 @@ use cut_and_paste::disk::{sim_disk_driver, CLook, DiskImage, FaultPlan, Hardware
 use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
 use cut_and_paste::sim::Sim;
-use cut_and_paste::trace::{replay, trace_1a, SyntheticSprite};
+use cut_and_paste::trace::{replay, trace_1a, ReplayOptions, SyntheticSprite};
 
 fn lfs_fs(h: &cut_and_paste::sim::Handle, cfg: FsConfig) -> FileSystem {
     let driver = sim_disk_driver(h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
@@ -86,7 +86,7 @@ fn full_stack_trace_replay_no_errors() {
         fs.format().await.unwrap();
         let records = SyntheticSprite::new(trace_1a(), 5).generate(0.002);
         assert!(records.len() > 100);
-        let report = replay(&h, &fs, records).await;
+        let report = replay(&h, &fs, records, ReplayOptions::default()).await;
         assert_eq!(report.errors, 0, "samples: {:?}", report.error_sample);
         assert!(report.ops > 100);
         assert!(report.mean_ms() > 0.0);
@@ -103,7 +103,7 @@ fn same_workload_same_seed_is_deterministic() {
         sim.block_on("t", async move {
             fs.format().await.unwrap();
             let records = SyntheticSprite::new(trace_1a(), 5).generate(0.001);
-            let report = replay(&h, &fs, records).await;
+            let report = replay(&h, &fs, records, ReplayOptions::default()).await;
             let out = (report.ops, h.now().as_nanos());
             fs.shutdown();
             out
@@ -546,7 +546,7 @@ fn multi_client_crash_cycle(hw: Hardware) {
 #[test]
 fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
     use cut_and_paste::sim::{SimDuration, SimTime};
-    use cut_and_paste::trace::{replay_with, ReplayOptions, TraceOp};
+    use cut_and_paste::trace::TraceOp;
     use cut_and_paste::workload::{
         run_clients, ClientOp, ClientPlan, RunOptions, Scenario, WorkloadKind,
     };
@@ -585,7 +585,7 @@ fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
                 (r.errors, r.acked, r.indeterminate)
             } else {
                 let opts = ReplayOptions { max_ops: None, track_acks: true };
-                let r = replay_with(&h, &fs, scenario.to_trace_records(), opts).await;
+                let r = replay(&h, &fs, scenario.to_trace_records(), opts).await;
                 (r.errors, r.acked, r.indeterminate)
             };
             assert_eq!(errors, 1, "closed loop {closed_loop}: only the truncate fails");
