@@ -1,5 +1,7 @@
 //! Patsy command-line interface: regenerates the paper's figures and
-//! ablations on the off-line simulator.
+//! ablations on the off-line simulator. Each of those is an entry of
+//! one table, `cnp_patsy::rigs::RIGS`, and prints its rows and then a
+//! verdict line per claim judged on them.
 //!
 //! ```text
 //! patsy fig2|fig3|fig4|fig5            # the paper's evaluation figures
@@ -24,10 +26,10 @@
 //! options: --scale 0.05 --seed 365 --cuts 16 --layout lfs|ffs --qd 1
 //! ```
 
-use cnp_patsy::ablate::Ablation;
 use cnp_patsy::check::{check_cli, repro_cli};
 use cnp_patsy::cli::{parse_cli, usage};
-use cnp_patsy::{clients, crash, figures, qdsweep, serve};
+use cnp_patsy::rigs::Rig;
+use cnp_patsy::{clients, crash, experiment, qdsweep, serve};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,33 +45,22 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let figure_cdf = |trace: &str| {
-        let rows = figures::run_figure_cdf(trace, a.scale, a.seed, a.qd, a.threads());
-        print!("{}", figures::format_figure_cdf(trace, a.scale, a.seed, a.qd, &rows));
-    };
     match a.cmd.as_str() {
-        "fig2" => figure_cdf("1a"),
-        "fig3" => figure_cdf("1b"),
-        "fig4" => figure_cdf("5"),
-        "fig5" => {
-            let rows = figures::run_figure5(a.scale, a.seed, a.threads());
-            print!("{}", figures::format_figure5(a.scale, a.seed, &rows));
-        }
         "sweep-qd" => qdsweep::sweep_queue_depth(&a),
         "sweep-clients" => clients::sweep_clients_cli(&a),
         "serve-bench" => serve::serve_bench_cli(&a),
-        "run" => figures::run_one(&a),
+        "run" => experiment::run_one(&a),
         "crash" => crash::crash_cli(&a),
         "check" => std::process::exit(match &a.repro {
             Some(blob) => repro_cli(blob),
             None => check_cli(&a),
         }),
-        other => {
-            let ablation = other
-                .strip_prefix("ablate-")
-                .and_then(Ablation::by_name)
-                .expect("parse_cli admits only the subcommands dispatched here");
-            print!("{}", ablation.format(&ablation.run(a.scale, a.seed, a.threads())));
+        rig => {
+            let rig =
+                Rig::by_name(rig).expect("parse_cli admits only the subcommands dispatched here");
+            // A figure or ablation runs at scale 0.05 and queue depth 1 unless asked.
+            let (scale, qd) = (a.scale.unwrap_or(0.05), a.qd.unwrap_or(1));
+            print!("{}", rig.report(scale, a.seed, qd, &rig.run(scale, a.seed, qd, a.threads())));
         }
     }
 }

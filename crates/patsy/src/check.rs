@@ -27,10 +27,10 @@ pub fn check_cli(a: &CliArgs) -> i32 {
     // Enumeration replays O(budget²) prefix ops per cell: the crash
     // sweep's small default workload keeps it exhaustive *and*
     // tractable.
-    let scale = if a.scale_set { a.scale } else { 0.002 };
+    let (scale, queue_depth) = (a.scale.unwrap_or(0.002), a.qd.unwrap_or(1));
     let records = SyntheticSprite::new(params, a.seed ^ 0xabcd).generate(scale);
     let mut check = CheckConfig::new(records, &a.trace, a.budget as usize);
-    check.queue_depth = a.qd;
+    check.queue_depth = queue_depth;
     check.seed = a.seed;
     if let Some(layout) = a.layout {
         check.layouts = vec![layout];
@@ -86,11 +86,11 @@ pub fn check_cli(a: &CliArgs) -> i32 {
     let lin_cfg = HistoryCheckConfig {
         kind: a.workload,
         // A small fixed fleet unless asked.
-        clients: if a.clients_set { a.clients[0] } else { 4 },
+        clients: a.clients.as_ref().map_or(4, |c| c[0]),
         seed: a.seed,
         scale,
         layout: check.layouts[0],
-        queue_depth: a.qd,
+        queue_depth,
         lin: LinConfig::default(),
     };
     let lin = run_history_check(&lin_cfg);

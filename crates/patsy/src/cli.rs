@@ -19,10 +19,9 @@ use crate::experiment::Policy;
 pub struct CliArgs {
     /// Subcommand (first positional argument).
     pub cmd: String,
-    /// `--scale` (fraction of the nominal workload; 0 < scale ≤ 10).
-    pub scale: f64,
-    /// Whether `--scale` was given explicitly.
-    pub scale_set: bool,
+    /// `--scale` when given (fraction of the nominal workload;
+    /// 0 < scale ≤ 10); each subcommand states its own default.
+    pub scale: Option<f64>,
     /// `--seed`.
     pub seed: u64,
     /// `--trace` preset name.
@@ -34,16 +33,10 @@ pub struct CliArgs {
     pub cuts: u32,
     /// `--layout` (lfs|ffs) when given.
     pub layout: Option<LayoutKind>,
-    /// `--qd` queue depth (≥ 1).
-    pub qd: u32,
-    /// Whether `--qd` was given explicitly (sweep-clients defaults to
-    /// 8 when it was not; everything else keeps the lock-step 1).
-    pub qd_set: bool,
-    /// `--clients` counts (comma-separated; each ≥ 1).
-    pub clients: Vec<u32>,
-    /// Whether `--clients` was given explicitly (`check` uses a small
-    /// fixed fleet unless asked).
-    pub clients_set: bool,
+    /// `--qd` queue depth when given (≥ 1).
+    pub qd: Option<u32>,
+    /// `--clients` counts when given (comma-separated; each ≥ 1).
+    pub clients: Option<Vec<u32>>,
     /// `--workload` scenario family (sweep-clients, serve-bench, check).
     pub workload: WorkloadKind,
     /// `--budget` bounded-prefix length for `check` (≥ 1).
@@ -83,17 +76,14 @@ impl Default for CliArgs {
     fn default() -> Self {
         CliArgs {
             cmd: String::new(),
-            scale: 0.05,
-            scale_set: false,
+            scale: None,
             seed: 365,
             trace: "1a".to_string(),
             policy: None,
             cuts: 16,
             layout: None,
-            qd: 1,
-            qd_set: false,
-            clients: vec![1, 4, 16],
-            clients_set: false,
+            qd: None,
+            clients: None,
             workload: WorkloadKind::Zipf,
             budget: 200,
             repro: None,
@@ -219,8 +209,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                         "bad --scale {v}: must satisfy 0 < scale <= 10 (fraction of the nominal workload)"
                     ));
                 }
-                out.scale = v;
-                out.scale_set = true;
+                out.scale = Some(v);
             }
             "--seed" => out.seed = number(flag, value()?).map_err(|e| e + ": not a u64")?,
             "--budget" => {
@@ -240,13 +229,13 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                 }
             }
             "--qd" => {
-                out.qd = number(flag, value()?)?;
-                if out.qd == 0 {
+                let v = number(flag, value()?)?;
+                if v == 0 {
                     return Err(
                         "bad --qd 0: queue depth must be >= 1 (1 = lock-step pipeline)".to_string()
                     );
                 }
-                out.qd_set = true;
+                out.qd = Some(v);
             }
             "--clients" => {
                 let raw = value()?;
@@ -270,8 +259,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                     }
                     clients.push(n);
                 }
-                out.clients = clients;
-                out.clients_set = true;
+                out.clients = Some(clients);
             }
             "--shards" => {
                 let v: u32 = number(flag, value()?)?;
@@ -398,13 +386,11 @@ mod tests {
             .unwrap();
         assert_eq!(a.cmd, "sweep-clients");
         assert_eq!(a.workload, WorkloadKind::Mail);
-        assert_eq!(a.clients, vec![1, 4, 16]);
-        assert_eq!(a.qd, 8);
-        assert!(a.qd_set);
-        assert!(!a.scale_set);
-        assert_eq!(a.scale, 0.05);
+        assert_eq!(a.clients, Some(vec![1, 4, 16]));
+        assert_eq!(a.qd, Some(8));
+        assert_eq!(a.scale, None, "each subcommand states its own default");
         let b = parse(&["sweep-clients"]).unwrap();
-        assert!(!b.qd_set, "qd default must be distinguishable from an explicit --qd");
+        assert_eq!((b.qd, b.clients), (None, None), "a default must be distinguishable");
     }
 
     #[test]
@@ -448,7 +434,7 @@ mod tests {
         assert!(e.contains("--clients"), "{e}");
         // The boundary itself is accepted.
         let a = parse(&["sweep-clients", "--clients", "4096"]).unwrap();
-        assert_eq!(a.clients, vec![4096]);
+        assert_eq!(a.clients, Some(vec![4096]));
     }
 
     #[test]
@@ -478,7 +464,7 @@ mod tests {
     fn trace_out_flag_parses_and_validates() {
         let a = parse(&["run", "--trace-out", "prof.json", "--qd", "8"]).unwrap();
         assert_eq!(a.trace_out.as_deref(), Some("prof.json"));
-        assert_eq!(a.qd, 8, "--trace-out must consume exactly one value");
+        assert_eq!(a.qd, Some(8), "--trace-out must consume exactly one value");
         assert_eq!(parse(&["run"]).unwrap().trace_out, None);
         let e = parse(&["run", "--trace-out", ""]).unwrap_err();
         assert!(e.contains("--trace-out"), "{e}");
@@ -559,7 +545,7 @@ mod tests {
     fn rsize_flag_parses_and_validates() {
         let a = parse(&["serve-bench", "--rsize", "8192", "--qd", "4"]).unwrap();
         assert_eq!(a.rsize, 8192);
-        assert_eq!(a.qd, 4, "--rsize must consume exactly one value");
+        assert_eq!(a.qd, Some(4), "--rsize must consume exactly one value");
         assert_eq!(parse(&["serve-bench"]).unwrap().rsize, 65536, "default is one 64 KiB transfer");
         // Both boundaries are accepted.
         assert_eq!(parse(&["serve-bench", "--rsize", "4096"]).unwrap().rsize, 4096);
@@ -743,12 +729,11 @@ mod tests {
         assert_eq!(a.cmd, "check");
         assert_eq!(a.budget, 500);
         assert_eq!(a.repro_out.as_deref(), Some("blobs.txt"));
-        assert!(a.clients_set);
-        assert_eq!(a.clients, vec![4]);
+        assert_eq!(a.clients, Some(vec![4]));
         assert!(a.repro.is_none());
         let b = parse(&["check"]).unwrap();
         assert_eq!(b.budget, 200, "check needs a sane default budget");
-        assert!(!b.clients_set, "default fleet must be distinguishable from an explicit one");
+        assert_eq!(b.clients, None, "default fleet must be distinguishable from an explicit one");
         let c = parse(&["check", "--repro", "cnpc1:xyz"]).unwrap();
         assert_eq!(c.repro.as_deref(), Some("cnpc1:xyz"));
     }

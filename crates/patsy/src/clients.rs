@@ -346,9 +346,9 @@ pub fn sweep_clients_cli(a: &CliArgs) {
     // full-figure scale would run minutes per cell. The sweep
     // defaults to qd 8 — the depth where client count separates
     // the schedulers — while everything else keeps lock-step 1.
-    let scale = if a.scale_set { a.scale } else { 0.02 };
-    let mut cfg = ClientSweepConfig::new(a.workload, a.clients.clone(), a.seed, scale);
-    cfg.queue_depth = if a.qd_set { a.qd } else { 8 };
+    let clients = a.clients.clone().unwrap_or_else(|| vec![1, 4, 16]);
+    let mut cfg = ClientSweepConfig::new(a.workload, clients, a.seed, a.scale.unwrap_or(0.02));
+    cfg.queue_depth = a.qd.unwrap_or(8);
     cfg.shards = a.shards;
     cfg.layout = a.layout.unwrap_or(cfg.layout);
     cfg.policy = a.policy.unwrap_or(cfg.policy);

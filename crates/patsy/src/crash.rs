@@ -284,9 +284,8 @@ pub fn crash_cli(a: &CliArgs) {
     let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
     // Crash cells are numerous (layouts × policies × cuts); a smaller
     // default workload keeps the sweep snappy.
-    let scale = if a.scale_set { a.scale } else { 0.002 };
-    let mut cfg = CrashConfig::new(params, a.cuts, a.seed, scale);
-    cfg.queue_depth = a.qd;
+    let mut cfg = CrashConfig::new(params, a.cuts, a.seed, a.scale.unwrap_or(0.002));
+    cfg.queue_depth = a.qd.unwrap_or(1);
     if let Some(layout) = a.layout {
         cfg.layouts = vec![layout];
     }

@@ -7,15 +7,17 @@
 
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig, FsStats};
-use cnp_disk::{compose_device, CLook, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
+use cnp_disk::{compose_device, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
 use cnp_fault::LayoutKind;
 use cnp_layout::{FfsLayout, FfsParams, Layout, LayoutStats, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
 use cnp_sim::Sim;
-use cnp_trace::{replay, ReplayOptions, ReplayReport, SpriteParams, SyntheticSprite};
+use cnp_trace::{preset, replay, ReplayOptions, ReplayReport, SpriteParams, SyntheticSprite};
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use crate::cli::CliArgs;
 
 /// The four §5.1 policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +177,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     let mut systems: Vec<FileSystem> = Vec::new();
     let mut drivers: Vec<DiskDriver> = Vec::new();
     for i in 0..FILESYSTEMS {
-        let sched = cnp_disk::scheduler_by_name(&cfg.iosched).unwrap_or_else(|| Box::new(CLook));
+        let sched = cnp_disk::scheduler_by_name(&cfg.iosched)
+            .unwrap_or_else(|| panic!("unknown scheduler {:?}", cfg.iosched));
         let models = cfg.hw.models();
         // A single mechanical disk joins the shared SCSI-2 topology, and
         // A4 turns its controller cache off; flash and stripes keep the
@@ -327,22 +330,95 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     }
 }
 
-/// Formats a latency histogram CDF at the paper's interesting points.
-pub fn cdf_row(latency: &Histogram) -> String {
-    let points = [0.5, 1.0, 2.0, 5.0, 10.0, 17.0, 25.0, 50.0, 100.0, 500.0];
-    let mut s = String::new();
-    for p in points {
-        s.push_str(&format!("{:>6.3} ", latency.cdf_at(p)));
+/// One experiment with full detail (the `run` subcommand). With
+/// `--trace-out`, a virtual-time span tracer is installed for the run
+/// and the resulting Chrome trace_event JSON is written to that path
+/// (load it in Perfetto; one lane per client plus one per disk).
+pub fn run_one(a: &CliArgs) {
+    let policy = a.policy.unwrap_or(Policy::Ups);
+    let trace = preset(&a.trace).expect("--trace validated by parse_cli");
+    // Scale 0.05 and queue depth 1 unless asked: the figures' defaults.
+    let mut cfg = ExperimentConfig::new(policy, trace);
+    cfg.scale = a.scale.unwrap_or(cfg.scale);
+    cfg.seed = a.seed;
+    cfg.queue_depth = a.qd.unwrap_or(cfg.queue_depth);
+    if let Some(layout) = a.layout {
+        cfg.layout = layout;
     }
-    s
-}
-
-/// Header matching [`cdf_row`].
-pub fn cdf_header() -> String {
-    let points = ["0.5ms", "1ms", "2ms", "5ms", "10ms", "17ms", "25ms", "50ms", "100ms", "500ms"];
-    let mut s = String::new();
-    for p in points {
-        s.push_str(&format!("{p:>6} "));
+    cfg.hw = a.hw;
+    let (trace_name, trace_out, hw) = (&a.trace, a.trace_out.as_deref(), &a.hw);
+    let tracer = trace_out.map(|_| cnp_obs::trace::Tracer::default());
+    let guard = tracer.as_ref().map(cnp_obs::trace::install);
+    let r = run_experiment(&cfg);
+    drop(guard);
+    let layout = cfg.layout.name();
+    if hw.is_default() {
+        println!("trace {trace_name} policy {} layout {layout}", policy.label());
+    } else {
+        println!(
+            "trace {trace_name} policy {} layout {layout} disk {}",
+            policy.label(),
+            hw.label()
+        );
     }
-    s
+    println!("  ops {} errors {}", r.report.ops, r.report.errors);
+    for e in &r.report.error_sample {
+        println!("    sample error: {e}");
+    }
+    println!(
+        "  latency mean {:.3} ms  p50 {:.3}  p90 {:.3}  p99 {:.3}",
+        r.report.latency.mean(),
+        r.report.latency.quantile(0.5),
+        r.report.latency.quantile(0.9),
+        r.report.latency.quantile(0.99)
+    );
+    println!(
+        "  reads mean {:.3} ms, writes mean {:.3} ms",
+        r.report.read_latency.mean(),
+        r.report.write_latency.mean()
+    );
+    println!(
+        "  cache hit {:.1}%  absorption {:.1}%  nvram stalls {}",
+        r.hit_rate * 100.0,
+        r.absorption * 100.0,
+        r.nvram_stalls
+    );
+    println!(
+        "  flushed {} blocks, queue mean {:.2} max {:.0}",
+        r.blocks_flushed, r.mean_queue, r.max_queue
+    );
+    println!(
+        "  device: mean in-flight {:.2}, overlap {:.1}%, mean service {:.3} ms",
+        r.mean_inflight,
+        r.overlap * 100.0,
+        r.mean_service_ms
+    );
+    println!(
+        "  layout: {} segments written, {} cleaned, {} ckpts",
+        r.layout.segments_written, r.layout.segments_cleaned, r.layout.checkpoints
+    );
+    println!("  15-minute intervals:");
+    for row in &r.report.intervals {
+        println!(
+            "    t={:>6}s ops={:<7} mean={:.3} ms max={:.1} ms",
+            row.start.as_millis() / 1000,
+            row.count,
+            row.mean,
+            row.max
+        );
+    }
+    println!("  metrics:");
+    for line in r.metrics.to_table().lines() {
+        println!("    {line}");
+    }
+    if let (Some(path), Some(tracer)) = (trace_out, &tracer) {
+        let json = cnp_obs::chrome::to_chrome_json(tracer);
+        match std::fs::write(path, json) {
+            Ok(()) => println!("  trace: {} events -> {path}", tracer.event_count()),
+            Err(e) => {
+                eprintln!("failed to write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }

@@ -291,7 +291,7 @@ pub fn format_qd_sweep_json(
 /// CLI entry: runs the sweep on `--disk`/`--disks` and prints the table
 /// (or JSON).
 pub fn sweep_queue_depth(a: &CliArgs) {
-    let (trace_name, scale, seed, hw) = (a.trace.as_str(), a.scale, a.seed, &a.hw);
+    let (trace_name, scale, seed, hw) = (a.trace.as_str(), a.scale.unwrap_or(0.05), a.seed, &a.hw);
     // The request count in the banner comes from the same deterministic
     // footprint the cells replay; regenerate it cheaply for the header.
     let requests = trace_footprint(trace_name, scale, seed, probe_capacity(hw)).len();

@@ -525,9 +525,9 @@ pub fn serve_bench_cli(a: &CliArgs) {
     // Same sizing logic as sweep-clients: wire cells are closed-loop
     // and numerous, so they default to the sweep's small scale and its
     // depth-8 pipeline.
-    let scale = if a.scale_set { a.scale } else { 0.02 };
-    let mut cfg = ServeBenchConfig::new(a.workload, a.clients.clone(), a.seed, scale);
-    cfg.queue_depth = if a.qd_set { a.qd } else { 8 };
+    let clients = a.clients.clone().unwrap_or_else(|| vec![1, 4, 16]);
+    let mut cfg = ServeBenchConfig::new(a.workload, clients, a.seed, a.scale.unwrap_or(0.02));
+    cfg.queue_depth = a.qd.unwrap_or(8);
     cfg.shards = a.shards;
     cfg.rsize = a.rsize;
     cfg.layout = a.layout.unwrap_or(cfg.layout);

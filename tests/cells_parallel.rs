@@ -6,19 +6,21 @@
 //! and 4 threads.)
 
 use cut_and_paste::fault::LayoutKind;
-use cut_and_paste::patsy::figures::{format_figure5, run_figure5};
+use cut_and_paste::patsy::rigs::Rig;
 use cut_and_paste::patsy::{
     format_crash_sweep_json, run_client_sweep, run_crash_sweep, ClientSweepConfig, CrashConfig,
 };
 use cut_and_paste::trace::trace_1a;
 use cut_and_paste::workload::WorkloadKind;
 
-/// Figure 5's twenty rows: the table, and every metric of every cell.
+/// Figure 5's twenty rows: the table and its claim lines, and every
+/// metric of every cell.
 fn figure5(threads: usize) -> String {
-    let rows = run_figure5(0.0002, 365, threads);
+    let fig5 = Rig::by_name("fig5").expect("fig5 is a rig");
+    let rows = fig5.run(0.0002, 365, 1, threads);
     assert_eq!(rows.len(), 5 * 4, "traces x policies");
-    let metrics: Vec<String> = rows.iter().map(|r| r.metrics.to_json(0)).collect();
-    format_figure5(0.0002, 365, &rows) + &metrics.concat()
+    let metrics: Vec<String> = rows.iter().map(|(_, r)| r.metrics.to_json(0)).collect();
+    fig5.report(0.0002, 365, 1, &rows) + &metrics.concat()
 }
 
 #[test]

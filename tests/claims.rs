@@ -1,57 +1,56 @@
-//! The first claims the repository records about its own results,
-//! asserted on the rows the rigs return (the tables `patsy` prints are
-//! formatted from the same rows). Shapes only — orderings, a knee, a
-//! ratio with slack — never digits. Claims the model currently refutes
-//! (ROADMAP item 1) are not here.
+//! The claims ledger's recorded verdicts (EXPERIMENTS.md
+//! "Paper-vs-measured status"): each claim a rig judges, at a scale
+//! small enough for tier-1, with the verdict it had when recorded. A
+//! `Holds` row must keep holding and a `Refuted` or `Vacuous` row must
+//! stay that way, so a model fix or an accidental change of shape fails
+//! here either way; the change that moves a verdict updates its row and
+//! the ledger.
 
-use cut_and_paste::patsy::ablate::{diskmodel_divergence, Ablation};
-use cut_and_paste::patsy::figures::run_figure_cdf;
-use cut_and_paste::patsy::Policy;
+use cut_and_paste::patsy::rigs::Verdict::{self, *};
+use cut_and_paste::patsy::rigs::{Rig, RIGS};
 
-fn ablation(name: &str, scale: f64) -> Vec<cut_and_paste::patsy::ablate::Row> {
-    Ablation::by_name(name).expect("a known ablation").run(scale, 365, 2)
+/// (rig, scale, seed, claim id, verdict), each (rig, scale, seed)'s rows
+/// adjacent.
+const LEDGER: [(&str, f64, u64, &str, Verdict); 13] = [
+    ("fig2", 0.01, 365, "mean-order", Refuted),
+    ("fig2", 0.01, 365, "absorption", Holds),
+    ("fig2", 0.01, 365, "rotation-step", Refuted),
+    ("fig5", 0.001, 365, "ups-fastest", Holds),
+    ("fig5", 0.001, 365, "nvram-2x", Refuted),
+    ("ablate-diskmodel", 0.01, 365, "naive-diverges", Holds),
+    ("ablate-diskmodel", 0.005, 365, "naive-diverges", Refuted),
+    ("ablate-flushmode", 0.002, 365, "async-beats-sync", Refuted),
+    ("ablate-iosched", 0.002, 365, "sched-beats-fcfs", Vacuous),
+    ("ablate-diskcache", 0.01, 365, "disk-cache-helps", Holds),
+    ("ablate-nvram", 0.001, 365, "nvram-stall-knee", Holds),
+    ("ablate-nvram", 0.001, 365, "nvram-mean-flat", Refuted),
+    ("ablate-cleaner", 0.01, 365, "cleaner-policy", Vacuous),
+];
+
+#[test]
+fn every_recorded_verdict_stands() {
+    let mut moved = Vec::new();
+    for group in LEDGER.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+        let (name, scale, seed, ..) = group[0];
+        let rig = Rig::by_name(name).expect("a rig");
+        let rows = rig.run(scale, seed, 1, 2);
+        for &(_, _, _, id, want) in group {
+            let claim = rig.claims.iter().find(|c| c.id == id).expect("a claim of the rig");
+            let (got, measured) = (claim.judge)(&rows);
+            if got != want {
+                moved.push(format!("{name} {scale} {id}: {want:?} -> {got:?} ({measured})"));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "verdicts moved:\n{}", moved.join("\n"));
 }
 
-/// `ablate-nvram`'s note: a bigger NVRAM stalls its writers less, and
-/// from 8 MB on trace 1b never fills it — past the knee more buys
-/// nothing.
+/// A claim added to a rig is recorded here too.
 #[test]
-fn nvram_stalls_fall_with_size_and_vanish_at_the_knee() {
-    let rows = ablation("nvram", 0.001);
-    let stalls: Vec<u64> = rows.iter().map(|(_, r)| r.nvram_stalls).collect();
-    assert_eq!(rows[3].0, "  8 MB");
-    assert!(stalls.windows(2).all(|w| w[0] >= w[1]), "non-increasing in size: {stalls:?}");
-    assert!(stalls[0] > 0, "the smallest NVRAM must stall: {stalls:?}");
-    assert_eq!(stalls[3..], [0, 0, 0], "no stall from 8 MB on");
-}
-
-/// `ablate-diskmodel`: a fixed-cost disk is not a stand-in for the
-/// detailed model (Ruemmler & Wilkes).
-#[test]
-fn the_naive_disk_model_diverges_from_the_detailed_one() {
-    let divergence = diskmodel_divergence(&ablation("diskmodel", 0.01));
-    assert!(divergence > 0.10, "naive vs detailed: {:.1}%", divergence * 100.0);
-}
-
-/// `ablate-diskcache`: immediate-report and read-ahead pay for
-/// themselves.
-#[test]
-fn the_disk_cache_lowers_mean_latency() {
-    let rows = ablation("diskcache", 0.01);
-    let (on, off) = (rows[0].1.report.mean_ms(), rows[1].1.report.mean_ms());
-    assert_eq!((rows[0].0, rows[1].0), ("on", "off"));
-    assert!(on < off, "disk cache on {on:.3} ms, off {off:.3} ms");
-}
-
-/// §5.1's write-saving quantity: the longer a policy may hold dirty
-/// data, the more of it dies in the cache.
-#[test]
-fn write_absorption_orders_ups_over_nvram_over_write_delay() {
-    let rows = run_figure_cdf("1a", 0.01, 365, 1, 2);
-    let absorbed = |policy: Policy| {
-        rows.iter().find(|r| r.policy == policy).expect("a row per policy").absorption
-    };
-    let (ups, nvram, delay) =
-        (absorbed(Policy::Ups), absorbed(Policy::NvramWhole), absorbed(Policy::WriteDelay));
-    assert!(ups > nvram && nvram > delay, "ups {ups:.3} > nvram-whole {nvram:.3} > {delay:.3}");
+fn every_claim_has_a_recorded_verdict() {
+    for rig in &RIGS {
+        for claim in rig.claims {
+            assert!(LEDGER.iter().any(|row| row.3 == claim.id), "{} {}", rig.name, claim.id);
+        }
+    }
 }
