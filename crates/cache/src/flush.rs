@@ -170,7 +170,7 @@ impl FlushPolicy for PeriodicUpdate {
 pub struct WriteSaving {
     /// Expand demand flushes to the whole file of the oldest block.
     pub whole_file: bool,
-    /// Oldest-first groups per demand flush (1 = legacy; set to the
+    /// Oldest-first groups per demand flush (1 = the paper's; set to the
     /// engine's queue depth so each stall fills the I/O pipeline).
     pub batch: usize,
 }
@@ -416,7 +416,7 @@ mod tests {
             vec![key(7, 0), key(7, 1), key(8, 0), key(9, 0)],
             "batch must stop at the dirty set"
         );
-        // The factory's batched variant matches the legacy one at 1.
+        // The factory's batched variant matches the plain one at 1.
         let mut a = flush_by_name("ups").unwrap();
         let mut b = flush_by_name_batched("ups", 1).unwrap();
         assert_eq!(a.on_demand(&q), b.on_demand(&q));

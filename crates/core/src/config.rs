@@ -39,10 +39,10 @@ pub struct FsConfig {
     pub flush_mode: FlushMode,
     /// I/O pipeline depth: how many block requests the engine keeps in
     /// flight per multi-block operation, and how many commands the disk
-    /// driver keeps outstanding at the device. `1` (the default) is the
-    /// legacy lock-step path and replays pre-pipelining runs exactly;
-    /// raising it lets multi-block reads/writes and flush batches fan
-    /// out, building the disk queue the I/O schedulers exist to exploit.
+    /// driver keeps outstanding at the device. `1` (the default) keeps
+    /// one command at the device at a time; raising it lets multi-block
+    /// reads/writes and flush batches fan out, building the disk queue
+    /// the I/O schedulers exist to exploit.
     pub queue_depth: u32,
     /// Real or simulated user data.
     pub data_mode: DataMode,
@@ -51,8 +51,8 @@ pub struct FsConfig {
     /// layout extent-range locks (striped by owning inode). (The inode
     /// and in-flight tables and the block cache are one structure each
     /// at every shard count — see `cnp_cache::BlockCache`.)
-    /// `1` (the default) is the unsharded legacy configuration and
-    /// replays pre-sharding runs exactly; raising it lets independent
+    /// `1` (the default) is one stripe per family and replays
+    /// pre-sharding runs exactly; raising it lets independent
     /// clients' operations proceed past each other. Single-client
     /// seeded runs are byte-identical at every shard count (enforced
     /// by proptest): striping decides who waits for whom, it never
@@ -93,8 +93,8 @@ mod tests {
         assert_eq!(c.flush, "write-delay");
         assert_eq!(c.flush_mode, FlushMode::Async);
         assert_eq!(c.cache.frames(), 4096);
-        // Lock-step by default: pipelining is opt-in so seeded runs stay
-        // comparable across versions.
+        // Depth 1 by default: a deeper pipeline is opt-in so seeded runs
+        // stay comparable across versions.
         assert_eq!(c.queue_depth, 1);
     }
 }

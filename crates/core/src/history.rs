@@ -211,8 +211,8 @@ mod tests {
     /// operation that fails with [`FsError::Disk`]`(PowerCut)` must
     /// never read as acked in the recorded history — and the history's
     /// acked count must agree exactly with the successes the caller
-    /// observed. Asserted at queue depth 1 (lock-step) and 8
-    /// (pipelined), whose error paths differ.
+    /// observed. Asserted at queue depth 1 and 8, where one command or
+    /// several are at the device when the cut lands.
     #[test]
     fn power_cut_errors_are_never_acked_in_history() {
         for qd in [1u32, 8] {

@@ -381,7 +381,7 @@ struct DriverInner {
     head_lba: u64,
     shutdown: bool,
     /// Device queue depth: how many commands may be outstanding at the
-    /// back-end at once. `1` is the legacy lock-step dispatch.
+    /// back-end at once. `1` issues each command inline.
     max_inflight: u32,
     /// Commands currently outstanding at the back-end.
     inflight: u32,
@@ -453,7 +453,7 @@ pub struct DriverStats {
     /// Maximum commands outstanding at once.
     pub max_inflight_seen: f64,
     /// Fraction of device-busy time with >= 2 commands outstanding
-    /// (0 with a lock-step queue depth of 1).
+    /// (0 at queue depth 1).
     pub overlap_fraction: f64,
     /// Queue-time histogram (ms).
     pub queue_time: Histogram,
@@ -548,7 +548,7 @@ impl DiskDriver {
 
     /// Sets the device queue depth: how many commands the dispatcher may
     /// keep outstanding at the back-end at once. Depth 1 (the default)
-    /// is the legacy lock-step dispatch; raising it lets the SCSI bus
+    /// keeps one command at the device; raising it lets the SCSI bus
     /// phases of one command overlap the mechanical work of another and
     /// gives the queue scheduler a real queue to optimise.
     pub fn set_max_inflight(&self, depth: u32) {
@@ -738,39 +738,32 @@ impl DiskDriver {
                 }
                 (q.req, q.reply, inner.max_inflight)
             };
-            req.issued_at = self.handle.now();
-            let end_lba = req.lba + req.sectors as u64;
-            if depth <= 1 {
-                // Lock-step path: issue inline and only then look at the
-                // queue again. Kept as its own branch (not the n=1 case
-                // of the pipelined one) so depth-1 runs replay the
-                // pre-pipelining event sequence exactly: no extra task
-                // enters the seeded scheduler.
-                let (op, completion) = self.issue_with_retry(&backend, req).await;
-                self.complete(end_lba, op, &completion);
-                reply.send(completion);
-                continue;
-            }
-            // Pipelined path: the head moves at dispatch (where a real
-            // scheduler's knowledge ends) and the command runs on its
-            // own task so more can follow while it seeks.
+            // The head moves at dispatch, where a real scheduler's
+            // knowledge ends; only `pick` reads it.
+            let now = self.handle.now();
+            req.issued_at = now;
             {
                 let mut inner = self.inner.borrow_mut();
-                inner.head_lba = end_lba;
-                let now = self.handle.now();
+                inner.head_lba = req.lba + req.sectors as u64;
                 let n = inner.inflight + 1;
                 inner.set_inflight(now, n);
             }
+            if depth <= 1 {
+                // Depth 1 issues inline and only then looks at the queue
+                // again. A `driver:io` task per command costs allocations
+                // on every command; DESIGN.md "I/O pipeline" has the
+                // measurements, and what folding this branch would move.
+                let (op, completion) = self.issue_with_retry(&backend, req).await;
+                self.complete_tail(op, &completion);
+                reply.send(completion);
+                continue;
+            }
+            // Deeper: the command runs on its own task so more can follow
+            // while it seeks.
             let driver = self.clone();
             let backend = backend.clone();
             self.handle.spawn("driver:io", async move {
                 let (op, completion) = driver.issue_with_retry(&backend, req).await;
-                {
-                    let mut inner = driver.inner.borrow_mut();
-                    let now = driver.handle.now();
-                    let n = inner.inflight - 1;
-                    inner.set_inflight(now, n);
-                }
                 driver.complete_tail(op, &completion);
                 // A slot freed up: let the dispatcher refill the device.
                 driver.wakeup.signal();
@@ -825,15 +818,12 @@ impl DiskDriver {
         (op, completion)
     }
 
-    /// Lock-step completion bookkeeping (head moves here).
-    fn complete(&self, end_lba: u64, op: IoOp, completion: &IoCompletion) {
-        self.inner.borrow_mut().head_lba = end_lba;
-        self.complete_tail(op, completion);
-    }
-
-    /// Completion bookkeeping shared by both dispatch paths.
+    /// Completion bookkeeping at every depth: the command leaves the
+    /// device, and its counters, histograms and trace event land.
     fn complete_tail(&self, op: IoOp, completion: &IoCompletion) {
         let mut inner = self.inner.borrow_mut();
+        let n = inner.inflight - 1;
+        inner.set_inflight(self.handle.now(), n);
         inner.completed += 1;
         match op {
             IoOp::Read => inner.reads += 1,
@@ -1065,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_one_pipelined_stats_stay_lockstep() {
+    fn depth_one_counts_one_command_in_flight() {
         let sim = Sim::new(4);
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
@@ -1078,9 +1068,10 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(100));
         let stats = driver.stats();
         assert_eq!(stats.completed, 8);
-        // The lock-step path never counts device overlap.
+        // The device is busy one command at a time, never two.
+        assert_eq!(stats.max_inflight_seen, 1.0);
         assert_eq!(stats.overlap_fraction, 0.0);
-        assert_eq!(stats.max_inflight_seen, 0.0);
+        assert!(stats.mean_inflight > 0.0, "a busy device reads as idle");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! picks the index of the next request to dispatch. SCAN and LOOK share
 //! pick order in this model (the queue-order difference between them is
 //! the sweep to the physical edge, which only costs time, not order);
-//! both are provided for completeness and A3's ablation.
+//! both are provided for completeness, and `sweep-qd` (A3) runs SCAN.
 
 /// Metadata a scheduler sees for each pending request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -473,13 +473,9 @@ impl StorageLayout for FfsLayout {
         let hint_base = self.group_of(inode.ino);
         let mut table: Option<Vec<u64>> = None;
         let mut table_dirty = false;
-        // With a deep driver queue, allocation decisions run first and
-        // the data writes go out as one scatter-gather batch. At depth 1
-        // each write is issued inline instead, preserving the legacy
-        // request sequence exactly (notably: an indirect-table read mid
-        // loop stays *between* the data writes, not before them).
-        let batched = self.io.pipelined();
-        let mut pending: Vec<(BlockAddr, Payload)> = Vec::new();
+        // Allocation decisions run first; the data writes then go out as
+        // one scatter-gather batch.
+        let mut pending: Vec<(BlockAddr, Payload)> = Vec::with_capacity(blocks.len());
         for (blk, payload) in blocks {
             let slot = block_slot(blk).ok_or(LayoutError::FileTooBig(blk))?;
             let existing = match slot {
@@ -521,15 +517,9 @@ impl StorageLayout for FfsLayout {
                 a
             };
             self.stats.data_writes += 1;
-            if batched {
-                pending.push((addr, payload));
-            } else {
-                self.io.write_block(addr, payload).await?;
-            }
+            pending.push((addr, payload));
         }
-        if batched {
-            self.io.write_scatter(pending).await?;
-        }
+        self.io.write_scatter(pending).await?;
         if table_dirty {
             if !inode.indirect.is_some() {
                 inode.indirect = self.alloc_block(hint_base)?;

@@ -1,16 +1,18 @@
 //! Block-granular I/O over a sector-granular disk driver.
 //!
 //! Besides the single-block helpers, this is the scatter-gather layer of
-//! the pipelined I/O path: multi-run reads and writes are issued as one
-//! tagged batch to the driver ([`cnp_disk::DiskDriver::submit_batch`])
-//! whenever the driver's queue depth allows more than one outstanding
-//! command, and fall back to the exact legacy serial sequence at depth 1
-//! so lock-step runs replay bit-identically.
+//! the I/O path: multi-run reads and writes go to the driver as one
+//! tagged batch ([`cnp_disk::DiskDriver::submit_batch`]) at every queue
+//! depth, so its scheduler sees them all at once. The driver's depth
+//! alone decides how many of them are at the device together.
 
 use cnp_disk::{DiskDriver, IoOp, Payload};
 
 use crate::error::{LResult, LayoutError};
 use crate::types::{BlockAddr, BLOCK_SIZE};
+
+/// One driver request: `(op, lba, sectors, payload)`.
+type Request = (IoOp, u64, u32, Payload);
 
 /// Block-addressed view of a [`DiskDriver`].
 #[derive(Clone)]
@@ -37,163 +39,118 @@ impl BlockIo {
         self.driver.capacity_sectors() / self.sectors_per_block as u64
     }
 
-    /// True when the driver may keep several commands outstanding, i.e.
-    /// batching requests buys real concurrency. Layouts consult this to
-    /// keep their depth-1 request sequences identical to the
-    /// pre-pipelining code.
-    pub(crate) fn pipelined(&self) -> bool {
-        self.driver.max_inflight() > 1
+    /// The first sector of block `addr`.
+    fn lba(&self, addr: BlockAddr) -> u64 {
+        addr.0 * self.sectors_per_block as u64
     }
 
     /// Reads one block.
     pub async fn read_block(&self, addr: BlockAddr) -> LResult<Payload> {
         debug_assert!(addr.is_some());
-        let lba = addr.0 * self.sectors_per_block as u64;
-        let (payload, _t) = self
-            .driver
-            .submit(IoOp::Read, lba, self.sectors_per_block, Payload::Simulated(0))
-            .await?;
-        Ok(payload)
+        self.read_run(addr, 1).await
     }
 
     /// Reads `n` consecutive blocks as one request.
     pub async fn read_run(&self, addr: BlockAddr, n: u32) -> LResult<Payload> {
-        let lba = addr.0 * self.sectors_per_block as u64;
-        let (payload, _t) = self
-            .driver
-            .submit(IoOp::Read, lba, self.sectors_per_block * n, Payload::Simulated(0))
-            .await?;
+        let sectors = self.sectors_per_block * n;
+        let (payload, _t) =
+            self.driver.submit(IoOp::Read, self.lba(addr), sectors, Payload::Simulated(0)).await?;
         Ok(payload)
     }
 
     /// Reads several block runs and appends one payload per run to
-    /// `out`, in input order.
-    ///
-    /// With a deep driver queue the runs go out as one batch and proceed
-    /// concurrently; at queue depth 1 they are issued serially in order.
+    /// `out`, in input order. The runs go out as one batch.
     pub async fn read_runs(
         &self,
         runs: &[(BlockAddr, u32)],
         out: &mut Vec<Payload>,
     ) -> LResult<()> {
-        if self.pipelined() && runs.len() > 1 {
-            let reqs: Vec<_> = runs
-                .iter()
-                .map(|&(addr, n)| {
-                    (
-                        IoOp::Read,
-                        addr.0 * self.sectors_per_block as u64,
-                        self.sectors_per_block * n,
-                        Payload::Simulated(0),
-                    )
-                })
-                .collect();
-            for r in self.driver.submit_batch(reqs).await {
-                out.push(r?.0);
-            }
+        if let [(addr, n)] = *runs {
+            out.push(self.read_run(addr, n).await?);
             return Ok(());
         }
-        for &(addr, n) in runs {
-            out.push(self.read_run(addr, n).await?);
-        }
-        Ok(())
+        let reqs = runs
+            .iter()
+            .map(|&(addr, n)| {
+                let sectors = self.sectors_per_block * n;
+                (IoOp::Read, self.lba(addr), sectors, Payload::Simulated(0))
+            })
+            .collect();
+        self.submit_all(reqs, |p| out.push(p)).await
     }
 
     /// Writes one block.
     pub async fn write_block(&self, addr: BlockAddr, payload: Payload) -> LResult<()> {
         debug_assert!(addr.is_some());
-        let lba = addr.0 * self.sectors_per_block as u64;
-        self.driver.submit(IoOp::Write, lba, self.sectors_per_block, payload).await?;
+        self.driver.submit(IoOp::Write, self.lba(addr), self.sectors_per_block, payload).await?;
         Ok(())
     }
 
-    /// Writes a run of consecutive blocks, coalescing same-kind payloads
-    /// into single requests (real-byte runs stay real; simulated runs
-    /// stay length-only), so big sequential writes cost one controller
-    /// overhead instead of one per block. With a deep driver queue the
-    /// coalesced requests are additionally issued as one concurrent
-    /// batch.
+    /// Writes a run of consecutive blocks: the consecutive-address case
+    /// of [`BlockIo::write_scatter`].
     pub async fn write_run(&self, start: BlockAddr, blocks: Vec<Payload>) -> LResult<()> {
-        let mut reqs: Vec<(IoOp, u64, u32, Payload)> = Vec::new();
-        let mut i = 0usize;
-        while i < blocks.len() {
-            let real = blocks[i].bytes().is_some();
-            let mut j = i + 1;
-            while j < blocks.len() && (blocks[j].bytes().is_some() == real) {
-                j += 1;
-            }
-            let n = (j - i) as u32;
-            let lba = (start.0 + i as u64) * self.sectors_per_block as u64;
-            let payload = if real {
-                let mut buf = Vec::with_capacity((n as usize) * BLOCK_SIZE as usize);
-                for b in &blocks[i..j] {
-                    let bytes = b.bytes().expect("run is real");
-                    buf.extend_from_slice(bytes);
-                    buf.resize(buf.len().next_multiple_of(BLOCK_SIZE as usize), 0);
-                }
-                Payload::Data(buf)
-            } else {
-                Payload::Simulated(n * BLOCK_SIZE)
-            };
-            reqs.push((IoOp::Write, lba, self.sectors_per_block * n, payload));
-            i = j;
-        }
-        self.submit_writes(reqs).await
+        let reqs = self.coalesce((start.0..).map(BlockAddr).zip(&blocks));
+        self.submit_all(reqs, drop).await
     }
 
     /// Writes blocks at arbitrary addresses (scatter), coalescing
-    /// physically-consecutive same-kind payloads into single requests.
-    /// Input order is preserved in the coalescing scan, so update-in-
-    /// place layouts keep their write ordering semantics.
-    ///
-    /// At queue depth 1 nothing is coalesced or batched: each block goes
-    /// out as its own request in input order, the exact pre-pipelining
-    /// sequence.
+    /// physically-consecutive same-kind payloads into single requests
+    /// and issuing those as one batch. Input order is preserved in the
+    /// coalescing scan, so update-in-place layouts keep their write
+    /// ordering semantics.
     pub async fn write_scatter(&self, blocks: Vec<(BlockAddr, Payload)>) -> LResult<()> {
-        let pipelined = self.pipelined();
-        let mut reqs: Vec<(IoOp, u64, u32, Payload)> = Vec::new();
-        let mut i = 0usize;
-        while i < blocks.len() {
-            let start = blocks[i].0;
-            let real = blocks[i].1.bytes().is_some();
-            let mut j = i + 1;
-            while pipelined
-                && j < blocks.len()
-                && blocks[j].0 .0 == start.0 + (j - i) as u64
-                && blocks[j].1.bytes().is_some() == real
-            {
-                j += 1;
-            }
-            let n = (j - i) as u32;
-            let lba = start.0 * self.sectors_per_block as u64;
+        let reqs = self.coalesce(blocks.iter().map(|(addr, p)| (*addr, p)));
+        self.submit_all(reqs, drop).await
+    }
+
+    /// The write coalescer: one request per run of blocks whose
+    /// addresses follow each other and whose payloads are the same kind
+    /// (real-byte runs stay real; simulated runs stay length-only), so a
+    /// big sequential write costs one controller overhead instead of one
+    /// per block. A run is measured on a copy of the iterator before it
+    /// is consumed, so a real run's buffer is allocated once, at size.
+    fn coalesce<'a>(
+        &self,
+        mut blocks: impl Iterator<Item = (BlockAddr, &'a Payload)> + Clone,
+    ) -> Vec<Request> {
+        let mut reqs = Vec::new();
+        while let Some((start, first)) = blocks.clone().next() {
+            let real = first.bytes().is_some();
+            let n = blocks
+                .clone()
+                .zip(start.0..)
+                .take_while(|((addr, p), want)| addr.0 == *want && p.bytes().is_some() == real)
+                .count();
             let payload = if real {
-                let mut buf = Vec::with_capacity((n as usize) * BLOCK_SIZE as usize);
-                for (_, b) in &blocks[i..j] {
-                    let bytes = b.bytes().expect("run is real");
-                    buf.extend_from_slice(bytes);
+                let mut buf = Vec::with_capacity(n * BLOCK_SIZE as usize);
+                for (_, p) in blocks.by_ref().take(n) {
+                    buf.extend_from_slice(p.bytes().expect("run is real"));
                     buf.resize(buf.len().next_multiple_of(BLOCK_SIZE as usize), 0);
                 }
                 Payload::Data(buf)
             } else {
-                Payload::Simulated(n * BLOCK_SIZE)
+                blocks.nth(n - 1);
+                Payload::Simulated(n as u32 * BLOCK_SIZE)
             };
-            reqs.push((IoOp::Write, lba, self.sectors_per_block * n, payload));
-            i = j;
+            reqs.push((IoOp::Write, self.lba(start), self.sectors_per_block * n as u32, payload));
         }
-        self.submit_writes(reqs).await
+        reqs
     }
 
-    /// Issues prepared write requests: one concurrent batch with a deep
-    /// queue, the legacy serial sequence at depth 1.
-    async fn submit_writes(&self, reqs: Vec<(IoOp, u64, u32, Payload)>) -> LResult<()> {
-        if self.pipelined() && reqs.len() > 1 {
+    /// Sends `reqs` to the driver and hands each result's payload to
+    /// `each`, in order: one request through `submit`, more than one as
+    /// one `submit_batch`.
+    async fn submit_all(
+        &self,
+        mut reqs: Vec<Request>,
+        mut each: impl FnMut(Payload),
+    ) -> LResult<()> {
+        if reqs.len() > 1 {
             for r in self.driver.submit_batch(reqs).await {
-                r?;
+                each(r?.0);
             }
-            return Ok(());
-        }
-        for (op, lba, sectors, payload) in reqs {
-            self.driver.submit(op, lba, sectors, payload).await?;
+        } else if let Some((op, lba, sectors, payload)) = reqs.pop() {
+            each(self.driver.submit(op, lba, sectors, payload).await?.0);
         }
         Ok(())
     }
@@ -213,6 +170,50 @@ impl BlockIo {
                 Ok(b[lo..hi].to_vec())
             }
             None => Err(LayoutError::Corrupt("expected real bytes, got simulated".into())),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cnp_disk::{sim_disk_driver, CLook, Hp97560};
+    use cnp_sim::Sim;
+
+    /// Depth decides how many commands are at the device, never what is
+    /// sent: at 1 as at 2, consecutive blocks coalesce into one command,
+    /// and several runs wait in the driver queue together.
+    #[test]
+    fn depth_one_coalesces_and_batches_like_depth_two() {
+        for depth in [1, 2] {
+            let sim = Sim::new(5);
+            let driver =
+                sim_disk_driver(&sim.handle(), "d0", Box::new(Hp97560::new()), Box::new(CLook));
+            driver.set_max_inflight(depth);
+            let io = BlockIo::new(driver.clone());
+            let block = |tag| vec![tag; BLOCK_SIZE as usize];
+            let (a, b) = (100, 900);
+            let (commands, out) = sim.block_on("test", async move {
+                let blocks = [(a, 1), (a + 1, 2), (a + 2, 3), (b, 4)];
+                let blocks = blocks.map(|(addr, tag)| (BlockAddr(addr), Payload::Data(block(tag))));
+                io.write_scatter(blocks.into()).await.unwrap();
+                let commands = io.driver().stats().completed;
+                let mut out = Vec::new();
+                let runs = [(BlockAddr(a), 2), (BlockAddr(a + 2), 1), (BlockAddr(b), 1)];
+                io.read_runs(&runs, &mut out).await.unwrap();
+                io.driver().shutdown();
+                (commands, out)
+            });
+            assert_eq!(commands, 2, "qd {depth}: [a, a+1, a+2] is one command, b one more");
+            let stats = driver.stats();
+            assert!(
+                stats.max_queue_len >= 3.0,
+                "qd {depth}: queue peaked at {}",
+                stats.max_queue_len
+            );
+            let bytes: Vec<u8> =
+                out.iter().flat_map(|p| p.bytes().expect("real").to_vec()).collect();
+            assert_eq!(bytes, [1, 2, 3, 4].map(block).concat(), "qd {depth}: blocks out of place");
         }
     }
 }

@@ -118,8 +118,7 @@ impl CliArgs {
 pub const SUBCOMMANDS: [(&str, &str); 8] = [
     ("fig2|fig3|fig4", "[--scale F] [--seed N] [--qd N] [--threads N]"),
     (
-        "fig5|ablate-diskmodel|ablate-flushmode|ablate-iosched|ablate-diskcache|ablate-nvram|\
-         ablate-cleaner",
+        "fig5|ablate-diskmodel|ablate-flushmode|ablate-diskcache|ablate-nvram|ablate-cleaner",
         "[--scale F] [--seed N] [--threads N]",
     ),
     (
@@ -232,7 +231,8 @@ pub fn parse_cli(args: &[String]) -> Result<CliArgs, String> {
                 let v = number(flag, value()?)?;
                 if v == 0 {
                     return Err(
-                        "bad --qd 0: queue depth must be >= 1 (1 = lock-step pipeline)".to_string()
+                        "bad --qd 0: queue depth must be >= 1 (1 = one command at the device)"
+                            .to_string(),
                     );
                 }
                 out.qd = Some(v);
@@ -574,7 +574,7 @@ mod tests {
     fn disks_flag_parses_and_validates() {
         let a = parse(&["sweep-qd", "--disks", "4"]).unwrap();
         assert_eq!(a.hw.disks, 4);
-        assert_eq!(parse(&["sweep-qd"]).unwrap().hw.disks, 1, "single disk is the legacy wiring");
+        assert_eq!(parse(&["sweep-qd"]).unwrap().hw.disks, 1, "one disk is the default wiring");
         // Both boundaries are accepted.
         assert_eq!(parse(&["sweep-qd", "--disks", "1"]).unwrap().hw.disks, 1);
         assert_eq!(parse(&["sweep-qd", "--disks", "64"]).unwrap().hw.disks, 64);

@@ -345,7 +345,7 @@ pub fn sweep_clients_cli(a: &CliArgs) {
     // Client cells are numerous and closed-loop; the default
     // full-figure scale would run minutes per cell. The sweep
     // defaults to qd 8 — the depth where client count separates
-    // the schedulers — while everything else keeps lock-step 1.
+    // the schedulers — while everything else defaults to depth 1.
     let clients = a.clients.clone().unwrap_or_else(|| vec![1, 4, 16]);
     let mut cfg = ClientSweepConfig::new(a.workload, clients, a.seed, a.scale.unwrap_or(0.02));
     cfg.queue_depth = a.qd.unwrap_or(8);

@@ -36,7 +36,7 @@ pub struct CrashConfig {
     pub layouts: Vec<LayoutKind>,
     /// Flush policies to sweep.
     pub policies: Vec<Policy>,
-    /// I/O pipeline depth for the doomed stack (1 = lock-step). With a
+    /// I/O pipeline depth for the doomed stack (default 1). With a
     /// depth above 1 the cut lands while a batch is in flight, so what
     /// is durable at capture reflects pipelined ordering. (Disk-level
     /// power cuts can additionally retire a seeded prefix of the

@@ -88,10 +88,8 @@ pub struct ExperimentConfig {
     pub flush_mode: FlushMode,
     /// Disable the disk's immediate-report + read-ahead cache (A4).
     pub no_disk_cache: bool,
-    /// Driver queue scheduler name (A3; default `c-look`).
-    pub iosched: String,
-    /// I/O pipeline depth (engine fan-out + device queue depth); 1 is
-    /// the legacy lock-step path.
+    /// I/O pipeline depth (engine fan-out + device queue depth); 1 keeps
+    /// one command at the device at a time.
     pub queue_depth: u32,
     /// Storage layout (default LFS, the paper's production choice).
     /// FFS's update-in-place placement scatters writes, which is what
@@ -120,7 +118,6 @@ impl ExperimentConfig {
             nvram_bytes: 4 * 1024 * 1024,
             flush_mode: FlushMode::Async,
             no_disk_cache: false,
-            iosched: "c-look".into(),
             queue_depth: 1,
             layout: LayoutKind::Lfs,
             hw: Hardware::default(),
@@ -177,8 +174,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     let mut systems: Vec<FileSystem> = Vec::new();
     let mut drivers: Vec<DiskDriver> = Vec::new();
     for i in 0..FILESYSTEMS {
-        let sched = cnp_disk::scheduler_by_name(&cfg.iosched)
-            .unwrap_or_else(|| panic!("unknown scheduler {:?}", cfg.iosched));
         let models = cfg.hw.models();
         // A single mechanical disk joins the shared SCSI-2 topology, and
         // A4 turns its controller cache off; flash and stripes keep the
@@ -192,6 +187,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         });
         let chunk = cfg.hw.chunk_sectors();
         let plan = FaultPlan::default();
+        let sched = Box::new(cnp_disk::CLook);
         let (driver, _) =
             compose_device(&h, &format!("d{i}"), models, chunk, sched, plan, None, attach);
         drivers.push(driver.clone());

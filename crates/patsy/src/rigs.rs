@@ -1,4 +1,5 @@
-//! The paper's figures and the A1–A6 ablations as one table, [`RIGS`].
+//! The paper's figures and the A1–A6 ablations (A3 is `sweep-qd`) as
+//! one table, [`RIGS`].
 //! Each [`Rig`] is a list of cells over [`ExperimentConfig`], the table
 //! its rows print as, and the [`Claim`]s the repository records about
 //! those rows. `patsy <rig>` prints the table and then one
@@ -299,7 +300,7 @@ static FIG5_CLAIMS: [Claim; 2] = [
 ];
 
 /// Every figure and ablation, in the order `patsy`'s usage lists them.
-pub static RIGS: [Rig; 10] = [
+pub static RIGS: [Rig; 9] = [
     figure("fig2", &["1a"], Cdf, &CDF_CLAIMS),
     figure("fig3", &["1b"], Cdf, &CDF_CLAIMS),
     figure("fig4", &["5"], Cdf, &CDF_CLAIMS),
@@ -349,36 +350,8 @@ pub static RIGS: [Rig; 10] = [
             },
         }],
     },
-    // A3 — driver queue disciplines.
-    Rig {
-        name: "ablate-iosched",
-        base: (&["1a"], Policy::WriteDelay),
-        cells: &[
-            ("fcfs   ", |c| c.iosched = "fcfs".into()),
-            ("sstf   ", |c| c.iosched = "sstf".into()),
-            ("scan   ", |c| c.iosched = "scan".into()),
-            ("c-scan ", |c| c.iosched = "c-scan".into()),
-            ("look   ", |c| c.iosched = "look".into()),
-            ("c-look ", |c| c.iosched = "c-look".into()),
-        ],
-        table: Lines("A3: disk queue scheduling (trace 1a, write-delay)", |r| {
-            let (mean, p99) = (mean_ms(r), p99_ms(r));
-            format!("mean {mean:.3} ms  p99 {p99:.3} ms  mean-queue {:.2}", r.mean_queue)
-        }),
-        claims: &[Claim {
-            id: "sched-beats-fcfs",
-            words: "every position-aware scheduler has a lower mean than FCFS",
-            source: "qdsweep.rs's note; sweep-qd holds it from depth 8 (tests/integration.rs)",
-            judge: |rows| {
-                let queue = column(rows, |r| r.mean_queue).into_iter().fold(0.0, f64::max);
-                let (fcfs, rest) = (mean_ms(&rows[0].1), column(&rows[1..], mean_ms));
-                let worst = rest.into_iter().fold(0.0, f64::max);
-                let measured = format!("fcfs {fcfs:.3}, others <= {worst:.3} ms; queue {queue:.2}");
-                // A scheduler only chooses among queued requests.
-                (if queue < 0.01 { Verdict::Vacuous } else { holds(worst < fcfs) }, measured)
-            },
-        }],
-    },
+    // A3, the driver's queue disciplines, is `sweep-qd`: a scheduler only
+    // chooses among queued requests, and that rig builds the queue.
     // A4 — disk controller cache features on/off.
     Rig {
         name: "ablate-diskcache",

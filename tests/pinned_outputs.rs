@@ -39,7 +39,7 @@ fn experiment(queue_depth: u32) -> ExperimentConfig {
 #[test]
 fn run_experiment_metrics_are_pinned_at_qd1_and_qd8() {
     for (qd, want) in
-        [(1, 0xce63a270232cb956078b748235dc166d_u128), (8, 0x18f0b0341ed7cc8c7ec6becbde1dd978)]
+        [(1, 0xe1023621d1f5c08d873828eb984a7f21_u128), (8, 0x18f0b0341ed7cc8c7ec6becbde1dd978)]
     {
         let r = patsy::run_experiment(&experiment(qd));
         assert_eq!(r.report.errors, 0);
@@ -59,7 +59,7 @@ fn nvram_partial_on_ffs_metrics_are_pinned_at_qd1() {
     assert_pinned(
         "the qd 1 nvram-partial FFS metrics",
         &r.metrics.to_json(0),
-        0x02cb8e3642f0590bb5e13030db7c0f2a,
+        0xd8cbd01f5e4f28a8026ccf52d28bf53f,
     );
 }
 
@@ -81,14 +81,16 @@ fn traced_run_chrome_json_is_pinned() {
     assert_pinned("the Chrome trace", &json, 0xcd1d6bc5e8191b62d2a18fdd8718a460);
 }
 
-/// At depth 1 the window is one block wide: the trace is the serial
-/// path's, event for event. The second run has a cache the working set
-/// does not fit, so its trace holds what the first has none of: misses,
-/// loads, and the flush stalls inside them.
+/// At depth 1 the engine's window is one block wide and the driver keeps
+/// one command at the device; the layout still sends a multi-request
+/// write or read as one batch, which then waits in the driver queue. The
+/// second run has a cache the working set does not fit, so its trace
+/// holds what the first has none of: misses, loads, and the flush stalls
+/// inside them.
 #[test]
 fn traced_run_chrome_json_is_pinned_at_qd1() {
     let json = chrome_trace(&traced_experiment(1));
-    assert_pinned("the qd 1 Chrome trace", &json, 0xc3299400be7e6716c3616b13bf37209b);
+    assert_pinned("the qd 1 Chrome trace", &json, 0x0bce86fadf882e64a871ecf653cd8249);
     let small_cache = ExperimentConfig {
         policy: Policy::NvramPartial,
         layout: LayoutKind::Ffs,
@@ -100,7 +102,7 @@ fn traced_run_chrome_json_is_pinned_at_qd1() {
     for name in ["cache:miss", "cache:load", "flush:wait"] {
         assert!(json.contains(name), "no {name} in the small-cache trace");
     }
-    assert_pinned("the qd 1 small-cache Chrome trace", &json, 0xa01bbb8b6dbd8f4bf74048b74fe1311c);
+    assert_pinned("the qd 1 small-cache Chrome trace", &json, 0x1896eab028286e02a64ac8de8ad4afa4);
 }
 
 #[test]
@@ -157,7 +159,7 @@ fn crash_sweep_json_is_pinned() {
         assert_pinned(
             "the 2-cut sweep",
             &patsy::format_crash_sweep_json(&cfg, &cells),
-            0xb9c88b3ebcf59e90b24ba485c20e1156,
+            0x962ec887ffdd1889fe2d40f087da58de,
         );
     }
 }

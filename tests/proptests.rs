@@ -344,8 +344,7 @@ proptest! {
     /// The pipelined I/O path is an exact functional oracle of the
     /// serial path: the same operation sequence produces byte-identical
     /// file contents at queue depth 1 and queue depth 8, and the
-    /// depth-1 run itself is byte-identical across invocations (the
-    /// pipelined code collapses to the legacy serial event sequence).
+    /// depth-1 run itself is byte-identical across invocations.
     #[test]
     fn pipelined_path_is_exact_oracle_of_serial(
         seed in 0u64..1_000_000,
