@@ -213,7 +213,7 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
     };
     let fs_cfg = spec.fs_config();
     let Stack { fs, driver, disks } =
-        Stack::build(&h, "cell0", spec.layout, &Hardware::default(), fs_cfg.clone(), plan);
+        Stack::build(&h, "cell0", spec.layout, Hardware::default().device(), fs_cfg.clone(), plan);
     let nvram_backed = spec.nvram_bytes.is_some();
     let layout_kind = spec.layout;
     let records = records.to_vec();

@@ -85,7 +85,7 @@ pub fn record_history(cfg: &HistoryCheckConfig) -> Vec<HistoryEvent> {
         ..FsConfig::default()
     };
     let hw = Hardware::default();
-    let fs = Stack::build(&h, "lin0", cfg.layout, &hw, fs_cfg, FaultPlan::default()).fs;
+    let fs = Stack::build(&h, "lin0", cfg.layout, hw.device(), fs_cfg, FaultPlan::default()).fs;
     let scenario = Scenario::generate(cfg.kind, cfg.clients, cfg.seed, cfg.scale);
     let log = HistoryLog::new();
     sim.block_on("lin-harness", async move {

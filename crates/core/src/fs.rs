@@ -884,13 +884,28 @@ mod tests {
 
     const RETRIES: u8 = durability::FLUSH_RETRIES;
 
-    /// Runs `body` on a formatted real-mode FFS engine of `frames` cache
-    /// blocks under `ups` (nothing flushes but `sync` and a full cache)
-    /// whose one disk executes `plan`. FFS allocates a file's blocks
-    /// from its group up and hands out the lowest free ino: what a
-    /// script does before its first flush decides where that flush
-    /// lands, whatever the plan.
-    fn run_ffs<T, Fut>(
+    /// Builds a fault script's layout over the driver.
+    type Build = fn(&cnp_sim::Handle, cnp_disk::DiskDriver) -> Layout;
+
+    /// The fault scripts' FFS. It allocates a file's blocks from its
+    /// group up and hands out the lowest free ino: what a script does
+    /// before its first flush decides where that flush lands, whatever
+    /// the plan.
+    fn ffs(h: &cnp_sim::Handle, driver: cnp_disk::DiskDriver) -> Layout {
+        Layout::Ffs(FfsLayout::new(h, driver, FfsParams { ninodes: 1024, ngroups: 4 }))
+    }
+
+    /// The fault scripts' LFS: the log head after `format` is the first
+    /// data segment, so a script's first flush lands there.
+    fn lfs(h: &cnp_sim::Handle, driver: cnp_disk::DiskDriver) -> Layout {
+        Layout::Lfs(LfsLayout::new(h, driver, LfsParams::default()))
+    }
+
+    /// Runs `body` on a formatted real-mode engine over `layout`, with
+    /// `frames` cache blocks under `ups` (nothing flushes but `sync` and
+    /// a full cache), whose one disk executes `plan`.
+    fn run_engine<T, Fut>(
+        layout: Build,
         plan: FaultPlan,
         frames: u64,
         body: impl FnOnce(FileSystem) -> Fut + 'static,
@@ -904,8 +919,7 @@ mod tests {
         let models: Vec<Box<dyn DiskModel>> = vec![Box::new(Hp97560::new())];
         let (driver, _disks) =
             compose_device(&h, "d0", models, None, Box::new(CLook), plan, None, None);
-        let params = FfsParams { ninodes: 1024, ngroups: 4 };
-        let layout = Layout::Ffs(FfsLayout::new(&h, driver, params));
+        let layout = layout(&h, driver);
         let cache = cnp_cache::CacheConfig {
             block_size: BLOCK_SIZE,
             mem_bytes: frames * BLOCK_SIZE as u64,
@@ -935,9 +949,9 @@ mod tests {
         ino
     }
 
-    /// Where `/f`'s block 0 lands on a healthy disk.
-    fn first_block() -> u64 {
-        run_ffs(FaultPlan::default(), 64, |fs| async move {
+    /// Where `/f`'s block 0 lands on a healthy disk under `layout`.
+    fn first_block(layout: Build) -> u64 {
+        run_engine(layout, FaultPlan::default(), 64, |fs| async move {
             let ino = create_f(&fs).await;
             fs.sync().await.unwrap();
             let addr = fs.s.inodes.borrow()[&ino].inode.borrow().direct[0];
@@ -945,11 +959,11 @@ mod tests {
         })
     }
 
-    /// A disk whose `n` blocks from `/f`'s first home on fail every
-    /// write: each failed flush leaks the block it was allocated, so
-    /// the next attempt lands one further on.
-    fn bad_blocks(n: u64) -> FaultPlan {
-        let lba = first_block() * (BLOCK_SIZE / 512) as u64;
+    /// A disk whose `n` blocks from `/f`'s first home under `layout` on
+    /// fail every write. On FFS each failed flush leaks the block it was
+    /// allocated, so the next attempt lands one further on.
+    fn bad_blocks(layout: Build, n: u64) -> FaultPlan {
+        let lba = first_block(layout) * (BLOCK_SIZE / 512) as u64;
         FaultPlan {
             bad_ranges: vec![(lba, lba + n * (BLOCK_SIZE / 512) as u64)],
             ..FaultPlan::default()
@@ -975,7 +989,7 @@ mod tests {
 
     #[test]
     fn a_flush_that_fails_once_is_redirtied_and_lands() {
-        run_ffs(bad_blocks(1), 64, |fs| async move {
+        run_engine(ffs, bad_blocks(ffs, 1), 64, |fs| async move {
             let ino = create_f(&fs).await;
             assert_eq!(sync_until_clean(&fs, ino).await, (2, 1), "one failure, then written");
             // Read back from the disk, not the cache.
@@ -987,7 +1001,7 @@ mod tests {
 
     #[test]
     fn a_block_that_never_flushes_is_given_up_after_flush_retries_attempts() {
-        run_ffs(bad_blocks(16), 64, |fs| async move {
+        run_engine(ffs, bad_blocks(ffs, 16), 64, |fs| async move {
             let ino = create_f(&fs).await;
             assert_eq!(sync_until_clean(&fs, ino).await, (RETRIES, RETRIES as u64));
             // Given up: nothing left to flush, and a sync is quick again.
@@ -1000,7 +1014,7 @@ mod tests {
 
     #[test]
     fn after_a_give_up_the_next_failing_run_gets_every_attempt() {
-        run_ffs(bad_blocks(16), 64, |fs| async move {
+        run_engine(ffs, bad_blocks(ffs, 16), 64, |fs| async move {
             let ino = create_f(&fs).await;
             assert_eq!(sync_until_clean(&fs, ino).await, (RETRIES, RETRIES as u64));
             fs.write(ino, 0, 4, Some(b"more")).await.unwrap();
@@ -1010,7 +1024,7 @@ mod tests {
 
     #[test]
     fn a_block_truncated_away_and_rewritten_gets_every_attempt() {
-        run_ffs(bad_blocks(16), 64, |fs| async move {
+        run_engine(ffs, bad_blocks(ffs, 16), 64, |fs| async move {
             let ino = create_f(&fs).await;
             fs.sync().await.unwrap();
             assert_eq!(fs.stats().flush_errors, 1);
@@ -1027,12 +1041,31 @@ mod tests {
         });
     }
 
+    /// On LFS a flush only queues its segment's seal; the seal writer
+    /// meets the bad block. That failure poisons the log, and the engine
+    /// reports it where a caller can act: the next `sync` returns it,
+    /// and a flush that seals a segment afterwards counts a flush error.
+    #[test]
+    fn a_failed_segment_seal_reaches_sync_and_counts_as_a_flush_error() {
+        run_engine(lfs, bad_blocks(lfs, 1), 1024, |fs| async move {
+            let ino = create_f(&fs).await;
+            // A segment and a half: the first seal is the one that fails.
+            let data = vec![2u8; 200 * BLOCK_SIZE as usize];
+            fs.write(ino, 0, data.len() as u64, Some(&data)).await.unwrap();
+            assert!(fs.sync().await.is_err(), "the failed seal must reach the next sync");
+            assert_eq!(fs.stats().flush_errors, 0, "the flush itself only queued the seal");
+            fs.write(ino, 0, data.len() as u64, Some(&data)).await.unwrap();
+            assert!(fs.sync().await.is_err(), "the log stays poisoned");
+            assert!(fs.stats().flush_errors > 0, "a flush that seals onto it failed");
+        });
+    }
+
     #[test]
     fn the_first_open_of_a_reused_ino_prefetches() {
         // A multimedia file opened and unlinked without a close: the
         // next file FFS creates gets its ino, and its first open must
         // start the prefetch thread as any first open does.
-        run_ffs(FaultPlan::default(), 16, |fs| async move {
+        run_engine(ffs, FaultPlan::default(), 16, |fs| async move {
             let old = fs.create("/old", FileKind::Multimedia).await.unwrap();
             fs.open("/old").await.unwrap();
             fs.unlink("/old").await.unwrap();

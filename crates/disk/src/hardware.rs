@@ -7,6 +7,10 @@ use crate::model::DiskModel;
 use crate::simple::SimpleDisk;
 use crate::ssd::Ssd;
 
+/// What a driver is composed over: one model per disk, and the RAID-0
+/// chunk in sectors (`None` for a single disk).
+pub type Device = (Vec<Box<dyn DiskModel>>, Option<u64>);
+
 /// The simulated storage hardware behind one driver. The default (one
 /// HP 97560) reproduces every historical output byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +61,12 @@ impl Hardware {
         } else {
             &[1, 2, 4, 8, 16]
         }
+    }
+
+    /// The device this hardware composes to: one fresh model per disk
+    /// and the stripe chunk, as [`crate::compose_device`] takes them.
+    pub fn device(&self) -> Device {
+        (self.models(), self.chunk_sectors())
     }
 
     /// One fresh model per disk.

@@ -44,7 +44,7 @@ pub use driver::{
     FileBackend, SimBackend, StripedDisk,
 };
 pub use geometry::{Chs, DiskGeometry};
-pub use hardware::Hardware;
+pub use hardware::{Device, Hardware};
 pub use hp97560::{Hp97560, Hp97560Params};
 pub use iosched::{
     scheduler_by_name, CLook, CScan, Fcfs, Look, PendingMeta, QueueScheduler, Scan, Sstf,

@@ -64,24 +64,6 @@ impl LayoutKind {
             }
         }
     }
-
-    /// Like [`LayoutKind::build`], tuned for many-client throughput
-    /// runs: LFS seals segments through its background writer, so an
-    /// engine holding the layout lock across a seal no longer halts the
-    /// whole fleet for one media write. Crash campaigns keep using
-    /// [`LayoutKind::build`] — the synchronous seal is the configuration
-    /// the crash-point enumeration exercises. FFS has no seal and
-    /// builds identically.
-    pub fn build_scaled(&self, handle: &Handle, driver: DiskDriver) -> Layout {
-        match self {
-            LayoutKind::Lfs => Layout::Lfs(LfsLayout::new(
-                handle,
-                driver,
-                LfsParams { background_seal: true, ..LfsParams::default() },
-            )),
-            LayoutKind::Ffs => self.build(handle, driver),
-        }
-    }
 }
 
 /// Everything that survives a power cut.

@@ -8,7 +8,7 @@
 //! one call and none of them touches a bus, a disk task or a driver.
 
 use cnp_core::{FileSystem, FsConfig, FsResult};
-use cnp_disk::{compose_device, CLook, DiskClient, DiskDriver, DiskModel, FaultPlan, Hardware};
+use cnp_disk::{compose_device, CLook, Device, DiskClient, DiskDriver, FaultPlan, Hardware};
 use cnp_sim::Handle;
 
 use crate::crash::{recover_and_check, CrashState, LayoutKind, RecoveryOutcome};
@@ -25,36 +25,21 @@ pub struct Stack {
 }
 
 impl Stack {
-    /// Builds the `hw` disk(s), each executing `plan`, a `kind` layout
-    /// and an engine under `cfg`; tasks are named after `name`.
+    /// Builds the disk(s) of `device` (its models and stripe chunk:
+    /// [`Hardware::device`], or the fleets' HP 97560 sized to the
+    /// fleet), each executing `plan`, a `kind` layout and an engine
+    /// under `cfg`; tasks are named after `name`.
     pub fn build(
         handle: &Handle,
         name: &str,
         kind: LayoutKind,
-        hw: &Hardware,
+        (models, chunk): Device,
         cfg: FsConfig,
         plan: FaultPlan,
     ) -> Stack {
-        let (models, chunk) = (hw.models(), hw.chunk_sectors());
         let (driver, disks) =
             compose_device(handle, name, models, chunk, Box::new(CLook), plan, None, None);
         let fs = FileSystem::new(handle, kind.build(handle, driver.clone()), cfg);
-        Stack { fs, driver, disks }
-    }
-
-    /// A fault-free stack over one (fleet-sized) `model` and
-    /// [`LayoutKind::build_scaled`]: the many-client configuration.
-    pub fn build_scaled(
-        handle: &Handle,
-        name: &str,
-        kind: LayoutKind,
-        model: Box<dyn DiskModel>,
-        cfg: FsConfig,
-    ) -> Stack {
-        let plan = FaultPlan::default();
-        let (driver, disks) =
-            compose_device(handle, name, vec![model], None, Box::new(CLook), plan, None, None);
-        let fs = FileSystem::new(handle, kind.build_scaled(handle, driver.clone()), cfg);
         Stack { fs, driver, disks }
     }
 
@@ -74,7 +59,7 @@ impl Stack {
         // The clone copies frame pointers: the restored platter shares
         // the state's bytes until recovery first writes over them.
         let (plan, image) = (FaultPlan::default(), Some(state.image.clone()));
-        let (models, chunk) = (hw.models(), hw.chunk_sectors());
+        let (models, chunk) = hw.device();
         let (driver, disks) =
             compose_device(handle, name, models, chunk, Box::new(CLook), plan, image, None);
         let mut layout = kind.build(handle, driver.clone());
@@ -106,8 +91,9 @@ mod tests {
             .build();
         assert!(plan.cut_retire_ops <= 8);
         let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
+        let device = Hardware::default().device();
         let Stack { fs, disks, .. } =
-            Stack::build(&h, "p0", LayoutKind::Lfs, &Hardware::default(), cfg.clone(), plan);
+            Stack::build(&h, "p0", LayoutKind::Lfs, device, cfg.clone(), plan);
         sim.block_on("t", async move {
             fs.format().await.unwrap();
             let payload = vec![0x5Au8; 48 * 1024];
@@ -146,7 +132,8 @@ mod tests {
         let h = sim.handle();
         let plan = FaultPlanBuilder::new(1).power_cut_at_op(3).build();
         let (hw, cfg) = (Hardware::default(), FsConfig::default());
-        let Stack { fs, driver, disks } = Stack::build(&h, "f0", LayoutKind::Lfs, &hw, cfg, plan);
+        let Stack { fs, driver, disks } =
+            Stack::build(&h, "f0", LayoutKind::Lfs, hw.device(), cfg, plan);
         h.spawn("t", async move {
             for i in 0..3u64 {
                 driver.read(i * 64, 8).await.expect("pre-cut reads succeed");
@@ -185,7 +172,7 @@ mod tests {
             sim.block_on("t", async move {
                 let plan = FaultPlan { fail_every: Some(u64::MAX), ..FaultPlan::default() };
                 let cfg = FsConfig::default();
-                let stack = Stack::build(&h, "f0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+                let stack = Stack::build(&h, "f0", LayoutKind::Lfs, hw.device(), cfg.clone(), plan);
                 stack.fs.format().await.unwrap();
                 stack.fs.sync().await.unwrap();
                 let state = CrashState::capture(&stack.fs, &stack.disks[0]).await;

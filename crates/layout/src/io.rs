@@ -88,8 +88,8 @@ impl BlockIo {
 
     /// Writes a run of consecutive blocks: the consecutive-address case
     /// of [`BlockIo::write_scatter`].
-    pub async fn write_run(&self, start: BlockAddr, blocks: Vec<Payload>) -> LResult<()> {
-        let reqs = self.coalesce((start.0..).map(BlockAddr).zip(&blocks));
+    pub async fn write_run(&self, start: BlockAddr, blocks: &[Payload]) -> LResult<()> {
+        let reqs = self.coalesce((start.0..).map(BlockAddr).zip(blocks));
         self.submit_all(reqs, drop).await
     }
 

@@ -72,18 +72,6 @@ pub struct LfsParams {
     pub clean_low_water: u32,
     /// Clean until this many segments are free.
     pub clean_high_water: u32,
-    /// Seal segments through a background writer task instead of
-    /// stalling the sealer: `append_block` hands a full segment to the
-    /// writer and returns immediately, so an engine holding its layout
-    /// lock across a seal no longer serializes every client behind one
-    /// media write. Sealed-but-unwritten segments stay part of the
-    /// staging buffer (served by [`StorageLayout::staged_block`],
-    /// exported by [`StorageLayout::staged_image`]) until their writes
-    /// complete, and durability points (`sync`/`flush_staged`/
-    /// checkpoint) drain the queue — the crash-ordering invariant
-    /// (payloads before summary, summaries in log order) is preserved
-    /// because one writer serves the queue in seal order.
-    pub background_seal: bool,
 }
 
 impl Default for LfsParams {
@@ -93,12 +81,11 @@ impl Default for LfsParams {
             cleaner: CleanerPolicy::CostBenefit,
             clean_low_water: 4,
             clean_high_water: 8,
-            background_seal: false,
         }
     }
 }
 
-/// A sealed segment queued for its media write (background-seal mode).
+/// A sealed segment queued for its media write.
 struct PendingSeal {
     /// Segment index (excluded from free/victim selection while queued).
     seg: u32,
@@ -110,7 +97,7 @@ struct PendingSeal {
     payloads: Vec<Payload>,
 }
 
-/// Where a segment stands with the background seal writer: the index
+/// Where a segment stands with the seal writer: the index
 /// form of "is `seg` in `SealShared::pending`", split by whether the
 /// queued segment still holds live bytes so the writer can keep
 /// `SealShared::queued_dead` in step without seeing the usage table.
@@ -135,10 +122,21 @@ impl Queued {
     }
 }
 
-/// State shared between the layout and its background seal writer.
+/// State shared between the layout and its seal writer.
+///
+/// Every segment seals through the writer task: `flush_current` queues
+/// the full segment and returns without touching the device, so an
+/// engine holding its layout lock across a seal does not hold every
+/// other client behind one ~500 KB media write. A queued segment stays
+/// part of the staging buffer (served by [`StorageLayout::staged_block`],
+/// exported by [`StorageLayout::staged_image`]) until its write lands,
+/// and durability points (`sync`, `flush_staged`, a checkpoint) drain
+/// the queue. One writer serves the queue in seal order, payloads before
+/// summary, which is the crash-ordering invariant recovery relies on.
 struct SealShared {
-    /// Sealed-but-unwritten segments, oldest first.
-    pending: RefCell<VecDeque<PendingSeal>>,
+    /// Sealed-but-unwritten segments, oldest first. Shared with the
+    /// writer, which writes from them in place.
+    pending: RefCell<VecDeque<Rc<PendingSeal>>>,
     /// Per segment, whether it is in `pending`. Set by `flush_current`
     /// when it queues the seal, flipped Live <-> Dead by `set_live`,
     /// cleared by the writer task when the write retires.
@@ -186,24 +184,20 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
             cnp_obs::trace::set_task_lane(h.task_key(), lane);
         }
         loop {
-            let job = shared
-                .pending
-                .borrow()
-                .front()
-                .map(|p| (p.start, p.summary.clone(), p.payloads.clone()));
-            let Some((start, summary, payloads)) = job else {
+            let job = shared.pending.borrow().front().cloned();
+            let Some(job) = job else {
                 // Check-then-wait has no await between, so a concurrent
                 // seal cannot slip by unnoticed (cooperative scheduler).
                 shared.work.wait().await;
                 continue;
             };
             // Payloads reach the media before the checksummed summary
-            // that describes them — the same crash-ordering invariant as
-            // the synchronous seal.
+            // that describes them, so a summary that parses certifies
+            // the whole segment.
             let sp = h.trace_span("layout:seal");
             let r: LResult<()> = async {
-                io.write_run(BlockAddr(start + 1), payloads).await?;
-                io.write_block(BlockAddr(start), Payload::Data(summary)).await?;
+                io.write_run(BlockAddr(job.start + 1), &job.payloads).await?;
+                io.write_block(BlockAddr(job.start), Payload::Data(job.summary.clone())).await?;
                 Ok(())
             }
             .await;
@@ -217,9 +211,14 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
                     shared.done.signal();
                 }
                 Err(e) => {
-                    // A dead or cut device takes no retries; leave the
-                    // segment staged and stop (fault campaigns run the
-                    // synchronous seal, so this is a terminal state).
+                    // The driver has retried what it can, and the log
+                    // cannot skip a segment (a later summary would
+                    // certify a log with a hole in it), so a failed seal
+                    // poisons the log. The segment stays queued, and so
+                    // staged: a crash capture still applies its blocks.
+                    // Every later seal and drain returns the error, so
+                    // the engine's flush counts it and its `sync`
+                    // returns it; `done` wakes a drain already waiting.
                     *shared.failed.borrow_mut() = Some(e);
                     shared.done.signal();
                     return;
@@ -288,8 +287,8 @@ pub struct LfsLayout {
     /// free (nothing reachable charges them) until pointer patching
     /// claims them. Lifted by the closing pick of recovery's checkpoint.
     protected_segs: std::collections::BTreeSet<u32>,
-    /// Background seal-writer state; `None` in synchronous-seal mode.
-    seal: Option<Rc<SealShared>>,
+    /// The seal writer's queue and flags.
+    seal: Rc<SealShared>,
     stats: LayoutStats,
 }
 
@@ -311,18 +310,15 @@ impl LfsLayout {
         let nsegs = ((blocks - DATA_START) / params.seg_blocks as u64) as u32;
         assert!(nsegs > params.clean_high_water + 2, "disk too small for LFS");
         let sb = SuperBlock { seg_blocks: params.seg_blocks, nsegs, gen: 0 };
-        let seal = params.background_seal.then(|| {
-            let shared = Rc::new(SealShared {
-                pending: RefCell::new(VecDeque::new()),
-                queued: vec![Cell::new(Queued::No); nsegs as usize],
-                queued_dead: Cell::new(0),
-                work: Event::new(handle),
-                done: Event::new(handle),
-                failed: RefCell::new(None),
-            });
-            spawn_seal_writer(handle, io.clone(), shared.clone());
-            shared
+        let seal = Rc::new(SealShared {
+            pending: RefCell::new(VecDeque::new()),
+            queued: vec![Cell::new(Queued::No); nsegs as usize],
+            queued_dead: Cell::new(0),
+            work: Event::new(handle),
+            done: Event::new(handle),
+            failed: RefCell::new(None),
         });
+        spawn_seal_writer(handle, io.clone(), seal.clone());
         LfsLayout {
             handle: handle.clone(),
             io,
@@ -353,14 +349,13 @@ impl LfsLayout {
     /// `live == 0` and not queued at the seal writer. Read off the
     /// maintained counts — nothing on the write path scans the table.
     pub fn free_segments(&self) -> u32 {
-        let queued_dead = self.seal.as_ref().map_or(0, |s| s.queued_dead.get());
         let cur_free = self.segment_is_free(self.cur.seg) as u32;
-        self.zero_live - queued_dead - cur_free
+        self.zero_live - self.seal.queued_dead.get() - cur_free
     }
 
     /// Whether `seg` holds no live bytes and is not queued for a seal.
     fn segment_is_free(&self, seg: u32) -> bool {
-        self.usage.get(seg as usize).is_some_and(|u| u.live == 0) && !self.seal_pending(seg)
+        self.usage.get(seg as usize).is_some_and(|u| u.live == 0) && !self.seal.holds(seg)
     }
 
     /// The one writer of `SegUsage.live` outside a wholesale table
@@ -376,41 +371,38 @@ impl LfsLayout {
         } else {
             self.zero_live -= 1;
         }
-        if let Some(seal) = &self.seal {
-            seal.relive(seg as u32, live);
-        }
+        self.seal.relive(seg as u32, live);
     }
 
     /// Recounts the maintained segment state after `usage` was replaced
     /// wholesale.
     fn recount_segments(&mut self) {
         self.zero_live = self.usage.iter().filter(|u| u.live == 0).count() as u32;
-        if let Some(seal) = &self.seal {
-            for (seg, u) in self.usage.iter().enumerate() {
-                seal.relive(seg as u32, u.live);
-            }
+        for (seg, u) in self.usage.iter().enumerate() {
+            self.seal.relive(seg as u32, u.live);
         }
     }
 
     /// The from-scratch recount the maintained state must equal: the
-    /// pre-incremental `free_segments` body, walking the usage table
-    /// and, per free entry, the seal queue. Test oracle only.
+    /// usage table walked against the segments the seal queue holds
+    /// (the queue is read once, so a long queue costs what the table
+    /// costs). Test oracle only.
     #[cfg(any(test, debug_assertions))]
     fn assert_segment_state(&self) {
-        let in_queue = |seg: u32| {
-            self.seal.as_ref().is_some_and(|s| s.pending.borrow().iter().any(|p| p.seg == seg))
-        };
+        let mut in_queue = vec![false; self.usage.len()];
+        for p in self.seal.pending.borrow().iter() {
+            in_queue[p.seg as usize] = true;
+        }
         let free = self
             .usage
             .iter()
             .enumerate()
-            .filter(|(s, u)| *s as u32 != self.cur.seg && u.live == 0 && !in_queue(*s as u32))
+            .filter(|(s, u)| *s as u32 != self.cur.seg && u.live == 0 && !in_queue[*s])
             .count() as u32;
         assert_eq!(self.free_segments(), free, "maintained free-segment count drifted");
         for (seg, u) in self.usage.iter().enumerate() {
-            let want = if in_queue(seg as u32) { Queued::holding(u.live) } else { Queued::No };
-            let got = self.seal.as_ref().map_or(Queued::No, |s| s.queued[seg].get());
-            assert_eq!(got, want, "seal flag of segment {seg} drifted");
+            let want = if in_queue[seg] { Queued::holding(u.live) } else { Queued::No };
+            assert_eq!(self.seal.queued[seg].get(), want, "seal flag of segment {seg} drifted");
         }
     }
 
@@ -486,7 +478,7 @@ impl LfsLayout {
     /// Appends one payload block to the log; may flush the segment.
     async fn append_block(&mut self, entry: SumEntry, payload: Payload) -> LResult<BlockAddr> {
         if self.cur.entries.len() >= self.payload_per_seg() as usize {
-            self.roll_segment().await?;
+            self.roll_segment()?;
         }
         let idx = self.cur.entries.len();
         let addr = self.payload_addr(self.cur.seg, idx);
@@ -499,15 +491,17 @@ impl LfsLayout {
         Ok(addr)
     }
 
-    /// Flushes the current segment (summary + payload) and opens a free one.
-    async fn roll_segment(&mut self) -> LResult<()> {
-        self.flush_current().await?;
+    /// Seals the current segment and opens a free one.
+    fn roll_segment(&mut self) -> LResult<()> {
+        self.flush_current()?;
         let next = self.pick_free_segment()?;
         self.cur.seg = next;
         Ok(())
     }
 
-    async fn flush_current(&mut self) -> LResult<()> {
+    /// Seals the current segment: queues it, summary and payloads, for
+    /// the writer task, and returns without touching the device.
+    fn flush_current(&mut self) -> LResult<()> {
         if self.cur.entries.is_empty() {
             return Ok(());
         }
@@ -519,48 +513,30 @@ impl LfsLayout {
         self.log_seq += 1;
         let summary =
             SegSummary { gen: self.sb.gen, epoch: self.epoch, seq: self.log_seq, entries };
-        // The staging entries stay put until the media writes succeed:
-        // the battery-backed-staging model (and dead-disk crash capture
-        // via `staged_image`) must not lose acked blocks to a seal that
-        // died mid-flight — a failed flush retries into place.
-        let start = self.seg_start(self.cur.seg);
-        if let Some(seal) = self.seal.clone() {
-            // Background seal: queue the whole segment for the writer
-            // task and return without touching the device. The segment
-            // stays staged (and its frames stay readable through
-            // `staged_block`) until the write lands.
-            if let Some(e) = seal.failed.borrow().clone() {
-                return Err(e);
-            }
-            let payloads: Vec<Payload> = self.cur.entries.drain(..).map(|(_, p)| p).collect();
-            seal.mark(self.cur.seg, Queued::holding(self.usage[self.cur.seg as usize].live));
-            seal.pending.borrow_mut().push_back(PendingSeal {
-                seg: self.cur.seg,
-                start,
-                summary: summary_to_block(&summary),
-                payloads,
-            });
-            seal.work.signal();
-            self.stats.segments_written += 1;
-            self.stats.meta_writes += 1; // Summary block.
-            return Ok(());
+        // The segment stays staged (its frames readable through
+        // `staged_block`, its writes exported by `staged_writes`) until
+        // the write lands.
+        let seal = &self.seal;
+        if let Some(e) = seal.failed.borrow().clone() {
+            return Err(e);
         }
-        let run: Vec<Payload> = self.cur.entries.iter().map(|(_, p)| p.clone()).collect();
-        // Crash-ordering invariant: payloads reach the media before the
-        // checksummed summary that describes them, so a parseable
-        // summary certifies the whole segment.
-        self.io.write_run(BlockAddr(start + 1), run).await?;
-        self.io.write_block(BlockAddr(start), Payload::Data(summary_to_block(&summary))).await?;
-        self.cur.entries.clear();
+        let payloads: Vec<Payload> = self.cur.entries.drain(..).map(|(_, p)| p).collect();
+        seal.mark(self.cur.seg, Queued::holding(self.usage[self.cur.seg as usize].live));
+        seal.pending.borrow_mut().push_back(Rc::new(PendingSeal {
+            seg: self.cur.seg,
+            start: self.seg_start(self.cur.seg),
+            summary: summary_to_block(&summary),
+            payloads,
+        }));
+        seal.work.signal();
         self.stats.segments_written += 1;
         self.stats.meta_writes += 1; // Summary block.
         Ok(())
     }
 
-    /// Waits until every background-sealed segment is on the media
-    /// (no-op in synchronous-seal mode).
+    /// Waits until every sealed segment is on the media.
     async fn drain_seals(&self) -> LResult<()> {
-        let Some(seal) = &self.seal else { return Ok(()) };
+        let seal = &self.seal;
         loop {
             if let Some(e) = seal.failed.borrow().clone() {
                 return Err(e);
@@ -581,12 +557,10 @@ impl LfsLayout {
         // Sealed-but-unwritten segments are still battery-backed staging:
         // a dead-disk crash capture must apply them too.
         let mut queued: Vec<(BlockAddr, Payload)> = Vec::new();
-        if let Some(seal) = &self.seal {
-            for p in seal.pending.borrow().iter() {
-                queued.push((BlockAddr(p.start), Payload::Data(p.summary.clone())));
-                for (i, pl) in p.payloads.iter().enumerate() {
-                    queued.push((BlockAddr(p.start + 1 + i as u64), pl.clone()));
-                }
+        for p in self.seal.pending.borrow().iter() {
+            queued.push((BlockAddr(p.start), Payload::Data(p.summary.clone())));
+            for (i, pl) in p.payloads.iter().enumerate() {
+                queued.push((BlockAddr(p.start + 1 + i as u64), pl.clone()));
             }
         }
         if self.cur.entries.is_empty() {
@@ -608,11 +582,6 @@ impl LfsLayout {
             entries.into_iter().enumerate().map(|(i, (_, p))| (BlockAddr(start + 1 + i as u64), p)),
         );
         queued
-    }
-
-    /// Whether `seg` is sealed but still queued for its media write.
-    fn seal_pending(&self, seg: u32) -> bool {
-        self.seal.as_ref().is_some_and(|s| s.holds(seg))
     }
 
     fn pick_free_segment(&self) -> LResult<u32> {
@@ -677,7 +646,7 @@ impl LfsLayout {
             let s = s as u32;
             // A sealed-but-unwritten segment cannot be cleaned: its
             // bytes are not on the media yet.
-            if s == self.cur.seg || u.live == 0 || self.seal_pending(s) {
+            if s == self.cur.seg || u.live == 0 || self.seal.holds(s) {
                 continue;
             }
             // Never clean a segment holding live checkpoint metadata: the
@@ -809,7 +778,7 @@ impl LfsLayout {
             return Ok(t.clone());
         }
         // A staged indirect block (unflushed segment, or queued at the
-        // background seal writer) is not on the media yet.
+        // seal writer) is not on the media yet.
         if let Some(p) = self.staged_block(addr) {
             let bytes =
                 p.bytes().ok_or_else(|| LayoutError::Corrupt("staged indirect lost".into()))?;
@@ -924,7 +893,7 @@ impl LfsLayout {
             }
         }
         // The block may still be staged: in the unflushed segment, or in
-        // one queued at the background seal writer.
+        // one queued at the seal writer.
         if let Some(p) = self.staged_block(addr) {
             if let Some(bytes) = p.bytes() {
                 let off = slot * INODE_SIZE;
@@ -958,7 +927,7 @@ impl LfsLayout {
     async fn checkpoint_inner(&mut self) -> LResult<()> {
         // Seal the current segment; appends below go to a fresh one.
         if !self.cur.entries.is_empty() {
-            self.roll_segment().await?;
+            self.roll_segment()?;
         }
         // Supersede the previous checkpoint's metadata blocks.
         let old = std::mem::take(&mut self.ckpt_meta);
@@ -995,8 +964,8 @@ impl LfsLayout {
             usage_addrs.push(addr.0);
         }
         // Metadata must be durable before the checkpoint references it —
-        // including any segments still queued at the background writer.
-        self.flush_current().await?;
+        // including any segments still queued at the seal writer.
+        self.flush_current()?;
         self.drain_seals().await?;
         // The closing pick reopens the log at the first segment the
         // table just serialized shows free: `scan_log_tail` stops at
@@ -1203,10 +1172,10 @@ impl StorageLayout for LfsLayout {
         // Seal the current (possibly partial) segment to the media; the
         // roll-forward path recovers it without needing a checkpoint.
         if !self.cur.entries.is_empty() {
-            self.roll_segment().await?;
+            self.roll_segment()?;
         }
-        // Media durability, not just seal: wait out the background
-        // writer so "staging flushed" means "on the platter".
+        // Media durability, not just seal: wait out the seal writer so
+        // "staging flushed" means "on the platter".
         self.drain_seals().await?;
         Ok(())
     }
@@ -1285,13 +1254,11 @@ impl StorageLayout for LfsLayout {
                 return Some(self.cur.entries[idx].1.clone());
             }
         }
-        // Sealed segments still queued at the background writer serve
-        // reads from staging until their media write lands.
-        if let Some(seal) = &self.seal {
-            for p in seal.pending.borrow().iter() {
-                if addr.0 > p.start && addr.0 <= p.start + p.payloads.len() as u64 {
-                    return Some(p.payloads[(addr.0 - p.start - 1) as usize].clone());
-                }
+        // Sealed segments still queued at the writer serve reads from
+        // staging until their media write lands.
+        for p in self.seal.pending.borrow().iter() {
+            if addr.0 > p.start && addr.0 <= p.start + p.payloads.len() as u64 {
+                return Some(p.payloads[(addr.0 - p.start - 1) as usize].clone());
             }
         }
         None
@@ -1300,7 +1267,7 @@ impl StorageLayout for LfsLayout {
     async fn read_file_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<Payload>> {
         let Some(addr) = self.map_block(inode, blk).await? else { return Ok(None) };
         // Serve from staging if the block has not reached the media yet
-        // (the open segment, or one queued at the background writer).
+        // (the open segment, or one queued at the seal writer).
         if let Some(p) = self.staged_block(addr) {
             return Ok(Some(p));
         }
@@ -1433,7 +1400,8 @@ impl LfsLayout {
     /// 2. a segment free at the checkpoint stays free until the log
     ///    itself writes it (the cleaner and deletions only free more);
     /// 3. seals reach the media in log order, payloads before summary
-    ///    (synchronous seal, background writer and `staged_writes`).
+    ///    (one writer task serves the seal queue in order, and
+    ///    `staged_writes` exports it in the same order).
     ///
     /// So when the walk meets a segment that was free at the checkpoint,
     /// the log either wrote it — then its summary is young, or the seal

@@ -51,12 +51,11 @@ fn small_disk() -> SimpleDisk {
 
 /// High water marks: a handful of scattered files already counts as
 /// "short of space", so `ensure_space` cleans all the time.
-fn params(background_seal: bool) -> LfsParams {
+fn params() -> LfsParams {
     LfsParams {
         seg_blocks: SEG_BLOCKS,
         clean_low_water: NSEGS / 2 - 2,
         clean_high_water: NSEGS / 2 + 2,
-        background_seal,
         ..LfsParams::default()
     }
 }
@@ -119,12 +118,12 @@ async fn apply(
 
 /// Replays `steps` on a fresh layout, checking the invariant after
 /// each; returns how many segments the cleaner emptied.
-fn drive(background_seal: bool, steps: Vec<Step>) -> u64 {
+fn drive(steps: Vec<Step>) -> u64 {
     let cleaned = Rc::new(Cell::new(0));
     let out = cleaned.clone();
     run_sim(move |h| async move {
         let (driver, _disk) = power_on(&h, DiskImage::default(), FaultPlan::default());
-        let mut lfs = LfsLayout::new(&h, driver.clone(), params(background_seal));
+        let mut lfs = LfsLayout::new(&h, driver.clone(), params());
         assert_eq!(lfs.sb.nsegs, NSEGS);
         lfs.format().await.unwrap();
         lfs.assert_segment_state();
@@ -156,10 +155,7 @@ proptest! {
     fn maintained_segment_state_equals_a_recount(
         steps in prop::collection::vec((0u8..8, 0usize..FILES, 0u64..1000, 0u64..1000), 40..200),
     ) {
-        for background_seal in [false, true] {
-            let cleaned = drive(background_seal, steps.clone());
-            prop_assert!(cleaned > 0, "the cleaner never fired (background_seal {background_seal})");
-        }
+        prop_assert!(drive(steps) > 0, "the cleaner never fired");
     }
 }
 
@@ -240,18 +236,14 @@ async fn walk_vs_scan_on(h: &cnp_sim::Handle, driver: DiskDriver, params: LfsPar
 /// `faults` (none of which may hit the checkpoint itself).
 async fn walk_vs_scan(h: &cnp_sim::Handle, image: &DiskImage, faults: FaultPlan) -> Tail {
     let (driver, _disk) = power_on(h, image.clone(), faults);
-    walk_vs_scan_on(h, driver, params(false)).await
+    walk_vs_scan_on(h, driver, params()).await
 }
 
-/// The test task rarely blocks, so give the background seal writer the
-/// device before its queue swallows the whole disk (a dead disk drains
+/// The test task rarely blocks, so give the seal writer the device
+/// before its queue swallows the whole disk (a dead disk drains
 /// nothing).
 async fn let_seals_land(lfs: &LfsLayout, h: &cnp_sim::Handle) {
-    while lfs
-        .seal
-        .as_ref()
-        .is_some_and(|s| s.failed.borrow().is_none() && s.pending.borrow().len() >= 6)
-    {
+    while lfs.seal.failed.borrow().is_none() && lfs.seal.pending.borrow().len() >= 6 {
         h.sleep(SimDuration::from_millis(20)).await;
     }
 }
@@ -259,9 +251,9 @@ async fn let_seals_land(lfs: &LfsLayout, h: &cnp_sim::Handle) {
 /// Life zero: format a blank disk, apply `steps`, then keep overwriting
 /// until the cleaner has fired and the log head has wrapped past the
 /// last segment. Crashes without a sync.
-async fn first_life(h: &cnp_sim::Handle, background_seal: bool, steps: &[Step]) -> DiskImage {
+async fn first_life(h: &cnp_sim::Handle, steps: &[Step]) -> DiskImage {
     let (driver, disk) = power_on(h, DiskImage::default(), FaultPlan::default());
-    let mut lfs = LfsLayout::new(h, driver.clone(), params(background_seal));
+    let mut lfs = LfsLayout::new(h, driver.clone(), params());
     lfs.format().await.unwrap();
     let mut files: Vec<Option<Inode>> = vec![None; FILES];
     let mut wrapped = false;
@@ -289,11 +281,10 @@ async fn next_life(
     h: &cnp_sim::Handle,
     image: DiskImage,
     cut: Option<u64>,
-    background_seal: bool,
     steps: &[Step],
 ) -> Option<DiskImage> {
     let (driver, disk) = power_on(h, image, power_cut(cut));
-    let mut lfs = LfsLayout::new(h, driver.clone(), params(background_seal));
+    let mut lfs = LfsLayout::new(h, driver.clone(), params());
     let mut recovered = false;
     let lived: LResult<()> = async {
         lfs.recover().await?;
@@ -327,7 +318,7 @@ async fn next_life(
 
 /// Cuts a file system down over several lives and checks the walk
 /// against the scan on every crash image in between.
-fn crash_lives(background_seal: bool, mut steps: Vec<Step>, cuts: Vec<u64>) {
+fn crash_lives(mut steps: Vec<Step>, cuts: Vec<u64>) {
     // Deletions are not logged (module docs): a crash resurrects the
     // deleted file over segments the log has reused since, which is the
     // fsck walker's to repair. These lives empty a file instead —
@@ -338,7 +329,7 @@ fn crash_lives(background_seal: bool, mut steps: Vec<Step>, cuts: Vec<u64>) {
         }
     }
     run_sim(move |h| async move {
-        let mut image = first_life(&h, background_seal, &steps).await;
+        let mut image = first_life(&h, &steps).await;
         for (life, &cut) in cuts.iter().enumerate() {
             walk_vs_scan(&h, &image, FaultPlan::default()).await;
             // Every fourth life ends at a step boundary instead of a
@@ -346,7 +337,7 @@ fn crash_lives(background_seal: bool, mut steps: Vec<Step>, cuts: Vec<u64>) {
             let cut = (cut % 4 != 0).then_some(cut);
             let start = (life + 1) * steps.len() / (cuts.len() + 1);
             let steps = [&steps[start..], &steps[..start]].concat();
-            match next_life(&h, image, cut, background_seal, &steps).await {
+            match next_life(&h, image, cut, &steps).await {
                 Some(next) => image = next,
                 None => return,
             }
@@ -361,9 +352,7 @@ proptest! {
         steps in prop::collection::vec((0u8..8, 0usize..FILES, 0u64..1000, 0u64..1000), 40..120),
         cuts in prop::collection::vec(1u64..400, 3..5),
     ) {
-        for background_seal in [false, true] {
-            crash_lives(background_seal, steps.clone(), cuts.clone());
-        }
+        crash_lives(steps, cuts);
     }
 }
 
@@ -406,7 +395,7 @@ async fn spin_head_to(lfs: &mut LfsLayout, w: &mut Inode, seg: u32) {
 /// Returns the image and X's and W's inode numbers.
 async fn tail_behind_a_live_segment(h: &cnp_sim::Handle) -> (DiskImage, Ino, Ino) {
     let (driver, disk) = power_on(h, DiskImage::default(), FaultPlan::default());
-    let mut lfs = LfsLayout::new(h, driver.clone(), params(false));
+    let mut lfs = LfsLayout::new(h, driver.clone(), params());
     lfs.format().await.unwrap();
     // Format leaves the root in segment 0, its checkpoint in 1, the
     // head on 2: X fills segment 2 exactly.
@@ -427,6 +416,7 @@ async fn tail_behind_a_live_segment(h: &cnp_sim::Handle) -> (DiskImage, Ino, Ino
     write(&mut lfs, &mut x, FULL).await;
     write(&mut lfs, &mut w, 0..1).await;
     assert_eq!((lfs.usage[2].live, lfs.usage[3].live, lfs.cur.seg), (0, 0, 5));
+    lfs.drain_seals().await.unwrap();
     (crash(driver, disk), x.ino, w.ino)
 }
 
@@ -453,7 +443,7 @@ fn dead_young_segment_behind_the_new_head_does_not_hide_the_next_tail() {
         // appends were kept out of — not past it: the table it persisted
         // shows 3 free, which is where the next walk stops.
         let (driver, disk) = power_on(&h, image, FaultPlan::default());
-        let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+        let mut lfs = LfsLayout::new(&h, driver.clone(), params());
         let stats = lfs.recover().await.unwrap();
         assert_eq!((stats.scanned_segments, stats.rolled_segments), (4, 2));
         assert!(lfs.holds_ckpt_meta(2) && lfs.usage[3].live == 0);
@@ -471,7 +461,7 @@ fn dead_young_segment_behind_the_new_head_does_not_hide_the_next_tail() {
 fn reused_segment_that_was_live_at_the_checkpoint_is_found_young() {
     run_sim(|h| async move {
         let (driver, disk) = power_on(&h, DiskImage::default(), FaultPlan::default());
-        let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+        let mut lfs = LfsLayout::new(&h, driver.clone(), params());
         lfs.format().await.unwrap();
         let mut x = lfs.alloc_ino(FileKind::Regular, 1).unwrap();
         let mut w = lfs.alloc_ino(FileKind::Regular, 1).unwrap();
@@ -542,7 +532,7 @@ fn crash_at_every_request_of_a_recovery_leaves_a_walkable_ring() {
         let mut sealed_then_cut = 0;
         for cut in 0.. {
             let (driver, disk) = power_on(&h, image.clone(), power_cut(Some(cut)));
-            let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+            let mut lfs = LfsLayout::new(&h, driver.clone(), params());
             let finished = lfs.recover().await.is_ok();
             let cut_image = crash(driver, disk);
             let tail = walk_vs_scan(&h, &cut_image, FaultPlan::default()).await;
@@ -562,7 +552,7 @@ fn crash_at_every_request_of_a_recovery_leaves_a_walkable_ring() {
             }
             // Recovering the cut image ends where the uncut recovery does.
             let (driver, disk) = power_on(&h, cut_image, FaultPlan::default());
-            let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+            let mut lfs = LfsLayout::new(&h, driver.clone(), params());
             lfs.recover().await.unwrap();
             assert_eq!(lfs.get_inode(x).await.unwrap().blocks(), FULL.end, "cut {cut}");
             assert_eq!(seg_of_file(&mut lfs, x).await, 4, "cut {cut}");
@@ -592,7 +582,7 @@ fn unreadable_summary_is_walked_past_never_stopped_on() {
         assert_eq!(hurt.young, clean.young);
         assert_eq!(hurt.scanned, clean.scanned + 1, "one segment further, to the next free one");
         let (driver, disk) = power_on(&h, image, faults);
-        let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+        let mut lfs = LfsLayout::new(&h, driver.clone(), params());
         let stats = lfs.recover().await.unwrap();
         assert_eq!((stats.scanned_segments, stats.rolled_segments), (hurt.scanned, 2));
         assert_eq!(lfs.get_inode(x).await.unwrap().blocks(), FULL.end);
@@ -605,7 +595,7 @@ fn checkpoint_pointing_off_the_log_is_corrupt_not_an_underflow() {
     run_sim(|h| async move {
         let (image, _, _) = tail_behind_a_live_segment(&h).await;
         let (driver, _disk) = power_on(&h, image, FaultPlan::default());
-        let mut lfs = LfsLayout::new(&h, driver.clone(), params(false));
+        let mut lfs = LfsLayout::new(&h, driver.clone(), params());
         let ckpt = lfs.load_state().await.unwrap();
         // Below the segment area, one past its end, and no address at all.
         for bad in [vec![CKPT_ADDRS[0].0], vec![lfs.seg_start(NSEGS)], vec![]] {

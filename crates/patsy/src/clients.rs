@@ -15,7 +15,7 @@
 
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FlushMode, FsConfig};
-use cnp_disk::{DiskGeometry, Hp97560, Hp97560Params};
+use cnp_disk::{DiskGeometry, FaultPlan, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Stack};
 use cnp_obs::Json;
 use cnp_sim::{run_cells, Handle, LockStats, Sim};
@@ -123,12 +123,7 @@ pub(crate) fn fleet_stack(
 ) -> Stack {
     let (geometry, cfg) = fleet_sizing(n, policy, queue_depth, shards);
     let disk = Hp97560::with_params(Hp97560Params { geometry, ..Hp97560Params::default() });
-    // `build_scaled`: LFS seals segments through its background writer.
-    // Without it every seal is one ~500 KB media write performed while
-    // the sealer holds the layout core (and, for creates, an ns stripe)
-    // — at fleet size each seal halts all clients for the duration and
-    // throughput plateaus regardless of stripe counts.
-    Stack::build_scaled(h, name, layout, Box::new(disk), cfg)
+    Stack::build(h, name, layout, (vec![Box::new(disk)], None), cfg, FaultPlan::default())
 }
 
 /// One client-count cell's outcome.

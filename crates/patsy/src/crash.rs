@@ -147,7 +147,7 @@ fn run_cell(
     };
     let (hw, plan) = (Hardware::default(), FaultPlan::default());
     let Stack { fs, disks, .. } =
-        Stack::build(&h, "crash0", layout_kind, &hw, fs_cfg.clone(), plan);
+        Stack::build(&h, "crash0", layout_kind, hw.device(), fs_cfg.clone(), plan);
 
     sim.block_on("crash-cell", async move {
         fs.format().await.expect("format");

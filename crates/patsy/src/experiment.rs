@@ -6,10 +6,10 @@
 //! 4 MB-NVRAM flush variants (whole-file and partial-file).
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig, FsStats};
+use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
 use cnp_disk::{compose_device, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
 use cnp_fault::LayoutKind;
-use cnp_layout::{FfsLayout, FfsParams, Layout, LayoutStats, LfsLayout, LfsParams};
+use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
 use cnp_sim::Sim;
 use cnp_trace::{preset, replay, ReplayOptions, ReplayReport, SpriteParams, SyntheticSprite};
@@ -154,13 +154,9 @@ pub struct ExperimentResult {
     pub overlap: f64,
     /// Mean device service time (ms) over every completed request.
     pub mean_service_ms: f64,
-    /// Engine stats summed over file systems.
-    pub fs_stats: FsStats,
-    /// Layout stats summed over file systems.
-    pub layout: LayoutStats,
-    /// Unified metrics rolled up across file systems (counters summed;
-    /// rate gauges recomputed from the summed counters where they have
-    /// a cross-system meaning).
+    /// Unified metrics rolled up across file systems (counters summed,
+    /// `layout.*` among them; rate gauges recomputed from the summed
+    /// counters where they have a cross-system meaning).
     pub metrics: cnp_obs::MetricsSnapshot,
 }
 
@@ -242,43 +238,9 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         merged.ops += r.ops;
         merged.errors += r.errors;
     }
-    let mut hits = 0u64;
-    let mut lookups = 0u64;
-    let mut dirtied = 0u64;
-    let mut absorbed = 0u64;
-    let mut nvram_stalls = 0u64;
-    let mut fs_stats = FsStats::default();
-    let mut layout = LayoutStats::default();
     let mut metrics = cnp_obs::MetricsSnapshot::new();
     for fs in &systems {
         metrics.absorb("", &fs.metrics());
-        let c = fs.cache_stats();
-        hits += c.hits;
-        lookups += c.hits + c.misses;
-        dirtied += c.dirtied;
-        absorbed += c.absorbed;
-        nvram_stalls += c.nvram_stalls;
-        let s = fs.stats();
-        fs_stats.ops += s.ops;
-        fs_stats.reads += s.reads;
-        fs_stats.writes += s.writes;
-        fs_stats.creates += s.creates;
-        fs_stats.deletes += s.deletes;
-        fs_stats.bytes_read += s.bytes_read;
-        fs_stats.bytes_written += s.bytes_written;
-        fs_stats.absorbed_blocks += s.absorbed_blocks;
-        fs_stats.flush_batches += s.flush_batches;
-        fs_stats.blocks_flushed += s.blocks_flushed;
-        if let Some(l) = fs.layout_stats() {
-            layout.meta_reads += l.meta_reads;
-            layout.meta_writes += l.meta_writes;
-            layout.data_reads += l.data_reads;
-            layout.data_writes += l.data_writes;
-            layout.segments_written += l.segments_written;
-            layout.segments_cleaned += l.segments_cleaned;
-            layout.cleaner_moved += l.cleaner_moved;
-            layout.checkpoints += l.checkpoints;
-        }
     }
     let mut mean_queue = 0.0;
     let mut max_queue: f64 = 0.0;
@@ -299,7 +261,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 
     // Rates lose their meaning under keep-last absorption; recompute
     // the cross-system ones from the summed counters.
-    metrics.gauge("cache.hit_rate", if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 });
+    let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+    let hits = metrics.counter_value("cache.hits");
+    let hit_rate = ratio(hits, hits + metrics.counter_value("cache.misses"));
+    metrics.gauge("cache.hit_rate", hit_rate);
     metrics.gauge("disk.mean_queue_len", mean_queue);
     metrics.gauge("disk.mean_inflight", mean_inflight);
     metrics.gauge("disk.overlap_fraction", overlap);
@@ -311,17 +276,18 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         policy: cfg.policy,
         trace: cfg.trace.name,
         report: merged,
-        hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        absorption: if dirtied == 0 { 0.0 } else { absorbed as f64 / dirtied as f64 },
-        nvram_stalls,
-        blocks_flushed: fs_stats.blocks_flushed,
+        hit_rate,
+        absorption: ratio(
+            metrics.counter_value("cache.absorbed"),
+            metrics.counter_value("cache.dirtied"),
+        ),
+        nvram_stalls: metrics.counter_value("cache.nvram_stalls"),
+        blocks_flushed: metrics.counter_value("fs.blocks_flushed"),
         mean_queue,
         max_queue,
         mean_inflight,
         overlap,
         mean_service_ms: service.mean(),
-        fs_stats,
-        layout,
         metrics,
     }
 }
@@ -389,9 +355,12 @@ pub fn run_one(a: &CliArgs) {
         r.overlap * 100.0,
         r.mean_service_ms
     );
+    let count = |name| r.metrics.counter_value(name);
     println!(
         "  layout: {} segments written, {} cleaned, {} ckpts",
-        r.layout.segments_written, r.layout.segments_cleaned, r.layout.checkpoints
+        count("layout.segments_written"),
+        count("layout.segments_cleaned"),
+        count("layout.checkpoints")
     );
     println!("  15-minute intervals:");
     for row in &r.report.intervals {

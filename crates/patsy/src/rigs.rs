@@ -423,9 +423,12 @@ pub static RIGS: [Rig; 9] = [
         base: (&["1a"], Policy::Ups),
         cells: &[("cost-benefit (default)", |_| {})],
         table: Lines("A6: LFS cleaner under trace load — see also examples/lfs_cleaner", |r| {
-            let l = &r.layout;
-            let (written, cleaned, moved) =
-                (l.segments_written, l.segments_cleaned, l.cleaner_moved);
+            let count = |name| r.metrics.counter_value(name);
+            let (written, cleaned, moved) = (
+                count("layout.segments_written"),
+                count("layout.segments_cleaned"),
+                count("layout.cleaner_moved"),
+            );
             format!("{written} segments written, {cleaned} cleaned, {moved} blocks moved")
         }),
         claims: &[Claim {
@@ -435,8 +438,9 @@ pub static RIGS: [Rig; 9] = [
             // One policy runs here: the rig cannot tell whether the choice
             // matters, cleaning or not.
             judge: |rows| {
-                let l = &rows[0].1.layout;
-                let (cleaned, written) = (l.segments_cleaned, l.segments_written);
+                let count = |name| rows[0].1.metrics.counter_value(name);
+                let (cleaned, written) =
+                    (count("layout.segments_cleaned"), count("layout.segments_written"));
                 (Verdict::Vacuous, format!("{cleaned} of {written} segments cleaned"))
             },
         }],

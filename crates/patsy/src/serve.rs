@@ -188,6 +188,22 @@ async fn ensure_fh(
     None
 }
 
+/// The stale-handle retry: a `Stale` reply retires `path`'s handle and
+/// looks the path up again, once. `None` when that Lookup fails too,
+/// which counts as the op's error.
+async fn refresh_fh(
+    session: &NfsSession,
+    fhs: &mut BTreeMap<String, Fhandle>,
+    path: &str,
+    st: &mut DriverStats,
+) -> Option<Fhandle> {
+    st.stale_retries += 1;
+    fhs.remove(path);
+    let fh = ensure_fh(session, fhs, path).await;
+    st.errors += fh.is_none() as u64;
+    fh
+}
+
 /// Deterministic write payload byte for `(client, offset)`.
 fn fill_byte(client: u32, offset: u64) -> u8 {
     ((client as u64).wrapping_mul(131).wrapping_add(offset) & 0xff) as u8
@@ -247,28 +263,19 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
                 }
             }
             TraceOp::Truncate { path, size } => {
-                let Some(mut fh) = ensure_fh(&session, &mut fhs, path).await else {
+                let Some(fh) = ensure_fh(&session, &mut fhs, path).await else {
                     st.errors += 1;
                     continue;
                 };
-                let mut retried = false;
-                loop {
-                    let s = wire(&session, &client::setattr_fh_req(fh, *size)).await;
-                    if s == STALE && !retried {
-                        retried = true;
-                        st.stale_retries += 1;
-                        fhs.remove(path);
-                        match ensure_fh(&session, &mut fhs, path).await {
-                            Some(nfh) => {
-                                fh = nfh;
-                                continue;
-                            }
-                            None => st.errors += 1,
-                        }
-                    } else if s != OK {
-                        st.errors += 1;
-                    }
-                    break;
+                let mut s = wire(&session, &client::setattr_fh_req(fh, *size)).await;
+                if s == STALE {
+                    let Some(fh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                        continue;
+                    };
+                    s = wire(&session, &client::setattr_fh_req(fh, *size)).await;
+                }
+                if s != OK {
+                    st.errors += 1;
                 }
             }
             TraceOp::Read { path, offset, len } | TraceOp::Write { path, offset, len } => {
@@ -284,15 +291,10 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
                     // grow attribute caches in the first place.
                     let s = wire(&session, &client::getattr_fh_req(fh)).await;
                     if s == STALE {
-                        st.stale_retries += 1;
-                        fhs.remove(path);
-                        match ensure_fh(&session, &mut fhs, path).await {
-                            Some(nfh) => fh = nfh,
-                            None => {
-                                st.errors += 1;
-                                continue;
-                            }
-                        }
+                        let Some(nfh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                            continue;
+                        };
+                        fh = nfh;
                     } else if s != OK {
                         st.errors += 1;
                         continue;
@@ -312,18 +314,11 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
                     let s = wire(&session, &req).await;
                     if s == STALE && !retried {
                         retried = true;
-                        st.stale_retries += 1;
-                        fhs.remove(path);
-                        match ensure_fh(&session, &mut fhs, path).await {
-                            Some(nfh) => {
-                                fh = nfh;
-                                continue;
-                            }
-                            None => {
-                                st.errors += 1;
-                                break;
-                            }
-                        }
+                        let Some(nfh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                            break;
+                        };
+                        fh = nfh;
+                        continue;
                     }
                     if s != OK {
                         st.errors += 1;

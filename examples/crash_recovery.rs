@@ -28,7 +28,7 @@ fn main() {
     let hw = Hardware::default();
     let cfg = FsConfig { data_mode: DataMode::Real, queue_depth: 8, ..FsConfig::default() };
     let Stack { fs: fs2, disks, .. } =
-        Stack::build(&h, "doomed", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+        Stack::build(&h, "doomed", LayoutKind::Lfs, hw.device(), cfg.clone(), plan);
     let disk = disks[0].clone();
 
     let h2 = h.clone();

@@ -17,13 +17,8 @@ fn run(policy: CleanerPolicy) -> (u64, u64, f64) {
     let out2 = out.clone();
     let h2 = h.clone();
     h.spawn("cleaner-bench", async move {
-        let params = LfsParams {
-            seg_blocks: 16,
-            cleaner: policy,
-            clean_low_water: 4,
-            clean_high_water: 10,
-            ..LfsParams::default()
-        };
+        let params =
+            LfsParams { seg_blocks: 16, cleaner: policy, clean_low_water: 4, clean_high_water: 10 };
         let mut lfs = LfsLayout::new(&h2, driver, params);
         lfs.format().await.expect("format");
         // Two interleaved files; one is repeatedly overwritten so dead

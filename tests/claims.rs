@@ -19,7 +19,7 @@ const LEDGER: [(&str, f64, u64, &str, Verdict); 12] = [
     ("fig5", 0.001, 365, "ups-fastest", Holds),
     ("fig5", 0.001, 365, "nvram-2x", Refuted),
     ("ablate-diskmodel", 0.01, 365, "naive-diverges", Holds),
-    ("ablate-diskmodel", 0.005, 365, "naive-diverges", Refuted),
+    ("ablate-diskmodel", 0.005, 365, "naive-diverges", Holds),
     ("ablate-flushmode", 0.002, 365, "async-beats-sync", Refuted),
     ("ablate-diskcache", 0.01, 365, "disk-cache-helps", Holds),
     ("ablate-nvram", 0.001, 365, "nvram-stall-knee", Holds),

@@ -54,8 +54,9 @@ fn seeded_runs_produce_byte_identical_platters_per_layout() {
             queue_depth: 8,
             ..FsConfig::default()
         };
+        let device = Hardware::default().device();
         let Stack { fs, disks, .. } =
-            Stack::build(&h, "det0", layout, &Hardware::default(), cfg, FaultPlan::default());
+            Stack::build(&h, "det0", layout, device, cfg, FaultPlan::default());
         sim.block_on("det", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(WorkloadKind::Mail, 3, 909, 0.004);
@@ -389,7 +390,7 @@ fn sharded_256_client_runs_are_byte_identical() {
         };
         let (kind, hw) = (LayoutKind::Lfs, Hardware::default());
         let Stack { fs, disks, .. } =
-            Stack::build(&h, "sh256", kind, &hw, cfg, FaultPlan::default());
+            Stack::build(&h, "sh256", kind, hw.device(), cfg, FaultPlan::default());
         sim.block_on("sh256", async move {
             fs.format().await.unwrap();
             let scenario = Scenario::generate(WorkloadKind::Zipf, 256, 4242, 0.001);
@@ -475,8 +476,9 @@ fn multi_client_crash_cycle(hw: Hardware) {
             data_mode: DataMode::Simulated,
             ..FsConfig::default()
         };
+        let (device, plan) = (hw.device(), FaultPlan::default());
         let Stack { fs, disks, .. } =
-            Stack::build(&h, "mcc0", LayoutKind::Lfs, &hw, cfg.clone(), FaultPlan::default());
+            Stack::build(&h, "mcc0", LayoutKind::Lfs, device, cfg.clone(), plan);
         fs.format().await.unwrap();
 
         // Make the namespace durable up front (zipf keeps it stable:
@@ -577,7 +579,7 @@ fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
             let cut = SimTime::ZERO + SimDuration::from_secs(30);
             let plan = FaultPlan { power_cut_at: Some(cut), ..FaultPlan::default() };
             let hw = Hardware::default();
-            let fs = Stack::build(&h, "dead0", LayoutKind::Lfs, &hw, cfg, plan).fs;
+            let fs = Stack::build(&h, "dead0", LayoutKind::Lfs, hw.device(), cfg, plan).fs;
             fs.format().await.unwrap();
             let (errors, acked, indeterminate) = if closed_loop {
                 let opts = RunOptions { track_acks: true, ..RunOptions::default() };

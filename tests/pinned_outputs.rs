@@ -39,7 +39,7 @@ fn experiment(queue_depth: u32) -> ExperimentConfig {
 #[test]
 fn run_experiment_metrics_are_pinned_at_qd1_and_qd8() {
     for (qd, want) in
-        [(1, 0xe1023621d1f5c08d873828eb984a7f21_u128), (8, 0x18f0b0341ed7cc8c7ec6becbde1dd978)]
+        [(1, 0x22c18e9c8c9a196ebd70cde2bbb3ca86_u128), (8, 0x0b165cf9cdd396052875eaef84f789d7)]
     {
         let r = patsy::run_experiment(&experiment(qd));
         assert_eq!(r.report.errors, 0);
@@ -78,7 +78,7 @@ fn traced_experiment(queue_depth: u32) -> ExperimentConfig {
 #[test]
 fn traced_run_chrome_json_is_pinned() {
     let json = chrome_trace(&traced_experiment(8));
-    assert_pinned("the Chrome trace", &json, 0xcd1d6bc5e8191b62d2a18fdd8718a460);
+    assert_pinned("the Chrome trace", &json, 0x997ffb451b2b6439718cdb8c2035d00e);
 }
 
 /// At depth 1 the engine's window is one block wide and the driver keeps
@@ -90,7 +90,7 @@ fn traced_run_chrome_json_is_pinned() {
 #[test]
 fn traced_run_chrome_json_is_pinned_at_qd1() {
     let json = chrome_trace(&traced_experiment(1));
-    assert_pinned("the qd 1 Chrome trace", &json, 0x0bce86fadf882e64a871ecf653cd8249);
+    assert_pinned("the qd 1 Chrome trace", &json, 0xb23516aa40fff127bd85c577ca505842);
     let small_cache = ExperimentConfig {
         policy: Policy::NvramPartial,
         layout: LayoutKind::Ffs,
@@ -159,7 +159,7 @@ fn crash_sweep_json_is_pinned() {
         assert_pinned(
             "the 2-cut sweep",
             &patsy::format_crash_sweep_json(&cfg, &cells),
-            0x962ec887ffdd1889fe2d40f087da58de,
+            0x552b139545bba75901f392abca47b52a,
         );
     }
 }

@@ -243,7 +243,7 @@ proptest! {
             };
             let (hw, plan) = (Hardware::default(), FaultPlan::default());
             let Stack { fs, disks, .. } =
-                Stack::build(&h, "p0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+                Stack::build(&h, "p0", LayoutKind::Lfs, hw.device(), cfg.clone(), plan);
             let disk = disks[0].clone();
             fs.format().await.unwrap();
             // A synced baseline file, then un-checkpointed writes.
@@ -292,7 +292,7 @@ proptest! {
             };
             let (hw, plan) = (Hardware::default(), FaultPlan::default());
             let Stack { fs, disks, .. } =
-                Stack::build(&h, "n0", LayoutKind::Lfs, &hw, cfg.clone(), plan);
+                Stack::build(&h, "n0", LayoutKind::Lfs, hw.device(), cfg.clone(), plan);
             let disk = disks[0].clone();
             fs.format().await.unwrap();
             let mut inos = Vec::new();
@@ -370,7 +370,7 @@ proptest! {
             };
             let (hw, plan) = (Hardware::default(), FaultPlan::default());
             let Stack { fs, disks, .. } =
-                Stack::build(&h, "o0", kind, &hw, cfg, plan);
+                Stack::build(&h, "o0", kind, hw.device(), cfg, plan);
             let disk = disks[0].clone();
             sim.block_on("oracle", async move {
                 fs.format().await.unwrap();
@@ -441,7 +441,7 @@ proptest! {
             };
             let (hw, plan) = (Hardware::default(), FaultPlan::default());
             let Stack { fs, disks, .. } =
-                Stack::build(&h, "sh0", LayoutKind::Lfs, &hw, cfg, plan);
+                Stack::build(&h, "sh0", LayoutKind::Lfs, hw.device(), cfg, plan);
             let disk = disks[0].clone();
             sim.block_on("shard-oracle", async move {
                 fs.format().await.unwrap();
@@ -722,7 +722,7 @@ proptest! {
             };
             let (hw, plan) = (Hardware::default(), FaultPlan::default());
             let Stack { fs, disks, .. } =
-                Stack::build(&h, "t0", LayoutKind::Lfs, &hw, cfg, plan);
+                Stack::build(&h, "t0", LayoutKind::Lfs, hw.device(), cfg, plan);
             let disk = disks[0].clone();
             let image = sim.block_on("traced", async move {
                 fs.format().await.unwrap();
