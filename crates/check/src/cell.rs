@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{verify_crash_state, CrashState, LayoutKind, Stack};
 use cnp_sim::{Sim, SimTime};
@@ -48,7 +48,6 @@ impl CellSpec {
                 nvram_bytes: self.nvram_bytes,
             },
             flush: self.flush.clone(),
-            flush_mode: FlushMode::Async,
             queue_depth: self.queue_depth,
             data_mode: DataMode::Simulated,
             plant_stale_size_bug: self.plant_stale_size_bug,

@@ -14,16 +14,6 @@ pub enum DataMode {
     Simulated,
 }
 
-/// How cache flushes requested by policies are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushMode {
-    /// A dedicated flush daemon performs the I/O (the §5.2 lesson).
-    Async,
-    /// The requesting task performs the flush inline (the bottleneck the
-    /// paper found; kept for ablation A2).
-    Sync,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct FsConfig {
@@ -35,8 +25,6 @@ pub struct FsConfig {
     /// Flush policy name (`write-delay`, `ups`, `ups-whole`,
     /// `nvram-whole`, `nvram-partial`).
     pub flush: String,
-    /// Flush execution mode.
-    pub flush_mode: FlushMode,
     /// I/O pipeline depth: how many block requests the engine keeps in
     /// flight per multi-block operation, and how many commands the disk
     /// driver keeps outstanding at the device. `1` (the default) keeps
@@ -73,7 +61,6 @@ impl Default for FsConfig {
             cache: CacheConfig { block_size: 4096, mem_bytes: 16 * 1024 * 1024, nvram_bytes: None },
             replacement: "lru".to_string(),
             flush: "write-delay".to_string(),
-            flush_mode: FlushMode::Async,
             queue_depth: 1,
             data_mode: DataMode::Simulated,
             shards: 1,
@@ -87,11 +74,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_writedelay_lru_async() {
+    fn default_is_writedelay_lru() {
         let c = FsConfig::default();
         assert_eq!(c.replacement, "lru");
         assert_eq!(c.flush, "write-delay");
-        assert_eq!(c.flush_mode, FlushMode::Async);
         assert_eq!(c.cache.frames(), 4096);
         // Depth 1 by default: a deeper pipeline is opt-in so seeded runs
         // stay comparable across versions.

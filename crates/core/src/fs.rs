@@ -35,7 +35,7 @@ use cnp_sim::{
     TrackedMutexGuard,
 };
 
-use crate::config::{FlushMode, FsConfig};
+use crate::config::FsConfig;
 use crate::error::FsResult;
 use data::ReadScratch;
 use names::NameMemos;
@@ -181,14 +181,12 @@ impl FileSystem {
 
     fn spawn_daemons(&self) {
         let handle = self.s.handle.clone();
-        if self.s.cfg.flush_mode == FlushMode::Async {
-            let (tx, rx) = channel::<Vec<BlockKey>>(&handle);
-            *self.s.flush_tx.borrow_mut() = Some(tx);
-            let fs = self.clone();
-            handle.spawn("fs:flush-daemon", async move {
-                fs.flush_daemon(rx).await;
-            });
-        }
+        let (tx, rx) = channel::<Vec<BlockKey>>(&handle);
+        *self.s.flush_tx.borrow_mut() = Some(tx);
+        let fs = self.clone();
+        handle.spawn("fs:flush-daemon", async move {
+            fs.flush_daemon(rx).await;
+        });
         // Periodic flush-policy scan (e.g. the 30-second-update timer).
         let interval = self.s.cache.borrow().tick_interval();
         if let Some(interval) = interval {
@@ -206,7 +204,7 @@ impl FileSystem {
                     }
                     let keys = fs.s.cache.borrow_mut().tick(h.now());
                     if !keys.is_empty() {
-                        fs.execute_or_enqueue(keys).await;
+                        fs.enqueue_flush(keys);
                     }
                 }
             });
@@ -266,6 +264,8 @@ impl FileSystem {
 
     /// Flushes everything and checkpoints the layout.
     pub async fn sync(&self) -> FsResult<()> {
+        // A durability point: its caller waits for the write anyway, so
+        // it flushes inline instead of handing the batch to the daemon.
         let dirty = self.s.cache.borrow().all_dirty();
         if !dirty.is_empty() {
             self.do_flush(dirty).await;

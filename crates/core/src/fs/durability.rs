@@ -8,7 +8,6 @@ use cnp_disk::{IoError, Payload};
 use cnp_layout::{BlockAddr, Ino, LayoutError, StorageLayout, BLOCK_SIZE};
 
 use super::FileSystem;
-use crate::config::FlushMode;
 use crate::error::FsResult;
 
 /// What a battery-backed (NVRAM) cache preserves across a crash: the
@@ -100,48 +99,23 @@ impl FileSystem {
         Ok(())
     }
 
+    /// A stalled writer's or reservation's flush: hands `keys` (if any)
+    /// to the flush daemon and waits for the daemon's next finished
+    /// batch. The requester never does the I/O itself (the §5.2 lesson).
     pub(super) async fn request_flush_and_wait(&self, keys: Vec<BlockKey>) {
         let sp = self.s.handle.trace_span("flush:wait");
-        self.request_flush_and_wait_inner(keys).await;
+        let wait = self.s.flush_done.wait();
+        if !keys.is_empty() {
+            self.enqueue_flush(keys);
+        }
+        wait.await;
         self.s.handle.trace_exit(sp);
     }
 
-    async fn request_flush_and_wait_inner(&self, keys: Vec<BlockKey>) {
-        match self.s.cfg.flush_mode {
-            FlushMode::Sync => {
-                // The requesting thread performs the flush itself — the
-                // §5.2 bottleneck, kept for ablation A2.
-                if !keys.is_empty() {
-                    self.do_flush(keys).await;
-                    self.s.flush_done.signal();
-                } else {
-                    self.s.flush_done.wait().await;
-                }
-            }
-            FlushMode::Async => {
-                let tx = self.s.flush_tx.borrow().clone();
-                let wait = self.s.flush_done.wait();
-                if let (Some(tx), false) = (tx, keys.is_empty()) {
-                    let _ = tx.try_send(keys);
-                }
-                wait.await;
-            }
-        }
-    }
-
-    /// Executes a flush batch directly (sync mode) or via the daemon.
-    pub(super) async fn execute_or_enqueue(&self, keys: Vec<BlockKey>) {
-        match self.s.cfg.flush_mode {
-            FlushMode::Sync => {
-                self.do_flush(keys).await;
-                self.s.flush_done.signal();
-            }
-            FlushMode::Async => {
-                let tx = self.s.flush_tx.borrow().clone();
-                if let Some(tx) = tx {
-                    let _ = tx.try_send(keys);
-                }
-            }
+    /// Hands a flush batch to the flush daemon (dropped after shutdown).
+    pub(super) fn enqueue_flush(&self, keys: Vec<BlockKey>) {
+        if let Some(tx) = self.s.flush_tx.borrow().as_ref() {
+            let _ = tx.try_send(keys);
         }
     }
 

@@ -14,7 +14,7 @@ mod error;
 mod fs;
 pub mod history;
 
-pub use config::{DataMode, FlushMode, FsConfig};
+pub use config::{DataMode, FsConfig};
 pub use error::{FsError, FsResult};
 pub use fs::{ClientFs, FileSystem, FsStats, NvramSnapshot};
 pub use history::{HistOp, HistOutcome, HistoryEvent, HistoryLog};

@@ -616,23 +616,26 @@ impl LfsLayout {
     ///
     /// Cleaning consumes log space for the moved live blocks, so a round
     /// may not net-gain free segments; the loop gives up after several
-    /// unproductive rounds rather than spinning.
+    /// rounds without a new best free count rather than spinning. Against
+    /// the best, not the last: a count that swings up and down (20, 21,
+    /// 20, 21, ... on an unreachable target) must not reset the counter
+    /// forever. The best can rise at most `nsegs` times, so this returns.
     pub async fn clean_until(&mut self, target: u32) -> LResult<()> {
-        let mut last_free = self.free_segments();
+        let mut best_free = self.free_segments();
         let mut stalled = 0u32;
         while self.free_segments() < target {
             let Some(victim) = self.pick_victim() else { break };
             self.clean_segment(victim).await?;
             let now_free = self.free_segments();
-            if now_free <= last_free {
+            if now_free <= best_free {
                 stalled += 1;
                 if stalled >= 8 {
                     break;
                 }
             } else {
                 stalled = 0;
+                best_free = now_free;
             }
-            last_free = now_free;
         }
         Ok(())
     }

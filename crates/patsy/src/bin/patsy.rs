@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! patsy fig2|fig3|fig4|fig5            # the paper's evaluation figures
-//! patsy ablate-diskmodel|ablate-flushmode|ablate-diskcache|
-//!       ablate-nvram|ablate-cleaner
+//! patsy ablate-diskmodel|ablate-diskcache|ablate-nvram|ablate-cleaner
 //! patsy run --trace 1a --policy ups    # one experiment, full detail
 //! patsy sweep-qd --trace 1a            # I/O schedulers x queue depths
 //! patsy sweep-qd --disk ssd            # same sweep, flash generation

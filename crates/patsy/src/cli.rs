@@ -118,7 +118,7 @@ impl CliArgs {
 pub const SUBCOMMANDS: [(&str, &str); 8] = [
     ("fig2|fig3|fig4", "[--scale F] [--seed N] [--qd N] [--threads N]"),
     (
-        "fig5|ablate-diskmodel|ablate-flushmode|ablate-diskcache|ablate-nvram|ablate-cleaner",
+        "fig5|ablate-diskmodel|ablate-diskcache|ablate-nvram|ablate-cleaner",
         "[--scale F] [--seed N] [--threads N]",
     ),
     (

@@ -14,7 +14,7 @@
 //! has no per-client scheduling, so starvation would be a bug.
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{DiskGeometry, FaultPlan, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Stack};
 use cnp_obs::Json;
@@ -100,7 +100,6 @@ fn fleet_sizing(
     let cfg = FsConfig {
         cache: CacheConfig { block_size: 4096, mem_bytes, nvram_bytes: nvram },
         flush: flush.to_string(),
-        flush_mode: FlushMode::Async,
         queue_depth,
         data_mode: DataMode::Simulated,
         shards: shards.unwrap_or_else(|| derive_shards(n)),

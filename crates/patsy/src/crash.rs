@@ -11,7 +11,7 @@
 //! Fig. 5 NVRAM axis to crash safety.
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FlushMode, FsConfig};
+use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
 use cnp_obs::Json;
@@ -140,7 +140,6 @@ fn run_cell(
     let fs_cfg = FsConfig {
         cache: CacheConfig { block_size: 4096, mem_bytes: 8 * 1024 * 1024, nvram_bytes: nvram },
         flush: flush.to_string(),
-        flush_mode: FlushMode::Async,
         queue_depth,
         data_mode: DataMode::Simulated,
         ..FsConfig::default()

@@ -6,7 +6,7 @@
 //! 4 MB-NVRAM flush variants (whole-file and partial-file).
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FileSystem, FlushMode, FsConfig};
+use cnp_core::{DataMode, FileSystem, FsConfig};
 use cnp_disk::{compose_device, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
 use cnp_fault::LayoutKind;
 use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams};
@@ -84,8 +84,6 @@ pub struct ExperimentConfig {
     pub mem_bytes: u64,
     /// NVRAM size for the NVRAM policies.
     pub nvram_bytes: u64,
-    /// Flush execution (async daemon vs requester-synchronous).
-    pub flush_mode: FlushMode,
     /// Disable the disk's immediate-report + read-ahead cache (A4).
     pub no_disk_cache: bool,
     /// I/O pipeline depth (engine fan-out + device queue depth); 1 keeps
@@ -116,7 +114,6 @@ impl ExperimentConfig {
             seed: 0x5912e,
             mem_bytes: 8 * 1024 * 1024,
             nvram_bytes: 4 * 1024 * 1024,
-            flush_mode: FlushMode::Async,
             no_disk_cache: false,
             queue_depth: 1,
             layout: LayoutKind::Lfs,
@@ -197,7 +194,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         let fs_cfg = FsConfig {
             cache: CacheConfig { block_size: 4096, mem_bytes: cfg.mem_bytes, nvram_bytes: nvram },
             flush: flush.to_string(),
-            flush_mode: cfg.flush_mode,
             queue_depth: cfg.queue_depth,
             data_mode: DataMode::Simulated,
             ..FsConfig::default()

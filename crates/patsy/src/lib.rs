@@ -5,9 +5,9 @@
 //! segmented LFS on every file system, the block cache with the
 //! experiment's flush policy, and trace-replay clients — all on virtual
 //! time. The experiment harness reruns the §5.1 write-saving study;
-//! [`rigs::RIGS`] is one table of Figures 2–5 and the A1–A6 ablations
-//! (A3, the schedulers, is `sweep-qd`), each with the claims it judges
-//! on the rows it prints.
+//! [`rigs::RIGS`] is one table of Figures 2–5 and the A1, A4–A6
+//! ablations (A3, the schedulers, is `sweep-qd`; there is no A2), each
+//! with the claims it judges on the rows it prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
-//! The paper's figures and the A1–A6 ablations (A3 is `sweep-qd`) as
-//! one table, [`RIGS`].
+//! The paper's figures and the A1, A4–A6 ablations as one table,
+//! [`RIGS`]. A3 is `sweep-qd`. There is no A2 (synchronous against
+//! asynchronous flushing): the flush daemon writes every policy batch.
 //! Each [`Rig`] is a list of cells over [`ExperimentConfig`], the table
 //! its rows print as, and the [`Claim`]s the repository records about
 //! those rows. `patsy <rig>` prints the table and then one
@@ -11,7 +12,6 @@
 //! slack, never digits; its `source` is where the repository records it
 //! (the seed's reading of the paper, not the paper's own figure).
 
-use cnp_core::FlushMode;
 use cnp_disk::Hp97560Params;
 use cnp_obs::Histogram;
 use cnp_sim::run_cells;
@@ -182,10 +182,6 @@ fn mean_ms(r: &ExperimentResult) -> f64 {
     r.report.mean_ms()
 }
 
-fn p99_ms(r: &ExperimentResult) -> f64 {
-    r.report.latency.quantile(0.99)
-}
-
 fn write_ms(r: &ExperimentResult) -> f64 {
     r.report.write_latency.mean()
 }
@@ -300,7 +296,7 @@ static FIG5_CLAIMS: [Claim; 2] = [
 ];
 
 /// Every figure and ablation, in the order `patsy`'s usage lists them.
-pub static RIGS: [Rig; 9] = [
+pub static RIGS: [Rig; 8] = [
     figure("fig2", &["1a"], Cdf, &CDF_CLAIMS),
     figure("fig3", &["1b"], Cdf, &CDF_CLAIMS),
     figure("fig4", &["5"], Cdf, &CDF_CLAIMS),
@@ -324,29 +320,6 @@ pub static RIGS: [Rig; 9] = [
                 let (detailed, naive) = (mean_ms(&rows[0].1), mean_ms(&rows[1].1));
                 let apart = (naive - detailed).abs() / detailed * 100.0;
                 (holds(apart > 10.0), format!("{naive:.3} vs {detailed:.3} ms, {apart:.1}% apart"))
-            },
-        }],
-    },
-    // A2 — synchronous vs asynchronous cache flush (§5.2 lesson).
-    Rig {
-        name: "ablate-flushmode",
-        base: (&["1b"], Policy::NvramWhole),
-        cells: &[
-            ("async  flush", |c| c.flush_mode = FlushMode::Async),
-            ("sync   flush", |c| c.flush_mode = FlushMode::Sync),
-        ],
-        table: Lines("A2: synchronous vs asynchronous flush (trace 1b, nvram-whole)", |r| {
-            let (mean, p99, write) = (mean_ms(r), p99_ms(r), write_ms(r));
-            format!("mean {mean:.3} ms  p99 {p99:.3} ms  write-mean {write:.3} ms")
-        }),
-        claims: &[Claim {
-            id: "async-beats-sync",
-            words: "an asynchronous flush has a mean more than 5% below a synchronous one",
-            source: "§5.2, the seed's reading (the flush made asynchronous removed a thread stall)",
-            judge: |rows| {
-                let (asynchronous, sync) = (mean_ms(&rows[0].1), mean_ms(&rows[1].1));
-                let delta = (asynchronous - sync) / sync * 100.0;
-                (holds(delta < -5.0), format!("{asynchronous:.3} vs {sync:.3} ms ({delta:+.1}%)"))
             },
         }],
     },

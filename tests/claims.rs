@@ -12,7 +12,7 @@ use cut_and_paste::patsy::rigs::{Rig, Row, RIGS};
 
 /// (rig, scale, seed, claim id, verdict), each (rig, scale, seed)'s rows
 /// adjacent.
-const LEDGER: [(&str, f64, u64, &str, Verdict); 12] = [
+const LEDGER: [(&str, f64, u64, &str, Verdict); 11] = [
     ("fig2", 0.01, 365, "mean-order", Refuted),
     ("fig2", 0.01, 365, "absorption", Holds),
     ("fig2", 0.01, 365, "rotation-step", Refuted),
@@ -20,7 +20,6 @@ const LEDGER: [(&str, f64, u64, &str, Verdict); 12] = [
     ("fig5", 0.001, 365, "nvram-2x", Refuted),
     ("ablate-diskmodel", 0.01, 365, "naive-diverges", Holds),
     ("ablate-diskmodel", 0.005, 365, "naive-diverges", Holds),
-    ("ablate-flushmode", 0.002, 365, "async-beats-sync", Refuted),
     ("ablate-diskcache", 0.01, 365, "disk-cache-helps", Holds),
     ("ablate-nvram", 0.001, 365, "nvram-stall-knee", Holds),
     ("ablate-nvram", 0.001, 365, "nvram-mean-flat", Refuted),

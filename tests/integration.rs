@@ -2,7 +2,7 @@
 //! driver → bus → disk model) on virtual time.
 
 use cut_and_paste::cache::CacheConfig;
-use cut_and_paste::core::{DataMode, FileSystem, FlushMode, FsConfig};
+use cut_and_paste::core::{DataMode, FileSystem, FsConfig};
 use cut_and_paste::disk::{sim_disk_driver, CLook, DiskImage, FaultPlan, Hardware, Hp97560};
 use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
@@ -609,7 +609,6 @@ fn nvram_policy_bounds_dirty_data() {
                 nvram_bytes: Some(8 * 4096),
             },
             flush: "nvram-partial".into(),
-            flush_mode: FlushMode::Async,
             data_mode: DataMode::Simulated,
             ..FsConfig::default()
         };
@@ -624,29 +623,69 @@ fn nvram_policy_bounds_dirty_data() {
     });
 }
 
+/// The `"pid":P,"tid":T` of the lane named `lane` in a Chrome trace.
+fn chrome_lane(json: &str, lane: &str) -> String {
+    let named = format!("\"args\":{{\"name\":\"{lane}\"}}");
+    let meta = json
+        .lines()
+        .find(|l| l.contains("\"thread_name\"") && l.contains(&named))
+        .unwrap_or_else(|| panic!("no lane named {lane}"));
+    let from = meta.find("\"pid\"").expect("a pid");
+    meta[from..meta.find(",\"args\"").expect("args")].to_string()
+}
+
+/// Every flush batch a policy chooses is written by the flush daemon,
+/// never by the task that asked for it: a UPS writer that finds no clean
+/// frame and a write-delay update tick both hand their batch over. Only
+/// `sync`, a durability point, flushes inline on its caller's lane.
 #[test]
-fn sync_vs_async_flush_both_complete() {
-    for mode in [FlushMode::Async, FlushMode::Sync] {
+fn policy_flush_batches_run_on_the_flush_daemon_and_sync_flushes_inline() {
+    use cut_and_paste::obs::chrome::to_chrome_json;
+    use cut_and_paste::obs::trace::{install, Tracer};
+    use cut_and_paste::sim::SimDuration;
+
+    for flush in ["ups", "write-delay"] {
+        let tracer = Tracer::default();
+        let guard = install(&tracer);
         run_to_completion(17, move |h| async move {
             let cfg = FsConfig {
                 cache: CacheConfig { block_size: 4096, mem_bytes: 64 * 4096, nvram_bytes: None },
-                flush: "ups".into(),
-                flush_mode: mode,
+                flush: flush.into(),
                 data_mode: DataMode::Simulated,
                 ..FsConfig::default()
             };
             let fs = lfs_fs(&h, cfg);
             fs.format().await.unwrap();
             let ino = fs.create("/f", FileKind::Regular).await.unwrap();
-            // Write 3x the cache size: demand flushing must reclaim.
-            for i in 0..3u64 {
-                fs.write(ino, i * 64 * 4096 % (2 * 1024 * 1024 - 64 * 4096), 64 * 4096, None)
-                    .await
-                    .unwrap();
+            if flush == "ups" {
+                // Write 3x the cache size: demand flushing must reclaim.
+                for i in 0..3u64 {
+                    fs.write(ino, i * 64 * 4096 % (2 * 1024 * 1024 - 64 * 4096), 64 * 4096, None)
+                        .await
+                        .unwrap();
+                }
+            } else {
+                // Past 30 s, an update tick flushes the aged blocks.
+                fs.write(ino, 0, 16 * 4096, None).await.unwrap();
+                h.sleep(SimDuration::from_secs(40)).await;
             }
-            assert!(fs.stats().blocks_flushed > 0);
+            assert!(fs.stats().blocks_flushed > 0, "{flush}: nothing was flushed");
+            let before_sync = to_chrome_json(&tracer);
+            fs.write(ino, 0, 4096, None).await.unwrap();
+            fs.sync().await.unwrap();
+            let synced = to_chrome_json(&tracer);
             fs.shutdown();
+
+            let daemon = format!("{},\"ts\"", chrome_lane(&before_sync, "flush-daemon"));
+            let batches = |json: &str, on_daemon: bool| {
+                let lines = json.lines().filter(|l| l.contains("\"name\":\"flush:batch\""));
+                lines.filter(|l| l.contains(&daemon) == on_daemon).count()
+            };
+            assert!(batches(&before_sync, true) > 0, "{flush}: no batch on the flush daemon");
+            assert_eq!(batches(&before_sync, false), 0, "{flush}: a batch ran off the daemon");
+            assert_eq!(batches(&synced, false), 1, "{flush}: sync flushes inline, once");
         });
+        drop(guard);
     }
 }
 
