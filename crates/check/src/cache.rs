@@ -18,7 +18,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 
-use cnp_trace::{codec, TraceRecord};
+use cnp_fault::CrashState;
+use cnp_trace::{codec, AckedFile, TraceRecord};
 
 use crate::cell::{CellOutcome, CellSpec, CellViolation, CutSpec};
 
@@ -130,6 +131,97 @@ pub fn cell_key(fingerprint: &str, prefix_hash: u128, cut: &CutSpec) -> u128 {
     h.update(&prefix_hash.to_le_bytes());
     h.update(cut.label().as_bytes());
     h.digest()
+}
+
+/// The key of one crash state's verification: a 128-bit digest of
+/// every input [`crate::cell`]'s verification reads — the spec
+/// fingerprint, the image (each frame's index, presence mask and
+/// bytes, in index order), the NVRAM blocks and sizes, whether staging
+/// was sealed, and the acked paths in order. The cut instant, the acked
+/// sizes and the ack times are left out: only the per-cell loss
+/// accountant reads them.
+pub fn state_key(fingerprint: &str, state: &CrashState, acked: &[AckedFile]) -> u128 {
+    let mut h = StateHash::default();
+    h.bytes(fingerprint.as_bytes());
+    let frames = state.image.frames();
+    h.word(frames.len() as u64);
+    for (idx, present, bytes) in frames {
+        h.word(idx);
+        h.word(present as u64);
+        h.bytes(bytes);
+    }
+    h.word(state.nvram.blocks.len() as u64);
+    for (ino, blk, data) in &state.nvram.blocks {
+        h.word(*ino);
+        h.word(*blk);
+        match data {
+            Some(bytes) => {
+                h.word(1);
+                h.bytes(bytes);
+            }
+            None => h.word(0),
+        }
+    }
+    h.word(state.nvram.sizes.len() as u64);
+    for &(ino, size) in &state.nvram.sizes {
+        h.word(ino);
+        h.word(size);
+    }
+    h.word(state.staging_sealed as u64);
+    h.word(acked.len() as u64);
+    for a in acked {
+        h.bytes(a.path.as_bytes());
+    }
+    h.digest()
+}
+
+/// A word-at-a-time hash with two 64-bit lanes, for keys over whole
+/// disk images, where [`InputHash`]'s byte loop costs several times as
+/// much. Each step is a bijection of a lane's state for a fixed word,
+/// so two inputs of one length that differ in one word never collide;
+/// the lanes use different multipliers and rotations, and every
+/// variable-length field is length-prefixed.
+struct StateHash {
+    a: u64,
+    b: u64,
+}
+
+impl Default for StateHash {
+    fn default() -> Self {
+        StateHash { a: 0x243f_6a88_85a3_08d3, b: 0x1319_8a2e_0370_7344 }
+    }
+}
+
+impl StateHash {
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(37);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn digest(&self) -> u128 {
+        // The splitmix64 finalizer per lane: the last words absorbed
+        // reach every bit of their lane.
+        let mix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (mix(self.a) as u128) << 64 | mix(self.b) as u128
+    }
 }
 
 /// The persisted outcome cache: `cell_key -> CellOutcome`.
@@ -331,7 +423,10 @@ pub fn decode_outcome(mut b: &[u8]) -> io::Result<CellOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnp_core::NvramSnapshot;
+    use cnp_disk::{store_sectors, DiskImage, Payload};
     use cnp_fault::{LayoutKind, LossReport};
+    use cnp_sim::SimTime;
     use cnp_trace::TraceOp;
 
     fn outcome() -> CellOutcome {
@@ -431,9 +526,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_keys_separate_spec_prefix_and_cut() {
-        let spec = CellSpec {
+    fn spec() -> CellSpec {
+        CellSpec {
             layout: LayoutKind::Lfs,
             flush: "ups".to_string(),
             nvram_bytes: None,
@@ -441,7 +535,12 @@ mod tests {
             queue_depth: 8,
             sim_seed: 42,
             plant_stale_size_bug: false,
-        };
+        }
+    }
+
+    #[test]
+    fn cell_keys_separate_spec_prefix_and_cut() {
+        let spec = spec();
         let fp = spec_fingerprint(&spec);
         let k1 = cell_key(&fp, 1, &CutSpec::Graceful);
         assert_eq!(k1, cell_key(&fp, 1, &CutSpec::Graceful));
@@ -453,5 +552,91 @@ mod tests {
         );
         let other = CellSpec { sim_seed: 43, ..spec };
         assert_ne!(k1, cell_key(&spec_fingerprint(&other), 1, &CutSpec::Graceful));
+    }
+
+    /// One edit to a crash state or its acked files.
+    type Change<'a> = dyn Fn(&mut CrashState, &mut Vec<AckedFile>) + 'a;
+
+    /// Every input verification reads moves the state key; what only the
+    /// per-cell loss accountant reads does not.
+    #[test]
+    fn state_keys_cover_what_verification_reads_and_nothing_else() {
+        let fp = spec_fingerprint(&spec());
+        let block = vec![7u8; 4096];
+        let mut image = DiskImage::default();
+        store_sectors(&mut image, 512, 16, 8, &Payload::Data(block.clone()));
+        store_sectors(&mut image, 512, 80, 3, &Payload::Data(vec![9u8; 1536]));
+        let base = CrashState {
+            image,
+            nvram: NvramSnapshot {
+                blocks: vec![(5, 0, Some(vec![1u8; 4096])), (5, 1, None)],
+                sizes: vec![(5, 8192)],
+            },
+            staging_sealed: true,
+            cut_at: SimTime::from_nanos(9_000_000),
+        };
+        let file = |path: &str| AckedFile { path: path.to_string(), size: 4096, last_ack_ns: 10 };
+        let acked = vec![file("/a"), file("/b")];
+        let key = state_key(&fp, &base, &acked);
+        assert_eq!(key, state_key(&fp, &base.clone(), &acked.clone()), "a key is a function");
+
+        let moved = |f: &Change| {
+            let (mut state, mut acked) = (base.clone(), acked.clone());
+            f(&mut state, &mut acked);
+            state_key(&fp, &state, &acked)
+        };
+        let flipped = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
+            let mut bytes = block.clone();
+            bytes[1234] ^= 1;
+            store_sectors(&mut s.image, 512, 16, 8, &Payload::Data(bytes));
+        };
+        // A zero sector made present: the same bytes, another mask.
+        let present = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
+            store_sectors(&mut s.image, 512, 84, 1, &Payload::Data(vec![0u8; 512]));
+        };
+        let erased = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
+            store_sectors(&mut s.image, 512, 82, 1, &Payload::Simulated(512));
+        };
+        let nvram_byte = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
+            s.nvram.blocks[0].2.as_mut().unwrap()[0] ^= 1;
+        };
+        let nvram_block = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.nvram.blocks[1].1 = 2;
+        let nvram_data = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
+            s.nvram.blocks[1].2 = Some(Vec::new());
+        };
+        let nvram_size = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.nvram.sizes[0].1 += 1;
+        let staging = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.staging_sealed = false;
+        let path = |_: &mut CrashState, a: &mut Vec<AckedFile>| a[1].path = "/c".to_string();
+        let order = |_: &mut CrashState, a: &mut Vec<AckedFile>| a.swap(0, 1);
+        let fewer = |_: &mut CrashState, a: &mut Vec<AckedFile>| {
+            a.pop();
+        };
+        let changes: [(&str, &Change<'_>); 11] = [
+            ("sector byte", &flipped),
+            ("presence mask", &present),
+            ("erased sector", &erased),
+            ("nvram byte", &nvram_byte),
+            ("nvram block", &nvram_block),
+            ("nvram payload kind", &nvram_data),
+            ("nvram size", &nvram_size),
+            ("staging flag", &staging),
+            ("acked path", &path),
+            ("acked order", &order),
+            ("acked count", &fewer),
+        ];
+        for (what, change) in changes {
+            assert_ne!(moved(change), key, "{what} must move the key");
+        }
+        let other_spec = spec_fingerprint(&CellSpec { sim_seed: 43, ..spec() });
+        assert_ne!(state_key(&other_spec, &base, &acked), key, "the spec must move the key");
+
+        let cut = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.cut_at = SimTime::from_nanos(1);
+        let size = |_: &mut CrashState, a: &mut Vec<AckedFile>| a[0].size = 1;
+        let time = |_: &mut CrashState, a: &mut Vec<AckedFile>| a[1].last_ack_ns = 99;
+        for (what, change) in
+            [("cut instant", &cut as &Change<'_>), ("ack size", &size), ("ack time", &time)]
+        {
+            assert_eq!(moved(change), key, "the {what} feeds only the loss accountant");
+        }
     }
 }

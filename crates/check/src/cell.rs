@@ -1,12 +1,23 @@
-//! One crash cell, end to end: replay a bounded workload prefix on a
-//! doomed stack, crash it at the prefix boundary (gracefully, or with a
-//! disk-level power cut that durably retires an arrival-order prefix of
-//! the in-flight write batch), then remount, recover, fsck, replay
-//! NVRAM, and account acknowledged losses against the oracle.
+//! One crash cell, end to end, in two halves.
+//!
+//! The **doomed half** (`doom`) replays a bounded workload prefix on
+//! a doomed stack, crashes it at the prefix boundary (gracefully, or
+//! with a disk-level power cut that durably retires an arrival-order
+//! prefix of the in-flight write batch) and captures what survived.
+//! The **verification** (`verify`) remounts that crash state in a
+//! simulation of its own, seeded like the cell, then recovers, fscks,
+//! replays NVRAM and stats each acknowledged path. Loss is accounted
+//! per cell from the cell's own acked sizes, ack times and cut
+//! (`Doomed::judge`).
 //!
 //! A cell is a pure function of `(CellSpec, records, CutSpec)` — same
 //! inputs, byte-identical outcome — which is what makes every failure a
-//! one-line replayable artifact (`crate::repro`).
+//! one-line replayable artifact (`crate::repro`). The verification is
+//! a pure function of `(CellSpec, crash state, acked paths)`, which is
+//! what lets the enumeration verify each distinct state once
+//! (`crate::enumerate`). [`run_cell`] and [`run_cell_at`] verify every
+//! cell on its own: they are the oracle the enumeration is tested
+//! against.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,9 +25,9 @@ use std::rc::Rc;
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{FaultPlan, Hardware};
-use cnp_fault::{verify_crash_state, CrashState, LayoutKind, Stack};
+use cnp_fault::{verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
 use cnp_sim::{Sim, SimTime};
-use cnp_trace::{replay, ReplayOptions, TraceRecord};
+use cnp_trace::{replay, AckedFile, ReplayOptions, TraceRecord};
 
 /// Everything one cell needs besides its workload and cut point.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,7 +165,7 @@ pub struct CellOutcome {
     pub fsck_post: u64,
     /// Acknowledged-loss accounting (informational for volatile
     /// policies, an oracle input for NVRAM ones).
-    pub loss: cnp_fault::LossReport,
+    pub loss: LossReport,
     /// Oracle violations (empty = the cell verified clean).
     pub violations: Vec<CellViolation>,
 }
@@ -166,17 +177,17 @@ impl CellOutcome {
     }
 }
 
-/// Runs one cell. A [`CutSpec::PowerCut`] cell first runs a graceful
-/// probe of the same records to learn the arrival instant (the cut
-/// must land at the same virtual time the boundary cell sampled its
-/// in-flight batch at), then the faulted run; use [`run_cell_at`] when
-/// the instant is already known from the boundary cell.
+/// Runs one cell. A [`CutSpec::PowerCut`] cell first runs the doomed
+/// half of a graceful cell on the same records to learn the arrival
+/// instant (the cut must land at the same virtual time the boundary
+/// cell sampled its in-flight batch at), then the faulted cell; use
+/// [`run_cell_at`] when the instant is already known from the boundary
+/// cell.
 pub fn run_cell(spec: &CellSpec, records: &[TraceRecord], cut: CutSpec) -> CellOutcome {
     match cut {
         CutSpec::Graceful => run_once(spec, records, None),
         CutSpec::PowerCut { retire } => {
-            let probe = run_once(spec, records, None);
-            run_once(spec, records, Some((probe.arrival_ns, retire)))
+            run_once(spec, records, Some((arrival_ns(spec, records), retire)))
         }
     }
 }
@@ -192,10 +203,53 @@ pub fn run_cell_at(
     run_once(spec, records, Some((arrival_ns, retire)))
 }
 
-/// The cell body. `power` = `Some((t_ns, retire))` arms a disk-level
-/// cut at virtual time `t_ns` retiring `retire` outstanding writes;
-/// `None` is the graceful boundary capture.
+/// The scheduled arrival instant (ns) of `records`' last op in a cell
+/// of `spec`: a graceful cell's doomed half, with no verification.
+pub(crate) fn arrival_ns(spec: &CellSpec, records: &[TraceRecord]) -> u64 {
+    doom(spec, records, None).arrival_ns
+}
+
+/// One whole cell, verified with no memo: the oracle the enumeration's
+/// memoised cells are tested against.
 fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>) -> CellOutcome {
+    let doomed = doom(spec, records, power);
+    let verdict = verify(spec, &doomed.state, &doomed.acked);
+    doomed.judge(spec, &verdict)
+}
+
+/// The doomed half of a cell: what the run left behind at its cut.
+pub(crate) struct Doomed {
+    ops: u64,
+    errors: u64,
+    cut_at_ns: u64,
+    arrival_ns: u64,
+    inflight_batch: u64,
+    /// Everything that survived the cut.
+    pub(crate) state: CrashState,
+    /// The files acknowledged before the cut that the oracle judges.
+    pub(crate) acked: Vec<AckedFile>,
+}
+
+/// What recovering one crash state found: everything a cell's outcome
+/// reads from the recovered system, or the error recovery or NVRAM
+/// replay failed with.
+pub(crate) type Verdict = Result<Recovered, String>;
+
+/// A recovered system's observables.
+pub(crate) struct Recovered {
+    /// Post-repair fsck violations.
+    fsck_post: u64,
+    /// NVRAM blocks replayed.
+    nvram_replayed: u64,
+    /// The recovered size of each acked path, in order.
+    sizes: Vec<Option<u64>>,
+}
+
+/// The doomed half: build, format, replay, cut, capture. `power` =
+/// `Some((t_ns, retire))` arms a disk-level cut at virtual time `t_ns`
+/// retiring `retire` outstanding writes; `None` is the graceful
+/// boundary capture.
+pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>) -> Doomed {
     let sim = Sim::new(spec.sim_seed);
     let h = sim.handle();
     let plan = match power {
@@ -210,14 +264,17 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
         },
         None => FaultPlan::default(),
     };
-    let fs_cfg = spec.fs_config();
-    let Stack { fs, driver, disks } =
-        Stack::build(&h, "cell0", spec.layout, Hardware::default().device(), fs_cfg.clone(), plan);
+    let Stack { fs, driver, disks } = Stack::build(
+        &h,
+        "cell0",
+        spec.layout,
+        Hardware::default().device(),
+        spec.fs_config(),
+        plan,
+    );
     let nvram_backed = spec.nvram_bytes.is_some();
-    let layout_kind = spec.layout;
     let records = records.to_vec();
     let power_cut_ns = power.map(|(t, _)| t);
-
     sim.block_on("check-cell", async move {
         fs.format().await.expect("format");
         let budget = records.len() as u64;
@@ -304,15 +361,53 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
             None => CrashState::capture(&fs, &disks[0]).await,
         };
         fs.shutdown();
+        Doomed {
+            ops: report.ops,
+            errors: report.errors,
+            cut_at_ns,
+            arrival_ns,
+            inflight_batch,
+            state,
+            acked: report.acked,
+        }
+    })
+}
 
-        let staging_sealed = state.staging_sealed;
-        let verified = verify_crash_state(&h, layout_kind, &state, &report.acked, fs_cfg).await;
-        let mut outcome = match verified {
-            Ok(v) => {
-                let fsck_post = v.outcome.post.violations.len() as u64;
+/// Recovers `state` in a simulation of its own, seeded like the cell:
+/// restore the platter, recover, fsck and repair, replay NVRAM, and
+/// stat each of `acked`'s paths. A pure function of `(spec, state,
+/// acked paths)`, which is what lets the enumeration reuse the verdict
+/// of an identical state (`crate::cache::state_key`).
+pub(crate) fn verify(spec: &CellSpec, state: &CrashState, acked: &[AckedFile]) -> Verdict {
+    let sim = Sim::new(spec.sim_seed);
+    let h = sim.handle();
+    let (kind, cfg) = (spec.layout, spec.fs_config());
+    let (state, acked) = (state.clone(), acked.to_vec());
+    sim.block_on("verify", async move {
+        let v =
+            verify_crash_state(&h, kind, &state, &acked, cfg).await.map_err(|e| e.to_string())?;
+        Ok(Recovered {
+            fsck_post: v.outcome.post.violations.len() as u64,
+            nvram_replayed: v.nvram_replayed,
+            sizes: v.sizes,
+        })
+    })
+}
+
+impl Doomed {
+    /// The cell's outcome from its doomed half and the verdict on its
+    /// crash state: loss is accounted from this cell's own acked sizes,
+    /// ack times and cut.
+    pub(crate) fn judge(&self, spec: &CellSpec, verdict: &Verdict) -> CellOutcome {
+        let staging_sealed = self.state.staging_sealed;
+        // Built in report order: a recovery failure alone, else fsck
+        // before acked loss.
+        let (nvram_replayed, fsck_post, loss, violations) = match verdict {
+            Ok(r) => {
+                let loss = LossReport::account(&self.acked, &r.sizes, self.state.cut_at);
                 let mut violations = Vec::new();
-                if fsck_post > 0 {
-                    violations.push(CellViolation::FsckDirty { violations: fsck_post });
+                if r.fsck_post > 0 {
+                    violations.push(CellViolation::FsckDirty { violations: r.fsck_post });
                 }
                 // Zero-acked-loss is the contract of battery-backed
                 // configurations — and only judgeable when the
@@ -320,51 +415,36 @@ fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>)
                 // (a disk-level cut loses it by definition; volatile
                 // policies trade the loss window for performance, which
                 // the report shows but the oracle does not punish).
-                if nvram_backed
+                if spec.nvram_bytes.is_some()
                     && staging_sealed
-                    && (v.loss.lost_files > 0 || v.loss.lost_bytes > 0)
+                    && (loss.lost_files > 0 || loss.lost_bytes > 0)
                 {
                     violations.push(CellViolation::AckedLoss {
-                        files: v.loss.lost_files,
-                        bytes: v.loss.lost_bytes,
+                        files: loss.lost_files,
+                        bytes: loss.lost_bytes,
                     });
                 }
-                CellOutcome {
-                    ops: report.ops,
-                    errors: report.errors,
-                    cut_at_ns,
-                    arrival_ns,
-                    inflight_batch,
-                    staging_sealed,
-                    nvram_replayed: v.nvram_replayed,
-                    fsck_post,
-                    loss: v.loss,
-                    violations,
-                }
+                (r.nvram_replayed, r.fsck_post, loss, violations)
             }
-            Err(e) => CellOutcome {
-                ops: report.ops,
-                errors: report.errors,
-                cut_at_ns,
-                arrival_ns,
-                inflight_batch,
-                staging_sealed,
-                nvram_replayed: 0,
-                fsck_post: 0,
-                loss: cnp_fault::LossReport::default(),
-                violations: vec![CellViolation::RecoveryFailed { detail: e.to_string() }],
-            },
+            Err(detail) => (
+                0,
+                0,
+                LossReport::default(),
+                vec![CellViolation::RecoveryFailed { detail: detail.clone() }],
+            ),
         };
-        outcome.violations.sort_by_key(violation_rank);
-        outcome
-    })
-}
-
-fn violation_rank(v: &CellViolation) -> u8 {
-    match v {
-        CellViolation::RecoveryFailed { .. } => 0,
-        CellViolation::FsckDirty { .. } => 1,
-        CellViolation::AckedLoss { .. } => 2,
+        CellOutcome {
+            ops: self.ops,
+            errors: self.errors,
+            cut_at_ns: self.cut_at_ns,
+            arrival_ns: self.arrival_ns,
+            inflight_batch: self.inflight_batch,
+            staging_sealed,
+            nvram_replayed,
+            fsck_post,
+            loss,
+            violations,
+        }
     }
 }
 

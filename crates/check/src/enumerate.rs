@@ -29,6 +29,19 @@
 //! minimization is deferred to the end of the fold and — being per-row
 //! pure — is a second `run_cells` over the failing rows.
 //!
+//! ## One verification per distinct crash state
+//!
+//! Most cells leave a crash state another cell already left: at budget
+//! 40 on trace 1a (qd 8, seed 42), 320 cells leave 78. Each cell runs
+//! its doomed half; its verification, a pure function of `(CellSpec,
+//! crash state, acked paths)` run in a simulation of its own
+//! (`crate::cell`), goes through one memo per enumeration, shared by
+//! the workers and keyed by [`crate::cache::state_key`]. A state is
+//! recovered once, and every other cell that reaches it is judged from
+//! the stored verdict, its loss accounted from its own acks and cut.
+//! [`CheckStats::states_verified`] counts the recoveries. [`minimize`]
+//! and [`Repro`] verify every cell with no memo: they are the oracle.
+//!
 //! ## Incremental checking
 //!
 //! With a [`CellCache`] attached, every cell's inputs are content-
@@ -38,6 +51,7 @@
 //! boundaries whose prefix contains it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -45,8 +59,10 @@ use cnp_fault::LayoutKind;
 use cnp_sim::run_cells;
 use cnp_trace::{bounded_prefix, TraceRecord};
 
-use crate::cache::{cell_key, spec_fingerprint, CellCache, PrefixHashes};
-use crate::cell::{run_cell, run_cell_at, CellOutcome, CellSpec, CutSpec};
+use crate::cache::{cell_key, spec_fingerprint, state_key, CellCache, PrefixHashes};
+use crate::cell::{
+    arrival_ns, doom, run_cell, run_cell_at, verify, CellOutcome, CellSpec, CutSpec, Verdict,
+};
 use crate::repro::Repro;
 
 /// One flush-policy column of the sweep.
@@ -120,9 +136,12 @@ impl CheckConfig {
         }
     }
 
-    fn cell_spec(&self, layout: LayoutKind, li: usize, policy: &PolicySpec, pi: usize) -> CellSpec {
+    /// The spec of every cell in the row of `layouts[li]` x
+    /// `policies[pi]`.
+    pub fn cell_spec(&self, li: usize, pi: usize) -> CellSpec {
+        let policy = &self.policies[pi];
         CellSpec {
-            layout,
+            layout: self.layouts[li],
             flush: policy.flush.to_string(),
             nvram_bytes: policy.nvram.then_some(self.nvram_bytes),
             mem_bytes: self.mem_bytes,
@@ -196,6 +215,11 @@ pub struct CheckStats {
     pub cells_run: usize,
     /// Cells replayed from the incremental cache.
     pub cache_hits: usize,
+    /// Crash states recovered and verified; every other cell simulated
+    /// reused the verdict of an identical state. At one thread this is
+    /// the number of distinct states; two workers that reach one state
+    /// at once may both verify it.
+    pub states_verified: usize,
     /// Time spent inside cells, summed over the workers.
     pub busy: Duration,
 }
@@ -238,6 +262,7 @@ impl CheckStats {
         m.counter("check.cells", (self.cells_run + self.cache_hits) as u64);
         m.counter("check.cells_run", self.cells_run as u64);
         m.counter("check.cache.hits", self.cache_hits as u64);
+        m.counter("check.states_verified", self.states_verified as u64);
         m.gauge("check.cache.hit_rate", self.hit_rate());
         m.gauge("check.threads", self.threads as f64);
         m.gauge("check.cells_per_sec", self.cells_per_sec());
@@ -331,6 +356,46 @@ struct UnitResult {
     busy: Duration,
 }
 
+/// The verdicts of the crash states one enumeration has verified, by
+/// [`state_key`], shared by its workers: a cell whose doomed half left
+/// a state already verified is judged from that verdict instead of
+/// recovering the state again. Holds digests and small results, never
+/// images.
+#[derive(Default)]
+struct Memo {
+    verdicts: Mutex<HashMap<u128, Verdict>>,
+    verified: AtomicUsize,
+}
+
+impl Memo {
+    /// One cell (see [`crate::cell::doom`] for `power`), verified
+    /// through the memo.
+    fn cell(
+        &self,
+        spec: &CellSpec,
+        fingerprint: &str,
+        records: &[TraceRecord],
+        power: Option<(u64, u64)>,
+    ) -> CellOutcome {
+        let doomed = doom(spec, records, power);
+        let key = state_key(fingerprint, &doomed.state, &doomed.acked);
+        if let Some(verdict) = self.lock().get(&key) {
+            return doomed.judge(spec, verdict);
+        }
+        // Unlocked: two workers that reach one state at once both
+        // verify it, and compute the same verdict.
+        let verdict = verify(spec, &doomed.state, &doomed.acked);
+        self.verified.fetch_add(1, Ordering::Relaxed);
+        let outcome = doomed.judge(spec, &verdict);
+        self.lock().insert(key, verdict);
+        outcome
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u128, Verdict>> {
+        self.verdicts.lock().expect("a worker that panicked fails the run")
+    }
+}
+
 /// Runs one boundary unit: the graceful cell at prefix `records`, then
 /// every legal retire cell of its in-flight batch (sharing its arrival
 /// instant). Pure in `(spec, records)` modulo the cache.
@@ -340,13 +405,14 @@ fn run_unit(
     records: &[TraceRecord],
     prefix_hash: u128,
     cache: Option<&CellCache>,
+    memo: &Memo,
 ) -> UnitResult {
     let t0 = Instant::now();
     let caching = cache.is_some();
     let bkey = if caching { cell_key(fingerprint, prefix_hash, &CutSpec::Graceful) } else { 0 };
     let (boundary, bhit) = match cache.and_then(|c| c.get(bkey)) {
         Some(o) => (o.clone(), true),
-        None => (run_cell(spec, records, CutSpec::Graceful), false),
+        None => (memo.cell(spec, fingerprint, records, None), false),
     };
     let arrival_ns = boundary.arrival_ns;
     let batch = boundary.inflight_batch;
@@ -356,7 +422,7 @@ fn run_unit(
         let key = if caching { cell_key(fingerprint, prefix_hash, &cut) } else { 0 };
         let (outcome, hit) = match cache.and_then(|c| c.get(key)) {
             Some(o) => (o.clone(), true),
-            None => (run_cell_at(spec, records, arrival_ns, retire), false),
+            None => (memo.cell(spec, fingerprint, records, Some((arrival_ns, retire))), false),
         };
         retires.push(CellEntry { cut, key, hit, outcome });
     }
@@ -462,7 +528,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
     let mut plans: Vec<(LayoutKind, &'static str, CellSpec)> = Vec::new();
     for (li, &layout) in cfg.layouts.iter().enumerate() {
         for (pi, policy) in cfg.policies.iter().enumerate() {
-            plans.push((layout, policy.label, cfg.cell_spec(layout, li, policy, pi)));
+            plans.push((layout, policy.label, cfg.cell_spec(li, pi)));
         }
     }
     let fingerprints: Vec<String> = plans.iter().map(|(_, _, s)| spec_fingerprint(s)).collect();
@@ -502,6 +568,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
     };
 
     let cache_snapshot: Option<&CellCache> = opts.cache.as_deref();
+    let memo = Memo::default();
     let progress = opts
         .progress
         .map(|sink| Mutex::new(Progress { sink, cells_done: 0, units_done: 0, next_at: 1000 }));
@@ -509,7 +576,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
     let done = run_cells(&units, threads, |&(row, k)| {
         let records = bounded_prefix(&cfg.records, k, &[]);
         let ph = prefix_hashes.as_ref().map(|p| p.prefix(k)).unwrap_or(0);
-        let unit = run_unit(&plans[row].2, &fingerprints[row], &records, ph, cache_snapshot);
+        let unit = run_unit(&plans[row].2, &fingerprints[row], &records, ph, cache_snapshot, &memo);
         if let Some(progress) = &progress {
             let mut p = progress.lock().expect("a progress sink that panicked fails the run");
             p.cells_done += 1 + unit.retires.len();
@@ -570,6 +637,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
             wall: started.elapsed(),
             cells_run: merger.cells_run,
             cache_hits: merger.cache_hits,
+            states_verified: memo.verified.into_inner(),
             busy: merger.busy,
         },
     }
@@ -594,13 +662,12 @@ pub fn minimize(
     // Power-cut candidates need the cut's virtual instant: the arrival
     // of the candidate's last op. The post-format replay epoch depends
     // only on the spec (not the records), so one graceful probe up
-    // front prices every candidate — re-probing per candidate would
-    // silently double the budgeted cost.
+    // front (a doomed half, counted as a run) prices every candidate —
+    // re-probing per candidate would silently double the budgeted cost.
     let epoch_ns = match cut {
         CutSpec::PowerCut { .. } => {
             runs += 1;
-            let probe = run_cell(spec, records, CutSpec::Graceful);
-            Some(probe.arrival_ns - records.last().map(|r| r.time_ns).unwrap_or(0))
+            Some(arrival_ns(spec, records) - records.last().map(|r| r.time_ns).unwrap_or(0))
         }
         CutSpec::Graceful => None,
     };
@@ -742,6 +809,20 @@ mod tests {
             "FNV-1a 128 of the report:\n{}",
             format_check_report(&cfg, &report)
         );
+    }
+
+    /// The benchmark's cells reach 78 distinct crash states, counting
+    /// each cell's acked paths: at one thread the memo recovers each
+    /// exactly once, and every other cell reuses a verdict.
+    #[test]
+    fn budget_40_verifies_each_distinct_crash_state_once() {
+        let records = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
+        let mut cfg = CheckConfig::new(records, "1a", 40);
+        cfg.queue_depth = 8;
+        let report = run_check_with(&cfg, CheckOptions::default());
+        assert_eq!((report.cells, report.stats.states_verified), (320, 78));
+        let metrics = report.stats.metrics().to_table();
+        assert!(metrics.contains("check.states_verified"), "{metrics}");
     }
 
     #[test]

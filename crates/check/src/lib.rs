@@ -5,15 +5,17 @@
 //! makes behavior *inspectable and repeatable*; this crate turns that
 //! determinism into an exhaustive verifier instead of a sampled one:
 //!
-//! * [`cell`] — one crash cell as a pure function: replay a bounded
-//!   workload prefix, crash (gracefully or with a disk-level power cut
-//!   retiring an arrival-order prefix of the in-flight write batch),
-//!   remount, recover, fsck, replay NVRAM, account acked losses;
+//! * [`cell`] — one crash cell as a pure function, in two halves: the
+//!   doomed half replays a bounded workload prefix and crashes
+//!   (gracefully or with a disk-level power cut retiring an
+//!   arrival-order prefix of the in-flight write batch); the
+//!   verification remounts, recovers, fscks and replays NVRAM in a
+//!   simulation of its own; acked losses are accounted per cell;
 //! * [`enumerate`] — every op boundary × every legal retire prefix,
 //!   across layout × flush-policy cells, with delta-debugging
 //!   minimization of failures — fanned across OS threads with an
 //!   order-restoring merge, so the report is byte-identical at every
-//!   thread count;
+//!   thread count, and verifying each distinct crash state once;
 //! * [`cache`] — incremental checking: cells keyed by a content hash
 //!   of `(CellSpec, records, CutSpec)` in a persisted, versioned cache
 //!   file, so unchanged work is replayed instead of re-simulated;

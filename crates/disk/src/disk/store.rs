@@ -217,6 +217,19 @@ impl DiskImage {
         self.frames.is_empty()
     }
 
+    /// Every frame holding real bytes, as `(frame index, presence mask,
+    /// the frame's sectors back to back)`, in index order; an absent
+    /// sector's bytes are zero. Sector `lba` is bit `lba % 8` of frame
+    /// `lba / 8`. Two images hold the same sectors exactly when their
+    /// frame lists are equal, so a key over this list is a key over
+    /// the image, however its frames were shared or built.
+    pub fn frames(&self) -> Vec<(u64, u8, &[u8])> {
+        let mut frames: Vec<_> =
+            self.frames.iter().map(|(&idx, f)| (idx, f.present, &f.bytes[..])).collect();
+        frames.sort_unstable_by_key(|&(idx, ..)| idx);
+        frames
+    }
+
     /// Lands the sectors `due` of frame `idx`: what `real` holds
     /// replaces the image's, the rest of `due` is erased. `real` holds
     /// nothing outside `due`, so unless some other sector of the

@@ -9,7 +9,7 @@
 //! applies the classic fsck remedies — drop dangling entries, truncate
 //! at the first bad pointer — and re-checks until clean.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use cnp_disk::Payload;
 use cnp_layout::dir::{self, Dirent};
@@ -185,8 +185,9 @@ pub async fn check<L: StorageLayout>(layout: &mut L) -> FsckReport {
     let mut stack: Vec<Ino> = vec![Ino::ROOT];
     let mut visited: BTreeSet<u64> = BTreeSet::new();
     visited.insert(Ino::ROOT.0);
-    // addr -> first claimant (ino, file block).
-    let mut owners: BTreeMap<u64, (Ino, u64)> = BTreeMap::new();
+    // addr -> first claimant (ino, file block). Only probed, never
+    // walked, so its order is never seen; one entry per block mapped.
+    let mut owners: HashMap<u64, (Ino, u64)> = HashMap::new();
     while let Some(dir_ino) = stack.pop() {
         report.dirs += 1;
         let Ok(dir_inode) = layout.get_inode(dir_ino).await else {
@@ -247,7 +248,7 @@ async fn walk_blocks<L: StorageLayout>(
     layout: &mut L,
     inode: &cnp_layout::Inode,
     capacity_blocks: u64,
-    owners: &mut BTreeMap<u64, (Ino, u64)>,
+    owners: &mut HashMap<u64, (Ino, u64)>,
     report: &mut FsckReport,
 ) {
     for blk in 0..inode.blocks() {

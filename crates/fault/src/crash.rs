@@ -202,21 +202,22 @@ pub fn apply_staged_to_image(
 
 /// One crash state's full verification: restore the disk, run the
 /// layout's recovery, walk + repair with fsck, replay NVRAM into a
-/// fresh engine, and account acknowledged losses. This is the shared
+/// fresh engine, and stat every acknowledged path. This is the shared
 /// phase-B of the crash sweep and the `cnp-check` crash-point
-/// enumerator — one cell, from captured state to verdict.
+/// enumerator — one cell, from captured state to verdict; both then
+/// account the loss with [`LossReport::account`].
 #[derive(Debug, Clone)]
 pub struct VerifiedRecovery {
     /// Recovery + fsck outcome.
     pub outcome: RecoveryOutcome,
     /// NVRAM blocks replayed into the recovered system.
     pub nvram_replayed: u64,
-    /// Acknowledged-write loss accounting.
-    pub loss: LossReport,
+    /// The recovered size of each acknowledged path, in order.
+    pub sizes: Vec<Option<u64>>,
 }
 
-/// Runs recovery + fsck + NVRAM replay + loss accounting on one
-/// captured crash state. `cfg` must match the crashed engine's
+/// Runs recovery + fsck + NVRAM replay on one captured crash state and
+/// stats the `acked` paths. `cfg` must match the crashed engine's
 /// configuration (the recovered engine is built from it).
 pub async fn verify_crash_state(
     handle: &Handle,
@@ -228,9 +229,9 @@ pub async fn verify_crash_state(
     let (Stack { fs, .. }, outcome) =
         Stack::recover(handle, "verify", kind, &Hardware::default(), state, cfg).await?;
     let nvram_replayed = replay_nvram(&fs, &state.nvram).await?;
-    let loss = measure_loss(&fs, acked, state.cut_at).await;
+    let sizes = recovered_sizes(&fs, acked).await;
     fs.shutdown();
-    Ok(VerifiedRecovery { outcome, nvram_replayed, loss })
+    Ok(VerifiedRecovery { outcome, nvram_replayed, sizes })
 }
 
 /// Acknowledged-write loss accounting for one crash cell.
@@ -247,37 +248,77 @@ pub struct LossReport {
     pub loss_window_ms: f64,
 }
 
-/// Compares recovered state against the acknowledged files of the
-/// replayed workload (`acked` from `cnp-trace`'s `replay`).
-///
-/// Deletions are not judged (a crash may resurrect a post-checkpoint
-/// delete; that is a documented non-goal), and neither is block-level
-/// content in simulated-payload mode — sizes are the observable.
-pub async fn measure_loss(fs: &FileSystem, acked: &[AckedFile], cut_at: SimTime) -> LossReport {
-    let mut report = LossReport { acked_files: acked.len() as u64, ..LossReport::default() };
-    let mut oldest_lost_ns: Option<u64> = None;
-    for a in acked {
-        let recovered = match fs.stat(&a.path).await {
-            Ok(inode) => Some(inode.size),
-            Err(_) => None,
-        };
-        match recovered {
-            Some(got) if got >= a.size => {}
-            Some(got) => {
-                report.lost_bytes += a.size - got;
-                oldest_lost_ns =
-                    Some(oldest_lost_ns.map_or(a.last_ack_ns, |o| o.min(a.last_ack_ns)));
+impl LossReport {
+    /// Compares recovered sizes (`sizes[i]` for `acked[i]`, `None` for a
+    /// missing file; [`recovered_sizes`]) against the acknowledged
+    /// files of the replayed workload (`acked` from `cnp-trace`'s
+    /// `replay`), for a crash at `cut_at`.
+    ///
+    /// Deletions are not judged (a crash may resurrect a post-checkpoint
+    /// delete; that is a documented non-goal), and neither is block-level
+    /// content in simulated-payload mode — sizes are the observable.
+    pub fn account(acked: &[AckedFile], sizes: &[Option<u64>], cut_at: SimTime) -> LossReport {
+        let mut report = LossReport { acked_files: acked.len() as u64, ..LossReport::default() };
+        debug_assert_eq!(acked.len(), sizes.len(), "one recovered size per acked file");
+        let mut oldest_lost_ns: Option<u64> = None;
+        for (a, &recovered) in acked.iter().zip(sizes) {
+            match recovered {
+                Some(got) if got >= a.size => continue,
+                Some(got) => report.lost_bytes += a.size - got,
+                None => {
+                    report.lost_files += 1;
+                    report.lost_bytes += a.size;
+                }
             }
-            None => {
-                report.lost_files += 1;
-                report.lost_bytes += a.size;
-                oldest_lost_ns =
-                    Some(oldest_lost_ns.map_or(a.last_ack_ns, |o| o.min(a.last_ack_ns)));
-            }
+            oldest_lost_ns = Some(oldest_lost_ns.map_or(a.last_ack_ns, |o| o.min(a.last_ack_ns)));
         }
+        if let Some(ns) = oldest_lost_ns {
+            report.loss_window_ms = cut_at.as_nanos().saturating_sub(ns) as f64 / 1e6;
+        }
+        report
     }
-    if let Some(ns) = oldest_lost_ns {
-        report.loss_window_ms = cut_at.as_nanos().saturating_sub(ns) as f64 / 1e6;
+}
+
+/// Stats every acknowledged path of a recovered file system: the size
+/// it recovered with, or `None` where the path is gone.
+pub async fn recovered_sizes(fs: &FileSystem, acked: &[AckedFile]) -> Vec<Option<u64>> {
+    let mut sizes = Vec::with_capacity(acked.len());
+    for a in acked {
+        sizes.push(fs.stat(&a.path).await.ok().map(|inode| inode.size));
     }
-    report
+    sizes
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn acked(path: &str, size: u64, last_ack_ns: u64) -> AckedFile {
+        AckedFile { path: path.to_string(), size, last_ack_ns }
+    }
+
+    #[test]
+    fn loss_counts_missing_and_short_files_from_the_oldest_lost_ack() {
+        let files = [
+            acked("/missing", 8192, 3_000_000),
+            acked("/short", 4096, 2_000_000),
+            acked("/whole", 4096, 1_000_000),
+            acked("/grown", 100, 500_000),
+        ];
+        let sizes = [None, Some(1000), Some(4096), Some(200)];
+        let loss = LossReport::account(&files, &sizes, SimTime::from_nanos(10_000_000));
+        assert_eq!(
+            loss,
+            LossReport {
+                acked_files: 4,
+                lost_files: 1,
+                lost_bytes: 8192 + 3096,
+                // The short file's ack (2 ms) is the oldest lost one; the
+                // whole and grown files are older but lost nothing.
+                loss_window_ms: 8.0,
+            }
+        );
+        let intact = LossReport::account(&files[2..], &sizes[2..], SimTime::from_nanos(10_000_000));
+        assert_eq!(intact, LossReport { acked_files: 2, ..LossReport::default() });
+    }
 }

@@ -35,7 +35,7 @@ pub mod plan;
 
 pub use check::{check, repair, FsckReport, RepairReport, Violation};
 pub use crash::{
-    apply_staged_to_image, measure_loss, recover_and_check, replay_nvram, verify_crash_state,
+    apply_staged_to_image, recover_and_check, recovered_sizes, replay_nvram, verify_crash_state,
     CrashState, LayoutKind, LossReport, RecoveryOutcome, VerifiedRecovery,
 };
 pub use faulty::Stack;

@@ -269,8 +269,9 @@ pub struct LfsLayout {
     cur: SegBuilder,
     /// Blocks holding the current on-disk checkpoint's imap/usage.
     ckpt_meta: Vec<u64>,
-    /// Indirect-block cache: address → pointer table (log-immutable).
-    indirect: HashMap<u64, Vec<u64>>,
+    /// Indirect-block cache: address → pointer table (log-immutable),
+    /// shared, so a lookup through it copies no table.
+    indirect: HashMap<u64, Rc<[u64]>>,
     indirect_fifo: Vec<u64>,
     cleaning: bool,
     mounted: bool,
@@ -776,7 +777,7 @@ impl LfsLayout {
     }
 
     /// Loads an indirect pointer table (cached; log blocks are immutable).
-    async fn load_indirect(&mut self, addr: BlockAddr) -> LResult<Vec<u64>> {
+    async fn load_indirect(&mut self, addr: BlockAddr) -> LResult<Rc<[u64]>> {
         if let Some(t) = self.indirect.get(&addr.0) {
             return Ok(t.clone());
         }
@@ -785,10 +786,8 @@ impl LfsLayout {
         if let Some(p) = self.staged_block(addr) {
             let bytes =
                 p.bytes().ok_or_else(|| LayoutError::Corrupt("staged indirect lost".into()))?;
-            let mut table = Vec::with_capacity(NINDIRECT);
-            for i in 0..NINDIRECT {
-                table.push(crate::types::codec::get_u64(bytes, i * 8));
-            }
+            let table: Rc<[u64]> =
+                (0..NINDIRECT).map(|i| crate::types::codec::get_u64(bytes, i * 8)).collect();
             self.cache_indirect(addr, table.clone());
             return Ok(table);
         }
@@ -796,15 +795,13 @@ impl LfsLayout {
         self.stats.meta_reads += 1;
         let bytes =
             payload.bytes().ok_or_else(|| LayoutError::Corrupt("indirect block lost".into()))?;
-        let mut table = Vec::with_capacity(NINDIRECT);
-        for i in 0..NINDIRECT {
-            table.push(crate::types::codec::get_u64(bytes, i * 8));
-        }
+        let table: Rc<[u64]> =
+            (0..NINDIRECT).map(|i| crate::types::codec::get_u64(bytes, i * 8)).collect();
         self.cache_indirect(addr, table.clone());
         Ok(table)
     }
 
-    fn cache_indirect(&mut self, addr: BlockAddr, table: Vec<u64>) {
+    fn cache_indirect(&mut self, addr: BlockAddr, table: Rc<[u64]>) {
         if self.indirect_fifo.len() >= INDIRECT_CACHE_CAP {
             let evict = self.indirect_fifo.remove(0);
             self.indirect.remove(&evict);
@@ -824,7 +821,7 @@ impl LfsLayout {
         let entry = SumEntry::Indirect { ino: ino.0 };
         let addr = self.append_block(entry, Payload::Data(bytes)).await?;
         self.stats.meta_writes += 1;
-        self.cache_indirect(addr, table.to_vec());
+        self.cache_indirect(addr, table.into());
         Ok(addr)
     }
 
@@ -1123,7 +1120,7 @@ impl StorageLayout for LfsLayout {
                     BlockSlot::Indirect(s) => {
                         if table.is_none() {
                             table = Some(if inode.indirect.is_some() {
-                                self.load_indirect(inode.indirect).await?
+                                self.load_indirect(inode.indirect).await?.to_vec()
                             } else {
                                 vec![BlockAddr::NONE.0; NINDIRECT]
                             });
@@ -1208,7 +1205,7 @@ impl StorageLayout for LfsLayout {
         }
         if inode.indirect.is_some() {
             let table = self.load_indirect(inode.indirect).await?;
-            for v in table {
+            for &v in table.iter() {
                 if v != BlockAddr::NONE.0 {
                     self.supersede(BlockAddr(v), BLOCK_SIZE);
                 }
@@ -1509,7 +1506,7 @@ impl LfsLayout {
             if inode.indirect.is_some() {
                 charges.push((inode.indirect.0, BLOCK_SIZE));
                 if let Ok(table) = self.load_indirect(inode.indirect).await {
-                    for v in table {
+                    for &v in table.iter() {
                         if v != BlockAddr::NONE.0 {
                             charges.push((v, BLOCK_SIZE));
                         }
@@ -1577,7 +1574,7 @@ impl LfsLayout {
                 BlockSlot::Indirect(s) => {
                     if table.is_none() {
                         table = Some(if inode.indirect.is_some() {
-                            self.load_indirect(inode.indirect).await?
+                            self.load_indirect(inode.indirect).await?.to_vec()
                         } else {
                             vec![BlockAddr::NONE.0; NINDIRECT]
                         });
@@ -1618,7 +1615,7 @@ impl LfsLayout {
             let keep_indirect = new_blocks > crate::types::NDIRECT as u64;
             let table = self.load_indirect(inode.indirect).await?;
             let first_dead = new_blocks.saturating_sub(crate::types::NDIRECT as u64) as usize;
-            let mut new_table = table.clone();
+            let mut new_table = table.to_vec();
             let mut changed = false;
             for (s, v) in table.iter().enumerate() {
                 if s >= first_dead && *v != BlockAddr::NONE.0 {

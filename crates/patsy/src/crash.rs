@@ -166,8 +166,8 @@ fn run_cell(
         let verified = verify_crash_state(&h, layout_kind, &state, &report.acked, fs_cfg)
             .await
             .expect("recovery + nvram replay");
-        let (outcome, nvram_replayed, loss) =
-            (verified.outcome, verified.nvram_replayed, verified.loss);
+        let loss = LossReport::account(&report.acked, &verified.sizes, state.cut_at);
+        let (outcome, nvram_replayed) = (verified.outcome, verified.nvram_replayed);
 
         CrashCell {
             layout: layout_kind.name(),

@@ -3,13 +3,15 @@
 //! thread count, and a persisted cell cache must skip exactly the
 //! cells whose inputs did not change.
 
+use cut_and_paste::check::cache::encode_outcome;
 use cut_and_paste::check::{
-    format_check_report, run_check_with, run_history_check, CellCache, CheckConfig, CheckOptions,
-    HistoryCheckConfig, LinConfig, PolicySpec,
+    cell_key, format_check_report, run_cell, run_check_with, run_history_check, spec_fingerprint,
+    CellCache, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig, LinConfig, PolicySpec,
+    PrefixHashes,
 };
 use cut_and_paste::fault::LayoutKind;
 use cut_and_paste::patsy::check::format_check_json;
-use cut_and_paste::trace::TraceOp;
+use cut_and_paste::trace::{bounded_prefix, preset, SyntheticSprite, TraceOp};
 use cut_and_paste::workload::{Scenario, WorkloadKind};
 
 fn cfg(budget: usize) -> CheckConfig {
@@ -130,4 +132,76 @@ fn cache_file_roundtrip_hits_everything_then_rechecks_only_the_mutated_tail() {
         "every boundary covering the mutation must recheck"
     );
     let _ = std::fs::remove_file(path);
+}
+
+/// The memoised enumeration against its oracle. An enumeration
+/// verifies each distinct crash state once and judges every other cell
+/// from that verdict; `run_cell` recovers and verifies every cell on
+/// its own. Every outcome an enumeration stores in its cell cache must
+/// encode to the same bytes as `run_cell` on that cell: on both
+/// layouts, at qd 1 and 8, at 1 and 4 threads, on the healthy stack
+/// (trace 1a, whose reads leave one crash state to cells with
+/// different cuts) and with the planted stale-size bug (the zipf hot
+/// set, where it shows).
+#[test]
+fn every_memoised_outcome_equals_the_unmemoised_cell() {
+    let trace_1a = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
+    let mut violating = 0;
+    for layout in [LayoutKind::Lfs, LayoutKind::Ffs] {
+        for queue_depth in [1, 8] {
+            for plant in [false, true] {
+                let budget = if queue_depth == 1 { 16 } else { 12 };
+                let mut base = if plant {
+                    cfg(budget)
+                } else {
+                    CheckConfig::new(trace_1a.clone(), "1a", budget)
+                };
+                base.layouts = vec![layout];
+                base.queue_depth = queue_depth;
+                base.plant_stale_size_bug = plant;
+                base.minimize_runs = 4;
+                base.policies = vec![
+                    PolicySpec { label: "ups", flush: "ups", nvram: false },
+                    PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true },
+                ];
+                let at = |threads| {
+                    let mut cache = CellCache::new();
+                    let opts = CheckOptions { threads, cache: Some(&mut cache), progress: None };
+                    let report = run_check_with(&base, opts);
+                    assert_eq!(cache.len(), report.cells, "every cell is in the cache");
+                    (format_check_report(&base, &report), report.violations, cache)
+                };
+                let (text, violations, serial) = at(1);
+                let (threaded_text, _, threaded) = at(4);
+                assert_eq!(threaded_text, text, "the report must not depend on --threads");
+                violating += violations;
+                let hashes = PrefixHashes::over(&base.records, budget);
+                for pi in 0..base.policies.len() {
+                    let spec = base.cell_spec(0, pi);
+                    let fp = spec_fingerprint(&spec);
+                    for k in 1..=budget {
+                        let records = bounded_prefix(&base.records, k, &[]);
+                        let key = |cut| cell_key(&fp, hashes.prefix(k), &cut);
+                        let batch = serial.get(key(CutSpec::Graceful)).unwrap().inflight_batch;
+                        let retires = (0..=batch).map(|retire| CutSpec::PowerCut { retire });
+                        for cut in std::iter::once(CutSpec::Graceful).chain(retires) {
+                            let oracle = encode_outcome(&run_cell(&spec, &records, cut));
+                            for (threads, cache) in [(1, &serial), (4, &threaded)] {
+                                let memoised = cache.get(key(cut)).expect("every cell is cached");
+                                assert_eq!(
+                                    encode_outcome(memoised),
+                                    oracle,
+                                    "{} qd {queue_depth} plant {plant} {} op {k} {} threads {threads}",
+                                    layout.name(),
+                                    base.policies[pi].label,
+                                    cut.label(),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(violating > 0, "the planted bug must give the oracle violating cells to judge");
 }

@@ -460,7 +460,7 @@ fn multi_client_crash_preserves_acked_writes_on_ssd() {
 /// One doom → cut → capture → restore → recover + fsck → NVRAM replay →
 /// loss-accounting cycle on `hw` under `nvram-whole`.
 fn multi_client_crash_cycle(hw: Hardware) {
-    use cut_and_paste::fault::{crash::measure_loss, replay_nvram, CrashState};
+    use cut_and_paste::fault::{recovered_sizes, replay_nvram, CrashState, LossReport};
     use cut_and_paste::trace::TraceOp;
     use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
 
@@ -534,7 +534,7 @@ fn multi_client_crash_cycle(hw: Hardware) {
         // state to judge (as the checker's cells treat it).
         let mut acked = report.acked;
         acked.retain(|a| !report.indeterminate.contains(&a.path));
-        let loss = measure_loss(&fs2, &acked, state.cut_at).await;
+        let loss = LossReport::account(&acked, &recovered_sizes(&fs2, &acked).await, state.cut_at);
         assert_eq!(loss.lost_files, 0, "no client's acked file may vanish: {loss:?}");
         assert_eq!(loss.lost_bytes, 0, "no client's acked write may be lost: {loss:?}");
         fs2.shutdown();
