@@ -17,15 +17,17 @@
 //! what lets the enumeration verify each distinct state once
 //! (`crate::enumerate`). [`run_cell`] and [`run_cell_at`] verify every
 //! cell on its own: they are the oracle the enumeration is tested
-//! against.
+//! against, and [`run_sampled_cell`] is the same cell with what the
+//! crash sweep prints besides (`cnp_patsy::crash`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FsConfig};
+use cnp_core::{DataMode, FileSystem, FsConfig, FsError};
 use cnp_disk::{FaultPlan, Hardware};
-use cnp_fault::{verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
+use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Stack};
+use cnp_obs::MetricsSnapshot;
 use cnp_sim::{Sim, SimTime};
 use cnp_trace::{replay, AckedFile, ReplayOptions, TraceRecord};
 
@@ -64,6 +66,11 @@ impl CellSpec {
             plant_stale_size_bug: self.plant_stale_size_bug,
             ..FsConfig::default()
         }
+    }
+
+    /// The hardware every cell runs and recovers on.
+    fn hardware(&self) -> Hardware {
+        Hardware::default()
     }
 }
 
@@ -185,9 +192,9 @@ impl CellOutcome {
 /// cell.
 pub fn run_cell(spec: &CellSpec, records: &[TraceRecord], cut: CutSpec) -> CellOutcome {
     match cut {
-        CutSpec::Graceful => run_once(spec, records, None),
+        CutSpec::Graceful => run_once(spec, records, None, |_| ()).0,
         CutSpec::PowerCut { retire } => {
-            run_once(spec, records, Some((arrival_ns(spec, records), retire)))
+            run_once(spec, records, Some((arrival_ns(spec, records), retire)), |_| ()).0
         }
     }
 }
@@ -200,21 +207,59 @@ pub fn run_cell_at(
     arrival_ns: u64,
     retire: u64,
 ) -> CellOutcome {
-    run_once(spec, records, Some((arrival_ns, retire)))
+    run_once(spec, records, Some((arrival_ns, retire)), |_| ()).0
 }
 
 /// The scheduled arrival instant (ns) of `records`' last op in a cell
 /// of `spec`: a graceful cell's doomed half, with no verification.
 pub(crate) fn arrival_ns(spec: &CellSpec, records: &[TraceRecord]) -> u64 {
-    doom(spec, records, None).arrival_ns
+    doom(spec, records, None, |_| ()).0.arrival_ns
+}
+
+/// A graceful boundary cell, as [`run_cell`] runs it, that also returns
+/// what recovery did and the doomed engine's metrics at the cut: one
+/// cell of the crash sweep.
+pub fn run_sampled_cell(
+    spec: &CellSpec,
+    records: &[TraceRecord],
+) -> (CellOutcome, RecoveryCounts, MetricsSnapshot) {
+    run_once(spec, records, None, FileSystem::metrics)
 }
 
 /// One whole cell, verified with no memo: the oracle the enumeration's
-/// memoised cells are tested against.
-fn run_once(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>) -> CellOutcome {
-    let doomed = doom(spec, records, power);
+/// memoised cells are tested against. `at_cut` reads the doomed engine
+/// at the cut (see [`doom`]).
+fn run_once<T: 'static>(
+    spec: &CellSpec,
+    records: &[TraceRecord],
+    power: Option<(u64, u64)>,
+    at_cut: impl FnOnce(&FileSystem) -> T + 'static,
+) -> (CellOutcome, RecoveryCounts, T) {
+    let (doomed, read) = doom(spec, records, power, at_cut);
     let verdict = verify(spec, &doomed.state, &doomed.acked);
-    doomed.judge(spec, &verdict)
+    let outcome = doomed.judge(spec, &verdict);
+    (outcome, verdict.map(|r| r.counts).unwrap_or_default(), read)
+}
+
+/// What recovering a crash state did: the counts the crash sweep
+/// prints (all zero when recovery failed).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RecoveryCounts {
+    /// Segment summaries recovery read to find the log tail (LFS).
+    pub scanned_segments: u64,
+    /// Post-checkpoint segments rolled forward (LFS).
+    pub rolled_segments: u64,
+    /// Block pointers patched during roll-forward.
+    pub patched_blocks: u64,
+    /// Walker violations straight after recovery.
+    pub violations_pre: u64,
+    /// Directory entries dropped, files truncated and directories reset
+    /// by repair.
+    pub repairs: u64,
+    /// Unreachable inodes the walker attached to `lost+found`.
+    pub orphans_attached: u64,
+    /// Recovery + repair time in virtual milliseconds.
+    pub recovery_ms: f64,
 }
 
 /// The doomed half of a cell: what the run left behind at its cut.
@@ -243,13 +288,21 @@ pub(crate) struct Recovered {
     nvram_replayed: u64,
     /// The recovered size of each acked path, in order.
     sizes: Vec<Option<u64>>,
+    /// What recovery did.
+    counts: RecoveryCounts,
 }
 
 /// The doomed half: build, format, replay, cut, capture. `power` =
 /// `Some((t_ns, retire))` arms a disk-level cut at virtual time `t_ns`
 /// retiring `retire` outstanding writes; `None` is the graceful
-/// boundary capture.
-pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64, u64)>) -> Doomed {
+/// boundary capture. `at_cut` reads the engine when the replay
+/// returns, before the capture; the checker reads nothing.
+pub(crate) fn doom<T: 'static>(
+    spec: &CellSpec,
+    records: &[TraceRecord],
+    power: Option<(u64, u64)>,
+    at_cut: impl FnOnce(&FileSystem) -> T + 'static,
+) -> (Doomed, T) {
     let sim = Sim::new(spec.sim_seed);
     let h = sim.handle();
     let plan = match power {
@@ -264,14 +317,8 @@ pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64,
         },
         None => FaultPlan::default(),
     };
-    let Stack { fs, driver, disks } = Stack::build(
-        &h,
-        "cell0",
-        spec.layout,
-        Hardware::default().device(),
-        spec.fs_config(),
-        plan,
-    );
+    let Stack { fs, driver, disks } =
+        Stack::build(&h, "cell0", spec.layout, spec.hardware().device(), spec.fs_config(), plan);
     let nvram_backed = spec.nvram_bytes.is_some();
     let records = records.to_vec();
     let power_cut_ns = power.map(|(t, _)| t);
@@ -322,6 +369,7 @@ pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64,
                 .await;
         // The cut: everything volatile dies.
         let cut_at_ns = h.now().as_nanos();
+        let read = at_cut(&fs);
         let arrival_ns = arrival.as_nanos();
         let inflight_batch = batch.get();
         // A disk-level cut kills the machine mid-replay: operations
@@ -361,7 +409,7 @@ pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64,
             None => CrashState::capture(&fs, &disks[0]).await,
         };
         fs.shutdown();
-        Doomed {
+        let doomed = Doomed {
             ops: report.ops,
             errors: report.errors,
             cut_at_ns,
@@ -369,7 +417,8 @@ pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64,
             inflight_batch,
             state,
             acked: report.acked,
-        }
+        };
+        (doomed, read)
     })
 }
 
@@ -381,16 +430,29 @@ pub(crate) fn doom(spec: &CellSpec, records: &[TraceRecord], power: Option<(u64,
 pub(crate) fn verify(spec: &CellSpec, state: &CrashState, acked: &[AckedFile]) -> Verdict {
     let sim = Sim::new(spec.sim_seed);
     let h = sim.handle();
-    let (kind, cfg) = (spec.layout, spec.fs_config());
+    let (kind, hw, cfg) = (spec.layout, spec.hardware(), spec.fs_config());
     let (state, acked) = (state.clone(), acked.to_vec());
     sim.block_on("verify", async move {
-        let v =
-            verify_crash_state(&h, kind, &state, &acked, cfg).await.map_err(|e| e.to_string())?;
-        Ok(Recovered {
-            fsck_post: v.outcome.post.violations.len() as u64,
-            nvram_replayed: v.nvram_replayed,
-            sizes: v.sizes,
-        })
+        let recovered = async {
+            let (Stack { fs, .. }, outcome) =
+                Stack::recover(&h, "verify", kind, &hw, &state, cfg).await?;
+            let nvram_replayed = replay_nvram(&fs, &state.nvram).await?;
+            let sizes = recovered_sizes(&fs, &acked).await;
+            fs.shutdown();
+            let r = &outcome.repairs;
+            let counts = RecoveryCounts {
+                scanned_segments: outcome.stats.scanned_segments,
+                rolled_segments: outcome.stats.rolled_segments,
+                patched_blocks: outcome.stats.patched_blocks,
+                violations_pre: outcome.pre.violations.len() as u64,
+                repairs: r.entries_removed + r.files_truncated + r.dirs_reset,
+                orphans_attached: r.orphans_attached,
+                recovery_ms: outcome.recovery_time.as_nanos() as f64 / 1e6,
+            };
+            let fsck_post = outcome.post.violations.len() as u64;
+            Ok::<_, FsError>(Recovered { fsck_post, nvram_replayed, sizes, counts })
+        };
+        recovered.await.map_err(|e| e.to_string())
     })
 }
 

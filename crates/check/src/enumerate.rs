@@ -77,6 +77,12 @@ pub struct PolicySpec {
 }
 
 /// The paper's four §5.1 write-saving policies.
+///
+/// `ups` here is the partial-file UPS flush (flush `ups`). The rest of
+/// `patsy` — `crash`, `run` and the figures, through
+/// `cnp_patsy::experiment::Policy::Ups` — runs the whole-file one
+/// (`ups-whole`), so `patsy check --policy ups` and `patsy crash
+/// --policy ups` run different policies under one label.
 pub fn standard_policies() -> Vec<PolicySpec> {
     vec![
         PolicySpec { label: "write-delay-30s", flush: "write-delay", nvram: false },
@@ -377,7 +383,7 @@ impl Memo {
         records: &[TraceRecord],
         power: Option<(u64, u64)>,
     ) -> CellOutcome {
-        let doomed = doom(spec, records, power);
+        let (doomed, ()) = doom(spec, records, power, |_| ());
         let key = state_key(fingerprint, &doomed.state, &doomed.acked);
         if let Some(verdict) = self.lock().get(&key) {
             return doomed.judge(spec, verdict);

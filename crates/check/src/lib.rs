@@ -45,7 +45,10 @@ pub mod model;
 pub mod repro;
 
 pub use cache::{cell_key, spec_fingerprint, CellCache, PrefixHashes};
-pub use cell::{run_cell, run_cell_at, CellOutcome, CellSpec, CellViolation, CutSpec};
+pub use cell::{
+    run_cell, run_cell_at, run_sampled_cell, CellOutcome, CellSpec, CellViolation, CutSpec,
+    RecoveryCounts,
+};
 pub use enumerate::{
     format_check_report, minimize, run_check_with, standard_policies, CheckConfig, CheckOptions,
     CheckProgress, CheckReport, CheckStats, Failure, PolicyRow, PolicySpec,

@@ -6,15 +6,15 @@
 //! platter's frames, so it costs pointers, not bytes), keep whatever
 //! the flush policy stores in battery-backed NVRAM
 //! ([`cnp_core::FileSystem::nvram_snapshot`]), and throw everything
-//! else away. Recovery ([`Stack::recover`]) then spawns a fresh disk from
-//! the image, runs the layout's [`StorageLayout::recover`] path and
-//! repairs with the fsck walker; NVRAM replay and loss accounting against
-//! the acknowledged state follow.
+//! else away. Recovery ([`crate::Stack::recover`]) then spawns a fresh
+//! disk from the image, runs the layout's [`StorageLayout::recover`]
+//! path and repairs with the fsck walker; NVRAM replay and loss
+//! accounting against the acknowledged state follow.
 
 use std::collections::HashMap;
 
 use cnp_core::{FileSystem, FsError, FsResult, NvramSnapshot};
-use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage, Hardware};
+use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage};
 use cnp_layout::{
     FfsLayout, FfsParams, Ino, Layout, LayoutError, LfsLayout, LfsParams, RecoveryStats,
     StorageLayout, BLOCK_SIZE,
@@ -23,7 +23,6 @@ use cnp_sim::{Handle, SimDuration, SimTime};
 use cnp_trace::AckedFile;
 
 use crate::check::{self, FsckReport, RepairReport};
-use crate::faulty::Stack;
 
 /// Which storage layout a crash cell exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,40 +197,6 @@ pub fn apply_staged_to_image(
     for (addr, payload) in staged {
         store_sectors(image, sector_size as usize, addr.0 * spb as u64, spb, payload);
     }
-}
-
-/// One crash state's full verification: restore the disk, run the
-/// layout's recovery, walk + repair with fsck, replay NVRAM into a
-/// fresh engine, and stat every acknowledged path. This is the shared
-/// phase-B of the crash sweep and the `cnp-check` crash-point
-/// enumerator — one cell, from captured state to verdict; both then
-/// account the loss with [`LossReport::account`].
-#[derive(Debug, Clone)]
-pub struct VerifiedRecovery {
-    /// Recovery + fsck outcome.
-    pub outcome: RecoveryOutcome,
-    /// NVRAM blocks replayed into the recovered system.
-    pub nvram_replayed: u64,
-    /// The recovered size of each acknowledged path, in order.
-    pub sizes: Vec<Option<u64>>,
-}
-
-/// Runs recovery + fsck + NVRAM replay on one captured crash state and
-/// stats the `acked` paths. `cfg` must match the crashed engine's
-/// configuration (the recovered engine is built from it).
-pub async fn verify_crash_state(
-    handle: &Handle,
-    kind: LayoutKind,
-    state: &CrashState,
-    acked: &[AckedFile],
-    cfg: cnp_core::FsConfig,
-) -> FsResult<VerifiedRecovery> {
-    let (Stack { fs, .. }, outcome) =
-        Stack::recover(handle, "verify", kind, &Hardware::default(), state, cfg).await?;
-    let nvram_replayed = replay_nvram(&fs, &state.nvram).await?;
-    let sizes = recovered_sizes(&fs, acked).await;
-    fs.shutdown();
-    Ok(VerifiedRecovery { outcome, nvram_replayed, sizes })
 }
 
 /// Acknowledged-write loss accounting for one crash cell.

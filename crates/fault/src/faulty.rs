@@ -2,10 +2,11 @@
 //! driver → layout → engine — healthy, under a fault plan, or powered
 //! on from a crash image.
 //!
-//! Every rig (crash cells, the history leg, the crash sweep, the client
-//! and serve fleets) and every crash test assembles its stack here, so
-//! a hardware generation or a fault plan reaches all of them through
-//! one call and none of them touches a bus, a disk task or a driver.
+//! Every rig (crash cells, the checker's and the crash sweep's alike,
+//! the history leg, the client and serve fleets) and every crash test
+//! assembles its stack here, so a hardware generation or a fault plan
+//! reaches all of them through one call and none of them touches a
+//! bus, a disk task or a driver.
 
 use cnp_core::{FileSystem, FsConfig, FsResult};
 use cnp_disk::{compose_device, CLook, Device, DiskClient, DiskDriver, FaultPlan, Hardware};

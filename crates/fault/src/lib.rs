@@ -19,7 +19,8 @@
 //!   broke;
 //! * [`crash`] — crash-state capture (on-disk image at the cut point +
 //!   whatever the flush policy keeps in NVRAM), remount/recover,
-//!   NVRAM replay, and loss accounting.
+//!   NVRAM replay, and loss accounting: the pieces `cnp-check`'s crash
+//!   cell composes into one verification.
 //!
 //! Everything is pure data + seeded RNG, so a crash experiment is a
 //! deterministic function of (configuration, seed) like every other
@@ -35,8 +36,8 @@ pub mod plan;
 
 pub use check::{check, repair, FsckReport, RepairReport, Violation};
 pub use crash::{
-    apply_staged_to_image, recover_and_check, recovered_sizes, replay_nvram, verify_crash_state,
-    CrashState, LayoutKind, LossReport, RecoveryOutcome, VerifiedRecovery,
+    apply_staged_to_image, recover_and_check, recovered_sizes, replay_nvram, CrashState,
+    LayoutKind, LossReport, RecoveryOutcome,
 };
 pub use faulty::Stack;
 pub use plan::{cut_points, FaultPlanBuilder};

@@ -49,7 +49,7 @@ fn main() {
         "sweep-clients" => clients::sweep_clients_cli(&a),
         "serve-bench" => serve::serve_bench_cli(&a),
         "run" => experiment::run_one(&a),
-        "crash" => crash::crash_cli(&a),
+        "crash" => std::process::exit(crash::crash_cli(&a)),
         "check" => std::process::exit(match &a.repro {
             Some(blob) => repro_cli(blob),
             None => check_cli(&a),

@@ -4,19 +4,19 @@
 //! This is the scenario family the paper's off-line/on-line duality
 //! exists for: a crash experiment that would be destructive on-line
 //! runs here at simulation speed, deterministically. Each cell of the
-//! sweep replays a trace prefix (the cut point), captures the crash
-//! state (on-disk image + NVRAM contents), recovers on a fresh stack,
-//! repairs with the fsck walker, replays NVRAM, and accounts losses
-//! against what the workload had acknowledged — extending the paper's
-//! Fig. 5 NVRAM axis to crash safety.
+//! sweep is the crash checker's graceful boundary cell
+//! ([`cnp_check::run_sampled_cell`]) at a sampled cut: it replays the
+//! trace prefix up to the cut, captures the crash state (on-disk image
+//! and NVRAM contents), recovers it in a simulation of its own, repairs
+//! with the fsck walker, replays NVRAM, and judges the result with the
+//! checker's oracle — extending the paper's Fig. 5 NVRAM axis to crash
+//! safety at the paper's 8 MB cache and 4 MB NVRAM.
 
-use cnp_cache::CacheConfig;
-use cnp_core::{DataMode, FsConfig};
-use cnp_disk::{FaultPlan, Hardware};
-use cnp_fault::{cut_points, verify_crash_state, CrashState, LayoutKind, LossReport, Stack};
-use cnp_obs::Json;
-use cnp_sim::{run_cells, Sim};
-use cnp_trace::{replay, ReplayOptions, SpriteParams, SyntheticSprite};
+use cnp_check::{run_sampled_cell, CellOutcome, CellSpec, CellViolation, RecoveryCounts};
+use cnp_fault::{cut_points, LayoutKind};
+use cnp_obs::{Json, MetricsSnapshot};
+use cnp_sim::run_cells;
+use cnp_trace::{SpriteParams, SyntheticSprite};
 
 use crate::cli::CliArgs;
 use crate::experiment::{Policy, POLICIES};
@@ -70,126 +70,64 @@ pub struct CrashCell {
     pub policy: Policy,
     /// Operation count at which the workload was cut.
     pub cut_op: u64,
-    /// Operations the workload completed before the cut.
-    pub ops: u64,
-    /// Segment summaries recovery read to find the log tail (LFS).
-    pub scanned_segments: u64,
-    /// Post-checkpoint segments rolled forward (LFS).
-    pub rolled_segments: u64,
-    /// Block pointers patched during roll-forward.
-    pub patched_blocks: u64,
-    /// Walker violations straight after recovery.
-    pub violations_pre: u64,
-    /// Directory entries dropped + files truncated by repair.
-    pub repairs: u64,
-    /// Walker violations after repair (must be 0).
-    pub violations_post: u64,
-    /// NVRAM blocks replayed into the recovered system.
-    pub nvram_replayed: u64,
-    /// Unreachable inodes the walker attached to `lost+found`.
-    pub orphans_attached: u64,
-    /// Recovery + repair time in virtual milliseconds.
-    pub recovery_ms: f64,
-    /// Time-weighted mean driver queue length in the doomed run.
-    pub mean_queue: f64,
-    /// Device overlap fraction in the doomed run (0 at queue depth 1).
-    pub overlap: f64,
-    /// Acknowledged-write loss accounting.
-    pub loss: LossReport,
+    /// The checker's verdict on the cell: ops run, NVRAM replayed,
+    /// post-repair fsck, acked loss and the oracle's violations.
+    pub outcome: CellOutcome,
+    /// What recovery did.
+    pub recovery: RecoveryCounts,
     /// Unified metrics of the doomed run, captured at the cut (what the
     /// engine had done when power died).
-    pub metrics: cnp_obs::MetricsSnapshot,
+    pub metrics: MetricsSnapshot,
 }
 
 /// Runs the full sweep across `threads` host threads; deterministic in
 /// `cfg` (same config + seed → byte-identical cells).
 pub fn run_crash_sweep(cfg: &CrashConfig, threads: usize) -> Vec<CrashCell> {
-    // Generate the workload once; every cell replays a clone of it.
+    // Generate the workload once; every cell replays a prefix of it.
     let records = SyntheticSprite::new(cfg.trace.clone(), cfg.seed ^ 0xabcd).generate(cfg.scale);
     let cuts = cut_points(records.len() as u64, cfg.cuts);
     let mut specs = Vec::new();
     for (li, layout) in cfg.layouts.iter().enumerate() {
         for (pi, policy) in cfg.policies.iter().enumerate() {
+            let (flush, nvram_bytes) = policy.cache_settings(4 * 1024 * 1024);
             for (ci, &cut_op) in cuts.iter().enumerate() {
-                let cell_seed = cfg
-                    .seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64);
-                specs.push((*layout, *policy, cut_op, cell_seed));
+                let spec = CellSpec {
+                    layout: *layout,
+                    flush: flush.to_string(),
+                    nvram_bytes,
+                    mem_bytes: 8 * 1024 * 1024,
+                    queue_depth: cfg.queue_depth,
+                    sim_seed: cfg
+                        .seed
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64),
+                    plant_stale_size_bug: false,
+                };
+                specs.push((*policy, cut_op, spec));
             }
         }
     }
-    run_cells(&specs, threads, |&(layout, policy, cut_op, cell_seed)| {
-        run_cell(layout, policy, cut_op, cell_seed, records.clone(), cfg.queue_depth)
+    run_cells(&specs, threads, |(policy, cut_op, spec)| {
+        let prefix = &records[..(*cut_op as usize).min(records.len())];
+        let (outcome, recovery, metrics) = run_sampled_cell(spec, prefix);
+        let (layout, policy, cut_op) = (spec.layout.name(), *policy, *cut_op);
+        CrashCell { layout, policy, cut_op, outcome, recovery, metrics }
     })
 }
 
-fn run_cell(
-    layout_kind: LayoutKind,
-    policy: Policy,
-    cut_op: u64,
-    cell_seed: u64,
-    records: Vec<cnp_trace::TraceRecord>,
-    queue_depth: u32,
-) -> CrashCell {
-    let sim = Sim::new(cell_seed);
-    let h = sim.handle();
-
-    // Phase A: the doomed stack.
-    let (flush, nvram) = policy.cache_settings(4 * 1024 * 1024);
-    let fs_cfg = FsConfig {
-        cache: CacheConfig { block_size: 4096, mem_bytes: 8 * 1024 * 1024, nvram_bytes: nvram },
-        flush: flush.to_string(),
-        queue_depth,
-        data_mode: DataMode::Simulated,
-        ..FsConfig::default()
-    };
-    let (hw, plan) = (Hardware::default(), FaultPlan::default());
-    let Stack { fs, disks, .. } =
-        Stack::build(&h, "crash0", layout_kind, hw.device(), fs_cfg.clone(), plan);
-
-    sim.block_on("crash-cell", async move {
-        fs.format().await.expect("format");
-        let report =
-            replay(&h, &fs, records, ReplayOptions { max_ops: Some(cut_op), track_acks: true })
-                .await;
-        // The cut: everything volatile dies right now.
-        let doomed_stats = fs.driver_stats();
-        let doomed_metrics = fs.metrics();
-        let state = CrashState::capture(&fs, &disks[0]).await;
-        fs.shutdown();
-
-        // Phase B: power-on, recover, verify, replay NVRAM, account —
-        // the same cell verification the cnp-check enumerator runs.
-        // Failures must abort the cell loudly: a half-replayed file
-        // system would misattribute replay bugs as crash loss.
-        let verified = verify_crash_state(&h, layout_kind, &state, &report.acked, fs_cfg)
-            .await
-            .expect("recovery + nvram replay");
-        let loss = LossReport::account(&report.acked, &verified.sizes, state.cut_at);
-        let (outcome, nvram_replayed) = (verified.outcome, verified.nvram_replayed);
-
-        CrashCell {
-            layout: layout_kind.name(),
-            policy,
-            cut_op,
-            ops: report.ops,
-            scanned_segments: outcome.stats.scanned_segments,
-            rolled_segments: outcome.stats.rolled_segments,
-            patched_blocks: outcome.stats.patched_blocks,
-            violations_pre: outcome.pre.violations.len() as u64,
-            repairs: outcome.repairs.entries_removed
-                + outcome.repairs.files_truncated
-                + outcome.repairs.dirs_reset,
-            violations_post: outcome.post.violations.len() as u64,
-            nvram_replayed,
-            orphans_attached: outcome.repairs.orphans_attached,
-            recovery_ms: outcome.recovery_time.as_nanos() as f64 / 1e6,
-            mean_queue: doomed_stats.mean_queue_len,
-            overlap: doomed_stats.overlap_fraction,
-            loss,
-            metrics: doomed_metrics,
+/// The footer's count of the oracle's violations by kind, or `None`
+/// when every cell verified clean.
+fn violation_summary(cells: &[CrashCell]) -> Option<String> {
+    let (mut fsck, mut loss, mut failed) = (0, 0, 0);
+    for v in cells.iter().flat_map(|c| &c.outcome.violations) {
+        match v {
+            CellViolation::FsckDirty { .. } => fsck += 1,
+            CellViolation::AckedLoss { .. } => loss += 1,
+            CellViolation::RecoveryFailed { .. } => failed += 1,
         }
+    }
+    (fsck + loss + failed > 0).then(|| {
+        format!("fsck dirty {fsck}, acked loss under NVRAM {loss}, recovery failed {failed}")
     })
 }
 
@@ -204,39 +142,34 @@ pub fn format_crash_sweep(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
     s.push_str(
         "layout policy            cut    ops scanned  rolled patched  viol  fix  post  orph  nvram  qmean  ovl%  rec-ms  lostF  lostKB  window-ms\n",
     );
-    let mut all_clean = true;
     for c in cells {
-        all_clean &= c.violations_post == 0;
+        let (o, r) = (&c.outcome, &c.recovery);
         s.push_str(&format!(
             "{:<6} {:<17} {:>5} {:>6} {:>7} {:>7} {:>7} {:>5} {:>4} {:>5} {:>5} {:>6} {:>6.2} {:>5.1} {:>7.2} {:>6} {:>7.1} {:>10.1}\n",
             c.layout,
             c.policy.label(),
             c.cut_op,
-            c.ops,
-            c.scanned_segments,
-            c.rolled_segments,
-            c.patched_blocks,
-            c.violations_pre,
-            c.repairs,
-            c.violations_post,
-            c.orphans_attached,
-            c.nvram_replayed,
-            c.mean_queue,
-            c.overlap * 100.0,
-            c.recovery_ms,
-            c.loss.lost_files,
-            c.loss.lost_bytes as f64 / 1024.0,
-            c.loss.loss_window_ms,
+            o.ops,
+            r.scanned_segments,
+            r.rolled_segments,
+            r.patched_blocks,
+            r.violations_pre,
+            r.repairs,
+            o.fsck_post,
+            r.orphans_attached,
+            o.nvram_replayed,
+            c.metrics.gauge_value("disk.mean_queue_len"),
+            c.metrics.gauge_value("disk.overlap_fraction") * 100.0,
+            r.recovery_ms,
+            o.loss.lost_files,
+            o.loss.lost_bytes as f64 / 1024.0,
+            o.loss.loss_window_ms,
         ));
     }
     s.push_str(&format!(
-        "cells: {} | post-repair violations: {}\n",
+        "cells: {} | violations: {}\n",
         cells.len(),
-        if all_clean {
-            "none (all cells verified clean)".to_string()
-        } else {
-            "PRESENT".to_string()
-        }
+        violation_summary(cells).unwrap_or_else(|| "none (all cells verified clean)".to_string())
     ));
     s
 }
@@ -244,25 +177,28 @@ pub fn format_crash_sweep(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
 /// Formats the sweep as a JSON document (stable bytes, like the table).
 pub fn format_crash_sweep_json(cfg: &CrashConfig, cells: &[CrashCell]) -> String {
     let cell = |c: &CrashCell| {
+        let (o, r) = (&c.outcome, &c.recovery);
+        let violations = o.violations.iter().map(|v| Json::Str(v.to_string())).collect();
         Json::block([
             ("layout", c.layout.into()),
             ("policy", c.policy.label().into()),
             ("cut_op", c.cut_op.into()),
-            ("ops", c.ops.into()),
-            ("scanned_segments", c.scanned_segments.into()),
-            ("rolled_segments", c.rolled_segments.into()),
-            ("patched_blocks", c.patched_blocks.into()),
-            ("violations_pre", c.violations_pre.into()),
-            ("repairs", c.repairs.into()),
-            ("violations_post", c.violations_post.into()),
-            ("nvram_replayed", c.nvram_replayed.into()),
-            ("orphans_attached", c.orphans_attached.into()),
-            ("recovery_ms", c.recovery_ms.into()),
-            ("mean_queue", c.mean_queue.into()),
-            ("overlap", c.overlap.into()),
-            ("lost_files", c.loss.lost_files.into()),
-            ("lost_bytes", c.loss.lost_bytes.into()),
-            ("loss_window_ms", c.loss.loss_window_ms.into()),
+            ("ops", o.ops.into()),
+            ("scanned_segments", r.scanned_segments.into()),
+            ("rolled_segments", r.rolled_segments.into()),
+            ("patched_blocks", r.patched_blocks.into()),
+            ("violations_pre", r.violations_pre.into()),
+            ("repairs", r.repairs.into()),
+            ("violations_post", o.fsck_post.into()),
+            ("nvram_replayed", o.nvram_replayed.into()),
+            ("orphans_attached", r.orphans_attached.into()),
+            ("recovery_ms", r.recovery_ms.into()),
+            ("mean_queue", c.metrics.gauge_value("disk.mean_queue_len").into()),
+            ("overlap", c.metrics.gauge_value("disk.overlap_fraction").into()),
+            ("lost_files", o.loss.lost_files.into()),
+            ("lost_bytes", o.loss.lost_bytes.into()),
+            ("loss_window_ms", o.loss.loss_window_ms.into()),
+            ("violations", Json::List(violations)),
             ("metrics", (&c.metrics).into()),
         ])
     };
@@ -273,14 +209,20 @@ pub fn format_crash_sweep_json(cfg: &CrashConfig, cells: &[CrashCell]) -> String
         ("scale", Json::Exact(cfg.scale)),
         ("queue_depth", cfg.queue_depth.into()),
         ("cells", Json::Rows(cells.iter().map(cell).collect())),
-        ("clean", cells.iter().all(|c| c.violations_post == 0).into()),
+        ("clean", cells.iter().all(|c| c.outcome.clean()).into()),
     ])
     .document()
 }
 
-/// CLI entry: runs the sweep and prints the report.
-pub fn crash_cli(a: &CliArgs) {
-    let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
+/// CLI entry: runs the sweep and prints the report. Returns the
+/// process exit status: 1 if any cell broke the checker's oracle, as
+/// `patsy check` does (2 for a trace preset `parse_cli` should have
+/// refused). Rerunning the same command reproduces a failing cell.
+pub fn crash_cli(a: &CliArgs) -> i32 {
+    let Some(params) = cnp_trace::preset(&a.trace) else {
+        eprintln!("unknown trace preset {}", a.trace);
+        return 2;
+    };
     // Crash cells are numerous (layouts × policies × cuts); a smaller
     // default workload keeps the sweep snappy.
     let mut cfg = CrashConfig::new(params, a.cuts, a.seed, a.scale.unwrap_or(0.002));
@@ -296,5 +238,60 @@ pub fn crash_cli(a: &CliArgs) {
         print!("{}", format_crash_sweep_json(&cfg, &cells));
     } else {
         print!("{}", format_crash_sweep(&cfg, &cells));
+    }
+    exit_status(&cells)
+}
+
+/// 1 if any cell broke the oracle, else 0.
+fn exit_status(cells: &[CrashCell]) -> i32 {
+    i32::from(cells.iter().any(|c| !c.outcome.clean()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cnp_fault::LossReport;
+
+    #[test]
+    fn an_acked_loss_fails_the_sweep() {
+        let cfg = CrashConfig::new(cnp_trace::trace_1a(), 1, 42, 0.002);
+        let loss =
+            LossReport { acked_files: 3, lost_files: 1, lost_bytes: 4096, loss_window_ms: 2.5 };
+        let mut cell = CrashCell {
+            layout: "ffs",
+            policy: Policy::NvramPartial,
+            cut_op: 7,
+            outcome: CellOutcome {
+                ops: 7,
+                errors: 0,
+                cut_at_ns: 9_000_000,
+                arrival_ns: 8_000_000,
+                inflight_batch: 0,
+                staging_sealed: true,
+                nvram_replayed: 2,
+                fsck_post: 0,
+                loss,
+                violations: vec![CellViolation::AckedLoss { files: 1, bytes: 4096 }],
+            },
+            recovery: RecoveryCounts::default(),
+            metrics: MetricsSnapshot::new(),
+        };
+        let cells = [cell.clone()];
+        let table = format_crash_sweep(&cfg, &cells);
+        assert!(
+            table.ends_with(
+                "cells: 1 | violations: fsck dirty 0, acked loss under NVRAM 1, recovery failed 0\n"
+            ),
+            "{table}"
+        );
+        let json = format_crash_sweep_json(&cfg, &cells);
+        assert!(json.contains("acked loss under NVRAM (1 files, 4096 bytes)"), "{json}");
+        assert!(json.contains("\"clean\": false"), "{json}");
+        assert_eq!(exit_status(&cells), 1);
+
+        cell.outcome.violations.clear();
+        let cells = [cell];
+        assert!(format_crash_sweep(&cfg, &cells).ends_with("none (all cells verified clean)\n"));
+        assert_eq!(exit_status(&cells), 0);
     }
 }

@@ -6,8 +6,8 @@
 use cut_and_paste::check::cache::encode_outcome;
 use cut_and_paste::check::{
     cell_key, format_check_report, run_cell, run_check_with, run_history_check, spec_fingerprint,
-    CellCache, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig, LinConfig, PolicySpec,
-    PrefixHashes,
+    CellCache, CellSpec, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig, LinConfig,
+    PolicySpec, PrefixHashes,
 };
 use cut_and_paste::fault::LayoutKind;
 use cut_and_paste::patsy::check::format_check_json;
@@ -204,4 +204,61 @@ fn every_memoised_outcome_equals_the_unmemoised_cell() {
         }
     }
     assert!(violating > 0, "the planted bug must give the oracle violating cells to judge");
+}
+
+/// The crash sweep samples the checker's cell: every cell of a small
+/// `patsy crash` sweep — both layouts, the four policies, three cuts,
+/// at qd 1 and 8 — has the outcome `run_cell` gives the graceful cell
+/// of the same spec on the trace prefix up to the cut.
+#[test]
+fn every_crash_sweep_cell_equals_the_checker_cell() {
+    use cut_and_paste::fault::cut_points;
+    use cut_and_paste::patsy::{run_crash_sweep, CrashConfig};
+    use cut_and_paste::sim::run_cells;
+
+    for queue_depth in [1, 8] {
+        let mut cfg = CrashConfig::new(preset("1a").unwrap(), 3, 42, 0.002);
+        cfg.queue_depth = queue_depth;
+        let records = SyntheticSprite::new(cfg.trace.clone(), 42 ^ 0xabcd).generate(0.002);
+        let cuts = cut_points(records.len() as u64, cfg.cuts);
+        let cells = run_crash_sweep(&cfg, 2);
+        let mut specs = Vec::new();
+        for (li, &layout) in cfg.layouts.iter().enumerate() {
+            for (pi, policy) in cfg.policies.iter().enumerate() {
+                let (flush, nvram_bytes) = policy.cache_settings(4 * 1024 * 1024);
+                for (ci, &cut) in cuts.iter().enumerate() {
+                    let spec = CellSpec {
+                        layout,
+                        flush: flush.to_string(),
+                        nvram_bytes,
+                        mem_bytes: 8 * 1024 * 1024,
+                        queue_depth,
+                        sim_seed: 42u64
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64),
+                        plant_stale_size_bug: false,
+                    };
+                    specs.push((spec, cut as usize));
+                }
+            }
+        }
+        assert_eq!(cells.len(), specs.len());
+        let oracles = run_cells(&specs, 2, |(spec, cut)| {
+            encode_outcome(&run_cell(spec, &records[..*cut], CutSpec::Graceful))
+        });
+        for ((cell, (spec, cut)), oracle) in cells.iter().zip(&specs).zip(oracles) {
+            assert_eq!(
+                (cell.layout, cell.cut_op as usize),
+                (spec.layout.name(), *cut),
+                "sweep order"
+            );
+            assert_eq!(
+                encode_outcome(&cell.outcome),
+                oracle,
+                "{} {} cut {cut} qd {queue_depth}",
+                cell.layout,
+                cell.policy.label(),
+            );
+        }
+    }
 }

@@ -174,20 +174,21 @@ fn crash_sweep_is_deterministic_and_verifies_clean() {
     let cells = run_crash_sweep(&cfg, 1);
     assert_eq!(cells.len(), 2 * 4 * 3);
     for c in &cells {
-        assert_eq!(
-            c.violations_post,
-            0,
-            "cell ({}, {}, cut {}) must verify clean after recovery",
+        assert!(
+            c.outcome.clean(),
+            "cell ({}, {}, cut {}) must pass the checker's oracle: {:?}",
             c.layout,
             c.policy.label(),
-            c.cut_op
+            c.cut_op,
+            c.outcome.violations
         );
-        assert!(c.ops > 0, "the workload must have run before the cut");
+        assert!(c.outcome.ops > 0, "the workload must have run before the cut");
         // Roll-forward reads the log tail, not the 2,637 summaries of
         // this geometry: boundedness in counts, not wall time.
-        assert!(c.scanned_segments >= c.rolled_segments);
-        assert!(c.scanned_segments < 64, "cut {}: {} scanned", c.cut_op, c.scanned_segments);
-        assert_eq!(c.scanned_segments > 0, c.layout == "lfs");
+        let r = &c.recovery;
+        assert!(r.scanned_segments >= r.rolled_segments);
+        assert!(r.scanned_segments < 64, "cut {}: {} scanned", c.cut_op, r.scanned_segments);
+        assert_eq!(r.scanned_segments > 0, c.layout == "lfs");
     }
     // Byte-identical across invocations: the whole report string.
     let again = run_crash_sweep(&cfg, 1);
@@ -728,6 +729,7 @@ fn crash_sweep_json_is_stable_and_wellformed() {
         "\"violations_post\"",
         "\"lost_bytes\"",
         "\"loss_window_ms\"",
+        "\"violations\"",
         "\"metrics\"",
         "\"fs.ops\"",
         "\"clean\"",
