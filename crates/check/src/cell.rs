@@ -2,8 +2,11 @@
 //!
 //! The **doomed half** (`doom`) replays a bounded workload prefix on
 //! a doomed stack, crashes it at the prefix boundary (gracefully, or
-//! with a disk-level power cut that durably retires an arrival-order
-//! prefix of the in-flight write batch) and captures what survived.
+//! with a disk-level power cut after which the dying disk durably
+//! retires the first writes it serves) and captures what survived. One
+//! run can also yield the crash states of its boundary's other
+//! power-cut cells (`PowerCuts`), which is how the enumeration runs a
+//! boundary's prefix at most twice.
 //! The **verification** (`verify`) remounts that crash state in a
 //! simulation of its own, seeded like the cell, then recovers, fscks,
 //! replays NVRAM and stats each acknowledged path. Loss is accounted
@@ -25,7 +28,7 @@ use std::rc::Rc;
 
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FsConfig, FsError};
-use cnp_disk::{FaultPlan, Hardware};
+use cnp_disk::{retire_onto, FaultPlan, Hardware, RetiredWrite};
 use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Stack};
 use cnp_obs::MetricsSnapshot;
 use cnp_sim::{Sim, SimTime};
@@ -84,10 +87,13 @@ pub enum CutSpec {
     /// A disk-level power cut lands at the *scheduled arrival* of the
     /// prefix's last op — the instant other clients' flushes are still
     /// mid-flight — and the dying electronics durably retire the first
-    /// `retire` outstanding writes, without ever acknowledging any
-    /// (see [`cnp_disk::FaultPlan::cut_retire_ops`]).
+    /// `retire` writes the disk serves after the request the cut lands
+    /// on, without ever acknowledging any (see
+    /// [`cnp_disk::FaultPlan::cut_retire_ops`]).
     PowerCut {
-        /// Arrival-order prefix of the outstanding writes that retires.
+        /// How many writes retire: the first ones served after the cut,
+        /// in the driver's dispatch order. A write the engine issues
+        /// after the cut counts too while the budget lasts.
         retire: u64,
     },
 }
@@ -213,7 +219,7 @@ pub fn run_cell_at(
 /// The scheduled arrival instant (ns) of `records`' last op in a cell
 /// of `spec`: a graceful cell's doomed half, with no verification.
 pub(crate) fn arrival_ns(spec: &CellSpec, records: &[TraceRecord]) -> u64 {
-    doom(spec, records, None, |_| ()).0.arrival_ns
+    doom(spec, records, None, false, |_| ()).0.arrival_ns
 }
 
 /// A graceful boundary cell, as [`run_cell`] runs it, that also returns
@@ -235,7 +241,7 @@ fn run_once<T: 'static>(
     power: Option<(u64, u64)>,
     at_cut: impl FnOnce(&FileSystem) -> T + 'static,
 ) -> (CellOutcome, RecoveryCounts, T) {
-    let (doomed, read) = doom(spec, records, power, at_cut);
+    let (doomed, _, read) = doom(spec, records, power, false, at_cut);
     let verdict = verify(spec, &doomed.state, &doomed.acked);
     let outcome = doomed.judge(spec, &verdict);
     (outcome, verdict.map(|r| r.counts).unwrap_or_default(), read)
@@ -263,6 +269,7 @@ pub struct RecoveryCounts {
 }
 
 /// The doomed half of a cell: what the run left behind at its cut.
+#[derive(Clone)]
 pub(crate) struct Doomed {
     ops: u64,
     errors: u64,
@@ -292,17 +299,57 @@ pub(crate) struct Recovered {
     counts: RecoveryCounts,
 }
 
+/// The power-cut cells of one boundary, read off one run of its prefix
+/// (see [`doom`]): cell `r` is `base` with the first `r` retired writes
+/// stored onto its platter and the battery-backed staging applied over
+/// them, the order in which the dead disk and the capture put them there.
+pub(crate) struct PowerCuts {
+    /// What every cell shares; its platter holds no retired write and
+    /// no staging.
+    base: Doomed,
+    /// The writes the dying disk retired, in served order.
+    retired: Vec<RetiredWrite>,
+    /// The battery-backed staging buffer at the cut (empty without NVRAM).
+    staged: Vec<(cnp_layout::BlockAddr, cnp_disk::Payload)>,
+    sector_size: u32,
+}
+
+impl PowerCuts {
+    /// The doomed half of the power-cut cell that retires `retire`
+    /// writes.
+    pub(crate) fn cell(&self, retire: u64) -> Doomed {
+        let mut doomed = self.base.clone();
+        let (image, ssz) = (&mut doomed.state.image, self.sector_size);
+        retire_onto(image, ssz as usize, &self.retired, retire);
+        cnp_fault::apply_staged_to_image(image, &self.staged, ssz);
+        doomed
+    }
+}
+
 /// The doomed half: build, format, replay, cut, capture. `power` =
 /// `Some((t_ns, retire))` arms a disk-level cut at virtual time `t_ns`
 /// retiring `retire` outstanding writes; `None` is the graceful
 /// boundary capture. `at_cut` reads the engine when the replay
 /// returns, before the capture; the checker reads nothing.
+///
+/// Returns the run's own cell and, with `derive`, the power-cut cells
+/// the same run determines. A power-cut run determines every retire
+/// count up to its own, from the disk's image at the cut and the writes
+/// it retired after. A graceful run determines its boundary's power-cut
+/// cells if the boundary is *quiet*: its disk checked for no cut at or
+/// after the arrival instant `t` before the replay joined (and, under
+/// NVRAM, the probe took the staging). A run armed with the cut at `t`
+/// is then this run, event for event, up to the join, where its capture
+/// reads the disk before it ever died. Without `derive` a run is the
+/// oracle: it captures its own cell only, and a graceful run's probe
+/// takes nothing the oracle's does not.
 pub(crate) fn doom<T: 'static>(
     spec: &CellSpec,
     records: &[TraceRecord],
     power: Option<(u64, u64)>,
+    derive: bool,
     at_cut: impl FnOnce(&FileSystem) -> T + 'static,
-) -> (Doomed, T) {
+) -> (Doomed, Option<PowerCuts>, T) {
     let sim = Sim::new(spec.sim_seed);
     let h = sim.handle();
     let plan = match power {
@@ -321,7 +368,6 @@ pub(crate) fn doom<T: 'static>(
         Stack::build(&h, "cell0", spec.layout, spec.hardware().device(), spec.fs_config(), plan);
     let nvram_backed = spec.nvram_bytes.is_some();
     let records = records.to_vec();
-    let power_cut_ns = power.map(|(t, _)| t);
     sim.block_on("check-cell", async move {
         fs.format().await.expect("format");
         let budget = records.len() as u64;
@@ -352,7 +398,7 @@ pub(crate) fn doom<T: 'static>(
         type Staged = Vec<(cnp_layout::BlockAddr, cnp_disk::Payload)>;
         let atcut_staged: Rc<RefCell<Option<Staged>>> = Rc::new(RefCell::new(None));
         let staged2 = atcut_staged.clone();
-        let probe_staging = power_cut_ns.is_some() && nvram_backed;
+        let probe_staging = nvram_backed && (power.is_some() || derive);
         let driver2 = driver.clone();
         let fs2 = fs.clone();
         let h3 = h.clone();
@@ -371,54 +417,78 @@ pub(crate) fn doom<T: 'static>(
         let cut_at_ns = h.now().as_nanos();
         let read = at_cut(&fs);
         let arrival_ns = arrival.as_nanos();
-        let inflight_batch = batch.get();
-        // A disk-level cut kills the machine mid-replay: operations
-        // acknowledged *after* it raced the cut, so they are not
-        // judged (their pre-cut acked extent is unknowable from the
-        // final accounting alone — conservative, like delete
-        // resurrection).
-        if let Some(t) = power_cut_ns {
-            let indeterminate = report.indeterminate.clone();
-            report.acked.retain(|a| a.last_ack_ns <= t && !indeterminate.contains(&a.path));
-        }
-        let state = match power_cut_ns {
-            // A disk-level cut: the platter froze at the cut (plus the
-            // retire prefix the dying electronics finished), and the
-            // battery-backed cache is what the probe captured at that
-            // instant. The dead disk took no seal writes, so under an
-            // NVRAM configuration the battery-backed staging buffer is
-            // applied to the image directly — the same durability
-            // contract the graceful path seals through the disk.
-            Some(t) => {
-                let mut image = disks[0].image_with_write_buffer();
-                if nvram_backed {
-                    let probed = atcut_staged.borrow_mut().take();
-                    let staged = match probed {
-                        Some(staged) => staged,
-                        None => fs.staging_image().await,
-                    };
-                    cnp_fault::apply_staged_to_image(&mut image, &staged, driver.sector_size());
-                }
-                CrashState {
-                    image,
-                    nvram: atcut_nvram.borrow().clone(),
-                    staging_sealed: nvram_backed,
-                    cut_at: SimTime::from_nanos(t),
-                }
-            }
-            None => CrashState::capture(&fs, &disks[0]).await,
-        };
-        fs.shutdown();
-        let doomed = Doomed {
-            ops: report.ops,
-            errors: report.errors,
+        let (ops, errors, inflight_batch) = (report.ops, report.errors, batch.get());
+        let doomed = |state, acked| Doomed {
+            ops,
+            errors,
             cut_at_ns,
             arrival_ns,
             inflight_batch,
             state,
-            acked: report.acked,
+            acked,
         };
-        (doomed, read)
+        let disk = &disks[0];
+        // A disk-level cut at `t` kills the machine mid-replay:
+        // operations acknowledged *after* it raced the cut, so they are
+        // not judged (their pre-cut acked extent is unknowable from the
+        // final accounting alone — conservative, like delete
+        // resurrection).
+        let t = power.map_or(arrival_ns, |(t, _)| t);
+        let indeterminate = std::mem::take(&mut report.indeterminate);
+        let judged = |a: &AckedFile| a.last_ack_ns <= t && !indeterminate.contains(&a.path);
+        // A disk-level cut's crash state: the platter froze at the cut
+        // (plus what the dying electronics retired), and the
+        // battery-backed cache is what the probe captured at that
+        // instant. The dead disk took no seal writes, so under an
+        // NVRAM configuration the battery-backed staging buffer is
+        // applied to the image directly ([`PowerCuts::cell`]) — the
+        // same durability contract the graceful path seals through the
+        // disk.
+        let probed = atcut_staged.take();
+        let cuts = |image, retired, staged, acked| PowerCuts {
+            base: doomed(
+                CrashState {
+                    image,
+                    nvram: atcut_nvram.take(),
+                    staging_sealed: nvram_backed,
+                    cut_at: SimTime::from_nanos(t),
+                },
+                acked,
+            ),
+            retired,
+            staged,
+            sector_size: driver.sector_size(),
+        };
+        let (cell, derived) = match power {
+            None => {
+                let quiet = derive
+                    && disk.last_cut_check().is_none_or(|c| c.as_nanos() < t)
+                    && (probed.is_some() || !nvram_backed);
+                let derived = quiet.then(|| {
+                    let acked = report.acked.iter().filter(|a| judged(a)).cloned().collect();
+                    let staged = probed.unwrap_or_default();
+                    cuts(disk.image_with_write_buffer(), Vec::new(), staged, acked)
+                });
+                let state = CrashState::capture(&fs, disk).await;
+                (doomed(state, report.acked), derived)
+            }
+            Some((_, retire)) => {
+                report.acked.retain(judged);
+                let (image, retired) = match derive.then(|| disk.image_at_cut()).flatten() {
+                    Some(image) => (image, disk.retired_after_cut()),
+                    None => (disk.image_with_write_buffer(), Vec::new()),
+                };
+                let staged = match (nvram_backed, probed) {
+                    (false, _) => Vec::new(),
+                    (true, Some(staged)) => staged,
+                    (true, None) => fs.staging_image().await,
+                };
+                let cuts = cuts(image, retired, staged, report.acked);
+                (cuts.cell(retire), derive.then_some(cuts))
+            }
+        };
+        fs.shutdown();
+        (cell, derived, read)
     })
 }
 
@@ -552,6 +622,75 @@ mod tests {
         }
         assert_eq!(CutSpec::parse("power:x"), None);
         assert_eq!(CutSpec::parse("bogus"), None);
+    }
+
+    /// Every crash state the enumeration reads off a run equals the one
+    /// the oracle's own faulted run leaves, byte for byte: a quiet
+    /// boundary's from its graceful run, and every other boundary's
+    /// from one power-cut run retiring its whole batch, at `r = 0` and
+    /// at `r >= 1`. The boundaries are picked to reach each path:
+    /// checker cells (`CheckConfig::cell_spec`) at the named seed, qd,
+    /// layout and policy.
+    #[test]
+    fn every_derived_crash_state_equals_the_replayed_one() {
+        use LayoutKind::{Ffs, Lfs};
+        let cases = [
+            // Quiet from op 9 on; before it the disk still writes back
+            // the format.
+            ("1a", 365, 1, Lfs, 2, 6..=10),
+            // Quiet with 20 writes in flight: the replay joins while the
+            // disk still serves the write it started before the cut.
+            ("1a", 365, 1, Lfs, 2, 56..=56),
+            // One write in flight, retired after the cut.
+            ("1a", 365, 1, Ffs, 3, 15..=16),
+            // Two writes retired after the cut. (Their order never
+            // shows in a checker cell; the disk's own test pins it.)
+            ("1b", 9, 8, Ffs, 2, 37..=37),
+        ];
+        // (quiet, recorded r = 0, recorded r >= 1) cells.
+        let mut paths = [0usize; 3];
+        let mut most_retired = 0;
+        for (trace, seed, qd, layout, policy, boundaries) in cases {
+            let all = SyntheticSprite::new(preset(trace).unwrap(), seed ^ 0xabcd).generate(0.002);
+            let mut cfg = crate::CheckConfig::new(all, trace, 0);
+            (cfg.seed, cfg.queue_depth, cfg.layouts) = (seed, qd, vec![layout]);
+            let spec = cfg.cell_spec(0, policy);
+            for k in boundaries {
+                let recs = cnp_trace::bounded_prefix(&cfg.records, k, &[]);
+                let (graceful, quiet, ()) = doom(&spec, &recs, None, true, |_| ());
+                let (oracle, _, ()) = doom(&spec, &recs, None, false, |_| ());
+                assert_same(&graceful, &oracle, k, "graceful");
+                let (t, batch, is_quiet) =
+                    (graceful.arrival_ns, graceful.inflight_batch, quiet.is_some());
+                let cuts = quiet.unwrap_or_else(|| {
+                    doom(&spec, &recs, Some((t, batch)), true, |_| ()).1.expect("derived")
+                });
+                most_retired = most_retired.max(cuts.retired.len());
+                for r in 0..=batch {
+                    let (oracle, _, ()) = doom(&spec, &recs, Some((t, r)), false, |_| ());
+                    let cell = format!("{trace} seed {seed} power:{r} quiet {is_quiet}");
+                    assert_same(&cuts.cell(r), &oracle, k, &cell);
+                    paths[match (is_quiet, r) {
+                        (true, _) => 0,
+                        (false, 0) => 1,
+                        _ => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(paths.iter().all(|&n| n > 0), "(quiet, recorded r = 0, r >= 1) cells: {paths:?}");
+        assert!(most_retired >= 2, "no run retired two writes after its cut");
+    }
+
+    fn assert_same(derived: &Doomed, oracle: &Doomed, k: usize, cell: &str) {
+        let counts = |d: &Doomed| {
+            (d.ops, d.errors, d.cut_at_ns, d.arrival_ns, d.inflight_batch, d.state.cut_at)
+        };
+        assert_eq!(counts(derived), counts(oracle), "op {k} {cell}");
+        assert_eq!(derived.acked, oracle.acked, "op {k} {cell}");
+        assert!(derived.state.image == oracle.state.image, "op {k} {cell}: platters differ");
+        let key = |d: &Doomed| crate::cache::state_key("", &d.state, &d.acked);
+        assert_eq!(key(derived), key(oracle), "op {k} {cell}: NVRAM or staging differ");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!    machine stops at op `k` and the power dies (graceful capture of
 //!    platter + NVRAM); and
 //! 2. for every boundary whose cut found `b` writes still in flight, a
-//!    **retire cell** per legal arrival-order prefix `r ∈ 0..=b` — a
-//!    disk-level power cut at the same instant that durably retires
-//!    `r` unacknowledged writes ([`cnp_disk::FaultPlan::cut_retire_ops`]).
+//!    **retire cell** per `r ∈ 0..=b` — a disk-level power cut at the
+//!    same instant after which the dying disk durably retires the first
+//!    `r` unacknowledged writes it serves, in the driver's dispatch
+//!    order ([`cnp_disk::FaultPlan::cut_retire_ops`]).
 //!
 //! Every failing cell is minimized (delta-debugging the op prefix, then
 //! the retire subset) and emitted as a self-contained repro blob
@@ -29,12 +30,29 @@
 //! minimization is deferred to the end of the fold and — being per-row
 //! pure — is a second `run_cells` over the failing rows.
 //!
+//! ## At most two runs of a boundary's prefix
+//!
+//! A power-cut cell is, event for event, the graceful run of its prefix
+//! until the disk first checks for the cut at or after its instant, and
+//! after the cut it differs from its siblings only in which writes the
+//! dead disk retires. So a unit runs its prefix at most twice, whatever
+//! its batch: the graceful run, whose disk says whether the boundary is
+//! *quiet* (no cut check at or after the instant before the replay
+//! joined, so its power-cut cells are read off this run), and otherwise
+//! one power-cut run retiring the whole batch, from whose image at the
+//! cut and retired writes every retire cell is derived
+//! ([`crate::cell::doom`]). At budget 40 on trace 1a (qd 8, seed 42),
+//! 160 units take 192 runs, where one run per cell took 320.
+//! [`CheckStats::prefix_runs`] counts them. [`run_cell`], [`minimize`]
+//! and [`Repro`] run every cell's own faulted prefix: they are the
+//! oracle.
+//!
 //! ## One verification per distinct crash state
 //!
 //! Most cells leave a crash state another cell already left: at budget
-//! 40 on trace 1a (qd 8, seed 42), 320 cells leave 78. Each cell runs
-//! its doomed half; its verification, a pure function of `(CellSpec,
-//! crash state, acked paths)` run in a simulation of its own
+//! 40 on trace 1a (qd 8, seed 42), 320 cells leave 78. Each cell's
+//! verification, a pure function of `(CellSpec, crash state, acked
+//! paths)` run in a simulation of its own
 //! (`crate::cell`), goes through one memo per enumeration, shared by
 //! the workers and keyed by [`crate::cache::state_key`]. A state is
 //! recovered once, and every other cell that reaches it is judged from
@@ -61,7 +79,8 @@ use cnp_trace::{bounded_prefix, TraceRecord};
 
 use crate::cache::{cell_key, spec_fingerprint, state_key, CellCache, PrefixHashes};
 use crate::cell::{
-    arrival_ns, doom, run_cell, run_cell_at, verify, CellOutcome, CellSpec, CutSpec, Verdict,
+    arrival_ns, doom, run_cell, run_cell_at, verify, CellOutcome, CellSpec, CutSpec, Doomed,
+    Verdict,
 };
 use crate::repro::Repro;
 
@@ -226,6 +245,9 @@ pub struct CheckStats {
     /// the number of distinct states; two workers that reach one state
     /// at once may both verify it.
     pub states_verified: usize,
+    /// Runs of a boundary's prefix (build, format, replay, cut): one or
+    /// two per boundary simulated, whatever its in-flight batch.
+    pub prefix_runs: usize,
     /// Time spent inside cells, summed over the workers.
     pub busy: Duration,
 }
@@ -269,6 +291,7 @@ impl CheckStats {
         m.counter("check.cells_run", self.cells_run as u64);
         m.counter("check.cache.hits", self.cache_hits as u64);
         m.counter("check.states_verified", self.states_verified as u64);
+        m.counter("check.prefix_runs", self.prefix_runs as u64);
         m.gauge("check.cache.hit_rate", self.hit_rate());
         m.gauge("check.threads", self.threads as f64);
         m.gauge("check.cells_per_sec", self.cells_per_sec());
@@ -359,6 +382,8 @@ struct CellEntry {
 struct UnitResult {
     boundary: CellEntry,
     retires: Vec<CellEntry>,
+    /// Runs of the unit's prefix it took (0 when every cell was cached).
+    prefix_runs: usize,
     busy: Duration,
 }
 
@@ -374,16 +399,9 @@ struct Memo {
 }
 
 impl Memo {
-    /// One cell (see [`crate::cell::doom`] for `power`), verified
-    /// through the memo.
-    fn cell(
-        &self,
-        spec: &CellSpec,
-        fingerprint: &str,
-        records: &[TraceRecord],
-        power: Option<(u64, u64)>,
-    ) -> CellOutcome {
-        let (doomed, ()) = doom(spec, records, power, |_| ());
+    /// One cell's outcome from its doomed half, verified through the
+    /// memo.
+    fn judge(&self, spec: &CellSpec, fingerprint: &str, doomed: &Doomed) -> CellOutcome {
         let key = state_key(fingerprint, &doomed.state, &doomed.acked);
         if let Some(verdict) = self.lock().get(&key) {
             return doomed.judge(spec, verdict);
@@ -404,7 +422,10 @@ impl Memo {
 
 /// Runs one boundary unit: the graceful cell at prefix `records`, then
 /// every legal retire cell of its in-flight batch (sharing its arrival
-/// instant). Pure in `(spec, records)` modulo the cache.
+/// instant). The prefix runs at most twice: the graceful run, and one
+/// power-cut run retiring the whole batch unless the boundary is quiet
+/// (see [`doom`]); every retire cell is read off one of them. Pure in
+/// `(spec, records)` modulo the cache.
 fn run_unit(
     spec: &CellSpec,
     fingerprint: &str,
@@ -414,27 +435,42 @@ fn run_unit(
     memo: &Memo,
 ) -> UnitResult {
     let t0 = Instant::now();
-    let caching = cache.is_some();
-    let bkey = if caching { cell_key(fingerprint, prefix_hash, &CutSpec::Graceful) } else { 0 };
-    let (boundary, bhit) = match cache.and_then(|c| c.get(bkey)) {
-        Some(o) => (o.clone(), true),
-        None => (memo.cell(spec, fingerprint, records, None), false),
+    let key = |cut: &CutSpec| cache.map_or(0, |_| cell_key(fingerprint, prefix_hash, cut));
+    let cached = |key: u128| cache.and_then(|c| c.get(key)).cloned();
+    let mut prefix_runs = 0;
+    let mut cuts = None;
+    let bkey = key(&CutSpec::Graceful);
+    let (boundary, bhit) = match cached(bkey) {
+        Some(o) => (o, true),
+        None => {
+            prefix_runs += 1;
+            let (graceful, quiet, ()) = doom(spec, records, None, true, |_| ());
+            cuts = quiet;
+            (memo.judge(spec, fingerprint, &graceful), false)
+        }
     };
-    let arrival_ns = boundary.arrival_ns;
     let batch = boundary.inflight_batch;
     let mut retires = Vec::with_capacity(batch as usize + 1);
     for retire in 0..=batch {
         let cut = CutSpec::PowerCut { retire };
-        let key = if caching { cell_key(fingerprint, prefix_hash, &cut) } else { 0 };
-        let (outcome, hit) = match cache.and_then(|c| c.get(key)) {
-            Some(o) => (o.clone(), true),
-            None => (memo.cell(spec, fingerprint, records, Some((arrival_ns, retire))), false),
+        let key = key(&cut);
+        let (outcome, hit) = match cached(key) {
+            Some(o) => (o, true),
+            None => {
+                let cuts = cuts.get_or_insert_with(|| {
+                    prefix_runs += 1;
+                    let power = Some((boundary.arrival_ns, batch));
+                    doom(spec, records, power, true, |_| ()).1.expect("a deriving run derives")
+                });
+                (memo.judge(spec, fingerprint, &cuts.cell(retire)), false)
+            }
         };
         retires.push(CellEntry { cut, key, hit, outcome });
     }
     UnitResult {
         boundary: CellEntry { cut: CutSpec::Graceful, key: bkey, hit: bhit, outcome: boundary },
         retires,
+        prefix_runs,
         busy: t0.elapsed(),
     }
 }
@@ -457,6 +493,7 @@ struct Merger {
     violations: usize,
     cells_run: usize,
     cache_hits: usize,
+    prefix_runs: usize,
     busy: Duration,
     /// `Some` when caching: every entry this run touched (hit or run).
     touched: Option<HashMap<u128, CellOutcome>>,
@@ -507,6 +544,7 @@ impl Merger {
             self.rows[row].retire_cells += 1;
             self.book(row, k, entry);
         }
+        self.prefix_runs += unit.prefix_runs;
         self.busy += unit.busy;
     }
 }
@@ -568,6 +606,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
         violations: 0,
         cells_run: 0,
         cache_hits: 0,
+        prefix_runs: 0,
         busy: Duration::ZERO,
         touched: opts.cache.is_some().then(HashMap::new),
         candidates: (0..plans.len()).map(|_| None).collect(),
@@ -644,6 +683,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
             cells_run: merger.cells_run,
             cache_hits: merger.cache_hits,
             states_verified: memo.verified.into_inner(),
+            prefix_runs: merger.prefix_runs,
             busy: merger.busy,
         },
     }
@@ -819,16 +859,20 @@ mod tests {
 
     /// The benchmark's cells reach 78 distinct crash states, counting
     /// each cell's acked paths: at one thread the memo recovers each
-    /// exactly once, and every other cell reuses a verdict.
+    /// exactly once, and every other cell reuses a verdict. Its 160
+    /// boundaries run their prefixes 192 times: every boundary from op
+    /// 9 on is quiet, and the 8 before it run a second time with the cut.
     #[test]
     fn budget_40_verifies_each_distinct_crash_state_once() {
         let records = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
         let mut cfg = CheckConfig::new(records, "1a", 40);
         cfg.queue_depth = 8;
         let report = run_check_with(&cfg, CheckOptions::default());
-        assert_eq!((report.cells, report.stats.states_verified), (320, 78));
-        let metrics = report.stats.metrics().to_table();
+        let stats = &report.stats;
+        assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 78));
+        let metrics = stats.metrics().to_table();
         assert!(metrics.contains("check.states_verified"), "{metrics}");
+        assert!(metrics.contains("check.prefix_runs"), "{metrics}");
     }
 
     #[test]

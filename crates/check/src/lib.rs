@@ -7,15 +7,16 @@
 //!
 //! * [`cell`] — one crash cell as a pure function, in two halves: the
 //!   doomed half replays a bounded workload prefix and crashes
-//!   (gracefully or with a disk-level power cut retiring an
-//!   arrival-order prefix of the in-flight write batch); the
+//!   (gracefully or with a disk-level power cut after which the first
+//!   writes the disk serves still retire); the
 //!   verification remounts, recovers, fscks and replays NVRAM in a
 //!   simulation of its own; acked losses are accounted per cell;
 //! * [`enumerate`] — every op boundary × every legal retire prefix,
 //!   across layout × flush-policy cells, with delta-debugging
 //!   minimization of failures — fanned across OS threads with an
 //!   order-restoring merge, so the report is byte-identical at every
-//!   thread count, and verifying each distinct crash state once;
+//!   thread count, running each boundary's prefix at most twice and
+//!   verifying each distinct crash state once;
 //! * [`cache`] — incremental checking: cells keyed by a content hash
 //!   of `(CellSpec, records, CutSpec)` in a persisted, versioned cache
 //!   file, so unchanged work is replayed instead of re-simulated;

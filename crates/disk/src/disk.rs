@@ -50,12 +50,17 @@ pub struct FaultPlan {
     pub torn_write_sectors: u32,
     /// Crash-cut semantics for in-flight batches: with a deep driver
     /// queue, several commands are outstanding when the power dies, and
-    /// the electronics may finish an arrival-order *prefix* of them
-    /// before the platters spin down. This many write requests served
-    /// after the cut still retire durably to the platter — but are
-    /// never acknowledged (the host sees [`IoError::PowerCut`] for the
-    /// whole outstanding set). Derive it from a seed via
-    /// `cnp-fault`'s builder to sample crash interleavings.
+    /// the electronics may finish some of them before the platters spin
+    /// down. The first this many write requests the disk *serves* after
+    /// the request the cut lands on still retire durably to the platter
+    /// — but are never acknowledged (the host sees [`IoError::PowerCut`]
+    /// for the whole outstanding set). Served order is the order the
+    /// driver dispatched them in, which its queue scheduler picks; it is
+    /// not the order they arrived at the driver. The disk cannot tell a
+    /// write outstanding at the cut from one the host issues after it,
+    /// so a write issued after the cut retires too while the budget
+    /// lasts. Derive it from a seed via `cnp-fault`'s builder to sample
+    /// crash interleavings.
     pub cut_retire_ops: u64,
     /// When the power cut fires, retire the controller's acked
     /// immediate-report write buffer to the platter instead of losing
@@ -166,6 +171,45 @@ pub struct DiskMsg {
     pub reply: OneshotSender<IoCompletion>,
 }
 
+/// One write the dying disk retired after a power cut: `sectors`
+/// sectors from `lba`.
+#[derive(Debug, Clone)]
+pub struct RetiredWrite {
+    /// First sector.
+    pub lba: u64,
+    /// Sectors written.
+    pub sectors: u32,
+    /// What reached the platter.
+    pub payload: Payload,
+}
+
+/// Stores the first `retire` of `retired` onto `image` in served order:
+/// with a run's [`DiskClient::image_at_cut`] and
+/// [`DiskClient::retired_after_cut`], the platter the same run leaves
+/// with `cut_retire_ops = retire`.
+pub fn retire_onto(image: &mut DiskImage, ssz: usize, retired: &[RetiredWrite], retire: u64) {
+    for w in retired.iter().take(retire as usize) {
+        store_sectors(image, ssz, w.lba, w.sectors, &w.payload);
+    }
+}
+
+/// What a disk saw of its power cut, kept so a checker can read several
+/// cuts' crash states off one run: a run armed with a cut at `t` is,
+/// event for event, the run without it until the disk first checks for
+/// the cut at or after `t`, and runs that differ only in
+/// `cut_retire_ops` differ only in which writes the dead disk retires.
+#[derive(Default)]
+struct CutLog {
+    /// The latest instant the disk checked for a time-scheduled power
+    /// cut, whether or not its plan has one.
+    last_check: Option<SimTime>,
+    /// The platter right after the cut fired and the write buffer met
+    /// its fate.
+    image: Option<DiskImage>,
+    /// The writes retired after the cut, in served order.
+    retired: Vec<RetiredWrite>,
+}
+
 /// Client side of a spawned simulated disk.
 #[derive(Clone)]
 pub struct DiskClient {
@@ -177,6 +221,7 @@ pub struct DiskClient {
     platter: Rc<RefCell<DiskImage>>,
     pending: Rc<RefCell<WriteBuffer>>,
     dead: Rc<Cell<bool>>,
+    cut_log: Rc<RefCell<CutLog>>,
 }
 
 impl DiskClient {
@@ -240,6 +285,27 @@ impl DiskClient {
     pub fn image_with_write_buffer(&self) -> DiskImage {
         self.pending.borrow().over(&self.platter.borrow())
     }
+
+    /// The latest instant the disk checked whether a time-scheduled
+    /// power cut ([`FaultPlan::power_cut_at`]) had come; it checks
+    /// whether or not its plan has one, and stops once a cut killed it.
+    /// `None` before the first check.
+    pub fn last_cut_check(&self) -> Option<SimTime> {
+        self.cut_log.borrow().last_check
+    }
+
+    /// The platter as it was right after the power cut fired and the
+    /// write buffer was retired or lost; `None` while the disk lives.
+    pub fn image_at_cut(&self) -> Option<DiskImage> {
+        self.cut_log.borrow().image.clone()
+    }
+
+    /// The writes retired after the power cut
+    /// ([`FaultPlan::cut_retire_ops`]), in served order; see
+    /// [`retire_onto`].
+    pub fn retired_after_cut(&self) -> Vec<RetiredWrite> {
+        self.cut_log.borrow().retired.clone()
+    }
 }
 
 /// Spawns a simulated disk task whose platter starts from `image` (empty
@@ -262,6 +328,7 @@ pub(crate) fn spawn_disk(
     let platter = Rc::new(RefCell::new(image));
     let pending = Rc::new(RefCell::new(WriteBuffer::default()));
     let dead = Rc::new(Cell::new(false));
+    let cut_log = Rc::new(RefCell::new(CutLog::default()));
     let task = DiskTask {
         handle: handle.clone(),
         model,
@@ -275,12 +342,23 @@ pub(crate) fn spawn_disk(
         pending: pending.clone(),
         healed: HashSet::new(),
         dead: dead.clone(),
+        cut_log: cut_log.clone(),
         readahead_at: None,
         stats: stats.clone(),
         served: 0,
     };
     handle.spawn(name, task.run(rx));
-    DiskClient { tx, handle: handle.clone(), geometry, native_depth, stats, platter, pending, dead }
+    DiskClient {
+        tx,
+        handle: handle.clone(),
+        geometry,
+        native_depth,
+        stats,
+        platter,
+        pending,
+        dead,
+        cut_log,
+    }
 }
 
 /// The HP 97560's 128 KB controller cache.
@@ -307,6 +385,8 @@ struct DiskTask {
     healed: HashSet<u64>,
     /// Set once an injected power cut fires; shared with the client.
     dead: Rc<Cell<bool>>,
+    /// What the disk saw of its power cut; shared with the client.
+    cut_log: Rc<RefCell<CutLog>>,
     /// Next read-ahead start, armed by the latest foreground read.
     readahead_at: Option<u64>,
     stats: Rc<RefCell<DiskStats>>,
@@ -380,32 +460,37 @@ impl DiskTask {
         self.model.geometry()
     }
 
-    /// Fires a time-scheduled power cut if its moment has come,
-    /// discarding (or battery-preserving) the write buffer.
+    /// Fires a time-scheduled power cut if its moment has come.
     fn check_time_cut(&mut self) {
-        if self.dead.get() {
-            return;
-        }
-        if let Some(t) = self.faults.power_cut_at {
-            if self.handle.now() >= t {
-                self.dead.set(true);
-                self.drop_or_preserve_buffer();
-            }
+        if !self.dead.get() && self.time_cut_due() {
+            self.cut();
         }
     }
 
-    /// The write buffer's fate at a power cut: volatile buffers die
+    /// Whether a time-scheduled power cut is due: the one check of
+    /// [`FaultPlan::power_cut_at`], logged whether or not the plan has
+    /// one.
+    fn time_cut_due(&self) -> bool {
+        let now = self.handle.now();
+        self.cut_log.borrow_mut().last_check = Some(now);
+        self.faults.power_cut_at.is_some_and(|t| now >= t)
+    }
+
+    /// Kills the disk. The write buffer's fate: volatile buffers die
     /// with the electronics; a battery-backed buffer
     /// ([`FaultPlan::cut_preserves_buffer`]) retires its acked
     /// contents to the platter — instantaneous state transfer, no
     /// simulated time, so pre-cut replays stay bit-identical.
-    fn drop_or_preserve_buffer(&mut self) {
+    fn cut(&mut self) {
+        self.dead.set(true);
+        let mut platter = self.platter.borrow_mut();
         let mut pending = self.pending.borrow_mut();
         if self.faults.cut_preserves_buffer {
-            pending.retire_all(&mut self.platter.borrow_mut());
+            pending.retire_all(&mut platter);
         } else {
             pending.clear();
         }
+        self.cut_log.borrow_mut().image = Some(platter.clone());
     }
 
     fn readahead_take(&mut self) -> Option<u64> {
@@ -443,8 +528,7 @@ impl DiskTask {
         // Power-cut checks: once dead, the disk answers nothing again.
         let mut just_cut = false;
         if !self.dead.get() {
-            let time_cut =
-                self.faults.power_cut_at.map(|t| self.handle.now() >= t).unwrap_or(false);
+            let time_cut = self.time_cut_due();
             let op_cut = self.faults.power_cut_at_op == Some(count);
             if time_cut || op_cut {
                 // A cut landing on a write tears it: a prefix of the
@@ -453,15 +537,12 @@ impl DiskTask {
                     let durable = self.faults.torn_write_sectors.min(req.sectors);
                     self.store_payload(req.lba, durable, &req.payload);
                 }
-                self.dead.set(true);
                 just_cut = true;
-                // The controller's write buffer dies with it (unless
-                // the plan models it battery-backed).
-                self.drop_or_preserve_buffer();
+                self.cut();
             }
         }
         if self.dead.get() {
-            // Outstanding-prefix retirement: the first `cut_retire_ops`
+            // Retirement after the cut: the first `cut_retire_ops`
             // writes served *after* the landing request still reach the
             // platter — their data is durable, but the host never hears
             // the ack. (The landing write itself is governed by
@@ -469,6 +550,8 @@ impl DiskTask {
             if !just_cut && req.op == IoOp::Write && self.cut_retire_left > 0 {
                 self.cut_retire_left -= 1;
                 self.store_payload(req.lba, req.sectors, &req.payload);
+                let (lba, sectors, payload) = (req.lba, req.sectors, req.payload);
+                self.cut_log.borrow_mut().retired.push(RetiredWrite { lba, sectors, payload });
             }
             self.stats.borrow_mut().faults += 1;
             reply.send(IoCompletion { id: req.id, result: Err(IoError::PowerCut), timing });
@@ -1072,6 +1155,65 @@ mod tests {
         for s in (0..8).chain(300..308) {
             assert!(image.sector(s).is_none(), "sector {s} should be lost");
         }
+    }
+
+    /// A cut retires the first `cut_retire_ops` writes the disk serves
+    /// after the landing request, in served order, and a write the host
+    /// issues after the cut is one of them while the budget lasts. So
+    /// one run with budget `b` gives, for every `r <= b`, the platter of
+    /// the run with budget `r`: the image at the cut plus the first `r`
+    /// retired writes.
+    #[test]
+    fn one_cut_run_gives_the_platter_of_every_smaller_retire_budget() {
+        let write = |id: u64, lba: u64, byte: u8, now: SimTime| {
+            make_req(id, IoOp::Write, lba, 8, Payload::Data(vec![byte; 8 * 512]), now)
+        };
+        let run = |retire: u64| {
+            let sim = Sim::new(1);
+            let h = sim.handle();
+            let faults = FaultPlan {
+                power_cut_at: Some(SimTime::from_nanos(100_000_000)),
+                cut_retire_ops: retire,
+                cut_preserves_buffer: true,
+                ..FaultPlan::default()
+            };
+            let disk = setup(&sim, DiskOpts::default(), faults);
+            let (d2, h2) = (disk.clone(), h.clone());
+            h.spawn("t", async move {
+                // Acked before the cut: the buffer keeps it, the cut
+                // retires the buffer.
+                assert!(d2.request(write(0, 0, 1, h2.now())).await.result.is_ok());
+                h2.sleep_until(SimTime::from_nanos(100_000_000)).await;
+                // Three outstanding at the cut: the first lands it, the
+                // next two overlap, so their order shows on the platter.
+                let batch = [(1, 100, 2), (2, 200, 3), (3, 204, 4)]
+                    .map(|(id, lba, byte)| d2.request(write(id, lba, byte, h2.now())));
+                for c in cnp_sim::join_all(batch).await {
+                    assert!(matches!(c.result, Err(IoError::PowerCut)));
+                }
+                // Issued after the cut, and served after the batch.
+                h2.sleep(SimDuration::from_millis(10)).await;
+                for (id, lba, byte) in [(4, 300, 5), (5, 400, 6)] {
+                    let c = d2.request(write(id, lba, byte, h2.now())).await;
+                    assert!(matches!(c.result, Err(IoError::PowerCut)));
+                }
+            });
+            sim.run();
+            disk
+        };
+        let full = run(3);
+        let at_cut = full.image_at_cut().expect("the cut fired");
+        assert!(at_cut.sector(0).is_some() && at_cut.sector(100).is_none());
+        let retired = full.retired_after_cut();
+        let lbas: Vec<u64> = retired.iter().map(|w| w.lba).collect();
+        assert_eq!(lbas, [200, 204, 300], "served order; the write issued after the cut retires");
+        assert!(full.last_cut_check() >= Some(SimTime::from_nanos(100_000_000)));
+        for r in 0..=3 {
+            let mut derived = at_cut.clone();
+            retire_onto(&mut derived, 512, &retired, r);
+            assert_eq!(run(r).platter_image(), derived, "retire {r}");
+        }
+        assert!(full.platter_image().sector(400).is_none(), "past the budget");
     }
 
     #[test]

@@ -387,8 +387,8 @@ struct DriverInner {
     inflight: u32,
     /// Write commands dispatched to the back-end and not yet completed.
     /// Together with the queued writes this is the in-flight write
-    /// batch a power cut lands on — the set whose arrival-order
-    /// prefixes the crash-point enumerator iterates
+    /// batch a power cut lands on — the count whose retire prefixes,
+    /// in dispatch order, the crash-point enumerator iterates
     /// ([`FaultPlan::cut_retire_ops`](crate::FaultPlan::cut_retire_ops)).
     inflight_writes: u32,
     // Plug-in statistics (paper: queue-size and rotational-delay

@@ -38,7 +38,9 @@ pub mod simple;
 pub mod ssd;
 
 pub use bus::{BusParams, ScsiBus};
-pub use disk::{store_sectors, DiskClient, DiskImage, DiskOpts, DiskStats, FaultPlan};
+pub use disk::{
+    retire_onto, store_sectors, DiskClient, DiskImage, DiskOpts, DiskStats, FaultPlan, RetiredWrite,
+};
 pub use driver::{
     compose_device, sim_disk_driver, striped_sim_disk_driver, Backend, DiskDriver, DriverStats,
     FileBackend, SimBackend, StripedDisk,

@@ -47,8 +47,9 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// After the cut, lets an arrival-order prefix of the outstanding
-    /// writes retire durably — unacknowledged. Its length is drawn
+    /// After the cut, lets the first writes the disk serves retire
+    /// durably — unacknowledged (see `FaultPlan::cut_retire_ops` for
+    /// the order). Its length is drawn
     /// uniformly from `[0, max_ops]`, deterministically from the seed:
     /// every crash replay samples a different (but replayable)
     /// interleaving of the outstanding set.

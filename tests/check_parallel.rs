@@ -6,8 +6,8 @@
 use cut_and_paste::check::cache::encode_outcome;
 use cut_and_paste::check::{
     cell_key, format_check_report, run_cell, run_check_with, run_history_check, spec_fingerprint,
-    CellCache, CellSpec, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig, LinConfig,
-    PolicySpec, PrefixHashes,
+    standard_policies, CellCache, CellSpec, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig,
+    LinConfig, PolicySpec, PrefixHashes,
 };
 use cut_and_paste::fault::LayoutKind;
 use cut_and_paste::patsy::check::format_check_json;
@@ -142,39 +142,54 @@ fn cache_file_roundtrip_hits_everything_then_rechecks_only_the_mutated_tail() {
 /// layouts, at qd 1 and 8, at 1 and 4 threads, on the healthy stack
 /// (trace 1a, whose reads leave one crash state to cells with
 /// different cuts) and with the planted stale-size bug (the zipf hot
-/// set, where it shows).
+/// set, where it shows). Trace 1a at seed 365 adds qd-1 cuts that find
+/// a write in flight on FFS. A unit runs its prefix once when its
+/// boundary is quiet and twice otherwise, so the runs counted show both
+/// paths were taken, and retire cells past `r = 0` show the writes
+/// recorded after a cut were applied.
 #[test]
 fn every_memoised_outcome_equals_the_unmemoised_cell() {
-    let trace_1a = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
     let mut violating = 0;
+    let (mut units, mut prefix_runs, mut deep_retires) = (0, 0, 0);
     for layout in [LayoutKind::Lfs, LayoutKind::Ffs] {
         for queue_depth in [1, 8] {
-            for plant in [false, true] {
+            for (seed, plant) in [(42, false), (365, false), (777, true)] {
+                if seed == 365 && queue_depth == 8 {
+                    continue;
+                }
                 let budget = if queue_depth == 1 { 16 } else { 12 };
                 let mut base = if plant {
                     cfg(budget)
                 } else {
-                    CheckConfig::new(trace_1a.clone(), "1a", budget)
+                    let trace_1a =
+                        SyntheticSprite::new(preset("1a").unwrap(), seed ^ 0xabcd).generate(0.002);
+                    CheckConfig { seed, ..CheckConfig::new(trace_1a, "1a", budget) }
                 };
                 base.layouts = vec![layout];
                 base.queue_depth = queue_depth;
                 base.plant_stale_size_bug = plant;
                 base.minimize_runs = 4;
-                base.policies = vec![
-                    PolicySpec { label: "ups", flush: "ups", nvram: false },
-                    PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true },
-                ];
+                base.policies = if seed == 365 {
+                    standard_policies()
+                } else {
+                    vec![
+                        PolicySpec { label: "ups", flush: "ups", nvram: false },
+                        PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true },
+                    ]
+                };
                 let at = |threads| {
                     let mut cache = CellCache::new();
                     let opts = CheckOptions { threads, cache: Some(&mut cache), progress: None };
                     let report = run_check_with(&base, opts);
                     assert_eq!(cache.len(), report.cells, "every cell is in the cache");
-                    (format_check_report(&base, &report), report.violations, cache)
+                    (format_check_report(&base, &report), report, cache)
                 };
-                let (text, violations, serial) = at(1);
+                let (text, report, serial) = at(1);
                 let (threaded_text, _, threaded) = at(4);
                 assert_eq!(threaded_text, text, "the report must not depend on --threads");
-                violating += violations;
+                violating += report.violations;
+                units += budget * base.policies.len();
+                prefix_runs += report.stats.prefix_runs;
                 let hashes = PrefixHashes::over(&base.records, budget);
                 for pi in 0..base.policies.len() {
                     let spec = base.cell_spec(0, pi);
@@ -183,6 +198,7 @@ fn every_memoised_outcome_equals_the_unmemoised_cell() {
                         let records = bounded_prefix(&base.records, k, &[]);
                         let key = |cut| cell_key(&fp, hashes.prefix(k), &cut);
                         let batch = serial.get(key(CutSpec::Graceful)).unwrap().inflight_batch;
+                        deep_retires += batch;
                         let retires = (0..=batch).map(|retire| CutSpec::PowerCut { retire });
                         for cut in std::iter::once(CutSpec::Graceful).chain(retires) {
                             let oracle = encode_outcome(&run_cell(&spec, &records, cut));
@@ -204,6 +220,8 @@ fn every_memoised_outcome_equals_the_unmemoised_cell() {
         }
     }
     assert!(violating > 0, "the planted bug must give the oracle violating cells to judge");
+    assert!(units < prefix_runs && prefix_runs < 2 * units, "{prefix_runs} runs for {units} units");
+    assert!(deep_retires > 0, "no retire cell past r = 0");
 }
 
 /// The crash sweep samples the checker's cell: every cell of a small
