@@ -41,7 +41,7 @@
 //! joined, so its power-cut cells are read off this run), and otherwise
 //! one power-cut run retiring the whole batch, from whose image at the
 //! cut and retired writes every retire cell is derived
-//! ([`crate::cell::doom`]). At budget 40 on trace 1a (qd 8, seed 42),
+//! (`cell::doom`). At budget 40 on trace 1a (qd 8, seed 42),
 //! 160 units take 192 runs, where one run per cell took 320.
 //! [`CheckStats::prefix_runs`] counts them. [`run_cell`], [`minimize`]
 //! and [`Repro`] run every cell's own faulted prefix: they are the
@@ -75,7 +75,7 @@ use std::time::{Duration, Instant};
 
 use cnp_fault::LayoutKind;
 use cnp_sim::run_cells;
-use cnp_trace::{bounded_prefix, TraceRecord};
+use cnp_trace::TraceRecord;
 
 use crate::cache::{cell_key, spec_fingerprint, state_key, CellCache, PrefixHashes};
 use crate::cell::{
@@ -619,9 +619,9 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
         .map(|sink| Mutex::new(Progress { sink, cells_done: 0, units_done: 0, next_at: 1000 }));
 
     let done = run_cells(&units, threads, |&(row, k)| {
-        let records = bounded_prefix(&cfg.records, k, &[]);
         let ph = prefix_hashes.as_ref().map(|p| p.prefix(k)).unwrap_or(0);
-        let unit = run_unit(&plans[row].2, &fingerprints[row], &records, ph, cache_snapshot, &memo);
+        let records = &cfg.records[..k];
+        let unit = run_unit(&plans[row].2, &fingerprints[row], records, ph, cache_snapshot, &memo);
         if let Some(progress) = &progress {
             let mut p = progress.lock().expect("a progress sink that panicked fails the run");
             p.cells_done += 1 + unit.retires.len();
@@ -651,8 +651,8 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
     let sites: Vec<FailureSite> = merger.candidates.iter_mut().filter_map(Option::take).collect();
     let failures = run_cells(&sites, threads, |site| {
         let spec = &plans[site.row].2;
-        let records = bounded_prefix(&cfg.records, site.cut_op, &[]);
-        let (minimized, min_cut, runs) = minimize(spec, &records, site.cut, cfg.minimize_runs);
+        let records = &cfg.records[..site.cut_op];
+        let (minimized, min_cut, runs) = minimize(spec, records, site.cut, cfg.minimize_runs);
         let repro = Repro { spec: spec.clone(), cut: min_cut, records: minimized.clone() }.encode();
         Failure {
             layout: merger.rows[site.row].layout,

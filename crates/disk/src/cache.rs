@@ -93,16 +93,14 @@ impl ControllerCache {
     /// (a write makes stale read data untrustworthy).
     pub fn invalidate(&mut self, lba: u64, sectors: u32) {
         let end = lba + sectors as u64;
-        let mut kept = VecDeque::new();
         let mut occupancy = 0;
-        for (rl, rs) in self.ranges.drain(..) {
-            let rend = rl + rs as u64;
-            if rend <= lba || rl >= end {
+        self.ranges.retain(|&(rl, rs)| {
+            let kept = rl + rs as u64 <= lba || rl >= end;
+            if kept {
                 occupancy += rs;
-                kept.push_back((rl, rs));
             }
-        }
-        self.ranges = kept;
+            kept
+        });
         self.read_sectors = occupancy;
     }
 

@@ -18,7 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use cnp_sim::{channel, oneshot, Handle, OneshotSender, Receiver, Sender, SimDuration, SimTime};
+use cnp_sim::{channel, Handle, Receiver, Replies, ReplySender, Sender, SimDuration, SimTime};
 
 use crate::bus::ScsiBus;
 use crate::cache::ControllerCache;
@@ -168,7 +168,7 @@ pub struct DiskMsg {
     /// The request to serve.
     pub req: IoRequest,
     /// Where to deliver the completion.
-    pub reply: OneshotSender<IoCompletion>,
+    pub reply: ReplySender<IoCompletion>,
 }
 
 /// One write the dying disk retired after a power cut: `sectors`
@@ -214,7 +214,7 @@ struct CutLog {
 #[derive(Clone)]
 pub struct DiskClient {
     tx: Sender<DiskMsg>,
-    handle: Handle,
+    replies: Replies<IoCompletion>,
     geometry: DiskGeometry,
     native_depth: u32,
     stats: Rc<RefCell<DiskStats>>,
@@ -228,7 +228,7 @@ impl DiskClient {
     /// Submits a request and awaits its completion.
     pub async fn request(&self, req: IoRequest) -> IoCompletion {
         let id = req.id;
-        let (otx, orx) = oneshot(&self.handle);
+        let (otx, orx) = self.replies.slot();
         if self.tx.send(DiskMsg { req, reply: otx }).await.is_err() {
             return IoCompletion {
                 id,
@@ -350,7 +350,7 @@ pub(crate) fn spawn_disk(
     handle.spawn(name, task.run(rx));
     DiskClient {
         tx,
-        handle: handle.clone(),
+        replies: Replies::new(handle),
         geometry,
         native_depth,
         stats,
@@ -625,7 +625,7 @@ impl DiskTask {
         &mut self,
         req: IoRequest,
         mut timing: IoTiming,
-        reply: OneshotSender<IoCompletion>,
+        reply: ReplySender<IoCompletion>,
     ) {
         let write = req.op == IoOp::Write;
         {
@@ -698,7 +698,7 @@ impl DiskTask {
         &mut self,
         req: IoRequest,
         mut timing: IoTiming,
-        reply: OneshotSender<IoCompletion>,
+        reply: ReplySender<IoCompletion>,
     ) {
         {
             let mut s = self.stats.borrow_mut();
@@ -736,7 +736,7 @@ impl DiskTask {
         &mut self,
         req: IoRequest,
         mut timing: IoTiming,
-        reply: OneshotSender<IoCompletion>,
+        reply: ReplySender<IoCompletion>,
     ) {
         {
             let mut s = self.stats.borrow_mut();
@@ -872,6 +872,27 @@ mod tests {
         let h = sim.handle();
         let bus = ScsiBus::new(&h);
         spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults, DiskImage::default())
+    }
+
+    #[test]
+    fn a_request_whose_disk_is_gone_resolves_to_device_gone() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        let mut disk = setup(&sim, DiskOpts::default(), FaultPlan::default());
+        // A disk task that takes one command and dies holding it.
+        let (tx, rx) = channel::<DiskMsg>(&h);
+        h.spawn("dying-disk", async move {
+            drop(rx.recv().await);
+        });
+        disk.tx = tx;
+        let read = |id| make_req(id, IoOp::Read, 0, 8, Payload::Simulated(0), SimTime::ZERO);
+        let (held, refused) = sim.block_on("t", async move {
+            let held = disk.request(read(1)).await;
+            let refused = disk.request(read(2)).await;
+            (held.result, refused.result)
+        });
+        assert_eq!(held, Err(IoError::DeviceGone), "the disk died holding the command");
+        assert_eq!(refused, Err(IoError::DeviceGone), "no disk left to take the command");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use cnp_obs::Histogram;
 use cnp_sim::stats::TimeWeighted;
-use cnp_sim::{join_all, oneshot, Event, Handle, OneshotReceiver, OneshotSender, SimTime};
+use cnp_sim::{join_all, Event, Handle, Replies, ReplyReceiver, ReplySender, SimTime};
 
 use crate::bus::ScsiBus;
 use crate::disk::{spawn_disk, DiskClient, DiskImage, DiskOpts, FaultPlan};
@@ -370,7 +370,7 @@ impl StripedDisk {
 struct QueuedReq {
     meta: PendingMeta,
     req: IoRequest,
-    reply: OneshotSender<IoCompletion>,
+    reply: ReplySender<IoCompletion>,
 }
 
 struct DriverInner {
@@ -380,6 +380,9 @@ struct DriverInner {
     next_seq: u64,
     head_lba: u64,
     shutdown: bool,
+    /// Set when the dispatcher exits: a command submitted after that has
+    /// nobody to serve it, and its submitter sees [`IoError::DeviceGone`].
+    closed: bool,
     /// Device queue depth: how many commands may be outstanding at the
     /// back-end at once. `1` issues each command inline.
     max_inflight: u32,
@@ -472,6 +475,8 @@ pub struct DiskDriver {
     sector_size: u32,
     native_depth: u32,
     wakeup: Event,
+    /// Where each command's completion comes back to its submitter.
+    replies: Replies<IoCompletion>,
     /// Display name; also the tracer's disk-lane label.
     name: Rc<str>,
 }
@@ -493,6 +498,7 @@ impl DiskDriver {
             next_seq: 0,
             head_lba: 0,
             shutdown: false,
+            closed: false,
             max_inflight: 1,
             inflight: 0,
             inflight_writes: 0,
@@ -517,6 +523,7 @@ impl DiskDriver {
             sector_size: backend.sector_size(),
             native_depth: backend.native_depth(),
             wakeup: Event::new(handle),
+            replies: Replies::new(handle),
             name: Rc::from(name),
         };
         let d = driver.clone();
@@ -577,11 +584,14 @@ impl DiskDriver {
         lba: u64,
         sectors: u32,
         payload: Payload,
-    ) -> OneshotReceiver<IoCompletion> {
+    ) -> ReplyReceiver<IoCompletion> {
         let now = self.handle.now();
-        let (otx, orx) = oneshot(&self.handle);
+        let (otx, orx) = self.replies.slot();
         {
             let mut inner = self.inner.borrow_mut();
+            if inner.closed {
+                return orx;
+            }
             let id = inner.next_id;
             inner.next_id += 1;
             let seq = inner.next_seq;
@@ -622,7 +632,7 @@ impl DiskDriver {
         &self,
         reqs: Vec<(IoOp, u64, u32, Payload)>,
     ) -> Vec<Result<(Payload, IoTiming), IoError>> {
-        let receivers: Vec<OneshotReceiver<IoCompletion>> = reqs
+        let receivers: Vec<ReplyReceiver<IoCompletion>> = reqs
             .into_iter()
             .map(|(op, lba, sectors, payload)| self.enqueue(op, lba, sectors, payload))
             .collect();
@@ -718,6 +728,7 @@ impl DiskDriver {
                 }
                 if shutdown && empty {
                     // In-flight commands complete on their own tasks.
+                    self.inner.borrow_mut().closed = true;
                     return;
                 }
                 self.wakeup.wait().await;
@@ -986,6 +997,21 @@ mod tests {
         });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(100));
         assert_eq!(driver.stats().completed, 2);
+    }
+
+    #[test]
+    fn a_command_submitted_after_shutdown_resolves_to_device_gone() {
+        let sim = Sim::new(2);
+        let h = sim.handle();
+        let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
+        let (first, late) = sim.block_on("client", async move {
+            let first = driver.read(0, 8).await.map(|_| ());
+            driver.shutdown();
+            h.sleep(SimDuration::from_millis(1)).await;
+            (first, driver.read(0, 8).await.map(|_| ()))
+        });
+        assert_eq!(first, Ok(()));
+        assert_eq!(late, Err(IoError::DeviceGone), "the dispatcher has exited");
     }
 
     #[test]

@@ -96,19 +96,21 @@ impl DiskGeometry {
     ///
     /// Each chunk stays within a single track, so a detailed model can
     /// charge head switches and seeks at chunk boundaries.
-    pub fn track_chunks(&self, lba: u64, sectors: u32) -> Vec<(u64, u32)> {
+    pub fn track_chunks(&self, lba: u64, sectors: u32) -> impl Iterator<Item = (u64, u32)> {
         let spt = self.sectors_per_track as u64;
-        let mut out = Vec::new();
-        let mut cur = lba;
         let end = lba + sectors as u64;
-        while cur < end {
+        let mut cur = lba;
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
             let track_end = (cur / spt + 1) * spt;
             let take = u32::try_from(end.min(track_end) - cur)
                 .unwrap_or_else(|_| panic!("track chunk at lba {cur} overflows u32 sectors"));
-            out.push((cur, take));
+            let chunk = (cur, take);
             cur += take as u64;
-        }
-        out
+            Some(chunk)
+        })
     }
 
     /// Returns a copy of this geometry with `factor`× the cylinders.
@@ -243,11 +245,12 @@ mod tests {
     #[test]
     fn track_chunks_split_on_boundaries() {
         let g = geo();
-        assert_eq!(g.track_chunks(0, 16), vec![(0, 16)]);
-        assert_eq!(g.track_chunks(8, 16), vec![(8, 8), (16, 8)]);
-        assert_eq!(g.track_chunks(15, 1), vec![(15, 1)]);
-        assert_eq!(g.track_chunks(14, 20), vec![(14, 2), (16, 16), (32, 2)]);
-        let total: u32 = g.track_chunks(3, 45).iter().map(|c| c.1).sum();
+        let chunks = |lba, sectors| g.track_chunks(lba, sectors).collect::<Vec<_>>();
+        assert_eq!(chunks(0, 16), vec![(0, 16)]);
+        assert_eq!(chunks(8, 16), vec![(8, 8), (16, 8)]);
+        assert_eq!(chunks(15, 1), vec![(15, 1)]);
+        assert_eq!(chunks(14, 20), vec![(14, 2), (16, 16), (32, 2)]);
+        let total: u32 = g.track_chunks(3, 45).map(|c| c.1).sum();
         assert_eq!(total, 45);
     }
 }

@@ -57,8 +57,8 @@ pub use executor::{
     ClockMode, Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
 };
 pub use sync::{
-    channel, oneshot, Arbitration, Event, LockStats, OneshotReceiver, OneshotSender, Permit,
-    Receiver, Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex,
+    channel, Arbitration, Event, LockStats, Permit, Receiver, Replies, ReplyReceiver, ReplySender,
+    Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex,
     TrackedMutexGuard,
 };
 pub use time::{SimDuration, SimTime};

@@ -1,4 +1,4 @@
-//! MPSC channels and oneshot rendezvous cells for simulated tasks.
+//! MPSC channels and reusable reply slots for simulated tasks.
 //!
 //! Drivers, simulated disks, and active files communicate through these,
 //! mirroring the paper's I/O-request hand-off between driver and disk.
@@ -179,77 +179,137 @@ impl<T> Future for Recv<'_, T> {
     }
 }
 
-/// A single-use completion cell: one producer fulfills, one consumer awaits.
+/// A pool of reusable reply slots: each [`Replies::slot`] carries one
+/// value from one producer to one consumer, and the slot goes back to
+/// the pool once both halves are gone, so a steady stream of requests
+/// allocates nothing.
 ///
-/// Used for I/O completions: the disk fulfils the oneshot attached to an
+/// Used for I/O completions: the disk fulfils the slot attached to an
 /// I/O request; the issuing task awaits it.
-pub struct OneshotSender<T> {
-    handle: Handle,
-    inner: Rc<RefCell<OneshotInner<T>>>,
+pub struct Replies<T> {
+    inner: Rc<RefCell<ReplyPool<T>>>,
 }
 
-/// Consuming half of a oneshot; awaiting it yields the value.
-pub struct OneshotReceiver<T> {
-    handle: Handle,
-    inner: Rc<RefCell<OneshotInner<T>>>,
+impl<T> Clone for Replies<T> {
+    fn clone(&self) -> Self {
+        Replies { inner: self.inner.clone() }
+    }
 }
 
-struct OneshotInner<T> {
+struct ReplyPool<T> {
+    handle: Handle,
+    slots: Vec<ReplySlot<T>>,
+    free: Vec<usize>,
+}
+
+struct ReplySlot<T> {
     value: Option<T>,
     sender_alive: bool,
+    receiver_alive: bool,
     waiter: Option<TaskId>,
 }
 
-/// Creates a oneshot pair.
-pub fn oneshot<T>(handle: &Handle) -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let inner =
-        Rc::new(RefCell::new(OneshotInner { value: None, sender_alive: true, waiter: None }));
-    (
-        OneshotSender { handle: handle.clone(), inner: inner.clone() },
-        OneshotReceiver { handle: handle.clone(), inner },
-    )
+impl<T> ReplyPool<T> {
+    /// Returns slot `i` to the pool if neither half holds it any more.
+    fn reclaim(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        if !slot.sender_alive && !slot.receiver_alive {
+            slot.value = None;
+            self.free.push(i);
+        }
+    }
 }
 
-impl<T> OneshotSender<T> {
-    /// Fulfils the oneshot, waking the receiver.
+impl<T> Replies<T> {
+    /// Creates an empty pool bound to a simulation.
+    pub fn new(handle: &Handle) -> Self {
+        let pool = ReplyPool { handle: handle.clone(), slots: Vec::new(), free: Vec::new() };
+        Replies { inner: Rc::new(RefCell::new(pool)) }
+    }
+
+    /// Takes a free slot (growing the pool if none is free) and returns
+    /// its two halves.
+    pub fn slot(&self) -> (ReplySender<T>, ReplyReceiver<T>) {
+        let mut pool = self.inner.borrow_mut();
+        let fresh =
+            ReplySlot { value: None, sender_alive: true, receiver_alive: true, waiter: None };
+        let index = match pool.free.pop() {
+            Some(i) => {
+                pool.slots[i] = fresh;
+                i
+            }
+            None => {
+                pool.slots.push(fresh);
+                pool.slots.len() - 1
+            }
+        };
+        (
+            ReplySender { pool: self.inner.clone(), index },
+            ReplyReceiver { pool: self.inner.clone(), index },
+        )
+    }
+}
+
+/// Producing half of a reply slot; dropping it unsent resolves the
+/// receiver to `None`.
+pub struct ReplySender<T> {
+    pool: Rc<RefCell<ReplyPool<T>>>,
+    index: usize,
+}
+
+/// Consuming half of a reply slot; awaiting it yields the value, or
+/// `None` if the sender went away without sending.
+pub struct ReplyReceiver<T> {
+    pool: Rc<RefCell<ReplyPool<T>>>,
+    index: usize,
+}
+
+impl<T> ReplySender<T> {
+    /// Fulfils the slot, waking the receiver.
     pub fn send(self, value: T) {
-        let wake = {
-            let mut inner = self.inner.borrow_mut();
-            inner.value = Some(value);
-            inner.waiter.take()
-        };
-        if let Some(t) = wake {
-            self.handle.kernel().borrow_mut().make_runnable(t);
+        let mut pool = self.pool.borrow_mut();
+        let slot = &mut pool.slots[self.index];
+        slot.value = Some(value);
+        if let Some(t) = slot.waiter.take() {
+            pool.handle.kernel().borrow_mut().make_runnable(t);
         }
     }
 }
 
-impl<T> Drop for OneshotSender<T> {
+impl<T> Drop for ReplySender<T> {
     fn drop(&mut self) {
-        let wake = {
-            let mut inner = self.inner.borrow_mut();
-            inner.sender_alive = false;
-            inner.waiter.take()
-        };
-        if let Some(t) = wake {
-            self.handle.kernel().borrow_mut().make_runnable(t);
+        let mut pool = self.pool.borrow_mut();
+        let slot = &mut pool.slots[self.index];
+        slot.sender_alive = false;
+        if let Some(t) = slot.waiter.take() {
+            pool.handle.kernel().borrow_mut().make_runnable(t);
         }
+        pool.reclaim(self.index);
     }
 }
 
-impl<T> Future for OneshotReceiver<T> {
+impl<T> Drop for ReplyReceiver<T> {
+    fn drop(&mut self) {
+        let mut pool = self.pool.borrow_mut();
+        pool.slots[self.index].receiver_alive = false;
+        pool.reclaim(self.index);
+    }
+}
+
+impl<T> Future for ReplyReceiver<T> {
     type Output = Option<T>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(v) = inner.value.take() {
+        let mut pool = self.pool.borrow_mut();
+        let slot = &mut pool.slots[self.index];
+        if let Some(v) = slot.value.take() {
             return Poll::Ready(Some(v));
         }
-        if !inner.sender_alive {
+        if !slot.sender_alive {
             return Poll::Ready(None);
         }
-        let me = self.handle.kernel().borrow().current_task();
-        inner.waiter = Some(me);
+        let me = pool.handle.kernel().borrow().current_task();
+        pool.slots[self.index].waiter = Some(me);
         Poll::Pending
     }
 }
@@ -318,10 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn oneshot_round_trip() {
+    fn reply_round_trip() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let (otx, orx) = oneshot::<&'static str>(&h);
+        let (otx, orx) = Replies::<&'static str>::new(&h).slot();
         let h2 = h.clone();
         h.spawn("fulfiller", async move {
             h2.sleep(SimDuration::from_millis(3)).await;
@@ -336,10 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn oneshot_dropped_sender_yields_none() {
+    fn reply_dropped_sender_yields_none() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let (otx, orx) = oneshot::<u8>(&h);
+        let (otx, orx) = Replies::<u8>::new(&h).slot();
         h.spawn("dropper", async move {
             drop(otx);
         });

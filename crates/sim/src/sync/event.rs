@@ -12,19 +12,13 @@ use std::task::{Context, Poll};
 
 use crate::executor::{Handle, TaskId};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WaitState {
-    Waiting,
-    Woken,
-}
-
-struct Waiter {
-    task: TaskId,
-    state: Rc<RefCell<WaitState>>,
-}
-
 struct EventInner {
-    waiters: Vec<Waiter>,
+    /// Blocked tasks with their tickets, in arrival order.
+    waiters: Vec<(TaskId, u64)>,
+    /// The ticket the next wait draws.
+    next_ticket: u64,
+    /// Every ticket below this one has been signalled.
+    woken_below: u64,
     signals: u64,
 }
 
@@ -59,23 +53,18 @@ pub struct Event {
 impl Event {
     /// Creates a new event bound to a simulation.
     pub fn new(handle: &Handle) -> Self {
-        Event {
-            handle: handle.clone(),
-            inner: Rc::new(RefCell::new(EventInner { waiters: Vec::new(), signals: 0 })),
-        }
+        let inner = EventInner { waiters: Vec::new(), next_ticket: 0, woken_below: 0, signals: 0 };
+        Event { handle: handle.clone(), inner: Rc::new(RefCell::new(inner)) }
     }
 
     /// Wakes every task currently waiting on this event.
     pub fn signal(&self) {
-        let woken: Vec<Waiter> = {
-            let mut inner = self.inner.borrow_mut();
-            inner.signals += 1;
-            std::mem::take(&mut inner.waiters)
-        };
+        let mut inner = self.inner.borrow_mut();
+        inner.signals += 1;
+        inner.woken_below = inner.next_ticket;
         let mut k = self.handle.kernel().borrow_mut();
-        for w in woken {
-            *w.state.borrow_mut() = WaitState::Woken;
-            k.make_runnable(w.task);
+        for (task, _) in inner.waiters.drain(..) {
+            k.make_runnable(task);
         }
     }
 
@@ -91,37 +80,32 @@ impl Event {
 
     /// Blocks the calling task until the event is next signalled.
     pub fn wait(&self) -> EventWait {
-        EventWait { event: self.clone(), state: None }
+        EventWait { event: self.clone(), ticket: None }
     }
 }
 
-/// Future returned by [`Event::wait`].
+/// Future returned by [`Event::wait`]: its ticket, once it has one, is
+/// its whole share of the event's state.
 pub struct EventWait {
     event: Event,
-    state: Option<Rc<RefCell<WaitState>>>,
+    ticket: Option<u64>,
 }
 
 impl Future for EventWait {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &self.state {
-            Some(state) => {
-                if *state.borrow() == WaitState::Woken {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
-                }
-            }
+        let mut inner = self.event.inner.borrow_mut();
+        match self.ticket {
+            Some(ticket) if ticket < inner.woken_below => Poll::Ready(()),
+            Some(_) => Poll::Pending,
             None => {
                 let me = self.event.handle.kernel().borrow().current_task();
-                let state = Rc::new(RefCell::new(WaitState::Waiting));
-                self.event
-                    .inner
-                    .borrow_mut()
-                    .waiters
-                    .push(Waiter { task: me, state: state.clone() });
-                self.state = Some(state);
+                let ticket = inner.next_ticket;
+                inner.next_ticket += 1;
+                inner.waiters.push((me, ticket));
+                drop(inner);
+                self.ticket = Some(ticket);
                 Poll::Pending
             }
         }
@@ -132,10 +116,10 @@ impl Drop for EventWait {
     fn drop(&mut self) {
         // Deregister if still waiting, so a later signal does not wake
         // the task for a wait it has cancelled.
-        if let Some(state) = &self.state {
-            if *state.borrow() == WaitState::Waiting {
-                let mut inner = self.event.inner.borrow_mut();
-                inner.waiters.retain(|w| !Rc::ptr_eq(&w.state, state));
+        if let Some(ticket) = self.ticket {
+            let mut inner = self.event.inner.borrow_mut();
+            if ticket >= inner.woken_below {
+                inner.waiters.retain(|&(_, t)| t != ticket);
             }
         }
     }
@@ -220,6 +204,44 @@ mod tests {
             h2.sleep(SimDuration::from_millis(1)).await;
         });
         sim.run();
+    }
+
+    #[test]
+    fn a_dropped_wait_is_never_woken_and_leaves_the_signal_to_the_waiter_behind_it() {
+        let sim = Sim::new(0);
+        let h = sim.handle();
+        let ev = Event::new(&h);
+        let parked_polls = Rc::new(Cell::new(0u32));
+        let (ev1, h1, polls) = (ev.clone(), h.clone(), parked_polls.clone());
+        h.spawn("quitter", async move {
+            let mut wait = ev1.wait();
+            futures_noop_poll(&mut wait);
+            h1.sleep(SimDuration::from_millis(2)).await;
+            drop(wait);
+            // Parked past the signal: only its own timer may wake it.
+            let mut park = h1.sleep(SimDuration::from_millis(8));
+            std::future::poll_fn(|cx| {
+                polls.set(polls.get() + 1);
+                Pin::new(&mut park).poll(cx)
+            })
+            .await;
+        });
+        let woke_at = Rc::new(Cell::new(None));
+        let (ev2, h2, woke) = (ev.clone(), h.clone(), woke_at.clone());
+        h.spawn("behind", async move {
+            h2.sleep(SimDuration::from_millis(1)).await;
+            ev2.wait().await;
+            woke.set(Some(h2.now().as_millis()));
+        });
+        let (ev3, h3) = (ev.clone(), h.clone());
+        h.spawn("signaler", async move {
+            h3.sleep(SimDuration::from_millis(5)).await;
+            assert_eq!(ev3.waiter_count(), 1, "the dropped wait left the list");
+            ev3.signal();
+        });
+        sim.run();
+        assert_eq!(woke_at.get(), Some(5));
+        assert_eq!(parked_polls.get(), 2, "first poll, then its timer; never the signal");
     }
 
     /// Polls a future once with a dummy waker (test helper).

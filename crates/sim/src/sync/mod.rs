@@ -7,7 +7,7 @@ mod semaphore;
 mod sharded;
 
 pub use channel::{
-    channel, oneshot, OneshotReceiver, OneshotSender, Receiver, Recv, Send, SendError, Sender,
+    channel, Receiver, Recv, Replies, ReplyReceiver, ReplySender, Send, SendError, Sender,
 };
 pub use event::{Event, EventWait};
 pub use resource::{AcquireResource, Arbitration, Resource, ResourceGuard};

@@ -24,19 +24,11 @@ pub enum Arbitration {
     Priority,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GrantState {
-    Waiting,
-    Granted,
-    Cancelled,
-    Consumed,
-}
-
+/// A blocked acquirer: its task, priority and arrival ticket.
 struct ResWaiter {
     task: TaskId,
     prio: u32,
     seq: u64,
-    state: Rc<RefCell<GrantState>>,
 }
 
 struct ResInner {
@@ -44,6 +36,9 @@ struct ResInner {
     arbitration: Arbitration,
     waiters: Vec<ResWaiter>,
     seq: u64,
+    /// The ticket of a waiter handed the resource that has not yet
+    /// polled to take it.
+    granted: Option<u64>,
     acquisitions: u64,
     contentions: u64,
 }
@@ -51,11 +46,7 @@ struct ResInner {
 impl ResInner {
     /// Picks the winning waiter index under the arbitration policy.
     fn winner(&self) -> Option<usize> {
-        let live = self
-            .waiters
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| *w.state.borrow() == GrantState::Waiting);
+        let live = self.waiters.iter().enumerate();
         match self.arbitration {
             Arbitration::Fifo => live.min_by_key(|(_, w)| w.seq).map(|(i, _)| i),
             Arbitration::Priority => {
@@ -82,6 +73,7 @@ impl Resource {
                 arbitration,
                 waiters: Vec::new(),
                 seq: 0,
+                granted: None,
                 acquisitions: 0,
                 contentions: 0,
             })),
@@ -95,7 +87,7 @@ impl Resource {
 
     /// Acquires the resource with an arbitration priority.
     pub fn acquire_prio(&self, prio: u32) -> AcquireResource {
-        AcquireResource { res: self.clone(), prio, state: None }
+        AcquireResource { res: self.clone(), prio, stage: Stage::Fresh }
     }
 
     /// True if currently held.
@@ -117,20 +109,13 @@ impl Resource {
         let wake = {
             let mut inner = self.inner.borrow_mut();
             inner.busy = false;
-            match inner.winner() {
-                Some(i) => {
-                    let w = inner.waiters.remove(i);
-                    inner.busy = true;
-                    inner.acquisitions += 1;
-                    *w.state.borrow_mut() = GrantState::Granted;
-                    Some(w.task)
-                }
-                None => {
-                    // Drop any cancelled stragglers.
-                    inner.waiters.retain(|w| *w.state.borrow() == GrantState::Waiting);
-                    None
-                }
-            }
+            inner.winner().map(|i| {
+                let w = inner.waiters.remove(i);
+                inner.busy = true;
+                inner.acquisitions += 1;
+                inner.granted = Some(w.seq);
+                w.task
+            })
         };
         if let Some(t) = wake {
             self.handle.kernel().borrow_mut().make_runnable(t);
@@ -153,54 +138,60 @@ impl Drop for ResourceGuard {
 pub struct AcquireResource {
     res: Resource,
     prio: u32,
-    state: Option<Rc<RefCell<GrantState>>>,
+    stage: Stage,
+}
+
+/// Where an [`AcquireResource`] stands; a queued one holds only its
+/// ticket, and the resource's waiter list and grant hold the rest.
+enum Stage {
+    /// Not polled yet.
+    Fresh,
+    /// Waiting, or granted and not yet taken, under this ticket.
+    Queued(u64),
+    /// The guard was handed out.
+    Done,
 }
 
 impl Future for AcquireResource {
     type Output = ResourceGuard;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &self.state {
-            Some(state) => {
-                if *state.borrow() == GrantState::Granted {
-                    *state.borrow_mut() = GrantState::Consumed;
-                    Poll::Ready(ResourceGuard { res: self.res.clone() })
-                } else {
-                    Poll::Pending
-                }
+        let mut inner = self.res.inner.borrow_mut();
+        match self.stage {
+            Stage::Queued(seq) if inner.granted == Some(seq) => inner.granted = None,
+            Stage::Queued(_) | Stage::Done => return Poll::Pending,
+            Stage::Fresh if !inner.busy => {
+                inner.busy = true;
+                inner.acquisitions += 1;
             }
-            None => {
-                let mut inner = self.res.inner.borrow_mut();
-                if !inner.busy {
-                    inner.busy = true;
-                    inner.acquisitions += 1;
-                    drop(inner);
-                    self.state = Some(Rc::new(RefCell::new(GrantState::Consumed)));
-                    return Poll::Ready(ResourceGuard { res: self.res.clone() });
-                }
+            Stage::Fresh => {
                 inner.contentions += 1;
                 inner.seq += 1;
                 let seq = inner.seq;
-                let me = self.res.handle.kernel().borrow().current_task();
-                let state = Rc::new(RefCell::new(GrantState::Waiting));
-                let prio = self.prio;
-                inner.waiters.push(ResWaiter { task: me, prio, seq, state: state.clone() });
+                let task = self.res.handle.kernel().borrow().current_task();
+                inner.waiters.push(ResWaiter { task, prio: self.prio, seq });
                 drop(inner);
-                self.state = Some(state);
-                Poll::Pending
+                self.stage = Stage::Queued(seq);
+                return Poll::Pending;
             }
         }
+        drop(inner);
+        self.stage = Stage::Done;
+        Poll::Ready(ResourceGuard { res: self.res.clone() })
     }
 }
 
 impl Drop for AcquireResource {
     fn drop(&mut self) {
-        if let Some(state) = &self.state {
-            let s = *state.borrow();
-            match s {
-                GrantState::Waiting => *state.borrow_mut() = GrantState::Cancelled,
-                GrantState::Granted => self.res.release(),
-                GrantState::Cancelled | GrantState::Consumed => {}
+        if let Stage::Queued(seq) = self.stage {
+            let mut inner = self.res.inner.borrow_mut();
+            if inner.granted == Some(seq) {
+                // Granted but never taken: pass the resource on.
+                inner.granted = None;
+                drop(inner);
+                self.res.release();
+            } else {
+                inner.waiters.retain(|w| w.seq != seq);
             }
         }
     }
@@ -287,6 +278,81 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2]);
+    }
+
+    /// Polls a future once with a dummy waker (test helper).
+    fn noop_poll<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
+        let mut cx = Context::from_waker(std::task::Waker::noop());
+        Pin::new(fut).poll(&mut cx)
+    }
+
+    #[test]
+    fn a_granted_acquire_dropped_unpolled_passes_the_bus_by_priority_then_arrival() {
+        let sim = Sim::new(77);
+        let h = sim.handle();
+        let bus = Resource::new(&h, Arbitration::Priority);
+        let (b0, h0) = (bus.clone(), h.clone());
+        h.spawn("holder", async move {
+            let _g = b0.acquire().await;
+            h0.sleep(SimDuration::from_millis(10)).await;
+        });
+        // Granted at 10 ms as the highest priority, dropped untaken at 20.
+        let (b1, h1) = (bus.clone(), h.clone());
+        h.spawn("quitter", async move {
+            h1.sleep(SimDuration::from_millis(1)).await;
+            let mut acq = b1.acquire_prio(9);
+            assert!(noop_poll(&mut acq).is_pending());
+            h1.sleep(SimDuration::from_millis(19)).await;
+            assert!(b1.is_busy(), "granted to the quitter");
+            drop(acq);
+        });
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for (name, arrive, prio) in [("p3", 2, 3), ("q7", 3, 7), ("r7", 4, 7), ("s3", 5, 3)] {
+            let (b, o, h2) = (bus.clone(), order.clone(), h.clone());
+            h.spawn("w", async move {
+                h2.sleep(SimDuration::from_millis(arrive)).await;
+                let g = b.acquire_prio(prio).await;
+                o.borrow_mut().push((name, h2.now().as_millis()));
+                h2.sleep(SimDuration::from_millis(1)).await;
+                drop(g);
+            });
+        }
+        sim.run();
+        assert_eq!(*order.borrow(), vec![("q7", 20), ("r7", 21), ("p3", 22), ("s3", 23)]);
+        assert_eq!(bus.acquisitions(), 6);
+    }
+
+    #[test]
+    fn a_cancelled_waiter_never_wins_arbitration() {
+        for arbitration in [Arbitration::Fifo, Arbitration::Priority] {
+            let sim = Sim::new(77);
+            let h = sim.handle();
+            let bus = Resource::new(&h, arbitration);
+            let (b0, h0) = (bus.clone(), h.clone());
+            h.spawn("holder", async move {
+                let _g = b0.acquire().await;
+                h0.sleep(SimDuration::from_millis(10)).await;
+            });
+            // First in line and highest priority, then gone.
+            let (b1, h1) = (bus.clone(), h.clone());
+            h.spawn("quitter", async move {
+                h1.sleep(SimDuration::from_millis(1)).await;
+                let mut acq = b1.acquire_prio(9);
+                assert!(noop_poll(&mut acq).is_pending());
+                h1.sleep(SimDuration::from_millis(1)).await;
+            });
+            let got_at = Rc::new(RefCell::new(None));
+            let (b2, h2, got) = (bus.clone(), h.clone(), got_at.clone());
+            h.spawn("waiter", async move {
+                h2.sleep(SimDuration::from_millis(3)).await;
+                let _g = b2.acquire_prio(1).await;
+                *got.borrow_mut() = Some(h2.now().as_millis());
+            });
+            assert_eq!(sim.run(), crate::executor::RunResult::Completed);
+            assert_eq!(*got_at.borrow(), Some(10), "{arbitration:?}");
+            assert_eq!((bus.acquisitions(), bus.contentions()), (2, 2));
+            assert!(!bus.is_busy());
+        }
     }
 
     #[test]

@@ -9,47 +9,43 @@ use std::task::{Context, Poll};
 
 use crate::executor::{Handle, TaskId};
 
-/// What a queued acquire and the semaphore tell each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AcqState {
-    Waiting,
-    Granted,
-    Cancelled,
-}
-
+/// A queued acquire: its task, what it wants, and its ticket. A
+/// cancelled one stays in line until it reaches the front.
 struct Waiter {
     task: TaskId,
-    state: Rc<RefCell<AcqState>>,
     want: u32,
+    ticket: u64,
+    cancelled: bool,
 }
 
 struct SemInner {
     permits: u32,
+    /// Queued acquires in ticket order.
     waiters: VecDeque<Waiter>,
+    /// The ticket the next queued acquire draws.
+    next_ticket: u64,
 }
 
 impl SemInner {
+    /// Whether the queued acquire holding `ticket` has been granted: the
+    /// queue only pops from the front, in ticket order, and a live
+    /// acquire leaves it only by being granted.
+    fn granted(&self, ticket: u64) -> bool {
+        self.waiters.front().is_none_or(|w| w.ticket > ticket)
+    }
+
     /// Hands permits to queued waiters in FIFO order while they fit.
     fn grant(&mut self, handle: &Handle) {
-        let mut to_wake = Vec::new();
-        loop {
-            match self.waiters.front() {
-                Some(w) if *w.state.borrow() == AcqState::Cancelled => {
-                    self.waiters.pop_front();
-                }
-                Some(w) if w.want <= self.permits => {
-                    self.permits -= w.want;
-                    let w = self.waiters.pop_front().expect("peeked");
-                    *w.state.borrow_mut() = AcqState::Granted;
-                    to_wake.push(w.task);
-                }
-                _ => break,
-            }
-        }
-        if !to_wake.is_empty() {
-            let mut k = handle.kernel().borrow_mut();
-            for t in to_wake {
-                k.make_runnable(t);
+        while let Some(w) = self.waiters.front() {
+            if w.cancelled {
+                self.waiters.pop_front();
+            } else if w.want <= self.permits {
+                self.permits -= w.want;
+                let task = w.task;
+                self.waiters.pop_front();
+                handle.kernel().borrow_mut().make_runnable(task);
+            } else {
+                break;
             }
         }
     }
@@ -70,7 +66,11 @@ impl Semaphore {
     pub fn new(handle: &Handle, permits: u32) -> Self {
         Semaphore {
             handle: handle.clone(),
-            inner: Rc::new(RefCell::new(SemInner { permits, waiters: VecDeque::new() })),
+            inner: Rc::new(RefCell::new(SemInner {
+                permits,
+                waiters: VecDeque::new(),
+                next_ticket: 0,
+            })),
         }
     }
 
@@ -97,14 +97,9 @@ impl Semaphore {
 
     /// Adds `n` permits, waking eligible waiters.
     pub fn release(&self, n: u32) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.permits += n;
-        }
         let mut inner = self.inner.borrow_mut();
-        // `grant` needs &mut SemInner plus the handle; split the borrow.
-        let handle = self.handle.clone();
-        inner.grant(&handle);
+        inner.permits += n;
+        inner.grant(&self.handle);
     }
 
     /// Permits currently available.
@@ -141,13 +136,13 @@ pub struct Acquire {
     stage: Stage,
 }
 
-/// Where an [`Acquire`] stands. Only a queued acquire shares state with
-/// the semaphore, so the uncontended path allocates nothing.
+/// Where an [`Acquire`] stands. A queued acquire holds only its
+/// ticket; the semaphore's queue holds the rest.
 enum Stage {
     /// Not polled yet.
     Fresh,
-    /// In the waiter queue.
-    Queued(Rc<RefCell<AcqState>>),
+    /// In the waiter queue under this ticket.
+    Queued(u64),
     /// The permit was handed out.
     Done,
 }
@@ -156,23 +151,24 @@ impl Future for Acquire {
     type Output = Permit;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &self.stage {
-            Stage::Queued(state) if *state.borrow() == AcqState::Granted => {}
+        let mut inner = self.sem.inner.borrow_mut();
+        match self.stage {
+            Stage::Queued(ticket) if inner.granted(ticket) => {}
             Stage::Queued(_) | Stage::Done => return Poll::Pending,
-            Stage::Fresh => {
-                let mut inner = self.sem.inner.borrow_mut();
-                if !inner.waiters.is_empty() || inner.permits < self.want {
-                    let me = self.sem.handle.kernel().borrow().current_task();
-                    let state = Rc::new(RefCell::new(AcqState::Waiting));
-                    let waiter = Waiter { task: me, state: state.clone(), want: self.want };
-                    inner.waiters.push_back(waiter);
-                    drop(inner);
-                    self.stage = Stage::Queued(state);
-                    return Poll::Pending;
-                }
+            Stage::Fresh if inner.waiters.is_empty() && inner.permits >= self.want => {
                 inner.permits -= self.want;
             }
+            Stage::Fresh => {
+                let task = self.sem.handle.kernel().borrow().current_task();
+                let ticket = inner.next_ticket;
+                inner.next_ticket += 1;
+                inner.waiters.push_back(Waiter { task, want: self.want, ticket, cancelled: false });
+                drop(inner);
+                self.stage = Stage::Queued(ticket);
+                return Poll::Pending;
+            }
         }
+        drop(inner);
         self.stage = Stage::Done;
         Poll::Ready(Permit { sem: self.sem.clone(), count: self.want })
     }
@@ -180,17 +176,14 @@ impl Future for Acquire {
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Stage::Queued(state) = &self.stage {
-            let s = *state.borrow();
-            match s {
-                AcqState::Waiting => {
-                    *state.borrow_mut() = AcqState::Cancelled;
-                }
-                AcqState::Granted => {
-                    // Granted but never observed: return the permits.
-                    self.sem.release(self.want);
-                }
-                AcqState::Cancelled => {}
+        if let Stage::Queued(ticket) = self.stage {
+            let mut inner = self.sem.inner.borrow_mut();
+            if inner.granted(ticket) {
+                // Granted but never observed: return the permits.
+                drop(inner);
+                self.sem.release(self.want);
+            } else if let Ok(i) = inner.waiters.binary_search_by_key(&ticket, |w| w.ticket) {
+                inner.waiters[i].cancelled = true;
             }
         }
     }
@@ -289,6 +282,49 @@ mod tests {
         sim.run();
         assert!(got.get());
         assert_eq!(sem.available(), 3);
+    }
+
+    #[test]
+    fn cancelled_and_untaken_acquires_give_way_in_line() {
+        let sim = Sim::new(0);
+        let h = sim.handle();
+        let sem = Semaphore::new(&h, 1);
+        let (s0, h0) = (sem.clone(), h.clone());
+        h.spawn("holder", async move {
+            let _p = s0.acquire().await;
+            h0.sleep(SimDuration::from_millis(10)).await;
+        });
+        // Queued first, cancelled while the permit is still held.
+        let (s1, h1) = (sem.clone(), h.clone());
+        h.spawn("canceller", async move {
+            h1.sleep(SimDuration::from_millis(1)).await;
+            let mut acq = s1.acquire();
+            let mut cx = Context::from_waker(std::task::Waker::noop());
+            assert!(Pin::new(&mut acq).poll(&mut cx).is_pending());
+            let again = Pin::new(&mut acq).poll(&mut cx);
+            assert!(again.is_pending(), "first in line is not yet granted");
+        });
+        // Queued second, granted at 10 ms, dropped untaken at 20 ms.
+        let (s2, h2) = (sem.clone(), h.clone());
+        h.spawn("quitter", async move {
+            h2.sleep(SimDuration::from_millis(2)).await;
+            let mut acq = s2.acquire();
+            let mut cx = Context::from_waker(std::task::Waker::noop());
+            assert!(Pin::new(&mut acq).poll(&mut cx).is_pending());
+            h2.sleep(SimDuration::from_millis(18)).await;
+            assert_eq!(s2.available(), 0, "granted to the quitter");
+            drop(acq);
+        });
+        let got_at = Rc::new(Cell::new(0));
+        let (s3, h3, got) = (sem.clone(), h.clone(), got_at.clone());
+        h.spawn("last", async move {
+            h3.sleep(SimDuration::from_millis(3)).await;
+            let _p = s3.acquire().await;
+            got.set(h3.now().as_millis());
+        });
+        sim.run();
+        assert_eq!(got_at.get(), 20);
+        assert_eq!(sem.available(), 1);
     }
 
     #[test]

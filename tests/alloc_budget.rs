@@ -28,6 +28,7 @@
 
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use cut_and_paste::cache::{
     flush_by_name, BlockCache, BlockKey, CacheConfig, DirtyOutcome, FileId, Lru, Reserve,
@@ -38,7 +39,9 @@ use cut_and_paste::disk::{
     DiskModel, DiskOpts, FaultPlan, Hp97560, Payload, ScsiBus,
 };
 use cut_and_paste::layout::{FileKind, Ino, Inode, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
-use cut_and_paste::sim::{Handle, Sim, SimDuration, SimTime};
+use cut_and_paste::sim::{
+    Arbitration, Event, Handle, Resource, Semaphore, Sim, SimDuration, SimTime,
+};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -420,11 +423,11 @@ fn resident_reads_and_whole_block_writes_allocate_nothing_per_block() {
 #[test]
 fn a_cold_read_costs_its_misses_whatever_the_call_size() {
     const BS: u64 = BLOCK_SIZE as u64;
-    // What one missing block cost the serial path the window replaced
-    // (its in-flight event, the driver's request and its completion,
-    // the evicted frame): 9 or 10 at qd 1, as the disk's read-ahead
-    // falls; 15 or 16 at qd 8, where the driver spawns a task a command.
-    for (qd, per_miss) in [(1, 10), (8, 16)] {
+    // What one missing block costs: its in-flight event at qd 1, since
+    // the driver's request, the disk's command and both replies wait in
+    // slots the simulator reuses; at qd 8 also the task the driver
+    // spawns a command (its future, its waker and its join state).
+    for (qd, per_miss) in [(1, 1), (8, 4)] {
         // Eight frames under a forward scan: every block read is a miss.
         with_file(qd, 8, 512, move |fs, ino| async move {
             let mut at = 0;
@@ -492,6 +495,10 @@ fn a_block_write_costs_the_store_its_frame_and_a_simulated_one_nothing() {
     assert!(in_store <= 2, "a 4 KiB real write allocated {in_store} in the store");
     let simulated = || Payload::Simulated(BLOCK_SIZE);
     assert_eq!(buffered_write_cost(true, simulated), buffered_write_cost(false, simulated));
+    // The command itself, through driver, bus and disk: every wait on
+    // the way (the dispatcher's wake-up, the bus grant, both replies)
+    // is an entry in its primitive's own list.
+    assert_eq!(buffered_write_cost(false, simulated), 0, "one simulated command");
 
     let mut image = DiskImage::default();
     store_sectors(&mut image, 512, 64, 8, &real());
@@ -500,6 +507,46 @@ fn a_block_write_costs_the_store_its_frame_and_a_simulated_one_nothing() {
     store_sectors(&mut image, 512, 128, 8, &Payload::Simulated(BLOCK_SIZE));
     assert_eq!(allocs() - before, 0, "erasing a frame, or nothing, allocates nothing");
     assert!(image.is_empty());
+}
+
+#[test]
+fn tasks_taking_turns_on_the_wait_primitives_allocate_nothing() {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let tick = Event::new(&h);
+    let bus = Resource::new(&h, Arbitration::Priority);
+    let slots = Semaphore::new(&h, 2);
+    let queued = Rc::new(Cell::new(0u64));
+    for prio in 0..3 {
+        let (h, tick, bus, slots, queued) =
+            (h.clone(), tick.clone(), bus.clone(), slots.clone(), queued.clone());
+        h.clone().spawn("turns", async move {
+            loop {
+                tick.wait().await;
+                if slots.available() == 0 {
+                    queued.set(queued.get() + 1);
+                }
+                let _slot = slots.acquire().await;
+                let _bus = bus.acquire_prio(prio).await;
+                h.sleep(SimDuration::from_millis(1)).await;
+            }
+        });
+    }
+    let (h2, tick2) = (h.clone(), tick.clone());
+    h.spawn("ticker", async move {
+        loop {
+            h2.sleep(SimDuration::from_millis(5)).await;
+            tick2.signal();
+        }
+    });
+    // Warm-up: the lists and the timer heap reach their working size.
+    sim.run_until(SimTime::from_nanos(50_000_000));
+    let (before, contended, waited) = (allocs(), bus.contentions(), queued.get());
+    sim.run_until(SimTime::from_nanos(500_000_000));
+    assert_eq!(allocs() - before, 0, "90 turns on one event, one bus and one semaphore");
+    assert_eq!(tick.signal_count(), 100);
+    assert_eq!(bus.contentions() - contended, 180, "two of three wait for the bus each turn");
+    assert_eq!(queued.get() - waited, 90, "one of three waits for a slot each turn");
 }
 
 #[test]

@@ -832,7 +832,7 @@ proptest! {
         let cap = g.capacity_sectors();
         let start = start_frac % cap;
         let sectors = (want as u64).min(cap - start) as u32;
-        let chunks = g.track_chunks(start, sectors);
+        let chunks: Vec<_> = g.track_chunks(start, sectors).collect();
         let mut cur = start;
         let mut total = 0u64;
         for (lba, n) in &chunks {
