@@ -227,6 +227,8 @@ impl FlushPolicy for NvramFlush {
 /// Named construction for experiment configuration.
 ///
 /// Names: `write-delay`, `ups`, `ups-whole`, `nvram-whole`, `nvram-partial`.
+/// `ups` is the partial-file UPS flush, which no rig selects; §5.1's
+/// `ups` policy is `ups-whole` (`cnp_fault::Policy::cache_settings`).
 pub fn flush_by_name(name: &str) -> Option<Box<dyn FlushPolicy>> {
     flush_by_name_batched(name, 1)
 }

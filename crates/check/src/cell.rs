@@ -29,7 +29,7 @@ use std::rc::Rc;
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FsConfig, FsError};
 use cnp_disk::{retire_onto, FaultPlan, Hardware, RetiredWrite};
-use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Stack};
+use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Policy, Stack};
 use cnp_obs::MetricsSnapshot;
 use cnp_sim::{Sim, SimTime};
 use cnp_trace::{replay, AckedFile, ReplayOptions, TraceRecord};
@@ -39,8 +39,8 @@ use cnp_trace::{replay, AckedFile, ReplayOptions, TraceRecord};
 pub struct CellSpec {
     /// Storage layout under test.
     pub layout: LayoutKind,
-    /// Cache flush-policy name (`write-delay`, `ups`, `nvram-whole`,
-    /// `nvram-partial`).
+    /// Cache flush-policy name (`write-delay`, `ups-whole`,
+    /// `nvram-whole`, `nvram-partial`; see [`cnp_cache::flush_by_name`]).
     pub flush: String,
     /// NVRAM bound; `None` models a volatile cache.
     pub nvram_bytes: Option<u64>,
@@ -55,6 +55,28 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
+    /// A cell of `policy` on `layout`, its flush and NVRAM bound
+    /// [`Policy::cache_settings`]'s, with the stale-size bug absent.
+    pub fn new(
+        layout: LayoutKind,
+        policy: Policy,
+        mem_bytes: u64,
+        nvram_bytes: u64,
+        queue_depth: u32,
+        sim_seed: u64,
+    ) -> CellSpec {
+        let (flush, nvram_bytes) = policy.cache_settings(nvram_bytes);
+        CellSpec {
+            layout,
+            flush: flush.to_string(),
+            nvram_bytes,
+            mem_bytes,
+            queue_depth,
+            sim_seed,
+            plant_stale_size_bug: false,
+        }
+    }
+
     /// The engine configuration this cell runs (and recovers) under.
     pub fn fs_config(&self) -> FsConfig {
         FsConfig {

@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cnp_fault::LayoutKind;
+use cnp_fault::{LayoutKind, Policy, POLICIES};
 use cnp_sim::run_cells;
 use cnp_trace::TraceRecord;
 
@@ -83,33 +83,6 @@ use crate::cell::{
     Verdict,
 };
 use crate::repro::Repro;
-
-/// One flush-policy column of the sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicySpec {
-    /// Report label.
-    pub label: &'static str,
-    /// Cache flush-policy name.
-    pub flush: &'static str,
-    /// Battery-backed cache bound applies.
-    pub nvram: bool,
-}
-
-/// The paper's four §5.1 write-saving policies.
-///
-/// `ups` here is the partial-file UPS flush (flush `ups`). The rest of
-/// `patsy` — `crash`, `run` and the figures, through
-/// `cnp_patsy::experiment::Policy::Ups` — runs the whole-file one
-/// (`ups-whole`), so `patsy check --policy ups` and `patsy crash
-/// --policy ups` run different policies under one label.
-pub fn standard_policies() -> Vec<PolicySpec> {
-    vec![
-        PolicySpec { label: "write-delay-30s", flush: "write-delay", nvram: false },
-        PolicySpec { label: "ups", flush: "ups", nvram: false },
-        PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true },
-        PolicySpec { label: "nvram-partial", flush: "nvram-partial", nvram: true },
-    ]
-}
 
 /// Enumeration configuration.
 #[derive(Debug, Clone)]
@@ -123,7 +96,7 @@ pub struct CheckConfig {
     /// Layouts to sweep.
     pub layouts: Vec<LayoutKind>,
     /// Flush policies to sweep.
-    pub policies: Vec<PolicySpec>,
+    pub policies: Vec<Policy>,
     /// I/O pipeline depth for every cell.
     pub queue_depth: u32,
     /// Base seed; each (layout, policy) derives its own sim seed.
@@ -151,7 +124,7 @@ impl CheckConfig {
             workload_label: workload_label.to_string(),
             budget,
             layouts: vec![LayoutKind::Lfs],
-            policies: standard_policies(),
+            policies: POLICIES.to_vec(),
             queue_depth: 1,
             seed: 42,
             mem_bytes: 64 * 4096,
@@ -164,19 +137,14 @@ impl CheckConfig {
     /// The spec of every cell in the row of `layouts[li]` x
     /// `policies[pi]`.
     pub fn cell_spec(&self, li: usize, pi: usize) -> CellSpec {
-        let policy = &self.policies[pi];
-        CellSpec {
-            layout: self.layouts[li],
-            flush: policy.flush.to_string(),
-            nvram_bytes: policy.nvram.then_some(self.nvram_bytes),
-            mem_bytes: self.mem_bytes,
-            queue_depth: self.queue_depth,
-            sim_seed: self
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(((li as u64) << 24) ^ ((pi as u64) << 8)),
-            plant_stale_size_bug: self.plant_stale_size_bug,
-        }
+        let sim_seed = self
+            .seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(((li as u64) << 24) ^ ((pi as u64) << 8));
+        let (layout, policy) = (self.layouts[li], self.policies[pi]);
+        let (mem, nvram, qd) = (self.mem_bytes, self.nvram_bytes, self.queue_depth);
+        let spec = CellSpec::new(layout, policy, mem, nvram, qd, sim_seed);
+        CellSpec { plant_stale_size_bug: self.plant_stale_size_bug, ..spec }
     }
 }
 
@@ -572,7 +540,7 @@ pub fn run_check_with(cfg: &CheckConfig, opts: CheckOptions<'_>) -> CheckReport 
     let mut plans: Vec<(LayoutKind, &'static str, CellSpec)> = Vec::new();
     for (li, &layout) in cfg.layouts.iter().enumerate() {
         for (pi, policy) in cfg.policies.iter().enumerate() {
-            plans.push((layout, policy.label, cfg.cell_spec(li, pi)));
+            plans.push((layout, policy.label(), cfg.cell_spec(li, pi)));
         }
     }
     let fingerprints: Vec<String> = plans.iter().map(|(_, _, s)| spec_fingerprint(s)).collect();
@@ -816,7 +784,7 @@ mod tests {
         let records = SyntheticSprite::new(preset("1a").unwrap(), 42 ^ 0xabcd).generate(0.002);
         let mut cfg = CheckConfig::new(records, "1a", budget);
         cfg.queue_depth = 8;
-        cfg.policies = vec![PolicySpec { label: "ups", flush: "ups", nvram: false }];
+        cfg.policies = vec![Policy::Ups];
         cfg
     }
 

@@ -51,8 +51,8 @@ pub use cell::{
     RecoveryCounts,
 };
 pub use enumerate::{
-    format_check_report, minimize, run_check_with, standard_policies, CheckConfig, CheckOptions,
-    CheckProgress, CheckReport, CheckStats, Failure, PolicyRow, PolicySpec,
+    format_check_report, minimize, run_check_with, CheckConfig, CheckOptions, CheckProgress,
+    CheckReport, CheckStats, Failure, PolicyRow,
 };
 pub use linearize::{check_history, LinConfig, LinOutcome};
 pub use linrun::{

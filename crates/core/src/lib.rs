@@ -4,7 +4,8 @@
 //! instantiated files, and the engine wiring cache, storage layout and
 //! disk driver together (§2). Instantiate it with a virtual clock and
 //! simulated payloads and you have Patsy; instantiate it with a
-//! wall-clock and a file-backed driver and you have PFS — same code.
+//! file-backed driver that stores real bytes and you have PFS — same
+//! code, same virtual clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

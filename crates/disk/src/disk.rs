@@ -121,11 +121,6 @@ impl FaultPlan {
 pub struct DiskOpts {
     /// SCSI target id (arbitration priority on the shared bus).
     pub scsi_id: u8,
-    /// Keep written bytes in a sparse in-memory platter store.
-    ///
-    /// Required for running real storage layouts (LFS/FFS metadata)
-    /// against a simulated disk; costs memory proportional to real data.
-    pub store_data: bool,
     /// Enable the controller read-ahead.
     pub readahead: bool,
     /// Enable immediate-reported writes.
@@ -134,7 +129,7 @@ pub struct DiskOpts {
 
 impl Default for DiskOpts {
     fn default() -> Self {
-        DiskOpts { scsi_id: 1, store_data: true, readahead: true, immediate_report: true }
+        DiskOpts { scsi_id: 1, readahead: true, immediate_report: true }
     }
 }
 
@@ -658,7 +653,6 @@ impl DiskTask {
         let handle = self.handle.clone();
         let bus = self.bus.clone();
         let scsi_id = self.opts.scsi_id;
-        let store_data = self.opts.store_data;
         let ssz = self.geometry().sector_size;
         let pending = self.pending.clone();
         let platter = self.platter.clone();
@@ -674,21 +668,14 @@ impl DiskTask {
                 return;
             }
             let result = if write {
-                if store_data {
-                    let platter = &mut platter.borrow_mut();
-                    store_sectors(platter, ssz as usize, req.lba, req.sectors, &req.payload);
-                }
+                let (lba, sectors) = (req.lba, req.sectors);
+                store_sectors(&mut platter.borrow_mut(), ssz as usize, lba, sectors, &req.payload);
                 timing.bus += bus.completion_phase(scsi_id, 0).await;
                 Ok(Payload::Simulated(0))
             } else {
                 let bytes = req.sectors as u64 * ssz as u64;
                 timing.bus += bus.completion_phase(scsi_id, bytes).await;
-                if store_data {
-                    let platter = &platter.borrow();
-                    Ok(pending.borrow().load(platter, ssz as usize, req.lba, req.sectors))
-                } else {
-                    Ok(Payload::Simulated(req.sectors * ssz))
-                }
+                Ok(pending.borrow().load(&platter.borrow(), ssz as usize, req.lba, req.sectors))
             };
             reply.send(IoCompletion { id: req.id, result, timing });
         });
@@ -792,9 +779,6 @@ impl DiskTask {
     /// controller buffer; [`DiskTask::retire_pending`] moves it to the
     /// platter when the media write-back completes.
     fn stash_pending(&mut self, lba: u64, sectors: u32, payload: &Payload) {
-        if !self.opts.store_data {
-            return;
-        }
         let ssz = self.geometry().sector_size as usize;
         self.pending.borrow_mut().stash(ssz, lba, sectors, payload);
     }
@@ -802,18 +786,12 @@ impl DiskTask {
     /// Retires buffered sectors to the platter: their media write is now
     /// durable.
     fn retire_pending(&mut self, lba: u64, sectors: u32) {
-        if !self.opts.store_data {
-            return;
-        }
         self.pending.borrow_mut().retire(lba, sectors, &mut self.platter.borrow_mut());
     }
 
     /// Saves real bytes to the platter store; simulated payloads erase
     /// any stale real bytes in the range.
     fn store_payload(&mut self, lba: u64, sectors: u32, payload: &Payload) {
-        if !self.opts.store_data {
-            return;
-        }
         let ssz = self.geometry().sector_size as usize;
         store_sectors(&mut self.platter.borrow_mut(), ssz, lba, sectors, payload);
     }
@@ -822,9 +800,6 @@ impl DiskTask {
     /// simulated payload of the right length.
     fn load_payload(&self, lba: u64, sectors: u32) -> Payload {
         let ssz = self.geometry().sector_size as usize;
-        if !self.opts.store_data {
-            return Payload::Simulated((sectors as usize * ssz) as u32);
-        }
         self.pending.borrow().load(&self.platter.borrow(), ssz, lba, sectors)
     }
 }

@@ -65,6 +65,57 @@ impl LayoutKind {
     }
 }
 
+/// The four §5.1 write-saving policies: the one table every rig and the
+/// crash checker sweep, so a label names one flush wherever it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Unix 30-second-update write-delay (baseline).
+    WriteDelay,
+    /// UPS write-saving: flush whole files, only under memory pressure.
+    Ups,
+    /// 4 MB NVRAM, whole-file flush.
+    NvramWhole,
+    /// 4 MB NVRAM, partial-file (single-block) flush.
+    NvramPartial,
+}
+
+/// All four policies, in the paper's reporting order.
+pub const POLICIES: [Policy; 4] =
+    [Policy::WriteDelay, Policy::Ups, Policy::NvramWhole, Policy::NvramPartial];
+
+impl Policy {
+    /// Display label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Policy::WriteDelay => "write-delay-30s",
+            Policy::Ups => "ups",
+            Policy::NvramWhole => "nvram-whole-file",
+            Policy::NvramPartial => "nvram-partial",
+        }
+    }
+
+    /// Flush policy name + NVRAM bound for the cache config.
+    pub fn cache_settings(&self, nvram_bytes: u64) -> (&'static str, Option<u64>) {
+        match self {
+            Policy::WriteDelay => ("write-delay", None),
+            Policy::Ups => ("ups-whole", None),
+            Policy::NvramWhole => ("nvram-whole", Some(nvram_bytes)),
+            Policy::NvramPartial => ("nvram-partial", Some(nvram_bytes)),
+        }
+    }
+
+    /// Parses a CLI label.
+    pub fn parse(s: &str) -> Option<Policy> {
+        match s {
+            "write-delay" | "30s" => Some(Policy::WriteDelay),
+            "ups" => Some(Policy::Ups),
+            "nvram-whole" => Some(Policy::NvramWhole),
+            "nvram-partial" => Some(Policy::NvramPartial),
+            _ => None,
+        }
+    }
+}
+
 /// Everything that survives a power cut.
 #[derive(Debug, Clone)]
 pub struct CrashState {

@@ -37,7 +37,7 @@ pub mod plan;
 pub use check::{check, repair, FsckReport, RepairReport, Violation};
 pub use crash::{
     apply_staged_to_image, recover_and_check, recovered_sizes, replay_nvram, CrashState,
-    LayoutKind, LossReport, RecoveryOutcome,
+    LayoutKind, LossReport, Policy, RecoveryOutcome, POLICIES,
 };
 pub use faulty::Stack;
 pub use plan::{cut_points, FaultPlanBuilder};

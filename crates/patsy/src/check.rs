@@ -23,21 +23,11 @@ use crate::cli::CliArgs;
 /// Runs the full `check`: enumeration + history leg. Returns the
 /// process exit code (0 = everything verified).
 pub fn check_cli(a: &CliArgs) -> i32 {
-    let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
     // Enumeration replays O(budget²) prefix ops per cell: the crash
     // sweep's small default workload keeps it exhaustive *and*
     // tractable.
-    let (scale, queue_depth) = (a.scale.unwrap_or(0.002), a.qd.unwrap_or(1));
-    let records = SyntheticSprite::new(params, a.seed ^ 0xabcd).generate(scale);
-    let mut check = CheckConfig::new(records, &a.trace, a.budget as usize);
-    check.queue_depth = queue_depth;
-    check.seed = a.seed;
-    if let Some(layout) = a.layout {
-        check.layouts = vec![layout];
-    }
-    if let Some(policy) = a.policy {
-        check.policies.retain(|spec| spec.label == policy.label());
-    }
+    let scale = a.scale.unwrap_or(0.002);
+    let check = check_config(a, scale);
     // The incremental cache: a corrupt or version-mismatched file must
     // never fail a check — warn and recheck cold instead.
     let mut cache = match &a.cache_file {
@@ -90,7 +80,7 @@ pub fn check_cli(a: &CliArgs) -> i32 {
         seed: a.seed,
         scale,
         layout: check.layouts[0],
-        queue_depth,
+        queue_depth: check.queue_depth,
         lin: LinConfig::default(),
     };
     let lin = run_history_check(&lin_cfg);
@@ -112,6 +102,23 @@ pub fn check_cli(a: &CliArgs) -> i32 {
     } else {
         1
     }
+}
+
+/// The enumeration `a` asks for, over its trace at `scale`: `--layout`
+/// and `--policy` each keep one row of their axis.
+pub(crate) fn check_config(a: &CliArgs, scale: f64) -> CheckConfig {
+    let params = cnp_trace::preset(&a.trace).expect("--trace validated by parse_cli");
+    let records = SyntheticSprite::new(params, a.seed ^ 0xabcd).generate(scale);
+    let mut check = CheckConfig::new(records, &a.trace, a.budget as usize);
+    check.queue_depth = a.qd.unwrap_or(1);
+    check.seed = a.seed;
+    if let Some(layout) = a.layout {
+        check.layouts = vec![layout];
+    }
+    if let Some(policy) = a.policy {
+        check.policies.retain(|&p| p == policy);
+    }
+    check
 }
 
 /// Formats the check outcome as a JSON summary (stable bytes across

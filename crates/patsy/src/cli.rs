@@ -9,10 +9,8 @@
 //! report without a word.
 
 use cnp_disk::Hardware;
-use cnp_fault::LayoutKind;
+use cnp_fault::{LayoutKind, Policy};
 use cnp_workload::WorkloadKind;
-
-use crate::experiment::Policy;
 
 /// Parsed and validated command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -736,5 +734,21 @@ mod tests {
         assert_eq!(b.clients, None, "default fleet must be distinguishable from an explicit one");
         let c = parse(&["check", "--repro", "cnpc1:xyz"]).unwrap();
         assert_eq!(c.repro.as_deref(), Some("cnpc1:xyz"));
+    }
+
+    /// `check --policy` keeps exactly the row of that policy, whose
+    /// cells run the flush every other rig runs under its label.
+    #[test]
+    fn check_policy_keeps_one_row() {
+        use crate::check::check_config;
+        let all = check_config(&parse(&["check", "--budget", "4"]).unwrap(), 0.002);
+        assert_eq!(all.policies, cnp_fault::POLICIES);
+        for name in ["write-delay", "ups", "nvram-whole", "nvram-partial"] {
+            let args = parse(&["check", "--budget", "4", "--policy", name]).unwrap();
+            let check = check_config(&args, 0.002);
+            let policy = args.policy.unwrap();
+            assert_eq!(check.policies, [policy], "--policy {name}");
+            assert_eq!(check.cell_spec(0, 0).flush, policy.cache_settings(0).0, "--policy {name}");
+        }
     }
 }

@@ -16,13 +16,12 @@
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{DiskGeometry, FaultPlan, Hp97560, Hp97560Params};
-use cnp_fault::{LayoutKind, Stack};
+use cnp_fault::{LayoutKind, Policy, Stack};
 use cnp_obs::Json;
 use cnp_sim::{run_cells, Handle, LockStats, Sim};
 use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind, WorkloadReport};
 
 use crate::cli::CliArgs;
-use crate::experiment::Policy;
 
 /// Multi-client sweep configuration.
 #[derive(Debug, Clone)]

@@ -13,13 +13,12 @@
 //! safety at the paper's 8 MB cache and 4 MB NVRAM.
 
 use cnp_check::{run_sampled_cell, CellOutcome, CellSpec, CellViolation, RecoveryCounts};
-use cnp_fault::{cut_points, LayoutKind};
+use cnp_fault::{cut_points, LayoutKind, Policy, POLICIES};
 use cnp_obs::{Json, MetricsSnapshot};
 use cnp_sim::run_cells;
 use cnp_trace::{SpriteParams, SyntheticSprite};
 
 use crate::cli::CliArgs;
-use crate::experiment::{Policy, POLICIES};
 
 /// Crash-sweep configuration.
 #[derive(Debug, Clone)]
@@ -80,34 +79,33 @@ pub struct CrashCell {
     pub metrics: MetricsSnapshot,
 }
 
+/// The sweep's cells over a workload of `records` ops, in report order:
+/// each cell's policy, cut op and spec.
+pub fn sweep_cells(cfg: &CrashConfig, records: usize) -> Vec<(Policy, u64, CellSpec)> {
+    let cuts = cut_points(records as u64, cfg.cuts);
+    let mut specs = Vec::new();
+    for (li, layout) in cfg.layouts.iter().enumerate() {
+        for (pi, policy) in cfg.policies.iter().enumerate() {
+            for (ci, &cut_op) in cuts.iter().enumerate() {
+                let sim_seed = cfg
+                    .seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64);
+                let (mem, nvram) = (8 * 1024 * 1024, 4 * 1024 * 1024);
+                let spec = CellSpec::new(*layout, *policy, mem, nvram, cfg.queue_depth, sim_seed);
+                specs.push((*policy, cut_op, spec));
+            }
+        }
+    }
+    specs
+}
+
 /// Runs the full sweep across `threads` host threads; deterministic in
 /// `cfg` (same config + seed → byte-identical cells).
 pub fn run_crash_sweep(cfg: &CrashConfig, threads: usize) -> Vec<CrashCell> {
     // Generate the workload once; every cell replays a prefix of it.
     let records = SyntheticSprite::new(cfg.trace.clone(), cfg.seed ^ 0xabcd).generate(cfg.scale);
-    let cuts = cut_points(records.len() as u64, cfg.cuts);
-    let mut specs = Vec::new();
-    for (li, layout) in cfg.layouts.iter().enumerate() {
-        for (pi, policy) in cfg.policies.iter().enumerate() {
-            let (flush, nvram_bytes) = policy.cache_settings(4 * 1024 * 1024);
-            for (ci, &cut_op) in cuts.iter().enumerate() {
-                let spec = CellSpec {
-                    layout: *layout,
-                    flush: flush.to_string(),
-                    nvram_bytes,
-                    mem_bytes: 8 * 1024 * 1024,
-                    queue_depth: cfg.queue_depth,
-                    sim_seed: cfg
-                        .seed
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64),
-                    plant_stale_size_bug: false,
-                };
-                specs.push((*policy, cut_op, spec));
-            }
-        }
-    }
-    run_cells(&specs, threads, |(policy, cut_op, spec)| {
+    run_cells(&sweep_cells(cfg, records.len()), threads, |(policy, cut_op, spec)| {
         let prefix = &records[..(*cut_op as usize).min(records.len())];
         let (outcome, recovery, metrics) = run_sampled_cell(spec, prefix);
         let (layout, policy, cut_op) = (spec.layout.name(), *policy, *cut_op);

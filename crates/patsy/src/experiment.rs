@@ -8,7 +8,7 @@
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FsConfig};
 use cnp_disk::{compose_device, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBus};
-use cnp_fault::LayoutKind;
+use cnp_fault::{LayoutKind, Policy};
 use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
 use cnp_sim::Sim;
@@ -18,56 +18,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::cli::CliArgs;
-
-/// The four §5.1 policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Unix 30-second-update write-delay (baseline).
-    WriteDelay,
-    /// UPS write-saving: flush only under memory pressure.
-    Ups,
-    /// 4 MB NVRAM, whole-file flush.
-    NvramWhole,
-    /// 4 MB NVRAM, partial-file (single-block) flush.
-    NvramPartial,
-}
-
-/// All four policies, in the paper's reporting order.
-pub const POLICIES: [Policy; 4] =
-    [Policy::WriteDelay, Policy::Ups, Policy::NvramWhole, Policy::NvramPartial];
-
-impl Policy {
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Policy::WriteDelay => "write-delay-30s",
-            Policy::Ups => "ups",
-            Policy::NvramWhole => "nvram-whole-file",
-            Policy::NvramPartial => "nvram-partial",
-        }
-    }
-
-    /// Flush policy name + NVRAM bound for the cache config.
-    pub fn cache_settings(&self, nvram_bytes: u64) -> (&'static str, Option<u64>) {
-        match self {
-            Policy::WriteDelay => ("write-delay", None),
-            Policy::Ups => ("ups-whole", None),
-            Policy::NvramWhole => ("nvram-whole", Some(nvram_bytes)),
-            Policy::NvramPartial => ("nvram-partial", Some(nvram_bytes)),
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<Policy> {
-        match s {
-            "write-delay" | "30s" => Some(Policy::WriteDelay),
-            "ups" => Some(Policy::Ups),
-            "nvram-whole" => Some(Policy::NvramWhole),
-            "nvram-partial" => Some(Policy::NvramPartial),
-            _ => None,
-        }
-    }
-}
 
 /// One experiment run's configuration.
 #[derive(Debug, Clone)]
@@ -174,8 +124,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         let attach = (models.len() == 1 && models[0].channels() <= 1).then(|| {
             let cached = !cfg.no_disk_cache;
             let scsi_id = 1 + i as u8;
-            let opts =
-                DiskOpts { scsi_id, store_data: true, readahead: cached, immediate_report: cached };
+            let opts = DiskOpts { scsi_id, readahead: cached, immediate_report: cached };
             (bus.clone(), opts)
         });
         let chunk = cfg.hw.chunk_sectors();

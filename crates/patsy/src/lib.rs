@@ -25,10 +25,12 @@ pub use clients::{
     derive_shards, format_client_sweep, format_client_sweep_json, run_client_cell,
     run_client_sweep, ClientCell, ClientSweepConfig,
 };
+pub use cnp_fault::{Policy, POLICIES};
 pub use crash::{
-    format_crash_sweep, format_crash_sweep_json, run_crash_sweep, CrashCell, CrashConfig,
+    format_crash_sweep, format_crash_sweep_json, run_crash_sweep, sweep_cells, CrashCell,
+    CrashConfig,
 };
-pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, Policy, POLICIES};
+pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use qdsweep::{run_depth_cell, run_qd_sweep, sweep_queue_depth, trace_footprint, QdCell};
 pub use serve::{
     format_serve_bench, format_serve_bench_json, run_serve_bench, run_serve_cell, ServeBenchConfig,

@@ -13,11 +13,12 @@
 //! (the seed's reading of the paper, not the paper's own figure).
 
 use cnp_disk::Hp97560Params;
+use cnp_fault::{Policy, POLICIES};
 use cnp_obs::Histogram;
 use cnp_sim::run_cells;
 use cnp_trace::preset;
 
-use crate::experiment::{run_experiment, ExperimentConfig, ExperimentResult, Policy, POLICIES};
+use crate::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 use Table::{Cdf, Lines, Means};
 
 /// One cell's outcome under its table label.

@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cnp_fault::LayoutKind;
+use cnp_fault::{LayoutKind, Policy};
 use cnp_obs::Json;
 use cnp_pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig, XdrDecoder};
 use cnp_sim::{run_cells, Handle, Sim, SimDuration};
@@ -31,7 +31,6 @@ use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
 
 use crate::cli::CliArgs;
 use crate::clients::fleet_stack;
-use crate::experiment::Policy;
 
 /// Default rsize/wsize (largest single wire transfer), matching the
 /// serving tier's own default.

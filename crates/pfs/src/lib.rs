@@ -3,7 +3,7 @@
 //! The paper's PFS (§3): the same cut-and-paste components as Patsy, but
 //! with real data movement (a host-file disk back-end), an NFS-like
 //! front-end dispatching XDR-encoded procedures onto the abstract client
-//! interface, and (optionally) wall-clock pacing.
+//! interface. It runs on the same virtual-time kernel as Patsy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,10 +3,11 @@
 //! Each simulated thread is a Rust future driven by a single-threaded,
 //! deterministic executor. The scheduler implements the paper's default
 //! **random scheduling** ("It picks a random thread from the runnable set")
-//! plus FIFO and LIFO derived policies, and it owns the clock: virtual
-//! time for off-line simulation (Patsy) and paced wall-clock time for the
-//! on-line system (PFS). This one-component-two-clocks split is the heart
-//! of the cut-and-paste design.
+//! plus a FIFO policy that tests use to observe wake order, and it owns
+//! the clock: virtual time, which jumps straight to the next timer when
+//! every task is blocked. The off-line simulator (Patsy) and the on-line
+//! system (PFS, whose `pfs` binary stores real bytes in a host file) both
+//! run on it.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -46,8 +47,8 @@ impl fmt::Display for TaskId {
 
 /// How the scheduler picks the next runnable task.
 ///
-/// The paper's base scheduler uses `Random`; FIFO and LIFO correspond to
-/// derived scheduler classes.
+/// The paper's base scheduler uses `Random`; FIFO is a derived scheduler
+/// class that tests use to observe wake order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Pick a uniformly random runnable task (paper default).
@@ -55,18 +56,6 @@ pub enum SchedPolicy {
     Random,
     /// Pick the task that became runnable first.
     Fifo,
-    /// Pick the task that became runnable last.
-    Lifo,
-}
-
-/// How the clock advances when every task is blocked on a timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockMode {
-    /// Jump straight to the next timer expiry (off-line simulation).
-    #[default]
-    Virtual,
-    /// Sleep on the host clock until the next timer expiry (on-line system).
-    RealTime,
 }
 
 /// Outcome of driving the simulation.
@@ -90,13 +79,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// Task scheduling policy.
     pub sched: SchedPolicy,
-    /// Virtual or wall-clock pacing.
-    pub clock: ClockMode,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { seed: 0x5eed_cafe, sched: SchedPolicy::Random, clock: ClockMode::Virtual }
+        SimConfig { seed: 0x5eed_cafe, sched: SchedPolicy::Random }
     }
 }
 
@@ -171,7 +158,6 @@ impl std::task::Wake for TaskWaker {
 
 pub(crate) struct Kernel {
     now: SimTime,
-    clock: ClockMode,
     sched: SchedPolicy,
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<u32>,
@@ -243,7 +229,6 @@ impl Kernel {
             // `remove(0)` keeps arrival order; O(n) is fine for the small
             // runnable sets a file-system simulation produces.
             SchedPolicy::Fifo => self.runnable.remove(0),
-            SchedPolicy::Lifo => self.runnable.pop().expect("non-empty checked"),
         };
         if let Some(slot) = self.tasks[id.index as usize].as_mut() {
             if slot.gen == id.gen {
@@ -292,7 +277,6 @@ impl Sim {
     pub fn with_config(cfg: SimConfig) -> Self {
         let kernel = Kernel {
             now: SimTime::ZERO,
-            clock: cfg.clock,
             sched: cfg.sched,
             tasks: Vec::new(),
             free: Vec::new(),
@@ -334,15 +318,7 @@ impl Sim {
                                 k.now = limit;
                                 return RunResult::TimeLimit;
                             }
-                            if deadline > k.now {
-                                if k.clock == ClockMode::RealTime {
-                                    let span = deadline - k.now;
-                                    std::thread::sleep(std::time::Duration::from_nanos(
-                                        span.as_nanos(),
-                                    ));
-                                }
-                                k.now = deadline;
-                            }
+                            k.now = k.now.max(deadline);
                             while let Some(t) = k.timers.peek() {
                                 if t.deadline > k.now {
                                     break;
@@ -987,19 +963,5 @@ mod tests {
         assert_eq!(sim.block_on("harness", body(h)), expected);
         assert_eq!((sim.steps(), sim.now()), (by_hand.steps(), by_hand.now()));
         assert_eq!(sim.now(), Sim::HORIZON);
-    }
-
-    #[test]
-    fn realtime_mode_paces_wall_clock() {
-        let cfg = SimConfig { clock: ClockMode::RealTime, ..SimConfig::default() };
-        let sim = Sim::with_config(cfg);
-        let h = sim.handle();
-        let h2 = h.clone();
-        h.spawn("t", async move {
-            h2.sleep(SimDuration::from_millis(30)).await;
-        });
-        let t0 = std::time::Instant::now();
-        sim.run();
-        assert!(t0.elapsed().as_millis() >= 25, "real-time mode must actually sleep");
     }
 }

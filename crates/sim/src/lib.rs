@@ -8,14 +8,14 @@
 //! Simulated threads are plain Rust futures driven by a deterministic,
 //! single-threaded discrete-event executor:
 //!
-//! * **Virtual time** ([`ClockMode::Virtual`]) jumps straight to the next
-//!   timer when every task is blocked — the off-line simulator (Patsy)
-//!   configuration.
-//! * **Real time** ([`ClockMode::RealTime`]) sleeps on the host clock —
-//!   the on-line file-system (PFS) configuration.
+//! * **Virtual time** jumps straight to the next timer when every task
+//!   is blocked. It is the one clock: the off-line simulator (Patsy) runs
+//!   on it, and so does the on-line file system (PFS), whose `pfs` binary
+//!   drives the same kernel over a host file that stores real bytes.
 //!
 //! The default scheduling policy is the paper's **random scheduling**,
-//! seeded and therefore replayable; FIFO/LIFO are the derived policies.
+//! seeded and therefore replayable; FIFO is the derived policy tests use
+//! to observe wake order.
 //!
 //! ## Example
 //!
@@ -54,7 +54,7 @@ mod time;
 pub use cells::run_cells;
 pub use combinator::{for_each_limit, join_all, JoinAll};
 pub use executor::{
-    ClockMode, Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
+    Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
 };
 pub use sync::{
     channel, Arbitration, Event, LockStats, Permit, Receiver, Replies, ReplyReceiver, ReplySender,

@@ -8,8 +8,8 @@
 //! file-system simulator** (Patsy: [`patsy`]) and an **on-line file
 //! system** (PFS: [`pfs`]) from the same code:
 //!
-//! * [`sim`] — deterministic discrete-event kernel (threads, virtual or
-//!   wall-clock time, events, statistics);
+//! * [`sim`] — deterministic discrete-event kernel (threads, virtual
+//!   time, events, statistics);
 //! * [`disk`] — HP 97560 disk model, SCSI-2 bus, scheduled drivers;
 //! * [`cache`] — block cache with pluggable replacement + flush policies;
 //! * [`layout`] — segmented LFS (+ cleaner), FFS-like, and sim-guess

@@ -462,13 +462,13 @@ fn hp97560(
 
 /// What one 4 KiB write at a fresh frame-aligned address costs from
 /// submission until the idle write-back has retired it, on an
-/// immediate-report HP 97560 that keeps real bytes (`store_data`) or
-/// not. The payload is built before the count starts.
-fn buffered_write_cost(store_data: bool, payload: fn() -> Payload) -> u64 {
+/// immediate-report HP 97560. A simulated payload stores no bytes, so
+/// the difference between a real and a simulated write is what the
+/// store costs. The payload is built before the count starts.
+fn buffered_write_cost(payload: fn() -> Payload) -> u64 {
     let sim = Sim::new(7);
     let h = sim.handle();
-    let opts = DiskOpts { store_data, ..DiskOpts::default() };
-    let (driver, disks) = hp97560(&h, None, Some((ScsiBus::new(&h), opts)));
+    let (driver, disks) = hp97560(&h, None, Some((ScsiBus::new(&h), DiskOpts::default())));
     sim.block_on("alloc-budget", async move {
         let (h, driver, mut block) = (&h, &driver, 0u64);
         let cost = floor_of(move || {
@@ -488,17 +488,17 @@ fn buffered_write_cost(store_data: bool, payload: fn() -> Payload) -> u64 {
 #[test]
 fn a_block_write_costs_the_store_its_frame_and_a_simulated_one_nothing() {
     let real = || Payload::Data(vec![0xA5; BLOCK_SIZE as usize]);
-    let in_store = buffered_write_cost(true, real) - buffered_write_cost(false, real);
+    let simulated = || Payload::Simulated(BLOCK_SIZE);
+    // The command itself, through driver, bus and disk: every wait on
+    // the way (the dispatcher's wake-up, the bus grant, both replies)
+    // is an entry in its primitive's own list.
+    let command = buffered_write_cost(simulated);
+    assert_eq!(command, 0, "one simulated command");
+    let in_store = buffered_write_cost(real) - command;
     // Stash and retire: the frame's buffer, which moves from the write
     // buffer to the platter. The per-sector maps boxed eight sectors
     // and paid both tables' growth as they went.
     assert!(in_store <= 2, "a 4 KiB real write allocated {in_store} in the store");
-    let simulated = || Payload::Simulated(BLOCK_SIZE);
-    assert_eq!(buffered_write_cost(true, simulated), buffered_write_cost(false, simulated));
-    // The command itself, through driver, bus and disk: every wait on
-    // the way (the dispatcher's wake-up, the bus grant, both replies)
-    // is an entry in its primitive's own list.
-    assert_eq!(buffered_write_cost(false, simulated), 0, "one simulated command");
 
     let mut image = DiskImage::default();
     store_sectors(&mut image, 512, 64, 8, &real());

@@ -3,7 +3,8 @@
 //! reproduce it from its own repro blob — and report nothing on the
 //! healthy stack under the same budget.
 
-use cut_and_paste::check::{run_check_with, CheckConfig, CheckOptions, PolicySpec, Repro};
+use cut_and_paste::check::{run_check_with, CheckConfig, CheckOptions, Repro};
+use cut_and_paste::fault::Policy;
 use cut_and_paste::workload::{Scenario, WorkloadKind};
 
 fn cfg(budget: usize) -> CheckConfig {
@@ -16,8 +17,7 @@ fn cfg(budget: usize) -> CheckConfig {
     cfg.seed = 4242;
     // One NVRAM cell: the planted bug is a durability bug, and NVRAM
     // policies are where the zero-acked-loss oracle is armed.
-    cfg.policies =
-        vec![PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true }];
+    cfg.policies = vec![Policy::NvramWhole];
     cfg.minimize_runs = 48;
     cfg
 }
@@ -64,4 +64,32 @@ fn planted_stale_size_bug_is_caught_minimized_and_reproduced() {
     let healthy = cfg(60);
     let control = run_check_with(&healthy, CheckOptions::default());
     assert!(control.clean(), "healthy stack must verify clean: {:?}", control.rows);
+}
+
+/// One label, one flush: for every §5.1 policy, the checker's row and
+/// every cell of a crash sweep run the flush and the NVRAM-ness that
+/// `Policy::cache_settings` gives it, and the cache knows the name, so
+/// a verdict on a label speaks for the configuration every figure
+/// measures under it.
+#[test]
+fn every_policy_label_runs_one_flush_in_the_checker_and_the_crash_sweep() {
+    use cut_and_paste::cache::flush_by_name;
+    use cut_and_paste::fault::POLICIES;
+    use cut_and_paste::patsy::{sweep_cells, CrashConfig};
+    use cut_and_paste::trace::preset;
+
+    let check = CheckConfig { policies: POLICIES.to_vec(), ..cfg(4) };
+    let sweep = CrashConfig::new(preset("1a").unwrap(), 3, 42, 0.002);
+    let cells = sweep_cells(&sweep, 1_000);
+    for (pi, policy) in POLICIES.into_iter().enumerate() {
+        let (flush, nvram) = policy.cache_settings(1);
+        assert!(flush_by_name(flush).is_some(), "{}: no flush {flush}", policy.label());
+        let row = check.cell_spec(0, pi);
+        assert_eq!((row.flush.as_str(), row.nvram_bytes.is_some()), (flush, nvram.is_some()));
+        let mut swept = cells.iter().filter(|(p, ..)| *p == policy).peekable();
+        assert!(swept.peek().is_some(), "{}: no sweep cell", policy.label());
+        for (_, _, spec) in swept {
+            assert_eq!((spec.flush.as_str(), spec.nvram_bytes.is_some()), (flush, nvram.is_some()));
+        }
+    }
 }

@@ -6,10 +6,10 @@
 use cut_and_paste::check::cache::encode_outcome;
 use cut_and_paste::check::{
     cell_key, format_check_report, run_cell, run_check_with, run_history_check, spec_fingerprint,
-    standard_policies, CellCache, CellSpec, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig,
-    LinConfig, PolicySpec, PrefixHashes,
+    CellCache, CellSpec, CheckConfig, CheckOptions, CutSpec, HistoryCheckConfig, LinConfig,
+    PrefixHashes,
 };
-use cut_and_paste::fault::LayoutKind;
+use cut_and_paste::fault::{LayoutKind, Policy, POLICIES};
 use cut_and_paste::patsy::check::format_check_json;
 use cut_and_paste::trace::{bounded_prefix, preset, SyntheticSprite, TraceOp};
 use cut_and_paste::workload::{Scenario, WorkloadKind};
@@ -63,8 +63,7 @@ fn report_bytes_are_identical_at_threads_1_4_and_8() {
 #[test]
 fn parallel_minimization_matches_serial_on_a_planted_bug() {
     let mut planted = cfg(60);
-    planted.policies =
-        vec![PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true }];
+    planted.policies = vec![Policy::NvramWhole];
     planted.plant_stale_size_bug = true;
     planted.minimize_runs = 48;
     let serial = run_check_with(&planted, CheckOptions::default());
@@ -170,12 +169,9 @@ fn every_memoised_outcome_equals_the_unmemoised_cell() {
                 base.plant_stale_size_bug = plant;
                 base.minimize_runs = 4;
                 base.policies = if seed == 365 {
-                    standard_policies()
+                    POLICIES.to_vec()
                 } else {
-                    vec![
-                        PolicySpec { label: "ups", flush: "ups", nvram: false },
-                        PolicySpec { label: "nvram-whole-file", flush: "nvram-whole", nvram: true },
-                    ]
+                    vec![Policy::Ups, Policy::NvramWhole]
                 };
                 let at = |threads| {
                     let mut cache = CellCache::new();
@@ -209,7 +205,7 @@ fn every_memoised_outcome_equals_the_unmemoised_cell() {
                                     oracle,
                                     "{} qd {queue_depth} plant {plant} {} op {k} {} threads {threads}",
                                     layout.name(),
-                                    base.policies[pi].label,
+                                    base.policies[pi].label(),
                                     cut.label(),
                                 );
                             }
@@ -243,19 +239,12 @@ fn every_crash_sweep_cell_equals_the_checker_cell() {
         let mut specs = Vec::new();
         for (li, &layout) in cfg.layouts.iter().enumerate() {
             for (pi, policy) in cfg.policies.iter().enumerate() {
-                let (flush, nvram_bytes) = policy.cache_settings(4 * 1024 * 1024);
                 for (ci, &cut) in cuts.iter().enumerate() {
-                    let spec = CellSpec {
-                        layout,
-                        flush: flush.to_string(),
-                        nvram_bytes,
-                        mem_bytes: 8 * 1024 * 1024,
-                        queue_depth,
-                        sim_seed: 42u64
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64),
-                        plant_stale_size_bug: false,
-                    };
+                    let sim_seed = 42u64
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(((li as u64) << 32) ^ ((pi as u64) << 16) ^ ci as u64);
+                    let (mem, nvram) = (8 * 1024 * 1024, 4 * 1024 * 1024);
+                    let spec = CellSpec::new(layout, *policy, mem, nvram, queue_depth, sim_seed);
                     specs.push((spec, cut as usize));
                 }
             }
