@@ -496,7 +496,7 @@ impl BlockCache {
             BlockState::Clean => {
                 if self.nvram_used >= self.cfg.nvram_blocks() {
                     self.stats.nvram_stalls += 1;
-                    return DirtyOutcome::NeedFlush(self.ask_policy(|p, q| p.on_nvram_full(q)));
+                    return DirtyOutcome::NeedFlush(self.ask_policy(|p, q| p.on_demand(q)));
                 }
                 self.clean.remove(frame);
                 self.frames[frame as usize].state = BlockState::Dirty { since: now };
@@ -1033,14 +1033,14 @@ mod tests {
         for batch in [1usize, 8] {
             // Partial-file: the blocks it picks (one more at most).
             let mut partial = NvramFlush { whole_file: false, batch };
-            let (picked, visits) = visits_of(&mut |q| partial.on_nvram_full(q));
+            let (picked, visits) = visits_of(&mut |q| partial.on_demand(q));
             assert_eq!(picked, batch);
             assert!(visits <= batch + 1, "batch {batch}: visited {visits}");
             // Whole-file: one block per group, plus the rest of files
             // 1 and 2 (99 blocks each) stepped over on the way to the
             // next group.
             let mut whole = NvramFlush { whole_file: true, batch };
-            let (picked, visits) = visits_of(&mut |q| whole.on_nvram_full(q));
+            let (picked, visits) = visits_of(&mut |q| whole.on_demand(q));
             let stepped_over = if batch == 1 { 0 } else { 2 * 99 };
             assert_eq!(picked, if batch == 1 { 100 } else { 200 + batch - 2 });
             assert!(visits <= batch + 1 + stepped_over, "batch {batch}: visited {visits}");

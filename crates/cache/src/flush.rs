@@ -32,9 +32,6 @@ pub trait CacheQuery {
 
 /// A flush (persistency) policy.
 pub trait FlushPolicy {
-    /// Policy name for configuration and reports.
-    fn name(&self) -> &'static str;
-
     /// If `Some`, the engine arranges a periodic scan at this interval.
     fn tick_interval(&self) -> Option<SimDuration> {
         None
@@ -45,15 +42,9 @@ pub trait FlushPolicy {
         Vec::new()
     }
 
-    /// The cache needs a clean frame and has none: pick blocks to flush.
+    /// The cache needs a clean frame and has none, or a write needs
+    /// NVRAM space and the NVRAM is full: pick blocks to flush.
     fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey>;
-
-    /// A write needs NVRAM space: pick blocks to flush.
-    ///
-    /// Defaults to the demand path (policies without NVRAM semantics).
-    fn on_nvram_full(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        self.on_demand(q)
-    }
 }
 
 /// Oldest-first selection of up to `batch` groups (whole files, or
@@ -140,10 +131,6 @@ impl Default for PeriodicUpdate {
 }
 
 impl FlushPolicy for PeriodicUpdate {
-    fn name(&self) -> &'static str {
-        "write-delay-30s"
-    }
-
     fn tick_interval(&self) -> Option<SimDuration> {
         Some(self.scan_every)
     }
@@ -182,10 +169,6 @@ impl Default for WriteSaving {
 }
 
 impl FlushPolicy for WriteSaving {
-    fn name(&self) -> &'static str {
-        "write-saving-ups"
-    }
-
     fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
         batched_selection(q, self.whole_file, self.batch)
     }
@@ -207,19 +190,7 @@ pub struct NvramFlush {
 }
 
 impl FlushPolicy for NvramFlush {
-    fn name(&self) -> &'static str {
-        if self.whole_file {
-            "nvram-whole-file"
-        } else {
-            "nvram-partial-file"
-        }
-    }
-
     fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        batched_selection(q, self.whole_file, self.batch)
-    }
-
-    fn on_nvram_full(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
         batched_selection(q, self.whole_file, self.batch)
     }
 }
@@ -389,9 +360,9 @@ mod tests {
         let q =
             FakeQuery { dirty: vec![(key(7, 0), at(0)), (key(7, 1), at(1)), (key(8, 0), at(2))] };
         let mut whole = NvramFlush { whole_file: true, batch: 1 };
-        assert_eq!(whole.on_nvram_full(&q), vec![key(7, 0), key(7, 1)]);
+        assert_eq!(whole.on_demand(&q), vec![key(7, 0), key(7, 1)]);
         let mut partial = NvramFlush { whole_file: false, batch: 1 };
-        assert_eq!(partial.on_nvram_full(&q), vec![key(7, 0)]);
+        assert_eq!(partial.on_demand(&q), vec![key(7, 0)]);
     }
 
     #[test]
@@ -407,7 +378,7 @@ mod tests {
         };
         // batch=2 whole-file: both of file 7 plus file 8's block.
         let mut whole = NvramFlush { whole_file: true, batch: 2 };
-        assert_eq!(whole.on_nvram_full(&q), vec![key(7, 0), key(7, 1), key(8, 0)]);
+        assert_eq!(whole.on_demand(&q), vec![key(7, 0), key(7, 1), key(8, 0)]);
         // batch=3 single-block: the three oldest blocks, files mixed.
         let mut partial = WriteSaving { whole_file: false, batch: 3 };
         assert_eq!(partial.on_demand(&q), vec![key(7, 0), key(7, 1), key(8, 0)]);
@@ -431,7 +402,7 @@ mod tests {
         assert!(p.on_tick(&q, at(100)).is_empty());
         assert!(p.on_demand(&q).is_empty());
         let mut n = NvramFlush { whole_file: true, batch: 1 };
-        assert!(n.on_nvram_full(&q).is_empty());
+        assert!(n.on_demand(&q).is_empty());
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct AccessMeta<'a> {
 
 /// A clean-frame replacement policy.
 pub trait ReplacementPolicy {
-    /// Policy name (for configuration and reports).
-    fn name(&self) -> &'static str;
-
     /// A frame joined the clean set (inserted clean, or flushed clean).
     fn insert(&mut self, frame: u32, meta: AccessMeta<'_>);
 
@@ -67,10 +64,6 @@ impl Lru {
 }
 
 impl ReplacementPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn insert(&mut self, frame: u32, _meta: AccessMeta<'_>) {
         self.list.push_back(frame);
     }
@@ -105,10 +98,6 @@ impl Fifo {
 }
 
 impl ReplacementPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn insert(&mut self, frame: u32, _meta: AccessMeta<'_>) {
         self.list.push_back(frame);
     }
@@ -144,10 +133,6 @@ impl RandomPolicy {
 }
 
 impl ReplacementPolicy for RandomPolicy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn insert(&mut self, frame: u32, _meta: AccessMeta<'_>) {
         debug_assert_eq!(self.slot[frame as usize], u32::MAX);
         self.slot[frame as usize] = self.members.len() as u32;
@@ -200,10 +185,6 @@ impl Lfu {
 }
 
 impl ReplacementPolicy for Lfu {
-    fn name(&self) -> &'static str {
-        "lfu"
-    }
-
     fn insert(&mut self, frame: u32, meta: AccessMeta<'_>) {
         self.count[frame as usize] = meta.count;
         self.member[frame as usize] = true;
@@ -265,10 +246,6 @@ impl Slru {
 }
 
 impl ReplacementPolicy for Slru {
-    fn name(&self) -> &'static str {
-        "slru"
-    }
-
     fn insert(&mut self, frame: u32, _meta: AccessMeta<'_>) {
         self.probation.push_back(frame);
         self.in_protected[frame as usize] = false;
@@ -352,10 +329,6 @@ impl LruK {
 }
 
 impl ReplacementPolicy for LruK {
-    fn name(&self) -> &'static str {
-        "lru-k"
-    }
-
     fn insert(&mut self, frame: u32, meta: AccessMeta<'_>) {
         let kt = self.kth(&meta);
         self.ktime[frame as usize] = kt;

@@ -8,7 +8,7 @@
 //! SCSI transaction. The bus simulates a bus transfer speed of 10MB/s."
 //! (§4)
 
-use cnp_sim::{Arbitration, Handle, Resource, SimDuration};
+use cnp_sim::{Handle, Resource, SimDuration};
 
 /// SCSI-2 bus timing parameters.
 #[derive(Debug, Clone)]
@@ -74,11 +74,7 @@ impl ScsiBus {
 
     /// Creates a bus with custom timing.
     pub fn with_params(handle: &Handle, params: BusParams) -> Self {
-        ScsiBus {
-            handle: handle.clone(),
-            resource: Resource::new(handle, Arbitration::Priority),
-            params,
-        }
+        ScsiBus { handle: handle.clone(), resource: Resource::new(handle), params }
     }
 
     /// Time to move `bytes` through the data phase.

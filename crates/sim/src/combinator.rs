@@ -6,6 +6,11 @@
 //! naturally: any child that blocks registers the parent task, and the
 //! parent re-polls its pending children when it is next made runnable.
 //!
+//! That is the kernel's one wake path (see the executor's wake
+//! contract): children are polled with the task's no-op
+//! `std::task::Waker`, so a child that parks only that `Waker` is never
+//! woken, and the run ends in a deadlock.
+//!
 //! [`join_all`] drives a set of futures to completion and returns every
 //! output in input order; [`for_each_limit`] keeps a bounded window in
 //! flight and hands outputs over in *completion* order. Both poll

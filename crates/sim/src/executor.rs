@@ -1,13 +1,20 @@
 //! The discrete-event executor: the paper's *thread scheduler* component.
 //!
 //! Each simulated thread is a Rust future driven by a single-threaded,
-//! deterministic executor. The scheduler implements the paper's default
-//! **random scheduling** ("It picks a random thread from the runnable set")
-//! plus a FIFO policy that tests use to observe wake order, and it owns
-//! the clock: virtual time, which jumps straight to the next timer when
-//! every task is blocked. The off-line simulator (Patsy) and the on-line
-//! system (PFS, whose `pfs` binary stores real bytes in a host file) both
-//! run on it.
+//! deterministic executor. The scheduler has one policy, the paper's
+//! **random scheduling** ("It picks a random thread from the runnable
+//! set"), drawn from the simulation's seed, and it owns the clock:
+//! virtual time, which jumps straight to the next timer when every task
+//! is blocked. The off-line simulator (Patsy) and the on-line system
+//! (PFS, whose `pfs` binary stores real bytes in a host file) both run
+//! on it.
+//!
+//! **The wake contract.** A task becomes runnable only through the
+//! kernel's `make_runnable`: a primitive's grant or signal, a timer, a
+//! join or a spawn. Every task is polled with [`Waker::noop`], so a
+//! future that parks only the std `Waker` it was polled with is never
+//! woken: the run ends in [`RunResult::Deadlock`], and
+//! [`Sim::block_on`] panics naming the task.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -15,8 +22,6 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use rand::rngs::StdRng;
@@ -45,19 +50,6 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// How the scheduler picks the next runnable task.
-///
-/// The paper's base scheduler uses `Random`; FIFO is a derived scheduler
-/// class that tests use to observe wake order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Pick a uniformly random runnable task (paper default).
-    #[default]
-    Random,
-    /// Pick the task that became runnable first.
-    Fifo,
-}
-
 /// Outcome of driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunResult {
@@ -72,37 +64,18 @@ pub enum RunResult {
     TimeLimit,
 }
 
-/// Configuration for building a [`Sim`].
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// RNG seed; runs with equal seeds replay identically.
-    pub seed: u64,
-    /// Task scheduling policy.
-    pub sched: SchedPolicy,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { seed: 0x5eed_cafe, sched: SchedPolicy::Random }
-    }
-}
-
 type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct TaskSlot {
     gen: u32,
-    /// The task's future and its `Waker`, built once at spawn; both
-    /// leave the slot together for the duration of a poll.
-    future: Option<(TaskFuture, Waker)>,
+    /// The task's future, the one allocation a spawn makes; it leaves
+    /// the slot for the duration of a poll.
+    future: Option<TaskFuture>,
     /// True while the task sits in the runnable queue (dedup flag).
     queued: bool,
-    join: Rc<RefCell<JoinState>>,
-}
-
-#[derive(Default)]
-struct JoinState {
-    done: bool,
-    waiters: Vec<TaskId>,
+    /// Tasks awaiting this one's [`JoinHandle`], woken in arrival order
+    /// when it finishes.
+    joiners: Vec<TaskId>,
 }
 
 #[derive(PartialEq, Eq)]
@@ -125,47 +98,14 @@ impl PartialOrd for TimerEntry {
     }
 }
 
-/// Wake requests issued through standard `Waker`s (e.g. by future
-/// combinators). Drained by the kernel before each scheduling decision.
-/// The sim's own primitives wake through `make_runnable` and never come
-/// here, so `nonempty` lets the common step skip the lock altogether.
-#[derive(Default)]
-struct WakeQueue {
-    /// True iff `queue` holds an entry; written only under its lock.
-    /// The `Release` store in `wake_by_ref` pairs with the `Acquire`
-    /// load in `drain_wakes`; the entries themselves are published by
-    /// the mutex.
-    nonempty: AtomicBool,
-    queue: Mutex<Vec<TaskId>>,
-}
-
-struct TaskWaker {
-    task: TaskId,
-    wakes: Arc<WakeQueue>,
-}
-
-impl std::task::Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let mut q = self.wakes.queue.lock().expect("wake queue poisoned");
-        q.push(self.task);
-        self.wakes.nonempty.store(true, Ordering::Release);
-    }
-}
-
 pub(crate) struct Kernel {
     now: SimTime,
-    sched: SchedPolicy,
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<u32>,
     live: usize,
     runnable: Vec<TaskId>,
     timers: BinaryHeap<TimerEntry>,
     timer_seq: u64,
-    wakes: Arc<WakeQueue>,
     rng: StdRng,
     current: Option<TaskId>,
     spawned_total: u64,
@@ -173,12 +113,10 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    fn alive(&self, id: TaskId) -> bool {
-        self.tasks
-            .get(id.index as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.gen == id.gen)
-            .unwrap_or(false)
+    /// The slot of task `id`, or `None` once it has finished (its slot
+    /// is empty or holds a later generation).
+    fn slot_mut(&mut self, id: TaskId) -> Option<&mut TaskSlot> {
+        self.tasks.get_mut(id.index as usize)?.as_mut().filter(|s| s.gen == id.gen)
     }
 
     pub(crate) fn current_task(&self) -> TaskId {
@@ -187,13 +125,11 @@ impl Kernel {
 
     /// Moves a task into the runnable set (idempotent; ignores dead ids).
     pub(crate) fn make_runnable(&mut self, id: TaskId) {
-        if !self.alive(id) {
-            return;
-        }
-        let slot = self.tasks[id.index as usize].as_mut().expect("alive checked");
-        if !slot.queued {
-            slot.queued = true;
-            self.runnable.push(id);
+        if let Some(slot) = self.slot_mut(id) {
+            if !slot.queued {
+                slot.queued = true;
+                self.runnable.push(id);
+            }
         }
     }
 
@@ -202,42 +138,18 @@ impl Kernel {
         self.timers.push(TimerEntry { deadline, seq: self.timer_seq, task });
     }
 
-    fn drain_wakes(&mut self) {
-        if !self.wakes.nonempty.load(Ordering::Acquire) {
-            return;
-        }
-        let pending: Vec<TaskId> = {
-            let mut q = self.wakes.queue.lock().expect("wake queue poisoned");
-            self.wakes.nonempty.store(false, Ordering::Release);
-            std::mem::take(&mut *q)
-        };
-        for id in pending {
-            self.make_runnable(id);
-        }
-    }
-
-    /// Picks the next task according to the scheduling policy.
+    /// Picks a uniformly random runnable task, skipping the stale ids
+    /// of tasks that finished while queued.
     fn pick(&mut self) -> Option<TaskId> {
-        if self.runnable.is_empty() {
-            return None;
-        }
-        let id = match self.sched {
-            SchedPolicy::Random => {
-                let idx = self.rng.gen_range(0..self.runnable.len());
-                self.runnable.swap_remove(idx)
-            }
-            // `remove(0)` keeps arrival order; O(n) is fine for the small
-            // runnable sets a file-system simulation produces.
-            SchedPolicy::Fifo => self.runnable.remove(0),
-        };
-        if let Some(slot) = self.tasks[id.index as usize].as_mut() {
-            if slot.gen == id.gen {
+        while !self.runnable.is_empty() {
+            let idx = self.rng.gen_range(0..self.runnable.len());
+            let id = self.runnable.swap_remove(idx);
+            if let Some(slot) = self.slot_mut(id) {
                 slot.queued = false;
                 return Some(id);
             }
         }
-        // Stale id for a finished task: skip it and try again.
-        self.pick()
+        None
     }
 }
 
@@ -268,24 +180,18 @@ pub struct Handle {
 }
 
 impl Sim {
-    /// Creates a virtual-time simulation with random scheduling and `seed`.
+    /// Creates a virtual-time simulation with random scheduling and
+    /// `seed`; runs with equal seeds replay identically.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(SimConfig { seed, ..SimConfig::default() })
-    }
-
-    /// Creates a simulation from an explicit configuration.
-    pub fn with_config(cfg: SimConfig) -> Self {
         let kernel = Kernel {
             now: SimTime::ZERO,
-            sched: cfg.sched,
             tasks: Vec::new(),
             free: Vec::new(),
             live: 0,
             runnable: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            wakes: Arc::new(WakeQueue::default()),
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: StdRng::seed_from_u64(seed),
             current: None,
             spawned_total: 0,
             steps: 0,
@@ -309,7 +215,6 @@ impl Sim {
             // Phase 1 (kernel borrowed): find the next task to poll.
             let next = {
                 let mut k = self.kernel.borrow_mut();
-                k.drain_wakes();
                 if k.runnable.is_empty() {
                     // Expire due timers, advancing the clock if necessary.
                     match k.timers.peek().map(|t| t.deadline) {
@@ -341,44 +246,30 @@ impl Sim {
                     None => continue,
                 };
                 let slot = k.tasks[id.index as usize].as_mut().expect("picked task alive");
-                let (fut, waker) = slot.future.take().expect("runnable task has future");
+                let fut = slot.future.take().expect("runnable task has future");
                 k.current = Some(id);
                 k.steps += 1;
-                (id, fut, waker)
+                (id, fut)
             };
             // Phase 2 (kernel released): poll the future.
-            let (id, mut fut, waker) = next;
-            let poll = fut.as_mut().poll(&mut Context::from_waker(&waker));
+            let (id, mut fut) = next;
+            let poll = fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
             // Phase 3 (kernel borrowed): record the outcome.
-            let finished_join = {
-                let mut k = self.kernel.borrow_mut();
-                k.current = None;
-                match poll {
-                    Poll::Ready(()) => {
-                        let slot =
-                            k.tasks[id.index as usize].take().expect("finished task has slot");
-                        k.free.push(id.index);
-                        k.live -= 1;
-                        drop(fut);
-                        Some(slot.join)
-                    }
-                    Poll::Pending => {
-                        let slot =
-                            k.tasks[id.index as usize].as_mut().expect("pending task has slot");
-                        slot.future = Some((fut, waker));
-                        None
+            let mut k = self.kernel.borrow_mut();
+            k.current = None;
+            let slot = &mut k.tasks[id.index as usize];
+            match poll {
+                Poll::Ready(()) => {
+                    let done = slot.take().expect("finished task has slot");
+                    k.free.push(id.index);
+                    k.live -= 1;
+                    drop(fut);
+                    for w in done.joiners {
+                        k.make_runnable(w);
                     }
                 }
-            };
-            if let Some(join) = finished_join {
-                let waiters: Vec<TaskId> = {
-                    let mut j = join.borrow_mut();
-                    j.done = true;
-                    std::mem::take(&mut j.waiters)
-                };
-                let mut k = self.kernel.borrow_mut();
-                for w in waiters {
-                    k.make_runnable(w);
+                Poll::Pending => {
+                    slot.as_mut().expect("pending task has slot").future = Some(fut);
                 }
             }
         }
@@ -433,7 +324,7 @@ impl Drop for Sim {
         // Break `Rc` cycles: futures hold Handles that point back at the
         // kernel. Take them out first and drop them with no borrow held,
         // because their own destructors may touch sync primitives.
-        let futures: Vec<(TaskFuture, Waker)> = {
+        let futures: Vec<TaskFuture> = {
             let mut k = self.kernel.borrow_mut();
             k.tasks.iter_mut().flatten().filter_map(|s| s.future.take()).collect()
         };
@@ -441,16 +332,18 @@ impl Drop for Sim {
     }
 }
 
-/// Owner handle for a spawned task; awaiting it joins the task.
+/// Owner handle for a spawned task; awaiting it joins the task. The
+/// joiners live in the task's slot, so the task is finished once its
+/// slot no longer holds its generation.
 pub struct JoinHandle {
     kernel: Rc<RefCell<Kernel>>,
-    join: Rc<RefCell<JoinState>>,
+    task: TaskId,
 }
 
 impl JoinHandle {
     /// True if the task has run to completion.
     pub fn is_finished(&self) -> bool {
-        self.join.borrow().done
+        self.kernel.borrow_mut().slot_mut(self.task).is_none()
     }
 }
 
@@ -458,13 +351,14 @@ impl Future for JoinHandle {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.join.borrow().done {
+        let mut k = self.kernel.borrow_mut();
+        let current = k.current;
+        let Some(slot) = k.slot_mut(self.task) else {
             return Poll::Ready(());
-        }
-        let me = self.kernel.borrow().current_task();
-        let mut j = self.join.borrow_mut();
-        if !j.waiters.contains(&me) {
-            j.waiters.push(me);
+        };
+        let me = current.expect("not inside a simulation task");
+        if !slot.joiners.contains(&me) {
+            slot.joiners.push(me);
         }
         Poll::Pending
     }
@@ -483,18 +377,15 @@ impl Handle {
         F: Future<Output = ()> + 'static,
     {
         let mut k = self.kernel.borrow_mut();
-        let join = Rc::new(RefCell::new(JoinState::default()));
         let id = match k.free.pop() {
             Some(index) => TaskId { index, gen: k.spawned_total as u32 },
             None => TaskId { index: k.tasks.len() as u32, gen: 0 },
         };
-        // The one `Waker` this task is ever polled with.
-        let waker = Waker::from(Arc::new(TaskWaker { task: id, wakes: k.wakes.clone() }));
         let slot = TaskSlot {
             gen: id.gen,
-            future: Some((Box::pin(fut), waker)),
+            future: Some(Box::pin(fut)),
             queued: false,
-            join: join.clone(),
+            joiners: Vec::new(),
         };
         match k.tasks.get_mut(id.index as usize) {
             Some(free) => *free = Some(slot),
@@ -503,7 +394,7 @@ impl Handle {
         k.spawned_total += 1;
         k.live += 1;
         k.make_runnable(id);
-        JoinHandle { kernel: self.kernel.clone(), join }
+        JoinHandle { kernel: self.kernel.clone(), task: id }
     }
 
     /// Sleeps for `d` of simulated time.
@@ -794,22 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_is_fifo() {
-        let cfg = SimConfig { sched: SchedPolicy::Fifo, ..SimConfig::default() };
-        let sim = Sim::with_config(cfg);
-        let h = sim.handle();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..8u64 {
-            let log = log.clone();
-            h.spawn("w", async move {
-                log.borrow_mut().push(i);
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn spawn_from_task_and_counters() {
         let sim = Sim::new(3);
         let h = sim.handle();
@@ -827,7 +702,7 @@ mod tests {
         assert!(sim.steps() >= 5);
     }
 
-    /// Pending until `slot`'s flag is set; parks nothing but the
+    /// Pending until its flag is set; parks nothing but the
     /// `std::task::Waker` it was polled with — no sim primitive.
     struct WakerOnly(Rc<RefCell<(bool, Option<Waker>)>>);
 
@@ -844,42 +719,48 @@ mod tests {
     }
 
     #[test]
-    fn waker_only_wakes_run_in_wake_order() {
-        // Three FIFO tasks each park in `join_all` on a future only a
-        // `Waker` can wake (`join_all` hands its children the task's
-        // context). A fourth task releases them as 2, 0, 1 — the middle
-        // one twice, and a sim-primitive wake (a spawn) in between — and
-        // they must resume in exactly that order, behind the spawn.
-        let cfg = SimConfig { sched: SchedPolicy::Fifo, ..SimConfig::default() };
-        let sim = Sim::with_config(cfg);
+    #[should_panic(expected = "task \"waker-only\" did not finish: run stopped with Deadlock")]
+    fn a_future_woken_only_through_its_std_waker_deadlocks() {
+        // The releaser sets the flag and wakes the parked task's std
+        // `Waker`; that is no `make_runnable`, so the task never runs again.
+        let sim = Sim::new(1);
         let h = sim.handle();
-        let slots: Vec<_> = (0..3).map(|_| Rc::new(RefCell::new((false, None)))).collect();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for (i, slot) in slots.iter().enumerate() {
-            let (slot, log) = (slot.clone(), log.clone());
-            h.spawn("parked", async move {
-                crate::join_all([WakerOnly(slot)]).await;
-                log.borrow_mut().push(i);
-            });
-        }
-        let (h2, log2) = (h.clone(), log.clone());
+        let slot = Rc::new(RefCell::new((false, None::<Waker>)));
+        let (h2, release) = (h.clone(), slot.clone());
         h.spawn("releaser", async move {
             h2.sleep(SimDuration::from_millis(1)).await;
-            let release = |i: usize| {
-                let mut slot = slots[i].borrow_mut();
+            let waker = {
+                let mut slot = release.borrow_mut();
                 slot.0 = true;
                 slot.1.take().expect("task parked its waker")
             };
-            release(2).wake();
-            let w0 = release(0);
-            w0.wake_by_ref();
-            let log3 = log2.clone();
-            h2.spawn("spawned", async move { log3.borrow_mut().push(9) });
-            w0.wake();
-            release(1).wake();
+            waker.wake();
+        });
+        sim.block_on("waker-only", crate::join_all([WakerOnly(slot)]));
+    }
+
+    #[test]
+    fn a_join_handle_stays_finished_after_its_slot_is_reused() {
+        let sim = Sim::new(5);
+        let h = sim.handle();
+        let first = h.spawn("first", async {});
+        assert_eq!(sim.run(), RunResult::Completed);
+        assert!(first.is_finished());
+        // The next spawn takes the freed slot under a new generation.
+        let (h2, reused) = (h.clone(), Rc::new(Cell::new(false)));
+        let reused2 = reused.clone();
+        let second = h.spawn("second", async move {
+            h2.sleep(SimDuration::from_millis(4)).await;
+        });
+        assert!(first.is_finished() && !second.is_finished());
+        let h3 = h.clone();
+        h.spawn("joiner", async move {
+            first.await;
+            assert_eq!(h3.now(), SimTime::ZERO, "the finished join returned at once");
+            reused2.set(true);
         });
         assert_eq!(sim.run(), RunResult::Completed);
-        assert_eq!(*log.borrow(), vec![9, 2, 0, 1]);
+        assert!(reused.get() && second.is_finished());
     }
 
     #[test]

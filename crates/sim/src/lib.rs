@@ -13,9 +13,12 @@
 //!   on it, and so does the on-line file system (PFS), whose `pfs` binary
 //!   drives the same kernel over a host file that stores real bytes.
 //!
-//! The default scheduling policy is the paper's **random scheduling**,
-//! seeded and therefore replayable; FIFO is the derived policy tests use
-//! to observe wake order.
+//! The one scheduling policy is the paper's **random scheduling**,
+//! seeded and therefore replayable. A task becomes runnable only when
+//! the kernel makes it so: a primitive's grant or signal, a timer, a
+//! join or a spawn. Tasks are polled with a no-op `std::task::Waker`,
+//! so a future that waits only on the std `Waker` it was polled with is
+//! never woken, and the run ends in a deadlock.
 //!
 //! ## Example
 //!
@@ -53,12 +56,9 @@ mod time;
 
 pub use cells::run_cells;
 pub use combinator::{for_each_limit, join_all, JoinAll};
-pub use executor::{
-    Handle, JoinHandle, RunResult, SchedPolicy, Sim, SimConfig, Sleep, TaskId, YieldNow,
-};
+pub use executor::{Handle, JoinHandle, RunResult, Sim, Sleep, TaskId, YieldNow};
 pub use sync::{
-    channel, Arbitration, Event, LockStats, Permit, Receiver, Replies, ReplyReceiver, ReplySender,
-    Resource, ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex,
-    TrackedMutexGuard,
+    channel, Event, LockStats, Permit, Receiver, Replies, ReplyReceiver, ReplySender, Resource,
+    ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex, TrackedMutexGuard,
 };
 pub use time::{SimDuration, SimTime};

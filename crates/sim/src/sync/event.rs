@@ -246,13 +246,7 @@ mod tests {
 
     /// Polls a future once with a dummy waker (test helper).
     fn futures_noop_poll<F: Future + Unpin>(fut: &mut F) {
-        use std::sync::Arc;
-        struct Noop;
-        impl std::task::Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-        let waker = Arc::new(Noop).into();
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(std::task::Waker::noop());
         let _ = Pin::new(fut).poll(&mut cx);
     }
 }

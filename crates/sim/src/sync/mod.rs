@@ -10,6 +10,6 @@ pub use channel::{
     channel, Receiver, Recv, Replies, ReplyReceiver, ReplySender, Send, SendError, Sender,
 };
 pub use event::{Event, EventWait};
-pub use resource::{AcquireResource, Arbitration, Resource, ResourceGuard};
+pub use resource::{AcquireResource, Resource, ResourceGuard};
 pub use semaphore::{Acquire, Permit, Semaphore};
 pub use sharded::{LockStats, ShardedMutex, TrackedMutex, TrackedMutexGuard};

@@ -1,7 +1,9 @@
-//! Exclusive resources with pluggable arbitration: the paper's
+//! Exclusive resources with priority arbitration: the paper's
 //! *connection* contention mechanism ("they also arbitrate if there is
 //! more than one controller that wants to send data over the same
-//! connection"). SCSI buses arbitrate by priority; simple links FIFO.
+//! connection"). The highest priority wins and ties go to the earliest
+//! arrival, so tasks calling [`Resource::acquire`] (priority 0) are
+//! served first come, first served.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -10,19 +12,6 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::executor::{Handle, TaskId};
-
-/// How contending acquirers are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Arbitration {
-    /// First come, first served.
-    #[default]
-    Fifo,
-    /// Highest priority value wins; ties broken by arrival order.
-    ///
-    /// SCSI arbitration awards the bus to the highest target id; map the
-    /// id to the priority argument of [`Resource::acquire_prio`].
-    Priority,
-}
 
 /// A blocked acquirer: its task, priority and arrival ticket.
 struct ResWaiter {
@@ -33,7 +22,6 @@ struct ResWaiter {
 
 struct ResInner {
     busy: bool,
-    arbitration: Arbitration,
     waiters: Vec<ResWaiter>,
     seq: u64,
     /// The ticket of a waiter handed the resource that has not yet
@@ -44,15 +32,14 @@ struct ResInner {
 }
 
 impl ResInner {
-    /// Picks the winning waiter index under the arbitration policy.
+    /// Picks the winning waiter index: the highest priority, then the
+    /// earliest arrival.
+    ///
+    /// SCSI arbitration awards the bus to the highest target id; map the
+    /// id to the priority argument of [`Resource::acquire_prio`].
     fn winner(&self) -> Option<usize> {
         let live = self.waiters.iter().enumerate();
-        match self.arbitration {
-            Arbitration::Fifo => live.min_by_key(|(_, w)| w.seq).map(|(i, _)| i),
-            Arbitration::Priority => {
-                live.max_by_key(|(_, w)| (w.prio, u64::MAX - w.seq)).map(|(i, _)| i)
-            }
-        }
+        live.max_by_key(|(_, w)| (w.prio, u64::MAX - w.seq)).map(|(i, _)| i)
     }
 }
 
@@ -64,13 +51,12 @@ pub struct Resource {
 }
 
 impl Resource {
-    /// Creates a free resource with the given arbitration policy.
-    pub fn new(handle: &Handle, arbitration: Arbitration) -> Self {
+    /// Creates a free resource.
+    pub fn new(handle: &Handle) -> Self {
         Resource {
             handle: handle.clone(),
             inner: Rc::new(RefCell::new(ResInner {
                 busy: false,
-                arbitration,
                 waiters: Vec::new(),
                 seq: 0,
                 granted: None,
@@ -80,7 +66,7 @@ impl Resource {
         }
     }
 
-    /// Acquires the resource with default (lowest) priority.
+    /// Acquires the resource with the lowest priority, 0.
     pub fn acquire(&self) -> AcquireResource {
         self.acquire_prio(0)
     }
@@ -203,11 +189,13 @@ mod tests {
     use crate::executor::Sim;
     use crate::time::SimDuration;
 
+    /// Plain acquirers share priority 0, so the one rule serves them in
+    /// arrival order.
     #[test]
     fn fifo_arbitration_orders_by_arrival() {
         let sim = Sim::new(77);
         let h = sim.handle();
-        let bus = Resource::new(&h, Arbitration::Fifo);
+        let bus = Resource::new(&h);
         let order = Rc::new(RefCell::new(Vec::new()));
         let (b0, h0) = (bus.clone(), h.clone());
         h.spawn("holder", async move {
@@ -232,7 +220,7 @@ mod tests {
     fn priority_arbitration_prefers_high_prio() {
         let sim = Sim::new(77);
         let h = sim.handle();
-        let bus = Resource::new(&h, Arbitration::Priority);
+        let bus = Resource::new(&h);
         let order = Rc::new(RefCell::new(Vec::new()));
         let (b0, h0) = (bus.clone(), h.clone());
         h.spawn("holder", async move {
@@ -259,7 +247,7 @@ mod tests {
     fn priority_tie_broken_by_arrival() {
         let sim = Sim::new(77);
         let h = sim.handle();
-        let bus = Resource::new(&h, Arbitration::Priority);
+        let bus = Resource::new(&h);
         let order = Rc::new(RefCell::new(Vec::new()));
         let (b0, h0) = (bus.clone(), h.clone());
         h.spawn("holder", async move {
@@ -290,7 +278,7 @@ mod tests {
     fn a_granted_acquire_dropped_unpolled_passes_the_bus_by_priority_then_arrival() {
         let sim = Sim::new(77);
         let h = sim.handle();
-        let bus = Resource::new(&h, Arbitration::Priority);
+        let bus = Resource::new(&h);
         let (b0, h0) = (bus.clone(), h.clone());
         h.spawn("holder", async move {
             let _g = b0.acquire().await;
@@ -324,42 +312,40 @@ mod tests {
 
     #[test]
     fn a_cancelled_waiter_never_wins_arbitration() {
-        for arbitration in [Arbitration::Fifo, Arbitration::Priority] {
-            let sim = Sim::new(77);
-            let h = sim.handle();
-            let bus = Resource::new(&h, arbitration);
-            let (b0, h0) = (bus.clone(), h.clone());
-            h.spawn("holder", async move {
-                let _g = b0.acquire().await;
-                h0.sleep(SimDuration::from_millis(10)).await;
-            });
-            // First in line and highest priority, then gone.
-            let (b1, h1) = (bus.clone(), h.clone());
-            h.spawn("quitter", async move {
-                h1.sleep(SimDuration::from_millis(1)).await;
-                let mut acq = b1.acquire_prio(9);
-                assert!(noop_poll(&mut acq).is_pending());
-                h1.sleep(SimDuration::from_millis(1)).await;
-            });
-            let got_at = Rc::new(RefCell::new(None));
-            let (b2, h2, got) = (bus.clone(), h.clone(), got_at.clone());
-            h.spawn("waiter", async move {
-                h2.sleep(SimDuration::from_millis(3)).await;
-                let _g = b2.acquire_prio(1).await;
-                *got.borrow_mut() = Some(h2.now().as_millis());
-            });
-            assert_eq!(sim.run(), crate::executor::RunResult::Completed);
-            assert_eq!(*got_at.borrow(), Some(10), "{arbitration:?}");
-            assert_eq!((bus.acquisitions(), bus.contentions()), (2, 2));
-            assert!(!bus.is_busy());
-        }
+        let sim = Sim::new(77);
+        let h = sim.handle();
+        let bus = Resource::new(&h);
+        let (b0, h0) = (bus.clone(), h.clone());
+        h.spawn("holder", async move {
+            let _g = b0.acquire().await;
+            h0.sleep(SimDuration::from_millis(10)).await;
+        });
+        // First in line and highest priority, then gone.
+        let (b1, h1) = (bus.clone(), h.clone());
+        h.spawn("quitter", async move {
+            h1.sleep(SimDuration::from_millis(1)).await;
+            let mut acq = b1.acquire_prio(9);
+            assert!(noop_poll(&mut acq).is_pending());
+            h1.sleep(SimDuration::from_millis(1)).await;
+        });
+        let got_at = Rc::new(RefCell::new(None));
+        let (b2, h2, got) = (bus.clone(), h.clone(), got_at.clone());
+        h.spawn("waiter", async move {
+            h2.sleep(SimDuration::from_millis(3)).await;
+            let _g = b2.acquire_prio(1).await;
+            *got.borrow_mut() = Some(h2.now().as_millis());
+        });
+        assert_eq!(sim.run(), crate::executor::RunResult::Completed);
+        assert_eq!(*got_at.borrow(), Some(10));
+        assert_eq!((bus.acquisitions(), bus.contentions()), (2, 2));
+        assert!(!bus.is_busy());
     }
 
     #[test]
     fn uncontended_acquire_counts() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let r = Resource::new(&h, Arbitration::Fifo);
+        let r = Resource::new(&h);
         let r2 = r.clone();
         h.spawn("t", async move {
             for _ in 0..3 {

@@ -23,6 +23,9 @@
 //! image its table of frame pointers, a simulated write nothing — never
 //! a box per 512-byte sector.
 //!
+//! The simulation kernel: a wait on a primitive allocates nothing, and a
+//! spawn allocates its boxed future and nothing else.
+//!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
 
@@ -39,9 +42,7 @@ use cut_and_paste::disk::{
     DiskModel, DiskOpts, FaultPlan, Hp97560, Payload, ScsiBus,
 };
 use cut_and_paste::layout::{FileKind, Ino, Inode, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
-use cut_and_paste::sim::{
-    Arbitration, Event, Handle, Resource, Semaphore, Sim, SimDuration, SimTime,
-};
+use cut_and_paste::sim::{Event, Handle, Resource, Semaphore, Sim, SimDuration, SimTime};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -426,8 +427,8 @@ fn a_cold_read_costs_its_misses_whatever_the_call_size() {
     // What one missing block costs: its in-flight event at qd 1, since
     // the driver's request, the disk's command and both replies wait in
     // slots the simulator reuses; at qd 8 also the task the driver
-    // spawns a command (its future, its waker and its join state).
-    for (qd, per_miss) in [(1, 1), (8, 4)] {
+    // spawns a command, which costs its boxed future alone.
+    for (qd, per_miss) in [(1, 1), (8, 2)] {
         // Eight frames under a forward scan: every block read is a miss.
         with_file(qd, 8, 512, move |fs, ino| async move {
             let mut at = 0;
@@ -514,7 +515,7 @@ fn tasks_taking_turns_on_the_wait_primitives_allocate_nothing() {
     let sim = Sim::new(7);
     let h = sim.handle();
     let tick = Event::new(&h);
-    let bus = Resource::new(&h, Arbitration::Priority);
+    let bus = Resource::new(&h);
     let slots = Semaphore::new(&h, 2);
     let queued = Rc::new(Cell::new(0u64));
     for prio in 0..3 {
@@ -547,6 +548,29 @@ fn tasks_taking_turns_on_the_wait_primitives_allocate_nothing() {
     assert_eq!(tick.signal_count(), 100);
     assert_eq!(bus.contentions() - contended, 180, "two of three wait for the bus each turn");
     assert_eq!(queued.get() - waited, 90, "one of three waits for a slot each turn");
+}
+
+#[test]
+fn a_spawn_costs_its_future_and_nothing_else() {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let ran = Rc::new(Cell::new(0u64));
+    let spawn_and_finish = || {
+        let ran = ran.clone();
+        h.spawn("leaf", async move { ran.set(ran.get() + 1) });
+        sim.run();
+    };
+    // Warm-up: the task table, its free list and the runnable set reach
+    // their working size, so every later spawn reuses one slot.
+    for _ in 0..3 {
+        spawn_and_finish();
+    }
+    let before = allocs();
+    for _ in 0..100 {
+        spawn_and_finish();
+    }
+    assert_eq!(allocs() - before, 100, "a spawn allocates its boxed future and nothing else");
+    assert_eq!(ran.get(), 103);
 }
 
 #[test]
