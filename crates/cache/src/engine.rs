@@ -249,15 +249,23 @@ impl CacheQuery for QueryView<'_> {
         }
     }
 
-    fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
+    fn dirty_of_file(&self, file: FileId, out: &mut Vec<BlockKey>) {
         let blocks = self.files.get(&file).map_or(&[][..], Vec::as_slice);
-        let mut dirty: Vec<&Frame> = blocks
-            .iter()
-            .map(|&(_, f)| &self.frames[f as usize])
-            .filter(|f| matches!(f.state, BlockState::Dirty { .. }))
-            .collect();
-        dirty.sort_unstable_by_key(|f| f.seq);
-        dirty.into_iter().map(|f| f.key).collect()
+        let frame = |block: u64| {
+            let at = blocks.binary_search_by_key(&block, |&(b, _)| b).expect("resident");
+            &self.frames[blocks[at].1 as usize]
+        };
+        let start = out.len();
+        out.reserve(blocks.len());
+        out.extend(
+            blocks
+                .iter()
+                .map(|&(_, f)| &self.frames[f as usize])
+                .filter(|f| matches!(f.state, BlockState::Dirty { .. }))
+                .map(|f| f.key),
+        );
+        // Stamps are unique, so the unstable sort is the age order.
+        out[start..].sort_unstable_by_key(|k| frame(k.block).seq);
     }
 }
 
@@ -1006,8 +1014,8 @@ mod tests {
             });
         }
 
-        fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
-            self.view.dirty_of_file(file)
+        fn dirty_of_file(&self, file: FileId, out: &mut Vec<BlockKey>) {
+            self.view.dirty_of_file(file, out)
         }
     }
 

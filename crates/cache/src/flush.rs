@@ -26,8 +26,8 @@ pub trait CacheQuery {
     /// time, until `visit` returns `false` or the age list ends.
     fn walk_dirty(&self, visit: &mut dyn FnMut(BlockKey, SimTime) -> bool);
 
-    /// All dirty blocks of `file`, oldest first.
-    fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey>;
+    /// Appends every dirty block of `file` to `out`, oldest first.
+    fn dirty_of_file(&self, file: FileId, out: &mut Vec<BlockKey>);
 }
 
 /// A flush (persistency) policy.
@@ -59,11 +59,12 @@ pub trait FlushPolicy {
 /// The walk visits the blocks that start a group plus the blocks of
 /// already-picked files it steps over on the way to the next one, and
 /// stops with the last group — it never sees the rest of the dirty set.
-/// It allocates its result and, only when it goes on past a whole-file
-/// group, the set of files picked so far (membership only, never
-/// iterated: the output order is the age list's). The test-only
-/// `reference` module below is the snapshot-then-group algorithm this
-/// replaced, kept as its specification.
+/// It allocates its result (each whole-file group appends to it in
+/// place) and, only when it goes on past a whole-file group, the set of
+/// files picked so far (membership only, never iterated: the output
+/// order is the age list's). The test-only `reference` module below is
+/// the snapshot-then-group algorithm this replaced, kept as its
+/// specification.
 fn select_oldest(
     q: &dyn CacheQuery,
     whole_file: bool,
@@ -89,12 +90,7 @@ fn select_oldest(
             out.push(key);
             return more;
         }
-        let group = q.dirty_of_file(key.file);
-        if out.is_empty() {
-            out = group;
-        } else {
-            out.extend(group);
-        }
+        q.dirty_of_file(key.file, &mut out);
         if more {
             picked.insert(key.file);
         }
@@ -321,8 +317,8 @@ mod tests {
             }
         }
 
-        fn dirty_of_file(&self, file: FileId) -> Vec<BlockKey> {
-            self.dirty.iter().filter(|(k, _)| k.file == file).map(|(k, _)| *k).collect()
+        fn dirty_of_file(&self, file: FileId, out: &mut Vec<BlockKey>) {
+            out.extend(self.dirty.iter().filter(|(k, _)| k.file == file).map(|(k, _)| *k));
         }
     }
 

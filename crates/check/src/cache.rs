@@ -511,12 +511,12 @@ mod tests {
             .map(|i| TraceRecord {
                 time_ns: i * 10,
                 client: 0,
-                op: TraceOp::Write { path: format!("/f{i}"), offset: 0, len: 100 },
+                op: TraceOp::Write { path: format!("/f{i}").into(), offset: 0, len: 100 },
             })
             .collect();
         let a = PrefixHashes::over(&records, records.len());
         let mut mutated = records.clone();
-        mutated[3].op = TraceOp::Write { path: "/f3".to_string(), offset: 0, len: 101 };
+        mutated[3].op = TraceOp::Write { path: "/f3".into(), offset: 0, len: 101 };
         let b = PrefixHashes::over(&mutated, mutated.len());
         for k in 0..=3 {
             assert_eq!(a.prefix(k), b.prefix(k), "prefixes before the mutation must hit");

@@ -613,7 +613,7 @@ mod tests {
             fs.write(filler, 0, 16 * 4096, None).await.unwrap();
             let writers = (0..2).map(|c| {
                 let client = fs.client(c);
-                async move { client.write(shared, 0, 4096, None).await }
+                Box::pin(async move { client.write(shared, 0, 4096, None).await })
             });
             for r in cnp_sim::join_all(writers).await {
                 assert_eq!(r, Ok(4096));

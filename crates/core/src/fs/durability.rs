@@ -132,17 +132,14 @@ impl FileSystem {
         self.s.handle.trace_exit(sp);
     }
 
-    async fn do_flush_inner(&self, keys: Vec<BlockKey>) {
-        // Group by file (ordered: deterministic flush sequence).
-        let mut by_file: std::collections::BTreeMap<u64, Vec<BlockKey>> =
-            std::collections::BTreeMap::new();
-        for k in keys {
-            by_file.entry(k.file.0).or_default().push(k);
-        }
+    async fn do_flush_inner(&self, mut keys: Vec<BlockKey>) {
+        // Group by file in file order (a deterministic flush sequence);
+        // the stable sort keeps each file's blocks in the batch's order.
+        keys.sort_by_key(|k| k.file);
         self.s.stats.borrow_mut().flush_batches += 1;
-        for (file, keys) in by_file {
-            let ino = Ino(file);
-            let started = self.s.cache.borrow_mut().begin_flush(&keys);
+        for keys in keys.chunk_by(|a, b| a.file == b.file) {
+            let ino = Ino(keys[0].file.0);
+            let started = self.s.cache.borrow_mut().begin_flush(keys);
             if started.is_empty() {
                 continue;
             }

@@ -370,7 +370,7 @@ mod tests {
             let mut seen = Seen::default();
             for (i, (op0, op1, scribbled)) in script.into_iter().enumerate() {
                 let clients = [(0, op0), (1, op1)];
-                let ops = clients.map(|(c, op)| apply(fs.client(c), op, paths.clone()));
+                let ops = clients.map(|(c, op)| Box::pin(apply(fs.client(c), op, paths.clone())));
                 cnp_sim::join_all(ops).await;
                 seen.note(&fs, &[]);
                 let scribbled = match scribbled {

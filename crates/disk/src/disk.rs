@@ -1183,7 +1183,7 @@ mod tests {
                 // Three outstanding at the cut: the first lands it, the
                 // next two overlap, so their order shows on the platter.
                 let batch = [(1, 100, 2), (2, 200, 3), (3, 204, 4)]
-                    .map(|(id, lba, byte)| d2.request(write(id, lba, byte, h2.now())));
+                    .map(|(id, lba, byte)| Box::pin(d2.request(write(id, lba, byte, h2.now()))));
                 for c in cnp_sim::join_all(batch).await {
                     assert!(matches!(c.result, Err(IoError::PowerCut)));
                 }

@@ -314,7 +314,7 @@ impl StripedDisk {
                 queued_at: req.queued_at,
                 issued_at: req.issued_at,
             };
-            async move {
+            Box::pin(async move {
                 let write_bytes = match sub.op {
                     IoOp::Write => sub.payload.len() as u64,
                     IoOp::Read => 0,
@@ -323,7 +323,7 @@ impl StripedDisk {
                 let mut c = b.disk.request(sub).await;
                 c.timing.bus += held;
                 c
-            }
+            })
         });
         // Concurrent fan-out; results come back in split (ascending-LBA)
         // order regardless of completion order — the deterministic merge.

@@ -15,6 +15,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cnp_disk::{compose_device, scheduler_by_name, DiskDriver, FaultPlan, Hardware, IoOp, Payload};
 use cnp_obs::Json;
@@ -53,7 +54,7 @@ pub fn trace_footprint(
     let params = preset(trace_name).expect("known trace");
     let records = SyntheticSprite::new(params, seed ^ 0xabcd).generate(scale);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0f00d);
-    let mut homes: HashMap<String, u64> = HashMap::new();
+    let mut homes: HashMap<Arc<str>, u64> = HashMap::new();
     // A request can start at block offset 64*MAX_RUN_BLOCKS - 1 past the
     // home and still transfer MAX_RUN_BLOCKS blocks; reserve the full
     // reach so no request can run past the last sector.

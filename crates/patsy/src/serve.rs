@@ -21,6 +21,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cnp_fault::{LayoutKind, Policy};
 use cnp_obs::Json;
@@ -144,8 +145,8 @@ async fn wire(session: &NfsSession, req: &[u8]) -> u32 {
 /// failure — the caller counts the error.
 async fn ensure_fh(
     session: &NfsSession,
-    fhs: &mut BTreeMap<String, Fhandle>,
-    path: &str,
+    fhs: &mut BTreeMap<Arc<str>, Fhandle>,
+    path: &Arc<str>,
 ) -> Option<Fhandle> {
     if let Some(&fh) = fhs.get(path) {
         return Some(fh);
@@ -161,7 +162,7 @@ async fn ensure_fh(
                 let _mtime = d.get_u64().ok()?;
                 let gen = d.get_u32().ok()?;
                 let fh = Fhandle { ino, gen };
-                fhs.insert(path.to_string(), fh);
+                fhs.insert(path.clone(), fh);
                 return Some(fh);
             }
             NOENT if attempt == 0 => {
@@ -172,7 +173,7 @@ async fn ensure_fh(
                         let ino = d.get_u64().ok()?;
                         let gen = d.get_u32().ok()?;
                         let fh = Fhandle { ino, gen };
-                        fhs.insert(path.to_string(), fh);
+                        fhs.insert(path.clone(), fh);
                         return Some(fh);
                     }
                     // Lost the create race: someone else made it.
@@ -192,8 +193,8 @@ async fn ensure_fh(
 /// which counts as the op's error.
 async fn refresh_fh(
     session: &NfsSession,
-    fhs: &mut BTreeMap<String, Fhandle>,
-    path: &str,
+    fhs: &mut BTreeMap<Arc<str>, Fhandle>,
+    path: &Arc<str>,
     st: &mut DriverStats,
 ) -> Option<Fhandle> {
     st.stale_retries += 1;
@@ -221,7 +222,7 @@ const DENTRY_EXPIRY_OPS: u32 = 64;
 /// a cached handle, and expires its dentry cache periodically.
 async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u64) -> DriverStats {
     let mut st = DriverStats::default();
-    let mut fhs: BTreeMap<String, Fhandle> = BTreeMap::new();
+    let mut fhs: BTreeMap<Arc<str>, Fhandle> = BTreeMap::new();
     let mut since_expiry = 0u32;
     for cop in &plan.ops {
         if cop.think_ns > 0 {

@@ -183,7 +183,7 @@ impl NfsServer {
             .iter()
             .map(|(c, r)| {
                 let s = self.session(*c);
-                async move { s.handle(r).await }
+                Box::pin(async move { s.handle(r).await })
             })
             .collect();
         cnp_sim::join_all(futs).await

@@ -25,6 +25,10 @@ use std::task::{Context, Poll};
 /// Drives every future to completion; outputs are returned in the order
 /// the futures were passed in.
 ///
+/// The children live inline in one list, so a join allocates that list
+/// and its output and nothing per child. That asks for `Unpin` children
+/// (a `ReplyReceiver` is one); box an `async` block at the call site.
+///
 /// # Examples
 ///
 /// ```
@@ -38,10 +42,10 @@ use std::task::{Context, Poll};
 ///         .into_iter()
 ///         .map(|ms| {
 ///             let h3 = h2.clone();
-///             async move {
+///             Box::pin(async move {
 ///                 h3.sleep(SimDuration::from_millis(ms)).await;
 ///                 ms
-///             }
+///             })
 ///         })
 ///         .collect();
 ///     // All three sleeps overlap: total virtual time is max, not sum.
@@ -54,14 +58,14 @@ use std::task::{Context, Poll};
 pub fn join_all<I>(futures: I) -> JoinAll<<I as IntoIterator>::Item>
 where
     I: IntoIterator,
-    <I as IntoIterator>::Item: Future,
+    <I as IntoIterator>::Item: Future + Unpin,
 {
-    let children: Vec<_> = futures.into_iter().map(|f| Child::Pending(Box::pin(f))).collect();
+    let children: Vec<_> = futures.into_iter().map(Child::Pending).collect();
     JoinAll { children }
 }
 
 enum Child<F: Future> {
-    Pending(Pin<Box<F>>),
+    Pending(F),
     Done(Option<F::Output>),
 }
 
@@ -70,11 +74,11 @@ pub struct JoinAll<F: Future> {
     children: Vec<Child<F>>,
 }
 
-// The children are heap-pinned (`Pin<Box<F>>`), so moving the `JoinAll`
-// itself never moves a polled future: safe impl, no unsafe involved.
-impl<F: Future> Unpin for JoinAll<F> {}
+// The children are `Unpin` and an output is never pinned, so moving the
+// `JoinAll` moves nothing that was pinned: safe impl, no unsafe involved.
+impl<F: Future + Unpin> Unpin for JoinAll<F> {}
 
-impl<F: Future> Future for JoinAll<F> {
+impl<F: Future + Unpin> Future for JoinAll<F> {
     type Output = Vec<F::Output>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -82,7 +86,7 @@ impl<F: Future> Future for JoinAll<F> {
         let mut all_done = true;
         for child in &mut this.children {
             if let Child::Pending(fut) = child {
-                match fut.as_mut().poll(cx) {
+                match Pin::new(fut).poll(cx) {
                     Poll::Ready(out) => *child = Child::Done(Some(out)),
                     Poll::Pending => all_done = false,
                 }
@@ -233,10 +237,10 @@ mod tests {
             let futs: Vec<_> = (1..=4u64)
                 .map(|i| {
                     let h3 = h2.clone();
-                    async move {
+                    Box::pin(async move {
                         h3.sleep(SimDuration::from_millis(i * 10)).await;
                         i
-                    }
+                    })
                 })
                 .collect();
             let out = join_all(futs).await;

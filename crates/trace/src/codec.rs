@@ -2,6 +2,7 @@
 //! format, both lossless.
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 use crate::record::{TraceOp, TraceRecord};
 
@@ -50,7 +51,7 @@ pub fn read_text<R: BufRead>(r: R) -> io::Result<Vec<TraceRecord>> {
             .parse()
             .map_err(|_| err("bad client"))?;
         let opname = it.next().ok_or_else(|| err("missing op"))?;
-        let path = it.next().ok_or_else(|| err("missing path"))?.to_string();
+        let path: Arc<str> = it.next().ok_or_else(|| err("missing path"))?.into();
         let mut num = |name: &str| -> io::Result<u64> {
             it.next()
                 .ok_or_else(|| err(&format!("missing {name}")))?
@@ -114,6 +115,7 @@ pub fn read_binary<R: io::Read>(mut r: R) -> io::Result<Vec<TraceRecord>> {
     r.read_exact(&mut u64buf)?;
     let n = u64::from_le_bytes(u64buf);
     let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
+    let mut pb = Vec::new();
     for _ in 0..n {
         r.read_exact(&mut u64buf)?;
         let time_ns = u64::from_le_bytes(u64buf);
@@ -129,9 +131,9 @@ pub fn read_binary<R: io::Read>(mut r: R) -> io::Result<Vec<TraceRecord>> {
         let mut u16buf = [0u8; 2];
         r.read_exact(&mut u16buf)?;
         let plen = u16::from_le_bytes(u16buf) as usize;
-        let mut pb = vec![0u8; plen];
+        pb.resize(plen, 0);
         r.read_exact(&mut pb)?;
-        let path = String::from_utf8(pb).map_err(|_| bad("bad path utf8"))?;
+        let path: Arc<str> = std::str::from_utf8(&pb).map_err(|_| bad("bad path utf8"))?.into();
         let op = match tag[0] {
             0 => TraceOp::Open { path },
             1 => TraceOp::Close { path },

@@ -4,6 +4,17 @@
 //! activity of a real file-system at some time. These records specify
 //! when the operation took place (usually down to the microsecond), and
 //! which file-system operation was executed." (§4)
+//!
+//! A workload names the same few files again and again, so a record
+//! does not own its path: it shares one `Arc<str>` per distinct path
+//! with every other record naming that file ([`PathInterner`]). Cloning
+//! a record, a client plan or a bounded prefix bumps reference counts
+//! and copies no text. `Arc`, not `Rc`: the crash checker hands records
+//! to worker threads.
+
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// A traced file-system operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,17 +22,17 @@ pub enum TraceOp {
     /// Open (or create-and-open) a file.
     Open {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
     },
     /// Close a previously opened file.
     Close {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
     },
     /// Read a byte range.
     Read {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
         /// Byte offset.
         offset: u64,
         /// Byte count.
@@ -30,7 +41,7 @@ pub enum TraceOp {
     /// Write a byte range.
     Write {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
         /// Byte offset.
         offset: u64,
         /// Byte count.
@@ -39,24 +50,24 @@ pub enum TraceOp {
     /// Remove a file.
     Delete {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
     },
     /// Truncate to a size.
     Truncate {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
         /// New size in bytes.
         size: u64,
     },
     /// Stat a file.
     Stat {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
     },
     /// Create a directory.
     Mkdir {
         /// Absolute path.
-        path: String,
+        path: Arc<str>,
     },
 }
 
@@ -87,6 +98,32 @@ impl TraceOp {
             | TraceOp::Stat { path }
             | TraceOp::Mkdir { path } => path,
         }
+    }
+}
+
+/// Hands out one shared path per distinct path text: the generators'
+/// way to name a file without allocating it again for every record.
+///
+/// The path is formatted into a reusable buffer and looked up by its
+/// text; only a path not seen before is allocated (once, as the
+/// `Arc<str>` every later record naming it shares).
+#[derive(Debug, Default)]
+pub struct PathInterner {
+    buf: String,
+    paths: HashSet<Arc<str>>,
+}
+
+impl PathInterner {
+    /// The shared path spelled by `args` (`format_args!("/c{c}/f{i}")`).
+    pub fn intern(&mut self, args: fmt::Arguments<'_>) -> Arc<str> {
+        self.buf.clear();
+        self.buf.write_fmt(args).expect("formatting into a String cannot fail");
+        if let Some(path) = self.paths.get(self.buf.as_str()) {
+            return path.clone();
+        }
+        let path: Arc<str> = Arc::from(self.buf.as_str());
+        self.paths.insert(path.clone());
+        path
     }
 }
 
@@ -131,12 +168,24 @@ mod tests {
     }
 
     #[test]
+    fn an_interned_path_is_shared_by_its_text() {
+        let mut paths = PathInterner::default();
+        let a = paths.intern(format_args!("/c{}/f{}", 1, 7));
+        let b = paths.intern(format_args!("/c1/f{}", 7));
+        let c = paths.intern(format_args!("/c1/f{}", 8));
+        assert_eq!(&*a, "/c1/f7");
+        assert!(Arc::ptr_eq(&a, &b), "the same text must share one allocation");
+        assert_eq!(&*c, "/c1/f8");
+        assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
     fn bounded_prefix_cuts_and_drops() {
         let records: Vec<TraceRecord> = (0..6)
             .map(|i| TraceRecord {
                 time_ns: i * 10,
                 client: 0,
-                op: TraceOp::Stat { path: format!("/f{i}") },
+                op: TraceOp::Stat { path: format!("/f{i}").into() },
             })
             .collect();
         let cut = bounded_prefix(&records, 4, &[]);

@@ -16,6 +16,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cnp_core::{ClientFs, FileSystem, FsError};
 use cnp_layout::{FileKind, Ino};
@@ -114,14 +115,18 @@ pub struct Completion<'a> {
     pub result: Result<(), FsError>,
 }
 
+/// path → (acked size, last ack time), keyed by the records' shared
+/// paths.
+type AckMap = BTreeMap<Arc<str>, (u64, u64)>;
+
 /// What every client of one run shares: the operation budget and the
 /// acknowledgement tracker. Both the trace replay and `cnp-workload`'s
 /// closed-loop runner spawn one task per client, each calling
 /// [`ClientRun::drive`], and fold the completions into their own report.
 pub struct ClientRun {
     budget: Cell<u64>,
-    /// path → (acked size, last ack time); `None` when not tracking.
-    acked: RefCell<Option<BTreeMap<String, (u64, u64)>>>,
+    /// `None` when not tracking.
+    acked: RefCell<Option<AckMap>>,
     /// Paths of failed destructive ops (indeterminate outcome).
     indeterminate: RefCell<BTreeSet<String>>,
 }
@@ -149,7 +154,7 @@ impl ClientRun {
         mut fold: impl FnMut(Completion<'a>),
     ) {
         // Per-client open-file table (path → ino).
-        let mut open: HashMap<String, Ino> = HashMap::new();
+        let mut open: HashMap<Arc<str>, Ino> = HashMap::new();
         for (pace, op) in ops {
             match pace {
                 Pace::At(due) if h.now() < due => h.sleep_until(due).await,
@@ -207,7 +212,11 @@ impl ClientRun {
             .into_inner()
             .unwrap_or_default()
             .into_iter()
-            .map(|(path, (size, last_ack_ns))| AckedFile { path, size, last_ack_ns })
+            .map(|(path, (size, last_ack_ns))| AckedFile {
+                path: path.to_string(),
+                size,
+                last_ack_ns,
+            })
             .collect();
         (acked, self.indeterminate.into_inner().into_iter().collect())
     }
@@ -308,7 +317,7 @@ impl ReplayState {
 async fn apply_op(
     fs: &ClientFs,
     op: &TraceOp,
-    open: &mut HashMap<String, Ino>,
+    open: &mut HashMap<Arc<str>, Ino>,
 ) -> Result<(), FsError> {
     match op {
         TraceOp::Mkdir { path } => match fs.mkdir(path).await {
@@ -361,8 +370,8 @@ async fn apply_op(
 
 async fn ensure_open(
     fs: &ClientFs,
-    path: &str,
-    open: &mut HashMap<String, Ino>,
+    path: &Arc<str>,
+    open: &mut HashMap<Arc<str>, Ino>,
 ) -> Result<Ino, FsError> {
     if let Some(&ino) = open.get(path) {
         return Ok(ino);
@@ -379,6 +388,6 @@ async fn ensure_open(
         }
         Err(e) => return Err(e),
     };
-    open.insert(path.to_string(), ino);
+    open.insert(path.clone(), ino);
     Ok(ino)
 }

@@ -11,10 +11,12 @@
 //! trace 5 mixes large writes with "a fair amount of stat and read
 //! operations".
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::record::{TraceOp, TraceRecord};
+use crate::record::{PathInterner, TraceOp, TraceRecord};
 
 /// Tunable workload parameters (one per trace personality).
 #[derive(Debug, Clone)]
@@ -154,31 +156,35 @@ impl SyntheticSprite {
         let p = self.params.clone();
         let duration_ns = (p.duration_s as f64 * scale.clamp(0.0001, 10.0) * 1e9) as u64;
         let mut out: Vec<TraceRecord> = Vec::new();
+        let mut paths = PathInterner::default();
         // Each client owns a directory; mkdir arrives at t=0.
         for c in 0..p.clients {
-            out.push(TraceRecord {
-                time_ns: 0,
-                client: c,
-                op: TraceOp::Mkdir { path: format!("/c{c}") },
-            });
+            let path = paths.intern(format_args!("/c{c}"));
+            out.push(TraceRecord { time_ns: 0, client: c, op: TraceOp::Mkdir { path } });
         }
         for c in 0..p.clients {
-            self.client_stream(c, duration_ns, &mut out);
+            self.client_stream(c, duration_ns, &mut paths, &mut out);
         }
         out.sort_by_key(|r| (r.time_ns, r.client));
         out
     }
 
-    fn client_stream(&mut self, client: u32, duration_ns: u64, out: &mut Vec<TraceRecord>) {
+    fn client_stream(
+        &mut self,
+        client: u32,
+        duration_ns: u64,
+        paths: &mut PathInterner,
+        out: &mut Vec<TraceRecord>,
+    ) {
         let p = self.params.clone();
         let mean_gap_ns = (60.0 / p.sessions_per_min * 1e9) as u64;
         let mut t: u64 = self.rng.gen_range(0..mean_gap_ns.max(1));
         let mut recent: Vec<u32> = Vec::new();
         // Sizes of files this client has written so far: read sessions
         // target real content, as a replayed trace would.
-        let mut written: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+        let mut written: BTreeMap<u32, u64> = BTreeMap::new();
         while t < duration_ns {
-            t = self.session(client, t, &mut recent, &mut written, out);
+            t = self.session(client, t, &mut recent, &mut written, paths, out);
             // Bursty arrivals: short gap with probability `burst`, else a
             // think-time drawn around the mean.
             let gap = if self.rng.gen_bool(p.burst) {
@@ -198,7 +204,8 @@ impl SyntheticSprite {
         client: u32,
         start: u64,
         recent: &mut Vec<u32>,
-        written: &mut std::collections::BTreeMap<u32, u64>,
+        written: &mut BTreeMap<u32, u64>,
+        paths: &mut PathInterner,
         out: &mut Vec<TraceRecord>,
     ) -> u64 {
         let p = self.params.clone();
@@ -216,13 +223,15 @@ impl SyntheticSprite {
                 self.rng.gen_range(0..p.files_per_client)
             }
         } else {
-            let keys: Vec<u32> = written.keys().copied().collect();
-            let hot: Vec<u32> =
-                recent.iter().copied().filter(|f| written.contains_key(f)).collect();
-            if !hot.is_empty() && self.rng.gen_bool(p.rehit) {
-                hot[self.rng.gen_range(0..hot.len())]
+            // Counted, then indexed in place: the draws a collected list
+            // would take, in the same order.
+            let hot = || recent.iter().filter(|&f| written.contains_key(f));
+            let nhot = hot().count();
+            if nhot > 0 && self.rng.gen_bool(p.rehit) {
+                *hot().nth(self.rng.gen_range(0..nhot)).expect("index below the count")
             } else {
-                keys[self.rng.gen_range(0..keys.len())]
+                let at = self.rng.gen_range(0..written.len());
+                *written.keys().nth(at).expect("index below the count")
             }
         };
         if !recent.contains(&fidx) {
@@ -231,7 +240,7 @@ impl SyntheticSprite {
                 recent.remove(0);
             }
         }
-        let path = format!("/c{client}/f{fidx}");
+        let path = paths.intern(format_args!("/c{client}/f{fidx}"));
         let large = writing && self.rng.gen_bool(p.large_fraction);
         let size = if writing {
             if large {
@@ -272,11 +281,8 @@ impl SyntheticSprite {
         for _ in 0..nstats {
             let t = start + self.rng.gen_range(0..body_ns.max(1));
             let sidx = self.rng.gen_range(0..p.files_per_client);
-            out.push(TraceRecord {
-                time_ns: t,
-                client,
-                op: TraceOp::Stat { path: format!("/c{client}/f{sidx}") },
-            });
+            let path = paths.intern(format_args!("/c{client}/f{sidx}"));
+            out.push(TraceRecord { time_ns: t, client, op: TraceOp::Stat { path } });
         }
         out.push(TraceRecord {
             time_ns: close_t,
@@ -292,10 +298,10 @@ impl SyntheticSprite {
             let t = close_t + delay_s * 1_000_000_000;
             let op = if self.rng.gen_bool(0.7) {
                 written.remove(&fidx);
-                TraceOp::Delete { path: path.clone() }
+                TraceOp::Delete { path }
             } else {
                 written.insert(fidx, 0);
-                TraceOp::Truncate { path: path.clone(), size: 0 }
+                TraceOp::Truncate { path, size: 0 }
             };
             out.push(TraceRecord { time_ns: t, client, op });
         }

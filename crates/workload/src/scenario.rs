@@ -13,10 +13,13 @@
 //! program is identical in a 1-client and a 64-client run, so client
 //! sweeps vary only the offered concurrency, not the per-client work.
 
+use std::fmt;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cnp_trace::{records_from_streams, TraceOp, TraceRecord};
+use cnp_trace::{records_from_streams, PathInterner, TraceOp, TraceRecord};
 
 /// File-system block size the generators align I/O to.
 const BLOCK: u64 = 4096;
@@ -111,7 +114,9 @@ pub struct ClientOp {
     pub op: TraceOp,
 }
 
-/// One client's whole program.
+/// One client's whole program. Its ops share their paths (one
+/// allocation per distinct file), so a clone copies the op list and no
+/// path text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientPlan {
     /// Client id (also the namespace shard `/w<id>`).
@@ -197,7 +202,8 @@ impl ZipfTable {
 /// Per-client program builder: shared helpers + the per-kind emitters.
 struct ClientProgram<'a> {
     kind: WorkloadKind,
-    shard: String,
+    shard: Arc<str>,
+    paths: PathInterner,
     rng: &'a mut StdRng,
     /// Base think time for this client (its "user speed").
     think_base: u64,
@@ -210,9 +216,11 @@ impl<'a> ClientProgram<'a> {
     fn new(kind: WorkloadKind, client: u32, rng: &'a mut StdRng) -> ClientProgram<'a> {
         let (lo, hi) = kind.think_range();
         let think_base = rng.gen_range(lo..hi);
+        let mut paths = PathInterner::default();
         ClientProgram {
             kind,
-            shard: format!("/w{client}"),
+            shard: paths.intern(format_args!("/w{client}")),
+            paths,
             rng,
             think_base,
             sizes: std::collections::BTreeMap::new(),
@@ -242,8 +250,10 @@ impl<'a> ClientProgram<'a> {
         self.rng.gen_range(base / 2..base + base / 2)
     }
 
-    fn path(&self, name: &str) -> String {
-        format!("{}/{name}", self.shard)
+    /// The shared path of `name` (`format_args!("f{fidx}")`) in the
+    /// client's shard.
+    fn path(&mut self, name: fmt::Arguments<'_>) -> Arc<str> {
+        self.paths.intern(format_args!("{}/{name}", self.shard))
     }
 
     /// A block-aligned offset so a `len`-byte access stays inside
@@ -257,7 +267,7 @@ impl<'a> ClientProgram<'a> {
     /// tracking the written size.
     fn write_file(&mut self, think: u64, fidx: u64, offset: u64, len: u64) {
         let len = len.min(FILE_CAP.saturating_sub(offset)).max(1);
-        let path = self.path(&format!("f{fidx}"));
+        let path = self.path(format_args!("f{fidx}"));
         self.push(think, TraceOp::Write { path, offset, len });
         let s = self.sizes.entry(fidx).or_insert(0);
         *s = (*s).max(offset + len);
@@ -275,15 +285,14 @@ impl<'a> ClientProgram<'a> {
             // Web: every ~10th op appends the access log instead.
             if log && i % 10 == 9 {
                 if log_size + 16 * 1024 > FILE_CAP {
-                    self.push(think, TraceOp::Truncate { path: self.path("access.log"), size: 0 });
+                    let path = self.path(format_args!("access.log"));
+                    self.push(think, TraceOp::Truncate { path, size: 0 });
                     log_size = 0;
                     continue;
                 }
                 let len = self.rng.gen_range(1..=4u64) * BLOCK;
-                self.push(
-                    think,
-                    TraceOp::Write { path: self.path("access.log"), offset: log_size, len },
-                );
+                let path = self.path(format_args!("access.log"));
+                self.push(think, TraceOp::Write { path, offset: log_size, len });
                 log_size += len;
                 continue;
             }
@@ -298,11 +307,11 @@ impl<'a> ClientProgram<'a> {
                 Some(size) if roll < read_frac => {
                     let len = (self.rng.gen_range(1..=4u64) * BLOCK).min(size);
                     let offset = self.aligned_offset(size, len);
-                    let path = self.path(&format!("f{fidx}"));
+                    let path = self.path(format_args!("f{fidx}"));
                     self.push(think, TraceOp::Read { path, offset, len });
                 }
                 Some(_) if roll < read_frac + stat_frac => {
-                    let path = self.path(&format!("f{fidx}"));
+                    let path = self.path(format_args!("f{fidx}"));
                     self.push(think, TraceOp::Stat { path });
                 }
                 Some(size) => {
@@ -329,35 +338,36 @@ impl<'a> ClientProgram<'a> {
                 let m = next_msg;
                 next_msg += 1;
                 let len = self.rng.gen_range(1..=4u64) * BLOCK;
-                let path = self.path(&format!("m{m}"));
+                let path = self.path(format_args!("m{m}"));
                 self.push(think, TraceOp::Write { path, offset: 0, len });
                 alive.push(m);
             } else if roll < 0.65 {
                 // Expunge: the oldest message dies.
                 let m = alive.remove(0);
-                self.push(think, TraceOp::Delete { path: self.path(&format!("m{m}")) });
+                let path = self.path(format_args!("m{m}"));
+                self.push(think, TraceOp::Delete { path });
             } else if roll < 0.80 {
                 // Read a random live message (its whole first block).
                 let m = alive[self.rng.gen_range(0..alive.len())];
-                let path = self.path(&format!("m{m}"));
+                let path = self.path(format_args!("m{m}"));
                 self.push(think, TraceOp::Read { path, offset: 0, len: BLOCK });
             } else if roll < 0.90 {
                 // Append the inbox; compact when it gets fat.
                 if inbox + 8 * BLOCK > FILE_CAP {
-                    self.push(think, TraceOp::Truncate { path: self.path("inbox"), size: 0 });
+                    let path = self.path(format_args!("inbox"));
+                    self.push(think, TraceOp::Truncate { path, size: 0 });
                     inbox = 0;
                 } else {
                     let len = self.rng.gen_range(1..=8u64) * BLOCK;
-                    self.push(
-                        think,
-                        TraceOp::Write { path: self.path("inbox"), offset: inbox, len },
-                    );
+                    let path = self.path(format_args!("inbox"));
+                    self.push(think, TraceOp::Write { path, offset: inbox, len });
                     inbox += len;
                 }
             } else {
                 // Status poll.
                 let m = alive[self.rng.gen_range(0..alive.len())];
-                self.push(think, TraceOp::Stat { path: self.path(&format!("m{m}")) });
+                let path = self.path(format_args!("m{m}"));
+                self.push(think, TraceOp::Stat { path });
             }
         }
     }
@@ -367,7 +377,8 @@ impl<'a> ClientProgram<'a> {
     fn build_body(&mut self, nops: u64) {
         const NDIRS: u64 = 8;
         for d in 0..NDIRS {
-            self.push(0, TraceOp::Mkdir { path: self.path(&format!("d{d}")) });
+            let path = self.path(format_args!("d{d}"));
+            self.push(0, TraceOp::Mkdir { path });
         }
         let mut built: Vec<(u64, u64)> = Vec::new(); // (dir, file)
         let mut next_file = 0u64;
@@ -381,7 +392,7 @@ impl<'a> ClientProgram<'a> {
                 let f = next_file;
                 next_file += 1;
                 let len = self.rng.gen_range(1..=2u64) * BLOCK;
-                let path = self.path(&format!("d{d}/o{f}"));
+                let path = self.path(format_args!("d{d}/o{f}"));
                 self.push(think, TraceOp::Write { path, offset: 0, len });
                 built.push((d, f));
                 i += 1;
@@ -391,20 +402,22 @@ impl<'a> ClientProgram<'a> {
                 for b in 0..burst {
                     let (d, f) = built[self.rng.gen_range(0..built.len())];
                     let t = if b == 0 { think } else { 0 };
-                    self.push(t, TraceOp::Stat { path: self.path(&format!("d{d}/o{f}")) });
+                    let path = self.path(format_args!("d{d}/o{f}"));
+                    self.push(t, TraceOp::Stat { path });
                 }
                 i += burst;
             } else if roll < 0.90 {
                 // Header read.
                 let (d, f) = built[self.rng.gen_range(0..built.len())];
-                let path = self.path(&format!("d{d}/o{f}"));
+                let path = self.path(format_args!("d{d}/o{f}"));
                 self.push(think, TraceOp::Read { path, offset: 0, len: BLOCK });
                 i += 1;
             } else {
                 // Clean: a rebuild deletes an output.
                 let idx = self.rng.gen_range(0..built.len());
                 let (d, f) = built.remove(idx);
-                self.push(think, TraceOp::Delete { path: self.path(&format!("d{d}/o{f}")) });
+                let path = self.path(format_args!("d{d}/o{f}"));
+                self.push(think, TraceOp::Delete { path });
                 i += 1;
             }
         }
@@ -437,7 +450,7 @@ impl<'a> ClientProgram<'a> {
                 // Full sequential scan of one big file.
                 let f = self.rng.gen_range(0..NBIG);
                 let size = self.sizes.get(&f).copied().unwrap_or(CHUNK);
-                let path = self.path(&format!("f{f}"));
+                let path = self.path(format_args!("f{f}"));
                 let mut off = 0u64;
                 let mut first = true;
                 while off < size && i < nops {
@@ -450,15 +463,14 @@ impl<'a> ClientProgram<'a> {
                 }
             } else if log_size + CHUNK > FILE_CAP {
                 // Log rotation.
-                self.push(think, TraceOp::Truncate { path: self.path("journal"), size: 0 });
+                let path = self.path(format_args!("journal"));
+                self.push(think, TraceOp::Truncate { path, size: 0 });
                 log_size = 0;
                 i += 1;
             } else {
                 let len = self.rng.gen_range(4..=16u64) * BLOCK;
-                self.push(
-                    think,
-                    TraceOp::Write { path: self.path("journal"), offset: log_size, len },
-                );
+                let path = self.path(format_args!("journal"));
+                self.push(think, TraceOp::Write { path, offset: log_size, len });
                 log_size += len;
                 i += 1;
             }

@@ -24,13 +24,19 @@
 //! a box per 512-byte sector.
 //!
 //! The simulation kernel: a wait on a primitive allocates nothing, and a
-//! spawn allocates its boxed future and nothing else.
+//! spawn allocates its boxed future and nothing else. A batch of disk
+//! commands allocates the same whatever its length.
+//!
+//! Workloads: a generated trace allocates one path per distinct file,
+//! not one per record, and a client plan's clone copies its op list and
+//! no path.
 //!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
 
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use cut_and_paste::cache::{
@@ -39,10 +45,12 @@ use cut_and_paste::cache::{
 use cut_and_paste::core::{FileSystem, FsConfig};
 use cut_and_paste::disk::{
     compose_device, sim_disk_driver, store_sectors, CLook, DiskClient, DiskDriver, DiskImage,
-    DiskModel, DiskOpts, FaultPlan, Hp97560, Payload, ScsiBus,
+    DiskModel, DiskOpts, FaultPlan, Hp97560, IoOp, Payload, ScsiBus,
 };
 use cut_and_paste::layout::{FileKind, Ino, Inode, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
 use cut_and_paste::sim::{Event, Handle, Resource, Semaphore, Sim, SimDuration, SimTime};
+use cut_and_paste::trace::{trace_1a, SyntheticSprite};
+use cut_and_paste::workload::{ClientPlan, Scenario, WorkloadKind};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -300,11 +308,12 @@ fn flush_pick_cost_follows_the_pick_not_the_dirty_set() {
     let (few, many) = (stall(&mut few, probe_few), stall(&mut many, probe_many));
     assert_eq!((few.1, many.1), (8, 8));
     assert_eq!(many.0, few.0, "an 8-block file among 1,024 dirty blocks against among 16");
-    // … and more of them cost no less.
+    assert_eq!(few.0, 1, "the file's blocks go straight into the pick");
+    // … and so does a file of 512.
     let (mut big, probe_big) = full_nvram("nvram-whole", 1024, 2);
     let big = stall(&mut big, probe_big);
     assert_eq!(big.1, 512);
-    assert!(big.0 >= many.0 && big.0 <= 32, "a 512-block file allocated {}", big.0);
+    assert_eq!(big.0, 1, "a 512-block file");
 }
 
 #[test]
@@ -614,4 +623,64 @@ fn capturing_a_platter_copies_its_table_not_its_sectors() {
         assert_eq!(buffered.sector(FRAMES * 8), Some(&[0xEE; 512][..]));
         assert_eq!(buffered.sector(6 * 8), Some(&[6; 512][..]));
     });
+}
+
+#[test]
+fn a_batch_of_disk_commands_costs_the_same_whatever_its_length() {
+    let sim = Sim::new(7);
+    let h = sim.handle();
+    let (driver, _disks) = hp97560(&h, None, None);
+    sim.block_on("alloc-budget", async move {
+        let (h, driver, next) = (&h, &driver, &Cell::new(0u64));
+        let batch_cost = |n: u64| {
+            floor_of(move || {
+                let at = next.replace(next.get() + n);
+                let reqs: Vec<_> = (at..at + n)
+                    .map(|block| (IoOp::Write, block * 8, 8, Payload::Simulated(BLOCK_SIZE)))
+                    .collect();
+                async move {
+                    for done in driver.submit_batch(reqs).await {
+                        assert!(done.is_ok());
+                    }
+                    h.sleep(SimDuration::from_millis(100)).await;
+                }
+            })
+        };
+        // Warm-up: the driver's queue reaches 16 commands.
+        batch_cost(16).await;
+        let (two, sixteen) = (batch_cost(2).await, batch_cost(16).await);
+        // The receivers' list, the join's list and the results: no box
+        // per command.
+        assert_eq!(sixteen, two, "16 simulated commands against 2");
+    });
+}
+
+#[test]
+fn generating_a_trace_allocates_a_path_per_file_not_per_record() {
+    let mut gen = SyntheticSprite::new(trace_1a(), 42);
+    let before = allocs();
+    let records = gen.generate(0.002);
+    let spent = allocs() - before;
+    let files = records.iter().map(|r| r.op.path()).collect::<HashSet<_>>().len() as u64;
+    let n = records.len() as u64;
+    assert!(n > 1000, "a real trace: {n} records");
+    // Besides one path per file: the growth of the record list, of the
+    // interner's set and of each client's recent list and size map.
+    let growth = n / 16;
+    assert!(
+        spent <= files + growth,
+        "{n} records naming {files} files allocated {spent} (1.5 a record when each owned its path)"
+    );
+}
+
+#[test]
+fn a_client_plan_clone_copies_its_op_list_and_no_path() {
+    for scale in [0.01, 0.1] {
+        let scenario = Scenario::generate(WorkloadKind::Mail, 1, 42, scale);
+        let plan: &ClientPlan = &scenario.plans[0];
+        let before = allocs();
+        let copy = plan.clone();
+        assert_eq!(allocs() - before, 1, "a plan of {} ops", plan.ops.len());
+        assert_eq!(&copy, plan);
+    }
 }

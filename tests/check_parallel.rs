@@ -115,7 +115,7 @@ fn cache_file_roundtrip_hits_everything_then_rechecks_only_the_mutated_tail() {
     const MUTATED: usize = 20;
     let unaffected = run_check_with(&cfg(MUTATED), CheckOptions::default()).cells;
     let mut mutated = cfg(40);
-    mutated.records[MUTATED].op = TraceOp::Write { path: "/pr8".to_string(), offset: 0, len: 4242 };
+    mutated.records[MUTATED].op = TraceOp::Write { path: "/pr8".into(), offset: 0, len: 4242 };
     let mut third_cache = CellCache::load(path).expect("cache file loads again");
     let third = run_check_with(
         &mutated,

@@ -555,14 +555,14 @@ fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
     };
 
     let op = |think_s: u64, op: TraceOp| ClientOp { think_ns: think_s * 1_000_000_000, op };
-    let victim = || "/victim".to_string();
+    let victim = || "/victim".into();
     let ops = vec![
         op(0, TraceOp::Write { path: victim(), offset: 0, len: 8192 }),
         op(0, TraceOp::Close { path: victim() }),
         // Three log segments of filler through an eight-block cache push
         // the root directory out of memory and onto the platter, so the
         // truncate's path walk must read the disk.
-        op(0, TraceOp::Write { path: "/filler".to_string(), offset: 0, len: 384 * 4096 }),
+        op(0, TraceOp::Write { path: "/filler".into(), offset: 0, len: 384 * 4096 }),
         // The disk dies at 30 s; the truncate arrives at 60 s.
         op(60, TraceOp::Truncate { path: victim(), size: 0 }),
     ];

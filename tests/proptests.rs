@@ -121,7 +121,7 @@ proptest! {
         let records: Vec<TraceRecord> = ops
             .into_iter()
             .map(|(t, c, tag, a, b)| {
-                let path = format!("/c{c}/f{a}");
+                let path = format!("/c{c}/f{a}").into();
                 let op = match tag {
                     0 => TraceOp::Open { path },
                     1 => TraceOp::Close { path },
