@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use cnp_fault::{LayoutKind, Policy};
 use cnp_obs::Json;
-use cnp_pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig, XdrDecoder};
+use cnp_pfs::{Fhandle, NfsServer, NfsSession, NfsStat, Request, ServeConfig, XdrDecoder};
 use cnp_sim::{run_cells, Handle, Sim, SimDuration};
 use cnp_trace::TraceOp;
 use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
@@ -133,10 +133,47 @@ const EXIST: u32 = NfsStat::Exist as u32;
 const STALE: u32 = NfsStat::Stale as u32;
 const BADRPC: u32 = NfsStat::BadRpc as u32;
 
-/// Issues one wire request and returns the reply's status word.
-async fn wire(session: &NfsSession, req: &[u8]) -> u32 {
-    let reply = session.handle(req).await;
-    XdrDecoder::new(&reply).get_u32().unwrap_or(BADRPC)
+/// One NFS client's end of the wire: its session and the request,
+/// reply and payload buffers it reuses for its whole run, so a request
+/// allocates nothing once the buffers have grown to the client's
+/// largest transfer.
+struct Wire {
+    session: NfsSession,
+    request: Vec<u8>,
+    reply: Vec<u8>,
+    payload: Vec<u8>,
+}
+
+impl Wire {
+    fn new(session: NfsSession) -> Self {
+        Wire { session, request: Vec::new(), reply: Vec::new(), payload: Vec::new() }
+    }
+
+    /// Issues `req` and returns the reply's status word; the reply
+    /// stays readable through [`Wire::reply_body`].
+    async fn call(&mut self, req: Request<'_>) -> u32 {
+        req.encode(&mut self.request);
+        self.send().await
+    }
+
+    /// Issues a WRITE of `len` bytes of `fill` at `offset`, refilling
+    /// the payload buffer in place.
+    async fn write(&mut self, fh: Fhandle, offset: u64, len: usize, fill: u8) -> u32 {
+        self.payload.clear();
+        self.payload.resize(len, fill);
+        Request::WriteFh { fh, offset, data: &self.payload }.encode(&mut self.request);
+        self.send().await
+    }
+
+    async fn send(&mut self) -> u32 {
+        self.session.handle_into(&self.request, &mut self.reply).await;
+        XdrDecoder::new(&self.reply).get_u32().unwrap_or(BADRPC)
+    }
+
+    /// The last reply past its status word.
+    fn reply_body(&self) -> XdrDecoder<'_> {
+        XdrDecoder::new(self.reply.get(4..).unwrap_or_default())
+    }
 }
 
 /// Resolves `path` to a file handle the NFS way: consult the client's
@@ -144,7 +181,7 @@ async fn wire(session: &NfsSession, req: &[u8]) -> u32 {
 /// create race with one more Lookup). Returns `None` on a genuine
 /// failure — the caller counts the error.
 async fn ensure_fh(
-    session: &NfsSession,
+    wire: &mut Wire,
     fhs: &mut BTreeMap<Arc<str>, Fhandle>,
     path: &Arc<str>,
 ) -> Option<Fhandle> {
@@ -152,10 +189,9 @@ async fn ensure_fh(
         return Some(fh);
     }
     for attempt in 0..2 {
-        let reply = session.handle(&client::path_req(NfsProc::Lookup, path)).await;
-        let mut d = XdrDecoder::new(&reply);
-        match d.get_u32().ok()? {
+        match wire.call(Request::Lookup { path }).await {
             OK => {
+                let mut d = wire.reply_body();
                 let ino = d.get_u64().ok()?;
                 let _kind = d.get_u32().ok()?;
                 let _size = d.get_u64().ok()?;
@@ -166,10 +202,9 @@ async fn ensure_fh(
                 return Some(fh);
             }
             NOENT if attempt == 0 => {
-                let reply = session.handle(&client::path_req(NfsProc::Create, path)).await;
-                let mut d = XdrDecoder::new(&reply);
-                match d.get_u32().ok()? {
+                match wire.call(Request::Create { path }).await {
                     OK => {
+                        let mut d = wire.reply_body();
                         let ino = d.get_u64().ok()?;
                         let gen = d.get_u32().ok()?;
                         let fh = Fhandle { ino, gen };
@@ -192,14 +227,14 @@ async fn ensure_fh(
 /// looks the path up again, once. `None` when that Lookup fails too,
 /// which counts as the op's error.
 async fn refresh_fh(
-    session: &NfsSession,
+    wire: &mut Wire,
     fhs: &mut BTreeMap<Arc<str>, Fhandle>,
     path: &Arc<str>,
     st: &mut DriverStats,
 ) -> Option<Fhandle> {
     st.stale_retries += 1;
     fhs.remove(path);
-    let fh = ensure_fh(session, fhs, path).await;
+    let fh = ensure_fh(wire, fhs, path).await;
     st.errors += fh.is_none() as u64;
     fh
 }
@@ -222,6 +257,7 @@ const DENTRY_EXPIRY_OPS: u32 = 64;
 /// a cached handle, and expires its dentry cache periodically.
 async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u64) -> DriverStats {
     let mut st = DriverStats::default();
+    let mut wire = Wire::new(session);
     let mut fhs: BTreeMap<Arc<str>, Fhandle> = BTreeMap::new();
     let mut since_expiry = 0u32;
     for cop in &plan.ops {
@@ -236,13 +272,13 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
         }
         match &cop.op {
             TraceOp::Mkdir { path } => {
-                let s = wire(&session, &client::path_req(NfsProc::Mkdir, path)).await;
+                let s = wire.call(Request::Mkdir { path }).await;
                 if s != OK && s != EXIST {
                     st.errors += 1;
                 }
             }
             TraceOp::Open { path } => {
-                if ensure_fh(&session, &mut fhs, path).await.is_none() {
+                if ensure_fh(&mut wire, &mut fhs, path).await.is_none() {
                     st.errors += 1;
                 }
             }
@@ -250,29 +286,29 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
             // close, and the handle stays good for the next open.
             TraceOp::Close { .. } => {}
             TraceOp::Stat { path } => {
-                let s = wire(&session, &client::path_req(NfsProc::GetAttr, path)).await;
+                let s = wire.call(Request::GetAttr { path }).await;
                 if s != OK && s != NOENT {
                     st.errors += 1;
                 }
             }
             TraceOp::Delete { path } => {
-                let s = wire(&session, &client::path_req(NfsProc::Remove, path)).await;
+                let s = wire.call(Request::Remove { path }).await;
                 fhs.remove(path);
                 if s != OK && s != NOENT {
                     st.errors += 1;
                 }
             }
             TraceOp::Truncate { path, size } => {
-                let Some(fh) = ensure_fh(&session, &mut fhs, path).await else {
+                let Some(fh) = ensure_fh(&mut wire, &mut fhs, path).await else {
                     st.errors += 1;
                     continue;
                 };
-                let mut s = wire(&session, &client::setattr_fh_req(fh, *size)).await;
+                let mut s = wire.call(Request::SetAttrFh { fh, size: *size }).await;
                 if s == STALE {
-                    let Some(fh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                    let Some(fh) = refresh_fh(&mut wire, &mut fhs, path, &mut st).await else {
                         continue;
                     };
-                    s = wire(&session, &client::setattr_fh_req(fh, *size)).await;
+                    s = wire.call(Request::SetAttrFh { fh, size: *size }).await;
                 }
                 if s != OK {
                     st.errors += 1;
@@ -280,7 +316,7 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
             }
             TraceOp::Read { path, offset, len } | TraceOp::Write { path, offset, len } => {
                 let writing = matches!(cop.op, TraceOp::Write { .. });
-                let Some(mut fh) = ensure_fh(&session, &mut fhs, path).await else {
+                let Some(mut fh) = ensure_fh(&mut wire, &mut fhs, path).await else {
                     st.errors += 1;
                     continue;
                 };
@@ -289,9 +325,9 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
                     // handle's attributes before reading through it —
                     // the GETATTR storm that makes real NFS servers
                     // grow attribute caches in the first place.
-                    let s = wire(&session, &client::getattr_fh_req(fh)).await;
+                    let s = wire.call(Request::GetAttrFh { fh }).await;
                     if s == STALE {
-                        let Some(nfh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                        let Some(nfh) = refresh_fh(&mut wire, &mut fhs, path, &mut st).await else {
                             continue;
                         };
                         fh = nfh;
@@ -305,16 +341,14 @@ async fn drive_client(h: Handle, session: NfsSession, plan: ClientPlan, rsize: u
                 let mut retried = false;
                 loop {
                     let chunk = left.min(rsize).max(1);
-                    let req = if writing {
-                        let data = vec![fill_byte(plan.client, off); chunk as usize];
-                        client::write_fh_req(fh, off, &data)
+                    let s = if writing {
+                        wire.write(fh, off, chunk as usize, fill_byte(plan.client, off)).await
                     } else {
-                        client::read_fh_req(fh, off, chunk)
+                        wire.call(Request::ReadFh { fh, offset: off, len: chunk }).await
                     };
-                    let s = wire(&session, &req).await;
                     if s == STALE && !retried {
                         retried = true;
-                        let Some(nfh) = refresh_fh(&session, &mut fhs, path, &mut st).await else {
+                        let Some(nfh) = refresh_fh(&mut wire, &mut fhs, path, &mut st).await else {
                             break;
                         };
                         fh = nfh;

@@ -55,7 +55,7 @@ fn main() {
                 let data = d.get_opaque().expect("data");
                 println!(
                     "NFS read via fh {ino}/{gen}: status {status}, {n} bytes: {:?}",
-                    String::from_utf8_lossy(&data)
+                    String::from_utf8_lossy(data)
                 );
                 fs2.unmount().await.expect("unmount");
                 println!("cache: {:?}", fs2.cache_stats());

@@ -163,13 +163,14 @@ impl NfsCache {
     }
 
     /// Drops the attributes of `path`'s parent directory, if cached —
-    /// a namespace mutation changed its size/mtime.
+    /// a namespace mutation changed its size/mtime. The parent is
+    /// looked up by a slice of `path`, so this allocates nothing.
     pub fn invalidate_parent_attr(&self, path: &str) {
         let parent = match path.trim_end_matches('/').rsplit_once('/') {
-            Some(("", _)) | None => "/".to_string(),
-            Some((p, _)) => p.to_string(),
+            Some(("", _)) | None => "/",
+            Some((p, _)) => p,
         };
-        let fh = self.lookups.borrow().get(&parent).copied();
+        let fh = self.lookups.borrow().get(parent).copied();
         if let Some(fh) = fh {
             self.invalidate_ino(fh.ino);
         }

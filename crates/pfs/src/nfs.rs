@@ -15,7 +15,7 @@
 
 use cnp_core::FsError;
 
-use crate::xdr::{XdrDecoder, XdrEncoder};
+use crate::xdr::{opaque_wire_len, XdrDecoder, XdrEncoder};
 
 /// Wire size of a [`Fhandle`].
 const FH_LEN: usize = 12;
@@ -115,11 +115,9 @@ pub(crate) fn status_of(e: &FsError) -> NfsStat {
     }
 }
 
-/// A status-only reply.
-pub(crate) fn status_reply(status: NfsStat) -> Vec<u8> {
-    let mut e = XdrEncoder::with_capacity(4);
-    e.put_u32(status as u32);
-    e.finish()
+/// Writes a status-only reply into `out`.
+pub(crate) fn status_reply(status: NfsStat, out: &mut Vec<u8>) {
+    XdrEncoder::write_into(out, 4, |e| e.put_u32(status as u32));
 }
 
 /// An NFS file handle: inode number + generation. The generation is
@@ -151,52 +149,54 @@ impl Fhandle {
 }
 
 /// A fully decoded request — every argument parsed and the buffer
-/// verified exhausted, before any file-system side effect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// verified exhausted, before any file-system side effect. Paths and
+/// the WRITE payload borrow from the wire bytes they were decoded from
+/// (or, on the client side, from the caller about to encode them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
     /// Ping.
     Null,
     /// Attributes by path.
     GetAttr {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Path lookup.
     Lookup {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Create a regular file.
     Create {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Remove a file.
     Remove {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Rename.
     Rename {
         /// Source path.
-        from: String,
+        from: &'a str,
         /// Destination path.
-        to: String,
+        to: &'a str,
     },
     /// Make a directory.
     Mkdir {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Remove a directory.
     Rmdir {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// List a directory.
     ReadDir {
         /// Absolute path.
-        path: String,
+        path: &'a str,
     },
     /// Attributes by handle.
     GetAttrFh {
@@ -219,7 +219,7 @@ pub enum Request {
         /// Byte offset.
         offset: u64,
         /// Payload.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// Truncate by handle (SETATTR with a size).
     SetAttrFh {
@@ -230,27 +230,98 @@ pub enum Request {
     },
 }
 
+impl<'a> Request<'a> {
+    /// The path-only request `proc` names.
+    ///
+    /// Panics if `proc` does not carry exactly one path (GetAttr,
+    /// Lookup, Create, Remove, Mkdir, Rmdir and ReadDir do).
+    fn of_path(proc: NfsProc, path: &'a str) -> Request<'a> {
+        match proc {
+            NfsProc::GetAttr => Request::GetAttr { path },
+            NfsProc::Lookup => Request::Lookup { path },
+            NfsProc::Create => Request::Create { path },
+            NfsProc::Remove => Request::Remove { path },
+            NfsProc::Mkdir => Request::Mkdir { path },
+            NfsProc::Rmdir => Request::Rmdir { path },
+            NfsProc::ReadDir => Request::ReadDir { path },
+            other => panic!("{other:?} is not a path-only procedure"),
+        }
+    }
+
+    /// Writes the wire form over `out`, the inverse of
+    /// [`decode_request`]. `out`'s allocation is reused if it has room,
+    /// and otherwise replaced by one of exactly the wire size, so a
+    /// buffer reused across requests allocates only when a request
+    /// longer than any before comes by.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let path = |out: &mut Vec<u8>, proc, path: &str| {
+            message(out, proc, opaque_wire_len(path.len()), |e| e.put_str(path));
+        };
+        match *self {
+            Request::Null => message(out, NfsProc::Null, 0, |_| {}),
+            Request::GetAttr { path: p } => path(out, NfsProc::GetAttr, p),
+            Request::Lookup { path: p } => path(out, NfsProc::Lookup, p),
+            Request::Create { path: p } => path(out, NfsProc::Create, p),
+            Request::Remove { path: p } => path(out, NfsProc::Remove, p),
+            Request::Rename { from, to } => {
+                let len = opaque_wire_len(from.len()) + opaque_wire_len(to.len());
+                message(out, NfsProc::Rename, len, |e| {
+                    e.put_str(from);
+                    e.put_str(to);
+                });
+            }
+            Request::Mkdir { path: p } => path(out, NfsProc::Mkdir, p),
+            Request::Rmdir { path: p } => path(out, NfsProc::Rmdir, p),
+            Request::ReadDir { path: p } => path(out, NfsProc::ReadDir, p),
+            Request::GetAttrFh { fh } => message(out, NfsProc::GetAttrFh, FH_LEN, |e| fh.encode(e)),
+            Request::ReadFh { fh, offset, len } => {
+                message(out, NfsProc::ReadFh, FH_LEN + 16, |e| {
+                    fh.encode(e);
+                    e.put_u64(offset);
+                    e.put_u64(len);
+                });
+            }
+            Request::WriteFh { fh, offset, data } => {
+                let len = FH_LEN + 8 + opaque_wire_len(data.len());
+                message(out, NfsProc::WriteFh, len, |e| {
+                    fh.encode(e);
+                    e.put_u64(offset);
+                    e.put_opaque(data);
+                });
+            }
+            Request::SetAttrFh { fh, size } => {
+                message(out, NfsProc::SetAttrFh, FH_LEN + 8, |e| {
+                    fh.encode(e);
+                    e.put_u64(size);
+                });
+            }
+        }
+    }
+}
+
+/// Writes a request over `out`: `proc`, then the `body_len` bytes that
+/// `body` puts.
+fn message(out: &mut Vec<u8>, proc: NfsProc, body_len: usize, body: impl FnOnce(&mut XdrEncoder)) {
+    XdrEncoder::write_into(out, 4 + body_len, |e| {
+        e.put_u32(proc as u32);
+        body(e);
+    });
+}
+
 /// Decodes one wire request. Rejects unknown procedures, short bodies,
 /// and — the regression the serving tier shipped with for eight PRs —
 /// *trailing garbage*: a well-formed body followed by extra bytes is
 /// [`NfsStat::BadRpc`], not silently accepted.
-pub fn decode_request(bytes: &[u8]) -> Result<Request, NfsStat> {
+pub fn decode_request(bytes: &[u8]) -> Result<Request<'_>, NfsStat> {
     let mut d = XdrDecoder::new(bytes);
     let proc =
         NfsProc::from_u32(d.get_u32().map_err(|_| NfsStat::BadRpc)?).ok_or(NfsStat::BadRpc)?;
     let bad = |_e: String| NfsStat::BadRpc;
     let req = match proc {
         NfsProc::Null => Request::Null,
-        NfsProc::GetAttr => Request::GetAttr { path: d.get_str().map_err(bad)? },
-        NfsProc::Lookup => Request::Lookup { path: d.get_str().map_err(bad)? },
-        NfsProc::Create => Request::Create { path: d.get_str().map_err(bad)? },
-        NfsProc::Remove => Request::Remove { path: d.get_str().map_err(bad)? },
         NfsProc::Rename => {
             Request::Rename { from: d.get_str().map_err(bad)?, to: d.get_str().map_err(bad)? }
         }
-        NfsProc::Mkdir => Request::Mkdir { path: d.get_str().map_err(bad)? },
-        NfsProc::Rmdir => Request::Rmdir { path: d.get_str().map_err(bad)? },
-        NfsProc::ReadDir => Request::ReadDir { path: d.get_str().map_err(bad)? },
         NfsProc::GetAttrFh => Request::GetAttrFh { fh: Fhandle::decode(&mut d).map_err(bad)? },
         NfsProc::ReadFh => Request::ReadFh {
             fh: Fhandle::decode(&mut d).map_err(bad)?,
@@ -266,6 +337,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, NfsStat> {
             fh: Fhandle::decode(&mut d).map_err(bad)?,
             size: d.get_u64().map_err(bad)?,
         },
+        path_only => Request::of_path(path_only, d.get_str().map_err(bad)?),
     };
     if !d.is_done() {
         return Err(NfsStat::BadRpc);
@@ -274,65 +346,47 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, NfsStat> {
 }
 
 /// Client-side request builders (used by the load generator, the shell,
-/// and tests).
+/// and tests): each encodes its [`Request`] into a buffer of its own,
+/// sized exactly. A caller sending many requests keeps one buffer and
+/// calls [`Request::encode`] instead.
 pub mod client {
-    use super::{Fhandle, NfsProc, FH_LEN};
-    use crate::xdr::{opaque_wire_len, XdrEncoder};
+    use super::{Fhandle, NfsProc, Request};
+
+    fn encoded(req: Request<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        req.encode(&mut out);
+        out
+    }
 
     /// Builds a path-only request (GetAttr/Lookup/Remove/Mkdir/Rmdir/
-    /// Create/ReadDir).
+    /// Create/ReadDir). Panics for any other procedure.
     pub fn path_req(proc: NfsProc, path: &str) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + opaque_wire_len(path.len()));
-        e.put_u32(proc as u32);
-        e.put_str(path);
-        e.finish()
+        encoded(Request::of_path(proc, path))
     }
 
     /// Builds a rename request.
     pub fn rename_req(from: &str, to: &str) -> Vec<u8> {
-        let body = opaque_wire_len(from.len()) + opaque_wire_len(to.len());
-        let mut e = XdrEncoder::with_capacity(4 + body);
-        e.put_u32(NfsProc::Rename as u32);
-        e.put_str(from);
-        e.put_str(to);
-        e.finish()
+        encoded(Request::Rename { from, to })
     }
 
     /// Builds an attributes-by-handle request.
     pub fn getattr_fh_req(fh: Fhandle) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + FH_LEN);
-        e.put_u32(NfsProc::GetAttrFh as u32);
-        fh.encode(&mut e);
-        e.finish()
+        encoded(Request::GetAttrFh { fh })
     }
 
     /// Builds a read-by-handle request.
     pub fn read_fh_req(fh: Fhandle, offset: u64, len: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 16);
-        e.put_u32(NfsProc::ReadFh as u32);
-        fh.encode(&mut e);
-        e.put_u64(offset);
-        e.put_u64(len);
-        e.finish()
+        encoded(Request::ReadFh { fh, offset, len })
     }
 
     /// Builds a write-by-handle request.
     pub fn write_fh_req(fh: Fhandle, offset: u64, data: &[u8]) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 8 + opaque_wire_len(data.len()));
-        e.put_u32(NfsProc::WriteFh as u32);
-        fh.encode(&mut e);
-        e.put_u64(offset);
-        e.put_opaque(data);
-        e.finish()
+        encoded(Request::WriteFh { fh, offset, data })
     }
 
     /// Builds a truncate-by-handle request (SETATTR with a size).
     pub fn setattr_fh_req(fh: Fhandle, size: u64) -> Vec<u8> {
-        let mut e = XdrEncoder::with_capacity(4 + FH_LEN + 8);
-        e.put_u32(NfsProc::SetAttrFh as u32);
-        fh.encode(&mut e);
-        e.put_u64(size);
-        e.finish()
+        encoded(Request::SetAttrFh { fh, size })
     }
 }
 
@@ -344,17 +398,11 @@ mod tests {
     fn decode_round_trips_every_builder() {
         let fh = Fhandle { ino: 42, gen: 7 };
         let cases: Vec<(Vec<u8>, Request)> = vec![
-            (client::path_req(NfsProc::Lookup, "/a"), Request::Lookup { path: "/a".to_string() }),
-            (
-                client::rename_req("/a", "/b"),
-                Request::Rename { from: "/a".to_string(), to: "/b".to_string() },
-            ),
+            (client::path_req(NfsProc::Lookup, "/a"), Request::Lookup { path: "/a" }),
+            (client::rename_req("/a", "/b"), Request::Rename { from: "/a", to: "/b" }),
             (client::getattr_fh_req(fh), Request::GetAttrFh { fh }),
             (client::read_fh_req(fh, 0, 9), Request::ReadFh { fh, offset: 0, len: 9 }),
-            (
-                client::write_fh_req(fh, 3, b"z"),
-                Request::WriteFh { fh, offset: 3, data: b"z".to_vec() },
-            ),
+            (client::write_fh_req(fh, 3, b"z"), Request::WriteFh { fh, offset: 3, data: b"z" }),
             (client::setattr_fh_req(fh, 123), Request::SetAttrFh { fh, size: 123 }),
         ];
         for (wire, want) in cases {
@@ -446,6 +494,105 @@ mod tests {
                     Err(NfsStat::BadRpc),
                     "truncation at {cut} accepted"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_path_is_badrpc_on_every_path_procedure() {
+        let path_procs = [
+            NfsProc::GetAttr,
+            NfsProc::Lookup,
+            NfsProc::Create,
+            NfsProc::Remove,
+            NfsProc::Mkdir,
+            NfsProc::Rmdir,
+            NfsProc::ReadDir,
+        ];
+        // A lone continuation byte, a truncated two-byte sequence, and
+        // an encoded surrogate: none is UTF-8.
+        for bad in [&b"/\x80"[..], b"/caf\xc3", b"/\xed\xa0\x80"] {
+            let wire = |paths: &[&[u8]], proc: NfsProc| {
+                let mut e = XdrEncoder::new();
+                e.put_u32(proc as u32);
+                for p in paths {
+                    e.put_opaque(p);
+                }
+                e.finish()
+            };
+            for proc in path_procs {
+                assert!(decode_request(&wire(&[b"/ok"], proc)).is_ok(), "{proc:?} control");
+                assert_eq!(decode_request(&wire(&[bad], proc)), Err(NfsStat::BadRpc), "{proc:?}");
+            }
+            for pair in [[bad, b"/ok"], [b"/ok", bad]] {
+                assert_eq!(decode_request(&wire(&pair, NfsProc::Rename)), Err(NfsStat::BadRpc));
+            }
+        }
+    }
+
+    /// Paths of every byte length mod 4, with two-, three- and
+    /// four-byte characters.
+    const PATH: &str = "[/a-zé€😀]{0,12}";
+
+    /// The request `which` (one of the 13 procedures) over the given
+    /// arguments.
+    fn request<'a>(
+        which: u32,
+        (from, to): (&'a str, &'a str),
+        fh: Fhandle,
+        (x, y): (u64, u64),
+        data: &'a [u8],
+    ) -> Request<'a> {
+        match which {
+            0 => Request::Null,
+            1 => Request::GetAttr { path: from },
+            2 => Request::Lookup { path: from },
+            3 => Request::Create { path: from },
+            4 => Request::Remove { path: from },
+            5 => Request::Rename { from, to },
+            6 => Request::Mkdir { path: from },
+            7 => Request::Rmdir { path: from },
+            8 => Request::ReadDir { path: from },
+            9 => Request::GetAttrFh { fh },
+            10 => Request::ReadFh { fh, offset: x, len: y },
+            11 => Request::WriteFh { fh, offset: x, data },
+            _ => Request::SetAttrFh { fh, size: y },
+        }
+    }
+
+    /// Pads `s` with ASCII to a byte length of `rem` mod 4.
+    fn to_len_mod_4(mut s: String, rem: usize) -> String {
+        while s.len() % 4 != rem {
+            s.push('x');
+        }
+        s
+    }
+
+    proptest::proptest! {
+        /// `encode` is the inverse of `decode_request` for every
+        /// procedure, writes the exact wire size in one reservation
+        /// (and over a longer buffer's stale bytes leaves none behind),
+        /// and no proper prefix of its output decodes.
+        #[test]
+        fn every_request_round_trips_at_its_exact_size(
+            which in 0u32..13,
+            paths in (PATH, PATH, 0usize..4, 0usize..4),
+            fh in (0u64..u64::MAX, 0u32..u32::MAX),
+            args in (0u64..u64::MAX, 0u64..u64::MAX),
+            data in proptest::collection::vec(0u8..255, 0..3000),
+        ) {
+            let (from, to) = (to_len_mod_4(paths.0, paths.2), to_len_mod_4(paths.1, paths.3));
+            let fh = Fhandle { ino: fh.0, gen: fh.1 };
+            let req = request(which, (&from, &to), fh, args, &data);
+            let mut wire = Vec::new();
+            req.encode(&mut wire);
+            proptest::prop_assert_eq!(wire.capacity(), wire.len(), "procedure {} regrew", which);
+            proptest::prop_assert_eq!(decode_request(&wire), Ok(req));
+            let mut reused = vec![0xee; wire.len() + 64];
+            req.encode(&mut reused);
+            proptest::prop_assert_eq!(&reused, &wire);
+            for cut in 0..wire.len() {
+                proptest::prop_assert_eq!(decode_request(&wire[..cut]), Err(NfsStat::BadRpc));
             }
         }
     }

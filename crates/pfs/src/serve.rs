@@ -231,125 +231,138 @@ pub struct NfsSession {
 }
 
 impl NfsSession {
-    /// Handles one wire request: `proc:u32 body…` → `status:u32 body…`.
-    /// Decode happens before admission (a malformed request never
-    /// costs a pipeline slot); execution holds one admission permit.
+    /// Handles one wire request into a reply of its own: the one-shot
+    /// form of [`NfsSession::handle_into`].
     pub async fn handle(&self, request: &[u8]) -> Vec<u8> {
+        let mut reply = Vec::new();
+        self.handle_into(request, &mut reply).await;
+        reply
+    }
+
+    /// Handles one wire request, `proc:u32 body…`, writing the reply,
+    /// `status:u32 body…`, over whatever `reply` held. Decode borrows
+    /// from `request` and happens before admission (a malformed request
+    /// never costs a pipeline slot); execution holds one admission
+    /// permit. Every reply reserves its exact shape, so a caller that
+    /// reuses `reply` allocates nothing on the wire once it has held
+    /// the longest reply it will see.
+    pub async fn handle_into(&self, request: &[u8], reply: &mut Vec<u8>) {
         let sh = &self.shared;
         add(&sh.requests, 1);
         add(&sh.bytes_in, request.len() as u64);
         let t0 = self.cfs.fs().handle().now().as_nanos();
-        let reply = match decode_request(request) {
+        let failed = match decode_request(request) {
             Err(status) => {
                 add(&sh.bad_rpc, 1);
-                add(&sh.errors, 1);
-                status_reply(status)
+                Err(status)
             }
             Ok(req) => {
                 let _permit = sh.admission.acquire().await;
-                match self.execute(req).await {
-                    Ok(r) => r,
-                    Err(status) => {
-                        if status == NfsStat::Stale {
-                            add(&sh.stale, 1);
-                        }
-                        add(&sh.errors, 1);
-                        status_reply(status)
-                    }
+                let outcome = self.execute(req, reply).await;
+                if outcome == Err(NfsStat::Stale) {
+                    add(&sh.stale, 1);
                 }
+                outcome
             }
         };
+        if let Err(status) = failed {
+            add(&sh.errors, 1);
+            status_reply(status, reply);
+        }
         let t1 = self.cfs.fs().handle().now().as_nanos();
         sh.latency.borrow_mut().record((t1 - t0) as f64 / 1e6);
         add(&sh.bytes_out, reply.len() as u64);
-        reply
     }
 
-    /// Executes one decoded request. Every arm returns either a full
-    /// success reply or the status for a status-only reply.
-    async fn execute(&self, req: Request) -> Result<Vec<u8>, NfsStat> {
+    /// Executes one decoded request. Every arm either writes its full
+    /// success reply into `reply`, after its last fallible step, or
+    /// returns the status for a status-only reply.
+    async fn execute(&self, req: Request<'_>, reply: &mut Vec<u8>) -> Result<(), NfsStat> {
         let sh = &self.shared;
         match req {
-            Request::Null => Ok(status_reply(NfsStat::Ok)),
+            Request::Null => status_reply(NfsStat::Ok, reply),
             Request::GetAttr { path } | Request::Lookup { path } => {
-                let attr = self.attr_of_path(&path).await?;
-                Ok(attr_reply(&attr))
+                attr_reply(&self.attr_of_path(path).await?, reply);
             }
             Request::Create { path } => {
                 let ino =
-                    self.cfs.create(&path, FileKind::Regular).await.map_err(|e| status_of(&e))?;
+                    self.cfs.create(path, FileKind::Regular).await.map_err(|e| status_of(&e))?;
                 let fh = sh.handles.fh_of(ino.0);
-                sh.cache.insert(&path, fh, None);
-                sh.cache.invalidate_parent_attr(&path);
-                Ok(ino_reply(fh))
+                sh.cache.insert(path, fh, None);
+                sh.cache.invalidate_parent_attr(path);
+                ino_reply(fh, reply);
             }
             Request::Mkdir { path } => {
-                let ino = self.cfs.mkdir(&path).await.map_err(|e| status_of(&e))?;
+                let ino = self.cfs.mkdir(path).await.map_err(|e| status_of(&e))?;
                 let fh = sh.handles.fh_of(ino.0);
-                sh.cache.insert(&path, fh, None);
-                sh.cache.invalidate_parent_attr(&path);
-                Ok(ino_reply(fh))
+                sh.cache.insert(path, fh, None);
+                sh.cache.invalidate_parent_attr(path);
+                ino_reply(fh, reply);
             }
             Request::Remove { path } => {
-                let ino = self.resolve_ino(&path).await?;
-                self.cfs.unlink(&path).await.map_err(|e| status_of(&e))?;
+                let ino = self.resolve_ino(path).await?;
+                self.cfs.unlink(path).await.map_err(|e| status_of(&e))?;
                 sh.handles.retire(ino);
-                sh.cache.invalidate_path(&path);
-                sh.cache.invalidate_parent_attr(&path);
-                Ok(status_reply(NfsStat::Ok))
+                sh.cache.invalidate_path(path);
+                sh.cache.invalidate_parent_attr(path);
+                status_reply(NfsStat::Ok, reply);
             }
             Request::Rmdir { path } => {
-                let ino = self.resolve_ino(&path).await?;
-                self.cfs.rmdir(&path).await.map_err(|e| status_of(&e))?;
+                let ino = self.resolve_ino(path).await?;
+                self.cfs.rmdir(path).await.map_err(|e| status_of(&e))?;
                 sh.handles.retire(ino);
-                sh.cache.invalidate_subtree(&path);
-                sh.cache.invalidate_parent_attr(&path);
-                Ok(status_reply(NfsStat::Ok))
+                sh.cache.invalidate_subtree(path);
+                sh.cache.invalidate_parent_attr(path);
+                status_reply(NfsStat::Ok, reply);
             }
             Request::Rename { from, to } => {
                 // The engine refuses to overwrite an existing target
                 // (Exists), so renamed files keep their ino and their
                 // handles stay valid — NFS fh-survives-rename
                 // semantics. Cached names under both paths go.
-                self.cfs.rename(&from, &to).await.map_err(|e| status_of(&e))?;
-                sh.cache.invalidate_subtree(&from);
-                sh.cache.invalidate_subtree(&to);
-                sh.cache.invalidate_parent_attr(&from);
-                sh.cache.invalidate_parent_attr(&to);
-                Ok(status_reply(NfsStat::Ok))
+                self.cfs.rename(from, to).await.map_err(|e| status_of(&e))?;
+                sh.cache.invalidate_subtree(from);
+                sh.cache.invalidate_subtree(to);
+                sh.cache.invalidate_parent_attr(from);
+                sh.cache.invalidate_parent_attr(to);
+                status_reply(NfsStat::Ok, reply);
             }
             Request::ReadDir { path } => {
-                let entries = self.cfs.readdir(&path).await.map_err(|e| status_of(&e))?;
+                let entries = self.cfs.readdir(path).await.map_err(|e| status_of(&e))?;
                 // Per entry: ino, kind tag, name.
                 let listing: usize =
                     entries.iter().map(|e| 8 + 4 + opaque_wire_len(e.name.len())).sum();
-                let mut reply = XdrEncoder::with_capacity(8 + listing);
-                reply.put_u32(NfsStat::Ok as u32);
-                reply.put_u32(entries.len() as u32);
-                for e in entries {
-                    reply.put_u64(e.ino.0);
-                    reply.put_u32(e.kind.tag() as u32);
-                    reply.put_str(&e.name);
-                }
-                Ok(reply.finish())
+                XdrEncoder::write_into(reply, 8 + listing, |r| {
+                    r.put_u32(NfsStat::Ok as u32);
+                    r.put_u32(entries.len() as u32);
+                    for e in &entries {
+                        r.put_u64(e.ino.0);
+                        r.put_u32(e.kind.tag() as u32);
+                        r.put_str(&e.name);
+                    }
+                });
             }
             Request::GetAttrFh { fh } => {
                 sh.handles.check(fh)?;
-                if let Some(a) = sh.cache.attr(fh.ino) {
-                    return Ok(attr_reply(&a));
-                }
-                let inode = self.cfs.stat_ino(Ino(fh.ino)).await.map_err(|e| status_of(&e))?;
-                let a = attr_of(&inode, fh.gen);
-                sh.cache.insert_attr(a);
-                Ok(attr_reply(&a))
+                let a = match sh.cache.attr(fh.ino) {
+                    Some(a) => a,
+                    None => {
+                        let inode =
+                            self.cfs.stat_ino(Ino(fh.ino)).await.map_err(|e| status_of(&e))?;
+                        let a = attr_of(&inode, fh.gen);
+                        sh.cache.insert_attr(a);
+                        a
+                    }
+                };
+                attr_reply(&a, reply);
             }
             Request::ReadFh { fh, offset, len } => {
                 sh.handles.check(fh)?;
-                self.read_capped(fh.ino, offset, len).await
+                self.read_capped(fh.ino, offset, len, reply).await?;
             }
             Request::WriteFh { fh, offset, data } => {
                 sh.handles.check(fh)?;
-                self.write_capped(fh.ino, offset, &data).await
+                self.write_capped(fh.ino, offset, data, reply).await?;
             }
             Request::SetAttrFh { fh, size } => {
                 sh.handles.check(fh)?;
@@ -358,9 +371,10 @@ impl NfsSession {
                 let inode = self.cfs.stat_ino(Ino(fh.ino)).await.map_err(|e| status_of(&e))?;
                 let a = attr_of(&inode, fh.gen);
                 sh.cache.insert_attr(a);
-                Ok(attr_reply(&a))
+                attr_reply(&a, reply);
             }
         }
+        Ok(())
     }
 
     /// Name → attributes through the caches: a lookup-cache hit plus
@@ -399,21 +413,34 @@ impl NfsSession {
     /// `min(len, max_transfer)`, so a hostile 2^63-byte request costs
     /// one bounded transfer, not a giant allocation. Short reads are
     /// the protocol-visible result, exactly as real NFS.
-    async fn read_capped(&self, ino: u64, offset: u64, len: u64) -> Result<Vec<u8>, NfsStat> {
+    async fn read_capped(
+        &self,
+        ino: u64,
+        offset: u64,
+        len: u64,
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NfsStat> {
         let len = len.min(self.shared.cfg.max_transfer);
         let (n, data) = self.cfs.read(Ino(ino), offset, len).await.map_err(|e| status_of(&e))?;
         let data = data.as_deref().unwrap_or(&[]);
-        let mut reply = XdrEncoder::with_capacity(12 + opaque_wire_len(data.len()));
-        reply.put_u32(NfsStat::Ok as u32);
-        reply.put_u64(n);
-        reply.put_opaque(data);
-        Ok(reply.finish())
+        XdrEncoder::write_into(reply, 12 + opaque_wire_len(data.len()), |r| {
+            r.put_u32(NfsStat::Ok as u32);
+            r.put_u64(n);
+            r.put_opaque(data);
+        });
+        Ok(())
     }
 
     /// WRITE with the wsize cap: at most `max_transfer` bytes are
     /// accepted per call; the reply's count tells the client how far
     /// it got (short write).
-    async fn write_capped(&self, ino: u64, offset: u64, data: &[u8]) -> Result<Vec<u8>, NfsStat> {
+    async fn write_capped(
+        &self,
+        ino: u64,
+        offset: u64,
+        data: &[u8],
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NfsStat> {
         let take = (data.len() as u64).min(self.shared.cfg.max_transfer) as usize;
         let n = self
             .cfs
@@ -421,10 +448,11 @@ impl NfsSession {
             .await
             .map_err(|e| status_of(&e))?;
         self.shared.cache.invalidate_ino(ino);
-        let mut reply = XdrEncoder::with_capacity(12);
-        reply.put_u32(NfsStat::Ok as u32);
-        reply.put_u64(n);
-        Ok(reply.finish())
+        XdrEncoder::write_into(reply, 12, |r| {
+            r.put_u32(NfsStat::Ok as u32);
+            r.put_u64(n);
+        });
+        Ok(())
     }
 }
 
@@ -439,27 +467,27 @@ fn attr_of(inode: &Inode, gen: u32) -> Attr {
     }
 }
 
-/// Encodes the attr reply: `Ok ino kind size mtime gen`. The `gen`
-/// rides at the end so pre-handle clients decoding the seed's prefix
-/// keep working.
-fn attr_reply(a: &Attr) -> Vec<u8> {
-    let mut e = XdrEncoder::with_capacity(36);
-    e.put_u32(NfsStat::Ok as u32);
-    e.put_u64(a.ino);
-    e.put_u32(a.kind_tag);
-    e.put_u64(a.size);
-    e.put_u64(a.mtime);
-    e.put_u32(a.gen);
-    e.finish()
+/// Writes the attr reply into `out`: `Ok ino kind size mtime gen`. The
+/// `gen` rides at the end so pre-handle clients decoding the seed's
+/// prefix keep working.
+fn attr_reply(a: &Attr, out: &mut Vec<u8>) {
+    XdrEncoder::write_into(out, 36, |e| {
+        e.put_u32(NfsStat::Ok as u32);
+        e.put_u64(a.ino);
+        e.put_u32(a.kind_tag);
+        e.put_u64(a.size);
+        e.put_u64(a.mtime);
+        e.put_u32(a.gen);
+    });
 }
 
-/// Encodes the create/mkdir reply: `Ok ino gen`.
-fn ino_reply(fh: Fhandle) -> Vec<u8> {
-    let mut e = XdrEncoder::with_capacity(16);
-    e.put_u32(NfsStat::Ok as u32);
-    e.put_u64(fh.ino);
-    e.put_u32(fh.gen);
-    e.finish()
+/// Writes the create/mkdir reply into `out`: `Ok ino gen`.
+fn ino_reply(fh: Fhandle, out: &mut Vec<u8>) {
+    XdrEncoder::write_into(out, 16, |e| {
+        e.put_u32(NfsStat::Ok as u32);
+        e.put_u64(fh.ino);
+        e.put_u32(fh.gen);
+    });
 }
 
 #[cfg(test)]
@@ -485,9 +513,11 @@ mod tests {
     #[test]
     fn fixed_shape_replies_are_sized_exactly() {
         let attr = Attr { ino: 9, gen: 2, kind_tag: 0, size: 4096, mtime: 77 };
-        for reply in
-            [status_reply(NfsStat::Ok), attr_reply(&attr), ino_reply(Fhandle { ino: 9, gen: 2 })]
-        {
+        let mut replies = [Vec::new(), Vec::new(), Vec::new()];
+        status_reply(NfsStat::Ok, &mut replies[0]);
+        attr_reply(&attr, &mut replies[1]);
+        ino_reply(Fhandle { ino: 9, gen: 2 }, &mut replies[2]);
+        for reply in replies {
             assert_eq!(reply.capacity(), reply.len(), "reply regrew or over-reserved");
         }
     }

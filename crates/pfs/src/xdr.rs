@@ -13,10 +13,23 @@ impl XdrEncoder {
         XdrEncoder { buf: Vec::new() }
     }
 
-    /// Creates an empty encoder with room for `bytes` wire bytes, so a
-    /// message of known shape is built without regrowing the buffer.
-    pub fn with_capacity(bytes: usize) -> Self {
-        XdrEncoder { buf: Vec::with_capacity(bytes) }
+    /// Writes one message of exactly `len` wire bytes over `out`,
+    /// reusing its allocation: `write` puts the fields into `out`
+    /// emptied, or, if its capacity is under `len`, into a new buffer
+    /// of exactly `len` that replaces it (the old bytes are dropped,
+    /// not copied). A buffer that has held a message this long before
+    /// allocates nothing, and a fresh one allocates once.
+    pub(crate) fn write_into(out: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut XdrEncoder)) {
+        let buf = if out.capacity() < len {
+            Vec::with_capacity(len)
+        } else {
+            out.clear();
+            std::mem::take(out)
+        };
+        let mut e = XdrEncoder { buf };
+        write(&mut e);
+        debug_assert_eq!(e.buf.len(), len, "message longer or shorter than its shape");
+        *out = e.buf;
     }
 
     /// Appends a `u32`.
@@ -86,18 +99,19 @@ impl<'a> XdrDecoder<'a> {
         Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a length-prefixed opaque (skipping padding).
-    pub fn get_opaque(&mut self) -> Result<Vec<u8>, String> {
+    /// Reads a length-prefixed opaque (skipping padding), borrowed from
+    /// the wire bytes.
+    pub fn get_opaque(&mut self) -> Result<&'a [u8], String> {
         let n = self.get_u32()? as usize;
-        let data = self.take(n)?.to_vec();
+        let data = self.take(n)?;
         let pad = (4 - n % 4) % 4;
         self.take(pad)?;
         Ok(data)
     }
 
-    /// Reads a string.
-    pub fn get_str(&mut self) -> Result<String, String> {
-        String::from_utf8(self.get_opaque()?).map_err(|e| e.to_string())
+    /// Reads a UTF-8 string, borrowed from the wire bytes.
+    pub fn get_str(&mut self) -> Result<&'a str, String> {
+        std::str::from_utf8(self.get_opaque()?).map_err(|e| e.to_string())
     }
 
     /// True if all bytes were consumed.
@@ -164,12 +178,16 @@ mod tests {
         let wire = e.finish();
         // 4 (len) + 5 (data) + 3 (pad).
         assert_eq!(wire.len(), 12);
-        for n in 0..9 {
-            let mut e = XdrEncoder::with_capacity(opaque_wire_len(n));
-            e.put_opaque(&vec![7u8; n]);
-            let wire = e.finish();
+        let mut reused = Vec::new();
+        for n in (0..9).rev() {
+            let mut wire = Vec::new();
+            XdrEncoder::write_into(&mut wire, opaque_wire_len(n), |e| e.put_opaque(&vec![7u8; n]));
             assert_eq!(wire.len(), opaque_wire_len(n));
             assert_eq!(wire.capacity(), wire.len(), "sized exactly: never regrown");
+            XdrEncoder::write_into(&mut reused, opaque_wire_len(n), |e| {
+                e.put_opaque(&vec![7u8; n])
+            });
+            assert_eq!(reused, wire, "a reused buffer keeps no stale tail");
         }
     }
 

@@ -4,11 +4,15 @@
 //! (`pfs_over_file`) — plus stale-handle, transfer-cap, cache
 //! invalidation, batching, and never-panic (proptest) coverage.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use cnp_core::{DataMode, FileSystem, FsConfig};
 use cnp_disk::{sim_disk_driver, CLook, Hp97560};
 use cnp_layout::{Layout, LfsLayout, LfsParams};
 use cnp_pfs::{
-    client, pfs_over_file, Fhandle, NfsProc, NfsServer, NfsStat, ServeConfig, XdrDecoder,
+    client, pfs_over_file, Fhandle, NfsProc, NfsServer, NfsSession, NfsStat, ServeConfig,
+    XdrDecoder, XdrEncoder,
 };
 use cnp_sim::Sim;
 use proptest::prelude::*;
@@ -300,7 +304,91 @@ fn batch_replies_in_order_and_bounded() {
     });
 }
 
+/// Opens with the longest replies in the script's menu followed at
+/// once by the shortest, so the differential below always sees a
+/// status reply written over a buffer that held a long READDIR or READ.
+const LONG_THEN_SHORT: [(u32, u32); 8] =
+    [(0, 0), (2, 0), (1, 0), (4, 3), (0, 0), (7, 1), (1, 5), (3, 99)];
+
+/// Serves `script` on a fresh simulated server through one session and
+/// returns every reply, setup included: through one reply buffer reused
+/// for every request (`reuse`), or through the one-shot `handle`. Each
+/// `(op, arg)` step picks one request from a menu whose replies run
+/// from a 4-byte status to a READDIR of 40 names and an 8 KiB READ.
+fn replies_to(script: Vec<(u32, u32)>, reuse: bool) -> Vec<Vec<u8>> {
+    let replies = Rc::new(RefCell::new(Vec::new()));
+    let sink = replies.clone();
+    run_sim_server(4, ServeConfig { max_transfer: 8192, ..ServeConfig::default() }, move |srv| {
+        async move {
+            let s = srv.session(1);
+            let mut buf = Vec::new();
+            let mut send = async |s: &NfsSession, req: &[u8]| -> Vec<u8> {
+                let reply = if reuse {
+                    s.handle_into(req, &mut buf).await;
+                    buf.clone()
+                } else {
+                    s.handle(req).await
+                };
+                sink.borrow_mut().push(reply.clone());
+                reply
+            };
+            send(&s, &client::path_req(NfsProc::Mkdir, "/d")).await;
+            for i in 0..40 {
+                send(&s, &client::path_req(NfsProc::Create, &format!("/d/entry-{i:02}"))).await;
+            }
+            send(&s, &client::path_req(NfsProc::Create, "/big")).await;
+            let big = fh_of_lookup(&send(&s, &client::path_req(NfsProc::Lookup, "/big")).await);
+            let payload: Vec<u8> = (0..12_000u32).map(|i| (i % 253) as u8).collect();
+            send(&s, &client::write_fh_req(big, 0, &payload)).await;
+            for (op, arg) in script {
+                let req = match op {
+                    0 => client::path_req(NfsProc::ReadDir, "/d"),
+                    1 => client::read_fh_req(big, u64::from(arg) * 512, 8192),
+                    2 => {
+                        let mut e = XdrEncoder::new();
+                        e.put_u32(NfsProc::Null as u32);
+                        e.finish()
+                    }
+                    3 => client::path_req(NfsProc::GetAttr, &format!("/d/entry-{arg:02}")),
+                    // Garbage: a truncated READ, or a Lookup with a tail.
+                    4 => client::read_fh_req(big, 0, 8)[..(arg % 28) as usize].to_vec(),
+                    5 => {
+                        let mut wire = client::path_req(NfsProc::Lookup, "/big");
+                        wire.extend_from_slice(&arg.to_be_bytes());
+                        wire
+                    }
+                    6 => client::write_fh_req(big, u64::from(arg) * 100, &payload[..arg as usize]),
+                    // A handle from another generation: Stale.
+                    7 => client::getattr_fh_req(Fhandle { ino: big.ino, gen: big.gen + 1 + arg }),
+                    8 => client::getattr_fh_req(big),
+                    9 => client::path_req(NfsProc::Create, &format!("/t{}", arg % 4)),
+                    _ => client::path_req(NfsProc::Remove, &format!("/t{}", arg % 4)),
+                };
+                send(&s, &req).await;
+            }
+        }
+    });
+    Rc::try_unwrap(replies).expect("server finished").into_inner()
+}
+
 proptest! {
+    /// Reusing one reply buffer is invisible on the wire: every reply,
+    /// valid or garbage, long or short, is the one-shot `handle`'s
+    /// bytes, with no stale tail of an earlier, longer reply.
+    #[test]
+    fn a_reused_reply_buffer_replies_what_one_shot_handle_does(
+        script in prop::collection::vec((0u32..11, 0u32..64), 0..40),
+    ) {
+        let script: Vec<(u32, u32)> = LONG_THEN_SHORT.iter().copied().chain(script).collect();
+        let reused = replies_to(script.clone(), true);
+        let one_shot = replies_to(script, false);
+        prop_assert_eq!(reused.len(), one_shot.len());
+        for (i, (r, o)) in reused.iter().zip(&one_shot).enumerate() {
+            prop_assert_eq!(r, o, "reply {} differs", i);
+        }
+        prop_assert!(one_shot.iter().any(|r| r.len() > 8192), "no long READ in the script");
+    }
+
     /// The decoder never panics and never accepts trailing bytes:
     /// arbitrary mutations of valid requests either decode to the
     /// unextended request or fail cleanly.

@@ -31,6 +31,11 @@
 //! not one per record, and a client plan's clone copies its op list and
 //! no path.
 //!
+//! The wire: a request served through reused request and reply buffers
+//! allocates nothing on the way (decode borrows its path and payload,
+//! every reply is written over the caller's buffer), and the one-shot
+//! `handle` allocates its reply and nothing else.
+//!
 //! Counts come from this file's own counting allocator, per thread, so
 //! the test harness's other threads do not pollute them.
 
@@ -48,6 +53,7 @@ use cut_and_paste::disk::{
     DiskModel, DiskOpts, FaultPlan, Hp97560, IoOp, Payload, ScsiBus,
 };
 use cut_and_paste::layout::{FileKind, Ino, Inode, Layout, LfsLayout, LfsParams, BLOCK_SIZE};
+use cut_and_paste::pfs::{client, Fhandle, NfsProc, NfsServer, NfsSession, Request, XdrDecoder};
 use cut_and_paste::sim::{Event, Handle, Resource, Semaphore, Sim, SimDuration, SimTime};
 use cut_and_paste::trace::{trace_1a, SyntheticSprite};
 use cut_and_paste::workload::{ClientPlan, Scenario, WorkloadKind};
@@ -683,4 +689,50 @@ fn a_client_plan_clone_copies_its_op_list_and_no_path() {
         assert_eq!(allocs() - before, 1, "a plan of {} ops", plan.ops.len());
         assert_eq!(&copy, plan);
     }
+}
+
+/// Fewest allocations one serving of `req` makes over a few calls,
+/// encoded into and answered over the two reused buffers in `wire`
+/// (request, reply). Every reply must be status Ok.
+async fn served_floor(s: &NfsSession, req: Request<'_>, wire: &mut (Vec<u8>, Vec<u8>)) -> u64 {
+    let mut floor = u64::MAX;
+    for _ in 0..5 {
+        let before = allocs();
+        req.encode(&mut wire.0);
+        s.handle_into(&wire.0, &mut wire.1).await;
+        floor = floor.min(allocs() - before);
+        assert_eq!(wire.1[..4], [0; 4], "{req:?} failed");
+    }
+    floor
+}
+
+#[test]
+fn a_served_request_allocates_nothing_on_the_wire() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    with_file(8, 1024, 4, |fs, _| async move {
+        let srv = NfsServer::new(fs);
+        let s = &srv.session(0);
+        let lookup = s.handle(&client::path_req(NfsProc::Lookup, "/file")).await;
+        let mut d = XdrDecoder::new(&lookup);
+        let (status, ino) = (d.get_u32().unwrap(), d.get_u64().unwrap());
+        let (_kind, _size, _mtime) = (d.get_u32(), d.get_u64(), d.get_u64());
+        let fh = Fhandle { ino, gen: d.get_u32().unwrap() };
+        assert_eq!(status, 0, "lookup failed");
+        let block = vec![0x5a; BLOCK_SIZE as usize];
+        let mut wire = (Vec::new(), Vec::new());
+        for (what, req) in [
+            ("a Null", Request::Null),
+            ("a GetAttrFh from the attr cache", Request::GetAttrFh { fh }),
+            ("a path GetAttr from both caches", Request::GetAttr { path: "/file" }),
+            ("a one-block ReadFh", Request::ReadFh { fh, offset: BS, len: BS }),
+            ("a resident one-block WriteFh", Request::WriteFh { fh, offset: BS, data: &block }),
+        ] {
+            assert_eq!(served_floor(s, req, &mut wire).await, 0, "{what} allocated");
+        }
+        let getattr = &client::getattr_fh_req(fh);
+        let one_shot = floor_of(move || async move {
+            s.handle(getattr).await;
+        });
+        assert_eq!(one_shot.await, 1, "a one-shot attr-cache hit allocates its reply alone");
+    });
 }
