@@ -32,7 +32,7 @@ use cnp_disk::{retire_onto, FaultPlan, Hardware, RetiredWrite};
 use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Policy, Stack};
 use cnp_obs::MetricsSnapshot;
 use cnp_sim::{Sim, SimTime};
-use cnp_trace::{replay, AckedFile, ReplayOptions, TraceRecord};
+use cnp_trace::{replay, AckedFile, RunOptions, TraceRecord};
 
 /// Everything one cell needs besides its workload and cut point.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,9 +432,8 @@ pub(crate) fn doom<T: 'static>(
                 *staged2.borrow_mut() = fs2.try_staging_image();
             }
         });
-        let mut report =
-            replay(&h, &fs, records, ReplayOptions { max_ops: Some(budget), track_acks: true })
-                .await;
+        let opts = RunOptions { max_ops: Some(budget), track_acks: true, ..RunOptions::default() };
+        let mut report = replay(&h, &fs, records, opts).await;
         // The cut: everything volatile dies.
         let cut_at_ns = h.now().as_nanos();
         let read = at_cut(&fs);

@@ -11,7 +11,8 @@ use cnp_core::{DataMode, FsConfig, HistoryEvent, HistoryLog};
 use cnp_disk::{FaultPlan, Hardware};
 use cnp_fault::{LayoutKind, Stack};
 use cnp_sim::Sim;
-use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind};
+use cnp_trace::RunOptions;
+use cnp_workload::{run_clients, Scenario, WorkloadKind};
 
 use crate::linearize::{check_history, LinConfig, LinOutcome};
 

@@ -19,7 +19,8 @@ use cnp_disk::{DiskGeometry, FaultPlan, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Policy, Stack};
 use cnp_obs::Json;
 use cnp_sim::{run_cells, Handle, LockStats, Sim};
-use cnp_workload::{run_clients, RunOptions, Scenario, WorkloadKind, WorkloadReport};
+use cnp_trace::{RunOptions, RunReport};
+use cnp_workload::{run_clients, Scenario, WorkloadKind};
 
 use crate::cli::CliArgs;
 
@@ -130,7 +131,7 @@ pub struct ClientCell {
     /// Concurrent clients in this cell.
     pub clients: u32,
     /// The full workload report (per-client rows included).
-    pub report: WorkloadReport,
+    pub report: RunReport,
     /// Aggregate completed operations per second.
     pub agg_ops_per_sec: f64,
     /// Fairness: max/min per-client throughput (1.0 = perfectly fair).

@@ -12,7 +12,7 @@ use cnp_fault::{LayoutKind, Policy};
 use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
 use cnp_sim::Sim;
-use cnp_trace::{preset, replay, ReplayOptions, ReplayReport, SpriteParams, SyntheticSprite};
+use cnp_trace::{preset, replay, RunOptions, RunReport, SpriteParams, SyntheticSprite};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -79,8 +79,8 @@ pub struct ExperimentResult {
     pub policy: Policy,
     /// Trace name.
     pub trace: &'static str,
-    /// Merged replay measurements.
-    pub report: ReplayReport,
+    /// Both file systems' replay measurements, merged.
+    pub report: RunReport,
     /// Cache hit rate across file systems.
     pub hit_rate: f64,
     /// Fraction of dirtied blocks absorbed before any disk write.
@@ -158,13 +158,13 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         per_fs[(r.client % FILESYSTEMS) as usize].push(r);
     }
 
-    let reports: Rc<RefCell<Vec<ReplayReport>>> = Rc::new(RefCell::new(Vec::new()));
+    let reports: Rc<RefCell<Vec<RunReport>>> = Rc::new(RefCell::new(Vec::new()));
     for (fs, recs) in systems.iter().cloned().zip(per_fs) {
         let h2 = h.clone();
         let reports = reports.clone();
         h.spawn("experiment", async move {
             fs.format().await.expect("format");
-            let report = replay(&h2, &fs, recs, ReplayOptions::default()).await;
+            let report = replay(&h2, &fs, recs, RunOptions::default()).await;
             let _ = fs.sync().await;
             reports.borrow_mut().push(report);
             fs.shutdown();
@@ -172,17 +172,11 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     }
     sim.run_until(Sim::HORIZON);
 
-    // Merge measurements across file systems.
-    let mut reports = reports.borrow_mut();
+    // Merge measurements across file systems, first finisher first.
+    let mut reports = reports.take().into_iter();
     assert_eq!(reports.len(), FILESYSTEMS as usize, "an experiment task did not finish");
-    let mut merged = reports.remove(0);
-    for r in reports.drain(..) {
-        merged.latency.merge(&r.latency);
-        merged.read_latency.merge(&r.read_latency);
-        merged.write_latency.merge(&r.write_latency);
-        merged.ops += r.ops;
-        merged.errors += r.errors;
-    }
+    let mut merged = reports.next().expect("a file system finished");
+    reports.for_each(|r| merged.merge(r));
     let mut metrics = cnp_obs::MetricsSnapshot::new();
     for fs in &systems {
         metrics.absorb("", &fs.metrics());
@@ -308,7 +302,7 @@ pub fn run_one(a: &CliArgs) {
         count("layout.checkpoints")
     );
     println!("  15-minute intervals:");
-    for row in &r.report.intervals {
+    for row in r.report.intervals.rows() {
         println!(
             "    t={:>6}s ops={:<7} mean={:.3} ms max={:.1} ms",
             row.start.as_millis() / 1000,

@@ -18,7 +18,7 @@ pub mod sprite;
 
 pub use adapter::records_from_streams;
 pub use record::{bounded_prefix, PathInterner, TraceOp, TraceRecord};
-pub use replay::{replay, AckedFile, ClientRun, Completion, Pace, ReplayOptions, ReplayReport};
+pub use replay::{drive_clients, replay, AckedFile, ClientReport, Pace, RunOptions, RunReport};
 pub use sprite::{
     preset, trace_1a, trace_1b, trace_2a, trace_2b, trace_5, SpriteParams, SyntheticSprite, PRESETS,
 };

@@ -12,9 +12,10 @@
 //! * [`WorkloadKind::Scan`] — large sequential scans + log append,
 //! * [`WorkloadKind::Web`] — a mixed "web serve" profile —
 //!
-//! and a runner that multiplexes N concurrent closed-loop clients onto
-//! one shared [`cnp_core::FileSystem`], each client a deterministic
-//! `cnp-sim` task with its own think time and namespace shard,
+//! and [`run_clients`], which paces each program by its think times and
+//! hands the clients to `cnp_trace`'s one runner: N concurrent
+//! closed-loop clients on one shared [`cnp_core::FileSystem`], each a
+//! deterministic `cnp-sim` task with its own namespace shard,
 //! interleaving at the engine's block-I/O await points.
 //!
 //! Scenarios also project onto plain trace records
@@ -27,5 +28,5 @@
 mod runner;
 mod scenario;
 
-pub use runner::{run_clients, ClientReport, RunOptions, WorkloadReport};
+pub use runner::run_clients;
 pub use scenario::{ClientOp, ClientPlan, Scenario, WorkloadKind, WORKLOADS};

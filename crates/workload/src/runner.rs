@@ -14,211 +14,29 @@
 //! the runner is *closed-loop*: a client issues its next operation only
 //! when the previous one completed and its think time elapsed, so a
 //! slow system is offered less load — the feedback that makes
-//! throughput-vs-clients curves meaningful.
-
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+//! throughput-vs-clients curves meaningful. The runner itself is
+//! `cnp_trace::drive_clients`; this module only paces the programs.
 
 use cnp_core::FileSystem;
-use cnp_obs::Histogram;
 use cnp_sim::{Handle, SimDuration};
-use cnp_trace::{AckedFile, ClientRun, Completion, Pace};
+use cnp_trace::{drive_clients, Pace, RunOptions, RunReport};
 
-use crate::scenario::Scenario;
+use crate::scenario::{ClientOp, Scenario};
 
-/// Controls for [`run_clients`].
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Stop after this many operations have been attempted across all
-    /// clients — the crash experiments' cut point.
-    pub max_ops: Option<u64>,
-    /// Track per-file acknowledged sizes (crash loss accounting).
-    pub track_acks: bool,
-    /// Record every client operation as an *(invoke, ack)* interval
-    /// into this shared log — the multi-client history the
-    /// linearizability checker consumes (`cnp-check`).
-    pub history: Option<cnp_core::HistoryLog>,
-}
-
-/// One client's measurements.
-#[derive(Debug, Clone)]
-pub struct ClientReport {
-    /// Client id.
-    pub client: u32,
-    /// Operations completed.
-    pub ops: u64,
-    /// Operations that failed.
-    pub errors: u64,
-    /// Operation latencies (ms).
-    pub latency: Histogram,
-    /// Completed operations per second of makespan.
-    pub ops_per_sec: f64,
-}
-
-/// Aggregate outcome of one multi-client run.
-#[derive(Debug, Clone)]
-pub struct WorkloadReport {
-    /// Per-client rows, ordered by client id.
-    pub per_client: Vec<ClientReport>,
-    /// All-client operation latencies (ms).
-    pub latency: Histogram,
-    /// Operations completed across clients.
-    pub ops: u64,
-    /// Failed operations across clients.
-    pub errors: u64,
-    /// Up to five sample error messages.
-    pub error_sample: Vec<String>,
-    /// Virtual time from start to the last client finishing.
-    pub makespan: SimDuration,
-    /// Acknowledged per-file state ([`RunOptions::track_acks`]).
-    pub acked: Vec<AckedFile>,
-    /// Paths whose delete or truncate failed: their durable state is
-    /// indeterminate, so crash oracles must not judge them against
-    /// `acked` (see `cnp_trace::ReplayReport::indeterminate`).
-    pub indeterminate: Vec<String>,
-}
-
-impl WorkloadReport {
-    /// Completed operations per second of makespan, all clients.
-    pub fn aggregate_ops_per_sec(&self) -> f64 {
-        let secs = self.makespan.as_nanos() as f64 / 1e9;
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-
-    /// Fairness as max/min per-client throughput (1.0 = perfectly
-    /// fair); 0.0 when any client completed nothing.
-    pub fn fairness(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for c in &self.per_client {
-            min = min.min(c.ops_per_sec);
-            max = max.max(c.ops_per_sec);
-        }
-        if !min.is_finite() || min == 0.0 {
-            0.0
-        } else {
-            max / min
-        }
-    }
-
-    /// Mean operation latency (ms).
-    pub fn mean_ms(&self) -> f64 {
-        self.latency.mean()
-    }
-
-    /// 99th-percentile operation latency (ms).
-    pub fn p99_ms(&self) -> f64 {
-        self.latency.quantile(0.99)
-    }
-}
-
-struct RunState {
-    per_client: BTreeMap<u32, (Histogram, u64, u64)>, // hist, ops, errors
-    latency: Histogram,
-    errors: u64,
-    error_sample: Vec<String>,
-}
-
-/// Runs every client program of `scenario` against the shared engine;
-/// resolves when all clients finish (or the op budget cuts them off).
+/// Runs every client program of `scenario` against the shared engine,
+/// each op after its think time; resolves when all clients finish (or
+/// the op budget cuts them off).
 pub async fn run_clients(
     handle: &Handle,
     fs: &FileSystem,
     scenario: &Scenario,
     opts: RunOptions,
-) -> WorkloadReport {
-    // Every client gets a row up front: a client the op budget starves
-    // completely must still appear (with zero throughput), or
-    // `fairness()` would be blind to total starvation.
-    let per_client: BTreeMap<u32, (Histogram, u64, u64)> =
-        scenario.plans.iter().map(|p| (p.client, (Histogram::latency_default(), 0, 0))).collect();
-    let state = Rc::new(RefCell::new(RunState {
-        per_client,
-        latency: Histogram::latency_default(),
-        errors: 0,
-        error_sample: Vec::new(),
-    }));
-    let run = Rc::new(ClientRun::new(opts.max_ops, opts.track_acks));
-    let start = handle.now();
-    let mut handles = Vec::new();
-    for plan in &scenario.plans {
-        let fs = fs.clone();
-        let h = handle.clone();
-        let state = state.clone();
-        let run = run.clone();
-        let plan = plan.clone();
-        let history = opts.history.clone();
-        handles.push(handle.spawn(&format!("wl-client{}", plan.client), async move {
-            let cfs = match history {
-                Some(log) => fs.client(plan.client).with_history(log),
-                None => fs.client(plan.client),
-            };
-            let ops = plan
-                .ops
-                .iter()
-                .map(|cop| (Pace::After(SimDuration::from_nanos(cop.think_ns)), &cop.op));
-            run.drive(&h, &cfs, ops, |done| state.borrow_mut().fold(plan.client, done)).await;
-        }));
-    }
-    for jh in handles {
-        jh.await;
-    }
-    let makespan = handle.now() - start;
-    let secs = makespan.as_nanos() as f64 / 1e9;
-    let st = Rc::try_unwrap(state).ok().expect("clients done").into_inner();
-    let per_client: Vec<ClientReport> = st
-        .per_client
-        .into_iter()
-        .map(|(client, (latency, ops, errors))| ClientReport {
-            client,
-            ops,
-            errors,
-            latency,
-            ops_per_sec: if secs == 0.0 { 0.0 } else { ops as f64 / secs },
-        })
-        .collect();
-    let (ops, errors) = per_client.iter().fold((0, 0), |(o, e), c| (o + c.ops, e + c.errors));
-    let (acked, indeterminate) = Rc::try_unwrap(run).ok().expect("clients done").finish();
-    WorkloadReport {
-        per_client,
-        latency: st.latency,
-        ops,
-        errors,
-        error_sample: st.error_sample,
-        makespan,
-        acked,
-        indeterminate,
-    }
-}
-
-impl RunState {
-    fn fold(&mut self, client: u32, done: Completion<'_>) {
-        let entry = self
-            .per_client
-            .get_mut(&client)
-            .expect("per_client rows are pre-populated for every plan");
-        match done.result {
-            Ok(()) => {
-                let ms = done.latency.as_millis_f64();
-                entry.0.record(ms);
-                entry.1 += 1;
-                self.latency.record(ms);
-            }
-            Err(e) => {
-                entry.2 += 1;
-                self.errors += 1;
-                if self.error_sample.len() < 5 {
-                    self.error_sample
-                        .push(format!("client {client}: {e} on {}", done.op.mnemonic()));
-                }
-            }
-        }
-    }
+) -> RunReport {
+    let clients = scenario.plans.iter().map(|plan| {
+        let think = |cop: ClientOp| (Pace::After(SimDuration::from_nanos(cop.think_ns)), cop.op);
+        (plan.client, plan.ops.clone().into_iter().map(think))
+    });
+    drive_clients(handle, fs, clients, opts).await
 }
 
 #[cfg(test)]
@@ -230,7 +48,7 @@ mod tests {
     use cnp_layout::{Layout, LfsLayout, LfsParams};
     use cnp_sim::Sim;
 
-    fn run_scenario(kind: WorkloadKind, clients: u32, seed: u64) -> (WorkloadReport, u64) {
+    fn run_scenario(kind: WorkloadKind, clients: u32, seed: u64) -> (RunReport, u64) {
         let sim = Sim::new(seed);
         let h = sim.handle();
         let driver = sim_disk_driver(&h, "wl0", Box::new(Hp97560::new()), Box::new(CLook));

@@ -7,7 +7,7 @@ use cut_and_paste::disk::{sim_disk_driver, CLook, DiskImage, FaultPlan, Hardware
 use cut_and_paste::fault::{LayoutKind, Stack};
 use cut_and_paste::layout::{FfsLayout, FfsParams, FileKind, Layout, LfsLayout, LfsParams};
 use cut_and_paste::sim::Sim;
-use cut_and_paste::trace::{replay, trace_1a, ReplayOptions, SyntheticSprite};
+use cut_and_paste::trace::{replay, trace_1a, RunOptions, SyntheticSprite};
 
 fn lfs_fs(h: &cut_and_paste::sim::Handle, cfg: FsConfig) -> FileSystem {
     let driver = sim_disk_driver(h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
@@ -41,7 +41,7 @@ fn first_differing_sector(a: &DiskImage, b: &DiskImage) -> Option<u64> {
 /// LFS log) — persistence paths must not inherit hasher state.
 #[test]
 fn seeded_runs_produce_byte_identical_platters_per_layout() {
-    use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
+    use cut_and_paste::workload::{run_clients, Scenario, WorkloadKind};
 
     fn image_once(layout: LayoutKind) -> DiskImage {
         let sim = Sim::new(909);
@@ -87,7 +87,7 @@ fn full_stack_trace_replay_no_errors() {
         fs.format().await.unwrap();
         let records = SyntheticSprite::new(trace_1a(), 5).generate(0.002);
         assert!(records.len() > 100);
-        let report = replay(&h, &fs, records, ReplayOptions::default()).await;
+        let report = replay(&h, &fs, records, RunOptions::default()).await;
         assert_eq!(report.errors, 0, "samples: {:?}", report.error_sample);
         assert!(report.ops > 100);
         assert!(report.mean_ms() > 0.0);
@@ -104,7 +104,7 @@ fn same_workload_same_seed_is_deterministic() {
         sim.block_on("t", async move {
             fs.format().await.unwrap();
             let records = SyntheticSprite::new(trace_1a(), 5).generate(0.001);
-            let report = replay(&h, &fs, records, ReplayOptions::default()).await;
+            let report = replay(&h, &fs, records, RunOptions::default()).await;
             let out = (report.ops, h.now().as_nanos());
             fs.shutdown();
             out
@@ -373,7 +373,7 @@ fn multi_client_sweep_is_deterministic_and_throughput_scales() {
 /// hash-bucket layout rather than the global dirty sequence.
 #[test]
 fn sharded_256_client_runs_are_byte_identical() {
-    use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
+    use cut_and_paste::workload::{run_clients, Scenario, WorkloadKind};
 
     fn run_once() -> (DiskImage, u64, u64) {
         let sim = Sim::new(4242);
@@ -463,7 +463,7 @@ fn multi_client_crash_preserves_acked_writes_on_ssd() {
 fn multi_client_crash_cycle(hw: Hardware) {
     use cut_and_paste::fault::{recovered_sizes, replay_nvram, CrashState, LossReport};
     use cut_and_paste::trace::TraceOp;
-    use cut_and_paste::workload::{run_clients, RunOptions, Scenario, WorkloadKind};
+    use cut_and_paste::workload::{run_clients, Scenario, WorkloadKind};
 
     run_to_completion(4242, move |h| async move {
         let cfg = FsConfig {
@@ -550,9 +550,7 @@ fn multi_client_crash_cycle(hw: Hardware) {
 fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
     use cut_and_paste::sim::{SimDuration, SimTime};
     use cut_and_paste::trace::TraceOp;
-    use cut_and_paste::workload::{
-        run_clients, ClientOp, ClientPlan, RunOptions, Scenario, WorkloadKind,
-    };
+    use cut_and_paste::workload::{run_clients, ClientOp, ClientPlan, Scenario, WorkloadKind};
 
     let op = |think_s: u64, op: TraceOp| ClientOp { think_ns: think_s * 1_000_000_000, op };
     let victim = || "/victim".into();
@@ -582,15 +580,13 @@ fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
             let hw = Hardware::default();
             let fs = Stack::build(&h, "dead0", LayoutKind::Lfs, hw.device(), cfg, plan).fs;
             fs.format().await.unwrap();
-            let (errors, acked, indeterminate) = if closed_loop {
-                let opts = RunOptions { track_acks: true, ..RunOptions::default() };
-                let r = run_clients(&h, &fs, &scenario, opts).await;
-                (r.errors, r.acked, r.indeterminate)
+            let opts = RunOptions { track_acks: true, ..RunOptions::default() };
+            let r = if closed_loop {
+                run_clients(&h, &fs, &scenario, opts).await
             } else {
-                let opts = ReplayOptions { max_ops: None, track_acks: true };
-                let r = replay(&h, &fs, scenario.to_trace_records(), opts).await;
-                (r.errors, r.acked, r.indeterminate)
+                replay(&h, &fs, scenario.to_trace_records(), opts).await
             };
+            let (errors, acked, indeterminate) = (r.errors, r.acked, r.indeterminate);
             assert_eq!(errors, 1, "closed loop {closed_loop}: only the truncate fails");
             assert_eq!(indeterminate, ["/victim"], "closed loop {closed_loop}");
             let victim = acked.iter().find(|a| a.path == "/victim").expect("the write was acked");
@@ -598,6 +594,52 @@ fn failed_truncate_on_a_dead_disk_is_indeterminate_on_both_client_loops() {
             fs.shutdown();
         });
     }
+}
+
+/// A run report adds up: its per-client rows, its latency histogram and
+/// its 15-minute intervals count the same operations, on both client
+/// loops and after `run_experiment` merges its two file systems'
+/// reports.
+#[test]
+fn a_run_report_adds_up() {
+    use cut_and_paste::patsy::{run_experiment, ExperimentConfig, Policy};
+    use cut_and_paste::trace::RunReport;
+    use cut_and_paste::workload::{run_clients, Scenario, WorkloadKind};
+
+    fn adds_up(what: &str, r: &RunReport) {
+        let rows: (u64, u64) =
+            r.per_client.iter().fold((0, 0), |(o, e), c| (o + c.ops, e + c.errors));
+        let intervals: u64 = r.intervals.rows().iter().map(|row| row.count).sum();
+        assert!(r.ops > 0, "{what}: the run must complete ops");
+        assert_eq!(rows, (r.ops, r.errors), "{what}: per-client rows against the totals");
+        assert_eq!(r.latency.count(), r.ops, "{what}: latency samples against ops");
+        assert_eq!(intervals, r.ops, "{what}: interval counts against ops");
+    }
+
+    for closed_loop in [false, true] {
+        let sim = Sim::new(31);
+        let h = sim.handle();
+        let fs = lfs_fs(&h, FsConfig { data_mode: DataMode::Simulated, ..FsConfig::default() });
+        let report = sim.block_on("adds-up", async move {
+            fs.format().await.unwrap();
+            let r = if closed_loop {
+                let scenario = Scenario::generate(WorkloadKind::Mail, 4, 31, 0.004);
+                run_clients(&h, &fs, &scenario, RunOptions::default()).await
+            } else {
+                let records = SyntheticSprite::new(trace_1a(), 31).generate(0.002);
+                replay(&h, &fs, records, RunOptions::default()).await
+            };
+            fs.shutdown();
+            r
+        });
+        let clients = report.per_client.len();
+        assert!(clients > 1, "closed loop {closed_loop}: {clients} client rows");
+        adds_up(if closed_loop { "run_clients" } else { "replay" }, &report);
+    }
+
+    let mut cfg = ExperimentConfig::new(Policy::Ups, trace_1a());
+    (cfg.scale, cfg.seed) = (0.002, 365);
+    adds_up("run_experiment", &run_experiment(&cfg).report);
 }
 
 #[test]
