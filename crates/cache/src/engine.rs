@@ -24,7 +24,7 @@ use crate::policy::{AccessMeta, ReplacementPolicy};
 const HISTORY: usize = 4;
 
 /// Owner tag for dirty data nobody claimed: engine-internal writes
-/// (directories, symlink targets, NVRAM replay) and single-client
+/// (directories, symlink targets) and single-client
 /// callers that never attribute. Multi-client attribution uses the
 /// dirtying client's id instead.
 pub const UNATTRIBUTED: u32 = u32::MAX;

@@ -7,11 +7,11 @@
 //! run can also yield the crash states of its boundary's other
 //! power-cut cells (`PowerCuts`), which is how the enumeration runs a
 //! boundary's prefix at most twice.
-//! The **verification** (`verify`) remounts that crash state in a
-//! simulation of its own, seeded like the cell, then recovers, fscks,
-//! replays NVRAM and stats each acknowledged path. Loss is accounted
-//! per cell from the cell's own acked sizes, ack times and cut
-//! (`Doomed::judge`).
+//! The **verification** (`verify`) powers that crash state on in a
+//! simulation of its own, seeded like the cell (`Stack::recover`:
+//! remount, recover, write the NVRAM back, fsck + repair), and stats
+//! each acknowledged path. Loss is accounted per cell from the cell's
+//! own acked sizes, ack times and cut (`Doomed::judge`).
 //!
 //! A cell is a pure function of `(CellSpec, records, CutSpec)` — same
 //! inputs, byte-identical outcome — which is what makes every failure a
@@ -29,7 +29,7 @@ use std::rc::Rc;
 use cnp_cache::CacheConfig;
 use cnp_core::{DataMode, FileSystem, FsConfig, FsError};
 use cnp_disk::{retire_onto, FaultPlan, Hardware, RetiredWrite};
-use cnp_fault::{recovered_sizes, replay_nvram, CrashState, LayoutKind, LossReport, Policy, Stack};
+use cnp_fault::{recovered_sizes, CrashState, LayoutKind, LossReport, Policy, Stack};
 use cnp_obs::MetricsSnapshot;
 use cnp_sim::{Sim, SimTime};
 use cnp_trace::{replay, AckedFile, RunOptions, TraceRecord};
@@ -279,14 +279,15 @@ pub struct RecoveryCounts {
     pub rolled_segments: u64,
     /// Block pointers patched during roll-forward.
     pub patched_blocks: u64,
-    /// Walker violations straight after recovery.
+    /// Walker violations straight after recovery and NVRAM replay.
     pub violations_pre: u64,
     /// Directory entries dropped, files truncated and directories reset
     /// by repair.
     pub repairs: u64,
     /// Unreachable inodes the walker attached to `lost+found`.
     pub orphans_attached: u64,
-    /// Recovery + repair time in virtual milliseconds.
+    /// Recovery, NVRAM replay and fsck + repair time in virtual
+    /// milliseconds.
     pub recovery_ms: f64,
 }
 
@@ -305,8 +306,8 @@ pub(crate) struct Doomed {
 }
 
 /// What recovering one crash state found: everything a cell's outcome
-/// reads from the recovered system, or the error recovery or NVRAM
-/// replay failed with.
+/// reads from the recovered system, or the error the power-on failed
+/// with.
 pub(crate) type Verdict = Result<Recovered, String>;
 
 /// A recovered system's observables.
@@ -514,10 +515,11 @@ pub(crate) fn doom<T: 'static>(
 }
 
 /// Recovers `state` in a simulation of its own, seeded like the cell:
-/// restore the platter, recover, fsck and repair, replay NVRAM, and
-/// stat each of `acked`'s paths. A pure function of `(spec, state,
-/// acked paths)`, which is what lets the enumeration reuse the verdict
-/// of an identical state (`crate::cache::state_key`).
+/// one power-on ([`Stack::recover`]: restore the platter, recover,
+/// write the NVRAM back, fsck and repair), then stat each of `acked`'s
+/// paths. A pure function of `(spec, state, acked paths)`, which is
+/// what lets the enumeration reuse the verdict of an identical state
+/// (`crate::cache::state_key`).
 pub(crate) fn verify(spec: &CellSpec, state: &CrashState, acked: &[AckedFile]) -> Verdict {
     let sim = Sim::new(spec.sim_seed);
     let h = sim.handle();
@@ -527,7 +529,6 @@ pub(crate) fn verify(spec: &CellSpec, state: &CrashState, acked: &[AckedFile]) -
         let recovered = async {
             let (Stack { fs, .. }, outcome) =
                 Stack::recover(&h, "verify", kind, &hw, &state, cfg).await?;
-            let nvram_replayed = replay_nvram(&fs, &state.nvram).await?;
             let sizes = recovered_sizes(&fs, &acked).await;
             fs.shutdown();
             let r = &outcome.repairs;
@@ -540,7 +541,8 @@ pub(crate) fn verify(spec: &CellSpec, state: &CrashState, acked: &[AckedFile]) -
                 orphans_attached: r.orphans_attached,
                 recovery_ms: outcome.recovery_time.as_nanos() as f64 / 1e6,
             };
-            let fsck_post = outcome.post.violations.len() as u64;
+            let (fsck_post, nvram_replayed) =
+                (outcome.post.violations.len() as u64, outcome.nvram_replayed);
             Ok::<_, FsError>(Recovered { fsck_post, nvram_replayed, sizes, counts })
         };
         recovered.await.map_err(|e| e.to_string())

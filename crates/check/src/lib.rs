@@ -8,9 +8,9 @@
 //! * [`cell`] — one crash cell as a pure function, in two halves: the
 //!   doomed half replays a bounded workload prefix and crashes
 //!   (gracefully or with a disk-level power cut after which the first
-//!   writes the disk serves still retire); the
-//!   verification remounts, recovers, fscks and replays NVRAM in a
-//!   simulation of its own; acked losses are accounted per cell;
+//!   writes the disk serves still retire); the verification powers
+//!   the crash state on once (recovery, NVRAM replay, fsck + repair) in
+//!   a simulation of its own; acked losses are accounted per cell;
 //! * [`enumerate`] — every op boundary × every legal retire prefix,
 //!   across layout × flush-policy cells, with delta-debugging
 //!   minimization of failures — fanned across OS threads with an

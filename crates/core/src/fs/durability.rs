@@ -1,7 +1,7 @@
 //! Durability: getting dirty blocks from the cache to the layout (the
 //! flush batches the policies ask for, under the file's range stripe
 //! and the core lock), and what a crash harness needs around a power
-//! cut — the NVRAM snapshot and its replay, the layout's staging buffer.
+//! cut — the NVRAM snapshot and the layout's staging buffer.
 
 use cnp_cache::BlockKey;
 use cnp_disk::{IoError, Payload};
@@ -40,7 +40,7 @@ impl FileSystem {
     /// Returns an empty snapshot unless the cache has an NVRAM bound:
     /// with volatile RAM, dirty data simply dies with the machine. The
     /// snapshot pairs each dirty block with its owner's exact in-memory
-    /// size so a recovery harness can replay acknowledged writes.
+    /// size so the power-on can write acknowledged writes back.
     pub fn nvram_snapshot(&self) -> NvramSnapshot {
         if self.s.cfg.cache.nvram_bytes.is_none() {
             return NvramSnapshot::default();
@@ -62,41 +62,6 @@ impl FileSystem {
             })
             .collect();
         NvramSnapshot { blocks, sizes }
-    }
-
-    /// Crash-recovery helper: re-establishes one cached block exactly
-    /// as an NVRAM snapshot preserved it — real bytes when the snapshot
-    /// has them (metadata is always real, even off-line), length-only
-    /// otherwise — and dirties it so the next flush persists it.
-    ///
-    /// NVRAM replay must NOT route through [`FileSystem::write`]: in
-    /// [`crate::DataMode::Simulated`] the write path deliberately drops
-    /// payload bytes, which would replace a battery-backed *directory*
-    /// block with a simulated payload and destroy the namespace the
-    /// snapshot was meant to restore.
-    pub async fn restore_block(&self, ino: Ino, blk: u64, data: Option<Vec<u8>>) -> FsResult<()> {
-        // Surface a dead identity as BadInode (the caller skips those).
-        let _ = self.inode_record(ino).await?;
-        self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk, data).await
-    }
-
-    /// Restores a file's logical size (crash-recovery helper: NVRAM
-    /// snapshots carry exact sizes that may exceed what block-granular
-    /// replay re-establishes). Never shrinks the file.
-    pub async fn restore_size(&self, ino: Ino, size: u64) -> FsResult<()> {
-        let rc = self.inode_record(ino).await?;
-        {
-            let mut inode = rc.inode.borrow_mut();
-            if size <= inode.size {
-                return Ok(());
-            }
-            inode.size = size;
-        }
-        let copy = rc.inode.borrow().clone();
-        let _rg = self.s.layout_ranges.lock(ino.0).await;
-        let g = self.s.layout.lock().await;
-        g.get_mut().put_inode(&copy).await?;
-        Ok(())
     }
 
     /// A stalled writer's or reservation's flush: hands `keys` (if any)

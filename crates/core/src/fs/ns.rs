@@ -101,7 +101,7 @@ impl FileSystem {
         rec.opens.set(rec.opens.get() + 1);
         if rec.opens.get() == 1 && rec.inode.borrow().kind == FileKind::Multimedia {
             let fs = self.clone();
-            self.s.handle.spawn(&format!("mm-prefetch:{ino}"), async move {
+            self.s.handle.spawn("mm-prefetch", async move {
                 fs.multimedia_prefetch(ino).await;
             });
         }

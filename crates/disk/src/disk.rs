@@ -309,7 +309,6 @@ impl DiskClient {
 /// [`crate::driver::compose_device`] is the only caller outside tests.
 pub(crate) fn spawn_disk(
     handle: &Handle,
-    name: &str,
     model: Box<dyn DiskModel>,
     bus: ScsiBus,
     opts: DiskOpts,
@@ -342,7 +341,7 @@ pub(crate) fn spawn_disk(
         stats: stats.clone(),
         served: 0,
     };
-    handle.spawn(name, task.run(rx));
+    handle.spawn("disk", task.run(rx));
     DiskClient {
         tx,
         replies: Replies::new(handle),
@@ -846,7 +845,7 @@ mod tests {
     fn setup(sim: &Sim, opts: DiskOpts, faults: FaultPlan) -> DiskClient {
         let h = sim.handle();
         let bus = ScsiBus::new(&h);
-        spawn_disk(&h, "disk0", Box::new(Hp97560::new()), bus, opts, faults, DiskImage::default())
+        spawn_disk(&h, Box::new(Hp97560::new()), bus, opts, faults, DiskImage::default())
     }
 
     #[test]
@@ -1265,7 +1264,6 @@ mod tests {
             let bus = ScsiBus::new(&h2);
             let d3 = spawn_disk(
                 &h2,
-                "disk1",
                 Box::new(Hp97560::new()),
                 bus,
                 DiskOpts::default(),

@@ -527,7 +527,7 @@ impl DiskDriver {
             name: Rc::from(name),
         };
         let d = driver.clone();
-        handle.spawn(&format!("driver:{name}"), async move {
+        handle.spawn("driver", async move {
             d.dispatch_loop(backend).await;
         });
         driver
@@ -905,17 +905,12 @@ pub fn compose_device(
     );
     let mut children: Vec<SimBackend> = models
         .into_iter()
-        .enumerate()
-        .map(|(i, model)| {
+        .map(|model| {
             let (bus, opts) = attach.take().unwrap_or_else(|| {
                 (default_bus_for(handle, model.as_ref()), default_opts_for(model.as_ref()))
             });
-            let task = match chunk_sectors {
-                Some(_) => format!("disk:{name}.{i}"),
-                None => format!("disk:{name}"),
-            };
             let platter = image.take().unwrap_or_default();
-            let disk = spawn_disk(handle, &task, model, bus.clone(), opts, faults.clone(), platter);
+            let disk = spawn_disk(handle, model, bus.clone(), opts, faults.clone(), platter);
             SimBackend { bus, disk, host_id: 7 }
         })
         .collect();

@@ -1,4 +1,4 @@
-//! Crash-state capture and recovery verification.
+//! Crash-state capture and loss accounting.
 //!
 //! A "crash" in this framework is: stop the workload at a cut point,
 //! clone the durable on-disk image at that instant
@@ -6,23 +6,19 @@
 //! platter's frames, so it costs pointers, not bytes), keep whatever
 //! the flush policy stores in battery-backed NVRAM
 //! ([`cnp_core::FileSystem::nvram_snapshot`]), and throw everything
-//! else away. Recovery ([`crate::Stack::recover`]) then spawns a fresh
-//! disk from the image, runs the layout's [`StorageLayout::recover`]
-//! path and repairs with the fsck walker; NVRAM replay and loss
-//! accounting against the acknowledged state follow.
+//! else away. The power-on ([`crate::Stack::recover`]) then spawns a
+//! fresh disk from the image, runs the layout's
+//! [`cnp_layout::StorageLayout::recover`] path, writes the NVRAM back
+//! into the layout and only then runs and repairs with the fsck walker;
+//! loss is accounted against the acknowledged state afterwards.
 
-use std::collections::HashMap;
-
-use cnp_core::{FileSystem, FsError, FsResult, NvramSnapshot};
+use cnp_core::{FileSystem, NvramSnapshot};
 use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage};
-use cnp_layout::{
-    FfsLayout, FfsParams, Ino, Layout, LayoutError, LfsLayout, LfsParams, RecoveryStats,
-    StorageLayout, BLOCK_SIZE,
-};
+use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, RecoveryStats, BLOCK_SIZE};
 use cnp_sim::{Handle, SimDuration, SimTime};
 use cnp_trace::AckedFile;
 
-use crate::check::{self, FsckReport, RepairReport};
+use crate::check::{FsckReport, RepairReport};
 
 /// Which storage layout a crash cell exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,74 +158,16 @@ impl CrashState {
 pub struct RecoveryOutcome {
     /// What the layout's recovery pass did.
     pub stats: RecoveryStats,
-    /// Walker report straight after recovery (pre-repair).
+    /// Walker report straight after recovery and replay (pre-repair).
     pub pre: FsckReport,
     /// What the fsck repair changed.
     pub repairs: RepairReport,
     /// Walker report after repair — must be clean.
     pub post: FsckReport,
-    /// Virtual time spent in recover + repair.
+    /// NVRAM blocks written back into the layout before the walker ran.
+    pub nvram_replayed: u64,
+    /// Virtual time spent in recovery, NVRAM replay and fsck + repair.
     pub recovery_time: SimDuration,
-}
-
-/// Runs the layout's recovery, then the fsck walker, repairing anything
-/// the crash broke, and re-verifying.
-pub async fn recover_and_check(handle: &Handle, layout: &mut Layout) -> FsResult<RecoveryOutcome> {
-    let t0 = handle.now();
-    let stats = layout.recover().await?;
-    let pre = check::check(layout).await;
-    let (repairs, post) = if pre.clean() {
-        (RepairReport { rounds: 0, ..RepairReport::default() }, pre.clone())
-    } else {
-        check::repair(layout).await?
-    };
-    let recovery_time = handle.now() - t0;
-    Ok(RecoveryOutcome { stats, pre, repairs, post, recovery_time })
-}
-
-/// Replays an NVRAM snapshot into a recovered file system: dirty blocks
-/// are re-established exactly as the battery-backed cache preserved
-/// them (real bytes for metadata, length-only for simulated payloads),
-/// sizes are restored, and everything is synced. Returns the number of
-/// blocks replayed; blocks of files whose identity did not survive
-/// (created after the last durable namespace update) are skipped.
-///
-/// Restoration goes through [`FileSystem::restore_block`], not the
-/// client write path: in simulated-payload mode `write` drops payload
-/// bytes by design, which would replace an NVRAM-resident *directory*
-/// block with a simulated payload and lose the very namespace the
-/// snapshot preserved (every file under that directory then read as
-/// crash loss — the bug the crash-point enumerator surfaced).
-pub async fn replay_nvram(fs: &FileSystem, snap: &NvramSnapshot) -> FsResult<u64> {
-    if snap.is_empty() {
-        return Ok(0);
-    }
-    let mut replayed = 0u64;
-    let bs = BLOCK_SIZE as u64;
-    // Collected in reverse, so an inode listed twice keeps its first size.
-    let sizes: HashMap<u64, u64> = snap.sizes.iter().rev().copied().collect();
-    for (ino, blk, data) in &snap.blocks {
-        let size = sizes.get(ino).copied().unwrap_or((blk + 1) * bs);
-        if size <= blk * bs {
-            continue; // Beyond the acknowledged size: nothing to restore.
-        }
-        match fs.restore_block(Ino(*ino), *blk, data.clone()).await {
-            Ok(()) => replayed += 1,
-            // Only a missing inode means the file's identity died with
-            // the crash; any other failure must surface, or loss
-            // accounting would blame the crash for replay bugs.
-            Err(FsError::Layout(LayoutError::BadInode(_))) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    for &(ino, size) in &snap.sizes {
-        match fs.restore_size(Ino(ino), size).await {
-            Ok(()) | Err(FsError::Layout(LayoutError::BadInode(_))) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    fs.sync().await?;
-    Ok(replayed)
 }
 
 /// Applies a staging-buffer export ([`cnp_core::FileSystem::staging_image`])

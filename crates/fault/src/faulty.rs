@@ -8,11 +8,15 @@
 //! reaches all of them through one call and none of them touches a
 //! bus, a disk task or a driver.
 
-use cnp_core::{FileSystem, FsConfig, FsResult};
-use cnp_disk::{compose_device, CLook, Device, DiskClient, DiskDriver, FaultPlan, Hardware};
+use cnp_core::{FileSystem, FsConfig, FsResult, NvramSnapshot};
+use cnp_disk::{
+    compose_device, CLook, Device, DiskClient, DiskDriver, FaultPlan, Hardware, Payload,
+};
+use cnp_layout::{Ino, LResult, Layout, LayoutError, StorageLayout, BLOCK_SIZE};
 use cnp_sim::Handle;
 
-use crate::crash::{recover_and_check, CrashState, LayoutKind, RecoveryOutcome};
+use crate::check::{self, RepairReport};
+use crate::crash::{CrashState, LayoutKind, RecoveryOutcome};
 
 /// A running simulated stack: the engine plus the two lower ends rigs
 /// need (the driver for queue statistics, the disks for crash capture).
@@ -44,11 +48,12 @@ impl Stack {
         Stack { fs, driver, disks }
     }
 
-    /// The power-on after a crash: a pristine `hw` disk (one — a crash
-    /// state holds one platter) holding the captured image, the layout's
-    /// recovery and the fsck walker + repair ([`recover_and_check`]),
-    /// then a fresh engine under `cfg` (which must match the crashed
-    /// engine's).
+    /// The power-on after a crash, in the order a machine with a
+    /// battery runs it: a pristine `hw` disk (one — a crash state holds
+    /// one platter) holding the captured image, the layout's recovery,
+    /// the battery-backed cache (`state.nvram`) written back into the
+    /// layout, the fsck walker + repair over the result, then a fresh
+    /// engine under `cfg` (which must match the crashed engine's).
     pub async fn recover(
         handle: &Handle,
         name: &str,
@@ -64,9 +69,63 @@ impl Stack {
         let (driver, disks) =
             compose_device(handle, name, models, chunk, Box::new(CLook), plan, image, None);
         let mut layout = kind.build(handle, driver.clone());
-        let outcome = recover_and_check(handle, &mut layout).await?;
+        let t0 = handle.now();
+        let stats = layout.recover().await?;
+        let nvram_replayed = write_back(&mut layout, &state.nvram).await?;
+        let pre = check::check(&mut layout).await;
+        let (repairs, post) = if pre.clean() {
+            (RepairReport::default(), pre.clone())
+        } else {
+            check::repair(&mut layout).await?
+        };
+        let recovery_time = handle.now() - t0;
+        let outcome = RecoveryOutcome { stats, pre, repairs, post, nvram_replayed, recovery_time };
         Ok((Stack { fs: FileSystem::new(handle, layout, cfg), driver, disks }, outcome))
     }
+}
+
+/// Writes a battery-backed cache's blocks back into a recovered layout,
+/// file by file in inode order, and syncs once. Real bytes stay real,
+/// so an NVRAM-resident directory block brings back the names it holds;
+/// a block past its file's acknowledged size is dropped, and the size
+/// is raised to the snapshot's, never shrunk. A file whose inode did not
+/// survive the crash is skipped. Returns the blocks written.
+async fn write_back(layout: &mut Layout, snap: &NvramSnapshot) -> LResult<u64> {
+    // Nothing survived in a battery: write nothing, not even a sync, so
+    // a volatile policy's power-on leaves the recovered image as it is.
+    if snap.is_empty() {
+        return Ok(0);
+    }
+    let bs = BLOCK_SIZE as u64;
+    let mut blocks: Vec<_> = snap.blocks.iter().collect();
+    blocks.sort_by_key(|&&(ino, _, _)| ino);
+    let mut replayed = 0;
+    for file in blocks.chunk_by(|a, b| a.0 == b.0) {
+        let ino = file[0].0;
+        let mut inode = match layout.get_inode(Ino(ino)).await {
+            Ok(inode) => inode,
+            Err(LayoutError::BadInode(_)) => continue,
+            Err(e) => return Err(e),
+        };
+        let size = snap.sizes.iter().find(|&&(i, _)| i == ino).map(|&(_, size)| size);
+        let writes: Vec<(u64, Payload)> = file
+            .iter()
+            .filter(|&&&(_, blk, _)| size.is_none_or(|size| blk * bs < size))
+            .map(|(_, blk, data)| {
+                (*blk, data.clone().map_or(Payload::Simulated(BLOCK_SIZE), Payload::Data))
+            })
+            .collect();
+        if !writes.is_empty() {
+            replayed += writes.len() as u64;
+            layout.write_file_blocks(&mut inode, writes).await?;
+        }
+        if let Some(size) = size.filter(|&size| size > inode.size) {
+            inode.size = size;
+            layout.put_inode(&inode).await?;
+        }
+    }
+    layout.sync().await?;
+    Ok(replayed)
 }
 
 #[cfg(test)]

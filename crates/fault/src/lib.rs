@@ -12,15 +12,16 @@
 //!   writes, latent sector errors, transient bus faults) from a seed;
 //! * [`faulty`] — [`Stack`], the one builder of a full simulated stack
 //!   (disk → driver → layout → engine): healthy, executing a fault plan,
-//!   or powered on from a crash image;
+//!   or powered on from a crash state ([`Stack::recover`]: layout
+//!   recovery, then the NVRAM written back, then fsck + repair);
 //! * [`mod@check`] — an fsck-style consistency walker over the abstract
 //!   [`cnp_layout::StorageLayout`] interface (LFS, FFS, sim-guess):
 //!   verify inode/dirent/block-map invariants, then repair what a crash
 //!   broke;
 //! * [`crash`] — crash-state capture (on-disk image at the cut point +
-//!   whatever the flush policy keeps in NVRAM), remount/recover,
-//!   NVRAM replay, and loss accounting: the pieces `cnp-check`'s crash
-//!   cell composes into one verification.
+//!   whatever the flush policy keeps in NVRAM) and loss accounting: the
+//!   pieces `cnp-check`'s crash cell composes with [`Stack::recover`]
+//!   into one verification.
 //!
 //! Everything is pure data + seeded RNG, so a crash experiment is a
 //! deterministic function of (configuration, seed) like every other
@@ -36,8 +37,8 @@ pub mod plan;
 
 pub use check::{check, repair, FsckReport, RepairReport, Violation};
 pub use crash::{
-    apply_staged_to_image, recover_and_check, recovered_sizes, replay_nvram, CrashState,
-    LayoutKind, LossReport, Policy, RecoveryOutcome, POLICIES,
+    apply_staged_to_image, recovered_sizes, CrashState, LayoutKind, LossReport, Policy,
+    RecoveryOutcome, POLICIES,
 };
 pub use faulty::Stack;
 pub use plan::{cut_points, FaultPlanBuilder};

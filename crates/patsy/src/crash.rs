@@ -7,9 +7,9 @@
 //! sweep is the crash checker's graceful boundary cell
 //! ([`cnp_check::run_sampled_cell`]) at a sampled cut: it replays the
 //! trace prefix up to the cut, captures the crash state (on-disk image
-//! and NVRAM contents), recovers it in a simulation of its own, repairs
-//! with the fsck walker, replays NVRAM, and judges the result with the
-//! checker's oracle — extending the paper's Fig. 5 NVRAM axis to crash
+//! and NVRAM contents), powers it on in a simulation of its own
+//! (recovery, NVRAM replay, then fsck + repair), and judges the result
+//! with the checker's oracle — extending the paper's Fig. 5 NVRAM axis to crash
 //! safety at the paper's 8 MB cache and 4 MB NVRAM.
 
 use cnp_check::{run_sampled_cell, CellOutcome, CellSpec, CellViolation, RecoveryCounts};

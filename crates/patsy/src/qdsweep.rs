@@ -117,12 +117,12 @@ pub fn run_depth_cell(
     let queue: Rc<RefCell<std::collections::VecDeque<BlockReq>>> =
         Rc::new(RefCell::new(reqs.iter().copied().collect()));
     let latency_ns: Rc<RefCell<(u128, u64)>> = Rc::new(RefCell::new((0, 0)));
-    for w in 0..depth.max(1) {
+    for _ in 0..depth.max(1) {
         let d = driver.clone();
         let q = queue.clone();
         let h2 = h.clone();
         let lat = latency_ns.clone();
-        h.spawn(&format!("qd-worker{w}"), async move {
+        h.spawn("qd-worker", async move {
             loop {
                 let next = q.borrow_mut().pop_front();
                 let Some((op, lba, sectors)) = next else { break };

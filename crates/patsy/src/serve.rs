@@ -401,7 +401,7 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
             let session = srv.session(plan.client);
             let h3 = h.clone();
             let totals = totals.clone();
-            joins.push(h.spawn(&format!("nfs-client{}", plan.client), async move {
+            joins.push(h.spawn("nfs-client", async move {
                 let st = drive_client(h3, session, plan, rsize).await;
                 totals.borrow_mut().absorb(st);
             }));

@@ -291,7 +291,11 @@ impl Sim {
     ///
     /// Panics, naming the task, if it has not finished when the run
     /// stops (a deadlock, or a task still waiting at the horizon).
-    pub fn block_on<T: 'static>(&self, name: &str, fut: impl Future<Output = T> + 'static) -> T {
+    pub fn block_on<T: 'static>(
+        &self,
+        name: &'static str,
+        fut: impl Future<Output = T> + 'static,
+    ) -> T {
         let out = Rc::new(RefCell::new(None));
         let slot = out.clone();
         self.handle().spawn(name, async move {
@@ -372,7 +376,7 @@ impl Handle {
 
     /// Spawns a new simulated thread and returns its join handle. The
     /// name labels the call site for its reader; the kernel keeps none.
-    pub fn spawn<F>(&self, _name: &str, fut: F) -> JoinHandle
+    pub fn spawn<F>(&self, _name: &'static str, fut: F) -> JoinHandle
     where
         F: Future<Output = ()> + 'static,
     {

@@ -269,3 +269,32 @@ fn every_crash_sweep_cell_equals_the_checker_cell() {
         }
     }
 }
+
+/// The battery is restored before fsck judges the platter: the two FFS
+/// NVRAM cells of `patsy crash --trace 1a --cuts 4 --seed 365` whose
+/// files lived in NVRAM-only directory blocks (nvram-whole at cut 1421,
+/// nvram-partial at cut 1895) verify clean, and the walker finds nothing
+/// to repair. With fsck run on the bare platter before the replay, repair
+/// moved those files to `/lost+found` and each cell reported `AckedLoss`.
+#[test]
+fn ffs_nvram_cells_whose_directories_lived_in_nvram_verify_clean() {
+    use cut_and_paste::check::run_sampled_cell;
+    use cut_and_paste::patsy::{sweep_cells, CrashConfig};
+
+    let cfg = CrashConfig::new(preset("1a").unwrap(), 4, 365, 0.002);
+    let records = SyntheticSprite::new(cfg.trace.clone(), 365 ^ 0xabcd).generate(cfg.scale);
+    let wanted = [(Policy::NvramWhole, 1421), (Policy::NvramPartial, 1895)];
+    let mut ran = 0;
+    for (policy, cut, spec) in sweep_cells(&cfg, records.len()) {
+        if spec.layout != LayoutKind::Ffs || !wanted.contains(&(policy, cut)) {
+            continue;
+        }
+        let (outcome, recovery, _) = run_sampled_cell(&spec, &records[..cut as usize]);
+        let cell = format!("ffs {} cut {cut}", policy.label());
+        assert!(outcome.clean(), "{cell}: {:?}", outcome.violations);
+        assert_eq!(recovery.violations_pre, 0, "{cell}: the walker found the replayed state dirty");
+        assert!(outcome.nvram_replayed > 0, "{cell}: the battery held nothing");
+        ran += 1;
+    }
+    assert_eq!(ran, wanted.len(), "both cells are in the 4-cut sweep");
+}

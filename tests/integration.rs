@@ -458,10 +458,10 @@ fn multi_client_crash_preserves_acked_writes_on_ssd() {
     multi_client_crash_cycle(Hardware { disk: "ssd", ..Hardware::default() });
 }
 
-/// One doom → cut → capture → restore → recover + fsck → NVRAM replay →
-/// loss-accounting cycle on `hw` under `nvram-whole`.
+/// One doom → cut → capture → power-on (restore, recover, NVRAM
+/// replay, fsck) → loss-accounting cycle on `hw` under `nvram-whole`.
 fn multi_client_crash_cycle(hw: Hardware) {
-    use cut_and_paste::fault::{recovered_sizes, replay_nvram, CrashState, LossReport};
+    use cut_and_paste::fault::{recovered_sizes, CrashState, LossReport};
     use cut_and_paste::trace::TraceOp;
     use cut_and_paste::workload::{run_clients, Scenario, WorkloadKind};
 
@@ -522,7 +522,8 @@ fn multi_client_crash_cycle(hw: Hardware) {
         let state = CrashState::capture(&fs, &disks[0]).await;
         fs.shutdown();
 
-        // Power-on: recover, verify clean, replay NVRAM, account loss.
+        // Power-on (recover, replay NVRAM, fsck), verify clean, account
+        // loss.
         let (Stack { fs: fs2, .. }, outcome) =
             Stack::recover(&h, "mcc1", LayoutKind::Lfs, &hw, &state, cfg).await.expect("recovery");
         assert!(
@@ -530,7 +531,6 @@ fn multi_client_crash_cycle(hw: Hardware) {
             "post-recovery fsck must be clean: {:?}",
             outcome.post.violations
         );
-        replay_nvram(&fs2, &state.nvram).await.expect("nvram replay");
         // A file whose delete or truncate failed has no acknowledged
         // state to judge (as the checker's cells treat it).
         let mut acked = report.acked;

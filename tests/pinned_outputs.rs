@@ -159,7 +159,7 @@ fn crash_sweep_json_is_pinned() {
         assert_pinned(
             "the 2-cut sweep",
             &patsy::format_crash_sweep_json(&cfg, &cells),
-            0x1f22753a4eb041afe7783de7c14a3d71,
+            0x8d0031264ce4eab70ce3d5c41ca61f56,
         );
     }
 }

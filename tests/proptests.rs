@@ -316,11 +316,10 @@ proptest! {
             // Crash: platter + NVRAM survive, nothing else.
             let state = CrashState::capture(&fs, &disk).await;
             fs.shutdown();
-            // Power-on, recover, verify, replay NVRAM.
+            // Power-on (recover, replay NVRAM, fsck), verify.
             let (Stack { fs: fs2, .. }, outcome) =
                 Stack::recover(&h, "n1", LayoutKind::Lfs, &hw, &state, cfg).await.expect("recovery");
             assert!(outcome.post.clean(), "{:?}", outcome.post.violations);
-            cut_and_paste::fault::replay_nvram(&fs2, &state.nvram).await.expect("nvram replay");
             // Every acknowledged write must read back exactly.
             for ((fidx, blk), tag) in model {
                 let ino = fs2.lookup(&format!("/f{fidx}")).await.expect("file identity survives");
@@ -613,7 +612,7 @@ proptest! {
                 for (c, prog) in programs.into_iter().enumerate() {
                     let h3 = h.clone();
                     let fs2 = fs.clone();
-                    handles.push(h.spawn(&format!("dc{c}"), async move {
+                    handles.push(h.spawn("dc", async move {
                         client_program(h3, fs2, c, prog).await;
                     }));
                 }
