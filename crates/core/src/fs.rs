@@ -37,7 +37,7 @@ use cnp_sim::{
 
 use crate::config::FsConfig;
 use crate::error::FsResult;
-use data::ReadScratch;
+use data::{BlockCommit, ReadScratch};
 use names::NameMemos;
 
 mod client;
@@ -78,6 +78,9 @@ struct Shared {
     /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
     /// the miss path allocates for its I/O and not for its bookkeeping.
     scratch: RefCell<Vec<ReadScratch>>,
+    /// Idle write windows, likewise: a write lends one to its fan-out,
+    /// so its block commits allocate no slot once the list has grown.
+    windows: RefCell<Vec<Vec<BlockCommit>>>,
     /// What the name path has validated of single-block directories,
     /// by the content stamp of the cache frame it read them in.
     names: RefCell<NameMemos>,
@@ -167,6 +170,7 @@ impl FileSystem {
             inodes: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
+            windows: RefCell::default(),
             names: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
@@ -628,6 +632,59 @@ mod tests {
             assert_eq!(fs.cache_stats().evictions, evictions);
             assert_eq!(fs.s.cache.borrow().resident(), 8);
         });
+    }
+
+    #[test]
+    fn a_write_window_with_nvram_stalls_in_it_keeps_its_pinned_schedule() {
+        // 16 blocks at depth 8 into an NVRAM of 4: the window's first
+        // blocks dirty at once, the rest park on `NeedFlush` until the
+        // flush daemon frees a block, and each refilled slot goes in
+        // behind them. The values were taken before the window's slots
+        // became reused commit records; a slot polled out of turn, or a
+        // stage that sleeps or waits where the old code did not, moves
+        // them.
+        let cfg = FsConfig {
+            cache: cnp_cache::CacheConfig {
+                block_size: BLOCK_SIZE,
+                mem_bytes: 64 * BLOCK_SIZE as u64,
+                nvram_bytes: Some(4 * BLOCK_SIZE as u64),
+            },
+            flush: "nvram-partial".into(),
+            data_mode: DataMode::Simulated,
+            queue_depth: 8,
+            ..FsConfig::default()
+        };
+        let sim = Sim::new(31);
+        let h = sim.handle();
+        let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
+        let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
+        let fs = FileSystem::new(&h, layout, cfg);
+        let (done_at, batches, log_order) = sim.block_on("test", async move {
+            fs.format().await.unwrap();
+            let ino = fs.create("/f", FileKind::Regular).await.unwrap();
+            let batches = fs.s.stats.borrow().flush_batches;
+            assert_eq!(fs.write(ino, 0, 16 * 4096, None).await, Ok(16 * 4096));
+            let done_at = fs.s.handle.now().as_nanos();
+            let batches = fs.s.stats.borrow().flush_batches - batches;
+            // Every flush here picks the oldest dirty block, so the
+            // order the blocks reach the log is the order they were
+            // dirtied in.
+            fs.sync().await.unwrap();
+            let inode = fs.inode_record(ino).await.unwrap().inode.borrow().clone();
+            let mut at = Vec::new();
+            for blk in 0..16 {
+                let g = fs.lock_core().await;
+                let addr = g.get_mut().map_block(&inode, blk).await.unwrap();
+                at.push((addr.expect("every block was written").0, blk));
+            }
+            at.sort_unstable();
+            fs.shutdown();
+            (done_at, batches, at.into_iter().map(|(_, blk)| blk).collect::<Vec<_>>())
+        });
+        assert_eq!(done_at, 114_034_081);
+        assert_eq!(batches, 12);
+        assert_eq!(log_order, (0..16).collect::<Vec<u64>>());
+        assert_eq!(sim.steps(), 171);
     }
 
     #[test]

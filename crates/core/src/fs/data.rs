@@ -1,16 +1,21 @@
 //! The data path: read, write and truncate, and the one way a block
 //! moves between a file and the cache. Every read, at any length and
 //! queue depth, is a run of windows ([`FileSystem::load_window`]); every
-//! write a bounded fan-out of whole-block cache commits. The layout is
-//! reached under the core lock only, one call at a time.
+//! write a bounded fan-out of whole-block cache commits
+//! ([`BlockCommit`]), held inline in a window list the engine reuses.
+//! The layout is reached under the core lock only, one call at a time.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{ready, Context, Poll};
 
 use cnp_cache::{BlockKey, BlockState, DirtyOutcome, FileId, Reserve};
 use cnp_disk::Payload;
 use cnp_layout::{BlockAddr, Ino, StorageLayout, BLOCK_SIZE, MAX_FILE_BLOCKS};
-use cnp_sim::{Event, SimDuration};
+use cnp_sim::{Event, SimDuration, Sleep};
 
+use super::durability::FlushWait;
 use super::names::{self, Mutant};
 use super::FileSystem;
 use crate::config::DataMode;
@@ -137,8 +142,9 @@ impl FileSystem {
         }
         let gen0 = rc.generation.get();
         // Per-block cache commits (and any read-modify loads for partial
-        // blocks) proceed with up to queue_depth in flight; the first
-        // failure stops new blocks from starting.
+        // blocks) proceed with up to queue_depth in flight, in a window
+        // list taken from the pool; the first failure stops new blocks
+        // from starting.
         let first = offset / bs;
         let blocks = first..if len == 0 { first } else { end.div_ceil(bs) };
         let failed: RefCell<Option<FsError>> = RefCell::new(None);
@@ -150,7 +156,9 @@ impl FileSystem {
                 failed.borrow_mut().get_or_insert(e);
             }
         };
-        cnp_sim::for_each_limit(self.queue_depth() as usize, work, note).await;
+        let mut window = self.s.windows.borrow_mut().pop().unwrap_or_default();
+        cnp_sim::for_each_limit(self.queue_depth() as usize, work, &mut window, note).await;
+        self.s.windows.borrow_mut().push(window);
         if let Some(e) = failed.into_inner() {
             // Roll the speculative extension back so a *failed* write
             // does not leave a phantom size — but only if no other
@@ -209,11 +217,12 @@ impl FileSystem {
         }
     }
 
-    /// One block of a client write: compute the block's new content
-    /// (read-modify for partial overwrites in real mode) and push it
-    /// through the cache.
+    /// One block of a client write: its new content, computed here for
+    /// a whole block or one past the old end of file, and pushed through
+    /// the cache. A real-mode partial overwrite of existing data keeps
+    /// its part of `data` and reads the old block first (read-modify).
     #[allow(clippy::too_many_arguments)]
-    async fn write_one_block(
+    fn write_one_block(
         &self,
         owner: u32,
         ino: Ino,
@@ -222,32 +231,26 @@ impl FileSystem {
         end: u64,
         old_size: u64,
         data: Option<&[u8]>,
-    ) -> FsResult<()> {
+    ) -> BlockCommit {
         let bs = BLOCK_SIZE as u64;
         let lo = if blk * bs >= offset { 0 } else { (offset % bs) as usize };
         let hi = ((end - blk * bs).min(bs)) as usize;
-        let whole = lo == 0 && hi == bs as usize;
-        let block_data: Option<Vec<u8>> = match self.s.cfg.data_mode {
-            DataMode::Simulated => None,
-            DataMode::Real => {
-                let mut base = if whole || blk * bs >= old_size {
-                    vec![0u8; bs as usize]
-                } else {
-                    // Partial overwrite of existing data: read-modify.
-                    self.read_block_cached(ino, blk)
-                        .await?
-                        .unwrap_or_else(|| vec![0u8; bs as usize])
-                };
-                if let Some(src) = data {
-                    let src_lo = (blk * bs + lo as u64 - offset) as usize;
-                    let n = hi - lo;
-                    let avail = src.len().saturating_sub(src_lo).min(n);
-                    base[lo..lo + avail].copy_from_slice(&src[src_lo..src_lo + avail]);
-                }
-                Some(base)
-            }
+        let DataMode::Real = self.s.cfg.data_mode else {
+            return self.write_block_cached(owner, ino, blk, None);
         };
-        self.write_block_cached(owner, ino, blk, block_data).await
+        // The part of `data` that lands in this block, at `lo`.
+        let src = data.and_then(|src| src.get((blk * bs + lo as u64 - offset) as usize..));
+        let src = src.map_or(&[][..], |src| &src[..src.len().min(hi - lo)]);
+        if (lo == 0 && hi == bs as usize) || blk * bs >= old_size {
+            let mut block = vec![0u8; bs as usize];
+            block[lo..lo + src.len()].copy_from_slice(src);
+            return self.write_block_cached(owner, ino, blk, Some(block));
+        }
+        let fs = self.clone();
+        let read = Box::pin(async move { fs.read_block_cached(ino, blk).await });
+        let mut commit = self.write_block_cached(owner, ino, blk, Some(src.to_vec()));
+        commit.stage = Stage::ReadModify { read, at: lo };
+        commit
     }
 
     /// Reads blocks `[first, first + n)` through the cache, a window of
@@ -493,75 +496,30 @@ impl FileSystem {
     /// block is attributed to `owner` for flush accounting. The payload
     /// moves into the frame; only a write that finds NVRAM full copies
     /// it back out before it parks, to apply the same bytes again.
-    pub(super) async fn write_block_cached(
+    pub(super) fn write_block_cached(
         &self,
         owner: u32,
         ino: Ino,
         blk: u64,
-        mut data: Option<Vec<u8>>,
-    ) -> FsResult<()> {
-        let key = BlockKey::new(FileId(ino.0), blk);
-        let real = data.is_some();
-        loop {
-            let mut resident = self.s.cache.borrow().peek(key);
-            if resident.is_none() {
-                let frame = self.reserve_frame().await;
-                // `reserve_frame` parks on a demand flush when no frame
-                // is clean; another writer of this block may have made
-                // it resident meanwhile. Look again: the spare frame
-                // goes back and this write lands on the resident block.
-                let mut cache = self.s.cache.borrow_mut();
-                resident = cache.peek(key);
-                match resident {
-                    None => cache.commit(frame, key, data.take(), self.s.handle.now()),
-                    Some(_) => cache.release_reserved(frame),
-                }
-            }
-            if let (Some(frame), true) = (resident, real) {
-                let mut cache = self.s.cache.borrow_mut();
-                let old = cache.content_stamp(frame);
-                cache.set_data(frame, data.take());
-                if names::planted(Mutant::SetDataKeepsStamp) {
-                    self.s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
-                }
-            }
-            // Dirty it, honouring the NVRAM budget.
-            let outcome = {
-                let mut cache = self.s.cache.borrow_mut();
-                cache.mark_dirty_for(key, self.s.handle.now(), owner)
-            };
-            match outcome {
-                DirtyOutcome::Ok => {
-                    self.copy_delay().await;
-                    return Ok(());
-                }
-                DirtyOutcome::NeedFlush(keys) => {
-                    if real {
-                        let cache = self.s.cache.borrow();
-                        let frame = cache.peek(key).expect("the block was just made resident");
-                        data = cache.data(frame).map(<[u8]>::to_vec);
-                    }
-                    self.request_flush_and_wait(keys).await;
-                }
-            }
+        data: Option<Vec<u8>>,
+    ) -> BlockCommit {
+        BlockCommit {
+            fs: self.clone(),
+            key: BlockKey::new(FileId(ino.0), blk),
+            owner,
+            real: data.is_some(),
+            data,
+            stage: Stage::Place,
         }
     }
 
-    async fn copy_delay(&self) {
-        self.s.handle.sleep(COPY_COST).await;
+    fn copy_delay(&self) -> Sleep {
+        self.s.handle.sleep(COPY_COST)
     }
 
     /// Obtains a free cache frame, flushing per policy when none exists.
-    async fn reserve_frame(&self) -> u32 {
-        loop {
-            let outcome = self.s.cache.borrow_mut().reserve();
-            match outcome {
-                Reserve::Frame(f) => return f,
-                Reserve::NeedFlush(keys) => {
-                    self.request_flush_and_wait(keys).await;
-                }
-            }
-        }
+    fn reserve_frame(&self) -> FrameReservation {
+        FrameReservation { fs: self.clone(), stall: None }
     }
 
     pub(super) async fn multimedia_prefetch(&self, ino: Ino) {
@@ -601,6 +559,152 @@ impl FileSystem {
             blk += 1;
             // Pace the prefetch: one block per ~ms keeps QoS-ish delivery.
             self.s.handle.sleep(SimDuration::from_millis(1)).await;
+        }
+    }
+}
+
+/// One block's commit into the cache, as a record the write window holds
+/// inline: place the bytes in the block's frame (reserving a frame first
+/// if the block is not resident), dirty it against the NVRAM budget,
+/// then charge the copy. Every wait is a kernel leaf future (a
+/// [`FrameReservation`]'s or a full NVRAM's [`FlushWait`], the copy's
+/// [`Sleep`]), and each stage makes its kernel calls in the order the
+/// straight-line code would, so a record allocates nothing but, on a
+/// real-mode partial overwrite, its boxed read-modify.
+pub(super) struct BlockCommit {
+    fs: FileSystem,
+    key: BlockKey,
+    owner: u32,
+    /// Real mode: the block carries bytes.
+    real: bool,
+    /// The block's bytes until they land in its frame; in
+    /// [`Stage::ReadModify`], the part of the block the write covers.
+    data: Option<Vec<u8>>,
+    stage: Stage,
+}
+
+/// A boxed read of one block's old bytes, for a read-modify.
+type BlockRead = Pin<Box<dyn Future<Output = FsResult<Option<Vec<u8>>>>>>;
+
+enum Stage {
+    /// Reading the old block of a partial overwrite; the write's part
+    /// goes in at byte `at`.
+    ReadModify { read: BlockRead, at: usize },
+    /// About to look the block up (again, after a stall).
+    Place,
+    /// Not resident: waiting for a frame.
+    Reserve(FrameReservation),
+    /// NVRAM full: waiting for the flush daemon's next batch.
+    Stall(FlushWait),
+    /// Dirtied: charging the copy.
+    Copy(Sleep),
+}
+
+impl Future for BlockCommit {
+    type Output = FsResult<()>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<FsResult<()>> {
+        let this = self.get_mut();
+        loop {
+            let resident = match &mut this.stage {
+                Stage::ReadModify { read, at } => {
+                    let at = *at;
+                    let mut block = ready!(read.as_mut().poll(cx))?
+                        .unwrap_or_else(|| vec![0u8; BLOCK_SIZE as usize]);
+                    if let Some(part) = this.data.take() {
+                        block[at..at + part.len()].copy_from_slice(&part);
+                    }
+                    this.data = Some(block);
+                    this.stage = Stage::Place;
+                    continue;
+                }
+                Stage::Place => {
+                    let resident = this.fs.s.cache.borrow().peek(this.key);
+                    if resident.is_none() {
+                        this.stage = Stage::Reserve(this.fs.reserve_frame());
+                        continue;
+                    }
+                    resident
+                }
+                Stage::Reserve(reservation) => {
+                    let frame = ready!(Pin::new(reservation).poll(cx));
+                    // A reservation parks on a demand flush when no
+                    // frame is clean; another writer of this block may
+                    // have made it resident meanwhile. Look again: the
+                    // spare frame goes back and this write lands on the
+                    // resident block.
+                    let now = this.fs.s.handle.now();
+                    let mut cache = this.fs.s.cache.borrow_mut();
+                    let resident = cache.peek(this.key);
+                    match resident {
+                        None => cache.commit(frame, this.key, this.data.take(), now),
+                        Some(_) => cache.release_reserved(frame),
+                    }
+                    resident
+                }
+                Stage::Stall(wait) => {
+                    ready!(Pin::new(wait).poll(cx));
+                    this.stage = Stage::Place;
+                    continue;
+                }
+                Stage::Copy(sleep) => return Pin::new(sleep).poll(cx).map(Ok),
+            };
+            this.stage = this.dirty(resident);
+        }
+    }
+}
+
+impl BlockCommit {
+    /// Lands the bytes on `resident` (a frame this commit did not fill
+    /// itself) and dirties the block, honouring the NVRAM budget: next
+    /// comes the copy charge, or a stall until the daemon flushes.
+    fn dirty(&mut self, resident: Option<u32>) -> Stage {
+        let s = &self.fs.s;
+        if let (Some(frame), true) = (resident, self.real) {
+            let mut cache = s.cache.borrow_mut();
+            let old = cache.content_stamp(frame);
+            cache.set_data(frame, self.data.take());
+            if names::planted(Mutant::SetDataKeepsStamp) {
+                s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
+            }
+        }
+        let outcome = s.cache.borrow_mut().mark_dirty_for(self.key, s.handle.now(), self.owner);
+        match outcome {
+            DirtyOutcome::Ok => Stage::Copy(self.fs.copy_delay()),
+            DirtyOutcome::NeedFlush(keys) => {
+                if self.real {
+                    let cache = s.cache.borrow();
+                    let frame = cache.peek(self.key).expect("the block was just made resident");
+                    self.data = cache.data(frame).map(<[u8]>::to_vec);
+                }
+                Stage::Stall(self.fs.request_flush(keys))
+            }
+        }
+    }
+}
+
+/// A free cache frame, reserved at once when one is clean, else after
+/// each demand flush the policy asks for, as often as it takes.
+pub(super) struct FrameReservation {
+    fs: FileSystem,
+    stall: Option<FlushWait>,
+}
+
+impl Future for FrameReservation {
+    type Output = u32;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+        let this = self.get_mut();
+        loop {
+            if let Some(wait) = &mut this.stall {
+                ready!(Pin::new(wait).poll(cx));
+                this.stall = None;
+            }
+            let outcome = this.fs.s.cache.borrow_mut().reserve();
+            match outcome {
+                Reserve::Frame(frame) => return Poll::Ready(frame),
+                Reserve::NeedFlush(keys) => this.stall = Some(this.fs.request_flush(keys)),
+            }
         }
     }
 }

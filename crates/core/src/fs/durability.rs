@@ -3,9 +3,16 @@
 //! and the core lock), and what a crash harness needs around a power
 //! cut — the NVRAM snapshot and the layout's staging buffer.
 
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll};
+
 use cnp_cache::BlockKey;
 use cnp_disk::{IoError, Payload};
 use cnp_layout::{BlockAddr, Ino, LayoutError, StorageLayout, BLOCK_SIZE};
+use cnp_obs::trace::SpanToken;
+use cnp_sim::sync::EventWait;
+use cnp_sim::Handle;
 
 use super::FileSystem;
 use crate::error::FsResult;
@@ -28,6 +35,28 @@ impl NvramSnapshot {
     /// True if nothing survived (no NVRAM, or nothing was dirty).
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
+    }
+}
+
+/// A stalled request's wait for the flush daemon's next finished batch
+/// ([`FileSystem::request_flush`]); it closes the `flush:wait` span
+/// when it ends.
+pub(super) struct FlushWait {
+    handle: Handle,
+    wait: EventWait,
+    span: SpanToken,
+}
+
+impl Future for FlushWait {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let done = Pin::new(&mut this.wait).poll(cx);
+        if done.is_ready() {
+            this.handle.trace_exit(this.span);
+        }
+        done
     }
 }
 
@@ -65,16 +94,16 @@ impl FileSystem {
     }
 
     /// A stalled writer's or reservation's flush: hands `keys` (if any)
-    /// to the flush daemon and waits for the daemon's next finished
-    /// batch. The requester never does the I/O itself (the §5.2 lesson).
-    pub(super) async fn request_flush_and_wait(&self, keys: Vec<BlockKey>) {
-        let sp = self.s.handle.trace_span("flush:wait");
+    /// to the flush daemon and returns the wait for the daemon's next
+    /// finished batch, its `flush:wait` span open until the wait ends.
+    /// The requester never does the I/O itself (the §5.2 lesson).
+    pub(super) fn request_flush(&self, keys: Vec<BlockKey>) -> FlushWait {
+        let span = self.s.handle.trace_span("flush:wait");
         let wait = self.s.flush_done.wait();
         if !keys.is_empty() {
             self.enqueue_flush(keys);
         }
-        wait.await;
-        self.s.handle.trace_exit(sp);
+        FlushWait { handle: self.s.handle.clone(), wait, span }
     }
 
     /// Hands a flush batch to the flush daemon (dropped after shutdown).

@@ -18,7 +18,7 @@ use cnp_core::{DataMode, FsConfig};
 use cnp_disk::{DiskGeometry, FaultPlan, Hp97560, Hp97560Params};
 use cnp_fault::{LayoutKind, Policy, Stack};
 use cnp_obs::Json;
-use cnp_sim::{run_cells, Handle, LockStats, Sim};
+use cnp_sim::{run_cells, Handle, KernelCounts, LockStats, Sim};
 use cnp_trace::{RunOptions, RunReport};
 use cnp_workload::{run_clients, Scenario, WorkloadKind};
 
@@ -152,6 +152,8 @@ pub struct ClientCell {
     /// The cell's unified metrics snapshot (captured just before
     /// shutdown).
     pub metrics: cnp_obs::MetricsSnapshot,
+    /// What the cell's simulation kernel did, counted exactly.
+    pub kernel: KernelCounts,
 }
 
 impl ClientCell {
@@ -204,6 +206,7 @@ pub fn run_client_cell(cfg: &ClientSweepConfig, n: u32) -> ClientCell {
         shards,
         metrics,
         report,
+        kernel: sim.counts(),
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use cnp_fault::{LayoutKind, Policy};
 use cnp_obs::Json;
 use cnp_pfs::{Fhandle, NfsServer, NfsSession, NfsStat, Request, ServeConfig, XdrDecoder};
-use cnp_sim::{run_cells, Handle, Sim, SimDuration};
+use cnp_sim::{run_cells, Handle, KernelCounts, Sim, SimDuration};
 use cnp_trace::TraceOp;
 use cnp_workload::{ClientPlan, Scenario, WorkloadKind};
 
@@ -109,6 +109,8 @@ pub struct ServeCell {
     pub attr_hit_rate: f64,
     /// The serving tier's full metrics snapshot.
     pub metrics: cnp_obs::MetricsSnapshot,
+    /// What the cell's simulation kernel did, counted exactly.
+    pub kernel: KernelCounts,
 }
 
 /// Per-client driver tallies, rolled up across the fleet.
@@ -446,6 +448,7 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
             snap.counter_value("serve.attr_cache.misses"),
         ),
         metrics: snap,
+        kernel: sim.counts(),
     }
 }
 

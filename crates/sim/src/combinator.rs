@@ -13,10 +13,12 @@
 //!
 //! [`join_all`] drives a set of futures to completion and returns every
 //! output in input order; [`for_each_limit`] keeps a bounded window in
-//! flight and hands outputs over in *completion* order. Both poll
-//! their pending children in insertion order, so — together with the
-//! seeded scheduler that decides when the owning task runs — fan-out
-//! stays a pure function of (configuration, seed).
+//! flight and hands outputs over in *completion* order. Both keep their
+//! children inline, so they take `Unpin` children and allocate nothing
+//! per child (`for_each_limit` not even its list, which the caller
+//! lends). Both poll their pending children in insertion order, so —
+//! together with the seeded scheduler that decides when the owning task
+//! runs — fan-out stays a pure function of (configuration, seed).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -108,59 +110,48 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 }
 
 /// Runs every future produced by `work`, keeping at most `depth` in
-/// flight, and hands each output to `each` in completion order.
+/// flight in `window`, and hands each output to `each` in completion
+/// order.
 ///
-/// Pending futures are polled in insertion order, and every completion
-/// restarts the scan from the oldest (a test holds this to a plain
-/// `FuturesUnordered`-style set). The window owns its slots: the first
-/// lives in this future's own state, the others are boxed once and
-/// re-armed with the next item as they complete, so a call allocates
-/// for at most `min(depth, items)` slots and never per item, and
-/// `depth == 1` is awaiting each future in sequence with no allocation
-/// at all.
-pub async fn for_each_limit<I, F>(depth: usize, work: I, mut each: impl FnMut(F::Output))
-where
+/// The window is a list the caller lends: it is cleared first and
+/// left empty, and its children live in it inline (`Unpin`, as for
+/// [`join_all`]). So a caller that keeps one list and lends it to every
+/// call allocates nothing once the list has grown to `depth`, whatever
+/// the number of items. Pending children are polled in insertion order;
+/// a child that completes leaves the list, the next item goes in at the
+/// end, and the scan restarts from the oldest (a test holds this to a
+/// plain `FuturesUnordered`-style set). At `depth == 1` that is
+/// awaiting each future in sequence.
+pub async fn for_each_limit<I, F>(
+    depth: usize,
+    work: I,
+    window: &mut Vec<F>,
+    mut each: impl FnMut(F::Output),
+) where
     I: IntoIterator<Item = F>,
-    F: Future,
+    F: Future + Unpin,
 {
     let mut work = work.into_iter();
-    let width = work.size_hint().1.map_or(depth, |items| items.min(depth)).max(1);
-    let mut inline = std::pin::pin!(work.next());
-    // The boxed slots in insertion order; the inline slot's future
-    // comes before `boxed[inline_at]` in that order.
-    let mut boxed: Vec<Pin<Box<F>>> = Vec::with_capacity(width - 1);
-    let mut inline_at = 0;
-    boxed.extend(work.by_ref().take(width - 1).map(Box::pin));
-    std::future::poll_fn(|cx| 'scan: loop {
-        for i in 0..=boxed.len() {
-            if i == inline_at {
-                if let Some(fut) = inline.as_mut().as_pin_mut() {
-                    if let Poll::Ready(out) = fut.poll(cx) {
-                        each(out);
-                        inline.set(work.next());
-                        inline_at = boxed.len();
-                        continue 'scan;
-                    }
+    window.clear();
+    window.extend(work.by_ref().take(depth.max(1)));
+    std::future::poll_fn(|cx| {
+        let mut i = 0;
+        while i < window.len() {
+            match Pin::new(&mut window[i]).poll(cx) {
+                Poll::Ready(out) => {
+                    window.remove(i);
+                    each(out);
+                    window.extend(work.next());
+                    i = 0;
                 }
-            }
-            if i == boxed.len() {
-                break;
-            }
-            if let Poll::Ready(out) = boxed[i].as_mut().poll(cx) {
-                each(out);
-                let mut slot = boxed.remove(i);
-                if i < inline_at {
-                    inline_at -= 1;
-                }
-                if let Some(next) = work.next() {
-                    slot.set(next);
-                    boxed.push(slot);
-                }
-                continue 'scan;
+                Poll::Pending => i += 1,
             }
         }
-        let idle = inline.is_none() && boxed.is_empty();
-        return if idle { Poll::Ready(()) } else { Poll::Pending };
+        if window.is_empty() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
     })
     .await
 }
@@ -296,7 +287,7 @@ mod tests {
             let jobs = (0..10u64).map(|_| {
                 let h3 = h2.clone();
                 let a = a2.clone();
-                async move {
+                Box::pin(async move {
                     {
                         let mut g = a.borrow_mut();
                         g.0 += 1;
@@ -304,11 +295,15 @@ mod tests {
                     }
                     h3.sleep(SimDuration::from_millis(5)).await;
                     a.borrow_mut().0 -= 1;
-                }
+                })
             });
             let mut done = 0;
-            for_each_limit(3, jobs, |()| done += 1).await;
+            let mut window = Vec::new();
+            for_each_limit(3, jobs, &mut window, |()| done += 1).await;
             assert_eq!(done, 10);
+            // The lent list comes back empty and keeps what it grew to.
+            assert!(window.is_empty());
+            assert!(window.capacity() >= 3);
         });
         sim.run();
         assert_eq!(active.borrow().0, 0);
@@ -349,7 +344,7 @@ mod tests {
                     },
                 );
                 if slots {
-                    for_each_limit(depth, jobs, |()| {}).await;
+                    for_each_limit(depth, jobs.map(Box::pin), &mut Vec::new(), |()| {}).await;
                 } else {
                     reference(depth, jobs).await;
                 }
@@ -371,11 +366,8 @@ mod tests {
         let h = sim.handle();
         let h2 = h.clone();
         h.spawn("t", async move {
-            let jobs = (0..4u64).map(|_| {
-                let h3 = h2.clone();
-                async move { h3.sleep(SimDuration::from_millis(10)).await }
-            });
-            for_each_limit(1, jobs, |()| {}).await;
+            let jobs = (0..4u64).map(|_| h2.sleep(SimDuration::from_millis(10)));
+            for_each_limit(1, jobs, &mut Vec::new(), |()| {}).await;
             // Serial: the sum, not the max.
             assert_eq!(h2.now().as_millis(), 40);
         });

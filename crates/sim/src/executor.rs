@@ -153,6 +153,17 @@ impl Kernel {
     }
 }
 
+/// What the kernel has done, counted exactly: the counts repeat for a
+/// seed, so a cost budget can pin them where host time would not
+/// resolve.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// Scheduler steps (task polls), as [`Sim::steps`].
+    pub steps: u64,
+    /// Timer registrations: every wait on the clock that had to park.
+    pub timer_pushes: u64,
+}
+
 /// A deterministic discrete-event simulation: the instantiated scheduler.
 ///
 /// # Examples
@@ -315,6 +326,13 @@ impl Sim {
     /// Number of scheduler steps (task polls) executed so far.
     pub fn steps(&self) -> u64 {
         self.kernel.borrow().steps
+    }
+
+    /// The kernel's exact work counts so far (see [`KernelCounts`]).
+    pub fn counts(&self) -> KernelCounts {
+        let k = self.kernel.borrow();
+        // Every timer push draws the next sequence number.
+        KernelCounts { steps: k.steps, timer_pushes: k.timer_seq }
     }
 
     /// Number of still-live (unfinished) tasks.
@@ -704,6 +722,22 @@ mod tests {
         assert_eq!(sim.run(), RunResult::Completed);
         assert_eq!(sim.live_tasks(), 0);
         assert!(sim.steps() >= 5);
+    }
+
+    #[test]
+    fn a_timer_push_is_counted_once_per_wait_that_parks() {
+        let sim = Sim::new(3);
+        let h = sim.handle();
+        let h2 = h.clone();
+        h.spawn("t", async move {
+            // Already due: ready at once, no timer.
+            h2.sleep(SimDuration::from_micros(0)).await;
+            h2.sleep(SimDuration::from_micros(5)).await;
+            h2.yield_now().await;
+            h2.sleep(SimDuration::from_micros(5)).await;
+        });
+        assert_eq!(sim.run(), RunResult::Completed);
+        assert_eq!(sim.counts(), KernelCounts { steps: 4, timer_pushes: 2 });
     }
 
     /// Pending until its flag is set; parks nothing but the

@@ -56,7 +56,7 @@ mod time;
 
 pub use cells::run_cells;
 pub use combinator::{for_each_limit, join_all, JoinAll};
-pub use executor::{Handle, JoinHandle, RunResult, Sim, Sleep, TaskId, YieldNow};
+pub use executor::{Handle, JoinHandle, KernelCounts, RunResult, Sim, Sleep, TaskId, YieldNow};
 pub use sync::{
     channel, Event, LockStats, Permit, Receiver, Replies, ReplyReceiver, ReplySender, Resource,
     ResourceGuard, Semaphore, SendError, Sender, ShardedMutex, TrackedMutex, TrackedMutexGuard,

@@ -17,7 +17,8 @@
 //!
 //! The data path: a read or write of N blocks in one call allocates what
 //! its blocks do — nothing for a resident block off-line, its load for a
-//! missing one — and nothing for the call.
+//! missing one — and nothing for the call, at any queue depth: a write's
+//! window of block commits lives in a list the engine reuses.
 //!
 //! The platter store: a block-sized write costs its frame, a captured
 //! image its table of frame pointers, a simulated write nothing — never
@@ -411,7 +412,7 @@ fn with_file<Fut: std::future::Future<Output = ()>>(
 #[test]
 fn resident_reads_and_whole_block_writes_allocate_nothing_per_block() {
     const BS: u64 = BLOCK_SIZE as u64;
-    for qd in [1, 8] {
+    for qd in [1, 8, 64] {
         with_file(qd, 1024, 64, move |fs, ino| async move {
             let fs = &fs;
             for n in [1, 2, 16, 64] {
@@ -421,16 +422,12 @@ fn resident_reads_and_whole_block_writes_allocate_nothing_per_block() {
                     assert_eq!(fs.read(ino, 0, n * BS).await.unwrap(), (n * BS, None));
                 });
                 assert_eq!(read.await, 0, "reading {n} resident blocks in one call at qd {qd}");
+                // The blocks in flight are commit records held inline in
+                // a window list the engine lends the write and reuses.
                 let write = floor_of(move || async move {
                     assert_eq!(fs.write(ino, 0, n * BS, None).await, Ok(n * BS));
                 });
-                // The blocks in flight beyond the first each hold a
-                // slot, boxed once a call and listed in one `Vec`.
-                let slots = match n.min(qd as u64) {
-                    1 => 0,
-                    wide => wide,
-                };
-                assert_eq!(write.await, slots, "overwriting {n} resident blocks at qd {qd}");
+                assert_eq!(write.await, 0, "overwriting {n} resident blocks at qd {qd}");
             }
         });
     }
@@ -719,6 +716,7 @@ fn a_served_request_allocates_nothing_on_the_wire() {
         let fh = Fhandle { ino, gen: d.get_u32().unwrap() };
         assert_eq!(status, 0, "lookup failed");
         let block = vec![0x5a; BLOCK_SIZE as usize];
+        let blocks = vec![0xa5; 4 * BLOCK_SIZE as usize];
         let mut wire = (Vec::new(), Vec::new());
         for (what, req) in [
             ("a Null", Request::Null),
@@ -726,6 +724,7 @@ fn a_served_request_allocates_nothing_on_the_wire() {
             ("a path GetAttr from both caches", Request::GetAttr { path: "/file" }),
             ("a one-block ReadFh", Request::ReadFh { fh, offset: BS, len: BS }),
             ("a resident one-block WriteFh", Request::WriteFh { fh, offset: BS, data: &block }),
+            ("a resident four-block WriteFh", Request::WriteFh { fh, offset: 0, data: &blocks }),
         ] {
             assert_eq!(served_floor(s, req, &mut wire).await, 0, "{what} allocated");
         }
