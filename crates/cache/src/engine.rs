@@ -23,6 +23,9 @@ use crate::policy::{AccessMeta, ReplacementPolicy};
 /// Maximum per-frame access history kept (for LRU-K).
 const HISTORY: usize = 4;
 
+/// Emptied per-file index lists the cache keeps for reuse.
+const SPARE_FILE_LISTS: usize = 16;
+
 /// Owner tag for dirty data nobody claimed: engine-internal writes
 /// (directories, symlink targets) and single-client
 /// callers that never attribute. Multi-client attribution uses the
@@ -166,7 +169,8 @@ impl CacheConfig {
 pub enum Reserve {
     /// A frame is reserved for the caller; commit it with data.
     Frame(u32),
-    /// Nothing clean or free: flush these blocks, then retry.
+    /// Nothing clean or free: flush these blocks, then retry. The list
+    /// is one the cache lends ([`BlockCache::recycle`] takes it back).
     NeedFlush(Vec<BlockKey>),
 }
 
@@ -175,7 +179,8 @@ pub enum Reserve {
 pub enum DirtyOutcome {
     /// The block is dirty; proceed.
     Ok,
-    /// NVRAM is full: flush these blocks, then retry.
+    /// NVRAM is full: flush these blocks, then retry. The list is one
+    /// the cache lends ([`BlockCache::recycle`] takes it back).
     NeedFlush(Vec<BlockKey>),
 }
 
@@ -196,6 +201,12 @@ pub enum DirtyOutcome {
 /// slice. Only the crash snapshot iterates the map, through a sorted
 /// list of its keys, so its order (and its hasher) can reach no output.
 ///
+/// The cache reuses its storage in steady state: a file's list that
+/// empties waits in a spare slot for the next file to become resident,
+/// and every key list the cache hands out (a pick, the keys a flush
+/// started, the dirty set) comes from a pool that [`BlockCache::recycle`]
+/// refills.
+///
 /// The cache is not sharded: it lives in one `RefCell` on one thread,
 /// and the frame pool, the replacement order, the age order and the
 /// NVRAM budget are each one global thing (one memory, one battery).
@@ -209,6 +220,12 @@ pub struct BlockCache {
     /// leaves is removed). `commit`, `index_remove` and `remove_file`
     /// (which takes a file whole) are its only writers.
     files: HashMap<FileId, Vec<(u64, u32)>, FixedState>,
+    /// Emptied per-file lists, for the next files `commit` makes
+    /// resident: held inline (a slot without capacity holds none), so
+    /// keeping one allocates nothing.
+    spare_files: [Vec<(u64, u32)>; SPARE_FILE_LISTS],
+    /// Empty key lists, lent out by every method that returns one.
+    spare_keys: Vec<Vec<BlockKey>>,
     free: Vec<u32>,
     clean: Box<dyn ReplacementPolicy>,
     /// Dirty frames in dirtying order, oldest first. A frame joins at
@@ -286,6 +303,8 @@ impl BlockCache {
             cfg,
             frames,
             files: HashMap::default(),
+            spare_files: Default::default(),
+            spare_keys: Vec::new(),
             free,
             clean,
             dirty: FrameList::new(n),
@@ -311,9 +330,31 @@ impl BlockCache {
         let at = blocks.binary_search_by_key(&key.block, |&(b, _)| b).ok()?;
         let (_, frame) = blocks.remove(at);
         if blocks.is_empty() {
-            self.files.remove(&key.file);
+            let list = self.files.remove(&key.file).expect("just found");
+            self.keep_file_list(list);
         }
         Some(frame)
+    }
+
+    /// Keeps an emptied per-file list for the next file, if a slot is
+    /// free; otherwise drops it.
+    fn keep_file_list(&mut self, list: Vec<(u64, u32)>) {
+        if let Some(slot) = self.spare_files.iter_mut().find(|s| s.capacity() == 0) {
+            *slot = list;
+        }
+    }
+
+    /// An empty key list: a recycled one when there is one.
+    fn lend_keys(&mut self) -> Vec<BlockKey> {
+        self.spare_keys.pop().unwrap_or_default()
+    }
+
+    /// Takes back a key list this cache handed out (a pick, the keys
+    /// [`BlockCache::begin_flush`] started, [`BlockCache::all_dirty`]),
+    /// so the next one it hands out reuses its storage.
+    pub fn recycle(&mut self, mut keys: Vec<BlockKey>) {
+        keys.clear();
+        self.spare_keys.push(keys);
     }
 
     /// Stamps `frame` and appends it to the age list.
@@ -323,13 +364,21 @@ impl BlockCache {
         self.dirty.push_back(frame);
     }
 
-    /// Puts a flush-policy question to the dirty side of the cache.
+    /// Puts a flush-policy question to the dirty side of the cache; the
+    /// pick goes into a lent list.
     fn ask_policy(
         &mut self,
-        ask: impl FnOnce(&mut dyn FlushPolicy, &dyn CacheQuery) -> Vec<BlockKey>,
+        ask: impl FnOnce(&mut dyn FlushPolicy, &dyn CacheQuery, &mut Vec<BlockKey>),
     ) -> Vec<BlockKey> {
+        let mut picks = self.lend_keys();
         let q = QueryView { frames: &self.frames, dirty: &self.dirty, files: &self.files };
-        ask(self.flush_policy.as_mut(), &q)
+        ask(self.flush_policy.as_mut(), &q, &mut picks);
+        picks
+    }
+
+    /// The flush policy's demand pick, in a lent list.
+    fn demand_pick(&mut self) -> Vec<BlockKey> {
+        self.ask_policy(|p, q, out| p.on_demand(q, out))
     }
 
     /// Engine configuration.
@@ -448,7 +497,7 @@ impl BlockCache {
             return Reserve::Frame(victim);
         }
         self.stats.alloc_stalls += 1;
-        Reserve::NeedFlush(self.ask_policy(|p, q| p.on_demand(q)))
+        Reserve::NeedFlush(self.demand_pick())
     }
 
     /// Commits a reserved frame as block `key`.
@@ -460,7 +509,10 @@ impl BlockCache {
     ///
     /// Panics if `key` is already resident.
     pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
-        let blocks = self.files.entry(key.file).or_default();
+        let spare = &mut self.spare_files;
+        let blocks = self.files.entry(key.file).or_insert_with(|| {
+            spare.iter_mut().find(|s| s.capacity() > 0).map(std::mem::take).unwrap_or_default()
+        });
         match blocks.binary_search_by_key(&key.block, |&(b, _)| b) {
             Ok(_) => panic!("block {key} already resident"),
             Err(at) => blocks.insert(at, (key.block, frame)),
@@ -504,7 +556,7 @@ impl BlockCache {
             BlockState::Clean => {
                 if self.nvram_used >= self.cfg.nvram_blocks() {
                     self.stats.nvram_stalls += 1;
-                    return DirtyOutcome::NeedFlush(self.ask_policy(|p, q| p.on_demand(q)));
+                    return DirtyOutcome::NeedFlush(self.demand_pick());
                 }
                 self.clean.remove(frame);
                 self.frames[frame as usize].state = BlockState::Dirty { since: now };
@@ -528,9 +580,10 @@ impl BlockCache {
     /// Takes blocks out of the dirty set for flushing.
     ///
     /// Returns the keys actually transitioned (already-clean or missing
-    /// keys are skipped — the workload may have raced the policy pick).
+    /// keys are skipped — the workload may have raced the policy pick),
+    /// in a lent list.
     pub fn begin_flush(&mut self, keys: &[BlockKey]) -> Vec<BlockKey> {
-        let mut out = Vec::with_capacity(keys.len());
+        let mut out = self.lend_keys();
         for &key in keys {
             let Some(frame) = self.frame_of(key) else { continue };
             let BlockState::Dirty { since } = self.frames[frame as usize].state else {
@@ -607,14 +660,16 @@ impl BlockCache {
         // index-sweeping replacement policies evict. Two seeded runs must
         // produce byte-identical platters, so the order must be the
         // keys' own.
-        let Some(blocks) = self.files.remove(&file) else { return 0 };
+        let Some(mut blocks) = self.files.remove(&file) else { return 0 };
         let mut absorbed = 0;
-        for (_, frame) in blocks {
+        for &(_, frame) in &blocks {
             if matches!(self.frames[frame as usize].state, BlockState::Dirty { .. }) {
                 absorbed += 1;
             }
             self.drop_frame(frame);
         }
+        blocks.clear();
+        self.keep_file_list(blocks);
         absorbed
     }
 
@@ -642,7 +697,7 @@ impl BlockCache {
 
     /// Runs the flush policy's periodic scan; returns blocks to flush.
     pub fn tick(&mut self, now: SimTime) -> Vec<BlockKey> {
-        let picks = self.ask_policy(|p, q| p.on_tick(q, now));
+        let picks = self.ask_policy(|p, q, out| p.on_tick(q, now, out));
         if cnp_obs::trace::enabled() && !picks.is_empty() {
             cnp_obs::trace::instant_on(
                 cnp_obs::trace::engine_lane("cache"),
@@ -654,9 +709,12 @@ impl BlockCache {
         picks
     }
 
-    /// All dirty block keys, oldest first (for sync/unmount).
-    pub fn all_dirty(&self) -> Vec<BlockKey> {
-        self.dirty.iter().map(|f| self.frames[f as usize].key).collect()
+    /// All dirty block keys, oldest first (for sync/unmount), in a lent
+    /// list.
+    pub fn all_dirty(&mut self) -> Vec<BlockKey> {
+        let mut keys = self.lend_keys();
+        keys.extend(self.dirty.iter().map(|f| self.frames[f as usize].key));
+        keys
     }
 
     /// Snapshot of every dirty or in-flush block with its bytes, in
@@ -890,11 +948,7 @@ mod tests {
         let cfg =
             CacheConfig { block_size: 4096, mem_bytes: 8 * 4096, nvram_bytes: Some(3 * 4096) };
         let n = cfg.frames();
-        let mut c = BlockCache::new(
-            cfg,
-            Box::new(Lru::new(n)),
-            Box::new(NvramFlush { whole_file: true, batch: 1 }),
-        );
+        let mut c = BlockCache::new(cfg, Box::new(Lru::new(n)), Box::new(NvramFlush::new(true, 1)));
         insert(&mut c, key(1, 0), t(0));
         insert(&mut c, key(1, 1), t(1));
         insert(&mut c, key(2, 0), t(2));
@@ -1030,25 +1084,26 @@ mod tests {
             insert(&mut c, k, t(i));
             assert_eq!(c.mark_dirty(k, t(i)), DirtyOutcome::Ok);
         }
-        let visits_of = |ask: &mut dyn FnMut(&dyn CacheQuery) -> Vec<BlockKey>| {
+        let visits_of = |ask: &mut dyn FnMut(&dyn CacheQuery, &mut Vec<BlockKey>)| {
             let q = CountingView {
                 view: QueryView { frames: &c.frames, dirty: &c.dirty, files: &c.files },
                 visits: std::cell::Cell::new(0),
             };
-            let picks = ask(&q);
+            let mut picks = Vec::new();
+            ask(&q, &mut picks);
             (picks.len(), q.visits.get())
         };
         for batch in [1usize, 8] {
             // Partial-file: the blocks it picks (one more at most).
-            let mut partial = NvramFlush { whole_file: false, batch };
-            let (picked, visits) = visits_of(&mut |q| partial.on_demand(q));
+            let mut partial = NvramFlush::new(false, batch);
+            let (picked, visits) = visits_of(&mut |q, out| partial.on_demand(q, out));
             assert_eq!(picked, batch);
             assert!(visits <= batch + 1, "batch {batch}: visited {visits}");
             // Whole-file: one block per group, plus the rest of files
             // 1 and 2 (99 blocks each) stepped over on the way to the
             // next group.
-            let mut whole = NvramFlush { whole_file: true, batch };
-            let (picked, visits) = visits_of(&mut |q| whole.on_demand(q));
+            let mut whole = NvramFlush::new(true, batch);
+            let (picked, visits) = visits_of(&mut |q, out| whole.on_demand(q, out));
             let stepped_over = if batch == 1 { 0 } else { 2 * 99 };
             assert_eq!(picked, if batch == 1 { 100 } else { 200 + batch - 2 });
             assert!(visits <= batch + 1 + stepped_over, "batch {batch}: visited {visits}");
@@ -1056,7 +1111,7 @@ mod tests {
         // A tick with nothing over max_age looks at the oldest block
         // and stops.
         let mut periodic = PeriodicUpdate::default();
-        let (picked, visits) = visits_of(&mut |q| periodic.on_tick(q, t(DIRTY)));
+        let (picked, visits) = visits_of(&mut |q, out| periodic.on_tick(q, t(DIRTY), out));
         assert_eq!((picked, visits), (0, 1));
     }
 

@@ -30,22 +30,29 @@ pub trait CacheQuery {
     fn dirty_of_file(&self, file: FileId, out: &mut Vec<BlockKey>);
 }
 
-/// A flush (persistency) policy.
+/// A flush (persistency) policy. A pick goes into `out`, a list the
+/// cache lends the policy empty and takes back once the batch is written,
+/// so a policy that keeps its own scratch (`picked` below) allocates
+/// nothing for a pick in steady state.
 pub trait FlushPolicy {
     /// If `Some`, the engine arranges a periodic scan at this interval.
     fn tick_interval(&self) -> Option<SimDuration> {
         None
     }
 
-    /// Periodic scan: returns blocks to flush now.
-    fn on_tick(&mut self, _q: &dyn CacheQuery, _now: SimTime) -> Vec<BlockKey> {
-        Vec::new()
-    }
+    /// Periodic scan: puts the blocks to flush now into `out`.
+    fn on_tick(&mut self, _q: &dyn CacheQuery, _now: SimTime, _out: &mut Vec<BlockKey>) {}
 
     /// The cache needs a clean frame and has none, or a write needs
-    /// NVRAM space and the NVRAM is full: pick blocks to flush.
-    fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey>;
+    /// NVRAM space and the NVRAM is full: puts the blocks to flush into
+    /// `out`.
+    fn on_demand(&mut self, q: &dyn CacheQuery, out: &mut Vec<BlockKey>);
 }
+
+/// The files a whole-file selection has picked so far (membership only,
+/// never iterated: the output order is the age list's). Each policy keeps
+/// one and [`select_oldest`] clears it, so it keeps its storage.
+type Picked = HashSet<FileId, FixedState>;
 
 /// Oldest-first selection of up to `batch` groups (whole files, or
 /// single blocks when `whole_file` is false) from the front of the age
@@ -59,20 +66,20 @@ pub trait FlushPolicy {
 /// The walk visits the blocks that start a group plus the blocks of
 /// already-picked files it steps over on the way to the next one, and
 /// stops with the last group — it never sees the rest of the dirty set.
-/// It allocates its result (each whole-file group appends to it in
-/// place) and, only when it goes on past a whole-file group, the set of
-/// files picked so far (membership only, never iterated: the output
-/// order is the age list's). The test-only `reference` module below is
-/// the snapshot-then-group algorithm this replaced, kept as its
-/// specification.
+/// It appends to `out` (each whole-file group in place) and, only when
+/// it goes on past a whole-file group, notes the file in `picked`; both
+/// are lent, so it allocates nothing once they have grown. The test-only
+/// `reference` module below is the snapshot-then-group algorithm this
+/// replaced, kept as its specification.
 fn select_oldest(
     q: &dyn CacheQuery,
     whole_file: bool,
     batch: usize,
     old_enough: impl Fn(SimTime) -> bool,
-) -> Vec<BlockKey> {
-    let mut out: Vec<BlockKey> = Vec::new();
-    let mut picked: HashSet<FileId, FixedState> = HashSet::default();
+    picked: &mut Picked,
+    out: &mut Vec<BlockKey>,
+) {
+    picked.clear();
     let mut groups = 0;
     q.walk_dirty(&mut |key, since| {
         // A whole-file group may have pulled in younger blocks of its
@@ -90,18 +97,12 @@ fn select_oldest(
             out.push(key);
             return more;
         }
-        q.dirty_of_file(key.file, &mut out);
+        q.dirty_of_file(key.file, out);
         if more {
             picked.insert(key.file);
         }
         more
     });
-    out
-}
-
-/// Up to `batch` oldest groups, whatever their age.
-fn batched_selection(q: &dyn CacheQuery, whole_file: bool, batch: usize) -> Vec<BlockKey> {
-    select_oldest(q, whole_file, batch, |_| true)
 }
 
 /// The 30-second-update baseline (the paper's *write-delay* experiment).
@@ -114,6 +115,7 @@ pub struct PeriodicUpdate {
     /// Flush the whole file of the oldest block (paper behaviour) or
     /// just the block itself.
     pub whole_file: bool,
+    picked: Picked,
 }
 
 impl Default for PeriodicUpdate {
@@ -122,6 +124,7 @@ impl Default for PeriodicUpdate {
             scan_every: SimDuration::from_secs(5),
             max_age: SimDuration::from_secs(30),
             whole_file: true,
+            picked: Picked::default(),
         }
     }
 }
@@ -131,17 +134,17 @@ impl FlushPolicy for PeriodicUpdate {
         Some(self.scan_every)
     }
 
-    fn on_tick(&mut self, q: &dyn CacheQuery, now: SimTime) -> Vec<BlockKey> {
+    fn on_tick(&mut self, q: &dyn CacheQuery, now: SimTime, out: &mut Vec<BlockKey>) {
         // The file of every dirty block that exceeded max_age, in
         // oldest-block order; the walk ends at the first block still
         // young enough to stay.
-        select_oldest(q, self.whole_file, usize::MAX, |since| {
-            now.saturating_since(since) >= self.max_age
-        })
+        let max_age = self.max_age;
+        let old_enough = |since| now.saturating_since(since) >= max_age;
+        select_oldest(q, self.whole_file, usize::MAX, old_enough, &mut self.picked, out);
     }
 
-    fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        batched_selection(q, self.whole_file, 1)
+    fn on_demand(&mut self, q: &dyn CacheQuery, out: &mut Vec<BlockKey>) {
+        select_oldest(q, self.whole_file, 1, |_| true, &mut self.picked, out);
     }
 }
 
@@ -156,17 +159,25 @@ pub struct WriteSaving {
     /// Oldest-first groups per demand flush (1 = the paper's; set to the
     /// engine's queue depth so each stall fills the I/O pipeline).
     pub batch: usize,
+    picked: Picked,
+}
+
+impl WriteSaving {
+    /// Up to `batch` oldest groups a demand flush, whole files or blocks.
+    pub fn new(whole_file: bool, batch: usize) -> Self {
+        WriteSaving { whole_file, batch, picked: Picked::default() }
+    }
 }
 
 impl Default for WriteSaving {
     fn default() -> Self {
-        WriteSaving { whole_file: false, batch: 1 }
+        WriteSaving::new(false, 1)
     }
 }
 
 impl FlushPolicy for WriteSaving {
-    fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        batched_selection(q, self.whole_file, self.batch)
+    fn on_demand(&mut self, q: &dyn CacheQuery, out: &mut Vec<BlockKey>) {
+        select_oldest(q, self.whole_file, self.batch, |_| true, &mut self.picked, out);
     }
 }
 
@@ -183,11 +194,19 @@ pub struct NvramFlush {
     pub whole_file: bool,
     /// Oldest-first groups per flush (1 = the paper's policy verbatim).
     pub batch: usize,
+    picked: Picked,
+}
+
+impl NvramFlush {
+    /// Up to `batch` oldest groups a flush, whole files or blocks.
+    pub fn new(whole_file: bool, batch: usize) -> Self {
+        NvramFlush { whole_file, batch, picked: Picked::default() }
+    }
 }
 
 impl FlushPolicy for NvramFlush {
-    fn on_demand(&mut self, q: &dyn CacheQuery) -> Vec<BlockKey> {
-        batched_selection(q, self.whole_file, self.batch)
+    fn on_demand(&mut self, q: &dyn CacheQuery, out: &mut Vec<BlockKey>) {
+        select_oldest(q, self.whole_file, self.batch, |_| true, &mut self.picked, out);
     }
 }
 
@@ -207,10 +226,10 @@ pub fn flush_by_name(name: &str) -> Option<Box<dyn FlushPolicy>> {
 pub fn flush_by_name_batched(name: &str, batch: usize) -> Option<Box<dyn FlushPolicy>> {
     match name {
         "write-delay" | "30s" => Some(Box::new(PeriodicUpdate::default())),
-        "ups" => Some(Box::new(WriteSaving { whole_file: false, batch })),
-        "ups-whole" => Some(Box::new(WriteSaving { whole_file: true, batch })),
-        "nvram-whole" => Some(Box::new(NvramFlush { whole_file: true, batch })),
-        "nvram-partial" => Some(Box::new(NvramFlush { whole_file: false, batch })),
+        "ups" => Some(Box::new(WriteSaving::new(false, batch))),
+        "ups-whole" => Some(Box::new(WriteSaving::new(true, batch))),
+        "nvram-whole" => Some(Box::new(NvramFlush::new(true, batch))),
+        "nvram-partial" => Some(Box::new(NvramFlush::new(false, batch))),
         _ => None,
     }
 }
@@ -330,17 +349,31 @@ mod tests {
         SimTime::from_nanos(secs * 1_000_000_000)
     }
 
+    /// `p`'s demand pick, into a fresh list.
+    fn demand(p: &mut dyn FlushPolicy, q: &dyn CacheQuery) -> Vec<BlockKey> {
+        let mut out = Vec::new();
+        p.on_demand(q, &mut out);
+        out
+    }
+
+    /// `p`'s periodic pick at `now`, into a fresh list.
+    fn tick(p: &mut dyn FlushPolicy, q: &dyn CacheQuery, now: SimTime) -> Vec<BlockKey> {
+        let mut out = Vec::new();
+        p.on_tick(q, now, &mut out);
+        out
+    }
+
     #[test]
     fn periodic_flushes_old_files_only() {
         let mut p = PeriodicUpdate::default();
         let q =
             FakeQuery { dirty: vec![(key(1, 0), at(0)), (key(1, 3), at(5)), (key(2, 0), at(40))] };
         // At t=35 only file 1's blocks exceed 30 s (oldest is at t=0).
-        let picked = p.on_tick(&q, at(35));
+        let picked = tick(&mut p, &q, at(35));
         assert_eq!(picked, vec![key(1, 0), key(1, 3)]);
         // At t=10 nothing is old enough.
         let mut p2 = PeriodicUpdate::default();
-        assert!(p2.on_tick(&q, at(10)).is_empty());
+        assert!(tick(&mut p2, &q, at(10)).is_empty());
     }
 
     #[test]
@@ -348,17 +381,17 @@ mod tests {
         let mut p = WriteSaving::default();
         assert!(p.tick_interval().is_none());
         let q = FakeQuery { dirty: vec![(key(1, 0), at(0))] };
-        assert_eq!(p.on_demand(&q), vec![key(1, 0)]);
+        assert_eq!(demand(&mut p, &q), vec![key(1, 0)]);
     }
 
     #[test]
     fn nvram_whole_vs_partial() {
         let q =
             FakeQuery { dirty: vec![(key(7, 0), at(0)), (key(7, 1), at(1)), (key(8, 0), at(2))] };
-        let mut whole = NvramFlush { whole_file: true, batch: 1 };
-        assert_eq!(whole.on_demand(&q), vec![key(7, 0), key(7, 1)]);
-        let mut partial = NvramFlush { whole_file: false, batch: 1 };
-        assert_eq!(partial.on_demand(&q), vec![key(7, 0)]);
+        let mut whole = NvramFlush::new(true, 1);
+        assert_eq!(demand(&mut whole, &q), vec![key(7, 0), key(7, 1)]);
+        let mut partial = NvramFlush::new(false, 1);
+        assert_eq!(demand(&mut partial, &q), vec![key(7, 0)]);
     }
 
     #[test]
@@ -373,32 +406,32 @@ mod tests {
             ],
         };
         // batch=2 whole-file: both of file 7 plus file 8's block.
-        let mut whole = NvramFlush { whole_file: true, batch: 2 };
-        assert_eq!(whole.on_demand(&q), vec![key(7, 0), key(7, 1), key(8, 0)]);
+        let mut whole = NvramFlush::new(true, 2);
+        assert_eq!(demand(&mut whole, &q), vec![key(7, 0), key(7, 1), key(8, 0)]);
         // batch=3 single-block: the three oldest blocks, files mixed.
-        let mut partial = WriteSaving { whole_file: false, batch: 3 };
-        assert_eq!(partial.on_demand(&q), vec![key(7, 0), key(7, 1), key(8, 0)]);
+        let mut partial = WriteSaving::new(false, 3);
+        assert_eq!(demand(&mut partial, &q), vec![key(7, 0), key(7, 1), key(8, 0)]);
         // A batch larger than the dirty set drains it and stops.
-        let mut greedy = WriteSaving { whole_file: true, batch: 16 };
+        let mut greedy = WriteSaving::new(true, 16);
         assert_eq!(
-            greedy.on_demand(&q),
+            demand(&mut greedy, &q),
             vec![key(7, 0), key(7, 1), key(8, 0), key(9, 0)],
             "batch must stop at the dirty set"
         );
         // The factory's batched variant matches the plain one at 1.
         let mut a = flush_by_name("ups").unwrap();
         let mut b = flush_by_name_batched("ups", 1).unwrap();
-        assert_eq!(a.on_demand(&q), b.on_demand(&q));
+        assert_eq!(demand(a.as_mut(), &q), demand(b.as_mut(), &q));
     }
 
     #[test]
     fn empty_cache_yields_no_flushes() {
         let q = FakeQuery { dirty: vec![] };
         let mut p = PeriodicUpdate::default();
-        assert!(p.on_tick(&q, at(100)).is_empty());
-        assert!(p.on_demand(&q).is_empty());
-        let mut n = NvramFlush { whole_file: true, batch: 1 };
-        assert!(n.on_demand(&q).is_empty());
+        assert!(tick(&mut p, &q, at(100)).is_empty());
+        assert!(demand(&mut p, &q).is_empty());
+        let mut n = NvramFlush::new(true, 1);
+        assert!(demand(&mut n, &q).is_empty());
     }
 
     #[test]
@@ -419,17 +452,20 @@ mod tests {
         .to_vec();
         let q = FakeQuery { dirty: dirty.clone() };
         for whole_file in [false, true] {
-            for batch in [0, 1, 2, 3, 8, 64] {
+            // One policy for every pick: its `picked` set carries over.
+            let mut p = WriteSaving::new(whole_file, 0);
+            for batch in [64, 0, 1, 2, 3, 8, 64] {
+                p.batch = batch;
                 assert_eq!(
-                    batched_selection(&q, whole_file, batch),
+                    demand(&mut p, &q),
                     reference::batched_selection(&dirty, whole_file, batch),
                     "whole_file {whole_file} batch {batch}"
                 );
             }
-            for now in [0, 29, 30, 33, 40, 55, 70, 100] {
-                let mut p = PeriodicUpdate { whole_file, ..PeriodicUpdate::default() };
+            let mut p = PeriodicUpdate { whole_file, ..PeriodicUpdate::default() };
+            for now in [100, 0, 29, 30, 33, 40, 55, 70, 100] {
                 assert_eq!(
-                    p.on_tick(&q, at(now)),
+                    tick(&mut p, &q, at(now)),
                     reference::aged_selection(&dirty, at(now), p.max_age, whole_file),
                     "whole_file {whole_file} now {now}"
                 );

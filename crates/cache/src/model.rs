@@ -152,7 +152,9 @@ impl Rig {
                     self.model.stats.alloc_stalls += 1;
                     assert_eq!(picks, self.stall_picks(), "demand picks");
                     self.begin(&picks);
-                    if !complete || picks.is_empty() {
+                    let empty = picks.is_empty();
+                    self.cache.recycle(picks);
+                    if !complete || empty {
                         return;
                     }
                     self.end_all();
@@ -198,6 +200,7 @@ impl Rig {
             DirtyOutcome::Ok => {}
             DirtyOutcome::NeedFlush(picks) => {
                 self.begin(&picks);
+                self.cache.recycle(picks);
                 if complete {
                     self.end_all();
                 }
@@ -217,7 +220,8 @@ impl Rig {
             want.push(key);
         }
         assert_eq!(started, want, "begin_flush {keys:?}");
-        self.flying.extend(started);
+        self.flying.extend(started.iter().copied());
+        self.cache.recycle(started);
     }
 
     fn end(&mut self) {
@@ -260,6 +264,7 @@ impl Rig {
                 self.end_all();
             }
         }
+        self.cache.recycle(picks);
     }
 
     /// One script step: `op` picks the operation, `file`/`block` its
@@ -310,9 +315,11 @@ impl Rig {
     }
 
     /// Everything the cache reports equals what the model holds.
-    fn check(&self) {
+    fn check(&mut self) {
+        let dirty = self.cache.all_dirty();
+        assert_eq!(dirty, self.model.age.iter().map(|a| a.0).collect::<Vec<_>>(), "age list");
+        self.cache.recycle(dirty);
         let (c, m) = (&self.cache, &self.model);
-        assert_eq!(c.all_dirty(), m.age.iter().map(|a| a.0).collect::<Vec<_>>(), "age list");
         assert_eq!(c.stats(), m.stats);
         assert_eq!(c.dirty_count(), m.age.len());
         assert_eq!(c.nvram_used(), m.nvram_used);

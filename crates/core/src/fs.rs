@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use cnp_cache::{flush_by_name_batched, replacement_by_name, BlockCache, BlockKey, FixedState};
-use cnp_disk::DiskDriver;
+use cnp_disk::{DiskDriver, Payload};
 use cnp_layout::{Ino, Inode, Layout, LayoutError, StorageLayout};
 use cnp_sim::{
     channel, Event, Handle, Receiver, Sender, ShardedMutex, SimDuration, TrackedMutex,
@@ -81,6 +81,9 @@ struct Shared {
     /// Idle write windows, likewise: a write lends one to its fan-out,
     /// so its block commits allocate no slot once the list has grown.
     windows: RefCell<Vec<Vec<BlockCommit>>>,
+    /// Idle payload lists, likewise: a flush batch fills one per file
+    /// and the layout drains it.
+    flush_blocks: RefCell<Vec<Vec<(u64, Payload)>>>,
     /// What the name path has validated of single-block directories,
     /// by the content stamp of the cache frame it read them in.
     names: RefCell<NameMemos>,
@@ -93,6 +96,11 @@ struct Shared {
     ns_lock: ShardedMutex<()>,
     flush_tx: RefCell<Option<Sender<Vec<BlockKey>>>>,
     flush_done: Event,
+    /// Signalled when a frame may have come back without a demand
+    /// flush: a reserved frame committed or released, or a flush batch
+    /// finished. A reservation that finds nothing dirty to flush (every
+    /// frame reserved or flushing) waits on it.
+    frame_back: Event,
     shutdown: Cell<bool>,
     stats: RefCell<FsStats>,
 }
@@ -171,10 +179,12 @@ impl FileSystem {
             inflight: RefCell::default(),
             scratch: RefCell::default(),
             windows: RefCell::default(),
+            flush_blocks: RefCell::default(),
             names: RefCell::default(),
             ns_lock: ShardedMutex::new(handle, shards as usize, |_| ()),
             flush_tx: RefCell::new(None),
             flush_done: Event::new(handle),
+            frame_back: Event::new(handle),
             shutdown: Cell::new(false),
             stats: RefCell::new(FsStats::default()),
         });
@@ -207,9 +217,7 @@ impl FileSystem {
                         break;
                     }
                     let keys = fs.s.cache.borrow_mut().tick(h.now());
-                    if !keys.is_empty() {
-                        fs.enqueue_flush(keys);
-                    }
+                    fs.enqueue_flush(keys);
                 }
             });
         }
@@ -222,7 +230,7 @@ impl FileSystem {
         }
         while let Some(keys) = rx.recv().await {
             self.do_flush(keys).await;
-            self.s.flush_done.signal();
+            self.flushed();
         }
     }
 
@@ -230,7 +238,7 @@ impl FileSystem {
     pub fn shutdown(&self) {
         self.s.shutdown.set(true);
         *self.s.flush_tx.borrow_mut() = None;
-        self.s.flush_done.signal();
+        self.flushed();
         self.s.driver.shutdown();
     }
 
@@ -270,10 +278,13 @@ impl FileSystem {
     pub async fn sync(&self) -> FsResult<()> {
         // A durability point: its caller waits for the write anyway, so
         // it flushes inline instead of handing the batch to the daemon.
-        let dirty = self.s.cache.borrow().all_dirty();
-        if !dirty.is_empty() {
-            self.do_flush(dirty).await;
-            self.s.flush_done.signal();
+        let dirty = self.s.cache.borrow_mut().all_dirty();
+        match dirty.is_empty() {
+            true => self.s.cache.borrow_mut().recycle(dirty),
+            false => {
+                self.do_flush(dirty).await;
+                self.flushed();
+            }
         }
         // Persist in-memory inodes (sizes may be newer than last flush).
         // Sorted: HashMap iteration order varies between instances, and
@@ -685,6 +696,25 @@ mod tests {
         assert_eq!(batches, 12);
         assert_eq!(log_order, (0..16).collect::<Vec<u64>>());
         assert_eq!(sim.steps(), 171);
+    }
+
+    #[test]
+    fn a_read_window_wider_than_the_cache_finishes() {
+        // A cold 16-block window over 8 frames: its first eight misses
+        // reserve every frame, none dirty, so the ninth finds nothing to
+        // flush. It must load the eight it holds and go on, not wait for
+        // a flush nobody will run.
+        run_fs_cfg(tiny_cache("ups", DataMode::Real, 16), |fs| async move {
+            let ino = fs.create("/wide", FileKind::Regular).await.unwrap();
+            let data: Vec<u8> = (0..16 * BLOCK_SIZE).map(|i| (i / BLOCK_SIZE + 1) as u8).collect();
+            fs.write(ino, 0, data.len() as u64, Some(&data)).await.unwrap();
+            fs.sync().await.unwrap();
+            let misses = fs.cache_stats().misses;
+            let (n, got) = fs.read(ino, 0, data.len() as u64).await.unwrap();
+            assert_eq!(n, data.len() as u64);
+            assert!(got.unwrap() == data, "a wide cold read returned other bytes");
+            assert!(fs.cache_stats().misses - misses >= 9, "the window must outgrow the cache");
+        });
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub(super) struct ReadScratch {
     /// The device runs covering `misses`, and what came back for each.
     runs: Vec<(BlockAddr, u32)>,
     payloads: Vec<Payload>,
+    /// In-flight events no clone or wait holds any more, for the next
+    /// misses.
+    spare_events: Vec<Event>,
 }
 
 /// Simulated cost of copying one cache block ("the simulator delays
@@ -370,28 +373,63 @@ impl FileSystem {
                 continue;
             }
             self.s.handle.trace_instant("cache:miss");
-            let ev = Event::new(&self.s.handle);
+            let ev = sc.spare_events.pop().unwrap_or_else(|| Event::new(&self.s.handle));
             self.s.inflight.borrow_mut().insert(key, ev.clone());
             if sc.misses.is_empty() {
                 load = self.s.handle.trace_span("cache:load");
             }
-            let frame = self.reserve_frame().await;
+            let held = !sc.misses.is_empty();
+            let frame = match self.reserve_frame(held).await {
+                Some(frame) => frame,
+                None => {
+                    // Every frame is reserved or flushing, some by this
+                    // window: load its misses so far, or it waits on
+                    // itself; then wait for a frame like anyone else.
+                    if let Err(e) = self.load_held(ino, sc, sink).await {
+                        self.s.inflight.borrow_mut().remove(&key);
+                        ev.signal();
+                        self.s.handle.trace_exit(load);
+                        return Err(e);
+                    }
+                    self.reserve_frame(false).await.expect("a reservation holding nothing waits")
+                }
+            };
             sc.misses.push(Miss { blk, frame, ev, addr: None, done: false });
         }
         if sc.misses.is_empty() {
             return Ok(());
         }
+        let loaded = self.load_held(ino, sc, sink).await;
+        self.s.handle.trace_exit(load);
+        loaded
+    }
+
+    /// Loads this window's misses so far ([`FileSystem::load_misses`]),
+    /// then empties the window's lists for the rest of it.
+    async fn load_held(
+        &self,
+        ino: Ino,
+        sc: &mut ReadScratch,
+        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
+    ) -> FsResult<()> {
         let loaded = self.load_misses(ino, sc, sink).await;
-        // Whatever an error left unloaded: hand its frame back, un-mark
-        // it and let its waiters retry.
-        for m in sc.misses.drain(..).filter(|m| !m.done) {
-            self.s.cache.borrow_mut().release_reserved(m.frame);
-            self.s.inflight.borrow_mut().remove(&BlockKey::new(FileId(ino.0), m.blk));
-            m.ev.signal();
+        for m in sc.misses.drain(..) {
+            if !m.done {
+                // An error left it unloaded: hand its frame back, un-mark
+                // it and let its waiters retry.
+                self.s.cache.borrow_mut().release_reserved(m.frame);
+                self.frame_back();
+                self.s.inflight.borrow_mut().remove(&BlockKey::new(FileId(ino.0), m.blk));
+                m.ev.signal();
+            }
+            // Its waiters, woken, may not have run yet: then the event
+            // is theirs to drop.
+            if m.ev.is_unique() {
+                sc.spare_events.push(m.ev);
+            }
         }
         sc.runs.clear();
         sc.payloads.clear();
-        self.s.handle.trace_exit(load);
         loaded
     }
 
@@ -487,6 +525,7 @@ impl FileSystem {
             };
             sink(m.blk, cache.data(frame), cache.content_stamp(frame));
         }
+        self.frame_back();
         m.done = true;
         self.s.inflight.borrow_mut().remove(&key);
         m.ev.signal();
@@ -517,9 +556,10 @@ impl FileSystem {
         self.s.handle.sleep(COPY_COST)
     }
 
-    /// Obtains a free cache frame, flushing per policy when none exists.
-    fn reserve_frame(&self) -> FrameReservation {
-        FrameReservation { fs: self.clone(), stall: None }
+    /// Obtains a free cache frame, flushing per policy when none exists;
+    /// see [`FrameReservation`] for `held`.
+    fn reserve_frame(&self, held: bool) -> FrameReservation {
+        FrameReservation { fs: self.clone(), stall: None, held }
     }
 
     pub(super) async fn multimedia_prefetch(&self, ino: Ino) {
@@ -621,13 +661,14 @@ impl Future for BlockCommit {
                 Stage::Place => {
                     let resident = this.fs.s.cache.borrow().peek(this.key);
                     if resident.is_none() {
-                        this.stage = Stage::Reserve(this.fs.reserve_frame());
+                        this.stage = Stage::Reserve(this.fs.reserve_frame(false));
                         continue;
                     }
                     resident
                 }
                 Stage::Reserve(reservation) => {
-                    let frame = ready!(Pin::new(reservation).poll(cx));
+                    let frame = ready!(Pin::new(reservation).poll(cx))
+                        .expect("a reservation holding nothing waits");
                     // A reservation parks on a demand flush when no
                     // frame is clean; another writer of this block may
                     // have made it resident meanwhile. Look again: the
@@ -640,6 +681,8 @@ impl Future for BlockCommit {
                         None => cache.commit(frame, this.key, this.data.take(), now),
                         Some(_) => cache.release_reserved(frame),
                     }
+                    drop(cache);
+                    this.fs.frame_back();
                     resident
                 }
                 Stage::Stall(wait) => {
@@ -684,16 +727,21 @@ impl BlockCommit {
 }
 
 /// A free cache frame, reserved at once when one is clean, else after
-/// each demand flush the policy asks for, as often as it takes.
+/// each demand flush the policy asks for, as often as it takes. When the
+/// policy finds nothing dirty to flush, every frame is reserved or
+/// flushing: the reservation then waits until a frame may be back, or,
+/// if the caller `held` reserved frames of its own, ends with `None` so
+/// that the caller loads those first.
 pub(super) struct FrameReservation {
     fs: FileSystem,
     stall: Option<FlushWait>,
+    held: bool,
 }
 
 impl Future for FrameReservation {
-    type Output = u32;
+    type Output = Option<u32>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<u32>> {
         let this = self.get_mut();
         loop {
             if let Some(wait) = &mut this.stall {
@@ -701,10 +749,17 @@ impl Future for FrameReservation {
                 this.stall = None;
             }
             let outcome = this.fs.s.cache.borrow_mut().reserve();
-            match outcome {
-                Reserve::Frame(frame) => return Poll::Ready(frame),
-                Reserve::NeedFlush(keys) => this.stall = Some(this.fs.request_flush(keys)),
-            }
+            this.stall = Some(match outcome {
+                Reserve::Frame(frame) => return Poll::Ready(Some(frame)),
+                Reserve::NeedFlush(keys) if keys.is_empty() => {
+                    this.fs.s.cache.borrow_mut().recycle(keys);
+                    if this.held {
+                        return Poll::Ready(None);
+                    }
+                    this.fs.await_frame()
+                }
+                Reserve::NeedFlush(keys) => this.fs.request_flush(keys),
+            });
         }
     }
 }

@@ -100,21 +100,46 @@ impl FileSystem {
     pub(super) fn request_flush(&self, keys: Vec<BlockKey>) -> FlushWait {
         let span = self.s.handle.trace_span("flush:wait");
         let wait = self.s.flush_done.wait();
-        if !keys.is_empty() {
-            self.enqueue_flush(keys);
-        }
+        self.enqueue_flush(keys);
         FlushWait { handle: self.s.handle.clone(), wait, span }
     }
 
-    /// Hands a flush batch to the flush daemon (dropped after shutdown).
+    /// A reservation's wait when the policy picked nothing, because no
+    /// frame is dirty: every frame is reserved or flushing, and no flush
+    /// may be coming. Ends when a frame may be back ([`Self::frame_back`],
+    /// or a finished batch); its `flush:wait` span is open until then.
+    pub(super) fn await_frame(&self) -> FlushWait {
+        let span = self.s.handle.trace_span("flush:wait");
+        FlushWait { handle: self.s.handle.clone(), wait: self.s.frame_back.wait(), span }
+    }
+
+    /// A reserved frame was committed or released: a reservation waiting
+    /// for one may look again.
+    pub(super) fn frame_back(&self) {
+        self.s.frame_back.signal();
+    }
+
+    /// A flush batch finished: wakes the requests stalled on it, and any
+    /// reservation waiting for a frame.
+    pub(super) fn flushed(&self) {
+        self.s.flush_done.signal();
+        self.s.frame_back.signal();
+    }
+
+    /// Hands a flush batch to the flush daemon (dropped after shutdown),
+    /// which hands the list back to the cache once it is written; an
+    /// empty batch goes back at once.
     pub(super) fn enqueue_flush(&self, keys: Vec<BlockKey>) {
-        if let Some(tx) = self.s.flush_tx.borrow().as_ref() {
+        if keys.is_empty() {
+            self.s.cache.borrow_mut().recycle(keys);
+        } else if let Some(tx) = self.s.flush_tx.borrow().as_ref() {
             let _ = tx.try_send(keys);
         }
     }
 
-    /// Writes the given dirty blocks out through the layout.
-    pub(super) async fn do_flush(&self, keys: Vec<BlockKey>) {
+    /// Writes the given dirty blocks out through the layout, then hands
+    /// the key list back to the cache.
+    pub(super) async fn do_flush(&self, mut keys: Vec<BlockKey>) {
         let sp = if cnp_obs::trace::enabled() {
             let sp = self.s.handle.trace_span("flush:batch");
             cnp_obs::trace::span_field(sp, "blocks", cnp_obs::trace::Field::U64(keys.len() as u64));
@@ -122,104 +147,106 @@ impl FileSystem {
         } else {
             cnp_obs::trace::SpanToken::NONE
         };
-        self.do_flush_inner(keys).await;
-        self.s.handle.trace_exit(sp);
-    }
-
-    async fn do_flush_inner(&self, mut keys: Vec<BlockKey>) {
         // Group by file in file order (a deterministic flush sequence);
         // the stable sort keeps each file's blocks in the batch's order.
         keys.sort_by_key(|k| k.file);
         self.s.stats.borrow_mut().flush_batches += 1;
+        let mut blocks = self.s.flush_blocks.borrow_mut().pop().unwrap_or_default();
         for keys in keys.chunk_by(|a, b| a.file == b.file) {
-            let ino = Ino(keys[0].file.0);
             let started = self.s.cache.borrow_mut().begin_flush(keys);
-            if started.is_empty() {
-                continue;
+            if !started.is_empty() {
+                self.write_back(Ino(keys[0].file.0), &started, &mut blocks).await;
             }
-            // Snapshot payloads.
-            let blocks: Vec<(u64, Payload)> = {
-                let cache = self.s.cache.borrow();
-                started
-                    .iter()
-                    .filter_map(|k| {
-                        cache.peek(*k).map(|frame| {
-                            let payload = match cache.data(frame) {
-                                Some(d) => Payload::Data(d.to_vec()),
-                                None => Payload::Simulated(BLOCK_SIZE),
-                            };
-                            (k.block, payload)
-                        })
-                    })
-                    .collect()
-            };
-            let rc = match self.inode_record(ino).await {
-                Ok(rc) => rc,
-                Err(_) => {
-                    // File deleted while the flush was queued: nothing to
-                    // persist, just release the cache state.
-                    let now = self.s.handle.now();
-                    let mut cache = self.s.cache.borrow_mut();
-                    for k in &started {
-                        cache.end_flush(*k, now);
+            self.s.cache.borrow_mut().recycle(started);
+        }
+        self.s.flush_blocks.borrow_mut().push(blocks);
+        self.s.cache.borrow_mut().recycle(keys);
+        self.s.handle.trace_exit(sp);
+    }
+
+    /// Writes the blocks of file `ino` a flush `started` through the
+    /// layout, their payloads gathered in `blocks` (empty, and left
+    /// empty), and completes or fails their flushes in the cache.
+    async fn write_back(&self, ino: Ino, started: &[BlockKey], blocks: &mut Vec<(u64, Payload)>) {
+        // Snapshot payloads.
+        {
+            let cache = self.s.cache.borrow();
+            blocks.extend(started.iter().filter_map(|k| {
+                cache.peek(*k).map(|frame| {
+                    let payload = match cache.data(frame) {
+                        Some(d) => Payload::Data(d.to_vec()),
+                        None => Payload::Simulated(BLOCK_SIZE),
+                    };
+                    (k.block, payload)
+                })
+            }));
+        }
+        let rc = match self.inode_record(ino).await {
+            Ok(rc) => rc,
+            Err(_) => {
+                // File deleted while the flush was queued: nothing to
+                // persist, just release the cache state.
+                blocks.clear();
+                let now = self.s.handle.now();
+                let mut cache = self.s.cache.borrow_mut();
+                for k in started {
+                    cache.end_flush(*k, now);
+                }
+                return;
+            }
+        };
+        let result = {
+            // The file's extent-range stripe serializes this
+            // write-back against truncate/free of the same file;
+            // the core lock below covers the single layout call
+            // (which may run the cleaner — the global residue).
+            let _rg = self.lock_range(ino).await;
+            let g = self.lock_core().await;
+            let mut copy = rc.inode.borrow().clone();
+            let r = g.get_mut().write_file_blocks_from(&mut copy, blocks).await;
+            if r.is_ok() {
+                let mut inode = rc.inode.borrow_mut();
+                inode.direct = copy.direct;
+                inode.indirect = copy.indirect;
+            }
+            // The write may have run the cleaner, relocating other
+            // files' blocks; refresh their cached pointers before
+            // anything reads through the stale ones.
+            let relocated = g.get_mut().take_relocated();
+            for rino in relocated {
+                let cached = self.s.inodes.borrow().get(&rino).cloned();
+                if let Some(rc2) = cached {
+                    if let Ok(fresh) = g.get_mut().get_inode(rino).await {
+                        let mut inode = rc2.inode.borrow_mut();
+                        inode.direct = fresh.direct;
+                        inode.indirect = fresh.indirect;
                     }
-                    continue;
                 }
-            };
-            let result = {
-                // The file's extent-range stripe serializes this
-                // write-back against truncate/free of the same file;
-                // the core lock below covers the single layout call
-                // (which may run the cleaner — the global residue).
-                let _rg = self.lock_range(ino).await;
-                let g = self.lock_core().await;
-                let mut copy = rc.inode.borrow().clone();
-                let r = g.get_mut().write_file_blocks(&mut copy, blocks).await;
-                if r.is_ok() {
-                    let mut inode = rc.inode.borrow_mut();
-                    inode.direct = copy.direct;
-                    inode.indirect = copy.indirect;
-                }
-                // The write may have run the cleaner, relocating other
-                // files' blocks; refresh their cached pointers before
-                // anything reads through the stale ones.
-                let relocated = g.get_mut().take_relocated();
-                for rino in relocated {
-                    let cached = self.s.inodes.borrow().get(&rino).cloned();
-                    if let Some(rc2) = cached {
-                        if let Ok(fresh) = g.get_mut().get_inode(rino).await {
-                            let mut inode = rc2.inode.borrow_mut();
-                            inode.direct = fresh.direct;
-                            inode.indirect = fresh.indirect;
-                        }
-                    }
-                }
-                r
-            };
-            let now = self.s.handle.now();
-            let mut cache = self.s.cache.borrow_mut();
-            let mut st = self.s.stats.borrow_mut();
-            match result {
-                Ok(()) => {
-                    started.iter().for_each(|k| cache.end_flush(*k, now));
-                    st.blocks_flushed += started.len() as u64;
-                }
-                Err(e) => {
-                    // An acknowledged dirty block must not vanish on a
-                    // recoverable error: the cache re-dirties it until
-                    // its FLUSH_RETRIES-th consecutive failure (bounded,
-                    // so a permanently failing block cannot livelock the
-                    // demand-flush loop). A dead disk is final. Retry
-                    // accounting is per batch: a healthy block co-batched
-                    // with a permanently bad one shares its fate (LFS
-                    // converges anyway — each retry appends to a new
-                    // location).
-                    let dead =
-                        matches!(e, LayoutError::Io(IoError::PowerCut | IoError::DeviceGone));
-                    let retries = if dead { 0 } else { FLUSH_RETRIES };
-                    started.iter().for_each(|k| cache.fail_flush(*k, now, retries));
-                    st.flush_errors += 1;
-                }
+            }
+            r
+        };
+        let now = self.s.handle.now();
+        let mut cache = self.s.cache.borrow_mut();
+        let mut st = self.s.stats.borrow_mut();
+        match result {
+            Ok(()) => {
+                started.iter().for_each(|k| cache.end_flush(*k, now));
+                st.blocks_flushed += started.len() as u64;
+            }
+            Err(e) => {
+                // An acknowledged dirty block must not vanish on a
+                // recoverable error: the cache re-dirties it until
+                // its FLUSH_RETRIES-th consecutive failure (bounded,
+                // so a permanently failing block cannot livelock the
+                // demand-flush loop). A dead disk is final. Retry
+                // accounting is per batch: a healthy block co-batched
+                // with a permanently bad one shares its fate (LFS
+                // converges anyway — each retry appends to a new
+                // location).
+                let dead = matches!(e, LayoutError::Io(IoError::PowerCut | IoError::DeviceGone));
+                let retries = if dead { 0 } else { FLUSH_RETRIES };
+                started.iter().for_each(|k| cache.fail_flush(*k, now, retries));
+                st.flush_errors += 1;
             }
         }
     }

@@ -463,10 +463,10 @@ impl StorageLayout for FfsLayout {
         Ok(Some(self.io.read_block(addr).await?))
     }
 
-    async fn write_file_blocks(
+    async fn write_file_blocks_from(
         &mut self,
         inode: &mut Inode,
-        mut blocks: Vec<(u64, Payload)>,
+        blocks: &mut Vec<(u64, Payload)>,
     ) -> LResult<()> {
         let sp = self.handle.trace_span("layout:write");
         blocks.sort_by_key(|(b, _)| *b);
@@ -476,7 +476,7 @@ impl StorageLayout for FfsLayout {
         // Allocation decisions run first; the data writes then go out as
         // one scatter-gather batch.
         let mut pending: Vec<(BlockAddr, Payload)> = Vec::with_capacity(blocks.len());
-        for (blk, payload) in blocks {
+        for (blk, payload) in blocks.drain(..) {
             let slot = block_slot(blk).ok_or(LayoutError::FileTooBig(blk))?;
             let existing = match slot {
                 BlockSlot::Direct(i) => inode.direct[i],

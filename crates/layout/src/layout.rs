@@ -125,12 +125,24 @@ pub trait StorageLayout {
     async fn read_file_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<Payload>>;
 
     /// Writes file blocks, allocating/relocating as the layout dictates,
-    /// updating `inode`'s pointers, and persisting the inode.
+    /// updating `inode`'s pointers, and persisting the inode. Takes the
+    /// blocks out of `blocks` and leaves it empty whatever the outcome,
+    /// so the caller can fill the same list for its next batch.
+    async fn write_file_blocks_from(
+        &mut self,
+        inode: &mut Inode,
+        blocks: &mut Vec<(u64, Payload)>,
+    ) -> LResult<()>;
+
+    /// [`StorageLayout::write_file_blocks_from`] for a list the caller
+    /// does not keep.
     async fn write_file_blocks(
         &mut self,
         inode: &mut Inode,
-        blocks: Vec<(u64, Payload)>,
-    ) -> LResult<()>;
+        mut blocks: Vec<(u64, Payload)>,
+    ) -> LResult<()> {
+        self.write_file_blocks_from(inode, &mut blocks).await
+    }
 
     /// Frees file blocks at indices `>= new_blocks` (truncate).
     async fn truncate(&mut self, inode: &mut Inode, new_blocks: u64) -> LResult<()>;
@@ -252,12 +264,12 @@ impl StorageLayout for Layout {
         dispatch_async!(self, read_file_block, inode, blk)
     }
 
-    async fn write_file_blocks(
+    async fn write_file_blocks_from(
         &mut self,
         inode: &mut Inode,
-        blocks: Vec<(u64, Payload)>,
+        blocks: &mut Vec<(u64, Payload)>,
     ) -> LResult<()> {
-        dispatch_async!(self, write_file_blocks, inode, blocks)
+        dispatch_async!(self, write_file_blocks_from, inode, blocks)
     }
 
     async fn truncate(&mut self, inode: &mut Inode, new_blocks: u64) -> LResult<()> {

@@ -273,6 +273,9 @@ pub struct LfsLayout {
     /// shared, so a lookup through it copies no table.
     indirect: HashMap<u64, Rc<[u64]>>,
     indirect_fifo: Vec<u64>,
+    /// The indirect table a write edits before appending it, kept so
+    /// the copy lands in storage the layout already has.
+    table_scratch: Vec<u64>,
     cleaning: bool,
     mounted: bool,
     /// Inodes whose blocks the cleaner relocated since the last
@@ -336,6 +339,7 @@ impl LfsLayout {
             ckpt_meta: Vec::new(),
             indirect: HashMap::new(),
             indirect_fifo: Vec::new(),
+            table_scratch: Vec::new(),
             cleaning: false,
             mounted: false,
             relocated: std::collections::BTreeSet::new(),
@@ -728,7 +732,7 @@ impl LfsLayout {
         let payload = self.io.read_block(addr).await?;
         self.stats.data_reads += 1;
         // Inner write path: the cleaner must not re-enter ensure_space.
-        self.write_blocks_inner(&mut inode, vec![(fblk, payload)]).await?;
+        self.write_blocks_inner(&mut inode, &mut vec![(fblk, payload)]).await?;
         self.relocated.insert(ino.0);
         self.stale_pointers.insert(ino.0);
         self.stats.cleaner_moved += 1;
@@ -781,33 +785,41 @@ impl LfsLayout {
         if let Some(t) = self.indirect.get(&addr.0) {
             return Ok(t.clone());
         }
+        let decode = |bytes: &[u8], table: &mut [u64]| {
+            for (i, v) in table.iter_mut().enumerate() {
+                *v = crate::types::codec::get_u64(bytes, i * 8);
+            }
+        };
         // A staged indirect block (unflushed segment, or queued at the
         // seal writer) is not on the media yet.
         if let Some(p) = self.staged_block(addr) {
             let bytes =
                 p.bytes().ok_or_else(|| LayoutError::Corrupt("staged indirect lost".into()))?;
-            let table: Rc<[u64]> =
-                (0..NINDIRECT).map(|i| crate::types::codec::get_u64(bytes, i * 8)).collect();
-            self.cache_indirect(addr, table.clone());
-            return Ok(table);
+            return Ok(self.cache_indirect(addr, |t| decode(bytes, t)));
         }
         let payload = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
         let bytes =
             payload.bytes().ok_or_else(|| LayoutError::Corrupt("indirect block lost".into()))?;
-        let table: Rc<[u64]> =
-            (0..NINDIRECT).map(|i| crate::types::codec::get_u64(bytes, i * 8)).collect();
-        self.cache_indirect(addr, table.clone());
-        Ok(table)
+        Ok(self.cache_indirect(addr, |t| decode(bytes, t)))
     }
 
-    fn cache_indirect(&mut self, addr: BlockAddr, table: Rc<[u64]>) {
+    /// Caches the indirect table at `addr`, which `fill` writes over a
+    /// table of `NINDIRECT` slots, evicting the oldest entry first when
+    /// the cache is full. The evicted table's storage holds the new one
+    /// when nothing else still holds it, so a full cache allocates no
+    /// table.
+    fn cache_indirect(&mut self, addr: BlockAddr, fill: impl FnOnce(&mut [u64])) -> Rc<[u64]> {
+        let mut spare = None;
         if self.indirect_fifo.len() >= INDIRECT_CACHE_CAP {
             let evict = self.indirect_fifo.remove(0);
-            self.indirect.remove(&evict);
+            spare = self.indirect.remove(&evict).filter(|t| Rc::strong_count(t) == 1);
         }
+        let mut table = spare.unwrap_or_else(|| (0..NINDIRECT).map(|_| 0).collect());
+        fill(Rc::get_mut(&mut table).expect("a fresh or unshared table"));
         self.indirect_fifo.push(addr.0);
-        self.indirect.insert(addr.0, table);
+        self.indirect.insert(addr.0, table.clone());
+        table
     }
 
     /// Appends a new indirect block of file `ino` holding `table`. The
@@ -821,7 +833,7 @@ impl LfsLayout {
         let entry = SumEntry::Indirect { ino: ino.0 };
         let addr = self.append_block(entry, Payload::Data(bytes)).await?;
         self.stats.meta_writes += 1;
-        self.cache_indirect(addr, table.into());
+        self.cache_indirect(addr, |t| t.copy_from_slice(table));
         Ok(addr)
     }
 
@@ -1275,13 +1287,16 @@ impl StorageLayout for LfsLayout {
         Ok(Some(self.io.read_block(addr).await?))
     }
 
-    async fn write_file_blocks(
+    async fn write_file_blocks_from(
         &mut self,
         inode: &mut Inode,
-        blocks: Vec<(u64, Payload)>,
+        blocks: &mut Vec<(u64, Payload)>,
     ) -> LResult<()> {
         let sp = self.handle.trace_span("layout:write");
-        self.ensure_space().await?;
+        if let Err(e) = self.ensure_space().await {
+            blocks.clear();
+            return Err(e);
+        }
         let r = self.write_blocks_inner(inode, blocks).await;
         self.handle.trace_exit(sp);
         r
@@ -1554,15 +1569,17 @@ impl LfsLayout {
     async fn write_blocks_inner(
         &mut self,
         inode: &mut Inode,
-        mut blocks: Vec<(u64, Payload)>,
+        blocks: &mut Vec<(u64, Payload)>,
     ) -> LResult<()> {
         self.reconcile_pointers(inode).await;
         blocks.sort_by_key(|(b, _)| *b);
         let ino = inode.ino;
-        // Load the current indirect table once if any indirect slot is hit.
-        let mut table: Option<Vec<u64>> = None;
-        let mut table_dirty = false;
-        for (blk, payload) in blocks {
+        // Copy the current indirect table into the scratch once if any
+        // indirect slot is hit. (A write that fails drops the scratch;
+        // the next one grows another.)
+        let mut table = std::mem::take(&mut self.table_scratch);
+        let (mut table_loaded, mut table_dirty) = (false, false);
+        for (blk, payload) in blocks.drain(..) {
             let slot = block_slot(blk).ok_or(LayoutError::FileTooBig(blk))?;
             let addr = self.append_block(SumEntry::Data { ino: ino.0, fblk: blk }, payload).await?;
             self.stats.data_writes += 1;
@@ -1572,28 +1589,29 @@ impl LfsLayout {
                     inode.direct[i] = addr;
                 }
                 BlockSlot::Indirect(s) => {
-                    if table.is_none() {
-                        table = Some(if inode.indirect.is_some() {
-                            self.load_indirect(inode.indirect).await?.to_vec()
+                    if !table_loaded {
+                        table.clear();
+                        if inode.indirect.is_some() {
+                            table.extend_from_slice(&self.load_indirect(inode.indirect).await?);
                         } else {
-                            vec![BlockAddr::NONE.0; NINDIRECT]
-                        });
+                            table.resize(NINDIRECT, BlockAddr::NONE.0);
+                        }
+                        table_loaded = true;
                     }
-                    let t = table.as_mut().expect("just set");
-                    if t[s] != BlockAddr::NONE.0 {
-                        self.supersede(BlockAddr(t[s]), BLOCK_SIZE);
+                    if table[s] != BlockAddr::NONE.0 {
+                        self.supersede(BlockAddr(table[s]), BLOCK_SIZE);
                     }
-                    t[s] = addr.0;
+                    table[s] = addr.0;
                     table_dirty = true;
                 }
             }
         }
         if table_dirty {
-            let t = table.expect("dirty implies loaded");
-            let new_addr = self.append_indirect(ino, &t).await?;
+            let new_addr = self.append_indirect(ino, &table).await?;
             self.supersede(inode.indirect, BLOCK_SIZE);
             inode.indirect = new_addr;
         }
+        self.table_scratch = table;
         inode.mtime = self.now_ns();
         self.append_inode(inode).await?;
         Ok(())

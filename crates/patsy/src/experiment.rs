@@ -11,7 +11,7 @@ use cnp_disk::{compose_device, DiskDriver, DiskOpts, FaultPlan, Hardware, ScsiBu
 use cnp_fault::{LayoutKind, Policy};
 use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams};
 use cnp_obs::Histogram;
-use cnp_sim::Sim;
+use cnp_sim::{KernelCounts, Sim};
 use cnp_trace::{preset, replay, RunOptions, RunReport, SpriteParams, SyntheticSprite};
 
 use std::cell::RefCell;
@@ -105,6 +105,9 @@ pub struct ExperimentResult {
     /// `layout.*` among them; rate gauges recomputed from the summed
     /// counters where they have a cross-system meaning).
     pub metrics: cnp_obs::MetricsSnapshot,
+    /// The simulation kernel's exact work for the run: a count that
+    /// moves means a task woke or slept a different number of times.
+    pub kernel: KernelCounts,
 }
 
 /// Runs one experiment to completion on a fresh virtual-time simulation.
@@ -228,6 +231,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         overlap,
         mean_service_ms: service.mean(),
         metrics,
+        kernel: sim.counts(),
     }
 }
 

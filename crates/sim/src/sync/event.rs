@@ -78,6 +78,13 @@ impl Event {
         self.inner.borrow().signals
     }
 
+    /// True if this handle is the event's only one: no clone and no
+    /// wait holds it, so nobody can wait on it or signal it but its
+    /// holder, who may reuse it for a new purpose.
+    pub fn is_unique(&self) -> bool {
+        Rc::strong_count(&self.inner) == 1
+    }
+
     /// Blocks the calling task until the event is next signalled.
     pub fn wait(&self) -> EventWait {
         EventWait { event: self.clone(), ticket: None }
@@ -242,6 +249,25 @@ mod tests {
         sim.run();
         assert_eq!(woke_at.get(), Some(5));
         assert_eq!(parked_polls.get(), 2, "first poll, then its timer; never the signal");
+    }
+
+    #[test]
+    fn an_event_is_unique_while_no_clone_or_wait_holds_it() {
+        let sim = Sim::new(0);
+        let h = sim.handle();
+        let ev = Event::new(&h);
+        h.spawn("w", async move {
+            assert!(ev.is_unique());
+            let clone = ev.clone();
+            assert!(!ev.is_unique() && !clone.is_unique());
+            drop(clone);
+            let mut wait = ev.wait();
+            futures_noop_poll(&mut wait);
+            assert!(!ev.is_unique(), "a parked wait holds the event");
+            drop(wait);
+            assert!(ev.is_unique());
+        });
+        sim.run();
     }
 
     /// Polls a future once with a dummy waker (test helper).

@@ -11,14 +11,19 @@
 //! place for nothing.
 //!
 //! The block cache: what a flush pick allocates depends on what it
-//! *picks*, never on how much is *dirty*; committing a simulated block
-//! allocates nothing but, for a file's first block, the file's list in
-//! the index; dropping a file allocates nothing.
+//! *picks*, never on how much is *dirty*, and once its list has come back
+//! to the cache nothing; committing a simulated block allocates nothing
+//! but, for a new file's first block, the file's list in the index, which
+//! a file that left the cache hands on; dropping a file allocates
+//! nothing.
 //!
 //! The data path: a read or write of N blocks in one call allocates what
-//! its blocks do — nothing for a resident block off-line, its load for a
-//! missing one — and nothing for the call, at any queue depth: a write's
-//! window of block commits lives in a list the engine reuses.
+//! its blocks do — nothing for a resident block off-line, nothing for a
+//! missing one at queue depth 1 (its in-flight event is reused) — and
+//! nothing for the call, at any queue depth: a write's window of block
+//! commits lives in a list the engine reuses. A flush batch allocates
+//! the same whatever its length: its key and payload lists are pooled,
+//! and the log edits a file's indirect table in a scratch copy.
 //!
 //! The platter store: a block-sized write costs its frame, a captured
 //! image its table of frame pointers, a simulated write nothing — never
@@ -41,7 +46,7 @@
 //! the test harness's other threads do not pollute them.
 
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -284,13 +289,17 @@ fn full_nvram(policy: &str, dirty: u64, files: u64) -> (BlockCache, BlockKey) {
 }
 
 /// Allocations of one NVRAM stall on `cache`, and how many blocks the
-/// policy picked.
+/// policy picked; the pick's list goes back to the cache.
 fn stall(cache: &mut BlockCache, probe: BlockKey) -> (u64, usize) {
     let before = allocs();
     let outcome = cache.mark_dirty(probe, SimTime::ZERO);
     let spent = allocs() - before;
     match outcome {
-        DirtyOutcome::NeedFlush(picks) => (spent, picks.len()),
+        DirtyOutcome::NeedFlush(picks) => {
+            let picked = picks.len();
+            cache.recycle(picks);
+            (spent, picked)
+        }
         DirtyOutcome::Ok => panic!("NVRAM is full"),
     }
 }
@@ -300,13 +309,12 @@ fn flush_pick_cost_follows_the_pick_not_the_dirty_set() {
     // Partial-file: the oldest block, whatever else is dirty.
     let (mut few, probe_few) = full_nvram("nvram-partial", 16, 16);
     let (mut many, probe_many) = full_nvram("nvram-partial", 1024, 1024);
+    let (first, _) = stall(&mut few, probe_few);
     let (few, many) = (stall(&mut few, probe_few), stall(&mut many, probe_many));
     assert_eq!((few.1, many.1), (1, 1));
-    assert_eq!(
-        many.0, few.0,
-        "a stall with 1,024 blocks dirty must allocate what one with 16 does"
-    );
-    assert_eq!(few.0, 1, "the pick is its own only allocation");
+    assert_eq!(first, 1, "the pick is its own only allocation");
+    assert_eq!(few.0, 0, "a second stall reuses the first one's list");
+    assert_eq!(many.0, first, "a stall with 1,024 blocks dirty allocates what one with 16 does");
 
     // Whole-file: the oldest block's file. Eight dirty blocks of it
     // cost the same among 16 dirty blocks as among 1,024 …
@@ -318,9 +326,8 @@ fn flush_pick_cost_follows_the_pick_not_the_dirty_set() {
     assert_eq!(few.0, 1, "the file's blocks go straight into the pick");
     // … and so does a file of 512.
     let (mut big, probe_big) = full_nvram("nvram-whole", 1024, 2);
-    let big = stall(&mut big, probe_big);
-    assert_eq!(big.1, 512);
-    assert_eq!(big.0, 1, "a 512-block file");
+    assert_eq!(stall(&mut big, probe_big), (1, 512), "a 512-block file");
+    assert_eq!(stall(&mut big, probe_big), (0, 512), "a 512-block file, again");
 }
 
 #[test]
@@ -361,6 +368,28 @@ fn a_new_files_first_block_costs_the_index_one_list() {
     assert!(floor <= 1, "the first block of a new file allocated {floor} in the index");
     // One list a file, plus the table's eight doublings up to 256 files.
     assert!(total <= 256 + 8, "256 new files allocated {total}");
+}
+
+#[test]
+fn a_recreated_files_first_block_costs_the_index_nothing() {
+    let mut cache = empty_cache();
+    let mut commit = |file: u64| {
+        let Reserve::Frame(frame) = cache.reserve() else { panic!("the cache has room") };
+        let before = allocs();
+        cache.commit(frame, BlockKey::new(FileId(file), 0), None, SimTime::ZERO);
+        let spent = allocs() - before;
+        // Gone again, alternately whole and block by block: either way
+        // its emptied list waits for the next file.
+        match file % 2 {
+            0 => _ = cache.remove_file(FileId(file)),
+            _ => cache.remove_block(BlockKey::new(FileId(file), 0)),
+        }
+        spent
+    };
+    // Warm-up: the index table reaches its working size.
+    (0..4).for_each(|file| _ = commit(file));
+    let spent: Vec<u64> = (4..260).map(commit).collect();
+    assert!(spent.iter().all(|&n| n == 0), "256 files that came and went allocated {spent:?}");
 }
 
 #[test]
@@ -436,11 +465,12 @@ fn resident_reads_and_whole_block_writes_allocate_nothing_per_block() {
 #[test]
 fn a_cold_read_costs_its_misses_whatever_the_call_size() {
     const BS: u64 = BLOCK_SIZE as u64;
-    // What one missing block costs: its in-flight event at qd 1, since
-    // the driver's request, the disk's command and both replies wait in
-    // slots the simulator reuses; at qd 8 also the task the driver
-    // spawns a command, which costs its boxed future alone.
-    for (qd, per_miss) in [(1, 1), (8, 2)] {
+    // What one missing block costs: nothing at qd 1, since its in-flight
+    // event comes back to the read scratch's spare list and the driver's
+    // request, the disk's command and both replies wait in slots the
+    // simulator reuses; at qd 8 the task the driver spawns a command,
+    // which costs its boxed future alone.
+    for (qd, per_miss) in [(1, 0), (8, 1)] {
         // Eight frames under a forward scan: every block read is a miss.
         with_file(qd, 8, 512, move |fs, ino| async move {
             let mut at = 0;
@@ -460,6 +490,32 @@ fn a_cold_read_costs_its_misses_whatever_the_call_size() {
             }
         });
     }
+}
+
+#[test]
+fn a_flush_batch_costs_the_same_whatever_its_length() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    // `n` dirty blocks of one file behind its indirect pointer (blocks
+    // 12 on), written by a sync: one batch, one layout call, one new
+    // indirect table whatever `n`. The floor over a few syncs leaves out
+    // the ones that seal a segment.
+    let floors = Rc::new(RefCell::new(Vec::new()));
+    for n in [1, 16, 64] {
+        let floors = floors.clone();
+        with_file(1, 1024, 12 + 64, move |fs, ino| async move {
+            let mut floor = u64::MAX;
+            for _ in 0..6 {
+                assert_eq!(fs.write(ino, 12 * BS, n * BS, None).await, Ok(n * BS));
+                let before = allocs();
+                fs.sync().await.unwrap();
+                floor = floor.min(allocs() - before);
+            }
+            floors.borrow_mut().push((n, floor));
+        });
+    }
+    let floors = floors.take();
+    let one = floors[0].1;
+    assert!(floors.iter().all(|&(_, f)| f == one), "syncs of n dirty blocks allocated {floors:?}");
 }
 
 /// One fault-free HP 97560 behind C-LOOK: its platter starts from

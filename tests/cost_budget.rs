@@ -5,15 +5,22 @@
 //! polled a task (`steps`) and how many waits on the clock parked
 //! (`timer_pushes`). These tests pin both for one engine-level client
 //! cell and one served cell, each at queue depth 8, where a write fans
-//! out over a window of block commits.
+//! out over a window of block commits; for an 8-client mail cell, whose
+//! creates and unlinks churn the cache's index; and for the §5.1 replay
+//! under each of the four flush policies at queue depth 1, where every
+//! op goes through a cache miss or a flush batch.
 //!
 //! A count that moves means a task now wakes, or sleeps, a different
 //! number of times for the same seeded work. A change that keeps every
 //! seeded output keeps these counts too; one that moves them says why
 //! in CHANGES.md and re-pins them here.
 
-use cut_and_paste::patsy::{run_client_cell, run_serve_cell, ClientSweepConfig, ServeBenchConfig};
+use cut_and_paste::patsy::{
+    run_client_cell, run_experiment, run_serve_cell, ClientSweepConfig, ExperimentConfig, Policy,
+    ServeBenchConfig,
+};
 use cut_and_paste::sim::KernelCounts;
+use cut_and_paste::trace::trace_1a;
 use cut_and_paste::workload::WorkloadKind;
 
 #[test]
@@ -32,4 +39,31 @@ fn a_served_zipf_cell_at_qd_8_costs_its_pinned_steps_and_timer_pushes() {
     let cell = run_serve_cell(&cfg, 8);
     assert_eq!(cell.errors, 0);
     assert_eq!(cell.kernel, KernelCounts { steps: 8_483, timer_pushes: 9_975 });
+}
+
+#[test]
+fn a_mail_client_cell_at_qd_8_costs_its_pinned_steps_and_timer_pushes() {
+    let cfg = ClientSweepConfig::new(WorkloadKind::Mail, vec![8], 42, 0.01);
+    assert_eq!(cfg.queue_depth, 8);
+    let cell = run_client_cell(&cfg, 8);
+    assert_eq!(cell.report.errors, 0, "{:?}", cell.report.error_sample);
+    assert_eq!(cell.kernel, KernelCounts { steps: 5_914, timer_pushes: 6_366 });
+}
+
+#[test]
+fn a_trace_1a_replay_at_qd_1_costs_its_pinned_steps_and_timer_pushes_under_every_policy() {
+    let pinned = [
+        (Policy::WriteDelay, KernelCounts { steps: 91_072, timer_pushes: 84_750 }),
+        (Policy::Ups, KernelCounts { steps: 81_933, timer_pushes: 78_559 }),
+        (Policy::NvramWhole, KernelCounts { steps: 85_881, timer_pushes: 81_150 }),
+        (Policy::NvramPartial, KernelCounts { steps: 171_393, timer_pushes: 128_082 }),
+    ];
+    for (policy, kernel) in pinned {
+        let cfg =
+            ExperimentConfig { scale: 0.01, seed: 42, ..ExperimentConfig::new(policy, trace_1a()) };
+        assert_eq!(cfg.queue_depth, 1);
+        let result = run_experiment(&cfg);
+        assert_eq!(result.report.errors, 0, "{}", policy.label());
+        assert_eq!(result.kernel, kernel, "{}", policy.label());
+    }
 }

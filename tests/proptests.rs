@@ -183,7 +183,7 @@ proptest! {
         let mut cache = BlockCache::new(
             cfg,
             Box::new(Lru::new(frames)),
-            Box::new(WriteSaving { whole_file: true, batch: 1 }),
+            Box::new(WriteSaving::new(true, 1)),
         );
         let mut t = 0u64;
         for (file, block, action) in ops {
