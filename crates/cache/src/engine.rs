@@ -12,6 +12,7 @@
 //! asynchronous at the caller's choice — the very design lesson of §5.2.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use cnp_sim::{SimDuration, SimTime};
 
@@ -25,6 +26,13 @@ const HISTORY: usize = 4;
 
 /// Emptied per-file index lists the cache keeps for reuse.
 const SPARE_FILE_LISTS: usize = 16;
+
+/// The spare list the next file to become resident takes: the first
+/// that holds storage, else an empty slot.
+fn next_file_list(spare: &mut [Vec<(u64, u32)>; SPARE_FILE_LISTS]) -> &mut Vec<(u64, u32)> {
+    let at = spare.iter().position(|s| s.capacity() > 0).unwrap_or(0);
+    &mut spare[at]
+}
 
 /// Owner tag for dirty data nobody claimed: engine-internal writes
 /// (directories, symlink targets) and single-client
@@ -451,12 +459,13 @@ impl BlockCache {
         self.frames[frame as usize].data.as_deref()
     }
 
-    /// Replaces the bytes of a resident frame.
-    pub fn set_data(&mut self, frame: u32, data: Option<Vec<u8>>) {
+    /// Replaces the bytes of a resident frame; returns the bytes it
+    /// held, for the caller to reuse.
+    pub fn set_data(&mut self, frame: u32, data: Option<Vec<u8>>) -> Option<Vec<u8>> {
         let content = self.fresh_content();
         let f = &mut self.frames[frame as usize];
-        f.data = data;
         f.content = content;
+        std::mem::replace(&mut f.data, data)
     }
 
     /// The content stamp of a resident frame: a number no other content
@@ -510,9 +519,8 @@ impl BlockCache {
     /// Panics if `key` is already resident.
     pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
         let spare = &mut self.spare_files;
-        let blocks = self.files.entry(key.file).or_insert_with(|| {
-            spare.iter_mut().find(|s| s.capacity() > 0).map(std::mem::take).unwrap_or_default()
-        });
+        let blocks =
+            self.files.entry(key.file).or_insert_with(|| std::mem::take(next_file_list(spare)));
         match blocks.binary_search_by_key(&key.block, |&(b, _)| b) {
             Ok(_) => panic!("block {key} already resident"),
             Err(at) => blocks.insert(at, (key.block, frame)),
@@ -522,6 +530,22 @@ impl BlockCache {
         self.stats.insertions += 1;
         self.record_access(frame, now);
         self.clean.insert(frame, self.frames[frame as usize].meta(now));
+    }
+
+    /// Makes room in `file`'s index list for the blocks of `blocks` it
+    /// does not hold yet (amortised, as `Vec::reserve`), so a write that
+    /// adds them regrows the list at most once. A file with no resident
+    /// block gets the room in the spare list its first commit takes.
+    pub fn reserve_file(&mut self, file: FileId, blocks: Range<u64>) {
+        let n = (blocks.end - blocks.start) as usize;
+        match self.files.get_mut(&file) {
+            Some(list) => {
+                let lo = list.partition_point(|&(b, _)| b < blocks.start);
+                let hi = list.partition_point(|&(b, _)| b < blocks.end);
+                list.reserve(n - (hi - lo));
+            }
+            None => next_file_list(&mut self.spare_files).reserve(n),
+        }
     }
 
     /// Returns a reserved frame unused (e.g. the disk read failed).

@@ -6,8 +6,10 @@ use cnp_layout::LayoutError;
 /// Errors surfaced by the abstract client interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsError {
-    /// Path component not found.
-    NotFound(String),
+    /// Path component not found. It names no path: every caller
+    /// already holds the path it asked about, and most (an
+    /// open-or-create, a stat that expects a miss) drop the error.
+    NotFound,
     /// Target already exists.
     Exists(String),
     /// Operation requires a directory.
@@ -38,7 +40,7 @@ impl FsError {
 impl std::fmt::Display for FsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FsError::NotFound(p) => write!(f, "not found: {p}"),
+            FsError::NotFound => f.write_str("not found"),
             FsError::Exists(p) => write!(f, "already exists: {p}"),
             FsError::NotADirectory(p) => write!(f, "not a directory: {p}"),
             FsError::IsADirectory(p) => write!(f, "is a directory: {p}"),

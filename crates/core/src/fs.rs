@@ -74,6 +74,14 @@ struct Shared {
     driver: DiskDriver,
     /// One record per inode in memory; `unlink` and `rmdir` drop it.
     inodes: RefCell<HashMap<Ino, Rc<InodeRecord>, FixedState>>,
+    /// The record the last unlink or rmdir dropped, when nothing else
+    /// held it: the next create fills it in instead of allocating one.
+    spare_record: Cell<Option<Rc<InodeRecord>>>,
+    /// Block buffers between rewrites (at most [`SPARE_BLOCK_BUFFERS`]):
+    /// the bytes a write replaces in a cache frame come back here, and
+    /// the name path gathers a directory into one for its
+    /// read-modify-write.
+    spare_blocks: RefCell<Vec<Vec<u8>>>,
     inflight: RefCell<HashMap<BlockKey, Event, FixedState>>,
     /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
     /// the miss path allocates for its I/O and not for its bookkeeping.
@@ -120,10 +128,19 @@ struct InodeRecord {
 
 impl InodeRecord {
     fn new(inode: Inode) -> Rc<InodeRecord> {
+        Rc::new(InodeRecord::fresh(inode))
+    }
+
+    fn fresh(inode: Inode) -> InodeRecord {
         let (generation, opens) = (Cell::new(0), Cell::new(0));
-        Rc::new(InodeRecord { inode: RefCell::new(inode), generation, opens })
+        InodeRecord { inode: RefCell::new(inode), generation, opens }
     }
 }
+
+/// How many block buffers the engine keeps between rewrites: the name
+/// path's gathered copy of a directory, and a few more for the blocks
+/// of a multi-block directory rewrite.
+const SPARE_BLOCK_BUFFERS: usize = 4;
 
 /// Fixed per-operation request-handling overhead.
 const OP_OVERHEAD: SimDuration = SimDuration::from_micros(100);
@@ -176,6 +193,8 @@ impl FileSystem {
             io,
             driver,
             inodes: RefCell::default(),
+            spare_record: Cell::new(None),
+            spare_blocks: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
             windows: RefCell::default(),
@@ -373,6 +392,48 @@ impl FileSystem {
         };
         let mut inodes = self.s.inodes.borrow_mut();
         Ok(inodes.entry(ino).or_insert_with(|| InodeRecord::new(inode)).clone())
+    }
+
+    /// Enters a new inode's record: the spare one an unlink left, filled
+    /// in afresh, when there is one.
+    fn insert_record(&self, inode: Inode) {
+        let ino = inode.ino;
+        let rec = match self.s.spare_record.take() {
+            Some(mut rec) => {
+                *Rc::get_mut(&mut rec).expect("a spare record is unshared") =
+                    InodeRecord::fresh(inode);
+                rec
+            }
+            None => InodeRecord::new(inode),
+        };
+        self.s.inodes.borrow_mut().insert(ino, rec);
+    }
+
+    /// Drops inode `ino`'s record, keeping it as the spare if nothing
+    /// else (an op still running on the file) holds it.
+    fn remove_record(&self, ino: Ino) {
+        let rec = self.s.inodes.borrow_mut().remove(&ino);
+        if let Some(mut rec) = rec {
+            if Rc::get_mut(&mut rec).is_some() {
+                self.s.spare_record.set(Some(rec));
+            }
+        }
+    }
+
+    /// An empty buffer: a spare one, with its capacity, when there is
+    /// one.
+    fn take_block_buffer(&self) -> Vec<u8> {
+        let mut buf = self.s.spare_blocks.borrow_mut().pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// Keeps `buf` as a spare, if a slot is free.
+    fn keep_block_buffer(&self, buf: Vec<u8>) {
+        let mut spare = self.s.spare_blocks.borrow_mut();
+        if spare.len() < SPARE_BLOCK_BUFFERS && buf.capacity() > 0 {
+            spare.push(buf);
+        }
     }
 }
 
@@ -772,11 +833,11 @@ mod tests {
             assert!(matches!(fs.mkdir("/a/b").await, Err(FsError::Exists(_))));
             assert!(matches!(
                 fs.create("/missing/f", FileKind::Regular).await,
-                Err(FsError::NotFound(_))
+                Err(FsError::NotFound)
             ));
             fs.rename("/a/b/f1", "/a/renamed").await.unwrap();
             assert!(fs.lookup("/a/renamed").await.is_ok());
-            assert!(matches!(fs.lookup("/a/b/f1").await, Err(FsError::NotFound(_))));
+            assert!(matches!(fs.lookup("/a/b/f1").await, Err(FsError::NotFound)));
             fs.unlink("/a/b/f2").await.unwrap();
             fs.rmdir("/a/b").await.unwrap();
             assert!(matches!(fs.rmdir("/a").await, Err(FsError::NotEmpty(_))));

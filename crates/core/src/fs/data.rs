@@ -147,9 +147,11 @@ impl FileSystem {
         // Per-block cache commits (and any read-modify loads for partial
         // blocks) proceed with up to queue_depth in flight, in a window
         // list taken from the pool; the first failure stops new blocks
-        // from starting.
+        // from starting. The file's index list makes room for the blocks
+        // the write adds first, so it regrows at most once.
         let first = offset / bs;
         let blocks = first..if len == 0 { first } else { end.div_ceil(bs) };
+        self.s.cache.borrow_mut().reserve_file(FileId(ino.0), blocks.clone());
         let failed: RefCell<Option<FsError>> = RefCell::new(None);
         let work = blocks
             .take_while(|_| failed.borrow().is_none())
@@ -452,10 +454,12 @@ impl FileSystem {
                 m.addr = g.get_mut().map_block(&inode, m.blk).await?;
             }
             // Staged blocks (LFS unflushed segment) are served from the
-            // layout's buffer, never the device.
+            // layout's buffer, never the device: copied once, into the
+            // frame.
             for m in misses.iter_mut() {
-                if let Some(p) = m.addr.and_then(|a| g.get().staged_block(a)) {
-                    self.commit_loaded(ino, m, p.bytes().map(<[u8]>::to_vec), sink);
+                let copy = |p: &Payload| p.bytes().map(<[u8]>::to_vec);
+                if let Some(data) = m.addr.and_then(|a| g.get().staged_block(a, copy)) {
+                    self.commit_loaded(ino, m, data, sink);
                 }
             }
         }
@@ -605,8 +609,9 @@ impl FileSystem {
 
 /// One block's commit into the cache, as a record the write window holds
 /// inline: place the bytes in the block's frame (reserving a frame first
-/// if the block is not resident), dirty it against the NVRAM budget,
-/// then charge the copy. Every wait is a kernel leaf future (a
+/// if the block is not resident; the bytes a resident frame held become
+/// one of the engine's spare block buffers), dirty it against the NVRAM
+/// budget, then charge the copy. Every wait is a kernel leaf future (a
 /// [`FrameReservation`]'s or a full NVRAM's [`FlushWait`], the copy's
 /// [`Sleep`]), and each stage makes its kernel calls in the order the
 /// straight-line code would, so a record allocates nothing but, on a
@@ -706,9 +711,13 @@ impl BlockCommit {
         if let (Some(frame), true) = (resident, self.real) {
             let mut cache = s.cache.borrow_mut();
             let old = cache.content_stamp(frame);
-            cache.set_data(frame, self.data.take());
+            let replaced = cache.set_data(frame, self.data.take());
             if names::planted(Mutant::SetDataKeepsStamp) {
                 s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
+            }
+            drop(cache);
+            if let Some(bytes) = replaced {
+                self.fs.keep_block_buffer(bytes);
             }
         }
         let outcome = s.cache.borrow_mut().mark_dirty_for(self.key, s.handle.now(), self.owner);

@@ -269,7 +269,7 @@ mod tests {
             read.push((cur, bytes.clone()));
             let listing = dir::decode(&bytes).map_err(corrupt)?;
             let found = dir::lookup(&dir::encode(&listing), part).map_err(corrupt)?;
-            cur = found.ok_or_else(|| FsError::NotFound(path.to_string()))?.0;
+            cur = found.ok_or(FsError::NotFound)?.0;
         }
         Ok(cur)
     }

@@ -7,7 +7,7 @@ use cnp_cache::{BlockKey, FileId};
 use cnp_layout::dir::{self, Dirent, Renamed};
 use cnp_layout::{FileKind, Ino, Inode, LayoutError, StorageLayout, BLOCK_SIZE};
 
-use super::{FileSystem, InodeRecord};
+use super::FileSystem;
 use crate::error::{FsError, FsResult};
 
 impl FileSystem {
@@ -45,7 +45,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode.clone()));
+        self.insert_record(inode.clone());
         {
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
@@ -79,7 +79,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode));
+        self.insert_record(inode);
         walked.push(&mut bytes, ino, FileKind::Directory, name);
         self.write_dir_bytes(dir_ino, bytes).await?;
         Ok(ino)
@@ -143,16 +143,17 @@ impl FileSystem {
         let (dir_ino, name) = self.resolve_parent(path).await?;
         let _ns = self.lock_ns(dir_ino, dir_ino).await;
         let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
-        let (ino, kind) = dir::remove(&mut bytes, name)
-            .map_err(corrupt)?
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        let Some((ino, kind)) = dir::remove(&mut bytes, name).map_err(corrupt)? else {
+            self.keep_block_buffer(bytes);
+            return Err(FsError::NotFound);
+        };
         if kind == FileKind::Directory {
             return Err(FsError::IsADirectory(path.to_string()));
         }
         self.write_dir_bytes(dir_ino, bytes).await?;
         let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-        self.s.inodes.borrow_mut().remove(&ino);
+        self.remove_record(ino);
         let _rg = self.lock_range(ino).await;
         let g = self.lock_core().await;
         g.get_mut().free_inode(ino).await?;
@@ -174,7 +175,7 @@ impl FileSystem {
             let _ns = self.lock_ns(dir_ino, victim).await;
             let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
             let walked = dir::walk(&bytes, name).map_err(corrupt)?;
-            let (ino, kind) = walked.target().ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            let (ino, kind) = walked.target().ok_or(FsError::NotFound)?;
             if ino != victim {
                 // Raced: the name now points at a different inode, so
                 // the held victim stripe is the wrong one. Re-probe.
@@ -191,7 +192,7 @@ impl FileSystem {
             self.write_dir_bytes(dir_ino, bytes).await?;
             let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-            self.s.inodes.borrow_mut().remove(&ino);
+            self.remove_record(ino);
             self.s.names.borrow_mut().forget(ino);
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
@@ -210,13 +211,13 @@ impl FileSystem {
         if from_dir == to_dir {
             match dir::rename(&mut from_bytes, from_name, to_name).map_err(corrupt)? {
                 Renamed::Moved => self.write_dir_bytes(from_dir, from_bytes).await?,
-                Renamed::Missing => return Err(FsError::NotFound(from.to_string())),
+                Renamed::Missing => return Err(FsError::NotFound),
                 Renamed::Taken => return Err(FsError::Exists(to.to_string())),
             }
         } else {
             let (ino, kind) = dir::remove(&mut from_bytes, from_name)
                 .map_err(corrupt)?
-                .ok_or_else(|| FsError::NotFound(from.to_string()))?;
+                .ok_or(FsError::NotFound)?;
             if kind == FileKind::Directory {
                 // A directory moved below itself would leave the root
                 // as a cycle nothing reaches. No entry records its
@@ -313,7 +314,7 @@ impl FileSystem {
             Some(stamp) => self.s.names.borrow_mut().lookup(dir, stamp, bytes, name),
             None => dir::lookup(bytes, name),
         };
-        self.scan_dir(dir, path, look).await?.ok_or_else(|| FsError::NotFound(path.to_string()))
+        self.scan_dir(dir, path, look).await?.ok_or(FsError::NotFound)
     }
 
     /// Size in bytes of directory `ino`'s packed content; `path` names
@@ -328,14 +329,16 @@ impl FileSystem {
     }
 
     /// Gathers the first `size` bytes of directory `ino` into one
-    /// buffer. Every block is read through the cache, in ascending
-    /// order: the hits, misses, LRU touches and copy delays of a
-    /// directory read are part of the simulated timeline, whatever the
-    /// caller goes on to do with the bytes.
+    /// buffer, a spare one when there is one. Every block is read
+    /// through the cache, in ascending order: the hits, misses, LRU
+    /// touches and copy delays of a directory read are part of the
+    /// simulated timeline, whatever the caller goes on to do with the
+    /// bytes.
     async fn gather_dir(&self, ino: Ino, size: usize) -> FsResult<Vec<u8>> {
         let bs = BLOCK_SIZE as usize;
         let blocks = size.div_ceil(bs);
-        let mut bytes = Vec::with_capacity(blocks * bs);
+        let mut bytes = self.take_block_buffer();
+        bytes.reserve(blocks * bs);
         for blk in 0..blocks as u64 {
             self.read_block_with(ino, blk, |data, _| data.map(|d| bytes.extend_from_slice(d)))
                 .await?
@@ -370,14 +373,19 @@ impl FileSystem {
             };
             self.read_block_with(ino, 0, in_frame).await?.ok_or_else(dir_data_unavailable)?
         } else {
-            scan(&self.gather_dir(ino, size).await?, None)
+            let bytes = self.gather_dir(ino, size).await?;
+            let scanned = scan(&bytes, None);
+            self.keep_block_buffer(bytes);
+            scanned
         };
         scanned.map_err(corrupt)
     }
 
     /// Writes `bytes` as directory `ino`'s whole content. A content of
     /// one block is padded where it is and moves into the cache frame;
-    /// a longer one is cut into a buffer a block.
+    /// a longer one is cut into a spare buffer a block, and `bytes` is
+    /// kept as a spare. Either way the bytes each frame held come back
+    /// as spares ([`BlockCommit`](super::data::BlockCommit)).
     async fn write_dir_bytes(&self, ino: Ino, mut bytes: Vec<u8>) -> FsResult<()> {
         let rc = self.inode_record(ino).await?;
         let old_blocks = rc.inode.borrow().blocks();
@@ -400,11 +408,13 @@ impl FileSystem {
             self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, 0, Some(bytes)).await?;
         } else {
             for (blk, chunk) in bytes.chunks(bs).enumerate() {
-                let mut block = vec![0u8; bs];
-                block[..chunk.len()].copy_from_slice(chunk);
+                let mut block = self.take_block_buffer();
+                block.extend_from_slice(chunk);
+                block.resize(bs, 0);
                 self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk as u64, Some(block))
                     .await?;
             }
+            self.keep_block_buffer(bytes);
         }
         {
             let mut inode = rc.inode.borrow_mut();

@@ -201,8 +201,7 @@ mod tests {
         };
         assert!(!cut.acked());
         assert!(cut.power_cut());
-        let other =
-            HistoryEvent { outcome: HistOutcome::Failed(FsError::NotFound("/f".into())), ..ok };
+        let other = HistoryEvent { outcome: HistOutcome::Failed(FsError::NotFound), ..ok };
         assert!(!other.acked());
         assert!(!other.power_cut());
     }

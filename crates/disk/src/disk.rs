@@ -670,7 +670,7 @@ impl DiskTask {
                 let (lba, sectors) = (req.lba, req.sectors);
                 store_sectors(&mut platter.borrow_mut(), ssz as usize, lba, sectors, &req.payload);
                 timing.bus += bus.completion_phase(scsi_id, 0).await;
-                Ok(Payload::Simulated(0))
+                Ok(req.payload)
             } else {
                 let bytes = req.sectors as u64 * ssz as u64;
                 timing.bus += bus.completion_phase(scsi_id, bytes).await;
@@ -760,7 +760,7 @@ impl DiskTask {
                 // volatile buffer until its write-back retires it.
                 self.stash_pending(req.lba, req.sectors, &req.payload);
                 timing.bus += self.bus.completion_phase(self.opts.scsi_id, 0).await;
-                reply.send(IoCompletion { id: req.id, result: Ok(Payload::Simulated(0)), timing });
+                reply.send(IoCompletion { id: req.id, result: Ok(req.payload), timing });
                 return;
             }
         }
@@ -771,7 +771,7 @@ impl DiskTask {
         timing.rotation += rotation;
         timing.transfer += transfer;
         timing.bus += self.bus.completion_phase(self.opts.scsi_id, 0).await;
-        reply.send(IoCompletion { id: req.id, result: Ok(Payload::Simulated(0)), timing });
+        reply.send(IoCompletion { id: req.id, result: Ok(req.payload), timing });
     }
 
     /// Stages an acked immediate-report write's payload in the volatile

@@ -9,9 +9,12 @@
 
 use std::cell::RefCell;
 use std::fs::File;
+use std::future::{poll_fn, Future};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 
 use cnp_obs::Histogram;
 use cnp_sim::stats::TimeWeighted;
@@ -160,7 +163,7 @@ impl FileBackend {
                     &bytes[..len]
                 };
                 file.write_all(out).map_err(|e| IoError::Host(e.to_string()))?;
-                Ok(Payload::Simulated(0))
+                Ok(std::mem::replace(&mut req.payload, Payload::Simulated(0)))
             }
         }
     }
@@ -373,8 +376,16 @@ struct QueuedReq {
     reply: ReplySender<IoCompletion>,
 }
 
+/// One command of a batch: awaiting its completion, then holding it.
+enum Batched {
+    Waiting(ReplyReceiver<IoCompletion>),
+    Done(Option<IoCompletion>),
+}
+
 struct DriverInner {
     queue: Vec<QueuedReq>,
+    /// Emptied batch lists, for the next [`DiskDriver::submit_batch`].
+    spare_batches: Vec<Vec<Batched>>,
     sched: Box<dyn QueueScheduler>,
     next_id: u64,
     next_seq: u64,
@@ -493,6 +504,7 @@ impl DiskDriver {
         let now = handle.now();
         let inner = Rc::new(RefCell::new(DriverInner {
             queue: Vec::new(),
+            spare_batches: Vec::new(),
             sched,
             next_id: 0,
             next_seq: 0,
@@ -621,33 +633,50 @@ impl DiskDriver {
         }
     }
 
-    /// Submits a batch of tagged requests at once and awaits every
-    /// completion; results come back in submission order.
+    /// Submits a batch of tagged requests at once, awaits every
+    /// completion and hands each result to `each`, in submission order.
     ///
     /// The whole batch enters the queue before the dispatcher runs, so
     /// the queue scheduler sees (and reorders) all of it, and with a
     /// queue depth above 1 the members proceed concurrently. This is the
-    /// completion-fan-in half of the pipelined I/O path.
+    /// completion-fan-in half of the pipelined I/O path. The batch waits
+    /// in a list the driver reuses, so a caller that lends `reqs` from a
+    /// list of its own allocates nothing per batch; each wake polls the
+    /// unfinished commands in order, as `join_all` does.
     pub async fn submit_batch(
         &self,
-        reqs: Vec<(IoOp, u64, u32, Payload)>,
-    ) -> Vec<Result<(Payload, IoTiming), IoError>> {
-        let receivers: Vec<ReplyReceiver<IoCompletion>> = reqs
-            .into_iter()
-            .map(|(op, lba, sectors, payload)| self.enqueue(op, lba, sectors, payload))
-            .collect();
+        reqs: impl IntoIterator<Item = (IoOp, u64, u32, Payload)>,
+        mut each: impl FnMut(Result<(Payload, IoTiming), IoError>),
+    ) {
+        let spare = self.inner.borrow_mut().spare_batches.pop();
+        let mut batch = spare.unwrap_or_default();
+        for (op, lba, sectors, payload) in reqs {
+            batch.push(Batched::Waiting(self.enqueue(op, lba, sectors, payload)));
+        }
         self.wakeup.signal();
-        join_all(receivers)
-            .await
-            .into_iter()
-            .map(|c| match c {
-                Some(c) => match c.result {
-                    Ok(p) => Ok((p, c.timing)),
-                    Err(e) => Err(e),
-                },
-                None => Err(IoError::DeviceGone),
-            })
-            .collect()
+        poll_fn(|cx| {
+            let mut all_done = true;
+            for cmd in batch.iter_mut() {
+                if let Batched::Waiting(rx) = cmd {
+                    match Pin::new(rx).poll(cx) {
+                        Poll::Ready(c) => *cmd = Batched::Done(c),
+                        Poll::Pending => all_done = false,
+                    }
+                }
+            }
+            if all_done {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+        for cmd in batch.drain(..) {
+            let Batched::Done(c) = cmd else { unreachable!("every command completed") };
+            let c = c.ok_or(IoError::DeviceGone);
+            each(c.and_then(|c| c.result.map(|p| (p, c.timing))));
+        }
+        self.inner.borrow_mut().spare_batches.push(batch);
     }
 
     /// Convenience read of whole sectors.
@@ -1106,12 +1135,11 @@ mod tests {
             let writes: Vec<_> = (0..6u64)
                 .map(|i| (IoOp::Write, i * 64, 8u32, Payload::Data(vec![i as u8 + 1; 4096])))
                 .collect();
-            for r in d2.submit_batch(writes).await {
-                r.unwrap();
-            }
+            d2.submit_batch(writes, |r| _ = r.unwrap()).await;
             let reads: Vec<_> =
                 (0..6u64).map(|i| (IoOp::Read, i * 64, 8u32, Payload::Simulated(0))).collect();
-            let results = d2.submit_batch(reads).await;
+            let mut results = Vec::new();
+            d2.submit_batch(reads, |r| results.push(r)).await;
             assert_eq!(results.len(), 6);
             for (i, r) in results.into_iter().enumerate() {
                 let (payload, _t) = r.unwrap();
@@ -1208,6 +1236,51 @@ mod tests {
         });
         sim.run();
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A write's completion hands back the payload it was given, on
+    /// every path a single device serves one: the controller's write
+    /// buffer, write-through, a flash channel and a host file.
+    #[test]
+    fn a_write_hands_its_payload_back() {
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        let through = DiskOpts { immediate_report: false, ..DiskOpts::default() };
+        let devices: [(&str, Box<dyn DiskModel>, Option<DiskOpts>); 3] = [
+            ("write buffer", Box::new(Hp97560::new()), None),
+            ("write-through", Box::new(Hp97560::new()), Some(through)),
+            ("flash", Box::new(crate::ssd::Ssd::new()), None),
+        ];
+        for (path, model, opts) in devices {
+            let sim = Sim::new(3);
+            let h = sim.handle();
+            let attach = opts.map(|o| (ScsiBus::new(&h), o));
+            let faults = FaultPlan::default();
+            let models = vec![model];
+            let (driver, _) =
+                compose_device(&h, "d0", models, None, Box::new(CLook), faults, None, attach);
+            let sent = Payload::Data(data.clone());
+            let back = sim.block_on("client", async move {
+                let back = driver.write(64, 8, sent).await.unwrap().0;
+                driver.shutdown();
+                back
+            });
+            assert_eq!(back, Payload::Data(data.clone()), "{path}");
+        }
+        let dir = std::env::temp_dir().join("cnp-disk-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("file-backend-handback.img");
+        let _ = std::fs::remove_file(&file);
+        let sim = Sim::new(1);
+        let backend = Backend::File(FileBackend::create(&file, 64, 512).unwrap());
+        let driver = DiskDriver::new(&sim.handle(), "file0", backend, Box::new(Fcfs));
+        let sent = Payload::Data(data.clone());
+        let back = sim.block_on("client", async move {
+            let back = driver.write(8, 8, sent).await.unwrap().0;
+            driver.shutdown();
+            back
+        });
+        assert_eq!(back, Payload::Data(data), "host file");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

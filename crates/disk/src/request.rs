@@ -157,7 +157,10 @@ impl std::error::Error for IoError {}
 pub struct IoCompletion {
     /// Request id this completion answers.
     pub id: u64,
-    /// Outcome; reads carry the returned payload.
+    /// Outcome. A read carries the bytes read; a write hands back the
+    /// payload it was given, once the device holds its bytes, so the
+    /// caller can reuse the buffer (a device that splits a write, like
+    /// a stripe, may hand back a simulated payload instead).
     pub result: Result<Payload, IoError>,
     /// Phase-by-phase timing of the device service.
     pub timing: IoTiming,

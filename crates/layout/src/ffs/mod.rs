@@ -195,7 +195,7 @@ impl FfsLayout {
     }
 
     async fn write_indirect(&mut self, addr: BlockAddr, table: &[u64]) -> LResult<()> {
-        let mut bytes = vec![0u8; BLOCK_SIZE as usize];
+        let mut bytes = self.io.lend_block();
         for (i, v) in table.iter().enumerate() {
             put_u64(&mut bytes, i * 8, *v);
         }
@@ -399,12 +399,13 @@ impl StorageLayout for FfsLayout {
 
     async fn put_inode(&mut self, inode: &Inode) -> LResult<()> {
         let (addr, slot) = self.inode_addr(inode.ino);
-        // Read-modify-write the inode table block.
+        // Read-modify-write the inode table block, in the buffer the read
+        // came back in.
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let mut bytes = match p.bytes() {
-            Some(b) => b.to_vec(),
-            None => vec![0u8; BLOCK_SIZE as usize],
+        let mut bytes = match p {
+            Payload::Data(b) => b,
+            Payload::Simulated(_) => self.io.lend_block(),
         };
         bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE].copy_from_slice(&inode.to_bytes());
         self.stats.meta_writes += 1;
@@ -431,10 +432,7 @@ impl StorageLayout for FfsLayout {
         let (addr, slot) = self.inode_addr(ino);
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let mut bytes = match p.bytes() {
-            Some(b) => b.to_vec(),
-            None => return Ok(()),
-        };
+        let Payload::Data(mut bytes) = p else { return Ok(()) };
         bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE].fill(0);
         self.stats.meta_writes += 1;
         self.io.write_block(addr, Payload::Data(bytes)).await?;

@@ -5,6 +5,13 @@
 //! tagged batch ([`cnp_disk::DiskDriver::submit_batch`]) at every queue
 //! depth, so its scheduler sees them all at once. The driver's depth
 //! alone decides how many of them are at the device together.
+//!
+//! It also keeps the stack's [`BlockPool`]: metadata blocks and the
+//! coalescer's run buffers come from it, and a write's completion hands
+//! its payload back to it.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cnp_disk::{DiskDriver, IoOp, Payload};
 
@@ -14,11 +21,66 @@ use crate::types::{BlockAddr, BLOCK_SIZE};
 /// One driver request: `(op, lba, sectors, payload)`.
 type Request = (IoOp, u64, u32, Payload);
 
-/// Block-addressed view of a [`DiskDriver`].
+/// How many spare buffers a [`BlockPool`] keeps; one handed back past
+/// that is dropped. Two segments' worth of metadata blocks.
+const POOL_BUFFERS: usize = 256;
+
+/// The buffers a stack's metadata travels in: a block the log encodes
+/// into, a run the coalescer copies a segment's blocks into, and a
+/// write's payload once the device has it. It starts empty, keeps at
+/// most [`POOL_BUFFERS`], and lends every buffer empty, so what a
+/// caller sends is what it wrote or zeroes ([`BlockIo::lend_block`]).
+#[derive(Default)]
+struct BlockPool {
+    free: RefCell<Vec<Vec<u8>>>,
+    /// Emptied request lists, for the next batch.
+    requests: RefCell<Vec<Vec<Request>>>,
+}
+
+impl BlockPool {
+    /// An empty buffer with room for `len` bytes: the smallest spare
+    /// that has it (so a block never takes a run's buffer), the latest
+    /// given back among equals, else a new one.
+    fn take(&self, len: usize) -> Vec<u8> {
+        let mut free = self.free.borrow_mut();
+        let mut best: Option<(usize, usize)> = None;
+        for (i, buf) in free.iter().enumerate().rev() {
+            let cap = buf.capacity();
+            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+                best = Some((i, cap));
+                if cap == len {
+                    break;
+                }
+            }
+        }
+        let Some((i, _)) = best else { return Vec::with_capacity(len) };
+        let mut buf = free.swap_remove(i);
+        buf.clear();
+        buf
+    }
+
+    /// Keeps `buf` for the next [`BlockPool::take`], if it holds a block
+    /// and the pool has room.
+    fn give(&self, buf: Vec<u8>) {
+        let mut free = self.free.borrow_mut();
+        if buf.capacity() >= BLOCK_SIZE as usize && free.len() < POOL_BUFFERS {
+            free.push(buf);
+        }
+    }
+
+    /// An empty request list, a reused one when there is one.
+    fn requests(&self) -> Vec<Request> {
+        self.requests.borrow_mut().pop().unwrap_or_default()
+    }
+}
+
+/// Block-addressed view of a [`DiskDriver`]. Clones share the driver
+/// and the block pool.
 #[derive(Clone)]
 pub struct BlockIo {
     driver: DiskDriver,
     sectors_per_block: u32,
+    pool: Rc<BlockPool>,
 }
 
 impl BlockIo {
@@ -26,7 +88,29 @@ impl BlockIo {
     pub fn new(driver: DiskDriver) -> Self {
         let ssz = driver.sector_size();
         assert!(BLOCK_SIZE.is_multiple_of(ssz), "sector size {ssz} must divide block size");
-        BlockIo { driver: driver.clone(), sectors_per_block: BLOCK_SIZE / ssz }
+        BlockIo { driver: driver.clone(), sectors_per_block: BLOCK_SIZE / ssz, pool: Rc::default() }
+    }
+
+    /// One block of zeroes, in a buffer from the pool when it has one.
+    pub fn lend_block(&self) -> Vec<u8> {
+        let mut buf = self.pool.take(BLOCK_SIZE as usize);
+        buf.resize(BLOCK_SIZE as usize, 0);
+        buf
+    }
+
+    /// A copy of `bytes`, in a buffer from the pool when it has one.
+    pub fn lend_copy(&self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.pool.take(bytes.len());
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    /// Gives a payload's buffer back to the pool (a simulated payload
+    /// has none).
+    pub fn recycle(&self, payload: Payload) {
+        if let Payload::Data(buf) = payload {
+            self.pool.give(buf);
+        }
     }
 
     /// The wrapped driver.
@@ -69,20 +153,22 @@ impl BlockIo {
             out.push(self.read_run(addr, n).await?);
             return Ok(());
         }
-        let reqs = runs
-            .iter()
-            .map(|&(addr, n)| {
-                let sectors = self.sectors_per_block * n;
-                (IoOp::Read, self.lba(addr), sectors, Payload::Simulated(0))
-            })
-            .collect();
+        let mut reqs = self.pool.requests();
+        reqs.extend(runs.iter().map(|&(addr, n)| {
+            let sectors = self.sectors_per_block * n;
+            (IoOp::Read, self.lba(addr), sectors, Payload::Simulated(0))
+        }));
         self.submit_all(reqs, |p| out.push(p)).await
     }
 
-    /// Writes one block.
+    /// Writes one block; the payload goes back to the pool once the
+    /// device has it.
     pub async fn write_block(&self, addr: BlockAddr, payload: Payload) -> LResult<()> {
         debug_assert!(addr.is_some());
-        self.driver.submit(IoOp::Write, self.lba(addr), self.sectors_per_block, payload).await?;
+        let lba = self.lba(addr);
+        let (done, _t) =
+            self.driver.submit(IoOp::Write, lba, self.sectors_per_block, payload).await?;
+        self.recycle(done);
         Ok(())
     }
 
@@ -90,7 +176,7 @@ impl BlockIo {
     /// of [`BlockIo::write_scatter`].
     pub async fn write_run(&self, start: BlockAddr, blocks: &[Payload]) -> LResult<()> {
         let reqs = self.coalesce((start.0..).map(BlockAddr).zip(blocks));
-        self.submit_all(reqs, drop).await
+        self.submit_all(reqs, |p| self.recycle(p)).await
     }
 
     /// Writes blocks at arbitrary addresses (scatter), coalescing
@@ -100,7 +186,7 @@ impl BlockIo {
     /// ordering semantics.
     pub async fn write_scatter(&self, blocks: Vec<(BlockAddr, Payload)>) -> LResult<()> {
         let reqs = self.coalesce(blocks.iter().map(|(addr, p)| (*addr, p)));
-        self.submit_all(reqs, drop).await
+        self.submit_all(reqs, |p| self.recycle(p)).await
     }
 
     /// The write coalescer: one request per run of blocks whose
@@ -108,12 +194,13 @@ impl BlockIo {
     /// (real-byte runs stay real; simulated runs stay length-only), so a
     /// big sequential write costs one controller overhead instead of one
     /// per block. A run is measured on a copy of the iterator before it
-    /// is consumed, so a real run's buffer is allocated once, at size.
+    /// is consumed, so a real run's buffer is taken from the pool once,
+    /// at size.
     fn coalesce<'a>(
         &self,
         mut blocks: impl Iterator<Item = (BlockAddr, &'a Payload)> + Clone,
     ) -> Vec<Request> {
-        let mut reqs = Vec::new();
+        let mut reqs = self.pool.requests();
         while let Some((start, first)) = blocks.clone().next() {
             let real = first.bytes().is_some();
             let n = blocks
@@ -122,7 +209,7 @@ impl BlockIo {
                 .take_while(|((addr, p), want)| addr.0 == *want && p.bytes().is_some() == real)
                 .count();
             let payload = if real {
-                let mut buf = Vec::with_capacity(n * BLOCK_SIZE as usize);
+                let mut buf = self.pool.take(n * BLOCK_SIZE as usize);
                 for (_, p) in blocks.by_ref().take(n) {
                     buf.extend_from_slice(p.bytes().expect("run is real"));
                     buf.resize(buf.len().next_multiple_of(BLOCK_SIZE as usize), 0);
@@ -138,21 +225,30 @@ impl BlockIo {
     }
 
     /// Sends `reqs` to the driver and hands each result's payload to
-    /// `each`, in order: one request through `submit`, more than one as
-    /// one `submit_batch`.
+    /// `each`, in order, up to the first error: one request through
+    /// `submit`, more than one as one batch. The emptied list goes back
+    /// to the pool.
     async fn submit_all(
         &self,
         mut reqs: Vec<Request>,
         mut each: impl FnMut(Payload),
     ) -> LResult<()> {
+        let mut failed = None;
         if reqs.len() > 1 {
-            for r in self.driver.submit_batch(reqs).await {
-                each(r?.0);
-            }
+            let note = |r: Result<_, _>| match r {
+                Ok((payload, _)) if failed.is_none() => each(payload),
+                Ok(_) => {}
+                Err(e) => _ = failed.get_or_insert(e),
+            };
+            self.driver.submit_batch(reqs.drain(..), note).await;
         } else if let Some((op, lba, sectors, payload)) = reqs.pop() {
-            each(self.driver.submit(op, lba, sectors, payload).await?.0);
+            match self.driver.submit(op, lba, sectors, payload).await {
+                Ok((payload, _)) => each(payload),
+                Err(e) => failed = Some(e),
+            }
         }
-        Ok(())
+        self.pool.requests.borrow_mut().push(reqs);
+        failed.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Extracts block `idx` of a multi-block payload as owned bytes.
@@ -179,6 +275,27 @@ mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
     use cnp_sim::Sim;
+
+    /// The pool lends every buffer empty: a lent block is zeroes
+    /// whatever its buffer held, and a block takes the smallest spare
+    /// that holds it, never a run's while a block-sized one is spare.
+    #[test]
+    fn a_lent_block_is_zeroes_whatever_its_buffer_held() {
+        let sim = Sim::new(5);
+        let driver =
+            sim_disk_driver(&sim.handle(), "d0", Box::new(Hp97560::new()), Box::new(CLook));
+        let io = BlockIo::new(driver);
+        let bs = BLOCK_SIZE as usize;
+        io.recycle(Payload::Data(vec![0xa5; 3 * bs]));
+        io.recycle(Payload::Data(vec![0x5a; bs]));
+        io.recycle(Payload::Data(vec![0x77; bs / 2]));
+        let block = io.lend_block();
+        assert_eq!((block.len(), block.capacity()), (bs, bs), "the block-sized spare");
+        assert!(block.iter().all(|&b| b == 0), "a lent block is zeroes");
+        let run = io.lend_copy(&vec![1; 2 * bs]);
+        assert_eq!(run.capacity(), 3 * bs, "the run's spare");
+        assert_eq!(run, vec![1; 2 * bs]);
+    }
 
     /// Depth decides how many commands are at the device, never what is
     /// sent: at 1 as at 2, consecutive blocks coalesce into one command,

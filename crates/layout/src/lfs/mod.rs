@@ -45,9 +45,9 @@ use crate::layout::{LayoutStats, RecoveryStats, StorageLayout};
 use crate::types::{block_slot, BlockAddr, BlockSlot, FileKind, Ino, BLOCK_SIZE, NINDIRECT};
 
 use structs::{
-    imap_from_blocks, imap_pack, imap_to_blocks, imap_unpack, summary_from_block, summary_to_block,
-    usage_from_blocks, usage_to_blocks, Checkpoint, SuperBlock, CKPT_ADDRS, DATA_START, IMAP_NONE,
-    SUM_MAX_ENTRIES,
+    imap_block_into, imap_from_blocks, imap_pack, imap_unpack, summary_from_block, summary_into,
+    summary_to_block, usage_block_into, usage_from_blocks, Checkpoint, SuperBlock, CKPT_ADDRS,
+    DATA_START, IMAP_NONE, IMAP_PER_BLOCK, SUM_MAX_ENTRIES, USAGE_PER_BLOCK,
 };
 
 /// Cleaner victim-selection policy.
@@ -85,7 +85,10 @@ impl Default for LfsParams {
     }
 }
 
-/// A sealed segment queued for its media write.
+/// A sealed segment queued for its media write. Once written, its
+/// payloads go back to the block pool and the record itself, with its
+/// summary buffer and payload list, waits for a later seal
+/// ([`SealShared::spare`]).
 struct PendingSeal {
     /// Segment index (excluded from free/victim selection while queued).
     seg: u32,
@@ -151,6 +154,9 @@ struct SealShared {
     /// points (the failed segment stays queued, so the battery-backed
     /// staging image still holds its blocks).
     failed: RefCell<Option<LayoutError>>,
+    /// Retired seals, emptied, that nothing else held (at most
+    /// [`SPARE_SEALS`]).
+    spare: RefCell<Vec<Rc<PendingSeal>>>,
 }
 
 impl SealShared {
@@ -197,16 +203,26 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
             let sp = h.trace_span("layout:seal");
             let r: LResult<()> = async {
                 io.write_run(BlockAddr(job.start + 1), &job.payloads).await?;
-                io.write_block(BlockAddr(job.start), Payload::Data(job.summary.clone())).await?;
+                // The queued summary stays readable (a crash capture
+                // exports it) until the write lands: send a pooled copy.
+                let summary = io.lend_copy(&job.summary);
+                io.write_block(BlockAddr(job.start), Payload::Data(summary)).await?;
                 Ok(())
             }
             .await;
             h.trace_exit(sp);
+            drop(job);
             match r {
                 Ok(()) => {
                     let retired = shared.pending.borrow_mut().pop_front();
-                    if let Some(p) = retired {
+                    if let Some(mut p) = retired {
                         shared.mark(p.seg, Queued::No);
+                        let mut spare = shared.spare.borrow_mut();
+                        if let (Some(seal), true) = (Rc::get_mut(&mut p), spare.len() < SPARE_SEALS)
+                        {
+                            seal.payloads.drain(..).for_each(|p| io.recycle(p));
+                            spare.push(p);
+                        }
                     }
                     shared.done.signal();
                 }
@@ -229,13 +245,12 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
 }
 
 /// An open (accumulating) packed-inode block in the current segment.
+/// Its bytes are its entry's payload, written in place as inodes land.
 struct OpenInodeBlock {
-    /// Index of the reserved payload slot in the current segment.
+    /// Index of its entry in the current segment.
     slot_idx: usize,
     /// Inode numbers by slot.
     inos: Vec<u64>,
-    /// Serialized content (patched into the segment at flush).
-    bytes: Vec<u8>,
 }
 
 /// The in-memory state of the current (unflushed) segment.
@@ -269,13 +284,22 @@ pub struct LfsLayout {
     cur: SegBuilder,
     /// Blocks holding the current on-disk checkpoint's imap/usage.
     ckpt_meta: Vec<u64>,
+    /// The imap and usage address lists of the last checkpoint written,
+    /// for the next one to fill.
+    ckpt_addrs: (Vec<u64>, Vec<u64>),
     /// Indirect-block cache: address → pointer table (log-immutable),
     /// shared, so a lookup through it copies no table.
     indirect: HashMap<u64, Rc<[u64]>>,
-    indirect_fifo: Vec<u64>,
-    /// The indirect table a write edits before appending it, kept so
-    /// the copy lands in storage the layout already has.
+    indirect_fifo: VecDeque<u64>,
+    /// The indirect table a write or a truncate edits before appending
+    /// it, kept so the copy lands in storage the layout already has.
     table_scratch: Vec<u64>,
+    /// The usage table a checkpoint projects before serializing it,
+    /// likewise.
+    usage_scratch: Vec<SegUsage>,
+    /// The slot list of the last closed packed-inode block, emptied,
+    /// for the next one.
+    spare_inos: Vec<u64>,
     cleaning: bool,
     mounted: bool,
     /// Inodes whose blocks the cleaner relocated since the last
@@ -297,6 +321,10 @@ pub struct LfsLayout {
 }
 
 const INDIRECT_CACHE_CAP: usize = 1024;
+
+/// Retired seal records kept for reuse: a checkpoint can queue two
+/// segments behind one still being written.
+const SPARE_SEALS: usize = 4;
 
 /// A post-checkpoint segment found by recovery: `(seq, seg, entries)`.
 type YoungSeg = (u64, u32, Vec<SumEntry>);
@@ -321,6 +349,7 @@ impl LfsLayout {
             work: Event::new(handle),
             done: Event::new(handle),
             failed: RefCell::new(None),
+            spare: RefCell::new(Vec::new()),
         });
         spawn_seal_writer(handle, io.clone(), seal.clone());
         LfsLayout {
@@ -337,9 +366,12 @@ impl LfsLayout {
             log_seq: 0,
             cur: SegBuilder { seg: 0, entries: Vec::new(), open_inode: None },
             ckpt_meta: Vec::new(),
+            ckpt_addrs: Default::default(),
             indirect: HashMap::new(),
-            indirect_fifo: Vec::new(),
+            indirect_fifo: VecDeque::new(),
             table_scratch: Vec::new(),
+            usage_scratch: Vec::new(),
+            spare_inos: Vec::new(),
             cleaning: false,
             mounted: false,
             relocated: std::collections::BTreeSet::new(),
@@ -510,14 +542,8 @@ impl LfsLayout {
         if self.cur.entries.is_empty() {
             return Ok(());
         }
-        // Finalize the open packed-inode block.
-        if let Some(open) = self.cur.open_inode.take() {
-            self.cur.entries[open.slot_idx].1 = Payload::Data(open.bytes);
-        }
-        let entries: Vec<SumEntry> = self.cur.entries.iter().map(|(e, _)| *e).collect();
+        self.close_open_inode();
         self.log_seq += 1;
-        let summary =
-            SegSummary { gen: self.sb.gen, epoch: self.epoch, seq: self.log_seq, entries };
         // The segment stays staged (its frames readable through
         // `staged_block`, its writes exported by `staged_writes`) until
         // the write lands.
@@ -525,18 +551,48 @@ impl LfsLayout {
         if let Some(e) = seal.failed.borrow().clone() {
             return Err(e);
         }
-        let payloads: Vec<Payload> = self.cur.entries.drain(..).map(|(_, p)| p).collect();
+        // A retired seal's record, summary buffer and payload list hold
+        // this one.
+        let spare = seal.spare.borrow_mut().pop();
+        let mut job = spare.unwrap_or_else(|| {
+            let summary = self.io.lend_block();
+            Rc::new(PendingSeal { seg: 0, start: 0, summary, payloads: Vec::new() })
+        });
+        let p = Rc::get_mut(&mut job).expect("a spare seal is unshared");
+        p.seg = self.cur.seg;
+        p.start = self.seg_start(self.cur.seg);
+        let header = [self.sb.gen, self.epoch, self.log_seq];
+        summary_into(&mut p.summary, header, self.cur.entries.iter().map(|(e, _)| *e));
+        p.payloads.extend(self.cur.entries.drain(..).map(|(_, p)| p));
         seal.mark(self.cur.seg, Queued::holding(self.usage[self.cur.seg as usize].live));
-        seal.pending.borrow_mut().push_back(Rc::new(PendingSeal {
-            seg: self.cur.seg,
-            start: self.seg_start(self.cur.seg),
-            summary: summary_to_block(&summary),
-            payloads,
-        }));
+        seal.pending.borrow_mut().push_back(job);
         seal.work.signal();
         self.stats.segments_written += 1;
         self.stats.meta_writes += 1; // Summary block.
         Ok(())
+    }
+
+    /// Closes the open packed-inode block, keeping its slot list for
+    /// the next one.
+    fn close_open_inode(&mut self) {
+        if let Some(open) = self.cur.open_inode.take() {
+            self.spare_inos = open.inos;
+            self.spare_inos.clear();
+        }
+    }
+
+    /// Writes `inode` into slot `slot` of the open packed-inode block,
+    /// entry `slot_idx` of the current segment, and points the inode map
+    /// at it.
+    fn put_open_slot(&mut self, slot_idx: usize, slot: usize, inode: &Inode) {
+        let Payload::Data(bytes) = &mut self.cur.entries[slot_idx].1 else {
+            unreachable!("a packed-inode block carries bytes")
+        };
+        let off = slot * INODE_SIZE;
+        bytes[off..off + INODE_SIZE].copy_from_slice(&inode.to_bytes());
+        let addr = self.payload_addr(self.cur.seg, slot_idx);
+        self.imap_set(inode.ino, imap_pack(addr, slot));
+        self.usage_add(self.cur.seg, INODE_SIZE as u32);
     }
 
     /// Waits until every sealed segment is on the media.
@@ -571,10 +627,7 @@ impl LfsLayout {
         if self.cur.entries.is_empty() {
             return queued;
         }
-        let mut entries: Vec<(SumEntry, Payload)> = self.cur.entries.clone();
-        if let Some(open) = &self.cur.open_inode {
-            entries[open.slot_idx].1 = Payload::Data(open.bytes.clone());
-        }
+        let entries: Vec<(SumEntry, Payload)> = self.cur.entries.clone();
         let summary = SegSummary {
             gen: self.sb.gen,
             epoch: self.epoch,
@@ -791,33 +844,43 @@ impl LfsLayout {
             }
         };
         // A staged indirect block (unflushed segment, or queued at the
-        // seal writer) is not on the media yet.
-        if let Some(p) = self.staged_block(addr) {
-            let bytes =
-                p.bytes().ok_or_else(|| LayoutError::Corrupt("staged indirect lost".into()))?;
-            return Ok(self.cache_indirect(addr, |t| decode(bytes, t)));
+        // seal writer) is not on the media yet: decode it where it is.
+        if let Some(real) = self.staged_block(addr, |p| p.bytes().is_some()) {
+            if !real {
+                return Err(LayoutError::Corrupt("staged indirect lost".into()));
+            }
+            let fill = |me: &Self, t: &mut [u64]| {
+                me.staged_block(addr, |p| decode(p.bytes().expect("checked real"), t));
+            };
+            return Ok(self.cache_indirect(addr, fill));
         }
         let payload = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
         let bytes =
             payload.bytes().ok_or_else(|| LayoutError::Corrupt("indirect block lost".into()))?;
-        Ok(self.cache_indirect(addr, |t| decode(bytes, t)))
+        let table = self.cache_indirect(addr, |_, t| decode(bytes, t));
+        self.io.recycle(payload);
+        Ok(table)
     }
 
     /// Caches the indirect table at `addr`, which `fill` writes over a
-    /// table of `NINDIRECT` slots, evicting the oldest entry first when
-    /// the cache is full. The evicted table's storage holds the new one
-    /// when nothing else still holds it, so a full cache allocates no
-    /// table.
-    fn cache_indirect(&mut self, addr: BlockAddr, fill: impl FnOnce(&mut [u64])) -> Rc<[u64]> {
+    /// table of `NINDIRECT` slots (it may read the layout, not change
+    /// it), evicting the oldest entry first when the cache is full. The
+    /// evicted table's storage holds the new one when nothing else still
+    /// holds it, so a full cache allocates no table.
+    fn cache_indirect(
+        &mut self,
+        addr: BlockAddr,
+        fill: impl FnOnce(&Self, &mut [u64]),
+    ) -> Rc<[u64]> {
         let mut spare = None;
         if self.indirect_fifo.len() >= INDIRECT_CACHE_CAP {
-            let evict = self.indirect_fifo.remove(0);
+            let evict = self.indirect_fifo.pop_front().expect("the cache is full");
             spare = self.indirect.remove(&evict).filter(|t| Rc::strong_count(t) == 1);
         }
         let mut table = spare.unwrap_or_else(|| (0..NINDIRECT).map(|_| 0).collect());
-        fill(Rc::get_mut(&mut table).expect("a fresh or unshared table"));
-        self.indirect_fifo.push(addr.0);
+        fill(self, Rc::get_mut(&mut table).expect("a fresh or unshared table"));
+        self.indirect_fifo.push_back(addr.0);
         self.indirect.insert(addr.0, table.clone());
         table
     }
@@ -826,14 +889,14 @@ impl LfsLayout {
     /// summary entry names the owner: that is how the cleaner finds the
     /// inode to ask whether the block is still live.
     async fn append_indirect(&mut self, ino: Ino, table: &[u64]) -> LResult<BlockAddr> {
-        let mut bytes = vec![0u8; BLOCK_SIZE as usize];
+        let mut bytes = self.io.lend_block();
         for (i, v) in table.iter().enumerate() {
             crate::types::codec::put_u64(&mut bytes, i * 8, *v);
         }
         let entry = SumEntry::Indirect { ino: ino.0 };
         let addr = self.append_block(entry, Payload::Data(bytes)).await?;
         self.stats.meta_writes += 1;
-        self.cache_indirect(addr, |t| t.copy_from_slice(table));
+        self.cache_indirect(addr, |_, t| t.copy_from_slice(table));
         Ok(addr)
     }
 
@@ -844,15 +907,10 @@ impl LfsLayout {
             self.supersede(old_addr, INODE_SIZE as u32);
         }
         // Overwrite in the open block if this ino is already there.
-        let cur_seg = self.cur.seg;
-        if let Some(open) = &mut self.cur.open_inode {
+        if let Some(open) = &self.cur.open_inode {
             if let Some(slot) = open.inos.iter().position(|&i| i == inode.ino.0) {
-                let off = slot * INODE_SIZE;
-                open.bytes[off..off + INODE_SIZE].copy_from_slice(&inode.to_bytes());
                 let slot_idx = open.slot_idx;
-                let addr = self.payload_addr(cur_seg, slot_idx);
-                self.imap_set(inode.ino, imap_pack(addr, slot));
-                self.usage_add(cur_seg, INODE_SIZE as u32);
+                self.put_open_slot(slot_idx, slot, inode);
                 return Ok(());
             }
         }
@@ -861,70 +919,54 @@ impl LfsLayout {
             Some(open) => open.inos.len() >= INODES_PER_BLOCK,
         };
         if need_new {
-            // Finalize the previous open inode block first: its bytes
-            // must land in its reserved entry or they would flush empty.
-            if let Some(old) = self.cur.open_inode.take() {
-                self.cur.entries[old.slot_idx].1 = Payload::Data(old.bytes);
-            }
-            // Reserve a payload slot; bytes are patched at flush time.
+            self.close_open_inode();
+            // A zeroed block from the pool, written in place from here.
             let before_seg = self.cur.seg;
-            let _addr = self.append_block(SumEntry::InodeBlock, Payload::Data(Vec::new())).await?;
+            let block = Payload::Data(self.io.lend_block());
+            let _addr = self.append_block(SumEntry::InodeBlock, block).await?;
             // `append_block` may have rolled the segment; the new block
             // lives in the (possibly new) current segment's last slot.
             debug_assert!(self.cur.seg == before_seg || self.cur.entries.len() == 1);
             let slot_idx = self.cur.entries.len() - 1;
-            self.cur.open_inode = Some(OpenInodeBlock {
-                slot_idx,
-                inos: Vec::new(),
-                bytes: vec![0u8; BLOCK_SIZE as usize],
-            });
+            let inos = std::mem::take(&mut self.spare_inos);
+            self.cur.open_inode = Some(OpenInodeBlock { slot_idx, inos });
             self.stats.meta_writes += 1;
         }
-        let cur_seg = self.cur.seg;
         let open = self.cur.open_inode.as_mut().expect("just ensured");
-        let slot = open.inos.len();
+        let (slot_idx, slot) = (open.slot_idx, open.inos.len());
         open.inos.push(inode.ino.0);
-        let off = slot * INODE_SIZE;
-        open.bytes[off..off + INODE_SIZE].copy_from_slice(&inode.to_bytes());
-        let slot_idx = open.slot_idx;
-        let addr = self.payload_addr(cur_seg, slot_idx);
-        self.imap_set(inode.ino, imap_pack(addr, slot));
-        self.usage_add(cur_seg, INODE_SIZE as u32);
+        self.put_open_slot(slot_idx, slot, inode);
         self.stats.meta_writes += 1;
         Ok(())
     }
 
-    /// Reads the slot-`slot` inode from the block at `addr`, consulting
-    /// the unflushed open inode block first.
+    /// Reads the slot-`slot` inode from the block at `addr`.
     async fn read_inode_at(&mut self, addr: BlockAddr, slot: usize) -> LResult<Inode> {
-        if let Some(open) = &self.cur.open_inode {
-            if self.payload_addr(self.cur.seg, open.slot_idx) == addr {
-                let off = slot * INODE_SIZE;
-                return Inode::from_bytes(&open.bytes[off..off + INODE_SIZE])
-                    .ok_or_else(|| LayoutError::Corrupt("open inode slot".into()));
-            }
-        }
-        // The block may still be staged: in the unflushed segment, or in
-        // one queued at the seal writer.
-        if let Some(p) = self.staged_block(addr) {
-            if let Some(bytes) = p.bytes() {
-                let off = slot * INODE_SIZE;
-                if bytes.len() < off + INODE_SIZE {
-                    return Err(LayoutError::Corrupt(format!(
-                        "staged inode block at {addr} too short"
-                    )));
+        // The block may still be staged: the open packed-inode block, or
+        // another in the unflushed segment or in one queued at the seal
+        // writer. Decode it where it is.
+        let off = slot * INODE_SIZE;
+        let staged = |p: &Payload| {
+            let bytes = p.bytes()?;
+            Some(match bytes.get(off..off + INODE_SIZE) {
+                None => {
+                    Err(LayoutError::Corrupt(format!("staged inode block at {addr} too short")))
                 }
-                return Inode::from_bytes(&bytes[off..off + INODE_SIZE])
-                    .ok_or_else(|| LayoutError::Corrupt("staged inode slot".into()));
-            }
+                Some(bytes) => Inode::from_bytes(bytes)
+                    .ok_or_else(|| LayoutError::Corrupt("staged inode slot".into())),
+            })
+        };
+        if let Some(inode) = self.staged_block(addr, staged).flatten() {
+            return inode;
         }
         let payload = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
         let bytes =
             payload.bytes().ok_or_else(|| LayoutError::Corrupt("inode block lost".into()))?;
-        let off = slot * INODE_SIZE;
-        Inode::from_bytes(&bytes[off..off + INODE_SIZE])
-            .ok_or_else(|| LayoutError::Corrupt(format!("bad inode at {addr}/{slot}")))
+        let inode = Inode::from_bytes(&bytes[off..off + INODE_SIZE])
+            .ok_or_else(|| LayoutError::Corrupt(format!("bad inode at {addr}/{slot}")));
+        self.io.recycle(payload);
+        inode
     }
 
     /// Takes a checkpoint: push imap + usage into the log, then write the
@@ -942,21 +984,28 @@ impl LfsLayout {
             self.roll_segment()?;
         }
         // Supersede the previous checkpoint's metadata blocks.
-        let old = std::mem::take(&mut self.ckpt_meta);
-        for a in old {
+        let mut meta = std::mem::take(&mut self.ckpt_meta);
+        for &a in &meta {
             self.supersede(BlockAddr(a), BLOCK_SIZE);
         }
-        // Append imap blocks.
-        let mut imap_addrs = Vec::new();
-        for block in imap_to_blocks(&self.imap) {
+        meta.clear();
+        // Append imap blocks, each encoded into a pooled buffer.
+        let (mut imap_addrs, mut usage_addrs) = std::mem::take(&mut self.ckpt_addrs);
+        imap_addrs.clear();
+        usage_addrs.clear();
+        for i in 0..self.imap.len().div_ceil(IMAP_PER_BLOCK) {
+            let mut block = self.io.lend_block();
+            imap_block_into(&mut block, &self.imap, i);
             let addr = self.append_block(SumEntry::Imap, Payload::Data(block)).await?;
             self.stats.meta_writes += 1;
             imap_addrs.push(addr.0);
         }
         // Pre-account the usage blocks we are about to append so the
         // serialized table includes them (approximately; see module docs).
-        let n_usage = self.usage.len().div_ceil(structs::USAGE_PER_BLOCK);
-        let mut projected = self.usage.clone();
+        let n_usage = self.usage.len().div_ceil(USAGE_PER_BLOCK);
+        let mut projected = std::mem::take(&mut self.usage_scratch);
+        projected.clear();
+        projected.extend_from_slice(&self.usage);
         let mut slots_left = self.payload_per_seg() as usize - self.cur.entries.len();
         let mut seg = self.cur.seg as usize;
         for _ in 0..n_usage {
@@ -969,12 +1018,14 @@ impl LfsLayout {
             projected[seg].live += BLOCK_SIZE;
             slots_left -= 1;
         }
-        let mut usage_addrs = Vec::new();
-        for block in usage_to_blocks(&projected) {
+        for i in 0..n_usage {
+            let mut block = self.io.lend_block();
+            usage_block_into(&mut block, &projected, i);
             let addr = self.append_block(SumEntry::Usage, Payload::Data(block)).await?;
             self.stats.meta_writes += 1;
             usage_addrs.push(addr.0);
         }
+        self.usage_scratch = projected;
         // Metadata must be durable before the checkpoint references it —
         // including any segments still queued at the seal writer.
         self.flush_current()?;
@@ -987,7 +1038,8 @@ impl LfsLayout {
         // before the checkpoint below is durable.
         self.protected_segs.clear();
         self.cur.seg = self.pick_free_segment()?;
-        self.ckpt_meta = imap_addrs.iter().chain(usage_addrs.iter()).copied().collect();
+        meta.extend(imap_addrs.iter().chain(&usage_addrs));
+        self.ckpt_meta = meta;
         self.ckpt_seq += 1;
         let ckpt = Checkpoint {
             seq: self.ckpt_seq,
@@ -999,7 +1051,10 @@ impl LfsLayout {
             usage_addrs,
         };
         let region = CKPT_ADDRS[(self.ckpt_seq % 2) as usize];
-        self.io.write_block(region, Payload::Data(ckpt.to_block())).await?;
+        let mut block = self.io.lend_block();
+        ckpt.to_block_into(&mut block);
+        self.ckpt_addrs = (ckpt.imap_addrs, ckpt.usage_addrs);
+        self.io.write_block(region, Payload::Data(block)).await?;
         self.stats.meta_writes += 1;
         self.stats.checkpoints += 1;
         Ok(())
@@ -1251,26 +1306,19 @@ impl StorageLayout for LfsLayout {
         self.staged_writes()
     }
 
-    fn staged_block(&self, addr: BlockAddr) -> Option<Payload> {
+    fn staged_block<T>(&self, addr: BlockAddr, read: impl FnOnce(&Payload) -> T) -> Option<T> {
         let seg_start = self.seg_start(self.cur.seg);
         if addr.0 > seg_start && addr.0 <= seg_start + self.payload_per_seg() as u64 {
             let idx = (addr.0 - seg_start - 1) as usize;
             if idx < self.cur.entries.len() {
-                // The open inode block's entry holds a placeholder; its
-                // live bytes are in `open_inode`.
-                if let Some(open) = &self.cur.open_inode {
-                    if open.slot_idx == idx {
-                        return Some(Payload::Data(open.bytes.clone()));
-                    }
-                }
-                return Some(self.cur.entries[idx].1.clone());
+                return Some(read(&self.cur.entries[idx].1));
             }
         }
         // Sealed segments still queued at the writer serve reads from
         // staging until their media write lands.
         for p in self.seal.pending.borrow().iter() {
             if addr.0 > p.start && addr.0 <= p.start + p.payloads.len() as u64 {
-                return Some(p.payloads[(addr.0 - p.start - 1) as usize].clone());
+                return Some(read(&p.payloads[(addr.0 - p.start - 1) as usize]));
             }
         }
         None
@@ -1280,7 +1328,7 @@ impl StorageLayout for LfsLayout {
         let Some(addr) = self.map_block(inode, blk).await? else { return Ok(None) };
         // Serve from staging if the block has not reached the media yet
         // (the open segment, or one queued at the seal writer).
-        if let Some(p) = self.staged_block(addr) {
+        if let Some(p) = self.staged_block(addr, Payload::clone) {
             return Ok(Some(p));
         }
         self.stats.data_reads += 1;
@@ -1633,7 +1681,10 @@ impl LfsLayout {
             let keep_indirect = new_blocks > crate::types::NDIRECT as u64;
             let table = self.load_indirect(inode.indirect).await?;
             let first_dead = new_blocks.saturating_sub(crate::types::NDIRECT as u64) as usize;
-            let mut new_table = table.to_vec();
+            // The edited copy lands in the write path's scratch table.
+            let mut new_table = std::mem::take(&mut self.table_scratch);
+            new_table.clear();
+            new_table.extend_from_slice(&table);
             let mut changed = false;
             for (s, v) in table.iter().enumerate() {
                 if s >= first_dead && *v != BlockAddr::NONE.0 {
@@ -1650,6 +1701,7 @@ impl LfsLayout {
                 self.supersede(inode.indirect, BLOCK_SIZE);
                 inode.indirect = addr;
             }
+            self.table_scratch = new_table;
         }
         inode.size = new_blocks * BLOCK_SIZE as u64;
         inode.mtime = self.now_ns();

@@ -141,20 +141,38 @@ pub struct SegSummary {
 
 /// Serializes a segment summary to one checksummed block.
 pub fn summary_to_block(summary: &SegSummary) -> Vec<u8> {
-    debug_assert!(summary.entries.len() <= SUM_MAX_ENTRIES);
-    let mut b = vec![0u8; BLOCK_SIZE as usize];
-    put_u32(&mut b, 0, SUM_MAGIC);
-    put_u32(&mut b, 4, summary.entries.len() as u32);
-    put_u64(&mut b, 8, summary.gen);
-    put_u64(&mut b, 16, summary.epoch);
-    put_u64(&mut b, 24, summary.seq);
-    for (i, e) in summary.entries.iter().enumerate() {
+    let mut b = Vec::new();
+    let SegSummary { gen, epoch, seq, ref entries } = *summary;
+    summary_into(&mut b, [gen, epoch, seq], entries.iter().copied());
+    b
+}
+
+/// Serializes a segment summary — `[gen, epoch, seq]` and the entries
+/// in slot order — over `b`, which becomes one checksummed block.
+pub fn summary_into(
+    b: &mut Vec<u8>,
+    [gen, epoch, seq]: [u64; 3],
+    entries: impl ExactSizeIterator<Item = SumEntry>,
+) {
+    debug_assert!(entries.len() <= SUM_MAX_ENTRIES);
+    zeroed_block(b);
+    put_u32(b, 0, SUM_MAGIC);
+    put_u32(b, 4, entries.len() as u32);
+    put_u64(b, 8, gen);
+    put_u64(b, 16, epoch);
+    put_u64(b, 24, seq);
+    for (i, e) in entries.enumerate() {
         let off = SUM_HEADER + i * SUM_ENTRY_SIZE;
         e.encode(&mut b[off..off + SUM_ENTRY_SIZE]);
     }
     let sum = checksum(&b[..BLOCK_SIZE as usize - 8]);
-    put_u64(&mut b, BLOCK_SIZE as usize - 8, sum);
-    b
+    put_u64(b, BLOCK_SIZE as usize - 8, sum);
+}
+
+/// Makes `b` one block of zeroes, in the storage it has.
+fn zeroed_block(b: &mut Vec<u8>) {
+    b.clear();
+    b.resize(BLOCK_SIZE as usize, 0);
 }
 
 /// Parses and validates a segment summary block.
@@ -191,21 +209,16 @@ pub struct SegUsage {
 /// Entries per usage-table block.
 pub const USAGE_PER_BLOCK: usize = (BLOCK_SIZE as usize - 8) / 12;
 
-/// Serializes the usage table into blocks.
-pub fn usage_to_blocks(usage: &[SegUsage]) -> Vec<Vec<u8>> {
-    usage
-        .chunks(USAGE_PER_BLOCK)
-        .map(|chunk| {
-            let mut b = vec![0u8; BLOCK_SIZE as usize];
-            put_u32(&mut b, 0, chunk.len() as u32);
-            for (i, u) in chunk.iter().enumerate() {
-                let off = 8 + i * 12;
-                put_u32(&mut b, off, u.live);
-                put_u64(&mut b, off + 4, u.mtime);
-            }
-            b
-        })
-        .collect()
+/// Serializes block `i` of the usage table over `b`.
+pub fn usage_block_into(b: &mut Vec<u8>, usage: &[SegUsage], i: usize) {
+    let chunk = &usage[i * USAGE_PER_BLOCK..usage.len().min((i + 1) * USAGE_PER_BLOCK)];
+    zeroed_block(b);
+    put_u32(b, 0, chunk.len() as u32);
+    for (i, u) in chunk.iter().enumerate() {
+        let off = 8 + i * 12;
+        put_u32(b, off, u.live);
+        put_u64(b, off + 4, u.mtime);
+    }
 }
 
 /// Parses usage blocks back into a table.
@@ -237,21 +250,14 @@ pub fn imap_unpack(v: u64) -> (BlockAddr, usize) {
     (BlockAddr(v / 16), (v % 16) as usize)
 }
 
-/// Serializes the inode map into blocks.
-pub fn imap_to_blocks(imap: &[u64]) -> Vec<Vec<u8>> {
-    if imap.is_empty() {
-        return Vec::new();
+/// Serializes block `i` of the inode map over `b`.
+pub fn imap_block_into(b: &mut Vec<u8>, imap: &[u64], i: usize) {
+    let chunk = &imap[i * IMAP_PER_BLOCK..imap.len().min((i + 1) * IMAP_PER_BLOCK)];
+    zeroed_block(b);
+    put_u32(b, 0, chunk.len() as u32);
+    for (i, v) in chunk.iter().enumerate() {
+        put_u64(b, 8 + i * 8, *v);
     }
-    imap.chunks(IMAP_PER_BLOCK)
-        .map(|chunk| {
-            let mut b = vec![0u8; BLOCK_SIZE as usize];
-            put_u32(&mut b, 0, chunk.len() as u32);
-            for (i, v) in chunk.iter().enumerate() {
-                put_u64(&mut b, 8 + i * 8, *v);
-            }
-            b
-        })
-        .collect()
 }
 
 /// Parses inode-map blocks.
@@ -288,31 +294,31 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes to one block with a trailing checksum.
+    /// Serializes over `b`, which becomes one block with a trailing
+    /// checksum.
     ///
     /// # Panics
     ///
     /// Panics if the address lists do not fit one block (≈ 500 entries;
     /// enough for > 250 k inodes).
-    pub fn to_block(&self) -> Vec<u8> {
-        let mut b = vec![0u8; BLOCK_SIZE as usize];
-        put_u32(&mut b, 0, CKPT_MAGIC);
-        put_u64(&mut b, 8, self.seq);
-        put_u64(&mut b, 16, self.next_ino);
-        put_u32(&mut b, 24, self.imap_addrs.len() as u32);
-        put_u32(&mut b, 28, self.usage_addrs.len() as u32);
-        put_u64(&mut b, 32, self.gen);
-        put_u64(&mut b, 40, self.epoch);
-        put_u64(&mut b, 48, self.log_seq);
+    pub fn to_block_into(&self, b: &mut Vec<u8>) {
+        zeroed_block(b);
+        put_u32(b, 0, CKPT_MAGIC);
+        put_u64(b, 8, self.seq);
+        put_u64(b, 16, self.next_ino);
+        put_u32(b, 24, self.imap_addrs.len() as u32);
+        put_u32(b, 28, self.usage_addrs.len() as u32);
+        put_u64(b, 32, self.gen);
+        put_u64(b, 40, self.epoch);
+        put_u64(b, 48, self.log_seq);
         let mut off = 56;
         for &a in self.imap_addrs.iter().chain(self.usage_addrs.iter()) {
             assert!(off + 8 <= BLOCK_SIZE as usize - 8, "checkpoint overflow");
-            put_u64(&mut b, off, a);
+            put_u64(b, off, a);
             off += 8;
         }
         let sum = checksum(&b[..BLOCK_SIZE as usize - 8]);
-        put_u64(&mut b, BLOCK_SIZE as usize - 8, sum);
-        b
+        put_u64(b, BLOCK_SIZE as usize - 8, sum);
     }
 
     /// Parses and validates a checkpoint block; `None` if invalid.
@@ -379,6 +385,24 @@ fn checksum(data: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
+    /// The usage table as blocks, each serialized into a new buffer.
+    fn usage_to_blocks(usage: &[SegUsage]) -> Vec<Vec<u8>> {
+        let n = usage.len().div_ceil(USAGE_PER_BLOCK);
+        (0..n).map(|i| into_new(|b| usage_block_into(b, usage, i))).collect()
+    }
+
+    /// The inode map as blocks, likewise.
+    fn imap_to_blocks(imap: &[u64]) -> Vec<Vec<u8>> {
+        let n = imap.len().div_ceil(IMAP_PER_BLOCK);
+        (0..n).map(|i| into_new(|b| imap_block_into(b, imap, i))).collect()
+    }
+
+    fn into_new(serialize: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut b = Vec::new();
+        serialize(&mut b);
+        b
+    }
+
     #[test]
     fn checksum_equals_the_byte_by_byte_fnv1a() {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -426,6 +450,9 @@ mod tests {
         let s = SegSummary { gen: 99, epoch: 3, seq: 41, entries };
         let b = summary_to_block(&s);
         assert_eq!(summary_from_block(&b).unwrap(), s);
+        let mut reused = vec![0xa5; BLOCK_SIZE as usize];
+        summary_into(&mut reused, [99, 3, 41], s.entries.iter().copied());
+        assert_eq!(reused, b, "a used buffer serializes like a new one");
     }
 
     #[test]
@@ -457,6 +484,9 @@ mod tests {
         let blocks = usage_to_blocks(&usage);
         assert!(blocks.len() >= 2, "700 entries need multiple blocks");
         assert_eq!(usage_from_blocks(&blocks), usage);
+        let mut reused = vec![0xa5; BLOCK_SIZE as usize / 2];
+        usage_block_into(&mut reused, &usage, 1);
+        assert_eq!(reused, blocks[1], "a used buffer serializes like a new one");
     }
 
     #[test]
@@ -465,6 +495,9 @@ mod tests {
             (0..1200).map(|i| if i % 3 == 0 { IMAP_NONE } else { i * 11 }).collect();
         let blocks = imap_to_blocks(&imap);
         assert_eq!(imap_from_blocks(&blocks), imap);
+        let mut reused = vec![0xa5; BLOCK_SIZE as usize];
+        imap_block_into(&mut reused, &imap, 2);
+        assert_eq!(reused, blocks[2], "a used buffer serializes like a new one");
         assert!(imap_to_blocks(&[]).is_empty());
     }
 
@@ -486,7 +519,11 @@ mod tests {
             imap_addrs: vec![10, 11, 12],
             usage_addrs: vec![20, 21],
         };
-        let mut b = c.to_block();
+        let mut b = into_new(|b| c.to_block_into(b));
+        // Serialized over a used buffer, the block is the same.
+        let mut reused = vec![0xa5; 2 * BLOCK_SIZE as usize];
+        c.to_block_into(&mut reused);
+        assert_eq!(reused, b);
         assert_eq!(Checkpoint::from_block(&b), Some(c));
         // Corrupt one byte: checksum must reject.
         b[40] ^= 0xff;

@@ -104,7 +104,7 @@ pub enum NfsStat {
 
 pub(crate) fn status_of(e: &FsError) -> NfsStat {
     match e {
-        FsError::NotFound(_) => NfsStat::NoEnt,
+        FsError::NotFound => NfsStat::NoEnt,
         FsError::Exists(_) => NfsStat::Exist,
         FsError::NotADirectory(_) => NfsStat::NotDir,
         FsError::IsADirectory(_) => NfsStat::IsDir,

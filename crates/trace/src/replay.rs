@@ -438,7 +438,7 @@ async fn apply_op(
                 let _ = fs.close(ino).await;
             }
             match fs.unlink(path).await {
-                Ok(()) | Err(FsError::NotFound(_)) => Ok(()),
+                Ok(()) | Err(FsError::NotFound) => Ok(()),
                 Err(e) => Err(e),
             }
         }
@@ -450,7 +450,7 @@ async fn apply_op(
         TraceOp::Stat { path } => match fs.stat(path).await {
             Ok(_) => Ok(()),
             // Stat chatter may race deletes: treat missing as served.
-            Err(FsError::NotFound(_)) => Ok(()),
+            Err(FsError::NotFound) => Ok(()),
             Err(e) => Err(e),
         },
     }
@@ -466,7 +466,7 @@ async fn ensure_open(
     }
     let ino = match fs.open(path).await {
         Ok(ino) => ino,
-        Err(FsError::NotFound(_)) => {
+        Err(FsError::NotFound) => {
             match fs.create(path, FileKind::Regular).await {
                 Ok(ino) => ino,
                 // Another client raced the create.

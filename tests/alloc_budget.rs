@@ -6,9 +6,12 @@
 //! A lookup scans the packed bytes where they sit (one gathered copy if
 //! the directory spans several blocks); a create or unlink moves one
 //! record in one gathered copy, and that copy is the buffer that moves
-//! into the cache frame. Nothing builds a listing, and a single-block
-//! directory nobody rewrites is validated twice and then looked up in
-//! place for nothing.
+//! into the cache frame, while the bytes the frame held become the next
+//! gather's spare. Nothing builds a listing, a miss names no path, and a
+//! single-block directory nobody rewrites is validated twice and then
+//! looked up in place for nothing, found or not. A create and an unlink
+//! in it allocate nothing: the new file's record is the one the unlink
+//! let go of.
 //!
 //! The block cache: what a flush pick allocates depends on what it
 //! *picks*, never on how much is *dirty*, and once its list has come back
@@ -21,9 +24,15 @@
 //! its blocks do — nothing for a resident block off-line, nothing for a
 //! missing one at queue depth 1 (its in-flight event is reused) — and
 //! nothing for the call, at any queue depth: a write's window of block
-//! commits lives in a list the engine reuses. A flush batch allocates
+//! commits lives in a list the engine reuses; a file that grows in one
+//! write regrows its index list at most once. A flush batch allocates
 //! the same whatever its length: its key and payload lists are pooled,
 //! and the log edits a file's indirect table in a scratch copy.
+//!
+//! The log: once warm, a sealed segment and a checkpoint ask for no
+//! block-sized buffer — metadata blocks, summaries, run buffers and
+//! write payloads go round the stack's block pool — and building,
+//! formatting and dropping a stack costs a pinned count.
 //!
 //! The platter store: a block-sized write costs its frame, a captured
 //! image its table of frame pointers, a simulated write nothing — never
@@ -183,8 +192,8 @@ fn name_path_cost_follows_blocks_not_entries() {
         let block_read = stat_of("/small".into()).await - stat_of("/".into()).await;
         assert_eq!(
             stat_many - stat_small,
-            block_read + 1,
-            "a second directory block costs its read and one gather buffer, nothing else"
+            block_read,
+            "a second directory block costs its read, nothing else: the gather buffer is a spare"
         );
 
         // create + unlink of one more name.
@@ -230,24 +239,29 @@ fn an_unchanged_directory_is_looked_up_in_place_and_a_rewrite_keeps_one_buffer()
             fs.lookup("/small/no-such-file").await.unwrap_err();
             per_call.push(allocs() - before);
         }
-        // One `String` in the `NotFound` of the missing name.
-        assert_eq!(per_call[2..], [1; 4], "lookups of unchanged directories: {per_call:?}");
+        // `NotFound` names no path, so the miss costs nothing either.
+        assert_eq!(per_call[2..], [0; 4], "lookups of unchanged directories: {per_call:?}");
 
-        // A create in a single-block directory: the block-sized buffers
-        // it asks for are the gathered copy of the directory, which
-        // then moves into the cache frame, and nothing else; an unlink
-        // likewise.
+        // A create in a single-block directory gathers the directory
+        // into a spare buffer, which moves into the cache frame; the
+        // bytes the frame held become the next spare. So it asks for no
+        // block-sized buffer, and an unlink likewise.
         let mut create = u64::MAX;
         let mut unlink = u64::MAX;
+        let mut churn = u64::MAX;
         for _ in 0..5 {
-            let before = block_allocs();
+            let (before, all) = (block_allocs(), allocs());
             fs.create("/small/one-more", FileKind::Regular).await.unwrap();
             create = create.min(block_allocs() - before);
             let before = block_allocs();
             fs.unlink("/small/one-more").await.unwrap();
             unlink = unlink.min(block_allocs() - before);
+            churn = churn.min(allocs() - all);
         }
-        assert_eq!((create, unlink), (1, 1), "block-sized buffers of a create and of an unlink");
+        assert_eq!((create, unlink), (0, 0), "block-sized buffers of a create and of an unlink");
+        // Nor anything else: the created file's in-memory record is the
+        // one the last unlink let go of.
+        assert_eq!(churn, 0, "a create and an unlink in a single-block directory");
         fs.shutdown();
     });
 }
@@ -518,6 +532,77 @@ fn a_flush_batch_costs_the_same_whatever_its_length() {
     assert!(floors.iter().all(|&(_, f)| f == one), "syncs of n dirty blocks allocated {floors:?}");
 }
 
+#[test]
+fn a_sealed_segment_and_a_checkpoint_ask_for_no_block_sized_buffer() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    // Each round dirties more blocks than a segment holds (127 payload
+    // slots), so the sync's write fills and seals one and then seals the
+    // rest and takes a checkpoint. Their summaries, inode, indirect,
+    // imap, usage and checkpoint blocks and the seal writer's run
+    // buffers come from the stack's block pool, and every write's
+    // completion hands its buffer back to it.
+    with_file(8, 1024, 12, |fs, ino| async move {
+        let mut per_round = Vec::new();
+        for _ in 0..6 {
+            let before = block_allocs();
+            fs.write(ino, 0, 200 * BS, None).await.unwrap();
+            fs.sync().await.unwrap();
+            per_round.push(block_allocs() - before);
+        }
+        let sealed = fs.layout_stats().expect("an idle layout").segments_written;
+        assert!(sealed >= 12, "every round seals two segments: {sealed} in all");
+        // The first rounds fill the pool.
+        assert_eq!(per_round[2..], [0; 4], "block-sized buffers a round: {per_round:?}");
+    });
+}
+
+#[test]
+fn a_file_that_grows_in_one_write_regrows_its_index_list_at_most_once() {
+    const BS: u64 = BLOCK_SIZE as u64;
+    // A write makes room in its file's index list for the blocks it
+    // adds before committing any, so 64 new blocks cost one list (a
+    // list grown push by push regrows 4, 8, 16, 32, 64), and a file of
+    // three blocks grown to 64 regrows it once.
+    with_file(8, 1024, 1, |fs, _| async move {
+        let mut grown = Vec::new();
+        for i in 0..4 {
+            let ino = fs.create(&format!("/new{i}"), FileKind::Regular).await.unwrap();
+            let before = allocs();
+            fs.write(ino, 0, 64 * BS, None).await.unwrap();
+            let new = allocs() - before;
+            let ino = fs.create(&format!("/small{i}"), FileKind::Regular).await.unwrap();
+            fs.write(ino, 0, 3 * BS, None).await.unwrap();
+            let before = allocs();
+            fs.write(ino, 3 * BS, 61 * BS, None).await.unwrap();
+            grown.push((new, allocs() - before));
+        }
+        assert!(
+            grown[1..].iter().all(|&(new, grow)| new <= 1 && grow <= 1),
+            "allocations of a 64-block write to a new file and of 61 blocks more: {grown:?}"
+        );
+    });
+}
+
+#[test]
+fn building_formatting_and_dropping_an_lfs_stack_costs_a_pinned_count() {
+    // What the crash checker pays per cell before its first op: a sim,
+    // a disk, an LFS and an engine, formatted and dropped. The pools
+    // start empty, so they cost only what a format puts through them.
+    let before = allocs();
+    {
+        let sim = Sim::new(7);
+        let h = sim.handle();
+        let driver = sim_disk_driver(&h, "d0", Box::new(Hp97560::new()), Box::new(CLook));
+        let layout = Layout::Lfs(LfsLayout::new(&h, driver, LfsParams::default()));
+        let fs = FileSystem::new(&h, layout, FsConfig::default());
+        sim.block_on("alloc-budget", async move {
+            fs.format().await.unwrap();
+            fs.shutdown();
+        });
+    }
+    assert_eq!(allocs() - before, 137, "a stack built, formatted and dropped");
+}
+
 /// One fault-free HP 97560 behind C-LOOK: its platter starts from
 /// `image`, its bus and controller options are `attach`'s if given.
 fn hp97560(
@@ -698,9 +783,7 @@ fn a_batch_of_disk_commands_costs_the_same_whatever_its_length() {
                     .map(|block| (IoOp::Write, block * 8, 8, Payload::Simulated(BLOCK_SIZE)))
                     .collect();
                 async move {
-                    for done in driver.submit_batch(reqs).await {
-                        assert!(done.is_ok());
-                    }
+                    driver.submit_batch(reqs, |done| assert!(done.is_ok())).await;
                     h.sleep(SimDuration::from_millis(100)).await;
                 }
             })
@@ -708,8 +791,8 @@ fn a_batch_of_disk_commands_costs_the_same_whatever_its_length() {
         // Warm-up: the driver's queue reaches 16 commands.
         batch_cost(16).await;
         let (two, sixteen) = (batch_cost(2).await, batch_cost(16).await);
-        // The receivers' list, the join's list and the results: no box
-        // per command.
+        // The batch waits in a list the driver reuses: no box per
+        // command.
         assert_eq!(sixteen, two, "16 simulated commands against 2");
     });
 }
