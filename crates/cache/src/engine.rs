@@ -14,6 +14,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
+use cnp_disk::Block;
 use cnp_sim::{SimDuration, SimTime};
 
 use crate::flush::{CacheQuery, FlushPolicy};
@@ -65,8 +66,11 @@ struct Frame {
     access_count: u64,
     /// The last `min(access_count, HISTORY)` access times, newest last.
     history: [SimTime; HISTORY],
-    /// Real block bytes on-line; `None` for simulated user data.
-    data: Option<Vec<u8>>,
+    /// Real block bytes on-line; `None` for simulated user data. The
+    /// block is shared with the flush that writes it, the log and the
+    /// platter: a write replaces it, or writes through
+    /// [`cnp_disk::Block::make_mut`], never in place under another owner.
+    data: Option<Block>,
     /// Names what `data` holds: drawn from the cache's one counter
     /// whenever `data` is assigned, so equal stamps mean equal bytes.
     content: u64,
@@ -85,7 +89,7 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(key: BlockKey, data: Option<Vec<u8>>, content: u64) -> Frame {
+    fn new(key: BlockKey, data: Option<Block>, content: u64) -> Frame {
         Frame {
             key,
             state: BlockState::Clean,
@@ -454,18 +458,34 @@ impl BlockCache {
         self.frame_of(key)
     }
 
-    /// Returns the block bytes of a resident frame (None if simulated).
-    pub fn data(&self, frame: u32) -> Option<&[u8]> {
-        self.frames[frame as usize].data.as_deref()
+    /// The block a resident frame holds (None if simulated): clone it to
+    /// share it.
+    pub fn data(&self, frame: u32) -> Option<&Block> {
+        self.frames[frame as usize].data.as_ref()
     }
 
-    /// Replaces the bytes of a resident frame; returns the bytes it
-    /// held, for the caller to reuse.
-    pub fn set_data(&mut self, frame: u32, data: Option<Vec<u8>>) -> Option<Vec<u8>> {
+    /// Replaces the bytes of a resident frame; returns the block it
+    /// held.
+    pub fn set_data(&mut self, frame: u32, data: Option<Block>) -> Option<Block> {
         let content = self.fresh_content();
         let f = &mut self.frames[frame as usize];
         f.content = content;
         std::mem::replace(&mut f.data, data)
+    }
+
+    /// Overwrites the bytes of a resident frame with `src`, zero-padded,
+    /// where they sit (copied first if anyone else holds the block), and
+    /// restamps it as [`BlockCache::set_data`] does. False, and nothing
+    /// done, if the frame holds no bytes.
+    pub fn overwrite(&mut self, frame: u32, src: &[u8]) -> bool {
+        if self.frames[frame as usize].data.is_none() {
+            return false;
+        }
+        let content = self.fresh_content();
+        let f = &mut self.frames[frame as usize];
+        f.content = content;
+        f.data.as_mut().expect("checked").overwrite(src);
+        true
     }
 
     /// The content stamp of a resident frame: a number no other content
@@ -517,7 +537,7 @@ impl BlockCache {
     /// # Panics
     ///
     /// Panics if `key` is already resident.
-    pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Vec<u8>>, now: SimTime) {
+    pub fn commit(&mut self, frame: u32, key: BlockKey, data: Option<Block>, now: SimTime) {
         let spare = &mut self.spare_files;
         let blocks =
             self.files.entry(key.file).or_insert_with(|| std::mem::take(next_file_list(spare)));
@@ -745,7 +765,7 @@ impl BlockCache {
     /// deterministic key order — the contents a battery-backed (NVRAM)
     /// cache would preserve across a crash. `Flushing` blocks are
     /// included because their writes may not have retired yet.
-    pub fn dirty_snapshot(&self) -> Vec<(BlockKey, Option<Vec<u8>>)> {
+    pub fn dirty_snapshot(&self) -> Vec<(BlockKey, Option<Block>)> {
         let mut files: Vec<FileId> = self.files.keys().copied().collect();
         files.sort_unstable();
         files
@@ -1146,9 +1166,9 @@ mod tests {
             Reserve::Frame(f) => f,
             _ => unreachable!(),
         };
-        c.commit(f, key(1, 0), Some(vec![7u8; 4096]), t(0));
+        c.commit(f, key(1, 0), Some(Block::copy_of(&[7u8; 4096])), t(0));
         assert_eq!(c.data(f).unwrap()[0], 7);
-        c.set_data(f, Some(vec![9u8; 4096]));
+        c.set_data(f, Some(Block::copy_of(&[9u8; 4096])));
         assert_eq!(c.data(f).unwrap()[0], 9);
     }
 

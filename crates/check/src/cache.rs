@@ -18,6 +18,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 
+use cnp_disk::WordHash;
 use cnp_fault::CrashState;
 use cnp_trace::{codec, AckedFile, TraceRecord};
 
@@ -140,24 +141,34 @@ pub fn cell_key(fingerprint: &str, prefix_hash: u128, cut: &CutSpec) -> u128 {
 /// was sealed, and the acked paths in order. The cut instant, the acked
 /// sizes and the ack times are left out: only the per-cell loss
 /// accountant reads them.
+///
+/// A block's bytes enter as its [`cnp_disk::Block::digest`], which each
+/// block computes once: the states derived from one prefix run share
+/// most of their frames, so their keys hash those bytes once between
+/// them.
 pub fn state_key(fingerprint: &str, state: &CrashState, acked: &[AckedFile]) -> u128 {
-    let mut h = StateHash::default();
+    let mut h = WordHash::default();
+    let digest = |h: &mut WordHash, block: &cnp_disk::Block| {
+        let d = block.digest();
+        h.word(d as u64);
+        h.word((d >> 64) as u64);
+    };
     h.bytes(fingerprint.as_bytes());
     let frames = state.image.frames();
     h.word(frames.len() as u64);
-    for (idx, present, bytes) in frames {
+    for (idx, present, block) in frames {
         h.word(idx);
         h.word(present as u64);
-        h.bytes(bytes);
+        digest(&mut h, block);
     }
     h.word(state.nvram.blocks.len() as u64);
     for (ino, blk, data) in &state.nvram.blocks {
         h.word(*ino);
         h.word(*blk);
         match data {
-            Some(bytes) => {
+            Some(block) => {
                 h.word(1);
-                h.bytes(bytes);
+                digest(&mut h, block);
             }
             None => h.word(0),
         }
@@ -173,55 +184,6 @@ pub fn state_key(fingerprint: &str, state: &CrashState, acked: &[AckedFile]) -> 
         h.bytes(a.path.as_bytes());
     }
     h.digest()
-}
-
-/// A word-at-a-time hash with two 64-bit lanes, for keys over whole
-/// disk images, where [`InputHash`]'s byte loop costs several times as
-/// much. Each step is a bijection of a lane's state for a fixed word,
-/// so two inputs of one length that differ in one word never collide;
-/// the lanes use different multipliers and rotations, and every
-/// variable-length field is length-prefixed.
-struct StateHash {
-    a: u64,
-    b: u64,
-}
-
-impl Default for StateHash {
-    fn default() -> Self {
-        StateHash { a: 0x243f_6a88_85a3_08d3, b: 0x1319_8a2e_0370_7344 }
-    }
-}
-
-impl StateHash {
-    fn word(&mut self, w: u64) {
-        self.a = (self.a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(37);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            self.word(u64::from_le_bytes(w));
-        }
-    }
-
-    fn digest(&self) -> u128 {
-        // The splitmix64 finalizer per lane: the last words absorbed
-        // reach every bit of their lane.
-        let mix = |mut z: u64| {
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        (mix(self.a) as u128) << 64 | mix(self.b) as u128
-    }
 }
 
 /// The persisted outcome cache: `cell_key -> CellOutcome`.
@@ -424,7 +386,7 @@ pub fn decode_outcome(mut b: &[u8]) -> io::Result<CellOutcome> {
 mod tests {
     use super::*;
     use cnp_core::NvramSnapshot;
-    use cnp_disk::{store_sectors, DiskImage, Payload};
+    use cnp_disk::{store_sectors, Block, DiskImage, Payload};
     use cnp_fault::{LayoutKind, LossReport};
     use cnp_sim::SimTime;
     use cnp_trace::TraceOp;
@@ -564,12 +526,12 @@ mod tests {
         let fp = spec_fingerprint(&spec());
         let block = vec![7u8; 4096];
         let mut image = DiskImage::default();
-        store_sectors(&mut image, 512, 16, 8, &Payload::Data(block.clone()));
-        store_sectors(&mut image, 512, 80, 3, &Payload::Data(vec![9u8; 1536]));
+        store_sectors(&mut image, 512, 16, 8, &Payload::copy_of(&block));
+        store_sectors(&mut image, 512, 80, 3, &Payload::copy_of(&[9u8; 1536]));
         let base = CrashState {
             image,
             nvram: NvramSnapshot {
-                blocks: vec![(5, 0, Some(vec![1u8; 4096])), (5, 1, None)],
+                blocks: vec![(5, 0, Some(Block::copy_of(&[1u8; 4096]))), (5, 1, None)],
                 sizes: vec![(5, 8192)],
             },
             staging_sealed: true,
@@ -588,21 +550,21 @@ mod tests {
         let flipped = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
             let mut bytes = block.clone();
             bytes[1234] ^= 1;
-            store_sectors(&mut s.image, 512, 16, 8, &Payload::Data(bytes));
+            store_sectors(&mut s.image, 512, 16, 8, &Payload::copy_of(&bytes));
         };
         // A zero sector made present: the same bytes, another mask.
         let present = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
-            store_sectors(&mut s.image, 512, 84, 1, &Payload::Data(vec![0u8; 512]));
+            store_sectors(&mut s.image, 512, 84, 1, &Payload::copy_of(&[0u8; 512]));
         };
         let erased = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
             store_sectors(&mut s.image, 512, 82, 1, &Payload::Simulated(512));
         };
         let nvram_byte = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
-            s.nvram.blocks[0].2.as_mut().unwrap()[0] ^= 1;
+            s.nvram.blocks[0].2.as_mut().unwrap().make_mut()[0] ^= 1;
         };
         let nvram_block = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.nvram.blocks[1].1 = 2;
         let nvram_data = |s: &mut CrashState, _: &mut Vec<AckedFile>| {
-            s.nvram.blocks[1].2 = Some(Vec::new());
+            s.nvram.blocks[1].2 = Some(Block::copy_of(&[]));
         };
         let nvram_size = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.nvram.sizes[0].1 += 1;
         let staging = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.staging_sealed = false;

@@ -77,11 +77,9 @@ struct Shared {
     /// The record the last unlink or rmdir dropped, when nothing else
     /// held it: the next create fills it in instead of allocating one.
     spare_record: Cell<Option<Rc<InodeRecord>>>,
-    /// Block buffers between rewrites (at most [`SPARE_BLOCK_BUFFERS`]):
-    /// the bytes a write replaces in a cache frame come back here, and
-    /// the name path gathers a directory into one for its
-    /// read-modify-write.
-    spare_blocks: RefCell<Vec<Vec<u8>>>,
+    /// The buffers the name path gathers directories into for a
+    /// read-modify-write, between rewrites (at most [`DIR_BUFFERS`]).
+    dir_buffers: RefCell<Vec<Vec<u8>>>,
     inflight: RefCell<HashMap<BlockKey, Event, FixedState>>,
     /// Idle [`ReadScratch`]es: a read takes one and puts it back, so
     /// the miss path allocates for its I/O and not for its bookkeeping.
@@ -137,10 +135,9 @@ impl InodeRecord {
     }
 }
 
-/// How many block buffers the engine keeps between rewrites: the name
-/// path's gathered copy of a directory, and a few more for the blocks
-/// of a multi-block directory rewrite.
-const SPARE_BLOCK_BUFFERS: usize = 4;
+/// How many gather buffers the engine keeps between directory
+/// rewrites: a rename gathers two directories at once.
+const DIR_BUFFERS: usize = 2;
 
 /// Fixed per-operation request-handling overhead.
 const OP_OVERHEAD: SimDuration = SimDuration::from_micros(100);
@@ -194,7 +191,7 @@ impl FileSystem {
             driver,
             inodes: RefCell::default(),
             spare_record: Cell::new(None),
-            spare_blocks: RefCell::default(),
+            dir_buffers: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
             windows: RefCell::default(),
@@ -422,16 +419,16 @@ impl FileSystem {
 
     /// An empty buffer: a spare one, with its capacity, when there is
     /// one.
-    fn take_block_buffer(&self) -> Vec<u8> {
-        let mut buf = self.s.spare_blocks.borrow_mut().pop().unwrap_or_default();
+    fn take_dir_buffer(&self) -> Vec<u8> {
+        let mut buf = self.s.dir_buffers.borrow_mut().pop().unwrap_or_default();
         buf.clear();
         buf
     }
 
     /// Keeps `buf` as a spare, if a slot is free.
-    fn keep_block_buffer(&self, buf: Vec<u8>) {
-        let mut spare = self.s.spare_blocks.borrow_mut();
-        if spare.len() < SPARE_BLOCK_BUFFERS && buf.capacity() > 0 {
+    fn keep_dir_buffer(&self, buf: Vec<u8>) {
+        let mut spare = self.s.dir_buffers.borrow_mut();
+        if spare.len() < DIR_BUFFERS && buf.capacity() > 0 {
             spare.push(buf);
         }
     }

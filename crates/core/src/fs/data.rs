@@ -11,7 +11,7 @@ use std::pin::Pin;
 use std::task::{ready, Context, Poll};
 
 use cnp_cache::{BlockKey, BlockState, DirtyOutcome, FileId, Reserve};
-use cnp_disk::Payload;
+use cnp_disk::{Block, Payload};
 use cnp_layout::{BlockAddr, Ino, StorageLayout, BLOCK_SIZE, MAX_FILE_BLOCKS};
 use cnp_sim::{Event, SimDuration, Sleep};
 
@@ -83,7 +83,7 @@ impl FileSystem {
         };
         let first = offset / bs;
         let last = (end - 1) / bs;
-        let place = |blk: u64, data: Option<&[u8]>, _stamp: u64| {
+        let place = |blk: u64, data: Option<&Block>, _stamp: u64| {
             if let (Some(out), Some(data)) = (out.as_mut(), data) {
                 // The part of the block inside `[offset, end)`.
                 let (lo, hi) = (offset.max(blk * bs), end.min((blk + 1) * bs));
@@ -247,14 +247,13 @@ impl FileSystem {
         let src = data.and_then(|src| src.get((blk * bs + lo as u64 - offset) as usize..));
         let src = src.map_or(&[][..], |src| &src[..src.len().min(hi - lo)]);
         if (lo == 0 && hi == bs as usize) || blk * bs >= old_size {
-            let mut block = vec![0u8; bs as usize];
-            block[lo..lo + src.len()].copy_from_slice(src);
+            let block = Block::placed(lo, src, bs as usize);
             return self.write_block_cached(owner, ino, blk, Some(block));
         }
         let fs = self.clone();
         let read = Box::pin(async move { fs.read_block_cached(ino, blk).await });
-        let mut commit = self.write_block_cached(owner, ino, blk, Some(src.to_vec()));
-        commit.stage = Stage::ReadModify { read, at: lo };
+        let mut commit = self.write_block_cached(owner, ino, blk, None).landed();
+        commit.stage = Stage::ReadModify { read, at: lo, part: src.to_vec() };
         commit
     }
 
@@ -267,7 +266,7 @@ impl FileSystem {
         ino: Ino,
         first: u64,
         n: u64,
-        mut sink: impl FnMut(u64, Option<&[u8]>, u64),
+        mut sink: impl FnMut(u64, Option<&Block>, u64),
     ) -> FsResult<()> {
         let window = self.queue_depth() as u64;
         let mut sc = self.take_scratch();
@@ -293,10 +292,11 @@ impl FileSystem {
         Ok(())
     }
 
-    /// Reads one block through the cache; returns bytes when available
-    /// (always for metadata, never for off-line user data).
-    pub(super) async fn read_block_cached(&self, ino: Ino, blk: u64) -> FsResult<Option<Vec<u8>>> {
-        self.read_block_with(ino, blk, |data, _| data.map(<[u8]>::to_vec)).await
+    /// Reads one block through the cache; returns the frame's block,
+    /// shared, when it has bytes (always for metadata, never for
+    /// off-line user data).
+    pub(super) async fn read_block_cached(&self, ino: Ino, blk: u64) -> FsResult<Option<Block>> {
+        self.read_block_with(ino, blk, |data, _| data.cloned()).await
     }
 
     /// Reads one block through the cache — a window of one — and hands
@@ -308,14 +308,14 @@ impl FileSystem {
         &self,
         ino: Ino,
         blk: u64,
-        f: impl FnOnce(Option<&[u8]>, u64) -> T,
+        f: impl FnOnce(Option<&Block>, u64) -> T,
     ) -> FsResult<T> {
         let key = BlockKey::new(FileId(ino.0), blk);
         let mut f = Some(f);
         let mut out = None;
         let mut sc = self.take_scratch();
         loop {
-            let mut sink = |_, data: Option<&[u8]>, stamp| out = f.take().map(|f| f(data, stamp));
+            let mut sink = |_, data: Option<&Block>, stamp| out = f.take().map(|f| f(data, stamp));
             self.load_window(ino, blk, 1, &mut sc, &mut sink).await?;
             if sc.theirs.pop().is_none() {
                 break;
@@ -356,7 +356,7 @@ impl FileSystem {
         start: u64,
         len: u64,
         sc: &mut ReadScratch,
-        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
+        sink: &mut impl FnMut(u64, Option<&Block>, u64),
     ) -> FsResult<()> {
         let mut load = cnp_obs::trace::SpanToken::NONE;
         for blk in start..start + len {
@@ -412,7 +412,7 @@ impl FileSystem {
         &self,
         ino: Ino,
         sc: &mut ReadScratch,
-        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
+        sink: &mut impl FnMut(u64, Option<&Block>, u64),
     ) -> FsResult<()> {
         let loaded = self.load_misses(ino, sc, sink).await;
         for m in sc.misses.drain(..) {
@@ -444,7 +444,7 @@ impl FileSystem {
         &self,
         ino: Ino,
         sc: &mut ReadScratch,
-        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
+        sink: &mut impl FnMut(u64, Option<&Block>, u64),
     ) -> FsResult<()> {
         let ReadScratch { misses, runs, payloads, .. } = sc;
         let inode = self.inode_record(ino).await?.inode.borrow().clone();
@@ -454,12 +454,11 @@ impl FileSystem {
                 m.addr = g.get_mut().map_block(&inode, m.blk).await?;
             }
             // Staged blocks (LFS unflushed segment) are served from the
-            // layout's buffer, never the device: copied once, into the
-            // frame.
+            // layout's buffer, never the device: the frame shares the
+            // staged block.
             for m in misses.iter_mut() {
-                let copy = |p: &Payload| p.bytes().map(<[u8]>::to_vec);
-                if let Some(data) = m.addr.and_then(|a| g.get().staged_block(a, copy)) {
-                    self.commit_loaded(ino, m, data, sink);
+                if let Some(payload) = m.addr.and_then(|a| g.get().staged_block(a)) {
+                    self.commit_loaded(ino, m, payload.block(0).cloned(), sink);
                 }
             }
         }
@@ -469,7 +468,7 @@ impl FileSystem {
             let Some(addr) = m.addr else {
                 // A hole reads as zeroes on-line, nothing off-line.
                 let data = match self.s.cfg.data_mode {
-                    DataMode::Real => Some(vec![0u8; BLOCK_SIZE as usize]),
+                    DataMode::Real => Some(Block::zeroed()),
                     DataMode::Simulated => None,
                 };
                 self.commit_loaded(ino, m, data, sink);
@@ -491,8 +490,8 @@ impl FileSystem {
         for (&(_, n), payload) in runs.iter().zip(payloads.iter()) {
             for off in 0..n as usize {
                 let m = pending.next().expect("a run block is a pending miss");
-                let data = match payload.bytes() {
-                    Some(_) => Some(cnp_layout::BlockIo::block_bytes(payload, off)?),
+                let data = match payload.blocks() {
+                    Some(_) => Some(cnp_layout::BlockIo::block_of(payload, off)?),
                     None => None,
                 };
                 self.commit_loaded(ino, m, data, sink);
@@ -511,8 +510,8 @@ impl FileSystem {
         &self,
         ino: Ino,
         m: &mut Miss,
-        data: Option<Vec<u8>>,
-        sink: &mut impl FnMut(u64, Option<&[u8]>, u64),
+        data: Option<Block>,
+        sink: &mut impl FnMut(u64, Option<&Block>, u64),
     ) {
         let key = BlockKey::new(FileId(ino.0), m.blk);
         {
@@ -536,15 +535,15 @@ impl FileSystem {
     }
 
     /// Writes one whole block through the cache (dirtying it); the dirty
-    /// block is attributed to `owner` for flush accounting. The payload
-    /// moves into the frame; only a write that finds NVRAM full copies
-    /// it back out before it parks, to apply the same bytes again.
+    /// block is attributed to `owner` for flush accounting. The block
+    /// moves into the frame; a write that finds NVRAM full keeps a share
+    /// of it before it parks, to apply the same bytes again.
     pub(super) fn write_block_cached(
         &self,
         owner: u32,
         ino: Ino,
         blk: u64,
-        data: Option<Vec<u8>>,
+        data: Option<Block>,
     ) -> BlockCommit {
         BlockCommit {
             fs: self.clone(),
@@ -608,10 +607,9 @@ impl FileSystem {
 }
 
 /// One block's commit into the cache, as a record the write window holds
-/// inline: place the bytes in the block's frame (reserving a frame first
-/// if the block is not resident; the bytes a resident frame held become
-/// one of the engine's spare block buffers), dirty it against the NVRAM
-/// budget, then charge the copy. Every wait is a kernel leaf future (a
+/// inline: place the block in the block's frame (reserving a frame first
+/// if the block is not resident), dirty it against the NVRAM budget,
+/// then charge the copy. Every wait is a kernel leaf future (a
 /// [`FrameReservation`]'s or a full NVRAM's [`FlushWait`], the copy's
 /// [`Sleep`]), and each stage makes its kernel calls in the order the
 /// straight-line code would, so a record allocates nothing but, on a
@@ -622,19 +620,20 @@ pub(super) struct BlockCommit {
     owner: u32,
     /// Real mode: the block carries bytes.
     real: bool,
-    /// The block's bytes until they land in its frame; in
-    /// [`Stage::ReadModify`], the part of the block the write covers.
-    data: Option<Vec<u8>>,
+    /// The block's bytes until they land in its frame; `None` in real
+    /// mode once they are there (written in place, or after a
+    /// read-modify's read).
+    data: Option<Block>,
     stage: Stage,
 }
 
 /// A boxed read of one block's old bytes, for a read-modify.
-type BlockRead = Pin<Box<dyn Future<Output = FsResult<Option<Vec<u8>>>>>>;
+type BlockRead = Pin<Box<dyn Future<Output = FsResult<Option<Block>>>>>;
 
 enum Stage {
-    /// Reading the old block of a partial overwrite; the write's part
-    /// goes in at byte `at`.
-    ReadModify { read: BlockRead, at: usize },
+    /// Reading the old block of a partial overwrite; the write's `part`
+    /// goes in at byte `at`, into a copy if the frame still holds it.
+    ReadModify { read: BlockRead, at: usize, part: Vec<u8> },
     /// About to look the block up (again, after a stall).
     Place,
     /// Not resident: waiting for a frame.
@@ -652,13 +651,9 @@ impl Future for BlockCommit {
         let this = self.get_mut();
         loop {
             let resident = match &mut this.stage {
-                Stage::ReadModify { read, at } => {
-                    let at = *at;
-                    let mut block = ready!(read.as_mut().poll(cx))?
-                        .unwrap_or_else(|| vec![0u8; BLOCK_SIZE as usize]);
-                    if let Some(part) = this.data.take() {
-                        block[at..at + part.len()].copy_from_slice(&part);
-                    }
+                Stage::ReadModify { read, at, part } => {
+                    let mut block = ready!(read.as_mut().poll(cx))?.unwrap_or_else(Block::zeroed);
+                    block.make_mut()[*at..*at + part.len()].copy_from_slice(part);
                     this.data = Some(block);
                     this.stage = Stage::Place;
                     continue;
@@ -703,21 +698,25 @@ impl Future for BlockCommit {
 }
 
 impl BlockCommit {
+    /// A real-mode commit that carries no block: its bytes are already
+    /// in the block's resident frame (it only dirties the block), or its
+    /// read-modify stage makes them.
+    pub(super) fn landed(mut self) -> BlockCommit {
+        self.real = true;
+        self
+    }
+
     /// Lands the bytes on `resident` (a frame this commit did not fill
     /// itself) and dirties the block, honouring the NVRAM budget: next
     /// comes the copy charge, or a stall until the daemon flushes.
     fn dirty(&mut self, resident: Option<u32>) -> Stage {
         let s = &self.fs.s;
-        if let (Some(frame), true) = (resident, self.real) {
+        if let (Some(frame), Some(data)) = (resident, self.data.take()) {
             let mut cache = s.cache.borrow_mut();
             let old = cache.content_stamp(frame);
-            let replaced = cache.set_data(frame, self.data.take());
+            cache.set_data(frame, Some(data));
             if names::planted(Mutant::SetDataKeepsStamp) {
                 s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
-            }
-            drop(cache);
-            if let Some(bytes) = replaced {
-                self.fs.keep_block_buffer(bytes);
             }
         }
         let outcome = s.cache.borrow_mut().mark_dirty_for(self.key, s.handle.now(), self.owner);
@@ -727,7 +726,7 @@ impl BlockCommit {
                 if self.real {
                     let cache = s.cache.borrow();
                     let frame = cache.peek(self.key).expect("the block was just made resident");
-                    self.data = cache.data(frame).map(<[u8]>::to_vec);
+                    self.data = cache.data(frame).cloned();
                 }
                 Stage::Stall(self.fs.request_flush(keys))
             }

@@ -8,7 +8,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 
 use cnp_cache::BlockKey;
-use cnp_disk::{IoError, Payload};
+use cnp_disk::{Block, IoError, Payload};
 use cnp_layout::{BlockAddr, Ino, LayoutError, StorageLayout, BLOCK_SIZE};
 use cnp_obs::trace::SpanToken;
 use cnp_sim::sync::EventWait;
@@ -25,8 +25,9 @@ use crate::error::FsResult;
 #[derive(Debug, Clone, Default)]
 pub struct NvramSnapshot {
     /// Surviving dirty blocks: `(ino, file block index, bytes)`; bytes
-    /// are `None` in simulated-payload mode.
-    pub blocks: Vec<(u64, u64, Option<Vec<u8>>)>,
+    /// are `None` in simulated-payload mode, else the cache frame's
+    /// block, shared.
+    pub blocks: Vec<(u64, u64, Option<Block>)>,
     /// Exact file sizes at capture for every file in `blocks`.
     pub sizes: Vec<(u64, u64)>,
 }
@@ -168,13 +169,13 @@ impl FileSystem {
     /// layout, their payloads gathered in `blocks` (empty, and left
     /// empty), and completes or fails their flushes in the cache.
     async fn write_back(&self, ino: Ino, started: &[BlockKey], blocks: &mut Vec<(u64, Payload)>) {
-        // Snapshot payloads.
+        // Snapshot payloads: the frames' blocks, shared.
         {
             let cache = self.s.cache.borrow();
             blocks.extend(started.iter().filter_map(|k| {
                 cache.peek(*k).map(|frame| {
                     let payload = match cache.data(frame) {
-                        Some(d) => Payload::Data(d.to_vec()),
+                        Some(block) => block.clone().into(),
                         None => Payload::Simulated(BLOCK_SIZE),
                     };
                     (k.block, payload)

@@ -282,7 +282,8 @@ mod tests {
             return;
         }
         let Ok(Some(mut bytes)) = fs.read_block_cached(dir, 0).await else { return };
-        bytes[8] = if on { bytes[8] | 0x80 } else { bytes[8] & 0x7f };
+        let kind = bytes[8];
+        bytes.make_mut()[8] = if on { kind | 0x80 } else { kind & 0x7f };
         fs.write_block_cached(cnp_cache::UNATTRIBUTED, dir, 0, Some(bytes)).await.unwrap();
     }
 

@@ -4,9 +4,12 @@
 //! through the data path's block cache like any other block.
 
 use cnp_cache::{BlockKey, FileId};
+use cnp_disk::Block;
 use cnp_layout::dir::{self, Dirent, Renamed};
 use cnp_layout::{FileKind, Ino, Inode, LayoutError, StorageLayout, BLOCK_SIZE};
 
+use super::data::BlockCommit;
+use super::names::{self, Mutant};
 use super::FileSystem;
 use crate::error::{FsError, FsResult};
 
@@ -144,7 +147,7 @@ impl FileSystem {
         let _ns = self.lock_ns(dir_ino, dir_ino).await;
         let mut bytes = self.read_dir_bytes(dir_ino, path).await?;
         let Some((ino, kind)) = dir::remove(&mut bytes, name).map_err(corrupt)? else {
-            self.keep_block_buffer(bytes);
+            self.keep_dir_buffer(bytes);
             return Err(FsError::NotFound);
         };
         if kind == FileKind::Directory {
@@ -267,7 +270,7 @@ impl FileSystem {
         if kind != FileKind::Symlink {
             return Err(FsError::BadPath(path.to_string()));
         }
-        let target = |data: Option<&[u8]>, _| {
+        let target = |data: Option<&Block>, _| {
             let bytes = data.ok_or_else(|| "symlink content unavailable".to_string())?;
             let target = std::str::from_utf8(&bytes[..(size as usize).min(bytes.len())]);
             target.map(str::to_string).map_err(|e| e.to_string())
@@ -317,6 +320,28 @@ impl FileSystem {
         self.scan_dir(dir, path, look).await?.ok_or(FsError::NotFound)
     }
 
+    /// One block of a directory's content, zero-padded, through the
+    /// cache: written where it sits in its resident frame (which copies
+    /// the block first only if the log or the platter still shares it),
+    /// or into a new block.
+    fn write_dir_block(&self, ino: Ino, blk: u64, chunk: &[u8]) -> BlockCommit {
+        let mut cache = self.s.cache.borrow_mut();
+        let frame = cache.peek(BlockKey::new(FileId(ino.0), blk));
+        if let Some(frame) = frame {
+            let old = cache.content_stamp(frame);
+            if cache.overwrite(frame, chunk) {
+                if names::planted(Mutant::SetDataKeepsStamp) {
+                    self.s.names.borrow_mut().restamp(old, cache.content_stamp(frame));
+                }
+                drop(cache);
+                return self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk, None).landed();
+            }
+        }
+        drop(cache);
+        let block = Block::padded(chunk, BLOCK_SIZE as usize);
+        self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk, Some(block))
+    }
+
     /// Size in bytes of directory `ino`'s packed content; `path` names
     /// the walk that expected a directory there.
     async fn dir_size(&self, ino: Ino, path: &str) -> FsResult<usize> {
@@ -337,7 +362,7 @@ impl FileSystem {
     async fn gather_dir(&self, ino: Ino, size: usize) -> FsResult<Vec<u8>> {
         let bs = BLOCK_SIZE as usize;
         let blocks = size.div_ceil(bs);
-        let mut bytes = self.take_block_buffer();
+        let mut bytes = self.take_dir_buffer();
         bytes.reserve(blocks * bs);
         for blk in 0..blocks as u64 {
             self.read_block_with(ino, blk, |data, _| data.map(|d| bytes.extend_from_slice(d)))
@@ -368,25 +393,23 @@ impl FileSystem {
     ) -> FsResult<T> {
         let size = self.dir_size(ino, path).await?;
         let scanned = if size > 0 && size <= BLOCK_SIZE as usize {
-            let in_frame = |data: Option<&[u8]>, stamp| {
+            let in_frame = |data: Option<&Block>, stamp| {
                 data.map(|d| scan(&d[..size.min(d.len())], Some(stamp)))
             };
             self.read_block_with(ino, 0, in_frame).await?.ok_or_else(dir_data_unavailable)?
         } else {
             let bytes = self.gather_dir(ino, size).await?;
             let scanned = scan(&bytes, None);
-            self.keep_block_buffer(bytes);
+            self.keep_dir_buffer(bytes);
             scanned
         };
         scanned.map_err(corrupt)
     }
 
-    /// Writes `bytes` as directory `ino`'s whole content. A content of
-    /// one block is padded where it is and moves into the cache frame;
-    /// a longer one is cut into a spare buffer a block, and `bytes` is
-    /// kept as a spare. Either way the bytes each frame held come back
-    /// as spares ([`BlockCommit`](super::data::BlockCommit)).
-    async fn write_dir_bytes(&self, ino: Ino, mut bytes: Vec<u8>) -> FsResult<()> {
+    /// Writes `bytes` as directory `ino`'s whole content, a block at a
+    /// time ([`FileSystem::write_dir_block`]); `bytes` is kept as a
+    /// spare gather buffer.
+    async fn write_dir_bytes(&self, ino: Ino, bytes: Vec<u8>) -> FsResult<()> {
         let rc = self.inode_record(ino).await?;
         let old_blocks = rc.inode.borrow().blocks();
         let bs = BLOCK_SIZE as usize;
@@ -403,19 +426,10 @@ impl FileSystem {
             rc.inode.borrow_mut().size = size as u64;
         }
         // Directory content is metadata: always real bytes.
-        if new_blocks == 1 {
-            bytes.resize(bs, 0);
-            self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, 0, Some(bytes)).await?;
-        } else {
-            for (blk, chunk) in bytes.chunks(bs).enumerate() {
-                let mut block = self.take_block_buffer();
-                block.extend_from_slice(chunk);
-                block.resize(bs, 0);
-                self.write_block_cached(cnp_cache::UNATTRIBUTED, ino, blk as u64, Some(block))
-                    .await?;
-            }
-            self.keep_block_buffer(bytes);
+        for (blk, chunk) in bytes.chunks(bs).enumerate() {
+            self.write_dir_block(ino, blk as u64, chunk).await?;
         }
+        self.keep_dir_buffer(bytes);
         {
             let mut inode = rc.inode.borrow_mut();
             inode.size = size as u64;

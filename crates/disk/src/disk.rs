@@ -814,7 +814,7 @@ mod tests {
         let mut image = DiskImage::default();
         // Six bytes over three 4-byte sectors: one full, one padded, one
         // past the payload's end.
-        store_sectors(&mut image, 4, 10, 3, &Payload::Data(vec![1, 2, 3, 4, 5, 6]));
+        store_sectors(&mut image, 4, 10, 3, &Payload::copy_of(&[1, 2, 3, 4, 5, 6]));
         assert_eq!(image.sector(10), Some(&[1, 2, 3, 4][..]));
         assert_eq!(image.sector(11), Some(&[5, 6, 0, 0][..]));
         assert_eq!(image.sector(12), Some(&[0, 0, 0, 0][..]));
@@ -954,13 +954,13 @@ mod tests {
         h.spawn("t", async move {
             let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
             let w = d2
-                .request(make_req(1, IoOp::Write, 64, 8, Payload::Data(data.clone()), h2.now()))
+                .request(make_req(1, IoOp::Write, 64, 8, Payload::copy_of(&data), h2.now()))
                 .await;
             assert!(w.result.is_ok());
             let r =
                 d2.request(make_req(2, IoOp::Read, 64, 8, Payload::Simulated(0), h2.now())).await;
             match r.result.unwrap() {
-                Payload::Data(got) => assert_eq!(got, data),
+                Payload::Data(got) => assert_eq!(got.to_vec(), data),
                 Payload::Simulated(_) => panic!("expected real bytes back"),
             }
         });
@@ -976,7 +976,7 @@ mod tests {
         let h2 = h.clone();
         h.spawn("t", async move {
             let data = vec![7u8; 4096];
-            d2.request(make_req(1, IoOp::Write, 0, 8, Payload::Data(data), h2.now())).await;
+            d2.request(make_req(1, IoOp::Write, 0, 8, Payload::copy_of(&data), h2.now())).await;
             d2.request(make_req(2, IoOp::Write, 0, 8, Payload::Simulated(4096), h2.now())).await;
             let r =
                 d2.request(make_req(3, IoOp::Read, 0, 8, Payload::Simulated(0), h2.now())).await;
@@ -1083,15 +1083,15 @@ mod tests {
         let h2 = h.clone();
         h.spawn("t", async move {
             let data = vec![0xEEu8; 8 * 512];
-            let w1 = d2
-                .request(make_req(0, IoOp::Write, 0, 8, Payload::Data(data.clone()), h2.now()))
-                .await;
+            let w1 =
+                d2.request(make_req(0, IoOp::Write, 0, 8, Payload::copy_of(&data), h2.now())).await;
             assert!(w1.result.is_ok());
             // Let the idle write-back retire W1 to the media before the
             // cut; a write still in the volatile buffer would be lost.
             h2.sleep(SimDuration::from_millis(60)).await;
-            let w2 =
-                d2.request(make_req(1, IoOp::Write, 100, 8, Payload::Data(data), h2.now())).await;
+            let w2 = d2
+                .request(make_req(1, IoOp::Write, 100, 8, Payload::copy_of(&data), h2.now()))
+                .await;
             assert!(matches!(w2.result, Err(IoError::PowerCut)));
         });
         sim.run();
@@ -1128,7 +1128,7 @@ mod tests {
                         IoOp::Write,
                         lba,
                         8,
-                        Payload::Data(vec![i as u8 + 1; 8 * 512]),
+                        Payload::copy_of(&vec![i as u8 + 1; 8 * 512]),
                         h2.now(),
                     ))
                     .await;
@@ -1161,7 +1161,7 @@ mod tests {
     #[test]
     fn one_cut_run_gives_the_platter_of_every_smaller_retire_budget() {
         let write = |id: u64, lba: u64, byte: u8, now: SimTime| {
-            make_req(id, IoOp::Write, lba, 8, Payload::Data(vec![byte; 8 * 512]), now)
+            make_req(id, IoOp::Write, lba, 8, Payload::copy_of(&vec![byte; 8 * 512]), now)
         };
         let run = |retire: u64| {
             let sim = Sim::new(1);
@@ -1230,7 +1230,7 @@ mod tests {
                     IoOp::Write,
                     496,
                     8,
-                    Payload::Data(vec![1u8; 8 * 512]),
+                    Payload::copy_of(&vec![1u8; 8 * 512]),
                     h2.now(),
                 ))
                 .await;
@@ -1251,8 +1251,7 @@ mod tests {
         let h2 = h.clone();
         h.spawn("t", async move {
             let data: Vec<u8> = (0..4096u32).map(|i| (i % 250) as u8).collect();
-            d2.request(make_req(0, IoOp::Write, 32, 8, Payload::Data(data.clone()), h2.now()))
-                .await;
+            d2.request(make_req(0, IoOp::Write, 32, 8, Payload::copy_of(&data), h2.now())).await;
             // The immediate-reported write still sits in the volatile
             // controller buffer: only the battery-backed image sees it.
             assert!(d2.platter_image().sector(32).is_none(), "write not yet retired");
@@ -1272,7 +1271,7 @@ mod tests {
             );
             let r =
                 d3.request(make_req(0, IoOp::Read, 32, 8, Payload::Simulated(0), h2.now())).await;
-            assert_eq!(r.result.unwrap().bytes().unwrap(), &data[..]);
+            assert_eq!(r.result.unwrap().to_vec().unwrap(), data);
         });
         sim.run();
     }

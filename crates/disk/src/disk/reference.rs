@@ -39,11 +39,11 @@ fn write_sectors(
     payload: &Payload,
     mut put: impl FnMut(u64, Option<Box<[u8]>>),
 ) {
-    let bytes = payload.bytes();
+    let bytes = payload.to_vec();
     for i in 0..sectors as usize {
         put(
             lba + i as u64,
-            bytes.map(|bytes| {
+            bytes.as_ref().map(|bytes| {
                 let mut sector = vec![0u8; ssz];
                 if let Some(rest) = bytes.get(i * ssz..) {
                     let n = rest.len().min(ssz);
@@ -99,7 +99,7 @@ fn load_sectors(
     for i in 0..sectors as u64 {
         out.extend_from_slice(sector(i).expect("presence checked"));
     }
-    Payload::Data(out)
+    Payload::copy_of(&out)
 }
 
 /// The store side of the disk task as it ran over the per-sector maps:
@@ -218,7 +218,7 @@ fn framed_from(spec: &DiskImage, ssz: usize) -> store::DiskImage {
     lbas.sort_unstable_by(|a, b| b.cmp(a));
     let mut image = store::DiskImage::default();
     for lba in lbas {
-        store::store_sectors(&mut image, ssz, lba, 1, &Payload::Data(spec[&lba].to_vec()));
+        store::store_sectors(&mut image, ssz, lba, 1, &Payload::copy_of(&spec[&lba]));
     }
     image
 }
@@ -259,7 +259,7 @@ fn run_script(script: &[Step], ssz: usize, aliasing: bool) -> Reached {
         };
         let full = sectors as usize * ssz;
         let real = |len: usize| {
-            Payload::Data((0..len).map(|i| (seq * 37 + i * 11 + 1) as u8).collect::<Vec<u8>>())
+            Payload::copy_of(&(0..len).map(|i| (seq * 37 + i * 11 + 1) as u8).collect::<Vec<u8>>())
         };
         let payload = match flavour >> 1 & 3 {
             0 | 1 => real(full),
@@ -284,7 +284,7 @@ fn run_script(script: &[Step], ssz: usize, aliasing: bool) -> Reached {
                 // five, else write-through.
                 match &payload {
                     Payload::Simulated(_) => reached[4] += 1,
-                    Payload::Data(d) if d.len() < full => reached[3] += 1,
+                    Payload::Data(d) if d.byte_len() < full => reached[3] += 1,
                     Payload::Data(_) => reached[2] += 1,
                 }
                 reached[5] += (lba % 8 != 0 || sectors % 8 != 0) as u32;

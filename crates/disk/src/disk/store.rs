@@ -2,11 +2,14 @@
 //!
 //! A frame is [`FRAME_SECTORS`] consecutive sectors — one 4 KiB
 //! file-system block at the 512-byte sector every `Hardware` has —
-//! keyed by `lba / FRAME_SECTORS`: a presence mask plus one
-//! reference-counted buffer in which absent sectors are zero. A
-//! block-sized write is one map operation and one `memcpy`; a captured
-//! image ([`DiskImage::clone`]) shares its buffers with the live
-//! platter, and the next store into a shared frame copies it first.
+//! keyed by `lba / FRAME_SECTORS`: a presence mask plus one [`Block`]
+//! in which absent sectors are zero. A block-sized write at a frame
+//! keeps the very block its payload carries (the cache frame's, the
+//! log's), and a whole-frame read hands the frame's block back, so
+//! neither allocates nor copies; a captured image
+//! ([`DiskImage::clone`]) shares its blocks with the live platter.
+//! Only a sub-frame (sector) store writes into a frame's block, which
+//! copies it first if anyone else holds it.
 //!
 //! What a power cut can tear stays sector-exact through the masks: a
 //! torn prefix, a short payload's zero padding, a simulated payload's
@@ -15,11 +18,12 @@
 //! keeps those maps as the executable specification, and steps both
 //! through random scripts).
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
+use crate::block::{note, Block, Blocks, BLOCK_BYTES};
 use crate::request::Payload;
 
 /// Sectors in a frame.
@@ -41,12 +45,32 @@ impl Span {
     }
 
     /// This span's share of a write's bytes: short, or empty, where
-    /// the payload ends before the write does.
-    fn of<'a>(&self, bytes: &'a [u8], ssz: usize) -> &'a [u8] {
-        let from = (self.at * ssz).min(bytes.len());
-        let to = ((self.at + self.n) * ssz).min(bytes.len());
-        &bytes[from..to]
+    /// the payload ends before the write does. A whole frame that is
+    /// one whole block of the payload is that block.
+    fn of<'a>(&self, blocks: &'a Blocks, ssz: usize) -> Share<'a> {
+        let len = blocks.byte_len();
+        let (from, to) = ((self.at * ssz).min(len), ((self.at + self.n) * ssz).min(len));
+        if from == to {
+            return Share::Bytes(Cow::Borrowed(&[]));
+        }
+        let (block, at) = (&blocks[from / BLOCK_BYTES], from % BLOCK_BYTES);
+        if at == 0 && self.n == FRAME_SECTORS && block.len() == FRAME_SECTORS * ssz {
+            return Share::Block(block);
+        }
+        if at + (to - from) <= block.len() {
+            return Share::Bytes(Cow::Borrowed(&block[at..at + (to - from)]));
+        }
+        // Across two of the payload's blocks: an unaligned write.
+        Share::Bytes(Cow::Owned(blocks.slice(from, to).to_vec()))
     }
+}
+
+/// One write's share of one frame.
+enum Share<'a> {
+    /// The whole frame, as one of the payload's blocks.
+    Block(&'a Block),
+    /// Bytes for the span's sectors, zero-padded where short.
+    Bytes(Cow<'a, [u8]>),
 }
 
 /// `[lba, lba + sectors)`, frame by frame.
@@ -84,8 +108,9 @@ struct Frame {
     /// Bit `i`: sector `i` holds real bytes.
     present: u8,
     /// The sectors back to back. Shared with every image cloned since
-    /// the last store: written through [`Arc::make_mut`] only.
-    bytes: Arc<[u8]>,
+    /// the last store, and with whoever wrote or read the block:
+    /// written through [`Block::make_mut`] only.
+    bytes: Block,
 }
 
 impl Frame {
@@ -99,30 +124,37 @@ impl Frame {
     }
 
     /// A frame holding `src`, zero-padded, in `span`'s sectors only.
-    fn holding(ssz: usize, span: Span, src: &[u8]) -> Frame {
-        let bytes = if src.len() == FRAME_SECTORS * ssz {
-            Arc::from(src)
-        } else {
-            let mut buf = vec![0u8; FRAME_SECTORS * ssz];
-            buf[span.first * ssz..][..src.len()].copy_from_slice(src);
-            Arc::from(buf)
+    fn holding(ssz: usize, span: Span, src: &Share) -> Frame {
+        let len = FRAME_SECTORS * ssz;
+        assert!(len <= BLOCK_BYTES, "a frame of {len} bytes is more than a block");
+        let bytes = match src {
+            Share::Block(block) => (*block).clone(),
+            Share::Bytes(src) => Block::placed(span.first * ssz, src, len),
         };
         Frame { present: span.mask(), bytes }
     }
 
     /// Overwrites `span`'s sectors with `src`, zero-padded.
-    fn put(&mut self, ssz: usize, span: Span, src: &[u8]) {
+    fn put(&mut self, ssz: usize, span: Span, src: &Share) {
         assert_eq!(self.bytes.len(), FRAME_SECTORS * ssz, "an image has one sector size");
         self.present |= span.mask();
-        if src.len() == self.bytes.len() && Arc::get_mut(&mut self.bytes).is_none() {
-            // Every byte is replaced: a shared buffer is left to its
+        let src = match src {
+            Share::Block(block) => {
+                self.bytes = (*block).clone();
+                return;
+            }
+            Share::Bytes(src) => src,
+        };
+        if src.len() == self.bytes.len() && !self.bytes.is_unique() {
+            // Every byte is replaced: a shared block is left to its
             // other owners, not copied and then overwritten.
-            self.bytes = Arc::from(src);
+            self.bytes = Block::copy_of(src);
             return;
         }
-        let sectors = &mut Arc::make_mut(&mut self.bytes)[span.first * ssz..][..span.n * ssz];
+        let sectors = &mut self.bytes.make_mut()[span.first * ssz..][..span.n * ssz];
         sectors[..src.len()].copy_from_slice(src);
         sectors[src.len()..].fill(0);
+        note(src.len(), span.n * ssz - src.len(), 0);
     }
 
     /// Erases the sectors in `gone`. False when none is left: the
@@ -132,8 +164,9 @@ impl Frame {
         self.present &= !gone;
         if gone != 0 && self.present != 0 {
             let ssz = self.ssz();
-            let buf = Arc::make_mut(&mut self.bytes);
+            let buf = self.bytes.make_mut();
             bits(gone).for_each(|i| buf[i * ssz..][..ssz].fill(0));
+            note(0, gone.count_ones() as usize * ssz, 0);
         }
         self.present != 0 || planted(Mutant::EmptiedFrameStays)
     }
@@ -146,8 +179,9 @@ impl Frame {
         self.erase(due & !copied);
         if let Some(real) = real.filter(|_| copied != 0) {
             let ssz = self.ssz();
-            let buf = Arc::make_mut(&mut self.bytes);
+            let buf = self.bytes.make_mut();
             bits(copied).for_each(|i| buf[i * ssz..][..ssz].copy_from_slice(real.sectors(i, 1)));
+            note(copied.count_ones() as usize * ssz, 0, 0);
             self.present |= copied;
         }
     }
@@ -156,7 +190,7 @@ impl Frame {
 /// One write's share of one frame, stored in the frame's slot (`None`:
 /// no real sector): real bytes are kept, a simulated payload (`src`
 /// `None`) erases what was there.
-fn write(slot: &mut Option<Frame>, ssz: usize, span: Span, src: Option<&[u8]>) {
+fn write(slot: &mut Option<Frame>, ssz: usize, span: Span, src: Option<&Share>) {
     match (slot.as_mut(), src) {
         (Some(frame), Some(src)) => frame.put(ssz, span, src),
         (Some(frame), None) => {
@@ -223,9 +257,9 @@ impl DiskImage {
     /// `lba / 8`. Two images hold the same sectors exactly when their
     /// frame lists are equal, so a key over this list is a key over
     /// the image, however its frames were shared or built.
-    pub fn frames(&self) -> Vec<(u64, u8, &[u8])> {
+    pub fn frames(&self) -> Vec<(u64, u8, &Block)> {
         let mut frames: Vec<_> =
-            self.frames.iter().map(|(&idx, f)| (idx, f.present, &f.bytes[..])).collect();
+            self.frames.iter().map(|(&idx, f)| (idx, f.present, &f.bytes)).collect();
         frames.sort_unstable_by_key(|&(idx, ..)| idx);
         frames
     }
@@ -263,11 +297,11 @@ impl DiskImage {
 /// short of `sectors`; a simulated payload erases any stale real bytes
 /// in the range.
 pub fn store_sectors(image: &mut DiskImage, ssz: usize, lba: u64, sectors: u32, payload: &Payload) {
-    let bytes = payload.bytes();
+    let bytes = payload.blocks();
     for span in spans(lba, sectors) {
         match (image.frames.entry(span.frame), bytes) {
             (Entry::Occupied(mut e), Some(bytes)) => {
-                e.get_mut().put(ssz, span, span.of(bytes, ssz))
+                e.get_mut().put(ssz, span, &span.of(bytes, ssz))
             }
             (Entry::Occupied(mut e), None) => {
                 if !e.get_mut().erase(span.mask()) {
@@ -275,7 +309,7 @@ pub fn store_sectors(image: &mut DiskImage, ssz: usize, lba: u64, sectors: u32, 
                 }
             }
             (Entry::Vacant(v), Some(bytes)) => {
-                v.insert(Frame::holding(ssz, span, span.of(bytes, ssz)));
+                v.insert(Frame::holding(ssz, span, &span.of(bytes, ssz)));
             }
             (Entry::Vacant(_), None) => {}
         }
@@ -323,7 +357,7 @@ pub(super) struct WriteBuffer {
 impl WriteBuffer {
     /// Buffers one acked write.
     pub(super) fn stash(&mut self, ssz: usize, lba: u64, sectors: u32, payload: &Payload) {
-        let bytes = payload.bytes();
+        let bytes = payload.blocks();
         for span in spans(lba, sectors) {
             let buffered =
                 self.frames.entry(span.frame).or_insert(Buffered { shadow: 0, real: None });
@@ -331,7 +365,7 @@ impl WriteBuffer {
                 continue;
             }
             buffered.shadow |= span.mask();
-            write(&mut buffered.real, ssz, span, bytes.map(|b| span.of(b, ssz)));
+            write(&mut buffered.real, ssz, span, bytes.map(|b| span.of(b, ssz)).as_ref());
         }
     }
 
@@ -376,13 +410,14 @@ impl WriteBuffer {
 
     /// Returns real bytes if every sector in range is stored, else a
     /// simulated payload of the right length. Buffered (not yet
-    /// retired) writes shadow the platter.
+    /// retired) writes shadow the platter. A whole frame read from one
+    /// side of the shadow is that side's block, shared.
     pub(super) fn load(&self, platter: &DiskImage, ssz: usize, lba: u64, sectors: u32) -> Payload {
         let total = sectors as usize * ssz;
-        // Allocated at the first frame found whole: an unwritten range
-        // (most of what a recovery scan reads) must not cost a buffer
-        // it then throws away.
-        let mut out = Vec::new();
+        // Filled from the first frame found whole: an unwritten range
+        // (most of what a recovery scan reads) must not cost a list it
+        // then throws away, and a one-block read costs none at all.
+        let mut out: Option<Blocks> = None;
         for span in spans(lba, sectors) {
             let want = span.mask();
             let buffered = self.frames.get(&span.frame);
@@ -394,20 +429,34 @@ impl WriteBuffer {
             if readable & want != want {
                 return Payload::Simulated(total as u32);
             }
-            out.reserve_exact(total - out.len());
             // `readable` covers `want`, so the frame on a sector's side
             // of the shadow exists.
             let side = |shadowed: bool| if shadowed { real } else { below }.expect("readable");
-            if shadow & want == 0 || shadow & want == want {
-                out.extend_from_slice(side(shadow & want != 0).sectors(span.first, span.n));
+            let whole = shadow & want == 0 || shadow & want == want;
+            let frame = side(shadow & want != 0);
+            if whole && span.n == FRAME_SECTORS && frame.bytes.len() == BLOCK_BYTES {
+                match out.as_mut() {
+                    None if total == BLOCK_BYTES => out = Some(Blocks::One(frame.bytes.clone())),
+                    _ => out.get_or_insert_with(|| blocks(total)).append(frame.bytes.clone()),
+                }
+                continue;
+            }
+            let out = out.get_or_insert_with(|| blocks(total));
+            if whole {
+                out.extend_from_slice(frame.sectors(span.first, span.n));
             } else {
                 for i in bits(want) {
                     out.extend_from_slice(side(shadow >> i & 1 == 1).sectors(i, 1));
                 }
             }
         }
-        Payload::Data(out)
+        Payload::Data(out.unwrap_or_else(|| blocks(0)))
     }
+}
+
+/// An empty list with room for `bytes`.
+fn blocks(bytes: usize) -> Blocks {
+    Blocks::with_capacity(bytes.div_ceil(BLOCK_BYTES))
 }
 
 /// The bugs `reference`'s differential test plants to show it has

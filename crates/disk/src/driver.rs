@@ -20,6 +20,7 @@ use cnp_obs::Histogram;
 use cnp_sim::stats::TimeWeighted;
 use cnp_sim::{join_all, Event, Handle, Replies, ReplyReceiver, ReplySender, SimTime};
 
+use crate::block::{Block, Blocks, BLOCK_BYTES};
 use crate::bus::ScsiBus;
 use crate::disk::{spawn_disk, DiskClient, DiskImage, DiskOpts, FaultPlan};
 use crate::iosched::{PendingMeta, QueueScheduler};
@@ -139,30 +140,28 @@ impl FileBackend {
         file.seek(SeekFrom::Start(offset)).map_err(|e| IoError::Host(e.to_string()))?;
         match req.op {
             IoOp::Read => {
-                let mut buf = vec![0u8; len];
-                file.read_exact(&mut buf).map_err(|e| IoError::Host(e.to_string()))?;
-                Ok(Payload::Data(buf))
+                let mut blocks = Blocks::with_capacity(len.div_ceil(BLOCK_BYTES));
+                for at in (0..len).step_by(BLOCK_BYTES) {
+                    let mut block = Block::padded(&[], (len - at).min(BLOCK_BYTES));
+                    file.read_exact(block.make_mut()).map_err(|e| IoError::Host(e.to_string()))?;
+                    blocks.append(block);
+                }
+                Ok(Payload::Data(blocks))
             }
             IoOp::Write => {
                 // The on-line system always moves real bytes; a simulated
-                // payload is materialized as zeroes for robustness.
-                let zeroes;
-                let bytes: &[u8] = match req.payload.bytes() {
-                    Some(b) => b,
-                    None => {
-                        zeroes = vec![0u8; len];
-                        &zeroes
-                    }
-                };
-                let mut padded;
-                let out: &[u8] = if bytes.len() < len {
-                    padded = bytes.to_vec();
-                    padded.resize(len, 0);
-                    &padded
-                } else {
-                    &bytes[..len]
-                };
-                file.write_all(out).map_err(|e| IoError::Host(e.to_string()))?;
+                // payload is materialized as zeroes for robustness, and a
+                // short one is zero-padded.
+                let host = |e: std::io::Error| IoError::Host(e.to_string());
+                let mut written = 0;
+                for block in req.payload.blocks().into_iter().flat_map(|b| b.iter()) {
+                    let n = block.len().min(len - written);
+                    file.write_all(&block[..n]).map_err(host)?;
+                    written += n;
+                }
+                if written < len {
+                    file.write_all(&vec![0u8; len - written]).map_err(host)?;
+                }
                 Ok(std::mem::replace(&mut req.payload, Payload::Simulated(0)))
             }
         }
@@ -299,12 +298,11 @@ impl StripedDisk {
                 (IoOp::Write, Payload::Simulated(_)) => {
                     Payload::Simulated(p.sectors * self.sector_size)
                 }
-                (IoOp::Write, Payload::Data(bytes)) => {
+                (IoOp::Write, Payload::Data(blocks)) => {
                     // Slice the parent payload; short payloads pad with
                     // zeroes at the child exactly like a single disk.
-                    let lo = (p.offset as usize * ssz).min(bytes.len());
-                    let hi = (lo + p.sectors as usize * ssz).min(bytes.len());
-                    Payload::Data(bytes[lo..hi].to_vec())
+                    let lo = (p.offset as usize * ssz).min(blocks.byte_len());
+                    Payload::Data(blocks.slice(lo, lo + p.sectors as usize * ssz))
                 }
             };
             let b = &self.children[p.child];
@@ -355,10 +353,10 @@ impl StripedDisk {
             IoOp::Write => Ok(Payload::Simulated(0)),
             IoOp::Read => {
                 let total = req.sectors as usize * ssz;
-                if payloads.iter().all(|p| p.bytes().is_some()) {
-                    let mut out = Vec::with_capacity(total);
-                    for p in &payloads {
-                        out.extend_from_slice(p.bytes().expect("checked above"));
+                if payloads.iter().all(|p| p.blocks().is_some()) {
+                    let mut out = Blocks::with_capacity(total.div_ceil(BLOCK_BYTES));
+                    for p in payloads.iter().filter_map(Payload::blocks) {
+                        p.iter().for_each(|b| out.append(b.clone()));
                     }
                     Ok(Payload::Data(out))
                 } else {
@@ -640,8 +638,8 @@ impl DiskDriver {
     /// the queue scheduler sees (and reorders) all of it, and with a
     /// queue depth above 1 the members proceed concurrently. This is the
     /// completion-fan-in half of the pipelined I/O path. The batch waits
-    /// in a list the driver reuses, so a caller that lends `reqs` from a
-    /// list of its own allocates nothing per batch; each wake polls the
+    /// in a list the driver reuses, so a caller that passes `reqs` as an
+    /// iterator allocates nothing per batch; each wake polls the
     /// unfinished commands in order, as `join_all` does.
     pub async fn submit_batch(
         &self,
@@ -1013,9 +1011,9 @@ mod tests {
         let d2 = driver.clone();
         h.spawn("client", async move {
             let data = vec![0xabu8; 4096];
-            d2.write(512, 8, Payload::Data(data.clone())).await.unwrap();
+            d2.write(512, 8, Payload::copy_of(&data)).await.unwrap();
             let (payload, timing) = d2.read(512, 8).await.unwrap();
-            assert_eq!(payload.bytes().unwrap(), &data[..]);
+            assert_eq!(payload.to_vec().unwrap(), &data[..]);
             assert!(timing.total() > SimDuration::ZERO);
             d2.shutdown();
         });
@@ -1133,7 +1131,7 @@ mod tests {
         let d2 = driver.clone();
         h.spawn("client", async move {
             let writes: Vec<_> = (0..6u64)
-                .map(|i| (IoOp::Write, i * 64, 8u32, Payload::Data(vec![i as u8 + 1; 4096])))
+                .map(|i| (IoOp::Write, i * 64, 8u32, Payload::copy_of(&[i as u8 + 1; 4096])))
                 .collect();
             d2.submit_batch(writes, |r| _ = r.unwrap()).await;
             let reads: Vec<_> =
@@ -1144,7 +1142,7 @@ mod tests {
             for (i, r) in results.into_iter().enumerate() {
                 let (payload, _t) = r.unwrap();
                 assert_eq!(
-                    payload.bytes().unwrap(),
+                    payload.to_vec().unwrap(),
                     &vec![i as u8 + 1; 4096][..],
                     "batch result {i} out of order"
                 );
@@ -1226,12 +1224,12 @@ mod tests {
         let d2 = driver.clone();
         h.spawn("client", async move {
             let data: Vec<u8> = (0..4096u32).map(|i| (i % 256) as u8).collect();
-            d2.write(16, 8, Payload::Data(data.clone())).await.unwrap();
+            d2.write(16, 8, Payload::copy_of(&data)).await.unwrap();
             let (payload, _) = d2.read(16, 8).await.unwrap();
-            assert_eq!(payload.bytes().unwrap(), &data[..]);
+            assert_eq!(payload.to_vec().unwrap(), &data[..]);
             // Unwritten region reads back zeroes.
             let (z, _) = d2.read(900, 2).await.unwrap();
-            assert!(z.bytes().unwrap().iter().all(|&b| b == 0));
+            assert!(z.to_vec().unwrap().iter().all(|&b| b == 0));
             d2.shutdown();
         });
         sim.run();
@@ -1258,13 +1256,13 @@ mod tests {
             let models = vec![model];
             let (driver, _) =
                 compose_device(&h, "d0", models, None, Box::new(CLook), faults, None, attach);
-            let sent = Payload::Data(data.clone());
+            let sent = Payload::copy_of(&data);
             let back = sim.block_on("client", async move {
                 let back = driver.write(64, 8, sent).await.unwrap().0;
                 driver.shutdown();
                 back
             });
-            assert_eq!(back, Payload::Data(data.clone()), "{path}");
+            assert_eq!(back, Payload::copy_of(&data), "{path}");
         }
         let dir = std::env::temp_dir().join("cnp-disk-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1273,13 +1271,13 @@ mod tests {
         let sim = Sim::new(1);
         let backend = Backend::File(FileBackend::create(&file, 64, 512).unwrap());
         let driver = DiskDriver::new(&sim.handle(), "file0", backend, Box::new(Fcfs));
-        let sent = Payload::Data(data.clone());
+        let sent = Payload::copy_of(&data);
         let back = sim.block_on("client", async move {
             let back = driver.write(8, 8, sent).await.unwrap().0;
             driver.shutdown();
             back
         });
-        assert_eq!(back, Payload::Data(data), "host file");
+        assert_eq!(back, Payload::copy_of(&data), "host file");
         let _ = std::fs::remove_file(&file);
     }
 
@@ -1316,13 +1314,13 @@ mod tests {
         h.spawn("client", async move {
             let data: Vec<u8> = (0..40 * 512u32).map(|i| (i % 241) as u8).collect();
             // Start mid-chunk so the split is unaligned at both ends.
-            d2.write(5, 40, Payload::Data(data.clone())).await.unwrap();
+            d2.write(5, 40, Payload::copy_of(&data)).await.unwrap();
             let (payload, _) = d2.read(5, 40).await.unwrap();
-            assert_eq!(payload.bytes().unwrap(), &data[..]);
+            assert_eq!(payload.to_vec().unwrap(), &data[..]);
             // A read overlapping unwritten sectors degrades to simulated,
             // exactly like a single disk.
             let (p2, _) = d2.read(0, 48).await.unwrap();
-            assert!(p2.bytes().is_none());
+            assert!(p2.blocks().is_none());
             d2.shutdown();
         });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(100));
@@ -1422,9 +1420,9 @@ mod tests {
         let d2 = driver.clone();
         h.spawn("client", async move {
             let data: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
-            d2.write(128, 8, Payload::Data(data.clone())).await.unwrap();
+            d2.write(128, 8, Payload::copy_of(&data)).await.unwrap();
             let (payload, _) = d2.read(128, 8).await.unwrap();
-            assert_eq!(payload.bytes().unwrap(), &data[..]);
+            assert_eq!(payload.to_vec().unwrap(), &data[..]);
             d2.shutdown();
         });
         sim.run();

@@ -4,6 +4,7 @@
 //! like HP Pantheon disk simulator and Dartmouth's disk simulator" (§1).
 //! This crate is that back-end, plus the on-line counterpart:
 //!
+//! * [`block`] — the refcounted 4 KiB block real bytes travel in;
 //! * [`geometry`] — cylinders/heads/sectors, skews, LBA ↔ CHS;
 //! * [`hardware`] — the one description of disk generation × stripe;
 //! * [`model`] — the mechanism abstraction (seek/rotation/transfer);
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod bus;
 pub mod cache;
 pub mod disk;
@@ -37,6 +39,7 @@ pub mod request;
 pub mod simple;
 pub mod ssd;
 
+pub use block::{Block, BlockCounts, Blocks, WordHash, BLOCK_BYTES};
 pub use bus::{BusParams, ScsiBus};
 pub use disk::{
     retire_onto, store_sectors, DiskClient, DiskImage, DiskOpts, DiskStats, FaultPlan, RetiredWrite,

@@ -7,6 +7,8 @@
 
 use cnp_sim::{SimDuration, SimTime};
 
+use crate::block::{Block, Blocks};
+
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
@@ -20,21 +22,30 @@ pub enum IoOp {
 ///
 /// The simulator "compensates for the lack of real data": simulated
 /// payloads carry only a length, while on-line (PFS) payloads — and
-/// file-system *metadata in both modes* — carry real bytes.
+/// file-system *metadata in both modes* — carry real bytes. Real bytes
+/// travel as [`Block`]s: the cache frame's, the log's and the
+/// platter's are the same buffers, so a payload that crosses a layer
+/// shares its blocks instead of copying them, and a coalesced run is a
+/// list of blocks, not a buffer they are copied into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// No bytes; only the length (in bytes) is modelled.
     Simulated(u32),
     /// Real bytes.
-    Data(Vec<u8>),
+    Data(Blocks),
 }
 
 impl Payload {
+    /// A real payload holding a copy of `bytes`.
+    pub fn copy_of(bytes: &[u8]) -> Payload {
+        Payload::Data(Blocks::copy_of(bytes))
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> u32 {
         match self {
             Payload::Simulated(n) => *n,
-            Payload::Data(d) => d.len() as u32,
+            Payload::Data(d) => d.byte_len() as u32,
         }
     }
 
@@ -43,12 +54,28 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Returns the real bytes, if any.
-    pub fn bytes(&self) -> Option<&[u8]> {
+    /// The real blocks, if any.
+    pub fn blocks(&self) -> Option<&Blocks> {
         match self {
             Payload::Simulated(_) => None,
             Payload::Data(d) => Some(d),
         }
+    }
+
+    /// Block `i` of the real bytes, if the payload is real and has one.
+    pub fn block(&self, i: usize) -> Option<&Block> {
+        self.blocks()?.get(i)
+    }
+
+    /// A copy of the real bytes, if any.
+    pub fn to_vec(&self) -> Option<Vec<u8>> {
+        self.blocks().map(Blocks::to_vec)
+    }
+}
+
+impl From<Block> for Payload {
+    fn from(block: Block) -> Payload {
+        Payload::Data(Blocks::One(block))
     }
 }
 
@@ -157,10 +184,11 @@ impl std::error::Error for IoError {}
 pub struct IoCompletion {
     /// Request id this completion answers.
     pub id: u64,
-    /// Outcome. A read carries the bytes read; a write hands back the
-    /// payload it was given, once the device holds its bytes, so the
-    /// caller can reuse the buffer (a device that splits a write, like
-    /// a stripe, may hand back a simulated payload instead).
+    /// Outcome. A read carries the bytes read (a block-aligned read of
+    /// real frames, the platter's blocks, shared); a write hands back
+    /// the payload it was given once the device holds its bytes (a
+    /// device that splits a write, like a stripe, may hand back a
+    /// simulated payload instead).
     pub result: Result<Payload, IoError>,
     /// Phase-by-phase timing of the device service.
     pub timing: IoTiming,
@@ -173,10 +201,11 @@ mod tests {
     #[test]
     fn payload_lengths() {
         assert_eq!(Payload::Simulated(4096).len(), 4096);
-        assert_eq!(Payload::Data(vec![0u8; 512]).len(), 512);
+        assert_eq!(Payload::copy_of(&[0u8; 512]).len(), 512);
+        assert_eq!(Payload::copy_of(&[0u8; 9000]).len(), 9000);
         assert!(Payload::Simulated(0).is_empty());
-        assert!(Payload::Data(vec![1, 2]).bytes().is_some());
-        assert!(Payload::Simulated(9).bytes().is_none());
+        assert!(Payload::copy_of(&[1, 2]).block(0).is_some());
+        assert!(Payload::Simulated(9).blocks().is_none());
     }
 
     #[test]

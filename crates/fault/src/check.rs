@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use cnp_disk::Payload;
+use cnp_disk::{Block, Payload};
 use cnp_layout::dir::{self, Dirent};
 use cnp_layout::{BlockAddr, FileKind, Ino, LResult, StorageLayout, BLOCK_SIZE};
 
@@ -302,7 +302,7 @@ async fn read_dir_bytes<L: StorageLayout>(
     let mut bytes = Vec::with_capacity(inode.size as usize);
     for blk in 0..inode.blocks() {
         match layout.read_file_block(inode, blk).await {
-            Ok(Some(p)) => match p.bytes() {
+            Ok(Some(p)) => match p.block(0) {
                 Some(b) => bytes.extend_from_slice(b),
                 None => return Err(Violation::DirDataMissing { dir: inode.ino, blk }),
             },
@@ -456,9 +456,7 @@ async fn write_dir<L: StorageLayout>(layout: &mut L, dir_ino: Ino, bytes: &[u8])
         .map(|blk| {
             let lo = blk as usize * bs;
             let hi = (lo + bs).min(bytes.len());
-            let mut block = vec![0u8; bs];
-            block[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-            (blk, Payload::Data(block))
+            (blk, Block::padded(&bytes[lo..hi], bs).into())
         })
         .collect();
     layout.write_file_blocks(&mut inode, blocks).await?;
@@ -494,8 +492,8 @@ mod tests {
             .write_file_blocks(
                 &mut f1,
                 vec![
-                    (0, Payload::Data(vec![1; BLOCK_SIZE as usize])),
-                    (1, Payload::Data(vec![2; BLOCK_SIZE as usize])),
+                    (0, Payload::copy_of(&[1; BLOCK_SIZE as usize])),
+                    (1, Payload::copy_of(&[2; BLOCK_SIZE as usize])),
                 ],
             )
             .await
@@ -503,7 +501,7 @@ mod tests {
         let mut f2 = layout.alloc_ino(FileKind::Regular, now).unwrap();
         f2.size = BLOCK_SIZE as u64;
         layout
-            .write_file_blocks(&mut f2, vec![(0, Payload::Data(vec![3; BLOCK_SIZE as usize]))])
+            .write_file_blocks(&mut f2, vec![(0, Payload::copy_of(&[3; BLOCK_SIZE as usize]))])
             .await
             .unwrap();
         // Root: {sub, a}; sub: {b}.
@@ -567,7 +565,7 @@ mod tests {
             orphan.size = BLOCK_SIZE as u64;
             lfs.write_file_blocks(
                 &mut orphan,
-                vec![(0, Payload::Data(vec![0x42; BLOCK_SIZE as usize]))],
+                vec![(0, Payload::copy_of(&[0x42; BLOCK_SIZE as usize]))],
             )
             .await
             .unwrap();
@@ -593,7 +591,7 @@ mod tests {
             assert_eq!(adopted, orphan_ino);
             let got = lfs.get_inode(orphan_ino).await.unwrap();
             let p = lfs.read_file_block(&got, 0).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap(), &vec![0x42u8; BLOCK_SIZE as usize][..]);
+            assert_eq!(p.to_vec().unwrap(), vec![0x42u8; BLOCK_SIZE as usize]);
             // Re-running repair is idempotent: nothing new to adopt.
             let (rep2, _) = repair(&mut lfs).await.unwrap();
             assert_eq!(rep2.orphans_attached, 0);

@@ -112,7 +112,7 @@ async fn write_back(layout: &mut Layout, snap: &NvramSnapshot) -> LResult<u64> {
             .iter()
             .filter(|&&&(_, blk, _)| size.is_none_or(|size| blk * bs < size))
             .map(|(_, blk, data)| {
-                (*blk, data.clone().map_or(Payload::Simulated(BLOCK_SIZE), Payload::Data))
+                (*blk, data.clone().map_or(Payload::Simulated(BLOCK_SIZE), Payload::from))
             })
             .collect();
         if !writes.is_empty() {

@@ -10,7 +10,7 @@
 //! place; a file's blocks are allocated near its group (ino-hashed),
 //! approximating FFS cylinder-group locality.
 
-use cnp_disk::{DiskDriver, Payload};
+use cnp_disk::{Block, DiskDriver, Payload};
 use cnp_sim::Handle;
 
 use crate::error::{LResult, LayoutError};
@@ -94,21 +94,22 @@ impl Bitmap {
         self.dirty = true;
     }
 
-    fn to_blocks(&self) -> Vec<Vec<u8>> {
+    fn to_blocks(&self) -> Vec<Block> {
         let words_per_block = BLOCK_SIZE as usize / 8;
         self.bits
             .chunks(words_per_block)
             .map(|chunk| {
-                let mut b = vec![0u8; BLOCK_SIZE as usize];
+                let mut block = Block::zeroed();
+                let b = block.make_mut();
                 for (i, w) in chunk.iter().enumerate() {
-                    put_u64(&mut b, i * 8, *w);
+                    put_u64(b, i * 8, *w);
                 }
-                b
+                block
             })
             .collect()
     }
 
-    fn from_blocks(blocks: &[Vec<u8>], n: u64) -> Bitmap {
+    fn from_blocks(blocks: &[Block], n: u64) -> Bitmap {
         let words_per_block = BLOCK_SIZE as usize / 8;
         let mut bits = Vec::with_capacity((n as usize).div_ceil(64));
         'outer: for b in blocks {
@@ -190,17 +191,18 @@ impl FfsLayout {
     async fn read_indirect(&mut self, addr: BlockAddr) -> LResult<Vec<u64>> {
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let bytes = p.bytes().ok_or_else(|| LayoutError::Corrupt("indirect lost".into()))?;
+        let bytes = p.block(0).ok_or_else(|| LayoutError::Corrupt("indirect lost".into()))?;
         Ok((0..NINDIRECT).map(|i| get_u64(bytes, i * 8)).collect())
     }
 
     async fn write_indirect(&mut self, addr: BlockAddr, table: &[u64]) -> LResult<()> {
-        let mut bytes = self.io.lend_block();
+        let mut block = Block::zeroed();
+        let bytes = block.make_mut();
         for (i, v) in table.iter().enumerate() {
-            put_u64(&mut bytes, i * 8, *v);
+            put_u64(bytes, i * 8, *v);
         }
         self.stats.meta_writes += 1;
-        self.io.write_block(addr, Payload::Data(bytes)).await
+        self.io.write_block(addr, block.into()).await
     }
 
     async fn write_bitmaps(&mut self) -> LResult<()> {
@@ -208,7 +210,7 @@ impl FfsLayout {
             for (i, b) in self.ibitmap.to_blocks().into_iter().enumerate() {
                 if (i as u64) < self.geo.ibitmap_blocks {
                     self.io
-                        .write_block(BlockAddr(self.geo.ibitmap_start + i as u64), Payload::Data(b))
+                        .write_block(BlockAddr(self.geo.ibitmap_start + i as u64), b.into())
                         .await?;
                     self.stats.meta_writes += 1;
                 }
@@ -219,7 +221,7 @@ impl FfsLayout {
             for (i, b) in self.bbitmap.to_blocks().into_iter().enumerate() {
                 if (i as u64) < self.geo.bbitmap_blocks {
                     self.io
-                        .write_block(BlockAddr(self.geo.bbitmap_start + i as u64), Payload::Data(b))
+                        .write_block(BlockAddr(self.geo.bbitmap_start + i as u64), b.into())
                         .await?;
                     self.stats.meta_writes += 1;
                 }
@@ -229,13 +231,14 @@ impl FfsLayout {
         Ok(())
     }
 
-    fn sb_block(&self) -> Vec<u8> {
-        let mut b = vec![0u8; BLOCK_SIZE as usize];
-        put_u32(&mut b, 0, FFS_MAGIC);
-        put_u64(&mut b, 8, self.params.ninodes);
-        put_u32(&mut b, 16, self.params.ngroups);
-        put_u64(&mut b, 24, self.geo.nblocks);
-        b
+    fn sb_block(&self) -> Block {
+        let mut block = Block::zeroed();
+        let b = block.make_mut();
+        put_u32(b, 0, FFS_MAGIC);
+        put_u64(b, 8, self.params.ninodes);
+        put_u32(b, 16, self.params.ngroups);
+        put_u64(b, 24, self.geo.nblocks);
+        block
     }
 }
 
@@ -245,7 +248,7 @@ impl StorageLayout for FfsLayout {
     }
 
     async fn format(&mut self) -> LResult<()> {
-        self.io.write_block(BlockAddr(0), Payload::Data(self.sb_block())).await?;
+        self.io.write_block(BlockAddr(0), self.sb_block().into()).await?;
         self.ibitmap = Bitmap::new(self.params.ninodes);
         self.bbitmap = Bitmap::new(self.geo.nblocks);
         // Inodes 0 (reserved) and 1 (root) are taken. Both bitmaps are
@@ -263,7 +266,7 @@ impl StorageLayout for FfsLayout {
 
     async fn mount(&mut self) -> LResult<()> {
         let p = self.io.read_block(BlockAddr(0)).await?;
-        let bytes = p.bytes().ok_or(LayoutError::NotFormatted)?;
+        let bytes = p.block(0).ok_or(LayoutError::NotFormatted)?;
         if get_u32(bytes, 0) != FFS_MAGIC {
             return Err(LayoutError::NotFormatted);
         }
@@ -275,7 +278,7 @@ impl StorageLayout for FfsLayout {
             let p = self.io.read_block(BlockAddr(self.geo.ibitmap_start + i)).await?;
             self.stats.meta_reads += 1;
             iblocks.push(
-                p.bytes().ok_or_else(|| LayoutError::Corrupt("ibitmap lost".into()))?.to_vec(),
+                p.block(0).ok_or_else(|| LayoutError::Corrupt("ibitmap lost".into()))?.clone(),
             );
         }
         self.ibitmap = Bitmap::from_blocks(&iblocks, self.params.ninodes);
@@ -284,7 +287,7 @@ impl StorageLayout for FfsLayout {
             let p = self.io.read_block(BlockAddr(self.geo.bbitmap_start + i)).await?;
             self.stats.meta_reads += 1;
             bblocks.push(
-                p.bytes().ok_or_else(|| LayoutError::Corrupt("bbitmap lost".into()))?.to_vec(),
+                p.block(0).ok_or_else(|| LayoutError::Corrupt("bbitmap lost".into()))?.clone(),
             );
         }
         self.bbitmap = Bitmap::from_blocks(&bblocks, self.geo.nblocks);
@@ -297,7 +300,7 @@ impl StorageLayout for FfsLayout {
         // arbitrarily stale or even unwritten (they are durable only at
         // sync/unmount), so recovery never reads them.
         let p = self.io.read_block(BlockAddr(0)).await?;
-        let bytes = p.bytes().ok_or(LayoutError::NotFormatted)?;
+        let bytes = p.block(0).ok_or(LayoutError::NotFormatted)?;
         if get_u32(bytes, 0) != FFS_MAGIC {
             return Err(LayoutError::NotFormatted);
         }
@@ -320,7 +323,7 @@ impl StorageLayout for FfsLayout {
         for tb in 0..itable_blocks {
             let addr = BlockAddr(self.geo.itable_start + tb);
             let p = self.io.read_block(addr).await?;
-            let Some(bytes) = p.bytes() else { continue };
+            let Some(bytes) = p.block(0) else { continue };
             self.stats.meta_reads += 1;
             for slot in 0..INODES_PER_BLOCK {
                 let ino = tb * INODES_PER_BLOCK as u64 + slot as u64;
@@ -392,24 +395,23 @@ impl StorageLayout for FfsLayout {
         let (addr, slot) = self.inode_addr(ino);
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let bytes = p.bytes().ok_or_else(|| LayoutError::Corrupt("itable lost".into()))?;
+        let bytes = p.block(0).ok_or_else(|| LayoutError::Corrupt("itable lost".into()))?;
         Inode::from_bytes(&bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE])
             .ok_or(LayoutError::BadInode(ino))
     }
 
     async fn put_inode(&mut self, inode: &Inode) -> LResult<()> {
         let (addr, slot) = self.inode_addr(inode.ino);
-        // Read-modify-write the inode table block, in the buffer the read
-        // came back in.
+        // Read-modify-write the inode table block: the block the read
+        // came back with, copied only if the platter still holds it.
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let mut bytes = match p {
-            Payload::Data(b) => b,
-            Payload::Simulated(_) => self.io.lend_block(),
-        };
-        bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE].copy_from_slice(&inode.to_bytes());
+        let mut block = p.block(0).cloned().unwrap_or_else(Block::zeroed);
+        drop(p);
+        block.make_mut()[slot * INODE_SIZE..(slot + 1) * INODE_SIZE]
+            .copy_from_slice(&inode.to_bytes());
         self.stats.meta_writes += 1;
-        self.io.write_block(addr, Payload::Data(bytes)).await
+        self.io.write_block(addr, block.into()).await
     }
 
     async fn free_inode(&mut self, ino: Ino) -> LResult<()> {
@@ -432,10 +434,11 @@ impl StorageLayout for FfsLayout {
         let (addr, slot) = self.inode_addr(ino);
         let p = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let Payload::Data(mut bytes) = p else { return Ok(()) };
-        bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE].fill(0);
+        let Some(mut block) = p.block(0).cloned() else { return Ok(()) };
+        drop(p);
+        block.make_mut()[slot * INODE_SIZE..(slot + 1) * INODE_SIZE].fill(0);
         self.stats.meta_writes += 1;
-        self.io.write_block(addr, Payload::Data(bytes)).await?;
+        self.io.write_block(addr, block.into()).await?;
         Ok(())
     }
 
@@ -604,7 +607,7 @@ mod tests {
     }
 
     fn data_block(tag: u8) -> Payload {
-        Payload::Data(vec![tag; BLOCK_SIZE as usize])
+        Payload::copy_of(&[tag; BLOCK_SIZE as usize])
     }
 
     #[test]
@@ -628,7 +631,7 @@ mod tests {
             let a2 = ffs.map_block(&f, 0).await.unwrap().unwrap();
             assert_eq!(a1, a2, "FFS overwrites in place");
             let p = ffs.read_file_block(&f, 0).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap()[0], 2);
+            assert_eq!(p.block(0).unwrap()[0], 2);
         });
     }
 
@@ -668,7 +671,7 @@ mod tests {
             let got = ffs2.get_inode(ino).await.unwrap();
             assert_eq!(got.size, 14 * BLOCK_SIZE as u64);
             let p = ffs2.read_file_block(&got, 13).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap()[0], 13);
+            assert_eq!(p.block(0).unwrap()[0], 13);
             shutdown_driver.shutdown();
         });
     }

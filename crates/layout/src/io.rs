@@ -6,14 +6,11 @@
 //! depth, so its scheduler sees them all at once. The driver's depth
 //! alone decides how many of them are at the device together.
 //!
-//! It also keeps the stack's [`BlockPool`]: metadata blocks and the
-//! coalescer's run buffers come from it, and a write's completion hands
-//! its payload back to it.
+//! Real bytes pass through as the [`Block`]s their writer made: a
+//! coalesced run is the list of its blocks, shared, so nothing here
+//! copies a block or keeps a buffer for the next request.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use cnp_disk::{DiskDriver, IoOp, Payload};
+use cnp_disk::{Block, Blocks, DiskDriver, IoOp, Payload, BLOCK_BYTES};
 
 use crate::error::{LResult, LayoutError};
 use crate::types::{BlockAddr, BLOCK_SIZE};
@@ -21,66 +18,11 @@ use crate::types::{BlockAddr, BLOCK_SIZE};
 /// One driver request: `(op, lba, sectors, payload)`.
 type Request = (IoOp, u64, u32, Payload);
 
-/// How many spare buffers a [`BlockPool`] keeps; one handed back past
-/// that is dropped. Two segments' worth of metadata blocks.
-const POOL_BUFFERS: usize = 256;
-
-/// The buffers a stack's metadata travels in: a block the log encodes
-/// into, a run the coalescer copies a segment's blocks into, and a
-/// write's payload once the device has it. It starts empty, keeps at
-/// most [`POOL_BUFFERS`], and lends every buffer empty, so what a
-/// caller sends is what it wrote or zeroes ([`BlockIo::lend_block`]).
-#[derive(Default)]
-struct BlockPool {
-    free: RefCell<Vec<Vec<u8>>>,
-    /// Emptied request lists, for the next batch.
-    requests: RefCell<Vec<Vec<Request>>>,
-}
-
-impl BlockPool {
-    /// An empty buffer with room for `len` bytes: the smallest spare
-    /// that has it (so a block never takes a run's buffer), the latest
-    /// given back among equals, else a new one.
-    fn take(&self, len: usize) -> Vec<u8> {
-        let mut free = self.free.borrow_mut();
-        let mut best: Option<(usize, usize)> = None;
-        for (i, buf) in free.iter().enumerate().rev() {
-            let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-                if cap == len {
-                    break;
-                }
-            }
-        }
-        let Some((i, _)) = best else { return Vec::with_capacity(len) };
-        let mut buf = free.swap_remove(i);
-        buf.clear();
-        buf
-    }
-
-    /// Keeps `buf` for the next [`BlockPool::take`], if it holds a block
-    /// and the pool has room.
-    fn give(&self, buf: Vec<u8>) {
-        let mut free = self.free.borrow_mut();
-        if buf.capacity() >= BLOCK_SIZE as usize && free.len() < POOL_BUFFERS {
-            free.push(buf);
-        }
-    }
-
-    /// An empty request list, a reused one when there is one.
-    fn requests(&self) -> Vec<Request> {
-        self.requests.borrow_mut().pop().unwrap_or_default()
-    }
-}
-
-/// Block-addressed view of a [`DiskDriver`]. Clones share the driver
-/// and the block pool.
+/// Block-addressed view of a [`DiskDriver`]. Clones share the driver.
 #[derive(Clone)]
 pub struct BlockIo {
     driver: DiskDriver,
     sectors_per_block: u32,
-    pool: Rc<BlockPool>,
 }
 
 impl BlockIo {
@@ -88,29 +30,7 @@ impl BlockIo {
     pub fn new(driver: DiskDriver) -> Self {
         let ssz = driver.sector_size();
         assert!(BLOCK_SIZE.is_multiple_of(ssz), "sector size {ssz} must divide block size");
-        BlockIo { driver: driver.clone(), sectors_per_block: BLOCK_SIZE / ssz, pool: Rc::default() }
-    }
-
-    /// One block of zeroes, in a buffer from the pool when it has one.
-    pub fn lend_block(&self) -> Vec<u8> {
-        let mut buf = self.pool.take(BLOCK_SIZE as usize);
-        buf.resize(BLOCK_SIZE as usize, 0);
-        buf
-    }
-
-    /// A copy of `bytes`, in a buffer from the pool when it has one.
-    pub fn lend_copy(&self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.pool.take(bytes.len());
-        buf.extend_from_slice(bytes);
-        buf
-    }
-
-    /// Gives a payload's buffer back to the pool (a simulated payload
-    /// has none).
-    pub fn recycle(&self, payload: Payload) {
-        if let Payload::Data(buf) = payload {
-            self.pool.give(buf);
-        }
+        BlockIo { driver: driver.clone(), sectors_per_block: BLOCK_SIZE / ssz }
     }
 
     /// The wrapped driver.
@@ -153,30 +73,29 @@ impl BlockIo {
             out.push(self.read_run(addr, n).await?);
             return Ok(());
         }
-        let mut reqs = self.pool.requests();
-        reqs.extend(runs.iter().map(|&(addr, n)| {
+        let reqs = runs.iter().map(|&(addr, n)| {
             let sectors = self.sectors_per_block * n;
             (IoOp::Read, self.lba(addr), sectors, Payload::Simulated(0))
-        }));
-        self.submit_all(reqs, |p| out.push(p)).await
+        });
+        self.submit_all(runs.len(), reqs, |p| out.push(p)).await
     }
 
-    /// Writes one block; the payload goes back to the pool once the
-    /// device has it.
+    /// Writes one block.
     pub async fn write_block(&self, addr: BlockAddr, payload: Payload) -> LResult<()> {
         debug_assert!(addr.is_some());
         let lba = self.lba(addr);
-        let (done, _t) =
-            self.driver.submit(IoOp::Write, lba, self.sectors_per_block, payload).await?;
-        self.recycle(done);
+        self.driver.submit(IoOp::Write, lba, self.sectors_per_block, payload).await?;
         Ok(())
     }
 
     /// Writes a run of consecutive blocks: the consecutive-address case
     /// of [`BlockIo::write_scatter`].
-    pub async fn write_run(&self, start: BlockAddr, blocks: &[Payload]) -> LResult<()> {
-        let reqs = self.coalesce((start.0..).map(BlockAddr).zip(blocks));
-        self.submit_all(reqs, |p| self.recycle(p)).await
+    pub async fn write_run<'a>(
+        &self,
+        start: BlockAddr,
+        blocks: impl Iterator<Item = &'a Payload> + Clone,
+    ) -> LResult<()> {
+        self.write_coalesced((start.0..).map(BlockAddr).zip(blocks)).await
     }
 
     /// Writes blocks at arbitrary addresses (scatter), coalescing
@@ -185,87 +104,95 @@ impl BlockIo {
     /// coalescing scan, so update-in-place layouts keep their write
     /// ordering semantics.
     pub async fn write_scatter(&self, blocks: Vec<(BlockAddr, Payload)>) -> LResult<()> {
-        let reqs = self.coalesce(blocks.iter().map(|(addr, p)| (*addr, p)));
-        self.submit_all(reqs, |p| self.recycle(p)).await
+        self.write_coalesced(blocks.iter().map(|(addr, p)| (*addr, p))).await
     }
 
     /// The write coalescer: one request per run of blocks whose
     /// addresses follow each other and whose payloads are the same kind
     /// (real-byte runs stay real; simulated runs stay length-only), so a
     /// big sequential write costs one controller overhead instead of one
-    /// per block. A run is measured on a copy of the iterator before it
-    /// is consumed, so a real run's buffer is taken from the pool once,
-    /// at size.
-    fn coalesce<'a>(
+    /// per block. A real run's payload lists the run's blocks, shared.
+    async fn write_coalesced<'a>(
         &self,
-        mut blocks: impl Iterator<Item = (BlockAddr, &'a Payload)> + Clone,
-    ) -> Vec<Request> {
-        let mut reqs = self.pool.requests();
-        while let Some((start, first)) = blocks.clone().next() {
-            let real = first.bytes().is_some();
-            let n = blocks
+        blocks: impl Iterator<Item = (BlockAddr, &'a Payload)> + Clone,
+    ) -> LResult<()> {
+        // Each run's start, length and kind, measured before any is
+        // built, so the batch knows its size.
+        let mut rest = blocks.clone();
+        let runs = std::iter::from_fn(move || {
+            let (start, first) = rest.clone().next()?;
+            let real = first.blocks().is_some();
+            let n = rest
                 .clone()
                 .zip(start.0..)
-                .take_while(|((addr, p), want)| addr.0 == *want && p.bytes().is_some() == real)
+                .take_while(|((addr, p), want)| addr.0 == *want && p.blocks().is_some() == real)
                 .count();
+            rest.nth(n - 1);
+            Some((start, n, real))
+        });
+        let mut blocks = blocks;
+        let reqs = runs.clone().map(|(start, n, real)| {
+            let run = blocks.by_ref().take(n).map(|(_, p)| p);
             let payload = if real {
-                let mut buf = self.pool.take(n * BLOCK_SIZE as usize);
-                for (_, p) in blocks.by_ref().take(n) {
-                    buf.extend_from_slice(p.bytes().expect("run is real"));
-                    buf.resize(buf.len().next_multiple_of(BLOCK_SIZE as usize), 0);
+                let mut out = Blocks::with_capacity(if n == 1 { 0 } else { n });
+                for block in run.flat_map(|p| p.blocks().expect("run is real").iter()) {
+                    let block = match block.len() {
+                        BLOCK_BYTES => block.clone(),
+                        _ => Block::padded(block, BLOCK_BYTES),
+                    };
+                    match out.is_empty() {
+                        true if n == 1 => out = Blocks::One(block),
+                        _ => out.append(block),
+                    }
                 }
-                Payload::Data(buf)
+                Payload::Data(out)
             } else {
-                blocks.nth(n - 1);
+                run.for_each(drop);
                 Payload::Simulated(n as u32 * BLOCK_SIZE)
             };
-            reqs.push((IoOp::Write, self.lba(start), self.sectors_per_block * n as u32, payload));
-        }
-        reqs
+            (IoOp::Write, self.lba(start), self.sectors_per_block * n as u32, payload)
+        });
+        self.submit_all(runs.count(), reqs, drop).await
     }
 
-    /// Sends `reqs` to the driver and hands each result's payload to
-    /// `each`, in order, up to the first error: one request through
-    /// `submit`, more than one as one batch. The emptied list goes back
-    /// to the pool.
+    /// Sends `n` requests to the driver and hands each result's payload
+    /// to `each`, in order, up to the first error: one request through
+    /// `submit`, more than one as one batch.
     async fn submit_all(
         &self,
-        mut reqs: Vec<Request>,
+        n: usize,
+        mut reqs: impl Iterator<Item = Request>,
         mut each: impl FnMut(Payload),
     ) -> LResult<()> {
         let mut failed = None;
-        if reqs.len() > 1 {
+        if n > 1 {
             let note = |r: Result<_, _>| match r {
                 Ok((payload, _)) if failed.is_none() => each(payload),
                 Ok(_) => {}
                 Err(e) => _ = failed.get_or_insert(e),
             };
-            self.driver.submit_batch(reqs.drain(..), note).await;
-        } else if let Some((op, lba, sectors, payload)) = reqs.pop() {
+            self.driver.submit_batch(reqs, note).await;
+        } else if let Some((op, lba, sectors, payload)) = reqs.next() {
             match self.driver.submit(op, lba, sectors, payload).await {
                 Ok((payload, _)) => each(payload),
                 Err(e) => failed = Some(e),
             }
         }
-        self.pool.requests.borrow_mut().push(reqs);
         failed.map_or(Ok(()), |e| Err(e.into()))
     }
 
-    /// Extracts block `idx` of a multi-block payload as owned bytes.
-    pub fn block_bytes(payload: &Payload, idx: usize) -> LResult<Vec<u8>> {
-        match payload.bytes() {
-            Some(b) => {
-                let lo = idx * BLOCK_SIZE as usize;
-                let hi = lo + BLOCK_SIZE as usize;
-                if b.len() < hi {
-                    return Err(LayoutError::Corrupt(format!(
-                        "payload too short: {} < {hi}",
-                        b.len()
-                    )));
-                }
-                Ok(b[lo..hi].to_vec())
-            }
-            None => Err(LayoutError::Corrupt("expected real bytes, got simulated".into())),
+    /// Block `idx` of a multi-block payload, shared.
+    pub fn block_of(payload: &Payload, idx: usize) -> LResult<Block> {
+        let blocks = payload
+            .blocks()
+            .ok_or_else(|| LayoutError::Corrupt("expected real bytes, got simulated".into()))?;
+        match blocks.get(idx) {
+            Some(b) if b.len() == BLOCK_SIZE as usize => Ok(b.clone()),
+            _ => Err(LayoutError::Corrupt(format!(
+                "payload too short: {} < {}",
+                blocks.byte_len(),
+                (idx + 1) * BLOCK_SIZE as usize
+            ))),
         }
     }
 }
@@ -275,27 +202,6 @@ mod tests {
     use super::*;
     use cnp_disk::{sim_disk_driver, CLook, Hp97560};
     use cnp_sim::Sim;
-
-    /// The pool lends every buffer empty: a lent block is zeroes
-    /// whatever its buffer held, and a block takes the smallest spare
-    /// that holds it, never a run's while a block-sized one is spare.
-    #[test]
-    fn a_lent_block_is_zeroes_whatever_its_buffer_held() {
-        let sim = Sim::new(5);
-        let driver =
-            sim_disk_driver(&sim.handle(), "d0", Box::new(Hp97560::new()), Box::new(CLook));
-        let io = BlockIo::new(driver);
-        let bs = BLOCK_SIZE as usize;
-        io.recycle(Payload::Data(vec![0xa5; 3 * bs]));
-        io.recycle(Payload::Data(vec![0x5a; bs]));
-        io.recycle(Payload::Data(vec![0x77; bs / 2]));
-        let block = io.lend_block();
-        assert_eq!((block.len(), block.capacity()), (bs, bs), "the block-sized spare");
-        assert!(block.iter().all(|&b| b == 0), "a lent block is zeroes");
-        let run = io.lend_copy(&vec![1; 2 * bs]);
-        assert_eq!(run.capacity(), 3 * bs, "the run's spare");
-        assert_eq!(run, vec![1; 2 * bs]);
-    }
 
     /// Depth decides how many commands are at the device, never what is
     /// sent: at 1 as at 2, consecutive blocks coalesce into one command,
@@ -312,7 +218,8 @@ mod tests {
             let (a, b) = (100, 900);
             let (commands, out) = sim.block_on("test", async move {
                 let blocks = [(a, 1), (a + 1, 2), (a + 2, 3), (b, 4)];
-                let blocks = blocks.map(|(addr, tag)| (BlockAddr(addr), Payload::Data(block(tag))));
+                let blocks =
+                    blocks.map(|(addr, tag)| (BlockAddr(addr), Payload::copy_of(&block(tag))));
                 io.write_scatter(blocks.into()).await.unwrap();
                 let commands = io.driver().stats().completed;
                 let mut out = Vec::new();
@@ -328,8 +235,7 @@ mod tests {
                 "qd {depth}: queue peaked at {}",
                 stats.max_queue_len
             );
-            let bytes: Vec<u8> =
-                out.iter().flat_map(|p| p.bytes().expect("real").to_vec()).collect();
+            let bytes: Vec<u8> = out.iter().flat_map(|p| p.to_vec().expect("real")).collect();
             assert_eq!(bytes, [1, 2, 3, 4].map(block).concat(), "qd {depth}: blocks out of place");
         }
     }

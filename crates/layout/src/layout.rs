@@ -104,11 +104,10 @@ pub trait StorageLayout {
     /// Disk address of file block `blk`, or `None` for a hole.
     async fn map_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<BlockAddr>>;
 
-    /// Lends `read` the payload of a block still buffered in the layout
-    /// (not yet on disk), e.g. the LFS's unflushed segment, where it
-    /// sits, and returns what `read` made of it. `None` means the device
-    /// copy is authoritative.
-    fn staged_block<T>(&self, _addr: BlockAddr, _read: impl FnOnce(&Payload) -> T) -> Option<T> {
+    /// The payload of a block still buffered in the layout (not yet on
+    /// disk), e.g. in the LFS's unflushed segment, its blocks shared.
+    /// `None` means the device copy is authoritative.
+    fn staged_block(&self, _addr: BlockAddr) -> Option<Payload> {
         None
     }
 
@@ -253,8 +252,8 @@ impl StorageLayout for Layout {
         dispatch_async!(self, map_block, inode, blk)
     }
 
-    fn staged_block<T>(&self, addr: BlockAddr, read: impl FnOnce(&Payload) -> T) -> Option<T> {
-        dispatch!(self, staged_block, addr, read)
+    fn staged_block(&self, addr: BlockAddr) -> Option<Payload> {
+        dispatch!(self, staged_block, addr)
     }
 
     fn staged_image(&self) -> Vec<(BlockAddr, Payload)> {

@@ -35,7 +35,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use cnp_disk::{DiskDriver, Payload};
+use cnp_disk::{Block, Blocks, DiskDriver, Payload};
 use cnp_sim::{Event, Handle};
 
 use crate::error::{LResult, LayoutError};
@@ -45,9 +45,9 @@ use crate::layout::{LayoutStats, RecoveryStats, StorageLayout};
 use crate::types::{block_slot, BlockAddr, BlockSlot, FileKind, Ino, BLOCK_SIZE, NINDIRECT};
 
 use structs::{
-    imap_block_into, imap_from_blocks, imap_pack, imap_unpack, summary_from_block, summary_into,
-    summary_to_block, usage_block_into, usage_from_blocks, Checkpoint, SuperBlock, CKPT_ADDRS,
-    DATA_START, IMAP_NONE, IMAP_PER_BLOCK, SUM_MAX_ENTRIES, USAGE_PER_BLOCK,
+    imap_block, imap_from_blocks, imap_pack, imap_unpack, summary_block, summary_from_block,
+    usage_block, usage_from_blocks, Checkpoint, SuperBlock, CKPT_ADDRS, DATA_START, IMAP_NONE,
+    IMAP_PER_BLOCK, SUM_MAX_ENTRIES, USAGE_PER_BLOCK,
 };
 
 /// Cleaner victim-selection policy.
@@ -85,19 +85,16 @@ impl Default for LfsParams {
     }
 }
 
-/// A sealed segment queued for its media write. Once written, its
-/// payloads go back to the block pool and the record itself, with its
-/// summary buffer and payload list, waits for a later seal
-/// ([`SealShared::spare`]).
+/// A sealed segment queued for its media write.
 struct PendingSeal {
     /// Segment index (excluded from free/victim selection while queued).
     seg: u32,
     /// Device address of the summary block (the segment head).
     start: u64,
     /// Serialized summary block.
-    summary: Vec<u8>,
-    /// Payload blocks in slot order.
-    payloads: Vec<Payload>,
+    summary: Block,
+    /// The segment's entries, payload blocks in slot order.
+    entries: Vec<(SumEntry, Payload)>,
 }
 
 /// Where a segment stands with the seal writer: the index
@@ -154,9 +151,6 @@ struct SealShared {
     /// points (the failed segment stays queued, so the battery-backed
     /// staging image still holds its blocks).
     failed: RefCell<Option<LayoutError>>,
-    /// Retired seals, emptied, that nothing else held (at most
-    /// [`SPARE_SEALS`]).
-    spare: RefCell<Vec<Rc<PendingSeal>>>,
 }
 
 impl SealShared {
@@ -202,11 +196,9 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
             // the whole segment.
             let sp = h.trace_span("layout:seal");
             let r: LResult<()> = async {
-                io.write_run(BlockAddr(job.start + 1), &job.payloads).await?;
-                // The queued summary stays readable (a crash capture
-                // exports it) until the write lands: send a pooled copy.
-                let summary = io.lend_copy(&job.summary);
-                io.write_block(BlockAddr(job.start), Payload::Data(summary)).await?;
+                let payloads = job.entries.iter().map(|(_, p)| p);
+                io.write_run(BlockAddr(job.start + 1), payloads).await?;
+                io.write_block(BlockAddr(job.start), job.summary.clone().into()).await?;
                 Ok(())
             }
             .await;
@@ -215,14 +207,8 @@ fn spawn_seal_writer(handle: &Handle, io: BlockIo, shared: Rc<SealShared>) {
             match r {
                 Ok(()) => {
                     let retired = shared.pending.borrow_mut().pop_front();
-                    if let Some(mut p) = retired {
+                    if let Some(p) = retired {
                         shared.mark(p.seg, Queued::No);
-                        let mut spare = shared.spare.borrow_mut();
-                        if let (Some(seal), true) = (Rc::get_mut(&mut p), spare.len() < SPARE_SEALS)
-                        {
-                            seal.payloads.drain(..).for_each(|p| io.recycle(p));
-                            spare.push(p);
-                        }
                     }
                     shared.done.signal();
                 }
@@ -322,10 +308,6 @@ pub struct LfsLayout {
 
 const INDIRECT_CACHE_CAP: usize = 1024;
 
-/// Retired seal records kept for reuse: a checkpoint can queue two
-/// segments behind one still being written.
-const SPARE_SEALS: usize = 4;
-
 /// A post-checkpoint segment found by recovery: `(seq, seg, entries)`.
 type YoungSeg = (u64, u32, Vec<SumEntry>);
 
@@ -349,7 +331,6 @@ impl LfsLayout {
             work: Event::new(handle),
             done: Event::new(handle),
             failed: RefCell::new(None),
-            spare: RefCell::new(Vec::new()),
         });
         spawn_seal_writer(handle, io.clone(), seal.clone());
         LfsLayout {
@@ -412,11 +393,12 @@ impl LfsLayout {
     }
 
     /// Recounts the maintained segment state after `usage` was replaced
-    /// wholesale.
+    /// wholesale: one pass over the table for `zero_live`, and the seal
+    /// flags of the segments the queue holds (no other segment has one).
     fn recount_segments(&mut self) {
         self.zero_live = self.usage.iter().filter(|u| u.live == 0).count() as u32;
-        for (seg, u) in self.usage.iter().enumerate() {
-            self.seal.relive(seg as u32, u.live);
+        for p in self.seal.pending.borrow().iter() {
+            self.seal.relive(p.seg, self.usage[p.seg as usize].live);
         }
     }
 
@@ -551,21 +533,17 @@ impl LfsLayout {
         if let Some(e) = seal.failed.borrow().clone() {
             return Err(e);
         }
-        // A retired seal's record, summary buffer and payload list hold
-        // this one.
-        let spare = seal.spare.borrow_mut().pop();
-        let mut job = spare.unwrap_or_else(|| {
-            let summary = self.io.lend_block();
-            Rc::new(PendingSeal { seg: 0, start: 0, summary, payloads: Vec::new() })
-        });
-        let p = Rc::get_mut(&mut job).expect("a spare seal is unshared");
-        p.seg = self.cur.seg;
-        p.start = self.seg_start(self.cur.seg);
         let header = [self.sb.gen, self.epoch, self.log_seq];
-        summary_into(&mut p.summary, header, self.cur.entries.iter().map(|(e, _)| *e));
-        p.payloads.extend(self.cur.entries.drain(..).map(|(_, p)| p));
+        let summary = summary_block(header, self.cur.entries.iter().map(|(e, _)| *e));
+        let room = Vec::with_capacity(self.payload_per_seg() as usize);
+        let job = PendingSeal {
+            seg: self.cur.seg,
+            start: self.seg_start(self.cur.seg),
+            summary,
+            entries: std::mem::replace(&mut self.cur.entries, room),
+        };
         seal.mark(self.cur.seg, Queued::holding(self.usage[self.cur.seg as usize].live));
-        seal.pending.borrow_mut().push_back(job);
+        seal.pending.borrow_mut().push_back(Rc::new(job));
         seal.work.signal();
         self.stats.segments_written += 1;
         self.stats.meta_writes += 1; // Summary block.
@@ -585,11 +563,11 @@ impl LfsLayout {
     /// entry `slot_idx` of the current segment, and points the inode map
     /// at it.
     fn put_open_slot(&mut self, slot_idx: usize, slot: usize, inode: &Inode) {
-        let Payload::Data(bytes) = &mut self.cur.entries[slot_idx].1 else {
+        let Payload::Data(Blocks::One(block)) = &mut self.cur.entries[slot_idx].1 else {
             unreachable!("a packed-inode block carries bytes")
         };
         let off = slot * INODE_SIZE;
-        bytes[off..off + INODE_SIZE].copy_from_slice(&inode.to_bytes());
+        block.make_mut()[off..off + INODE_SIZE].copy_from_slice(&inode.to_bytes());
         let addr = self.payload_addr(self.cur.seg, slot_idx);
         self.imap_set(inode.ino, imap_pack(addr, slot));
         self.usage_add(self.cur.seg, INODE_SIZE as u32);
@@ -619,26 +597,20 @@ impl LfsLayout {
         // a dead-disk crash capture must apply them too.
         let mut queued: Vec<(BlockAddr, Payload)> = Vec::new();
         for p in self.seal.pending.borrow().iter() {
-            queued.push((BlockAddr(p.start), Payload::Data(p.summary.clone())));
-            for (i, pl) in p.payloads.iter().enumerate() {
+            queued.push((BlockAddr(p.start), p.summary.clone().into()));
+            for (i, (_, pl)) in p.entries.iter().enumerate() {
                 queued.push((BlockAddr(p.start + 1 + i as u64), pl.clone()));
             }
         }
         if self.cur.entries.is_empty() {
             return queued;
         }
-        let entries: Vec<(SumEntry, Payload)> = self.cur.entries.clone();
-        let summary = SegSummary {
-            gen: self.sb.gen,
-            epoch: self.epoch,
-            seq: self.log_seq + 1,
-            entries: entries.iter().map(|(e, _)| *e).collect(),
-        };
+        let header = [self.sb.gen, self.epoch, self.log_seq + 1];
         let start = self.seg_start(self.cur.seg);
-        queued.push((BlockAddr(start), Payload::Data(summary_to_block(&summary))));
-        queued.extend(
-            entries.into_iter().enumerate().map(|(i, (_, p))| (BlockAddr(start + 1 + i as u64), p)),
-        );
+        let summary = summary_block(header, self.cur.entries.iter().map(|(e, _)| *e));
+        queued.push((BlockAddr(start), summary.into()));
+        let entries = self.cur.entries.iter().enumerate();
+        queued.extend(entries.map(|(i, (_, p))| (BlockAddr(start + 1 + i as u64), p.clone())));
         queued
     }
 
@@ -745,7 +717,7 @@ impl LfsLayout {
         let sum_payload = self.io.read_block(BlockAddr(self.seg_start(seg))).await?;
         self.stats.meta_reads += 1;
         let bytes =
-            sum_payload.bytes().ok_or_else(|| LayoutError::Corrupt("summary lost".into()))?;
+            sum_payload.block(0).ok_or_else(|| LayoutError::Corrupt("summary lost".into()))?;
         let summary = summary_from_block(bytes)?;
         if summary.gen != self.sb.gen {
             // Stale summary from another format: nothing here is live.
@@ -813,9 +785,9 @@ impl LfsLayout {
         let payload = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
         let bytes = payload
-            .bytes()
+            .block(0)
             .ok_or_else(|| LayoutError::Corrupt("inode block lost".into()))?
-            .to_vec();
+            .clone();
         for slot in 0..INODES_PER_BLOCK {
             let off = slot * INODE_SIZE;
             let Some(inode) = Inode::from_bytes(&bytes[off..off + INODE_SIZE]) else {
@@ -838,48 +810,41 @@ impl LfsLayout {
         if let Some(t) = self.indirect.get(&addr.0) {
             return Ok(t.clone());
         }
-        let decode = |bytes: &[u8], table: &mut [u64]| {
+        let payload = self.meta_block(addr).await?;
+        let bytes =
+            payload.block(0).ok_or_else(|| LayoutError::Corrupt("indirect block lost".into()))?;
+        Ok(self.cache_indirect(addr, |table| {
             for (i, v) in table.iter_mut().enumerate() {
                 *v = crate::types::codec::get_u64(bytes, i * 8);
             }
-        };
-        // A staged indirect block (unflushed segment, or queued at the
-        // seal writer) is not on the media yet: decode it where it is.
-        if let Some(real) = self.staged_block(addr, |p| p.bytes().is_some()) {
-            if !real {
-                return Err(LayoutError::Corrupt("staged indirect lost".into()));
-            }
-            let fill = |me: &Self, t: &mut [u64]| {
-                me.staged_block(addr, |p| decode(p.bytes().expect("checked real"), t));
-            };
-            return Ok(self.cache_indirect(addr, fill));
+        }))
+    }
+
+    /// The metadata block at `addr`: shared from staging (the unflushed
+    /// segment, or one queued at the seal writer) while it is there,
+    /// else read from the media.
+    async fn meta_block(&mut self, addr: BlockAddr) -> LResult<Payload> {
+        if let Some(payload) = self.staged_block(addr) {
+            return Ok(payload);
         }
         let payload = self.io.read_block(addr).await?;
         self.stats.meta_reads += 1;
-        let bytes =
-            payload.bytes().ok_or_else(|| LayoutError::Corrupt("indirect block lost".into()))?;
-        let table = self.cache_indirect(addr, |_, t| decode(bytes, t));
-        self.io.recycle(payload);
-        Ok(table)
+        Ok(payload)
     }
 
     /// Caches the indirect table at `addr`, which `fill` writes over a
-    /// table of `NINDIRECT` slots (it may read the layout, not change
-    /// it), evicting the oldest entry first when the cache is full. The
+    /// table of `NINDIRECT` slots, evicting the oldest entry first when
+    /// the cache is full. The
     /// evicted table's storage holds the new one when nothing else still
     /// holds it, so a full cache allocates no table.
-    fn cache_indirect(
-        &mut self,
-        addr: BlockAddr,
-        fill: impl FnOnce(&Self, &mut [u64]),
-    ) -> Rc<[u64]> {
+    fn cache_indirect(&mut self, addr: BlockAddr, fill: impl FnOnce(&mut [u64])) -> Rc<[u64]> {
         let mut spare = None;
         if self.indirect_fifo.len() >= INDIRECT_CACHE_CAP {
             let evict = self.indirect_fifo.pop_front().expect("the cache is full");
             spare = self.indirect.remove(&evict).filter(|t| Rc::strong_count(t) == 1);
         }
         let mut table = spare.unwrap_or_else(|| (0..NINDIRECT).map(|_| 0).collect());
-        fill(self, Rc::get_mut(&mut table).expect("a fresh or unshared table"));
+        fill(Rc::get_mut(&mut table).expect("a fresh or unshared table"));
         self.indirect_fifo.push_back(addr.0);
         self.indirect.insert(addr.0, table.clone());
         table
@@ -889,14 +854,15 @@ impl LfsLayout {
     /// summary entry names the owner: that is how the cleaner finds the
     /// inode to ask whether the block is still live.
     async fn append_indirect(&mut self, ino: Ino, table: &[u64]) -> LResult<BlockAddr> {
-        let mut bytes = self.io.lend_block();
+        let mut block = Block::zeroed();
+        let bytes = block.make_mut();
         for (i, v) in table.iter().enumerate() {
-            crate::types::codec::put_u64(&mut bytes, i * 8, *v);
+            crate::types::codec::put_u64(bytes, i * 8, *v);
         }
         let entry = SumEntry::Indirect { ino: ino.0 };
-        let addr = self.append_block(entry, Payload::Data(bytes)).await?;
+        let addr = self.append_block(entry, block.into()).await?;
         self.stats.meta_writes += 1;
-        self.cache_indirect(addr, |_, t| t.copy_from_slice(table));
+        self.cache_indirect(addr, |t| t.copy_from_slice(table));
         Ok(addr)
     }
 
@@ -920,9 +886,9 @@ impl LfsLayout {
         };
         if need_new {
             self.close_open_inode();
-            // A zeroed block from the pool, written in place from here.
+            // A zeroed block, written in place from here.
             let before_seg = self.cur.seg;
-            let block = Payload::Data(self.io.lend_block());
+            let block = Block::zeroed().into();
             let _addr = self.append_block(SumEntry::InodeBlock, block).await?;
             // `append_block` may have rolled the segment; the new block
             // lives in the (possibly new) current segment's last slot.
@@ -944,29 +910,12 @@ impl LfsLayout {
     async fn read_inode_at(&mut self, addr: BlockAddr, slot: usize) -> LResult<Inode> {
         // The block may still be staged: the open packed-inode block, or
         // another in the unflushed segment or in one queued at the seal
-        // writer. Decode it where it is.
-        let off = slot * INODE_SIZE;
-        let staged = |p: &Payload| {
-            let bytes = p.bytes()?;
-            Some(match bytes.get(off..off + INODE_SIZE) {
-                None => {
-                    Err(LayoutError::Corrupt(format!("staged inode block at {addr} too short")))
-                }
-                Some(bytes) => Inode::from_bytes(bytes)
-                    .ok_or_else(|| LayoutError::Corrupt("staged inode slot".into())),
-            })
-        };
-        if let Some(inode) = self.staged_block(addr, staged).flatten() {
-            return inode;
-        }
-        let payload = self.io.read_block(addr).await?;
-        self.stats.meta_reads += 1;
+        // writer.
+        let payload = self.meta_block(addr).await?;
         let bytes =
-            payload.bytes().ok_or_else(|| LayoutError::Corrupt("inode block lost".into()))?;
-        let inode = Inode::from_bytes(&bytes[off..off + INODE_SIZE])
-            .ok_or_else(|| LayoutError::Corrupt(format!("bad inode at {addr}/{slot}")));
-        self.io.recycle(payload);
-        inode
+            payload.block(0).ok_or_else(|| LayoutError::Corrupt("inode block lost".into()))?;
+        Inode::from_bytes(&bytes[slot * INODE_SIZE..(slot + 1) * INODE_SIZE])
+            .ok_or_else(|| LayoutError::Corrupt(format!("bad inode at {addr}/{slot}")))
     }
 
     /// Takes a checkpoint: push imap + usage into the log, then write the
@@ -989,14 +938,13 @@ impl LfsLayout {
             self.supersede(BlockAddr(a), BLOCK_SIZE);
         }
         meta.clear();
-        // Append imap blocks, each encoded into a pooled buffer.
+        // Append imap blocks.
         let (mut imap_addrs, mut usage_addrs) = std::mem::take(&mut self.ckpt_addrs);
         imap_addrs.clear();
         usage_addrs.clear();
         for i in 0..self.imap.len().div_ceil(IMAP_PER_BLOCK) {
-            let mut block = self.io.lend_block();
-            imap_block_into(&mut block, &self.imap, i);
-            let addr = self.append_block(SumEntry::Imap, Payload::Data(block)).await?;
+            let block = imap_block(&self.imap, i).into();
+            let addr = self.append_block(SumEntry::Imap, block).await?;
             self.stats.meta_writes += 1;
             imap_addrs.push(addr.0);
         }
@@ -1019,9 +967,8 @@ impl LfsLayout {
             slots_left -= 1;
         }
         for i in 0..n_usage {
-            let mut block = self.io.lend_block();
-            usage_block_into(&mut block, &projected, i);
-            let addr = self.append_block(SumEntry::Usage, Payload::Data(block)).await?;
+            let block = usage_block(&projected, i).into();
+            let addr = self.append_block(SumEntry::Usage, block).await?;
             self.stats.meta_writes += 1;
             usage_addrs.push(addr.0);
         }
@@ -1051,10 +998,9 @@ impl LfsLayout {
             usage_addrs,
         };
         let region = CKPT_ADDRS[(self.ckpt_seq % 2) as usize];
-        let mut block = self.io.lend_block();
-        ckpt.to_block_into(&mut block);
+        let block = ckpt.to_block();
         self.ckpt_addrs = (ckpt.imap_addrs, ckpt.usage_addrs);
-        self.io.write_block(region, Payload::Data(block)).await?;
+        self.io.write_block(region, block.into()).await?;
         self.stats.meta_writes += 1;
         self.stats.checkpoints += 1;
         Ok(())
@@ -1071,7 +1017,7 @@ impl StorageLayout for LfsLayout {
         // stale structures from an earlier format can never be trusted
         // (notably: the *other* alternating checkpoint region).
         self.sb.gen = format_gen(self.now_ns(), self.sb.nsegs, self.sb.seg_blocks);
-        self.io.write_block(structs::SB_ADDR, Payload::Data(self.sb.to_block())).await?;
+        self.io.write_block(structs::SB_ADDR, self.sb.to_block().into()).await?;
         self.imap = vec![IMAP_NONE; 2];
         self.usage = vec![SegUsage::default(); self.sb.nsegs as usize];
         self.recount_segments();
@@ -1122,7 +1068,7 @@ impl StorageLayout for LfsLayout {
                     SumEntry::InodeBlock => {
                         let Ok(payload) = self.io.read_block(addr).await else { continue };
                         self.stats.meta_reads += 1;
-                        let Some(bytes) = payload.bytes() else { continue };
+                        let Some(bytes) = payload.block(0) else { continue };
                         for slot in 0..INODES_PER_BLOCK {
                             let off = slot * INODE_SIZE;
                             if bytes.len() < off + INODE_SIZE {
@@ -1306,29 +1252,28 @@ impl StorageLayout for LfsLayout {
         self.staged_writes()
     }
 
-    fn staged_block<T>(&self, addr: BlockAddr, read: impl FnOnce(&Payload) -> T) -> Option<T> {
+    fn staged_block(&self, addr: BlockAddr) -> Option<Payload> {
         let seg_start = self.seg_start(self.cur.seg);
         if addr.0 > seg_start && addr.0 <= seg_start + self.payload_per_seg() as u64 {
             let idx = (addr.0 - seg_start - 1) as usize;
             if idx < self.cur.entries.len() {
-                return Some(read(&self.cur.entries[idx].1));
+                return Some(self.cur.entries[idx].1.clone());
             }
         }
         // Sealed segments still queued at the writer serve reads from
         // staging until their media write lands.
-        for p in self.seal.pending.borrow().iter() {
-            if addr.0 > p.start && addr.0 <= p.start + p.payloads.len() as u64 {
-                return Some(read(&p.payloads[(addr.0 - p.start - 1) as usize]));
-            }
-        }
-        None
+        let pending = self.seal.pending.borrow();
+        let p = pending
+            .iter()
+            .find(|p| addr.0 > p.start && addr.0 <= p.start + p.entries.len() as u64)?;
+        Some(p.entries[(addr.0 - p.start - 1) as usize].1.clone())
     }
 
     async fn read_file_block(&mut self, inode: &Inode, blk: u64) -> LResult<Option<Payload>> {
         let Some(addr) = self.map_block(inode, blk).await? else { return Ok(None) };
         // Serve from staging if the block has not reached the media yet
         // (the open segment, or one queued at the seal writer).
-        if let Some(p) = self.staged_block(addr, Payload::clone) {
+        if let Some(p) = self.staged_block(addr) {
             return Ok(Some(p));
         }
         self.stats.data_reads += 1;
@@ -1391,7 +1336,7 @@ impl LfsLayout {
     /// checkpoint until recovery says otherwise.
     async fn load_state(&mut self) -> LResult<Checkpoint> {
         let sb_payload = self.io.read_block(structs::SB_ADDR).await?;
-        let sb_bytes = sb_payload.bytes().ok_or(LayoutError::NotFormatted)?;
+        let sb_bytes = sb_payload.block(0).ok_or(LayoutError::NotFormatted)?;
         let sb = SuperBlock::from_block(sb_bytes)?;
         if sb.seg_blocks != self.sb.seg_blocks || sb.nsegs != self.sb.nsegs {
             return Err(LayoutError::Corrupt("superblock geometry mismatch".into()));
@@ -1402,7 +1347,7 @@ impl LfsLayout {
         let mut best: Option<Checkpoint> = None;
         for region in CKPT_ADDRS {
             let payload = self.io.read_block(region).await?;
-            if let Some(bytes) = payload.bytes() {
+            if let Some(bytes) = payload.block(0) {
                 if let Some(c) = Checkpoint::from_block(bytes) {
                     if c.gen == sb.gen && best.as_ref().map(|b| c.seq > b.seq).unwrap_or(true) {
                         best = Some(c);
@@ -1416,14 +1361,14 @@ impl LfsLayout {
             let p = self.io.read_block(BlockAddr(a)).await?;
             self.stats.meta_reads += 1;
             imap_blocks
-                .push(p.bytes().ok_or_else(|| LayoutError::Corrupt("imap lost".into()))?.to_vec());
+                .push(p.block(0).ok_or_else(|| LayoutError::Corrupt("imap lost".into()))?.clone());
         }
         let mut usage_blocks = Vec::new();
         for &a in &ckpt.usage_addrs {
             let p = self.io.read_block(BlockAddr(a)).await?;
             self.stats.meta_reads += 1;
             usage_blocks
-                .push(p.bytes().ok_or_else(|| LayoutError::Corrupt("usage lost".into()))?.to_vec());
+                .push(p.block(0).ok_or_else(|| LayoutError::Corrupt("usage lost".into()))?.clone());
         }
         self.imap = imap_from_blocks(&imap_blocks);
         self.usage = usage_from_blocks(&usage_blocks);
@@ -1493,7 +1438,7 @@ impl LfsLayout {
                 continue; // Unknown: never a stop point.
             };
             let summary = payload
-                .bytes()
+                .block(0)
                 .and_then(|b| summary_from_block(b).ok())
                 .filter(|s| s.gen == self.sb.gen && s.epoch == ckpt.epoch && s.seq > ckpt.log_seq);
             match summary {
@@ -1515,7 +1460,7 @@ impl LfsLayout {
         for seg in 0..self.sb.nsegs {
             let addr = BlockAddr(self.seg_start(seg));
             let Ok(payload) = self.io.read_block(addr).await else { continue };
-            let Some(bytes) = payload.bytes() else { continue };
+            let Some(bytes) = payload.block(0) else { continue };
             let Ok(summary) = summary_from_block(bytes) else { continue };
             if summary.gen != self.sb.gen
                 || summary.epoch != ckpt.epoch
@@ -1733,7 +1678,7 @@ mod tests {
     }
 
     fn data_block(tag: u8) -> Payload {
-        Payload::Data(vec![tag; BLOCK_SIZE as usize])
+        Payload::copy_of(&[tag; BLOCK_SIZE as usize])
     }
 
     #[test]
@@ -1760,7 +1705,7 @@ mod tests {
             .unwrap();
             for (blk, tag) in [(0u64, 1u8), (1, 2), (2, 3)] {
                 let p = lfs.read_file_block(&f, blk).await.unwrap().unwrap();
-                assert_eq!(p.bytes().unwrap()[0], tag, "block {blk}");
+                assert_eq!(p.block(0).unwrap()[0], tag, "block {blk}");
             }
             assert!(lfs.read_file_block(&f, 3).await.unwrap().is_none());
         });
@@ -1777,7 +1722,7 @@ mod tests {
             lfs.write_file_blocks(&mut f, blocks).await.unwrap();
             assert!(f.indirect.is_some());
             let p = lfs.read_file_block(&f, 15).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap()[0], 15);
+            assert_eq!(p.block(0).unwrap()[0], 15);
             // Hole below the indirect range.
             assert!(lfs.read_file_block(&f, 5).await.unwrap().is_none());
         });
@@ -1795,7 +1740,7 @@ mod tests {
             let a2 = lfs.map_block(&f, 0).await.unwrap().unwrap();
             assert_ne!(a1, a2, "LFS must relocate on overwrite");
             let p = lfs.read_file_block(&f, 0).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap()[0], 2);
+            assert_eq!(p.block(0).unwrap()[0], 2);
         });
     }
 
@@ -1821,7 +1766,7 @@ mod tests {
             let got = lfs2.get_inode(ino).await.unwrap();
             assert_eq!(got.size, 2 * BLOCK_SIZE as u64);
             let p = lfs2.read_file_block(&got, 1).await.unwrap().unwrap();
-            assert_eq!(p.bytes().unwrap()[0], 8);
+            assert_eq!(p.block(0).unwrap()[0], 8);
             let root = lfs2.get_inode(Ino::ROOT).await.unwrap();
             assert_eq!(root.kind, FileKind::Directory);
             shutdown_driver.shutdown();
@@ -1886,7 +1831,7 @@ mod tests {
             // File A's data must survive cleaning.
             for b in 0..8u64 {
                 let p = lfs.read_file_block(&fa, b).await.unwrap().unwrap();
-                assert_eq!(p.bytes().unwrap()[0], 100 + b as u8, "block {b}");
+                assert_eq!(p.block(0).unwrap()[0], 100 + b as u8, "block {b}");
             }
             shutdown_driver.shutdown();
         });
@@ -1919,7 +1864,7 @@ mod tests {
             let moved = lfs.get_inode(f.ino).await.unwrap();
             assert_ne!(lfs.seg_of(moved.indirect), victim, "the cleaner must take it along");
             let p = lfs.read_file_block(&moved, 13).await.unwrap().expect("still mapped");
-            assert_eq!(p.bytes().unwrap()[0], 13);
+            assert_eq!(p.block(0).unwrap()[0], 13);
         });
     }
 
@@ -1973,7 +1918,7 @@ mod tests {
             assert!(stats.recovered_inodes > 0);
             // The durable file is intact.
             let a = rec.get_inode(ino_a).await.unwrap();
-            assert_eq!(rec.read_file_block(&a, 0).await.unwrap().unwrap().bytes().unwrap()[0], 1);
+            assert_eq!(rec.read_file_block(&a, 0).await.unwrap().unwrap().block(0).unwrap()[0], 1);
             // The post-checkpoint file rolls forward: every block whose
             // segment was flushed before the crash is back. With 8-block
             // segments (7 payload slots, one taken by the inode block),
@@ -1983,7 +1928,7 @@ mod tests {
             assert_eq!(b.blocks(), 12, "size travels with the inode");
             for blk in 0..6u64 {
                 let p = rec.read_file_block(&b, blk).await.unwrap().expect("mapped block");
-                assert_eq!(p.bytes().unwrap()[0], 100 + blk as u8, "block {blk}");
+                assert_eq!(p.block(0).unwrap()[0], 100 + blk as u8, "block {blk}");
             }
             for blk in 6..12u64 {
                 assert!(
@@ -2031,7 +1976,7 @@ mod tests {
                     .unwrap()
                     .unwrap_or_else(|| panic!("block {blk} unmapped"));
                 assert_eq!(
-                    p.bytes().unwrap()[0],
+                    p.block(0).unwrap()[0],
                     blk as u8,
                     "block {blk} corrupted by recovery appends"
                 );

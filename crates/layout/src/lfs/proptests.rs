@@ -581,7 +581,7 @@ fn crash_at_every_request_of_a_recovery_leaves_a_walkable_ring() {
                 let io = BlockIo::new(driver.clone());
                 for seg in 0..NSEGS {
                     let p = io.read_block(BlockAddr(tail.probe.seg_start(seg))).await.unwrap();
-                    let sum = p.bytes().and_then(|b| summary_from_block(b).ok());
+                    let sum = p.block(0).and_then(|b| summary_from_block(b).ok());
                     sealed_then_cut += sum.is_some_and(|s| s.epoch == recovering) as u32;
                 }
                 driver.shutdown();

@@ -1,6 +1,8 @@
 //! LFS on-disk structures: superblock, checkpoint regions, segment
 //! summaries, the inode map (IFILE) and the segment usage table.
 
+use cnp_disk::Block;
+
 use crate::error::{LResult, LayoutError};
 use crate::types::codec::{get_u32, get_u64, put_u32, put_u64};
 use crate::types::{BlockAddr, BLOCK_SIZE};
@@ -33,14 +35,14 @@ pub struct SuperBlock {
 
 impl SuperBlock {
     /// Serializes to one block.
-    pub fn to_block(&self) -> Vec<u8> {
-        let mut b = vec![0u8; BLOCK_SIZE as usize];
-        put_u32(&mut b, 0, SB_MAGIC);
-        put_u32(&mut b, 4, self.seg_blocks);
-        put_u32(&mut b, 8, self.nsegs);
-        put_u32(&mut b, 12, BLOCK_SIZE);
-        put_u64(&mut b, 16, self.gen);
-        b
+    pub fn to_block(&self) -> Block {
+        encoded(|b| {
+            put_u32(b, 0, SB_MAGIC);
+            put_u32(b, 4, self.seg_blocks);
+            put_u32(b, 8, self.nsegs);
+            put_u32(b, 12, BLOCK_SIZE);
+            put_u64(b, 16, self.gen);
+        })
     }
 
     /// Parses from a block.
@@ -139,23 +141,18 @@ pub struct SegSummary {
     pub entries: Vec<SumEntry>,
 }
 
-/// Serializes a segment summary to one checksummed block.
-pub fn summary_to_block(summary: &SegSummary) -> Vec<u8> {
-    let mut b = Vec::new();
-    let SegSummary { gen, epoch, seq, ref entries } = *summary;
-    summary_into(&mut b, [gen, epoch, seq], entries.iter().copied());
-    b
+/// Serializes a segment summary — `[gen, epoch, seq]` and the entries
+/// in slot order — to one checksummed block.
+pub fn summary_block(header: [u64; 3], entries: impl ExactSizeIterator<Item = SumEntry>) -> Block {
+    encoded(|b| summary_into(b, header, entries))
 }
 
-/// Serializes a segment summary — `[gen, epoch, seq]` and the entries
-/// in slot order — over `b`, which becomes one checksummed block.
-pub fn summary_into(
-    b: &mut Vec<u8>,
+fn summary_into(
+    b: &mut [u8],
     [gen, epoch, seq]: [u64; 3],
     entries: impl ExactSizeIterator<Item = SumEntry>,
 ) {
     debug_assert!(entries.len() <= SUM_MAX_ENTRIES);
-    zeroed_block(b);
     put_u32(b, 0, SUM_MAGIC);
     put_u32(b, 4, entries.len() as u32);
     put_u64(b, 8, gen);
@@ -169,10 +166,11 @@ pub fn summary_into(
     put_u64(b, BLOCK_SIZE as usize - 8, sum);
 }
 
-/// Makes `b` one block of zeroes, in the storage it has.
-fn zeroed_block(b: &mut Vec<u8>) {
-    b.clear();
-    b.resize(BLOCK_SIZE as usize, 0);
+/// One block of zeroes, with `fill` run over it.
+fn encoded(fill: impl FnOnce(&mut [u8])) -> Block {
+    let mut b = Block::zeroed();
+    fill(b.make_mut());
+    b
 }
 
 /// Parses and validates a segment summary block.
@@ -209,20 +207,21 @@ pub struct SegUsage {
 /// Entries per usage-table block.
 pub const USAGE_PER_BLOCK: usize = (BLOCK_SIZE as usize - 8) / 12;
 
-/// Serializes block `i` of the usage table over `b`.
-pub fn usage_block_into(b: &mut Vec<u8>, usage: &[SegUsage], i: usize) {
+/// Serializes block `i` of the usage table.
+pub fn usage_block(usage: &[SegUsage], i: usize) -> Block {
     let chunk = &usage[i * USAGE_PER_BLOCK..usage.len().min((i + 1) * USAGE_PER_BLOCK)];
-    zeroed_block(b);
-    put_u32(b, 0, chunk.len() as u32);
-    for (i, u) in chunk.iter().enumerate() {
-        let off = 8 + i * 12;
-        put_u32(b, off, u.live);
-        put_u64(b, off + 4, u.mtime);
-    }
+    encoded(|b| {
+        put_u32(b, 0, chunk.len() as u32);
+        for (i, u) in chunk.iter().enumerate() {
+            let off = 8 + i * 12;
+            put_u32(b, off, u.live);
+            put_u64(b, off + 4, u.mtime);
+        }
+    })
 }
 
 /// Parses usage blocks back into a table.
-pub fn usage_from_blocks(blocks: &[Vec<u8>]) -> Vec<SegUsage> {
+pub fn usage_from_blocks(blocks: &[Block]) -> Vec<SegUsage> {
     let mut out = Vec::new();
     for b in blocks {
         let n = get_u32(b, 0) as usize;
@@ -250,18 +249,19 @@ pub fn imap_unpack(v: u64) -> (BlockAddr, usize) {
     (BlockAddr(v / 16), (v % 16) as usize)
 }
 
-/// Serializes block `i` of the inode map over `b`.
-pub fn imap_block_into(b: &mut Vec<u8>, imap: &[u64], i: usize) {
+/// Serializes block `i` of the inode map.
+pub fn imap_block(imap: &[u64], i: usize) -> Block {
     let chunk = &imap[i * IMAP_PER_BLOCK..imap.len().min((i + 1) * IMAP_PER_BLOCK)];
-    zeroed_block(b);
-    put_u32(b, 0, chunk.len() as u32);
-    for (i, v) in chunk.iter().enumerate() {
-        put_u64(b, 8 + i * 8, *v);
-    }
+    encoded(|b| {
+        put_u32(b, 0, chunk.len() as u32);
+        for (i, v) in chunk.iter().enumerate() {
+            put_u64(b, 8 + i * 8, *v);
+        }
+    })
 }
 
 /// Parses inode-map blocks.
-pub fn imap_from_blocks(blocks: &[Vec<u8>]) -> Vec<u64> {
+pub fn imap_from_blocks(blocks: &[Block]) -> Vec<u64> {
     let mut out = Vec::new();
     for b in blocks {
         let n = get_u32(b, 0) as usize;
@@ -294,15 +294,17 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes over `b`, which becomes one block with a trailing
-    /// checksum.
+    /// Serializes to one block with a trailing checksum.
     ///
     /// # Panics
     ///
     /// Panics if the address lists do not fit one block (≈ 500 entries;
     /// enough for > 250 k inodes).
-    pub fn to_block_into(&self, b: &mut Vec<u8>) {
-        zeroed_block(b);
+    pub fn to_block(&self) -> Block {
+        encoded(|b| self.fill(b))
+    }
+
+    fn fill(&self, b: &mut [u8]) {
         put_u32(b, 0, CKPT_MAGIC);
         put_u64(b, 8, self.seq);
         put_u64(b, 16, self.next_ino);
@@ -385,22 +387,19 @@ fn checksum(data: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    /// The usage table as blocks, each serialized into a new buffer.
-    fn usage_to_blocks(usage: &[SegUsage]) -> Vec<Vec<u8>> {
-        let n = usage.len().div_ceil(USAGE_PER_BLOCK);
-        (0..n).map(|i| into_new(|b| usage_block_into(b, usage, i))).collect()
+    fn summary_to_block(summary: &SegSummary) -> Block {
+        let SegSummary { gen, epoch, seq, ref entries } = *summary;
+        summary_block([gen, epoch, seq], entries.iter().copied())
+    }
+
+    /// The usage table as blocks.
+    fn usage_to_blocks(usage: &[SegUsage]) -> Vec<Block> {
+        (0..usage.len().div_ceil(USAGE_PER_BLOCK)).map(|i| usage_block(usage, i)).collect()
     }
 
     /// The inode map as blocks, likewise.
-    fn imap_to_blocks(imap: &[u64]) -> Vec<Vec<u8>> {
-        let n = imap.len().div_ceil(IMAP_PER_BLOCK);
-        (0..n).map(|i| into_new(|b| imap_block_into(b, imap, i))).collect()
-    }
-
-    fn into_new(serialize: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut b = Vec::new();
-        serialize(&mut b);
-        b
+    fn imap_to_blocks(imap: &[u64]) -> Vec<Block> {
+        (0..imap.len().div_ceil(IMAP_PER_BLOCK)).map(|i| imap_block(imap, i)).collect()
     }
 
     #[test]
@@ -450,9 +449,6 @@ mod tests {
         let s = SegSummary { gen: 99, epoch: 3, seq: 41, entries };
         let b = summary_to_block(&s);
         assert_eq!(summary_from_block(&b).unwrap(), s);
-        let mut reused = vec![0xa5; BLOCK_SIZE as usize];
-        summary_into(&mut reused, [99, 3, 41], s.entries.iter().copied());
-        assert_eq!(reused, b, "a used buffer serializes like a new one");
     }
 
     #[test]
@@ -464,7 +460,7 @@ mod tests {
             entries: vec![SumEntry::Data { ino: 1, fblk: 0 }],
         };
         let mut b = summary_to_block(&s);
-        b[100] ^= 0xff;
+        b.make_mut()[100] ^= 0xff;
         assert!(summary_from_block(&b).is_err());
     }
 
@@ -484,9 +480,6 @@ mod tests {
         let blocks = usage_to_blocks(&usage);
         assert!(blocks.len() >= 2, "700 entries need multiple blocks");
         assert_eq!(usage_from_blocks(&blocks), usage);
-        let mut reused = vec![0xa5; BLOCK_SIZE as usize / 2];
-        usage_block_into(&mut reused, &usage, 1);
-        assert_eq!(reused, blocks[1], "a used buffer serializes like a new one");
     }
 
     #[test]
@@ -495,9 +488,6 @@ mod tests {
             (0..1200).map(|i| if i % 3 == 0 { IMAP_NONE } else { i * 11 }).collect();
         let blocks = imap_to_blocks(&imap);
         assert_eq!(imap_from_blocks(&blocks), imap);
-        let mut reused = vec![0xa5; BLOCK_SIZE as usize];
-        imap_block_into(&mut reused, &imap, 2);
-        assert_eq!(reused, blocks[2], "a used buffer serializes like a new one");
         assert!(imap_to_blocks(&[]).is_empty());
     }
 
@@ -519,14 +509,10 @@ mod tests {
             imap_addrs: vec![10, 11, 12],
             usage_addrs: vec![20, 21],
         };
-        let mut b = into_new(|b| c.to_block_into(b));
-        // Serialized over a used buffer, the block is the same.
-        let mut reused = vec![0xa5; 2 * BLOCK_SIZE as usize];
-        c.to_block_into(&mut reused);
-        assert_eq!(reused, b);
+        let mut b = c.to_block();
         assert_eq!(Checkpoint::from_block(&b), Some(c));
         // Corrupt one byte: checksum must reject.
-        b[40] ^= 0xff;
+        b.make_mut()[40] ^= 0xff;
         assert_eq!(Checkpoint::from_block(&b), None);
     }
 }

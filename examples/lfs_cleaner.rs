@@ -31,14 +31,14 @@ fn run(policy: CleanerPolicy) -> (u64, u64, f64) {
             for b in 0..32u64 {
                 lfs.write_file_blocks(
                     &mut hot,
-                    vec![(b, Payload::Data(vec![round as u8; BLOCK_SIZE as usize]))],
+                    vec![(b, Payload::copy_of(&[round as u8; BLOCK_SIZE as usize]))],
                 )
                 .await
                 .expect("write hot");
                 if round == 0 {
                     lfs.write_file_blocks(
                         &mut cold,
-                        vec![(b, Payload::Data(vec![0xcc; BLOCK_SIZE as usize]))],
+                        vec![(b, Payload::copy_of(&[0xcc; BLOCK_SIZE as usize]))],
                     )
                     .await
                     .expect("write cold");

@@ -14,13 +14,23 @@
 //! number of times for the same seeded work. A change that keeps every
 //! seeded output keeps these counts too; one that moves them says why
 //! in CHANGES.md and re-pins them here.
+//!
+//! The same cells pin what the block path costs in bytes
+//! (`cnp_disk::block::counts`): those copied into a block and those
+//! zeroed in one. Real bytes travel as one shared block from the cache
+//! to the platter, so a count that rises means some layer copies a
+//! block it could share again. The benchmark's check cell also pins the
+//! bytes its crash-state keys hash: a block's bytes are hashed once,
+//! into its digest, however many states share it.
 
+use cut_and_paste::check::{run_check_with, CheckConfig, CheckOptions};
+use cut_and_paste::disk::block::counts;
 use cut_and_paste::patsy::{
     run_client_cell, run_experiment, run_serve_cell, ClientSweepConfig, ExperimentConfig, Policy,
     ServeBenchConfig,
 };
 use cut_and_paste::sim::KernelCounts;
-use cut_and_paste::trace::trace_1a;
+use cut_and_paste::trace::{trace_1a, SyntheticSprite};
 use cut_and_paste::workload::WorkloadKind;
 
 #[test]
@@ -66,4 +76,72 @@ fn a_trace_1a_replay_at_qd_1_costs_its_pinned_steps_and_timer_pushes_under_every
         assert_eq!(result.report.errors, 0, "{}", policy.label());
         assert_eq!(result.kernel, kernel, "{}", policy.label());
     }
+}
+
+/// The bytes `run` copies into or zeroes in a block, and hashes, on
+/// this thread (every cell below runs on the calling thread).
+fn block_bytes<T>(run: impl FnOnce() -> T) -> (T, [u64; 3]) {
+    let before = counts();
+    let out = run();
+    let after = counts();
+    let spent =
+        [after.copied - before.copied, after.zeroed - before.zeroed, after.hashed - before.hashed];
+    (out, spent)
+}
+
+#[test]
+fn a_zipf_client_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
+    let cfg = ClientSweepConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.01);
+    let (cell, spent) = block_bytes(|| run_client_cell(&cfg, 8));
+    assert_eq!(cell.report.errors, 0, "{:?}", cell.report.error_sample);
+    assert_eq!(spent[..2], [72_873, 2_024_279], "(copied, zeroed)");
+}
+
+#[test]
+fn a_served_zipf_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
+    let cfg = ServeBenchConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.01);
+    let (cell, spent) = block_bytes(|| run_serve_cell(&cfg, 8));
+    assert_eq!(cell.errors, 0);
+    assert_eq!(spent[..2], [72_873, 2_024_279], "(copied, zeroed)");
+}
+
+#[test]
+fn a_mail_client_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
+    let cfg = ClientSweepConfig::new(WorkloadKind::Mail, vec![8], 42, 0.01);
+    let (cell, spent) = block_bytes(|| run_client_cell(&cfg, 8));
+    assert_eq!(cell.report.errors, 0, "{:?}", cell.report.error_sample);
+    assert_eq!(spent[..2], [79_556, 2_402_620], "(copied, zeroed)");
+}
+
+#[test]
+fn a_trace_1a_replay_at_qd_1_copies_and_zeroes_its_pinned_block_bytes_under_every_policy() {
+    let pinned = [
+        (Policy::WriteDelay, [854_196, 5_318_476]),
+        (Policy::Ups, [231_604, 4_163_404]),
+        (Policy::NvramWhole, [338_100, 4_482_892]),
+        (Policy::NvramPartial, [342_196, 28_874_572]),
+    ];
+    let spent = pinned.map(|(policy, _)| {
+        let cfg =
+            ExperimentConfig { scale: 0.01, seed: 42, ..ExperimentConfig::new(policy, trace_1a()) };
+        let (result, spent) = block_bytes(|| run_experiment(&cfg));
+        assert_eq!(result.report.errors, 0, "{}", policy.label());
+        (policy, [spent[0], spent[1]])
+    });
+    assert_eq!(spent, pinned, "(copied, zeroed) per policy");
+}
+
+/// The benchmark's check cell (`check-lfs-b40`): a block's bytes enter
+/// a state key once, as its digest, however many crash states share it.
+#[test]
+fn a_budget_40_check_hashes_its_pinned_state_key_bytes() {
+    let records = SyntheticSprite::new(trace_1a(), 42 ^ 0xabcd).generate(0.002);
+    let mut cfg = CheckConfig::new(records, "1a", 40);
+    cfg.seed = 42;
+    cfg.queue_depth = 8;
+    let options = CheckOptions { threads: 1, cache: None, progress: None };
+    let (report, spent) = block_bytes(|| run_check_with(&cfg, options));
+    let stats = &report.stats;
+    assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 78));
+    assert_eq!(spent, [282_120, 25_346_552, 13_697_972], "(copied, zeroed, hashed)");
 }

@@ -875,7 +875,7 @@ proptest! {
                     let bytes: Vec<u8> =
                         (0..*sectors as usize * 512).map(|j| tag ^ (j % 251) as u8).collect();
                     driver
-                        .submit(IoOp::Write, *lba, *sectors, Payload::Data(bytes))
+                        .submit(IoOp::Write, *lba, *sectors, Payload::copy_of(&bytes))
                         .await
                         .expect("write");
                 }
@@ -886,7 +886,7 @@ proptest! {
                         .await
                         .expect("read");
                     match payload {
-                        Payload::Data(d) => read_back.push(d),
+                        Payload::Data(d) => read_back.push(d.to_vec()),
                         Payload::Simulated(_) => {
                             panic!("data-storing disk returned simulated bytes")
                         }
