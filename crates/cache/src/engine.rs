@@ -237,6 +237,10 @@ pub struct BlockCache {
     /// keeping one allocates nothing.
     spare_files: [Vec<(u64, u32)>; SPARE_FILE_LISTS],
     /// Empty key lists, lent out by every method that returns one.
+    /// Measured win, in allocations a unit: `trace-1a` 0.787 -> 0.351,
+    /// `zipf-256` 4.17 -> 3.01, `mail-64` 1.62 -> 1.45, `check-lfs-b40`
+    /// 187.9 -> 183.9 (removed alone, `cnp-benchmark --seed 42
+    /// --seconds 1`).
     spare_keys: Vec<Vec<BlockKey>>,
     free: Vec<u32>,
     clean: Box<dyn ReplacementPolicy>,

@@ -27,7 +27,7 @@ use crate::cell::{CellOutcome, CellSpec, CellViolation, CutSpec};
 /// Cache file magic; the trailing digit is the format version. Bump it
 /// whenever [`encode_outcome`] or the key derivation changes — a
 /// mismatched file loads as empty rather than replaying stale bytes.
-const MAGIC: &[u8; 8] = b"CNPKCH1\n";
+const MAGIC: &[u8; 8] = b"CNPKCH2\n";
 
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -137,10 +137,9 @@ pub fn cell_key(fingerprint: &str, prefix_hash: u128, cut: &CutSpec) -> u128 {
 /// The key of one crash state's verification: a 128-bit digest of
 /// every input [`crate::cell`]'s verification reads — the spec
 /// fingerprint, the image (each frame's index, presence mask and
-/// bytes, in index order), the NVRAM blocks and sizes, whether staging
-/// was sealed, and the acked paths in order. The cut instant, the acked
-/// sizes and the ack times are left out: only the per-cell loss
-/// accountant reads them.
+/// bytes, in index order), the NVRAM blocks and sizes, and the acked
+/// paths in order. The cut instant, the acked sizes and the ack times
+/// are left out: only the per-cell loss accountant reads them.
 ///
 /// A block's bytes enter as its [`cnp_disk::Block::digest`], which each
 /// block computes once: the states derived from one prefix run share
@@ -178,7 +177,6 @@ pub fn state_key(fingerprint: &str, state: &CrashState, acked: &[AckedFile]) -> 
         h.word(ino);
         h.word(size);
     }
-    h.word(state.staging_sealed as u64);
     h.word(acked.len() as u64);
     for a in acked {
         h.bytes(a.path.as_bytes());
@@ -289,7 +287,6 @@ pub fn encode_outcome(o: &CellOutcome) -> Vec<u8> {
     push_u64(&mut out, o.cut_at_ns);
     push_u64(&mut out, o.arrival_ns);
     push_u64(&mut out, o.inflight_batch);
-    out.push(o.staging_sealed as u8);
     push_u64(&mut out, o.nvram_replayed);
     push_u64(&mut out, o.fsck_post);
     push_u64(&mut out, o.loss.acked_files);
@@ -332,9 +329,6 @@ pub fn decode_outcome(mut b: &[u8]) -> io::Result<CellOutcome> {
     let cut_at_ns = next_u64(&mut b)?;
     let arrival_ns = next_u64(&mut b)?;
     let inflight_batch = next_u64(&mut b)?;
-    let mut flag = [0u8; 1];
-    b.read_exact(&mut flag)?;
-    let staging_sealed = flag[0] != 0;
     let nvram_replayed = next_u64(&mut b)?;
     let fsck_post = next_u64(&mut b)?;
     let loss = cnp_fault::LossReport {
@@ -374,7 +368,6 @@ pub fn decode_outcome(mut b: &[u8]) -> io::Result<CellOutcome> {
         cut_at_ns,
         arrival_ns,
         inflight_batch,
-        staging_sealed,
         nvram_replayed,
         fsck_post,
         loss,
@@ -398,7 +391,6 @@ mod tests {
             cut_at_ns: 123_456,
             arrival_ns: 100_000,
             inflight_batch: 3,
-            staging_sealed: true,
             nvram_replayed: 5,
             fsck_post: 2,
             loss: LossReport {
@@ -421,7 +413,6 @@ mod tests {
         assert_eq!(a.cut_at_ns, b.cut_at_ns);
         assert_eq!(a.arrival_ns, b.arrival_ns);
         assert_eq!(a.inflight_batch, b.inflight_batch);
-        assert_eq!(a.staging_sealed, b.staging_sealed);
         assert_eq!(a.nvram_replayed, b.nvram_replayed);
         assert_eq!(a.fsck_post, b.fsck_post);
         assert_eq!(a.loss, b.loss);
@@ -534,7 +525,6 @@ mod tests {
                 blocks: vec![(5, 0, Some(Block::copy_of(&[1u8; 4096]))), (5, 1, None)],
                 sizes: vec![(5, 8192)],
             },
-            staging_sealed: true,
             cut_at: SimTime::from_nanos(9_000_000),
         };
         let file = |path: &str| AckedFile { path: path.to_string(), size: 4096, last_ack_ns: 10 };
@@ -567,13 +557,12 @@ mod tests {
             s.nvram.blocks[1].2 = Some(Block::copy_of(&[]));
         };
         let nvram_size = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.nvram.sizes[0].1 += 1;
-        let staging = |s: &mut CrashState, _: &mut Vec<AckedFile>| s.staging_sealed = false;
         let path = |_: &mut CrashState, a: &mut Vec<AckedFile>| a[1].path = "/c".to_string();
         let order = |_: &mut CrashState, a: &mut Vec<AckedFile>| a.swap(0, 1);
         let fewer = |_: &mut CrashState, a: &mut Vec<AckedFile>| {
             a.pop();
         };
-        let changes: [(&str, &Change<'_>); 11] = [
+        let changes: [(&str, &Change<'_>); 10] = [
             ("sector byte", &flipped),
             ("presence mask", &present),
             ("erased sector", &erased),
@@ -581,7 +570,6 @@ mod tests {
             ("nvram block", &nvram_block),
             ("nvram payload kind", &nvram_data),
             ("nvram size", &nvram_size),
-            ("staging flag", &staging),
             ("acked path", &path),
             ("acked order", &order),
             ("acked count", &fewer),

@@ -191,9 +191,6 @@ pub struct CellOutcome {
     /// in-flight batch whose retire prefixes `0..=inflight_batch` are
     /// this boundary's legal [`CutSpec::PowerCut`] cells.
     pub inflight_batch: u64,
-    /// Whether the NVRAM-resident staging buffer reached the image
-    /// (always false when a disk-level cut killed the disk first).
-    pub staging_sealed: bool,
     /// NVRAM blocks replayed into the recovered system.
     pub nvram_replayed: u64,
     /// Post-repair fsck violations.
@@ -342,9 +339,10 @@ impl PowerCuts {
     /// writes.
     pub(crate) fn cell(&self, retire: u64) -> Doomed {
         let mut doomed = self.base.clone();
-        let (image, ssz) = (&mut doomed.state.image, self.sector_size);
-        retire_onto(image, ssz as usize, &self.retired, retire);
-        cnp_fault::apply_staged_to_image(image, &self.staged, ssz);
+        let CrashState { mut image, nvram, cut_at } = doomed.state;
+        let ssz = self.sector_size;
+        retire_onto(&mut image, ssz as usize, &self.retired, retire);
+        doomed.state = CrashState::new(image, nvram, &self.staged, ssz, cut_at);
         doomed
     }
 }
@@ -389,7 +387,6 @@ pub(crate) fn doom<T: 'static>(
     };
     let Stack { fs, driver, disks } =
         Stack::build(&h, "cell0", spec.layout, spec.hardware().device(), spec.fs_config(), plan);
-    let nvram_backed = spec.nvram_bytes.is_some();
     let records = records.to_vec();
     sim.block_on("check-cell", async move {
         fs.format().await.expect("format");
@@ -421,7 +418,7 @@ pub(crate) fn doom<T: 'static>(
         type Staged = Vec<(cnp_layout::BlockAddr, cnp_disk::Payload)>;
         let atcut_staged: Rc<RefCell<Option<Staged>>> = Rc::new(RefCell::new(None));
         let staged2 = atcut_staged.clone();
-        let probe_staging = nvram_backed && (power.is_some() || derive);
+        let probe_staging = power.is_some() || derive;
         let driver2 = driver.clone();
         let fs2 = fs.clone();
         let h3 = h.clone();
@@ -459,22 +456,14 @@ pub(crate) fn doom<T: 'static>(
         let indeterminate = std::mem::take(&mut report.indeterminate);
         let judged = |a: &AckedFile| a.last_ack_ns <= t && !indeterminate.contains(&a.path);
         // A disk-level cut's crash state: the platter froze at the cut
-        // (plus what the dying electronics retired), and the
-        // battery-backed cache is what the probe captured at that
-        // instant. The dead disk took no seal writes, so under an
-        // NVRAM configuration the battery-backed staging buffer is
-        // applied to the image directly ([`PowerCuts::cell`]) — the
-        // same durability contract the graceful path seals through the
-        // disk.
+        // (plus what the dying electronics retired), and the battery
+        // holds what the probe captured at that instant — the dirty
+        // cache and the staging buffer, which [`PowerCuts::cell`]
+        // applies to the image as the graceful capture does.
         let probed = atcut_staged.take();
         let cuts = |image, retired, staged, acked| PowerCuts {
             base: doomed(
-                CrashState {
-                    image,
-                    nvram: atcut_nvram.take(),
-                    staging_sealed: nvram_backed,
-                    cut_at: SimTime::from_nanos(t),
-                },
+                CrashState { image, nvram: atcut_nvram.take(), cut_at: SimTime::from_nanos(t) },
                 acked,
             ),
             retired,
@@ -485,7 +474,7 @@ pub(crate) fn doom<T: 'static>(
             None => {
                 let quiet = derive
                     && disk.last_cut_check().is_none_or(|c| c.as_nanos() < t)
-                    && (probed.is_some() || !nvram_backed);
+                    && probed.is_some();
                 let derived = quiet.then(|| {
                     let acked = report.acked.iter().filter(|a| judged(a)).cloned().collect();
                     let staged = probed.unwrap_or_default();
@@ -500,10 +489,9 @@ pub(crate) fn doom<T: 'static>(
                     Some(image) => (image, disk.retired_after_cut()),
                     None => (disk.image_with_write_buffer(), Vec::new()),
                 };
-                let staged = match (nvram_backed, probed) {
-                    (false, _) => Vec::new(),
-                    (true, Some(staged)) => staged,
-                    (true, None) => fs.staging_image().await,
+                let staged = match probed {
+                    Some(staged) => staged,
+                    None => fs.staging_image().await,
                 };
                 let cuts = cuts(image, retired, staged, report.acked);
                 (cuts.cell(retire), derive.then_some(cuts))
@@ -554,7 +542,6 @@ impl Doomed {
     /// crash state: loss is accounted from this cell's own acked sizes,
     /// ack times and cut.
     pub(crate) fn judge(&self, spec: &CellSpec, verdict: &Verdict) -> CellOutcome {
-        let staging_sealed = self.state.staging_sealed;
         // Built in report order: a recovery failure alone, else fsck
         // before acked loss.
         let (nvram_replayed, fsck_post, loss, violations) = match verdict {
@@ -565,15 +552,11 @@ impl Doomed {
                     violations.push(CellViolation::FsckDirty { violations: r.fsck_post });
                 }
                 // Zero-acked-loss is the contract of battery-backed
-                // configurations — and only judgeable when the
-                // NVRAM-resident staging buffer made it into the image
-                // (a disk-level cut loses it by definition; volatile
-                // policies trade the loss window for performance, which
-                // the report shows but the oracle does not punish).
-                if spec.nvram_bytes.is_some()
-                    && staging_sealed
-                    && (loss.lost_files > 0 || loss.lost_bytes > 0)
-                {
+                // configurations, whose staging buffer every crash
+                // state carries (volatile policies trade the loss
+                // window for performance, which the report shows but
+                // the oracle does not punish).
+                if spec.nvram_bytes.is_some() && (loss.lost_files > 0 || loss.lost_bytes > 0) {
                     violations.push(CellViolation::AckedLoss {
                         files: loss.lost_files,
                         bytes: loss.lost_bytes,
@@ -594,7 +577,6 @@ impl Doomed {
             cut_at_ns: self.cut_at_ns,
             arrival_ns: self.arrival_ns,
             inflight_batch: self.inflight_batch,
-            staging_sealed,
             nvram_replayed,
             fsck_post,
             loss,

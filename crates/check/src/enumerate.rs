@@ -837,7 +837,7 @@ mod tests {
         cfg.queue_depth = 8;
         let report = run_check_with(&cfg, CheckOptions::default());
         let stats = &report.stats;
-        assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 78));
+        assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 64));
         let metrics = stats.metrics().to_table();
         assert!(metrics.contains("check.states_verified"), "{metrics}");
         assert!(metrics.contains("check.prefix_runs"), "{metrics}");

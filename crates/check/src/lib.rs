@@ -30,8 +30,9 @@
 //!
 //! The oracle: every crash point must recover fsck-clean, and
 //! battery-backed (NVRAM) configurations must lose **zero**
-//! acknowledged writes whenever the NVRAM-resident staging buffer
-//! survived the cut. Volatile policies trade a bounded loss window for
+//! acknowledged writes at every crash point: every crash state carries
+//! the battery-backed staging buffer, whether or not the cut killed
+//! the disk first. Volatile policies trade a bounded loss window for
 //! performance — the report shows their losses without punishing them.
 
 #![forbid(unsafe_code)]

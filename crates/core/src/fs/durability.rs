@@ -15,7 +15,6 @@ use cnp_sim::sync::EventWait;
 use cnp_sim::Handle;
 
 use super::FileSystem;
-use crate::error::FsResult;
 
 /// What a battery-backed (NVRAM) cache preserves across a crash: the
 /// dirty blocks and the in-memory sizes of the files owning them.
@@ -252,13 +251,18 @@ impl FileSystem {
         }
     }
 
-    /// Exports the layout's staging buffer as the device writes that
-    /// would seal it ([`cnp_layout::StorageLayout::staged_image`]) —
-    /// the dead-disk crash-capture hook: when a power cut killed the
-    /// disk first, [`FileSystem::seal_nvram_staging`] cannot write, so
-    /// the battery-backed staging content is applied to the captured
-    /// image directly.
+    /// The layout's staging buffer as the device writes that would seal
+    /// it ([`cnp_layout::StorageLayout::staged_image`]), if a power cut
+    /// keeps it: what a crash capture applies to the platter image. The
+    /// staging buffer (the LFS in-memory segment and the seals queued
+    /// behind it) lives in the same memory as the cache, so it survives
+    /// only under NVRAM; without it this is empty and takes no lock.
+    /// This and [`FileSystem::try_staging_image`] are the one place
+    /// that decides "staging is battery-backed".
     pub async fn staging_image(&self) -> Vec<(BlockAddr, Payload)> {
+        if self.s.cfg.cache.nvram_bytes.is_none() {
+            return Vec::new();
+        }
         let g = self.s.layout.lock().await;
         let staged = g.get().staged_image();
         staged
@@ -270,22 +274,9 @@ impl FileSystem {
     /// staging buffer no longer reflects what the battery preserved at
     /// the cut.
     pub fn try_staging_image(&self) -> Option<Vec<(BlockAddr, Payload)>> {
-        self.s.layout.try_lock().map(|g| g.get().staged_image())
-    }
-
-    /// Crash-capture hook for NVRAM configurations: the layout's staging
-    /// buffer (the LFS in-memory segment) is modelled as residing in the
-    /// same battery-backed memory as the dirty cache, so a power cut
-    /// preserves it. Sealing it to the media here is equivalent to
-    /// replaying that buffer at power-on, just performed before the
-    /// platter snapshot. No-op without NVRAM — volatile staging dies
-    /// with the machine.
-    pub async fn seal_nvram_staging(&self) -> FsResult<()> {
         if self.s.cfg.cache.nvram_bytes.is_none() {
-            return Ok(());
+            return Some(Vec::new());
         }
-        let g = self.s.layout.lock().await;
-        g.get_mut().flush_staged().await?;
-        Ok(())
+        self.s.layout.try_lock().map(|g| g.get().staged_image())
     }
 }

@@ -4,17 +4,22 @@
 //! clone the durable on-disk image at that instant
 //! ([`cnp_disk::DiskClient::platter_image`] — the clone shares the
 //! platter's frames, so it costs pointers, not bytes), keep whatever
-//! the flush policy stores in battery-backed NVRAM
-//! ([`cnp_core::FileSystem::nvram_snapshot`]), and throw everything
-//! else away. The power-on ([`crate::Stack::recover`]) then spawns a
+//! the flush policy stores in battery-backed NVRAM — the dirty cache
+//! ([`cnp_core::FileSystem::nvram_snapshot`]) and the layout's staging
+//! buffer ([`cnp_core::FileSystem::staging_image`]), which
+//! [`CrashState::new`] applies to the image — and throw everything
+//! else away. A live disk and one a power cut killed are captured the
+//! same way. The power-on ([`crate::Stack::recover`]) then spawns a
 //! fresh disk from the image, runs the layout's
 //! [`cnp_layout::StorageLayout::recover`] path, writes the NVRAM back
 //! into the layout and only then runs and repairs with the fsck walker;
 //! loss is accounted against the acknowledged state afterwards.
 
 use cnp_core::{FileSystem, NvramSnapshot};
-use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage};
-use cnp_layout::{FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, RecoveryStats, BLOCK_SIZE};
+use cnp_disk::{store_sectors, DiskClient, DiskDriver, DiskImage, Payload};
+use cnp_layout::{
+    BlockAddr, FfsLayout, FfsParams, Layout, LfsLayout, LfsParams, RecoveryStats, BLOCK_SIZE,
+};
 use cnp_sim::{Handle, SimDuration, SimTime};
 use cnp_trace::AckedFile;
 
@@ -112,44 +117,58 @@ impl Policy {
     }
 }
 
-/// Everything that survives a power cut.
+/// Everything that survives a power cut: the platter, with the
+/// battery's staging buffer applied over it, and the battery-backed
+/// cache. Every capture, of a live disk or of one a power cut killed,
+/// builds it with [`CrashState::new`].
 #[derive(Debug, Clone)]
 pub struct CrashState {
     /// The durable on-disk image at the cut point.
     pub image: DiskImage,
     /// Battery-backed cache contents (empty without NVRAM).
     pub nvram: NvramSnapshot,
-    /// Whether the NVRAM-resident LFS staging segment reached the image
-    /// (always true without NVRAM, where there is nothing to seal).
-    /// False means the disk was already dead at capture — an injected
-    /// power cut — so the battery-backed-staging model could not be
-    /// applied and acknowledged writes in the staging buffer are lost.
-    pub staging_sealed: bool,
     /// Virtual time of the cut.
     pub cut_at: SimTime,
 }
 
 impl CrashState {
+    /// The crash state a cut at `cut_at` leaves: the platter `image`
+    /// with the battery's staging export `staged`
+    /// ([`cnp_core::FileSystem::staging_image`], empty without NVRAM)
+    /// applied over it, and the battery-backed cache `nvram`. The
+    /// staged writes land as the seal would have put them: simulated
+    /// payloads erase their sectors, matching the platter store's
+    /// real-bytes-only contract.
+    pub fn new(
+        mut image: DiskImage,
+        nvram: NvramSnapshot,
+        staged: &[(BlockAddr, Payload)],
+        sector_size: u32,
+        cut_at: SimTime,
+    ) -> CrashState {
+        let spb = BLOCK_SIZE / sector_size;
+        for (addr, payload) in staged {
+            store_sectors(&mut image, sector_size as usize, addr.0 * spb as u64, spb, payload);
+        }
+        CrashState { image, nvram, cut_at }
+    }
+
     /// Captures the crash state of a running stack at this instant.
     ///
-    /// For NVRAM configurations the layout's staging buffer is treated
-    /// as battery-backed too (`FileSystem::seal_nvram_staging`), so it
-    /// is sealed into the image before the snapshot — the moral
-    /// equivalent of replaying the NVRAM segment buffer at power-on.
+    /// The staging export is taken first: it waits for the layout lock,
+    /// and the platter and the battery are read once that wait is over.
     /// The image includes the disk controller's write buffer
     /// ([`DiskClient::image_with_write_buffer`]): immediate-reported
     /// writes are only crash-safe if that cache is battery-backed, and
     /// that is the assumption the sweep states. A disk killed by an
     /// injected power cut has already lost its buffer, so for the
-    /// `FaultPlan` path this is identical to the bare platter.
+    /// `FaultPlan` path this is identical to the bare platter; the
+    /// staging is applied the same way whether the disk lives or not.
     pub async fn capture(fs: &FileSystem, disk: &DiskClient) -> CrashState {
-        let staging_sealed = fs.seal_nvram_staging().await.is_ok();
-        CrashState {
-            image: disk.image_with_write_buffer(),
-            nvram: fs.nvram_snapshot(),
-            staging_sealed,
-            cut_at: fs.handle().now(),
-        }
+        let staged = fs.staging_image().await;
+        let image = disk.image_with_write_buffer();
+        let sector_size = disk.geometry().sector_size;
+        CrashState::new(image, fs.nvram_snapshot(), &staged, sector_size, fs.handle().now())
     }
 }
 
@@ -168,24 +187,6 @@ pub struct RecoveryOutcome {
     pub nvram_replayed: u64,
     /// Virtual time spent in recovery, NVRAM replay and fsck + repair.
     pub recovery_time: SimDuration,
-}
-
-/// Applies a staging-buffer export ([`cnp_core::FileSystem::staging_image`])
-/// to a captured disk image — the dead-disk equivalent of
-/// [`cnp_core::FileSystem::seal_nvram_staging`]. A battery-backed
-/// staging segment survives a cut that killed the disk first; since the
-/// dead disk can take no writes, its would-be seal writes are applied
-/// to the image directly (simulated payloads erase their sectors,
-/// matching the platter store's real-bytes-only contract).
-pub fn apply_staged_to_image(
-    image: &mut DiskImage,
-    staged: &[(cnp_layout::BlockAddr, cnp_disk::Payload)],
-    sector_size: u32,
-) {
-    let spb = BLOCK_SIZE / sector_size;
-    for (addr, payload) in staged {
-        store_sectors(image, sector_size as usize, addr.0 * spb as u64, spb, payload);
-    }
 }
 
 /// Acknowledged-write loss accounting for one crash cell.
@@ -246,6 +247,11 @@ pub async fn recovered_sizes(fs: &FileSystem, acked: &[AckedFile]) -> Vec<Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stack;
+    use cnp_core::{DataMode, FsConfig};
+    use cnp_disk::{FaultPlan, Hardware, IoError};
+    use cnp_layout::FileKind;
+    use cnp_sim::Sim;
 
     fn acked(path: &str, size: u64, last_ack_ns: u64) -> AckedFile {
         AckedFile { path: path.to_string(), size, last_ack_ns }
@@ -274,5 +280,53 @@ mod tests {
         );
         let intact = LossReport::account(&files[2..], &sizes[2..], SimTime::from_nanos(10_000_000));
         assert_eq!(intact, LossReport { acked_files: 2, ..LossReport::default() });
+    }
+
+    /// A power cut that kills the disk while the LFS segment holds
+    /// acknowledged blocks: the battery keeps the segment, so a capture
+    /// of the dead disk must bring it back, and nothing acked is lost.
+    #[test]
+    fn a_dead_disk_capture_keeps_the_battery_backed_segment() {
+        let sim = Sim::new(3);
+        let h = sim.handle();
+        let (flush, nvram_bytes) = Policy::NvramPartial.cache_settings(4 * BLOCK_SIZE as u64);
+        let mut cfg =
+            FsConfig { flush: flush.to_string(), data_mode: DataMode::Real, ..FsConfig::default() };
+        cfg.cache.nvram_bytes = nvram_bytes;
+        let hw = Hardware::default();
+        let cut_at = SimTime::from_nanos(60_000_000_000);
+        let plan = FaultPlan { power_cut_at: Some(cut_at), ..FaultPlan::default() };
+        let Stack { fs, driver, disks } =
+            Stack::build(&h, "doomed", LayoutKind::Lfs, hw.device(), cfg.clone(), plan);
+        sim.block_on("t", async move {
+            fs.format().await.unwrap();
+            let payload = vec![0xA5u8; 4 * BLOCK_SIZE as usize];
+            let mut acked = Vec::new();
+            for i in 0..3 {
+                let path = format!("/f{i}");
+                let ino = fs.create(&path, FileKind::Regular).await.unwrap();
+                let len = payload.len() as u64;
+                fs.write(ino, 0, len, Some(&payload)).await.unwrap();
+                let last_ack_ns = h.now().as_nanos();
+                acked.push(AckedFile { path, size: len, last_ack_ns });
+            }
+            assert!(h.now() < cut_at, "the writes are acknowledged before the cut");
+            h.sleep_until(cut_at).await;
+            // The disk finds the cut on its next command.
+            assert!(matches!(driver.read(0, 8).await, Err(IoError::PowerCut)));
+            assert!(disks[0].is_dead());
+            let staged = fs.try_staging_image().unwrap();
+            assert!(staged.len() > 4, "the segment holds flushed blocks: {}", staged.len());
+
+            let state = CrashState::capture(&fs, &disks[0]).await;
+            fs.shutdown();
+            let (stack, _) = Stack::recover(&h, "power-on", LayoutKind::Lfs, &hw, &state, cfg)
+                .await
+                .expect("recovery");
+            let sizes = recovered_sizes(&stack.fs, &acked).await;
+            stack.fs.shutdown();
+            let loss = LossReport::account(&acked, &sizes, state.cut_at);
+            assert_eq!(loss, LossReport { acked_files: 3, ..LossReport::default() }, "{sizes:?}");
+        });
     }
 }

@@ -8,6 +8,8 @@
 //! reaches all of them through one call and none of them touches a
 //! bus, a disk task or a driver.
 
+use std::cell::Cell;
+
 use cnp_core::{FileSystem, FsConfig, FsResult, NvramSnapshot};
 use cnp_disk::{
     compose_device, CLook, Device, DiskClient, DiskDriver, FaultPlan, Hardware, Payload,
@@ -17,6 +19,18 @@ use cnp_sim::Handle;
 
 use crate::check::{self, RepairReport};
 use crate::crash::{CrashState, LayoutKind, RecoveryOutcome};
+
+thread_local! {
+    static STACKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The stacks [`Stack::build`] built and [`Stack::recover`] powered on
+/// on this thread so far; a run's count is the difference across it.
+/// A crash check builds one per prefix run and one per distinct crash
+/// state it verifies.
+pub fn stacks_built() -> u64 {
+    STACKS.with(Cell::get)
+}
 
 /// A running simulated stack: the engine plus the two lower ends rigs
 /// need (the driver for queue statistics, the disks for crash capture).
@@ -42,6 +56,7 @@ impl Stack {
         cfg: FsConfig,
         plan: FaultPlan,
     ) -> Stack {
+        STACKS.with(|n| n.set(n.get() + 1));
         let (driver, disks) =
             compose_device(handle, name, models, chunk, Box::new(CLook), plan, None, None);
         let fs = FileSystem::new(handle, kind.build(handle, driver.clone()), cfg);
@@ -62,6 +77,7 @@ impl Stack {
         state: &CrashState,
         cfg: FsConfig,
     ) -> FsResult<(Stack, RecoveryOutcome)> {
+        STACKS.with(|n| n.set(n.get() + 1));
         // The clone copies frame pointers: the restored platter shares
         // the state's bytes until recovery first writes over them.
         let (plan, image) = (FaultPlan::default(), Some(state.image.clone()));

@@ -37,8 +37,7 @@ pub mod plan;
 
 pub use check::{check, repair, FsckReport, RepairReport, Violation};
 pub use crash::{
-    apply_staged_to_image, recovered_sizes, CrashState, LayoutKind, LossReport, Policy,
-    RecoveryOutcome, POLICIES,
+    recovered_sizes, CrashState, LayoutKind, LossReport, Policy, RecoveryOutcome, POLICIES,
 };
-pub use faulty::Stack;
+pub use faulty::{stacks_built, Stack};
 pub use plan::{cut_points, FaultPlanBuilder};

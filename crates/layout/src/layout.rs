@@ -79,16 +79,6 @@ pub trait StorageLayout {
     /// Durability point: push buffered layout state to disk.
     async fn sync(&mut self) -> LResult<()>;
 
-    /// Cheap media-durability point for freshly written blocks: seal any
-    /// volatile staging buffer (the LFS in-memory segment) *without* a
-    /// full checkpoint. NVRAM configurations call this after cache
-    /// drains so "clean in cache" implies "on the platter" — otherwise a
-    /// crash could lose acknowledged writes that NVRAM already released.
-    /// Write-through layouts need nothing.
-    async fn flush_staged(&mut self) -> LResult<()> {
-        Ok(())
-    }
-
     /// Allocates a fresh inode.
     fn alloc_ino(&mut self, kind: FileKind, now_ns: u64) -> LResult<Inode>;
 
@@ -112,11 +102,10 @@ pub trait StorageLayout {
     }
 
     /// Exports the whole staging buffer as the device writes that would
-    /// seal it, without touching the device — the dead-disk half of
-    /// crash capture ([`StorageLayout::flush_staged`] needs a live
-    /// disk; a battery-backed staging buffer survives a cut that killed
-    /// the disk first, so capture applies these to the image directly).
-    /// Write-through layouts stage nothing.
+    /// seal it, without touching the device. A crash capture applies
+    /// these to the platter image when the staging buffer is
+    /// battery-backed, whether the disk is still alive or a power cut
+    /// killed it first. Write-through layouts stage nothing.
     fn staged_image(&self) -> Vec<(BlockAddr, Payload)> {
         Vec::new()
     }
@@ -226,10 +215,6 @@ impl StorageLayout for Layout {
 
     async fn sync(&mut self) -> LResult<()> {
         dispatch_async!(self, sync)
-    }
-
-    async fn flush_staged(&mut self) -> LResult<()> {
-        dispatch_async!(self, flush_staged)
     }
 
     fn alloc_ino(&mut self, kind: FileKind, now_ns: u64) -> LResult<Inode> {

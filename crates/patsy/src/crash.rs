@@ -265,7 +265,6 @@ mod tests {
                 cut_at_ns: 9_000_000,
                 arrival_ns: 8_000_000,
                 inflight_batch: 0,
-                staging_sealed: true,
                 nvram_replayed: 2,
                 fsck_post: 0,
                 loss,

@@ -21,10 +21,13 @@
 //! to the platter, so a count that rises means some layer copies a
 //! block it could share again. The benchmark's check cell also pins the
 //! bytes its crash-state keys hash: a block's bytes are hashed once,
-//! into its digest, however many states share it.
+//! into its digest, however many states share it. It counts the stacks
+//! it builds too (`cnp_fault::stacks_built`): one per prefix run and one
+//! per distinct crash state.
 
 use cut_and_paste::check::{run_check_with, CheckConfig, CheckOptions};
 use cut_and_paste::disk::block::counts;
+use cut_and_paste::fault::stacks_built;
 use cut_and_paste::patsy::{
     run_client_cell, run_experiment, run_serve_cell, ClientSweepConfig, ExperimentConfig, Policy,
     ServeBenchConfig,
@@ -132,7 +135,9 @@ fn a_trace_1a_replay_at_qd_1_copies_and_zeroes_its_pinned_block_bytes_under_ever
 }
 
 /// The benchmark's check cell (`check-lfs-b40`): a block's bytes enter
-/// a state key once, as its digest, however many crash states share it.
+/// a state key once, as its digest, however many crash states share it;
+/// and the check builds one stack per prefix run and powers one on per
+/// distinct crash state, no more.
 #[test]
 fn a_budget_40_check_hashes_its_pinned_state_key_bytes() {
     let records = SyntheticSprite::new(trace_1a(), 42 ^ 0xabcd).generate(0.002);
@@ -140,8 +145,11 @@ fn a_budget_40_check_hashes_its_pinned_state_key_bytes() {
     cfg.seed = 42;
     cfg.queue_depth = 8;
     let options = CheckOptions { threads: 1, cache: None, progress: None };
+    let stacks = stacks_built();
     let (report, spent) = block_bytes(|| run_check_with(&cfg, options));
+    let stacks = (stacks_built() - stacks) as usize;
     let stats = &report.stats;
-    assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 78));
-    assert_eq!(spent, [282_120, 25_346_552, 13_697_972], "(copied, zeroed, hashed)");
+    assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 64));
+    assert_eq!(stacks, 192 + 64, "a stack per prefix run and per verified state");
+    assert_eq!(spent, [282_120, 24_715_768, 13_697_972], "(copied, zeroed, hashed)");
 }

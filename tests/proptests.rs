@@ -48,8 +48,7 @@ async fn recover_digest(
     name: &str,
     cfg: FsConfig,
 ) -> (Vec<(String, u64, Vec<u8>)>, cut_and_paste::disk::DiskImage, u64) {
-    let state =
-        CrashState { image, nvram: Default::default(), staging_sealed: true, cut_at: h.now() };
+    let state = CrashState { image, nvram: Default::default(), cut_at: h.now() };
     let (Stack { fs, disks, .. }, outcome) =
         Stack::recover(h, name, LayoutKind::Lfs, &Hardware::default(), &state, cfg)
             .await
