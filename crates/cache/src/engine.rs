@@ -234,7 +234,11 @@ pub struct BlockCache {
     files: HashMap<FileId, Vec<(u64, u32)>, FixedState>,
     /// Emptied per-file lists, for the next files `commit` makes
     /// resident: held inline (a slot without capacity holds none), so
-    /// keeping one allocates nothing.
+    /// keeping one allocates nothing. Measured win, in allocations a
+    /// unit (removed alone, `cnp-benchmark --seed 42 --seconds 1`,
+    /// without -> with): `trace-1a` 0.497 -> 0.351, `zipf-256` 3.70 ->
+    /// 3.01, `mail-64` 1.70 -> 1.45, `serve-zipf-16` 0.0523 -> 0.0502,
+    /// `check-lfs-b40` 186.1 -> 183.9.
     spare_files: [Vec<(u64, u32)>; SPARE_FILE_LISTS],
     /// Empty key lists, lent out by every method that returns one.
     /// Measured win, in allocations a unit: `trace-1a` 0.787 -> 0.351,

@@ -84,8 +84,8 @@ impl Write for InputHash {
 }
 
 /// The spec half of a cell key: every [`CellSpec`] field, canonically
-/// rendered (the repro-blob vocabulary, so two equal specs always
-/// fingerprint identically).
+/// rendered, so two equal specs always fingerprint identically. A
+/// repro blob's spec fields are this rendering (see [`crate::Repro`]).
 pub fn spec_fingerprint(spec: &CellSpec) -> String {
     format!(
         "layout={},flush={},nvram={},mem={},qd={},seed={},plant={}",

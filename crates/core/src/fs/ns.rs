@@ -10,7 +10,7 @@ use cnp_layout::{FileKind, Ino, Inode, LayoutError, StorageLayout, BLOCK_SIZE};
 
 use super::data::BlockCommit;
 use super::names::{self, Mutant};
-use super::FileSystem;
+use super::{FileSystem, InodeRecord};
 use crate::error::{FsError, FsResult};
 
 impl FileSystem {
@@ -48,7 +48,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.insert_record(inode.clone());
+        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode.clone()));
         {
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;
@@ -82,7 +82,7 @@ impl FileSystem {
             inode
         };
         let ino = inode.ino;
-        self.insert_record(inode);
+        self.s.inodes.borrow_mut().insert(ino, InodeRecord::new(inode));
         walked.push(&mut bytes, ino, FileKind::Directory, name);
         self.write_dir_bytes(dir_ino, bytes).await?;
         Ok(ino)
@@ -156,7 +156,7 @@ impl FileSystem {
         self.write_dir_bytes(dir_ino, bytes).await?;
         let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
         self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-        self.remove_record(ino);
+        self.s.inodes.borrow_mut().remove(&ino);
         let _rg = self.lock_range(ino).await;
         let g = self.lock_core().await;
         g.get_mut().free_inode(ino).await?;
@@ -195,7 +195,7 @@ impl FileSystem {
             self.write_dir_bytes(dir_ino, bytes).await?;
             let absorbed = self.s.cache.borrow_mut().remove_file(FileId(ino.0));
             self.s.stats.borrow_mut().absorbed_blocks += absorbed;
-            self.remove_record(ino);
+            self.s.inodes.borrow_mut().remove(&ino);
             self.s.names.borrow_mut().forget(ino);
             let _rg = self.lock_range(ino).await;
             let g = self.lock_core().await;

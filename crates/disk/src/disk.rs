@@ -121,15 +121,14 @@ impl FaultPlan {
 pub struct DiskOpts {
     /// SCSI target id (arbitration priority on the shared bus).
     pub scsi_id: u8,
-    /// Enable the controller read-ahead.
-    pub readahead: bool,
-    /// Enable immediate-reported writes.
-    pub immediate_report: bool,
+    /// Enable the controller cache's two features: immediate-reported
+    /// writes and idle read-ahead.
+    pub controller_cache: bool,
 }
 
 impl Default for DiskOpts {
     fn default() -> Self {
-        DiskOpts { scsi_id: 1, readahead: true, immediate_report: true }
+        DiskOpts { scsi_id: 1, controller_cache: true }
     }
 }
 
@@ -330,7 +329,7 @@ pub(crate) fn spawn_disk(
         opts,
         cut_retire_left: faults.cut_retire_ops,
         faults,
-        cache: ControllerCache::new(default_cache_bytes(), geometry.sector_size),
+        cache: ControllerCache::new(CACHE_BYTES, geometry.sector_size),
         pos: DiskPos::HOME,
         platter: platter.clone(),
         pending: pending.clone(),
@@ -356,9 +355,11 @@ pub(crate) fn spawn_disk(
 }
 
 /// The HP 97560's 128 KB controller cache.
-fn default_cache_bytes() -> u32 {
-    128 * 1024
-}
+const CACHE_BYTES: u32 = 128 * 1024;
+
+/// How far past a read the idle controller reads ahead: the HP 97560's
+/// 4 KB.
+const READAHEAD_BYTES: u32 = 4 * 1024;
 
 struct DiskTask {
     handle: Handle,
@@ -416,7 +417,8 @@ impl DiskTask {
                         // request arrives; we model that by sleeping the
                         // access in 1 ms quanta and checking for work, so
                         // foreground delay is bounded by one quantum.
-                        let ra_sectors = (4 * 1024 / self.geometry().sector_size).max(1) as u64;
+                        let ra_sectors =
+                            (READAHEAD_BYTES / self.geometry().sector_size).max(1) as u64;
                         let capacity = self.geometry().capacity_sectors();
                         let n = ra_sectors.min(capacity.saturating_sub(start)) as u32;
                         if n == 0 {
@@ -488,7 +490,7 @@ impl DiskTask {
     }
 
     fn readahead_take(&mut self) -> Option<u64> {
-        if self.opts.readahead {
+        if self.opts.controller_cache {
             self.readahead_at.take()
         } else {
             None
@@ -738,9 +740,9 @@ impl DiskTask {
             }
         }
 
-        let immediate = self.opts.immediate_report;
-        if immediate {
-            // Drain the buffer until this write fits (stall if needed).
+        if self.opts.controller_cache {
+            // Immediate report: drain the buffer until this write fits
+            // (stall if needed).
             while !self.cache.write_fits(req.sectors) {
                 match self.cache.pop_writeback() {
                     Some((lba, sectors)) => {
@@ -927,7 +929,7 @@ mod tests {
     fn write_through_costs_mechanics() {
         let sim = Sim::new(1);
         let h = sim.handle();
-        let opts = DiskOpts { immediate_report: false, ..DiskOpts::default() };
+        let opts = DiskOpts { controller_cache: false, ..DiskOpts::default() };
         let disk = setup(&sim, opts, FaultPlan::default());
         let d2 = disk.clone();
         let h2 = h.clone();
@@ -1278,23 +1280,36 @@ mod tests {
 
     #[test]
     fn readahead_turns_sequential_reads_into_hits() {
-        let sim = Sim::new(1);
-        let h = sim.handle();
-        let disk = setup(&sim, DiskOpts::default(), FaultPlan::default());
-        let d2 = disk.clone();
-        let h2 = h.clone();
-        h.spawn("t", async move {
-            // Read 4 KB, idle a moment (read-ahead fires), read next 4 KB.
-            d2.request(make_req(1, IoOp::Read, 0, 8, Payload::Simulated(0), h2.now())).await;
-            h2.sleep(SimDuration::from_millis(60)).await;
-            let t0 = h2.now();
-            let c =
-                d2.request(make_req(2, IoOp::Read, 8, 8, Payload::Simulated(0), h2.now())).await;
-            assert!(c.result.is_ok());
-            let latency = h2.now() - t0;
-            assert!(latency < SimDuration::from_millis(4), "read-ahead should hit: {latency}");
-        });
-        sim.run();
-        assert!(disk.stats().readaheads >= 1);
+        for controller_cache in [true, false] {
+            let sim = Sim::new(1);
+            let h = sim.handle();
+            let opts = DiskOpts { controller_cache, ..DiskOpts::default() };
+            let disk = setup(&sim, opts, FaultPlan::default());
+            let d2 = disk.clone();
+            let h2 = h.clone();
+            h.spawn("t", async move {
+                // Read 4 KB, idle a moment (read-ahead fires), read next 4 KB.
+                d2.request(make_req(1, IoOp::Read, 0, 8, Payload::Simulated(0), h2.now())).await;
+                h2.sleep(SimDuration::from_millis(60)).await;
+                let t0 = h2.now();
+                let c = d2
+                    .request(make_req(2, IoOp::Read, 8, 8, Payload::Simulated(0), h2.now()))
+                    .await;
+                assert!(c.result.is_ok());
+                let latency = h2.now() - t0;
+                if controller_cache {
+                    assert!(
+                        latency < SimDuration::from_millis(4),
+                        "read-ahead should hit: {latency}"
+                    );
+                }
+            });
+            sim.run();
+            if controller_cache {
+                assert!(disk.stats().readaheads >= 1);
+            } else {
+                assert_eq!(disk.stats().readaheads, 0);
+            }
+        }
     }
 }

@@ -71,18 +71,7 @@ impl Backend {
 
     async fn issue(&self, mut req: IoRequest) -> IoCompletion {
         match self {
-            Backend::Sim(b) => {
-                // Command-out phase: ship the command (plus data, for
-                // writes) to the target, then disconnect.
-                let write_bytes = match req.op {
-                    IoOp::Write => req.payload.len() as u64,
-                    IoOp::Read => 0,
-                };
-                let held = b.bus.command_phase(b.host_id, write_bytes).await;
-                let mut completion = b.disk.request(req).await;
-                completion.timing.bus += held;
-                completion
-            }
+            Backend::Sim(b) => b.issue(req).await,
             Backend::File(b) => {
                 let timing =
                     IoTiming { queue: req.issued_at - req.queued_at, ..IoTiming::default() };
@@ -103,6 +92,22 @@ pub struct SimBackend {
     pub(crate) disk: DiskClient,
     /// Host adapter SCSI id (arbitration priority).
     pub(crate) host_id: u8,
+}
+
+impl SimBackend {
+    /// Command-out phase: ships the command (plus data, for writes) to
+    /// the target and disconnects; then awaits the disk, charging the
+    /// held bus time to the completion.
+    async fn issue(&self, req: IoRequest) -> IoCompletion {
+        let write_bytes = match req.op {
+            IoOp::Write => req.payload.len() as u64,
+            IoOp::Read => 0,
+        };
+        let held = self.bus.command_phase(self.host_id, write_bytes).await;
+        let mut completion = self.disk.request(req).await;
+        completion.timing.bus += held;
+        completion
+    }
 }
 
 /// On-line back-end: "It uses a Unix-file (ordinary file, or raw-device)
@@ -305,7 +310,6 @@ impl StripedDisk {
                     Payload::Data(blocks.slice(lo, lo + p.sectors as usize * ssz))
                 }
             };
-            let b = &self.children[p.child];
             let sub = IoRequest {
                 id: req.id,
                 op: req.op,
@@ -315,16 +319,7 @@ impl StripedDisk {
                 queued_at: req.queued_at,
                 issued_at: req.issued_at,
             };
-            Box::pin(async move {
-                let write_bytes = match sub.op {
-                    IoOp::Write => sub.payload.len() as u64,
-                    IoOp::Read => 0,
-                };
-                let held = b.bus.command_phase(b.host_id, write_bytes).await;
-                let mut c = b.disk.request(sub).await;
-                c.timing.bus += held;
-                c
-            })
+            Box::pin(self.children[p.child].issue(sub))
         });
         // Concurrent fan-out; results come back in split (ascending-LBA)
         // order regardless of completion order — the deterministic merge.
@@ -382,12 +377,6 @@ enum Batched {
 
 struct DriverInner {
     queue: Vec<QueuedReq>,
-    /// Emptied batch lists, for the next [`DiskDriver::submit_batch`].
-    /// Measured win, in allocations a unit: `trace-1a` 0.372 -> 0.351,
-    /// `zipf-256` 3.12 -> 3.01, and on `check-lfs-b40` a loss of 0.09
-    /// a cell, 183.80 -> 183.89 (removed alone, `cnp-benchmark --seed
-    /// 42 --seconds 1`).
-    spare_batches: Vec<Vec<Batched>>,
     sched: Box<dyn QueueScheduler>,
     next_id: u64,
     next_seq: u64,
@@ -506,7 +495,6 @@ impl DiskDriver {
         let now = handle.now();
         let inner = Rc::new(RefCell::new(DriverInner {
             queue: Vec::new(),
-            spare_batches: Vec::new(),
             sched,
             next_id: 0,
             next_seq: 0,
@@ -642,16 +630,16 @@ impl DiskDriver {
     /// the queue scheduler sees (and reorders) all of it, and with a
     /// queue depth above 1 the members proceed concurrently. This is the
     /// completion-fan-in half of the pipelined I/O path. The batch waits
-    /// in a list the driver reuses, so a caller that passes `reqs` as an
-    /// iterator allocates nothing per batch; each wake polls the
-    /// unfinished commands in order, as `join_all` does.
+    /// in one list sized from `reqs`' lower bound, so a batch costs one
+    /// allocation whatever its length; each wake polls the unfinished
+    /// commands in order, as `join_all` does.
     pub async fn submit_batch(
         &self,
         reqs: impl IntoIterator<Item = (IoOp, u64, u32, Payload)>,
         mut each: impl FnMut(Result<(Payload, IoTiming), IoError>),
     ) {
-        let spare = self.inner.borrow_mut().spare_batches.pop();
-        let mut batch = spare.unwrap_or_default();
+        let reqs = reqs.into_iter();
+        let mut batch = Vec::with_capacity(reqs.size_hint().0);
         for (op, lba, sectors, payload) in reqs {
             batch.push(Batched::Waiting(self.enqueue(op, lba, sectors, payload)));
         }
@@ -673,12 +661,11 @@ impl DiskDriver {
             }
         })
         .await;
-        for cmd in batch.drain(..) {
+        for cmd in batch {
             let Batched::Done(c) = cmd else { unreachable!("every command completed") };
             let c = c.ok_or(IoError::DeviceGone);
             each(c.and_then(|c| c.result.map(|p| (p, c.timing))));
         }
-        self.inner.borrow_mut().spare_batches.push(batch);
     }
 
     /// Convenience read of whole sectors.
@@ -969,7 +956,7 @@ pub fn sim_disk_driver(
 /// the cache, and idle read-ahead would perturb the channel state.
 pub fn default_opts_for(model: &dyn DiskModel) -> DiskOpts {
     if model.channels() > 1 {
-        DiskOpts { readahead: false, immediate_report: false, ..DiskOpts::default() }
+        DiskOpts { controller_cache: false, ..DiskOpts::default() }
     } else {
         DiskOpts::default()
     }
@@ -1246,7 +1233,7 @@ mod tests {
     #[test]
     fn a_write_hands_its_payload_back() {
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let through = DiskOpts { immediate_report: false, ..DiskOpts::default() };
+        let through = DiskOpts { controller_cache: false, ..DiskOpts::default() };
         let devices: [(&str, Box<dyn DiskModel>, Option<DiskOpts>); 3] = [
             ("write buffer", Box::new(Hp97560::new()), None),
             ("write-through", Box::new(Hp97560::new()), Some(through)),

@@ -13,7 +13,9 @@
 //! * ≈2.2 ms controller overhead (the paper's "2-millisecond boundary …
 //!   SCSI-request decoding")
 //! * 128 KB controller cache: immediate-reported writes plus a 4 KB
-//!   read-ahead "when there are no more outstanding requests"
+//!   read-ahead "when there are no more outstanding requests" (the disk
+//!   task models it for every mechanical disk; `DiskOpts::controller_cache`
+//!   switches it off)
 
 use cnp_sim::{SimDuration, SimTime};
 
@@ -39,12 +41,6 @@ pub struct Hp97560Params {
     pub head_switch: SimDuration,
     /// Per-request controller overhead.
     pub controller_overhead: SimDuration,
-    /// Controller cache size in bytes.
-    pub cache_bytes: u32,
-    /// Read-ahead size in bytes (0 disables).
-    pub readahead_bytes: u32,
-    /// Whether writes report completion from the controller cache.
-    pub immediate_report: bool,
 }
 
 impl Default for Hp97560Params {
@@ -66,9 +62,6 @@ impl Default for Hp97560Params {
             seek_crossover: 383,
             head_switch: SimDuration::from_micros(1_600),
             controller_overhead: SimDuration::from_micros(2_200),
-            cache_bytes: 128 * 1024,
-            readahead_bytes: 4 * 1024,
-            immediate_report: true,
         }
     }
 }

@@ -279,16 +279,13 @@ pub struct LfsLayout {
     indirect_fifo: VecDeque<u64>,
     /// The indirect table a write or a truncate edits before appending
     /// it, kept so the copy lands in storage the layout already has.
-    /// Measured win of this, `usage_scratch` and `spare_inos` together,
-    /// in allocations a unit: `trace-1a` 0.511 -> 0.351, `zipf-256` 3.44
-    /// -> 3.01, `mail-64` 1.59 -> 1.45, `check-lfs-b40` 184.7 -> 183.9
-    /// (removed together, `cnp-benchmark --seed 42 --seconds 1`).
+    /// Measured win, in allocations a unit (removed alone,
+    /// `cnp-benchmark --seed 42 --seconds 1`, without -> with):
+    /// `trace-1a` 0.488 -> 0.351, `zipf-256` 3.15 -> 3.01.
     table_scratch: Vec<u64>,
-    /// The usage table a checkpoint projects before serializing it,
-    /// likewise (its win is counted with `table_scratch`'s).
-    usage_scratch: Vec<SegUsage>,
     /// The slot list of the last closed packed-inode block, emptied,
-    /// for the next one (its win is counted with `table_scratch`'s).
+    /// for the next one. Measured win, likewise: `trace-1a` 0.374 ->
+    /// 0.351, `zipf-256` 3.30 -> 3.01, `mail-64` 1.59 -> 1.45.
     spare_inos: Vec<u64>,
     cleaning: bool,
     mounted: bool,
@@ -355,7 +352,6 @@ impl LfsLayout {
             indirect: HashMap::new(),
             indirect_fifo: VecDeque::new(),
             table_scratch: Vec::new(),
-            usage_scratch: Vec::new(),
             spare_inos: Vec::new(),
             cleaning: false,
             mounted: false,
@@ -967,9 +963,7 @@ impl LfsLayout {
         // Pre-account the usage blocks we are about to append so the
         // serialized table includes them (approximately; see module docs).
         let n_usage = self.usage.len().div_ceil(USAGE_PER_BLOCK);
-        let mut projected = std::mem::take(&mut self.usage_scratch);
-        projected.clear();
-        projected.extend_from_slice(&self.usage);
+        let mut projected = self.usage.clone();
         let mut slots_left = self.payload_per_seg() as usize - self.cur.entries.len();
         let mut seg = self.cur.seg as usize;
         for _ in 0..n_usage {
@@ -988,7 +982,6 @@ impl LfsLayout {
             self.stats.meta_writes += 1;
             usage_addrs.push(addr.0);
         }
-        self.usage_scratch = projected;
         // Metadata must be durable before the checkpoint references it —
         // including any segments still queued at the seal writer.
         self.flush_current()?;

@@ -125,9 +125,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         // A4 turns its controller cache off; flash and stripes keep the
         // composer's per-model bus and options.
         let attach = (models.len() == 1 && models[0].channels() <= 1).then(|| {
-            let cached = !cfg.no_disk_cache;
-            let scsi_id = 1 + i as u8;
-            let opts = DiskOpts { scsi_id, readahead: cached, immediate_report: cached };
+            let opts = DiskOpts { scsi_id: 1 + i as u8, controller_cache: !cfg.no_disk_cache };
             (bus.clone(), opts)
         });
         let chunk = cfg.hw.chunk_sectors();

@@ -388,10 +388,7 @@ pub fn run_serve_cell(cfg: &ServeBenchConfig, n: u32) -> ServeCell {
         fleet_stack(&h, &format!("srv{n}"), n, cfg.layout, cfg.policy, cfg.queue_depth, cfg.shards)
             .fs;
     let shards = fs.shards();
-    let srv = NfsServer::with_config(
-        fs.clone(),
-        ServeConfig { max_transfer: cfg.rsize, ..ServeConfig::default() },
-    );
+    let srv = NfsServer::with_config(fs.clone(), ServeConfig { max_transfer: cfg.rsize });
     let scenario = Scenario::generate(cfg.workload, n, cfg.seed, cfg.scale);
     let rsize = cfg.rsize;
     let (totals, makespan, snap) = sim.block_on("serve-bench", async move {

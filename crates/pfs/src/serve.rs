@@ -47,15 +47,16 @@ pub struct ServeConfig {
     /// accepts (NFS rsize/wsize). A client asking for more gets a
     /// short read/write — never a `len`-sized allocation.
     pub max_transfer: u64,
-    /// Attribute/lookup cache capacity (entries per map).
-    pub cache_entries: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { max_transfer: 64 * 1024, cache_entries: 4096 }
+        ServeConfig { max_transfer: 64 * 1024 }
     }
 }
+
+/// Attribute/lookup cache capacity (entries per map).
+const CACHE_ENTRIES: usize = 4096;
 
 /// The server-side file-handle table: ino → generation for every ino
 /// currently served. Generations come from one monotone counter, so
@@ -141,7 +142,7 @@ impl NfsServer {
 
     /// Wraps a mounted file system with explicit serving config.
     pub fn with_config(fs: FileSystem, cfg: ServeConfig) -> Self {
-        let cache = NfsCache::new(cfg.cache_entries);
+        let cache = NfsCache::new(CACHE_ENTRIES);
         let admission = Semaphore::new(fs.handle(), fs.queue_depth());
         let shared = ServerShared {
             cfg,

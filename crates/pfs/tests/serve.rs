@@ -202,7 +202,7 @@ fn rename_into_own_subtree_is_noent_on_the_wire() {
 
 #[test]
 fn transfer_caps_short_read_and_write() {
-    let cfg = ServeConfig { max_transfer: 4096, ..ServeConfig::default() };
+    let cfg = ServeConfig { max_transfer: 4096 };
     run_sim_server(8, cfg, |srv| async move {
         let s = srv.session(1);
         s.handle(&client::path_req(NfsProc::Create, "/big")).await;
@@ -318,7 +318,7 @@ const LONG_THEN_SHORT: [(u32, u32); 8] =
 fn replies_to(script: Vec<(u32, u32)>, reuse: bool) -> Vec<Vec<u8>> {
     let replies = Rc::new(RefCell::new(Vec::new()));
     let sink = replies.clone();
-    run_sim_server(4, ServeConfig { max_transfer: 8192, ..ServeConfig::default() }, move |srv| {
+    run_sim_server(4, ServeConfig { max_transfer: 8192 }, move |srv| {
         async move {
             let s = srv.session(1);
             let mut buf = Vec::new();
