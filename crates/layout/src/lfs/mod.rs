@@ -24,12 +24,22 @@
 //! resurrect a file deleted after the last checkpoint), and the usage
 //! table persisted at a checkpoint may be a few blocks stale for the
 //! checkpoint's own segment.
+//!
+//! The segment usage table (`usage.rs`) keeps, beside its entries, the
+//! block each chunk of 340 entries encodes to. A write to an entry drops
+//! only its chunk's block, so a checkpoint encodes the chunks written
+//! since the last one (and those its own usage blocks are charged to)
+//! and hands out the rest as shared blocks; a power-on keeps the usage
+//! blocks it reads, and recovery's rebuild writes only the entries it
+//! changes. No path copies, recounts or re-encodes the whole table.
 
 #[cfg(test)]
 mod proptests;
 mod structs;
+mod usage;
 
-pub use structs::{SegSummary, SegUsage, SumEntry};
+pub use structs::{SegSummary, SumEntry};
+pub use usage::SegUsage;
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -46,9 +56,9 @@ use crate::types::{block_slot, BlockAddr, BlockSlot, FileKind, Ino, BLOCK_SIZE, 
 
 use structs::{
     imap_block, imap_from_blocks, imap_pack, imap_unpack, summary_block, summary_from_block,
-    usage_block, usage_from_blocks, Checkpoint, SuperBlock, CKPT_ADDRS, DATA_START, IMAP_NONE,
-    IMAP_PER_BLOCK, SUM_MAX_ENTRIES, USAGE_PER_BLOCK,
+    Checkpoint, SuperBlock, CKPT_ADDRS, DATA_START, IMAP_NONE, IMAP_PER_BLOCK, SUM_MAX_ENTRIES,
 };
+use usage::{Charges, UsageTable};
 
 /// Cleaner victim-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -253,13 +263,11 @@ pub struct LfsLayout {
     params: LfsParams,
     sb: SuperBlock,
     imap: Vec<u64>,
-    usage: Vec<SegUsage>,
-    /// Number of segments with `live == 0` (the current segment and
-    /// queued seals included). Invariant: equals a recount of `usage`.
-    /// `set_live` is the only writer of `SegUsage.live`; wholesale
-    /// table replacements (`format`, `load_state`, `rebuild_usage`)
-    /// end in `recount_segments`.
-    zero_live: u32,
+    /// The segment usage table. It counts its `live == 0` entries (the
+    /// current segment and queued seals included); `set_live` is the
+    /// only writer of `SegUsage.live`, and `format` and `load_state`
+    /// install whole tables through `replace_usage`.
+    usage: UsageTable,
     next_ino: u64,
     ckpt_seq: u64,
     /// Mount epoch: bumped every time on-disk state is loaded, so
@@ -305,6 +313,10 @@ pub struct LfsLayout {
     /// The seal writer's queue and flags.
     seal: Rc<SealShared>,
     stats: LayoutStats,
+    /// The table the last checkpoint persisted, before its own charges,
+    /// and the charges: what its usage blocks must encode.
+    #[cfg(test)]
+    projection: (Vec<SegUsage>, Charges),
 }
 
 const INDIRECT_CACHE_CAP: usize = 1024;
@@ -340,8 +352,7 @@ impl LfsLayout {
             params,
             sb,
             imap: Vec::new(),
-            usage: Vec::new(),
-            zero_live: 0,
+            usage: UsageTable::default(),
             next_ino: 2,
             ckpt_seq: 0,
             epoch: 0,
@@ -360,6 +371,8 @@ impl LfsLayout {
             protected_segs: std::collections::BTreeSet::new(),
             seal,
             stats: LayoutStats::default(),
+            #[cfg(test)]
+            projection: Default::default(),
         }
     }
 
@@ -368,7 +381,7 @@ impl LfsLayout {
     /// maintained counts — nothing on the write path scans the table.
     pub fn free_segments(&self) -> u32 {
         let cur_free = self.segment_is_free(self.cur.seg) as u32;
-        self.zero_live - self.seal.queued_dead.get() - cur_free
+        self.usage.zero_live() - self.seal.queued_dead.get() - cur_free
     }
 
     /// Whether `seg` holds no live bytes and is not queued for a seal.
@@ -377,26 +390,19 @@ impl LfsLayout {
     }
 
     /// The one writer of `SegUsage.live` outside a wholesale table
-    /// replacement: keeps `zero_live` and the seal writer's dead count
-    /// in step with the table.
+    /// replacement: keeps the seal writer's dead count in step with the
+    /// table.
     fn set_live(&mut self, seg: usize, live: u32) {
-        let was = std::mem::replace(&mut self.usage[seg].live, live);
-        if (was == 0) == (live == 0) {
-            return;
+        if self.usage.set_live(seg, live) {
+            self.seal.relive(seg as u32, live);
         }
-        if live == 0 {
-            self.zero_live += 1;
-        } else {
-            self.zero_live -= 1;
-        }
-        self.seal.relive(seg as u32, live);
     }
 
-    /// Recounts the maintained segment state after `usage` was replaced
-    /// wholesale: one pass over the table for `zero_live`, and the seal
-    /// flags of the segments the queue holds (no other segment has one).
-    fn recount_segments(&mut self) {
-        self.zero_live = self.usage.iter().filter(|u| u.live == 0).count() as u32;
+    /// Installs a whole table (`format`, `load_state`). It counts its
+    /// own `live == 0` entries, so only the seal flags of the segments
+    /// the queue holds are refiled (no other segment has one).
+    fn replace_usage(&mut self, usage: UsageTable) {
+        self.usage = usage;
         for p in self.seal.pending.borrow().iter() {
             self.seal.relive(p.seg, self.usage[p.seg as usize].live);
         }
@@ -462,7 +468,7 @@ impl LfsLayout {
     fn usage_add(&mut self, seg: u32, bytes: u32) {
         let seg = seg as usize;
         self.set_live(seg, self.usage[seg].live + bytes);
-        self.usage[seg].mtime = self.handle.now().as_nanos();
+        self.usage.set_mtime(seg, self.now_ns());
     }
 
     /// Releases `bytes` of live data from the segment holding `addr`.
@@ -495,15 +501,18 @@ impl LfsLayout {
     }
 
     /// Appends one payload block to the log; may flush the segment.
-    async fn append_block(&mut self, entry: SumEntry, payload: Payload) -> LResult<BlockAddr> {
+    /// Not `async`: nothing between a checkpoint's usage appends yields
+    /// (see `checkpoint_inner`).
+    fn append_block(&mut self, entry: SumEntry, payload: Payload) -> LResult<BlockAddr> {
         if self.cur.entries.len() >= self.payload_per_seg() as usize {
             self.roll_segment()?;
         }
         let idx = self.cur.entries.len();
         let addr = self.payload_addr(self.cur.seg, idx);
         // Inode blocks are charged per packed inode (INODE_SIZE each) by
-        // `append_inode`, so a block whose inodes all die frees fully.
-        if !matches!(entry, SumEntry::InodeBlock) {
+        // `append_inode`, so a block whose inodes all die frees fully;
+        // usage blocks by the checkpoint, once it has encoded them all.
+        if !matches!(entry, SumEntry::InodeBlock | SumEntry::Usage) {
             self.usage_add(self.cur.seg, BLOCK_SIZE);
         }
         self.cur.entries.push((entry, payload));
@@ -872,7 +881,7 @@ impl LfsLayout {
             crate::types::codec::put_u64(bytes, i * 8, *v);
         }
         let entry = SumEntry::Indirect { ino: ino.0 };
-        let addr = self.append_block(entry, block.into()).await?;
+        let addr = self.append_block(entry, block.into())?;
         self.stats.meta_writes += 1;
         self.cache_indirect(addr, |t| t.copy_from_slice(table));
         Ok(addr)
@@ -901,7 +910,7 @@ impl LfsLayout {
             // A zeroed block, written in place from here.
             let before_seg = self.cur.seg;
             let block = Block::zeroed().into();
-            let _addr = self.append_block(SumEntry::InodeBlock, block).await?;
+            let _addr = self.append_block(SumEntry::InodeBlock, block)?;
             // `append_block` may have rolled the segment; the new block
             // lives in the (possibly new) current segment's last slot.
             debug_assert!(self.cur.seg == before_seg || self.cur.entries.len() == 1);
@@ -956,31 +965,37 @@ impl LfsLayout {
         usage_addrs.clear();
         for i in 0..self.imap.len().div_ceil(IMAP_PER_BLOCK) {
             let block = imap_block(&self.imap, i).into();
-            let addr = self.append_block(SumEntry::Imap, block).await?;
+            let addr = self.append_block(SumEntry::Imap, block)?;
             self.stats.meta_writes += 1;
             imap_addrs.push(addr.0);
         }
         // Pre-account the usage blocks we are about to append so the
-        // serialized table includes them (approximately; see module docs).
-        let n_usage = self.usage.len().div_ceil(USAGE_PER_BLOCK);
-        let mut projected = self.usage.clone();
-        let mut slots_left = self.payload_per_seg() as usize - self.cur.entries.len();
-        let mut seg = self.cur.seg as usize;
-        for _ in 0..n_usage {
-            if slots_left == 0 {
-                // Will roll into some free segment; approximate with the
-                // next free one.
-                seg = self.pick_free_segment()? as usize;
-                slots_left = self.payload_per_seg() as usize;
-            }
-            projected[seg].live += BLOCK_SIZE;
-            slots_left -= 1;
+        // serialized table includes them: the current segment's free
+        // slots, then (approximately; see module docs) the next free
+        // segment for the rest, however many rolls they take.
+        let n_usage = self.usage.chunks();
+        let here = n_usage.min(self.payload_per_seg() as usize - self.cur.entries.len());
+        let next = if here < n_usage { self.pick_free_segment()? as usize } else { 0 };
+        let charges: Charges = [
+            (self.cur.seg as usize, here as u32 * BLOCK_SIZE),
+            (next, (n_usage - here) as u32 * BLOCK_SIZE),
+        ];
+        #[cfg(test)]
+        {
+            self.projection = (self.usage.iter().copied().collect(), charges);
         }
+        // `append_block` leaves usage blocks uncharged and never yields,
+        // so each block encodes the table as it stands here; a chunk
+        // that no write and no charge touched since it was last encoded
+        // goes out as its kept block. The appends are charged after.
         for i in 0..n_usage {
-            let block = usage_block(&projected, i).into();
-            let addr = self.append_block(SumEntry::Usage, block).await?;
+            let block = self.usage.block(i, &charges).into();
+            let addr = self.append_block(SumEntry::Usage, block)?;
             self.stats.meta_writes += 1;
             usage_addrs.push(addr.0);
+        }
+        for &a in &usage_addrs {
+            self.usage_add(self.seg_of(BlockAddr(a)), BLOCK_SIZE);
         }
         // Metadata must be durable before the checkpoint references it —
         // including any segments still queued at the seal writer.
@@ -1028,8 +1043,7 @@ impl StorageLayout for LfsLayout {
         self.sb.gen = format_gen(self.now_ns(), self.sb.nsegs, self.sb.seg_blocks);
         self.io.write_block(structs::SB_ADDR, self.sb.to_block().into()).await?;
         self.imap = vec![IMAP_NONE; 2];
-        self.usage = vec![SegUsage::default(); self.sb.nsegs as usize];
-        self.recount_segments();
+        self.replace_usage(UsageTable::fresh(self.sb.nsegs as usize));
         self.next_ino = 2;
         self.ckpt_seq = 0;
         self.epoch = 1;
@@ -1360,19 +1374,15 @@ impl LfsLayout {
             imap_blocks
                 .push(p.block(0).ok_or_else(|| LayoutError::Corrupt("imap lost".into()))?.clone());
         }
-        let mut usage_blocks = Vec::new();
+        let mut usage_blocks = Vec::with_capacity(ckpt.usage_addrs.len());
         for &a in &ckpt.usage_addrs {
             let p = self.io.read_block(BlockAddr(a)).await?;
             self.stats.meta_reads += 1;
             usage_blocks
                 .push(p.block(0).ok_or_else(|| LayoutError::Corrupt("usage lost".into()))?.clone());
         }
-        self.imap = imap_from_blocks(&imap_blocks);
-        self.usage = usage_from_blocks(&usage_blocks);
-        if self.usage.len() != self.sb.nsegs as usize {
-            return Err(LayoutError::Corrupt("usage table size mismatch".into()));
-        }
-        self.recount_segments();
+        self.imap = imap_from_blocks(&imap_blocks)?;
+        self.replace_usage(UsageTable::decode(self.sb.nsegs as usize, &usage_blocks)?);
         self.next_ino = ckpt.next_ino;
         self.ckpt_seq = ckpt.seq;
         self.epoch = ckpt.epoch + 1;
@@ -1483,9 +1493,6 @@ impl LfsLayout {
     /// fsck-style ground truth), dropping unreadable inodes on the way.
     async fn rebuild_usage(&mut self) -> LResult<()> {
         let seg_limit = DATA_START + self.sb.nsegs as u64 * self.sb.seg_blocks as u64;
-        for u in &mut self.usage {
-            u.live = 0;
-        }
         let mut charges: Vec<(u64, u32)> = Vec::new();
         for &a in &self.ckpt_meta {
             charges.push((a, BLOCK_SIZE));
@@ -1519,18 +1526,25 @@ impl LfsLayout {
                 }
             }
         }
-        let now = self.handle.now().as_nanos();
-        for (addr, bytes) in charges {
-            if addr >= DATA_START && addr < seg_limit {
-                let seg = self.seg_of(BlockAddr(addr)) as usize;
-                let u = &mut self.usage[seg];
-                u.live += bytes;
-                if u.mtime == 0 {
-                    u.mtime = now;
-                }
+        // Fold the charges per segment, then write only the entries
+        // whose live bytes or age they change.
+        charges.retain(|&(addr, _)| addr >= DATA_START && addr < seg_limit);
+        for charge in &mut charges {
+            charge.0 = self.seg_of(BlockAddr(charge.0)) as u64;
+        }
+        charges.sort_unstable_by_key(|&(seg, _)| seg);
+        let mut folded = charges
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0 as usize, run.iter().map(|&(_, bytes)| bytes).sum::<u32>()))
+            .peekable();
+        let now = self.now_ns();
+        for seg in 0..self.usage.len() {
+            let live = folded.next_if(|&(s, _)| s == seg).map_or(0, |(_, live)| live);
+            self.set_live(seg, live);
+            if live > 0 && self.usage[seg].mtime == 0 {
+                self.usage.set_mtime(seg, now);
             }
         }
-        self.recount_segments();
         Ok(())
     }
 
@@ -1571,7 +1585,7 @@ impl LfsLayout {
         let (mut table_loaded, mut table_dirty) = (false, false);
         for (blk, payload) in blocks.drain(..) {
             let slot = block_slot(blk).ok_or(LayoutError::FileTooBig(blk))?;
-            let addr = self.append_block(SumEntry::Data { ino: ino.0, fblk: blk }, payload).await?;
+            let addr = self.append_block(SumEntry::Data { ino: ino.0, fblk: blk }, payload)?;
             self.stats.data_writes += 1;
             match slot {
                 BlockSlot::Direct(i) => {

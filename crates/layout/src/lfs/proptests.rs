@@ -10,7 +10,11 @@
 //!   a file system that is cut, recovered and cut again, `scan_log_tail`
 //!   must find exactly the segments the exhaustive
 //!   `scan_all_summaries` finds — plus directed cases for the states
-//!   the stop rule has to survive.
+//!   the stop rule has to survive;
+//! * the usage table's kept blocks: on a disk of three usage chunks,
+//!   every usage block a checkpoint or a recovery appends must equal
+//!   the specification's encoding (`usage::usage_block`) of the table
+//!   it projected.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -23,6 +27,7 @@ use cnp_disk::{
 };
 use cnp_sim::{Sim, SimDuration};
 
+use super::usage::{usage_block, USAGE_PER_BLOCK};
 use super::*;
 
 const SEG_BLOCKS: u32 = 8;
@@ -192,6 +197,107 @@ proptest! {
         steps in prop::collection::vec((0u8..8, 0usize..FILES, 0u64..1000, 0u64..1000), 40..200),
     ) {
         prop_assert!(drive(steps) > 0, "the cleaner never fired");
+    }
+}
+
+// ---- The usage table's kept blocks against the specification ----
+
+/// Segments of a disk whose usage table is three blocks.
+const WIDE: u32 = 2 * USAGE_PER_BLOCK as u32 + 20;
+
+/// The cleaner fires once a dozen segments hold live bytes.
+fn wide_params() -> LfsParams {
+    LfsParams {
+        seg_blocks: SEG_BLOCKS,
+        clean_low_water: WIDE - 12,
+        clean_high_water: WIDE - 8,
+        ..LfsParams::default()
+    }
+}
+
+/// Every usage block the last checkpoint appended is what the
+/// specification makes of the table it projected, charges added.
+async fn assert_persisted_usage(lfs: &LfsLayout) {
+    let (table, charges) = &lfs.projection;
+    let mut projected = table.clone();
+    for &(seg, bytes) in charges {
+        projected[seg].live += bytes;
+    }
+    let addrs = &lfs.ckpt_addrs.1;
+    assert_eq!(addrs.len(), WIDE.div_ceil(USAGE_PER_BLOCK as u32) as usize);
+    for (i, &a) in addrs.iter().enumerate() {
+        // On the media: the checkpoint drained its seals.
+        let p = lfs.io.read_block(BlockAddr(a)).await.unwrap();
+        assert_eq!(p.block(0), Some(&usage_block(&projected, i)), "usage block {i}");
+    }
+    lfs.assert_segment_state();
+}
+
+/// Formats the wide disk, moves the log head to segment `start`,
+/// applies `steps` and then overwrites until the cleaner has fired,
+/// crashing and recovering before each step in `cuts`; checks every
+/// checkpoint's usage blocks.
+fn persisted_usage_lives(start: u32, mut steps: Vec<Step>, cuts: Vec<usize>) {
+    // Deletions are not logged, as in `crash_lives`.
+    for step in &mut steps {
+        if step.0 == 5 {
+            *step = (4, step.1, 0, step.3);
+        }
+    }
+    run_sim(move |h| async move {
+        let disk_on =
+            |image| power_on_disk(&h, disk_of(WIDE, SEG_BLOCKS), image, FaultPlan::default());
+        let (mut driver, mut disk) = disk_on(DiskImage::default());
+        let mut lfs = LfsLayout::new(&h, driver.clone(), wide_params());
+        lfs.format().await.unwrap();
+        assert_persisted_usage(&lfs).await;
+        // The state of a log that wrote and freed every segment before
+        // `start`: the head on a free segment, checkpointed there, so
+        // the log's writes land in every chunk of the table.
+        lfs.cur.seg += start % (WIDE - lfs.cur.seg);
+        lfs.sync().await.unwrap();
+        assert_persisted_usage(&lfs).await;
+        let mut files: Vec<Option<Inode>> = vec![None; FILES];
+        let mut cleaned = 0;
+        let generated = steps.len();
+        let churn = (0..400u64).map(|i| (1u8, i as usize, i * 5, 2));
+        for (n, step) in steps.into_iter().chain(churn).enumerate() {
+            if n >= generated && cleaned + lfs.stats.segments_cleaned > 0 {
+                break;
+            }
+            if cuts.contains(&n) {
+                cleaned += lfs.stats.segments_cleaned;
+                (driver, disk) = disk_on(crash(driver, disk));
+                lfs = LfsLayout::new(&h, driver.clone(), wide_params());
+                lfs.recover().await.unwrap();
+                assert_persisted_usage(&lfs).await;
+                files = vec![None; FILES];
+                let inos = lfs.allocated_inos().into_iter().filter(|&ino| ino != Ino::ROOT);
+                for (slot, ino) in inos.take(FILES).enumerate() {
+                    files[slot] = Some(lfs.get_inode(ino).await.unwrap());
+                }
+            }
+            let checkpoints = lfs.stats.checkpoints;
+            let_seals_land(&lfs, &h).await;
+            apply(&mut lfs, &h, &mut files, step).await.unwrap();
+            lfs.assert_segment_state();
+            if lfs.stats.checkpoints > checkpoints {
+                assert_persisted_usage(&lfs).await;
+            }
+        }
+        assert!(cleaned + lfs.stats.segments_cleaned > 0, "the cleaner never fired");
+        driver.shutdown();
+    });
+}
+
+proptest! {
+    #[test]
+    fn every_persisted_usage_block_equals_the_specification(
+        start in 0..WIDE,
+        steps in prop::collection::vec((0u8..8, 0usize..FILES, 0u64..1000, 0u64..1000), 60..160),
+        cuts in prop::collection::vec(0usize..160, 1..4),
+    ) {
+        persisted_usage_lives(start, steps, cuts);
     }
 }
 

@@ -1,5 +1,6 @@
 //! LFS on-disk structures: superblock, checkpoint regions, segment
-//! summaries, the inode map (IFILE) and the segment usage table.
+//! summaries and the inode map (IFILE). The segment usage table is
+//! `usage.rs`.
 
 use cnp_disk::Block;
 
@@ -195,44 +196,6 @@ pub fn summary_from_block(b: &[u8]) -> LResult<SegSummary> {
     Ok(SegSummary { gen: get_u64(b, 8), epoch: get_u64(b, 16), seq: get_u64(b, 24), entries })
 }
 
-/// Per-segment usage record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegUsage {
-    /// Live bytes in the segment.
-    pub live: u32,
-    /// Last modification (ns of simulation time) for cost-benefit aging.
-    pub mtime: u64,
-}
-
-/// Entries per usage-table block.
-pub const USAGE_PER_BLOCK: usize = (BLOCK_SIZE as usize - 8) / 12;
-
-/// Serializes block `i` of the usage table.
-pub fn usage_block(usage: &[SegUsage], i: usize) -> Block {
-    let chunk = &usage[i * USAGE_PER_BLOCK..usage.len().min((i + 1) * USAGE_PER_BLOCK)];
-    encoded(|b| {
-        put_u32(b, 0, chunk.len() as u32);
-        for (i, u) in chunk.iter().enumerate() {
-            let off = 8 + i * 12;
-            put_u32(b, off, u.live);
-            put_u64(b, off + 4, u.mtime);
-        }
-    })
-}
-
-/// Parses usage blocks back into a table.
-pub fn usage_from_blocks(blocks: &[Block]) -> Vec<SegUsage> {
-    let mut out = Vec::new();
-    for b in blocks {
-        let n = get_u32(b, 0) as usize;
-        for i in 0..n {
-            let off = 8 + i * 12;
-            out.push(SegUsage { live: get_u32(b, off), mtime: get_u64(b, off + 4) });
-        }
-    }
-    out
-}
-
 /// Inode-map entries per IFILE block.
 pub const IMAP_PER_BLOCK: usize = (BLOCK_SIZE as usize - 8) / 8;
 
@@ -261,15 +224,18 @@ pub fn imap_block(imap: &[u64], i: usize) -> Block {
 }
 
 /// Parses inode-map blocks.
-pub fn imap_from_blocks(blocks: &[Block]) -> Vec<u64> {
+pub fn imap_from_blocks(blocks: &[Block]) -> LResult<Vec<u64>> {
     let mut out = Vec::new();
     for b in blocks {
-        let n = get_u32(b, 0) as usize;
+        let n = (b.len() >= 8)
+            .then(|| get_u32(b, 0) as usize)
+            .filter(|&n| n <= IMAP_PER_BLOCK && 8 + n * 8 <= b.len())
+            .ok_or_else(|| LayoutError::Corrupt("imap block overflow".into()))?;
         for i in 0..n {
             out.push(get_u64(b, 8 + i * 8));
         }
     }
-    out
+    Ok(out)
 }
 
 /// A checkpoint: the durable root of the file system.
@@ -334,6 +300,11 @@ impl Checkpoint {
         }
         let ni = get_u32(b, 24) as usize;
         let nu = get_u32(b, 28) as usize;
+        // A checksum-valid block may still be crafted: the addresses
+        // must fit where `fill` puts them.
+        if 56 + (ni + nu) * 8 > BLOCK_SIZE as usize - 8 {
+            return None;
+        }
         let mut off = 56;
         let mut imap_addrs = Vec::with_capacity(ni);
         for _ in 0..ni {
@@ -392,12 +363,7 @@ mod tests {
         summary_block([gen, epoch, seq], entries.iter().copied())
     }
 
-    /// The usage table as blocks.
-    fn usage_to_blocks(usage: &[SegUsage]) -> Vec<Block> {
-        (0..usage.len().div_ceil(USAGE_PER_BLOCK)).map(|i| usage_block(usage, i)).collect()
-    }
-
-    /// The inode map as blocks, likewise.
+    /// The inode map as blocks.
     fn imap_to_blocks(imap: &[u64]) -> Vec<Block> {
         (0..imap.len().div_ceil(IMAP_PER_BLOCK)).map(|i| imap_block(imap, i)).collect()
     }
@@ -474,21 +440,20 @@ mod tests {
     }
 
     #[test]
-    fn usage_round_trip() {
-        let usage: Vec<SegUsage> =
-            (0..700).map(|i| SegUsage { live: i * 13, mtime: i as u64 * 7 }).collect();
-        let blocks = usage_to_blocks(&usage);
-        assert!(blocks.len() >= 2, "700 entries need multiple blocks");
-        assert_eq!(usage_from_blocks(&blocks), usage);
-    }
-
-    #[test]
     fn imap_round_trip() {
         let imap: Vec<u64> =
             (0..1200).map(|i| if i % 3 == 0 { IMAP_NONE } else { i * 11 }).collect();
         let blocks = imap_to_blocks(&imap);
-        assert_eq!(imap_from_blocks(&blocks), imap);
+        assert_eq!(imap_from_blocks(&blocks), Ok(imap));
         assert!(imap_to_blocks(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_hostile_imap_count_is_corrupt_not_a_panic() {
+        let mut b = Block::zeroed();
+        put_u32(b.make_mut(), 0, 4096);
+        let r = imap_from_blocks(&[b]);
+        assert!(matches!(r, Err(LayoutError::Corrupt(_))), "{r:?}");
     }
 
     #[test]
@@ -513,6 +478,25 @@ mod tests {
         assert_eq!(Checkpoint::from_block(&b), Some(c));
         // Corrupt one byte: checksum must reject.
         b.make_mut()[40] ^= 0xff;
+        assert_eq!(Checkpoint::from_block(&b), None);
+    }
+
+    #[test]
+    fn a_crafted_checkpoint_with_too_many_addresses_is_invalid_not_a_panic() {
+        let c = Checkpoint {
+            seq: 1,
+            next_ino: 2,
+            gen: 3,
+            epoch: 4,
+            log_seq: 5,
+            imap_addrs: vec![],
+            usage_addrs: vec![],
+        };
+        let mut b = c.to_block();
+        let bytes = b.make_mut();
+        put_u32(bytes, 24, 4096);
+        let sum = checksum(&bytes[..BLOCK_SIZE as usize - 8]);
+        put_u64(bytes, BLOCK_SIZE as usize - 8, sum);
         assert_eq!(Checkpoint::from_block(&b), None);
     }
 }

@@ -97,7 +97,7 @@ fn a_zipf_client_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
     let cfg = ClientSweepConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.01);
     let (cell, spent) = block_bytes(|| run_client_cell(&cfg, 8));
     assert_eq!(cell.report.errors, 0, "{:?}", cell.report.error_sample);
-    assert_eq!(spent[..2], [72_873, 2_024_279], "(copied, zeroed)");
+    assert_eq!(spent[..2], [72_873, 1_975_127], "(copied, zeroed)");
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn a_served_zipf_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
     let cfg = ServeBenchConfig::new(WorkloadKind::Zipf, vec![8], 42, 0.01);
     let (cell, spent) = block_bytes(|| run_serve_cell(&cfg, 8));
     assert_eq!(cell.errors, 0);
-    assert_eq!(spent[..2], [72_873, 2_024_279], "(copied, zeroed)");
+    assert_eq!(spent[..2], [72_873, 1_975_127], "(copied, zeroed)");
 }
 
 #[test]
@@ -113,16 +113,18 @@ fn a_mail_client_cell_at_qd_8_copies_and_zeroes_its_pinned_block_bytes() {
     let cfg = ClientSweepConfig::new(WorkloadKind::Mail, vec![8], 42, 0.01);
     let (cell, spent) = block_bytes(|| run_client_cell(&cfg, 8));
     assert_eq!(cell.report.errors, 0, "{:?}", cell.report.error_sample);
-    assert_eq!(spent[..2], [79_556, 2_402_620], "(copied, zeroed)");
+    assert_eq!(spent[..2], [79_556, 2_353_468], "(copied, zeroed)");
 }
 
 #[test]
 fn a_trace_1a_replay_at_qd_1_copies_and_zeroes_its_pinned_block_bytes_under_every_policy() {
+    // A fresh LFS usage table's blocks are encoded once a thread, so
+    // the first policy run here pays for them.
     let pinned = [
-        (Policy::WriteDelay, [854_196, 5_318_476]),
-        (Policy::Ups, [231_604, 4_163_404]),
-        (Policy::NvramWhole, [338_100, 4_482_892]),
-        (Policy::NvramPartial, [342_196, 28_874_572]),
+        (Policy::WriteDelay, [854_196, 5_211_980]),
+        (Policy::Ups, [231_604, 4_048_716]),
+        (Policy::NvramWhole, [338_100, 4_368_204]),
+        (Policy::NvramPartial, [342_196, 28_759_884]),
     ];
     let spent = pinned.map(|(policy, _)| {
         let cfg =
@@ -151,5 +153,5 @@ fn a_budget_40_check_hashes_its_pinned_state_key_bytes() {
     let stats = &report.stats;
     assert_eq!((report.cells, stats.prefix_runs, stats.states_verified), (320, 192, 64));
     assert_eq!(stacks, 192 + 64, "a stack per prefix run and per verified state");
-    assert_eq!(spent, [282_120, 24_715_768, 13_697_972], "(copied, zeroed, hashed)");
+    assert_eq!(spent, [282_120, 16_007_672, 8_201_140], "(copied, zeroed, hashed)");
 }
